@@ -370,39 +370,24 @@ pub fn build_blocking_graph(
 /// ([`crate::intersect`]) and exactly the common ids are retained — the
 /// weight-descending candidate order is untouched.
 pub(crate) fn apply_reciprocal_pruning(graph: &mut BlockingGraph) {
-    /// Transposes candidate lists into a reverse CSR: row `to` holds the
+    /// Transposes candidate lists into reverse rows: row `to` holds the
     /// ascending `from` ids with an edge `from → to`. Ascending because
-    /// the fill walks `from` in order.
-    fn transpose(lists: &[Vec<Candidate>], n_to: usize) -> (Vec<usize>, Vec<u32>) {
-        let mut offsets = vec![0usize; n_to + 1];
-        for cands in lists {
-            for &(to, _) in cands {
-                offsets[to.index() + 1] += 1;
-            }
-        }
-        for i in 0..n_to {
-            offsets[i + 1] += offsets[i];
-        }
-        let mut data = vec![0u32; offsets[n_to]];
-        let mut cursor = offsets.clone();
-        for (from, cands) in lists.iter().enumerate() {
-            for &(to, _) in cands {
-                data[cursor[to.index()]] = from as u32;
-                cursor[to.index()] += 1;
-            }
-        }
-        (offsets, data)
+    /// the regroup is stable and walks `from` in order.
+    fn transpose(lists: &[Vec<Candidate>], n_to: usize) -> Grouped<u32> {
+        let edges = lists.iter().enumerate().flat_map(|(from, cands)| {
+            cands.iter().map(move |&(to, _)| (to.index(), from as u32))
+        });
+        Grouped::build(n_to, edges)
     }
     /// Keeps only the candidates present in the entity's reverse row.
-    fn prune(lists: &mut [Vec<Candidate>], reverse: &(Vec<usize>, Vec<u32>)) {
-        let (offsets, data) = reverse;
+    fn prune(lists: &mut [Vec<Candidate>], reverse: &Grouped<u32>) {
         let mut ids: Vec<u32> = Vec::new();
         let mut common: Vec<u32> = Vec::new();
         for (from, cands) in lists.iter_mut().enumerate() {
             if cands.is_empty() {
                 continue;
             }
-            let rev = &data[offsets[from]..offsets[from + 1]];
+            let rev = reverse.row(from);
             if rev.is_empty() {
                 cands.clear();
                 continue;
@@ -421,6 +406,45 @@ pub(crate) fn apply_reciprocal_pruning(graph: &mut BlockingGraph) {
         let rev_of_left = transpose(&lists[0], lists[1].len());
         prune(&mut lists[0], &rev_of_right);
         prune(&mut lists[1], &rev_of_left);
+    }
+}
+
+/// Rows of `T` under dense keys `0..n` — what a stable counting regroup
+/// (count → prefix-sum → scatter) produces: O(items), no comparisons, and
+/// within a row the items keep the order they were produced in. It stands
+/// in for "sort by key" wherever the producer already emits each key's
+/// items in the wanted order.
+struct Grouped<T> {
+    /// `n + 1` offsets into `data`; row `k` spans
+    /// `data[offsets[k]..offsets[k + 1]]`.
+    offsets: Vec<usize>,
+    data: Vec<T>,
+}
+
+impl<T: Copy + Default> Grouped<T> {
+    /// Regroups `items` (walked twice: count, then scatter) by their key,
+    /// which must be below `n_keys`.
+    fn build(n_keys: usize, items: impl Iterator<Item = (usize, T)> + Clone) -> Self {
+        let mut offsets = vec![0usize; n_keys + 1];
+        for (key, _) in items.clone() {
+            offsets[key + 1] += 1;
+        }
+        for key in 0..n_keys {
+            offsets[key + 1] += offsets[key];
+        }
+        let mut data = vec![T::default(); offsets[n_keys]];
+        let mut cursor = offsets.clone();
+        for (key, item) in items {
+            data[cursor[key]] = item;
+            cursor[key] += 1;
+        }
+        Self { offsets, data }
+    }
+
+    /// The items under `key`, in production order.
+    #[inline]
+    fn row(&self, key: usize) -> &[T] {
+        &self.data[self.offsets[key]..self.offsets[key + 1]]
     }
 }
 
@@ -581,13 +605,83 @@ pub(crate) fn top_in_neighbors(
     reverse
 }
 
+/// Union of both directions' retained β edges (each undirected pair
+/// counted once — the paper prunes "two directed [edges] with the same
+/// initial weights", §3.3) as rows by left endpoint: row `i` holds
+/// `(j, β)` ascending by `j`. Where both directions retained the pair, the
+/// left-derived weight wins (they are bit-equal anyway: both passes sum
+/// the same block weights in the same ascending-block order).
+///
+/// Sharded by left-row range. A task regroups the right-side lists'
+/// entries that point into its range by `i` — the lists are walked in
+/// ascending `j`, so every regrouped row is already ascending — and merges
+/// each with the row's own (at most K) left-derived entries. Every task
+/// scans all right-side lists (at most K entries per entity) to filter
+/// its range: P cheap sequential passes instead of one serial transpose
+/// ahead of the stage.
+fn beta_union(
+    executor: &Executor,
+    value_left: &[Vec<Candidate>],
+    value_right: &[Vec<Candidate>],
+) -> Grouped<(u32, f64)> {
+    let n_left = value_left.len();
+    let chunk = n_left.div_ceil(executor.partitions().max(1)).max(1);
+    let parts = executor.run_stage("graph/gamma/union", n_left.div_ceil(chunk), |t| {
+        let lo = t * chunk;
+        let own = value_left.iter().skip(lo).take(chunk);
+        let from_right = Grouped::build(
+            own.len(),
+            value_right.iter().enumerate().flat_map(|(j, cands)| {
+                cands.iter().filter_map(move |&(i, w)| {
+                    let row = (i.0 as usize).checked_sub(lo).filter(|&row| row < chunk)?;
+                    Some((row, (j as u32, w)))
+                })
+            }),
+        );
+        let mut ends = Vec::with_capacity(own.len());
+        let mut edges: Vec<(u32, f64)> = Vec::new();
+        let mut row: Vec<(u32, f64)> = Vec::new();
+        for (r, cands) in own.enumerate() {
+            row.clear();
+            row.extend(cands.iter().map(|&(j, w)| (j.0, w)));
+            row.extend_from_slice(from_right.row(r));
+            // Stable: of two copies of one pair the left-derived one was
+            // pushed first, sorts first and survives the dedup.
+            row.sort_by_key(|&(j, _)| j);
+            row.dedup_by_key(|&mut (j, _)| j);
+            edges.extend_from_slice(&row);
+            ends.push(edges.len());
+        }
+        (ends, edges)
+    });
+    let mut offsets = Vec::with_capacity(n_left + 1);
+    offsets.push(0);
+    let mut data: Vec<(u32, f64)> = Vec::new();
+    for (ends, edges) in parts {
+        offsets.extend(ends.into_iter().map(|end| data.len() + end));
+        data.extend(edges);
+    }
+    Grouped { offsets, data }
+}
+
+/// The transpose's reduce step: one partition's γ entries `(a, b, γ)` —
+/// its buckets in map-task order — regrouped into rows by right entity,
+/// row `b - lo` holding `(a, γ)`. Map tasks own ascending ranges of `a`
+/// and emit their rows in ascending `a`, so each regrouped row comes out
+/// ascending by `a`: the sequence a sort by `(b, a)` would produce (the
+/// keys are unique — one γ entry per touched cell per row).
+fn regroup_by_right(
+    buckets: &[Vec<(u32, u32, f64)>],
+    lo: usize,
+    width: usize,
+) -> Grouped<(u32, f64)> {
+    Grouped::build(width, buckets.iter().flatten().map(|&(a, b, g)| (b as usize - lo, (a, g))))
+}
+
 /// γ aggregation (lines 20-33): every retained β edge `(i, j)` adds its β
 /// to `γ[(a, b)]` for all `a` with `i ∈ topN(a)`, `b ∈ topInNeighbors(j)`,
-/// after which each node keeps its top-K neighbor candidates.
-///
-/// The β edge set is the union of both directions' retained value edges
-/// (each undirected pair counted once — the paper prunes "two directed
-/// [edges] with the same initial weights", §3.3), sorted by `(i, j)`.
+/// after which each node keeps its top-K neighbor candidates. The β edge
+/// set is [`beta_union`]'s.
 ///
 /// # Parallel decomposition and determinism
 ///
@@ -603,10 +697,14 @@ pub(crate) fn top_in_neighbors(
 /// shard count.) Total work is unchanged: `Σ_a |topN(a) ∩ edges|` counts
 /// each (edge, in-neighbor) pair exactly once.
 ///
-/// The right-side lists reuse the row pass's output: every computed γ
-/// entry `(a, b, γ)` is re-keyed by `b` in a second parallel stage
-/// (`graph/gamma/transpose`) that only selects — the sums are already
-/// final, so transposition cannot perturb them.
+/// The right-side lists reuse the row pass's output through one map→reduce
+/// shuffle: a row task buckets every γ entry `(a, b, γ)` it computes by
+/// the reduce partition of `b`, and a second parallel stage
+/// (`graph/gamma/transpose`) regroups each partition by `b`
+/// ([`regroup_by_right`]) and only selects — the sums are already final,
+/// so transposition cannot perturb them. The shuffle is resident unless
+/// the executor carries a memory budget that makes it spill; either way
+/// the reduce side sees the same buckets in the same order.
 #[allow(clippy::too_many_arguments)]
 fn gamma_pass(
     executor: &Executor,
@@ -622,51 +720,18 @@ fn gamma_pass(
     let n_right = pair.kb(Side::Right).len();
     let dirty = pair.is_dirty();
 
-    // Union of retained β edges as (left, right, β), sorted by (i, j).
-    // Where both directions retained the pair, the left-derived weight
-    // wins (they are bit-equal anyway: both passes sum the same block
-    // weights in the same ascending-block order).
-    let edges: Vec<(u32, u32, f64)> = executor.time_stage("graph/gamma/union", || {
-        let cap = value_left.iter().map(Vec::len).sum::<usize>()
-            + value_right.iter().map(Vec::len).sum::<usize>();
-        let mut tagged: Vec<(u32, u32, u8, f64)> = Vec::with_capacity(cap);
-        for (i, cands) in value_left.iter().enumerate() {
-            for &(j, w) in cands {
-                tagged.push((i as u32, j.0, 0, w));
-            }
-        }
-        for (j, cands) in value_right.iter().enumerate() {
-            for &(i, w) in cands {
-                tagged.push((i.0, j as u32, 1, w));
-            }
-        }
-        tagged.sort_unstable_by(|a, b| (a.0, a.1, a.2).cmp(&(b.0, b.1, b.2)));
-        tagged.dedup_by(|later, first| later.0 == first.0 && later.1 == first.1);
-        tagged.into_iter().map(|(i, j, _, w)| (i, j, w)).collect()
-    });
-    executor.emit_counter("blocking/beta_union_edges", edges.len() as u64);
+    let edges: Grouped<(u32, f64)> = beta_union(executor, value_left, value_right);
+    executor.emit_counter("blocking/beta_union_edges", edges.data.len() as u64);
 
-    // CSR offsets of the edge list by left endpoint.
-    let mut edge_offsets = vec![0usize; n_left + 1];
-    for &(i, _, _) in &edges {
-        edge_offsets[i as usize + 1] += 1;
-    }
-    for i in 0..n_left {
-        edge_offsets[i + 1] += edge_offsets[i];
-    }
-
-    // Row pass: left-side lists plus every γ entry as (a, b, γ) triples.
-    // Under a memory budget the triples flow through a spill-aware
-    // shuffle keyed by the transpose's reduce partitioning instead of
-    // being concatenated on the heap.
+    // Row pass: left-side lists, plus every γ entry as an (a, b, γ) triple
+    // in the shuffle bucket of b's reduce partition.
     let tasks = executor.partitions().max(1);
     let chunk = n_left.div_ceil(tasks).max(1);
     let n_tasks = n_left.div_ceil(chunk);
     let chunk_r = n_right.div_ceil(tasks).max(1);
     let n_tasks_r = n_right.div_ceil(chunk_r);
-    let shuffle: Option<SpillShuffle<(u32, u32, f64)>> = executor
-        .memory_budget()
-        .map(|budget| SpillShuffle::new("graph-gamma", n_tasks_r, budget.clone()));
+    let shuffle: SpillShuffle<(u32, u32, f64)> =
+        SpillShuffle::new("graph-gamma", n_tasks_r, executor.memory_budget());
 
     let partials = executor.run_stage("graph/gamma", n_tasks, |t| {
         let lo = t * chunk;
@@ -678,8 +743,7 @@ fn gamma_pass(
                 let a_id = a as u32;
                 acc.next_epoch();
                 for &i in &top_left[a] {
-                    let row = &edges[edge_offsets[i.index()]..edge_offsets[i.index() + 1]];
-                    for &(_, j, beta) in row {
+                    for &(j, beta) in edges.row(i.index()) {
                         for &b in &in_right[j as usize] {
                             if dirty && b.0 == a_id {
                                 continue;
@@ -690,116 +754,79 @@ fn gamma_pass(
                 }
                 scratch.clear();
                 for &b in acc.touched() {
-                    scratch.push((EntityId(b), acc.score(b)));
-                }
-                for &(b, g) in scratch.iter() {
-                    triples.push((a_id, b.0, g));
+                    let g = acc.score(b);
+                    scratch.push((EntityId(b), g));
+                    triples.push((a_id, b, g));
                 }
                 lists.push(select_top_k(scratch, top_k, adaptive));
             }
         });
+        // Bucket in production order, into exactly-sized buckets: vectors
+        // growing side by side cannot extend in place, and every doubling
+        // of a bucket would copy it.
         let produced = triples.len() as u64;
-        if let Some(sh) = &shuffle {
-            // Bucket this task's entries by reduce partition, pre-sorted
-            // by the transpose key (b, a). Keys are unique (one γ entry
-            // per touched cell per row), so the reduce-side k-way merge
-            // reproduces the global sort order exactly.
-            let mut buckets: Vec<Vec<(u32, u32, f64)>> = vec![Vec::new(); n_tasks_r];
-            for tri in triples.drain(..) {
-                buckets[tri.1 as usize / chunk_r].push(tri);
-            }
-            for bucket in &mut buckets {
-                bucket.sort_unstable_by(|x, y| (x.1, x.0).cmp(&(y.1, y.0)));
-            }
-            if let Err(e) = sh.add_run(t, buckets) {
-                std::panic::panic_any(e);
-            }
+        let mut sizes = vec![0usize; n_tasks_r];
+        for &(_, b, _) in &triples {
+            sizes[b as usize / chunk_r] += 1;
         }
-        (lists, triples, produced)
+        let mut buckets: Vec<Vec<(u32, u32, f64)>> =
+            sizes.into_iter().map(Vec::with_capacity).collect();
+        for tri in triples {
+            buckets[tri.1 as usize / chunk_r].push(tri);
+        }
+        if let Err(e) = shuffle.add_run(t, buckets) {
+            std::panic::panic_any(e);
+        }
+        (lists, produced)
     });
     let mut left_lists: Vec<Vec<Candidate>> = Vec::with_capacity(n_left);
-    let mut triples: Vec<(u32, u32, f64)> = Vec::new();
     let mut total_entries = 0u64;
-    for (lists, part, produced) in partials {
+    for (lists, produced) in partials {
         left_lists.extend(lists);
-        triples.extend(part);
         total_entries += produced;
     }
     executor.annotate_last_stage(
         "graph/gamma",
-        StageIo::items(edges.len() as u64, total_entries),
+        StageIo::items(edges.data.len() as u64, total_entries),
     );
     executor.emit_counter("blocking/gamma_entries", total_entries);
 
-    // Transpose: re-key the final γ entries by right entity and select.
-    // The sums are already final, so only the (b, a)-sorted order of the
-    // entries matters — produced either by one global sort (in-memory) or
-    // by merging the pre-sorted spill buckets per reduce partition
-    // (budgeted); with unique (b, a) keys both yield the same sequence.
-    let right_lists: Vec<Vec<Candidate>> = if let Some(sh) = shuffle {
-        let partials_r = executor.run_stage("graph/gamma/transpose", n_tasks_r, |t| {
-            let lo = (t * chunk_r) as u32;
-            let hi = ((t + 1) * chunk_r).min(n_right) as u32;
-            let part = match sh.merge_partition(t, |tri| (tri.1, tri.0)) {
-                Ok(part) => part,
-                Err(e) => std::panic::panic_any(e),
-            };
-            let mut lists: Vec<Vec<Candidate>> = vec![Vec::new(); (hi - lo) as usize];
-            with_scratch(0, |_, scratch| {
-                let mut idx = 0;
-                while idx < part.len() {
-                    let b = part[idx].1;
-                    let mut run_end = idx;
-                    while run_end < part.len() && part[run_end].1 == b {
-                        run_end += 1;
-                    }
+    // Transpose: regroup the final γ entries by right entity and select.
+    let partials_r = executor.run_stage("graph/gamma/transpose", n_tasks_r, |t| {
+        let lo = t * chunk_r;
+        let width = ((t + 1) * chunk_r).min(n_right) - lo;
+        let by_b: Grouped<(u32, f64)> = match shuffle.take_partition(t) {
+            Ok(buckets) => regroup_by_right(&buckets, lo, width),
+            Err(e) => std::panic::panic_any(e),
+        };
+        // Universe 0: the transpose only selects, it never accumulates —
+        // but the candidate buffer is still worth reusing.
+        let lists: Vec<Vec<Candidate>> = with_scratch(0, |_, scratch| {
+            (0..width)
+                .map(|row| {
                     scratch.clear();
-                    for &(a, _, g) in &part[idx..run_end] {
-                        scratch.push((EntityId(a), g));
-                    }
-                    lists[(b - lo) as usize] = select_top_k(scratch, top_k, adaptive);
-                    idx = run_end;
-                }
-            });
-            lists
+                    scratch.extend(by_b.row(row).iter().map(|&(a, g)| (EntityId(a), g)));
+                    select_top_k(scratch, top_k, adaptive)
+                })
+                .collect()
         });
-        let right_lists: Vec<Vec<Candidate>> = partials_r.into_iter().flatten().collect();
-        sh.finish(executor);
-        right_lists
-    } else {
-        triples.sort_unstable_by(|x, y| (x.1, x.0).cmp(&(y.1, y.0)));
-        let partials_r = executor.run_stage("graph/gamma/transpose", n_tasks_r, |t| {
-            let lo = (t * chunk_r) as u32;
-            let hi = ((t + 1) * chunk_r).min(n_right) as u32;
-            let start = triples.partition_point(|&(_, b, _)| b < lo);
-            let end = triples.partition_point(|&(_, b, _)| b < hi);
-            let mut lists: Vec<Vec<Candidate>> = vec![Vec::new(); (hi - lo) as usize];
-            // Universe 0: the transpose only selects, it never accumulates —
-            // but the candidate buffer is still worth reusing.
-            with_scratch(0, |_, scratch| {
-                let mut idx = start;
-                while idx < end {
-                    let b = triples[idx].1;
-                    let mut run_end = idx;
-                    while run_end < end && triples[run_end].1 == b {
-                        run_end += 1;
-                    }
-                    scratch.clear();
-                    for &(a, _, g) in &triples[idx..run_end] {
-                        scratch.push((EntityId(a), g));
-                    }
-                    lists[(b - lo) as usize] = select_top_k(scratch, top_k, adaptive);
-                    idx = run_end;
-                }
-            });
-            lists
-        });
-        partials_r.into_iter().flatten().collect()
-    };
-    let retained_right: u64 = right_lists.iter().map(|c| c.len() as u64).sum();
+        (lists, by_b.data.len() as u64)
+    });
+    shuffle.finish(executor);
+    let mut right_lists: Vec<Vec<Candidate>> = Vec::with_capacity(n_right);
+    let mut largest_partition = 0u64;
+    for (lists, entries) in partials_r {
+        right_lists.extend(lists);
+        largest_partition = largest_partition.max(entries);
+    }
     executor.annotate_last_stage(
         "graph/gamma/transpose",
-        StageIo::items(total_entries, retained_right),
+        StageIo {
+            items_in: total_entries,
+            items_out: right_lists.iter().map(|c| c.len() as u64).sum(),
+            shuffle_bytes: total_entries * std::mem::size_of::<(u32, u32, f64)>() as u64,
+            max_partition_items: largest_partition,
+        },
     );
 
     (left_lists, right_lists)
@@ -811,6 +838,7 @@ mod tests {
     use crate::name::build_name_blocks;
     use crate::purge::purge_blocks;
     use crate::token::build_token_blocks;
+    use minoaner_kb::dirty::DirtyKbBuilder;
     use minoaner_kb::stats::NameStats;
     use minoaner_kb::{KbPairBuilder, Term};
 
@@ -855,26 +883,207 @@ mod tests {
         build_blocking_graph(exec, pair, &rels, &tb, &nb, &cfg)
     }
 
-    #[test]
-    fn zero_memory_budget_forces_spill_and_is_bit_identical() {
-        use minoaner_dataflow::MemoryBudget;
+    /// A dirty-ER KB (both sides mirror it, identity pairs excluded) with
+    /// fewer entities than an 8-worker executor has partitions.
+    fn dirty_pair() -> KbPair {
+        let mut b = DirtyKbBuilder::new();
+        b.add_triple("e0", "p", Term::Literal("fat duck restaurant bray"));
+        b.add_triple("e0", "chef", Term::Uri("e2"));
+        b.add_triple("e1", "p", Term::Literal("the fat duck bray"));
+        b.add_triple("e1", "chef", Term::Uri("e3"));
+        b.add_triple("e2", "p", Term::Literal("john lake chef celebrity"));
+        b.add_triple("e3", "p", Term::Literal("jonny lake chef celebrity"));
+        b.add_triple("e4", "p", Term::Literal("berkshire county village"));
+        b.finish()
+    }
 
-        let pair = figure1_pair();
-        let unconstrained = build(&pair, GraphConfig::default());
+    /// A clean pair whose right side is empty.
+    fn empty_right_pair() -> KbPair {
+        let mut b = KbPairBuilder::new();
+        b.add_triple(Side::Left, "l0", "p", Term::Literal("fat duck"));
+        b.add_triple(Side::Left, "l0", "rel", Term::Uri("l1"));
+        b.add_triple(Side::Left, "l1", "p", Term::Literal("john lake"));
+        b.finish()
+    }
+
+    #[test]
+    fn resident_and_spilled_shuffles_match_the_reference_kernel_bit_for_bit() {
+        use minoaner_dataflow::MemoryBudget;
 
         let spill_dir = std::env::temp_dir()
             .join(format!("gamma-spill-test-{}", std::process::id()));
-        for workers in [1, 2, 8] {
-            let mut exec = Executor::new(workers);
-            exec.set_memory_budget(Some(MemoryBudget::new(0, &spill_dir)));
-            let budgeted = build_on(&exec, &pair, GraphConfig::default());
-            assert_eq!(
-                budgeted.weight_digest(),
-                unconstrained.weight_digest(),
-                "spilled γ pass must be bit-identical ({workers} workers)"
-            );
+        for (what, pair) in [
+            ("figure 1", figure1_pair()),
+            ("dirty ER", dirty_pair()),
+            ("empty right side", empty_right_pair()),
+        ] {
+            let rels = RelationStats::compute(&pair);
+            let names = NameStats::compute(&pair, 2);
+            let mut tb = build_token_blocks(&pair);
+            purge_blocks(&mut tb, pair.kb(Side::Left).len() + pair.kb(Side::Right).len());
+            let nb = build_name_blocks(&pair, &names);
+            let cfg = GraphConfig::default();
+            let oracle =
+                crate::reference::build_blocking_graph_reference(&pair, &rels, &tb, &nb, &cfg);
+            for workers in [1, 2, 8] {
+                for budget in [None, Some(MemoryBudget::new(0, &spill_dir))] {
+                    let spilled = budget.is_some();
+                    let mut exec = Executor::new(workers);
+                    exec.set_memory_budget(budget);
+                    let got = build_blocking_graph(&exec, &pair, &rels, &tb, &nb, &cfg);
+                    assert_eq!(
+                        got.weight_digest(),
+                        oracle.weight_digest(),
+                        "{what}: {workers} workers, spilled={spilled}"
+                    );
+                }
+            }
+        }
+        assert!(
+            std::fs::read_dir(&spill_dir).map_or(true, |mut d| d.next().is_none()),
+            "spill scratch must be swept"
+        );
+        std::fs::remove_dir_all(&spill_dir).ok();
+    }
+
+    /// SplitMix64 step, reduced to `0..bound`: the oracle loops below are
+    /// seeded loops rather than `proptest!` so that they also run against
+    /// the offline stubs.
+    fn draw(state: &mut u64, bound: usize) -> usize {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        ((z ^ (z >> 31)) % bound.max(1) as u64) as usize
+    }
+
+    /// A random subset of the ids below `universe` (never `skip`), in a
+    /// random order.
+    fn random_ids(rng: &mut u64, universe: usize, skip: Option<usize>) -> Vec<u32> {
+        let mut ids: Vec<u32> = (0..universe)
+            .filter(|&id| Some(id) != skip && draw(rng, 3) > 0)
+            .map(|id| id as u32)
+            .collect();
+        for i in (1..ids.len()).rev() {
+            ids.swap(i, draw(rng, i + 1));
+        }
+        ids
+    }
+
+    #[test]
+    fn shuffle_plus_counting_regroup_equals_the_sort_by_right_then_left() {
+        use minoaner_dataflow::MemoryBudget;
+
+        let spill_dir = std::env::temp_dir()
+            .join(format!("gamma-regroup-oracle-{}", std::process::id()));
+        let mut rng = 0x5EED_u64;
+        for case in 0..80 {
+            // 0 entities = an empty side; small sides make `n_right` fall
+            // below the partition count and leave right entities without
+            // any γ entry. Every third case skips the diagonal, as the
+            // dirty-ER row pass does.
+            let n_left = draw(&mut rng, 14);
+            let n_right = draw(&mut rng, 14);
+            let rows: Vec<Vec<(u32, u32, f64)>> = (0..n_left)
+                .map(|a| {
+                    random_ids(&mut rng, n_right, (case % 3 == 0).then_some(a))
+                        .into_iter()
+                        .map(|b| (a as u32, b, draw(&mut rng, 1000) as f64 / 7.0))
+                        .collect()
+                })
+                .collect();
+            // Map tasks own ascending ranges of `a`, reduce partitions
+            // ranges of `b`; both widths are random.
+            let chunk = 1 + draw(&mut rng, n_left);
+            let chunk_r = 1 + draw(&mut rng, n_right);
+            let n_tasks_r = n_right.div_ceil(chunk_r);
+            let budget = (case % 2 == 1).then(|| MemoryBudget::new(0, &spill_dir));
+            let shuffle = SpillShuffle::new("oracle", n_tasks_r, budget.as_ref());
+            let mut arrival: Vec<usize> = (0..n_left.div_ceil(chunk)).collect();
+            if case % 4 >= 2 {
+                arrival.reverse();
+            }
+            for t in arrival {
+                let mut buckets = vec![Vec::new(); n_tasks_r];
+                for &tri in rows.iter().skip(t * chunk).take(chunk).flatten() {
+                    buckets[tri.1 as usize / chunk_r].push(tri);
+                }
+                shuffle.add_run(t, buckets).expect("add run");
+            }
+            let mut got: Vec<(u32, u32, u64)> = Vec::new();
+            for p in 0..n_tasks_r {
+                let lo = p * chunk_r;
+                let width = ((p + 1) * chunk_r).min(n_right) - lo;
+                let buckets = shuffle.take_partition(p).expect("read partition");
+                let by_b: Grouped<(u32, f64)> = regroup_by_right(&buckets, lo, width);
+                for row in 0..width {
+                    let b = (lo + row) as u32;
+                    got.extend(by_b.row(row).iter().map(|&(a, g)| (a, b, g.to_bits())));
+                }
+            }
+            shuffle.finish(&Executor::new(1));
+            let mut want: Vec<(u32, u32, u64)> =
+                rows.iter().flatten().map(|&(a, b, g)| (a, b, g.to_bits())).collect();
+            want.sort_unstable_by_key(|&(a, b, _)| (b, a));
+            assert_eq!(got, want, "case {case}: {n_left}x{n_right}, chunks {chunk}/{chunk_r}");
         }
         std::fs::remove_dir_all(&spill_dir).ok();
+    }
+
+    #[test]
+    fn beta_union_equals_the_tagged_sort_and_dedup() {
+        let mut rng = 0xBE7A_u64;
+        for case in 0..80 {
+            let n_left = draw(&mut rng, 14);
+            let n_right = draw(&mut rng, 14);
+            // The two directions disagree on every weight, so the test
+            // sees which copy of a doubly-retained pair survives.
+            let value_left: Vec<Vec<Candidate>> = (0..n_left)
+                .map(|_| {
+                    random_ids(&mut rng, n_right, None)
+                        .into_iter()
+                        .map(|j| (EntityId(j), 1.0 + draw(&mut rng, 100) as f64))
+                        .collect()
+                })
+                .collect();
+            let value_right: Vec<Vec<Candidate>> = (0..n_right)
+                .map(|_| {
+                    random_ids(&mut rng, n_left, None)
+                        .into_iter()
+                        .map(|i| (EntityId(i), -1.0 - draw(&mut rng, 100) as f64))
+                        .collect()
+                })
+                .collect();
+
+            // The pre-rewrite union: one sort of the tagged concatenation,
+            // left-derived entries first among equals.
+            let mut tagged: Vec<(u32, u32, u8, f64)> = Vec::new();
+            for (i, cands) in value_left.iter().enumerate() {
+                for &(j, w) in cands {
+                    tagged.push((i as u32, j.0, 0, w));
+                }
+            }
+            for (j, cands) in value_right.iter().enumerate() {
+                for &(i, w) in cands {
+                    tagged.push((i.0, j as u32, 1, w));
+                }
+            }
+            tagged.sort_unstable_by_key(|&(i, j, tag, _)| (i, j, tag));
+            tagged.dedup_by(|later, first| later.0 == first.0 && later.1 == first.1);
+            let want: Vec<(u32, u32, u64)> =
+                tagged.into_iter().map(|(i, j, _, w)| (i, j, w.to_bits())).collect();
+
+            for workers in [1, 2, 8] {
+                let edges: Grouped<(u32, f64)> =
+                    beta_union(&Executor::new(workers), &value_left, &value_right);
+                let got: Vec<(u32, u32, u64)> = (0..n_left)
+                    .flat_map(|i| {
+                        edges.row(i).iter().map(move |&(j, w)| (i as u32, j, w.to_bits()))
+                    })
+                    .collect();
+                assert_eq!(got, want, "case {case}: {n_left}x{n_right}, {workers} workers");
+            }
+        }
     }
 
     #[test]
@@ -1217,22 +1426,35 @@ mod tests {
 
     #[test]
     fn gamma_stage_is_annotated_with_item_flow() {
+        use minoaner_dataflow::MemoryBudget;
+
         let pair = figure1_pair();
-        let rels = RelationStats::compute(&pair);
-        let names = NameStats::compute(&pair, 2);
-        let mut tb = build_token_blocks(&pair);
-        purge_blocks(&mut tb, pair.kb(Side::Left).len() + pair.kb(Side::Right).len());
-        let nb = build_name_blocks(&pair, &names);
         let exec = Executor::new(2);
-        build_blocking_graph(&exec, &pair, &rels, &tb, &nb, &GraphConfig::default());
+        build_on(&exec, &pair, GraphConfig::default());
         let log = exec.stage_log();
-        let gamma = log
-            .iter()
-            .find(|s| s.name == "graph/gamma")
-            .expect("graph/gamma stage recorded");
+        let gamma = log.find("graph/gamma").expect("graph/gamma stage recorded");
         assert!(gamma.io.items_in > 0, "β union edges feed γ");
         assert!(gamma.io.items_out > 0, "γ entries flow out");
-        assert!(log.iter().any(|s| s.name == "graph/gamma/transpose"));
         assert!(log.iter().any(|s| s.name == "graph/index"));
+
+        // The transpose is the shuffle: it reports the volume it moved and
+        // its largest reduce partition, the same whether or not it spilled.
+        let transpose = log.find("graph/gamma/transpose").expect("transpose stage recorded").io;
+        assert_eq!(transpose.items_in, gamma.io.items_out);
+        assert_eq!(
+            transpose.shuffle_bytes,
+            transpose.items_in * std::mem::size_of::<(u32, u32, f64)>() as u64
+        );
+        assert!(transpose.shuffle_bytes > 0 && transpose.max_partition_items > 0);
+        assert!(transpose.max_partition_items <= transpose.items_in);
+
+        let spill_dir = std::env::temp_dir()
+            .join(format!("gamma-annotate-test-{}", std::process::id()));
+        let mut budgeted = Executor::new(2);
+        budgeted.set_memory_budget(Some(MemoryBudget::new(0, &spill_dir)));
+        build_on(&budgeted, &pair, GraphConfig::default());
+        let spilled = budgeted.stage_log();
+        assert_eq!(spilled.find("graph/gamma/transpose").map(|s| s.io), Some(transpose));
+        std::fs::remove_dir_all(&spill_dir).ok();
     }
 }

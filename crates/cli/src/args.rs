@@ -133,7 +133,7 @@ pub struct ResolveArgs {
     /// exclusive with `--left`/`--right`).
     pub mkb: Option<String>,
     /// Memory budget in bytes for shuffle state; exceeding it spills
-    /// sorted runs to disk instead of growing the heap.
+    /// shuffle runs to disk instead of growing the heap.
     pub mem_budget: Option<u64>,
     /// Directory for spill run files (default: the system temp dir).
     pub spill_dir: Option<String>,
@@ -265,7 +265,7 @@ RESOLVE OPTIONS:
     --mkb <path>            load both sides from a compiled .mkb container
                             (memory-mapped; replaces --left/--right)
     --mem-budget <bytes>    shuffle memory ceiling; accepts k/m/g suffixes
-                            (e.g. 64m). Exceeding it spills sorted runs to
+                            (e.g. 64m). Exceeding it spills shuffle runs to
                             disk; results are bit-identical either way
     --spill-dir <dir>       where spill run files go (default: system temp;
                             requires --mem-budget)
@@ -331,7 +331,7 @@ JOBS RUN OPTIONS:
                             checkpoint I/O fails instead of failing them
 
     A job with memory=<bytes> resolves under that grant: shuffle state
-    beyond it spills to <root>/job-<id>/spill and is merged back, so the
+    beyond it spills to <root>/job-<id>/spill and is read back, so the
     declared admission memory is also the enforced working-set ceiling.
 
 KB COMPILE:

@@ -4,10 +4,10 @@
 //! on the heap at once. Stages that exchange data (the blocking graph's γ
 //! pass, [`crate::pdc::Pdc`] shuffles) call [`MemoryBudget::try_reserve`]
 //! before buffering a batch; when the reservation fails they write the
-//! batch to a sorted run file in [`MemoryBudget::spill_dir`] instead (see
+//! batch to a run file in [`MemoryBudget::spill_dir`] instead (see
 //! [`crate::spill`]) and release nothing. The budget thus converts an OOM
-//! into extra disk traffic — results stay bit-identical because merge
-//! order, not residence, determines output order.
+//! into extra disk traffic — results stay bit-identical because map-task
+//! order, not residence, determines the order batches are read back in.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};

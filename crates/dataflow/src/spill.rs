@@ -1,22 +1,21 @@
-//! Spill-to-disk shuffle: the out-of-core degradation path for
-//! data-exchange stages running under a [`MemoryBudget`].
+//! Spill-to-disk shuffle: the data-exchange step of a map→reduce stage,
+//! resident by default and out-of-core under a [`MemoryBudget`].
 //!
 //! A [`SpillShuffle`] collects *runs* — one per map task, each run holding
-//! one bucket per reduce partition, with every bucket pre-sorted by the
-//! stage's shuffle key. While the budget has headroom, runs stay on the
-//! heap; once [`MemoryBudget::try_reserve`] fails, further runs are
-//! encoded to a checksummed run file using the checkpoint store's
-//! durability protocol (write to a temp name, fsync, rename, fsync the
-//! directory) and dropped from memory. The reduce side then either
-//! k-way-merges the per-run buckets of one partition
-//! ([`SpillShuffle::merge_partition`] — external-sort semantics: because
-//! every bucket is sorted, the merged stream equals the globally sorted
-//! stream) or concatenates them in map order
-//! ([`SpillShuffle::concat_partition`] — plain shuffle semantics).
+//! one bucket per reduce partition, records in the order the task
+//! produced them. While the budget has headroom (always, when there is no
+//! budget), runs stay on the heap; once [`MemoryBudget::try_reserve`]
+//! fails, further runs are encoded to a checksummed run file using the
+//! checkpoint store's durability protocol (write to a temp name, fsync,
+//! rename, fsync the directory) and dropped from memory. The reduce side
+//! takes one partition's buckets in map-task order
+//! ([`SpillShuffle::take_partition`]); a disk bucket is one ranged read of
+//! exactly its bytes. Any regrouping of the records is the reducer's
+//! business — the shuffle neither sorts nor merges.
 //!
-//! Determinism: which runs spill depends on timing, but *merge order
-//! never does* — ties between runs break by map-task index, and each
-//! run's contents are identical whether they round-tripped through disk or not
+//! Determinism: which runs spill depends on timing, but *bucket order
+//! never does* — buckets come back by map-task index, and each run's
+//! contents are identical whether they round-tripped through disk or not
 //! (the codec is exact, including `f64` bit patterns). Budgeted and
 //! unbudgeted executions therefore produce bit-identical stage output.
 //!
@@ -140,6 +139,7 @@ pub struct SpillShuffle<T> {
     tag: String,
     budget: MemoryBudget,
     dir: PathBuf,
+    /// Ascending by map task, whatever order the tasks finished in.
     runs: Mutex<Vec<(usize, Run<T>)>>,
     runs_written: AtomicU64,
     bytes_written: AtomicU64,
@@ -149,11 +149,16 @@ pub struct SpillShuffle<T> {
 
 impl<T: Spillable> SpillShuffle<T> {
     /// A shuffle writing at most `partitions` buckets per run, spilling
-    /// into a fresh subdirectory of the budget's spill dir. `name` tags
-    /// the directory for debuggability; it is sanitized to alphanumerics.
-    pub fn new(name: &str, partitions: usize, budget: MemoryBudget) -> Self {
+    /// into a fresh subdirectory of the budget's spill dir. Without a
+    /// budget every run stays resident. `name` tags the directory for
+    /// debuggability; it is sanitized to alphanumerics.
+    pub fn new(name: &str, partitions: usize, budget: Option<&MemoryBudget>) -> Self {
         let tag: String =
             name.chars().map(|c| if c.is_ascii_alphanumeric() { c } else { '_' }).collect();
+        // No budget = one that never refuses, so its spill dir stays unused.
+        let budget = budget
+            .cloned()
+            .unwrap_or_else(|| MemoryBudget::new(u64::MAX, std::env::temp_dir()));
         let dir = budget.spill_dir().join(format!(
             "{tag}-{}-{}",
             std::process::id(),
@@ -196,9 +201,9 @@ impl<T: Spillable> SpillShuffle<T> {
     }
 
     /// Adds map task `map_task`'s buckets. Tasks may add out of order and
-    /// concurrently; reads sort by `map_task`, so the outcome is
-    /// independent of arrival order. When the memory budget cannot cover
-    /// the run's estimated footprint, the run is written to disk.
+    /// concurrently; runs are kept ordered by `map_task`, so the outcome
+    /// is independent of arrival order. When the memory budget cannot
+    /// cover the run's estimated footprint, the run is written to disk.
     pub fn add_run(&self, map_task: usize, buckets: Vec<Vec<T>>) -> Result<(), DataflowError> {
         assert_eq!(buckets.len(), self.partitions, "one bucket per reduce partition");
         let records: u64 = buckets.iter().map(|b| b.len() as u64).sum();
@@ -212,7 +217,9 @@ impl<T: Spillable> SpillShuffle<T> {
             self.records_spilled.fetch_add(records, Ordering::Relaxed);
             Run::Disk { path, table }
         };
-        self.runs.lock().push((map_task, run));
+        let mut runs = self.runs.lock();
+        let at = runs.partition_point(|&(task, _)| task < map_task);
+        runs.insert(at, (map_task, run));
         Ok(())
     }
 
@@ -227,7 +234,8 @@ impl<T: Spillable> SpillShuffle<T> {
     ) -> Result<(PathBuf, Vec<BucketMeta>, u64), DataflowError> {
         let disk = self.budget.vfs().clone();
         disk.create_dir_all(&self.dir).map_err(|e| self.fs_err(&self.dir, &e))?;
-        let mut payload = Vec::new();
+        let records: usize = buckets.iter().map(Vec::len).sum();
+        let mut payload = Vec::with_capacity(records * std::mem::size_of::<T>());
         let mut table = Vec::with_capacity(buckets.len());
         for bucket in buckets {
             let start = payload.len() as u64;
@@ -258,18 +266,23 @@ impl<T: Spillable> SpillShuffle<T> {
         Ok((path, table, payload.len() as u64))
     }
 
-    /// Loads one bucket of one run back, validating its checksum. A
-    /// mismatch (bit rot, torn write that survived the rename) fails
-    /// closed as [`CheckpointError::Corrupt`].
-    fn read_bucket(&self, path: &PathBuf, meta: &BucketMeta) -> Result<Vec<T>, DataflowError> {
-        let bytes =
-            self.budget.vfs().read(path).map_err(|e| self.fs_err(path, &e))?;
-        let (lo, hi) = (meta.offset as usize, (meta.offset + meta.len) as usize);
-        let slice = bytes.get(lo..hi).ok_or_else(|| spill_corrupt(
-            path,
-            format!("bucket range {lo}..{hi} out of bounds ({} bytes)", bytes.len()),
-        ))?;
-        let actual = checkpoint::fnv1a(slice);
+    /// Loads one bucket of one run back — a ranged read of exactly its
+    /// bytes — validating its checksum. A short file or a mismatch (bit
+    /// rot, torn write that survived the rename) fails closed as
+    /// [`CheckpointError::Corrupt`].
+    fn read_bucket(&self, path: &Path, meta: &BucketMeta) -> Result<Vec<T>, DataflowError> {
+        let bytes = self
+            .budget
+            .vfs()
+            .read_range(path, meta.offset, meta.len as usize)
+            .map_err(|e| match e.kind() {
+                std::io::ErrorKind::UnexpectedEof => spill_corrupt(
+                    path,
+                    format!("bucket at {}+{} runs past the end of the file", meta.offset, meta.len),
+                ),
+                _ => self.fs_err(path, &e),
+            })?;
+        let actual = checkpoint::fnv1a(&bytes);
         if actual != meta.fnv {
             return Err(spill_corrupt(
                 path,
@@ -282,89 +295,48 @@ impl<T: Spillable> SpillShuffle<T> {
         let mut out = Vec::with_capacity(meta.records as usize);
         let mut pos = 0usize;
         for _ in 0..meta.records {
-            let record = T::decode(slice, &mut pos)
+            let record = T::decode(&bytes, &mut pos)
                 .ok_or_else(|| spill_corrupt(path, "bucket truncated mid-record".to_owned()))?;
             out.push(record);
         }
         Ok(out)
     }
 
-    /// Collects partition `p`'s bucket from every run, in ascending map
-    /// task order. Consumes memory buckets (releasing their share of the
-    /// budget) and re-reads disk buckets with checksum validation.
-    fn take_partition_buckets(&self, p: usize) -> Result<Vec<Vec<T>>, DataflowError> {
+    /// Reduce-side read: partition `p`'s bucket from every run, in
+    /// ascending map task order, each bucket in the order its task
+    /// produced it. Consumes memory buckets (releasing their share of the
+    /// budget) and re-reads disk buckets with checksum validation. The
+    /// run table is only locked to snapshot where the buckets are; disk
+    /// reads happen outside it, so reduce tasks do not serialise.
+    pub fn take_partition(&self, p: usize) -> Result<Vec<Vec<T>>, DataflowError> {
         assert!(p < self.partitions, "partition out of range");
-        let mut runs = self.runs.lock();
-        runs.sort_by_key(|&(task, _)| task);
-        let mut out = Vec::with_capacity(runs.len());
-        for (_, run) in runs.iter_mut() {
-            match run {
+        enum Source<T> {
+            Resident(Vec<T>),
+            OnDisk(PathBuf, BucketMeta),
+        }
+        let sources: Vec<Source<T>> = self
+            .runs
+            .lock()
+            .iter_mut()
+            .map(|(_, run)| match run {
                 Run::Memory { buckets, reserved } => {
                     let bucket = std::mem::take(&mut buckets[p]);
                     let share = bucket.len() as u64 * std::mem::size_of::<T>() as u64;
                     let share = share.min(*reserved);
                     *reserved -= share;
                     self.budget.release(share);
-                    out.push(bucket);
+                    Source::Resident(bucket)
                 }
-                Run::Disk { path, table } => out.push(self.read_bucket(path, &table[p])?),
-            }
-        }
-        Ok(out)
-    }
-
-    /// Reduce-side read with *external-sort* semantics: k-way-merges the
-    /// per-run buckets of partition `p` by `key`. Requires every bucket
-    /// to have been added pre-sorted by that key; the merged output then
-    /// equals the globally sorted concatenation, independent of which
-    /// runs spilled. Ties break by map task order (stable).
-    pub fn merge_partition<K: Ord>(
-        &self,
-        p: usize,
-        key: impl Fn(&T) -> K,
-    ) -> Result<Vec<T>, DataflowError> {
-        let buckets = self.take_partition_buckets(p)?;
-        let total: usize = buckets.iter().map(Vec::len).sum();
-        let mut iters: Vec<std::vec::IntoIter<T>> =
-            buckets.into_iter().map(Vec::into_iter).collect();
-        let mut heads: Vec<Option<T>> = iters.iter_mut().map(Iterator::next).collect();
-        let mut out = Vec::with_capacity(total);
-        loop {
-            // Linear scan over the run heads: run counts equal map task
-            // counts (tens), so a heap would not pay for itself.
-            let mut best: Option<(usize, K)> = None;
-            for (i, head) in heads.iter().enumerate() {
-                let Some(h) = head else { continue };
-                let k = key(h);
-                // Strict less-than keeps ties on the earlier run.
-                let replace = match &best {
-                    Some((_, bk)) => k < *bk,
-                    None => true,
-                };
-                if replace {
-                    best = Some((i, k));
-                }
-            }
-            let Some((b, _)) = best else { break };
-            let next = iters[b].next();
-            if let Some(record) = std::mem::replace(&mut heads[b], next) {
-                out.push(record);
-            }
-        }
-        Ok(out)
-    }
-
-    /// Reduce-side read with plain shuffle semantics: concatenates
-    /// partition `p`'s buckets in map task order (what an in-memory
-    /// transpose produces).
-    pub fn concat_partition(&self, p: usize) -> Result<Vec<T>, DataflowError> {
-        let buckets = self.take_partition_buckets(p)?;
-        let total: usize = buckets.iter().map(Vec::len).sum();
-        let mut out = Vec::with_capacity(total);
-        for b in buckets {
-            out.extend(b);
-        }
-        Ok(out)
+                Run::Disk { path, table } => Source::OnDisk(path.clone(), table[p]),
+            })
+            .collect();
+        sources
+            .into_iter()
+            .map(|source| match source {
+                Source::Resident(bucket) => Ok(bucket),
+                Source::OnDisk(path, meta) => self.read_bucket(&path, &meta),
+            })
+            .collect()
     }
 
     /// Run files written so far.
@@ -409,7 +381,7 @@ impl<T: Spillable> SpillShuffle<T> {
 
 impl<T> Drop for SpillShuffle<T> {
     /// Guaranteed scratch cleanup: whether the stage finished, errored, or
-    /// unwound mid-merge, the spill directory never outlives the shuffle.
+    /// unwound mid-read, the spill directory never outlives the shuffle.
     /// [`SpillShuffle::finish`] already handled the success path; this
     /// guard sweeps the error paths (best-effort — on a still-broken disk
     /// there is nothing more to do than try).
@@ -442,75 +414,97 @@ mod tests {
         MemoryBudget::new(limit, dir)
     }
 
+    /// A zero budget (every run spills) whose disk is `ffs`.
+    fn spilling_budget_on(ffs: &Arc<FaultFs>, tag: &str) -> MemoryBudget {
+        tmp_budget(0, tag).with_vfs(ffs.clone())
+    }
+
     fn three_runs() -> Vec<Vec<Vec<(u32, u32, f64)>>> {
-        // 2 partitions; each bucket pre-sorted by the (b, a) key.
+        // 2 partitions; buckets in production order, not sorted by anything.
         vec![
-            vec![vec![(0, 1, 0.5), (2, 3, 1.5)], vec![(1, 10, 2.5)]],
-            vec![vec![(5, 2, 0.25)], vec![(0, 11, 0.75), (3, 12, 1.25)]],
-            vec![vec![(1, 2, f64::MIN_POSITIVE)], vec![]],
+            vec![vec![(2, 3, 1.5), (0, 1, 0.5)], vec![(1, 10, 2.5)]],
+            vec![vec![(5, 2, 0.25)], vec![(3, 12, 1.25), (0, 11, 0.75)]],
+            vec![vec![(1, 2, f64::MIN_POSITIVE), (7, 0, -0.0)], vec![]],
         ]
     }
 
-    fn expected_partition(runs: &[Vec<Vec<(u32, u32, f64)>>], p: usize) -> Vec<(u32, u32, f64)> {
-        let mut all: Vec<(u32, u32, f64)> =
-            runs.iter().flat_map(|r| r[p].iter().copied()).collect();
-        all.sort_by(|x, y| (x.1, x.0).cmp(&(y.1, y.0)));
-        all
+    /// Partition `p`'s buckets in map-task order, as bit patterns.
+    fn expected_partition(
+        runs: &[Vec<Vec<(u32, u32, f64)>>],
+        p: usize,
+    ) -> Vec<Vec<(u32, u32, u64)>> {
+        runs.iter().map(|r| bits(&r[p])).collect()
+    }
+
+    fn bits(bucket: &[(u32, u32, f64)]) -> Vec<(u32, u32, u64)> {
+        bucket.iter().map(|&(a, b, w)| (a, b, w.to_bits())).collect()
     }
 
     #[test]
-    fn merge_without_spill_equals_global_sort() {
-        let shuffle = SpillShuffle::new("test", 2, tmp_budget(1 << 20, "mem"));
-        for (i, run) in three_runs().into_iter().enumerate() {
+    fn unbudgeted_shuffle_stays_resident_and_keeps_production_order() {
+        let shuffle = SpillShuffle::new("test", 2, None);
+        // Added out of order: reads come back by map task regardless.
+        for (i, run) in three_runs().into_iter().enumerate().rev() {
             shuffle.add_run(i, run).expect("in-memory add");
         }
         for p in 0..2 {
-            let merged =
-                shuffle.merge_partition(p, |t| (t.1, t.0)).expect("merge");
-            assert_eq!(merged, expected_partition(&three_runs(), p));
+            let got: Vec<_> =
+                shuffle.take_partition(p).expect("read").iter().map(|b| bits(b)).collect();
+            assert_eq!(got, expected_partition(&three_runs(), p));
         }
         assert_eq!(shuffle.runs_written(), 0);
+        shuffle.finish(&Executor::new(1));
     }
 
     #[test]
-    fn merge_with_forced_spill_is_bit_identical() {
+    fn forced_spill_round_trips_every_bucket_bit_identically() {
         // Zero budget: every run goes to disk and back.
-        let shuffle = SpillShuffle::new("test", 2, tmp_budget(0, "disk"));
+        let shuffle = SpillShuffle::new("test", 2, Some(&tmp_budget(0, "disk")));
         for (i, run) in three_runs().into_iter().enumerate() {
             shuffle.add_run(i, run).expect("spilled add");
         }
         assert_eq!(shuffle.runs_written(), 3);
         assert!(shuffle.bytes_written() > 0);
         for p in 0..2 {
-            let merged =
-                shuffle.merge_partition(p, |t| (t.1, t.0)).expect("merge");
-            let expected = expected_partition(&three_runs(), p);
-            assert_eq!(merged.len(), expected.len());
-            for (m, e) in merged.iter().zip(&expected) {
-                assert_eq!((m.0, m.1), (e.0, e.1));
-                // Bit-identical floats, not just approximately equal.
-                assert_eq!(m.2.to_bits(), e.2.to_bits());
-            }
+            // Bit-identical floats, not just approximately equal.
+            let got: Vec<_> =
+                shuffle.take_partition(p).expect("read").iter().map(|b| bits(b)).collect();
+            assert_eq!(got, expected_partition(&three_runs(), p));
         }
-        let exec = Executor::new(1);
-        shuffle.finish(&exec);
+        shuffle.finish(&Executor::new(1));
     }
 
     #[test]
-    fn concat_preserves_map_task_order_even_when_added_out_of_order() {
-        let shuffle = SpillShuffle::new("test", 1, tmp_budget(0, "order"));
+    fn partition_reads_fetch_exactly_the_bytes_that_were_written() {
+        let probe = FaultFs::new(FaultPlan::none());
+        let shuffle = SpillShuffle::new("test", 2, Some(&spilling_budget_on(&probe, "ranged")));
+        for (i, run) in three_runs().into_iter().enumerate() {
+            shuffle.add_run(i, run).expect("spilled add");
+        }
+        for p in 0..2 {
+            shuffle.take_partition(p).expect("read");
+        }
+        let reads: Vec<u64> =
+            probe.ops().iter().filter(|r| r.class == OpClass::Read).map(|r| r.bytes).collect();
+        assert_eq!(reads.len(), 3 * 2, "one ranged read per (run, partition)");
+        assert_eq!(reads.iter().sum::<u64>(), shuffle.bytes_written(), "no read amplification");
+    }
+
+    #[test]
+    fn order_is_by_map_task_even_when_spilled_runs_arrive_out_of_order() {
+        let shuffle = SpillShuffle::new("test", 1, Some(&tmp_budget(0, "order")));
         shuffle.add_run(2, vec![vec![(9u32, 1u32)]]).expect("add");
         shuffle.add_run(0, vec![vec![(7u32, 1u32)]]).expect("add");
         shuffle.add_run(1, vec![vec![(8u32, 1u32)]]).expect("add");
-        let got = shuffle.concat_partition(0).expect("concat");
-        assert_eq!(got, vec![(7, 1), (8, 1), (9, 1)]);
+        let got = shuffle.take_partition(0).expect("read");
+        assert_eq!(got, vec![vec![(7, 1)], vec![(8, 1)], vec![(9, 1)]]);
     }
 
     #[test]
-    fn corrupt_run_file_fails_closed() {
-        let shuffle: SpillShuffle<(u32, u32)> = SpillShuffle::new("test", 1, tmp_budget(0, "corrupt"));
+    fn corrupt_or_truncated_run_file_fails_closed() {
+        let shuffle: SpillShuffle<(u32, u32)> =
+            SpillShuffle::new("test", 1, Some(&tmp_budget(0, "corrupt")));
         shuffle.add_run(0, vec![vec![(1, 2), (3, 4)]]).expect("add");
-        // Flip a byte in the only run file.
         let run_path = {
             let runs = shuffle.runs.lock();
             match &runs[0].1 {
@@ -518,14 +512,18 @@ mod tests {
                 Run::Memory { .. } => panic!("zero budget must spill"),
             }
         };
-        let mut bytes = fs::read(&run_path).expect("read run file");
-        bytes[0] ^= 0x40;
-        fs::write(&run_path, &bytes).expect("rewrite run file");
-        let err = shuffle.concat_partition(0).expect_err("must fail closed");
-        assert!(
-            matches!(err, DataflowError::Checkpoint(CheckpointError::Corrupt { .. })),
-            "got {err:?}"
-        );
+        let intact = fs::read(&run_path).expect("read run file");
+        // Flip a byte, then cut the file short: both must read as corrupt.
+        let mut flipped = intact.clone();
+        flipped[0] ^= 0x40;
+        for damaged in [&flipped[..], &intact[..intact.len() - 1]] {
+            fs::write(&run_path, damaged).expect("rewrite run file");
+            let err = shuffle.take_partition(0).expect_err("must fail closed");
+            assert!(
+                matches!(err, DataflowError::Checkpoint(CheckpointError::Corrupt { .. })),
+                "got {err:?}"
+            );
+        }
     }
 
     #[test]
@@ -533,8 +531,8 @@ mod tests {
         // Op 0 is the spill-dir create, op 1 the run payload write: fail
         // the write with ENOSPC.
         let ffs = FaultFs::new(FaultPlan::fail_op(1, FaultKind::Enospc));
-        let budget = tmp_budget(0, "enospc").with_vfs(ffs);
-        let shuffle: SpillShuffle<u64> = SpillShuffle::new("gamma", 1, budget);
+        let shuffle: SpillShuffle<u64> =
+            SpillShuffle::new("gamma", 1, Some(&spilling_budget_on(&ffs, "enospc")));
         let dir = shuffle.dir.clone();
         let err = shuffle.add_run(0, vec![vec![1, 2, 3]]).expect_err("disk is full");
         assert!(matches!(err, DataflowError::DiskFull { .. }), "got {err:?}");
@@ -543,40 +541,40 @@ mod tests {
     }
 
     #[test]
-    fn merge_phase_read_failure_leaves_no_orphaned_run_files() {
-        // Probe run: find the op index of the first merge-phase read.
+    fn reduce_phase_read_failure_leaves_no_orphaned_run_files() {
+        // Probe run: find the op index of the first reduce-phase read.
         let probe = FaultFs::new(FaultPlan::none());
         let shuffle: SpillShuffle<(u32, u32)> =
-            SpillShuffle::new("test", 1, tmp_budget(0, "mergeprobe").with_vfs(probe.clone()));
+            SpillShuffle::new("test", 1, Some(&spilling_budget_on(&probe, "readprobe")));
         shuffle.add_run(0, vec![vec![(1, 2)]]).expect("add");
         shuffle.add_run(1, vec![vec![(3, 4)]]).expect("add");
-        shuffle.merge_partition(0, |t| t.0).expect("clean merge");
+        shuffle.take_partition(0).expect("clean read");
         let read_op = probe
             .ops()
             .iter()
             .find(|r| r.class == OpClass::Read)
             .map(|r| r.index)
-            .expect("merge must read spilled runs");
+            .expect("the reduce side must read spilled runs");
         drop(shuffle);
 
-        // Real run: fail that read with EIO mid-merge.
+        // Real run: fail that read with EIO.
         let ffs = FaultFs::new(FaultPlan::fail_op(read_op, FaultKind::Eio));
         let shuffle: SpillShuffle<(u32, u32)> =
-            SpillShuffle::new("test", 1, tmp_budget(0, "mergefail").with_vfs(ffs));
+            SpillShuffle::new("test", 1, Some(&spilling_budget_on(&ffs, "readfail")));
         let dir = shuffle.dir.clone();
         shuffle.add_run(0, vec![vec![(1, 2)]]).expect("add");
         shuffle.add_run(1, vec![vec![(3, 4)]]).expect("add");
         assert!(dir.exists(), "runs spilled to disk");
-        let err = shuffle.merge_partition(0, |t| t.0).expect_err("read fails");
+        let err = shuffle.take_partition(0).expect_err("read fails");
         assert!(matches!(err, DataflowError::Checkpoint(CheckpointError::Io { .. })), "{err:?}");
         drop(shuffle);
-        assert!(!dir.exists(), "no orphaned run files after a merge-phase failure");
+        assert!(!dir.exists(), "no orphaned run files after a reduce-phase failure");
     }
 
     #[test]
     fn finish_emits_counters_and_removes_dir() {
         let budget = tmp_budget(0, "finish");
-        let shuffle: SpillShuffle<u64> = SpillShuffle::new("test", 1, budget.clone());
+        let shuffle: SpillShuffle<u64> = SpillShuffle::new("test", 1, Some(&budget));
         shuffle.add_run(0, vec![vec![1, 2, 3]]).expect("add");
         let dir = shuffle.dir.clone();
         assert!(dir.exists());
@@ -594,12 +592,12 @@ mod tests {
     #[test]
     fn memory_runs_release_budget_on_read_and_finish() {
         let budget = tmp_budget(1 << 20, "release");
-        let shuffle = SpillShuffle::new("test", 2, budget.clone());
+        let shuffle = SpillShuffle::new("test", 2, Some(&budget));
         shuffle.add_run(0, vec![vec![(1u32, 2u32)], vec![(3u32, 4u32)]]).expect("add");
         assert!(budget.used() > 0);
-        shuffle.concat_partition(0).expect("read p0");
+        shuffle.take_partition(0).expect("read p0");
         let after_p0 = budget.used();
-        shuffle.concat_partition(1).expect("read p1");
+        shuffle.take_partition(1).expect("read p1");
         assert!(budget.used() < after_p0 || after_p0 == 0);
         let exec = Executor::new(1);
         shuffle.finish(&exec);

@@ -66,6 +66,9 @@ pub trait Vfs: fmt::Debug + Send + Sync {
     fn remove_dir_all(&self, path: &Path) -> io::Result<()>;
     /// Reads a whole file.
     fn read(&self, path: &Path) -> io::Result<Vec<u8>>;
+    /// Reads exactly `len` bytes starting at byte `offset`; a file that
+    /// ends before `offset + len` is an [`io::ErrorKind::UnexpectedEof`].
+    fn read_range(&self, path: &Path, offset: u64, len: usize) -> io::Result<Vec<u8>>;
     /// Reads a whole file as UTF-8.
     fn read_to_string(&self, path: &Path) -> io::Result<String>;
     /// The entries of a directory, sorted by path for determinism.
@@ -132,6 +135,15 @@ impl Vfs for RealFs {
         std::fs::read(path)
     }
 
+    fn read_range(&self, path: &Path, offset: u64, len: usize) -> io::Result<Vec<u8>> {
+        use std::io::{Read, Seek, SeekFrom};
+        let mut file = std::fs::File::open(path)?;
+        file.seek(SeekFrom::Start(offset))?;
+        let mut bytes = vec![0u8; len];
+        file.read_exact(&mut bytes)?;
+        Ok(bytes)
+    }
+
     fn read_to_string(&self, path: &Path) -> io::Result<String> {
         std::fs::read_to_string(path)
     }
@@ -167,7 +179,7 @@ pub enum OpClass {
     RemoveFile,
     /// [`Vfs::remove_dir_all`].
     RemoveDir,
-    /// [`Vfs::read`] / [`Vfs::read_to_string`].
+    /// [`Vfs::read`] / [`Vfs::read_range`] / [`Vfs::read_to_string`].
     Read,
     /// [`Vfs::list_dir`].
     ListDir,
@@ -307,7 +319,8 @@ pub struct OpRecord {
     pub class: OpClass,
     /// The (primary) path the operation targeted.
     pub path: PathBuf,
-    /// Payload size for writes, 0 otherwise.
+    /// Payload size for writes, requested length for ranged reads, 0
+    /// otherwise.
     pub bytes: u64,
     /// The fault injected at this op, if any.
     pub fault: Option<FaultKind>,
@@ -452,6 +465,11 @@ impl Vfs for FaultFs {
         self.inner.read(path)
     }
 
+    fn read_range(&self, path: &Path, offset: u64, len: usize) -> io::Result<Vec<u8>> {
+        self.step(OpClass::Read, path, len as u64).map_err(|(_, e)| e)?;
+        self.inner.read_range(path, offset, len)
+    }
+
     fn read_to_string(&self, path: &Path) -> io::Result<String> {
         self.step(OpClass::Read, path, 0).map_err(|(_, e)| e)?;
         self.inner.read_to_string(path)
@@ -489,6 +507,10 @@ mod tests {
         write_synced(&fs, &dir.join("a.txt"), b"alpha").unwrap();
         assert_eq!(fs.read(&dir.join("a.txt")).unwrap(), b"alpha");
         assert_eq!(fs.read_to_string(&dir.join("b.txt")).unwrap(), "beta");
+        let range = |offset, len| fs.read_range(&dir.join("a.txt"), offset, len);
+        assert_eq!(range(1, 3).unwrap(), b"lph");
+        assert_eq!(range(5, 0).unwrap(), b"");
+        assert_eq!(range(3, 3).unwrap_err().kind(), io::ErrorKind::UnexpectedEof);
         let listed = fs.list_dir(&dir).unwrap();
         assert_eq!(listed, vec![dir.join("a.txt"), dir.join("b.txt")], "sorted listing");
         fs.rename(&dir.join("a.txt"), &dir.join("c.txt")).unwrap();

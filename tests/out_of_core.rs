@@ -123,3 +123,32 @@ fn generous_budget_never_spills_but_is_still_identical() {
     assert!(!dir.join("nonexistent").exists());
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The γ shuffle is one code path: the budget decides where its buckets
+/// live, not which stages run. Every budget and worker count logs the same
+/// `graph/*` stages in the same order and builds the same graph.
+#[test]
+fn every_budget_runs_the_same_graph_stages_in_the_same_order() {
+    fn graph_stages(trace: &RunTrace) -> Vec<&str> {
+        trace.stages.iter().map(|s| s.name.as_str()).filter(|n| n.starts_with("graph/")).collect()
+    }
+
+    let ds = dataset();
+    let (base, base_trace) = run_unconstrained(&ds, 1);
+    let expected = graph_stages(&base_trace);
+    assert!(expected.contains(&"graph/gamma/transpose"), "stage names: {expected:?}");
+
+    for workers in [1usize, 2, 8] {
+        let dir = scratch_dir(&format!("stages-{workers}"));
+        let runs = [
+            ("unbudgeted", run_unconstrained(&ds, workers)),
+            ("16 KiB", run_budgeted(&ds, workers, 16 * 1024, &dir)),
+            ("zero budget", run_budgeted(&ds, workers, 0, &dir)),
+        ];
+        for (what, (res, trace)) in &runs {
+            assert_eq!(graph_stages(trace), expected, "{workers} workers, {what}: stage list");
+            assert_eq!(res.graph_digest, base.graph_digest, "{workers} workers, {what}: digest");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}

@@ -1,630 +1,9 @@
 //! # minoaner-bench
 //!
-//! Shared support for the benchmark targets in `benches/`: the versioned
-//! schema of `BENCH_pipeline.json`, the machine-readable output of the
-//! `pipeline` bench (a worker-count sweep of the full resolution pipeline
-//! instrumented through [`minoaner_dataflow::RunTrace`]).
+//! Holds the paper-reproduction bench targets in `benches/`: one per
+//! table and figure (`table1…table4`, `fig2`, `fig5`, `fig6`), the
+//! design-choice `ablations`, and the criterion `micro` kernels. This
+//! library target is empty; cargo needs it to attach the benches to.
 //!
-//! The schema is validated both by the bench binary itself (it re-reads
-//! and checks what it wrote, exiting nonzero on failure — the hook CI
-//! uses) and by the tests here.
-
-use serde::{Deserialize, Serialize};
-
-/// Version of the `BENCH_pipeline.json` schema. Bump on breaking changes
-/// to [`PipelineReport`].
-pub const BENCH_SCHEMA_VERSION: u32 = 2;
-
-/// One worker count of the pipeline sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct BenchPoint {
-    /// Dataflow workers used for this point.
-    pub workers: usize,
-    /// Partitions the executor derived from the worker count.
-    pub partitions: usize,
-    /// Mean end-to-end wall time over the repetitions, milliseconds.
-    pub wall_ms_mean: f64,
-    /// Fastest repetition, milliseconds.
-    pub wall_ms_min: f64,
-    /// Speedup vs the 1-worker mean (first point ≡ 1.0).
-    pub speedup: f64,
-    /// Matches found (identical across worker counts by construction).
-    pub matches: u64,
-    /// `blocking/comparisons_after_purge` from the run trace.
-    pub comparisons_after_purge: u64,
-    /// Total shuffle volume from the run trace, bytes.
-    pub shuffle_bytes: u64,
-}
-
-/// The top-level contents of `BENCH_pipeline.json`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PipelineReport {
-    /// [`BENCH_SCHEMA_VERSION`] at write time.
-    pub schema_version: u32,
-    /// [`minoaner_dataflow::TRACE_SCHEMA_VERSION`] of the traces the
-    /// points were extracted from.
-    pub trace_schema_version: u32,
-    /// Datagen profile name.
-    pub dataset: String,
-    /// `MINOANER_SCALE` the dataset was generated at.
-    pub scale: f64,
-    /// Repetitions per worker count.
-    pub reps: usize,
-    /// Mean wall of the widest worker count re-run under
-    /// [`minoaner_dataflow::StealSchedule::SharedClaim`] — the pool's
-    /// scheduling before work stealing — milliseconds, same repetitions.
-    pub shared_claim_wall_ms_mean: f64,
-    /// `shared_claim_wall_ms_mean / points.last().wall_ms_mean` — what
-    /// work stealing buys at the widest worker count.
-    pub steal_speedup: f64,
-    /// One point per worker count, ascending.
-    pub points: Vec<BenchPoint>,
-}
-
-impl PipelineReport {
-    /// Serializes the report as pretty-printed JSON.
-    pub fn to_json(&self) -> Result<String, serde_json::Error> {
-        serde_json::to_string_pretty(self)
-    }
-
-    /// Parses a report previously produced by [`Self::to_json`].
-    pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(json)
-    }
-
-    /// Checks the report against the schema invariants, returning the
-    /// first violation. This is the gate the bench binary (and CI) runs
-    /// after writing `BENCH_pipeline.json`.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.schema_version != BENCH_SCHEMA_VERSION {
-            return Err(format!(
-                "schema_version {} does not match supported version {BENCH_SCHEMA_VERSION}",
-                self.schema_version
-            ));
-        }
-        if self.trace_schema_version != minoaner_dataflow::TRACE_SCHEMA_VERSION {
-            return Err(format!(
-                "trace_schema_version {} does not match supported version {}",
-                self.trace_schema_version,
-                minoaner_dataflow::TRACE_SCHEMA_VERSION
-            ));
-        }
-        if self.dataset.is_empty() {
-            return Err("dataset name is empty".into());
-        }
-        if !(self.scale > 0.0) {
-            return Err(format!("scale must be positive, got {}", self.scale));
-        }
-        if self.reps == 0 {
-            return Err("reps must be ≥ 1".into());
-        }
-        if self.points.is_empty() {
-            return Err("no bench points recorded".into());
-        }
-        let mut prev_workers = 0usize;
-        for (i, p) in self.points.iter().enumerate() {
-            if p.workers <= prev_workers {
-                return Err(format!(
-                    "point {i}: worker counts must be positive and strictly ascending \
-                     ({prev_workers} then {})",
-                    p.workers
-                ));
-            }
-            prev_workers = p.workers;
-            if p.partitions < p.workers {
-                return Err(format!(
-                    "point {i}: {} partitions cannot be fewer than {} workers",
-                    p.partitions, p.workers
-                ));
-            }
-            if !(p.wall_ms_mean > 0.0) || !(p.wall_ms_min > 0.0) {
-                return Err(format!("point {i}: wall times must be positive"));
-            }
-            if p.wall_ms_min > p.wall_ms_mean {
-                return Err(format!(
-                    "point {i}: min wall time {} exceeds mean {}",
-                    p.wall_ms_min, p.wall_ms_mean
-                ));
-            }
-            if !(p.speedup > 0.0) {
-                return Err(format!("point {i}: speedup must be positive, got {}", p.speedup));
-            }
-        }
-        if (self.points[0].speedup - 1.0).abs() > 1e-9 {
-            return Err(format!(
-                "first point is the speedup baseline and must be 1.0, got {}",
-                self.points[0].speedup
-            ));
-        }
-        let matches = self.points[0].matches;
-        if self.points.iter().any(|p| p.matches != matches) {
-            return Err("match counts differ across worker counts (nondeterminism)".into());
-        }
-        if !(self.shared_claim_wall_ms_mean > 0.0) {
-            return Err("shared-claim baseline wall time must be positive".into());
-        }
-        let last_mean = self.points[self.points.len() - 1].wall_ms_mean;
-        let expected = self.shared_claim_wall_ms_mean / last_mean;
-        if !(self.steal_speedup > 0.0)
-            || (self.steal_speedup - expected).abs() > 1e-6 * expected.max(1.0)
-        {
-            return Err(format!(
-                "steal_speedup {} inconsistent with shared-claim {} / steal {} ms",
-                self.steal_speedup, self.shared_claim_wall_ms_mean, last_mean
-            ));
-        }
-        Ok(())
-    }
-}
-
-/// Version of the `BENCH_graph.json` schema. Bump on breaking changes to
-/// [`GraphReport`].
-pub const GRAPH_BENCH_SCHEMA_VERSION: u32 = 1;
-
-/// One worker count of the blocking-graph kernel sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct GraphBenchPoint {
-    /// Dataflow workers used for this point.
-    pub workers: usize,
-    /// Partitions the executor derived from the worker count.
-    pub partitions: usize,
-    /// Mean graph-construction wall time over the repetitions, milliseconds.
-    pub wall_ms_mean: f64,
-    /// Fastest repetition, milliseconds.
-    pub wall_ms_min: f64,
-    /// Speedup vs the 1-worker mean (first point ≡ 1.0).
-    pub speedup: f64,
-    /// Mean wall of the `graph/gamma*` stages (union + row pass +
-    /// transpose), milliseconds. The acceptance evidence that the γ pass
-    /// actually parallelizes lives in this column.
-    pub gamma_wall_ms: f64,
-    /// Mean wall of the `graph/beta/*` stages, milliseconds.
-    pub beta_wall_ms: f64,
-    /// Retained value (β) candidates across both sides.
-    pub value_candidates: u64,
-    /// Retained neighbor (γ) candidates across both sides.
-    pub neighbor_candidates: u64,
-    /// [`minoaner_blocking::BlockingGraph::weight_digest`] of the built
-    /// graph — must be identical across worker counts (determinism gate).
-    pub weight_digest: u64,
-}
-
-/// The top-level contents of `BENCH_graph.json`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct GraphReport {
-    /// [`GRAPH_BENCH_SCHEMA_VERSION`] at write time.
-    pub schema_version: u32,
-    /// [`minoaner_dataflow::TRACE_SCHEMA_VERSION`] of the traces the
-    /// points were extracted from.
-    pub trace_schema_version: u32,
-    /// Datagen profile name.
-    pub dataset: String,
-    /// `MINOANER_SCALE` the dataset was generated at.
-    pub scale: f64,
-    /// Repetitions per worker count.
-    pub reps: usize,
-    /// Mean wall of the pre-rewrite sequential kernel
-    /// (`minoaner_blocking::reference`), milliseconds, same repetitions.
-    pub reference_wall_ms_mean: f64,
-    /// `reference_wall_ms_mean / points[0].wall_ms_mean` — the rewrite's
-    /// single-threaded speedup over the old kernel.
-    pub speedup_vs_reference: f64,
-    /// One point per worker count, ascending.
-    pub points: Vec<GraphBenchPoint>,
-}
-
-impl GraphReport {
-    /// Serializes the report as pretty-printed JSON.
-    pub fn to_json(&self) -> Result<String, serde_json::Error> {
-        serde_json::to_string_pretty(self)
-    }
-
-    /// Parses a report previously produced by [`Self::to_json`].
-    pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(json)
-    }
-
-    /// Checks the report against the schema invariants, returning the
-    /// first violation. Runs after writing `BENCH_graph.json` (and in CI).
-    pub fn validate(&self) -> Result<(), String> {
-        if self.schema_version != GRAPH_BENCH_SCHEMA_VERSION {
-            return Err(format!(
-                "schema_version {} does not match supported version {GRAPH_BENCH_SCHEMA_VERSION}",
-                self.schema_version
-            ));
-        }
-        if self.trace_schema_version != minoaner_dataflow::TRACE_SCHEMA_VERSION {
-            return Err(format!(
-                "trace_schema_version {} does not match supported version {}",
-                self.trace_schema_version,
-                minoaner_dataflow::TRACE_SCHEMA_VERSION
-            ));
-        }
-        if self.dataset.is_empty() {
-            return Err("dataset name is empty".into());
-        }
-        if !(self.scale > 0.0) {
-            return Err(format!("scale must be positive, got {}", self.scale));
-        }
-        if self.reps == 0 {
-            return Err("reps must be ≥ 1".into());
-        }
-        if self.points.is_empty() {
-            return Err("no bench points recorded".into());
-        }
-        let mut prev_workers = 0usize;
-        for (i, p) in self.points.iter().enumerate() {
-            if p.workers <= prev_workers {
-                return Err(format!(
-                    "point {i}: worker counts must be positive and strictly ascending \
-                     ({prev_workers} then {})",
-                    p.workers
-                ));
-            }
-            prev_workers = p.workers;
-            if p.partitions < p.workers {
-                return Err(format!(
-                    "point {i}: {} partitions cannot be fewer than {} workers",
-                    p.partitions, p.workers
-                ));
-            }
-            if !(p.wall_ms_mean > 0.0) || !(p.wall_ms_min > 0.0) {
-                return Err(format!("point {i}: wall times must be positive"));
-            }
-            if p.wall_ms_min > p.wall_ms_mean {
-                return Err(format!(
-                    "point {i}: min wall time {} exceeds mean {}",
-                    p.wall_ms_min, p.wall_ms_mean
-                ));
-            }
-            if !(p.speedup > 0.0) {
-                return Err(format!("point {i}: speedup must be positive, got {}", p.speedup));
-            }
-            if !(p.gamma_wall_ms >= 0.0) || !(p.beta_wall_ms >= 0.0) {
-                return Err(format!("point {i}: stage walls must be finite and non-negative"));
-            }
-        }
-        if (self.points[0].speedup - 1.0).abs() > 1e-9 {
-            return Err(format!(
-                "first point is the speedup baseline and must be 1.0, got {}",
-                self.points[0].speedup
-            ));
-        }
-        let first = &self.points[0];
-        for (i, p) in self.points.iter().enumerate().skip(1) {
-            if p.weight_digest != first.weight_digest {
-                return Err(format!(
-                    "point {i}: weight digest {:#018x} differs from the 1-worker digest \
-                     {:#018x} (nondeterminism across worker counts)",
-                    p.weight_digest, first.weight_digest
-                ));
-            }
-            if p.value_candidates != first.value_candidates
-                || p.neighbor_candidates != first.neighbor_candidates
-            {
-                return Err(format!(
-                    "point {i}: candidate counts differ across worker counts (nondeterminism)"
-                ));
-            }
-        }
-        if !(self.reference_wall_ms_mean > 0.0) {
-            return Err("reference kernel wall time must be positive".into());
-        }
-        let expected = self.reference_wall_ms_mean / first.wall_ms_mean;
-        if !(self.speedup_vs_reference > 0.0)
-            || (self.speedup_vs_reference - expected).abs() > 1e-6 * expected.max(1.0)
-        {
-            return Err(format!(
-                "speedup_vs_reference {} inconsistent with reference {} / baseline {} ms",
-                self.speedup_vs_reference, self.reference_wall_ms_mean, first.wall_ms_mean
-            ));
-        }
-        Ok(())
-    }
-}
-
-/// Version of the `BENCH_kb.json` schema. Bump on breaking changes to
-/// [`KbLoadReport`].
-pub const KB_BENCH_SCHEMA_VERSION: u32 = 1;
-
-/// The minimum acceptable `.mkb` open speedup over text re-parsing — the
-/// headline claim of the memory-mapped container, enforced by
-/// [`KbLoadReport::validate`] so a regression fails the bench (and CI).
-pub const KB_MIN_OPEN_SPEEDUP: f64 = 100.0;
-
-/// The top-level contents of `BENCH_kb.json`: text parse vs `.mkb`
-/// compile, mmap open, and first-touch materialization on one dataset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct KbLoadReport {
-    /// [`KB_BENCH_SCHEMA_VERSION`] at write time.
-    pub schema_version: u32,
-    /// Datagen profile name.
-    pub dataset: String,
-    /// `MINOANER_SCALE` the dataset was generated at.
-    pub scale: f64,
-    /// Repetitions per timed operation.
-    pub reps: usize,
-    /// Size of the compiled `.mkb` container, bytes.
-    pub mkb_bytes: u64,
-    /// Entities across both sides of the pair.
-    pub entities: u64,
-    /// Mean wall of parsing both N-Triples docs into a [`minoaner_kb::KbPair`],
-    /// milliseconds.
-    pub parse_ms_mean: f64,
-    /// Wall of one `write_mkb` compile (parse excluded), milliseconds.
-    pub compile_ms: f64,
-    /// Mean wall of `MkbFile::open` (header + section-table validation,
-    /// no data touched), milliseconds.
-    pub open_ms_mean: f64,
-    /// Mean wall of first-touch materialization (`verify` checksums +
-    /// `to_pair`), milliseconds — the page-in cost `open` defers.
-    pub page_in_ms_mean: f64,
-    /// `parse_ms_mean / open_ms_mean` — what the container saves on every
-    /// run after the first.
-    pub open_speedup_vs_parse: f64,
-}
-
-impl KbLoadReport {
-    /// Serializes the report as pretty-printed JSON.
-    pub fn to_json(&self) -> Result<String, serde_json::Error> {
-        serde_json::to_string_pretty(self)
-    }
-
-    /// Parses a report previously produced by [`Self::to_json`].
-    pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(json)
-    }
-
-    /// Checks the report against the schema invariants, returning the
-    /// first violation. Runs after writing `BENCH_kb.json` (and in CI).
-    pub fn validate(&self) -> Result<(), String> {
-        if self.schema_version != KB_BENCH_SCHEMA_VERSION {
-            return Err(format!(
-                "schema_version {} does not match supported version {KB_BENCH_SCHEMA_VERSION}",
-                self.schema_version
-            ));
-        }
-        if self.dataset.is_empty() {
-            return Err("dataset name is empty".into());
-        }
-        if !(self.scale > 0.0) {
-            return Err(format!("scale must be positive, got {}", self.scale));
-        }
-        if self.reps == 0 {
-            return Err("reps must be ≥ 1".into());
-        }
-        if self.mkb_bytes == 0 {
-            return Err("mkb_bytes is zero — nothing was compiled".into());
-        }
-        if self.entities == 0 {
-            return Err("entities is zero — empty dataset measures nothing".into());
-        }
-        for (name, v) in [
-            ("parse_ms_mean", self.parse_ms_mean),
-            ("compile_ms", self.compile_ms),
-            ("open_ms_mean", self.open_ms_mean),
-            ("page_in_ms_mean", self.page_in_ms_mean),
-        ] {
-            if !(v > 0.0) {
-                return Err(format!("{name} must be positive, got {v}"));
-            }
-        }
-        let expected = self.parse_ms_mean / self.open_ms_mean;
-        if !(self.open_speedup_vs_parse > 0.0)
-            || (self.open_speedup_vs_parse - expected).abs() > 1e-6 * expected.max(1.0)
-        {
-            return Err(format!(
-                "open_speedup_vs_parse {} inconsistent with parse {} / open {} ms",
-                self.open_speedup_vs_parse, self.parse_ms_mean, self.open_ms_mean
-            ));
-        }
-        if self.open_speedup_vs_parse < KB_MIN_OPEN_SPEEDUP {
-            return Err(format!(
-                "open_speedup_vs_parse {:.1} is below the required {KB_MIN_OPEN_SPEEDUP}× — \
-                 mmap open must not re-do per-triple work",
-                self.open_speedup_vs_parse
-            ));
-        }
-        Ok(())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn sample() -> PipelineReport {
-        let point = |workers: usize, mean: f64| BenchPoint {
-            workers,
-            partitions: workers * 3,
-            wall_ms_mean: mean,
-            wall_ms_min: mean * 0.9,
-            speedup: 40.0 / mean,
-            matches: 88,
-            comparisons_after_purge: 1234,
-            shuffle_bytes: 5678,
-        };
-        PipelineReport {
-            schema_version: BENCH_SCHEMA_VERSION,
-            trace_schema_version: minoaner_dataflow::TRACE_SCHEMA_VERSION,
-            dataset: "restaurant".into(),
-            scale: 1.0,
-            reps: 3,
-            shared_claim_wall_ms_mean: 26.0,
-            steal_speedup: 26.0 / 11.0,
-            points: vec![point(1, 40.0), point(2, 24.0), point(4, 15.0), point(8, 11.0)],
-        }
-    }
-
-    #[test]
-    fn sample_report_round_trips_and_validates() {
-        let report = sample();
-        report.validate().expect("sample is valid");
-        let back = PipelineReport::from_json(&report.to_json().unwrap()).unwrap();
-        assert_eq!(report, back);
-    }
-
-    #[test]
-    fn validation_rejects_schema_drift() {
-        let mut r = sample();
-        r.schema_version += 1;
-        assert!(r.validate().unwrap_err().contains("schema_version"));
-    }
-
-    #[test]
-    fn validation_rejects_unordered_workers_and_bad_baseline() {
-        let mut r = sample();
-        r.points.swap(0, 1);
-        assert!(r.validate().unwrap_err().contains("ascending"));
-
-        let mut r = sample();
-        r.points[0].speedup = 2.0;
-        assert!(r.validate().unwrap_err().contains("baseline"));
-    }
-
-    #[test]
-    fn validation_rejects_nondeterministic_matches() {
-        let mut r = sample();
-        r.points[2].matches += 1;
-        assert!(r.validate().unwrap_err().contains("worker counts"));
-    }
-
-    #[test]
-    fn validation_rejects_empty_points() {
-        let mut r = sample();
-        r.points.clear();
-        assert!(r.validate().is_err());
-    }
-
-    #[test]
-    fn validation_rejects_inconsistent_steal_speedup() {
-        let mut r = sample();
-        r.steal_speedup *= 2.0;
-        assert!(r.validate().unwrap_err().contains("steal_speedup"));
-
-        let mut r = sample();
-        r.shared_claim_wall_ms_mean = 0.0;
-        assert!(r.validate().is_err());
-    }
-
-    fn kb_sample() -> KbLoadReport {
-        KbLoadReport {
-            schema_version: KB_BENCH_SCHEMA_VERSION,
-            dataset: "restaurant".into(),
-            scale: 1.0,
-            reps: 5,
-            mkb_bytes: 1 << 20,
-            entities: 1700,
-            parse_ms_mean: 42.0,
-            compile_ms: 55.0,
-            open_ms_mean: 0.02,
-            page_in_ms_mean: 3.5,
-            open_speedup_vs_parse: 42.0 / 0.02,
-        }
-    }
-
-    #[test]
-    fn kb_report_round_trips_and_validates() {
-        let report = kb_sample();
-        report.validate().expect("sample is valid");
-        let back = KbLoadReport::from_json(&report.to_json().unwrap()).unwrap();
-        assert_eq!(report, back);
-    }
-
-    #[test]
-    fn kb_validation_rejects_sub_100x_open() {
-        let mut r = kb_sample();
-        r.open_ms_mean = r.parse_ms_mean / 50.0;
-        r.open_speedup_vs_parse = 50.0;
-        let err = r.validate().unwrap_err();
-        assert!(err.contains("below the required"), "got {err}");
-    }
-
-    #[test]
-    fn kb_validation_rejects_inconsistent_speedup_and_schema_drift() {
-        let mut r = kb_sample();
-        r.open_speedup_vs_parse *= 3.0;
-        assert!(r.validate().unwrap_err().contains("inconsistent"));
-
-        let mut r = kb_sample();
-        r.schema_version += 1;
-        assert!(r.validate().unwrap_err().contains("schema_version"));
-
-        let mut r = kb_sample();
-        r.mkb_bytes = 0;
-        assert!(r.validate().is_err());
-
-        let mut r = kb_sample();
-        r.open_ms_mean = 0.0;
-        assert!(r.validate().is_err());
-    }
-
-    fn graph_sample() -> GraphReport {
-        let point = |workers: usize, mean: f64| GraphBenchPoint {
-            workers,
-            partitions: workers * 3,
-            wall_ms_mean: mean,
-            wall_ms_min: mean * 0.9,
-            speedup: 30.0 / mean,
-            gamma_wall_ms: mean * 0.4,
-            beta_wall_ms: mean * 0.3,
-            value_candidates: 4200,
-            neighbor_candidates: 3100,
-            weight_digest: 0xDEAD_BEEF_CAFE_F00D,
-        };
-        GraphReport {
-            schema_version: GRAPH_BENCH_SCHEMA_VERSION,
-            trace_schema_version: minoaner_dataflow::TRACE_SCHEMA_VERSION,
-            dataset: "restaurant".into(),
-            scale: 1.0,
-            reps: 3,
-            reference_wall_ms_mean: 75.0,
-            speedup_vs_reference: 75.0 / 30.0,
-            points: vec![point(1, 30.0), point(2, 18.0), point(4, 11.0), point(8, 8.0)],
-        }
-    }
-
-    #[test]
-    fn graph_report_round_trips_and_validates() {
-        let report = graph_sample();
-        report.validate().expect("sample is valid");
-        let back = GraphReport::from_json(&report.to_json().unwrap()).unwrap();
-        assert_eq!(report, back);
-    }
-
-    #[test]
-    fn graph_validation_rejects_digest_drift_across_workers() {
-        let mut r = graph_sample();
-        r.points[2].weight_digest ^= 1;
-        assert!(r.validate().unwrap_err().contains("digest"));
-    }
-
-    #[test]
-    fn graph_validation_rejects_candidate_count_drift() {
-        let mut r = graph_sample();
-        r.points[3].neighbor_candidates += 1;
-        assert!(r.validate().unwrap_err().contains("candidate counts"));
-    }
-
-    #[test]
-    fn graph_validation_rejects_inconsistent_reference_speedup() {
-        let mut r = graph_sample();
-        r.speedup_vs_reference *= 2.0;
-        assert!(r.validate().unwrap_err().contains("speedup_vs_reference"));
-
-        let mut r = graph_sample();
-        r.reference_wall_ms_mean = 0.0;
-        assert!(r.validate().is_err());
-    }
-
-    #[test]
-    fn graph_validation_rejects_schema_drift_and_bad_baseline() {
-        let mut r = graph_sample();
-        r.schema_version += 1;
-        assert!(r.validate().unwrap_err().contains("schema_version"));
-
-        let mut r = graph_sample();
-        r.points[0].speedup = 0.5;
-        assert!(r.validate().unwrap_err().contains("baseline"));
-    }
-}
+//! Timings for comparing commits come from the repository benchmark in
+//! `crates/benchmark` (root `BENCHMARK.json`), not from here.

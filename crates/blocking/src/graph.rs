@@ -37,9 +37,9 @@
 //!   bit-identical for every worker count — and across runs, since no
 //!   randomly-seeded container is involved anywhere in the kernel.
 //!
-//! The pre-rewrite kernel is preserved verbatim in [`crate::reference`]
-//! (test/bench only); the equivalence proptests there pin this kernel to
-//! it with exact `f64` equality.
+//! The pre-rewrite kernel is preserved verbatim in `crate::reference`
+//! (compiled for tests only); the equivalence proptests there pin this
+//! kernel to it with exact `f64` equality.
 
 use minoaner_dataflow::{Executor, SpillShuffle, StageIo};
 use minoaner_kb::stats::RelationStats;
@@ -128,7 +128,7 @@ pub struct BlockingGraph {
 impl BlockingGraph {
     /// Assembles a graph from its parts (crate-internal: used by the
     /// reference implementation; the builder writes fields directly).
-    #[cfg(any(test, feature = "reference-impl"))]
+    #[cfg(test)]
     pub(crate) fn from_parts(
         value_cands: [Vec<Vec<Candidate>>; 2],
         neighbor_cands: [Vec<Vec<Candidate>>; 2],

@@ -14,10 +14,7 @@
 //!   four elements at a time while the windows `a[i..i+4]` / `b[j..j+4]`
 //!   don't overlap (two comparisons skip four elements — the CPU analogue
 //!   of avoiding per-lane branch divergence), and resolves overlapping
-//!   windows with a branchless scalar step. With the `simd` feature
-//!   (nightly `std::simd`, off by default) overlapping windows are
-//!   resolved by a 4×4 lane comparison against the rotations of the other
-//!   window instead.
+//!   windows with a branchless scalar step.
 //!
 //! All visitors emit common values in ascending order — callers fold f64
 //! weights over the emission order, so it is load-bearing for the
@@ -60,48 +57,6 @@ fn intersect_gallop(small: &[u32], large: &[u32], emit: &mut impl FnMut(u32)) {
     }
 }
 
-/// Resolves two overlapping 4-wide windows, emitting the values common to
-/// both (ascending; windows are ascending and duplicate-free).
-#[cfg(feature = "simd")]
-#[inline]
-fn emit_common_block4(a4: &[u32], b4: &[u32], emit: &mut impl FnMut(u32)) {
-    use std::simd::cmp::SimdPartialEq;
-    use std::simd::u32x4;
-    let va = u32x4::from_slice(a4);
-    let vb = u32x4::from_slice(b4);
-    // Compare the a-lanes against every rotation of the b-window: a lane
-    // is set iff its value occurs anywhere in b[j..j+4].
-    let hit = va.simd_eq(vb)
-        | va.simd_eq(vb.rotate_elements_left::<1>())
-        | va.simd_eq(vb.rotate_elements_left::<2>())
-        | va.simd_eq(vb.rotate_elements_left::<3>());
-    let bits = hit.to_bitmask();
-    for lane in 0..4 {
-        if bits & (1 << lane) != 0 {
-            emit(a4[lane]);
-        }
-    }
-}
-
-/// Portable fallback for overlapping windows: a bounded branchless merge
-/// confined to the two 4-element windows.
-#[cfg(not(feature = "simd"))]
-#[inline]
-fn emit_common_block4(a4: &[u32], b4: &[u32], emit: &mut impl FnMut(u32)) {
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < 4 && j < 4 {
-        let (x, y) = (a4[i], b4[j]);
-        if x == y {
-            emit(x);
-            i += 1;
-            j += 1;
-        } else {
-            i += usize::from(x < y);
-            j += usize::from(y < x);
-        }
-    }
-}
-
 /// 4-wide merge intersection for comparably-sized rows.
 fn intersect_merge(a: &[u32], b: &[u32], emit: &mut impl FnMut(u32)) {
     let (mut i, mut j) = (0usize, 0usize);
@@ -115,11 +70,24 @@ fn intersect_merge(a: &[u32], b: &[u32], emit: &mut impl FnMut(u32)) {
             j += 4;
             continue;
         }
-        // Overlapping windows: emit the common lanes, then advance past
-        // the window with the smaller maximum (its values can no longer
-        // match anything beyond the other window — the windows are
-        // ascending, so everything past the other window is larger).
-        emit_common_block4(&a[i..i + 4], &b[j..j + 4], emit);
+        // Overlapping windows: emit the common lanes with a branchless
+        // merge confined to the two windows, then advance past the window
+        // with the smaller maximum (its values can no longer match
+        // anything beyond the other window — the windows are ascending,
+        // so everything past the other window is larger).
+        let (a4, b4) = (&a[i..i + 4], &b[j..j + 4]);
+        let (mut p, mut q) = (0usize, 0usize);
+        while p < 4 && q < 4 {
+            let (x, y) = (a4[p], b4[q]);
+            if x == y {
+                emit(x);
+                p += 1;
+                q += 1;
+            } else {
+                p += usize::from(x < y);
+                q += usize::from(y < x);
+            }
+        }
         let (a_max, b_max) = (a[i + 3], b[j + 3]);
         i += 4 * usize::from(a_max <= b_max);
         j += 4 * usize::from(b_max <= a_max);

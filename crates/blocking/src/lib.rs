@@ -1,4 +1,3 @@
-#![cfg_attr(feature = "simd", feature(portable_simd))]
 //! # minoaner-blocking
 //!
 //! MinoanER's composite, schema-agnostic blocking layer (§3 of the paper):
@@ -25,8 +24,8 @@ pub mod intersect;
 pub mod lsh;
 pub mod name;
 pub mod purge;
-#[cfg(any(test, feature = "reference-impl"))]
-pub mod reference;
+#[cfg(test)]
+mod reference;
 pub mod sorted_neighborhood;
 pub mod stats;
 pub mod token;

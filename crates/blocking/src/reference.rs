@@ -12,8 +12,7 @@
 //! two kernels across worker counts, weighting schemes, adaptive pruning,
 //! and dirty-ER mode.
 //!
-//! Compiled only for tests and under the `reference-impl` feature (the
-//! `graph` bench enables it to measure the speedup of the rewrite).
+//! Compiled only for tests: nothing ships it.
 
 use std::collections::BTreeMap;
 

@@ -2,17 +2,15 @@
 //! generalization the paper sketches in §2 ("the proposed techniques can
 //! be easily generalized to … a single dirty KB").
 //!
-//! The dirty KB is mirrored onto both sides of a self-[`KbPair`]
+//! The dirty KB is mirrored onto both sides of a self-[`minoaner_kb::KbPair`]
 //! ([`minoaner_kb::dirty::DirtyKbBuilder`]); identity pairs are excluded
 //! from every evidence kind during graph construction; R1's "they and only
 //! they share a name" becomes "exactly two entities share a name"; and the
 //! resulting matches are canonicalized into unordered duplicate pairs.
 
-use minoaner_dataflow::Executor;
-use minoaner_kb::{EntityId, KbPair};
+use minoaner_kb::EntityId;
 
-use crate::pipeline::{Minoaner, Resolution};
-use crate::request::ResolveRequest;
+use crate::pipeline::Resolution;
 
 /// The result of dirty-ER resolution.
 #[derive(Debug, Clone)]
@@ -24,41 +22,13 @@ pub struct DirtyResolution {
     pub inner: Resolution,
 }
 
-impl Minoaner {
-    /// Resolves duplicates within a dirty KB built with
-    /// [`minoaner_kb::dirty::DirtyKbBuilder`].
-    ///
-    /// # Panics
-    /// Panics if `pair` was not marked dirty (a clean-clean pair would
-    /// yield meaningless "duplicates"), or if the dataflow fails — the
-    /// panic payload is the structured
-    /// [`DataflowError`](minoaner_dataflow::DataflowError).
-    #[deprecated(note = "build a ResolveRequest::pair(pair).dirty() and call Minoaner::run")]
-    pub fn resolve_dirty(&self, executor: &Executor, pair: &KbPair) -> DirtyResolution {
-        self.run_shared(executor, ResolveRequest::pair(pair).dirty())
-            .unwrap_or_else(|e| std::panic::panic_any(e))
-            .into_dirty()
-    }
-
-    /// Resolves duplicates within a dirty KB; dataflow failures come back
-    /// as a structured [`minoaner_dataflow::DataflowError`]. The
-    /// dirty-pair precondition stays an assertion — passing a clean-clean
-    /// pair is a caller bug, not a runtime fault.
-    #[deprecated(note = "build a ResolveRequest::pair(pair).dirty() and call Minoaner::run")]
-    pub fn try_resolve_dirty(
-        &self,
-        executor: &Executor,
-        pair: &KbPair,
-    ) -> Result<DirtyResolution, minoaner_dataflow::DataflowError> {
-        self.run_shared(executor, ResolveRequest::pair(pair).dirty()).map(|o| o.into_dirty())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::Minoaner;
+    use crate::request::ResolveRequest;
     use minoaner_kb::dirty::DirtyKbBuilder;
-    use minoaner_kb::{Side, Term};
+    use minoaner_kb::{KbPair, Side, Term};
 
     fn dirty_kb() -> KbPair {
         let mut b = DirtyKbBuilder::new();
@@ -125,24 +95,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "resolve_dirty requires")]
+    #[should_panic(expected = "ResolveRequest::dirty requires")]
     fn clean_pair_is_rejected() {
         let mut b = minoaner_kb::KbPairBuilder::new();
         b.add_triple(Side::Left, "a", "p", Term::Literal("x"));
         b.add_triple(Side::Right, "b", "p", Term::Literal("x"));
         let pair = b.finish();
         resolve_dirty(&pair, 1);
-    }
-
-    /// The deprecated dirty wrappers and the request spelling agree.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_match_the_request_path() {
-        let pair = dirty_kb();
-        let exec = Executor::new(2);
-        let legacy = Minoaner::new().resolve_dirty(&exec, &pair);
-        let request = resolve_dirty(&pair, 2);
-        assert_eq!(legacy.duplicates, request.duplicates);
-        assert_eq!(legacy.inner.graph_digest, request.inner.graph_digest);
     }
 }

@@ -8,8 +8,8 @@
 //!   by vote count under unique mapping.
 //! * Adaptive pruning lives in the blocking layer
 //!   ([`minoaner_blocking::graph::GraphConfig::adaptive_pruning`]);
-//!   adaptive pruning is enabled for a [`Minoaner`]-style run via
-//!   [`resolve_adaptive`].
+//!   adaptive pruning is enabled for a [`Minoaner`] run via
+//!   [`crate::ResolveRequest::adaptive`].
 
 use minoaner_det::DetHashMap;
 
@@ -24,7 +24,6 @@ use minoaner_kb::{EntityId, KbPair, Side};
 use crate::config::{MinoanerConfig, RuleSet};
 use crate::matcher::run_matching;
 use crate::pipeline::Minoaner;
-use crate::request::ResolveRequest;
 
 /// Result of an ensemble run.
 #[derive(Debug, Clone)]
@@ -50,9 +49,8 @@ pub fn ensemble_resolve(
     let mut votes: DetHashMap<(u32, u32), usize> = DetHashMap::default();
     for cfg in configs {
         let res = Minoaner::with_config(*cfg)
-            .run_shared(executor, ResolveRequest::pair(pair))
-            .unwrap_or_else(|e| std::panic::panic_any(e))
-            .into_resolution();
+            .resolve_impl(executor, pair, RuleSet::FULL)
+            .unwrap_or_else(|e| std::panic::panic_any(e));
         for (l, r) in res.matches {
             *votes.entry((l.0, r.0)).or_insert(0) += 1;
         }
@@ -90,22 +88,10 @@ pub fn default_ensemble() -> Vec<MinoanerConfig> {
     ]
 }
 
-/// Resolves with the conclusion's *dynamic pruning*: per-node candidate
-/// lists cut at mean + ½·stddev of the node's own weight distribution
-/// instead of a fixed top-K.
-#[deprecated(note = "build a ResolveRequest::pair(pair).adaptive() and call \
-                     Minoaner::with_config(*config).run")]
-pub fn resolve_adaptive(
-    executor: &Executor,
-    pair: &KbPair,
-    config: &MinoanerConfig,
-) -> crate::matcher::MatchOutcome {
-    adaptive_impl(executor, pair, config)
-}
-
-/// The adaptive-pruning implementation behind
-/// [`crate::ResolveRequest::adaptive`] (and the deprecated
-/// [`resolve_adaptive`]): the inline pipeline with
+/// The conclusion's *dynamic pruning*, behind
+/// [`crate::ResolveRequest::adaptive`]: per-node candidate lists cut at
+/// mean + ½·stddev of the node's own weight distribution instead of a
+/// fixed top-K — the inline pipeline with
 /// [`GraphConfig::adaptive_pruning`] enabled.
 pub(crate) fn adaptive_impl(
     executor: &Executor,
@@ -133,6 +119,7 @@ pub(crate) fn adaptive_impl(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::request::ResolveRequest;
     use minoaner_kb::{KbPairBuilder, Term};
 
     fn pair() -> KbPair {
@@ -179,24 +166,6 @@ mod tests {
             .expect("healthy run succeeds")
             .into_adaptive();
         assert_eq!(out.matches.len(), 3);
-    }
-
-    /// The deprecated adaptive wrapper and the request spelling agree.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_adaptive_wrapper_matches_the_request_path() {
-        let p = pair();
-        let exec = Executor::new(2);
-        let legacy = resolve_adaptive(&exec, &p, &MinoanerConfig::default());
-        let request = Minoaner::new()
-            .run(ResolveRequest::pair(&p).adaptive().workers(2))
-            .expect("healthy run succeeds")
-            .into_adaptive();
-        let mut a = legacy.matches;
-        let mut b = request.matches;
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b);
     }
 
     #[test]

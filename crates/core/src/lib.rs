@@ -40,10 +40,6 @@ pub mod resume;
 pub use config::{ConfigError, MinoanerConfig, MinoanerConfigBuilder, RuleSet};
 pub use dirty::DirtyResolution;
 pub use extensions::{ensemble_resolve, EnsembleResolution};
-// The deprecated free function stays re-exported for migration-period
-// callers; the `use` itself must not trip `-D deprecated`.
-#[allow(deprecated)]
-pub use extensions::resolve_adaptive;
 pub use multi::{MultiKb, MultiResolution, ObjectTerm};
 pub use matcher::{MatchOutcome, Rule, RuleCounts};
 pub use pipeline::{Minoaner, PipelineTimings, PreparedBlocks, PreparedGraph, Resolution};

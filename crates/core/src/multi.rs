@@ -19,7 +19,6 @@ use minoaner_kb::{KbPair, KbPairBuilder, Side, Term};
 use crate::clusters::UnionFind;
 use crate::config::RuleSet;
 use crate::pipeline::Minoaner;
-use crate::request::ResolveRequest;
 
 /// A multi-KB input: each KB is a list of triples
 /// `(subject, predicate, object)`.
@@ -91,28 +90,6 @@ pub struct MultiResolution {
 }
 
 impl Minoaner {
-    /// Resolves `k` clean KBs pairwise and merges the matches into
-    /// k-partite clusters. A dataflow failure is re-raised as the
-    /// original panic payload.
-    #[deprecated(note = "build a ResolveRequest::multi(input) and call Minoaner::run")]
-    pub fn resolve_multi(&self, executor: &Executor, input: &MultiKb) -> MultiResolution {
-        self.run_shared(executor, ResolveRequest::multi(input))
-            .unwrap_or_else(|e| std::panic::panic_any(e))
-            .into_multi()
-    }
-
-    /// Resolves `k` clean KBs pairwise; a dataflow failure in any
-    /// pairwise resolution aborts the whole multi-KB run with a
-    /// structured [`minoaner_dataflow::DataflowError`].
-    #[deprecated(note = "build a ResolveRequest::multi(input) and call Minoaner::run")]
-    pub fn try_resolve_multi(
-        &self,
-        executor: &Executor,
-        input: &MultiKb,
-    ) -> Result<MultiResolution, minoaner_dataflow::DataflowError> {
-        self.run_shared(executor, ResolveRequest::multi(input)).map(|o| o.into_multi())
-    }
-
     /// The multi-KB implementation behind [`crate::ResolveRequest::multi`]:
     /// every KB pair through the standard two-KB pipeline, then k-partite
     /// clustering of the pairwise matches.
@@ -175,6 +152,7 @@ fn try_union(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::request::ResolveRequest;
 
     /// Three KBs describing overlapping restaurant sets.
     fn three_kbs() -> MultiKb {
@@ -250,17 +228,5 @@ mod tests {
         let mut m = MultiKb::new();
         m.add_kb();
         resolve_multi(&m, 1);
-    }
-
-    /// The deprecated multi wrappers and the request spelling agree.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_match_the_request_path() {
-        let m = three_kbs();
-        let exec = Executor::new(2);
-        let legacy = Minoaner::new().resolve_multi(&exec, &m);
-        let request = resolve_multi(&m, 2);
-        assert_eq!(legacy.clusters, request.clusters);
-        assert_eq!(legacy.pairwise, request.pairwise);
     }
 }

@@ -22,7 +22,6 @@ use minoaner_kb::{EntityId, KbPair};
 
 use crate::config::{MinoanerConfig, RuleSet};
 use crate::matcher::{run_matching, MatchOutcome, RuleCounts};
-use crate::request::ResolveRequest;
 use crate::resume::{self, CheckpointSpec};
 
 /// Wall-clock breakdown of a pipeline run. §6.2 of the paper reports both
@@ -209,98 +208,8 @@ impl Minoaner {
         run_matching(executor, pair, &prepared.graph, &self.config, rules)
     }
 
-    /// End-to-end resolution with the full rule set.
-    ///
-    /// Re-raises a dataflow failure as a panic whose payload is the
-    /// structured [`DataflowError`].
-    #[deprecated(note = "build a ResolveRequest::pair(pair) and call Minoaner::run")]
-    pub fn resolve(&self, executor: &Executor, pair: &KbPair) -> Resolution {
-        self.run_shared(executor, ResolveRequest::pair(pair))
-            .unwrap_or_else(|e| std::panic::panic_any(e))
-            .into_resolution()
-    }
-
-    /// End-to-end resolution with an explicit rule set (Table 4 ablations).
-    ///
-    /// Re-raises a dataflow failure as a panic whose payload is the
-    /// structured [`DataflowError`].
-    #[deprecated(note = "build a ResolveRequest::pair(pair).rules(rules) and call Minoaner::run")]
-    pub fn resolve_with_rules(&self, executor: &Executor, pair: &KbPair, rules: RuleSet) -> Resolution {
-        self.run_shared(executor, ResolveRequest::pair(pair).rules(rules))
-            .unwrap_or_else(|e| std::panic::panic_any(e))
-            .into_resolution()
-    }
-
-    /// End-to-end resolution that surfaces dataflow failures as a
-    /// structured [`DataflowError`] instead of unwinding through the
-    /// caller.
-    #[deprecated(note = "build a ResolveRequest::pair(pair) and call Minoaner::run")]
-    pub fn try_resolve(&self, executor: &Executor, pair: &KbPair) -> Result<Resolution, DataflowError> {
-        self.run_shared(executor, ResolveRequest::pair(pair)).map(|o| o.into_resolution())
-    }
-
-    /// End-to-end resolution with an explicit rule set, fallible.
-    #[deprecated(note = "build a ResolveRequest::pair(pair).rules(rules) and call Minoaner::run")]
-    pub fn try_resolve_with_rules(
-        &self,
-        executor: &Executor,
-        pair: &KbPair,
-        rules: RuleSet,
-    ) -> Result<Resolution, DataflowError> {
-        self.run_shared(executor, ResolveRequest::pair(pair).rules(rules))
-            .map(|o| o.into_resolution())
-    }
-
-    /// End-to-end resolution that additionally captures a [`RunTrace`].
-    #[deprecated(note = "build a ResolveRequest::pair(pair).rules(rules).trace() and call \
-                         Minoaner::run_on")]
-    pub fn try_resolve_traced(
-        &self,
-        executor: &mut Executor,
-        pair: &KbPair,
-        rules: RuleSet,
-    ) -> Result<(Resolution, RunTrace), DataflowError> {
-        self.run_on(executor, ResolveRequest::pair(pair).rules(rules).trace())
-            .map(|o| o.into_traced())
-    }
-
-    /// Checkpointed end-to-end resolution.
-    #[deprecated(note = "build a ResolveRequest::pair(pair).rules(rules).checkpoint(spec) and \
-                         call Minoaner::run_on")]
-    pub fn try_resolve_checkpointed(
-        &self,
-        executor: &mut Executor,
-        pair: &KbPair,
-        rules: RuleSet,
-        spec: &CheckpointSpec,
-    ) -> Result<(Resolution, RunTrace), DataflowError> {
-        self.run_on(executor, ResolveRequest::pair(pair).rules(rules).checkpoint(spec))
-            .map(|o| o.into_traced())
-    }
-
-    /// Job-scoped resolution: an admission cancellation poll, then a
-    /// traced (and, with a spec, checkpointed) run on the job's executor.
-    #[deprecated(note = "poll Executor::check_cancelled yourself, then build a \
-                         ResolveRequest::pair(pair).rules(rules).trace() (plus .checkpoint(spec)) \
-                         and call Minoaner::run_on")]
-    pub fn try_resolve_job(
-        &self,
-        executor: &mut Executor,
-        pair: &KbPair,
-        rules: RuleSet,
-        checkpoint: Option<&CheckpointSpec>,
-    ) -> Result<(Resolution, RunTrace), DataflowError> {
-        executor.check_cancelled("job:admit")?;
-        let mut req = ResolveRequest::pair(pair).rules(rules).trace();
-        if let Some(spec) = checkpoint {
-            req = req.checkpoint(spec);
-        }
-        self.run_on(executor, req).map(|o| o.into_traced())
-    }
-
     /// End-to-end resolution with an explicit rule set — **the** resolver
-    /// implementation; every request path and legacy wrapper delegates
-    /// here.
+    /// implementation; every request path delegates here.
     ///
     /// The pipeline's internal stages run on the executor's infallible
     /// operators, which re-raise task failures as a structured panic
@@ -402,11 +311,11 @@ impl Minoaner {
     }
 
     /// Polls the executor's cancellation flag between pipeline phases.
-    /// `run_pipeline` is the infallible body shared with the panic-payload
-    /// entry points, so a cancellation observed here is re-raised the same
-    /// way the infallible operators raise task failures: as a panic whose
-    /// payload is the structured [`DataflowError`], recovered at the
-    /// `try_*` boundary by [`DataflowError::from_panic`].
+    /// `run_pipeline` is infallible, so a cancellation observed here is
+    /// re-raised the same way the infallible operators raise task
+    /// failures: as a panic whose payload is the structured
+    /// [`DataflowError`], recovered in [`Minoaner::resolve_impl`] by
+    /// [`DataflowError::from_panic`].
     fn barrier_cancel_point(executor: &Executor, at: &str) {
         if let Err(e) = executor.check_cancelled(at) {
             std::panic::panic_any(e);
@@ -570,6 +479,7 @@ impl Minoaner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::request::ResolveRequest;
     use minoaner_kb::{KbPairBuilder, Side, Term};
 
     /// A small but complete scenario: restaurants with chefs and places,
@@ -692,23 +602,6 @@ mod tests {
         assert_eq!(a, b);
     }
 
-    /// The deprecated infallible/fallible wrappers and the request
-    /// spelling all produce the same resolution.
-    #[test]
-    #[allow(deprecated)]
-    fn try_resolve_agrees_with_resolve_on_healthy_input() {
-        let (pair, _) = scenario();
-        let m = Minoaner::new();
-        let plain = m.resolve(&Executor::new(2), &pair);
-        let fallible = m.try_resolve(&Executor::new(2), &pair).expect("healthy run succeeds");
-        let mut a = plain.matches;
-        let mut b = fallible.matches;
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b);
-        assert_eq!(plain.rule_counts, fallible.rule_counts);
-    }
-
     #[test]
     fn cancelled_executor_fails_fast_with_structured_error() {
         use minoaner_dataflow::{CancelReason, CancelToken};
@@ -722,28 +615,6 @@ mod tests {
             DataflowError::Cancelled { reason, .. } => assert_eq!(reason, CancelReason::User),
             other => panic!("unexpected error: {other}"),
         }
-    }
-
-    /// The deprecated job wrapper and the request spelling agree.
-    #[test]
-    #[allow(deprecated)]
-    fn try_resolve_job_without_checkpoint_matches_traced_run() {
-        let (pair, _) = scenario();
-        let m = Minoaner::new();
-        let mut a = Executor::new(2);
-        let (res_job, trace_job) =
-            m.try_resolve_job(&mut a, &pair, RuleSet::FULL, None).expect("job run succeeds");
-        let (res_traced, trace_traced) = m
-            .run(ResolveRequest::pair(&pair).workers(2).trace())
-            .expect("traced run succeeds")
-            .into_traced();
-        let mut x = res_job.matches;
-        let mut y = res_traced.matches;
-        x.sort_unstable();
-        y.sort_unstable();
-        assert_eq!(x, y);
-        assert_eq!(res_job.graph_digest, res_traced.graph_digest);
-        assert_eq!(trace_job.counters, trace_traced.counters);
     }
 
     #[test]

@@ -1,18 +1,12 @@
 //! The unified resolution-request API: one builder, one entry point.
 //!
-//! Historically every pipeline variant grew its own `resolve*` method —
-//! plain/fallible, traced, checkpointed, job-scoped, dirty, multi-KB,
-//! adaptive — twelve entry points whose options could not compose (a
-//! traced dirty run, say, had no spelling at all). A [`ResolveRequest`]
-//! replaces them: it names the input ([`ResolveRequest::pair`] or
+//! A [`ResolveRequest`] names the input ([`ResolveRequest::pair`] or
 //! [`ResolveRequest::multi`]) and chains the orthogonal run options
 //! (rules, tracing, checkpointing, cancellation, deadline, worker count,
-//! dirty/adaptive mode); [`Minoaner::run`] executes it and a
-//! [`ResolveOutcome`] carries whichever result shape the request implies.
-//!
-//! The legacy entry points survive as thin `#[deprecated]` wrappers that
-//! construct the equivalent request — byte-identical results, so existing
-//! callers migrate at leisure (the migration table lives in DESIGN.md §15).
+//! memory budget, dirty/adaptive mode), so options compose — a traced
+//! dirty run is one chain, not one more method; [`Minoaner::run`] executes
+//! it and a [`ResolveOutcome`] carries whichever result shape the request
+//! implies.
 //!
 //! ```
 //! use minoaner_core::{Minoaner, ResolveRequest};
@@ -188,13 +182,15 @@ impl<'a> ResolveRequest<'a> {
     }
 
     /// Asserts the request's option combination is coherent. Misuse is a
-    /// caller bug, so (as with the legacy dirty/multi preconditions) this
-    /// panics rather than returning a runtime error.
+    /// caller bug, so this panics rather than returning a runtime error.
     fn check_preconditions(&self) {
         match self.input {
             ResolveInput::Pair(pair) => {
                 if self.dirty {
-                    assert!(pair.is_dirty(), "resolve_dirty requires a DirtyKbBuilder-built pair");
+                    assert!(
+                        pair.is_dirty(),
+                        "ResolveRequest::dirty requires a DirtyKbBuilder-built pair"
+                    );
                     assert!(!self.adaptive, "dirty and adaptive modes cannot be combined");
                 }
             }
@@ -368,39 +364,6 @@ impl Minoaner {
         if let Some(budget) = req.mem_budget.take() {
             executor.set_memory_budget(Some(budget));
         }
-        if let ResolveInput::Pair(pair) = req.input {
-            if !req.adaptive {
-                if let Some(spec) = req.checkpoint {
-                    let (resolution, trace) =
-                        self.checkpointed_impl(executor, pair, req.rules, spec)?;
-                    return Ok(Self::finish_single(req.dirty, resolution, Some(trace)));
-                }
-                if req.trace {
-                    let (resolution, trace) = self.traced_impl(executor, pair, req.rules)?;
-                    return Ok(Self::finish_single(req.dirty, resolution, Some(trace)));
-                }
-            }
-        }
-        self.run_shared(executor, req)
-    }
-
-    /// The `&Executor` dispatch path shared by [`Minoaner::run_on`] and
-    /// the legacy infallible wrappers: every request variant that needs no
-    /// executor mutation (no trace, no checkpoint, no token installation).
-    pub(crate) fn run_shared(
-        &self,
-        executor: &Executor,
-        req: ResolveRequest<'_>,
-    ) -> Result<ResolveOutcome, DataflowError> {
-        req.check_preconditions();
-        debug_assert!(
-            !req.trace
-                && req.checkpoint.is_none()
-                && req.cancel.is_none()
-                && req.deadline.is_none()
-                && req.mem_budget.is_none(),
-            "mutating request options require run_on"
-        );
         match req.input {
             ResolveInput::Multi(input) => Ok(ResolveOutcome::Multi(self.multi_impl(executor, input)?)),
             ResolveInput::Pair(pair) if req.adaptive => {
@@ -414,8 +377,17 @@ impl Minoaner {
                 .map_err(DataflowError::from_panic)
             }
             ResolveInput::Pair(pair) => {
-                let resolution = self.resolve_impl(executor, pair, req.rules)?;
-                Ok(Self::finish_single(req.dirty, resolution, None))
+                let (resolution, trace) = if let Some(spec) = req.checkpoint {
+                    let (resolution, trace) =
+                        self.checkpointed_impl(executor, pair, req.rules, spec)?;
+                    (resolution, Some(trace))
+                } else if req.trace {
+                    let (resolution, trace) = self.traced_impl(executor, pair, req.rules)?;
+                    (resolution, Some(trace))
+                } else {
+                    (self.resolve_impl(executor, pair, req.rules)?, None)
+                };
+                Ok(Self::finish_single(req.dirty, resolution, trace))
             }
         }
     }
@@ -522,7 +494,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "resolve_dirty requires")]
+    #[should_panic(expected = "ResolveRequest::dirty requires")]
     fn dirty_request_rejects_clean_pairs() {
         let p = pair();
         let _ = Minoaner::new().run(ResolveRequest::pair(&p).dirty());

@@ -15,6 +15,8 @@
 //! * **A bounded worker pool** ([`Executor`]): the worker count is the
 //!   experimental knob behind the Figure 6 speedup curves, with the paper's
 //!   convention of 3 tasks per machine core held constant across runs.
+//!   Workers claim a stage's tasks from one shared counter, as Spark's
+//!   executors take them from one driver-side queue.
 //! * **Broadcast variables** ([`Broadcast`]) for the R1-match exclusion set.
 //! * **Per-stage metrics** ([`StageLog`]) so the harness can report the
 //!   matching phase's share of total runtime (§6.2).
@@ -62,7 +64,6 @@ pub mod ops;
 pub mod pdc;
 pub mod pool;
 pub mod spill;
-pub mod steal;
 pub mod trace;
 
 /// The virtual-filesystem seam every durable path writes through —
@@ -86,5 +87,4 @@ pub use pool::{Deadline, Executor, ExecutorConfig, FailureAction, FaultPolicy, S
 pub use spill::{
     SpillShuffle, Spillable, SPILL_BYTES_COUNTER, SPILL_RECORDS_COUNTER, SPILL_RUNS_COUNTER,
 };
-pub use steal::{StealQueues, StealSchedule};
 pub use trace::{RunTrace, TRACE_SCHEMA_VERSION};

@@ -2,9 +2,10 @@
 //! tasks with a barrier after every stage.
 //!
 //! This mirrors the execution model the paper gets from Spark (§4.1,
-//! Figure 4): each stage is split into tasks (one per partition), tasks run
-//! on however many workers are available, and the stage completes only when
-//! every task has finished (the dashed synchronization edges of Figure 4).
+//! Figure 4): each stage is split into tasks (one per partition), however
+//! many workers are available each claim the next task from one shared
+//! counter, and the stage completes only when every task has finished (the
+//! dashed synchronization edges of Figure 4).
 //! The worker count is the knob behind the Figure 6 scalability experiment.
 //!
 //! Fault tolerance: every task runs under `catch_unwind`, so a panicking
@@ -27,7 +28,6 @@ use crate::checkpoint::CheckpointPolicy;
 use crate::error::DataflowError;
 use crate::metrics::{StageIo, StageLog, StageMetric};
 use crate::observer::{Observer, ObserverSlot};
-use crate::steal::{StealQueues, StealSchedule};
 
 /// What to do with a task that keeps panicking after its retry budget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -187,9 +187,6 @@ pub struct StageOutput<T> {
     pub attempts: usize,
     /// Attempts beyond the first per task (`attempts - tasks run`).
     pub retries: usize,
-    /// Tasks claimed from another worker's queue (always 0 under
-    /// [`StealSchedule::SharedClaim`] and with a single worker).
-    pub steals: usize,
     /// Shallow per-task result footprint in bytes (`size_of::<T>()` per
     /// filled slot; skipped slots count 0). Heap payloads behind the
     /// result (`Vec` contents, boxed slices) are *not* traversed — stages
@@ -224,7 +221,6 @@ struct TaskCounters {
     attempts: usize,
     retries: usize,
     skipped: usize,
-    steals: usize,
 }
 
 /// A task's terminal state, written into its result slot.
@@ -258,10 +254,6 @@ pub struct Executor {
     /// and expiry surfaces as [`DataflowError::Cancelled`] with
     /// [`CancelReason::Deadline`] rather than a per-stage timeout.
     deadline: Option<Deadline>,
-    /// How workers pick steal victims ([`StealSchedule::RoundRobin`] by
-    /// default). Changes which worker runs a task, never the stage's
-    /// output — results land in a slot array indexed by partition id.
-    steal: StealSchedule,
     /// Optional heap ceiling for data-exchange stages. When set, shuffle
     /// producers reserve against it and degrade to spill-to-disk runs
     /// ([`crate::spill`]) instead of buffering without bound. `None`
@@ -292,7 +284,6 @@ impl Executor {
             checkpoint: CheckpointPolicy::Off,
             cancel: CancelToken::new(),
             deadline: None,
-            steal: StealSchedule::default(),
             memory: None,
         }
     }
@@ -308,20 +299,6 @@ impl Executor {
     /// The installed memory budget, if any.
     pub fn memory_budget(&self) -> Option<&MemoryBudget> {
         self.memory.as_ref()
-    }
-
-    /// Sets the steal schedule workers use to pick victims. Output is
-    /// bit-identical across schedules (asserted by the `steal-stress` CI
-    /// sweep); the knob exists for determinism stress tests and for
-    /// benchmarking against the pre-upgrade shared-counter protocol
-    /// ([`StealSchedule::SharedClaim`]).
-    pub fn set_steal_schedule(&mut self, schedule: StealSchedule) {
-        self.steal = schedule;
-    }
-
-    /// The active steal schedule.
-    pub fn steal_schedule(&self) -> StealSchedule {
-        self.steal
     }
 
     /// Installs a shared [`CancelToken`]; the party holding another clone
@@ -382,8 +359,8 @@ impl Executor {
     }
 
     /// Sets the checkpoint policy consulted at stage barriers by
-    /// checkpoint-aware pipeline drivers (e.g.
-    /// `Minoaner::try_resolve_checkpointed`).
+    /// checkpoint-aware pipeline drivers (e.g. `Minoaner::run_on` with a
+    /// `ResolveRequest::checkpoint` spec).
     pub fn set_checkpoint_policy(&mut self, policy: CheckpointPolicy) {
         self.checkpoint = policy;
     }
@@ -443,10 +420,10 @@ impl Executor {
     }
 
     /// Runs `n` independent tasks, returning their results in task order,
-    /// and records the stage under `name`. Each of up to [`Self::workers`]
-    /// worker threads owns a contiguous block of task indices and steals
-    /// from a victim's block once its own runs dry (`steal.rs`), so skewed
-    /// task sizes still balance without contending on one claim counter.
+    /// and records the stage under `name`. Up to [`Self::workers`] worker
+    /// threads claim the next task index from one shared counter, the way
+    /// Spark hands `3 × cores` tasks out of one driver-side queue (§4.1),
+    /// so skewed task sizes balance: whoever finishes first takes more.
     ///
     /// Runs under [`FaultPolicy::none`]: a panicking task fails the stage
     /// immediately. The failure is re-raised in the calling thread as a
@@ -526,7 +503,6 @@ impl Executor {
                 skipped,
                 attempts: counters.attempts,
                 retries: counters.retries,
-                steals: counters.steals,
                 partition_bytes,
             }
         })
@@ -614,42 +590,22 @@ impl Executor {
         };
 
         let slots: Vec<Mutex<Option<TaskOutcome<T>>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        // Per-worker queues of contiguous index blocks; workers whose
-        // block runs dry steal from a victim's back (steal.rs). The
-        // legacy shared counter survives only as the
-        // `StealSchedule::SharedClaim` bench baseline.
-        let queues = StealQueues::split(n, workers);
-        let shared_next = AtomicUsize::new(0);
-        let schedule = self.steal;
+        // The one claim protocol: `fetch_add` hands every index out
+        // exactly once, in ascending order. Relaxed is enough — the
+        // counter publishes no data; results travel through the slot
+        // mutexes and the scope join.
+        let next = AtomicUsize::new(0);
         let fatal = AtomicBool::new(false);
         let timed_out = AtomicBool::new(false);
         let cancelled = AtomicBool::new(false);
         let attempts_total = AtomicUsize::new(0);
-        let steals_total = AtomicUsize::new(0);
-
-        // Claims the next task index for worker `w`, or `None` when every
-        // queue is drained. A `Some` claim is exactly-once: both queue
-        // ends move by CAS on one packed word (steal.rs), and the shared
-        // counter hands out each index once by fetch_add.
-        let claim = |w: usize, sweep: &mut u64| -> Option<usize> {
-            if schedule == StealSchedule::SharedClaim {
-                let i = shared_next.fetch_add(1, Ordering::Relaxed);
-                return (i < n).then_some(i);
-            }
-            let c = queues.claim(w, schedule, sweep)?;
-            if c.stolen {
-                steals_total.fetch_add(1, Ordering::Relaxed);
-            }
-            Some(c.index)
-        };
 
         // Invariant relied on below: a worker only exits between claiming
         // an index and writing its slot when it sets `timed_out` or
         // `cancelled`, so when no abort flag is set, every index 0..n has
         // a populated slot after the join. Claim-exactly-once and the
-        // steal/cancel races are modeled in dataflow/tests/loom_models.rs.
-        let worker_loop = |w: usize| {
-            let mut sweep = 0u64;
+        // cancel races are modeled in dataflow/tests/loom_models.rs.
+        let worker_loop = || {
             loop {
                 if fatal.load(Ordering::SeqCst)
                     || timed_out.load(Ordering::SeqCst)
@@ -667,9 +623,10 @@ impl Executor {
                         break;
                     }
                 }
-                let Some(i) = claim(w, &mut sweep) else {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
                     break;
-                };
+                }
                 let (outcome, used) = run_one(i);
                 attempts_total.fetch_add(used as usize, Ordering::Relaxed);
                 let Some(outcome) = outcome else {
@@ -695,14 +652,14 @@ impl Executor {
         };
 
         if workers <= 1 {
-            worker_loop(0);
+            worker_loop();
         } else {
             let worker_loop = &worker_loop;
             // Tasks are panic-isolated, so a worker unwinding is itself a
             // bug; re-raise the original payload rather than wrapping it.
             if let Err(payload) = crossbeam::scope(|scope| {
-                for w in 0..workers {
-                    scope.spawn(move |_| worker_loop(w));
+                for _ in 0..workers {
+                    scope.spawn(move |_| worker_loop());
                 }
             }) {
                 std::panic::panic_any(payload);
@@ -710,7 +667,6 @@ impl Executor {
         }
 
         counters.attempts = attempts_total.load(Ordering::Relaxed);
-        counters.steals = steals_total.load(Ordering::Relaxed);
         let ran = slots.iter().filter(|s| s.lock().is_some()).count();
         counters.retries = counters.attempts.saturating_sub(ran);
 
@@ -911,51 +867,32 @@ mod tests {
     }
 
     #[test]
-    fn steal_schedules_agree_on_results() {
-        // The steal schedule moves tasks between workers, never results
-        // between slots: every schedule must produce the same output.
-        let reference: Vec<usize> = (0..64).map(|i| i * 3 + 1).collect();
-        let schedules = [
-            StealSchedule::RoundRobin,
-            StealSchedule::SharedClaim,
-            StealSchedule::Seeded(0),
-            StealSchedule::Seeded(1),
-            StealSchedule::Seeded(0x5EED),
-        ];
-        for schedule in schedules {
-            let mut exec = Executor::new(4);
-            exec.set_steal_schedule(schedule);
-            assert_eq!(exec.steal_schedule(), schedule);
-            let out = exec.run_stage("sched", 64, |i| i * 3 + 1);
-            assert_eq!(out, reference, "schedule {schedule:?} changed the output");
-        }
-    }
-
-    #[test]
-    fn skewed_stage_steals_from_the_stuck_worker() {
-        // Worker 0 owns the block containing the heavy task 0; worker 1
-        // must drain the rest of worker 0's block by stealing.
+    fn stuck_task_does_not_hold_back_unclaimed_tasks() {
+        // Task 0 returns only once the other 15 have finished, so the
+        // stage completes only if the second worker keeps claiming while
+        // the first is stuck. Any static task-to-worker assignment leaves
+        // some of the 15 behind task 0 and trips the wait limit.
         let exec = Executor::new(2);
+        let done = AtomicUsize::new(0);
         let out = exec
-            .try_run_stage("skew-steal", 16, |i| {
+            .try_run_stage("skew-claim", 16, |i| {
                 if i == 0 {
-                    std::thread::sleep(Duration::from_millis(40));
+                    let start = Instant::now();
+                    while done.load(Ordering::SeqCst) < 15 {
+                        assert!(
+                            start.elapsed() < Duration::from_secs(20),
+                            "tasks were left waiting behind the stuck task 0"
+                        );
+                        std::thread::yield_now();
+                    }
+                } else {
+                    done.fetch_add(1, Ordering::SeqCst);
                 }
                 i * 2
             })
             .unwrap();
-        assert!(out.steals >= 1, "worker 1 never stole from the stuck worker's block");
         let values = out.expect_complete();
         assert_eq!(values, (0..16).map(|i| i * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn shared_claim_mode_never_steals() {
-        let mut exec = Executor::new(4);
-        exec.set_steal_schedule(StealSchedule::SharedClaim);
-        let out = exec.try_run_stage("legacy", 64, |i| i).unwrap();
-        assert_eq!(out.steals, 0);
-        assert_eq!(out.expect_complete(), (0..64).collect::<Vec<_>>());
     }
 
     #[test]

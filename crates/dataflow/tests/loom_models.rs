@@ -22,50 +22,9 @@
 
 #![cfg(loom)]
 
-use loom::sync::atomic::{AtomicBool, AtomicU8, AtomicU64, AtomicUsize, Ordering};
+use loom::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
 use loom::sync::{Arc, Mutex};
 use loom::thread;
-
-/// Model of `steal.rs::StealQueue`: the unclaimed interval `[head, tail)`
-/// packed into one `AtomicU64`; owner claims shrink it from the front,
-/// thief claims from the back, both by CAS on the whole word.
-fn pack(head: u32, tail: u32) -> u64 {
-    ((head as u64) << 32) | tail as u64
-}
-
-fn unpack(v: u64) -> (u32, u32) {
-    ((v >> 32) as u32, v as u32)
-}
-
-fn pop_front(span: &AtomicU64) -> Option<u32> {
-    let mut cur = span.load(Ordering::Acquire);
-    loop {
-        let (head, tail) = unpack(cur);
-        if head >= tail {
-            return None;
-        }
-        match span.compare_exchange(cur, pack(head + 1, tail), Ordering::AcqRel, Ordering::Acquire)
-        {
-            Ok(_) => return Some(head),
-            Err(now) => cur = now,
-        }
-    }
-}
-
-fn steal_back(span: &AtomicU64) -> Option<u32> {
-    let mut cur = span.load(Ordering::Acquire);
-    loop {
-        let (head, tail) = unpack(cur);
-        if head >= tail {
-            return None;
-        }
-        match span.compare_exchange(cur, pack(head, tail - 1), Ordering::AcqRel, Ordering::Acquire)
-        {
-            Ok(_) => return Some(tail - 1),
-            Err(now) => cur = now,
-        }
-    }
-}
 
 /// Outcome written into a slot by the model worker, mirroring
 /// `pool.rs::TaskOutcome` (payload elided).
@@ -276,124 +235,6 @@ fn pool_cancel_never_loses_an_in_flight_claim() {
             assert!(
                 observed.load(Ordering::SeqCst),
                 "tasks missing but no worker raised the cancelled flag — barrier would wedge"
-            );
-        }
-    });
-}
-
-/// The work-stealing queue (`steal.rs::StealQueue`): an owner popping the
-/// front races a thief stealing the back of the same packed span.
-///
-/// Invariants (from the module docs of `steal.rs`):
-///   * every index in the span is claimed by exactly one side — each
-///     successful CAS removes exactly one distinct index, and a failed
-///     CAS retries on the fresh word;
-///   * no index is lost: once both sides observe an empty span, the
-///     union of their claims is the whole original span.
-#[test]
-fn steal_queue_claims_each_index_exactly_once() {
-    const N: u32 = 3;
-    loom::model(|| {
-        let span = Arc::new(AtomicU64::new(pack(0, N)));
-        let runs: Arc<[AtomicUsize; N as usize]> =
-            Arc::new([AtomicUsize::new(0), AtomicUsize::new(0), AtomicUsize::new(0)]);
-
-        let owner = {
-            let span = Arc::clone(&span);
-            let runs = Arc::clone(&runs);
-            thread::spawn(move || {
-                while let Some(i) = pop_front(&span) {
-                    runs[i as usize].fetch_add(1, Ordering::Relaxed);
-                }
-            })
-        };
-        let thief = {
-            let span = Arc::clone(&span);
-            let runs = Arc::clone(&runs);
-            thread::spawn(move || {
-                while let Some(i) = steal_back(&span) {
-                    runs[i as usize].fetch_add(1, Ordering::Relaxed);
-                }
-            })
-        };
-        owner.join().unwrap();
-        thief.join().unwrap();
-
-        for i in 0..N as usize {
-            assert_eq!(runs[i].load(Ordering::Relaxed), 1, "index {i} claim count");
-        }
-        let (head, tail) = unpack(span.load(Ordering::Acquire));
-        assert!(head >= tail, "span not drained");
-    });
-}
-
-/// The steal queue under cancellation: both the owner and the thief poll
-/// the token *before* claiming (mirroring `worker_loop` in `pool.rs`) and
-/// write their slot unconditionally after a successful claim.
-///
-/// Invariants:
-///   * a steal/cancel race never loses a partition: every claimed index
-///     has a populated slot after the join;
-///   * if any slot is empty, the worker that stopped observed the token
-///     and raised the pool's `cancelled` flag, so the barrier surfaces
-///     `DataflowError::Cancelled` instead of wedging.
-#[test]
-fn steal_queue_cancel_never_loses_a_partition() {
-    const N: u32 = 2;
-    loom::model(|| {
-        let span = Arc::new(AtomicU64::new(pack(0, N)));
-        let token = Arc::new(AtomicU8::new(0));
-        let observed = Arc::new(AtomicBool::new(false));
-        let slots: Arc<Vec<Mutex<Option<Outcome>>>> =
-            Arc::new((0..N).map(|_| Mutex::new(None)).collect());
-
-        let worker = |steal: bool| {
-            let span = Arc::clone(&span);
-            let token = Arc::clone(&token);
-            let observed = Arc::clone(&observed);
-            let slots = Arc::clone(&slots);
-            thread::spawn(move || loop {
-                // Poll point: BEFORE the claim, as in worker_loop.
-                if token.load(Ordering::SeqCst) != 0 {
-                    observed.store(true, Ordering::SeqCst);
-                    break;
-                }
-                let claimed = if steal { steal_back(&span) } else { pop_front(&span) };
-                let Some(i) = claimed else { break };
-                // Once claimed, the slot is written unconditionally.
-                *slots[i as usize].lock().unwrap() = Some(Outcome::Ok);
-            })
-        };
-
-        let canceller = {
-            let token = Arc::clone(&token);
-            thread::spawn(move || {
-                let _ = token.compare_exchange(0, 1, Ordering::SeqCst, Ordering::SeqCst);
-            })
-        };
-        let owner = worker(false);
-        let thief = worker(true);
-        owner.join().unwrap();
-        thief.join().unwrap();
-        canceller.join().unwrap();
-
-        // Every claimed index has a populated slot: indices outside the
-        // remaining [head, tail) interval were claimed by someone.
-        let (head, tail) = unpack(span.load(Ordering::Acquire));
-        for i in 0..N {
-            let claimed = i < head || i >= tail;
-            if claimed {
-                assert!(
-                    slots[i as usize].lock().unwrap().is_some(),
-                    "claimed index {i} has no slot — a steal/cancel race lost a partition"
-                );
-            }
-        }
-        let all_full = (0..N as usize).all(|i| slots[i].lock().unwrap().is_some());
-        if !all_full {
-            assert!(
-                observed.load(Ordering::SeqCst),
-                "partitions missing but no worker observed the cancellation — barrier would wedge"
             );
         }
     });

@@ -423,8 +423,16 @@ struct Mapping {
     len: usize,
 }
 
-// The mapping is read-only bytes; no interior mutability.
+// SAFETY: `ptr` is the only non-`Send` field. It addresses a
+// `PROT_READ` mapping that this struct alone owns and that only `Drop`
+// unmaps (`len` is a plain `usize`; the non-mmap build holds a
+// `Vec<u64>`, `Send` already), so moving the owner to another thread
+// moves nothing that is tied to the creating thread.
 unsafe impl Send for Mapping {}
+// SAFETY: the mapping is read-only bytes — this process cannot write
+// through it and the struct has no interior mutability — so `&Mapping`
+// only hands out `&[u8]` reads; `Drop` needs `&mut self`, which no
+// shared borrow can coexist with.
 unsafe impl Sync for Mapping {}
 
 #[cfg(all(unix, not(miri)))]

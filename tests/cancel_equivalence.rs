@@ -190,32 +190,3 @@ fn every_barrier_cancel_resumes_to_the_uninterrupted_outcome() {
         cancel_resume_roundtrip(barrier, 2, 0.2, &format!("sweep-{barrier}"));
     }
 }
-
-/// The deprecated `try_resolve_job` wrapper and the checkpointed request
-/// are the same computation: identical canonical blob (digest, matches,
-/// rule counts, non-ckpt counters) on an uncancelled run. The wrapper's
-/// extra `job:admit` admission poll is unobservable without a latched
-/// token.
-#[test]
-#[allow(deprecated)]
-fn deprecated_job_wrapper_matches_the_request_path() {
-    let _guard = CANCEL_POINT.lock().unwrap_or_else(|p| p.into_inner());
-    std::env::remove_var("MINOANER_CANCEL_POINT");
-
-    let d = dataset(0.2);
-    let legacy_dir = scratch_dir("legacy-job");
-    let mut exec = Executor::new(2);
-    let spec = CheckpointSpec::new(&legacy_dir);
-    let (legacy_res, legacy_trace) = Minoaner::new()
-        .try_resolve_job(&mut exec, &d.pair, RuleSet::FULL, Some(&spec))
-        .expect("legacy job run succeeds");
-
-    let request_dir = scratch_dir("request-job");
-    let (req_res, req_trace) = run(&request_dir, 2, 0.2, false).expect("request run succeeds");
-
-    assert_eq!(
-        canonical(&legacy_res, &legacy_trace),
-        canonical(&req_res, &req_trace),
-        "wrapper and request spellings diverged"
-    );
-}

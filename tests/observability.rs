@@ -2,8 +2,6 @@
 //! through a traced [`minoaner::ResolveRequest`] must round-trip through
 //! JSON exactly, must not perturb resolution results, and their domain
 //! counters must mirror the in-memory [`minoaner::core::RuleCounts`].
-//! The deprecated `try_resolve*` wrappers are pinned here as equivalent
-//! spellings of the same requests until they are removed.
 
 use minoaner::datagen::{generate, profiles, GeneratedDataset};
 use minoaner::dataflow::RunTrace;
@@ -148,46 +146,4 @@ fn repeated_traced_runs_are_deterministic() {
             assert_eq!(c.get(key), c0.get(key), "counter {key} drifted across runs");
         }
     }
-}
-
-/// The deprecated traced wrapper is the same computation as the traced
-/// request: identical matches, rule counts, stage names and domain
-/// counters (wall times are of course not compared).
-#[test]
-#[allow(deprecated)]
-fn deprecated_traced_wrapper_matches_the_request_spelling() {
-    let d = dataset();
-    let mut exec = Executor::new(2);
-    let (legacy_res, legacy_trace) =
-        Minoaner::new().try_resolve_traced(&mut exec, &d.pair, RuleSet::FULL).expect("wrapper runs");
-    let (req_res, req_trace) = traced(&d.pair, 2);
-
-    assert_eq!(legacy_res.matches, req_res.matches);
-    assert_eq!(legacy_res.rule_counts, req_res.rule_counts);
-    assert_eq!(legacy_trace.counters, req_trace.counters);
-    let names = |t: &RunTrace| t.stages.iter().map(|s| s.name.clone()).collect::<Vec<_>>();
-    assert_eq!(names(&legacy_trace), names(&req_trace));
-    assert_eq!(legacy_trace.workers, req_trace.workers);
-}
-
-/// The deprecated infallible and fallible plain wrappers agree with the
-/// plain request spelling.
-#[test]
-#[allow(deprecated)]
-fn deprecated_plain_wrappers_match_the_request_spelling() {
-    let d = dataset();
-    let exec = Executor::new(2);
-    let m = Minoaner::new();
-
-    let infallible = m.resolve(&exec, &d.pair);
-    let fallible = m.try_resolve(&exec, &d.pair).expect("healthy run succeeds");
-    let request = m
-        .run(ResolveRequest::pair(&d.pair).workers(2))
-        .expect("healthy run succeeds")
-        .into_resolution();
-
-    assert_eq!(infallible.matches, request.matches);
-    assert_eq!(fallible.matches, request.matches);
-    assert_eq!(infallible.rule_counts, request.rule_counts);
-    assert_eq!(fallible.rule_counts, request.rule_counts);
 }

@@ -1,7 +1,8 @@
 //! Criterion micro-benchmarks for the hot paths: tokenization and the
-//! N-Triples parser path it feeds, value-similarity kernel, token
-//! blocking, blocking-graph construction, and the full matching phase
-//! (Algorithm 2) on a prepared graph.
+//! N-Triples parser path it feeds, the two ways a KB pair is ingested
+//! (text and `.mkb`), value-similarity kernel, token blocking,
+//! blocking-graph construction, and the full matching phase (Algorithm 2)
+//! on a prepared graph.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use minoaner_core::{Minoaner, RuleSet};
@@ -10,7 +11,7 @@ use minoaner_datagen::{generate, profiles};
 use minoaner_kb::parser::{load_ntriples, write_ntriples};
 use minoaner_kb::stats::{value_sim, TokenEf};
 use minoaner_kb::tokenize::tokenize;
-use minoaner_kb::{KbPairBuilder, Side, Term};
+use minoaner_kb::{write_mkb, KbPairBuilder, MkbFile, Side, Term};
 use std::hint::black_box;
 
 fn bench_tokenize(c: &mut Criterion) {
@@ -46,6 +47,33 @@ fn bench_parser_path(c: &mut Criterion) {
             black_box((n, builder.finish()))
         })
     });
+}
+
+fn bench_ingest(c: &mut Criterion) {
+    // The benchmark's `bbc_nt_w1` load layer at 1/15 of its size (≈ 55 000
+    // triples, 5 MB of text): the verbose wide-schema pair, once as the two
+    // N-Triples documents and once as the container compiled from them.
+    let d = generate(&profiles::bbc_dbpedia().scaled(0.2));
+    let docs = [Side::Left, Side::Right].map(|side| (side, write_ntriples(&d.pair, side)));
+    let load = || {
+        let mut builder = KbPairBuilder::new();
+        for (side, doc) in &docs {
+            load_ntriples(&mut builder, *side, black_box(doc)).expect("own output parses");
+        }
+        builder.finish()
+    };
+    let dir = std::env::temp_dir().join(format!("minoaner-micro-ingest-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    let mkb = dir.join("pair.mkb");
+    write_mkb(&load(), &mkb).expect("compile succeeds");
+
+    let mut group = c.benchmark_group("ingest");
+    group.bench_function("load_ntriples_x2_finish", |b| b.iter(|| black_box(load())));
+    group.bench_function("mkb_open_to_pair", |b| {
+        b.iter(|| black_box(MkbFile::open(&mkb).and_then(|file| file.to_pair()).expect("own file opens")))
+    });
+    group.finish();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 fn bench_value_sim(c: &mut Criterion) {
@@ -93,6 +121,7 @@ criterion_group!(
     benches,
     bench_tokenize,
     bench_parser_path,
+    bench_ingest,
     bench_value_sim,
     bench_token_blocking,
     bench_graph_construction,

@@ -795,8 +795,7 @@ fn dedup(args: &DedupArgs) -> Result<(), CliError> {
             Ok(Some(t)) => {
                 match t.object {
                     Term::Literal(l) => {
-                        let owned = unescape(l);
-                        builder.add_triple(t.subject, t.predicate, Term::Literal(&owned));
+                        builder.add_triple(t.subject, t.predicate, Term::Literal(&unescape(l)));
                     }
                     Term::Uri(u) => builder.add_triple(t.subject, t.predicate, Term::Uri(u)),
                 }

@@ -11,7 +11,9 @@
 //! This crate is the single shared home of the fixed-seed replacements.
 //! Every workspace crate imports [`DetHashMap`]/[`DetHashSet`] from here;
 //! `minoaner-lint` rule R1 (and the `clippy::disallowed_types` wall)
-//! enforces that the `std` defaults never reappear.
+//! enforces that the `std` defaults never reappear. The one hash function
+//! that is not SipHash, [`hash_bytes`] for the string interner, lives here
+//! too and is as seed-free as the rest.
 //!
 //! The hasher is `SipHash-1-3` with a zero key (`DefaultHasher::new()`),
 //! i.e. the same algorithm as `std` minus the per-process random seed.
@@ -66,9 +68,68 @@ pub fn det_hash<T: Hash>(value: &T) -> u64 {
     h.finish()
 }
 
+/// Hashes a byte string eight bytes at a time with fixed constants — the
+/// key function of the `minoaner-kb` interner. Seed-free like everything
+/// here: no entropy and no per-process state, and words are read
+/// little-endian, so a string hashes to the same value on every run and
+/// host. It only places strings in a table; no id depends on it.
+pub fn hash_bytes(bytes: &[u8]) -> u64 {
+    const K: u64 = 0x9E37_79B9_7F4A_7C15;
+    let step = |h: u64, word: u64| (h.rotate_left(23) ^ word).wrapping_mul(K);
+    let le64 = |eight: &[u8]| {
+        let mut word = [0u8; 8];
+        word.copy_from_slice(eight);
+        u64::from_le_bytes(word)
+    };
+    let le32 = |four: &[u8]| {
+        let mut word = [0u8; 4];
+        word.copy_from_slice(four);
+        u64::from(u32::from_le_bytes(word))
+    };
+    let mut h = bytes.len() as u64;
+    // Every length reads whole words only; where the length is not a
+    // multiple of the word, the last word overlaps the one before it.
+    if let (Some(last), Some((_, but_one))) = (bytes.rchunks_exact(8).next(), bytes.split_last()) {
+        for eight in but_one.chunks_exact(8) {
+            h = step(h, le64(eight));
+        }
+        h = step(h, le64(last));
+    } else if let (Some(first), Some(last)) = (bytes.chunks_exact(4).next(), bytes.rchunks_exact(4).next()) {
+        h = step(h, le32(first) | le32(last) << 32);
+    } else if let (Some(&first), Some(&middle), Some(&last)) = (bytes.first(), bytes.get(bytes.len() / 2), bytes.last()) {
+        h = step(h, u64::from(first) | u64::from(middle) << 8 | u64::from(last) << 16);
+    }
+    // Multiplication only carries upward: fold the high half back down so
+    // the low bits, which index the table, depend on every input byte.
+    h ^= h >> 32;
+    h = h.wrapping_mul(0xD6E8_FEB8_6659_FD93);
+    h ^ (h >> 32)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn hash_bytes_is_fixed_and_length_aware() {
+        assert_eq!(hash_bytes(b"minoaner"), hash_bytes(b"minoaner"));
+        assert_ne!(hash_bytes(b""), hash_bytes(b"\0"));
+        assert_ne!(hash_bytes(b"ab"), hash_bytes(b"ab\0"));
+        // Every byte counts at every length, also where the last word
+        // overlaps the one before it.
+        for len in 1..=40 {
+            let base = vec![b'x'; len];
+            for at in 0..len {
+                let mut other = base.clone();
+                other[at] = b'y';
+                assert_ne!(hash_bytes(&base), hash_bytes(&other), "length {len}, byte {at}");
+            }
+        }
+        let distinct: DetHashSet<u32> =
+            (0..10_000u32).map(|i| hash_bytes(format!("http://e/{i}").as_bytes()) as u32 & 0xFFFF).collect();
+        // 10 000 keys into 65 536 buckets: a uniform hash leaves ~9 270 distinct.
+        assert!(distinct.len() > 9_000, "low 16 bits are poorly mixed: {}", distinct.len());
+    }
 
     #[test]
     fn iteration_order_is_reproducible_for_same_insertions() {

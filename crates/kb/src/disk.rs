@@ -27,6 +27,11 @@
 //!   columns 12,13  per-entity token occurrence counts
 //! ```
 //!
+//! The arena and CSR sections are the columns [`Interner`] and the pair's
+//! token tables hold in memory — one byte arena or one token column, plus
+//! cumulative offsets (the leading 0 is only on disk). Writing copies those
+//! columns; [`MkbFile::to_pair`] validates them and copies them back.
+//!
 //! [`MkbFile::open`] only validates structure (magic, version, endianness,
 //! alignment, section bounds) — the cheap path benchmarked against
 //! re-parsing. [`MkbFile::verify`] checks every section checksum, and
@@ -43,7 +48,7 @@ use minoaner_det::vfs::{self, Vfs};
 
 use crate::interner::{Interner, Symbol};
 use crate::model::{AttrId, Entity, EntityId, LiteralId, Side, TokenId, Value};
-use crate::store::{Kb, KbPair};
+use crate::store::{Kb, KbPair, TokenRows};
 
 /// Version of the `.mkb` layout this build reads and writes.
 pub const MKB_FORMAT_VERSION: u32 = 1;
@@ -232,40 +237,24 @@ fn checked_u32(n: usize, what: &str) -> Result<u32, MkbError> {
 }
 
 /// Serializes an interner: count, cumulative byte offsets, concatenated
-/// UTF-8, in interning order (symbols are positional).
-fn arena_section(interner: &Interner) -> Result<Vec<u8>, MkbError> {
+/// UTF-8, in interning order (symbols are positional). These are the
+/// interner's own columns, copied; it keeps them under 4 GiB itself.
+fn arena_section(interner: &Interner) -> Vec<u8> {
     let mut s = SectionBuf::default();
     s.u64(interner.len() as u64);
-    let mut offsets = Vec::with_capacity(interner.len() + 1);
-    let mut total = 0usize;
-    offsets.push(0u32);
-    for (_, string) in interner.iter() {
-        total += string.len();
-        offsets.push(checked_u32(total, "interner arena exceeds 4 GiB")?);
-    }
-    s.u32_iter(offsets.into_iter());
-    let mut bytes = Vec::with_capacity(total);
-    for (_, string) in interner.iter() {
-        bytes.extend_from_slice(string.as_bytes());
-    }
-    s.bytes(&bytes);
-    Ok(s.buf)
+    s.u32_iter(std::iter::once(0).chain(interner.ends().iter().copied()));
+    s.bytes(interner.arena().as_bytes());
+    s.buf
 }
 
-/// Serializes row-major variable-length u32 data as a CSR section.
-fn csr_section<'a>(rows: impl ExactSizeIterator<Item = &'a [TokenId]> + Clone) -> Result<Vec<u8>, MkbError> {
+/// Serializes row-major variable-length token data as a CSR section —
+/// again the table's own two columns, copied.
+fn csr_section(rows: &TokenRows) -> Vec<u8> {
     let mut s = SectionBuf::default();
     s.u64(rows.len() as u64);
-    let mut offsets = Vec::with_capacity(rows.len() + 1);
-    let mut total = 0usize;
-    offsets.push(0u32);
-    for row in rows.clone() {
-        total += row.len();
-        offsets.push(checked_u32(total, "token CSR exceeds u32::MAX entries")?);
-    }
-    s.u32_iter(offsets.into_iter());
-    s.u32_iter(rows.flat_map(|row| row.iter().map(|t| t.0)));
-    Ok(s.buf)
+    s.u32_iter(std::iter::once(0).chain(rows.ends().iter().copied()));
+    s.u32_iter(rows.data().iter().map(|t| t.0));
+    s.buf
 }
 
 /// Serializes a plain u32 column.
@@ -329,28 +318,23 @@ pub fn write_mkb(pair: &KbPair, path: &Path) -> Result<u64, MkbError> {
 pub fn write_mkb_with(pair: &KbPair, path: &Path, vfs: &dyn Vfs) -> Result<u64, MkbError> {
     let left = pair.kb(Side::Left);
     let right = pair.kb(Side::Right);
-    let literal_rows: Vec<&[TokenId]> =
-        (0..pair.literal_space()).map(|i| pair.literal_token_seq(LiteralId(i as u32))).collect();
-    fn tokset(kb: &Kb) -> Vec<&[TokenId]> {
-        (0..kb.len()).map(|i| kb.tokens_of(EntityId(i as u32))).collect()
-    }
-    let tokset_l = tokset(left);
-    let tokset_r = tokset(right);
+    let (tokset_l, tokocc_l) = left.token_columns();
+    let (tokset_r, tokocc_r) = right.token_columns();
 
     let sections: Vec<(u32, Vec<u8>)> = vec![
-        (section::TOKENS, arena_section(pair.tokens())?),
-        (section::LITERALS, arena_section(pair.literals())?),
-        (section::ATTRS, arena_section(pair.attrs())?),
-        (section::URIS, arena_section(pair.uris())?),
-        (section::LITERAL_TOKENS, csr_section(literal_rows.iter().copied())?),
+        (section::TOKENS, arena_section(pair.tokens())),
+        (section::LITERALS, arena_section(pair.literals())),
+        (section::ATTRS, arena_section(pair.attrs())),
+        (section::URIS, arena_section(pair.uris())),
+        (section::LITERAL_TOKENS, csr_section(pair.literal_tokens())),
         (section::ENT_URI_L, u32_column(left.entities().iter().map(|e| e.uri.0))),
         (section::ENT_URI_R, u32_column(right.entities().iter().map(|e| e.uri.0))),
         (section::PAIRS_L, pairs_section(left)?),
         (section::PAIRS_R, pairs_section(right)?),
-        (section::TOKSET_L, csr_section(tokset_l.iter().copied())?),
-        (section::TOKSET_R, csr_section(tokset_r.iter().copied())?),
-        (section::TOKOCC_L, u32_column((0..left.len()).map(|i| left.token_occurrences_of(EntityId(i as u32))))),
-        (section::TOKOCC_R, u32_column((0..right.len()).map(|i| right.token_occurrences_of(EntityId(i as u32))))),
+        (section::TOKSET_L, csr_section(tokset_l)),
+        (section::TOKSET_R, csr_section(tokset_r)),
+        (section::TOKOCC_L, u32_column(tokocc_l.iter().copied())),
+        (section::TOKOCC_R, u32_column(tokocc_r.iter().copied())),
     ];
     debug_assert_eq!(sections.len(), SECTION_COUNT);
 
@@ -928,44 +912,51 @@ impl MkbFile {
     /// the columns load directly — so the result is *identical* (not just
     /// equivalent) to the pair that was compiled: same interner order,
     /// same ids, same token sets, hence bit-identical resolution results.
+    ///
+    /// Beyond the checksums, every arena must be UTF-8 cut on char
+    /// boundaries into distinct strings, every CSR table must start at 0
+    /// and hold known token ids, and every id in the entity columns must be
+    /// in range; anything else is [`MkbError::Corrupt`].
     pub fn to_pair(&self) -> Result<KbPair, MkbError> {
         self.verify()?;
         let path = &self.path;
 
-        let mut interners = Vec::with_capacity(4);
-        for (which, arena) in self.arenas.iter().enumerate() {
-            let mut strings: Vec<Box<str>> = Vec::with_capacity(arena.count);
-            for i in 0..arena.count {
-                let s = self
-                    .arena_str(arena, i)
-                    .ok_or_else(|| corrupt(path, format!("arena {which}: invalid UTF-8 or bounds at {i}")))?;
-                strings.push(s.into());
-            }
-            interners.push(Interner::from_strings(strings));
-        }
-        let uris_len = interners[3].len() as u32;
-        let lits_len = interners[1].len() as u32;
-        let attrs_len = interners[2].len() as u32;
-        let toks_len = interners[0].len() as u32;
-        let mut it = interners.into_iter();
-        let (tokens, literals, attrs, uris) = match (it.next(), it.next(), it.next(), it.next()) {
-            (Some(t), Some(l), Some(a), Some(u)) => (t, l, a, u),
-            _ => unreachable!("four arenas were just built"),
+        // Arenas and CSR tables have the in-memory layout: validate the
+        // columns, then copy them whole.
+        let interner = |which: usize, what: &str| -> Result<Interner, MkbError> {
+            let arena = &self.arenas[which];
+            let text = std::str::from_utf8(&self.map.bytes()[arena.bytes.clone()])
+                .map_err(|e| corrupt(path, format!("{what}: invalid UTF-8 at arena byte {}", e.valid_up_to())))?;
+            let Some((&0, ends)) = self.u32_view(&arena.offsets).split_first() else {
+                return Err(corrupt(path, format!("{what}: the first string does not start at byte 0")));
+            };
+            Interner::from_parts(text.to_owned(), ends.to_vec())
+                .map_err(|detail| corrupt(path, format!("{what}: {detail}")))
         };
+        let tokens = interner(0, "tokens arena")?;
+        let literals = interner(1, "literals arena")?;
+        let attrs = interner(2, "attrs arena")?;
+        let uris = interner(3, "uris arena")?;
+        let uris_len = uris.len() as u32;
+        let lits_len = literals.len() as u32;
+        let attrs_len = attrs.len() as u32;
+        let toks_len = tokens.len() as u32;
 
-        let mut literal_tokens = Vec::with_capacity(self.literal_tokens.rows);
+        let token_rows = |csr: &CsrRef, what: &str| -> Result<TokenRows, MkbError> {
+            let data = self.token_view(&csr.data);
+            if data.iter().any(|t| t.0 >= toks_len) {
+                return Err(corrupt(path, format!("{what}: token id out of range")));
+            }
+            let Some((&0, ends)) = self.u32_view(&csr.offsets).split_first() else {
+                return Err(corrupt(path, format!("{what}: the first row does not start at entry 0")));
+            };
+            TokenRows::from_parts(ends.to_vec(), data.to_vec())
+                .map_err(|detail| corrupt(path, format!("{what}: {detail}")))
+        };
         if self.literal_tokens.rows != literals.len() {
             return Err(corrupt(path, "literal token CSR row count disagrees with literal arena"));
         }
-        for row in 0..self.literal_tokens.rows {
-            let seq = self
-                .csr_row(&self.literal_tokens, row)
-                .ok_or_else(|| corrupt(path, format!("literal tokens: bad row {row}")))?;
-            if seq.iter().any(|t| t.0 >= toks_len) {
-                return Err(corrupt(path, format!("literal tokens: token id out of range in row {row}")));
-            }
-            literal_tokens.push(seq.to_vec().into_boxed_slice());
-        }
+        let literal_tokens = token_rows(&self.literal_tokens, "literal tokens")?;
 
         let build_side = |side: Side| -> Result<Kb, MkbError> {
             let i = side.index();
@@ -1008,16 +999,7 @@ impl MkbFile {
                 entities.push(Entity { uri: Symbol(uri), pairs });
             }
 
-            let mut token_sets = Vec::with_capacity(n);
-            for e in 0..n {
-                let set = self
-                    .csr_row(&self.toksets[i], e)
-                    .ok_or_else(|| corrupt(path, format!("{side:?} entity {e}: bad token set row")))?;
-                if set.iter().any(|t| t.0 >= toks_len) {
-                    return Err(corrupt(path, format!("{side:?} entity {e}: token id out of range")));
-                }
-                token_sets.push(set.to_vec().into_boxed_slice());
-            }
+            let token_sets = token_rows(&self.toksets[i], &format!("{side:?} token sets"))?;
             let occ = self.u32_view(&self.tokocc[i].data).to_vec();
             Ok(Kb::from_parts(side, entities, token_sets, occ))
         };
@@ -1168,6 +1150,68 @@ mod tests {
                 // identical recompiled bytes.
                 assert_eq!(fs::read(&path).expect("read"), good, "op {k} {kind:?}");
                 MkbFile::open(&path).expect("old file still opens").verify().expect("valid");
+            }
+        }
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Where section `id`'s payload lies, from the section table.
+    fn section_range(bytes: &[u8], id: u32) -> (usize, usize) {
+        let entry = HEADER_LEN + (id as usize - 1) * TABLE_ENTRY_LEN;
+        let word = |at: usize| {
+            let mut b = [0u8; 8];
+            b.copy_from_slice(&bytes[at..at + 8]);
+            u64::from_ne_bytes(b) as usize
+        };
+        (word(entry + 8), word(entry + 16))
+    }
+
+    /// Damage that keeps the section table and the checksums valid — a file
+    /// written by something else, not one that rotted — must still not
+    /// become a `KbPair` whose tables disagree with themselves.
+    #[test]
+    fn to_pair_validates_what_the_checksums_cannot() {
+        let mut b = KbPairBuilder::new();
+        b.add_triple(Side::Left, "l", "p", Term::Literal("café"));
+        b.add_triple(Side::Left, "l", "p", Term::Literal("aa"));
+        b.add_triple(Side::Right, "r", "p", Term::Literal("ab"));
+        let dir = tmp_dir("resealed");
+        let path = dir.join("pair.mkb");
+        write_mkb(&b.finish(), &path).expect("write");
+        let good = fs::read(&path).expect("read");
+
+        // Each edit gets its section's bytes: count u64, then the offsets
+        // [0, 5, 7, 9] (literals) or [0, 1, 2, 3] (literal tokens), then
+        // the arena bytes "caféaaab" or the token column.
+        fn put_u32(section: &mut [u8], at: usize, v: u32) {
+            section[at..at + 4].copy_from_slice(&v.to_ne_bytes());
+        }
+        type Edit = fn(&mut [u8]);
+        let cases: [(u32, Edit, &str); 6] = [
+            (section::LITERALS, |s| s[8 + 4 * 4 + 3] = 0xFF, "invalid UTF-8"),
+            (section::LITERALS, |s| put_u32(s, 8 + 4, 4), "UTF-8 boundaries"), // "caf\xC3" | "\xA9aa"
+            (section::LITERALS, |s| s[8 + 4 * 4 + 8] = b'a', "repeats"), // "ab" becomes a second "aa"
+            (section::LITERALS, |s| put_u32(s, 8, 1), "start at byte 0"),
+            (section::LITERAL_TOKENS, |s| put_u32(s, 8, 1), "start at entry 0"),
+            (section::LITERAL_TOKENS, |s| put_u32(s, 8 + 4 * 4, 99), "token id out of range"),
+        ];
+        let (literals, _) = section_range(&good, section::LITERALS);
+        assert_eq!(&good[literals + 8 + 4 * 4..][..9], "caféaaab".as_bytes());
+        for (id, edit, expected) in cases {
+            let mut bytes = good.clone();
+            let entry = HEADER_LEN + (id as usize - 1) * TABLE_ENTRY_LEN;
+            let (off, len) = section_range(&bytes, id);
+            edit(&mut bytes[off..off + len]);
+            assert_ne!(bytes, good, "{expected}: the edit must change the file");
+            let sealed = fnv1a(&bytes[off..off + len]).to_ne_bytes();
+            bytes[entry + 24..entry + 32].copy_from_slice(&sealed);
+            fs::write(&path, &bytes).expect("write damaged");
+
+            let file = MkbFile::open(&path).expect("structure is intact");
+            file.verify().expect("checksums are intact");
+            match file.to_pair() {
+                Err(MkbError::Corrupt { detail, .. }) => assert!(detail.contains(expected), "{expected}: {detail}"),
+                other => panic!("{expected}: expected Corrupt, got {other:?}"),
             }
         }
         fs::remove_dir_all(&dir).ok();

@@ -6,7 +6,6 @@
 //! similarity, blocking, neighbor evidence) then operate on integers, which
 //! keeps the hot loops allocation-free and cache-friendly.
 
-use minoaner_det::DetHashMap;
 use std::fmt;
 
 /// A dense identifier handed out by an [`Interner`].
@@ -38,10 +37,32 @@ impl fmt::Display for Symbol {
 /// Interning the same string twice returns the same [`Symbol`]; symbols are
 /// dense and start at zero, so they can index directly into side tables
 /// (entity-frequency arrays, importance vectors, …).
+///
+/// Storage is the layout an `.mkb` arena section has on disk
+/// ([`crate::disk`]): every string once, back to back in one byte arena,
+/// plus one end offset per symbol. Lookup is an open-addressing table of
+/// symbols keyed by [`minoaner_det::hash_bytes`]; the 32 hash bits kept
+/// per symbol are compared before any bytes are, and let the table double
+/// without hashing a string again. The hash only places symbols in that
+/// table — numbering is first-seen order whatever the hash is.
 #[derive(Debug, Default, Clone)]
 pub struct Interner {
-    map: DetHashMap<Box<str>, Symbol>,
-    strings: Vec<Box<str>>,
+    /// The interned strings, concatenated in symbol order.
+    arena: String,
+    /// `ends[i]` is where symbol `i` ends in `arena`; it starts where
+    /// symbol `i - 1` ends.
+    ends: Vec<u32>,
+    /// Low 32 bits of each symbol's hash.
+    hashes: Vec<u32>,
+    /// Linear-probing table, a power of two long and at most half full:
+    /// `symbol + 1`, or [`EMPTY`].
+    slots: Vec<u32>,
+}
+
+const EMPTY: u32 = 0;
+
+fn hash32(s: &str) -> u32 {
+    minoaner_det::hash_bytes(s.as_bytes()) as u32
 }
 
 impl Interner {
@@ -53,43 +74,115 @@ impl Interner {
     /// Creates an empty interner with capacity for `n` distinct strings.
     pub fn with_capacity(n: usize) -> Self {
         Self {
-            map: minoaner_det::map_with_capacity(n),
-            strings: Vec::with_capacity(n),
+            arena: String::new(),
+            ends: Vec::with_capacity(n),
+            hashes: Vec::with_capacity(n),
+            slots: vec![EMPTY; slots_for(n)],
         }
     }
 
     /// Interns `s`, returning its symbol. Idempotent.
+    ///
+    /// # Panics
+    /// Panics past `u32::MAX` distinct strings or arena bytes — the width
+    /// of the symbol and offset columns, in memory and in `.mkb`; out of
+    /// scope for the datasets this framework targets.
     pub fn intern(&mut self, s: &str) -> Symbol {
-        if let Some(&sym) = self.map.get(s) {
+        let hash = hash32(s);
+        if let Some(sym) = self.find(s, hash) {
             return sym;
         }
-        // Symbols are dense u32s; more than u32::MAX distinct strings is
-        // out of scope for the datasets this framework targets.
-        assert!(self.strings.len() < u32::MAX as usize, "interner overflow: >u32::MAX distinct strings");
-        let sym = Symbol(self.strings.len() as u32);
-        let boxed: Box<str> = s.into();
-        self.strings.push(boxed.clone());
-        self.map.insert(boxed, sym);
+        let end = self.arena.len() + s.len();
+        assert!(
+            end <= u32::MAX as usize && self.ends.len() < u32::MAX as usize,
+            "interner overflow: more than u32::MAX distinct strings or arena bytes"
+        );
+        if slots_for(self.ends.len() + 1) > self.slots.len() {
+            self.grow();
+        }
+        let sym = Symbol(self.ends.len() as u32);
+        self.arena.push_str(s);
+        self.ends.push(end as u32);
+        self.hashes.push(hash);
+        place(&mut self.slots, sym, hash);
         sym
     }
 
-    /// Rebuilds an interner from its string storage in symbol order — the
-    /// deserialization path of the on-disk `.mkb` container
-    /// ([`crate::disk`]). The lookup map is reconstructed; callers must
-    /// pass distinct strings (guaranteed for storage written by
-    /// [`Self::iter`] order serialization).
-    pub(crate) fn from_strings(strings: Vec<Box<str>>) -> Self {
-        assert!(strings.len() <= u32::MAX as usize, "interner overflow: >u32::MAX distinct strings");
-        let mut map: DetHashMap<Box<str>, Symbol> = minoaner_det::map_with_capacity(strings.len());
-        for (i, s) in strings.iter().enumerate() {
-            map.insert(s.clone(), Symbol(i as u32));
+    /// Rebuilds an interner from its storage — the deserialization path of
+    /// the on-disk `.mkb` container ([`crate::disk`]). The columns are
+    /// taken as they are; what is checked is that the end offsets cut
+    /// `arena` into strings (ascending, on UTF-8 boundaries, ending at its
+    /// last byte) and that no string occurs twice; what is rebuilt is the
+    /// lookup table. The error names the offending symbol.
+    pub(crate) fn from_parts(arena: String, ends: Vec<u32>) -> Result<Self, String> {
+        if ends.len() >= u32::MAX as usize {
+            return Err("more than u32::MAX strings".to_owned());
         }
-        Self { map, strings }
+        let mut this = Self {
+            arena,
+            ends: Vec::with_capacity(ends.len()),
+            hashes: Vec::with_capacity(ends.len()),
+            slots: vec![EMPTY; slots_for(ends.len())],
+        };
+        let mut start = 0usize;
+        for (i, &end) in ends.iter().enumerate() {
+            let Some(s) = this.arena.get(start..end as usize) else {
+                return Err(format!("string {i} is not bounded by UTF-8 boundaries of the arena"));
+            };
+            let hash = hash32(s);
+            // Only symbols below `i` are in the table yet.
+            if this.find(s, hash).is_some() {
+                return Err(format!("string {i} repeats an earlier one"));
+            }
+            this.ends.push(end);
+            this.hashes.push(hash);
+            place(&mut this.slots, Symbol(i as u32), hash);
+            start = end as usize;
+        }
+        if start != this.arena.len() {
+            return Err("the last string does not end at the arena's last byte".to_owned());
+        }
+        Ok(this)
+    }
+
+    /// The symbol holding `s` with hash `hash`, if any.
+    fn find(&self, s: &str, hash: u32) -> Option<Symbol> {
+        for &slot in probe_order(&self.slots, hash).take_while(|&&slot| slot != EMPTY) {
+            let sym = Symbol(slot - 1);
+            if self.hashes.get(slot as usize - 1) == Some(&hash) && self.holds(sym, s) {
+                return Some(sym);
+            }
+        }
+        None
+    }
+
+    /// Doubles the table and re-places every symbol by its stored hash.
+    fn grow(&mut self) {
+        self.slots = vec![EMPTY; (self.slots.len() * 2).max(MIN_SLOTS)];
+        for (sym, &hash) in (0u32..).map(Symbol).zip(&self.hashes) {
+            place(&mut self.slots, sym, hash);
+        }
+    }
+
+    /// Whether `sym` is this interner's symbol for `s` — [`Self::resolve`]
+    /// and compare, for a symbol that need not be this interner's.
+    pub(crate) fn holds(&self, sym: Symbol, s: &str) -> bool {
+        self.span(sym).and_then(|span| self.arena.as_bytes().get(span)) == Some(s.as_bytes())
+    }
+
+    /// Where `sym`'s string lies in `arena`, if it is this interner's.
+    fn span(&self, sym: Symbol) -> Option<std::ops::Range<usize>> {
+        let end = *self.ends.get(sym.index())?;
+        let start = match sym.index().checked_sub(1) {
+            Some(before) => *self.ends.get(before)?,
+            None => 0,
+        };
+        Some(start as usize..end as usize)
     }
 
     /// Looks up a string without interning it.
     pub fn get(&self, s: &str) -> Option<Symbol> {
-        self.map.get(s).copied()
+        self.find(s, hash32(s))
     }
 
     /// Resolves a symbol back to its string.
@@ -97,25 +190,66 @@ impl Interner {
     /// # Panics
     /// Panics if `sym` was not produced by this interner.
     pub fn resolve(&self, sym: Symbol) -> &str {
-        &self.strings[sym.index()]
+        match self.span(sym) {
+            Some(span) => &self.arena[span],
+            None => panic!("{sym} is not a symbol of this interner"),
+        }
     }
 
     /// Number of distinct interned strings.
     pub fn len(&self) -> usize {
-        self.strings.len()
+        self.ends.len()
     }
 
     /// Whether no strings have been interned yet.
     pub fn is_empty(&self) -> bool {
-        self.strings.is_empty()
+        self.ends.is_empty()
     }
 
     /// Iterates over `(Symbol, &str)` pairs in interning order.
     pub fn iter(&self) -> impl Iterator<Item = (Symbol, &str)> {
-        self.strings
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (Symbol(i as u32), s.as_ref()))
+        (0..self.ends.len() as u32).map(|i| (Symbol(i), self.resolve(Symbol(i))))
+    }
+
+    /// Every interned string back to back, in symbol order.
+    pub(crate) fn arena(&self) -> &str {
+        &self.arena
+    }
+
+    /// Where each symbol's string ends in [`Self::arena`].
+    pub(crate) fn ends(&self) -> &[u32] {
+        &self.ends
+    }
+}
+
+const MIN_SLOTS: usize = 16;
+
+/// The slots of a table in the order linear probing visits them for
+/// `hash`: from the hash's home slot to the end, then from the start.
+fn probe_order(slots: &[u32], hash: u32) -> impl Iterator<Item = &u32> {
+    let home = hash as usize & slots.len().wrapping_sub(1);
+    let (before, from_home) = slots.split_at(home.min(slots.len()));
+    from_home.iter().chain(before)
+}
+
+/// Puts `sym` into the first free slot of its probe sequence. The table
+/// is at most half full, so there is one.
+fn place(slots: &mut [u32], sym: Symbol, hash: u32) {
+    let home = hash as usize & slots.len().wrapping_sub(1);
+    let (before, from_home) = slots.split_at_mut(home.min(slots.len()));
+    let free = from_home.iter_mut().chain(before).find(|slot| **slot == EMPTY);
+    debug_assert!(free.is_some(), "the interner table is full");
+    if let Some(slot) = free {
+        *slot = sym.0 + 1;
+    }
+}
+
+/// Table length that keeps `n` symbols at most half full.
+fn slots_for(n: usize) -> usize {
+    if n == 0 {
+        0
+    } else {
+        (n * 2).next_power_of_two().max(MIN_SLOTS)
     }
 }
 
@@ -173,6 +307,46 @@ mod tests {
         i.intern("second");
         let collected: Vec<_> = i.iter().map(|(_, s)| s.to_string()).collect();
         assert_eq!(collected, vec!["first", "second"]);
+    }
+
+    #[test]
+    fn growth_keeps_every_symbol_findable() {
+        let mut i = Interner::new();
+        let strings: Vec<String> = (0..1000).map(|n| format!("http://e/{n}")).collect();
+        for (n, s) in (0u32..).zip(&strings) {
+            assert_eq!(i.intern(s), Symbol(n));
+        }
+        assert!(i.slots.len() >= 2 * i.len() && i.slots.len().is_power_of_two());
+        for (n, s) in (0u32..).zip(&strings) {
+            assert_eq!(i.get(s), Some(Symbol(n)));
+        }
+        assert_eq!(i.get("http://e/1000"), None);
+    }
+
+    #[test]
+    fn from_parts_takes_the_columns_and_rebuilds_the_lookup() {
+        let mut built = Interner::new();
+        for s in ["", "café", "fat duck", "東"] {
+            built.intern(s);
+        }
+        let back = Interner::from_parts(built.arena().to_owned(), built.ends().to_vec()).expect("own columns");
+        assert_eq!(back.iter().collect::<Vec<_>>(), built.iter().collect::<Vec<_>>());
+        for (sym, s) in built.iter() {
+            assert_eq!(back.get(s), Some(sym));
+        }
+        assert_eq!(Interner::from_parts(String::new(), Vec::new()).expect("empty").len(), 0);
+    }
+
+    #[test]
+    fn from_parts_refuses_columns_that_are_not_an_interner() {
+        let refuse = |arena: &str, ends: &[u32]| Interner::from_parts(arena.to_owned(), ends.to_vec()).unwrap_err();
+        assert!(refuse("ab", &[2, 1]).contains("string 1"), "descending offsets");
+        assert!(refuse("ab", &[1, 3]).contains("string 1"), "past the arena");
+        assert!(refuse("aé", &[2, 3]).contains("string 0"), "inside a UTF-8 sequence");
+        assert!(refuse("abc", &[1, 2]).contains("last byte"), "arena bytes no string owns");
+        assert!(refuse("a", &[]).contains("last byte"));
+        assert!(refuse("abab", &[2, 4]).contains("repeats"), "the same string twice");
+        assert!(refuse("", &[0, 0]).contains("repeats"), "the empty string twice");
     }
 
     #[test]

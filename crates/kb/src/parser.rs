@@ -5,6 +5,7 @@
 
 use crate::model::Side;
 use crate::store::{KbPairBuilder, Term};
+use std::borrow::Cow;
 use std::fmt;
 
 /// A parse failure, with the 1-based line number where it occurred.
@@ -129,9 +130,13 @@ pub struct Triple<'a> {
 /// Parses one N-Triples line. Returns `Ok(None)` for blank lines and
 /// `#` comments.
 ///
-/// Supported: `<uri>` terms, `"literal"` objects (with `\"`, `\\`, `\n`,
-/// `\t` escapes), optional `@lang` tags and `^^<datatype>` suffixes (both
-/// ignored), and the terminating `.`.
+/// Supported: `<uri>` terms, `"literal"` objects (returned still escaped —
+/// see [`unescape`]), optional `@lang` tags and `^^<datatype>` suffixes
+/// (both ignored), and the terminating `.`.
+///
+/// Every delimiter of the grammar is ASCII, so the terms are found by
+/// scanning bytes; a UTF-8 continuation byte never equals one, which makes
+/// every split point a char boundary.
 pub fn parse_line(line: &str) -> Result<Option<Triple<'_>>, SyntaxError> {
     let trimmed = line.trim();
     if trimmed.is_empty() || trimmed.starts_with('#') {
@@ -171,38 +176,45 @@ fn take_object(s: &str) -> Result<(Term<'_>, &str), SyntaxError> {
     let rest = s
         .strip_prefix('"')
         .ok_or(SyntaxError::ExpectedObject { found: s.chars().next() })?;
-    // Find the closing unescaped quote.
-    let mut escaped = false;
-    for (i, c) in rest.char_indices() {
-        if escaped {
-            escaped = false;
+    // Find the closing unescaped quote. A backslash escapes the next char;
+    // skipping one byte of it is enough, the rest cannot be a delimiter.
+    let bytes = rest.as_bytes();
+    let mut i = 0;
+    while let Some(step) = bytes[i..].iter().position(|&b| b == b'"' || b == b'\\') {
+        i += step;
+        if bytes[i] == b'\\' {
+            i = (i + 2).min(bytes.len());
             continue;
         }
-        match c {
-            '\\' => escaped = true,
-            '"' => {
-                let lit = &rest[..i];
-                let mut tail = &rest[i + 1..];
-                // Skip @lang or ^^<datatype>.
-                if let Some(t) = tail.strip_prefix('@') {
-                    let end = t.find([' ', '\t', '.']).unwrap_or(t.len());
-                    tail = &t[end..];
-                } else if let Some(t) = tail.strip_prefix("^^") {
-                    let (_, t) = take_uri(t)?;
-                    tail = t;
-                }
-                return Ok((Term::Literal(lit), tail));
-            }
-            _ => {}
+        let lit = &rest[..i];
+        let mut tail = &rest[i + 1..];
+        // Skip @lang or ^^<datatype>.
+        if let Some(t) = tail.strip_prefix('@') {
+            let end = t.bytes().position(|b| matches!(b, b' ' | b'\t' | b'.')).unwrap_or(t.len());
+            tail = &t[end..];
+        } else if let Some(t) = tail.strip_prefix("^^") {
+            let (_, t) = take_uri(t)?;
+            tail = t;
         }
+        return Ok((Term::Literal(lit), tail));
     }
     Err(SyntaxError::UnterminatedLiteral)
 }
 
-/// Unescapes the N-Triples string escapes supported by [`parse_line`].
-pub fn unescape(lit: &str) -> String {
+/// Decodes the N-Triples string escapes of a literal [`parse_line`]
+/// returned: `\t \b \n \r \f \" \' \\` and the numeric `\uXXXX` /
+/// `\UXXXXXXXX`, which stand for the Unicode scalar value with that
+/// hexadecimal number. A literal without a backslash — nearly all of them
+/// — is returned borrowed.
+///
+/// Nothing is rejected: a numeric escape with too few hex digits, or one
+/// that names a surrogate or a value past U+10FFFF (so a surrogate *pair*
+/// too, which N-Triples does not allow), stays in the output as written; a
+/// backslash before any other char is dropped and the char kept; a
+/// trailing lone backslash is kept.
+pub fn unescape(lit: &str) -> Cow<'_, str> {
     if !lit.contains('\\') {
-        return lit.to_owned();
+        return Cow::Borrowed(lit);
     }
     let mut out = String::with_capacity(lit.len());
     let mut chars = lit.chars();
@@ -212,14 +224,32 @@ pub fn unescape(lit: &str) -> String {
             continue;
         }
         match chars.next() {
-            Some('n') => out.push('\n'),
             Some('t') => out.push('\t'),
+            Some('b') => out.push('\u{8}'),
+            Some('n') => out.push('\n'),
             Some('r') => out.push('\r'),
+            Some('f') => out.push('\u{c}'),
+            Some(u @ ('u' | 'U')) => {
+                let digits = if u == 'u' { 4 } else { 8 };
+                let hex = chars.as_str();
+                let scalar = hex
+                    .get(..digits)
+                    .filter(|hex| hex.bytes().all(|b| b.is_ascii_hexdigit()))
+                    .and_then(|hex| u32::from_str_radix(hex, 16).ok())
+                    .and_then(char::from_u32);
+                match scalar {
+                    Some(c) => {
+                        out.push(c);
+                        chars = hex[digits..].chars();
+                    }
+                    None => out.extend(['\\', u]),
+                }
+            }
             Some(other) => out.push(other),
             None => out.push('\\'),
         }
     }
-    out
+    Cow::Owned(out)
 }
 
 /// Loads an N-Triples document into one side of a [`KbPairBuilder`],
@@ -248,16 +278,12 @@ pub fn load_ntriples_with_mode(
         match parse_line(line) {
             Ok(None) => {}
             Ok(Some(t)) => {
-                let object = match t.object {
+                match t.object {
                     Term::Literal(l) => {
-                        let owned = unescape(l);
-                        builder.add_triple(side, t.subject, t.predicate, Term::Literal(&owned));
-                        report.parsed += 1;
-                        continue;
+                        builder.add_triple(side, t.subject, t.predicate, Term::Literal(&unescape(l)));
                     }
-                    Term::Uri(u) => Term::Uri(u),
-                };
-                builder.add_triple(side, t.subject, t.predicate, object);
+                    uri => builder.add_triple(side, t.subject, t.predicate, uri),
+                }
                 report.parsed += 1;
             }
             Err(err) => match mode {
@@ -372,6 +398,58 @@ mod tests {
         assert_eq!(unescape(r"a\tb"), "a\tb");
         assert_eq!(unescape(r"a\\b"), "a\\b");
         assert_eq!(unescape("plain"), "plain");
+    }
+
+    #[test]
+    fn unescape_borrows_when_there_is_nothing_to_decode() {
+        assert!(matches!(unescape("plain café"), Cow::Borrowed("plain café")));
+        assert!(matches!(unescape(r"a\tb"), Cow::Owned(_)));
+    }
+
+    #[test]
+    fn unescape_decodes_numeric_escapes_to_the_scalar_value() {
+        assert_eq!(unescape(r"caf\u00E9"), "café");
+        assert_eq!(unescape(r"caf\u00e9 \u6771\u4EAC!"), "café 東京!");
+        assert_eq!(unescape(r"\U0001F600"), "\u{1F600}");
+        assert_eq!(unescape(r"a\U000000E9b"), "aéb");
+        assert_eq!(unescape(r"\b\f\'"), "\u{8}\u{c}'");
+        // The digits after a complete escape are text.
+        assert_eq!(unescape(r"\u00E99"), "é9");
+    }
+
+    #[test]
+    fn unescape_keeps_malformed_numeric_escapes_as_written() {
+        for kept in [
+            r"\u12",        // too few digits
+            r"\u12G4",      // not hexadecimal
+            r"\u+0E9",      // a sign is not a digit
+            r"\uD800",      // surrogate
+            r"\uD83D\uDE00", // surrogate pair: not N-Triples
+            r"\U00110000",  // past U+10FFFF
+            r"\U0001F60",   // too few digits
+            r"\u00é9",      // a multi-byte char inside the digits
+        ] {
+            assert_eq!(unescape(kept), kept);
+        }
+        assert_eq!(unescape(r"x\uD800\n"), "x\\uD800\n");
+        assert_eq!(unescape("trailing\\"), "trailing\\");
+        assert_eq!(unescape(r"\u"), r"\u");
+    }
+
+    #[test]
+    fn escaped_and_raw_spellings_intern_to_the_same_literal() {
+        let doc = "<a> <p> \"caf\\u00E9 \\U0001F600\" .\n<b> <p> \"café \u{1F600}\" .\n";
+        let mut b = KbPairBuilder::new();
+        assert_eq!(load_ntriples(&mut b, Side::Left, doc).unwrap(), 2);
+        b.add_triple(Side::Right, "x", "p", Term::Literal("y"));
+        let pair = b.finish();
+        let kb = pair.kb(Side::Left);
+        let values: Vec<_> = kb.iter().map(|(_, e)| e.pairs.clone()).collect();
+        assert_eq!(values[0], values[1], "same attribute, same LiteralId");
+        assert_eq!(kb.tokens_of(crate::model::EntityId(0)), kb.tokens_of(crate::model::EntityId(1)));
+        assert!(pair.literals().get("café").is_some());
+        assert!(pair.tokens().get("café").is_some());
+        assert!(pair.tokens().get("u00e9").is_none(), "the escape must not leak a token");
     }
 
     #[test]

@@ -3,8 +3,6 @@
 //! support/discriminability/importance for top-N neighbors, and global
 //! top-k name attributes.
 
-use minoaner_det::{DetHashMap, DetHashSet};
-
 use crate::model::{AttrId, EntityId, LiteralId, Side, TokenId};
 use crate::store::KbPair;
 
@@ -120,13 +118,14 @@ impl RelationStats {
         for side in [Side::Left, Side::Right] {
             let kb = pair.kb(side);
             let mut instances = vec![0u64; n_attrs];
-            let mut objects: DetHashMap<AttrId, DetHashSet<EntityId>> = DetHashMap::default();
+            let mut attr_objects = Vec::new();
             for (_, e) in kb.iter() {
                 for (p, o) in e.relation_pairs() {
                     instances[p.index()] += 1;
-                    objects.entry(p).or_default().insert(o);
+                    attr_objects.push(attr_key(p, o.0));
                 }
             }
+            let objects = distinct_per_attr(attr_objects, n_attrs);
             let e_count = kb.len() as f64;
             let idx = side.index();
             for a in 0..n_attrs {
@@ -136,7 +135,7 @@ impl RelationStats {
                 // Def. 2.2: support(p) = |instances(p)| / |E|^2.
                 let s = instances[a] as f64 / (e_count * e_count);
                 // Def. 2.3: discriminability(p) = |objects(p)| / |instances(p)|.
-                let d = objects[&AttrId(a as u32)].len() as f64 / instances[a] as f64;
+                let d = objects[a] as f64 / instances[a] as f64;
                 support[idx][a] = s;
                 discriminability[idx][a] = d;
                 importance[idx][a] = harmonic_mean(s, d);
@@ -273,23 +272,29 @@ impl NameStats {
         for side in [Side::Left, Side::Right] {
             let kb = pair.kb(side);
             let mut instances = vec![0u64; n_attrs];
-            let mut subjects: DetHashMap<AttrId, DetHashSet<EntityId>> = DetHashMap::default();
-            let mut values: DetHashMap<AttrId, DetHashSet<LiteralId>> = DetHashMap::default();
+            // Entities are walked in id order, so an attribute has a new
+            // subject exactly when the last entity seen with it is another.
+            let mut subjects = vec![0u64; n_attrs];
+            let mut last_subject = vec![None; n_attrs];
+            let mut attr_values = Vec::new();
             for (id, e) in kb.iter() {
                 for (p, l) in e.literal_pairs() {
-                    instances[p.index()] += 1;
-                    subjects.entry(p).or_default().insert(id);
-                    values.entry(p).or_default().insert(l);
+                    let a = p.index();
+                    instances[a] += 1;
+                    if last_subject[a].replace(id) != Some(id) {
+                        subjects[a] += 1;
+                    }
+                    attr_values.push(attr_key(p, l.0));
                 }
             }
+            let values = distinct_per_attr(attr_values, n_attrs);
             let e_count = kb.len() as f64;
             let idx = side.index();
             let mut order: Vec<usize> = (0..n_attrs).filter(|&a| instances[a] > 0).collect();
             for &a in &order {
-                let p = AttrId(a as u32);
                 // "Entity Names" support (following [32]): |subjects|/|E|.
-                let s = subjects[&p].len() as f64 / e_count;
-                let d = values[&p].len() as f64 / instances[a] as f64;
+                let s = subjects[a] as f64 / e_count;
+                let d = values[a] as f64 / instances[a] as f64;
                 importance[idx][a] = harmonic_mean(s, d);
             }
             order.sort_by(|&a, &b| {
@@ -330,6 +335,28 @@ impl NameStats {
         out.dedup();
         out
     }
+}
+
+/// One `(attribute, object or literal id)` instance as a sortable word,
+/// attribute in the high half.
+fn attr_key(attr: AttrId, value: u32) -> u64 {
+    u64::from(attr.0) << 32 | u64::from(value)
+}
+
+/// How many distinct values each attribute has among `keys`
+/// ([`attr_key`] words, in any order, repeats allowed). Attribute ids are
+/// dense, so this is one sort and one counting pass instead of a hash set
+/// per attribute.
+fn distinct_per_attr(mut keys: Vec<u64>, n_attrs: usize) -> Vec<u64> {
+    keys.sort_unstable();
+    keys.dedup();
+    let mut distinct = vec![0u64; n_attrs];
+    for key in keys {
+        if let Some(n) = distinct.get_mut((key >> 32) as usize) {
+            *n += 1;
+        }
+    }
+    distinct
 }
 
 fn harmonic_mean(a: f64, b: f64) -> f64 {

@@ -9,7 +9,71 @@ use minoaner_det::DetHashMap;
 
 use crate::interner::{Interner, Symbol};
 use crate::model::{AttrId, Entity, EntityId, LiteralId, Side, TokenId, Value};
-use crate::tokenize::{normalize_name, tokenize, uri_local_name};
+use crate::tokenize::{for_each_normalized_token, normalize_name_into, uri_local_name};
+
+/// Rows of token ids, stored the way an `.mkb` CSR section is on disk
+/// ([`crate::disk`]): every row back to back in one column, plus one end
+/// offset per row.
+#[derive(Debug, Default, Clone)]
+pub(crate) struct TokenRows {
+    /// `ends[i]` is where row `i` ends in `data`; it starts where row
+    /// `i - 1` ends.
+    ends: Vec<u32>,
+    data: Vec<TokenId>,
+}
+
+impl TokenRows {
+    pub(crate) fn with_capacity(rows: usize) -> Self {
+        Self { ends: Vec::with_capacity(rows), data: Vec::new() }
+    }
+
+    /// Number of rows.
+    pub(crate) fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// The tokens of row `i`.
+    ///
+    /// # Panics
+    /// Panics if `i` is out of range.
+    pub(crate) fn row_tokens(&self, i: usize) -> &[TokenId] {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
+        &self.data[start..self.ends[i] as usize]
+    }
+
+    /// Closes the row being built: everything pushed to `data` since the
+    /// last call.
+    ///
+    /// # Panics
+    /// Panics past `u32::MAX` tokens in all rows together, the width of
+    /// the offset column in memory and in `.mkb`.
+    fn end_row(&mut self) {
+        assert!(self.data.len() <= u32::MAX as usize, "token table overflow: more than u32::MAX tokens");
+        self.ends.push(self.data.len() as u32);
+    }
+
+    /// Reassembles rows from stored columns — the `.mkb` materialization
+    /// path. The end offsets must ascend and finish at `data`'s length.
+    pub(crate) fn from_parts(ends: Vec<u32>, data: Vec<TokenId>) -> Result<Self, String> {
+        if let Some(i) = ends.windows(2).position(|w| w[0] > w[1]) {
+            return Err(format!("row {} ends before it starts", i + 1));
+        }
+        if ends.last().map_or(0, |&e| e as usize) != data.len() {
+            return Err("the last row does not end at the column's last entry".to_owned());
+        }
+        Ok(Self { ends, data })
+    }
+
+    /// Where each row ends in [`Self::data`].
+    pub(crate) fn ends(&self) -> &[u32] {
+        &self.ends
+    }
+
+    /// Every row back to back.
+    pub(crate) fn data(&self) -> &[TokenId] {
+        &self.data
+    }
+}
 
 /// One clean (duplicate-free) knowledge base.
 #[derive(Debug)]
@@ -18,7 +82,7 @@ pub struct Kb {
     entities: Vec<Entity>,
     uri_index: DetHashMap<Symbol, EntityId>,
     /// Sorted, deduplicated token ids appearing in each entity's literals.
-    token_sets: Vec<Box<[TokenId]>>,
+    token_sets: TokenRows,
     /// Total token *occurrences* per entity (multiset size — Table 1's
     /// "av. tokens" statistic counts occurrences, not distinct tokens).
     token_occurrences: Vec<u32>,
@@ -78,12 +142,18 @@ impl Kb {
 
     /// The sorted, deduplicated tokens of an entity's literal values.
     pub fn tokens_of(&self, id: EntityId) -> &[TokenId] {
-        &self.token_sets[id.index()]
+        self.token_sets.row_tokens(id.index())
     }
 
     /// Total token occurrences in the entity's literal values.
     pub fn token_occurrences_of(&self, id: EntityId) -> u32 {
         self.token_occurrences[id.index()]
+    }
+
+    /// The token-set and token-occurrence columns, one row per entity —
+    /// what [`crate::disk`] writes.
+    pub(crate) fn token_columns(&self) -> (&TokenRows, &[u32]) {
+        (&self.token_sets, &self.token_occurrences)
     }
 
     /// Total number of triples (attribute–value pairs) in the KB.
@@ -104,7 +174,7 @@ impl Kb {
     pub(crate) fn from_parts(
         side: Side,
         entities: Vec<Entity>,
-        token_sets: Vec<Box<[TokenId]>>,
+        token_sets: TokenRows,
         token_occurrences: Vec<u32>,
     ) -> Kb {
         let uri_index = entities
@@ -126,7 +196,7 @@ pub struct KbPair {
     /// Token sequence (order and duplicates preserved) of each normalized
     /// literal, indexed by [`LiteralId`]. Order is needed by the n-gram
     /// baselines; MinoanER itself only uses the deduplicated sets.
-    literal_tokens: Vec<Box<[TokenId]>>,
+    literal_tokens: TokenRows,
     kbs: [Kb; 2],
     /// Dirty-ER marker: both sides are views of the *same* KB, with equal
     /// [`EntityId`]s denoting the same description (see
@@ -172,7 +242,12 @@ impl KbPair {
 
     /// The token sequence of a normalized literal.
     pub fn literal_token_seq(&self, lit: LiteralId) -> &[TokenId] {
-        &self.literal_tokens[lit.index()]
+        self.literal_tokens.row_tokens(lit.index())
+    }
+
+    /// The token sequences of all literals, one row per [`LiteralId`].
+    pub(crate) fn literal_tokens(&self) -> &TokenRows {
+        &self.literal_tokens
     }
 
     /// Number of distinct tokens across both KBs.
@@ -223,7 +298,7 @@ impl KbPair {
         literals: Interner,
         attrs: Interner,
         uris: Interner,
-        literal_tokens: Vec<Box<[TokenId]>>,
+        literal_tokens: TokenRows,
         kbs: [Kb; 2],
         dirty: bool,
     ) -> KbPair {
@@ -266,9 +341,17 @@ pub struct KbPairBuilder {
     literals: Interner,
     attrs: Interner,
     uris: Interner,
-    literal_tokens: Vec<Box<[TokenId]>>,
+    literal_tokens: TokenRows,
     raw: [Vec<RawEntity>; 2],
     uri_to_idx: [DetHashMap<Symbol, usize>; 2],
+    /// The entity [`Self::entity`] returned last. A document lists an
+    /// entity's triples together, so the next call usually names the same
+    /// one and is answered by one string comparison instead of two table
+    /// probes.
+    last_entity: Option<(Side, Symbol, EntityId)>,
+    /// The literal being normalized; reused so that a literal seen before
+    /// costs no allocation.
+    scratch: String,
 }
 
 impl KbPairBuilder {
@@ -279,15 +362,25 @@ impl KbPairBuilder {
 
     /// Registers (or retrieves) the entity with the given URI on `side`.
     pub fn entity(&mut self, side: Side, uri: &str) -> EntityId {
+        if let Some((last_side, last_uri, last)) = self.last_entity {
+            if last_side == side && self.uris.holds(last_uri, uri) {
+                return last;
+            }
+        }
         let sym = self.uris.intern(uri);
         let slot = &mut self.uri_to_idx[side.index()];
-        if let Some(&idx) = slot.get(&sym) {
-            return EntityId(idx as u32);
-        }
-        let idx = self.raw[side.index()].len();
-        self.raw[side.index()].push(RawEntity { uri: sym, pairs: Vec::new() });
-        slot.insert(sym, idx);
-        EntityId(idx as u32)
+        let idx = match slot.get(&sym) {
+            Some(&idx) => idx,
+            None => {
+                let idx = self.raw[side.index()].len();
+                self.raw[side.index()].push(RawEntity { uri: sym, pairs: Vec::new() });
+                slot.insert(sym, idx);
+                idx
+            }
+        };
+        let id = EntityId(idx as u32);
+        self.last_entity = Some((side, sym, id));
+        id
     }
 
     /// Adds one attribute–value pair to an existing entity.
@@ -307,14 +400,14 @@ impl KbPairBuilder {
     }
 
     fn intern_literal(&mut self, value: &str) -> LiteralId {
-        let normalized = normalize_name(value);
+        normalize_name_into(value, &mut self.scratch);
         let before = self.literals.len();
-        let sym = self.literals.intern(&normalized);
+        let sym = self.literals.intern(&self.scratch);
         if self.literals.len() > before {
-            let seq: Vec<TokenId> = tokenize(&normalized)
-                .map(|t| TokenId(self.tokens.intern(&t).0))
-                .collect();
-            self.literal_tokens.push(seq.into_boxed_slice());
+            for_each_normalized_token(&self.scratch, |t| {
+                self.literal_tokens.data.push(TokenId(self.tokens.intern(t).0));
+            });
+            self.literal_tokens.end_row();
         }
         LiteralId(sym.0)
     }
@@ -363,20 +456,19 @@ impl KbPairBuilder {
 
         // Pass 2: per-entity token sets (sorted + dedup) and occurrence
         // counts, derived from the literal token sequences.
-        let mut token_sets = Vec::with_capacity(entities.len());
+        let mut token_sets = TokenRows::with_capacity(entities.len());
         let mut token_occurrences = Vec::with_capacity(entities.len());
+        let mut toks: Vec<TokenId> = Vec::new();
         for e in &entities {
-            let mut toks: Vec<TokenId> = Vec::new();
-            let mut occ = 0u32;
+            toks.clear();
             for (_, lit) in e.literal_pairs() {
-                let seq = &self.literal_tokens[lit.index()];
-                occ += seq.len() as u32;
-                toks.extend_from_slice(seq);
+                toks.extend_from_slice(self.literal_tokens.row_tokens(lit.index()));
             }
+            token_occurrences.push(toks.len() as u32);
             toks.sort_unstable();
             toks.dedup();
-            token_sets.push(toks.into_boxed_slice());
-            token_occurrences.push(occ);
+            token_sets.data.extend_from_slice(&toks);
+            token_sets.end_row();
         }
 
         let uri_index = uri_to_idx

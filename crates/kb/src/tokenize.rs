@@ -37,26 +37,62 @@ pub fn tokenize(value: &str) -> impl Iterator<Item = Cow<'_, str>> + '_ {
         })
 }
 
+/// Calls `token` with each [`tokenize`] token of a value that
+/// [`normalize_name`] produced, in order. Such a value is already folded
+/// and holds its separators as single spaces, so an ASCII word between two
+/// spaces is a token as it stands; only a word with a non-ASCII char is
+/// classified again (`İ` folds to `i` + U+0307, which is a separator).
+pub(crate) fn for_each_normalized_token(normalized: &str, mut token: impl FnMut(&str)) {
+    for word in normalized.split(' ') {
+        if !word.is_ascii() {
+            tokenize(word).for_each(|t| token(&t));
+        } else if !word.is_empty() {
+            token(word);
+        }
+    }
+}
+
 /// Normalizes a literal for whole-value (name) comparison: lowercase, with
 /// every separator run collapsed to a single space and outer whitespace
 /// trimmed. `"J.  Lake "` and `"j Lake"` normalize identically.
 pub fn normalize_name(value: &str) -> String {
     let mut out = String::with_capacity(value.len());
+    normalize_name_into(value, &mut out);
+    out
+}
+
+/// [`normalize_name`] into a caller-owned buffer, which is cleared first —
+/// the loader normalizes every literal of a document into one scratch
+/// string. An all-ASCII value is classified and folded byte by byte; any
+/// other value goes char by char through the Unicode tables.
+pub(crate) fn normalize_name_into(value: &str, out: &mut String) {
+    out.clear();
     let mut pending_sep = false;
+    if value.is_ascii() {
+        for b in value.bytes() {
+            if b.is_ascii_alphanumeric() {
+                if pending_sep && !out.is_empty() {
+                    out.push(' ');
+                }
+                pending_sep = false;
+                out.push(char::from(b.to_ascii_lowercase()));
+            } else {
+                pending_sep = true;
+            }
+        }
+        return;
+    }
     for c in value.chars() {
         if c.is_alphanumeric() {
             if pending_sep && !out.is_empty() {
                 out.push(' ');
             }
             pending_sep = false;
-            for lc in c.to_lowercase() {
-                out.push(lc);
-            }
+            out.extend(c.to_lowercase());
         } else {
             pending_sep = true;
         }
     }
-    out
 }
 
 /// Extracts the local name of a URI (the part after the last `/`, `#` or

@@ -294,7 +294,7 @@ impl<'a> TurtleParser<'a> {
             }
         }
         let end = end.ok_or_else(|| self.error("unterminated literal"))?;
-        let text = crate::parser::unescape(&rest[..end]);
+        let text = crate::parser::unescape(&rest[..end]).into_owned();
         self.bump(end + quote.len());
         // Skip @lang / ^^datatype suffixes.
         if self.eat("@") {

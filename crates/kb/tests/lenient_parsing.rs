@@ -4,10 +4,16 @@
 //! valid triples, `skipped` counts the corrupted lines, `first_errors`
 //! keeps at most [`MAX_REPORTED_ERRORS`] of them in document order — and
 //! strict mode fails on precisely the first corrupted line.
+//!
+//! The seeded loop at the end does the same for hostile bytes instead of
+//! hostile lines (ROADMAP item 4), and also runs in the offline stub
+//! builds, which swallow `proptest!` bodies.
+
+mod common;
 
 use proptest::prelude::*;
 
-use minoaner_kb::parser::{load_ntriples_with_mode, ParseMode, MAX_REPORTED_ERRORS};
+use minoaner_kb::parser::{load_ntriples_with_mode, parse_line, ParseMode, MAX_REPORTED_ERRORS};
 use minoaner_kb::{KbPairBuilder, Side};
 
 /// One generated input line, with its ground-truth classification.
@@ -55,7 +61,6 @@ fn line_strategy() -> impl Strategy<Value = Line> {
 /// test above is only as good as this classification.
 #[test]
 fn generator_shapes_are_classified_correctly() {
-    use minoaner_kb::parser::parse_line;
     let i = 7u32;
     let shapes = [
         (format!("<s{i}> <p{i}> <o{i}> ."), "valid"),
@@ -131,4 +136,78 @@ proptest! {
             }
         }
     }
+}
+
+/// A well-formed document touching every term shape the parser knows.
+const SEED_DOC: &str = "<http://e/a> <http://p/name> \"The Fat Duck\" .\n\
+<http://e/a> <http://p/chef> <http://e/b> .\n\
+# a comment\n\
+<http://e/b> <http://p/name> \"Café \\\"東京\\\" \\\\ \\u00E9\"@fr .\r\n\
+\n\
+<http://e/b> <http://p/born> \"1978\"^^<http://www.w3.org/2001/XMLSchema#gYear> .\n\
+<http://e/c>\t<http://p/name>\t\"x\"\t.\n";
+
+/// Bytes that mean something to the scanner, plus lead and continuation
+/// bytes that cut or start a UTF-8 sequence.
+const NASTY: &[u8] = b"\"<>\\.#@^ \t\r\n\0u\xC3\xA9\xE6\x9D\xF0\x80\xFF";
+
+#[test]
+fn mutated_bytes_never_panic_and_both_modes_account_for_every_line() {
+    assert!(SEED_DOC.lines().all(|l| parse_line(l).is_ok()), "the seed document is well-formed");
+    let mut rng = common::Rng(4);
+    let (mut parsed_total, mut skipped_total) = (0usize, 0usize);
+    for mutant in 0..20_000 {
+        let mut bytes = SEED_DOC.as_bytes().to_vec();
+        for _ in 0..1 + rng.below(4) {
+            let at = rng.below(bytes.len().max(1)).min(bytes.len().saturating_sub(1));
+            match rng.below(4) {
+                _ if bytes.is_empty() => bytes.push(*rng.pick(NASTY)),
+                0 => bytes[at] ^= 1 << rng.below(8),
+                1 => bytes.insert(at, *rng.pick(NASTY)),
+                2 => drop(bytes.remove(at)),
+                _ => bytes.truncate(at),
+            }
+        }
+        // Input reaches the loader as `&str`: a cut sequence arrives as
+        // U+FFFD, next to whatever the cut left of its neighbours.
+        let doc = String::from_utf8_lossy(&bytes).into_owned();
+        // Not a line any more, but a `&str` all the same.
+        let _ = parse_line(&doc);
+
+        // What each line is, by the line-level parser alone.
+        let mut expected_parsed = 0;
+        let mut bad_lines = Vec::new();
+        let mut statements = 0;
+        for (n, line) in doc.lines().enumerate() {
+            let blank_or_comment = line.trim().is_empty() || line.trim().starts_with('#');
+            statements += usize::from(!blank_or_comment);
+            match parse_line(line) {
+                Ok(Some(_)) => expected_parsed += 1,
+                Ok(None) => assert!(blank_or_comment, "mutant {mutant}: {line:?} ignored"),
+                Err(_) => bad_lines.push(n + 1),
+            }
+        }
+
+        let mut b = KbPairBuilder::new();
+        let report = load_ntriples_with_mode(&mut b, Side::Left, &doc, ParseMode::Lenient)
+            .expect("lenient mode never fails");
+        assert_eq!(report.parsed, expected_parsed, "mutant {mutant}: {doc:?}");
+        assert_eq!(report.skipped, bad_lines.len(), "mutant {mutant}: {doc:?}");
+        assert_eq!(report.parsed + report.skipped, statements, "mutant {mutant}: {doc:?}");
+        let kept: Vec<usize> = report.first_errors.iter().map(|e| e.line).collect();
+        assert_eq!(kept, bad_lines[..bad_lines.len().min(MAX_REPORTED_ERRORS)], "mutant {mutant}");
+        let pair = b.finish();
+        assert_eq!(pair.kb(Side::Left).triple_count(), expected_parsed, "mutant {mutant}");
+
+        let mut b = KbPairBuilder::new();
+        match (load_ntriples_with_mode(&mut b, Side::Left, &doc, ParseMode::Strict), bad_lines.first()) {
+            (Err(err), Some(&first)) => assert_eq!(err.line, first, "mutant {mutant}: {doc:?}"),
+            (Ok(report), None) => assert_eq!((report.parsed, report.skipped), (expected_parsed, 0)),
+            (got, first_bad) => panic!("mutant {mutant}: strict gave {got:?}, first bad line {first_bad:?}"),
+        }
+        parsed_total += expected_parsed;
+        skipped_total += bad_lines.len();
+    }
+    // The mutations must reach both outcomes, or the loop checks nothing.
+    assert!(parsed_total > 20_000 && skipped_total > 5_000, "{parsed_total} parsed, {skipped_total} skipped");
 }

@@ -31,11 +31,11 @@
 //!   ([`crate::intersect`]);
 //! * top-K pruning uses `select_nth_unstable_by` partial selection when a
 //!   candidate list exceeds K, sorting only the selected prefix;
-//! * the γ pass is sharded across the executor **by output row** (left
-//!   entity), then transposed for the right-side lists. Each γ cell is one
-//!   flat sum over the β edges sorted by `(i, j)`, so the result is
-//!   bit-identical for every worker count — and across runs, since no
-//!   randomly-seeded container is involved anywhere in the kernel.
+//! * the γ pass runs one row kernel over both sides' rows — left rows walk
+//!   the β-union edges by left endpoint, right rows the transposed view, the
+//!   only thing exchanged. Each γ cell is one flat sum over the β edges
+//!   sorted by `(i, j)`, so the result is bit-identical for every worker
+//!   count — and across runs, since no randomly-seeded container is involved.
 //!
 //! The pre-rewrite kernel is preserved verbatim in `crate::reference`
 //! (compiled for tests only); the equivalence proptests there pin this
@@ -292,8 +292,9 @@ fn with_scratch<R>(universe: usize, f: impl FnOnce(&mut SparseAccumulator, &mut 
 /// Builds the pruned disjunctive blocking graph (Algorithm 1).
 ///
 /// `token_blocks` should already be purged. All heavy phases — the two β
-/// passes, the γ row pass, and the γ transpose — run as parallel stages on
-/// `executor`; the output is bit-identical across runs and worker counts.
+/// passes, the β-edge transpose and the γ row passes — run as parallel
+/// stages on `executor`; the output is bit-identical across runs and
+/// worker counts.
 pub fn build_blocking_graph(
     executor: &Executor,
     pair: &KbPair,
@@ -327,25 +328,20 @@ pub fn build_blocking_graph(
 
     let index = executor.time_stage("graph/index", || GraphIndex::build(pair, token_blocks));
 
-    let value_left = beta_pass(
-        executor, pair, Side::Left, &index, &block_weight, cfg.top_k,
-        cfg.beta_weighting, cfg.adaptive_pruning,
-    );
-    let value_right = beta_pass(
-        executor, pair, Side::Right, &index, &block_weight, cfg.top_k,
-        cfg.beta_weighting, cfg.adaptive_pruning,
-    );
-
-    // --- Neighbor evidence (lines 20-33) ---
-    let (top_left, in_right) = executor.time_stage("graph/top-in-neighbors", || {
-        (top_neighbors_direct(pair, rels, Side::Left, cfg.n_relations),
-         top_in_neighbors(pair, rels, Side::Right, cfg.n_relations))
+    let [value_left, value_right] = [Side::Left, Side::Right].map(|side| {
+        beta_pass(
+            executor, pair, side, &index, &block_weight, cfg.top_k, cfg.beta_weighting,
+            cfg.adaptive_pruning,
+        )
     });
 
-    let (neighbor_left, neighbor_right) = gamma_pass(
-        executor, pair, &value_left, &value_right, &top_left, &in_right,
-        cfg.top_k, cfg.adaptive_pruning,
-    );
+    // --- Neighbor evidence (lines 20-33) ---
+    let views = executor.run_stage("graph/top-in-neighbors", 2, |t| {
+        let side = if t == 0 { Side::Left } else { Side::Right };
+        NeighborViews::compute(pair, rels, side, cfg.n_relations)
+    });
+    let (neighbor_left, neighbor_right) =
+        gamma_pass(executor, &value_left, &value_right, &views, pair.is_dirty(), cfg);
 
     let mut graph = BlockingGraph {
         value_cands: [value_left, value_right],
@@ -421,6 +417,39 @@ struct Grouped<T> {
     data: Vec<T>,
 }
 
+impl<T> Grouped<T> {
+    /// No rows yet: [`Self::push_row`] adds them in key order.
+    fn new() -> Self {
+        Self { offsets: vec![0], data: Vec::new() }
+    }
+
+    fn push_row(&mut self, items: impl IntoIterator<Item = T>) {
+        self.data.extend(items);
+        self.offsets.push(self.data.len());
+    }
+
+    /// One table from the per-task parts of a stage sharded by key range.
+    fn concat(parts: Vec<Self>) -> Self {
+        let mut all = Self::new();
+        for part in parts {
+            let base = all.data.len();
+            all.offsets.extend(part.offsets.iter().skip(1).map(|end| base + end));
+            all.data.extend(part.data);
+        }
+        all
+    }
+
+    fn n_rows(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// The items under `key`, in production order.
+    #[inline]
+    fn row(&self, key: usize) -> &[T] {
+        &self.data[self.offsets[key]..self.offsets[key + 1]]
+    }
+}
+
 impl<T: Copy + Default> Grouped<T> {
     /// Regroups `items` (walked twice: count, then scatter) by their key,
     /// which must be below `n_keys`.
@@ -439,12 +468,6 @@ impl<T: Copy + Default> Grouped<T> {
             cursor[key] += 1;
         }
         Self { offsets, data }
-    }
-
-    /// The items under `key`, in production order.
-    #[inline]
-    fn row(&self, key: usize) -> &[T] {
-        &self.data[self.offsets[key]..self.offsets[key + 1]]
     }
 }
 
@@ -571,38 +594,35 @@ fn select_top_k(cands: &mut Vec<Candidate>, top_k: usize, adaptive: bool) -> Vec
     cands.clone()
 }
 
-/// Each `side` entity's own top-N neighbors (ascending, deduplicated) —
-/// the "rows" of the γ aggregation.
-pub(crate) fn top_neighbors_direct(
-    pair: &KbPair,
-    rels: &RelationStats,
-    side: Side,
-    n_relations: usize,
-) -> Vec<Vec<EntityId>> {
-    let kb = pair.kb(side);
-    let mut out: Vec<Vec<EntityId>> = Vec::with_capacity(kb.len());
-    for (e, _) in kb.iter() {
-        out.push(rels.top_n_neighbors(pair, side, e, n_relations));
-    }
-    out
+/// One side's neighbour evidence as flat rows, each ascending and
+/// duplicate-free: `top` row `e` is the entity's own top-N neighbours,
+/// `incoming` row `e` the entities that list `e` among theirs
+/// (`getTopInNeighbors`, lines 35-48).
+struct NeighborViews {
+    top: Grouped<u32>,
+    incoming: Grouped<u32>,
 }
 
-/// `getTopInNeighbors` (lines 35-48): for every entity of `side`, the
-/// entities that list it among their top-N neighbors.
-pub(crate) fn top_in_neighbors(
-    pair: &KbPair,
-    rels: &RelationStats,
-    side: Side,
-    n_relations: usize,
-) -> Vec<Vec<EntityId>> {
-    let kb = pair.kb(side);
-    let mut reverse: Vec<Vec<EntityId>> = vec![Vec::new(); kb.len()];
-    for (e, _) in kb.iter() {
-        for nb in rels.top_n_neighbors(pair, side, e, n_relations) {
-            reverse[nb.index()].push(e);
+impl NeighborViews {
+    fn compute(pair: &KbPair, rels: &RelationStats, side: Side, n_relations: usize) -> Self {
+        let kb = pair.kb(side);
+        let mut top = Grouped::new();
+        for (e, _) in kb.iter() {
+            top.push_row(rels.top_n_neighbors(pair, side, e, n_relations).into_iter().map(|nb| nb.0));
         }
+        Self::from_top(top)
     }
-    reverse
+
+    /// The in-neighbour view is the counting inversion of the top-N rows,
+    /// walked in ascending entity order and holding no duplicates.
+    fn from_top(top: Grouped<u32>) -> Self {
+        let n = top.n_rows();
+        let incoming = Grouped::build(
+            n,
+            (0..n).flat_map(|e| top.row(e).iter().map(move |&nb| (nb as usize, e as u32))),
+        );
+        Self { top, incoming }
+    }
 }
 
 /// Union of both directions' retained β edges (each undirected pair
@@ -612,20 +632,22 @@ pub(crate) fn top_in_neighbors(
 /// left-derived weight wins (they are bit-equal anyway: both passes sum
 /// the same block weights in the same ascending-block order).
 ///
-/// Sharded by left-row range. A task regroups the right-side lists'
-/// entries that point into its range by `i` — the lists are walked in
+/// Sharded by left-row range (`chunk` rows per task). A task regroups the
+/// right-side lists' entries that point into its range by `i` — walked in
 /// ascending `j`, so every regrouped row is already ascending — and merges
-/// each with the row's own (at most K) left-derived entries. Every task
-/// scans all right-side lists (at most K entries per entity) to filter
-/// its range: P cheap sequential passes instead of one serial transpose
-/// ahead of the stage.
+/// each with the row's own (at most K) left-derived entries: P cheap scans
+/// of the right-side lists instead of one serial transpose ahead of the
+/// stage. It is also the map side of the γ pass's one exchange: a task adds
+/// its edges `(i, j, β)` to `shuffle` as one run, bucketed by `j / chunk_r`.
 fn beta_union(
     executor: &Executor,
     value_left: &[Vec<Candidate>],
     value_right: &[Vec<Candidate>],
+    chunk: usize,
+    chunk_r: usize,
+    shuffle: &SpillShuffle<(u32, u32, f64)>,
 ) -> Grouped<(u32, f64)> {
     let n_left = value_left.len();
-    let chunk = n_left.div_ceil(executor.partitions().max(1)).max(1);
     let parts = executor.run_stage("graph/gamma/union", n_left.div_ceil(chunk), |t| {
         let lo = t * chunk;
         let own = value_left.iter().skip(lo).take(chunk);
@@ -638,8 +660,8 @@ fn beta_union(
                 })
             }),
         );
-        let mut ends = Vec::with_capacity(own.len());
-        let mut edges: Vec<(u32, f64)> = Vec::new();
+        let mut edges = Grouped::new();
+        let mut buckets: Vec<Vec<(u32, u32, f64)>> = vec![Vec::new(); shuffle.partitions()];
         let mut row: Vec<(u32, f64)> = Vec::new();
         for (r, cands) in own.enumerate() {
             row.clear();
@@ -649,187 +671,165 @@ fn beta_union(
             // pushed first, sorts first and survives the dedup.
             row.sort_by_key(|&(j, _)| j);
             row.dedup_by_key(|&mut (j, _)| j);
-            edges.extend_from_slice(&row);
-            ends.push(edges.len());
-        }
-        (ends, edges)
-    });
-    let mut offsets = Vec::with_capacity(n_left + 1);
-    offsets.push(0);
-    let mut data: Vec<(u32, f64)> = Vec::new();
-    for (ends, edges) in parts {
-        offsets.extend(ends.into_iter().map(|end| data.len() + end));
-        data.extend(edges);
-    }
-    Grouped { offsets, data }
-}
-
-/// The transpose's reduce step: one partition's γ entries `(a, b, γ)` —
-/// its buckets in map-task order — regrouped into rows by right entity,
-/// row `b - lo` holding `(a, γ)`. Map tasks own ascending ranges of `a`
-/// and emit their rows in ascending `a`, so each regrouped row comes out
-/// ascending by `a`: the sequence a sort by `(b, a)` would produce (the
-/// keys are unique — one γ entry per touched cell per row).
-fn regroup_by_right(
-    buckets: &[Vec<(u32, u32, f64)>],
-    lo: usize,
-    width: usize,
-) -> Grouped<(u32, f64)> {
-    Grouped::build(width, buckets.iter().flatten().map(|&(a, b, g)| (b as usize - lo, (a, g))))
-}
-
-/// γ aggregation (lines 20-33): every retained β edge `(i, j)` adds its β
-/// to `γ[(a, b)]` for all `a` with `i ∈ topN(a)`, `b ∈ topInNeighbors(j)`,
-/// after which each node keeps its top-K neighbor candidates. The β edge
-/// set is [`beta_union`]'s.
-///
-/// # Parallel decomposition and determinism
-///
-/// The pass is sharded by **output row** `a` (left entity), not by edge:
-/// a task owns a contiguous range of left entities and computes each of
-/// its rows completely, walking `i ∈ topN(a)` ascending and, per `i`, that
-/// entity's β edges ascending by `j`. Every γ cell is therefore a single
-/// flat sum over its contributions in ascending `(i, j)` order — exactly
-/// the order a sequential sweep over the sorted edge list produces — so
-/// the `f64` results are bit-identical for every shard width and worker
-/// count. (Sharding by *edge* would instead split a cell's sum into
-/// per-shard partials whose grouping, and hence rounding, varies with the
-/// shard count.) Total work is unchanged: `Σ_a |topN(a) ∩ edges|` counts
-/// each (edge, in-neighbor) pair exactly once.
-///
-/// The right-side lists reuse the row pass's output through one map→reduce
-/// shuffle: a row task buckets every γ entry `(a, b, γ)` it computes by
-/// the reduce partition of `b`, and a second parallel stage
-/// (`graph/gamma/transpose`) regroups each partition by `b`
-/// ([`regroup_by_right`]) and only selects — the sums are already final,
-/// so transposition cannot perturb them. The shuffle is resident unless
-/// the executor carries a memory budget that makes it spill; either way
-/// the reduce side sees the same buckets in the same order.
-#[allow(clippy::too_many_arguments)]
-fn gamma_pass(
-    executor: &Executor,
-    pair: &KbPair,
-    value_left: &[Vec<Candidate>],
-    value_right: &[Vec<Candidate>],
-    top_left: &[Vec<EntityId>],
-    in_right: &[Vec<EntityId>],
-    top_k: usize,
-    adaptive: bool,
-) -> (Vec<Vec<Candidate>>, Vec<Vec<Candidate>>) {
-    let n_left = pair.kb(Side::Left).len();
-    let n_right = pair.kb(Side::Right).len();
-    let dirty = pair.is_dirty();
-
-    let edges: Grouped<(u32, f64)> = beta_union(executor, value_left, value_right);
-    executor.emit_counter("blocking/beta_union_edges", edges.data.len() as u64);
-
-    // Row pass: left-side lists, plus every γ entry as an (a, b, γ) triple
-    // in the shuffle bucket of b's reduce partition.
-    let tasks = executor.partitions().max(1);
-    let chunk = n_left.div_ceil(tasks).max(1);
-    let n_tasks = n_left.div_ceil(chunk);
-    let chunk_r = n_right.div_ceil(tasks).max(1);
-    let n_tasks_r = n_right.div_ceil(chunk_r);
-    let shuffle: SpillShuffle<(u32, u32, f64)> =
-        SpillShuffle::new("graph-gamma", n_tasks_r, executor.memory_budget());
-
-    let partials = executor.run_stage("graph/gamma", n_tasks, |t| {
-        let lo = t * chunk;
-        let hi = ((t + 1) * chunk).min(n_left);
-        let mut lists: Vec<Vec<Candidate>> = Vec::with_capacity(hi - lo);
-        let mut triples: Vec<(u32, u32, f64)> = Vec::new();
-        with_scratch(n_right, |acc, scratch| {
-            for a in lo..hi {
-                let a_id = a as u32;
-                acc.next_epoch();
-                for &i in &top_left[a] {
-                    for &(j, beta) in edges.row(i.index()) {
-                        for &b in &in_right[j as usize] {
-                            if dirty && b.0 == a_id {
-                                continue;
-                            }
-                            acc.add(b.0, beta);
-                        }
-                    }
+            for &(j, w) in &row {
+                if let Some(bucket) = buckets.get_mut(j as usize / chunk_r) {
+                    bucket.push(((lo + r) as u32, j, w));
                 }
-                scratch.clear();
-                for &b in acc.touched() {
-                    let g = acc.score(b);
-                    scratch.push((EntityId(b), g));
-                    triples.push((a_id, b, g));
-                }
-                lists.push(select_top_k(scratch, top_k, adaptive));
             }
-        });
-        // Bucket in production order, into exactly-sized buckets: vectors
-        // growing side by side cannot extend in place, and every doubling
-        // of a bucket would copy it.
-        let produced = triples.len() as u64;
-        let mut sizes = vec![0usize; n_tasks_r];
-        for &(_, b, _) in &triples {
-            sizes[b as usize / chunk_r] += 1;
-        }
-        let mut buckets: Vec<Vec<(u32, u32, f64)>> =
-            sizes.into_iter().map(Vec::with_capacity).collect();
-        for tri in triples {
-            buckets[tri.1 as usize / chunk_r].push(tri);
+            edges.push_row(row.iter().copied());
         }
         if let Err(e) = shuffle.add_run(t, buckets) {
             std::panic::panic_any(e);
         }
-        (lists, produced)
+        edges
     });
-    let mut left_lists: Vec<Vec<Candidate>> = Vec::with_capacity(n_left);
-    let mut total_entries = 0u64;
-    for (lists, produced) in partials {
-        left_lists.extend(lists);
-        total_entries += produced;
-    }
-    executor.annotate_last_stage(
-        "graph/gamma",
-        StageIo::items(edges.data.len() as u64, total_entries),
-    );
-    executor.emit_counter("blocking/gamma_entries", total_entries);
+    Grouped::concat(parts)
+}
 
-    // Transpose: regroup the final γ entries by right entity and select.
-    let partials_r = executor.run_stage("graph/gamma/transpose", n_tasks_r, |t| {
+/// The exchange's reduce step: one partition's β edges `(i, j, β)` — its
+/// buckets in map-task order — regrouped into rows by right endpoint, row
+/// `j - lo` holding `(i, β)`. Map tasks own and emit ascending ranges of `i`,
+/// so each row comes out ascending by `i`: what a sort by `(j, i)` produces.
+fn regroup_by_right(buckets: &[Vec<(u32, u32, f64)>], lo: usize, width: usize) -> Grouped<(u32, f64)> {
+    Grouped::build(width, buckets.iter().flatten().map(|&(i, j, w)| (j as usize - lo, (i, w))))
+}
+
+/// The γ row kernel: the top-K neighbour candidates of the `rows` entities
+/// of one side, and how many γ cells those rows touched. `top` is that
+/// side's view, `in_far` the far side's, and `edges` the β edges as rows by
+/// *this* side's endpoint — `(far endpoint, β)`, ascending.
+///
+/// A row walks `x ∈ topN(this)` and `edges.row(x)`, adding each β to the
+/// cell of every `o ∈ in_far[far endpoint]`: on the left, a cell's
+/// contributions in ascending `(i, j)`. On the right (`transposed`) the
+/// walk is ascending `(j, i)`, so the row first gathers its edges and
+/// orders them by `(i, j)` — one presorted run per `j`, the keys unique —
+/// since `f64` sums depend on their order, and `(i, j)` is the one the
+/// left rows and `crate::reference` use.
+fn gamma_rows(
+    rows: std::ops::Range<usize>,
+    top: &Grouped<u32>,
+    edges: &Grouped<(u32, f64)>,
+    in_far: &Grouped<u32>,
+    transposed: bool,
+    dirty: bool,
+    cfg: &GraphConfig,
+) -> (Vec<Vec<Candidate>>, u64) {
+    let mut lists: Vec<Vec<Candidate>> = Vec::with_capacity(rows.len());
+    let mut cells = 0u64;
+    let mut gathered: Vec<(u64, f64)> = Vec::new();
+    with_scratch(in_far.n_rows(), |acc, scratch| {
+        for this in rows {
+            let this_id = this as u32;
+            acc.next_epoch();
+            let mut scatter = |far: u32, beta: f64| {
+                for &o in in_far.row(far as usize) {
+                    // Dirty ER: an entity is not its own neighbour candidate.
+                    if dirty && o == this_id {
+                        continue;
+                    }
+                    acc.add(o, beta);
+                }
+            };
+            let near = top.row(this);
+            if transposed && near.len() > 1 {
+                gathered.clear();
+                for &j in near {
+                    let run = edges.row(j as usize).iter();
+                    gathered.extend(run.map(|&(i, beta)| (u64::from(i) << 32 | u64::from(j), beta)));
+                }
+                gathered.sort_unstable_by_key(|&(i_j, _)| i_j);
+                for &(i_j, beta) in &gathered {
+                    scatter((i_j >> 32) as u32, beta);
+                }
+            } else {
+                for &x in near {
+                    for &(far, beta) in edges.row(x as usize) {
+                        scatter(far, beta);
+                    }
+                }
+            }
+            cells += acc.touched().len() as u64;
+            scratch.clear();
+            scratch.extend(acc.touched().iter().map(|&o| (EntityId(o), acc.score(o))));
+            lists.push(select_top_k(scratch, cfg.top_k, cfg.adaptive_pruning));
+        }
+    });
+    (lists, cells)
+}
+
+/// γ aggregation (lines 20-33): every retained β edge `(i, j)` adds its β
+/// to `γ[(a, b)]` for all `a` with `i ∈ topN(a)`, `b` with `j ∈ topN(b)`,
+/// after which each node keeps its top-K neighbor candidates. The β edge
+/// set is [`beta_union`]'s.
+///
+/// # Parallel decomposition and determinism (DESIGN.md §11)
+///
+/// Sharded by **output row**, not by edge: a task owns a range of one
+/// side's entities and computes each row completely ([`gamma_rows`]), so
+/// every γ cell is a single flat sum in ascending `(i, j)` order — the
+/// `f64` results are bit-identical for every shard width and worker count,
+/// and a pair's weight is bit-equal in the left and the right list.
+/// (Sharding by *edge* would split a cell's sum into per-shard partials
+/// whose grouping, and hence rounding, varies with the shard count.)
+///
+/// No cell leaves the task that summed it: all the right rows need from
+/// the left-sharded [`beta_union`] is the edge list as rows by `j` — one
+/// map→reduce shuffle, resident unless the executor's memory budget makes
+/// it spill, with the same buckets in the same order either way.
+fn gamma_pass(
+    executor: &Executor,
+    value_left: &[Vec<Candidate>],
+    value_right: &[Vec<Candidate>],
+    views: &[NeighborViews],
+    dirty: bool,
+    cfg: &GraphConfig,
+) -> (Vec<Vec<Candidate>>, Vec<Vec<Candidate>>) {
+    let [left, right] = views else { panic!("one neighbour view per side") };
+    let (n_left, n_right) = (value_left.len(), value_right.len());
+    let tasks = executor.partitions().max(1);
+    let chunk_l = n_left.div_ceil(tasks).max(1);
+    let chunk_r = n_right.div_ceil(tasks).max(1);
+    let (tasks_l, tasks_r) = (n_left.div_ceil(chunk_l), n_right.div_ceil(chunk_r));
+
+    let shuffle = SpillShuffle::new("graph-gamma", tasks_r, executor.memory_budget());
+    let edges = beta_union(executor, value_left, value_right, chunk_l, chunk_r, &shuffle);
+    let n_edges = edges.data.len() as u64;
+    executor.emit_counter("blocking/beta_union_edges", n_edges);
+
+    // Transpose: the same edges as rows by right endpoint.
+    let parts = executor.run_stage("graph/gamma/transpose", tasks_r, |t| {
         let lo = t * chunk_r;
         let width = ((t + 1) * chunk_r).min(n_right) - lo;
-        let by_b: Grouped<(u32, f64)> = match shuffle.take_partition(t) {
+        match shuffle.take_partition(t) {
             Ok(buckets) => regroup_by_right(&buckets, lo, width),
             Err(e) => std::panic::panic_any(e),
-        };
-        // Universe 0: the transpose only selects, it never accumulates —
-        // but the candidate buffer is still worth reusing.
-        let lists: Vec<Vec<Candidate>> = with_scratch(0, |_, scratch| {
-            (0..width)
-                .map(|row| {
-                    scratch.clear();
-                    scratch.extend(by_b.row(row).iter().map(|&(a, g)| (EntityId(a), g)));
-                    select_top_k(scratch, top_k, adaptive)
-                })
-                .collect()
-        });
-        (lists, by_b.data.len() as u64)
+        }
     });
     shuffle.finish(executor);
-    let mut right_lists: Vec<Vec<Candidate>> = Vec::with_capacity(n_right);
-    let mut largest_partition = 0u64;
-    for (lists, entries) in partials_r {
-        right_lists.extend(lists);
-        largest_partition = largest_partition.max(entries);
-    }
-    executor.annotate_last_stage(
-        "graph/gamma/transpose",
-        StageIo {
-            items_in: total_entries,
-            items_out: right_lists.iter().map(|c| c.len() as u64).sum(),
-            shuffle_bytes: total_entries * std::mem::size_of::<(u32, u32, f64)>() as u64,
-            max_partition_items: largest_partition,
-        },
-    );
+    let io = StageIo {
+        shuffle_bytes: n_edges * std::mem::size_of::<(u32, u32, f64)>() as u64,
+        max_partition_items: parts.iter().map(|part| part.data.len() as u64).max().unwrap_or(0),
+        ..StageIo::items(n_edges, n_edges)
+    };
+    executor.annotate_last_stage("graph/gamma/transpose", io);
+    let edges_t = Grouped::concat(parts);
 
-    (left_lists, right_lists)
+    // Row passes: the left-row tasks, then the right-row tasks.
+    let mut partials = executor.run_stage("graph/gamma", tasks_l + tasks_r, |t| {
+        if let Some(t) = t.checked_sub(tasks_l) {
+            let rows = t * chunk_r..((t + 1) * chunk_r).min(n_right);
+            gamma_rows(rows, &right.top, &edges_t, &left.incoming, true, dirty, cfg)
+        } else {
+            let rows = t * chunk_l..((t + 1) * chunk_l).min(n_left);
+            gamma_rows(rows, &left.top, &edges, &right.incoming, false, dirty, cfg)
+        }
+    });
+    let right_lists = partials.split_off(tasks_l).into_iter().flat_map(|(lists, _)| lists).collect();
+    let left_cells: u64 = partials.iter().map(|&(_, cells)| cells).sum();
+    executor.annotate_last_stage("graph/gamma", StageIo::items(n_edges, left_cells));
+    executor.emit_counter("blocking/gamma_entries", left_cells);
+    (partials.into_iter().flat_map(|(lists, _)| lists).collect(), right_lists)
 }
 
 #[cfg(test)]
@@ -971,7 +971,7 @@ mod tests {
     }
 
     #[test]
-    fn shuffle_plus_counting_regroup_equals_the_sort_by_right_then_left() {
+    fn edge_shuffle_plus_counting_regroup_equals_the_sort_by_right_then_left() {
         use minoaner_dataflow::MemoryBudget;
 
         let spill_dir = std::env::temp_dir()
@@ -980,20 +980,21 @@ mod tests {
         for case in 0..80 {
             // 0 entities = an empty side; small sides make `n_right` fall
             // below the partition count and leave right entities without
-            // any γ entry. Every third case skips the diagonal, as the
-            // dirty-ER row pass does.
+            // any edge. Every third case skips the diagonal, as dirty-ER
+            // β passes do.
             let n_left = draw(&mut rng, 14);
             let n_right = draw(&mut rng, 14);
             let rows: Vec<Vec<(u32, u32, f64)>> = (0..n_left)
-                .map(|a| {
-                    random_ids(&mut rng, n_right, (case % 3 == 0).then_some(a))
-                        .into_iter()
-                        .map(|b| (a as u32, b, draw(&mut rng, 1000) as f64 / 7.0))
+                .map(|i| {
+                    let mut js = random_ids(&mut rng, n_right, (case % 3 == 0).then_some(i));
+                    js.sort_unstable();
+                    js.into_iter()
+                        .map(|j| (i as u32, j, draw(&mut rng, 1000) as f64 / 7.0))
                         .collect()
                 })
                 .collect();
-            // Map tasks own ascending ranges of `a`, reduce partitions
-            // ranges of `b`; both widths are random.
+            // Map tasks own ascending ranges of `i`, reduce partitions
+            // ranges of `j`; both widths are random.
             let chunk = 1 + draw(&mut rng, n_left);
             let chunk_r = 1 + draw(&mut rng, n_right);
             let n_tasks_r = n_right.div_ceil(chunk_r);
@@ -1005,8 +1006,8 @@ mod tests {
             }
             for t in arrival {
                 let mut buckets = vec![Vec::new(); n_tasks_r];
-                for &tri in rows.iter().skip(t * chunk).take(chunk).flatten() {
-                    buckets[tri.1 as usize / chunk_r].push(tri);
+                for &edge in rows.iter().skip(t * chunk).take(chunk).flatten() {
+                    buckets[edge.1 as usize / chunk_r].push(edge);
                 }
                 shuffle.add_run(t, buckets).expect("add run");
             }
@@ -1015,18 +1016,116 @@ mod tests {
                 let lo = p * chunk_r;
                 let width = ((p + 1) * chunk_r).min(n_right) - lo;
                 let buckets = shuffle.take_partition(p).expect("read partition");
-                let by_b: Grouped<(u32, f64)> = regroup_by_right(&buckets, lo, width);
+                let by_j: Grouped<(u32, f64)> = regroup_by_right(&buckets, lo, width);
                 for row in 0..width {
-                    let b = (lo + row) as u32;
-                    got.extend(by_b.row(row).iter().map(|&(a, g)| (a, b, g.to_bits())));
+                    let j = (lo + row) as u32;
+                    got.extend(by_j.row(row).iter().map(|&(i, w)| (i, j, w.to_bits())));
                 }
             }
             shuffle.finish(&Executor::new(1));
             let mut want: Vec<(u32, u32, u64)> =
-                rows.iter().flatten().map(|&(a, b, g)| (a, b, g.to_bits())).collect();
-            want.sort_unstable_by_key(|&(a, b, _)| (b, a));
+                rows.iter().flatten().map(|&(i, j, w)| (i, j, w.to_bits())).collect();
+            want.sort_unstable_by_key(|&(i, j, _)| (j, i));
             assert_eq!(got, want, "case {case}: {n_left}x{n_right}, chunks {chunk}/{chunk_r}");
         }
+        std::fs::remove_dir_all(&spill_dir).ok();
+    }
+
+    /// Random candidate lists from `n` entities to ids below `n_other`,
+    /// with weights whose sums depend on the order they are added in.
+    fn random_lists(rng: &mut u64, n: usize, n_other: usize, dirty: bool) -> Vec<Vec<Candidate>> {
+        (0..n)
+            .map(|e| {
+                random_ids(rng, n_other, dirty.then_some(e))
+                    .into_iter()
+                    .map(|o| (EntityId(o), (1 + draw(rng, 1000)) as f64 / 7.0))
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Random top-N rows over `n` entities of one side, with their inversion.
+    fn random_views(rng: &mut u64, n: usize) -> NeighborViews {
+        let mut top = Grouped::new();
+        for _ in 0..n {
+            let mut nbs = random_ids(rng, n, None);
+            nbs.truncate(draw(rng, 5));
+            nbs.sort_unstable();
+            top.push_row(nbs);
+        }
+        NeighborViews::from_top(top)
+    }
+
+    fn weight_bits(lists: &[Vec<Candidate>]) -> Vec<Vec<(u32, u64)>> {
+        lists.iter().map(|l| l.iter().map(|&(e, w)| (e.0, w.to_bits())).collect()).collect()
+    }
+
+    #[test]
+    fn right_rows_equal_the_transposed_cells_of_the_left_rows() {
+        use minoaner_dataflow::MemoryBudget;
+
+        let spill_dir = std::env::temp_dir()
+            .join(format!("gamma-symmetry-oracle-{}", std::process::id()));
+        let mut rng = 0x6A33A_u64;
+        for case in 0..60 {
+            let dirty = case % 3 == 0;
+            let adaptive = case % 4 == 1;
+            let reciprocal = case % 5 == 2;
+            let n_left = draw(&mut rng, 13);
+            let n_right = if dirty { n_left } else { draw(&mut rng, 13) };
+            let top_k = 1 + draw(&mut rng, 4);
+            let value_left = random_lists(&mut rng, n_left, n_right, dirty);
+            let value_right = random_lists(&mut rng, n_right, n_left, dirty);
+            let views = [random_views(&mut rng, n_left), random_views(&mut rng, n_right)];
+            let graph_of = |(left, right): (Vec<Vec<Candidate>>, Vec<Vec<Candidate>>)| {
+                let mut graph = BlockingGraph::from_parts(
+                    [value_left.clone(), value_right.clone()],
+                    [left, right],
+                    Vec::new(),
+                );
+                if reciprocal {
+                    apply_reciprocal_pruning(&mut graph);
+                }
+                graph.neighbor_cands.map(|lists| weight_bits(&lists))
+            };
+
+            // Every cell, from the left rows alone: nothing is pruned.
+            let all = GraphConfig { top_k: usize::MAX, ..GraphConfig::default() };
+            let (cells, _) =
+                gamma_pass(&Executor::new(1), &value_left, &value_right, &views, dirty, &all);
+            let mut transposed: Vec<Vec<Candidate>> = vec![Vec::new(); n_right];
+            for (a, row) in cells.iter().enumerate() {
+                for &(b, g) in row {
+                    transposed[b.index()].push((EntityId(a as u32), g));
+                }
+            }
+            let select = |rows: Vec<Vec<Candidate>>| -> Vec<Vec<Candidate>> {
+                rows.into_iter().map(|mut row| select_top_k(&mut row, top_k, adaptive)).collect()
+            };
+            let want = graph_of((select(cells), select(transposed)));
+
+            for workers in [1, 2, 8] {
+                for budget in [None, Some(MemoryBudget::new(0, &spill_dir))] {
+                    let spilled = budget.is_some();
+                    let mut exec = Executor::new(workers);
+                    exec.set_memory_budget(budget);
+                    let cfg =
+                        GraphConfig { top_k, adaptive_pruning: adaptive, ..GraphConfig::default() };
+                    let got =
+                        graph_of(gamma_pass(&exec, &value_left, &value_right, &views, dirty, &cfg));
+                    assert_eq!(
+                        got, want,
+                        "case {case}: {n_left}x{n_right}, K={top_k}, dirty={dirty}, \
+                         adaptive={adaptive}, reciprocal={reciprocal}, {workers} workers, \
+                         spilled={spilled}"
+                    );
+                }
+            }
+        }
+        assert!(
+            std::fs::read_dir(&spill_dir).map_or(true, |mut d| d.next().is_none()),
+            "spill scratch must be swept"
+        );
         std::fs::remove_dir_all(&spill_dir).ok();
     }
 
@@ -1074,14 +1173,32 @@ mod tests {
                 tagged.into_iter().map(|(i, j, _, w)| (i, j, w.to_bits())).collect();
 
             for workers in [1, 2, 8] {
+                let exec = Executor::new(workers);
+                let chunk = n_left.div_ceil(exec.partitions()).max(1);
+                let chunk_r = n_right.div_ceil(exec.partitions()).max(1);
+                let shuffle = SpillShuffle::new("union", n_right.div_ceil(chunk_r), None);
                 let edges: Grouped<(u32, f64)> =
-                    beta_union(&Executor::new(workers), &value_left, &value_right);
+                    beta_union(&exec, &value_left, &value_right, chunk, chunk_r, &shuffle);
                 let got: Vec<(u32, u32, u64)> = (0..n_left)
                     .flat_map(|i| {
                         edges.row(i).iter().map(move |&(j, w)| (i as u32, j, w.to_bits()))
                     })
                     .collect();
                 assert_eq!(got, want, "case {case}: {n_left}x{n_right}, {workers} workers");
+
+                // The same edges went into the exchange, each in the
+                // bucket of its right endpoint, in production order.
+                let mut exchanged: Vec<(u32, u32, u64)> = Vec::new();
+                for p in 0..shuffle.partitions() {
+                    let buckets = shuffle.take_partition(p).expect("resident partition");
+                    for &(i, j, w) in buckets.iter().flatten() {
+                        assert_eq!(j as usize / chunk_r, p, "case {case}: bucket of ({i}, {j})");
+                        exchanged.push((i, j, w.to_bits()));
+                    }
+                }
+                shuffle.finish(&exec);
+                exchanged.sort_unstable_by_key(|&(i, j, _)| (i, j));
+                assert_eq!(exchanged, want, "case {case}: {workers} workers, exchange");
             }
         }
     }
@@ -1424,37 +1541,61 @@ mod tests {
         }
     }
 
+    /// A hub on each side is every entity's only neighbour, and the two
+    /// hubs share the only tokens: one β edge, `n²` γ cells.
+    fn hub_pair(n: usize) -> KbPair {
+        let mut b = KbPairBuilder::new();
+        for (side, p) in [(Side::Left, "l"), (Side::Right, "r")] {
+            let hub = format!("{p}:hub");
+            b.add_triple(side, &hub, "label", Term::Literal("grand central hub"));
+            b.add_triple(side, &hub, "rel", Term::Uri(&hub));
+            for e in 1..n {
+                b.add_triple(side, &format!("{p}:{e}"), "rel", Term::Uri(&hub));
+            }
+        }
+        b.finish()
+    }
+
     #[test]
     fn gamma_stage_is_annotated_with_item_flow() {
         use minoaner_dataflow::MemoryBudget;
 
-        let pair = figure1_pair();
-        let exec = Executor::new(2);
-        build_on(&exec, &pair, GraphConfig::default());
-        let log = exec.stage_log();
-        let gamma = log.find("graph/gamma").expect("graph/gamma stage recorded");
-        assert!(gamma.io.items_in > 0, "β union edges feed γ");
-        assert!(gamma.io.items_out > 0, "γ entries flow out");
-        assert!(log.iter().any(|s| s.name == "graph/index"));
+        let edge_bytes = std::mem::size_of::<(u32, u32, f64)>() as u64;
+        // The hubs' one β edge fans out into 144 cells: the exchange does
+        // not grow with the cells.
+        for (what, pair, min_cells, edges) in
+            [("figure 1", figure1_pair(), 1, None), ("hub", hub_pair(12), 12 * 12, Some(1))]
+        {
+            let exec = Executor::new(2);
+            build_on(&exec, &pair, GraphConfig::default());
+            let log = exec.stage_log();
+            let gamma = log.find("graph/gamma").expect("graph/gamma stage recorded").io;
+            assert!(gamma.items_in > 0, "{what}: β union edges feed γ");
+            assert!(edges.map_or(true, |n| n == gamma.items_in), "{what}: {} edges", gamma.items_in);
+            assert!(gamma.items_out >= min_cells, "{what}: γ cells {}", gamma.items_out);
+            assert!(log.iter().any(|s| s.name == "graph/index"));
 
-        // The transpose is the shuffle: it reports the volume it moved and
-        // its largest reduce partition, the same whether or not it spilled.
-        let transpose = log.find("graph/gamma/transpose").expect("transpose stage recorded").io;
-        assert_eq!(transpose.items_in, gamma.io.items_out);
-        assert_eq!(
-            transpose.shuffle_bytes,
-            transpose.items_in * std::mem::size_of::<(u32, u32, f64)>() as u64
-        );
-        assert!(transpose.shuffle_bytes > 0 && transpose.max_partition_items > 0);
-        assert!(transpose.max_partition_items <= transpose.items_in);
+            // The transpose is the shuffle: it moves the β union edges —
+            // however many cells they fan out into — and reports that
+            // volume and its largest reduce partition, the same whether
+            // or not it spilled.
+            let transpose =
+                log.find("graph/gamma/transpose").expect("transpose stage recorded").io;
+            assert_eq!(transpose.items_in, gamma.items_in, "{what}");
+            assert_eq!(transpose.items_out, transpose.items_in, "{what}");
+            assert_eq!(transpose.shuffle_bytes, gamma.items_in * edge_bytes, "{what}");
+            assert!(transpose.max_partition_items > 0, "{what}");
+            assert!(transpose.max_partition_items <= transpose.items_in, "{what}");
 
-        let spill_dir = std::env::temp_dir()
-            .join(format!("gamma-annotate-test-{}", std::process::id()));
-        let mut budgeted = Executor::new(2);
-        budgeted.set_memory_budget(Some(MemoryBudget::new(0, &spill_dir)));
-        build_on(&budgeted, &pair, GraphConfig::default());
-        let spilled = budgeted.stage_log();
-        assert_eq!(spilled.find("graph/gamma/transpose").map(|s| s.io), Some(transpose));
-        std::fs::remove_dir_all(&spill_dir).ok();
+            let spill_dir = std::env::temp_dir()
+                .join(format!("gamma-annotate-test-{}", std::process::id()));
+            let mut budgeted = Executor::new(2);
+            budgeted.set_memory_budget(Some(MemoryBudget::new(0, &spill_dir)));
+            build_on(&budgeted, &pair, GraphConfig::default());
+            let spilled = budgeted.stage_log();
+            assert_eq!(spilled.find("graph/gamma/transpose").map(|s| s.io), Some(transpose));
+            assert_eq!(spilled.find("graph/gamma").map(|s| s.io), Some(gamma), "{what}");
+            std::fs::remove_dir_all(&spill_dir).ok();
+        }
     }
 }

@@ -21,8 +21,7 @@ use minoaner_kb::{EntityId, KbPair, Side};
 
 use crate::block::{NameBlocks, TokenBlocks};
 use crate::graph::{
-    apply_reciprocal_pruning, top_in_neighbors, BetaWeighting, BlockingGraph, Candidate,
-    GraphConfig,
+    apply_reciprocal_pruning, BetaWeighting, BlockingGraph, Candidate, GraphConfig,
 };
 use crate::name::{alpha_pairs, alpha_pairs_dirty};
 
@@ -182,6 +181,24 @@ fn top_candidates_reference(acc: &BTreeMap<u32, f64>, top_k: usize, adaptive: bo
     }
     cands.truncate(top_k);
     cands
+}
+
+/// `getTopInNeighbors` (lines 35-48) as the original wrote it: for every
+/// entity of `side`, the entities that list it among their top-N neighbors.
+fn top_in_neighbors(
+    pair: &KbPair,
+    rels: &RelationStats,
+    side: Side,
+    n_relations: usize,
+) -> Vec<Vec<EntityId>> {
+    let kb = pair.kb(side);
+    let mut reverse: Vec<Vec<EntityId>> = vec![Vec::new(); kb.len()];
+    for (e, _) in kb.iter() {
+        for nb in rels.top_n_neighbors(pair, side, e, n_relations) {
+            reverse[nb.index()].push(e);
+        }
+    }
+    reverse
 }
 
 /// The original γ aggregation, with the β edge set and the γ cells held in

@@ -132,8 +132,9 @@ pub struct ResolveArgs {
     /// Pre-compiled `.mkb` container holding both sides (mutually
     /// exclusive with `--left`/`--right`).
     pub mkb: Option<String>,
-    /// Memory budget in bytes for shuffle state; exceeding it spills
-    /// shuffle runs to disk instead of growing the heap.
+    /// Memory budget in bytes for shuffle state (the blocking graph's
+    /// β-edge exchange, 16 B per retained edge); runs beyond it spill to
+    /// disk instead of staying on the heap.
     pub mem_budget: Option<u64>,
     /// Directory for spill run files (default: the system temp dir).
     pub spill_dir: Option<String>,
@@ -264,9 +265,12 @@ RESOLVE OPTIONS:
     --right <path>          right KB, N-Triples
     --mkb <path>            load both sides from a compiled .mkb container
                             (memory-mapped; replaces --left/--right)
-    --mem-budget <bytes>    shuffle memory ceiling; accepts k/m/g suffixes
-                            (e.g. 64m). Exceeding it spills shuffle runs to
-                            disk; results are bit-identical either way
+    --mem-budget <bytes>    ceiling on resident shuffle state — the blocking
+                            graph's beta-edge exchange, 16 bytes per retained
+                            edge (not the KB or the graph itself); accepts
+                            k/m/g suffixes (e.g. 8m, 0 = spill everything).
+                            Runs beyond it spill to disk; results are
+                            bit-identical either way
     --spill-dir <dir>       where spill run files go (default: system temp;
                             requires --mem-budget)
     --ground-truth <path>   optional pair list (left-uri <TAB> right-uri) to score against

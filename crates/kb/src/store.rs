@@ -5,7 +5,6 @@
 //! *and* fast: a token appearing in both KBs maps to the same [`TokenId`], so
 //! token blocking and value similarity never compare strings.
 
-use minoaner_det::DetHashMap;
 
 use crate::interner::{Interner, Symbol};
 use crate::model::{AttrId, Entity, EntityId, LiteralId, Side, TokenId, Value};
@@ -75,12 +74,36 @@ impl TokenRows {
     }
 }
 
+/// One side's entities by URI. The pair's URI symbols are dense (one
+/// interner numbers both sides' subjects and every URI object), so the map
+/// is a vector indexed by symbol, [`UriIndex::NONE`] where the URI names no
+/// entity of this side.
+#[derive(Debug, Default)]
+struct UriIndex(Vec<u32>);
+
+impl UriIndex {
+    const NONE: u32 = u32::MAX;
+
+    fn get(&self, uri: Symbol) -> Option<EntityId> {
+        self.0.get(uri.index()).copied().filter(|&id| id != Self::NONE).map(EntityId)
+    }
+
+    fn insert(&mut self, uri: Symbol, id: EntityId) {
+        if self.0.len() <= uri.index() {
+            self.0.resize(uri.index() + 1, Self::NONE);
+        }
+        if let Some(slot) = self.0.get_mut(uri.index()) {
+            *slot = id.0;
+        }
+    }
+}
+
 /// One clean (duplicate-free) knowledge base.
 #[derive(Debug)]
 pub struct Kb {
     side: Side,
     entities: Vec<Entity>,
-    uri_index: DetHashMap<Symbol, EntityId>,
+    uri_index: UriIndex,
     /// Sorted, deduplicated token ids appearing in each entity's literals.
     token_sets: TokenRows,
     /// Total token *occurrences* per entity (multiset size — Table 1's
@@ -137,7 +160,7 @@ impl Kb {
 
     /// Looks an entity up by its interned URI.
     pub fn entity_by_uri(&self, uri: Symbol) -> Option<EntityId> {
-        self.uri_index.get(&uri).copied()
+        self.uri_index.get(uri)
     }
 
     /// The sorted, deduplicated tokens of an entity's literal values.
@@ -177,11 +200,10 @@ impl Kb {
         token_sets: TokenRows,
         token_occurrences: Vec<u32>,
     ) -> Kb {
-        let uri_index = entities
-            .iter()
-            .enumerate()
-            .map(|(i, e)| (e.uri, EntityId(i as u32)))
-            .collect();
+        let mut uri_index = UriIndex::default();
+        for (i, e) in entities.iter().enumerate() {
+            uri_index.insert(e.uri, EntityId(i as u32));
+        }
         Kb { side, entities, uri_index, token_sets, token_occurrences }
     }
 }
@@ -343,7 +365,7 @@ pub struct KbPairBuilder {
     uris: Interner,
     literal_tokens: TokenRows,
     raw: [Vec<RawEntity>; 2],
-    uri_to_idx: [DetHashMap<Symbol, usize>; 2],
+    uri_index: [UriIndex; 2],
     /// The entity [`Self::entity`] returned last. A document lists an
     /// entity's triples together, so the next call usually names the same
     /// one and is answered by one string comparison instead of two table
@@ -368,17 +390,14 @@ impl KbPairBuilder {
             }
         }
         let sym = self.uris.intern(uri);
-        let slot = &mut self.uri_to_idx[side.index()];
-        let idx = match slot.get(&sym) {
-            Some(&idx) => idx,
-            None => {
-                let idx = self.raw[side.index()].len();
-                self.raw[side.index()].push(RawEntity { uri: sym, pairs: Vec::new() });
-                slot.insert(sym, idx);
-                idx
-            }
-        };
-        let id = EntityId(idx as u32);
+        let index = &mut self.uri_index[side.index()];
+        let id = index.get(sym).unwrap_or_else(|| {
+            let raw = &mut self.raw[side.index()];
+            let id = EntityId(raw.len() as u32);
+            raw.push(RawEntity { uri: sym, pairs: Vec::new() });
+            index.insert(sym, id);
+            id
+        });
         self.last_entity = Some((side, sym, id));
         id
     }
@@ -430,7 +449,7 @@ impl KbPairBuilder {
     /// Resolves one side's raw entities into a finished [`Kb`].
     fn build_kb(&mut self, side: Side) -> Kb {
         let raws = std::mem::take(&mut self.raw[side.index()]);
-        let uri_to_idx = std::mem::take(&mut self.uri_to_idx[side.index()]);
+        let uri_index = std::mem::take(&mut self.uri_index[side.index()]);
 
         // Pass 1: resolve URI objects to entity refs where possible. A
         // URI that is not a subject in this KB contributes its local
@@ -441,8 +460,8 @@ impl KbPairBuilder {
             for &(attr, value) in &raw.pairs {
                 let v = match value {
                     RawValue::Literal(l) => Value::Literal(l),
-                    RawValue::UriRef(sym) => match uri_to_idx.get(&sym) {
-                        Some(&idx) => Value::Ref(EntityId(idx as u32)),
+                    RawValue::UriRef(sym) => match uri_index.get(sym) {
+                        Some(id) => Value::Ref(id),
                         None => {
                             let local = uri_local_name(self.uris.resolve(sym)).to_owned();
                             Value::Literal(self.intern_literal(&local))
@@ -470,11 +489,6 @@ impl KbPairBuilder {
             token_sets.data.extend_from_slice(&toks);
             token_sets.end_row();
         }
-
-        let uri_index = uri_to_idx
-            .into_iter()
-            .map(|(sym, idx)| (sym, EntityId(idx as u32)))
-            .collect();
 
         Kb { side, entities, uri_index, token_sets, token_occurrences }
     }

@@ -187,16 +187,18 @@ fn reference_normalize(value: &str) -> String {
 /// separator) or that have none (`ß`, CJK), a combining mark, symbols and a
 /// non-ASCII blank. About a third of the strings are pure ASCII.
 fn mixed_string(rng: &mut Rng) -> String {
-    // Alphabets as strings: `minoaner-lint`'s lexer takes a char literal
-    // wider than one byte for a lifetime and panics.
-    const ASCII: &str = "abzABZqQ079  \t-.,(\"\\_\n\0~";
-    const WIDE: &str = "ǅİßéÉΩω東京\u{301}\u{a0}☕—Ⅷ٣ǆ\u{1F600}";
-    let pick = |rng: &mut Rng, alphabet: &str| {
-        alphabet.chars().nth(rng.below(alphabet.chars().count())).expect("index below the count")
-    };
+    const ASCII: [char; 24] = [
+        'a', 'b', 'z', 'A', 'B', 'Z', 'q', 'Q', '0', '7', '9', ' ', ' ', '\t', '-', '.', ',', '(',
+        '"', '\\', '_', '\n', '\0', '~',
+    ];
+    const WIDE: [char; 17] = [
+        'ǅ', 'İ', 'ß', 'é', 'É', 'Ω', 'ω', '東', '京', '\u{301}', '\u{a0}', '☕', '—', 'Ⅷ', '٣',
+        'ǆ', '\u{1F600}',
+    ];
+    let pick = |rng: &mut Rng, alphabet: &[char]| alphabet[rng.below(alphabet.len())];
     let ascii_only = rng.below(3) == 0;
     (0..rng.below(24))
-        .map(|_| if ascii_only || rng.below(4) > 0 { pick(rng, ASCII) } else { pick(rng, WIDE) })
+        .map(|_| if ascii_only || rng.below(4) > 0 { pick(rng, &ASCII) } else { pick(rng, &WIDE) })
         .collect()
 }
 

@@ -186,8 +186,8 @@ pub fn lex(src: &str) -> Vec<Tok> {
         }
 
         // Punctuation, coalescing known two-char operators.
-        if i + 1 < bytes.len() {
-            let pair = &src[i..i + 2];
+        // (`get`: a stray non-ASCII byte is no char boundary.)
+        if let Some(pair) = src.get(i..i + 2) {
             if TWO_CHAR_OPS.contains(&pair) {
                 toks.push(Tok {
                     kind: TokKind::Punct,
@@ -274,12 +274,17 @@ fn try_char_literal(bytes: &[u8], i: usize) -> Option<usize> {
         }
         return (k < bytes.len()).then_some(k + 1);
     }
-    // `'x'` is a char; `'x` followed by anything else is a lifetime.
-    if j + 1 < bytes.len() && bytes[j] != b'\'' && bytes[j + 1] == b'\'' {
-        // Multi-byte UTF-8 chars: bytes[j] may be a continuation start, fine.
-        return Some(j + 2);
-    }
-    None
+    // `'x'` is a char; `'x` followed by anything else is a lifetime. The
+    // char is as wide as its UTF-8 lead byte says (`'é'` is two bytes,
+    // `'€'` three, `'🦀'` four).
+    let width = match bytes[j] {
+        b'\'' => return None,
+        0xF0.. => 4,
+        0xE0.. => 3,
+        0xC0.. => 2,
+        _ => 1,
+    };
+    (bytes.get(j + width) == Some(&b'\'')).then_some(j + width + 1)
 }
 
 #[cfg(test)]
@@ -315,6 +320,17 @@ mod tests {
         assert_eq!(lifetimes.len(), 2);
         let chars: Vec<_> = toks.iter().filter(|t| t.kind == TokKind::Char).collect();
         assert_eq!(chars.len(), 1);
+    }
+
+    #[test]
+    fn multi_byte_char_literals_are_one_token() {
+        let toks = lex("fn f<'a>(x: &'a str) -> [char; 4] { ['é', '€', '🦀', 'x'] } // 'é");
+        let count = |kind: TokKind| toks.iter().filter(|t| t.kind == kind).count();
+        assert_eq!(count(TokKind::Char), 4);
+        assert_eq!(count(TokKind::Lifetime), 2);
+        assert_eq!(idents("let c = 'é'; let next = HashMap::new();")[2..], ["let", "next", "HashMap", "new"]);
+        // Non-ASCII outside any literal is skipped byte by byte, not sliced.
+        assert_eq!(idents("let é = 1; let ok = 2;"), ["let", "let", "ok"]);
     }
 
     #[test]

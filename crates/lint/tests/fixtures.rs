@@ -75,6 +75,23 @@ fn good_fixture_is_clean() {
 }
 
 #[test]
+fn good_multibyte_char_literals_lex_as_chars() {
+    use minoaner_lint::lexer::TokKind;
+
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures/good/multibyte_char.rs");
+    let src = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
+    let toks = lex(&src);
+    let count = |kind: TokKind| toks.iter().filter(|t| t.kind == kind).count();
+    assert_eq!(count(TokKind::Char), 8, "one token per char literal");
+    assert_eq!(count(TokKind::Lifetime), 2, "`'a` twice");
+    assert!(toks.iter().any(|t| t.text == "extend_from_slice"), "lexing continues past them");
+    let v = run_all("good/multibyte_char.rs", FileClass::Library, &src, &toks);
+    assert!(v.is_empty(), "{v:#?}");
+}
+
+#[test]
 fn violations_carry_file_and_line() {
     let v = fixture("bad/r1_std_hash.rs");
     assert!(v.iter().all(|x| x.path == "bad/r1_std_hash.rs"));

@@ -94,19 +94,30 @@ fn zero_budget_spills_and_stays_bit_identical_across_workers() {
     }
 }
 
+/// Half of what the γ exchange moves (the β-union edge list, 16 B per
+/// edge): a budget that holds some map tasks' runs and refuses the rest,
+/// however many partitions this host's core count gives the stage.
+fn half_the_exchange(trace: &RunTrace) -> u64 {
+    let exchange = trace.stages.iter().find(|s| s.name == "graph/gamma/transpose");
+    exchange.expect("transpose stage logged").io.shuffle_bytes / 2
+}
+
 #[test]
 fn partial_budget_mixes_memory_and_disk_runs_identically() {
     let ds = dataset();
-    let (base, _) = run_unconstrained(&ds, 2);
+    let (base, base_trace) = run_unconstrained(&ds, 2);
+    let budget = half_the_exchange(&base_trace);
+    let map_tasks = base_trace.stages.iter().find(|s| s.name == "graph/gamma/union");
+    let map_tasks = map_tasks.expect("union stage logged").tasks as u64;
 
-    // A small-but-nonzero budget: some map tasks keep their runs in
-    // memory, the rest spill — the merge must interleave both kinds.
+    // Some map tasks keep their runs in memory, the rest spill — the
+    // reduce side must interleave both kinds.
     let dir = scratch_dir("partial");
-    let (res, trace) = run_budgeted(&ds, 2, 16 * 1024, &dir);
-    assert!(
-        trace.counter(SPILL_RUNS_COUNTER) > 0,
-        "16 KiB must be too small for the gamma shuffle of this dataset"
-    );
+    let (res, trace) = run_budgeted(&ds, 2, budget, &dir);
+    let spilled = trace.counter(SPILL_RUNS_COUNTER);
+    assert!(spilled > 0, "{budget} B must be too small for the edge shuffle of this dataset");
+    assert!(spilled < map_tasks, "{budget} B must hold some of the {map_tasks} runs");
+    assert!(trace.counter(SPILL_BYTES_COUNTER) < 2 * budget, "only part of the exchange spills");
     assert_same_outcome(&base, &res, "partial budget");
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -133,16 +144,28 @@ fn every_budget_runs_the_same_graph_stages_in_the_same_order() {
         trace.stages.iter().map(|s| s.name.as_str()).filter(|n| n.starts_with("graph/")).collect()
     }
 
+    // The exchange (map: union, reduce: transpose) comes before the one
+    // stage that runs both sides' row passes.
+    let expected = [
+        "graph/alpha",
+        "graph/index",
+        "graph/beta/Left",
+        "graph/beta/Right",
+        "graph/top-in-neighbors",
+        "graph/gamma/union",
+        "graph/gamma/transpose",
+        "graph/gamma",
+    ];
     let ds = dataset();
     let (base, base_trace) = run_unconstrained(&ds, 1);
-    let expected = graph_stages(&base_trace);
-    assert!(expected.contains(&"graph/gamma/transpose"), "stage names: {expected:?}");
+    assert_eq!(graph_stages(&base_trace), expected);
+    let partial = half_the_exchange(&base_trace);
 
     for workers in [1usize, 2, 8] {
         let dir = scratch_dir(&format!("stages-{workers}"));
         let runs = [
             ("unbudgeted", run_unconstrained(&ds, workers)),
-            ("16 KiB", run_budgeted(&ds, workers, 16 * 1024, &dir)),
+            ("half the exchange", run_budgeted(&ds, workers, partial, &dir)),
             ("zero budget", run_budgeted(&ds, workers, 0, &dir)),
         ];
         for (what, (res, trace)) in &runs {

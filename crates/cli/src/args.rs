@@ -252,8 +252,8 @@ EXIT CODES:
     2  bad arguments or invalid configuration (for `jobs run`: a submission
        was shed by admission control)
     3  input parse failure (strict mode)
-    4  dataflow execution failure (task panic or stage timeout; for
-       `jobs run`: at least one job failed)
+    4  dataflow execution failure (a task panicked; for `jobs run`: at
+       least one job failed)
     5  checkpoint failure (snapshot I/O error, corrupt/incompatible checkpoint)
     6  run cancelled (user request, job deadline, or scheduler shutdown;
        for `jobs run`: at least one job was cancelled and none failed)

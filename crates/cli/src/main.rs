@@ -39,7 +39,7 @@ use args::{
 const EXIT_BAD_ARGS: u8 = 2;
 /// Exit code for a strict-mode input parse failure.
 const EXIT_PARSE: u8 = 3;
-/// Exit code for a dataflow execution failure (task panic, stage timeout).
+/// Exit code for a dataflow execution failure (a task panicked).
 const EXIT_DATAFLOW: u8 = 4;
 /// Exit code for a checkpoint failure (snapshot I/O, corruption, schema
 /// drift) — distinct from [`EXIT_DATAFLOW`] so operators can tell "the

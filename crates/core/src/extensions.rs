@@ -49,7 +49,7 @@ pub fn ensemble_resolve(
     let mut votes: DetHashMap<(u32, u32), usize> = DetHashMap::default();
     for cfg in configs {
         let res = Minoaner::with_config(*cfg)
-            .resolve_impl(executor, pair, RuleSet::FULL)
+            .resolve_impl(executor, pair, RuleSet::FULL, None)
             .unwrap_or_else(|e| std::panic::panic_any(e));
         for (l, r) in res.matches {
             *votes.entry((l.0, r.0)).or_insert(0) += 1;

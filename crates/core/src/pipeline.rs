@@ -13,16 +13,13 @@ use minoaner_blocking::name::build_name_blocks;
 use minoaner_blocking::purge::{purge_blocks, PurgeReport};
 use minoaner_blocking::token::build_token_blocks_parallel;
 use minoaner_blocking::{NameBlocks, TokenBlocks};
-use minoaner_dataflow::{
-    CheckpointStore, DataflowError, DegradeOnCkptError, Executor, RunTrace, StageIo, StageLog,
-    TraceCollector,
-};
+use minoaner_dataflow::{DataflowError, Executor, RunTrace, StageIo, StageLog, TraceCollector};
 use minoaner_kb::stats::{NameStats, RelationStats};
 use minoaner_kb::{EntityId, KbPair};
 
 use crate::config::{MinoanerConfig, RuleSet};
 use crate::matcher::{run_matching, MatchOutcome, RuleCounts};
-use crate::resume::{self, CheckpointSpec};
+use crate::resume::{self, Barriers, CheckpointSpec};
 
 /// Wall-clock breakdown of a pipeline run. §6.2 of the paper reports both
 /// total time and the matching phase's share of it.
@@ -212,27 +209,37 @@ impl Minoaner {
     /// implementation; every request path delegates here.
     ///
     /// The pipeline's internal stages run on the executor's infallible
-    /// operators, which re-raise task failures as a structured panic
+    /// `run_stage`, which re-raises task failures as a structured panic
     /// payload; this boundary catches that payload and converts it back
     /// into the [`DataflowError`] it carries (a genuine user-code panic in
     /// a stage closure arrives as [`DataflowError::TaskPanicked`] too, via
     /// the executor's panic isolation). The executor and its stage log
     /// remain usable after a failure — workers are joined at the stage
     /// barrier before the error propagates.
+    ///
+    /// `checkpoint` pairs the request's [`CheckpointSpec`] with the
+    /// collector whose counters its barriers snapshot; `None` runs the
+    /// same stages with no store, nothing restored and no commits.
     pub(crate) fn resolve_impl(
         &self,
         executor: &Executor,
         pair: &KbPair,
         rules: RuleSet,
+        checkpoint: Option<(&CheckpointSpec, &TraceCollector)>,
     ) -> Result<Resolution, DataflowError> {
-        catch_unwind(AssertUnwindSafe(|| self.run_pipeline(executor, pair, rules)))
+        catch_unwind(AssertUnwindSafe(|| self.run_pipeline(executor, pair, rules, checkpoint)))
             .map_err(DataflowError::from_panic)
+            .and_then(|result| result)
     }
 
-    /// The traced-run implementation: a [`TraceCollector`] is installed on
-    /// the executor for the duration of the run, and the trace combines
-    /// the collector's domain counters with the executor's annotated stage
-    /// log.
+    /// [`Minoaner::resolve_impl`] with a [`RunTrace`]: a [`TraceCollector`]
+    /// is installed on the executor for the duration of the run, and the
+    /// trace combines the collector's domain counters with the executor's
+    /// annotated stage log. With a `spec` the run also materializes (and,
+    /// per `spec.resume`, restores) its stage barriers; a restored run
+    /// re-emits the checkpoint's counter snapshot, so its trace's domain
+    /// counters match an uninterrupted run's (only the `ckpt/*` accounting
+    /// differs).
     ///
     /// Takes `&mut Executor` because installing the observer mutates the
     /// executor's (otherwise lock-free) observer slot. Any previously
@@ -242,44 +249,11 @@ impl Minoaner {
         executor: &mut Executor,
         pair: &KbPair,
         rules: RuleSet,
+        spec: Option<&CheckpointSpec>,
     ) -> Result<(Resolution, RunTrace), DataflowError> {
         let collector = TraceCollector::new();
         executor.set_observer(collector.clone());
-        let result = self.resolve_impl(executor, pair, rules);
-        executor.clear_observer();
-        let resolution = result?;
-        let trace = RunTrace::capture(
-            executor.workers(),
-            executor.partitions(),
-            resolution.timings.total,
-            &resolution.timings.stages,
-            collector.counters(),
-        );
-        Ok((resolution, trace))
-    }
-
-    /// The checkpointed-run implementation: like [`Minoaner::traced_impl`],
-    /// but materializing pipeline state at stage barriers per `spec` and —
-    /// when `spec.resume` is set — restoring the newest valid checkpoint
-    /// instead of recomputing the barriers it covers. Restored runs
-    /// re-emit the checkpoint's counter snapshot, so the returned
-    /// [`RunTrace`]'s domain counters match an uninterrupted run's (only
-    /// the `ckpt/*` accounting differs).
-    pub(crate) fn checkpointed_impl(
-        &self,
-        executor: &mut Executor,
-        pair: &KbPair,
-        rules: RuleSet,
-        spec: &CheckpointSpec,
-    ) -> Result<(Resolution, RunTrace), DataflowError> {
-        let collector = TraceCollector::new();
-        executor.set_observer(collector.clone());
-        executor.set_checkpoint_policy(spec.policy.clone());
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            self.run_pipeline_checkpointed(executor, pair, rules, spec, &collector)
-        }))
-        .map_err(DataflowError::from_panic)
-        .and_then(|r| r);
+        let result = self.resolve_impl(executor, pair, rules, spec.map(|spec| (spec, &*collector)));
         executor.clear_observer();
         let resolution = result?;
         let trace = RunTrace::capture(
@@ -293,99 +267,32 @@ impl Minoaner {
     }
 
     /// The pipeline body shared by every resolver entry point: prepare
-    /// (Algorithm 1), match (Algorithm 2), assemble timings.
+    /// (Algorithm 1), match (Algorithm 2), assemble timings. Each barrier
+    /// is either restored from the newest valid checkpoint or computed and
+    /// (per the spec's policy) committed; without a spec `barriers`
+    /// restores and commits nothing.
     // Stage timing is the sanctioned wall-clock use; see the R3 entry
     // for this file in lint-allow.toml.
     #[allow(clippy::disallowed_methods)]
-    fn run_pipeline(&self, executor: &Executor, pair: &KbPair, rules: RuleSet) -> Resolution {
-        executor.reset_metrics();
-        let start = Instant::now();
-        Self::barrier_cancel_point(executor, "barrier:start");
-        let blocks = self.prepare_blocks(executor, pair);
-        Self::barrier_cancel_point(executor, "barrier:blocks");
-        let graph = self.build_graph_from_blocks(executor, pair, &blocks);
-        Self::barrier_cancel_point(executor, "barrier:graph");
-        let graph_digest = graph.weight_digest();
-        let outcome = run_matching(executor, pair, &graph, &self.config, rules);
-        Self::assemble(executor, start, outcome.matches, outcome.counts, blocks.purge, graph_digest)
-    }
-
-    /// Polls the executor's cancellation flag between pipeline phases.
-    /// `run_pipeline` is infallible, so a cancellation observed here is
-    /// re-raised the same way the infallible operators raise task
-    /// failures: as a panic whose payload is the structured
-    /// [`DataflowError`], recovered in [`Minoaner::resolve_impl`] by
-    /// [`DataflowError::from_panic`].
-    fn barrier_cancel_point(executor: &Executor, at: &str) {
-        if let Err(e) = executor.check_cancelled(at) {
-            std::panic::panic_any(e);
-        }
-    }
-
-    /// The checkpointed pipeline body: each barrier is either restored
-    /// from the newest valid checkpoint or recomputed (and, per the
-    /// executor's [`minoaner_dataflow::CheckpointPolicy`], snapshotted).
-    #[allow(clippy::disallowed_methods)]
-    fn run_pipeline_checkpointed(
+    fn run_pipeline(
         &self,
         executor: &Executor,
         pair: &KbPair,
         rules: RuleSet,
-        spec: &CheckpointSpec,
-        collector: &TraceCollector,
+        checkpoint: Option<(&CheckpointSpec, &TraceCollector)>,
     ) -> Result<Resolution, DataflowError> {
         executor.reset_metrics();
         let start = Instant::now();
         executor.check_cancelled("barrier:start")?;
-        let fingerprint = resume::run_fingerprint(&self.config, rules, pair);
-        let degrade = spec.on_error == DegradeOnCkptError::Continue;
-        // Under `Continue`, a store that cannot even open (or restore)
-        // degrades the run to uncheckpointed from the start: `None` here
-        // means every barrier commit below is a no-op.
-        let mut store = match CheckpointStore::open_with(spec.dir(), spec.vfs.clone()) {
-            Ok(store) => Some(store),
-            Err(_) if degrade => {
-                executor.emit_counter("ckpt/degraded", 1);
-                None
-            }
-            Err(e) => return Err(e.into()),
-        };
-        let policy = executor.checkpoint_policy().clone();
-
-        let mut restored = None;
-        if spec.resume {
-            if let Some(open_store) = &store {
-                let recovery =
-                    executor.time_stage("ckpt/restore", || open_store.recover_latest(fingerprint));
-                match recovery {
-                    Ok(recovery) => {
-                        executor.emit_counter("ckpt/rejected", recovery.rejected.len() as u64);
-                        if let Some(stage) = recovery.stage {
-                            executor.emit_counter("ckpt/bytes_restored", stage.total_bytes());
-                            executor.emit_counter("ckpt/resumed_from", stage.barrier as u64 + 1);
-                            for (name, value) in &stage.counters {
-                                executor.emit_counter(name, *value);
-                            }
-                            restored = Some(stage);
-                        }
-                    }
-                    Err(_) if degrade => {
-                        // The checkpoint directory is unreadable: recompute
-                        // from scratch and stop trusting the store.
-                        store = None;
-                        executor.emit_counter("ckpt/degraded", 1);
-                    }
-                    Err(e) => return Err(e.into()),
-                }
-            }
-        }
+        let mut barriers = Barriers::open(checkpoint, executor, || {
+            resume::run_fingerprint(&self.config, rules, pair)
+        })?;
+        let restored = barriers.restore(executor)?;
 
         // Final barrier restored: the run is already complete on disk.
-        if let Some(stage) = &restored {
-            if stage.barrier == resume::BARRIER_MATCHES {
-                let (matches, counts, digest, purge) = resume::matches_from_stage(stage)?;
-                return Ok(Self::assemble(executor, start, matches, counts, purge, digest));
-            }
+        if let Some(stage) = restored.as_ref().filter(|s| s.barrier == resume::BARRIER_MATCHES) {
+            let (matches, counts, digest, purge) = resume::matches_from_stage(stage)?;
+            return Ok(Self::assemble(executor, start, matches, counts, purge, digest));
         }
 
         let (graph, purge) = match &restored {
@@ -397,18 +304,9 @@ impl Minoaner {
                     }
                     _ => {
                         let blocks = self.prepare_blocks(executor, pair);
-                        if policy.should_checkpoint(resume::BARRIER_BLOCKS, "blocks") {
-                            resume::commit_barrier(
-                                &mut store,
-                                degrade,
-                                collector,
-                                executor,
-                                fingerprint,
-                                resume::BARRIER_BLOCKS,
-                                "blocks",
-                                resume::blocks_parts(&blocks)?,
-                            )?;
-                        }
+                        barriers.commit(executor, resume::BARRIER_BLOCKS, "blocks", || {
+                            resume::blocks_parts(&blocks)
+                        })?;
                         blocks
                     }
                 };
@@ -418,18 +316,9 @@ impl Minoaner {
                 // barriers behind.
                 executor.check_cancelled("barrier:blocks")?;
                 let graph = self.build_graph_from_blocks(executor, pair, &blocks);
-                if policy.should_checkpoint(resume::BARRIER_GRAPH, "graph") {
-                    resume::commit_barrier(
-                        &mut store,
-                        degrade,
-                        collector,
-                        executor,
-                        fingerprint,
-                        resume::BARRIER_GRAPH,
-                        "graph",
-                        resume::graph_parts(&graph, &blocks.purge)?,
-                    )?;
-                }
+                barriers.commit(executor, resume::BARRIER_GRAPH, "graph", || {
+                    resume::graph_parts(&graph, &blocks.purge)
+                })?;
                 (graph, blocks.purge)
             }
         };
@@ -437,18 +326,9 @@ impl Minoaner {
         executor.check_cancelled("barrier:graph")?;
         let graph_digest = graph.weight_digest();
         let outcome = run_matching(executor, pair, &graph, &self.config, rules);
-        if policy.should_checkpoint(resume::BARRIER_MATCHES, "matches") {
-            resume::commit_barrier(
-                &mut store,
-                degrade,
-                collector,
-                executor,
-                fingerprint,
-                resume::BARRIER_MATCHES,
-                "matches",
-                resume::matches_parts(&outcome.matches, &outcome.counts, graph_digest, &purge)?,
-            )?;
-        }
+        barriers.commit(executor, resume::BARRIER_MATCHES, "matches", || {
+            resume::matches_parts(&outcome.matches, &outcome.counts, graph_digest, &purge)
+        })?;
         Ok(Self::assemble(executor, start, outcome.matches, outcome.counts, purge, graph_digest))
     }
 
@@ -600,6 +480,40 @@ mod tests {
         a.sort_unstable();
         b.sort_unstable();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn plain_traced_and_checkpointed_runs_take_the_same_path() {
+        let (pair, _) = scenario();
+        let dir = std::env::temp_dir()
+            .join(format!("minoaner-core-one-pipeline-body-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let spec = CheckpointSpec::new(&dir);
+        let run = |req: ResolveRequest<'_>| {
+            Minoaner::new().run(req.workers(2)).expect("healthy run succeeds").into_resolution()
+        };
+        let plain = run(ResolveRequest::pair(&pair));
+        let traced = run(ResolveRequest::pair(&pair).trace());
+        let checkpointed = run(ResolveRequest::pair(&pair).checkpoint(&spec));
+        std::fs::remove_dir_all(&dir).expect("the checkpointed run wrote its barriers");
+
+        // Same stages in the same order; only the checkpointed run adds
+        // `ckpt/*` stages (one write per barrier) between them.
+        let split = |res: &Resolution| -> (Vec<String>, Vec<String>) {
+            res.timings.stages.iter().map(|s| s.name.clone()).partition(|n| !n.starts_with("ckpt/"))
+        };
+        let (stages, ckpt) = split(&plain);
+        assert!(stages.len() > 10, "a full pipeline run: {stages:?}");
+        assert!(ckpt.is_empty());
+        assert_eq!(split(&traced), (stages.clone(), Vec::new()));
+        let writes = ["blocks", "graph", "matches"].map(|b| format!("ckpt/write/{b}")).to_vec();
+        assert_eq!(split(&checkpointed), (stages, writes));
+
+        for other in [&traced, &checkpointed] {
+            assert_eq!(other.graph_digest, plain.graph_digest);
+            assert_eq!(other.rule_counts, plain.rule_counts);
+            assert_eq!(other.matches, plain.matches);
+        }
     }
 
     #[test]

@@ -137,7 +137,8 @@ impl<'a> ResolveRequest<'a> {
         self
     }
 
-    /// Clamps every stage of the run to a wall-clock deadline.
+    /// Bounds the run by a wall-clock deadline, polled at task and barrier
+    /// boundaries; expiry surfaces as [`DataflowError::Cancelled`].
     pub fn deadline(mut self, deadline: Deadline) -> Self {
         self.deadline = Some(deadline);
         self
@@ -377,15 +378,12 @@ impl Minoaner {
                 .map_err(DataflowError::from_panic)
             }
             ResolveInput::Pair(pair) => {
-                let (resolution, trace) = if let Some(spec) = req.checkpoint {
+                let (resolution, trace) = if req.trace || req.checkpoint.is_some() {
                     let (resolution, trace) =
-                        self.checkpointed_impl(executor, pair, req.rules, spec)?;
-                    (resolution, Some(trace))
-                } else if req.trace {
-                    let (resolution, trace) = self.traced_impl(executor, pair, req.rules)?;
+                        self.traced_impl(executor, pair, req.rules, req.checkpoint)?;
                     (resolution, Some(trace))
                 } else {
-                    (self.resolve_impl(executor, pair, req.rules)?, None)
+                    (self.resolve_impl(executor, pair, req.rules, None)?, None)
                 };
                 Ok(Self::finish_single(req.dirty, resolution, trace))
             }

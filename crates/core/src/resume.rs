@@ -20,12 +20,12 @@ use std::path::{Path, PathBuf};
 
 use minoaner_blocking::graph::BlockingGraph;
 use minoaner_blocking::purge::PurgeReport;
-use minoaner_dataflow::checkpoint::fnv1a;
 use minoaner_dataflow::vfs::{self, VfsRef};
 use minoaner_dataflow::{
     CheckpointError, CheckpointPolicy, CheckpointStore, DataflowError, DegradeOnCkptError,
     Executor, RecoveredStage, TraceCollector,
 };
+use minoaner_det::fnv1a;
 use minoaner_kb::{EntityId, KbPair, Side};
 
 use crate::config::{MinoanerConfig, RuleSet};
@@ -253,62 +253,141 @@ pub(crate) fn matches_from_stage(
     ))
 }
 
-/// Writes one barrier through the store, timing the commit as a
-/// `ckpt/write/<name>` stage and accounting the payload in the
-/// `ckpt/bytes_written` / `ckpt/barriers_written` counters. The counter
-/// snapshot stored with the barrier excludes the `ckpt/*` namespace: a
-/// resumed run re-emits the snapshot, and its own checkpoint accounting
-/// legitimately differs from the interrupted run's.
-pub(crate) fn write_barrier(
-    store: &CheckpointStore,
-    collector: &TraceCollector,
-    executor: &Executor,
-    fingerprint: u64,
-    barrier: usize,
-    name: &str,
-    parts: Vec<(String, Vec<u8>)>,
-) -> Result<(), DataflowError> {
-    let counters: BTreeMap<String, u64> =
-        collector.counters().into_iter().filter(|(k, _)| !k.starts_with("ckpt/")).collect();
-    let stage_name = format!("ckpt/write/{name}");
-    let bytes = executor
-        .time_stage(&stage_name, || store.write_stage(barrier, name, fingerprint, &parts, &counters))?;
-    executor.emit_counter("ckpt/bytes_written", bytes);
-    executor.emit_counter("ckpt/barriers_written", 1);
-    // Cancellation injection point: the barrier is fully committed, so a
-    // cancel latched here is observed by the pipeline's very next poll —
-    // the worst-case timing the cancellation safety invariant covers.
-    #[cfg(feature = "fault-inject")]
-    minoaner_dataflow::faultinject::maybe_cancel_after(barrier, executor.cancel_token());
-    Ok(())
+/// The checkpoint side of one pipeline run: opens the store, restores the
+/// newest valid barrier and commits barriers as the run passes them.
+///
+/// `live` is `None` — and every call a no-op — when the request carried no
+/// [`CheckpointSpec`], and from the moment a checkpoint failure under
+/// [`DegradeOnCkptError::Continue`] latches checkpointing off (counted in
+/// `ckpt/degraded`): the run's output is unaffected either way, it is
+/// merely not resumable.
+pub(crate) struct Barriers<'a> {
+    live: Option<LiveBarriers<'a>>,
 }
 
-/// [`write_barrier`] under a degradation policy. With `store` already
-/// latched off (`None`) this is a no-op; otherwise a checkpoint-class
-/// failure under `degrade` latches the store off, bumps `ckpt/degraded`
-/// and lets the run continue, while under the default policy (or for
-/// non-checkpoint errors) the failure propagates.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn commit_barrier(
-    store: &mut Option<CheckpointStore>,
-    degrade: bool,
-    collector: &TraceCollector,
-    executor: &Executor,
+struct LiveBarriers<'a> {
+    store: CheckpointStore,
+    spec: &'a CheckpointSpec,
+    collector: &'a TraceCollector,
     fingerprint: u64,
-    barrier: usize,
-    name: &str,
-    parts: Vec<(String, Vec<u8>)>,
-) -> Result<(), DataflowError> {
-    let Some(open_store) = store.as_ref() else { return Ok(()) };
-    match write_barrier(open_store, collector, executor, fingerprint, barrier, name, parts) {
-        Ok(()) => Ok(()),
-        Err(DataflowError::Checkpoint(_) | DataflowError::DiskFull { .. }) if degrade => {
-            *store = None;
-            executor.emit_counter("ckpt/degraded", 1);
-            executor.emit_counter("ckpt/degraded_at", barrier as u64 + 1);
-            Ok(())
+}
+
+impl<'a> Barriers<'a> {
+    /// Opens `spec`'s store for the run identified by `fingerprint`.
+    pub(crate) fn open(
+        checkpoint: Option<(&'a CheckpointSpec, &'a TraceCollector)>,
+        executor: &Executor,
+        fingerprint: impl FnOnce() -> u64,
+    ) -> Result<Self, DataflowError> {
+        let Some((spec, collector)) = checkpoint else { return Ok(Self { live: None }) };
+        let mut barriers = Self { live: None };
+        match CheckpointStore::open_with(spec.dir(), spec.vfs.clone()) {
+            Ok(store) => {
+                let fingerprint = fingerprint();
+                barriers.live = Some(LiveBarriers { store, spec, collector, fingerprint });
+            }
+            Err(e) => barriers.fail(executor, spec, e)?,
         }
-        Err(e) => Err(e),
+        Ok(barriers)
+    }
+
+    /// A failed checkpoint operation: under
+    /// [`DegradeOnCkptError::Continue`] it latches checkpointing off and
+    /// lets the run continue; under the default policy it propagates.
+    fn fail(
+        &mut self,
+        executor: &Executor,
+        spec: &CheckpointSpec,
+        e: CheckpointError,
+    ) -> Result<(), DataflowError> {
+        if spec.on_error != DegradeOnCkptError::Continue {
+            return Err(e.into());
+        }
+        self.live = None;
+        executor.emit_counter("ckpt/degraded", 1);
+        Ok(())
+    }
+
+    /// When the spec asks to resume: the newest valid barrier of this run,
+    /// timed as the `ckpt/restore` stage. Re-emits the barrier's counter
+    /// snapshot so the resumed run's domain counters match an
+    /// uninterrupted run's.
+    pub(crate) fn restore(
+        &mut self,
+        executor: &Executor,
+    ) -> Result<Option<RecoveredStage>, DataflowError> {
+        let Some(live) = self.live.as_ref().filter(|live| live.spec.resume) else {
+            return Ok(None);
+        };
+        let spec = live.spec;
+        let recovery =
+            executor.time_stage("ckpt/restore", || live.store.recover_latest(live.fingerprint));
+        match recovery {
+            Ok(recovery) => {
+                executor.emit_counter("ckpt/rejected", recovery.rejected.len() as u64);
+                if let Some(stage) = &recovery.stage {
+                    executor.emit_counter("ckpt/bytes_restored", stage.total_bytes());
+                    executor.emit_counter("ckpt/resumed_from", stage.barrier as u64 + 1);
+                    for (name, value) in &stage.counters {
+                        executor.emit_counter(name, *value);
+                    }
+                }
+                Ok(recovery.stage)
+            }
+            // The checkpoint directory is unreadable: recompute from
+            // scratch and stop trusting the store.
+            Err(e) => self.fail(executor, spec, e).map(|()| None),
+        }
+    }
+
+    /// Commits barrier `barrier` (`name`) if the spec's policy selects it, timing
+    /// the write as a `ckpt/write/<name>` stage and accounting the payload
+    /// in the `ckpt/bytes_written` / `ckpt/barriers_written` counters. The
+    /// counter snapshot stored with the barrier excludes the `ckpt/*`
+    /// namespace: a resumed run re-emits the snapshot, and its own
+    /// checkpoint accounting legitimately differs from the interrupted
+    /// run's.
+    pub(crate) fn commit(
+        &mut self,
+        executor: &Executor,
+        barrier: usize,
+        name: &str,
+        parts: impl FnOnce() -> Result<Vec<(String, Vec<u8>)>, CheckpointError>,
+    ) -> Result<(), DataflowError> {
+        let Some(live) =
+            self.live.as_ref().filter(|live| live.spec.policy.should_checkpoint(barrier, name))
+        else {
+            return Ok(());
+        };
+        let spec = live.spec;
+        let parts = parts()?;
+        let counters: BTreeMap<String, u64> = live
+            .collector
+            .counters()
+            .into_iter()
+            .filter(|(k, _)| !k.starts_with("ckpt/"))
+            .collect();
+        let written = executor.time_stage(&format!("ckpt/write/{name}"), || {
+            live.store.write_stage(barrier, name, live.fingerprint, &parts, &counters)
+        });
+        match written {
+            Ok(bytes) => {
+                executor.emit_counter("ckpt/bytes_written", bytes);
+                executor.emit_counter("ckpt/barriers_written", 1);
+                // Cancellation injection point: the barrier is fully
+                // committed, so a cancel latched here is observed by the
+                // pipeline's very next poll — the worst-case timing the
+                // cancellation safety invariant covers.
+                #[cfg(feature = "fault-inject")]
+                minoaner_dataflow::faultinject::maybe_cancel_after(barrier, executor.cancel_token());
+                Ok(())
+            }
+            Err(e) => {
+                self.fail(executor, spec, e)?;
+                executor.emit_counter("ckpt/degraded_at", barrier as u64 + 1);
+                Ok(())
+            }
+        }
     }
 }
 

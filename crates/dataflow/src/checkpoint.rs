@@ -36,6 +36,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
+use minoaner_det::fnv1a;
 use minoaner_det::vfs::{self, Vfs, VfsRef};
 
 /// Version of the checkpoint directory layout and manifest schema.
@@ -298,16 +299,6 @@ pub struct Recovery {
     /// first. A non-empty list with `stage: Some(..)` means recovery fell
     /// back past corrupt checkpoints.
     pub rejected: Vec<(String, CheckpointError)>,
-}
-
-/// FNV-1a over a byte slice — the same hash family the blocking graph's
-/// `weight_digest` uses; no external dependency.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 /// A checkpoint directory: writes barriers atomically, recovers the newest

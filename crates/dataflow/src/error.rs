@@ -1,52 +1,30 @@
 //! Structured dataflow failures.
 //!
-//! The paper's implementation inherits task-level fault tolerance from
-//! Spark (§4.1): a task that throws is retried on another executor, and a
-//! stage fails with a precise cause only after the retry budget is spent.
-//! This module is the hand-rolled engine's analogue: instead of letting a
-//! worker panic unwind through `crossbeam::scope` and abort the whole
-//! process, every task failure is captured and surfaced as a
-//! [`DataflowError`] carrying the stage name, the task index, the attempt
-//! count and the panic payload.
+//! Instead of letting a worker panic unwind through `crossbeam::scope` and
+//! abort the whole process, every task failure is captured and surfaced as
+//! a [`DataflowError`] carrying the stage name, the task index and the
+//! panic payload. Unlike Spark (§4.1) the engine does not retry a failed
+//! task: tasks are deterministic closures over resident input, so the
+//! stage fails fast with the precise cause.
 
 use std::any::Any;
 use std::fmt;
-use std::time::Duration;
 
 use crate::cancel::CancelReason;
 use crate::checkpoint::CheckpointError;
 
-/// A failure of a fault-tolerant dataflow stage.
+/// A failure of a dataflow stage or barrier.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DataflowError {
-    /// A task panicked on every allowed attempt (retries exhausted). Under
-    /// [`crate::pool::FailureAction::Fail`] this is returned as soon as one
-    /// task exhausts its budget.
+    /// A task panicked. When several tasks of one stage fail, the
+    /// lowest-indexed one is reported.
     TaskPanicked {
         /// Name of the stage the task belonged to.
         stage: String,
-        /// Task index within the stage (= partition index for `Pdc` ops).
+        /// Task index within the stage.
         task: usize,
-        /// How many attempts were made (1 = no retries were allowed).
-        attempts: u32,
         /// The captured panic payload, rendered as a string.
         payload: String,
-    },
-    /// The stage exceeded its deadline before all tasks completed.
-    ///
-    /// Deadlines are checked cooperatively at task boundaries (the engine
-    /// cannot preempt a running task, just as Spark cannot preempt a task
-    /// thread), so a stage with a stalled task returns this error once the
-    /// stall resolves or another worker observes the deadline.
-    StageTimeout {
-        /// Name of the stage.
-        stage: String,
-        /// The configured deadline that was exceeded.
-        deadline: Duration,
-        /// Tasks that completed successfully before the deadline fired.
-        completed: usize,
-        /// Total tasks in the stage.
-        tasks: usize,
     },
     /// The checkpoint subsystem failed (I/O error, corrupt snapshot,
     /// schema drift). Carries the structured [`CheckpointError`] so
@@ -71,8 +49,9 @@ pub enum DataflowError {
     /// [`CancelToken`](crate::cancel::CancelToken) — by an explicit
     /// request, a job deadline, or a scheduler shutdown.
     ///
-    /// Like deadlines, cancellation is observed at task boundaries and
-    /// pipeline barriers, never inside a checkpoint write, so a cancelled
+    /// Cancellation is observed at task boundaries (the engine cannot
+    /// preempt a running task, just as Spark cannot preempt a task thread)
+    /// and pipeline barriers, never inside a checkpoint write, so a cancelled
     /// checkpointed run leaves only complete, resumable barriers behind.
     /// `stage` names the stage (or barrier) where the flag was observed;
     /// `completed`/`tasks` count that stage's progress (`0/0` when the
@@ -95,7 +74,6 @@ impl DataflowError {
     pub fn stage(&self) -> &str {
         match self {
             DataflowError::TaskPanicked { stage, .. } => stage,
-            DataflowError::StageTimeout { stage, .. } => stage,
             DataflowError::Checkpoint(_) => "<checkpoint>",
             DataflowError::DiskFull { stage, .. } => stage,
             DataflowError::Cancelled { stage, .. } => stage,
@@ -124,19 +102,17 @@ impl DataflowError {
 
     /// Recovers a structured error from a caught panic payload.
     ///
-    /// The engine's infallible entry points ([`crate::Executor::run_stage`]
-    /// and the consuming `Pdc` operators) report failures by panicking with
-    /// a `DataflowError` payload; catching that unwind at a pipeline
-    /// boundary and calling `from_panic` restores the structured error.
-    /// Foreign payloads are wrapped as a single-attempt [`Self::TaskPanicked`]
-    /// in the synthetic stage `"<unwound>"`.
+    /// The engine's infallible entry point ([`crate::Executor::run_stage`])
+    /// reports failures by panicking with a `DataflowError` payload;
+    /// catching that unwind at a pipeline boundary and calling `from_panic`
+    /// restores the structured error. Foreign payloads are wrapped as a
+    /// [`Self::TaskPanicked`] in the synthetic stage `"<unwound>"`.
     pub fn from_panic(payload: Box<dyn Any + Send>) -> DataflowError {
         match payload.downcast::<DataflowError>() {
             Ok(e) => *e,
             Err(other) => DataflowError::TaskPanicked {
                 stage: "<unwound>".to_owned(),
                 task: 0,
-                attempts: 1,
                 payload: Self::panic_message(other.as_ref()),
             },
         }
@@ -146,14 +122,9 @@ impl DataflowError {
 impl fmt::Display for DataflowError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            DataflowError::TaskPanicked { stage, task, attempts, payload } => write!(
-                f,
-                "stage {stage:?}: task {task} panicked after {attempts} attempt(s): {payload}"
-            ),
-            DataflowError::StageTimeout { stage, deadline, completed, tasks } => write!(
-                f,
-                "stage {stage:?}: deadline of {deadline:?} exceeded with {completed}/{tasks} tasks complete"
-            ),
+            DataflowError::TaskPanicked { stage, task, payload } => {
+                write!(f, "stage {stage:?}: task {task} panicked: {payload}")
+            }
             DataflowError::Checkpoint(e) => write!(f, "{e}"),
             DataflowError::DiskFull { stage, path, detail } => {
                 write!(f, "stage {stage:?}: disk full writing {path}: {detail}")
@@ -180,24 +151,11 @@ mod tests {
 
     #[test]
     fn display_is_informative() {
-        let e = DataflowError::TaskPanicked {
-            stage: "shuffle".into(),
-            task: 3,
-            attempts: 2,
-            payload: "boom".into(),
-        };
+        let e =
+            DataflowError::TaskPanicked { stage: "shuffle".into(), task: 3, payload: "boom".into() };
         let s = e.to_string();
         assert!(s.contains("shuffle") && s.contains("task 3") && s.contains("boom"));
         assert_eq!(e.stage(), "shuffle");
-
-        let t = DataflowError::StageTimeout {
-            stage: "map".into(),
-            deadline: Duration::from_millis(50),
-            completed: 1,
-            tasks: 4,
-        };
-        assert!(t.to_string().contains("1/4"));
-        assert_eq!(t.stage(), "map");
 
         let c = DataflowError::Cancelled {
             stage: "match".into(),
@@ -209,17 +167,13 @@ mod tests {
         assert!(c.to_string().contains("2/8"));
         assert_eq!(c.stage(), "match");
         assert_eq!(c.cancel_reason(), Some(CancelReason::Deadline));
-        assert_eq!(t.cancel_reason(), None);
+        assert_eq!(e.cancel_reason(), None);
     }
 
     #[test]
     fn from_panic_round_trips_structured_errors() {
-        let original = DataflowError::TaskPanicked {
-            stage: "s".into(),
-            task: 1,
-            attempts: 1,
-            payload: "p".into(),
-        };
+        let original =
+            DataflowError::TaskPanicked { stage: "s".into(), task: 1, payload: "p".into() };
         let boxed: Box<dyn Any + Send> = Box::new(original.clone());
         assert_eq!(DataflowError::from_panic(boxed), original);
     }

@@ -1,148 +1,16 @@
-//! Deterministic, seed-driven fault injection for testing the engine's
-//! fault-tolerance layer. Compiled only with the `fault-inject` feature;
+//! Env-armed crash and cancellation points for the crash-recovery and
+//! jobs harnesses. Compiled only with the `fault-inject` feature;
 //! production builds carry none of this code.
 //!
-//! A [`FaultPlan`] is a schedule of faults keyed by `(stage, task)` and a
-//! 1-based attempt number: "task 3 of stage `shuffle` panics on attempt 1
-//! and 2", or "task 0 stalls 200 ms on attempt 1". Task closures opt in by
-//! calling [`FaultPlan::before_task`] first; the plan counts attempts per
-//! task, fires the scheduled fault, and records every firing so a test can
-//! compare the engine's retry/skip accounting against the schedule
-//! *exactly* — and prove that a retried run's output is byte-identical to
-//! a fault-free run.
-//!
-//! Schedules can be written explicitly ([`FaultPlan::fail_task`]) or drawn
-//! from a seeded SplitMix64 stream ([`FaultPlan::seed_first_attempt_panics`]),
-//! so randomized fault campaigns reproduce bit-for-bit from the seed alone.
+//! These fire *between* the steps of the checkpoint protocol, in a
+//! subprocess the parent test arms through the environment — the one kind
+//! of fault the in-process `FaultFs` (`minoaner_det::vfs`) cannot model,
+//! because it kills (or cancels) the whole run rather than failing one
+//! filesystem operation.
 
-use minoaner_det::DetHashMap;
-use std::time::Duration;
-
-use parking_lot::Mutex;
-
-/// What an injected fault does to the task attempt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultKind {
-    /// Panic (isolated by the executor's `catch_unwind`).
-    Panic,
-    /// Sleep for the given duration, then continue normally — used to
-    /// drive a stage past its deadline.
-    Stall(Duration),
-}
-
-/// One fault that actually fired.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct InjectedFault {
-    pub stage: String,
-    pub task: usize,
-    /// 1-based attempt the fault fired on.
-    pub attempt: u32,
-    pub kind: FaultKind,
-}
-
-/// A deterministic schedule of faults plus the record of what fired.
-#[derive(Debug, Default)]
-pub struct FaultPlan {
-    /// `(stage, task)` → fault kind and the attempts it fires on.
-    faults: Mutex<DetHashMap<(String, usize), (FaultKind, Vec<u32>)>>,
-    /// `(stage, task)` → attempts observed so far.
-    attempts: Mutex<DetHashMap<(String, usize), u32>>,
-    /// Everything that fired, in firing order.
-    fired: Mutex<Vec<InjectedFault>>,
-}
-
-impl FaultPlan {
-    /// An empty plan (no faults).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Schedules `kind` for `task` of `stage` on each listed 1-based
-    /// attempt. Replaces any earlier schedule for the same task.
-    pub fn fail_task(&self, stage: &str, task: usize, kind: FaultKind, on_attempts: &[u32]) {
-        self.faults.lock().insert((stage.to_owned(), task), (kind, on_attempts.to_vec()));
-    }
-
-    /// Seed-driven schedule: each task in `0..tasks` of `stage`
-    /// independently panics on its first attempt with probability
-    /// `fail_permille`/1000, drawn from a SplitMix64 stream. The same seed
-    /// always yields the same schedule. Returns how many faults were
-    /// scheduled.
-    pub fn seed_first_attempt_panics(
-        &self,
-        stage: &str,
-        tasks: usize,
-        seed: u64,
-        fail_permille: u32,
-    ) -> usize {
-        let mut state = seed;
-        let mut scheduled = 0;
-        for task in 0..tasks {
-            if ((splitmix64(&mut state) % 1000) as u32) < fail_permille {
-                self.fail_task(stage, task, FaultKind::Panic, &[1]);
-                scheduled += 1;
-            }
-        }
-        scheduled
-    }
-
-    /// The number of tasks with a scheduled fault.
-    pub fn scheduled(&self) -> usize {
-        self.faults.lock().len()
-    }
-
-    /// Test hook: call at the top of a task closure. Counts the attempt
-    /// for `(stage, task)`, and if the schedule names this attempt, records
-    /// the firing and then panics or stalls accordingly.
-    pub fn before_task(&self, stage: &str, task: usize) {
-        let key = (stage.to_owned(), task);
-        let attempt = {
-            let mut attempts = self.attempts.lock();
-            let counter = attempts.entry(key.clone()).or_insert(0);
-            *counter += 1;
-            *counter
-        };
-        let due = {
-            let faults = self.faults.lock();
-            match faults.get(&key) {
-                Some((kind, on)) if on.contains(&attempt) => Some(*kind),
-                _ => None,
-            }
-        };
-        if let Some(kind) = due {
-            self.fired.lock().push(InjectedFault { stage: stage.to_owned(), task, attempt, kind });
-            match kind {
-                FaultKind::Panic => {
-                    panic!("injected fault: stage {stage:?} task {task} attempt {attempt}")
-                }
-                FaultKind::Stall(d) => std::thread::sleep(d),
-            }
-        }
-    }
-
-    /// Everything that fired so far, in firing order.
-    pub fn fired(&self) -> Vec<InjectedFault> {
-        self.fired.lock().clone()
-    }
-
-    /// Number of injected panics so far (equals the retries the engine
-    /// must have performed when every faulted task eventually succeeded).
-    pub fn fired_panics(&self) -> usize {
-        self.fired.lock().iter().filter(|f| f.kind == FaultKind::Panic).count()
-    }
-
-    /// Clears attempt counters and the fired log, keeping the schedule —
-    /// for comparing repeated runs of the same plan.
-    pub fn reset_counters(&self) {
-        self.attempts.lock().clear();
-        self.fired.lock().clear();
-    }
-}
-
-/// A process-level crash point for the crash-recovery harness: unlike the
-/// task-level faults above (which the engine's retry machinery absorbs),
-/// firing a crash point **aborts the whole process**, simulating a kill
-/// -9 / power loss at a precise spot in the checkpoint protocol.
+/// A process-level crash point for the crash-recovery harness: firing one
+/// **aborts the whole process**, simulating a kill -9 / power loss at a
+/// precise spot in the checkpoint protocol.
 ///
 /// Crash points are armed via the `MINOANER_CRASH_POINT` environment
 /// variable so a parent test can arm a subprocess without any API
@@ -216,57 +84,9 @@ pub fn maybe_cancel_after(barrier: usize, token: &crate::CancelToken) {
     }
 }
 
-/// SplitMix64: tiny, fast, deterministic; good enough to spread faults.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn attempt_counting_and_firing() {
-        let plan = FaultPlan::new();
-        plan.fail_task("s", 0, FaultKind::Panic, &[1, 2]);
-        // Attempt 1 fires.
-        assert!(std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            plan.before_task("s", 0)
-        }))
-        .is_err());
-        // Attempt 2 fires.
-        assert!(std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            plan.before_task("s", 0)
-        }))
-        .is_err());
-        // Attempt 3 passes.
-        plan.before_task("s", 0);
-        // Unfaulted task never fires.
-        plan.before_task("s", 1);
-        assert_eq!(plan.fired_panics(), 2);
-        let fired = plan.fired();
-        assert_eq!(fired.len(), 2);
-        assert_eq!((fired[0].attempt, fired[1].attempt), (1, 2));
-    }
-
-    #[test]
-    fn seeded_schedules_reproduce() {
-        let a = FaultPlan::new();
-        let b = FaultPlan::new();
-        let na = a.seed_first_attempt_panics("s", 64, 42, 250);
-        let nb = b.seed_first_attempt_panics("s", 64, 42, 250);
-        assert_eq!(na, nb);
-        assert!(na > 0, "a quarter of 64 tasks should fault with overwhelming probability");
-        let different = FaultPlan::new();
-        let nd = different.seed_first_attempt_panics("s", 64, 43, 250);
-        // Same length stream, different seed: schedules may differ in
-        // count; at minimum the plans must be internally consistent.
-        assert_eq!(different.scheduled(), nd);
-    }
 
     #[test]
     fn crash_point_parses_env_specs() {
@@ -283,18 +103,5 @@ mod tests {
         // An unarmed process never crashes.
         maybe_crash_after(0);
         maybe_crash_during("blocks");
-    }
-
-    #[test]
-    fn reset_keeps_schedule() {
-        let plan = FaultPlan::new();
-        plan.fail_task("s", 0, FaultKind::Stall(Duration::from_millis(1)), &[1]);
-        plan.before_task("s", 0); // stalls briefly, records
-        assert_eq!(plan.fired().len(), 1);
-        plan.reset_counters();
-        assert!(plan.fired().is_empty());
-        assert_eq!(plan.scheduled(), 1);
-        plan.before_task("s", 0); // attempt counter restarted: fires again
-        assert_eq!(plan.fired().len(), 1);
     }
 }

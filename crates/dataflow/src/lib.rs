@@ -4,29 +4,31 @@
 //! Apache Spark, which the original MinoanER implementation runs on (§4.1,
 //! Figure 4 of the paper).
 //!
-//! The engine reproduces the execution model that matters to the paper's
-//! efficiency evaluation:
+//! The engine is what the pipeline runs and nothing else — the execution
+//! model that matters to the paper's efficiency evaluation:
 //!
-//! * **Partitioned collections** ([`Pdc`]) transformed by whole-stage
-//!   operators — map, flat-map, filter, group-by-key, reduce-by-key, join —
-//!   each running one task per partition.
-//! * **Stage barriers**: a stage completes only when all of its tasks have
-//!   (the dashed synchronization edges of Figure 4).
+//! * **Stages of independent tasks** ([`Executor::run_stage`] /
+//!   [`Executor::try_run_stage`]): one task per partition, results in task
+//!   order, and a **barrier** after every stage (the dashed
+//!   synchronization edges of Figure 4).
 //! * **A bounded worker pool** ([`Executor`]): the worker count is the
 //!   experimental knob behind the Figure 6 speedup curves, with the paper's
 //!   convention of 3 tasks per machine core held constant across runs.
 //!   Workers claim a stage's tasks from one shared counter, as Spark's
 //!   executors take them from one driver-side queue.
-//! * **Broadcast variables** ([`Broadcast`]) for the R1-match exclusion set.
+//! * **One data exchange** ([`SpillShuffle`]): map tasks bucket records by
+//!   reduce partition; under a [`MemoryBudget`] the buckets spill to
+//!   checksummed run files and are read back in map-task order, so the
+//!   result is bit-identical wherever the data lived.
 //! * **Per-stage metrics** ([`StageLog`]) so the harness can report the
 //!   matching phase's share of total runtime (§6.2).
-//! * **Task-level fault tolerance**: every task is panic-isolated, and the
-//!   fallible operators (`try_run_stage`, `try_map_partitions`,
-//!   `try_shuffle`) apply a [`FaultPolicy`] — bounded retries, stage
-//!   deadlines, and fail-fast vs. skip-partition semantics — returning a
-//!   structured [`DataflowError`] instead of unwinding through the worker
-//!   pool. A deterministic fault-injection harness lives behind the
-//!   `fault-inject` feature (`faultinject` module).
+//! * **Fail-fast failure handling**: every task is panic-isolated; the
+//!   first failure stops the stage, which returns a structured
+//!   [`DataflowError`] (typed when a task raised one) instead of unwinding
+//!   through the worker pool. Cancellation ([`CancelToken`]) and the job
+//!   [`Deadline`] are polled at task and barrier boundaries. There is no
+//!   task retry — tasks are deterministic closures over resident input;
+//!   recovery is the checkpoint barriers' job.
 //! * **Observability**: an [`Observer`] installed on the executor receives
 //!   stage completions and named domain counters (one enum-discriminant
 //!   check when off); a [`TraceCollector`] plus the annotated [`StageLog`]
@@ -34,24 +36,24 @@
 //! * **Crash-safe checkpointing**: a [`CheckpointStore`] materializes
 //!   pipeline state at stage barriers with an atomic temp-file + rename +
 //!   fsync protocol, per-file content hashes and a versioned manifest
-//!   (`checkpoint` module); a [`CheckpointPolicy`] on the executor decides
-//!   which barriers to snapshot, and the recovery scanner resumes from the
-//!   newest *complete* barrier, falling back past torn or bit-flipped
-//!   files instead of trusting them.
+//!   (`checkpoint` module); a [`CheckpointPolicy`] decides which barriers
+//!   to snapshot, and the recovery scanner resumes from the newest
+//!   *complete* barrier, falling back past torn or bit-flipped files
+//!   instead of trusting them.
 //!
 //! ```
-//! use minoaner_dataflow::{Executor, Pdc};
+//! use minoaner_dataflow::{DataflowError, Executor};
 //!
 //! let exec = Executor::new(4);
-//! let counts = Pdc::from_vec(&exec, vec!["a b", "b c", "a"])
-//!     .flat_map(&exec, "tokenize", |s: &str| s.split(' ').collect::<Vec<_>>())
-//!     .map(&exec, "pair", |t| (t, 1u32))
-//!     .reduce_by_key(&exec, "count", |a, b| a + b)
-//!     .collect();
-//! assert_eq!(counts.len(), 3);
+//! let docs = ["a b", "b c", "a"];
+//! let lengths = exec.run_stage("tokenize", docs.len(), |i| docs[i].split(' ').count());
+//! assert_eq!(lengths, vec![2, 2, 1]);
+//!
+//! let err = exec.try_run_stage("poison", 4, |i| assert!(i != 2, "bad task")).unwrap_err();
+//! assert!(matches!(err, DataflowError::TaskPanicked { task: 2, .. }));
+//! assert_eq!(exec.stage_log().stages().len(), 2);
 //! ```
 
-pub mod broadcast;
 pub mod budget;
 pub mod cancel;
 pub mod checkpoint;
@@ -60,8 +62,6 @@ pub mod error;
 pub mod faultinject;
 pub mod metrics;
 pub mod observer;
-pub mod ops;
-pub mod pdc;
 pub mod pool;
 pub mod spill;
 pub mod trace;
@@ -71,7 +71,6 @@ pub mod trace;
 /// (dataflow deps) reach the same types without a dependency cycle.
 pub use minoaner_det::vfs;
 
-pub use broadcast::Broadcast;
 pub use budget::MemoryBudget;
 pub use cancel::{CancelReason, CancelToken};
 pub use checkpoint::{
@@ -82,8 +81,7 @@ pub use minoaner_det::vfs::{FaultFs, FaultKind, FaultPlan, RealFs, Vfs, VfsRef};
 pub use error::DataflowError;
 pub use metrics::{StageIo, StageLog, StageMetric};
 pub use observer::{Observer, ObserverSlot, TraceCollector};
-pub use pdc::{DetHashMap, DetHashSet, Pdc};
-pub use pool::{Deadline, Executor, ExecutorConfig, FailureAction, FaultPolicy, StageOutput};
+pub use pool::{Deadline, Executor, ExecutorConfig};
 pub use spill::{
     SpillShuffle, Spillable, SPILL_BYTES_COUNTER, SPILL_RECORDS_COUNTER, SPILL_RUNS_COUNTER,
 };

@@ -5,12 +5,6 @@
 //! stage records its wall-clock duration here so the evaluation harness can
 //! break a pipeline run down by stage without external profiling.
 //!
-//! Since the fault-tolerance layer landed, every stage also records what
-//! the fault machinery did: total task attempts, retries beyond the first
-//! attempt, and partitions skipped under
-//! [`crate::pool::FailureAction::SkipPartition`] — so silent data loss is
-//! impossible: any drop is visible in the log.
-//!
 //! The observability layer extends each record with data-volume facts
 //! ([`StageIo`]): items in/out, bytes moved through shuffles, and the
 //! largest partition (the skew signal). Operators annotate these after the
@@ -77,12 +71,14 @@ pub struct StageMetric {
     pub wall: Duration,
     /// Number of parallel tasks the stage was split into.
     pub tasks: usize,
-    /// Total task attempts, including retries. Equals `tasks` for a
-    /// fault-free run of a completed stage.
+    /// Tasks that ran. Equals `tasks` for a completed stage; smaller only
+    /// for a stage that failed or was cancelled. Each task runs once — the
+    /// name is kept because trace schema v1 carries it.
     pub attempts: usize,
-    /// Attempts beyond the first per task (`attempts - tasks that ran`).
+    /// Always 0: the engine does not retry tasks. Kept for trace schema v1.
     pub retries: usize,
-    /// Tasks whose partition was dropped after exhausting retries.
+    /// Always 0: the engine never drops a partition. Kept for trace
+    /// schema v1.
     pub skipped: usize,
     /// Data-volume annotations (items in/out, shuffle bytes, peak
     /// partition size). Zeroed for stages that were never annotated.
@@ -91,7 +87,7 @@ pub struct StageMetric {
 }
 
 impl StageMetric {
-    /// A fault-free stage record (no retries, nothing skipped).
+    /// The record of a stage whose `tasks` tasks all ran.
     pub fn clean(name: &str, wall: Duration, tasks: usize) -> Self {
         Self {
             name: name.to_owned(),
@@ -161,20 +157,10 @@ impl StageLog {
         self.stages.iter().filter(|s| pred(&s.name)).map(|s| s.wall).sum()
     }
 
-    /// Total task attempts across stages.
-    pub fn total_attempts(&self) -> usize {
-        self.stages.iter().map(|s| s.attempts).sum()
-    }
-
-    /// Total retried attempts across stages.
+    /// Sum of [`StageMetric::retries`] across stages — always 0; kept for
+    /// the repository benchmark's `dataflow.retries` metric.
     pub fn total_retries(&self) -> usize {
         self.stages.iter().map(|s| s.retries).sum()
-    }
-
-    /// Total skipped partitions across stages — the exact data-loss count
-    /// of a run under `FailureAction::SkipPartition`.
-    pub fn total_skipped(&self) -> usize {
-        self.stages.iter().map(|s| s.skipped).sum()
     }
 
     /// Total bytes moved through shuffles across stages.
@@ -210,30 +196,11 @@ mod tests {
         assert_eq!(log.iter().count(), 2);
         assert_eq!(log.total(), Duration::from_millis(15));
         assert_eq!(log.total_matching(&|n: &str| n == "b"), Duration::from_millis(5));
-        assert_eq!(log.total_attempts(), 6);
         assert_eq!(log.total_retries(), 0);
+        assert_eq!(log.find("b").map(|s| s.tasks), Some(2));
+        assert!(log.find("absent").is_none());
         log.clear();
         assert!(log.stages().is_empty());
-    }
-
-    #[test]
-    fn fault_counters_accumulate() {
-        let mut log = StageLog::default();
-        log.push(StageMetric {
-            name: "flaky".into(),
-            wall: Duration::from_millis(1),
-            tasks: 4,
-            attempts: 6,
-            retries: 2,
-            skipped: 1,
-            io: StageIo::default(),
-        });
-        log.push(StageMetric::clean("clean", Duration::from_millis(1), 3));
-        assert_eq!(log.total_attempts(), 9);
-        assert_eq!(log.total_retries(), 2);
-        assert_eq!(log.total_skipped(), 1);
-        assert_eq!(log.find("flaky").unwrap().retries, 2);
-        assert!(log.find("absent").is_none());
     }
 
     #[test]

@@ -30,10 +30,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use parking_lot::Mutex;
 
-use minoaner_det::vfs;
+use minoaner_det::{fnv1a, vfs};
 
 use crate::budget::MemoryBudget;
-use crate::checkpoint::{self, CheckpointError};
+use crate::checkpoint::CheckpointError;
 use crate::error::DataflowError;
 use crate::pool::Executor;
 
@@ -223,8 +223,8 @@ impl<T: Spillable> SpillShuffle<T> {
         Ok(())
     }
 
-    /// Encodes one run to `<dir>/run-<task>.spill` with the checkpoint
-    /// store's atomic protocol. Layout: concatenated bucket payloads; the
+    /// Encodes one run to `<dir>/run-<task>.spill` with the workspace's
+    /// single-file commit protocol ([`vfs::commit_file`]). Layout: concatenated bucket payloads; the
     /// per-bucket offsets/lengths/checksums stay in memory (spill files
     /// are scratch for this process's lifetime, not recovery artifacts).
     fn write_run(
@@ -247,22 +247,14 @@ impl<T: Spillable> SpillShuffle<T> {
                 offset: start,
                 len: bytes.len() as u64,
                 records: bucket.len() as u64,
-                fnv: checkpoint::fnv1a(bytes),
+                fnv: fnv1a(bytes),
             });
         }
         let path = self.dir.join(format!("run-{map_task}.spill"));
-        let tmp = self.dir.join(format!(".tmp-run-{map_task}.spill"));
-        let committed = vfs::write_synced(&*disk, &tmp, &payload)
-            .map_err(|e| self.fs_err(&tmp, &e))
-            .and_then(|()| disk.rename(&tmp, &path).map_err(|e| self.fs_err(&path, &e)))
-            .and_then(|()| disk.sync_dir(&self.dir).map_err(|e| self.fs_err(&self.dir, &e)));
-        if let Err(e) = committed {
-            // The Drop guard removes the whole spill dir on unwind, but a
-            // caller may also tolerate the error and keep the shuffle
-            // alive — never leave a torn `.tmp-` behind either way.
-            let _ = disk.remove_file(&tmp);
-            return Err(e);
-        }
+        // The Drop guard removes the whole spill dir on unwind, but a
+        // caller may also tolerate the error and keep the shuffle alive —
+        // `commit_file` never leaves a torn `.tmp-` behind either way.
+        vfs::commit_file(&*disk, &path, &payload).map_err(|(at, e)| self.fs_err(&at, &e))?;
         Ok((path, table, payload.len() as u64))
     }
 
@@ -282,7 +274,7 @@ impl<T: Spillable> SpillShuffle<T> {
                 ),
                 _ => self.fs_err(path, &e),
             })?;
-        let actual = checkpoint::fnv1a(&bytes);
+        let actual = fnv1a(&bytes);
         if actual != meta.fnv {
             return Err(spill_corrupt(
                 path,

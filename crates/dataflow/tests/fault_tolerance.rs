@@ -1,278 +1,164 @@
-//! Integration tests for the fault-tolerance layer: panic isolation,
-//! bounded retries, stage deadlines, and skip-partition accounting.
+//! Integration tests for the engine's failure handling: panic isolation,
+//! typed errors, fail-fast with a deterministic culprit, and cooperative
+//! cancellation by token or job deadline.
 //!
-//! The tests that need the deterministic fault-injection harness are gated
-//! behind the `fault-inject` feature (`cargo test -p minoaner-dataflow
-//! --features fault-inject`); the rest run in the default suite.
+//! Seeded loops rather than `proptest!`, so every case also runs under the
+//! offline stub harness (whose `proptest!` swallows test bodies).
 
-use std::sync::atomic::{AtomicU32, Ordering};
+mod common;
+
+use std::panic::{catch_unwind, panic_any, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
-use minoaner_dataflow::{DataflowError, Executor, ExecutorConfig, FaultPolicy, Pdc};
+use common::Rng;
+use minoaner_dataflow::{CancelReason, CancelToken, DataflowError, Deadline, Executor};
 
-fn exec_with(workers: usize, parts: usize, fault_policy: FaultPolicy) -> Executor {
-    Executor::with_config(ExecutorConfig { workers, partitions: parts, fault_policy })
+const WORKER_COUNTS: [usize; 3] = [1, 2, 8];
+
+fn disk_full(task: usize) -> DataflowError {
+    DataflowError::DiskFull {
+        stage: "spill".into(),
+        path: format!("/scratch/run-{task}.spill"),
+        detail: "No space left on device (os error 28)".into(),
+    }
 }
 
 #[test]
-fn a_panicking_task_no_longer_kills_the_run() {
-    let exec = exec_with(4, 8, FaultPolicy::none());
-    let err = exec
-        .try_run_stage("explode", 8, |i| {
-            if i == 5 {
-                panic!("boom at {i}");
-            }
-            i * 2
-        })
-        .unwrap_err();
-    match err {
-        DataflowError::TaskPanicked { stage, task, attempts, payload } => {
-            assert_eq!(stage, "explode");
-            assert_eq!(task, 5);
-            assert_eq!(attempts, 1);
-            assert!(payload.contains("boom at 5"));
+fn a_panicking_task_fails_the_stage_naming_the_lowest_failing_index() {
+    for seed in 0..32u64 {
+        let mut rng = Rng(seed);
+        let n = 1 + rng.below(48);
+        let failing: Vec<usize> = (0..1 + rng.below(3)).map(|_| rng.below(n)).collect();
+        let lowest = *failing.iter().min().expect("at least one failing task");
+
+        for workers in WORKER_COUNTS {
+            let exec = Executor::new(workers);
+            let err = exec
+                .try_run_stage("explode", n, |i| {
+                    assert!(!failing.contains(&i), "boom at {i}");
+                    i * 2
+                })
+                .unwrap_err();
+            assert_eq!(
+                err,
+                DataflowError::TaskPanicked {
+                    stage: "explode".into(),
+                    task: lowest,
+                    payload: format!("boom at {lowest}"),
+                },
+                "seed {seed}, {workers} workers"
+            );
+
+            // The executor and its stage log remain usable after the failure.
+            assert_eq!(exec.try_run_stage("after", 4, |i| i), Ok(vec![0, 1, 2, 3]));
+            let log = exec.stage_log();
+            let names: Vec<&str> = log.iter().map(|s| s.name.as_str()).collect();
+            assert_eq!(names, ["explode", "after"]);
+            let failed = log.find("explode").expect("failed stages are logged too");
+            assert_eq!(failed.tasks, n);
+            assert!((1..=n).contains(&failed.attempts), "ran {} of {n}", failed.attempts);
+            assert_eq!(log.find("after").map(|s| s.attempts), Some(4));
         }
-        other => panic!("unexpected error: {other}"),
-    }
-    // The executor remains usable after the failure.
-    let ok = exec.try_run_stage("after", 4, |i| i).unwrap();
-    assert_eq!(ok.expect_complete(), vec![0, 1, 2, 3]);
-}
-
-#[test]
-fn retried_run_is_byte_identical_to_fault_free_run() {
-    let data: Vec<(u32, u32)> = (0..300).map(|i| (i % 17, i)).collect();
-
-    // Fault-free reference run.
-    let clean_exec = exec_with(4, 8, FaultPolicy::none());
-    let clean = Pdc::from_vec(&clean_exec, data.clone())
-        .try_map_partitions(&clean_exec, "scale", |_, part| {
-            part.iter().map(|&(k, v)| (k, v * 3)).collect()
-        })
-        .unwrap()
-        .try_group_by_key(&clean_exec, "group")
-        .unwrap()
-        .collect();
-
-    // Same dataflow, but partition 2's first attempt panics and is retried.
-    let faulty_exec = exec_with(4, 8, FaultPolicy::retries(2));
-    let first_attempts = AtomicU32::new(0);
-    let faulty = Pdc::from_vec(&faulty_exec, data)
-        .try_map_partitions(&faulty_exec, "scale", |i, part| {
-            if i == 2 && first_attempts.fetch_add(1, Ordering::SeqCst) == 0 {
-                panic!("transient failure on partition 2");
-            }
-            part.iter().map(|&(k, v)| (k, v * 3)).collect()
-        })
-        .unwrap()
-        .try_group_by_key(&faulty_exec, "group")
-        .unwrap()
-        .collect();
-
-    assert_eq!(clean, faulty, "retried output must equal the fault-free output");
-    // Byte-level identity of a canonical serialization, per the fault-model
-    // contract: retries are invisible in the output.
-    let clean_bytes = format!("{clean:?}").into_bytes();
-    let faulty_bytes = format!("{faulty:?}").into_bytes();
-    assert_eq!(clean_bytes, faulty_bytes);
-
-    // The retry is visible in the metrics, not the data.
-    let log = faulty_exec.stage_log();
-    assert_eq!(log.find("scale").unwrap().retries, 1);
-    assert_eq!(log.find("scale").unwrap().attempts, 9, "8 partitions + 1 retry");
-    assert_eq!(log.total_skipped(), 0);
-}
-
-#[test]
-fn stage_deadline_surfaces_timeout_instead_of_hanging() {
-    let exec = exec_with(
-        2,
-        4,
-        FaultPolicy::none().with_deadline(Duration::from_millis(25)),
-    );
-    let err = exec
-        .try_run_stage("stall", 4, |i| {
-            if i == 1 {
-                std::thread::sleep(Duration::from_millis(250));
-            }
-            i
-        })
-        .unwrap_err();
-    match err {
-        DataflowError::StageTimeout { stage, deadline, tasks, .. } => {
-            assert_eq!(stage, "stall");
-            assert_eq!(deadline, Duration::from_millis(25));
-            assert_eq!(tasks, 4);
-        }
-        other => panic!("unexpected error: {other}"),
     }
 }
 
 #[test]
-fn skip_partition_completes_with_exact_loss_accounting() {
-    let exec = exec_with(3, 6, FaultPolicy::skip_after(1));
-    let out = exec
-        .try_run_stage("lossy", 6, |i| {
-            if i == 4 {
-                panic!("permanently poisoned");
-            }
-            vec![i; 10]
-        })
-        .unwrap();
-    assert_eq!(out.skipped, vec![4]);
-    let kept: usize = out.results.iter().flatten().map(|v| v.len()).sum();
-    assert_eq!(kept, 50, "5 of 6 partitions survive");
-
-    let log = exec.stage_log();
-    let stage = log.find("lossy").unwrap();
-    assert_eq!(stage.skipped, 1);
-    assert_eq!(stage.attempts, 7, "5 clean + 2 attempts on the poisoned task");
-    assert_eq!(stage.retries, 1);
-}
-
-#[test]
-fn fail_policy_beats_skip_when_configured() {
-    // Same poisoned task, Fail policy: the stage must error, not skip.
-    let exec = exec_with(3, 6, FaultPolicy::retries(1));
-    let result = exec.try_run_stage("lossy", 6, |i| {
-        if i == 4 {
-            panic!("permanently poisoned");
-        }
-        i
-    });
-    match result {
-        Err(DataflowError::TaskPanicked { task, attempts, .. }) => {
-            assert_eq!(task, 4);
-            assert_eq!(attempts, 2);
-        }
-        other => panic!("expected TaskPanicked, got {other:?}"),
-    }
-}
-
-#[test]
-fn consuming_operators_panic_with_recoverable_payload() {
-    // The infallible operators re-raise failures as a structured panic
-    // payload that a pipeline boundary can turn back into a DataflowError.
-    let exec = exec_with(2, 4, FaultPolicy::none());
-    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        Pdc::from_vec(&exec, (0..40u32).collect::<Vec<_>>())
-            .map(&exec, "boom", |x| {
-                if x == 17 {
-                    panic!("bad element");
-                }
-                x
-            })
-            .collect()
-    }))
-    .unwrap_err();
-    let err = DataflowError::from_panic(caught);
-    assert_eq!(err.stage(), "boom");
-}
-
-#[cfg(feature = "fault-inject")]
-mod injected {
-    use super::*;
-    use minoaner_dataflow::faultinject::{FaultKind, FaultPlan};
-
-    #[test]
-    fn injected_then_retried_faults_recover_byte_identically() {
-        let data: Vec<(u8, u64)> = (0..500u64).map(|i| ((i % 23) as u8, i)).collect();
-
-        let clean_exec = exec_with(4, 8, FaultPolicy::none());
-        let clean = Pdc::from_vec(&clean_exec, data.clone())
-            .try_map_partitions(&clean_exec, "square", |_, part| {
-                part.iter().map(|&(k, v)| (k, v * v)).collect()
-            })
-            .unwrap()
-            .try_group_by_key(&clean_exec, "group")
-            .unwrap()
-            .collect();
-
-        // Seed-driven schedule: ~half of the 8 map tasks panic on attempt 1.
-        let plan = FaultPlan::new();
-        let scheduled = plan.seed_first_attempt_panics("square", 8, 0xC0FFEE, 500);
-        let faulty_exec = exec_with(4, 8, FaultPolicy::retries(1));
-        let faulty = Pdc::from_vec(&faulty_exec, data)
-            .try_map_partitions(&faulty_exec, "square", |i, part| {
-                plan.before_task("square", i);
-                part.iter().map(|&(k, v)| (k, v * v)).collect()
-            })
-            .unwrap()
-            .try_group_by_key(&faulty_exec, "group")
-            .unwrap()
-            .collect();
-
-        assert_eq!(format!("{clean:?}").into_bytes(), format!("{faulty:?}").into_bytes());
-
-        // Retry accounting matches the schedule exactly: every scheduled
-        // fault fired once and cost exactly one retry.
-        assert_eq!(plan.fired_panics(), scheduled);
-        let log = faulty_exec.stage_log();
-        let stage = log.find("square").unwrap();
-        assert_eq!(stage.retries, scheduled);
-        assert_eq!(stage.attempts, 8 + scheduled);
-        assert_eq!(stage.skipped, 0);
-    }
-
-    #[test]
-    fn skip_accounting_matches_the_schedule_exactly() {
-        // Tasks 1 and 5 fail on every allowed attempt (1 and 2); task 3
-        // fails once and recovers.
-        let plan = FaultPlan::new();
-        plan.fail_task("work", 1, FaultKind::Panic, &[1, 2]);
-        plan.fail_task("work", 5, FaultKind::Panic, &[1, 2]);
-        plan.fail_task("work", 3, FaultKind::Panic, &[1]);
-
-        let exec = exec_with(2, 8, FaultPolicy::skip_after(1));
-        let out = exec
-            .try_run_stage("work", 8, |i| {
-                plan.before_task("work", i);
-                i
-            })
-            .unwrap();
-
-        assert_eq!(out.skipped, vec![1, 5], "exactly the doubly-faulted tasks are skipped");
-        assert_eq!(plan.fired_panics(), 5, "2+2 terminal faults + 1 recovered fault");
-        let stage_log = exec.stage_log();
-        let stage = stage_log.find("work").unwrap();
-        assert_eq!(stage.skipped, 2);
-        // Each faulted task used its single allowed retry; the second
-        // panic of a doubly-faulted task is terminal (the partition is
-        // skipped), so it does not buy another attempt.
-        assert_eq!(stage.attempts, 8 + 3, "one extra attempt per retried task");
-        assert_eq!(stage.retries, 3);
-    }
-
-    #[test]
-    fn injected_stall_trips_the_stage_deadline() {
-        let plan = FaultPlan::new();
-        plan.fail_task("slow", 0, FaultKind::Stall(Duration::from_millis(250)), &[1]);
-
-        let exec = exec_with(
-            2,
-            4,
-            FaultPolicy::none().with_deadline(Duration::from_millis(25)),
-        );
+fn an_engine_error_raised_inside_a_task_comes_back_typed() {
+    for workers in WORKER_COUNTS {
+        let exec = Executor::new(workers);
+        // Task 3 raises a structured error; the later plain panic in task 7
+        // must not displace it, nor may it be stringified.
         let err = exec
-            .try_run_stage("slow", 4, |i| {
-                plan.before_task("slow", i);
+            .try_run_stage("spill", 12, |i| {
+                if i == 3 {
+                    panic_any(disk_full(i));
+                }
+                assert!(i != 7, "plain panic");
                 i
             })
             .unwrap_err();
-        assert!(
-            matches!(err, DataflowError::StageTimeout { .. }),
-            "expected StageTimeout, got {err:?}"
-        );
-        assert_eq!(plan.fired().len(), 1);
+        assert_eq!(err, disk_full(3), "{workers} workers");
     }
+}
 
-    #[test]
-    fn same_seed_same_fault_campaign() {
-        let a = FaultPlan::new();
-        let b = FaultPlan::new();
+#[test]
+fn run_stage_re_raises_a_payload_from_panic_round_trips() {
+    for workers in WORKER_COUNTS {
+        let exec = Executor::new(workers);
+        for typed in [false, true] {
+            let task = |i: usize| {
+                if i == 5 && typed {
+                    panic_any(disk_full(i));
+                }
+                assert!(i != 5, "bad element");
+                i
+            };
+            let returned = exec.try_run_stage("boom", 8, task).unwrap_err();
+            let caught = catch_unwind(AssertUnwindSafe(|| exec.run_stage("boom", 8, task)))
+                .expect_err("run_stage re-raises the failure");
+            assert_eq!(DataflowError::from_panic(caught), returned, "{workers} workers");
+        }
+    }
+}
+
+#[test]
+fn an_expired_job_deadline_cancels_before_any_task_runs() {
+    for workers in WORKER_COUNTS {
+        let mut exec = Executor::new(workers);
+        exec.set_deadline(Some(Deadline::after(Duration::ZERO)));
+        let ran = AtomicUsize::new(0);
+        let err = exec
+            .try_run_stage("late", 8, |i| {
+                ran.fetch_add(1, Ordering::SeqCst);
+                i
+            })
+            .unwrap_err();
         assert_eq!(
-            a.seed_first_attempt_panics("s", 128, 7, 300),
-            b.seed_first_attempt_panics("s", 128, 7, 300)
+            err,
+            DataflowError::Cancelled {
+                stage: "late".into(),
+                reason: CancelReason::Deadline,
+                completed: 0,
+                tasks: 8,
+            },
+            "{workers} workers"
         );
+        assert_eq!(ran.load(Ordering::SeqCst), 0);
+        assert_eq!(exec.cancel_token().reason(), Some(CancelReason::Deadline), "expiry latches");
+    }
+}
+
+#[test]
+fn a_mid_stage_cancel_stops_claims_and_reports_progress() {
+    for (workers, reason) in
+        WORKER_COUNTS.into_iter().zip([CancelReason::User, CancelReason::Shutdown, CancelReason::User])
+    {
+        let mut exec = Executor::new(workers);
+        let token = CancelToken::new();
+        exec.set_cancel_token(token.clone());
+        let ran = AtomicUsize::new(0);
+        let err = exec
+            .try_run_stage("halfway", 64, |i| {
+                ran.fetch_add(1, Ordering::SeqCst);
+                if i == 2 {
+                    token.cancel(reason);
+                }
+                i
+            })
+            .unwrap_err();
+        let ran = ran.load(Ordering::SeqCst);
+        match err {
+            DataflowError::Cancelled { stage, reason: seen, completed, tasks } => {
+                assert_eq!((stage.as_str(), seen, tasks), ("halfway", reason, 64));
+                assert_eq!(completed, ran, "every claimed task finished and was counted");
+                assert!((3..=tasks).contains(&completed), "{completed} of {tasks}");
+            }
+            other => panic!("unexpected error: {other}"),
+        }
+        assert_eq!(exec.stage_log().find("halfway").map(|s| s.attempts), Some(ran));
+        if workers == 1 {
+            assert_eq!(ran, 3, "sequential claims stop right after the cancelling task");
+        }
     }
 }

@@ -26,8 +26,8 @@ use loom::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
 use loom::sync::{Arc, Mutex};
 use loom::thread;
 
-/// Outcome written into a slot by the model worker, mirroring
-/// `pool.rs::TaskOutcome` (payload elided).
+/// Outcome written into a slot by the model worker, mirroring the
+/// `Result<T, DataflowError>` slots of `pool.rs` (payload elided).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Outcome {
     Ok,
@@ -40,8 +40,8 @@ enum Outcome {
 /// Invariants (from the comment above `worker_loop` in `pool.rs`):
 ///   * every index in `0..n` is claimed by exactly one worker;
 ///   * after the barrier (thread join), every slot is populated — the
-///     `unreachable!("no abort flag set, so every task must have run")`
-///     arm in `try_run_tasks` is genuinely unreachable.
+///     `assert_eq!(.., "no abort flag set, so every task must have run")`
+///     at the end of `try_run_stage` cannot fire.
 #[test]
 fn pool_claims_each_task_exactly_once_and_fills_every_slot() {
     const N: usize = 3;
@@ -84,7 +84,7 @@ fn pool_claims_each_task_exactly_once_and_fills_every_slot() {
     });
 }
 
-/// The fatal-flag path (`FailureAction::Fail`): a worker that sees its
+/// The fatal-flag path (fail-fast): a worker that sees its
 /// task fail writes the slot *first*, then raises `fatal` and exits; other
 /// workers stop claiming once they observe the flag.
 ///
@@ -92,9 +92,9 @@ fn pool_claims_each_task_exactly_once_and_fills_every_slot() {
 ///   * a worker never exits between claiming an index and writing its
 ///     slot, even on the failure path — so every claimed index has a
 ///     populated slot after the join;
-///   * whenever `fatal` is set, at least one slot holds `Failed` — the
-///     `unreachable!("fatal flag set without a failed slot")` arm in
-///     `try_run_tasks` is genuinely unreachable.
+///   * whenever `fatal` is set, at least one slot holds `Failed` — so
+///     `try_run_stage` finds the error by scanning the slots and never
+///     needs to read the flag after the join.
 #[test]
 fn pool_fatal_flag_never_loses_a_claimed_task() {
     const N: usize = 3;
@@ -155,16 +155,16 @@ fn pool_fatal_flag_never_loses_a_claimed_task() {
 /// The cancellation path (`CancelToken` vs. the claim protocol): workers
 /// poll the token *before* claiming an index, never between claiming and
 /// writing the slot, and raise the pool's `cancelled` abort flag before
-/// exiting early — mirroring the `cancel.is_cancelled()` check at the top
-/// of `worker_loop` in `pool.rs`.
+/// exiting early — mirroring the `stop_reason()` check at the top of
+/// `worker_loop` in `pool.rs`.
 ///
 /// Invariants (from the `CancelToken` docs in `cancel.rs`):
 ///   * cancellation never loses an in-flight claim: every claimed index
 ///     has a populated slot after the join, cancelled or not;
 ///   * cancellation never wedges barrier fill: if any slot is empty after
-///     the join, the pool's `cancelled` flag is set, so `try_run_tasks`
+///     the join, the pool's `cancelled` flag is set, so `try_run_stage`
 ///     returns `DataflowError::Cancelled` instead of reaching the
-///     "every task must have run" arm.
+///     "every task must have run" assertion.
 #[test]
 fn pool_cancel_never_loses_an_in_flight_claim() {
     const N: usize = 3;
@@ -173,7 +173,7 @@ fn pool_cancel_never_loses_an_in_flight_claim() {
         // 0 = live, non-zero = cancelled-with-reason (CancelToken::state).
         let token = Arc::new(AtomicU8::new(0));
         // The pool-level abort flag a worker raises when it observes the
-        // token (the `cancelled` AtomicBool in `try_run_tasks`).
+        // token (the `cancelled` AtomicBool in `try_run_stage`).
         let observed = Arc::new(AtomicBool::new(false));
         let slots: Arc<Vec<Mutex<Option<Outcome>>>> =
             Arc::new((0..N).map(|_| Mutex::new(None)).collect());

@@ -68,6 +68,18 @@ pub fn det_hash<T: Hash>(value: &T) -> u64 {
     h.finish()
 }
 
+/// 64-bit FNV-1a over a byte slice — the content checksum of every durable
+/// artifact in the workspace (checkpoint parts and manifests, spill
+/// buckets, `.mkb` sections) and of the run fingerprint. The constants are
+/// part of those on-disk formats.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &b in bytes {
+        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    h
+}
+
 /// Hashes a byte string eight bytes at a time with fixed constants — the
 /// key function of the `minoaner-kb` interner. Seed-free like everything
 /// here: no entropy and no per-process state, and words are read
@@ -129,6 +141,13 @@ mod tests {
             (0..10_000u32).map(|i| hash_bytes(format!("http://e/{i}").as_bytes()) as u32 & 0xFFFF).collect();
         // 10 000 keys into 65 536 buckets: a uniform hash leaves ~9 270 distinct.
         assert!(distinct.len() > 9_000, "low 16 bits are poorly mixed: {}", distinct.len());
+    }
+
+    #[test]
+    fn fnv1a_matches_the_published_vectors() {
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
     }
 
     #[test]

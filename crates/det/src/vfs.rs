@@ -83,6 +83,35 @@ pub fn write_synced(vfs: &dyn Vfs, path: &Path, bytes: &[u8]) -> io::Result<()> 
     vfs.sync_file(path)
 }
 
+/// Commits `bytes` as the file `path`, atomically and durably — the
+/// workspace's single-file commit protocol: write a `.tmp-<name>` sibling,
+/// fsync it, rename it over `path`, fsync the parent directory. On failure
+/// the sibling is removed (best-effort) so a full disk never leaks scratch,
+/// whatever was at `path` before is left untouched unless the rename
+/// landed, and the error comes back with the path of the operation that
+/// failed.
+pub fn commit_file(vfs: &dyn Vfs, path: &Path, bytes: &[u8]) -> Result<(), (PathBuf, io::Error)> {
+    let Some(name) = path.file_name() else {
+        return Err((path.to_owned(), io::Error::other("commit path has no file name")));
+    };
+    let mut tmp_name = std::ffi::OsString::from(".tmp-");
+    tmp_name.push(name);
+    let tmp = path.with_file_name(tmp_name);
+    let committed = write_synced(vfs, &tmp, bytes)
+        .map_err(|e| (tmp.clone(), e))
+        .and_then(|()| vfs.rename(&tmp, path).map_err(|e| (path.to_owned(), e)))
+        .and_then(|()| match path.parent() {
+            Some(dir) if !dir.as_os_str().is_empty() => {
+                vfs.sync_dir(dir).map_err(|e| (dir.to_owned(), e))
+            }
+            _ => Ok(()),
+        });
+    if committed.is_err() {
+        let _ = vfs.remove_file(&tmp);
+    }
+    committed
+}
+
 /// Raw `ENOSPC` — what a full disk reports on Unix.
 pub const ENOSPC: i32 = 28;
 /// Raw `EIO` — a generic device-level I/O failure.
@@ -549,6 +578,43 @@ mod tests {
         let err = fs.write_file(&dir.join("torn"), b"0123456789").unwrap_err();
         assert!(is_disk_full(&err));
         assert_eq!(std::fs::read(dir.join("torn")).unwrap(), b"01234", "half landed");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn commit_file_is_atomic_and_names_the_failing_path() {
+        let dir = scratch("commit");
+        RealFs.create_dir_all(&dir).unwrap();
+        let target = dir.join("out.bin");
+        let tmp = dir.join(".tmp-out.bin");
+
+        let fs = FaultFs::new(FaultPlan::none());
+        commit_file(&*fs, &target, b"v1").unwrap();
+        let classes: Vec<OpClass> = fs.ops().iter().map(|op| op.class).collect();
+        assert_eq!(
+            classes,
+            [OpClass::Write, OpClass::SyncFile, OpClass::Rename, OpClass::SyncDir],
+            "the commit protocol's op sequence"
+        );
+
+        // Failing each op in turn names that op's path, leaves no `.tmp-`
+        // sibling, and keeps the old content until the rename has landed.
+        for (op, failing, survivor) in [
+            (0, &tmp, &b"v1"[..]),
+            (1, &tmp, b"v1"),
+            (2, &target, b"v1"),
+            (3, &dir, b"v2"),
+        ] {
+            RealFs.write_file(&target, b"v1").unwrap();
+            let fs = FaultFs::new(FaultPlan::fail_op(op, FaultKind::Eio));
+            let (path, _) = commit_file(&*fs, &target, b"v2").unwrap_err();
+            assert_eq!(&path, failing, "op {op}");
+            assert_eq!(RealFs.read(&target).unwrap(), survivor, "op {op}");
+            assert_eq!(RealFs.list_dir(&dir).unwrap(), vec![target.clone()], "op {op}");
+        }
+
+        let (path, e) = commit_file(&RealFs, Path::new("/"), b"").unwrap_err();
+        assert_eq!((path.as_path(), e.kind()), (Path::new("/"), io::ErrorKind::Other));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

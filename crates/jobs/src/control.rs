@@ -76,26 +76,18 @@ pub fn write_status(root: &Path, status: &JobStatus) -> io::Result<()> {
 /// [`write_status`] through an explicit [`Vfs`] — the chaos harness's
 /// injection point.
 ///
-/// Follows the workspace's full atomic-commit protocol: the snapshot is
-/// written to a `.tmp-` sibling, fsynced, renamed over `status.json`, and
-/// the directory is fsynced so the rename survives a crash. On any failure
-/// the temporary is removed best-effort, so a failed transition never
-/// leaks scratch into the job directory (`list_statuses` would skip it
+/// Follows the workspace's atomic-commit protocol ([`vfs::commit_file`]):
+/// the snapshot is written to a `.tmp-` sibling, fsynced, renamed over
+/// `status.json`, and the directory is fsynced so the rename survives a
+/// crash. On any failure the temporary is removed best-effort, so a failed
+/// transition never leaks scratch into the job directory (`list_statuses` would skip it
 /// anyway — recovery scanners ignore `.tmp-` names — but the leak-scan in
 /// the chaos sweep holds every durable path to the stronger contract).
 pub fn write_status_with(vfs: &dyn Vfs, root: &Path, status: &JobStatus) -> io::Result<()> {
     let dir = job_dir(root, status.id);
     vfs.create_dir_all(&dir)?;
-    let json = status_to_json(status);
-    let tmp = dir.join(".tmp-status.json");
-    let committed = vfs::write_synced(vfs, &tmp, json.as_bytes())
-        .and_then(|()| vfs.rename(&tmp, &dir.join("status.json")))
-        .and_then(|()| vfs.sync_dir(&dir));
-    if let Err(e) = committed {
-        let _ = vfs.remove_file(&tmp);
-        return Err(e);
-    }
-    Ok(())
+    vfs::commit_file(vfs, &dir.join("status.json"), status_to_json(status).as_bytes())
+        .map_err(|(_, e)| e)
 }
 
 /// Reads the status snapshot from a job directory.

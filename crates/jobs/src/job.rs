@@ -109,8 +109,8 @@ pub struct JobSpec {
     /// Wall-clock budget from submission. When it expires, the watchdog
     /// cancels the job with
     /// [`CancelReason::Deadline`](minoaner_dataflow::CancelReason::Deadline)
-    /// — cooperatively, by clamping every stage deadline of the job's
-    /// executor.
+    /// — cooperatively: the job's executor polls the deadline at task and
+    /// barrier boundaries.
     pub deadline: Option<Duration>,
 }
 
@@ -305,9 +305,9 @@ impl JobContext {
     }
 
     /// An executor sized to the job's grant, wired to its cancellation
-    /// token and deadline: stages run on `workers()` workers, every stage
-    /// deadline is clamped to the job deadline, and cancellation surfaces
-    /// as [`DataflowError::Cancelled`](minoaner_dataflow::DataflowError).
+    /// token and deadline: stages run on `workers()` workers, and
+    /// cancellation or deadline expiry surfaces as
+    /// [`DataflowError::Cancelled`](minoaner_dataflow::DataflowError).
     pub fn executor(&self) -> Executor {
         let mut exec = Executor::new(self.workers);
         exec.set_cancel_token(self.cancel.clone());

@@ -44,6 +44,7 @@ use std::fs::File;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 
+use minoaner_det::fnv1a;
 use minoaner_det::vfs::{self, Vfs};
 
 use crate::interner::{Interner, Symbol};
@@ -127,16 +128,6 @@ fn io_err(path: &Path, e: &std::io::Error) -> MkbError {
 
 fn corrupt(path: &Path, detail: impl Into<String>) -> MkbError {
     MkbError::Corrupt { path: path.display().to_string(), detail: detail.into() }
-}
-
-/// FNV-1a — the same hash family the dataflow checkpoints and the blocking
-/// graph's `weight_digest` use; no external dependency.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 // ───────────────────────────── KbSource ─────────────────────────────
@@ -367,25 +358,7 @@ pub fn write_mkb_with(pair: &KbPair, path: &Path, vfs: &dyn Vfs) -> Result<u64, 
         out.extend_from_slice(bytes);
     }
 
-    // Atomic commit: tmp + fsync + rename + dir fsync.
-    let file_name = path.file_name().map(|n| n.to_string_lossy().into_owned()).unwrap_or_default();
-    if file_name.is_empty() {
-        return Err(io_err(path, &std::io::Error::other("mkb path has no file name")));
-    }
-    let tmp = path.with_file_name(format!(".tmp-{file_name}"));
-    let committed = vfs::write_synced(vfs, &tmp, &out)
-        .map_err(|e| io_err(&tmp, &e))
-        .and_then(|()| vfs.rename(&tmp, path).map_err(|e| io_err(path, &e)))
-        .and_then(|()| match path.parent() {
-            Some(parent) if !parent.as_os_str().is_empty() => {
-                vfs.sync_dir(parent).map_err(|e| io_err(parent, &e))
-            }
-            _ => Ok(()),
-        });
-    if let Err(e) = committed {
-        let _ = vfs.remove_file(&tmp);
-        return Err(e);
-    }
+    vfs::commit_file(vfs, path, &out).map_err(|(at, e)| io_err(&at, &e))?;
     Ok(out.len() as u64)
 }
 

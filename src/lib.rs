@@ -64,6 +64,6 @@ pub use minoaner_core::{
     CheckpointSpec, MatchOutcome, Minoaner, MinoanerConfig, Resolution, ResolveInput,
     ResolveOutcome, ResolveRequest, Rule, RuleSet,
 };
-pub use minoaner_dataflow::{DataflowError, Executor, ExecutorConfig, FailureAction, FaultPolicy};
+pub use minoaner_dataflow::{DataflowError, Executor, ExecutorConfig};
 pub use minoaner_eval::Quality;
 pub use minoaner_kb::{EntityId, KbPair, KbPairBuilder, Side, Term};

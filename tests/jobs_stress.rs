@@ -6,7 +6,7 @@
 //! * surviving jobs' canonical outcomes (weight digest, match set, rule
 //!   counts, domain counters) are **bit-identical** to solo runs of the
 //!   same dataset;
-//! * injected task faults in one job never bleed into a sibling job;
+//! * a task fault fails its own job and never bleeds into a sibling job;
 //! * a job cancelled mid-run leaves only complete, resumable barriers
 //!   and resumes to the uninterrupted outcome;
 //! * no worker threads and no checkpoint directories leak.
@@ -26,13 +26,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use minoaner::dataflow::faultinject::FaultPlan;
 use minoaner::dataflow::{CancelReason, RunTrace};
 use minoaner::datagen::{generate, profiles, GeneratedDataset};
 use minoaner::jobs::{JobId, JobOutput, JobScheduler, JobSpec, JobState, Priority, ResourceBudget};
 use minoaner::{
-    CheckpointSpec, DataflowError, Executor, ExecutorConfig, FaultPolicy, KbPair, Minoaner,
-    Resolution, ResolveRequest, RuleSet,
+    CheckpointSpec, DataflowError, Executor, KbPair, Minoaner, Resolution, ResolveRequest, RuleSet,
 };
 
 /// Serializes the tests in this binary: one arms the process-global
@@ -126,35 +124,39 @@ fn pipeline_work(
     }
 }
 
-/// Work closure for a fault-riddled executor job: `TASKS` tasks, each
-/// first attempt panicking per a seeded SplitMix64 schedule, retried by
-/// the executor. Returns the stage's sum, which must equal the
-/// fault-free sum exactly.
+/// Tasks in a [`faulty_work`] stage.
+const FAULTY_TASKS: usize = 24;
+
+/// The task of a [`faulty_work`] job that panics, chosen by `seed`.
+fn poisoned_task(seed: u64) -> usize {
+    (seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize % FAULTY_TASKS
+}
+
+/// The error a [`faulty_work`] job must end with, as its status shows it.
+fn faulty_error(seed: u64) -> String {
+    let task = poisoned_task(seed);
+    DataflowError::TaskPanicked {
+        stage: "stress".into(),
+        task,
+        payload: format!("injected fault: task {task}"),
+    }
+    .to_string()
+}
+
+/// Work closure for a job that genuinely fails: one seed-chosen task of
+/// its only stage panics, the stage fails fast, and the error propagates
+/// out of the job.
 fn faulty_work(
     seed: u64,
 ) -> impl FnOnce(&minoaner::jobs::JobContext) -> Result<JobOutput, DataflowError> {
-    const TASKS: usize = 24;
     move |ctx| {
-        let plan = FaultPlan::new();
-        let scheduled = plan.seed_first_attempt_panics("stress", TASKS, seed, 350);
-        let exec = Executor::with_config(ExecutorConfig {
-            workers: ctx.workers(),
-            partitions: TASKS,
-            fault_policy: FaultPolicy::retries(2),
-        });
-        let out = exec.try_run_stage("stress", TASKS, |i| {
-            plan.before_task("stress", i);
+        let poisoned = poisoned_task(seed);
+        let out = ctx.executor().try_run_stage("stress", FAULTY_TASKS, |i| {
+            assert!(i != poisoned, "injected fault: task {i}");
             (i as u64) * 7 + 1
         })?;
-        let sum: u64 = out.expect_complete().iter().sum();
-        let fired = plan.fired_panics();
-        Ok(JobOutput::summary(format!("sum {sum} scheduled {scheduled} fired {fired}")))
+        Ok(JobOutput::summary(format!("sum {}", out.iter().sum::<u64>())))
     }
-}
-
-/// The fault-free sum [`faulty_work`] must reproduce despite its faults.
-fn fault_free_sum() -> u64 {
-    (0..24u64).map(|i| i * 7 + 1).sum()
 }
 
 /// Asserts a job checkpoint dir holds only fully committed barriers: no
@@ -252,58 +254,78 @@ fn concurrent_jobs_match_solo_runs_bit_for_bit() {
     }
 }
 
-/// Tentpole assertion 2: seed-driven injected faults are retried inside
-/// the owning job and never corrupt it or its siblings.
+/// Tentpole assertion 2: a task fault fails the job that owns it — with
+/// the precise `TaskPanicked` error — and never corrupts its siblings or
+/// leaks threads or scratch.
 #[test]
 fn injected_faults_stay_contained_to_their_job() {
     let _serial = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
     std::env::remove_var("MINOANER_CANCEL_POINT");
 
     let baseline = solo_baseline(0.2, 2, "faulty-solo");
+    let threads_before = live_threads();
     let root = scratch_dir("faulty-root");
     let results: Results = Arc::new(Mutex::new(BTreeMap::new()));
     let sched =
         JobScheduler::with_control_root(ResourceBudget::new(6, u64::MAX).with_max_running(3), &root);
 
-    let mut faulty_ids = Vec::new();
+    // Faulty and clean jobs interleaved, all racing under the budget.
+    let mut faulty = Vec::new();
+    let mut pipelines = Vec::new();
     for j in 0..4u64 {
+        let seed = 0xA5A5 + j;
         let id = sched
-            .submit(JobSpec::new(format!("faulty-{j}")).with_workers(1), faulty_work(0xA5A5 + j))
+            .submit(JobSpec::new(format!("faulty-{j}")).with_workers(1 + j as usize % 2), faulty_work(seed))
             .expect("faulty job admitted");
-        faulty_ids.push(id);
+        faulty.push((id, seed));
+        if j % 2 == 0 {
+            let id = sched
+                .submit(
+                    JobSpec::new(format!("clean-pipeline-{j}")).with_workers(2).with_priority(Priority::High),
+                    pipeline_work(0.2, root.clone(), false, results.clone()),
+                )
+                .expect("pipeline job admitted");
+            pipelines.push(id);
+        }
     }
-    let pipeline_id = sched
-        .submit(
-            JobSpec::new("clean-pipeline").with_workers(2).with_priority(Priority::High),
-            pipeline_work(0.2, root.clone(), false, results.clone()),
-        )
-        .expect("pipeline job admitted");
 
     sched.wait_all();
 
-    let mut any_fired = false;
-    for id in faulty_ids {
+    for &(id, seed) in &faulty {
         let status = sched.status(id).expect("faulty job status");
-        assert_eq!(status.state, JobState::Completed, "faulty job {id}: {:?}", status.error);
-        let summary = status.summary.expect("faulty job summary");
-        assert!(
-            summary.starts_with(&format!("sum {} ", fault_free_sum())),
-            "job {id} sum diverged despite retries: {summary}"
-        );
-        // The seeded schedule fired exactly as scheduled (scheduled == fired).
-        let mut nums = summary
-            .split_whitespace()
-            .filter_map(|w| w.parse::<u64>().ok());
-        let (_sum, scheduled, fired) =
-            (nums.next(), nums.next().expect("scheduled"), nums.next().expect("fired"));
-        assert_eq!(scheduled, fired, "job {id} retry accounting diverged from its schedule");
-        any_fired |= fired > 0;
+        assert_eq!(status.state, JobState::Failed, "faulty job {id} must fail, not be absorbed");
+        assert_eq!(status.error, Some(faulty_error(seed)), "faulty job {id}");
+        assert_eq!(status.summary, None, "a failed job reports no result");
     }
-    assert!(any_fired, "seeded fault campaign scheduled no faults — raise the rate");
 
     let results = results.lock().expect("results lock");
-    let blob = results.get(&pipeline_id.ordinal()).expect("pipeline job completed");
-    assert_eq!(blob, &baseline, "sibling faults bled into the clean pipeline job");
+    for id in &pipelines {
+        assert_eq!(sched.status(*id).expect("pipeline status").state, JobState::Completed);
+        let blob = results.get(&id.ordinal()).expect("pipeline job completed");
+        assert_eq!(blob, &baseline, "sibling faults bled into clean pipeline job {id}");
+    }
+
+    // No directory leaks: one `job-<id>` dir per submission, and a failed
+    // job leaves nothing behind but its status snapshot.
+    for (id, _) in &faulty {
+        let mut left: Vec<String> = std::fs::read_dir(minoaner::jobs::control::job_dir(&root, *id))
+            .expect("read faulty job dir")
+            .map(|e| e.expect("dir entry").file_name().to_string_lossy().into_owned())
+            .collect();
+        left.sort();
+        assert_eq!(left, ["status.json"], "faulty job {id} left scratch behind");
+    }
+    for id in &pipelines {
+        assert_only_complete_barriers(CheckpointSpec::for_job(&root, &id.to_string()).dir());
+    }
+
+    // No worker leaks, failed stages included.
+    drop(sched);
+    let threads_after = settled_thread_count(threads_before);
+    assert!(
+        threads_after <= threads_before,
+        "worker threads leaked: {threads_before} before, {threads_after} after"
+    );
 }
 
 /// Tentpole assertion 3: a deterministic mid-run cancel (latched right
@@ -467,6 +489,7 @@ fn chaos_mix_converges_without_leaks() {
 
     let mut submitted = Vec::new();
     let mut pipeline_ids = Vec::new();
+    let mut faulty = BTreeMap::new();
     for j in 0..3 {
         let id = sched
             .submit(
@@ -482,6 +505,7 @@ fn chaos_mix_converges_without_leaks() {
             .submit(JobSpec::new(format!("chaos-faulty-{j}")).with_workers(1), faulty_work(77 + j))
             .expect("faulty admitted");
         submitted.push(id);
+        faulty.insert(id, 77 + j);
     }
     // A job cancelled while (most likely) still queued: max_running=2
     // and five submissions ahead of it keep the queue busy.
@@ -530,6 +554,10 @@ fn chaos_mix_converges_without_leaks() {
                     "cancelled job {} did not resume to the solo outcome",
                     status.id
                 );
+            }
+            JobState::Failed => {
+                let seed = faulty.get(&status.id).expect("only the faulty jobs may fail");
+                assert_eq!(status.error, Some(faulty_error(*seed)), "job {}", status.id);
             }
             other => panic!("job {} ended in unexpected state {other}", status.id),
         }

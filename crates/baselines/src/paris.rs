@@ -54,7 +54,7 @@ fn inverse_functionality(pair: &KbPair, side: Side) -> Vec<f64> {
         vec![Default::default(); n_attrs];
     let kb = pair.kb(side);
     for (_, e) in kb.iter() {
-        for &(a, v) in &e.pairs {
+        for &(a, v) in e.pairs {
             instances[a.index()] += 1;
             match v {
                 minoaner_kb::Value::Literal(l) => {

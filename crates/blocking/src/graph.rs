@@ -14,40 +14,37 @@
 //!
 //! # Kernel layout (see DESIGN.md §11)
 //!
-//! The construction kernel is built around flat, cache-friendly structures
-//! shared read-only across executor tasks:
-//!
-//! * the block→member and entity→block indexes are CSR arrays
-//!   ([`crate::csr::Csr`]), not `Vec<Vec<_>>`;
-//! * per-entity weight aggregation uses an epoch-stamped dense
-//!   sparse-accumulator ([`crate::accum::SparseAccumulator`]) — an array
-//!   add per contribution, no hashing, no per-entity allocation;
-//! * the accumulator and candidate scratch are owned by the **worker**
-//!   (a thread-local arena, see [`KernelScratch`]), not the task: a stage
-//!   runs several tasks per worker and steady-state passes allocate
-//!   nothing per task;
-//! * sorted-row joins (reciprocal pruning, [`GraphIndex::pair_weight`])
-//!   run on the galloping / 4-wide intersection kernel
-//!   ([`crate::intersect`]);
-//! * top-K pruning uses `select_nth_unstable_by` partial selection when a
-//!   candidate list exceeds K, sorting only the selected prefix;
-//! * the γ pass runs one row kernel over both sides' rows — left rows walk
+//! * Every table — block → members, entity → blocks, top-N and in-neighbour
+//!   views, the β-union edges and their transpose, and the graph's four
+//!   candidate tables — is one [`minoaner_kb::Rows`]: two flat columns
+//!   shared read-only across tasks, never a `Vec` per row. A stage sharded
+//!   by row range returns one `Rows` part per task and
+//!   [`Rows::concat`] joins them: the destination is sized once and each
+//!   part is freed as it is appended, so the transient is one part.
+//! * Per-entity weight aggregation uses an epoch-stamped dense
+//!   sparse-accumulator ([`crate::accum::SparseAccumulator`]); it and the
+//!   candidate scratch belong to the **worker** ([`KernelScratch`]), not
+//!   the task, so a row costs no allocation: top-K selection
+//!   (`select_nth_unstable_by` when a row exceeds K) truncates the scratch
+//!   in place and the row is copied out of it.
+//! * Sorted-row joins (reciprocal pruning) run on the galloping / 4-wide
+//!   intersection kernel ([`crate::intersect`]).
+//! * The γ pass runs one row kernel over both sides' rows — left rows walk
 //!   the β-union edges by left endpoint, right rows the transposed view, the
 //!   only thing exchanged. Each γ cell is one flat sum over the β edges
 //!   sorted by `(i, j)`, so the result is bit-identical for every worker
 //!   count — and across runs, since no randomly-seeded container is involved.
 //!
 //! The pre-rewrite kernel is preserved verbatim in `crate::reference`
-//! (compiled for tests only); the equivalence proptests there pin this
-//! kernel to it with exact `f64` equality.
+//! (compiled for tests only); the seeded oracles and equivalence proptests
+//! pin this kernel to it with exact `f64` equality.
 
 use minoaner_dataflow::{Executor, SpillShuffle, StageIo};
 use minoaner_kb::stats::RelationStats;
-use minoaner_kb::{EntityId, KbPair, Side};
+use minoaner_kb::{EntityId, KbPair, Rows, Side};
 
 use crate::accum::SparseAccumulator;
 use crate::block::{NameBlocks, TokenBlocks};
-use crate::csr::Csr;
 use crate::name::{alpha_pairs, alpha_pairs_dirty};
 
 /// Weighting scheme for the β (value) evidence pass.
@@ -118,9 +115,9 @@ pub type Candidate = (EntityId, f64);
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct BlockingGraph {
     /// Per side, per entity: top-K candidates by `β` (descending).
-    value_cands: [Vec<Vec<Candidate>>; 2],
+    value_cands: [Rows<Candidate>; 2],
     /// Per side, per entity: top-K candidates by `γ` (descending).
-    neighbor_cands: [Vec<Vec<Candidate>>; 2],
+    neighbor_cands: [Rows<Candidate>; 2],
     /// α-pairs `(left, right)`, sorted: 1×1 name-block co-occurrences.
     alpha: Vec<(EntityId, EntityId)>,
 }
@@ -130,8 +127,8 @@ impl BlockingGraph {
     /// reference implementation; the builder writes fields directly).
     #[cfg(test)]
     pub(crate) fn from_parts(
-        value_cands: [Vec<Vec<Candidate>>; 2],
-        neighbor_cands: [Vec<Vec<Candidate>>; 2],
+        value_cands: [Rows<Candidate>; 2],
+        neighbor_cands: [Rows<Candidate>; 2],
         alpha: Vec<(EntityId, EntityId)>,
     ) -> Self {
         Self { value_cands, neighbor_cands, alpha }
@@ -144,12 +141,12 @@ impl BlockingGraph {
 
     /// The entity's value candidates, strongest `β` first.
     pub fn value_candidates(&self, side: Side, e: EntityId) -> &[Candidate] {
-        &self.value_cands[side.index()][e.index()]
+        self.value_cands[side.index()].row(e.index())
     }
 
     /// The entity's neighbor candidates, strongest `γ` first.
     pub fn neighbor_candidates(&self, side: Side, e: EntityId) -> &[Candidate] {
-        &self.neighbor_cands[side.index()][e.index()]
+        self.neighbor_cands[side.index()].row(e.index())
     }
 
     /// The `β` weight of the directed edge `from → to`, if retained.
@@ -178,13 +175,8 @@ impl BlockingGraph {
 
     /// Total retained directed edges (value + neighbor lists + α both ways).
     pub fn num_directed_edges(&self) -> usize {
-        let lists: usize = self
-            .value_cands
-            .iter()
-            .chain(self.neighbor_cands.iter())
-            .map(|side| side.iter().map(Vec::len).sum::<usize>())
-            .sum();
-        lists + 2 * self.alpha.len()
+        let lists = self.value_cands.iter().chain(&self.neighbor_cands);
+        lists.map(|rows| rows.data().len()).sum::<usize>() + 2 * self.alpha.len()
     }
 
     /// An FNV-1a digest of every retained edge — ids and the exact `f64`
@@ -196,8 +188,8 @@ impl BlockingGraph {
             (h ^ v).wrapping_mul(0x0000_0100_0000_01B3)
         }
         let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for lists in self.value_cands.iter().chain(self.neighbor_cands.iter()) {
-            for cands in lists {
+        for lists in self.value_cands.iter().chain(&self.neighbor_cands) {
+            for cands in lists.iter() {
                 h = fnv(h, cands.len() as u64);
                 for &(e, w) in cands {
                     h = fnv(h, u64::from(e.0));
@@ -212,44 +204,50 @@ impl BlockingGraph {
     }
 }
 
-/// The CSR indexes the β passes run on, built once and shared read-only
-/// across tasks. Public so callers (benches, spot-check tooling) can
-/// recompute a single pair's raw β without rerunning a full pass.
-pub struct GraphIndex {
-    /// Per side: block index → the block's members on that side.
-    members: [Csr; 2],
+/// The indexes the β passes run on, built once and shared read-only across
+/// tasks.
+struct GraphIndex {
+    /// Per side: block index → the block's members on that side, in the
+    /// blocks' stored (ascending entity id) order.
+    members: [Rows<u32>; 2],
     /// Per side: entity id → indices of the blocks containing it
-    /// (ascending). Row lengths double as the `|B_i|` block counts of
-    /// ECBS/JS.
-    entity_blocks: [Csr; 2],
+    /// (ascending; entities in no block get an empty row). Row lengths
+    /// double as the `|B_i|` block counts of ECBS/JS.
+    entity_blocks: [Rows<u32>; 2],
 }
 
 impl GraphIndex {
-    /// Builds both CSR indexes from (purged) token blocks.
-    pub fn build(pair: &KbPair, token_blocks: &TokenBlocks) -> Self {
+    /// Builds both indexes from (purged) token blocks.
+    fn build(pair: &KbPair, token_blocks: &TokenBlocks) -> Self {
+        let blocks = &token_blocks.blocks;
+        // Block ids share the entity-id capacity bound: one up-front check
+        // covers every cast below.
+        assert!(u32::try_from(blocks.len()).is_ok(), "block count exceeds u32 capacity");
+        let sides = [Side::Left, Side::Right];
         Self {
-            members: [
-                Csr::block_members(token_blocks, Side::Left),
-                Csr::block_members(token_blocks, Side::Right),
-            ],
-            entity_blocks: [
-                Csr::entity_blocks(token_blocks, Side::Left, pair.kb(Side::Left).len()),
-                Csr::entity_blocks(token_blocks, Side::Right, pair.kb(Side::Right).len()),
-            ],
+            members: sides.map(|side| {
+                let total = blocks.iter().map(|(_, b)| b.members(side).len()).sum();
+                let mut members = Rows::with_capacity(blocks.len(), total);
+                blocks.iter().for_each(|(_, b)| members.push_row(b.members(side).iter().map(|e| e.0)));
+                members
+            }),
+            entity_blocks: sides.map(|side| {
+                let memberships = blocks.iter().enumerate().flat_map(move |(bi, (_, b))| {
+                    b.members(side).iter().map(move |e| (e.index(), bi as u32))
+                });
+                Rows::build(pair.kb(side).len(), memberships)
+            }),
         }
     }
 
     /// The raw β accumulation of one pair — `a` on `side`, `b` on the
     /// other side — as a sorted intersection of the two entities' block
-    /// rows, folding `block_weight` in ascending block order.
-    ///
-    /// This is the exact `f64` addition order of the β scatter pass (a
-    /// candidate's contributions arrive in ascending block order there
-    /// too), so for the raw-accumulation schemes (ARCS, CBS) the result
-    /// is bit-identical to the retained edge weight. It computes the raw
-    /// sum only: the ECBS/JS transforms and the dirty-ER identity-pair
-    /// exclusion are the caller's concern.
-    pub fn pair_weight(&self, side: Side, a: EntityId, b: EntityId, block_weight: &[f64]) -> f64 {
+    /// rows, folding `block_weight` in ascending block order: the exact
+    /// `f64` addition order of the β scatter pass, so for the
+    /// raw-accumulation schemes (ARCS, CBS) the result is bit-identical to
+    /// the retained edge weight.
+    #[cfg(test)]
+    fn pair_weight(&self, side: Side, a: EntityId, b: EntityId, block_weight: &[f64]) -> f64 {
         let ra = self.entity_blocks[side.index()].row(a.index());
         let rb = self.entity_blocks[side.other().index()].row(b.index());
         let mut sum = 0.0;
@@ -262,8 +260,8 @@ impl GraphIndex {
 /// candidate buffer per worker thread, reset by epoch bump and truncation
 /// instead of reallocation. A stage runs several tasks per worker
 /// (partitions = 3× cores), so the arena amortizes the O(n) accumulator
-/// zeroing that used to happen per *task*; on the single-worker inline
-/// path it survives across stages too.
+/// zeroing across them; on the single-worker inline path it survives
+/// across stages too.
 struct KernelScratch {
     acc: SparseAccumulator,
     cands: Vec<Candidate>,
@@ -359,115 +357,44 @@ pub fn build_blocking_graph(
 /// Drops every directed candidate edge whose reverse did not survive the
 /// other endpoint's cut (enhanced-Meta-blocking-style reciprocity [28]).
 ///
-/// Each evidence kind is pruned as a CSR↔CSR sorted-adjacency join: one
-/// side's lists are transposed into reverse rows (`rev[to]` = ascending
-/// `from` ids), then every entity's ascending candidate-id row is
-/// intersected with its reverse row on the intersection kernel
-/// ([`crate::intersect`]) and exactly the common ids are retained — the
-/// weight-descending candidate order is untouched.
+/// Each evidence kind is pruned as a sorted-adjacency join: one side's
+/// lists are transposed into reverse rows (`rev[to]` = ascending `from`
+/// ids), then every entity's ascending candidate-id row is intersected with
+/// its reverse row on the intersection kernel ([`crate::intersect`]) and
+/// exactly the common ids are retained — the weight-descending candidate
+/// order is untouched.
 pub(crate) fn apply_reciprocal_pruning(graph: &mut BlockingGraph) {
     /// Transposes candidate lists into reverse rows: row `to` holds the
     /// ascending `from` ids with an edge `from → to`. Ascending because
     /// the regroup is stable and walks `from` in order.
-    fn transpose(lists: &[Vec<Candidate>], n_to: usize) -> Grouped<u32> {
+    fn transpose(lists: &Rows<Candidate>, n_to: usize) -> Rows<u32> {
         let edges = lists.iter().enumerate().flat_map(|(from, cands)| {
             cands.iter().map(move |&(to, _)| (to.index(), from as u32))
         });
-        Grouped::build(n_to, edges)
+        Rows::build(n_to, edges)
     }
-    /// Keeps only the candidates present in the entity's reverse row.
-    fn prune(lists: &mut [Vec<Candidate>], reverse: &Grouped<u32>) {
+    /// The lists with only the candidates present in the entity's reverse
+    /// row.
+    fn prune(lists: &Rows<Candidate>, reverse: &Rows<u32>) -> Rows<Candidate> {
+        let mut kept = Rows::with_capacity(lists.n_rows(), lists.data().len());
         let mut ids: Vec<u32> = Vec::new();
         let mut common: Vec<u32> = Vec::new();
-        for (from, cands) in lists.iter_mut().enumerate() {
-            if cands.is_empty() {
-                continue;
-            }
-            let rev = reverse.row(from);
-            if rev.is_empty() {
-                cands.clear();
-                continue;
-            }
+        for (from, cands) in lists.iter().enumerate() {
             ids.clear();
             ids.extend(cands.iter().map(|&(to, _)| to.0));
             ids.sort_unstable();
-            crate::intersect::intersect_into(&ids, rev, &mut common);
-            cands.retain(|&(to, _)| common.binary_search(&to.0).is_ok());
+            crate::intersect::intersect_into(&ids, reverse.row(from), &mut common);
+            kept.push_row(cands.iter().copied().filter(|&(to, _)| common.binary_search(&to.0).is_ok()));
         }
+        kept
     }
     for lists in [&mut graph.value_cands, &mut graph.neighbor_cands] {
-        // Both transposes are taken before either side is mutated:
+        // Both transposes are taken before either side is replaced:
         // reciprocity is judged against the pre-prune cut.
-        let rev_of_right = transpose(&lists[1], lists[0].len());
-        let rev_of_left = transpose(&lists[0], lists[1].len());
-        prune(&mut lists[0], &rev_of_right);
-        prune(&mut lists[1], &rev_of_left);
-    }
-}
-
-/// Rows of `T` under dense keys `0..n` — what a stable counting regroup
-/// (count → prefix-sum → scatter) produces: O(items), no comparisons, and
-/// within a row the items keep the order they were produced in. It stands
-/// in for "sort by key" wherever the producer already emits each key's
-/// items in the wanted order.
-struct Grouped<T> {
-    /// `n + 1` offsets into `data`; row `k` spans
-    /// `data[offsets[k]..offsets[k + 1]]`.
-    offsets: Vec<usize>,
-    data: Vec<T>,
-}
-
-impl<T> Grouped<T> {
-    /// No rows yet: [`Self::push_row`] adds them in key order.
-    fn new() -> Self {
-        Self { offsets: vec![0], data: Vec::new() }
-    }
-
-    fn push_row(&mut self, items: impl IntoIterator<Item = T>) {
-        self.data.extend(items);
-        self.offsets.push(self.data.len());
-    }
-
-    /// One table from the per-task parts of a stage sharded by key range.
-    fn concat(parts: Vec<Self>) -> Self {
-        let mut all = Self::new();
-        for part in parts {
-            let base = all.data.len();
-            all.offsets.extend(part.offsets.iter().skip(1).map(|end| base + end));
-            all.data.extend(part.data);
-        }
-        all
-    }
-
-    fn n_rows(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    /// The items under `key`, in production order.
-    #[inline]
-    fn row(&self, key: usize) -> &[T] {
-        &self.data[self.offsets[key]..self.offsets[key + 1]]
-    }
-}
-
-impl<T: Copy + Default> Grouped<T> {
-    /// Regroups `items` (walked twice: count, then scatter) by their key,
-    /// which must be below `n_keys`.
-    fn build(n_keys: usize, items: impl Iterator<Item = (usize, T)> + Clone) -> Self {
-        let mut offsets = vec![0usize; n_keys + 1];
-        for (key, _) in items.clone() {
-            offsets[key + 1] += 1;
-        }
-        for key in 0..n_keys {
-            offsets[key + 1] += offsets[key];
-        }
-        let mut data = vec![T::default(); offsets[n_keys]];
-        let mut cursor = offsets.clone();
-        for (key, item) in items {
-            data[cursor[key]] = item;
-            cursor[key] += 1;
-        }
-        Self { offsets, data }
+        let rev_of_right = transpose(&lists[1], lists[0].n_rows());
+        let rev_of_left = transpose(&lists[0], lists[1].n_rows());
+        lists[0] = prune(&lists[0], &rev_of_right);
+        lists[1] = prune(&lists[1], &rev_of_left);
     }
 }
 
@@ -476,8 +403,8 @@ impl<T: Copy + Default> Grouped<T> {
 /// Meta-blocking-style pass adapted to the paper's value similarity (or
 /// one of the alternative schemes, see [`BetaWeighting`]).
 ///
-/// Contributions for one entity arrive in ascending block order (its CSR
-/// row) and, per block, ascending opposite-entity order — a defined order,
+/// Contributions for one entity arrive in ascending block order (its
+/// `entity_blocks` row) and, per block, ascending opposite-entity order — a defined order,
 /// identical to the reference kernel's, so every β weight is bit-equal to
 /// the reference.
 #[allow(clippy::too_many_arguments)]
@@ -490,13 +417,13 @@ fn beta_pass(
     top_k: usize,
     weighting: BetaWeighting,
     adaptive: bool,
-) -> Vec<Vec<Candidate>> {
+) -> Rows<Candidate> {
     let n = pair.kb(side).len();
     let n_other = pair.kb(side.other()).len();
     let eb_self = &index.entity_blocks[side.index()];
     let eb_other = &index.entity_blocks[side.other().index()];
     let members_other = &index.members[side.other().index()];
-    let total_blocks = members_other.rows() as f64;
+    let total_blocks = members_other.n_rows() as f64;
 
     let dirty = pair.is_dirty();
     let tasks = executor.partitions().max(1);
@@ -505,7 +432,10 @@ fn beta_pass(
     let partials = executor.run_stage(&format!("graph/beta/{side:?}"), n_tasks, |t| {
         let lo = t * chunk;
         let hi = ((t + 1) * chunk).min(n);
-        let mut out: Vec<Vec<Candidate>> = Vec::with_capacity(hi - lo);
+        // Room for `top_k` candidates a row — capped, so that a configuration
+        // without pruning (`top_k = usize::MAX`) reserves for a sparse graph,
+        // not for the cross product — and the part's column never regrows.
+        let mut out = Rows::with_capacity(hi - lo, (hi - lo) * top_k.min(MAX_RESERVED_PER_ROW));
         with_scratch(n_other, |acc, scratch| {
             for this in lo..hi {
                 let this_id = this as u32;
@@ -547,19 +477,23 @@ fn beta_pass(
                 for &o in acc.touched() {
                     scratch.push((EntityId(o), acc.score(o)));
                 }
-                out.push(select_top_k(scratch, top_k, adaptive));
+                select_top_k(scratch, top_k, adaptive);
+                out.push_row(scratch.iter().copied());
             }
         });
         out
     });
-    let lists: Vec<Vec<Candidate>> = partials.into_iter().flatten().collect();
-    let retained: u64 = lists.iter().map(|c| c.len() as u64).sum();
+    let lists = Rows::concat(partials);
+    let retained = lists.data().len() as u64;
     executor
         .annotate_last_stage(&format!("graph/beta/{side:?}"), StageIo::items(n as u64, retained));
     lists
 }
 
-/// Selects the top-K `(entity, weight)` pairs, descending by weight with
+/// Most candidates a row a β / γ task reserves room for up front.
+const MAX_RESERVED_PER_ROW: usize = 64;
+
+/// Cuts `cands` down to its top-K `(entity, weight)` pairs, descending by weight with
 /// ascending-id tie-breaks for determinism; zero weights are dropped
 /// (trivial edges, §3.3). With `adaptive`, the node's own weight
 /// distribution sets a dynamic floor (mean + ½·stddev) before the cap.
@@ -569,7 +503,7 @@ fn beta_pass(
 /// `select_nth_unstable_by` fast path (O(n) selection, then sorting only
 /// the K-prefix) returns exactly what a full sort would. The adaptive path
 /// needs the whole distribution in sorted order and keeps the full sort.
-fn select_top_k(cands: &mut Vec<Candidate>, top_k: usize, adaptive: bool) -> Vec<Candidate> {
+fn select_top_k(cands: &mut Vec<Candidate>, top_k: usize, adaptive: bool) {
     cands.retain(|&(_, w)| w > 0.0);
     let cmp = |a: &Candidate, b: &Candidate| {
         b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal).then(a.0.cmp(&b.0))
@@ -591,7 +525,6 @@ fn select_top_k(cands: &mut Vec<Candidate>, top_k: usize, adaptive: bool) -> Vec
         cands.truncate(top_k);
         cands.sort_unstable_by(cmp);
     }
-    cands.clone()
 }
 
 /// One side's neighbour evidence as flat rows, each ascending and
@@ -599,14 +532,14 @@ fn select_top_k(cands: &mut Vec<Candidate>, top_k: usize, adaptive: bool) -> Vec
 /// `incoming` row `e` the entities that list `e` among theirs
 /// (`getTopInNeighbors`, lines 35-48).
 struct NeighborViews {
-    top: Grouped<u32>,
-    incoming: Grouped<u32>,
+    top: Rows<u32>,
+    incoming: Rows<u32>,
 }
 
 impl NeighborViews {
     fn compute(pair: &KbPair, rels: &RelationStats, side: Side, n_relations: usize) -> Self {
         let kb = pair.kb(side);
-        let mut top = Grouped::new();
+        let mut top = Rows::with_capacity(kb.len(), 0);
         for (e, _) in kb.iter() {
             top.push_row(rels.top_n_neighbors(pair, side, e, n_relations).into_iter().map(|nb| nb.0));
         }
@@ -615,12 +548,10 @@ impl NeighborViews {
 
     /// The in-neighbour view is the counting inversion of the top-N rows,
     /// walked in ascending entity order and holding no duplicates.
-    fn from_top(top: Grouped<u32>) -> Self {
-        let n = top.n_rows();
-        let incoming = Grouped::build(
-            n,
-            (0..n).flat_map(|e| top.row(e).iter().map(move |&nb| (nb as usize, e as u32))),
-        );
+    fn from_top(top: Rows<u32>) -> Self {
+        let by_neighbor =
+            top.iter().enumerate().flat_map(|(e, nbs)| nbs.iter().map(move |&nb| (nb as usize, e as u32)));
+        let incoming = Rows::build(top.n_rows(), by_neighbor);
         Self { top, incoming }
     }
 }
@@ -641,17 +572,17 @@ impl NeighborViews {
 /// its edges `(i, j, β)` to `shuffle` as one run, bucketed by `j / chunk_r`.
 fn beta_union(
     executor: &Executor,
-    value_left: &[Vec<Candidate>],
-    value_right: &[Vec<Candidate>],
+    value_left: &Rows<Candidate>,
+    value_right: &Rows<Candidate>,
     chunk: usize,
     chunk_r: usize,
     shuffle: &SpillShuffle<(u32, u32, f64)>,
-) -> Grouped<(u32, f64)> {
-    let n_left = value_left.len();
+) -> Rows<(u32, f64)> {
+    let n_left = value_left.n_rows();
     let parts = executor.run_stage("graph/gamma/union", n_left.div_ceil(chunk), |t| {
         let lo = t * chunk;
         let own = value_left.iter().skip(lo).take(chunk);
-        let from_right = Grouped::build(
+        let from_right = Rows::build(
             own.len(),
             value_right.iter().enumerate().flat_map(|(j, cands)| {
                 cands.iter().filter_map(move |&(i, w)| {
@@ -660,7 +591,8 @@ fn beta_union(
                 })
             }),
         );
-        let mut edges = Grouped::new();
+        let upper = own.clone().map(<[Candidate]>::len).sum::<usize>() + from_right.data().len();
+        let mut edges = Rows::with_capacity(own.len(), upper);
         let mut buckets: Vec<Vec<(u32, u32, f64)>> = vec![Vec::new(); shuffle.partitions()];
         let mut row: Vec<(u32, f64)> = Vec::new();
         for (r, cands) in own.enumerate() {
@@ -683,15 +615,15 @@ fn beta_union(
         }
         edges
     });
-    Grouped::concat(parts)
+    Rows::concat(parts)
 }
 
 /// The exchange's reduce step: one partition's β edges `(i, j, β)` — its
 /// buckets in map-task order — regrouped into rows by right endpoint, row
 /// `j - lo` holding `(i, β)`. Map tasks own and emit ascending ranges of `i`,
 /// so each row comes out ascending by `i`: what a sort by `(j, i)` produces.
-fn regroup_by_right(buckets: &[Vec<(u32, u32, f64)>], lo: usize, width: usize) -> Grouped<(u32, f64)> {
-    Grouped::build(width, buckets.iter().flatten().map(|&(i, j, w)| (j as usize - lo, (i, w))))
+fn regroup_by_right(buckets: &[Vec<(u32, u32, f64)>], lo: usize, width: usize) -> Rows<(u32, f64)> {
+    Rows::build(width, buckets.iter().flatten().map(|&(i, j, w)| (j as usize - lo, (i, w))))
 }
 
 /// The γ row kernel: the top-K neighbour candidates of the `rows` entities
@@ -708,14 +640,14 @@ fn regroup_by_right(buckets: &[Vec<(u32, u32, f64)>], lo: usize, width: usize) -
 /// left rows and `crate::reference` use.
 fn gamma_rows(
     rows: std::ops::Range<usize>,
-    top: &Grouped<u32>,
-    edges: &Grouped<(u32, f64)>,
-    in_far: &Grouped<u32>,
+    top: &Rows<u32>,
+    edges: &Rows<(u32, f64)>,
+    in_far: &Rows<u32>,
     transposed: bool,
     dirty: bool,
     cfg: &GraphConfig,
-) -> (Vec<Vec<Candidate>>, u64) {
-    let mut lists: Vec<Vec<Candidate>> = Vec::with_capacity(rows.len());
+) -> (Rows<Candidate>, u64) {
+    let mut lists = Rows::with_capacity(rows.len(), rows.len() * cfg.top_k.min(MAX_RESERVED_PER_ROW));
     let mut cells = 0u64;
     let mut gathered: Vec<(u64, f64)> = Vec::new();
     with_scratch(in_far.n_rows(), |acc, scratch| {
@@ -752,7 +684,8 @@ fn gamma_rows(
             cells += acc.touched().len() as u64;
             scratch.clear();
             scratch.extend(acc.touched().iter().map(|&o| (EntityId(o), acc.score(o))));
-            lists.push(select_top_k(scratch, cfg.top_k, cfg.adaptive_pruning));
+            select_top_k(scratch, cfg.top_k, cfg.adaptive_pruning);
+            lists.push_row(scratch.iter().copied());
         }
     });
     (lists, cells)
@@ -779,14 +712,14 @@ fn gamma_rows(
 /// it spill, with the same buckets in the same order either way.
 fn gamma_pass(
     executor: &Executor,
-    value_left: &[Vec<Candidate>],
-    value_right: &[Vec<Candidate>],
+    value_left: &Rows<Candidate>,
+    value_right: &Rows<Candidate>,
     views: &[NeighborViews],
     dirty: bool,
     cfg: &GraphConfig,
-) -> (Vec<Vec<Candidate>>, Vec<Vec<Candidate>>) {
+) -> (Rows<Candidate>, Rows<Candidate>) {
     let [left, right] = views else { panic!("one neighbour view per side") };
-    let (n_left, n_right) = (value_left.len(), value_right.len());
+    let (n_left, n_right) = (value_left.n_rows(), value_right.n_rows());
     let tasks = executor.partitions().max(1);
     let chunk_l = n_left.div_ceil(tasks).max(1);
     let chunk_r = n_right.div_ceil(tasks).max(1);
@@ -794,7 +727,7 @@ fn gamma_pass(
 
     let shuffle = SpillShuffle::new("graph-gamma", tasks_r, executor.memory_budget());
     let edges = beta_union(executor, value_left, value_right, chunk_l, chunk_r, &shuffle);
-    let n_edges = edges.data.len() as u64;
+    let n_edges = edges.data().len() as u64;
     executor.emit_counter("blocking/beta_union_edges", n_edges);
 
     // Transpose: the same edges as rows by right endpoint.
@@ -809,11 +742,11 @@ fn gamma_pass(
     shuffle.finish(executor);
     let io = StageIo {
         shuffle_bytes: n_edges * std::mem::size_of::<(u32, u32, f64)>() as u64,
-        max_partition_items: parts.iter().map(|part| part.data.len() as u64).max().unwrap_or(0),
+        max_partition_items: parts.iter().map(|part| part.data().len() as u64).max().unwrap_or(0),
         ..StageIo::items(n_edges, n_edges)
     };
     executor.annotate_last_stage("graph/gamma/transpose", io);
-    let edges_t = Grouped::concat(parts);
+    let edges_t = Rows::concat(parts);
 
     // Row passes: the left-row tasks, then the right-row tasks.
     let mut partials = executor.run_stage("graph/gamma", tasks_l + tasks_r, |t| {
@@ -825,11 +758,11 @@ fn gamma_pass(
             gamma_rows(rows, &left.top, &edges, &right.incoming, false, dirty, cfg)
         }
     });
-    let right_lists = partials.split_off(tasks_l).into_iter().flat_map(|(lists, _)| lists).collect();
+    let right_lists = Rows::concat(partials.split_off(tasks_l).into_iter().map(|(lists, _)| lists).collect());
     let left_cells: u64 = partials.iter().map(|&(_, cells)| cells).sum();
     executor.annotate_last_stage("graph/gamma", StageIo::items(n_edges, left_cells));
     executor.emit_counter("blocking/gamma_entries", left_cells);
-    (partials.into_iter().flat_map(|(lists, _)| lists).collect(), right_lists)
+    (Rows::concat(partials.into_iter().map(|(lists, _)| lists).collect()), right_lists)
 }
 
 #[cfg(test)]
@@ -1016,7 +949,7 @@ mod tests {
                 let lo = p * chunk_r;
                 let width = ((p + 1) * chunk_r).min(n_right) - lo;
                 let buckets = shuffle.take_partition(p).expect("read partition");
-                let by_j: Grouped<(u32, f64)> = regroup_by_right(&buckets, lo, width);
+                let by_j: Rows<(u32, f64)> = regroup_by_right(&buckets, lo, width);
                 for row in 0..width {
                     let j = (lo + row) as u32;
                     got.extend(by_j.row(row).iter().map(|&(i, w)| (i, j, w.to_bits())));
@@ -1033,20 +966,20 @@ mod tests {
 
     /// Random candidate lists from `n` entities to ids below `n_other`,
     /// with weights whose sums depend on the order they are added in.
-    fn random_lists(rng: &mut u64, n: usize, n_other: usize, dirty: bool) -> Vec<Vec<Candidate>> {
+    fn random_lists(rng: &mut u64, n: usize, n_other: usize, dirty: bool) -> Rows<Candidate> {
         (0..n)
             .map(|e| {
                 random_ids(rng, n_other, dirty.then_some(e))
                     .into_iter()
                     .map(|o| (EntityId(o), (1 + draw(rng, 1000)) as f64 / 7.0))
-                    .collect()
+                    .collect::<Vec<_>>()
             })
             .collect()
     }
 
     /// Random top-N rows over `n` entities of one side, with their inversion.
     fn random_views(rng: &mut u64, n: usize) -> NeighborViews {
-        let mut top = Grouped::new();
+        let mut top = Rows::default();
         for _ in 0..n {
             let mut nbs = random_ids(rng, n, None);
             nbs.truncate(draw(rng, 5));
@@ -1056,7 +989,7 @@ mod tests {
         NeighborViews::from_top(top)
     }
 
-    fn weight_bits(lists: &[Vec<Candidate>]) -> Vec<Vec<(u32, u64)>> {
+    fn weight_bits(lists: &Rows<Candidate>) -> Vec<Vec<(u32, u64)>> {
         lists.iter().map(|l| l.iter().map(|&(e, w)| (e.0, w.to_bits())).collect()).collect()
     }
 
@@ -1077,7 +1010,7 @@ mod tests {
             let value_left = random_lists(&mut rng, n_left, n_right, dirty);
             let value_right = random_lists(&mut rng, n_right, n_left, dirty);
             let views = [random_views(&mut rng, n_left), random_views(&mut rng, n_right)];
-            let graph_of = |(left, right): (Vec<Vec<Candidate>>, Vec<Vec<Candidate>>)| {
+            let graph_of = |(left, right): (Rows<Candidate>, Rows<Candidate>)| {
                 let mut graph = BlockingGraph::from_parts(
                     [value_left.clone(), value_right.clone()],
                     [left, right],
@@ -1099,9 +1032,14 @@ mod tests {
                     transposed[b.index()].push((EntityId(a as u32), g));
                 }
             }
-            let select = |rows: Vec<Vec<Candidate>>| -> Vec<Vec<Candidate>> {
-                rows.into_iter().map(|mut row| select_top_k(&mut row, top_k, adaptive)).collect()
+            let select = |rows: Vec<Vec<Candidate>>| -> Rows<Candidate> {
+                let cut = |mut row: Vec<Candidate>| {
+                    select_top_k(&mut row, top_k, adaptive);
+                    row
+                };
+                rows.into_iter().map(cut).collect()
             };
+            let cells = cells.iter().map(<[Candidate]>::to_vec).collect();
             let want = graph_of((select(cells), select(transposed)));
 
             for workers in [1, 2, 8] {
@@ -1137,20 +1075,20 @@ mod tests {
             let n_right = draw(&mut rng, 14);
             // The two directions disagree on every weight, so the test
             // sees which copy of a doubly-retained pair survives.
-            let value_left: Vec<Vec<Candidate>> = (0..n_left)
+            let value_left: Rows<Candidate> = (0..n_left)
                 .map(|_| {
                     random_ids(&mut rng, n_right, None)
                         .into_iter()
                         .map(|j| (EntityId(j), 1.0 + draw(&mut rng, 100) as f64))
-                        .collect()
+                        .collect::<Vec<_>>()
                 })
                 .collect();
-            let value_right: Vec<Vec<Candidate>> = (0..n_right)
+            let value_right: Rows<Candidate> = (0..n_right)
                 .map(|_| {
                     random_ids(&mut rng, n_left, None)
                         .into_iter()
                         .map(|i| (EntityId(i), -1.0 - draw(&mut rng, 100) as f64))
-                        .collect()
+                        .collect::<Vec<_>>()
                 })
                 .collect();
 
@@ -1177,7 +1115,7 @@ mod tests {
                 let chunk = n_left.div_ceil(exec.partitions()).max(1);
                 let chunk_r = n_right.div_ceil(exec.partitions()).max(1);
                 let shuffle = SpillShuffle::new("union", n_right.div_ceil(chunk_r), None);
-                let edges: Grouped<(u32, f64)> =
+                let edges: Rows<(u32, f64)> =
                     beta_union(&exec, &value_left, &value_right, chunk, chunk_r, &shuffle);
                 let got: Vec<(u32, u32, u64)> = (0..n_left)
                     .flat_map(|i| {
@@ -1530,7 +1468,7 @@ mod tests {
             .collect();
         for top_k in [1, 3, 7, 15, 99, 100, 120] {
             let mut fast = raw.clone();
-            let fast = select_top_k(&mut fast, top_k, false);
+            select_top_k(&mut fast, top_k, false);
             // The reference semantics: full sort, then truncate.
             let mut slow = raw.clone();
             slow.sort_unstable_by(|a, b| {

@@ -2,7 +2,7 @@
 //! joins.
 //!
 //! The graph kernel keeps every adjacency as an ascending `u32` row
-//! ([`crate::csr::Csr`]): an entity's blocks, a block's members, a node's
+//! ([`minoaner_kb::Rows`]): an entity's blocks, a block's members, a node's
 //! reverse candidates. Joining two such rows is a sorted-set intersection,
 //! and this module provides one tuned kernel for it with two regimes:
 //!
@@ -18,9 +18,9 @@
 //!
 //! All visitors emit common values in ascending order — callers fold f64
 //! weights over the emission order, so it is load-bearing for the
-//! bit-identical-across-workers guarantee (`GraphIndex::pair_weight`
-//! reproduces the β scatter pass's per-candidate addition order exactly).
-//! Inputs must be ascending and duplicate-free, as CSR rows are.
+//! bit-identical-across-workers guarantee (the test-only
+//! `GraphIndex::pair_weight` reproduces the β scatter pass's per-candidate
+//! addition order exactly). Inputs must be ascending and duplicate-free.
 
 /// Length ratio beyond which the galloping regime beats the merge.
 const GALLOP_RATIO: usize = 16;
@@ -128,24 +128,16 @@ pub fn intersect_into(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
     intersect_visit(a, b, |v| out.push(v));
 }
 
-/// The intersection of two ascending, duplicate-free slices.
-pub fn intersect(a: &[u32], b: &[u32]) -> Vec<u32> {
-    let mut out = Vec::new();
-    intersect_into(a, b, &mut out);
-    out
-}
-
-/// Number of common values of two ascending, duplicate-free slices.
-pub fn intersect_count(a: &[u32], b: &[u32]) -> usize {
-    let mut n = 0usize;
-    intersect_visit(a, b, |_| n += 1);
-    n
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::collections::BTreeSet;
+
+    fn intersect(a: &[u32], b: &[u32]) -> Vec<u32> {
+        let mut out = Vec::new();
+        intersect_into(a, b, &mut out);
+        out
+    }
 
     /// Reference semantics: set intersection, ascending.
     fn reference(a: &[u32], b: &[u32]) -> Vec<u32> {
@@ -196,7 +188,6 @@ mod tests {
         let lo: Vec<u32> = (0..32).collect();
         let hi: Vec<u32> = (100..132).collect();
         assert!(intersect(&lo, &hi).is_empty());
-        assert_eq!(intersect_count(&a, &a), a.len());
     }
 
     #[test]

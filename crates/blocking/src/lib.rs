@@ -17,7 +17,6 @@
 
 pub mod accum;
 pub mod block;
-pub mod csr;
 pub mod filtering;
 pub mod graph;
 pub mod intersect;
@@ -31,6 +30,6 @@ pub mod stats;
 pub mod token;
 
 pub use block::{Block, NameBlocks, TokenBlocks};
-pub use graph::{BetaWeighting, BlockingGraph, Candidate, GraphConfig, GraphIndex};
-pub use intersect::{intersect, intersect_count, intersect_into, intersect_visit};
+pub use graph::{BetaWeighting, BlockingGraph, Candidate, GraphConfig};
+pub use intersect::{intersect_into, intersect_visit};
 pub use purge::PurgeReport;

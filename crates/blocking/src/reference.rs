@@ -17,7 +17,7 @@
 use std::collections::BTreeMap;
 
 use minoaner_kb::stats::RelationStats;
-use minoaner_kb::{EntityId, KbPair, Side};
+use minoaner_kb::{EntityId, KbPair, Rows, Side};
 
 use crate::block::{NameBlocks, TokenBlocks};
 use crate::graph::{
@@ -66,9 +66,11 @@ pub fn build_blocking_graph_reference(
         pair, &value_left, &value_right, &in_left, &in_right, cfg.top_k, cfg.adaptive_pruning,
     );
 
+    // The kernel below is the original's, per-entity `Vec`s and all; only
+    // the finished lists are packed into the graph's row tables.
     let mut graph = BlockingGraph::from_parts(
-        [value_left, value_right],
-        [neighbor_left, neighbor_right],
+        [value_left, value_right].map(Rows::from_iter),
+        [neighbor_left, neighbor_right].map(Rows::from_iter),
         alpha,
     );
     if cfg.reciprocal_pruning {
@@ -106,7 +108,7 @@ fn beta_pass_reference(
     }
 
     // Block ids share the entity-id capacity bound: one up-front check
-    // covers every cast in the loop (mirrors csr.rs).
+    // covers every cast in the loop (mirrors `GraphIndex::build`).
     assert!(
         u32::try_from(token_blocks.blocks.len()).is_ok(),
         "block count exceeds u32 capacity"

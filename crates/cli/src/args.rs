@@ -241,7 +241,7 @@ USAGE:
 KB files ending in .ttl are parsed as Turtle (subset); everything else as
 N-Triples (subset).
 
-COMMON OPTIONS (all commands):
+COMMON OPTIONS (every command that loads a KB):
     --strict                abort on the first malformed N-Triples line (default)
     --lenient               skip malformed N-Triples lines, reporting exact counts
                             (Turtle inputs are always strict)
@@ -324,7 +324,7 @@ JOBS RUN OPTIONS:
     --job <spec>            a job to submit (repeatable, in priority order)
     --budget-workers <n>    total worker budget across running jobs
                             (default: all cores)
-    --budget-memory <bytes> total declared-memory budget (default: unlimited)
+    --budget-memory <bytes> total declared-memory budget, with k/m/g suffixes (default: unlimited)
     --max-running <n>       cap on concurrently running jobs
                             (default: the worker budget)
     --max-queued <n>        cap on waiting jobs; submissions beyond it are
@@ -346,249 +346,220 @@ KB COMPILE:
     (`resolve --mkb`). With one input the right side is left empty.
 ";
 
-/// Parses the command line (excluding `argv[0]`).
-pub fn parse(args: &[String]) -> Result<Command, ArgError> {
-    let mut it = args.iter();
-    let command = match it.next().map(String::as_str) {
-        Some("resolve") => "resolve",
-        Some("dedup") => "dedup",
-        Some("multi") => "multi",
-        Some("stats") => "stats",
-        Some("jobs") => return parse_jobs(&args[1..]),
-        Some("kb") => return parse_kb(&args[1..]),
-        Some("help") | Some("--help") | Some("-h") | None => return Ok(Command::Help),
-        Some(other) => return Err(ArgError(format!("unknown command {other:?}; try `minoaner help`"))),
-    };
+/// One flag of a command's table: its name, and what follows it — nothing (`Switch`), or a value
+/// that is any text, an unsigned integer, a float or a byte count ([`parse_bytes`]).
+type FlagSpec = (&'static str, Kind);
 
-    let mut left = None;
-    let mut right = None;
-    let mut input = None;
-    let mut kbs: Vec<String> = Vec::new();
-    let mut type_attr = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type".to_owned();
-    let mut ground_truth = None;
-    let mut workers = None;
-    let mut k = 2usize;
-    let mut top_k = 15usize;
-    let mut n = 3usize;
-    let mut theta = 0.6f64;
-    let mut json = false;
-    let mut lenient = false;
-    let mut report = None;
-    let mut checkpoint_dir = None;
-    let mut resume = false;
-    let mut degrade_ckpt = false;
-    let mut mkb = None;
-    let mut mem_budget = None;
-    let mut spill_dir = None;
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Kind {
+    Switch,
+    Text,
+    Int,
+    Float,
+    Bytes,
+}
+use Kind::{Bytes, Float, Int, Switch, Text};
 
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> Result<String, ArgError> {
-            it.next().cloned().ok_or_else(|| ArgError(format!("{name} requires a value")))
-        };
-        match flag.as_str() {
-            "--left" => left = Some(value("--left")?),
-            "--right" => right = Some(value("--right")?),
-            "--input" => input = Some(value("--input")?),
-            "--kb" => kbs.push(value("--kb")?),
-            "--type-attr" => type_attr = value("--type-attr")?,
-            "--ground-truth" => ground_truth = Some(value("--ground-truth")?),
-            "--workers" => {
-                workers = Some(value("--workers")?.parse().map_err(|_| ArgError("--workers expects an integer".into()))?)
+/// The four MinoanER parameters (defaults 2, 15, 3, 0.6: [`Flags::params`]).
+const PARAMS: &[FlagSpec] = &[("--k", Int), ("--top-k", Int), ("--n", Int), ("--theta", Float)];
+/// How N-Triples are parsed; the later of the two wins ([`Flags::lenient`]).
+const MODE: &[FlagSpec] = &[("--strict", Switch), ("--lenient", Switch)];
+
+// Every flag each command accepts (`jobs list|status|cancel` and `kb compile` name theirs where
+// they parse). A flag of another command's table is refused, not ignored.
+const RESOLVE: &[&[FlagSpec]] = &[
+    &[
+        ("--left", Text), ("--right", Text), ("--mkb", Text), ("--mem-budget", Bytes),
+        ("--spill-dir", Text), ("--ground-truth", Text), ("--workers", Int), ("--json", Switch),
+        ("--report", Text), ("--checkpoint-dir", Text), ("--resume", Switch),
+        ("--degrade-on-ckpt-error", Switch),
+    ],
+    PARAMS,
+    MODE,
+];
+const DEDUP: &[&[FlagSpec]] = &[&[("--input", Text), ("--workers", Int), ("--json", Switch)], MODE];
+const MULTI: &[&[FlagSpec]] = &[&[("--kb", Text), ("--workers", Int), ("--json", Switch)], MODE];
+const STATS: &[&[FlagSpec]] = &[&[("--input", Text), ("--type-attr", Text)], MODE];
+const JOBS_RUN: &[&[FlagSpec]] = &[
+    &[
+        ("--root", Text), ("--job", Text), ("--budget-workers", Int), ("--budget-memory", Bytes),
+        ("--max-running", Int), ("--max-queued", Int), ("--resume", Switch),
+        ("--degrade-on-ckpt-error", Switch),
+    ],
+    PARAMS,
+    MODE,
+];
+
+/// A command's arguments checked against its table: every flag is one the command lists, is
+/// followed by a value iff its kind takes one, and that value parses as its kind — which is what
+/// lets the getters below re-parse without an error path.
+struct Flags<'a> {
+    command: String,
+    /// `(flag, value)` in command-line order; a switch's value is empty.
+    seen: Vec<(&'static str, &'a str)>,
+}
+
+impl<'a> Flags<'a> {
+    fn parse(command: &str, table: &[&[FlagSpec]], args: &'a [String]) -> Result<Self, ArgError> {
+        let mut flags = Flags { command: command.to_owned(), seen: Vec::new() };
+        let mut it = args.iter();
+        while let Some(arg) = it.next() {
+            let Some(&(name, kind)) = table.iter().copied().flatten().find(|(name, _)| name == arg) else {
+                return Err(ArgError(format!("unknown flag {arg:?} for `{command}`; try `minoaner help`")));
+            };
+            let mut value = "";
+            if kind != Switch {
+                value = it.next().ok_or_else(|| ArgError(format!("{name} requires a value")))?;
             }
-            "--k" => k = value("--k")?.parse().map_err(|_| ArgError("--k expects an integer".into()))?,
-            "--top-k" => {
-                top_k = value("--top-k")?.parse().map_err(|_| ArgError("--top-k expects an integer".into()))?
+            match kind {
+                Int if value.parse::<usize>().is_err() => return Err(ArgError(format!("{name} expects an integer"))),
+                Float if value.parse::<f64>().is_err() => return Err(ArgError(format!("{name} expects a float"))),
+                Bytes => drop(parse_bytes(value)?),
+                _ => {}
             }
-            "--n" => n = value("--n")?.parse().map_err(|_| ArgError("--n expects an integer".into()))?,
-            "--theta" => {
-                theta = value("--theta")?.parse().map_err(|_| ArgError("--theta expects a float".into()))?
-            }
-            "--json" => json = true,
-            "--mkb" => mkb = Some(value("--mkb")?),
-            "--mem-budget" => mem_budget = Some(parse_bytes(&value("--mem-budget")?)?),
-            "--spill-dir" => spill_dir = Some(value("--spill-dir")?),
-            "--report" => report = Some(value("--report")?),
-            "--checkpoint-dir" => checkpoint_dir = Some(value("--checkpoint-dir")?),
-            "--resume" => resume = true,
-            "--degrade-on-ckpt-error" => degrade_ckpt = true,
-            "--lenient" => lenient = true,
-            "--strict" => lenient = false,
-            other => return Err(ArgError(format!("unknown flag {other:?}; try `minoaner help`"))),
+            flags.seen.push((name, value));
         }
+        Ok(flags)
     }
 
-    match command {
+    /// Every value given for `name`, in order.
+    fn all<'s>(&'s self, name: &'s str) -> impl Iterator<Item = &'a str> + 's {
+        self.seen.iter().filter(move |(flag, _)| *flag == name).map(|&(_, value)| value)
+    }
+
+    fn on(&self, name: &str) -> bool {
+        self.all(name).next().is_some()
+    }
+
+    /// The last value given for `name`, as text or as a number.
+    fn get<T: std::str::FromStr>(&self, name: &str) -> Option<T> {
+        self.all(name).last().and_then(|value| value.parse().ok())
+    }
+
+    fn bytes(&self, name: &str) -> Option<u64> {
+        self.all(name).last().and_then(|value| parse_bytes(value).ok())
+    }
+
+    fn required(&self, name: &str) -> Result<String, ArgError> {
+        self.get(name).ok_or_else(|| ArgError(format!("{} requires {name}", self.command)))
+    }
+
+    fn lenient(&self) -> bool {
+        let mode = self.seen.iter().rev().find(|(flag, _)| MODE.iter().any(|(name, _)| name == flag));
+        matches!(mode, Some(("--lenient", _)))
+    }
+
+    /// `(k, top_k, n, theta)`.
+    fn params(&self) -> (usize, usize, usize, f64) {
+        let (k, top_k, n) = (self.get("--k"), self.get("--top-k"), self.get("--n"));
+        (k.unwrap_or(2), top_k.unwrap_or(15), n.unwrap_or(3), self.get("--theta").unwrap_or(0.6))
+    }
+}
+
+/// Parses the command line (excluding `argv[0]`).
+pub fn parse(args: &[String]) -> Result<Command, ArgError> {
+    let Some((command, rest)) = args.split_first() else { return Ok(Command::Help) };
+    match command.as_str() {
         "resolve" => {
-            if mkb.is_some() {
-                if left.is_some() || right.is_some() {
-                    return Err(ArgError(
-                        "--mkb replaces both inputs; drop --left/--right".into(),
-                    ));
+            let f = Flags::parse("resolve", RESOLVE, rest)?;
+            match (f.on("--mkb"), f.on("--left"), f.on("--right")) {
+                (true, false, false) | (false, true, true) => {}
+                (true, ..) => return Err(ArgError("--mkb replaces both inputs; drop --left/--right".into())),
+                (false, false, _) => return Err(ArgError("resolve requires --left (or --mkb)".into())),
+                (false, true, false) => return Err(ArgError("resolve requires --right (or --mkb)".into())),
+            }
+            for (flag, needs) in [
+                ("--resume", "--checkpoint-dir"),
+                ("--degrade-on-ckpt-error", "--checkpoint-dir"),
+                ("--spill-dir", "--mem-budget"),
+            ] {
+                if f.on(flag) && !f.on(needs) {
+                    return Err(ArgError(format!("{flag} requires {needs}")));
                 }
-            } else {
-                if left.is_none() {
-                    return Err(ArgError("resolve requires --left (or --mkb)".into()));
-                }
-                if right.is_none() {
-                    return Err(ArgError("resolve requires --right (or --mkb)".into()));
-                }
             }
-            if resume && checkpoint_dir.is_none() {
-                return Err(ArgError("--resume requires --checkpoint-dir".into()));
-            }
-            if degrade_ckpt && checkpoint_dir.is_none() {
-                return Err(ArgError("--degrade-on-ckpt-error requires --checkpoint-dir".into()));
-            }
-            if spill_dir.is_some() && mem_budget.is_none() {
-                return Err(ArgError("--spill-dir requires --mem-budget".into()));
-            }
+            let (k, top_k, n, theta) = f.params();
             Ok(Command::Resolve(ResolveArgs {
-                left, right, mkb, mem_budget, spill_dir, ground_truth, workers, k, top_k, n,
-                theta, json, lenient, report, checkpoint_dir, resume, degrade_ckpt,
+                left: f.get("--left"), right: f.get("--right"), mkb: f.get("--mkb"),
+                mem_budget: f.bytes("--mem-budget"), spill_dir: f.get("--spill-dir"),
+                ground_truth: f.get("--ground-truth"), workers: f.get("--workers"), k, top_k, n, theta,
+                json: f.on("--json"), lenient: f.lenient(), report: f.get("--report"),
+                checkpoint_dir: f.get("--checkpoint-dir"), resume: f.on("--resume"),
+                degrade_ckpt: f.on("--degrade-on-ckpt-error"),
             }))
         }
         "dedup" => {
-            let input = input.ok_or_else(|| ArgError("dedup requires --input".into()))?;
-            Ok(Command::Dedup(DedupArgs { input, workers, json, lenient }))
+            let f = Flags::parse("dedup", DEDUP, rest)?;
+            let (input, workers) = (f.required("--input")?, f.get("--workers"));
+            Ok(Command::Dedup(DedupArgs { input, workers, json: f.on("--json"), lenient: f.lenient() }))
         }
         "multi" => {
-            if kbs.len() < 2 {
+            let f = Flags::parse("multi", MULTI, rest)?;
+            let inputs: Vec<String> = f.all("--kb").map(str::to_owned).collect();
+            if inputs.len() < 2 {
                 return Err(ArgError("multi requires at least two --kb inputs".into()));
             }
-            Ok(Command::Multi(MultiArgs { inputs: kbs, workers, json, lenient }))
+            let workers = f.get("--workers");
+            Ok(Command::Multi(MultiArgs { inputs, workers, json: f.on("--json"), lenient: f.lenient() }))
         }
         "stats" => {
-            let input = input.ok_or_else(|| ArgError("stats requires --input".into()))?;
-            Ok(Command::Stats(StatsArgs { input, type_attr, lenient }))
+            let f = Flags::parse("stats", STATS, rest)?;
+            let type_attr =
+                f.get("--type-attr").unwrap_or_else(|| "http://www.w3.org/1999/02/22-rdf-syntax-ns#type".into());
+            Ok(Command::Stats(StatsArgs { input: f.required("--input")?, type_attr, lenient: f.lenient() }))
         }
-        _ => unreachable!(),
+        "jobs" => parse_jobs(rest),
+        "kb" => parse_kb(rest),
+        "help" | "--help" | "-h" => Ok(Command::Help),
+        other => Err(ArgError(format!("unknown command {other:?}; try `minoaner help`"))),
     }
 }
 
 /// Parses `minoaner jobs <verb> ...` (the slice excludes `jobs` itself).
 fn parse_jobs(args: &[String]) -> Result<Command, ArgError> {
-    let mut it = args.iter();
-    let verb = it
-        .next()
-        .map(String::as_str)
+    let (verb, rest) = args
+        .split_first()
         .ok_or_else(|| ArgError("jobs requires a subcommand: run, list, status or cancel".into()))?;
-
-    let mut root = None;
-    let mut id = None;
-    let mut jobs = Vec::new();
-    let mut budget_workers = None;
-    let mut budget_memory = None;
-    let mut max_running = None;
-    let mut max_queued = None;
-    let mut k = 2usize;
-    let mut top_k = 15usize;
-    let mut n = 3usize;
-    let mut theta = 0.6f64;
-    let mut lenient = false;
-    let mut resume = false;
-    let mut degrade_ckpt = false;
-
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> Result<String, ArgError> {
-            it.next().cloned().ok_or_else(|| ArgError(format!("{name} requires a value")))
-        };
-        match flag.as_str() {
-            "--root" => root = Some(value("--root")?),
-            "--id" => id = Some(value("--id")?),
-            "--job" => jobs.push(parse_job_line(&value("--job")?)?),
-            "--budget-workers" => {
-                budget_workers = Some(value("--budget-workers")?.parse().map_err(|_| {
-                    ArgError("--budget-workers expects an integer".into())
-                })?)
-            }
-            "--budget-memory" => {
-                budget_memory = Some(value("--budget-memory")?.parse().map_err(|_| {
-                    ArgError("--budget-memory expects an integer (bytes)".into())
-                })?)
-            }
-            "--max-running" => {
-                max_running = Some(value("--max-running")?.parse().map_err(|_| {
-                    ArgError("--max-running expects an integer".into())
-                })?)
-            }
-            "--max-queued" => {
-                max_queued = Some(value("--max-queued")?.parse().map_err(|_| {
-                    ArgError("--max-queued expects an integer".into())
-                })?)
-            }
-            "--k" => k = value("--k")?.parse().map_err(|_| ArgError("--k expects an integer".into()))?,
-            "--top-k" => {
-                top_k = value("--top-k")?.parse().map_err(|_| ArgError("--top-k expects an integer".into()))?
-            }
-            "--n" => n = value("--n")?.parse().map_err(|_| ArgError("--n expects an integer".into()))?,
-            "--theta" => {
-                theta = value("--theta")?.parse().map_err(|_| ArgError("--theta expects a float".into()))?
-            }
-            "--lenient" => lenient = true,
-            "--strict" => lenient = false,
-            "--resume" => resume = true,
-            "--degrade-on-ckpt-error" => degrade_ckpt = true,
-            other => return Err(ArgError(format!("unknown flag {other:?} for `jobs {verb}`"))),
-        }
-    }
-
-    let root = root.ok_or_else(|| ArgError(format!("jobs {verb} requires --root")))?;
-    match verb {
-        "run" => {
+    let table: &[&[FlagSpec]] = match verb.as_str() {
+        "run" => JOBS_RUN,
+        "list" => &[&[("--root", Text)]],
+        "status" | "cancel" => &[&[("--root", Text), ("--id", Text)]],
+        other => return Err(ArgError(format!("unknown jobs subcommand {other:?}; expected run, list, status or cancel"))),
+    };
+    let f = Flags::parse(&format!("jobs {verb}"), table, rest)?;
+    let root = f.required("--root")?;
+    Ok(Command::Jobs(match verb.as_str() {
+        "list" => JobsCmd::List { root },
+        "status" => JobsCmd::Status { root, id: f.required("--id")? },
+        "cancel" => JobsCmd::Cancel { root, id: f.required("--id")? },
+        _ => {
+            let jobs = f.all("--job").map(parse_job_line).collect::<Result<Vec<_>, _>>()?;
             if jobs.is_empty() {
                 return Err(ArgError("jobs run requires at least one --job".into()));
             }
-            Ok(Command::Jobs(JobsCmd::Run(JobsRunArgs {
-                root, jobs, budget_workers, budget_memory, max_running, max_queued,
-                k, top_k, n, theta, lenient, resume, degrade_ckpt,
-            })))
+            let (k, top_k, n, theta) = f.params();
+            JobsCmd::Run(JobsRunArgs {
+                root, jobs, budget_workers: f.get("--budget-workers"),
+                budget_memory: f.bytes("--budget-memory"), max_running: f.get("--max-running"),
+                max_queued: f.get("--max-queued"), k, top_k, n, theta, lenient: f.lenient(),
+                resume: f.on("--resume"), degrade_ckpt: f.on("--degrade-on-ckpt-error"),
+            })
         }
-        "list" => Ok(Command::Jobs(JobsCmd::List { root })),
-        "status" => {
-            let id = id.ok_or_else(|| ArgError("jobs status requires --id".into()))?;
-            Ok(Command::Jobs(JobsCmd::Status { root, id }))
-        }
-        "cancel" => {
-            let id = id.ok_or_else(|| ArgError("jobs cancel requires --id".into()))?;
-            Ok(Command::Jobs(JobsCmd::Cancel { root, id }))
-        }
-        other => Err(ArgError(format!(
-            "unknown jobs subcommand {other:?}; expected run, list, status or cancel"
-        ))),
-    }
+    }))
 }
 
 /// Parses `minoaner kb <verb> ...` (the slice excludes `kb` itself).
 fn parse_kb(args: &[String]) -> Result<Command, ArgError> {
-    let mut it = args.iter();
-    let verb = it
-        .next()
-        .map(String::as_str)
-        .ok_or_else(|| ArgError("kb requires a subcommand: compile".into()))?;
+    let (verb, rest) = args.split_first().ok_or_else(|| ArgError("kb requires a subcommand: compile".into()))?;
     if verb != "compile" {
         return Err(ArgError(format!("unknown kb subcommand {verb:?}; expected compile")));
     }
-
-    let mut positionals: Vec<String> = Vec::new();
-    let mut lenient = false;
-    for arg in it {
-        match arg.as_str() {
-            "--lenient" => lenient = true,
-            "--strict" => lenient = false,
-            flag if flag.starts_with("--") => {
-                return Err(ArgError(format!("unknown flag {flag:?} for `kb compile`")))
-            }
-            path => positionals.push(path.to_owned()),
-        }
-    }
-    let (left, right, out) = match positionals.len() {
-        2 => (positionals[0].clone(), None, positionals[1].clone()),
-        3 => (positionals[0].clone(), Some(positionals[1].clone()), positionals[2].clone()),
-        n => {
-            return Err(ArgError(format!(
-                "kb compile takes <left.nt> [<right.nt>] <out.mkb> (got {n} paths)"
-            )))
-        }
+    // The one command with positional arguments; its flags take no values.
+    let (flags, paths): (Vec<String>, Vec<String>) = rest.iter().cloned().partition(|arg| arg.starts_with("--"));
+    let lenient = Flags::parse("kb compile", &[MODE], &flags)?.lenient();
+    let (left, right, out) = match &paths[..] {
+        [left, out] => (left.clone(), None, out.clone()),
+        [left, right, out] => (left.clone(), Some(right.clone()), out.clone()),
+        _ => return Err(ArgError(format!("kb compile takes <left.nt> [<right.nt>] <out.mkb> (got {} paths)", paths.len()))),
     };
     Ok(Command::Kb(KbCmd::Compile(KbCompileArgs { left, right, out, lenient })))
 }
@@ -604,44 +575,21 @@ fn parse_job_line(spec: &str) -> Result<JobLine, ArgError> {
         memory_bytes: 0,
         deadline_ms: None,
     };
-    for part in spec.split(',') {
-        let part = part.trim();
-        if part.is_empty() {
-            continue;
-        }
-        let (key, val) = part.split_once('=').ok_or_else(|| {
-            ArgError(format!("--job entry {part:?} is not key=value (in {spec:?})"))
-        })?;
+    for part in spec.split(',').map(str::trim).filter(|part| !part.is_empty()) {
+        let (key, val) = part
+            .split_once('=')
+            .ok_or_else(|| ArgError(format!("--job entry {part:?} is not key=value (in {spec:?})")))?;
+        let int = || ArgError(format!("--job {key} expects an integer (got {val:?})"));
         match key {
             "left" => line.left = val.to_owned(),
             "right" => line.right = val.to_owned(),
             "name" => line.name = Some(val.to_owned()),
-            "priority" => {
-                if !matches!(val, "low" | "normal" | "high") {
-                    return Err(ArgError(format!(
-                        "--job priority must be low, normal or high (got {val:?})"
-                    )));
-                }
-                line.priority = val.to_owned();
-            }
-            "workers" => {
-                line.workers = val.parse().map_err(|_| {
-                    ArgError(format!("--job workers expects an integer (got {val:?})"))
-                })?
-            }
-            "memory" => {
-                line.memory_bytes = val.parse().map_err(|_| {
-                    ArgError(format!("--job memory expects bytes as an integer (got {val:?})"))
-                })?
-            }
-            "deadline-ms" => {
-                line.deadline_ms = Some(val.parse().map_err(|_| {
-                    ArgError(format!("--job deadline-ms expects an integer (got {val:?})"))
-                })?)
-            }
-            other => {
-                return Err(ArgError(format!("unknown --job key {other:?} (in {spec:?})")))
-            }
+            "priority" if matches!(val, "low" | "normal" | "high") => line.priority = val.to_owned(),
+            "priority" => return Err(ArgError(format!("--job priority must be low, normal or high (got {val:?})"))),
+            "workers" => line.workers = val.parse().map_err(|_| int())?,
+            "memory" => line.memory_bytes = parse_bytes(val)?,
+            "deadline-ms" => line.deadline_ms = Some(val.parse().map_err(|_| int())?),
+            other => return Err(ArgError(format!("unknown --job key {other:?} (in {spec:?})"))),
         }
     }
     if line.left.is_empty() || line.right.is_empty() {
@@ -802,16 +750,16 @@ mod tests {
     fn parses_jobs_run() {
         let cmd = parse(&strings(&[
             "jobs", "run", "--root", "/tmp/jobs", "--budget-workers", "8",
-            "--budget-memory", "1024", "--max-running", "2", "--max-queued", "5",
+            "--budget-memory", "64m", "--max-running", "2", "--max-queued", "5",
             "--job", "left=a.nt,right=b.nt,priority=high,workers=2,deadline-ms=500",
-            "--job", "left=c.nt,right=d.nt,name=small,memory=100",
+            "--job", "left=c.nt,right=d.nt,name=small,memory=2k",
             "--resume",
         ]))
         .unwrap();
         let Command::Jobs(JobsCmd::Run(a)) = cmd else { panic!("expected jobs run") };
         assert_eq!(a.root, "/tmp/jobs");
         assert_eq!(a.budget_workers, Some(8));
-        assert_eq!(a.budget_memory, Some(1024));
+        assert_eq!(a.budget_memory, Some(64 << 20), "the suffixes --mem-budget takes");
         assert_eq!((a.max_running, a.max_queued), (Some(2), Some(5)));
         assert!(a.resume);
         assert_eq!(a.jobs.len(), 2);
@@ -819,7 +767,7 @@ mod tests {
         assert_eq!(a.jobs[0].workers, 2);
         assert_eq!(a.jobs[0].deadline_ms, Some(500));
         assert_eq!(a.jobs[1].name.as_deref(), Some("small"));
-        assert_eq!(a.jobs[1].memory_bytes, 100);
+        assert_eq!(a.jobs[1].memory_bytes, 2048);
         assert_eq!(a.jobs[1].priority, "normal", "priority defaults to normal");
     }
 
@@ -853,6 +801,7 @@ mod tests {
             "left=a.nt",                                  // missing right
             "left=a.nt,right=b.nt,priority=urgent",       // bad priority
             "left=a.nt,right=b.nt,workers=many",          // bad integer
+            "left=a.nt,right=b.nt,memory=1.5g",           // bad byte count
             "left=a.nt,right=b.nt,frob=1",                // unknown key
             "lefta.nt",                                   // not key=value
         ] {
@@ -930,6 +879,29 @@ mod tests {
         assert!(parse_bytes("12q").is_err());
         assert!(parse_bytes("99999999999999999999g").is_err());
         assert!(parse_bytes(&format!("{}g", u64::MAX)).is_err(), "shifted-out bits");
+    }
+
+    #[test]
+    fn a_flag_the_command_does_not_list_is_refused() {
+        for (args, flag, command) in [
+            (&["dedup", "--input", "k.nt", "--theta", "0.9"][..], "--theta", "`dedup`"),
+            (&["multi", "--kb", "a", "--kb", "b", "--checkpoint-dir", "d"], "--checkpoint-dir", "`multi`"),
+            (&["stats", "--input", "k.nt", "--json"], "--json", "`stats`"),
+            (&["resolve", "--left", "a", "--right", "b", "--input", "c"], "--input", "`resolve`"),
+            (&["jobs", "list", "--root", "r", "--job", "left=a,right=b"], "--job", "`jobs list`"),
+            (&["jobs", "list", "--root", "r", "--id", "j1"], "--id", "`jobs list`"),
+            (&["jobs", "status", "--root", "r", "--id", "j1", "--lenient"], "--lenient", "`jobs status`"),
+            (&["jobs", "run", "--root", "r", "--job", "left=a,right=b", "--json"], "--json", "`jobs run`"),
+            (&["kb", "compile", "a.nt", "out.mkb", "--json"], "--json", "`kb compile`"),
+        ] {
+            let ArgError(msg) = parse(&strings(args)).expect_err(&format!("{args:?} must be refused"));
+            assert!(msg.contains("unknown flag") && msg.contains(flag) && msg.contains(command), "{msg}");
+        }
+        // A value of the wrong kind names the flag, wherever it is listed.
+        for args in [&["dedup", "--input", "k", "--workers", "many"][..], &["resolve", "--mkb", "p", "--k", "x"]] {
+            assert!(parse(&strings(args)).unwrap_err().0.contains("expects an integer"), "{args:?}");
+        }
+        assert!(parse(&strings(&["resolve", "--mkb", "p", "--theta", "x"])).unwrap_err().0.contains("a float"));
     }
 
     #[test]

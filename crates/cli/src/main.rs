@@ -478,7 +478,7 @@ fn load_triples(
     let mut out = Vec::new();
     for (id, e) in kb.iter() {
         let subject = pair.uri_of(Side::Left, id).to_owned();
-        for &(a, v) in &e.pairs {
+        for &(a, v) in e.pairs {
             let predicate = pair.attrs().resolve(minoaner_kb::Symbol(a.0)).to_owned();
             let object = match v {
                 minoaner_kb::Value::Literal(l) => {

@@ -87,6 +87,19 @@ fn usage_errors_exit_two() {
     assert_eq!(code(&run(&["resolve", "--left", "a.nt", "--right", "b.nt", "--bogus"])), 2);
     // --resume without --checkpoint-dir.
     assert_eq!(code(&run(&["resolve", "--left", "a.nt", "--right", "b.nt", "--resume"])), 2);
+    // A flag of another command: refused with the command named, not
+    // accepted and dropped (the files are never opened — exit 1 would be).
+    for args in [
+        &["dedup", "--input", "k.nt", "--theta", "0.9", "--mkb", "x.mkb", "--checkpoint-dir", "d"][..],
+        &["stats", "--input", "k.nt", "--json", "--workers", "8"],
+        &["jobs", "list", "--root", "r", "--job", "left=a,right=b", "--resume"],
+    ] {
+        let out = run(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(code(&out), 2, "{args:?}: {stderr}");
+        let command = if args[0] == "jobs" { "`jobs list`".to_owned() } else { format!("`{}`", args[0]) };
+        assert!(stderr.contains("unknown flag") && stderr.contains(&command), "{args:?}: {stderr}");
+    }
 }
 
 #[test]

@@ -8,21 +8,15 @@
 //!   by vote count under unique mapping.
 //! * Adaptive pruning lives in the blocking layer
 //!   ([`minoaner_blocking::graph::GraphConfig::adaptive_pruning`]);
-//!   adaptive pruning is enabled for a [`Minoaner`] run via
-//!   [`crate::ResolveRequest::adaptive`].
+//!   [`crate::ResolveRequest::adaptive`] turns it on for a [`Minoaner`]
+//!   run, which is otherwise the same pipeline.
 
 use minoaner_det::DetHashMap;
 
-use minoaner_blocking::graph::{build_blocking_graph, GraphConfig};
-use minoaner_blocking::name::build_name_blocks;
-use minoaner_blocking::purge::purge_blocks;
-use minoaner_blocking::token::build_token_blocks_parallel;
 use minoaner_dataflow::Executor;
-use minoaner_kb::stats::{NameStats, RelationStats};
-use minoaner_kb::{EntityId, KbPair, Side};
+use minoaner_kb::{EntityId, KbPair};
 
 use crate::config::{MinoanerConfig, RuleSet};
-use crate::matcher::run_matching;
 use crate::pipeline::Minoaner;
 
 /// Result of an ensemble run.
@@ -49,7 +43,7 @@ pub fn ensemble_resolve(
     let mut votes: DetHashMap<(u32, u32), usize> = DetHashMap::default();
     for cfg in configs {
         let res = Minoaner::with_config(*cfg)
-            .resolve_impl(executor, pair, RuleSet::FULL, None)
+            .resolve_impl(executor, pair, RuleSet::FULL, false, None)
             .unwrap_or_else(|e| std::panic::panic_any(e));
         for (l, r) in res.matches {
             *votes.entry((l.0, r.0)).or_insert(0) += 1;
@@ -88,39 +82,11 @@ pub fn default_ensemble() -> Vec<MinoanerConfig> {
     ]
 }
 
-/// The conclusion's *dynamic pruning*, behind
-/// [`crate::ResolveRequest::adaptive`]: per-node candidate lists cut at
-/// mean + ½·stddev of the node's own weight distribution instead of a
-/// fixed top-K — the inline pipeline with
-/// [`GraphConfig::adaptive_pruning`] enabled.
-pub(crate) fn adaptive_impl(
-    executor: &Executor,
-    pair: &KbPair,
-    config: &MinoanerConfig,
-) -> crate::matcher::MatchOutcome {
-    let relation_stats = RelationStats::compute(pair);
-    let name_stats = NameStats::compute(pair, config.name_attrs_k);
-    let mut token_blocks = build_token_blocks_parallel(executor, pair);
-    let total = pair.kb(Side::Left).len() + pair.kb(Side::Right).len();
-    if config.purge_blocks {
-        purge_blocks(&mut token_blocks, total);
-    }
-    let name_blocks = build_name_blocks(pair, &name_stats);
-    let graph_cfg = GraphConfig {
-        top_k: config.top_k,
-        n_relations: config.n_relations,
-        adaptive_pruning: true,
-        ..GraphConfig::default()
-    };
-    let graph = build_blocking_graph(executor, pair, &relation_stats, &token_blocks, &name_blocks, &graph_cfg);
-    run_matching(executor, pair, &graph, config, RuleSet::FULL)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::request::ResolveRequest;
-    use minoaner_kb::{KbPairBuilder, Term};
+    use minoaner_kb::{KbPairBuilder, Side, Term};
 
     fn pair() -> KbPair {
         let mut b = KbPairBuilder::new();
@@ -164,7 +130,7 @@ mod tests {
         let out = Minoaner::new()
             .run(ResolveRequest::pair(&p).adaptive().workers(2))
             .expect("healthy run succeeds")
-            .into_adaptive();
+            .into_resolution();
         assert_eq!(out.matches.len(), 3);
     }
 

@@ -106,7 +106,7 @@ impl Minoaner {
         for i in 0..input.len() {
             for j in (i + 1)..input.len() {
                 let pair = input.pair(i, j);
-                let res = self.resolve_impl(executor, &pair, RuleSet::FULL, None)?;
+                let res = self.resolve_impl(executor, &pair, RuleSet::FULL, false, None)?;
                 pairwise.push(((i, j), res.matches.len()));
                 for &(l, r) in &res.matches {
                     let a: MultiNode = (i, pair.uri_of(Side::Left, l).to_owned());

@@ -130,7 +130,7 @@ impl Minoaner {
     /// Runs statistics, blocking and graph construction (Algorithm 1).
     pub fn prepare(&self, executor: &Executor, pair: &KbPair) -> PreparedGraph {
         let blocks = self.prepare_blocks(executor, pair);
-        let graph = self.build_graph_from_blocks(executor, pair, &blocks);
+        let graph = self.build_graph_from_blocks(executor, pair, &blocks, false);
         let PreparedBlocks { relation_stats, name_stats, token_blocks, name_blocks, purge } = blocks;
         PreparedGraph { graph, token_blocks, name_blocks, purge, relation_stats, name_stats }
     }
@@ -172,16 +172,20 @@ impl Minoaner {
     }
 
     /// The pipeline's second barrier: weights and prunes the disjunctive
-    /// blocking graph from prepared blocks (Algorithm 1).
+    /// blocking graph from prepared blocks (Algorithm 1) — with `adaptive`
+    /// ([`crate::ResolveRequest::adaptive`]), each node's cut follows its
+    /// own weight distribution ([`GraphConfig::adaptive_pruning`]).
     pub fn build_graph_from_blocks(
         &self,
         executor: &Executor,
         pair: &KbPair,
         blocks: &PreparedBlocks,
+        adaptive: bool,
     ) -> BlockingGraph {
         let graph_cfg = GraphConfig {
             top_k: self.config.top_k,
             n_relations: self.config.n_relations,
+            adaptive_pruning: adaptive,
             ..GraphConfig::default()
         };
         build_blocking_graph(
@@ -205,8 +209,8 @@ impl Minoaner {
         run_matching(executor, pair, &prepared.graph, &self.config, rules)
     }
 
-    /// End-to-end resolution with an explicit rule set — **the** resolver
-    /// implementation; every request path delegates here.
+    /// End-to-end resolution with an explicit rule set and pruning mode —
+    /// **the** resolver implementation; every request path delegates here.
     ///
     /// The pipeline's internal stages run on the executor's infallible
     /// `run_stage`, which re-raises task failures as a structured panic
@@ -225,9 +229,10 @@ impl Minoaner {
         executor: &Executor,
         pair: &KbPair,
         rules: RuleSet,
+        adaptive: bool,
         checkpoint: Option<(&CheckpointSpec, &TraceCollector)>,
     ) -> Result<Resolution, DataflowError> {
-        catch_unwind(AssertUnwindSafe(|| self.run_pipeline(executor, pair, rules, checkpoint)))
+        catch_unwind(AssertUnwindSafe(|| self.run_pipeline(executor, pair, rules, adaptive, checkpoint)))
             .map_err(DataflowError::from_panic)
             .and_then(|result| result)
     }
@@ -249,11 +254,13 @@ impl Minoaner {
         executor: &mut Executor,
         pair: &KbPair,
         rules: RuleSet,
+        adaptive: bool,
         spec: Option<&CheckpointSpec>,
     ) -> Result<(Resolution, RunTrace), DataflowError> {
         let collector = TraceCollector::new();
         executor.set_observer(collector.clone());
-        let result = self.resolve_impl(executor, pair, rules, spec.map(|spec| (spec, &*collector)));
+        let result =
+            self.resolve_impl(executor, pair, rules, adaptive, spec.map(|spec| (spec, &*collector)));
         executor.clear_observer();
         let resolution = result?;
         let trace = RunTrace::capture(
@@ -279,13 +286,14 @@ impl Minoaner {
         executor: &Executor,
         pair: &KbPair,
         rules: RuleSet,
+        adaptive: bool,
         checkpoint: Option<(&CheckpointSpec, &TraceCollector)>,
     ) -> Result<Resolution, DataflowError> {
         executor.reset_metrics();
         let start = Instant::now();
         executor.check_cancelled("barrier:start")?;
         let mut barriers = Barriers::open(checkpoint, executor, || {
-            resume::run_fingerprint(&self.config, rules, pair)
+            resume::run_fingerprint(&self.config, rules, adaptive, pair)
         })?;
         let restored = barriers.restore(executor)?;
 
@@ -315,7 +323,7 @@ impl Minoaner {
                 // write: a cancelled run leaves only complete, resumable
                 // barriers behind.
                 executor.check_cancelled("barrier:blocks")?;
-                let graph = self.build_graph_from_blocks(executor, pair, &blocks);
+                let graph = self.build_graph_from_blocks(executor, pair, &blocks, adaptive);
                 barriers.commit(executor, resume::BARRIER_GRAPH, "graph", || {
                     resume::graph_parts(&graph, &blocks.purge)
                 })?;

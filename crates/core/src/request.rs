@@ -25,15 +25,12 @@
 //! assert!(trace.workers >= 1);
 //! ```
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-
 use minoaner_dataflow::{CancelToken, DataflowError, Deadline, Executor, MemoryBudget, RunTrace};
 use minoaner_kb::dirty::canonicalize_dirty_matches;
 use minoaner_kb::KbPair;
 
 use crate::config::RuleSet;
 use crate::dirty::DirtyResolution;
-use crate::matcher::MatchOutcome;
 use crate::multi::{MultiKb, MultiResolution};
 use crate::pipeline::{Minoaner, Resolution};
 use crate::resume::CheckpointSpec;
@@ -146,8 +143,8 @@ impl<'a> ResolveRequest<'a> {
 
     /// Adaptive pruning (§7): per-node candidate lists cut at mean +
     /// ½·stddev of the node's own weight distribution instead of a fixed
-    /// top-K. The outcome is a raw [`MatchOutcome`]. Does not compose with
-    /// tracing, checkpointing or dirty mode.
+    /// top-K ([`minoaner_blocking::GraphConfig::adaptive_pruning`]). The
+    /// same pipeline otherwise, so it composes with every other option.
     pub fn adaptive(mut self) -> Self {
         self.adaptive = true;
         self
@@ -187,13 +184,7 @@ impl<'a> ResolveRequest<'a> {
     fn check_preconditions(&self) {
         match self.input {
             ResolveInput::Pair(pair) => {
-                if self.dirty {
-                    assert!(
-                        pair.is_dirty(),
-                        "ResolveRequest::dirty requires a DirtyKbBuilder-built pair"
-                    );
-                    assert!(!self.adaptive, "dirty and adaptive modes cannot be combined");
-                }
+                assert!(!self.dirty || pair.is_dirty(), "ResolveRequest::dirty requires a DirtyKbBuilder-built pair")
             }
             ResolveInput::Multi(input) => {
                 assert!(input.len() >= 2, "multi-KB resolution needs at least two KBs");
@@ -207,18 +198,12 @@ impl<'a> ResolveRequest<'a> {
                 );
             }
         }
-        if self.adaptive {
-            assert!(
-                !self.trace && self.checkpoint.is_none(),
-                "adaptive resolution does not support tracing or checkpoints yet"
-            );
-        }
     }
 }
 
 /// The result shape a [`ResolveRequest`] implies: a plain pair resolution
-/// (with its trace when one was requested), a dirty-ER deduplication, a
-/// multi-KB clustering, or a raw adaptive match outcome.
+/// (with its trace when one was requested), a dirty-ER deduplication, or a
+/// multi-KB clustering.
 #[derive(Debug)]
 pub enum ResolveOutcome {
     /// A clean-clean pair resolution; `trace` is `Some` iff the request
@@ -234,8 +219,6 @@ pub enum ResolveOutcome {
     },
     /// A multi-KB clustering.
     Multi(MultiResolution),
-    /// An adaptive-pruning match outcome.
-    Adaptive(MatchOutcome),
 }
 
 impl ResolveOutcome {
@@ -308,23 +291,11 @@ impl ResolveOutcome {
         }
     }
 
-    /// Unwraps an adaptive match outcome.
-    ///
-    /// # Panics
-    /// Panics if the outcome is not [`ResolveOutcome::Adaptive`].
-    pub fn into_adaptive(self) -> MatchOutcome {
-        match self {
-            ResolveOutcome::Adaptive(outcome) => outcome,
-            other => panic!("expected an adaptive outcome, got {}", other.variant_name()),
-        }
-    }
-
     fn variant_name(&self) -> &'static str {
         match self {
             ResolveOutcome::Single { .. } => "Single",
             ResolveOutcome::Dirty { .. } => "Dirty",
             ResolveOutcome::Multi(_) => "Multi",
-            ResolveOutcome::Adaptive(_) => "Adaptive",
         }
     }
 }
@@ -367,23 +338,13 @@ impl Minoaner {
         }
         match req.input {
             ResolveInput::Multi(input) => Ok(ResolveOutcome::Multi(self.multi_impl(executor, input)?)),
-            ResolveInput::Pair(pair) if req.adaptive => {
-                // The adaptive pipeline runs on the executor's infallible
-                // operators; recover their structured panic payload at
-                // this boundary like the plain pipeline does.
-                catch_unwind(AssertUnwindSafe(|| {
-                    crate::extensions::adaptive_impl(executor, pair, self.config())
-                }))
-                .map(ResolveOutcome::Adaptive)
-                .map_err(DataflowError::from_panic)
-            }
             ResolveInput::Pair(pair) => {
                 let (resolution, trace) = if req.trace || req.checkpoint.is_some() {
                     let (resolution, trace) =
-                        self.traced_impl(executor, pair, req.rules, req.checkpoint)?;
+                        self.traced_impl(executor, pair, req.rules, req.adaptive, req.checkpoint)?;
                     (resolution, Some(trace))
                 } else {
-                    (self.resolve_impl(executor, pair, req.rules, None)?, None)
+                    (self.resolve_impl(executor, pair, req.rules, req.adaptive, None)?, None)
                 };
                 Ok(Self::finish_single(req.dirty, resolution, trace))
             }
@@ -471,11 +432,17 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_request_yields_a_match_outcome() {
+    fn adaptive_request_runs_the_one_pipeline() {
         let p = pair();
-        let outcome =
-            Minoaner::new().run(ResolveRequest::pair(&p).adaptive()).unwrap().into_adaptive();
-        assert_eq!(outcome.matches.len(), 3);
+        let run = |req: ResolveRequest<'_>| Minoaner::new().run(req.trace()).unwrap().into_traced();
+        let (_, plain_trace) = run(ResolveRequest::pair(&p));
+        let (adaptive, trace) = run(ResolveRequest::pair(&p).adaptive());
+        assert_eq!(adaptive.matches.len(), 3);
+        let names = |t: &RunTrace| t.stages.iter().map(|s| s.name.clone()).collect::<Vec<_>>();
+        assert_eq!(names(&trace), names(&plain_trace), "same stages, purge and stats included");
+
+        let (r1, _) = run(ResolveRequest::pair(&p).adaptive().rules(RuleSet::R1_ONLY));
+        assert_eq!((r1.rule_counts.r2, r1.rule_counts.r3), (0, 0), "rules flow through");
     }
 
     #[test]
@@ -501,9 +468,11 @@ mod tests {
     #[test]
     #[should_panic(expected = "expected a pair resolution")]
     fn outcome_unwrap_names_the_actual_variant() {
-        let p = pair();
-        let outcome =
-            Minoaner::new().run(ResolveRequest::pair(&p).adaptive()).unwrap();
+        let mut b = minoaner_kb::dirty::DirtyKbBuilder::new();
+        b.add_triple("e0", "label", Term::Literal("fat duck bray"));
+        b.add_triple("e1", "label", Term::Literal("fat duck bray"));
+        let p = b.finish();
+        let outcome = Minoaner::new().run(ResolveRequest::pair(&p).dirty().adaptive()).unwrap();
         let _ = outcome.into_resolution();
     }
 }

@@ -126,13 +126,16 @@ impl CheckpointSpec {
 }
 
 /// Fingerprint binding a checkpoint to its run: the resolver configuration
-/// (θ bit-exact), the rule set, and the input KB dimensions. A sanity
+/// (θ bit-exact), the rule set, the pruning mode, the input KB dimensions,
+/// and — in the domain string — the layout of the checkpointed parts (`v2`:
+/// the graph's candidate tables are `Rows`), so a directory written with
+/// another layout is recomputed rather than failing to decode. A sanity
 /// guard against resuming with drifted inputs or settings — not a content
 /// hash of the KBs (re-parsing identical input reproduces it; swapping in
 /// a different dataset of identical dimensions would not be caught).
-pub fn run_fingerprint(config: &MinoanerConfig, rules: RuleSet, pair: &KbPair) -> u64 {
-    let mut bytes = Vec::with_capacity(96);
-    bytes.extend_from_slice(b"minoaner-run-fingerprint-v1");
+pub fn run_fingerprint(config: &MinoanerConfig, rules: RuleSet, adaptive: bool, pair: &KbPair) -> u64 {
+    let mut bytes = Vec::with_capacity(136);
+    bytes.extend_from_slice(b"minoaner-run-fingerprint-v2");
     for v in [
         config.name_attrs_k as u64,
         config.top_k as u64,
@@ -144,6 +147,7 @@ pub fn run_fingerprint(config: &MinoanerConfig, rules: RuleSet, pair: &KbPair) -
         u64::from(rules.r2),
         u64::from(rules.r3),
         u64::from(rules.r4),
+        u64::from(adaptive),
         pair.kb(Side::Left).len() as u64,
         pair.kb(Side::Right).len() as u64,
         pair.attr_space() as u64,
@@ -407,15 +411,16 @@ mod tests {
     fn fingerprint_is_stable_and_sensitive() {
         let pair = tiny_pair();
         let config = MinoanerConfig::default();
-        let base = run_fingerprint(&config, RuleSet::FULL, &pair);
-        assert_eq!(base, run_fingerprint(&config, RuleSet::FULL, &pair), "deterministic");
+        let base = run_fingerprint(&config, RuleSet::FULL, false, &pair);
+        assert_eq!(base, run_fingerprint(&config, RuleSet::FULL, false, &pair), "deterministic");
         assert_ne!(
             base,
-            run_fingerprint(&config, RuleSet::R1_ONLY, &pair),
+            run_fingerprint(&config, RuleSet::R1_ONLY, false, &pair),
             "rule set is part of the identity"
         );
+        assert_ne!(base, run_fingerprint(&config, RuleSet::FULL, true, &pair), "so is the pruning mode");
         let other = MinoanerConfig::builder().theta(0.7).build().unwrap();
-        assert_ne!(base, run_fingerprint(&other, RuleSet::FULL, &pair));
+        assert_ne!(base, run_fingerprint(&other, RuleSet::FULL, false, &pair));
     }
 
     #[test]

@@ -94,7 +94,7 @@ pub fn pruning_ablation(executor: &Executor, scale: f64) -> Vec<AblationRow> {
         let adaptive = Minoaner::new()
             .run(ResolveRequest::pair(&d.pair).adaptive().workers(executor.workers()))
             .unwrap_or_else(|e| std::panic::panic_any(e))
-            .into_adaptive();
+            .into_resolution();
         let qa = Quality::evaluate(&adaptive.matches, &d.ground_truth);
         rows.push(AblationRow {
             experiment: "pruning".into(),

@@ -46,7 +46,7 @@ pub fn kb_stats(pair: &KbPair, side: Side, type_attr: &str) -> KbStats {
     for (id, e) in kb.iter() {
         triples += e.triple_count();
         token_occ += u64::from(kb.token_occurrences_of(id));
-        for &(a, v) in &e.pairs {
+        for &(a, v) in e.pairs {
             match v {
                 Value::Literal(l) => {
                     attributes.insert(a);

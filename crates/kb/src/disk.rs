@@ -27,10 +27,11 @@
 //!   columns 12,13  per-entity token occurrence counts
 //! ```
 //!
-//! The arena and CSR sections are the columns [`Interner`] and the pair's
-//! token tables hold in memory — one byte arena or one token column, plus
-//! cumulative offsets (the leading 0 is only on disk). Writing copies those
-//! columns; [`MkbFile::to_pair`] validates them and copies them back.
+//! The arena, CSR and pairs sections are the columns [`Interner`] and the
+//! pair's [`Rows`] tables hold in memory — one byte arena or one data
+//! column, plus cumulative offsets from 0 (a pair's attribute and value are
+//! one column in memory, two on disk). Writing copies those columns;
+//! [`MkbFile::to_pair`] validates them and copies them back.
 //!
 //! [`MkbFile::open`] only validates structure (magic, version, endianness,
 //! alignment, section bounds) — the cheap path benchmarked against
@@ -48,8 +49,9 @@ use minoaner_det::fnv1a;
 use minoaner_det::vfs::{self, Vfs};
 
 use crate::interner::{Interner, Symbol};
-use crate::model::{AttrId, Entity, EntityId, LiteralId, Side, TokenId, Value};
-use crate::store::{Kb, KbPair, TokenRows};
+use crate::model::{AttrId, EntityId, LiteralId, Side, TokenId, Value};
+use crate::rows::Rows;
+use crate::store::{Kb, KbPair};
 
 /// Version of the `.mkb` layout this build reads and writes.
 pub const MKB_FORMAT_VERSION: u32 = 1;
@@ -130,66 +132,6 @@ fn corrupt(path: &Path, detail: impl Into<String>) -> MkbError {
     MkbError::Corrupt { path: path.display().to_string(), detail: detail.into() }
 }
 
-// ───────────────────────────── KbSource ─────────────────────────────
-
-/// Read access to a compiled KB pair, implemented both by the in-memory
-/// [`KbPair`] and by the memory-mapped [`MkbFile`].
-///
-/// The contract: all accessors taking an [`EntityId`] return `None` for
-/// out-of-range ids (never panic — this is the boundary where ids from
-/// user input or foreign files arrive), token sets are sorted and
-/// deduplicated, and symbol/token ids are comparable across both sides
-/// because the interners are shared.
-pub trait KbSource {
-    /// Number of entities on `side`.
-    fn entity_count(&self, side: Side) -> usize;
-    /// Interned URI of an entity, or `None` when out of range.
-    fn entity_uri(&self, side: Side, id: EntityId) -> Option<Symbol>;
-    /// Sorted, deduplicated token set of an entity's literals, or `None`
-    /// when out of range.
-    fn token_set(&self, side: Side, id: EntityId) -> Option<&[TokenId]>;
-    /// Total token occurrences of an entity, or `None` when out of range.
-    fn token_occurrences(&self, side: Side, id: EntityId) -> Option<u32>;
-    /// Resolves a token id to its string, or `None` when out of range.
-    fn token_string(&self, tok: TokenId) -> Option<&str>;
-    /// Resolves a URI symbol to its string, or `None` when out of range.
-    fn uri_string(&self, sym: Symbol) -> Option<&str>;
-    /// Whether this pair is a dirty-ER self-pair.
-    fn dirty(&self) -> bool;
-}
-
-impl KbSource for KbPair {
-    fn entity_count(&self, side: Side) -> usize {
-        self.kb(side).len()
-    }
-
-    fn entity_uri(&self, side: Side, id: EntityId) -> Option<Symbol> {
-        self.kb(side).get(id).map(|e| e.uri)
-    }
-
-    fn token_set(&self, side: Side, id: EntityId) -> Option<&[TokenId]> {
-        let kb = self.kb(side);
-        (id.index() < kb.len()).then(|| kb.tokens_of(id))
-    }
-
-    fn token_occurrences(&self, side: Side, id: EntityId) -> Option<u32> {
-        let kb = self.kb(side);
-        (id.index() < kb.len()).then(|| kb.token_occurrences_of(id))
-    }
-
-    fn token_string(&self, tok: TokenId) -> Option<&str> {
-        (tok.index() < self.tokens().len()).then(|| self.tokens().resolve(Symbol(tok.0)))
-    }
-
-    fn uri_string(&self, sym: Symbol) -> Option<&str> {
-        (sym.index() < self.uris().len()).then(|| self.uris().resolve(sym))
-    }
-
-    fn dirty(&self) -> bool {
-        self.is_dirty()
-    }
-}
-
 // ───────────────────────────── writing ─────────────────────────────
 
 /// Little-endian-free section builder: appends native-endian words and
@@ -223,27 +165,23 @@ impl SectionBuf {
     }
 }
 
-fn checked_u32(n: usize, what: &str) -> Result<u32, MkbError> {
-    u32::try_from(n).map_err(|_| MkbError::TooLarge { what: what.to_owned() })
-}
-
 /// Serializes an interner: count, cumulative byte offsets, concatenated
 /// UTF-8, in interning order (symbols are positional). These are the
 /// interner's own columns, copied; it keeps them under 4 GiB itself.
 fn arena_section(interner: &Interner) -> Vec<u8> {
     let mut s = SectionBuf::default();
     s.u64(interner.len() as u64);
-    s.u32_iter(std::iter::once(0).chain(interner.ends().iter().copied()));
+    s.u32_iter(interner.offsets().iter().copied());
     s.bytes(interner.arena().as_bytes());
     s.buf
 }
 
 /// Serializes row-major variable-length token data as a CSR section —
 /// again the table's own two columns, copied.
-fn csr_section(rows: &TokenRows) -> Vec<u8> {
+fn csr_section(rows: &Rows<TokenId>) -> Vec<u8> {
     let mut s = SectionBuf::default();
-    s.u64(rows.len() as u64);
-    s.u32_iter(std::iter::once(0).chain(rows.ends().iter().copied()));
+    s.u64(rows.n_rows() as u64);
+    s.u32_iter(rows.offsets().iter().copied());
     s.u32_iter(rows.data().iter().map(|t| t.0));
     s.buf
 }
@@ -257,39 +195,19 @@ fn u32_column(vals: impl ExactSizeIterator<Item = u32>) -> Vec<u8> {
 }
 
 /// Serializes one side's attribute–value pairs as parallel attr/value
-/// columns behind a per-entity CSR offsets table.
-fn pairs_section(kb: &Kb) -> Result<Vec<u8>, MkbError> {
+/// columns behind the table's own per-entity offsets.
+fn pairs_section(pairs: &Rows<(AttrId, Value)>) -> Result<Vec<u8>, MkbError> {
+    let value_word = |&(_, v): &(AttrId, Value)| match v {
+        Value::Literal(l) if l.0 & REF_BIT == 0 => Ok(l.0),
+        Value::Literal(_) => Err(MkbError::TooLarge { what: "literal id exceeds 2^31".into() }),
+        Value::Ref(t) if t.0 & REF_BIT == 0 => Ok(t.0 | REF_BIT),
+        Value::Ref(_) => Err(MkbError::TooLarge { what: "entity id exceeds 2^31".into() }),
+    };
+    let vals = pairs.data().iter().map(value_word).collect::<Result<Vec<u32>, _>>()?;
     let mut s = SectionBuf::default();
-    s.u64(kb.len() as u64);
-    let mut offsets = Vec::with_capacity(kb.len() + 1);
-    let mut total = 0usize;
-    offsets.push(0u32);
-    for e in kb.entities() {
-        total += e.pairs.len();
-        offsets.push(checked_u32(total, "pair columns exceed u32::MAX entries")?);
-    }
-    s.u32_iter(offsets.into_iter());
-    s.u32_iter(kb.entities().iter().flat_map(|e| e.pairs.iter().map(|&(a, _)| a.0)));
-    let mut vals = Vec::with_capacity(total);
-    for e in kb.entities() {
-        for &(_, v) in &e.pairs {
-            let word = match v {
-                Value::Literal(l) => {
-                    if l.0 & REF_BIT != 0 {
-                        return Err(MkbError::TooLarge { what: "literal id exceeds 2^31".into() });
-                    }
-                    l.0
-                }
-                Value::Ref(t) => {
-                    if t.0 & REF_BIT != 0 {
-                        return Err(MkbError::TooLarge { what: "entity id exceeds 2^31".into() });
-                    }
-                    t.0 | REF_BIT
-                }
-            };
-            vals.push(word);
-        }
-    }
+    s.u64(pairs.n_rows() as u64);
+    s.u32_iter(pairs.offsets().iter().copied());
+    s.u32_iter(pairs.data().iter().map(|&(a, _)| a.0));
     s.u32_iter(vals.into_iter());
     Ok(s.buf)
 }
@@ -307,10 +225,9 @@ pub fn write_mkb(pair: &KbPair, path: &Path) -> Result<u64, MkbError> {
 /// `.tmp-` sibling (best-effort) so a full disk never leaks scratch, and
 /// a pre-existing `.mkb` at `path` is left untouched until the rename.
 pub fn write_mkb_with(pair: &KbPair, path: &Path, vfs: &dyn Vfs) -> Result<u64, MkbError> {
-    let left = pair.kb(Side::Left);
-    let right = pair.kb(Side::Right);
-    let (tokset_l, tokocc_l) = left.token_columns();
-    let (tokset_r, tokocc_r) = right.token_columns();
+    let (left, right) = (pair.kb(Side::Left), pair.kb(Side::Right));
+    let ((uris_l, pairs_l), (tokset_l, tokocc_l)) = (left.entity_columns(), left.token_columns());
+    let ((uris_r, pairs_r), (tokset_r, tokocc_r)) = (right.entity_columns(), right.token_columns());
 
     let sections: Vec<(u32, Vec<u8>)> = vec![
         (section::TOKENS, arena_section(pair.tokens())),
@@ -318,10 +235,10 @@ pub fn write_mkb_with(pair: &KbPair, path: &Path, vfs: &dyn Vfs) -> Result<u64, 
         (section::ATTRS, arena_section(pair.attrs())),
         (section::URIS, arena_section(pair.uris())),
         (section::LITERAL_TOKENS, csr_section(pair.literal_tokens())),
-        (section::ENT_URI_L, u32_column(left.entities().iter().map(|e| e.uri.0))),
-        (section::ENT_URI_R, u32_column(right.entities().iter().map(|e| e.uri.0))),
-        (section::PAIRS_L, pairs_section(left)?),
-        (section::PAIRS_R, pairs_section(right)?),
+        (section::ENT_URI_L, u32_column(uris_l.iter().map(|uri| uri.0))),
+        (section::ENT_URI_R, u32_column(uris_r.iter().map(|uri| uri.0))),
+        (section::PAIRS_L, pairs_section(pairs_l)?),
+        (section::PAIRS_R, pairs_section(pairs_r)?),
         (section::TOKSET_L, csr_section(tokset_l)),
         (section::TOKSET_R, csr_section(tokset_r)),
         (section::TOKOCC_L, u32_column(tokocc_l.iter().copied())),
@@ -473,22 +390,26 @@ impl Drop for Mapping {
 /// offsets, validated 4-aligned and in-bounds at open time).
 #[derive(Debug, Clone)]
 struct ArenaRef {
-    count: usize,
     offsets: Range<usize>,
     bytes: Range<usize>,
 }
 
 #[derive(Debug, Clone)]
 struct CsrRef {
-    rows: usize,
     offsets: Range<usize>,
     data: Range<usize>,
 }
 
-#[derive(Debug, Clone)]
-struct ColRef {
-    count: usize,
-    data: Range<usize>,
+/// How many `u32`s a column's byte range holds.
+fn words(column: &Range<usize>) -> usize {
+    column.len() / 4
+}
+
+impl CsrRef {
+    /// One offset fewer than `open` claimed for the offsets column.
+    fn rows(&self) -> usize {
+        words(&self.offsets) - 1
+    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -499,10 +420,9 @@ struct SectionMeta {
 
 /// A structurally validated, memory-mapped `.mkb` file.
 ///
-/// All accessors are zero-copy views into the mapping. [`Self::open`]
-/// checks structure only; call [`Self::verify`] (or [`Self::to_pair`],
-/// which verifies first) before trusting the contents of a file that may
-/// have been corrupted at rest.
+/// [`Self::open`] checks structure only; [`Self::verify`] checks the
+/// contents against their checksums, and [`Self::to_pair`] — the one way
+/// to read a KB out of the file — verifies first.
 #[derive(Debug)]
 pub struct MkbFile {
     map: Mapping,
@@ -511,11 +431,11 @@ pub struct MkbFile {
     sections: Vec<SectionMeta>,
     arenas: [ArenaRef; 4], // tokens, literals, attrs, uris
     literal_tokens: CsrRef,
-    ent_uri: [ColRef; 2],
+    ent_uri: [Range<usize>; 2],
     pairs_offsets: [CsrRef; 2], // data range covers attr column; values follow
     pairs_vals: [Range<usize>; 2],
     toksets: [CsrRef; 2],
-    tokocc: [ColRef; 2],
+    tokocc: [Range<usize>; 2],
 }
 
 /// Bounds-checked cursor over one section's bytes (absolute offsets).
@@ -670,26 +590,9 @@ impl MkbFile {
             Cursor { bytes, pos: m.range.0, end: m.range.1, path, what }
         };
 
-        let parse_arena = |id: u32, what: &'static str| -> Result<ArenaRef, MkbError> {
-            let mut c = cursor(id, what);
-            let count = c.u64()? as usize;
-            let offsets = c.u32s(count.checked_add(1).ok_or_else(|| corrupt(path, format!("{what}: count overflow")))?)?;
-            // Offsets must be monotone; the last names the byte length.
-            let mut prev = 0u32;
-            for i in 0..=count {
-                let v = read_u32(bytes, offsets.start + i * 4);
-                if v < prev {
-                    return Err(corrupt(path, format!("{what}: offsets not monotone at {i}")));
-                }
-                prev = v;
-            }
-            let byte_len = prev as usize;
-            let arena_bytes = c.raw(byte_len)?;
-            Ok(ArenaRef { count, offsets, bytes: arena_bytes })
-        };
-
-        let parse_csr = |id: u32, what: &'static str| -> Result<CsrRef, MkbError> {
-            let mut c = cursor(id, what);
+        // A row count and that many + 1 offsets, which must be monotone;
+        // the last names the length of the column(s) they index.
+        let parse_offsets = |c: &mut Cursor<'_>, what: &str| -> Result<(Range<usize>, usize), MkbError> {
             let rows = c.u64()? as usize;
             let offsets = c.u32s(rows.checked_add(1).ok_or_else(|| corrupt(path, format!("{what}: count overflow")))?)?;
             let mut prev = 0u32;
@@ -700,33 +603,33 @@ impl MkbFile {
                 }
                 prev = v;
             }
-            let data = c.u32s(prev as usize)?;
-            Ok(CsrRef { rows, offsets, data })
+            Ok((offsets, prev as usize))
         };
 
-        let parse_col = |id: u32, what: &'static str| -> Result<ColRef, MkbError> {
+        let parse_arena = |id: u32, what: &'static str| -> Result<ArenaRef, MkbError> {
+            let mut c = cursor(id, what);
+            let (offsets, byte_len) = parse_offsets(&mut c, what)?;
+            Ok(ArenaRef { offsets, bytes: c.raw(byte_len)? })
+        };
+
+        let parse_csr = |id: u32, what: &'static str| -> Result<CsrRef, MkbError> {
+            let mut c = cursor(id, what);
+            let (offsets, len) = parse_offsets(&mut c, what)?;
+            Ok(CsrRef { offsets, data: c.u32s(len)? })
+        };
+
+        let parse_col = |id: u32, what: &'static str| -> Result<Range<usize>, MkbError> {
             let mut c = cursor(id, what);
             let count = c.u64()? as usize;
-            let data = c.u32s(count)?;
-            Ok(ColRef { count, data })
+            c.u32s(count)
         };
 
         // Pairs sections: CSR offsets + attr column + value column.
         let parse_pairs = |id: u32, what: &'static str| -> Result<(CsrRef, Range<usize>), MkbError> {
             let mut c = cursor(id, what);
-            let rows = c.u64()? as usize;
-            let offsets = c.u32s(rows.checked_add(1).ok_or_else(|| corrupt(path, format!("{what}: count overflow")))?)?;
-            let mut prev = 0u32;
-            for i in 0..=rows {
-                let v = read_u32(bytes, offsets.start + i * 4);
-                if v < prev {
-                    return Err(corrupt(path, format!("{what}: offsets not monotone at {i}")));
-                }
-                prev = v;
-            }
-            let attrs = c.u32s(prev as usize)?;
-            let vals = c.u32s(prev as usize)?;
-            Ok((CsrRef { rows, offsets, data: attrs }, vals))
+            let (offsets, len) = parse_offsets(&mut c, what)?;
+            let attrs = c.u32s(len)?;
+            Ok((CsrRef { offsets, data: attrs }, c.u32s(len)?))
         };
 
         let arenas = [
@@ -754,11 +657,8 @@ impl MkbFile {
         // Per-side column counts must agree.
         for side in [Side::Left, Side::Right] {
             let i = side.index();
-            let n = ent_uri[i].count;
-            if [pairs_l.rows, pairs_r.rows][i] != n
-                || toksets[i].rows != n
-                || tokocc[i].count != n
-            {
+            let n = words(&ent_uri[i]);
+            if [&pairs_l, &pairs_r][i].rows() != n || toksets[i].rows() != n || words(&tokocc[i]) != n {
                 return Err(corrupt(path, format!("{side:?}: per-entity column counts disagree")));
             }
         }
@@ -822,61 +722,11 @@ impl MkbFile {
         unsafe { std::slice::from_raw_parts(words.as_ptr().cast::<TokenId>(), words.len()) }
     }
 
-    fn arena_str(&self, arena: &ArenaRef, idx: usize) -> Option<&str> {
-        if idx >= arena.count {
-            return None;
-        }
-        let offsets = self.u32_view(&arena.offsets);
-        let (lo, hi) = (offsets[idx] as usize, offsets[idx + 1] as usize);
-        let bytes = &self.map.bytes()[arena.bytes.clone()];
-        let slice = bytes.get(lo..hi)?;
-        std::str::from_utf8(slice).ok()
-    }
-
-    fn arena_len(&self, which: usize) -> usize {
-        self.arenas[which].count
-    }
-
-    fn csr_row(&self, csr: &CsrRef, row: usize) -> Option<&[TokenId]> {
-        if row >= csr.rows {
-            return None;
-        }
-        let offsets = self.u32_view(&csr.offsets);
-        let (lo, hi) = (offsets[row] as usize, offsets[row + 1] as usize);
-        let data = self.token_view(&csr.data);
-        data.get(lo..hi)
-    }
-
-    /// Number of distinct tokens in the shared interner.
-    pub fn token_space(&self) -> usize {
-        self.arena_len(0)
-    }
-
-    /// Number of distinct normalized literals.
-    pub fn literal_space(&self) -> usize {
-        self.arena_len(1)
-    }
-
-    /// Number of distinct attributes.
-    pub fn attr_space(&self) -> usize {
-        self.arena_len(2)
-    }
-
-    /// Resolves any interner string: `which` ∈ {0: tokens, 1: literals,
-    /// 2: attrs, 3: uris}. Used by the round-trip property tests.
-    pub fn interner_string(&self, which: usize, sym: Symbol) -> Option<&str> {
-        self.arenas.get(which).and_then(|a| self.arena_str(a, sym.index()))
-    }
-
-    /// Number of interned strings in arena `which` (same indexing as
-    /// [`Self::interner_string`]).
-    pub fn interner_len(&self, which: usize) -> Option<usize> {
-        self.arenas.get(which).map(|a| a.count)
-    }
-
-    /// The token sequence of a normalized literal, or `None` out of range.
-    pub fn literal_token_seq(&self, lit: LiteralId) -> Option<&[TokenId]> {
-        self.csr_row(&self.literal_tokens, lit.index())
+    /// A stored offsets column and the data column it cuts into rows, as a
+    /// table — every CSR-shaped section's one validator.
+    fn rows<T>(&self, what: &str, offsets: &Range<usize>, data: Vec<T>) -> Result<Rows<T>, MkbError> {
+        Rows::from_parts(self.u32_view(offsets).to_vec(), data)
+            .map_err(|detail| corrupt(&self.path, format!("{what}: {detail}")))
     }
 
     /// Fully verifies the file and materializes an in-memory [`KbPair`].
@@ -887,94 +737,72 @@ impl MkbFile {
     /// same ids, same token sets, hence bit-identical resolution results.
     ///
     /// Beyond the checksums, every arena must be UTF-8 cut on char
-    /// boundaries into distinct strings, every CSR table must start at 0
-    /// and hold known token ids, and every id in the entity columns must be
-    /// in range; anything else is [`MkbError::Corrupt`].
+    /// boundaries into distinct strings, every CSR and pairs table must
+    /// start at 0 and span its columns, and every id in every column must
+    /// be in range; anything else is [`MkbError::Corrupt`].
     pub fn to_pair(&self) -> Result<KbPair, MkbError> {
         self.verify()?;
         let path = &self.path;
 
-        // Arenas and CSR tables have the in-memory layout: validate the
-        // columns, then copy them whole.
+        // Arenas, CSR tables and flat columns have the in-memory layout:
+        // validate the columns in place, then copy them whole.
         let interner = |which: usize, what: &str| -> Result<Interner, MkbError> {
             let arena = &self.arenas[which];
             let text = std::str::from_utf8(&self.map.bytes()[arena.bytes.clone()])
                 .map_err(|e| corrupt(path, format!("{what}: invalid UTF-8 at arena byte {}", e.valid_up_to())))?;
-            let Some((&0, ends)) = self.u32_view(&arena.offsets).split_first() else {
-                return Err(corrupt(path, format!("{what}: the first string does not start at byte 0")));
-            };
-            Interner::from_parts(text.to_owned(), ends.to_vec())
+            Interner::from_parts(text.to_owned(), self.u32_view(&arena.offsets).to_vec())
                 .map_err(|detail| corrupt(path, format!("{what}: {detail}")))
         };
         let tokens = interner(0, "tokens arena")?;
         let literals = interner(1, "literals arena")?;
         let attrs = interner(2, "attrs arena")?;
         let uris = interner(3, "uris arena")?;
-        let uris_len = uris.len() as u32;
-        let lits_len = literals.len() as u32;
-        let attrs_len = attrs.len() as u32;
-        let toks_len = tokens.len() as u32;
+        let [toks_len, lits_len, attrs_len, uris_len] = [&tokens, &literals, &attrs, &uris].map(|i| i.len() as u32);
 
-        let token_rows = |csr: &CsrRef, what: &str| -> Result<TokenRows, MkbError> {
+        let token_rows = |csr: &CsrRef, what: &str| -> Result<Rows<TokenId>, MkbError> {
             let data = self.token_view(&csr.data);
             if data.iter().any(|t| t.0 >= toks_len) {
                 return Err(corrupt(path, format!("{what}: token id out of range")));
             }
-            let Some((&0, ends)) = self.u32_view(&csr.offsets).split_first() else {
-                return Err(corrupt(path, format!("{what}: the first row does not start at entry 0")));
-            };
-            TokenRows::from_parts(ends.to_vec(), data.to_vec())
-                .map_err(|detail| corrupt(path, format!("{what}: {detail}")))
+            self.rows(what, &csr.offsets, data.to_vec())
         };
-        if self.literal_tokens.rows != literals.len() {
+        if self.literal_tokens.rows() != literals.len() {
             return Err(corrupt(path, "literal token CSR row count disagrees with literal arena"));
         }
         let literal_tokens = token_rows(&self.literal_tokens, "literal tokens")?;
 
         let build_side = |side: Side| -> Result<Kb, MkbError> {
             let i = side.index();
-            let n = self.ent_uri[i].count;
-            let uri_col = self.u32_view(&self.ent_uri[i].data);
+            let uri_col = self.u32_view(&self.ent_uri[i]);
+            let n = uri_col.len();
+            if let Some(e) = uri_col.iter().position(|&uri| uri >= uris_len) {
+                return Err(corrupt(path, format!("{side:?} entity {e}: uri symbol out of range")));
+            }
             let pair_offsets = self.u32_view(&self.pairs_offsets[i].offsets);
             let attr_col = self.u32_view(&self.pairs_offsets[i].data);
             let val_col = self.u32_view(&self.pairs_vals[i]);
-            let mut entities = Vec::with_capacity(n);
-            for e in 0..n {
-                let uri = uri_col[e];
-                if uri >= uris_len {
-                    return Err(corrupt(path, format!("{side:?} entity {e}: uri symbol out of range")));
+            // Names the entity whose row holds pair `p`.
+            let bad = |p: usize, what: &str| {
+                let e = pair_offsets.partition_point(|&start| start as usize <= p).saturating_sub(1);
+                corrupt(path, format!("{side:?} entity {e}: {what} out of range"))
+            };
+            let mut pairs = Vec::with_capacity(attr_col.len());
+            for (p, (&a, &w)) in attr_col.iter().zip(val_col).enumerate() {
+                if a >= attrs_len {
+                    return Err(bad(p, "attr id"));
                 }
-                let (lo, hi) = (pair_offsets[e] as usize, pair_offsets[e + 1] as usize);
-                if hi > attr_col.len() || hi > val_col.len() {
-                    return Err(corrupt(path, format!("{side:?} entity {e}: pair range out of bounds")));
-                }
-                let mut pairs = Vec::with_capacity(hi - lo);
-                for p in lo..hi {
-                    let a = attr_col[p];
-                    if a >= attrs_len {
-                        return Err(corrupt(path, format!("{side:?} entity {e}: attr id out of range")));
-                    }
-                    let w = val_col[p];
-                    let v = if w & REF_BIT != 0 {
-                        let t = w & !REF_BIT;
-                        if t as usize >= n {
-                            return Err(corrupt(path, format!("{side:?} entity {e}: ref target out of range")));
-                        }
-                        Value::Ref(EntityId(t))
-                    } else {
-                        if w >= lits_len {
-                            return Err(corrupt(path, format!("{side:?} entity {e}: literal id out of range")));
-                        }
-                        Value::Literal(LiteralId(w))
-                    };
-                    pairs.push((AttrId(a), v));
-                }
-                entities.push(Entity { uri: Symbol(uri), pairs });
+                let v = match (w & REF_BIT != 0, w & !REF_BIT) {
+                    (true, t) if t as usize >= n => return Err(bad(p, "ref target")),
+                    (true, t) => Value::Ref(EntityId(t)),
+                    (false, l) if l >= lits_len => return Err(bad(p, "literal id")),
+                    (false, l) => Value::Literal(LiteralId(l)),
+                };
+                pairs.push((AttrId(a), v));
             }
-
+            let pairs = self.rows(&format!("{side:?} pairs"), &self.pairs_offsets[i].offsets, pairs)?;
             let token_sets = token_rows(&self.toksets[i], &format!("{side:?} token sets"))?;
-            let occ = self.u32_view(&self.tokocc[i].data).to_vec();
-            Ok(Kb::from_parts(side, entities, token_sets, occ))
+            let occ = self.u32_view(&self.tokocc[i]).to_vec();
+            Ok(Kb::from_parts(uri_col.iter().map(|&uri| Symbol(uri)).collect(), pairs, token_sets, occ))
         };
 
         let left = build_side(Side::Left)?;
@@ -983,38 +811,6 @@ impl MkbFile {
             return Err(corrupt(path, "dirty flag set but sides differ in length"));
         }
         Ok(KbPair::from_parts(tokens, literals, attrs, uris, literal_tokens, [left, right], self.dirty))
-    }
-}
-
-impl KbSource for MkbFile {
-    fn entity_count(&self, side: Side) -> usize {
-        self.ent_uri[side.index()].count
-    }
-
-    fn entity_uri(&self, side: Side, id: EntityId) -> Option<Symbol> {
-        let col = &self.ent_uri[side.index()];
-        (id.index() < col.count).then(|| Symbol(self.u32_view(&col.data)[id.index()]))
-    }
-
-    fn token_set(&self, side: Side, id: EntityId) -> Option<&[TokenId]> {
-        self.csr_row(&self.toksets[side.index()], id.index())
-    }
-
-    fn token_occurrences(&self, side: Side, id: EntityId) -> Option<u32> {
-        let col = &self.tokocc[side.index()];
-        (id.index() < col.count).then(|| self.u32_view(&col.data)[id.index()])
-    }
-
-    fn token_string(&self, tok: TokenId) -> Option<&str> {
-        self.arena_str(&self.arenas[0], tok.index())
-    }
-
-    fn uri_string(&self, sym: Symbol) -> Option<&str> {
-        self.arena_str(&self.arenas[3], sym.index())
-    }
-
-    fn dirty(&self) -> bool {
-        self.dirty
     }
 }
 
@@ -1039,59 +835,6 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("mkb-unit-{}-{tag}", std::process::id()));
         fs::create_dir_all(&dir).expect("create temp dir");
         dir
-    }
-
-    #[test]
-    fn round_trips_a_small_pair() {
-        let pair = sample_pair();
-        let dir = tmp_dir("roundtrip");
-        let path = dir.join("pair.mkb");
-        write_mkb(&pair, &path).expect("write");
-        let mkb = MkbFile::open(&path).expect("open");
-        mkb.verify().expect("verify");
-        let loaded = mkb.to_pair().expect("materialize");
-        assert_eq!(loaded.kb(Side::Left).len(), pair.kb(Side::Left).len());
-        assert_eq!(loaded.kb(Side::Right).len(), pair.kb(Side::Right).len());
-        assert_eq!(loaded.token_space(), pair.token_space());
-        for side in [Side::Left, Side::Right] {
-            for (id, e) in pair.kb(side).iter() {
-                let l = loaded.kb(side).entity(id);
-                assert_eq!(l.uri, e.uri);
-                assert_eq!(l.pairs, e.pairs);
-                assert_eq!(loaded.kb(side).tokens_of(id), pair.kb(side).tokens_of(id));
-                assert_eq!(
-                    loaded.kb(side).token_occurrences_of(id),
-                    pair.kb(side).token_occurrences_of(id)
-                );
-            }
-        }
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn kbsource_agrees_between_heap_and_mapped() {
-        let pair = sample_pair();
-        let dir = tmp_dir("source");
-        let path = dir.join("pair.mkb");
-        write_mkb(&pair, &path).expect("write");
-        let mkb = MkbFile::open(&path).expect("open");
-        for side in [Side::Left, Side::Right] {
-            assert_eq!(KbSource::entity_count(&pair, side), mkb.entity_count(side));
-            for i in 0..pair.entity_count(side) {
-                let id = EntityId(i as u32);
-                assert_eq!(pair.entity_uri(side, id), mkb.entity_uri(side, id));
-                assert_eq!(pair.token_set(side, id), mkb.token_set(side, id));
-                assert_eq!(pair.token_occurrences(side, id), mkb.token_occurrences(side, id));
-            }
-            // Out-of-range ids answer None on both implementations.
-            let oob = EntityId(u32::MAX);
-            assert_eq!(pair.entity_uri(side, oob), None);
-            assert_eq!(mkb.entity_uri(side, oob), None);
-            assert_eq!(pair.token_set(side, oob), None);
-            assert_eq!(mkb.token_set(side, oob), None);
-        }
-        assert_eq!(pair.dirty(), mkb.dirty());
-        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1154,19 +897,24 @@ mod tests {
         let good = fs::read(&path).expect("read");
 
         // Each edit gets its section's bytes: count u64, then the offsets
-        // [0, 5, 7, 9] (literals) or [0, 1, 2, 3] (literal tokens), then
-        // the arena bytes "caféaaab" or the token column.
+        // [0, 5, 7, 9] (literals), [0, 1, 2, 3] (literal tokens), [0, 2]
+        // (left pairs) or [0, 1] (right pairs), then the arena bytes
+        // "caféaaab" or the data column(s). A last offset that is not the
+        // column's length cannot be written: `open` sizes the columns by it.
         fn put_u32(section: &mut [u8], at: usize, v: u32) {
             section[at..at + 4].copy_from_slice(&v.to_ne_bytes());
         }
         type Edit = fn(&mut [u8]);
-        let cases: [(u32, Edit, &str); 6] = [
+        let cases: [(u32, Edit, &str); 8] = [
             (section::LITERALS, |s| s[8 + 4 * 4 + 3] = 0xFF, "invalid UTF-8"),
             (section::LITERALS, |s| put_u32(s, 8 + 4, 4), "UTF-8 boundaries"), // "caf\xC3" | "\xA9aa"
             (section::LITERALS, |s| s[8 + 4 * 4 + 8] = b'a', "repeats"), // "ab" becomes a second "aa"
             (section::LITERALS, |s| put_u32(s, 8, 1), "start at byte 0"),
             (section::LITERAL_TOKENS, |s| put_u32(s, 8, 1), "start at entry 0"),
             (section::LITERAL_TOKENS, |s| put_u32(s, 8 + 4 * 4, 99), "token id out of range"),
+            // Entity 0 starting at pair 1 used to load with pair 0 dropped.
+            (section::PAIRS_L, |s| put_u32(s, 8, 1), "Left pairs: the first row does not start at entry 0"),
+            (section::PAIRS_R, |s| put_u32(s, 8, 1), "Right pairs: the first row does not start at entry 0"),
         ];
         let (literals, _) = section_range(&good, section::LITERALS);
         assert_eq!(&good[literals + 8 + 4 * 4..][..9], "caféaaab".as_bytes());

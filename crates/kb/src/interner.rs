@@ -40,18 +40,18 @@ impl fmt::Display for Symbol {
 ///
 /// Storage is the layout an `.mkb` arena section has on disk
 /// ([`crate::disk`]): every string once, back to back in one byte arena,
-/// plus one end offset per symbol. Lookup is an open-addressing table of
+/// plus cumulative byte offsets starting at 0. Lookup is an open-addressing table of
 /// symbols keyed by [`minoaner_det::hash_bytes`]; the 32 hash bits kept
 /// per symbol are compared before any bytes are, and let the table double
 /// without hashing a string again. The hash only places symbols in that
 /// table — numbering is first-seen order whatever the hash is.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Clone)]
 pub struct Interner {
     /// The interned strings, concatenated in symbol order.
     arena: String,
-    /// `ends[i]` is where symbol `i` ends in `arena`; it starts where
-    /// symbol `i - 1` ends.
-    ends: Vec<u32>,
+    /// Symbol `i` is `arena[offsets[i]..offsets[i + 1]]`: one entry more
+    /// than there are symbols, the first 0.
+    offsets: Vec<u32>,
     /// Low 32 bits of each symbol's hash.
     hashes: Vec<u32>,
     /// Linear-probing table, a power of two long and at most half full:
@@ -65,6 +65,12 @@ fn hash32(s: &str) -> u32 {
     minoaner_det::hash_bytes(s.as_bytes()) as u32
 }
 
+impl Default for Interner {
+    fn default() -> Self {
+        Self::with_capacity(0)
+    }
+}
+
 impl Interner {
     /// Creates an empty interner.
     pub fn new() -> Self {
@@ -73,12 +79,9 @@ impl Interner {
 
     /// Creates an empty interner with capacity for `n` distinct strings.
     pub fn with_capacity(n: usize) -> Self {
-        Self {
-            arena: String::new(),
-            ends: Vec::with_capacity(n),
-            hashes: Vec::with_capacity(n),
-            slots: vec![EMPTY; slots_for(n)],
-        }
+        let mut offsets = Vec::with_capacity(n + 1);
+        offsets.push(0);
+        Self { arena: String::new(), offsets, hashes: Vec::with_capacity(n), slots: vec![EMPTY; slots_for(n)] }
     }
 
     /// Interns `s`, returning its symbol. Idempotent.
@@ -94,15 +97,15 @@ impl Interner {
         }
         let end = self.arena.len() + s.len();
         assert!(
-            end <= u32::MAX as usize && self.ends.len() < u32::MAX as usize,
+            end <= u32::MAX as usize && self.len() < u32::MAX as usize,
             "interner overflow: more than u32::MAX distinct strings or arena bytes"
         );
-        if slots_for(self.ends.len() + 1) > self.slots.len() {
+        if slots_for(self.len() + 1) > self.slots.len() {
             self.grow();
         }
-        let sym = Symbol(self.ends.len() as u32);
+        let sym = Symbol(self.len() as u32);
         self.arena.push_str(s);
-        self.ends.push(end as u32);
+        self.offsets.push(end as u32);
         self.hashes.push(hash);
         place(&mut self.slots, sym, hash);
         sym
@@ -110,23 +113,25 @@ impl Interner {
 
     /// Rebuilds an interner from its storage — the deserialization path of
     /// the on-disk `.mkb` container ([`crate::disk`]). The columns are
-    /// taken as they are; what is checked is that the end offsets cut
-    /// `arena` into strings (ascending, on UTF-8 boundaries, ending at its
-    /// last byte) and that no string occurs twice; what is rebuilt is the
-    /// lookup table. The error names the offending symbol.
-    pub(crate) fn from_parts(arena: String, ends: Vec<u32>) -> Result<Self, String> {
-        if ends.len() >= u32::MAX as usize {
+    /// taken as they are; what is checked is that the offsets cut `arena`
+    /// into strings (from byte 0, ascending, on UTF-8 boundaries, ending at
+    /// its last byte) and that no string occurs twice; what is rebuilt is
+    /// the lookup table. The error names the offending symbol.
+    pub(crate) fn from_parts(arena: String, offsets: Vec<u32>) -> Result<Self, String> {
+        if offsets.first() != Some(&0) {
+            return Err("the first string does not start at byte 0".to_owned());
+        }
+        let n = offsets.len() - 1;
+        if n >= u32::MAX as usize {
             return Err("more than u32::MAX strings".to_owned());
         }
-        let mut this = Self {
-            arena,
-            ends: Vec::with_capacity(ends.len()),
-            hashes: Vec::with_capacity(ends.len()),
-            slots: vec![EMPTY; slots_for(ends.len())],
-        };
-        let mut start = 0usize;
-        for (i, &end) in ends.iter().enumerate() {
-            let Some(s) = this.arena.get(start..end as usize) else {
+        if offsets.last().map(|&end| end as usize) != Some(arena.len()) {
+            return Err("the last string does not end at the arena's last byte".to_owned());
+        }
+        let mut this = Self { arena, offsets, hashes: Vec::with_capacity(n), slots: vec![EMPTY; slots_for(n)] };
+        for i in 0..n {
+            let sym = Symbol(i as u32);
+            let Some(s) = this.span(sym).and_then(|span| this.arena.get(span)) else {
                 return Err(format!("string {i} is not bounded by UTF-8 boundaries of the arena"));
             };
             let hash = hash32(s);
@@ -134,13 +139,8 @@ impl Interner {
             if this.find(s, hash).is_some() {
                 return Err(format!("string {i} repeats an earlier one"));
             }
-            this.ends.push(end);
             this.hashes.push(hash);
-            place(&mut this.slots, Symbol(i as u32), hash);
-            start = end as usize;
-        }
-        if start != this.arena.len() {
-            return Err("the last string does not end at the arena's last byte".to_owned());
+            place(&mut this.slots, sym, hash);
         }
         Ok(this)
     }
@@ -172,11 +172,8 @@ impl Interner {
 
     /// Where `sym`'s string lies in `arena`, if it is this interner's.
     fn span(&self, sym: Symbol) -> Option<std::ops::Range<usize>> {
-        let end = *self.ends.get(sym.index())?;
-        let start = match sym.index().checked_sub(1) {
-            Some(before) => *self.ends.get(before)?,
-            None => 0,
-        };
+        let start = *self.offsets.get(sym.index())?;
+        let end = *self.offsets.get(sym.index() + 1)?;
         Some(start as usize..end as usize)
     }
 
@@ -198,17 +195,17 @@ impl Interner {
 
     /// Number of distinct interned strings.
     pub fn len(&self) -> usize {
-        self.ends.len()
+        self.offsets.len() - 1
     }
 
     /// Whether no strings have been interned yet.
     pub fn is_empty(&self) -> bool {
-        self.ends.is_empty()
+        self.len() == 0
     }
 
     /// Iterates over `(Symbol, &str)` pairs in interning order.
     pub fn iter(&self) -> impl Iterator<Item = (Symbol, &str)> {
-        (0..self.ends.len() as u32).map(|i| (Symbol(i), self.resolve(Symbol(i))))
+        (0..self.len() as u32).map(|i| (Symbol(i), self.resolve(Symbol(i))))
     }
 
     /// Every interned string back to back, in symbol order.
@@ -216,9 +213,11 @@ impl Interner {
         &self.arena
     }
 
-    /// Where each symbol's string ends in [`Self::arena`].
-    pub(crate) fn ends(&self) -> &[u32] {
-        &self.ends
+    /// Where each symbol's string starts in [`Self::arena`], and after the
+    /// last of them where it ends — the offsets column of an `.mkb` arena
+    /// section.
+    pub(crate) fn offsets(&self) -> &[u32] {
+        &self.offsets
     }
 }
 
@@ -329,24 +328,27 @@ mod tests {
         for s in ["", "café", "fat duck", "東"] {
             built.intern(s);
         }
-        let back = Interner::from_parts(built.arena().to_owned(), built.ends().to_vec()).expect("own columns");
+        let back = Interner::from_parts(built.arena().to_owned(), built.offsets().to_vec()).expect("own columns");
         assert_eq!(back.iter().collect::<Vec<_>>(), built.iter().collect::<Vec<_>>());
         for (sym, s) in built.iter() {
             assert_eq!(back.get(s), Some(sym));
         }
-        assert_eq!(Interner::from_parts(String::new(), Vec::new()).expect("empty").len(), 0);
+        assert_eq!(Interner::from_parts(String::new(), vec![0]).expect("empty").len(), 0);
     }
 
     #[test]
     fn from_parts_refuses_columns_that_are_not_an_interner() {
-        let refuse = |arena: &str, ends: &[u32]| Interner::from_parts(arena.to_owned(), ends.to_vec()).unwrap_err();
-        assert!(refuse("ab", &[2, 1]).contains("string 1"), "descending offsets");
-        assert!(refuse("ab", &[1, 3]).contains("string 1"), "past the arena");
-        assert!(refuse("aé", &[2, 3]).contains("string 0"), "inside a UTF-8 sequence");
-        assert!(refuse("abc", &[1, 2]).contains("last byte"), "arena bytes no string owns");
-        assert!(refuse("a", &[]).contains("last byte"));
-        assert!(refuse("abab", &[2, 4]).contains("repeats"), "the same string twice");
-        assert!(refuse("", &[0, 0]).contains("repeats"), "the empty string twice");
+        let refuse =
+            |arena: &str, offsets: &[u32]| Interner::from_parts(arena.to_owned(), offsets.to_vec()).unwrap_err();
+        assert!(refuse("ab", &[]).contains("byte 0"), "no offsets at all");
+        assert!(refuse("ab", &[1, 2]).contains("byte 0"), "arena bytes before the first string");
+        assert!(refuse("abc", &[0, 3, 2, 3]).contains("string 1"), "descending offsets");
+        assert!(refuse("ab", &[0, 1, 3]).contains("last byte"), "past the arena");
+        assert!(refuse("aé", &[0, 2, 3]).contains("string 0"), "inside a UTF-8 sequence");
+        assert!(refuse("abc", &[0, 1, 2]).contains("last byte"), "arena bytes no string owns");
+        assert!(refuse("a", &[0]).contains("last byte"));
+        assert!(refuse("abab", &[0, 2, 4]).contains("repeats"), "the same string twice");
+        assert!(refuse("", &[0, 0, 0]).contains("repeats"), "the empty string twice");
     }
 
     #[test]

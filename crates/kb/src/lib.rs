@@ -29,13 +29,15 @@ pub mod disk;
 pub mod interner;
 pub mod model;
 pub mod parser;
+pub mod rows;
 pub mod stats;
 pub mod store;
 pub mod tokenize;
 pub mod turtle;
 
-pub use disk::{write_mkb, KbSource, MkbError, MkbFile, MKB_FORMAT_VERSION};
+pub use disk::{write_mkb, MkbError, MkbFile, MKB_FORMAT_VERSION};
 pub use interner::{Interner, Symbol};
 pub use model::{AttrId, Entity, EntityId, LiteralId, Side, TokenId, Value};
 pub use parser::{ParseError, ParseMode, ParseReport, SyntaxError};
+pub use rows::Rows;
 pub use store::{Kb, KbPair, KbPairBuilder, Term};

@@ -103,18 +103,19 @@ pub enum Value {
     Ref(EntityId),
 }
 
-/// One entity description: a URI plus its attribute–value pairs.
-#[derive(Debug, Clone)]
-pub struct Entity {
+/// One entity description: a URI plus its attribute–value pairs — a view of
+/// one row of its KB's tables ([`crate::store::Kb`]).
+#[derive(Debug, Clone, Copy)]
+pub struct Entity<'a> {
     /// Interned URI of the description.
     pub uri: Symbol,
     /// Attribute–value pairs in insertion order.
-    pub pairs: Vec<(AttrId, Value)>,
+    pub pairs: &'a [(AttrId, Value)],
 }
 
-impl Entity {
+impl<'a> Entity<'a> {
     /// Iterates over `(relation, neighbor)` pairs.
-    pub fn relation_pairs(&self) -> impl Iterator<Item = (AttrId, EntityId)> + '_ {
+    pub fn relation_pairs(self) -> impl Iterator<Item = (AttrId, EntityId)> + 'a {
         self.pairs.iter().filter_map(|&(a, v)| match v {
             Value::Ref(e) => Some((a, e)),
             Value::Literal(_) => None,
@@ -122,7 +123,7 @@ impl Entity {
     }
 
     /// Iterates over `(attribute, literal)` pairs.
-    pub fn literal_pairs(&self) -> impl Iterator<Item = (AttrId, LiteralId)> + '_ {
+    pub fn literal_pairs(self) -> impl Iterator<Item = (AttrId, LiteralId)> + 'a {
         self.pairs.iter().filter_map(|&(a, v)| match v {
             Value::Literal(l) => Some((a, l)),
             Value::Ref(_) => None,
@@ -130,7 +131,7 @@ impl Entity {
     }
 
     /// Number of attribute–value pairs (triples with this subject).
-    pub fn triple_count(&self) -> usize {
+    pub fn triple_count(self) -> usize {
         self.pairs.len()
     }
 }
@@ -151,7 +152,7 @@ mod tests {
     fn entity_pair_iterators_split_by_kind() {
         let e = Entity {
             uri: Symbol(0),
-            pairs: vec![
+            pairs: &[
                 (AttrId(0), Value::Literal(LiteralId(7))),
                 (AttrId(1), Value::Ref(EntityId(3))),
                 (AttrId(0), Value::Literal(LiteralId(8))),

@@ -1,0 +1,280 @@
+//! The workspace's one row table: rows of `T` under dense keys `0..n`.
+//!
+//! Every structure between the KB and rule R1 has this shape — an entity's
+//! attribute–value pairs, a literal's tokens, a block's members, an
+//! entity's blocks, a node's candidates — and holds it the way an `.mkb`
+//! CSR section does ([`crate::disk`]): all rows back to back in one column,
+//! plus `n + 1` cumulative `u32` offsets starting at 0. One heap block per
+//! column, whatever the row count.
+
+use serde::{Deserialize, Serialize};
+
+/// Rows of `T` under dense keys: row `k` is
+/// `data[offsets[k]..offsets[k + 1]]`.
+///
+/// The offsets always start at 0, ascend, and end at `data.len()`;
+/// [`Self::from_parts`] is the only way in for columns built elsewhere.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct Rows<T> {
+    offsets: Vec<u32>,
+    data: Vec<T>,
+}
+
+impl<T> Default for Rows<T> {
+    fn default() -> Self {
+        Self::with_capacity(0, 0)
+    }
+}
+
+impl<T> Rows<T> {
+    /// No rows yet, and room for `rows` rows of `items` items in all:
+    /// [`Self::push`] / [`Self::end_row`] or [`Self::push_row`] add them in
+    /// key order. A bound on `items` a task knows up front is worth
+    /// passing: a column that never regrows leaves no holes in the heap,
+    /// and pages it never touches cost nothing.
+    pub fn with_capacity(rows: usize, items: usize) -> Self {
+        let mut offsets = Vec::with_capacity(rows + 1);
+        offsets.push(0);
+        Self { offsets, data: Vec::with_capacity(items) }
+    }
+
+    /// Adds `item` to the row being built.
+    #[inline]
+    pub fn push(&mut self, item: T) {
+        self.data.push(item);
+    }
+
+    /// Closes the row being built: everything pushed since the last call.
+    ///
+    /// # Panics
+    /// Panics past `u32::MAX` items in all rows together, the width of the
+    /// offset column in memory and in `.mkb`.
+    pub fn end_row(&mut self) {
+        self.offsets.push(checked_len(self.data.len()));
+    }
+
+    /// Adds `items` as the next row.
+    pub fn push_row(&mut self, items: impl IntoIterator<Item = T>) {
+        self.data.extend(items);
+        self.end_row();
+    }
+
+    /// One table from the per-task parts of a stage sharded by key range,
+    /// in part order. The columns are sized once from the parts' lengths
+    /// and each part is freed as soon as it is appended, so the transient
+    /// is one part — never a second copy of the table.
+    ///
+    /// # Panics
+    /// Panics past `u32::MAX` items in all parts together.
+    pub fn concat(parts: Vec<Self>) -> Self {
+        let total: usize = parts.iter().map(|part| part.data.len()).sum();
+        checked_len(total);
+        let mut all = Self::with_capacity(parts.iter().map(Self::n_rows).sum(), total);
+        for part in parts {
+            let base = all.data.len() as u32;
+            all.offsets.extend(part.offsets.iter().skip(1).map(|end| base + end));
+            all.data.extend(part.data);
+        }
+        all
+    }
+
+    /// Reassembles a table from stored columns — the `.mkb` materialization
+    /// path. The offsets must start at 0, ascend and end at `data`'s length.
+    pub fn from_parts(offsets: Vec<u32>, data: Vec<T>) -> Result<Self, String> {
+        if offsets.first() != Some(&0) {
+            return Err("the first row does not start at entry 0".to_owned());
+        }
+        if let Some(i) = offsets.iter().zip(offsets.iter().skip(1)).position(|(start, end)| start > end) {
+            return Err(format!("row {i} ends before it starts"));
+        }
+        if offsets.last().map(|&end| end as usize) != Some(data.len()) {
+            return Err("the last row does not end at the column's last entry".to_owned());
+        }
+        Ok(Self { offsets, data })
+    }
+
+    /// Number of rows.
+    pub fn n_rows(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// The items under `key`, in the order they were added.
+    ///
+    /// # Panics
+    /// Panics if `key` is out of range.
+    #[inline]
+    pub fn row(&self, key: usize) -> &[T] {
+        &self.data[self.offsets[key] as usize..self.offsets[key + 1] as usize]
+    }
+
+    /// Length of row `key`.
+    ///
+    /// # Panics
+    /// Panics if `key` is out of range.
+    #[inline]
+    pub fn row_len(&self, key: usize) -> usize {
+        self.row(key).len()
+    }
+
+    /// Every row, in key order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &[T]> + Clone {
+        let bounds = self.offsets.iter().zip(self.offsets.iter().skip(1));
+        // In range by the type's invariant; `get` keeps the walk panic-free.
+        bounds.map(|(&start, &end)| self.data.get(start as usize..end as usize).unwrap_or(&[]))
+    }
+
+    /// The `n_rows + 1` cumulative offsets, leading 0 included — the
+    /// offsets column of an `.mkb` CSR section.
+    pub fn offsets(&self) -> &[u32] {
+        &self.offsets
+    }
+
+    /// Every row back to back.
+    pub fn data(&self) -> &[T] {
+        &self.data
+    }
+}
+
+impl<T: Copy + Default> Rows<T> {
+    /// Regroups `items` (walked twice: count, then scatter) by their key,
+    /// which must be below `n_keys` — a stable counting sort: O(items), no
+    /// comparisons, and within a row the items keep the order they were
+    /// produced in. It stands in for "sort by key" wherever the producer
+    /// already emits each key's items in the wanted order.
+    ///
+    /// # Panics
+    /// Panics on a key that is not below `n_keys`, and past `u32::MAX`
+    /// items.
+    pub fn build(n_keys: usize, items: impl Iterator<Item = (usize, T)> + Clone) -> Self {
+        let mut offsets = vec![0u32; n_keys + 1];
+        let mut total = 0usize;
+        for (key, _) in items.clone() {
+            // Cannot wrap: `total` is checked below before anything reads it.
+            offsets[key + 1] = offsets[key + 1].wrapping_add(1);
+            total += 1;
+        }
+        checked_len(total);
+        for key in 0..n_keys {
+            offsets[key + 1] += offsets[key];
+        }
+        let mut data = vec![T::default(); total];
+        let mut cursor = offsets.clone();
+        for (key, item) in items {
+            data[cursor[key] as usize] = item;
+            cursor[key] += 1;
+        }
+        Self { offsets, data }
+    }
+}
+
+/// Collects one row per item of the iterator.
+impl<T, R: IntoIterator<Item = T>> FromIterator<R> for Rows<T> {
+    fn from_iter<I: IntoIterator<Item = R>>(rows: I) -> Self {
+        let mut all = Self::default();
+        for row in rows {
+            all.push_row(row);
+        }
+        all
+    }
+}
+
+/// A column length as an offset.
+///
+/// # Panics
+/// Panics past `u32::MAX`.
+fn checked_len(len: usize) -> u32 {
+    assert!(len <= u32::MAX as usize, "row table overflow: more than u32::MAX entries");
+    len as u32
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// SplitMix64 step, reduced to `0..bound`.
+    fn draw(state: &mut u64, bound: usize) -> usize {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        ((z ^ (z >> 31)) % bound.max(1) as u64) as usize
+    }
+
+    fn as_vecs<T: Clone>(rows: &Rows<T>) -> Vec<Vec<T>> {
+        rows.iter().map(<[T]>::to_vec).collect()
+    }
+
+    #[test]
+    fn build_is_a_stable_sort_by_key() {
+        let mut rng = 0x805_u64;
+        for case in 0..60 {
+            // 0 keys = an empty table; few items leave keys empty.
+            let n_keys = draw(&mut rng, 9);
+            let n_items = if n_keys == 0 { 0 } else { draw(&mut rng, 40) };
+            let items: Vec<(usize, u32)> =
+                (0..n_items).map(|seq| (draw(&mut rng, n_keys), seq as u32)).collect();
+            let got = Rows::build(n_keys, items.iter().copied());
+
+            let mut sorted = items.clone();
+            sorted.sort_by_key(|&(key, _)| key); // stable
+            let mut want: Vec<Vec<u32>> = vec![Vec::new(); n_keys];
+            for (key, item) in sorted {
+                want[key].push(item);
+            }
+            assert_eq!(as_vecs(&got), want, "case {case}");
+            assert_eq!((got.n_rows(), got.data().len()), (n_keys, n_items));
+            for (key, row) in want.iter().enumerate() {
+                assert_eq!((got.row(key), got.row_len(key)), (&row[..], row.len()));
+            }
+            assert_eq!(Rows::from_parts(got.offsets().to_vec(), got.data().to_vec()), Ok(got));
+        }
+    }
+
+    #[test]
+    fn concat_of_key_range_parts_equals_one_build() {
+        let mut rng = 0xC0CA_u64;
+        for case in 0..60 {
+            let n_keys = draw(&mut rng, 12);
+            let n_items = if n_keys == 0 { 0 } else { draw(&mut rng, 50) };
+            let items: Vec<(usize, u32)> = (0..n_items).map(|seq| (draw(&mut rng, n_keys), seq as u32)).collect();
+            let chunk = 1 + draw(&mut rng, n_keys);
+            let parts: Vec<Rows<u32>> = (0..n_keys.div_ceil(chunk))
+                .map(|t| {
+                    let lo = t * chunk;
+                    let width = ((t + 1) * chunk).min(n_keys) - lo;
+                    let own = items.iter().filter(|&&(key, _)| (lo..lo + width).contains(&key));
+                    Rows::build(width, own.map(|&(key, item)| (key - lo, item)))
+                })
+                .collect();
+            assert_eq!(Rows::concat(parts), Rows::build(n_keys, items.iter().copied()), "case {case}");
+        }
+        assert_eq!(Rows::<u32>::concat(Vec::new()), Rows::default());
+    }
+
+    #[test]
+    fn from_parts_refuses_columns_that_are_not_a_table() {
+        let refuse = |offsets: &[u32], len: usize| Rows::from_parts(offsets.to_vec(), vec![0u8; len]).unwrap_err();
+        assert!(refuse(&[], 0).contains("start at entry 0"), "no offsets at all");
+        assert!(refuse(&[2, 2, 3], 3).contains("start at entry 0"), "non-zero first offset");
+        assert!(refuse(&[0, 3, 2, 3], 3).contains("row 1 ends before it starts"), "descending pair");
+        assert!(refuse(&[0, 1, 2], 3).contains("last entry"), "short last offset");
+        assert!(refuse(&[0, 1, 4], 3).contains("last entry"), "long last offset");
+        let empty = Rows::from_parts(vec![0], Vec::<u8>::new()).expect("no rows");
+        assert_eq!((empty.n_rows(), empty), (0, Rows::default()));
+    }
+
+    #[test]
+    fn push_and_end_row_close_empty_rows_too() {
+        let mut rows = Rows::with_capacity(4, 0);
+        rows.end_row();
+        rows.push(7u32);
+        rows.push(8);
+        rows.end_row();
+        rows.end_row();
+        rows.push_row([9]);
+        assert_eq!(rows.offsets(), &[0, 0, 2, 2, 3]);
+        assert_eq!(as_vecs(&rows), vec![vec![], vec![7, 8], vec![], vec![9]]);
+        let collected: Rows<u32> = as_vecs(&rows).into_iter().collect();
+        assert_eq!(collected, rows);
+    }
+}

@@ -5,74 +5,10 @@
 //! *and* fast: a token appearing in both KBs maps to the same [`TokenId`], so
 //! token blocking and value similarity never compare strings.
 
-
 use crate::interner::{Interner, Symbol};
 use crate::model::{AttrId, Entity, EntityId, LiteralId, Side, TokenId, Value};
+use crate::rows::Rows;
 use crate::tokenize::{for_each_normalized_token, normalize_name_into, uri_local_name};
-
-/// Rows of token ids, stored the way an `.mkb` CSR section is on disk
-/// ([`crate::disk`]): every row back to back in one column, plus one end
-/// offset per row.
-#[derive(Debug, Default, Clone)]
-pub(crate) struct TokenRows {
-    /// `ends[i]` is where row `i` ends in `data`; it starts where row
-    /// `i - 1` ends.
-    ends: Vec<u32>,
-    data: Vec<TokenId>,
-}
-
-impl TokenRows {
-    pub(crate) fn with_capacity(rows: usize) -> Self {
-        Self { ends: Vec::with_capacity(rows), data: Vec::new() }
-    }
-
-    /// Number of rows.
-    pub(crate) fn len(&self) -> usize {
-        self.ends.len()
-    }
-
-    /// The tokens of row `i`.
-    ///
-    /// # Panics
-    /// Panics if `i` is out of range.
-    pub(crate) fn row_tokens(&self, i: usize) -> &[TokenId] {
-        let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
-        &self.data[start..self.ends[i] as usize]
-    }
-
-    /// Closes the row being built: everything pushed to `data` since the
-    /// last call.
-    ///
-    /// # Panics
-    /// Panics past `u32::MAX` tokens in all rows together, the width of
-    /// the offset column in memory and in `.mkb`.
-    fn end_row(&mut self) {
-        assert!(self.data.len() <= u32::MAX as usize, "token table overflow: more than u32::MAX tokens");
-        self.ends.push(self.data.len() as u32);
-    }
-
-    /// Reassembles rows from stored columns — the `.mkb` materialization
-    /// path. The end offsets must ascend and finish at `data`'s length.
-    pub(crate) fn from_parts(ends: Vec<u32>, data: Vec<TokenId>) -> Result<Self, String> {
-        if let Some(i) = ends.windows(2).position(|w| w[0] > w[1]) {
-            return Err(format!("row {} ends before it starts", i + 1));
-        }
-        if ends.last().map_or(0, |&e| e as usize) != data.len() {
-            return Err("the last row does not end at the column's last entry".to_owned());
-        }
-        Ok(Self { ends, data })
-    }
-
-    /// Where each row ends in [`Self::data`].
-    pub(crate) fn ends(&self) -> &[u32] {
-        &self.ends
-    }
-
-    /// Every row back to back.
-    pub(crate) fn data(&self) -> &[TokenId] {
-        &self.data
-    }
-}
 
 /// One side's entities by URI. The pair's URI symbols are dense (one
 /// interner numbers both sides' subjects and every URI object), so the map
@@ -98,64 +34,45 @@ impl UriIndex {
     }
 }
 
-/// One clean (duplicate-free) knowledge base.
+/// One clean (duplicate-free) knowledge base: flat per-entity columns and
+/// row tables, indexed by [`EntityId::index`].
 #[derive(Debug)]
 pub struct Kb {
-    side: Side,
-    entities: Vec<Entity>,
+    /// Each entity's interned URI.
+    uris: Vec<Symbol>,
+    /// Each entity's attribute–value pairs, in insertion order.
+    pairs: Rows<(AttrId, Value)>,
     uri_index: UriIndex,
     /// Sorted, deduplicated token ids appearing in each entity's literals.
-    token_sets: TokenRows,
+    token_sets: Rows<TokenId>,
     /// Total token *occurrences* per entity (multiset size — Table 1's
     /// "av. tokens" statistic counts occurrences, not distinct tokens).
     token_occurrences: Vec<u32>,
 }
 
 impl Kb {
-    /// Which side of the pair this KB is.
-    pub fn side(&self) -> Side {
-        self.side
-    }
-
     /// Number of entity descriptions.
     pub fn len(&self) -> usize {
-        self.entities.len()
+        self.uris.len()
     }
 
     /// Whether the KB holds no descriptions.
     pub fn is_empty(&self) -> bool {
-        self.entities.is_empty()
-    }
-
-    /// The entity with the given id, or `None` when `id` is out of range.
-    ///
-    /// This is the [`crate::disk::KbSource`] boundary's accessor: ids that
-    /// arrive from outside the KB (user input, foreign files) go through
-    /// here instead of the panicking [`Self::entity`].
-    pub fn get(&self, id: EntityId) -> Option<&Entity> {
-        self.entities.get(id.index())
+        self.uris.is_empty()
     }
 
     /// The entity with the given id.
     ///
     /// # Panics
-    /// Panics if `id` is out of range. Use [`Self::get`] for ids that are
-    /// not known-valid.
-    pub fn entity(&self, id: EntityId) -> &Entity {
-        &self.entities[id.index()]
+    /// Panics if `id` is out of range.
+    pub fn entity(&self, id: EntityId) -> Entity<'_> {
+        Entity { uri: self.uris[id.index()], pairs: self.pairs.row(id.index()) }
     }
 
-    /// All entities, indexable by [`EntityId::index`].
-    pub fn entities(&self) -> &[Entity] {
-        &self.entities
-    }
-
-    /// Iterates over `(EntityId, &Entity)`.
-    pub fn iter(&self) -> impl Iterator<Item = (EntityId, &Entity)> {
-        self.entities
-            .iter()
-            .enumerate()
-            .map(|(i, e)| (EntityId(i as u32), e))
+    /// Iterates over `(EntityId, Entity)`.
+    pub fn iter(&self) -> impl Iterator<Item = (EntityId, Entity<'_>)> {
+        let entities = self.uris.iter().zip(self.pairs.iter()).map(|(&uri, pairs)| Entity { uri, pairs });
+        (0u32..).map(EntityId).zip(entities)
     }
 
     /// Looks an entity up by its interned URI.
@@ -165,7 +82,7 @@ impl Kb {
 
     /// The sorted, deduplicated tokens of an entity's literal values.
     pub fn tokens_of(&self, id: EntityId) -> &[TokenId] {
-        self.token_sets.row_tokens(id.index())
+        self.token_sets.row(id.index())
     }
 
     /// Total token occurrences in the entity's literal values.
@@ -173,15 +90,20 @@ impl Kb {
         self.token_occurrences[id.index()]
     }
 
-    /// The token-set and token-occurrence columns, one row per entity —
-    /// what [`crate::disk`] writes.
-    pub(crate) fn token_columns(&self) -> (&TokenRows, &[u32]) {
+    /// The URI column and the pair rows, one row per entity — what
+    /// [`crate::disk`] writes.
+    pub(crate) fn entity_columns(&self) -> (&[Symbol], &Rows<(AttrId, Value)>) {
+        (&self.uris, &self.pairs)
+    }
+
+    /// The token-set rows and the token-occurrence column, likewise.
+    pub(crate) fn token_columns(&self) -> (&Rows<TokenId>, &[u32]) {
         (&self.token_sets, &self.token_occurrences)
     }
 
     /// Total number of triples (attribute–value pairs) in the KB.
     pub fn triple_count(&self) -> usize {
-        self.entities.iter().map(Entity::triple_count).sum()
+        self.pairs.data().len()
     }
 
     /// The neighbors of an entity (targets of its relations), with
@@ -195,16 +117,16 @@ impl Kb {
     /// resolution and tokenization passes. The caller guarantees internal
     /// consistency (the disk loader checksums and bounds-checks first).
     pub(crate) fn from_parts(
-        side: Side,
-        entities: Vec<Entity>,
-        token_sets: TokenRows,
+        uris: Vec<Symbol>,
+        pairs: Rows<(AttrId, Value)>,
+        token_sets: Rows<TokenId>,
         token_occurrences: Vec<u32>,
     ) -> Kb {
         let mut uri_index = UriIndex::default();
-        for (i, e) in entities.iter().enumerate() {
-            uri_index.insert(e.uri, EntityId(i as u32));
+        for (id, &uri) in (0u32..).map(EntityId).zip(&uris) {
+            uri_index.insert(uri, id);
         }
-        Kb { side, entities, uri_index, token_sets, token_occurrences }
+        Kb { uris, pairs, uri_index, token_sets, token_occurrences }
     }
 }
 
@@ -218,7 +140,7 @@ pub struct KbPair {
     /// Token sequence (order and duplicates preserved) of each normalized
     /// literal, indexed by [`LiteralId`]. Order is needed by the n-gram
     /// baselines; MinoanER itself only uses the deduplicated sets.
-    literal_tokens: TokenRows,
+    literal_tokens: Rows<TokenId>,
     kbs: [Kb; 2],
     /// Dirty-ER marker: both sides are views of the *same* KB, with equal
     /// [`EntityId`]s denoting the same description (see
@@ -264,11 +186,11 @@ impl KbPair {
 
     /// The token sequence of a normalized literal.
     pub fn literal_token_seq(&self, lit: LiteralId) -> &[TokenId] {
-        self.literal_tokens.row_tokens(lit.index())
+        self.literal_tokens.row(lit.index())
     }
 
     /// The token sequences of all literals, one row per [`LiteralId`].
-    pub(crate) fn literal_tokens(&self) -> &TokenRows {
+    pub(crate) fn literal_tokens(&self) -> &Rows<TokenId> {
         &self.literal_tokens
     }
 
@@ -320,7 +242,7 @@ impl KbPair {
         literals: Interner,
         attrs: Interner,
         uris: Interner,
-        literal_tokens: TokenRows,
+        literal_tokens: Rows<TokenId>,
         kbs: [Kb; 2],
         dirty: bool,
     ) -> KbPair {
@@ -363,7 +285,7 @@ pub struct KbPairBuilder {
     literals: Interner,
     attrs: Interner,
     uris: Interner,
-    literal_tokens: TokenRows,
+    literal_tokens: Rows<TokenId>,
     raw: [Vec<RawEntity>; 2],
     uri_index: [UriIndex; 2],
     /// The entity [`Self::entity`] returned last. A document lists an
@@ -424,7 +346,7 @@ impl KbPairBuilder {
         let sym = self.literals.intern(&self.scratch);
         if self.literals.len() > before {
             for_each_normalized_token(&self.scratch, |t| {
-                self.literal_tokens.data.push(TokenId(self.tokens.intern(t).0));
+                self.literal_tokens.push(TokenId(self.tokens.intern(t).0));
             });
             self.literal_tokens.end_row();
         }
@@ -454,9 +376,9 @@ impl KbPairBuilder {
         // Pass 1: resolve URI objects to entity refs where possible. A
         // URI that is not a subject in this KB contributes its local
         // name as a literal (it still carries token evidence).
-        let mut entities = Vec::with_capacity(raws.len());
+        let uris: Vec<Symbol> = raws.iter().map(|raw| raw.uri).collect();
+        let mut pairs = Rows::with_capacity(raws.len(), raws.iter().map(|raw| raw.pairs.len()).sum());
         for raw in &raws {
-            let mut pairs = Vec::with_capacity(raw.pairs.len());
             for &(attr, value) in &raw.pairs {
                 let v = match value {
                     RawValue::Literal(l) => Value::Literal(l),
@@ -470,27 +392,28 @@ impl KbPairBuilder {
                 };
                 pairs.push((attr, v));
             }
-            entities.push(Entity { uri: raw.uri, pairs });
+            pairs.end_row();
         }
 
         // Pass 2: per-entity token sets (sorted + dedup) and occurrence
         // counts, derived from the literal token sequences.
-        let mut token_sets = TokenRows::with_capacity(entities.len());
-        let mut token_occurrences = Vec::with_capacity(entities.len());
+        let mut token_sets = Rows::with_capacity(uris.len(), 0);
+        let mut token_occurrences = Vec::with_capacity(uris.len());
         let mut toks: Vec<TokenId> = Vec::new();
-        for e in &entities {
+        for row in pairs.iter() {
             toks.clear();
-            for (_, lit) in e.literal_pairs() {
-                toks.extend_from_slice(self.literal_tokens.row_tokens(lit.index()));
+            for &(_, value) in row {
+                if let Value::Literal(lit) = value {
+                    toks.extend_from_slice(self.literal_tokens.row(lit.index()));
+                }
             }
             token_occurrences.push(toks.len() as u32);
             toks.sort_unstable();
             toks.dedup();
-            token_sets.data.extend_from_slice(&toks);
-            token_sets.end_row();
+            token_sets.push_row(toks.iter().copied());
         }
 
-        Kb { side, entities, uri_index, token_sets, token_occurrences }
+        Kb { uris, pairs, uri_index, token_sets, token_occurrences }
     }
 }
 

@@ -1,16 +1,15 @@
 //! `.mkb` container integration tests: corruption must fail closed with
 //! typed errors (mirroring the crash-recovery harness's posture for
 //! checkpoints), and compile → mmap → materialize must be an *identity* —
-//! every interned string, id and token-set row of the mapped file equal
-//! to the heap-built pair it was compiled from.
+//! every interned string, id, pair and token row of the materialized pair
+//! equal to the heap-built pair it was compiled from.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use minoaner_kb::parser::{load_ntriples, write_ntriples};
 use minoaner_kb::{
-    write_mkb, EntityId, KbPair, KbPairBuilder, KbSource, MkbError, MkbFile, Side, Symbol, Term,
-    MKB_FORMAT_VERSION,
+    write_mkb, KbPair, KbPairBuilder, LiteralId, MkbError, MkbFile, Side, Term, MKB_FORMAT_VERSION,
 };
 use proptest::prelude::*;
 
@@ -45,26 +44,38 @@ fn compile(pair: &KbPair, tag: &str) -> PathBuf {
     path
 }
 
-/// Asserts that a mapped file and a heap pair are the same KB through
-/// every lens the `KbSource` contract exposes.
-fn assert_source_identical(heap: &KbPair, mapped: &MkbFile) {
-    assert_eq!(heap.dirty(), mapped.dirty());
+/// Asserts that the pair a file materializes to is the pair it was compiled
+/// from, table by table: the four interners string by string, every
+/// literal's token sequence, and per side every entity's uri, pairs, token
+/// set and occurrence count.
+fn assert_pairs_identical(heap: &KbPair, back: &KbPair) {
+    assert_eq!(heap.is_dirty(), back.is_dirty());
+    let interners = [
+        (heap.tokens(), back.tokens()),
+        (heap.literals(), back.literals()),
+        (heap.attrs(), back.attrs()),
+        (heap.uris(), back.uris()),
+    ];
+    for (which, (h, b)) in interners.into_iter().enumerate() {
+        assert_eq!(h.len(), b.len(), "interner {which}");
+        assert!(h.iter().eq(b.iter()), "interner {which}");
+        assert!(h.iter().all(|(sym, s)| b.get(s) == Some(sym)), "interner {which} lookup");
+    }
+    for l in 0..heap.literal_space() {
+        let lit = LiteralId(u32::try_from(l).expect("test KBs are small"));
+        assert_eq!(heap.literal_token_seq(lit), back.literal_token_seq(lit), "literal {l}");
+    }
     for side in [Side::Left, Side::Right] {
-        assert_eq!(heap.entity_count(side), mapped.entity_count(side), "{side:?} count");
-        for i in 0..heap.entity_count(side) {
-            let id = EntityId(u32::try_from(i).expect("test KBs are small"));
-            assert_eq!(heap.entity_uri(side, id), mapped.entity_uri(side, id));
-            assert_eq!(heap.token_set(side, id), mapped.token_set(side, id));
-            assert_eq!(heap.token_occurrences(side, id), mapped.token_occurrences(side, id));
-            let uri = heap.entity_uri(side, id).expect("in range");
-            assert_eq!(heap.uri_string(uri), mapped.uri_string(uri));
+        let (h, b) = (heap.kb(side), back.kb(side));
+        assert_eq!(h.len(), b.len(), "{side:?} count");
+        assert_eq!(h.triple_count(), b.triple_count(), "{side:?} triples");
+        for (id, e) in h.iter() {
+            let got = b.entity(id);
+            assert_eq!((e.uri, e.pairs), (got.uri, got.pairs), "{side:?} {id:?}");
+            assert_eq!(h.tokens_of(id), b.tokens_of(id), "{side:?} {id:?}");
+            assert_eq!(h.token_occurrences_of(id), b.token_occurrences_of(id), "{side:?} {id:?}");
+            assert_eq!(b.entity_by_uri(e.uri), Some(id), "{side:?} {id:?}");
         }
-        // One past the end: both implementations refuse, neither panics.
-        let beyond = EntityId(u32::try_from(heap.entity_count(side)).expect("small"));
-        assert_eq!(heap.entity_uri(side, beyond), None);
-        assert_eq!(mapped.entity_uri(side, beyond), None);
-        assert_eq!(mapped.token_set(side, beyond), None);
-        assert_eq!(heap.token_set(side, beyond), None);
     }
 }
 
@@ -74,9 +85,9 @@ fn compile_open_materialize_is_an_identity() {
     let path = compile(&pair, "roundtrip");
     let file = MkbFile::open(&path).expect("open succeeds");
     file.verify().expect("checksums hold");
-    assert_source_identical(&pair, &file);
 
     let back = file.to_pair().expect("materialize succeeds");
+    assert_pairs_identical(&pair, &back);
     for side in [Side::Left, Side::Right] {
         // Rendering both pairs re-derives every uri, attribute and
         // literal through the interners — identical output means the
@@ -134,8 +145,9 @@ fn a_file_compiled_before_the_arena_interner_is_still_the_format() {
 
     let file = MkbFile::open(&fixture("parent_v1.mkb")).expect("the old file opens");
     file.verify().expect("checksums hold");
-    assert_source_identical(&fixture_pair(), &file);
-    let reserialized = compile(&file.to_pair().expect("materialize succeeds"), "golden-reserialize");
+    let back = file.to_pair().expect("materialize succeeds");
+    assert_pairs_identical(&fixture_pair(), &back);
+    let reserialized = compile(&back, "golden-reserialize");
     assert_eq!(std::fs::read(&reserialized).expect("read"), golden, "open → to_pair → write_mkb");
 
     let recompiled = compile(&fixture_pair(), "golden-recompile");
@@ -265,32 +277,8 @@ fn check_interner_round_trip(
     }
     let pair = b.finish();
     let path = compile(&pair, "prop");
-    let file = MkbFile::open(&path).expect("open succeeds");
-
-    // All four interners: same cardinality, every symbol resolves to the
-    // same string through the mapped arenas.
-    let heap_interners = [pair.tokens(), pair.literals(), pair.attrs(), pair.uris()];
-    for (which, interner) in heap_interners.iter().enumerate() {
-        assert_eq!(file.interner_len(which), Some(interner.len()));
-        for raw in 0..interner.len() {
-            let sym = Symbol(u32::try_from(raw).expect("small"));
-            assert_eq!(file.interner_string(which, sym), Some(interner.resolve(sym)));
-        }
-        let beyond = Symbol(u32::try_from(interner.len()).expect("small"));
-        assert_eq!(file.interner_string(which, beyond), None);
-    }
-
-    // Token-set CSRs and the KbSource contract, both sides.
-    for side in [Side::Left, Side::Right] {
-        assert_eq!(file.entity_count(side), pair.entity_count(side));
-        for i in 0..pair.entity_count(side) {
-            let id = EntityId(u32::try_from(i).expect("small"));
-            assert_eq!(file.token_set(side, id), pair.token_set(side, id));
-            assert_eq!(file.token_occurrences(side, id), pair.token_occurrences(side, id));
-            assert_eq!(file.entity_uri(side, id), pair.entity_uri(side, id));
-        }
-    }
-
+    let back = MkbFile::open(&path).expect("open succeeds").to_pair().expect("materialize succeeds");
+    assert_pairs_identical(&pair, &back);
     let _ = std::fs::remove_dir_all(path.parent().expect("scratch dir"));
 }
 
@@ -315,9 +303,9 @@ fn interner_round_trip_deterministic_samples() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Arbitrary small pairs survive compile → mmap with every interner
-    /// string resolving identically and every token-set CSR row equal to
-    /// the heap build, on both sides.
+    /// Arbitrary small pairs survive compile → mmap → materialize with
+    /// every interner string resolving identically and every pair and
+    /// token row equal to the heap build, on both sides.
     #[test]
     fn interners_and_token_sets_round_trip(
         left in prop::collection::vec(("[a-z]{1,6}", "[a-z]{1,5}", ".{0,16}"), 1..20),

@@ -499,7 +499,7 @@ mod tests {
     fn classify_routes_paths() {
         assert_eq!(classify("crates/kb/src/store.rs"), Some(FileClass::Library));
         assert_eq!(classify("crates/kb/tests/x.rs"), Some(FileClass::TestOrBench));
-        assert_eq!(classify("crates/bench/benches/micro.rs"), Some(FileClass::TestOrBench));
+        assert_eq!(classify("crates/eval/benches/micro.rs"), Some(FileClass::TestOrBench));
         assert_eq!(classify("tests/property_based.rs"), Some(FileClass::TestOrBench));
         assert_eq!(classify("src/lib.rs"), Some(FileClass::Library));
         assert_eq!(classify("crates/lint/tests/fixtures/bad/r1.rs"), None);

@@ -22,12 +22,11 @@ use std::hash::{Hash, Hasher};
 use minoaner_blocking::{NameBlocks, TokenBlocks};
 use minoaner_dataflow::Executor;
 use minoaner_kb::{EntityId, KbPair, Side};
-use serde::{Deserialize, Serialize};
 
 use crate::umc::unique_mapping_prefix;
 
 /// Token weighting scheme.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Weighting {
     Tf,
     TfIdf,
@@ -35,7 +34,7 @@ pub enum Weighting {
 
 /// Similarity measure over weighted n-gram profiles (all normalized to
 /// `[0, 1]`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Measure {
     Cosine,
     Jaccard,
@@ -46,7 +45,7 @@ pub enum Measure {
 }
 
 /// One point of the BSL grid.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BslConfig {
     pub ngram: usize,
     pub weighting: Weighting,

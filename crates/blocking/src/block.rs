@@ -5,10 +5,11 @@
 //! `b2 ⊆ E2` (§3 of the paper), and the comparisons it suggests are
 //! `|b1| · |b2|`.
 
+use minoaner_det::spillable_struct;
 use minoaner_kb::{EntityId, LiteralId, Side, TokenId};
 
 /// A bipartite block: the entities of each KB indexed under one key.
-#[derive(Debug, Clone, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Block {
     /// Entities from `E1` (sorted, deduplicated).
     pub left: Vec<EntityId>,
@@ -37,11 +38,13 @@ impl Block {
     }
 }
 
+spillable_struct!(Block { left, right });
+
 /// The token blocks `B_T`: one block per token shared by both KBs.
 ///
 /// Only *active* blocks (non-empty on both sides) are kept — a one-sided
 /// block suggests no comparisons and carries no matching evidence.
-#[derive(Debug, Clone, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct TokenBlocks {
     /// `(token, block)` pairs, sorted by token id.
     pub blocks: Vec<(TokenId, Block)>,
@@ -66,7 +69,7 @@ impl TokenBlocks {
 
 /// The name blocks `B_N`: one block per normalized name literal shared by
 /// both KBs (there is one block for every name in `N_1 ∩ N_2`, §3.3).
-#[derive(Debug, Clone, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct NameBlocks {
     /// `(name literal, block)` pairs, sorted by literal id.
     pub blocks: Vec<(LiteralId, Block)>,
@@ -88,6 +91,9 @@ impl NameBlocks {
         self.blocks.iter().map(|(_, b)| b.comparisons()).sum()
     }
 }
+
+spillable_struct!(TokenBlocks { blocks });
+spillable_struct!(NameBlocks { blocks });
 
 #[cfg(test)]
 mod tests {

@@ -36,10 +36,11 @@
 //!   count — and across runs, since no randomly-seeded container is involved.
 //!
 //! The pre-rewrite kernel is preserved verbatim in `crate::reference`
-//! (compiled for tests only); the seeded oracles and equivalence proptests
+//! (compiled for tests only); the seeded oracles and equivalence loops
 //! pin this kernel to it with exact `f64` equality.
 
 use minoaner_dataflow::{Executor, SpillShuffle, StageIo};
+use minoaner_det::spillable_struct;
 use minoaner_kb::stats::RelationStats;
 use minoaner_kb::{EntityId, KbPair, Rows, Side};
 
@@ -112,7 +113,7 @@ impl Default for GraphConfig {
 pub type Candidate = (EntityId, f64);
 
 /// The pruned, directed disjunctive blocking graph.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BlockingGraph {
     /// Per side, per entity: top-K candidates by `β` (descending).
     value_cands: [Rows<Candidate>; 2],
@@ -121,6 +122,8 @@ pub struct BlockingGraph {
     /// α-pairs `(left, right)`, sorted: 1×1 name-block co-occurrences.
     alpha: Vec<(EntityId, EntityId)>,
 }
+
+spillable_struct!(BlockingGraph { value_cands, neighbor_cands, alpha });
 
 impl BlockingGraph {
     /// Assembles a graph from its parts (crate-internal: used by the
@@ -771,6 +774,7 @@ mod tests {
     use crate::name::build_name_blocks;
     use crate::purge::purge_blocks;
     use crate::token::build_token_blocks;
+    use minoaner_det::rng::Rng;
     use minoaner_kb::dirty::DirtyKbBuilder;
     use minoaner_kb::stats::NameStats;
     use minoaner_kb::{KbPairBuilder, Term};
@@ -879,27 +883,14 @@ mod tests {
         std::fs::remove_dir_all(&spill_dir).ok();
     }
 
-    /// SplitMix64 step, reduced to `0..bound`: the oracle loops below are
-    /// seeded loops rather than `proptest!` so that they also run against
-    /// the offline stubs.
-    fn draw(state: &mut u64, bound: usize) -> usize {
-        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        ((z ^ (z >> 31)) % bound.max(1) as u64) as usize
-    }
-
     /// A random subset of the ids below `universe` (never `skip`), in a
     /// random order.
-    fn random_ids(rng: &mut u64, universe: usize, skip: Option<usize>) -> Vec<u32> {
+    fn random_ids(rng: &mut Rng, universe: usize, skip: Option<usize>) -> Vec<u32> {
         let mut ids: Vec<u32> = (0..universe)
-            .filter(|&id| Some(id) != skip && draw(rng, 3) > 0)
+            .filter(|&id| Some(id) != skip && rng.gen_range(0..3usize) > 0)
             .map(|id| id as u32)
             .collect();
-        for i in (1..ids.len()).rev() {
-            ids.swap(i, draw(rng, i + 1));
-        }
+        rng.shuffle(&mut ids);
         ids
     }
 
@@ -909,27 +900,27 @@ mod tests {
 
         let spill_dir = std::env::temp_dir()
             .join(format!("gamma-regroup-oracle-{}", std::process::id()));
-        let mut rng = 0x5EED_u64;
+        let mut rng = Rng::seed_from_u64(0x5EED);
         for case in 0..80 {
             // 0 entities = an empty side; small sides make `n_right` fall
             // below the partition count and leave right entities without
             // any edge. Every third case skips the diagonal, as dirty-ER
             // β passes do.
-            let n_left = draw(&mut rng, 14);
-            let n_right = draw(&mut rng, 14);
+            let n_left = rng.gen_range(0..14usize);
+            let n_right = rng.gen_range(0..14usize);
             let rows: Vec<Vec<(u32, u32, f64)>> = (0..n_left)
                 .map(|i| {
                     let mut js = random_ids(&mut rng, n_right, (case % 3 == 0).then_some(i));
                     js.sort_unstable();
                     js.into_iter()
-                        .map(|j| (i as u32, j, draw(&mut rng, 1000) as f64 / 7.0))
+                        .map(|j| (i as u32, j, rng.gen_range(0..1000usize) as f64 / 7.0))
                         .collect()
                 })
                 .collect();
             // Map tasks own ascending ranges of `i`, reduce partitions
             // ranges of `j`; both widths are random.
-            let chunk = 1 + draw(&mut rng, n_left);
-            let chunk_r = 1 + draw(&mut rng, n_right);
+            let chunk = 1 + rng.gen_range(0..n_left.max(1));
+            let chunk_r = 1 + rng.gen_range(0..n_right.max(1));
             let n_tasks_r = n_right.div_ceil(chunk_r);
             let budget = (case % 2 == 1).then(|| MemoryBudget::new(0, &spill_dir));
             let shuffle = SpillShuffle::new("oracle", n_tasks_r, budget.as_ref());
@@ -966,23 +957,23 @@ mod tests {
 
     /// Random candidate lists from `n` entities to ids below `n_other`,
     /// with weights whose sums depend on the order they are added in.
-    fn random_lists(rng: &mut u64, n: usize, n_other: usize, dirty: bool) -> Rows<Candidate> {
+    fn random_lists(rng: &mut Rng, n: usize, n_other: usize, dirty: bool) -> Rows<Candidate> {
         (0..n)
             .map(|e| {
                 random_ids(rng, n_other, dirty.then_some(e))
                     .into_iter()
-                    .map(|o| (EntityId(o), (1 + draw(rng, 1000)) as f64 / 7.0))
+                    .map(|o| (EntityId(o), (1 + rng.gen_range(0..1000usize)) as f64 / 7.0))
                     .collect::<Vec<_>>()
             })
             .collect()
     }
 
     /// Random top-N rows over `n` entities of one side, with their inversion.
-    fn random_views(rng: &mut u64, n: usize) -> NeighborViews {
+    fn random_views(rng: &mut Rng, n: usize) -> NeighborViews {
         let mut top = Rows::default();
         for _ in 0..n {
             let mut nbs = random_ids(rng, n, None);
-            nbs.truncate(draw(rng, 5));
+            nbs.truncate(rng.gen_range(0..5usize));
             nbs.sort_unstable();
             top.push_row(nbs);
         }
@@ -999,14 +990,14 @@ mod tests {
 
         let spill_dir = std::env::temp_dir()
             .join(format!("gamma-symmetry-oracle-{}", std::process::id()));
-        let mut rng = 0x6A33A_u64;
+        let mut rng = Rng::seed_from_u64(0x6A33A);
         for case in 0..60 {
             let dirty = case % 3 == 0;
             let adaptive = case % 4 == 1;
             let reciprocal = case % 5 == 2;
-            let n_left = draw(&mut rng, 13);
-            let n_right = if dirty { n_left } else { draw(&mut rng, 13) };
-            let top_k = 1 + draw(&mut rng, 4);
+            let n_left = rng.gen_range(0..13usize);
+            let n_right = if dirty { n_left } else { rng.gen_range(0..13usize) };
+            let top_k = 1 + rng.gen_range(0..4usize);
             let value_left = random_lists(&mut rng, n_left, n_right, dirty);
             let value_right = random_lists(&mut rng, n_right, n_left, dirty);
             let views = [random_views(&mut rng, n_left), random_views(&mut rng, n_right)];
@@ -1069,17 +1060,17 @@ mod tests {
 
     #[test]
     fn beta_union_equals_the_tagged_sort_and_dedup() {
-        let mut rng = 0xBE7A_u64;
+        let mut rng = Rng::seed_from_u64(0xBE7A);
         for case in 0..80 {
-            let n_left = draw(&mut rng, 14);
-            let n_right = draw(&mut rng, 14);
+            let n_left = rng.gen_range(0..14usize);
+            let n_right = rng.gen_range(0..14usize);
             // The two directions disagree on every weight, so the test
             // sees which copy of a doubly-retained pair survives.
             let value_left: Rows<Candidate> = (0..n_left)
                 .map(|_| {
                     random_ids(&mut rng, n_right, None)
                         .into_iter()
-                        .map(|j| (EntityId(j), 1.0 + draw(&mut rng, 100) as f64))
+                        .map(|j| (EntityId(j), 1.0 + rng.gen_range(0..100usize) as f64))
                         .collect::<Vec<_>>()
                 })
                 .collect();
@@ -1087,7 +1078,7 @@ mod tests {
                 .map(|_| {
                     random_ids(&mut rng, n_left, None)
                         .into_iter()
-                        .map(|i| (EntityId(i), -1.0 - draw(&mut rng, 100) as f64))
+                        .map(|i| (EntityId(i), -1.0 - rng.gen_range(0..100usize) as f64))
                         .collect::<Vec<_>>()
                 })
                 .collect();

@@ -20,6 +20,8 @@
 //!   dropped. Works well when block sizes follow a smooth (Zipfian)
 //!   distribution, but can over- or under-purge on strongly bimodal ones.
 
+use minoaner_det::spillable_struct;
+
 use crate::block::TokenBlocks;
 
 /// Comparison budget per input entity for [`purge_limit_budget`].
@@ -30,7 +32,7 @@ pub const DEFAULT_BUDGET_PER_ENTITY: u64 = 64;
 pub const DEFAULT_SMOOTHING: f64 = 1.25;
 
 /// Outcome of a purging pass.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PurgeReport {
     /// The cardinality (comparisons per block) limit applied; blocks with
     /// more comparisons were dropped.
@@ -42,6 +44,14 @@ pub struct PurgeReport {
     pub comparisons_before: u64,
     pub comparisons_after: u64,
 }
+
+spillable_struct!(PurgeReport {
+    max_comparisons,
+    blocks_before,
+    blocks_after,
+    comparisons_before,
+    comparisons_after,
+});
 
 /// Purges `blocks` in place with the default budget criterion
 /// (`DEFAULT_BUDGET_PER_ENTITY × total_entities` comparisons).

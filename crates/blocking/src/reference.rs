@@ -8,7 +8,7 @@
 //! the γ pass it *defines* the summation order the original left to hash
 //! randomness — β edges ascending by `(left, right)` — which is exactly
 //! the order the row-sharded parallel kernel reproduces per cell. The
-//! equivalence proptests below require exact `f64` equality between the
+//! equivalence loops below require exact `f64` equality between the
 //! two kernels across worker counts, weighting schemes, adaptive pruning,
 //! and dirty-ER mode.
 //!
@@ -262,8 +262,8 @@ mod tests {
     use minoaner_dataflow::Executor;
     use minoaner_kb::dirty::DirtyKbBuilder;
     use minoaner_kb::stats::NameStats;
+    use minoaner_det::rng::{for_each_seed, Rng};
     use minoaner_kb::{KbPairBuilder, Term};
-    use proptest::prelude::*;
 
     /// One generated entity: literal attributes (token indices into a
     /// small shared vocabulary) plus intra-KB relations (target entity
@@ -279,16 +279,18 @@ mod tests {
         "restaurant", "berkshire", "john",
     ];
 
-    fn entity_strategy(n_entities: usize) -> impl Strategy<Value = EntitySpec> {
-        (
-            prop::collection::vec(prop::collection::vec(0..VOCAB.len(), 1..4), 1..3),
-            prop::collection::vec(0..n_entities, 0..3),
-        )
-            .prop_map(|(literals, rels)| EntitySpec { literals, rels })
-    }
-
-    fn side_strategy() -> impl Strategy<Value = Vec<EntitySpec>> {
-        (3usize..9).prop_flat_map(|n| prop::collection::vec(entity_strategy(n), n))
+    /// Three to eight entities of one or two literals (one to three
+    /// vocabulary words each) and up to two relations.
+    fn random_side(rng: &mut Rng) -> Vec<EntitySpec> {
+        let n = rng.gen_range(3..9usize);
+        (0..n)
+            .map(|_| EntitySpec {
+                literals: (0..rng.gen_range(1..3usize))
+                    .map(|_| (0..rng.gen_range(1..4usize)).map(|_| rng.gen_range(0..VOCAB.len())).collect())
+                    .collect(),
+                rels: (0..rng.gen_range(0..3usize)).map(|_| rng.gen_range(0..n)).collect(),
+            })
+            .collect()
     }
 
     fn literal_text(tokens: &[usize]) -> String {
@@ -387,23 +389,17 @@ mod tests {
         }
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(6))]
+    #[test]
+    fn kernel_matches_reference_on_random_clean_pairs() {
+        for_each_seed(6, |rng| {
+            let (left, right) = (random_side(rng), random_side(rng));
+            check_equivalence(&build_pair(&left, &right));
+        });
+    }
 
-        #[test]
-        fn kernel_matches_reference_on_random_clean_pairs(
-            left in side_strategy(),
-            right in side_strategy(),
-        ) {
-            let pair = build_pair(&left, &right);
-            check_equivalence(&pair);
-        }
-
-        #[test]
-        fn kernel_matches_reference_on_random_dirty_kbs(specs in side_strategy()) {
-            let pair = build_dirty_pair(&specs);
-            check_equivalence(&pair);
-        }
+    #[test]
+    fn kernel_matches_reference_on_random_dirty_kbs() {
+        for_each_seed(6, |rng| check_equivalence(&build_dirty_pair(&random_side(rng))));
     }
 
     #[test]

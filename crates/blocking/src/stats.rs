@@ -6,12 +6,11 @@ use minoaner_det::DetHashSet;
 
 use minoaner_kb::stats::NameStats;
 use minoaner_kb::{EntityId, KbPair, Side, TokenId};
-use serde::{Deserialize, Serialize};
 
 use crate::block::{NameBlocks, TokenBlocks};
 
 /// One column of Table 2.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BlockCollectionStats {
     /// `|B_N|`: number of name blocks.
     pub name_blocks: usize,

@@ -4,45 +4,44 @@
 use minoaner_blocking::block::{Block, TokenBlocks};
 use minoaner_blocking::filtering::filter_blocks;
 use minoaner_blocking::purge::{purge_limit_budget, purge_with_cap};
+use minoaner_det::rng::{for_each_seed, Rng};
 use minoaner_kb::{EntityId, TokenId};
-use proptest::prelude::*;
 
-fn arbitrary_blocks() -> impl Strategy<Value = TokenBlocks> {
-    prop::collection::vec((1usize..12, 1usize..12), 0..30).prop_map(|sizes| TokenBlocks {
-        blocks: sizes
-            .into_iter()
-            .enumerate()
-            .map(|(i, (l, r))| {
+/// Up to 29 blocks of 1–11 entities a side.
+fn arbitrary_blocks(rng: &mut Rng) -> TokenBlocks {
+    TokenBlocks {
+        blocks: (0..rng.gen_range(0..30u32))
+            .map(|i| {
+                let (l, r) = (rng.gen_range(1..12u32), rng.gen_range(1..12u32));
                 (
-                    TokenId(i as u32),
-                    Block {
-                        left: (0..l as u32).map(EntityId).collect(),
-                        right: (0..r as u32).map(EntityId).collect(),
-                    },
+                    TokenId(i),
+                    Block { left: (0..l).map(EntityId).collect(), right: (0..r).map(EntityId).collect() },
                 )
             })
             .collect(),
-    })
+    }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
-
-    #[test]
-    fn purge_cap_is_respected_and_monotone(blocks in arbitrary_blocks(), cap in 1u64..200) {
+#[test]
+fn purge_cap_is_respected_and_monotone() {
+    for_each_seed(96, |rng| {
+        let (blocks, cap) = (arbitrary_blocks(rng), rng.gen_range(1..200u64));
         let mut purged = blocks.clone();
         let report = purge_with_cap(&mut purged, cap);
-        prop_assert!(purged.blocks.iter().all(|(_, b)| b.comparisons() <= cap));
-        prop_assert!(report.comparisons_after <= report.comparisons_before);
-        prop_assert!(report.blocks_after <= report.blocks_before);
+        assert!(purged.blocks.iter().all(|(_, b)| b.comparisons() <= cap));
+        assert!(report.comparisons_after <= report.comparisons_before);
+        assert!(report.blocks_after <= report.blocks_before);
         // Purging with a larger cap keeps at least as many blocks.
         let mut looser = blocks.clone();
         purge_with_cap(&mut looser, cap * 2);
-        prop_assert!(looser.blocks.len() >= purged.blocks.len());
-    }
+        assert!(looser.blocks.len() >= purged.blocks.len());
+    });
+}
 
-    #[test]
-    fn budget_limit_respects_the_budget(blocks in arbitrary_blocks(), budget in 1u64..2000) {
+#[test]
+fn budget_limit_respects_the_budget() {
+    for_each_seed(96, |rng| {
+        let (blocks, budget) = (arbitrary_blocks(rng), rng.gen_range(1..2000u64));
         let limit = purge_limit_budget(&blocks, budget);
         let mut purged = blocks.clone();
         purge_with_cap(&mut purged, limit);
@@ -50,43 +49,45 @@ proptest! {
         // (they are always admitted).
         let total = purged.total_comparisons();
         let only_singletons = purged.blocks.iter().all(|(_, b)| b.comparisons() <= 1);
-        prop_assert!(total <= budget || only_singletons,
-            "total {total} exceeds budget {budget} with non-singleton blocks");
-    }
+        assert!(
+            total <= budget || only_singletons,
+            "total {total} exceeds budget {budget} with non-singleton blocks"
+        );
+    });
+}
 
-    #[test]
-    fn filtering_never_increases_work(blocks in arbitrary_blocks(), ratio in 0.1f64..1.0) {
+#[test]
+fn filtering_never_increases_work() {
+    for_each_seed(96, |rng| {
+        let blocks = arbitrary_blocks(rng);
+        let ratio = 0.1 + 0.9 * rng.next_f64();
         let mut filtered = blocks.clone();
         let report = filter_blocks(&mut filtered, ratio);
-        prop_assert!(report.comparisons_after <= report.comparisons_before);
-        prop_assert!(report.assignments_after <= report.assignments_before);
+        assert!(report.comparisons_after <= report.comparisons_before);
+        assert!(report.assignments_after <= report.assignments_before);
         // All kept blocks are still active.
-        prop_assert!(filtered.blocks.iter().all(|(_, b)| b.is_active()));
-    }
+        assert!(filtered.blocks.iter().all(|(_, b)| b.is_active()));
+    });
+}
 
-    #[test]
-    fn filtering_keeps_every_entity_somewhere(blocks in arbitrary_blocks()) {
+#[test]
+fn filtering_keeps_every_entity_somewhere() {
+    for_each_seed(96, |rng| {
+        let blocks = arbitrary_blocks(rng);
         // Entities present before filtering remain in at least one block
         // (each keeps ⌈r·n⌉ ≥ 1 of its blocks) — unless every block they
         // kept lost its other side entirely.
-        let mut entities_before: Vec<u32> = blocks
-            .blocks
-            .iter()
-            .flat_map(|(_, b)| b.left.iter().map(|e| e.0))
-            .collect();
-        entities_before.sort_unstable();
-        entities_before.dedup();
-
+        let left_entities = |blocks: &TokenBlocks| {
+            let mut ids: Vec<u32> =
+                blocks.blocks.iter().flat_map(|(_, b)| b.left.iter().map(|e| e.0)).collect();
+            ids.sort_unstable();
+            ids.dedup();
+            ids
+        };
+        let entities_before = left_entities(&blocks);
         let mut filtered = blocks.clone();
         filter_blocks(&mut filtered, 0.8);
-        let mut entities_after: Vec<u32> = filtered
-            .blocks
-            .iter()
-            .flat_map(|(_, b)| b.left.iter().map(|e| e.0))
-            .collect();
-        entities_after.sort_unstable();
-        entities_after.dedup();
         // After-set is a subset of before-set.
-        prop_assert!(entities_after.iter().all(|e| entities_before.contains(e)));
-    }
+        assert!(left_entities(&filtered).iter().all(|e| entities_before.contains(e)));
+    });
 }

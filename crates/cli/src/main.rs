@@ -13,6 +13,7 @@
 
 mod args;
 
+use minoaner_det::json::Json;
 use minoaner_det::DetHashSet;
 use std::fmt;
 use std::path::Path;
@@ -244,10 +245,7 @@ fn load_kb(
 fn write_report(path: Option<&str>, trace: &minoaner_dataflow::RunTrace) -> Result<(), CliError> {
     let Some(report_path) = path else { return Ok(()) };
     ensure_parent_dir(report_path)?;
-    let json = trace
-        .to_json()
-        .map_err(|e| CliError::Io(format!("cannot serialize run trace: {e}")))?;
-    std::fs::write(report_path, json)
+    std::fs::write(report_path, trace.to_json())
         .map_err(|e| CliError::Io(format!("cannot write {report_path}: {e}")))?;
     eprintln!(
         "wrote run trace ({} stages, {} counters) to {report_path}",
@@ -408,21 +406,13 @@ fn resolve(args: &ResolveArgs) -> Result<(), CliError> {
     };
 
     if args.json {
-        let rows: Vec<serde_json::Value> = res
-            .matches
-            .iter()
-            .map(|&(l, r)| {
-                serde_json::json!({
-                    "left": pair.uri_of(Side::Left, l),
-                    "right": pair.uri_of(Side::Right, r),
-                })
-            })
-            .collect();
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&rows)
-                .map_err(|e| CliError::Io(format!("cannot serialize output: {e}")))?
-        );
+        let rows = res.matches.iter().map(|&(l, r)| {
+            Json::obj([
+                ("left", Json::str(pair.uri_of(Side::Left, l))),
+                ("right", Json::str(pair.uri_of(Side::Right, r))),
+            ])
+        });
+        println!("{}", Json::render(&Json::Arr(rows.collect())));
     } else {
         for &(l, r) in &res.matches {
             println!("{}\t{}", pair.uri_of(Side::Left, l), pair.uri_of(Side::Right, r));
@@ -508,21 +498,13 @@ fn multi(args: &MultiArgs) -> Result<(), CliError> {
         .into_multi();
 
     if args.json {
-        let rows: Vec<serde_json::Value> = res
-            .clusters
-            .iter()
-            .map(|cluster| {
-                serde_json::json!(cluster
-                    .iter()
-                    .map(|(kb, uri)| serde_json::json!({ "kb": kb, "uri": uri }))
-                    .collect::<Vec<_>>())
-            })
-            .collect();
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&rows)
-                .map_err(|e| CliError::Io(format!("cannot serialize output: {e}")))?
-        );
+        let rows = res.clusters.iter().map(|cluster| {
+            let nodes = cluster
+                .iter()
+                .map(|(kb, uri)| Json::obj([("kb", Json::num(*kb)), ("uri", Json::str(uri.as_str()))]));
+            Json::Arr(nodes.collect())
+        });
+        println!("{}", Json::render(&Json::Arr(rows.collect())));
     } else {
         for cluster in &res.clusters {
             let parts: Vec<String> =
@@ -667,9 +649,7 @@ fn jobs_run(args: &JobsRunArgs) -> Result<JobsOutcome, CliError> {
             if let Some(dir) = ctx.job_dir() {
                 // Artifacts are best-effort: the resolution already
                 // succeeded, and the summary carries the headline result.
-                if let Ok(json) = trace.to_json() {
-                    let _ = std::fs::write(dir.join("trace.json"), json);
-                }
+                let _ = std::fs::write(dir.join("trace.json"), trace.to_json());
                 let mut out = String::new();
                 for &(l, r) in &res.matches {
                     out.push_str(pair.uri_of(Side::Left, l));
@@ -816,21 +796,13 @@ fn dedup(args: &DedupArgs) -> Result<(), CliError> {
         .into_dirty();
 
     if args.json {
-        let rows: Vec<serde_json::Value> = res
-            .duplicates
-            .iter()
-            .map(|&(a, b)| {
-                serde_json::json!({
-                    "a": pair.uri_of(Side::Left, a),
-                    "b": pair.uri_of(Side::Left, b),
-                })
-            })
-            .collect();
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&rows)
-                .map_err(|e| CliError::Io(format!("cannot serialize output: {e}")))?
-        );
+        let rows = res.duplicates.iter().map(|&(a, b)| {
+            Json::obj([
+                ("a", Json::str(pair.uri_of(Side::Left, a))),
+                ("b", Json::str(pair.uri_of(Side::Left, b))),
+            ])
+        });
+        println!("{}", Json::render(&Json::Arr(rows.collect())));
     } else {
         for &(a, b) in &res.duplicates {
             println!("{}\t{}", pair.uri_of(Side::Left, a), pair.uri_of(Side::Left, b));

@@ -15,6 +15,8 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use minoaner_det::json::Json;
+
 const BIN: &str = env!("CARGO_BIN_EXE_minoaner");
 
 /// Unique per-test scratch directory (pid + counter; no entropy).
@@ -56,6 +58,31 @@ fn run(args: &[&str]) -> std::process::Output {
 
 fn code(out: &std::process::Output) -> i32 {
     out.status.code().expect("process exited normally")
+}
+
+/// A job directory's `status.json`, parsed.
+fn read_status(job_dir: &Path) -> Json {
+    let text = std::fs::read_to_string(job_dir.join("status.json")).expect("status persisted");
+    Json::parse(&text).expect("status.json is JSON")
+}
+
+/// Runs `args` and `args --json`; returns the TSV lines of the first and
+/// the parsed array of the second.
+fn tsv_and_json(args: &[&str]) -> (Vec<String>, Vec<Json>) {
+    let tsv = run(args);
+    assert_eq!(code(&tsv), 0, "stderr: {}", String::from_utf8_lossy(&tsv.stderr));
+    let lines = String::from_utf8(tsv.stdout).expect("utf8").lines().map(str::to_owned).collect();
+    let mut with_json = args.to_vec();
+    with_json.push("--json");
+    let out = run(&with_json);
+    assert_eq!(code(&out), 0, "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let doc = Json::parse(&String::from_utf8(out.stdout).expect("utf8")).expect("--json prints JSON");
+    (lines, doc.as_arr().expect("--json prints an array").to_vec())
+}
+
+/// `row.key` as a string.
+fn text<'a>(row: &'a Json, key: &str) -> &'a str {
+    row.get(key).and_then(Json::as_str).unwrap_or_else(|| panic!("no string {key:?} in {row:?}"))
 }
 
 #[test]
@@ -195,10 +222,9 @@ fn jobs_run_cancelled_by_deadline_exits_six() {
     );
     let out = run(&["jobs", "run", "--root", root.to_str().expect("utf8"), "--job", &spec]);
     assert_eq!(code(&out), 6, "stderr: {}", String::from_utf8_lossy(&out.stderr));
-    let status = std::fs::read_to_string(root.join("job-j0000").join("status.json"))
-        .expect("status persisted");
-    assert!(status.contains("\"state\":\"cancelled\""), "status: {status}");
-    assert!(status.contains("\"cancel_reason\":\"deadline\""), "status: {status}");
+    let status = read_status(&root.join("job-j0000"));
+    assert_eq!(status.get("state").and_then(Json::as_str), Some("cancelled"), "status: {status:?}");
+    assert_eq!(status.get("cancel_reason").and_then(Json::as_str), Some("deadline"), "status: {status:?}");
     // The control plane sees it too.
     let out = run(&["jobs", "list", "--root", root.to_str().expect("utf8")]);
     assert_eq!(code(&out), 0);
@@ -229,8 +255,8 @@ fn jobs_run_batch_completes_and_persists_artifacts() {
     assert_eq!(code(&out), 0, "stderr: {}", String::from_utf8_lossy(&out.stderr));
     for id in ["j0000", "j0001"] {
         let job_dir = root.join(format!("job-{id}"));
-        let status = std::fs::read_to_string(job_dir.join("status.json")).expect("status file");
-        assert!(status.contains("\"state\":\"completed\""), "{id}: {status}");
+        let status = read_status(&job_dir);
+        assert_eq!(status.get("state").and_then(Json::as_str), Some("completed"), "{id}: {status:?}");
         assert!(job_dir.join("matches.tsv").exists(), "{id} should persist matches");
         assert!(job_dir.join("trace.json").exists(), "{id} should persist its trace");
         assert!(job_dir.join("ckpt").is_dir(), "{id} should checkpoint under its own dir");
@@ -272,4 +298,59 @@ fn checkpointed_resolve_writes_snapshots_and_resumes() {
     assert_eq!(code(&out), 0, "stderr: {}", String::from_utf8_lossy(&out.stderr));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("resumed"), "resume should be reported on stderr: {stderr}");
+}
+
+// ───────────── `--json` carries the same rows as the TSV ─────────────
+
+#[test]
+fn resolve_json_lists_the_tsv_matches() {
+    let dir = scratch_dir("json-resolve");
+    let (left, right) = write_kbs(&dir);
+    let (tsv, rows) = tsv_and_json(&["resolve", "--left", left.to_str().expect("utf8"), "--right",
+        right.to_str().expect("utf8")]);
+    assert!(!tsv.is_empty(), "the sample KBs match");
+    let from_json: Vec<String> =
+        rows.iter().map(|row| format!("{}\t{}", text(row, "left"), text(row, "right"))).collect();
+    assert_eq!(from_json, tsv);
+}
+
+#[test]
+fn multi_json_lists_the_tsv_clusters() {
+    let dir = scratch_dir("json-multi");
+    let (left, right) = write_kbs(&dir);
+    let third = dir.join("third.nt");
+    std::fs::write(&third, "<t:R3> <t:title> \"The Fat Duck\" .\n<t:C3> <t:title> \"Jonny Lake\" .\n")
+        .expect("write third KB");
+    let (tsv, rows) = tsv_and_json(&["multi", "--kb", left.to_str().expect("utf8"), "--kb",
+        right.to_str().expect("utf8"), "--kb", third.to_str().expect("utf8")]);
+    assert!(!tsv.is_empty(), "the sample KBs cluster");
+    let from_json: Vec<String> = rows
+        .iter()
+        .map(|cluster| {
+            let nodes = cluster.as_arr().expect("a cluster is an array").iter().map(|node| {
+                let kb = node.get("kb").and_then(Json::as_u64).expect("kb index");
+                format!("{kb}:{}", text(node, "uri"))
+            });
+            nodes.collect::<Vec<_>>().join("\t")
+        })
+        .collect();
+    assert_eq!(from_json, tsv);
+}
+
+#[test]
+fn dedup_json_lists_the_tsv_duplicates() {
+    let dir = scratch_dir("json-dedup");
+    let input = dir.join("dirty.nt");
+    std::fs::write(
+        &input,
+        "<e:1> <p:name> \"The Fat Duck\" .\n<e:1> <p:city> \"Bray\" .\n\
+         <e:2> <p:label> \"The Fat Duck\" .\n<e:2> <p:place> \"Bray\" .\n\
+         <e:3> <p:name> \"Jonny Lake\" .\n",
+    )
+    .expect("write dirty KB");
+    let (tsv, rows) = tsv_and_json(&["dedup", "--input", input.to_str().expect("utf8")]);
+    assert!(!tsv.is_empty(), "e:1 and e:2 are duplicates");
+    let from_json: Vec<String> =
+        rows.iter().map(|row| format!("{}\t{}", text(row, "a"), text(row, "b"))).collect();
+    assert_eq!(from_json, tsv);
 }

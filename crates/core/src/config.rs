@@ -13,8 +13,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A violated [`MinoanerConfig`] constraint.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ConfigError {
@@ -51,7 +49,7 @@ impl fmt::Display for ConfigError {
 impl std::error::Error for ConfigError {}
 
 /// The four MinoanER parameters plus engine toggles.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MinoanerConfig {
     /// `k`: number of global name attributes per KB (Figure 5: 1–5).
     pub name_attrs_k: usize,
@@ -75,7 +73,6 @@ pub struct MinoanerConfig {
     /// default; a per-request [`crate::ResolveRequest::workers`] override
     /// wins over both. Not part of the checkpoint fingerprint — results
     /// are bit-identical across worker counts.
-    #[serde(default)]
     pub workers: Option<usize>,
 }
 
@@ -191,7 +188,7 @@ impl MinoanerConfigBuilder {
 }
 
 /// Which matching rules run — the knob behind the Table 4 ablations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RuleSet {
     /// R1: name matching.
     pub r1: bool,

@@ -14,15 +14,15 @@
 //! `M(e_i, e_j) = (R1 ∨ R2 ∨ R3) ∧ R4` (Def. 4.1).
 
 use minoaner_blocking::BlockingGraph;
+use minoaner_det::spillable_struct;
 use minoaner_det::DetHashMap;
 use minoaner_dataflow::Executor;
 use minoaner_kb::{EntityId, KbPair, Side};
-use serde::{Deserialize, Serialize};
 
 use crate::config::{MinoanerConfig, RuleSet};
 
 /// Which rule produced a match.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Rule {
     R1,
     R2,
@@ -30,7 +30,7 @@ pub enum Rule {
 }
 
 /// Matches per producing rule, plus R4's removals.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RuleCounts {
     pub r1: usize,
     pub r2: usize,
@@ -38,6 +38,8 @@ pub struct RuleCounts {
     /// Matches discarded by the reciprocity filter.
     pub removed_by_r4: usize,
 }
+
+spillable_struct!(RuleCounts { r1, r2, r3, removed_by_r4 });
 
 /// The result of Algorithm 2.
 #[derive(Debug, Clone, Default)]

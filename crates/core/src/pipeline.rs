@@ -89,8 +89,8 @@ pub struct PreparedGraph {
 /// Everything produced by the pipeline's first barrier (`blocks`):
 /// statistics plus the purged composite blocks, i.e. the full input of
 /// graph construction. This is the unit the checkpoint subsystem snapshots
-/// and restores, so it derives serde.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+/// and restores, part by part (`resume::blocks_parts`).
+#[derive(Debug, Clone)]
 pub struct PreparedBlocks {
     pub relation_stats: RelationStats,
     pub name_stats: NameStats,

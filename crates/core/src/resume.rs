@@ -5,10 +5,12 @@
 //! The pipeline has three natural barriers (Figure 4's synchronization
 //! edges): `blocks` (statistics + composite blocks + purge), `graph` (the
 //! pruned disjunctive blocking graph) and `matches` (Algorithm 2's output).
-//! Each barrier's state is serialized as one serde/JSON part per component;
-//! the store handles hashing, atomic commit and recovery scanning, while
-//! this module owns *what* is stored and how a recovered barrier is turned
-//! back into typed pipeline state.
+//! Each barrier's state is written as one part per component, in the exact
+//! binary record codec spill runs use ([`Spillable`]: little-endian,
+//! bit-exact floats, row tables rebuilt through `Rows::from_parts`); the
+//! store handles hashing, atomic commit and recovery scanning, while this
+//! module owns *what* is stored and how a recovered barrier is turned back
+//! into typed pipeline state.
 //!
 //! A [`run_fingerprint`] binds every checkpoint to the run's configuration,
 //! rule set and input sizes, so a resume against a different setup is
@@ -25,6 +27,7 @@ use minoaner_dataflow::{
     CheckpointError, CheckpointPolicy, CheckpointStore, DataflowError, DegradeOnCkptError,
     Executor, RecoveredStage, TraceCollector,
 };
+use minoaner_det::codec::{decode_exact, encode_to_vec, Spillable};
 use minoaner_det::fnv1a;
 use minoaner_kb::{EntityId, KbPair, Side};
 
@@ -127,15 +130,26 @@ impl CheckpointSpec {
 
 /// Fingerprint binding a checkpoint to its run: the resolver configuration
 /// (θ bit-exact), the rule set, the pruning mode, the input KB dimensions,
-/// and — in the domain string — the layout of the checkpointed parts (`v2`:
-/// the graph's candidate tables are `Rows`), so a directory written with
-/// another layout is recomputed rather than failing to decode. A sanity
+/// and — in the domain string — the layout of the checkpointed parts (`v3`:
+/// little-endian [`Spillable`] records; `v2` was JSON), so a directory
+/// written with another layout is recomputed, never mis-decoded. A sanity
 /// guard against resuming with drifted inputs or settings — not a content
 /// hash of the KBs (re-parsing identical input reproduces it; swapping in
 /// a different dataset of identical dimensions would not be caught).
 pub fn run_fingerprint(config: &MinoanerConfig, rules: RuleSet, adaptive: bool, pair: &KbPair) -> u64 {
+    fingerprint_in(b"minoaner-run-fingerprint-v3", config, rules, adaptive, pair)
+}
+
+/// [`run_fingerprint`] under an explicit layout domain.
+fn fingerprint_in(
+    domain: &[u8],
+    config: &MinoanerConfig,
+    rules: RuleSet,
+    adaptive: bool,
+    pair: &KbPair,
+) -> u64 {
     let mut bytes = Vec::with_capacity(136);
-    bytes.extend_from_slice(b"minoaner-run-fingerprint-v2");
+    bytes.extend_from_slice(domain);
     for v in [
         config.name_attrs_k as u64,
         config.top_k as u64,
@@ -157,50 +171,35 @@ pub fn run_fingerprint(config: &MinoanerConfig, rules: RuleSet, adaptive: bool, 
     fnv1a(&bytes)
 }
 
-/// Serializes one named part. Encoding failures are surfaced as
-/// [`CheckpointError::Corrupt`] on the part name — they indicate a
-/// non-serializable value (a bug), not an I/O condition.
-fn encode_part<T: serde::Serialize>(
-    name: &str,
-    value: &T,
-) -> Result<(String, Vec<u8>), CheckpointError> {
-    match serde_json::to_vec(value) {
-        Ok(bytes) => Ok((name.to_owned(), bytes)),
-        Err(e) => Err(CheckpointError::Corrupt {
-            path: name.to_owned(),
-            detail: format!("part failed to serialize: {e}"),
-        }),
-    }
+/// One named part: `value`'s record encoding.
+fn encode_part<T: Spillable>(name: &str, value: &T) -> (String, Vec<u8>) {
+    (name.to_owned(), encode_to_vec(value))
 }
 
-/// Deserializes the named part of a recovered barrier. The store has
-/// already verified the part's content hash, so a decode failure means the
-/// writer and reader disagree on the part schema.
-fn decode_part<T: serde::de::DeserializeOwned>(
-    stage: &RecoveredStage,
-    name: &str,
-) -> Result<T, CheckpointError> {
+/// Decodes the named part of a recovered barrier. The store has already
+/// verified the part's content hash, so a part that decodes short, long or
+/// to an invalid value (row offsets out of order, say) means the writer
+/// and reader disagree on the layout: [`CheckpointError::Corrupt`].
+fn decode_part<T: Spillable>(stage: &RecoveredStage, name: &str) -> Result<T, CheckpointError> {
     let bytes = stage.part(name).ok_or_else(|| CheckpointError::Corrupt {
         path: name.to_owned(),
         detail: format!("barrier {:?} is missing part {name:?}", stage.stage),
     })?;
-    serde_json::from_slice(bytes).map_err(|e| CheckpointError::Corrupt {
+    decode_exact(bytes).ok_or_else(|| CheckpointError::Corrupt {
         path: name.to_owned(),
-        detail: format!("part failed to deserialize: {e}"),
+        detail: format!("part does not decode as exactly one record ({} bytes)", bytes.len()),
     })
 }
 
 /// The `blocks` barrier's parts.
-pub(crate) fn blocks_parts(
-    blocks: &PreparedBlocks,
-) -> Result<Vec<(String, Vec<u8>)>, CheckpointError> {
-    Ok(vec![
-        encode_part("relation_stats", &blocks.relation_stats)?,
-        encode_part("name_stats", &blocks.name_stats)?,
-        encode_part("token_blocks", &blocks.token_blocks)?,
-        encode_part("name_blocks", &blocks.name_blocks)?,
-        encode_part("purge", &blocks.purge)?,
-    ])
+pub(crate) fn blocks_parts(blocks: &PreparedBlocks) -> Vec<(String, Vec<u8>)> {
+    vec![
+        encode_part("relation_stats", &blocks.relation_stats),
+        encode_part("name_stats", &blocks.name_stats),
+        encode_part("token_blocks", &blocks.token_blocks),
+        encode_part("name_blocks", &blocks.name_blocks),
+        encode_part("purge", &blocks.purge),
+    ]
 }
 
 /// Rebuilds [`PreparedBlocks`] from a recovered `blocks` barrier.
@@ -218,8 +217,8 @@ pub(crate) fn blocks_from_stage(stage: &RecoveredStage) -> Result<PreparedBlocks
 pub(crate) fn graph_parts(
     graph: &BlockingGraph,
     purge: &Option<PurgeReport>,
-) -> Result<Vec<(String, Vec<u8>)>, CheckpointError> {
-    Ok(vec![encode_part("graph", graph)?, encode_part("purge", purge)?])
+) -> Vec<(String, Vec<u8>)> {
+    vec![encode_part("graph", graph), encode_part("purge", purge)]
 }
 
 /// Rebuilds the graph state from a recovered `graph` barrier.
@@ -229,19 +228,20 @@ pub(crate) fn graph_from_stage(
     Ok((decode_part(stage, "graph")?, decode_part(stage, "purge")?))
 }
 
-/// The `matches` barrier's parts.
+/// The `matches` barrier's parts. `matches` is the `Vec` it decodes as.
+#[allow(clippy::ptr_arg)]
 pub(crate) fn matches_parts(
-    matches: &[(EntityId, EntityId)],
+    matches: &Vec<(EntityId, EntityId)>,
     counts: &RuleCounts,
     graph_digest: u64,
     purge: &Option<PurgeReport>,
-) -> Result<Vec<(String, Vec<u8>)>, CheckpointError> {
-    Ok(vec![
-        encode_part("matches", &matches)?,
-        encode_part("rule_counts", counts)?,
-        encode_part("graph_digest", &graph_digest)?,
-        encode_part("purge", purge)?,
-    ])
+) -> Vec<(String, Vec<u8>)> {
+    vec![
+        encode_part("matches", matches),
+        encode_part("rule_counts", counts),
+        encode_part("graph_digest", &graph_digest),
+        encode_part("purge", purge),
+    ]
 }
 
 /// Rebuilds the final results from a recovered `matches` barrier.
@@ -345,7 +345,7 @@ impl<'a> Barriers<'a> {
     }
 
     /// Commits barrier `barrier` (`name`) if the spec's policy selects it, timing
-    /// the write as a `ckpt/write/<name>` stage and accounting the payload
+    /// the encoding and the write as a `ckpt/write/<name>` stage and accounting the payload
     /// in the `ckpt/bytes_written` / `ckpt/barriers_written` counters. The
     /// counter snapshot stored with the barrier excludes the `ckpt/*`
     /// namespace: a resumed run re-emits the snapshot, and its own
@@ -356,7 +356,7 @@ impl<'a> Barriers<'a> {
         executor: &Executor,
         barrier: usize,
         name: &str,
-        parts: impl FnOnce() -> Result<Vec<(String, Vec<u8>)>, CheckpointError>,
+        parts: impl FnOnce() -> Vec<(String, Vec<u8>)>,
     ) -> Result<(), DataflowError> {
         let Some(live) =
             self.live.as_ref().filter(|live| live.spec.policy.should_checkpoint(barrier, name))
@@ -364,7 +364,6 @@ impl<'a> Barriers<'a> {
             return Ok(());
         };
         let spec = live.spec;
-        let parts = parts()?;
         let counters: BTreeMap<String, u64> = live
             .collector
             .counters()
@@ -372,7 +371,7 @@ impl<'a> Barriers<'a> {
             .filter(|(k, _)| !k.starts_with("ckpt/"))
             .collect();
         let written = executor.time_stage(&format!("ckpt/write/{name}"), || {
-            live.store.write_stage(barrier, name, live.fingerprint, &parts, &counters)
+            live.store.write_stage(barrier, name, live.fingerprint, &parts(), &counters)
         });
         match written {
             Ok(bytes) => {
@@ -398,6 +397,8 @@ impl<'a> Barriers<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Minoaner, ResolveRequest};
+    use minoaner_dataflow::RunTrace;
     use minoaner_kb::{KbPairBuilder, Term};
 
     fn tiny_pair() -> KbPair {
@@ -439,5 +440,109 @@ mod tests {
         assert!(spec.policy.should_checkpoint(BARRIER_BLOCKS, "blocks"));
         assert!(spec.policy.should_checkpoint(BARRIER_MATCHES, "matches"));
         assert!(spec.resuming().resume);
+    }
+
+    /// A pair with value, name and neighbour evidence, so every candidate
+    /// table of its graph has rows.
+    fn linked_pair() -> KbPair {
+        let mut b = KbPairBuilder::new();
+        for (id, name, chef) in [("1", "The Fat Duck", "Jonny Lake"), ("2", "Noma", "Rene Redzepi")] {
+            b.add_triple(Side::Left, &format!("w:{id}"), "w:label", Term::Literal(name));
+            b.add_triple(Side::Left, &format!("w:{id}"), "w:chef", Term::Uri(&format!("w:c{id}")));
+            b.add_triple(Side::Left, &format!("w:c{id}"), "w:label", Term::Literal(chef));
+            b.add_triple(Side::Right, &format!("d:{id}"), "d:name", Term::Literal(&format!("{name} restaurant")));
+            b.add_triple(Side::Right, &format!("d:{id}"), "d:headChef", Term::Uri(&format!("d:c{id}")));
+            b.add_triple(Side::Right, &format!("d:c{id}"), "d:name", Term::Literal(chef));
+        }
+        b.finish()
+    }
+
+    /// The `graph` barrier of [`linked_pair`] as recovery would hand it
+    /// over, after `damage` to the bytes of its `graph` part.
+    fn graph_stage(damage: impl FnOnce(&mut Vec<u8>)) -> (RecoveredStage, u64) {
+        let pair = linked_pair();
+        let prepared = Minoaner::new().prepare(&Executor::new(1), &pair);
+        let mut parts = graph_parts(&prepared.graph, &None);
+        damage(&mut parts[0].1);
+        let stage =
+            RecoveredStage { barrier: BARRIER_GRAPH, stage: "graph".to_owned(), parts, counters: BTreeMap::new() };
+        (stage, prepared.graph.weight_digest())
+    }
+
+    fn assert_corrupt(stage: &RecoveredStage) {
+        match graph_from_stage(stage) {
+            Err(CheckpointError::Corrupt { path, .. }) => assert_eq!(path, "graph"),
+            other => panic!("expected the graph part to be corrupt, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn an_intact_part_decodes_to_the_bit_identical_graph() {
+        let (stage, digest) = graph_stage(|_| {});
+        let (graph, purge) = graph_from_stage(&stage).expect("intact parts decode");
+        assert!(graph.num_directed_edges() > 0, "the pair has candidates to store");
+        assert_eq!(graph.weight_digest(), digest);
+        assert_eq!(purge, None);
+    }
+
+    #[test]
+    fn a_part_that_decodes_short_is_corrupt() {
+        assert_corrupt(&graph_stage(|bytes| bytes.truncate(bytes.len() - 1)).0);
+    }
+
+    #[test]
+    fn a_part_that_decodes_long_is_corrupt() {
+        assert_corrupt(&graph_stage(|bytes| bytes.push(0)).0);
+    }
+
+    #[test]
+    fn a_part_with_bad_row_offsets_is_corrupt() {
+        // The part opens with the left value-candidate table: a `u64` count
+        // of offsets, then the offsets, the first of which must be 0.
+        assert_corrupt(&graph_stage(|bytes| bytes[8] = 1).0);
+    }
+
+    /// A directory written before the parts were `Spillable` records (JSON
+    /// under the `…-v2` fingerprint) is refused by fingerprint and the run
+    /// recomputed: its bytes never reach a decoder.
+    #[test]
+    fn a_directory_in_the_v2_json_layout_is_refused_and_recomputed() {
+        let pair = linked_pair();
+        let dir = std::env::temp_dir().join(format!("minoaner-core-v2-layout-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let v2 = fingerprint_in(
+            b"minoaner-run-fingerprint-v2",
+            &MinoanerConfig::default(),
+            RuleSet::FULL,
+            false,
+            &pair,
+        );
+        let json = |name: &str, text: &str| (name.to_owned(), text.as_bytes().to_vec());
+        let parts = [
+            json("matches", "[[0,0]]"),
+            json("rule_counts", r#"{"r1":1,"r2":0,"r3":0,"removed_by_r4":0}"#),
+            json("graph_digest", "1"),
+            json("purge", "null"),
+        ];
+        CheckpointStore::open(&dir)
+            .and_then(|store| store.write_stage(BARRIER_MATCHES, "matches", v2, &parts, &BTreeMap::new()))
+            .expect("write the old-layout barrier");
+
+        let spec = CheckpointSpec::new(&dir).resuming();
+        let (resumed, trace) = Minoaner::new()
+            .run(ResolveRequest::pair(&pair).checkpoint(&spec))
+            .expect("the run recomputes")
+            .into_traced();
+        let plain =
+            Minoaner::new().run(ResolveRequest::pair(&pair)).expect("plain run").into_resolution();
+        std::fs::remove_dir_all(&dir).expect("remove scratch");
+
+        let counter = |name: &str| RunTrace::counter(&trace, name);
+        assert_eq!(counter("ckpt/rejected"), 1, "the v2 barrier is seen and refused");
+        assert_eq!(counter("ckpt/resumed_from"), 0, "nothing is restored from it");
+        assert_eq!(counter("ckpt/barriers_written"), 3, "every barrier is recomputed");
+        assert!(!plain.matches.is_empty());
+        assert_eq!(resumed.matches, plain.matches);
+        assert_eq!(resumed.graph_digest, plain.graph_digest);
     }
 }

@@ -85,7 +85,7 @@ impl fmt::Display for CancelReason {
 /// exactly one request transitions the token; every clone observes the
 /// same reason afterwards. All operations are `SeqCst` — the token
 /// participates in the pool's abort-flag protocol, which is modeled under
-/// loom (`dataflow/tests/loom_models.rs`).
+/// loom (`tools/loom-models/tests/loom_models.rs`).
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken {
     state: Arc<AtomicU8>,

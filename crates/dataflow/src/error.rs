@@ -1,6 +1,6 @@
 //! Structured dataflow failures.
 //!
-//! Instead of letting a worker panic unwind through `crossbeam::scope` and
+//! Instead of letting a worker panic unwind through the worker scope and
 //! abort the whole process, every task failure is captured and surfaced as
 //! a [`DataflowError`] carrying the stage name, the task index and the
 //! panic payload. Unlike Spark (§4.1) the engine does not retry a failed

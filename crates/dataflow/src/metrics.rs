@@ -13,15 +13,13 @@
 
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
-
 /// Data-volume facts about one stage, filled in after its barrier.
 ///
 /// All fields default to zero; stages that move no data (or predate the
 /// annotation call) simply report zeros. Annotations *accumulate*: a
 /// shuffle's read phase can add `shuffle_bytes` on top of the item counts
 /// recorded by the underlying `map_partitions`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageIo {
     /// Elements entering the stage across all partitions.
     pub items_in: u64,
@@ -63,7 +61,7 @@ impl StageIo {
 }
 
 /// One executed stage.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StageMetric {
     /// Stage name, e.g. `"token-blocking"` or `"rule-r3"`.
     pub name: String,
@@ -82,7 +80,6 @@ pub struct StageMetric {
     pub skipped: usize,
     /// Data-volume annotations (items in/out, shuffle bytes, peak
     /// partition size). Zeroed for stages that were never annotated.
-    #[serde(default)]
     pub io: StageIo,
 }
 
@@ -102,7 +99,7 @@ impl StageMetric {
 }
 
 /// An ordered record of executed stages.
-#[derive(Debug, Default, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, PartialEq)]
 pub struct StageLog {
     stages: Vec<StageMetric>,
 }

@@ -14,9 +14,9 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
+use minoaner_det::lock;
 
 use crate::metrics::StageMetric;
 
@@ -105,22 +105,22 @@ impl TraceCollector {
 
     /// Snapshot of the accumulated counters.
     pub fn counters(&self) -> BTreeMap<String, u64> {
-        self.counters.lock().clone()
+        lock(&self.counters).clone()
     }
 
     /// Number of stage completions observed.
     pub fn stages_seen(&self) -> usize {
-        *self.stages_seen.lock()
+        *lock(&self.stages_seen)
     }
 }
 
 impl Observer for TraceCollector {
     fn on_stage(&self, _metric: &StageMetric) {
-        *self.stages_seen.lock() += 1;
+        *lock(&self.stages_seen) += 1;
     }
 
     fn on_counter(&self, name: &str, value: u64) {
-        *self.counters.lock().entry(name.to_owned()).or_insert(0) += value;
+        *lock(&self.counters).entry(name.to_owned()).or_insert(0) += value;
     }
 }
 

@@ -18,10 +18,10 @@
 
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
+use minoaner_det::lock;
 
 use crate::budget::MemoryBudget;
 use crate::cancel::{CancelReason, CancelToken};
@@ -234,7 +234,7 @@ impl Executor {
     /// sizes are known. Unknown names are ignored (the annotation is
     /// advisory, never load-bearing).
     pub fn annotate_last_stage(&self, name: &str, io: StageIo) {
-        self.log.lock().annotate_last(name, io);
+        lock(&self.log).annotate_last(name, io);
     }
 
     /// Number of workers.
@@ -299,7 +299,7 @@ impl Executor {
         // an index and writing its slot, so when `cancelled` is not set,
         // every index 0..n has a populated slot after the join.
         // Claim-exactly-once and the cancel races are modeled in
-        // dataflow/tests/loom_models.rs.
+        // tools/loom-models/tests/loom_models.rs.
         let worker_loop = || {
             while !fatal.load(Ordering::SeqCst) && !cancelled.load(Ordering::SeqCst) {
                 if self.stop_reason().is_some() {
@@ -324,7 +324,7 @@ impl Executor {
                     },
                 );
                 let failed = outcome.is_err();
-                *slots[i].lock() = Some(outcome);
+                *lock(&slots[i]) = Some(outcome);
                 if failed {
                     fatal.store(true, Ordering::SeqCst);
                     break;
@@ -336,21 +336,20 @@ impl Executor {
             0 => {}
             1 => worker_loop(),
             workers => {
-                let worker_loop = &worker_loop;
                 // Tasks are panic-isolated, so a worker unwinding is itself
-                // a bug; re-raise the original payload rather than wrapping it.
-                if let Err(payload) = crossbeam::scope(|scope| {
+                // a bug; the scope re-raises it once every worker has joined.
+                std::thread::scope(|scope| {
                     for _ in 0..workers {
-                        scope.spawn(move |_| worker_loop());
+                        scope.spawn(worker_loop);
                     }
-                }) {
-                    std::panic::panic_any(payload);
-                }
+                });
             }
         }
 
-        let outcomes: Vec<Result<T, DataflowError>> =
-            slots.into_iter().filter_map(Mutex::into_inner).collect();
+        let outcomes: Vec<Result<T, DataflowError>> = slots
+            .into_iter()
+            .filter_map(|slot| slot.into_inner().unwrap_or_else(PoisonError::into_inner))
+            .collect();
         self.record(StageMetric {
             name: name.to_owned(),
             wall: start.elapsed(),
@@ -391,17 +390,17 @@ impl Executor {
     /// Hands a finished stage to the observer and the stage log.
     fn record(&self, metric: StageMetric) {
         self.observer.stage(&metric);
-        self.log.lock().push(metric);
+        lock(&self.log).push(metric);
     }
 
     /// Snapshot of the stage log.
     pub fn stage_log(&self) -> StageLog {
-        self.log.lock().clone()
+        lock(&self.log).clone()
     }
 
     /// Clears the stage log (e.g. between experiment repetitions).
     pub fn reset_metrics(&self) {
-        self.log.lock().clear();
+        lock(&self.log).clear();
     }
 }
 
@@ -431,8 +430,8 @@ mod tests {
     fn single_worker_is_sequential() {
         let exec = Executor::new(1);
         let order = Mutex::new(Vec::new());
-        exec.run_stage("seq", 10, |i| order.lock().push(i));
-        assert_eq!(*order.lock(), (0..10).collect::<Vec<_>>());
+        exec.run_stage("seq", 10, |i| lock(&order).push(i));
+        assert_eq!(*lock(&order), (0..10).collect::<Vec<_>>());
     }
 
     #[test]

@@ -19,18 +19,17 @@
 //! (the codec is exact, including `f64` bit patterns). Budgeted and
 //! unbudgeted executions therefore produce bit-identical stage output.
 //!
-//! Records implement [`Spillable`], a small fixed-layout binary codec.
-//! The framework deliberately avoids `serde` here: spill files are
-//! process-private scratch (never schema-versioned artifacts), and the
-//! codec guarantees exact round-trips of every bit, which the
-//! `weight_digest` equality acceptance test depends on.
+//! Records implement [`Spillable`] (`minoaner_det::codec`), the fixed-layout
+//! binary codec checkpoint parts are written with too: it round-trips every
+//! bit, which the `weight_digest` equality acceptance test depends on. Run
+//! files are process-private scratch, never schema-versioned artifacts.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Mutex;
 
-use parking_lot::Mutex;
-
-use minoaner_det::{fnv1a, vfs};
+pub use minoaner_det::codec::Spillable;
+use minoaner_det::{fnv1a, lock, vfs};
 
 use crate::budget::MemoryBudget;
 use crate::checkpoint::CheckpointError;
@@ -43,67 +42,6 @@ pub const SPILL_RUNS_COUNTER: &str = "spill/runs_written";
 pub const SPILL_BYTES_COUNTER: &str = "spill/bytes_written";
 /// Counter name: records that round-tripped through disk.
 pub const SPILL_RECORDS_COUNTER: &str = "spill/records";
-
-/// Fixed-layout binary encoding for spillable records.
-///
-/// Implementations must be exact: `read(write(x)) == x` for every value,
-/// including `f64` NaN payloads and signed zeros (encode bit patterns,
-/// not decimal renderings). Provided for the integer/float primitives and
-/// for 2- and 3-tuples of them, which covers the engine's shuffle shapes
-/// (`(key, value)` pairs and the blocking graph's `(a, b, weight)`
-/// triples).
-pub trait Spillable: Sized {
-    /// Appends this record's encoding to `out`.
-    fn encode(&self, out: &mut Vec<u8>);
-    /// Decodes one record starting at `*pos`, advancing `*pos` past it.
-    /// Returns `None` on truncated input (corruption is caught by the
-    /// file checksum before decoding starts, but bounds stay checked).
-    fn decode(buf: &[u8], pos: &mut usize) -> Option<Self>;
-}
-
-macro_rules! spillable_primitive {
-    ($($t:ty),*) => {$(
-        impl Spillable for $t {
-            fn encode(&self, out: &mut Vec<u8>) {
-                out.extend_from_slice(&self.to_ne_bytes());
-            }
-
-            fn decode(buf: &[u8], pos: &mut usize) -> Option<Self> {
-                const N: usize = std::mem::size_of::<$t>();
-                let slice = buf.get(*pos..*pos + N)?;
-                *pos += N;
-                let mut b = [0u8; N];
-                b.copy_from_slice(slice);
-                Some(<$t>::from_ne_bytes(b))
-            }
-        }
-    )*};
-}
-
-spillable_primitive!(u8, u16, u32, u64, i8, i16, i32, i64, f32, f64, usize);
-
-impl<A: Spillable, B: Spillable> Spillable for (A, B) {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.0.encode(out);
-        self.1.encode(out);
-    }
-
-    fn decode(buf: &[u8], pos: &mut usize) -> Option<Self> {
-        Some((A::decode(buf, pos)?, B::decode(buf, pos)?))
-    }
-}
-
-impl<A: Spillable, B: Spillable, C: Spillable> Spillable for (A, B, C) {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.0.encode(out);
-        self.1.encode(out);
-        self.2.encode(out);
-    }
-
-    fn decode(buf: &[u8], pos: &mut usize) -> Option<Self> {
-        Some((A::decode(buf, pos)?, B::decode(buf, pos)?, C::decode(buf, pos)?))
-    }
-}
 
 /// One map task's contribution: per-partition buckets, resident or
 /// on disk.
@@ -217,7 +155,7 @@ impl<T: Spillable> SpillShuffle<T> {
             self.records_spilled.fetch_add(records, Ordering::Relaxed);
             Run::Disk { path, table }
         };
-        let mut runs = self.runs.lock();
+        let mut runs = lock(&self.runs);
         let at = runs.partition_point(|&(task, _)| task < map_task);
         runs.insert(at, (map_task, run));
         Ok(())
@@ -306,9 +244,7 @@ impl<T: Spillable> SpillShuffle<T> {
             Resident(Vec<T>),
             OnDisk(PathBuf, BucketMeta),
         }
-        let sources: Vec<Source<T>> = self
-            .runs
-            .lock()
+        let sources: Vec<Source<T>> = lock(&self.runs)
             .iter_mut()
             .map(|(_, run)| match run {
                 Run::Memory { buckets, reserved } => {
@@ -351,7 +287,7 @@ impl<T: Spillable> SpillShuffle<T> {
     /// and emits the `spill/*` counters into the executor's trace. Call
     /// once after all partitions are read.
     pub fn finish(self, executor: &Executor) {
-        let runs = std::mem::take(&mut *self.runs.lock());
+        let runs = std::mem::take(&mut *lock(&self.runs));
         let mut spilled = false;
         for (_, run) in runs {
             match run {
@@ -498,7 +434,7 @@ mod tests {
             SpillShuffle::new("test", 1, Some(&tmp_budget(0, "corrupt")));
         shuffle.add_run(0, vec![vec![(1, 2), (3, 4)]]).expect("add");
         let run_path = {
-            let runs = shuffle.runs.lock();
+            let runs = lock(&shuffle.runs);
             match &runs[0].1 {
                 Run::Disk { path, .. } => path.clone(),
                 Run::Memory { .. } => panic!("zero budget must spill"),

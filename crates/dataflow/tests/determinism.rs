@@ -2,12 +2,9 @@
 //! come back in task order and bit-identical at 1, 2 and 8 workers, however
 //! skewed the task sizes.
 //!
-//! Seeded loops rather than `proptest!`, so every case also runs under the
-//! offline stub harness (whose `proptest!` swallows test bodies).
+//! Seeded loops over `minoaner_det::rng::Rng`: the same cases on every run.
 
-mod common;
-
-use common::Rng;
+use minoaner_det::rng::Rng;
 use minoaner_dataflow::Executor;
 
 /// One task: an `f64` sum whose rounding depends on the order of its
@@ -21,12 +18,12 @@ fn task(i: usize, weight: u64) -> (usize, u64, Vec<u32>) {
 #[test]
 fn results_are_in_task_order_and_identical_at_every_worker_count() {
     for seed in 0..24u64 {
-        let mut rng = Rng(seed);
-        let n = rng.below(65); // 0 tasks included
+        let mut rng = Rng::seed_from_u64(seed);
+        let n = rng.gen_range(0..65usize); // 0 tasks included
         // Skew: most tasks are tiny, about one in eight is ~1000× heavier.
         let weights: Vec<u64> = (0..n)
             .map(|_| {
-                let draw = rng.next();
+                let draw = rng.next_u64();
                 if draw % 8 == 0 { 20_000 + draw % 20_000 } else { draw % 40 }
             })
             .collect();

@@ -2,16 +2,13 @@
 //! typed errors, fail-fast with a deterministic culprit, and cooperative
 //! cancellation by token or job deadline.
 //!
-//! Seeded loops rather than `proptest!`, so every case also runs under the
-//! offline stub harness (whose `proptest!` swallows test bodies).
-
-mod common;
+//! Seeded loops over `minoaner_det::rng::Rng`: the same cases on every run.
 
 use std::panic::{catch_unwind, panic_any, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
-use common::Rng;
+use minoaner_det::rng::Rng;
 use minoaner_dataflow::{CancelReason, CancelToken, DataflowError, Deadline, Executor};
 
 const WORKER_COUNTS: [usize; 3] = [1, 2, 8];
@@ -27,9 +24,9 @@ fn disk_full(task: usize) -> DataflowError {
 #[test]
 fn a_panicking_task_fails_the_stage_naming_the_lowest_failing_index() {
     for seed in 0..32u64 {
-        let mut rng = Rng(seed);
-        let n = 1 + rng.below(48);
-        let failing: Vec<usize> = (0..1 + rng.below(3)).map(|_| rng.below(n)).collect();
+        let mut rng = Rng::seed_from_u64(seed);
+        let n = 1 + rng.gen_range(0..48usize);
+        let failing: Vec<usize> = (0..1 + rng.gen_range(0..3usize)).map(|_| rng.gen_range(0..n)).collect();
         let lowest = *failing.iter().min().expect("at least one failing task");
 
         for workers in WORKER_COUNTS {

@@ -6,10 +6,9 @@
 //! and its asymmetry, schema width, name availability and reliability, and
 //! the strength of the relation structure.
 
-use serde::{Deserialize, Serialize};
 
 /// Per-KB generation parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KbProfile {
     /// Mean number of KB-specific filler tokens per entity (drawn from the
     /// Zipf head — frequent, stopword-like). Filler inflates normalized
@@ -47,7 +46,7 @@ pub struct KbProfile {
 }
 
 /// A complete generation profile for one benchmark-like dataset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DatasetProfile {
     /// Dataset name, e.g. `"Restaurant"`.
     pub name: String,

@@ -7,10 +7,7 @@
 //! tokens), and its own noise (dropped/corrupted tokens, corrupted names,
 //! missing edges). Entities present in both views form the ground truth.
 
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
-use rand_distr::{Distribution, Poisson, Zipf};
+use minoaner_det::rng::{Poisson, Rng, Zipf};
 
 use minoaner_kb::{EntityId, KbPair, KbPairBuilder, Side, Term};
 
@@ -58,7 +55,7 @@ struct WorldEntity {
 /// Generates a dataset from a profile. Deterministic for a given profile
 /// (including its seed).
 pub fn generate(profile: &DatasetProfile) -> GeneratedDataset {
-    let mut rng = StdRng::seed_from_u64(profile.seed);
+    let mut rng = Rng::seed_from_u64(profile.seed);
     let n_world = profile.matches + profile.extra_left + profile.extra_right;
 
     // --- World ---
@@ -74,7 +71,7 @@ pub fn generate(profile: &DatasetProfile) -> GeneratedDataset {
     // The small pool of colliding names (used by several entities each, so
     // their name blocks exceed 1×1 and R1 ignores them).
     let name_token_pool = profile.name_token_pool.max(2) as u16;
-    let fresh_combo = |rng: &mut StdRng| -> Vec<u16> {
+    let fresh_combo = |rng: &mut Rng| -> Vec<u16> {
         (0..profile.name_tokens).map(|_| rng.gen_range(0..name_token_pool)).collect()
     };
     let collision_combos: Vec<Vec<u16>> = {
@@ -88,7 +85,7 @@ pub fn generate(profile: &DatasetProfile) -> GeneratedDataset {
     for w in 0..n_world {
         let topic = if profile.topics > 0 { rng.gen_range(0..profile.topics) as u32 } else { 0 };
         // Heavy-tailed description lengths (short / medium / long mixture).
-        let roll = rng.gen::<f64>();
+        let roll = rng.next_f64();
         let len_factor = if roll < profile.short_fraction {
             0.2
         } else if roll < profile.short_fraction + profile.long_fraction {
@@ -99,7 +96,7 @@ pub fn generate(profile: &DatasetProfile) -> GeneratedDataset {
         let n_spec = (specific_per_entity.sample(&mut rng) * len_factor).round() as usize;
         let specific = (0..n_spec.max(1) as u32)
             .map(|i| {
-                let roll = rng.gen::<f64>();
+                let roll = rng.next_f64();
                 if profile.topics > 0 && roll < profile.topic_share {
                     SignalToken::Topic(topic, rng.gen_range(0..profile.topic_tokens.max(1)) as u8)
                 } else if roll < profile.topic_share + profile.token_ambiguity * (1.0 - profile.topic_share) {
@@ -117,7 +114,7 @@ pub fn generate(profile: &DatasetProfile) -> GeneratedDataset {
                 // (neighbor locality); everything else links uniformly.
                 let target = if shared
                     && profile.matches > 1
-                    && rng.gen::<f64>() < profile.neighbor_locality
+                    && rng.next_f64() < profile.neighbor_locality
                 {
                     rng.gen_range(0..profile.matches) as u32
                 } else {
@@ -126,7 +123,7 @@ pub fn generate(profile: &DatasetProfile) -> GeneratedDataset {
                 (rng.gen_range(0..profile.relation_kinds.max(1)) as u16, target)
             })
             .collect();
-        let name = if rng.gen::<f64>() < profile.name_collision {
+        let name = if rng.next_f64() < profile.name_collision {
             collision_combos[rng.gen_range(0..collision_combos.len())].clone()
         } else {
             fresh_combo(&mut rng)
@@ -134,8 +131,8 @@ pub fn generate(profile: &DatasetProfile) -> GeneratedDataset {
         world.push(WorldEntity {
             name,
             specific,
-            weak: rng.gen::<f64>() < profile.weak_fraction,
-            wtype: rng.gen::<u32>(),
+            weak: rng.next_f64() < profile.weak_fraction,
+            wtype: rng.next_u32(),
             edges,
         });
     }
@@ -198,7 +195,7 @@ fn rel_name(side: Side, kbp: &KbProfile, kind: u16) -> String {
 #[allow(clippy::too_many_arguments)]
 fn materialize_view(
     builder: &mut KbPairBuilder,
-    rng: &mut StdRng,
+    rng: &mut Rng,
     profile: &DatasetProfile,
     kbp: &KbProfile,
     side: Side,
@@ -229,10 +226,10 @@ fn materialize_view(
                 SignalToken::Dedicated(..) if entity.weak => profile.weak_keep,
                 _ => kbp.token_keep,
             };
-            if rng.gen::<f64>() >= keep {
+            if rng.next_f64() >= keep {
                 continue;
             }
-            if rng.gen::<f64>() < kbp.token_corrupt {
+            if rng.next_f64() < kbp.token_corrupt {
                 tokens.push(format!("x{kb_tag}{}", rng.gen_range(0..1_000_000u32)));
             } else {
                 tokens.push(match s {
@@ -255,7 +252,7 @@ fn materialize_view(
         // when a non-name attribute lands among the top-k name attributes)
         // are rare; a trailing 1-token remainder is folded into the
         // previous value for the same reason.
-        tokens.shuffle(rng);
+        rng.shuffle(&mut tokens);
         let mut values: Vec<String> = tokens.chunks(4).map(|c| c.join(" ")).collect();
         if values.len() >= 2 && tokens.len() % 4 == 1 {
             if let Some(tail) = values.pop() {
@@ -272,7 +269,7 @@ fn materialize_view(
         }
 
         // Name attribute.
-        if rng.gen::<f64>() < kbp.name_coverage {
+        if rng.next_f64() < kbp.name_coverage {
             let name_value = name_literal(&entity.name, kbp, rng, kb_tag);
             let kb = if side == Side::Left { 1 } else { 2 };
             let name_attr = format!("http://kb{kb}.example.org/v0/name");
@@ -299,7 +296,7 @@ fn materialize_view(
             if t == w || !member(t) {
                 continue;
             }
-            if rng.gen::<f64>() < kbp.relation_coverage {
+            if rng.next_f64() < kbp.relation_coverage {
                 let rel = rel_name(side, kbp, kind);
                 let target_uri = entity_uri(side, t);
                 builder.add_pair(side, e, &rel, Term::Uri(&target_uri));
@@ -308,9 +305,9 @@ fn materialize_view(
     }
 }
 
-fn name_literal(name: &[u16], kbp: &KbProfile, rng: &mut StdRng, kb_tag: &str) -> String {
+fn name_literal(name: &[u16], kbp: &KbProfile, rng: &mut Rng, kb_tag: &str) -> String {
     let mut parts: Vec<String> = name.iter().map(|t| format!("nm{t}")).collect();
-    if rng.gen::<f64>() < kbp.name_corrupt {
+    if rng.next_f64() < kbp.name_corrupt {
         let i = rng.gen_range(0..parts.len());
         parts[i] = format!("x{kb_tag}{}", rng.gen_range(0..1_000_000u32));
     }

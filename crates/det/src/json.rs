@@ -1,16 +1,15 @@
-//! A minimal JSON document model with an exact-round-trip guarantee.
+//! The workspace's one JSON reader and writer, with an exact round trip.
 //!
-//! The lint crate must build with zero dependencies (no `serde_json`), but
-//! both `check` and `effects` emit versioned machine-readable reports that
-//! CI archives and downstream tooling parses. Reports are therefore built
-//! as [`Json`] values and printed through one canonical pretty-printer, so
-//! `parse(render(v)) == v` and `render(parse(s)) == s` for every report the
-//! linter writes — the same contract `RunTrace::to_json`/`from_json` gives
-//! the dataflow traces.
+//! Every JSON document the workspace writes for people and tools — run
+//! traces (`RunTrace::to_json`), job `status.json` files, the CLI's
+//! `--json` rows and the lint reports — is built as a [`Json`] value and
+//! printed by one canonical pretty-printer, so `parse(render(v)) == v` and
+//! `render(parse(s)) == s` for every document written here.
 //!
-//! Deliberately not a general JSON library: numbers are restricted to the
-//! integers the reports actually contain (`i64`), and object key order is
-//! preserved as written (reports choose a stable, documented order).
+//! Deliberately not a general JSON library: numbers are the integers those
+//! documents contain (anything an `i64` or a `u64` holds; no fractions or
+//! exponents), and object key order is preserved as written (each document
+//! chooses a stable, documented order).
 
 use std::fmt::Write as _;
 
@@ -18,7 +17,8 @@ use std::fmt::Write as _;
 pub enum Json {
     Null,
     Bool(bool),
-    Num(i64),
+    /// Wide enough for every `i64` and every `u64`.
+    Num(i128),
     Str(String),
     Arr(Vec<Json>),
     /// Insertion-ordered object; the printer emits keys in this order.
@@ -31,7 +31,12 @@ impl Json {
     }
 
     pub fn num(n: usize) -> Json {
-        Json::Num(n as i64)
+        Json::Num(n as i128)
+    }
+
+    /// An object of `members`, in the order given.
+    pub fn obj<const N: usize>(members: [(&str, Json); N]) -> Json {
+        Json::Obj(members.into_iter().map(|(key, value)| (key.to_owned(), value)).collect())
     }
 
     /// Member lookup on an object; `None` on missing key or non-object.
@@ -44,7 +49,15 @@ impl Json {
 
     pub fn as_i64(&self) -> Option<i64> {
         match self {
-            Json::Num(n) => Some(*n),
+            Json::Num(n) => i64::try_from(*n).ok(),
+            _ => None,
+        }
+    }
+
+    /// `None` for a negative number, too.
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            Json::Num(n) => u64::try_from(*n).ok(),
             _ => None,
         }
     }
@@ -127,7 +140,7 @@ impl Json {
     pub fn parse(src: &str) -> Result<Json, String> {
         let bytes = src.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(src, bytes, &mut pos)?;
+        let value = parse_value(src, bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing data at byte {pos}"));
@@ -166,7 +179,14 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(src: &str, bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Nesting the parser accepts: documents written here are at most four
+/// deep, and the bound keeps a hostile `[[[[…` from exhausting the stack.
+const MAX_DEPTH: usize = 64;
+
+fn parse_value(src: &str, bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
+    if depth > MAX_DEPTH {
+        return Err(format!("nested deeper than {MAX_DEPTH} at byte {pos}"));
+    }
     skip_ws(bytes, pos);
     let Some(&b) = bytes.get(*pos) else {
         return Err("unexpected end of input".into());
@@ -185,7 +205,7 @@ fn parse_value(src: &str, bytes: &[u8], pos: &mut usize) -> Result<Json, String>
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(src, bytes, pos)?);
+                items.push(parse_value(src, bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -213,7 +233,7 @@ fn parse_value(src: &str, bytes: &[u8], pos: &mut usize) -> Result<Json, String>
                     return Err(format!("expected `:` at byte {pos}"));
                 }
                 *pos += 1;
-                let value = parse_value(src, bytes, pos)?;
+                let value = parse_value(src, bytes, pos, depth + 1)?;
                 members.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -233,7 +253,7 @@ fn parse_value(src: &str, bytes: &[u8], pos: &mut usize) -> Result<Json, String>
                 *pos += 1;
             }
             src[start..*pos]
-                .parse::<i64>()
+                .parse::<i128>()
                 .map(Json::Num)
                 .map_err(|e| format!("bad number at byte {start}: {e}"))
         }
@@ -278,6 +298,8 @@ fn parse_string(src: &str, bytes: &[u8], pos: &mut usize) -> Result<String, Stri
                     b'n' => out.push('\n'),
                     b't' => out.push('\t'),
                     b'r' => out.push('\r'),
+                    b'b' => out.push('\u{0008}'),
+                    b'f' => out.push('\u{000c}'),
                     b'u' => {
                         let hex = src
                             .get(*pos..*pos + 4)
@@ -313,7 +335,7 @@ mod tests {
             ("empty_obj".into(), Json::Obj(vec![])),
             (
                 "items".into(),
-                Json::Arr(vec![Json::Num(-3), Json::Null, Json::str("x")]),
+                Json::Arr(vec![Json::Num(-3), Json::Null, Json::str("x"), Json::Num(u64::MAX.into())]),
             ),
         ])
     }
@@ -341,6 +363,8 @@ mod tests {
         assert!(Json::parse("{} x").is_err());
         assert!(Json::parse("\"\\q\"").is_err());
         assert!(Json::parse("[1,]").is_err());
+        assert!(Json::parse("1.5").is_err(), "integers only");
+        assert!(Json::parse(&"[".repeat(100_000)).is_err(), "bounded nesting");
     }
 
     #[test]
@@ -348,7 +372,10 @@ mod tests {
         let v = sample();
         assert_eq!(v.get("schema_version").and_then(Json::as_i64), Some(1));
         assert_eq!(v.get("flag").and_then(Json::as_bool), Some(false));
-        assert_eq!(v.get("items").and_then(Json::as_arr).map(|a| a.len()), Some(3));
+        let items = v.get("items").and_then(Json::as_arr).expect("an array");
+        assert_eq!(items.len(), 4);
+        assert_eq!((items[0].as_i64(), items[0].as_u64()), (Some(-3), None));
+        assert_eq!((items[3].as_i64(), items[3].as_u64()), (None, Some(u64::MAX)));
         assert!(v.get("missing").is_none());
     }
 }

@@ -1,4 +1,8 @@
-//! Deterministic hash containers for the whole workspace.
+//! The determinism floor of the workspace: fixed-seed hash containers,
+//! the one seeded generator ([`rng`]), the exact record codec ([`codec`]),
+//! the one JSON reader/writer ([`json`]) and the filesystem seam ([`vfs`]).
+//! Nothing here — and nothing anywhere in the workspace — depends on a
+//! crate outside the repository.
 //!
 //! MinoanER's core guarantee is that the non-iterative matcher is
 //! deterministic given a blocking graph: the same input must produce
@@ -28,11 +32,15 @@
 // blanket R1 entry for this file in lint-allow.toml.
 #![allow(clippy::disallowed_types)]
 
+pub mod codec;
+pub mod json;
+pub mod rng;
 pub mod vfs;
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Fixed-seed build hasher: `std`'s SipHash with the zero key instead of
 /// `RandomState`'s per-process random key.
@@ -58,6 +66,15 @@ pub fn map_with_capacity<K, V>(n: usize) -> DetHashMap<K, V> {
 /// A [`DetHashSet`] pre-sized for `n` entries.
 pub fn set_with_capacity<K>(n: usize) -> DetHashSet<K> {
     DetHashSet::with_capacity_and_hasher(n, DetHasher::default())
+}
+
+/// Locks `mutex` whether or not a thread panicked while holding it. For
+/// state that every update leaves valid at every step (a counter, an
+/// append-only log, a slot written once), which is all the workspace keeps
+/// behind a mutex: a panic elsewhere must not turn every later reader into
+/// a second panic.
+pub fn lock<T: ?Sized>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Hashes one value with the deterministic hasher — the primitive behind

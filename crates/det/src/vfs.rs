@@ -33,6 +33,8 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard};
 
+use crate::rng::Rng;
+
 /// A shared, thread-safe handle to a [`Vfs`] implementation.
 pub type VfsRef = Arc<dyn Vfs>;
 
@@ -304,14 +306,13 @@ impl FaultPlan {
         Self { faults: vec![Fault::From { op, kind }] }
     }
 
-    /// A seeded single-fault plan: SplitMix64 on `seed` picks the failing
-    /// op index in `0..horizon` and the fault kind. Same seed, same plan —
+    /// A seeded single-fault plan: [`Rng`] on `seed` picks the failing op
+    /// index in `0..horizon` and the fault kind. Same seed, same plan —
     /// the bounded-seed sweep CI runs is reproducible by construction.
     pub fn seeded(seed: u64, horizon: u64) -> Self {
-        let a = splitmix64(seed);
-        let b = splitmix64(a);
-        let op = if horizon == 0 { 0 } else { a % horizon };
-        let kind = FaultKind::ALL[(b % FaultKind::ALL.len() as u64) as usize];
+        let mut rng = Rng::seed_from_u64(seed);
+        let op = rng.gen_range(0..horizon.max(1));
+        let kind = FaultKind::ALL[rng.gen_range(0..FaultKind::ALL.len())];
         Self::fail_op(op, kind)
     }
 
@@ -328,15 +329,6 @@ impl FaultPlan {
             _ => None,
         })
     }
-}
-
-/// SplitMix64 — the same tiny seeded generator the fault-injection harness
-/// in `minoaner-dataflow` uses; deterministic, dependency-free.
-fn splitmix64(seed: u64) -> u64 {
-    let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// One recorded filesystem operation.
@@ -418,10 +410,7 @@ impl FaultFs {
     /// A poisoned lock only means another thread panicked mid-record; the
     /// trace itself is append-only and stays usable.
     fn lock(&self) -> MutexGuard<'_, FaultState> {
-        match self.state.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
+        crate::lock(&self.state)
     }
 
     /// Records the op, consults the plan, and either returns the injected

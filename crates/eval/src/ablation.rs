@@ -19,14 +19,13 @@ use minoaner_datagen::profiles::all_profiles;
 use minoaner_datagen::GeneratedDataset;
 use minoaner_kb::stats::{NameStats, RelationStats};
 use minoaner_kb::Side;
-use serde::Serialize;
 
 use crate::harness::dataset_at_scale;
 use crate::metrics::Quality;
 use crate::report::TextTable;
 
 /// One ablation measurement.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct AblationRow {
     pub experiment: String,
     pub variant: String,

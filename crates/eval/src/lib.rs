@@ -13,12 +13,11 @@
 //! | Figure 5 (sensitivity) | [`figures::fig5`] | `fig5_sensitivity` |
 //! | Figure 6 (scalability) | [`figures::fig6`] | `fig6_scalability` |
 //!
-//! Every builder returns structured rows (serde-serializable) plus a
+//! Every builder returns structured rows plus a
 //! rendered text table with the paper's published numbers alongside where
 //! they exist. The `MINOANER_SCALE` env var shrinks or grows the datasets.
 
 pub mod ablation;
-pub mod export;
 pub mod figures;
 pub mod harness;
 pub mod metrics;

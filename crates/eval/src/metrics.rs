@@ -3,10 +3,9 @@
 use minoaner_det::DetHashSet;
 
 use minoaner_kb::EntityId;
-use serde::{Deserialize, Serialize};
 
 /// Precision / recall / F1 in percent, plus raw counts.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Quality {
     pub precision: f64,
     pub recall: f64,

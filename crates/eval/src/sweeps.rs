@@ -6,12 +6,11 @@ use std::time::Duration;
 use minoaner_core::{Minoaner, MinoanerConfig, ResolveRequest, RuleSet};
 use minoaner_dataflow::Executor;
 use minoaner_datagen::GeneratedDataset;
-use serde::Serialize;
 
 use crate::metrics::Quality;
 
 /// The four swept parameters of Figure 5.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Parameter {
     /// `k` — global name attributes per KB.
     K,
@@ -57,7 +56,7 @@ impl Parameter {
 }
 
 /// One sensitivity measurement.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SensitivityPoint {
     pub parameter: &'static str,
     pub value: f64,
@@ -93,7 +92,7 @@ pub fn sensitivity(executor: &Executor, dataset: &GeneratedDataset) -> Vec<Sensi
 }
 
 /// One scalability measurement (Figure 6).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ScalabilityPoint {
     pub dataset: String,
     pub workers: usize,
@@ -126,7 +125,7 @@ pub fn worker_sweep() -> Vec<usize> {
 /// One input-size scaling measurement: the paper's complexity claim (§4)
 /// is that matching cost is linear in `|E1| + |E2|`; this sweep measures
 /// end-to-end and matching-phase time as the dataset grows.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SizeScalingPoint {
     pub dataset: String,
     pub scale: f64,

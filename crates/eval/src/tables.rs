@@ -12,14 +12,13 @@ use minoaner_datagen::profiles::all_profiles;
 use minoaner_kb::dataset_stats::{kb_stats, KbStats};
 use minoaner_kb::stats::NameStats;
 use minoaner_kb::Side;
-use serde::Serialize;
 
 use crate::harness::{dataset_at_scale, run_ablation, run_system, SystemId};
 use crate::metrics::Quality;
 use crate::report::{count, pct, sci, TextTable};
 
 /// Table 1 — dataset statistics.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Table1Row {
     pub dataset: String,
     pub left: KbStats,
@@ -61,7 +60,7 @@ pub fn table1(scale: f64) -> (Vec<Table1Row>, TextTable) {
 }
 
 /// Table 2 — block statistics.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Table2Row {
     pub dataset: String,
     pub stats: BlockCollectionStats,
@@ -99,7 +98,7 @@ pub fn table2(scale: f64) -> (Vec<Table2Row>, TextTable) {
 }
 
 /// Table 3 — system comparison.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Table3Row {
     pub system: String,
     pub dataset: String,
@@ -152,7 +151,7 @@ pub fn table3(executor: &Executor, scale: f64) -> (Vec<Table3Row>, TextTable) {
 }
 
 /// Table 4 — matching-rule ablations.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Table4Row {
     pub rule: String,
     pub dataset: String,
@@ -227,31 +226,50 @@ mod tests {
         assert!(bbc.right.attributes > 5 * bbc.left.attributes);
     }
 
+    /// Table 2's two claims (§6.1), on the data this repository generates:
+    /// the composite blocks keep nearly every match, at a comparison count
+    /// purging holds *linear* in the entity count — which is what leaves
+    /// the large datasets one to two orders of magnitude below their cross
+    /// product.
     #[test]
     fn table2_recall_is_high_and_comparisons_bounded() {
-        // At tiny scales the weak/short entities cost a bit more recall
-        // than the paper's 99%+; the robust properties are high recall and
-        // a comparison count far below the cross product.
-        let (rows, _) = table2(0.2);
-        for r in &rows {
+        use minoaner_blocking::purge::DEFAULT_BUDGET_PER_ENTITY;
+        let scale = 0.2;
+        let (rows, _) = table2(scale);
+        let mut large = 0;
+        for (r, profile) in rows.iter().zip(all_profiles()) {
+            // At tiny scales the weak/short entities cost a bit more recall
+            // than the paper's 99 %+ (94.8–100 here).
             assert!(r.stats.recall > 85.0, "{}: blocking recall {}", r.dataset, r.stats.recall);
-            // The designed invariant: purging bounds the token comparisons
-            // by a budget linear in the entity count (64 per entity), so
-            // the reduction vs the quadratic cross product grows with
-            // dataset size. The name blocks are near-linear by nature.
+            // The designed invariant: purging admits token blocks up to a
+            // budget of 64 comparisons per entity.
+            let scaled = profile.scaled(scale);
+            let entities = (scaled.left_entities() + scaled.right_entities()) as u64;
+            let budget = DEFAULT_BUDGET_PER_ENTITY * entities;
             assert!(
-                r.stats.token_comparisons + r.stats.name_comparisons < r.stats.cartesian,
-                "{}: comparisons exceed the cross product",
-                r.dataset
+                r.stats.token_comparisons <= budget,
+                "{}: {} token comparisons exceed the purge budget {budget}",
+                r.dataset,
+                r.stats.token_comparisons
             );
+            // A linear budget is below the quadratic cross product only once
+            // a dataset is large enough: Restaurant at this scale is 68 × 451
+            // entities, whose budget (33 216) exceeds its 30 668 pairs, and a
+            // block-wise count repeats a pair once per shared block — in the
+            // paper, too, Restaurant's ‖B_T‖ is 0.7 of its cross product. So
+            // the saving is asserted where the budget bites: at least half
+            // the cross product there (4–8× here; the gap widens with scale,
+            // comparisons growing ~5× per 25× of cross product).
+            if 2 * budget < r.stats.cartesian {
+                large += 1;
+                assert!(
+                    2 * (r.stats.token_comparisons + r.stats.name_comparisons) < r.stats.cartesian,
+                    "{}: comparisons are not well below the cross product",
+                    r.dataset
+                );
+            }
         }
-        // At full scale (the bench configuration) the big datasets save
-        // 1-2 orders of magnitude — asserted against the 0.2-scale numbers
-        // extrapolated by the linear budget: entities scale by 5, so the
-        // budget-bound comparisons scale ~5x while cartesian scales ~25x.
-        let rexa = &rows[1];
-        let budget = 64 * 5 * (rexa.stats.cartesian as f64).sqrt() as u64; // coarse upper envelope
-        let _ = budget; // the precise bound is asserted in blocking::purge tests
+        assert_eq!(large, 3, "every dataset but Restaurant is large enough for the budget to bite");
     }
 
     #[test]

@@ -5,13 +5,12 @@
 use minoaner_core::{Minoaner, ResolveRequest};
 use minoaner_dataflow::Executor;
 use minoaner_datagen::{generate, DatasetProfile};
-use serde::Serialize;
 
 use crate::metrics::Quality;
 use crate::report::TextTable;
 
 /// Mean and standard deviation of a metric across seeds.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct MeanStd {
     pub mean: f64,
     pub std: f64,
@@ -27,7 +26,7 @@ pub fn mean_std(samples: &[f64]) -> MeanStd {
 }
 
 /// Per-dataset seed-variance measurement of the full MinoanER workflow.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct VarianceRow {
     pub dataset: String,
     pub precision: MeanStd,

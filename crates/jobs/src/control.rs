@@ -11,10 +11,10 @@
 //! ```
 //!
 //! Status files are written atomically (tmp + rename), so a reader never
-//! observes a torn snapshot. The JSON codec is hand-rolled for the one
-//! flat shape used here: the status schema is this crate's public,
-//! versioned contract, and owning the codec keeps `minoaner-jobs` free of
-//! serialization dependencies (and exactly as strict as the schema).
+//! observes a torn snapshot. The status schema — one flat object of
+//! strings, unsigned integers and nulls — is this crate's public, versioned
+//! contract; the text goes through the workspace's one JSON module,
+//! `minoaner_det::json`.
 
 use std::fmt;
 use std::io;
@@ -22,6 +22,7 @@ use std::path::{Path, PathBuf};
 
 use minoaner_dataflow::vfs::{self, Vfs};
 use minoaner_dataflow::CancelReason;
+use minoaner_det::json::Json;
 
 use crate::job::{JobId, JobState, JobStatus, Priority};
 
@@ -175,67 +176,40 @@ pub fn cancel_request_with(vfs: &dyn Vfs, dir: &Path) -> Option<CancelReason> {
     Some(CancelReason::parse(raw.trim()).unwrap_or(CancelReason::User))
 }
 
-// ───────────────────────── status JSON codec ─────────────────────────
-
-/// One scalar of the flat status object.
-#[derive(Debug, PartialEq)]
-enum Scalar {
-    Str(String),
-    UInt(u64),
-    Null,
-}
+// ───────────────────────── status JSON ─────────────────────────
 
 fn status_to_json(status: &JobStatus) -> String {
-    let mut out = String::with_capacity(256);
-    out.push('{');
-    push_uint(&mut out, "schema_version", STATUS_SCHEMA_VERSION);
-    out.push(',');
-    push_uint(&mut out, "id", status.id.ordinal());
-    out.push(',');
-    push_str(&mut out, "name", &status.name);
-    out.push(',');
-    push_str(&mut out, "priority", status.priority.as_str());
-    out.push(',');
-    push_uint(&mut out, "workers", status.workers as u64);
-    out.push(',');
-    push_uint(&mut out, "memory_bytes", status.memory_bytes);
-    out.push(',');
-    push_str(&mut out, "state", status.state.as_str());
-    out.push(',');
-    push_opt(&mut out, "cancel_reason", status.cancel_reason.map(CancelReason::as_str));
-    out.push(',');
-    push_opt(&mut out, "error", status.error.as_deref());
-    out.push(',');
-    push_opt(&mut out, "summary", status.summary.as_deref());
-    out.push_str("}\n");
-    out
+    let opt = |value: Option<&str>| value.map_or(Json::Null, Json::str);
+    let doc: Json = Json::obj([
+        ("schema_version", Json::Num(STATUS_SCHEMA_VERSION.into())),
+        ("id", Json::Num(status.id.ordinal().into())),
+        ("name", Json::str(status.name.as_str())),
+        ("priority", Json::str(status.priority.as_str())),
+        ("workers", Json::num(status.workers)),
+        ("memory_bytes", Json::Num(status.memory_bytes.into())),
+        ("state", Json::str(status.state.as_str())),
+        ("cancel_reason", opt(status.cancel_reason.map(CancelReason::as_str))),
+        ("error", opt(status.error.as_deref())),
+        ("summary", opt(status.summary.as_deref())),
+    ]);
+    doc.render() + "\n"
 }
 
 fn status_from_json(json: &str) -> Result<JobStatus, String> {
-    let fields = parse_flat_object(json)?;
-    let get = |key: &str| -> Result<&Scalar, String> {
-        fields
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
-            .ok_or_else(|| format!("missing field {key:?}"))
-    };
+    let doc = Json::parse(json)?;
+    let get = |key: &str| doc.get(key).ok_or_else(|| format!("missing field {key:?}"));
     let get_uint = |key: &str| -> Result<u64, String> {
-        match get(key)? {
-            Scalar::UInt(n) => Ok(*n),
-            other => Err(format!("field {key:?} is not an unsigned integer (got {other:?})")),
-        }
+        let value = get(key)?;
+        value.as_u64().ok_or_else(|| format!("field {key:?} is not an unsigned integer (got {value:?})"))
     };
     let get_str = |key: &str| -> Result<&str, String> {
-        match get(key)? {
-            Scalar::Str(s) => Ok(s.as_str()),
-            other => Err(format!("field {key:?} is not a string (got {other:?})")),
-        }
+        let value = get(key)?;
+        value.as_str().ok_or_else(|| format!("field {key:?} is not a string (got {value:?})"))
     };
     let get_opt = |key: &str| -> Result<Option<&str>, String> {
         match get(key)? {
-            Scalar::Str(s) => Ok(Some(s.as_str())),
-            Scalar::Null => Ok(None),
+            Json::Str(s) => Ok(Some(s.as_str())),
+            Json::Null => Ok(None),
             other => Err(format!("field {key:?} is not a string or null (got {other:?})")),
         }
     };
@@ -258,198 +232,18 @@ fn status_from_json(json: &str) -> Result<JobStatus, String> {
         }
         None => None,
     };
+    let workers = get_uint("workers")?;
     Ok(JobStatus {
         id: JobId::from_ordinal(get_uint("id")?),
         name: get_str("name")?.to_owned(),
         priority,
-        workers: get_uint("workers")? as usize,
+        workers: workers.try_into().map_err(|_| format!("{workers} workers"))?,
         memory_bytes: get_uint("memory_bytes")?,
         state,
         cancel_reason,
         error: get_opt("error")?.map(str::to_owned),
         summary: get_opt("summary")?.map(str::to_owned),
     })
-}
-
-fn push_uint(out: &mut String, key: &str, value: u64) {
-    out.push('"');
-    out.push_str(key);
-    out.push_str("\":");
-    out.push_str(&value.to_string());
-}
-
-fn push_str(out: &mut String, key: &str, value: &str) {
-    out.push('"');
-    out.push_str(key);
-    out.push_str("\":");
-    push_escaped(out, value);
-}
-
-fn push_opt(out: &mut String, key: &str, value: Option<&str>) {
-    match value {
-        Some(v) => push_str(out, key, v),
-        None => {
-            out.push('"');
-            out.push_str(key);
-            out.push_str("\":null");
-        }
-    }
-}
-
-fn push_escaped(out: &mut String, value: &str) {
-    out.push('"');
-    for c in value.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// Parses a single flat JSON object of string / unsigned-integer / null
-/// scalars — exactly the status schema, nothing more.
-fn parse_flat_object(json: &str) -> Result<Vec<(String, Scalar)>, String> {
-    let mut cur = Cursor { bytes: json.as_bytes(), i: 0 };
-    cur.skip_ws();
-    if !cur.eat(b'{') {
-        return Err("expected '{'".to_owned());
-    }
-    let mut fields = Vec::new();
-    cur.skip_ws();
-    if cur.eat(b'}') {
-        return Ok(fields);
-    }
-    loop {
-        cur.skip_ws();
-        let key = cur.parse_string()?;
-        cur.skip_ws();
-        if !cur.eat(b':') {
-            return Err(format!("expected ':' after key {key:?}"));
-        }
-        cur.skip_ws();
-        let value = cur.parse_scalar()?;
-        fields.push((key, value));
-        cur.skip_ws();
-        if cur.eat(b',') {
-            continue;
-        }
-        if cur.eat(b'}') {
-            break;
-        }
-        return Err("expected ',' or '}'".to_owned());
-    }
-    cur.skip_ws();
-    if cur.i != cur.bytes.len() {
-        return Err("trailing data after object".to_owned());
-    }
-    Ok(fields)
-}
-
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    i: usize,
-}
-
-impl Cursor<'_> {
-    fn skip_ws(&mut self) {
-        while self.bytes.get(self.i).is_some_and(|b| b.is_ascii_whitespace()) {
-            self.i += 1;
-        }
-    }
-
-    fn eat(&mut self, b: u8) -> bool {
-        if self.bytes.get(self.i) == Some(&b) {
-            self.i += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, String> {
-        if !self.eat(b'"') {
-            return Err("expected '\"'".to_owned());
-        }
-        let mut out = String::new();
-        loop {
-            let rest = &self.bytes[self.i..];
-            let Some(&b) = rest.first() else { return Err("unterminated string".to_owned()) };
-            match b {
-                b'"' => {
-                    self.i += 1;
-                    return Ok(out);
-                }
-                b'\\' => {
-                    let esc = rest.get(1).copied().ok_or("unterminated escape")?;
-                    self.i += 2;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{0008}'),
-                        b'f' => out.push('\u{000c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.i..self.i + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| format!("bad \\u escape {hex:?}"))?;
-                            self.i += 4;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        }
-                        other => return Err(format!("unknown escape \\{}", other as char)),
-                    }
-                }
-                _ => {
-                    // Consume one UTF-8 scalar (the input is a &str, so
-                    // boundaries are valid).
-                    let s = std::str::from_utf8(rest).map_err(|e| e.to_string())?;
-                    let Some(c) = s.chars().next() else {
-                        return Err("unterminated string".to_owned());
-                    };
-                    out.push(c);
-                    self.i += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn parse_scalar(&mut self) -> Result<Scalar, String> {
-        match self.bytes.get(self.i) {
-            Some(b'"') => self.parse_string().map(Scalar::Str),
-            Some(b'n') => {
-                if self.bytes[self.i..].starts_with(b"null") {
-                    self.i += 4;
-                    Ok(Scalar::Null)
-                } else {
-                    Err("expected 'null'".to_owned())
-                }
-            }
-            Some(b) if b.is_ascii_digit() => {
-                let start = self.i;
-                while self.bytes.get(self.i).is_some_and(|b| b.is_ascii_digit()) {
-                    self.i += 1;
-                }
-                let digits =
-                    std::str::from_utf8(&self.bytes[start..self.i]).map_err(|e| e.to_string())?;
-                digits.parse::<u64>().map(Scalar::UInt).map_err(|e| e.to_string())
-            }
-            _ => Err("expected string, unsigned integer or null".to_owned()),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -486,10 +280,10 @@ mod tests {
         assert!(status_from_json("{}").is_err(), "missing fields");
         assert!(status_from_json("not json").is_err());
         let status = sample(1, JobState::Running);
-        let json = status_to_json(&status).replace("\"schema_version\":1", "\"schema_version\":9");
+        let json = status_to_json(&status).replace("\"schema_version\": 1", "\"schema_version\": 9");
         let err = status_from_json(&json).expect_err("version drift");
         assert!(err.contains("schema version 9"), "got: {err}");
-        let json = status_to_json(&status).replace("\"state\":\"running\"", "\"state\":\"paused\"");
+        let json = status_to_json(&status).replace("\"state\": \"running\"", "\"state\": \"paused\"");
         assert!(status_from_json(&json).is_err(), "unknown state must be rejected");
     }
 

@@ -23,13 +23,12 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::{self, JoinHandle};
-
-use parking_lot::{Condvar, Mutex};
 
 use minoaner_dataflow::vfs::{self, VfsRef};
 use minoaner_dataflow::{CancelReason, CancelToken, DataflowError, Deadline};
+use minoaner_det::lock;
 
 use crate::budget::ResourceBudget;
 use crate::control;
@@ -174,7 +173,7 @@ impl JobScheduler {
         spec: JobSpec,
         work: impl FnOnce(&JobContext) -> Result<JobOutput, DataflowError> + Send + 'static,
     ) -> Result<JobId, ShedReason> {
-        let mut st = self.inner.state.lock();
+        let mut st = lock(&self.inner.state);
         if st.shutting_down {
             return Err(ShedReason::ShuttingDown);
         }
@@ -223,7 +222,7 @@ impl JobScheduler {
     /// `Cancelled` when its work observes the token and unwinds. Returns
     /// `false` for unknown or already-terminal jobs.
     pub fn cancel(&self, id: JobId, reason: CancelReason) -> bool {
-        let mut st = self.inner.state.lock();
+        let mut st = lock(&self.inner.state);
         let Some(record) = st.records.get_mut(&id) else { return false };
         match record.state {
             JobState::Queued => {
@@ -246,34 +245,34 @@ impl JobScheduler {
 
     /// A point-in-time status snapshot, or `None` for unknown ids.
     pub fn status(&self, id: JobId) -> Option<JobStatus> {
-        let st = self.inner.state.lock();
+        let st = lock(&self.inner.state);
         st.records.get(&id).map(|record| Self::status_of(id, record))
     }
 
     /// Status snapshots of every job this scheduler has admitted,
     /// ascending by id.
     pub fn list(&self) -> Vec<JobStatus> {
-        let st = self.inner.state.lock();
+        let st = lock(&self.inner.state);
         st.records.iter().map(|(&id, record)| Self::status_of(id, record)).collect()
     }
 
     /// Blocks until `id` reaches a terminal state and returns its final
     /// status (`None` for unknown ids).
     pub fn wait(&self, id: JobId) -> Option<JobStatus> {
-        let mut st = self.inner.state.lock();
+        let mut st = lock(&self.inner.state);
         loop {
             let record = st.records.get(&id)?;
             if record.state.is_terminal() {
                 return Some(Self::status_of(id, record));
             }
-            self.inner.terminal.wait(&mut st);
+            st = self.inner.terminal.wait(st).unwrap_or_else(PoisonError::into_inner);
         }
     }
 
     /// Blocks until every admitted job is terminal, joins all runner
     /// threads, and returns the final statuses ascending by id.
     pub fn wait_all(&self) -> Vec<JobStatus> {
-        let mut st = self.inner.state.lock();
+        let mut st = lock(&self.inner.state);
         loop {
             if st.records.values().all(|record| record.state.is_terminal()) {
                 let handles = std::mem::take(&mut st.handles);
@@ -285,7 +284,7 @@ impl JobScheduler {
                 }
                 return statuses;
             }
-            self.inner.terminal.wait(&mut st);
+            st = self.inner.terminal.wait(st).unwrap_or_else(PoisonError::into_inner);
         }
     }
 
@@ -295,7 +294,7 @@ impl JobScheduler {
     /// terminal state. Returns the final statuses.
     pub fn shutdown(&self) -> Vec<JobStatus> {
         {
-            let mut st = self.inner.state.lock();
+            let mut st = lock(&self.inner.state);
             st.shutting_down = true;
             while let Some(id) = st.queue.pop() {
                 st.work.remove(&id);
@@ -324,7 +323,7 @@ impl JobScheduler {
     pub fn poll_control(&self) -> usize {
         let Some(root) = self.inner.root.clone() else { return 0 };
         let live: Vec<JobId> = {
-            let st = self.inner.state.lock();
+            let st = lock(&self.inner.state);
             st.records
                 .iter()
                 .filter(|(_, record)| !record.state.is_terminal())
@@ -435,7 +434,7 @@ impl JobScheduler {
     fn run_job(&self, id: JobId, ctx: JobContext, work: JobWork) {
         let result = catch_unwind(AssertUnwindSafe(|| work(&ctx)))
             .unwrap_or_else(|payload| Err(DataflowError::from_panic(payload)));
-        let mut st = self.inner.state.lock();
+        let mut st = lock(&self.inner.state);
         if let Some(record) = st.records.get_mut(&id) {
             match result {
                 Ok(output) => {
@@ -483,7 +482,7 @@ impl JobScheduler {
 
 impl std::fmt::Debug for JobScheduler {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let st = self.inner.state.lock();
+        let st = lock(&self.inner.state);
         f.debug_struct("JobScheduler")
             .field("budget", &self.inner.budget)
             .field("root", &self.inner.root)
@@ -567,7 +566,7 @@ mod tests {
             let name = name.to_owned();
             sched
                 .submit(JobSpec::new(&name).with_priority(priority), move |_| {
-                    log.lock().push(name);
+                    lock(&log).push(name);
                     Ok(JobOutput::summary("ok"))
                 })
                 .expect("queued")
@@ -578,7 +577,7 @@ mod tests {
         submit("normal-2", Priority::Normal);
         release.send(()).expect("release occupant");
         sched.wait_all();
-        assert_eq!(*log.lock(), vec!["high", "normal-1", "normal-2", "low"]);
+        assert_eq!(*lock(&log), vec!["high", "normal-1", "normal-2", "low"]);
     }
 
     #[test]

@@ -7,10 +7,9 @@ use minoaner_det::DetHashSet;
 use crate::model::{Side, Value};
 use crate::store::KbPair;
 use crate::tokenize::uri_namespace;
-use serde::{Deserialize, Serialize};
 
 /// Per-KB row of Table 1.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KbStats {
     /// Number of entity descriptions.
     pub entities: usize,

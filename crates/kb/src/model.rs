@@ -8,10 +8,10 @@
 //! descriptions themselves.
 
 use crate::interner::Symbol;
-use serde::{Deserialize, Serialize};
+use minoaner_det::codec::Spillable;
 
 /// Identifies one of the two knowledge bases of a clean-clean ER task.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Side {
     /// The first (by convention the smaller) KB, `E1`.
     Left,
@@ -40,7 +40,7 @@ impl Side {
 }
 
 /// Identifier of an entity description *within one KB* (dense, zero-based).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[repr(transparent)]
 pub struct EntityId(pub u32);
 
@@ -53,7 +53,7 @@ impl EntityId {
 }
 
 /// Interned token (a single lower-cased word appearing in literal values).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[repr(transparent)]
 pub struct TokenId(pub u32);
 
@@ -67,7 +67,7 @@ impl TokenId {
 /// Interned attribute (predicate) name. Shared across both KBs so that
 /// schema overlap, where it exists, is visible — but no algorithm in this
 /// workspace *relies* on shared attribute ids (schema-agnosticism).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[repr(transparent)]
 pub struct AttrId(pub u32);
 
@@ -81,7 +81,7 @@ impl AttrId {
 /// Interned *normalized* full literal value. Name blocking (§3.1) matches
 /// entities on equal normalized literals of their name attributes, so full
 /// values are interned alongside their token decomposition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[repr(transparent)]
 pub struct LiteralId(pub u32);
 
@@ -91,6 +91,23 @@ impl LiteralId {
         self.0 as usize
     }
 }
+
+/// The ids travel as their `u32`.
+macro_rules! spillable_id {
+    ($($id:ident),*) => {$(
+        impl Spillable for $id {
+            fn encode(&self, out: &mut Vec<u8>) {
+                self.0.encode(out);
+            }
+
+            fn decode(buf: &[u8], pos: &mut usize) -> Option<Self> {
+                u32::decode(buf, pos).map($id)
+            }
+        }
+    )*};
+}
+
+spillable_id!(EntityId, TokenId, AttrId, LiteralId);
 
 /// A value of an attribute–value pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -7,14 +7,15 @@
 //! plus `n + 1` cumulative `u32` offsets starting at 0. One heap block per
 //! column, whatever the row count.
 
-use serde::{Deserialize, Serialize};
+use minoaner_det::codec::Spillable;
 
 /// Rows of `T` under dense keys: row `k` is
 /// `data[offsets[k]..offsets[k + 1]]`.
 ///
 /// The offsets always start at 0, ascend, and end at `data.len()`;
-/// [`Self::from_parts`] is the only way in for columns built elsewhere.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// [`Self::from_parts`] is the only way in for columns built elsewhere —
+/// an `.mkb` section or a decoded checkpoint part.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Rows<T> {
     offsets: Vec<u32>,
     data: Vec<T>,
@@ -167,6 +168,18 @@ impl<T: Copy + Default> Rows<T> {
     }
 }
 
+/// The two columns; decoding goes through [`Rows::from_parts`].
+impl<T: Spillable> Spillable for Rows<T> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        Vec::encode(&self.offsets, out);
+        Vec::encode(&self.data, out);
+    }
+
+    fn decode(buf: &[u8], pos: &mut usize) -> Option<Self> {
+        Self::from_parts(Vec::decode(buf, pos)?, Vec::decode(buf, pos)?).ok()
+    }
+}
+
 /// Collects one row per item of the iterator.
 impl<T, R: IntoIterator<Item = T>> FromIterator<R> for Rows<T> {
     fn from_iter<I: IntoIterator<Item = R>>(rows: I) -> Self {
@@ -190,15 +203,7 @@ fn checked_len(len: usize) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// SplitMix64 step, reduced to `0..bound`.
-    fn draw(state: &mut u64, bound: usize) -> usize {
-        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        ((z ^ (z >> 31)) % bound.max(1) as u64) as usize
-    }
+    use minoaner_det::rng::Rng;
 
     fn as_vecs<T: Clone>(rows: &Rows<T>) -> Vec<Vec<T>> {
         rows.iter().map(<[T]>::to_vec).collect()
@@ -206,13 +211,13 @@ mod tests {
 
     #[test]
     fn build_is_a_stable_sort_by_key() {
-        let mut rng = 0x805_u64;
+        let mut rng = Rng::seed_from_u64(0x805);
         for case in 0..60 {
             // 0 keys = an empty table; few items leave keys empty.
-            let n_keys = draw(&mut rng, 9);
-            let n_items = if n_keys == 0 { 0 } else { draw(&mut rng, 40) };
+            let n_keys = rng.gen_range(0..9usize);
+            let n_items = if n_keys == 0 { 0 } else { rng.gen_range(0..40usize) };
             let items: Vec<(usize, u32)> =
-                (0..n_items).map(|seq| (draw(&mut rng, n_keys), seq as u32)).collect();
+                (0..n_items).map(|seq| (rng.gen_range(0..n_keys), seq as u32)).collect();
             let got = Rows::build(n_keys, items.iter().copied());
 
             let mut sorted = items.clone();
@@ -232,12 +237,12 @@ mod tests {
 
     #[test]
     fn concat_of_key_range_parts_equals_one_build() {
-        let mut rng = 0xC0CA_u64;
+        let mut rng = Rng::seed_from_u64(0xC0CA);
         for case in 0..60 {
-            let n_keys = draw(&mut rng, 12);
-            let n_items = if n_keys == 0 { 0 } else { draw(&mut rng, 50) };
-            let items: Vec<(usize, u32)> = (0..n_items).map(|seq| (draw(&mut rng, n_keys), seq as u32)).collect();
-            let chunk = 1 + draw(&mut rng, n_keys);
+            let n_keys = rng.gen_range(0..12usize);
+            let n_items = if n_keys == 0 { 0 } else { rng.gen_range(0..50usize) };
+            let items: Vec<(usize, u32)> = (0..n_items).map(|seq| (rng.gen_range(0..n_keys), seq as u32)).collect();
+            let chunk = 1 + rng.gen_range(0..n_keys.max(1));
             let parts: Vec<Rows<u32>> = (0..n_keys.div_ceil(chunk))
                 .map(|t| {
                     let lo = t * chunk;

@@ -3,6 +3,8 @@
 //! support/discriminability/importance for top-N neighbors, and global
 //! top-k name attributes.
 
+use minoaner_det::spillable_struct;
+
 use crate::model::{AttrId, EntityId, LiteralId, Side, TokenId};
 use crate::store::KbPair;
 
@@ -95,7 +97,7 @@ pub fn shared_token_weight(a: &[TokenId], b: &[TokenId], ef: &TokenEf) -> f64 {
 /// Support, discriminability and importance of every relation, per KB
 /// (Defs. 2.2–2.4), plus the global importance order used to pick each
 /// entity's top-N relations (Algorithm 1, `getTopInNeighbors`).
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RelationStats {
     support: [Vec<f64>; 2],
     discriminability: [Vec<f64>; 2],
@@ -105,6 +107,8 @@ pub struct RelationStats {
     /// relations on that side.
     rank: [Vec<u32>; 2],
 }
+
+spillable_struct!(RelationStats { support, discriminability, importance, rank });
 
 impl RelationStats {
     /// Computes relation statistics for both KBs.
@@ -256,11 +260,13 @@ pub fn max_neighbor_value_sim(
 /// (§2, "Entity Names"): literal-valued attributes ranked by the harmonic
 /// mean of support `|subjects(p)|/|E|` and discriminability
 /// `|distinct values(p)|/|instances(p)|`.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NameStats {
     name_attrs: [Vec<AttrId>; 2],
     importance: [Vec<f64>; 2],
 }
+
+spillable_struct!(NameStats { name_attrs, importance });
 
 impl NameStats {
     /// Computes the global top-`k` name attributes of both KBs.

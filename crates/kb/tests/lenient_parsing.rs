@@ -6,13 +6,9 @@
 //! strict mode fails on precisely the first corrupted line.
 //!
 //! The seeded loop at the end does the same for hostile bytes instead of
-//! hostile lines (ROADMAP item 4), and also runs in the offline stub
-//! builds, which swallow `proptest!` bodies.
+//! hostile lines (ROADMAP item 4).
 
-mod common;
-
-use proptest::prelude::*;
-
+use minoaner_det::rng::{for_each_seed, Rng};
 use minoaner_kb::parser::{load_ntriples_with_mode, parse_line, ParseMode, MAX_REPORTED_ERRORS};
 use minoaner_kb::{KbPairBuilder, Side};
 
@@ -28,10 +24,10 @@ enum Line {
 }
 
 /// Uniformly picks one of 12 line shapes: 3 well-formed, 3 ignored, and
-/// one corrupted shape per syntax-error class (an index-select rather
-/// than `prop_oneof!` so every arm shares one concrete strategy type).
-fn line_strategy() -> impl Strategy<Value = Line> {
-    (0usize..12, 0u32..1000).prop_map(|(kind, i)| match kind {
+/// one corrupted shape per syntax-error class.
+fn random_line(rng: &mut Rng) -> Line {
+    let (kind, i) = (rng.gen_range(0..12usize), rng.gen_range(0..1000u32));
+    match kind {
         // Well-formed: URI object, literal object (incl. escapes).
         0 => Line::Valid(format!("<s{i}> <p{i}> <o{i}> .")),
         1 => Line::Valid(format!("<s{i}> <p{i}> \"value {i}\" .")),
@@ -52,13 +48,13 @@ fn line_strategy() -> impl Strategy<Value = Line> {
         10 => Line::Corrupt(format!("<s{i} <p{i}> <o{i}> .")),
         // predicate is not a URI.
         _ => Line::Corrupt(format!("<s{i}> \"lit\" <o{i}> .")),
-    })
+    }
 }
 
-/// Pins the generator's ground truth: every shape `line_strategy` labels
+/// Pins the generator's ground truth: every shape `random_line` labels
 /// `Valid` must parse to a triple, every `Ignored` shape must parse to
 /// nothing, and every `Corrupt` shape must be a syntax error. The property
-/// test above is only as good as this classification.
+/// test below is only as good as this classification.
 #[test]
 fn generator_shapes_are_classified_correctly() {
     let i = 7u32;
@@ -86,11 +82,10 @@ fn generator_shapes_are_classified_correctly() {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn lenient_report_counts_are_exact(lines in proptest::collection::vec(line_strategy(), 0..40)) {
+#[test]
+fn lenient_report_counts_are_exact() {
+    for_each_seed(64, |rng| {
+        let lines: Vec<Line> = (0..rng.gen_range(0..40usize)).map(|_| random_line(rng)).collect();
         let doc: String = lines
             .iter()
             .map(|l| match l {
@@ -109,14 +104,14 @@ proptest! {
         let mut b = KbPairBuilder::new();
         let report = load_ntriples_with_mode(&mut b, Side::Left, &doc, ParseMode::Lenient)
             .expect("lenient mode never fails");
-        prop_assert_eq!(report.parsed, expected_parsed);
-        prop_assert_eq!(report.skipped, corrupt_line_numbers.len());
-        prop_assert_eq!(
+        assert_eq!(report.parsed, expected_parsed);
+        assert_eq!(report.skipped, corrupt_line_numbers.len());
+        assert_eq!(
             report.first_errors.len(),
             corrupt_line_numbers.len().min(MAX_REPORTED_ERRORS)
         );
         for (err, &line) in report.first_errors.iter().zip(&corrupt_line_numbers) {
-            prop_assert_eq!(err.line, line);
+            assert_eq!(err.line, line);
         }
 
         // Strict: fails on exactly the first corrupted line, or parses the
@@ -126,16 +121,16 @@ proptest! {
         match corrupt_line_numbers.first() {
             Some(&first) => {
                 let err = strict.expect_err("strict mode must reject corrupted input");
-                prop_assert_eq!(err.line, first);
+                assert_eq!(err.line, first);
             }
             None => {
                 let report = strict.expect("clean input parses strictly");
-                prop_assert_eq!(report.parsed, expected_parsed);
-                prop_assert_eq!(report.skipped, 0);
-                prop_assert!(report.first_errors.is_empty());
+                assert_eq!(report.parsed, expected_parsed);
+                assert_eq!(report.skipped, 0);
+                assert!(report.first_errors.is_empty());
             }
         }
-    }
+    });
 }
 
 /// A well-formed document touching every term shape the parser knows.
@@ -154,16 +149,16 @@ const NASTY: &[u8] = b"\"<>\\.#@^ \t\r\n\0u\xC3\xA9\xE6\x9D\xF0\x80\xFF";
 #[test]
 fn mutated_bytes_never_panic_and_both_modes_account_for_every_line() {
     assert!(SEED_DOC.lines().all(|l| parse_line(l).is_ok()), "the seed document is well-formed");
-    let mut rng = common::Rng(4);
+    let mut rng = Rng::seed_from_u64(4);
     let (mut parsed_total, mut skipped_total) = (0usize, 0usize);
     for mutant in 0..20_000 {
         let mut bytes = SEED_DOC.as_bytes().to_vec();
-        for _ in 0..1 + rng.below(4) {
-            let at = rng.below(bytes.len().max(1)).min(bytes.len().saturating_sub(1));
-            match rng.below(4) {
-                _ if bytes.is_empty() => bytes.push(*rng.pick(NASTY)),
-                0 => bytes[at] ^= 1 << rng.below(8),
-                1 => bytes.insert(at, *rng.pick(NASTY)),
+        for _ in 0..1 + rng.gen_range(0..4usize) {
+            let at = rng.gen_range(0..bytes.len().max(1)).min(bytes.len().saturating_sub(1));
+            match rng.gen_range(0..4usize) {
+                _ if bytes.is_empty() => bytes.push(NASTY[rng.gen_range(0..NASTY.len())]),
+                0 => bytes[at] ^= 1 << rng.gen_range(0..8usize),
+                1 => bytes.insert(at, NASTY[rng.gen_range(0..NASTY.len())]),
                 2 => drop(bytes.remove(at)),
                 _ => bytes.truncate(at),
             }

@@ -7,11 +7,11 @@
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use minoaner_det::rng::{for_each_seed, Rng};
 use minoaner_kb::parser::{load_ntriples, write_ntriples};
 use minoaner_kb::{
     write_mkb, KbPair, KbPairBuilder, LiteralId, MkbError, MkbFile, Side, Term, MKB_FORMAT_VERSION,
 };
-use proptest::prelude::*;
 
 /// A scratch file path that is unique per test without consulting any
 /// entropy source (pid + a process-local counter).
@@ -255,9 +255,8 @@ fn non_mkb_bytes_are_rejected() {
     }
 }
 
-/// The property behind `interners_and_token_sets_round_trip`, as a plain
-/// function so the offline stub builds (which swallow `proptest!` bodies)
-/// still typecheck and exercise it via the deterministic samples below.
+/// The property behind `interners_and_token_sets_round_trip` and the
+/// hand-picked samples below.
 fn check_interner_round_trip(
     left: &[(String, String, String)],
     right: &[(String, String, String)],
@@ -283,8 +282,7 @@ fn check_interner_round_trip(
 }
 
 /// Hand-picked adversarial inputs for the round-trip property: unicode
-/// and empty literals, repeated subjects, dangling link targets. These
-/// run everywhere, including stub builds where `proptest!` is inert.
+/// and empty literals, repeated subjects, dangling link targets.
 #[test]
 fn interner_round_trip_deterministic_samples() {
     let t = |s: &str, p: &str, o: &str| (s.to_owned(), p.to_owned(), o.to_owned());
@@ -300,18 +298,31 @@ fn interner_round_trip_deterministic_samples() {
     );
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Arbitrary small pairs survive compile → mmap → materialize with
-    /// every interner string resolving identically and every pair and
-    /// token row equal to the heap build, on both sides.
-    #[test]
-    fn interners_and_token_sets_round_trip(
-        left in prop::collection::vec(("[a-z]{1,6}", "[a-z]{1,5}", ".{0,16}"), 1..20),
-        right in prop::collection::vec(("[a-z]{1,6}", "[a-z]{1,5}", ".{0,16}"), 1..20),
-        links in prop::collection::vec((0usize..20, 0usize..20), 0..6),
-    ) {
-        check_interner_round_trip(&left, &right, &links);
+/// Arbitrary small pairs survive compile → mmap → materialize with
+/// every interner string resolving identically and every pair and
+/// token row equal to the heap build, on both sides.
+#[test]
+fn interners_and_token_sets_round_trip() {
+    fn letters(rng: &mut Rng, max: usize) -> String {
+        (0..rng.gen_range(1..max + 1)).map(|_| char::from(rng.gen_range(b'a'..b'z' + 1))).collect()
     }
+    /// Up to 16 Unicode scalars, half of them printable ASCII.
+    fn literal(rng: &mut Rng) -> String {
+        (0..rng.gen_range(0..17usize))
+            .map(|_| match rng.gen_range(0..2usize) {
+                0 => char::from(rng.gen_range(b' '..b'~' + 1)),
+                _ => char::from_u32(rng.gen_range(0..0x11_0000u32)).unwrap_or('\u{fffd}'),
+            })
+            .collect()
+    }
+    fn triples(rng: &mut Rng) -> Vec<(String, String, String)> {
+        (0..rng.gen_range(1..20usize)).map(|_| (letters(rng, 6), letters(rng, 5), literal(rng))).collect()
+    }
+    for_each_seed(24, |rng| {
+        let (left, right) = (triples(rng), triples(rng));
+        let links: Vec<(usize, usize)> = (0..rng.gen_range(0..6usize))
+            .map(|_| (rng.gen_range(0..20usize), rng.gen_range(0..20usize)))
+            .collect();
+        check_interner_round_trip(&left, &right, &links);
+    });
 }

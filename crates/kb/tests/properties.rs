@@ -2,14 +2,12 @@
 //! interner laws, N-Triples serialization round-trips with adversarial
 //! content, and Turtle/N-Triples load equivalence.
 //!
-//! The `#[test]` functions after the `proptest!` block are seeded loops:
-//! they pin the ingest path's fast paths to their slow definitions and its
-//! tables to a naive reference builder, and they also run in the offline
-//! stub builds, which swallow `proptest!` bodies.
+//! Every test is a seeded loop (`minoaner_det::rng::for_each_seed` or a
+//! loop over one generator); the second half pins the ingest path's fast
+//! paths to their slow definitions and its tables to a naive reference
+//! builder.
 
-mod common;
-
-use common::Rng;
+use minoaner_det::rng::{for_each_seed, Rng};
 use minoaner_datagen::{generate, profiles};
 use minoaner_kb::parser::{load_ntriples, parse_line, unescape, write_ntriples};
 use minoaner_kb::stats::{NameStats, RelationStats};
@@ -17,56 +15,114 @@ use minoaner_kb::tokenize::{normalize_name, tokenize, uri_local_name};
 use minoaner_kb::{
     AttrId, EntityId, Interner, KbPair, KbPairBuilder, LiteralId, Side, Symbol, Term, TokenId, Value,
 };
-use proptest::prelude::*;
 use std::collections::BTreeSet;
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
+/// Up to `max` chars of anything: printable ASCII, the scanner's and the
+/// tokenizer's special cases (`mixed_string`'s alphabet) and arbitrary
+/// Unicode scalars, control characters included — but not `İ` (U+0130),
+/// the one char whose lowercase holds a non-alphanumeric char (U+0307):
+/// the tokenizer laws below hold everywhere else, and
+/// `dotted_capital_i_is_the_exception_to_the_tokenizer_laws` pins what
+/// happens there.
+fn any_string(rng: &mut Rng, max: usize) -> String {
+    (0..rng.gen_range(0..max + 1))
+        .map(|_| match rng.gen_range(0..5usize) {
+            0 => mixed_string(rng).chars().next().unwrap_or(' '),
+            1 => char::from_u32(rng.gen_range(0..0x11_0000u32)).unwrap_or('\u{fffd}'),
+            _ => char::from(rng.gen_range(b' '..b'~' + 1)),
+        })
+        .filter(|&c| c != 'İ')
+        .collect()
+}
 
-    #[test]
-    fn tokenize_produces_lowercase_alphanumeric(s in ".{0,60}") {
+/// Up to `max` printable ASCII chars.
+fn printable(rng: &mut Rng, max: usize) -> String {
+    (0..rng.gen_range(0..max + 1)).map(|_| char::from(rng.gen_range(b' '..b'~' + 1))).collect()
+}
+
+/// One to four lowercase words of one to eight letters.
+fn words(rng: &mut Rng) -> String {
+    let word = |rng: &mut Rng| -> String {
+        (0..rng.gen_range(1..9usize)).map(|_| char::from(rng.gen_range(b'a'..b'z' + 1))).collect()
+    };
+    (0..rng.gen_range(1..5usize)).map(|_| word(rng)).collect::<Vec<_>>().join(" ")
+}
+
+#[test]
+fn tokenize_produces_lowercase_alphanumeric() {
+    for_each_seed(128, |rng| {
+        let s = any_string(rng, 60);
         for tok in tokenize(&s) {
-            prop_assert!(!tok.is_empty());
-            prop_assert!(tok.chars().all(|c| c.is_alphanumeric()));
-            prop_assert_eq!(tok.to_lowercase().as_str(), tok.as_ref());
+            assert!(!tok.is_empty());
+            assert!(tok.chars().all(|c| c.is_alphanumeric()));
+            assert_eq!(tok.to_lowercase().as_str(), tok.as_ref());
         }
-    }
+    });
+}
 
-    /// A `Cow::Borrowed` token must point into the input (zero-copy path),
-    /// and borrowing must never change what the token *is*.
-    #[test]
-    fn tokenize_borrowed_tokens_are_subslices(s in ".{0,60}") {
+/// A `Cow::Borrowed` token must point into the input (zero-copy path),
+/// and borrowing must never change what the token *is*.
+#[test]
+fn tokenize_borrowed_tokens_are_subslices() {
+    for_each_seed(128, |rng| {
+        let s = any_string(rng, 60);
         for tok in tokenize(&s) {
             if let std::borrow::Cow::Borrowed(t) = tok {
-                prop_assert!(s.contains(t));
-                prop_assert_eq!(t.to_lowercase().as_str(), t);
+                assert!(s.contains(t));
+                assert_eq!(t.to_lowercase().as_str(), t);
             }
         }
-    }
+    });
+}
 
-    #[test]
-    fn normalize_is_idempotent(s in ".{0,60}") {
-        let once = normalize_name(&s);
+#[test]
+fn normalize_is_idempotent() {
+    for_each_seed(128, |rng| {
+        let once = normalize_name(&any_string(rng, 60));
         let twice = normalize_name(&once);
-        prop_assert_eq!(once, twice);
-    }
+        assert_eq!(once, twice);
+    });
+}
 
-    #[test]
-    fn normalize_agrees_with_tokenize(s in ".{0,60}") {
+#[test]
+fn normalize_agrees_with_tokenize() {
+    for_each_seed(128, |rng| {
         // The normalized literal's tokens equal the raw literal's tokens.
+        let s = any_string(rng, 60);
         let norm = normalize_name(&s);
         let via_norm: Vec<String> = tokenize(&norm).map(|t| t.into_owned()).collect();
         let direct: Vec<String> = tokenize(&s).map(|t| t.into_owned()).collect();
-        prop_assert_eq!(via_norm, direct);
-    }
+        assert_eq!(via_norm, direct);
+    });
+}
 
-    #[test]
-    fn interner_is_a_bijection(strings in prop::collection::vec(".{0,20}", 0..40)) {
+/// Found when these laws first ran (ISSUE 21, seed 14 of each): `İ` folds
+/// to `i` + U+0307, a combining mark, so a token can hold a
+/// non-alphanumeric char, a second `normalize_name` splits there, and the
+/// tokens of a normalized literal differ from the literal's own. The
+/// loader only ever tokenizes normalized literals
+/// (`for_each_normalized_token` says why it re-classifies non-ASCII
+/// words), so both KBs see the same tokens; this pins the behaviour
+/// rather than blessing it.
+#[test]
+fn dotted_capital_i_is_the_exception_to_the_tokenizer_laws() {
+    let tokens = |s: &str| tokenize(s).map(|t| t.into_owned()).collect::<Vec<_>>();
+    assert_eq!(tokens("İstanbul"), ["i\u{307}stanbul"]);
+    let once = normalize_name("İstanbul");
+    assert_eq!(once, "i\u{307}stanbul");
+    assert_eq!(normalize_name(&once), "i stanbul");
+    assert_eq!(tokens(&once), ["i", "stanbul"]);
+}
+
+#[test]
+fn interner_is_a_bijection() {
+    for_each_seed(128, |rng| {
+        let strings: Vec<String> = (0..rng.gen_range(0..40usize)).map(|_| any_string(rng, 20)).collect();
         let mut interner = Interner::new();
         let symbols: Vec<_> = strings.iter().map(|s| interner.intern(s)).collect();
         for (s, &sym) in strings.iter().zip(&symbols) {
-            prop_assert_eq!(interner.resolve(sym), s.as_str());
-            prop_assert_eq!(interner.get(s), Some(sym));
+            assert_eq!(interner.resolve(sym), s.as_str());
+            assert_eq!(interner.get(s), Some(sym));
         }
         // Distinct strings ↔ distinct symbols.
         let mut unique_strings = strings.clone();
@@ -75,23 +131,25 @@ proptest! {
         let mut unique_symbols = symbols.clone();
         unique_symbols.sort();
         unique_symbols.dedup();
-        prop_assert_eq!(unique_strings.len(), unique_symbols.len());
-        prop_assert_eq!(interner.len(), unique_strings.len());
-    }
+        assert_eq!(unique_strings.len(), unique_symbols.len());
+        assert_eq!(interner.len(), unique_strings.len());
+    });
+}
 
-    /// Arbitrary (printable) literals and URIs survive the
-    /// write → parse round trip with identical KB structure.
-    #[test]
-    fn ntriples_round_trip(
-        literals in prop::collection::vec("[ -~]{0,30}", 1..12),
-        edges in prop::collection::vec((0usize..12, 0usize..12), 0..8),
-    ) {
+/// Arbitrary (printable) literals and URIs survive the
+/// write → parse round trip with identical KB structure.
+#[test]
+fn ntriples_round_trip() {
+    for_each_seed(128, |rng| {
+        let literals: Vec<String> = (0..rng.gen_range(1..12usize)).map(|_| printable(rng, 30)).collect();
+        let edges: Vec<(usize, usize)> = (0..rng.gen_range(0..8usize))
+            .map(|_| (rng.gen_range(0..literals.len()), rng.gen_range(0..literals.len())))
+            .collect();
         let mut b = KbPairBuilder::new();
         for (i, lit) in literals.iter().enumerate() {
             b.add_triple(Side::Left, &format!("http://e/{i}"), "http://p/v", Term::Literal(lit));
         }
         for &(from, to) in &edges {
-            let (from, to) = (from % literals.len(), to % literals.len());
             b.add_triple(
                 Side::Left,
                 &format!("http://e/{from}"),
@@ -108,36 +166,28 @@ proptest! {
         b2.add_triple(Side::Right, "http://r/0", "http://p/v", Term::Literal("x"));
         let reloaded = b2.finish();
 
-        prop_assert_eq!(n, pair.kb(Side::Left).triple_count());
-        prop_assert_eq!(reloaded.kb(Side::Left).len(), pair.kb(Side::Left).len());
-        prop_assert_eq!(reloaded.kb(Side::Left).triple_count(), pair.kb(Side::Left).triple_count());
+        assert_eq!(n, pair.kb(Side::Left).triple_count());
+        assert_eq!(reloaded.kb(Side::Left).len(), pair.kb(Side::Left).len());
+        assert_eq!(reloaded.kb(Side::Left).triple_count(), pair.kb(Side::Left).triple_count());
         // Token sets per entity are identical (ids may differ; compare via strings).
+        let token_strings = |pair: &KbPair, id: EntityId| -> Vec<String> {
+            let tokens = pair.kb(Side::Left).tokens_of(id);
+            let mut strings: Vec<String> =
+                tokens.iter().map(|t| pair.tokens().resolve(Symbol(t.0)).to_owned()).collect();
+            strings.sort_unstable();
+            strings
+        };
         for (id, _) in pair.kb(Side::Left).iter() {
-            let orig: Vec<&str> = pair
-                .kb(Side::Left)
-                .tokens_of(id)
-                .iter()
-                .map(|t| pair.tokens().resolve(minoaner_kb::Symbol(t.0)))
-                .collect();
-            let re: Vec<&str> = reloaded
-                .kb(Side::Left)
-                .tokens_of(id)
-                .iter()
-                .map(|t| reloaded.tokens().resolve(minoaner_kb::Symbol(t.0)))
-                .collect();
-            let mut orig = orig;
-            let mut re = re;
-            orig.sort_unstable();
-            re.sort_unstable();
-            prop_assert_eq!(orig, re);
+            assert_eq!(token_strings(&pair, id), token_strings(&reloaded, id));
         }
-    }
+    });
+}
 
-    /// The same simple document loads identically via Turtle and N-Triples.
-    #[test]
-    fn turtle_matches_ntriples(
-        values in prop::collection::vec("[a-z]{1,8}( [a-z]{1,8}){0,3}", 1..8),
-    ) {
+/// The same simple document loads identically via Turtle and N-Triples.
+#[test]
+fn turtle_matches_ntriples() {
+    for_each_seed(128, |rng| {
+        let values: Vec<String> = (0..rng.gen_range(1..8usize)).map(|_| words(rng)).collect();
         let mut nt = String::new();
         let mut ttl = String::from("@prefix e: <http://e/> .\n@prefix p: <http://p/> .\n");
         for (i, v) in values.iter().enumerate() {
@@ -154,10 +204,10 @@ proptest! {
         b2.add_triple(Side::Right, "r", "p", Term::Literal("x"));
         let p2 = b2.finish();
 
-        prop_assert_eq!(p1.kb(Side::Left).len(), p2.kb(Side::Left).len());
-        prop_assert_eq!(p1.kb(Side::Left).triple_count(), p2.kb(Side::Left).triple_count());
-        prop_assert_eq!(p1.token_space(), p2.token_space());
-    }
+        assert_eq!(p1.kb(Side::Left).len(), p2.kb(Side::Left).len());
+        assert_eq!(p1.kb(Side::Left).triple_count(), p2.kb(Side::Left).triple_count());
+        assert_eq!(p1.token_space(), p2.token_space());
+    });
 }
 
 // ───────────────── fast paths ≡ slow paths (seeded loops) ─────────────────
@@ -195,16 +245,16 @@ fn mixed_string(rng: &mut Rng) -> String {
         'ǅ', 'İ', 'ß', 'é', 'É', 'Ω', 'ω', '東', '京', '\u{301}', '\u{a0}', '☕', '—', 'Ⅷ', '٣',
         'ǆ', '\u{1F600}',
     ];
-    let pick = |rng: &mut Rng, alphabet: &[char]| alphabet[rng.below(alphabet.len())];
-    let ascii_only = rng.below(3) == 0;
-    (0..rng.below(24))
-        .map(|_| if ascii_only || rng.below(4) > 0 { pick(rng, &ASCII) } else { pick(rng, &WIDE) })
+    let pick = |rng: &mut Rng, alphabet: &[char]| alphabet[rng.gen_range(0..alphabet.len())];
+    let ascii_only = rng.gen_range(0..3usize) == 0;
+    (0..rng.gen_range(0..24usize))
+        .map(|_| if ascii_only || rng.gen_range(0..4usize) > 0 { pick(rng, &ASCII) } else { pick(rng, &WIDE) })
         .collect()
 }
 
 #[test]
 fn scratch_normalize_and_space_split_agree_with_the_slow_path() {
-    let mut rng = Rng(15);
+    let mut rng = Rng::seed_from_u64(15);
     // The case that makes a plain space split wrong, then random values.
     let mut values = vec!["İstanbul Café".to_owned()];
     values.extend((0..20_000).map(|_| mixed_string(&mut rng)));
@@ -235,7 +285,7 @@ fn scratch_normalize_and_space_split_agree_with_the_slow_path() {
 
 #[test]
 fn interner_agrees_with_a_linear_search_model() {
-    let mut rng = Rng(0xA11CE);
+    let mut rng = Rng::seed_from_u64(0xA11CE);
     let mut pool: Vec<String> = (0..1_500).map(|_| mixed_string(&mut rng)).collect();
     pool.push(String::new());
     pool.push("x".repeat(64 * 1024));
@@ -255,12 +305,12 @@ fn interner_agrees_with_a_linear_search_model() {
     let mut model: Vec<String> = Vec::new();
     let mut interner = Interner::new();
     for step in 0..40_000 {
-        let s = rng.pick(&pool);
+        let s = &pool[rng.gen_range(0..pool.len())];
         let known = model.iter().position(|m| m == s);
         // `get` answers from the model and never interns.
         assert_eq!(interner.get(s).map(Symbol::index), known, "get({s:?}) at step {step}");
         assert_eq!(interner.len(), model.len());
-        if rng.below(4) == 0 {
+        if rng.gen_range(0..4usize) == 0 {
             continue;
         }
         // Dense first-seen ids; interning again changes nothing.
@@ -438,14 +488,14 @@ fn loader_builds_the_tables_of_a_naive_reference_builder() {
     // What datagen never writes: raw and escaped non-ASCII, mixed case,
     // subjects that interleave, repeat across sides and follow their own
     // mention as an object, and URI objects that dangle.
-    let mut rng = Rng(7);
+    let mut rng = Rng::seed_from_u64(7);
     let mut docs = [String::new(), String::new()];
     for doc in &mut docs {
         for _ in 0..600 {
-            let subject = rng.below(12);
-            let predicate = rng.below(5);
-            let object = if rng.below(3) == 0 {
-                format!("<http://e/{}#{}>", rng.below(16), rng.below(3))
+            let subject = rng.gen_range(0..12usize);
+            let predicate = rng.gen_range(0..5usize);
+            let object = if rng.gen_range(0..3usize) == 0 {
+                format!("<http://e/{}#{}>", rng.gen_range(0..16usize), rng.gen_range(0..3usize))
             } else {
                 let literal: String = mixed_string(&mut rng)
                     .chars()

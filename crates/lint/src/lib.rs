@@ -11,19 +11,18 @@
 //!
 //! Both emit a versioned machine-readable report via `--json`
 //! ([`LINT_SCHEMA_VERSION`]), built on the exact-round-trip document model
-//! in [`json`].
+//! in [`minoaner_det::json`].
 
 pub mod allow;
 pub mod contracts;
 pub mod effects;
 pub mod graph;
-pub mod json;
 pub mod lexer;
 pub mod rules;
 
 use allow::AllowEntry;
 use contracts::ContractResult;
-use json::Json;
+use minoaner_det::json::Json;
 use rules::{FileClass, Violation};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -38,7 +37,6 @@ pub const LINT_SCHEMA_VERSION: i64 = 1;
 const SKIP_PREFIXES: &[&str] = &[
     "target",
     ".git",
-    "tools/offline-stubs",
     "crates/lint/tests/fixtures",
 ];
 
@@ -80,7 +78,7 @@ impl Report {
 
     pub fn to_json(&self) -> Json {
         Json::Obj(vec![
-            ("schema_version".into(), Json::Num(LINT_SCHEMA_VERSION)),
+            ("schema_version".into(), Json::Num(LINT_SCHEMA_VERSION.into())),
             ("tool".into(), Json::str("minoaner-lint check")),
             (
                 "violations".into(),
@@ -369,7 +367,7 @@ impl EffectsReport {
             })
             .collect();
         Json::Obj(vec![
-            ("schema_version".into(), Json::Num(LINT_SCHEMA_VERSION)),
+            ("schema_version".into(), Json::Num(LINT_SCHEMA_VERSION.into())),
             ("tool".into(), Json::str("minoaner-lint effects")),
             ("files_scanned".into(), Json::num(self.files_scanned)),
             ("functions".into(), Json::num(self.functions)),
@@ -499,11 +497,11 @@ mod tests {
     fn classify_routes_paths() {
         assert_eq!(classify("crates/kb/src/store.rs"), Some(FileClass::Library));
         assert_eq!(classify("crates/kb/tests/x.rs"), Some(FileClass::TestOrBench));
-        assert_eq!(classify("crates/eval/benches/micro.rs"), Some(FileClass::TestOrBench));
+        assert_eq!(classify("crates/eval/benches/ablations.rs"), Some(FileClass::TestOrBench));
+        assert_eq!(classify("tools/loom-models/tests/loom_models.rs"), Some(FileClass::TestOrBench));
         assert_eq!(classify("tests/property_based.rs"), Some(FileClass::TestOrBench));
         assert_eq!(classify("src/lib.rs"), Some(FileClass::Library));
         assert_eq!(classify("crates/lint/tests/fixtures/bad/r1.rs"), None);
-        assert_eq!(classify("tools/offline-stubs/rand/src/lib.rs"), None);
         assert_eq!(classify("README.md"), None);
     }
 

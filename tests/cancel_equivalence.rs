@@ -1,4 +1,4 @@
-//! Cancellation-equivalence harness (proptest): cancelling a checkpointed
+//! Cancellation-equivalence harness (seeded loop): cancelling a checkpointed
 //! run at an arbitrary stage barrier must be indistinguishable from a
 //! clean shutdown — the cancelled run leaves only complete, resumable
 //! barriers behind, and resuming it yields output byte-identical to an
@@ -23,10 +23,10 @@ use std::sync::Mutex;
 
 use minoaner::dataflow::{CancelReason, RunTrace};
 use minoaner::datagen::{generate, profiles, GeneratedDataset};
+use minoaner::det::rng::for_each_seed;
 use minoaner::{
     CheckpointSpec, DataflowError, Executor, Minoaner, Resolution, ResolveRequest, RuleSet,
 };
-use proptest::prelude::*;
 
 /// Number of pipeline barriers (`blocks`, `graph`, `matches`).
 const BARRIERS: usize = 3;
@@ -112,10 +112,9 @@ fn assert_only_complete_barriers(ckpt_dir: &Path) {
     }
 }
 
-/// The core exchange shared by the proptest property and the exhaustive
+/// The core exchange shared by the seeded property and the exhaustive
 /// sweep: cancel at `barrier`, check the on-disk invariant, resume,
-/// compare against the uninterrupted baseline. Failures panic, which
-/// both the plain test runner and proptest's case runner report.
+/// compare against the uninterrupted baseline.
 fn cancel_resume_roundtrip(barrier: usize, workers: usize, scale: f64, tag: &str) {
     let _guard = CANCEL_POINT.lock().unwrap_or_else(|p| p.into_inner());
 
@@ -164,26 +163,23 @@ fn cancel_resume_roundtrip(barrier: usize, workers: usize, scale: f64, tag: &str
     }
 }
 
-proptest! {
-    // Each case is two-to-three full pipeline runs; keep the budget small
-    // and rely on the exhaustive sweep below for barrier coverage.
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// Cancellation at an arbitrary barrier, worker count and dataset
-    /// scale is equivalent to a clean shutdown: only complete barriers
-    /// remain, and resume reproduces the uninterrupted run exactly.
-    #[test]
-    fn cancel_at_arbitrary_stage_is_a_clean_shutdown(
-        barrier in 0..BARRIERS,
-        workers in prop::sample::select(vec![1usize, 2, 4]),
-        scale in prop::sample::select(vec![0.15f64, 0.2, 0.25]),
-    ) {
+/// Cancellation at an arbitrary barrier, worker count and dataset scale
+/// is equivalent to a clean shutdown: only complete barriers remain, and
+/// resume reproduces the uninterrupted run exactly. Each case is
+/// two-to-three full pipeline runs, so the budget is small and the
+/// exhaustive sweep below covers the barriers.
+#[test]
+fn cancel_at_arbitrary_stage_is_a_clean_shutdown() {
+    for_each_seed(8, |rng| {
+        let barrier = rng.gen_range(0..BARRIERS);
+        let workers = [1usize, 2, 4][rng.gen_range(0..3usize)];
+        let scale = [0.15f64, 0.2, 0.25][rng.gen_range(0..3usize)];
         cancel_resume_roundtrip(barrier, workers, scale, "prop");
-    }
+    });
 }
 
 /// Deterministic complement to the property: every barrier is exercised
-/// regardless of what the proptest sampler happens to draw.
+/// regardless of what the seeded cases happen to draw.
 #[test]
 fn every_barrier_cancel_resumes_to_the_uninterrupted_outcome() {
     for barrier in 0..BARRIERS {

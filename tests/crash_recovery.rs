@@ -394,6 +394,6 @@ fn recovered_trace_artifact_is_written() {
 
     let target = std::env::var("CARGO_TARGET_DIR").unwrap_or_else(|_| "target".into());
     let path = PathBuf::from(target).join("crash_recovery_trace.json");
-    let json = trace.to_json().expect("serialize trace artifact");
+    let json = trace.to_json();
     std::fs::write(&path, json).expect("write trace artifact");
 }

@@ -24,7 +24,7 @@ fn trace_json_round_trip_is_exact() {
     let d = dataset();
     let (_, trace) = traced(&d.pair, 2);
     trace.validate().expect("captured trace validates");
-    let json = trace.to_json().expect("trace serializes");
+    let json = trace.to_json();
     let back = RunTrace::from_json(&json).expect("trace JSON parses");
     assert_eq!(trace, back, "JSON round-trip must be lossless");
 }

@@ -1,4 +1,4 @@
-//! Property-based integration tests (proptest): invariants of the value
+//! Property-based integration tests (seeded loops): invariants of the value
 //! similarity metric (Proposition 1 of the paper), the blocking layer, the
 //! pruned graph, the matcher, and unique mapping clustering — on randomly
 //! generated KB pairs.
@@ -8,56 +8,57 @@ use minoaner::blocking::graph::{build_blocking_graph, GraphConfig};
 use minoaner::blocking::name::build_name_blocks;
 use minoaner::blocking::token::build_token_blocks;
 use minoaner::kb::stats::{value_sim, NameStats, RelationStats, TokenEf};
+use minoaner::det::rng::{for_each_seed, Rng};
 use minoaner::{EntityId, Executor, KbPairBuilder, Minoaner, Side, Term};
-use proptest::prelude::*;
 
 /// A random literal made of tokens from a tiny vocabulary, so overlaps are
 /// common and the interesting code paths fire.
-fn literal_strategy() -> impl Strategy<Value = String> {
-    prop::collection::vec(0..25u8, 1..6).prop_map(|toks| {
-        toks.iter().map(|t| format!("w{t}")).collect::<Vec<_>>().join(" ")
-    })
+fn random_literal(rng: &mut Rng) -> String {
+    let tokens: Vec<String> =
+        (0..rng.gen_range(1..6usize)).map(|_| format!("w{}", rng.gen_range(0..25u8))).collect();
+    tokens.join(" ")
 }
 
 /// A random clean-clean KB pair: per side, a handful of entities with
 /// random literals and random intra-KB relation edges.
-fn pair_strategy() -> impl Strategy<Value = (minoaner::KbPair, usize, usize)> {
-    let side = || prop::collection::vec(prop::collection::vec(literal_strategy(), 1..4), 1..8);
-    (side(), side(), prop::collection::vec((0..8usize, 0..8usize), 0..6)).prop_map(
-        |(left, right, edges)| {
-            let mut b = KbPairBuilder::new();
-            for (side_tag, entities) in [(Side::Left, &left), (Side::Right, &right)] {
-                let prefix = if side_tag == Side::Left { "l" } else { "r" };
-                for (i, lits) in entities.iter().enumerate() {
-                    let uri = format!("{prefix}:{i}");
-                    let e = b.entity(side_tag, &uri);
-                    for (j, lit) in lits.iter().enumerate() {
-                        b.add_pair(side_tag, e, &format!("{prefix}:attr{j}"), Term::Literal(lit));
-                    }
-                }
-                for &(from, to) in &edges {
-                    let (from, to) = (from % entities.len(), to % entities.len());
-                    if from != to {
-                        let f = format!("{prefix}:{from}");
-                        let t = format!("{prefix}:{to}");
-                        let e = b.entity(side_tag, &f);
-                        b.add_pair(side_tag, e, &format!("{prefix}:rel"), Term::Uri(&t));
-                    }
-                }
+fn random_pair(rng: &mut Rng) -> (minoaner::KbPair, usize, usize) {
+    let side = |rng: &mut Rng| -> Vec<Vec<String>> {
+        (0..rng.gen_range(1..8usize))
+            .map(|_| (0..rng.gen_range(1..4usize)).map(|_| random_literal(rng)).collect())
+            .collect()
+    };
+    let (left, right) = (side(rng), side(rng));
+    let edges: Vec<(usize, usize)> =
+        (0..rng.gen_range(0..6usize)).map(|_| (rng.gen_range(0..8usize), rng.gen_range(0..8usize))).collect();
+    let mut b = KbPairBuilder::new();
+    for (side_tag, entities) in [(Side::Left, &left), (Side::Right, &right)] {
+        let prefix = if side_tag == Side::Left { "l" } else { "r" };
+        for (i, lits) in entities.iter().enumerate() {
+            let uri = format!("{prefix}:{i}");
+            let e = b.entity(side_tag, &uri);
+            for (j, lit) in lits.iter().enumerate() {
+                b.add_pair(side_tag, e, &format!("{prefix}:attr{j}"), Term::Literal(lit));
             }
-            let (nl, nr) = (left.len(), right.len());
-            (b.finish(), nl, nr)
-        },
-    )
+        }
+        for &(from, to) in &edges {
+            let (from, to) = (from % entities.len(), to % entities.len());
+            if from != to {
+                let f = format!("{prefix}:{from}");
+                let t = format!("{prefix}:{to}");
+                let e = b.entity(side_tag, &f);
+                b.add_pair(side_tag, e, &format!("{prefix}:rel"), Term::Uri(&t));
+            }
+        }
+    }
+    (b.finish(), left.len(), right.len())
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Proposition 1: valueSim is non-negative and bounded by the
-    /// self-similarity of either argument.
-    #[test]
-    fn value_sim_metric_properties((pair, nl, nr) in pair_strategy()) {
+/// Proposition 1: valueSim is non-negative and bounded by the
+/// self-similarity of either argument.
+#[test]
+fn value_sim_metric_properties() {
+    for_each_seed(64, |rng| {
+        let (pair, nl, nr) = random_pair(rng);
         let ef = TokenEf::compute(&pair);
         let self_weight = |side: Side, e: EntityId| -> f64 {
             pair.kb(side).tokens_of(e).iter().map(|&t| ef.token_weight(t)).sum()
@@ -66,19 +67,22 @@ proptest! {
             for r in 0..nr.min(4) {
                 let (le, re) = (EntityId(l as u32), EntityId(r as u32));
                 let s = value_sim(&pair, &ef, le, re);
-                prop_assert!(s >= 0.0);
-                prop_assert!(s <= self_weight(Side::Left, le) + 1e-9,
+                assert!(s >= 0.0);
+                assert!(s <= self_weight(Side::Left, le) + 1e-9,
                     "sim exceeds left self-similarity");
-                prop_assert!(s <= self_weight(Side::Right, re) + 1e-9,
+                assert!(s <= self_weight(Side::Right, re) + 1e-9,
                     "sim exceeds right self-similarity");
             }
         }
-    }
+    });
+}
 
-    /// Blocking completeness: any cross-KB pair sharing a token co-occurs
-    /// in the (unpurged) token blocks.
-    #[test]
-    fn token_blocking_is_complete((pair, nl, nr) in pair_strategy()) {
+/// Blocking completeness: any cross-KB pair sharing a token co-occurs
+/// in the (unpurged) token blocks.
+#[test]
+fn token_blocking_is_complete() {
+    for_each_seed(64, |rng| {
+        let (pair, nl, nr) = random_pair(rng);
         let blocks = build_token_blocks(&pair);
         for l in 0..nl {
             for r in 0..nr {
@@ -90,16 +94,20 @@ proptest! {
                     let co_occurs = blocks.blocks.iter().any(|(_, b)| {
                         b.left.contains(&le) && b.right.contains(&re)
                     });
-                    prop_assert!(co_occurs, "pair sharing a token must share a block");
+                    assert!(co_occurs, "pair sharing a token must share a block");
                 }
             }
         }
-    }
+    });
+}
 
-    /// Graph pruning invariants: candidate lists are bounded by K, sorted
-    /// by weight, and every β weight is positive.
-    #[test]
-    fn graph_pruning_invariants((pair, nl, nr) in pair_strategy(), k in 1..6usize) {
+/// Graph pruning invariants: candidate lists are bounded by K, sorted
+/// by weight, and every β weight is positive.
+#[test]
+fn graph_pruning_invariants() {
+    for_each_seed(64, |rng| {
+        let (pair, nl, nr) = random_pair(rng);
+        let k = rng.gen_range(1..6usize);
         let exec = Executor::new(1);
         let rels = RelationStats::compute(&pair);
         let names = NameStats::compute(&pair, 2);
@@ -111,18 +119,21 @@ proptest! {
             for i in 0..n {
                 let e = EntityId(i as u32);
                 for list in [g.value_candidates(side, e), g.neighbor_candidates(side, e)] {
-                    prop_assert!(list.len() <= k, "candidate list exceeds K");
-                    prop_assert!(list.windows(2).all(|w| w[0].1 >= w[1].1), "not sorted");
-                    prop_assert!(list.iter().all(|&(_, w)| w > 0.0), "trivial edge kept");
+                    assert!(list.len() <= k, "candidate list exceeds K");
+                    assert!(list.windows(2).all(|w| w[0].1 >= w[1].1), "not sorted");
+                    assert!(list.iter().all(|&(_, w)| w > 0.0), "trivial edge kept");
                 }
             }
         }
-    }
+    });
+}
 
-    /// The matcher always yields a partial one-to-one mapping, and every
-    /// match is connected in the pruned graph in both directions (R4).
-    #[test]
-    fn matcher_produces_reciprocal_partial_matching((pair, _nl, _nr) in pair_strategy()) {
+/// The matcher always yields a partial one-to-one mapping, and every
+/// match is connected in the pruned graph in both directions (R4).
+#[test]
+fn matcher_produces_reciprocal_partial_matching() {
+    for_each_seed(64, |rng| {
+        let (pair, _nl, _nr) = random_pair(rng);
         let exec = Executor::new(1);
         let m = Minoaner::new();
         let prepared = m.prepare(&exec, &pair);
@@ -131,35 +142,36 @@ proptest! {
         lefts.sort_unstable();
         let n = lefts.len();
         lefts.dedup();
-        prop_assert_eq!(lefts.len(), n, "left endpoint reused");
+        assert_eq!(lefts.len(), n, "left endpoint reused");
         for &(l, r) in &outcome.matches {
-            prop_assert!(prepared.graph.has_directed_edge(Side::Left, l, r));
-            prop_assert!(prepared.graph.has_directed_edge(Side::Right, r, l));
+            assert!(prepared.graph.has_directed_edge(Side::Left, l, r));
+            assert!(prepared.graph.has_directed_edge(Side::Right, r, l));
         }
-    }
+    });
+}
 
-    /// UMC invariants: output is a partial matching; scores of accepted
-    /// pairs respect the threshold; accepting order never assigns a worse
-    /// pair when a better one was available for the same entities.
-    #[test]
-    fn umc_invariants(
-        pairs in prop::collection::vec((0..10u32, 0..10u32, 0.0..1.0f64), 0..40),
-        threshold in 0.0..1.0f64,
-    ) {
-        let scored: Vec<(EntityId, EntityId, f64)> =
-            pairs.iter().map(|&(l, r, s)| (EntityId(l), EntityId(r), s)).collect();
+/// UMC invariants: output is a partial matching; scores of accepted
+/// pairs respect the threshold; accepting order never assigns a worse
+/// pair when a better one was available for the same entities.
+#[test]
+fn umc_invariants() {
+    for_each_seed(64, |rng| {
+        let scored: Vec<(EntityId, EntityId, f64)> = (0..rng.gen_range(0..40usize))
+            .map(|_| (EntityId(rng.gen_range(0..10u32)), EntityId(rng.gen_range(0..10u32)), rng.next_f64()))
+            .collect();
+        let threshold = rng.next_f64();
         let result = unique_mapping_clustering(scored.clone(), threshold);
         let mut seen_l = minoaner::DetHashSet::default();
         let mut seen_r = minoaner::DetHashSet::default();
         for &(l, r) in &result {
-            prop_assert!(seen_l.insert(l), "left endpoint reused");
-            prop_assert!(seen_r.insert(r), "right endpoint reused");
+            assert!(seen_l.insert(l), "left endpoint reused");
+            assert!(seen_r.insert(r), "right endpoint reused");
             let best = scored
                 .iter()
                 .filter(|&&(pl, pr, _)| pl == l && pr == r)
                 .map(|&(_, _, s)| s)
                 .fold(f64::NEG_INFINITY, f64::max);
-            prop_assert!(best >= threshold, "accepted pair below threshold");
+            assert!(best >= threshold, "accepted pair below threshold");
         }
-    }
+    });
 }

@@ -5,22 +5,19 @@
 //! (`observer.rs`).
 //!
 //! These are *models*: the real pool borrows its closure environment
-//! through `crossbeam::scope` and parks on `parking_lot` primitives, which
+//! through `std::thread::scope` and locks `std::sync` primitives, which
 //! loom cannot instrument, so each test re-states the protocol with
 //! `loom::sync` types and asserts the invariants the real code relies on.
 //! The model and `pool.rs` must be kept in sync by hand — each invariant
 //! below cites the comment in `pool.rs` it mirrors.
 //!
+//! This package is its own workspace (loom is the repository's only
+//! registry dependency; the main workspace has none and resolves offline).
 //! Run with:
 //!
 //! ```text
-//! RUSTFLAGS="--cfg loom" cargo test -p minoaner-dataflow --test loom_models --release
+//! cargo test --release --manifest-path tools/loom-models/Cargo.toml
 //! ```
-//!
-//! Without `--cfg loom` this file compiles to nothing and `cargo test`
-//! ignores it, so the tier-1 suite is unaffected.
-
-#![cfg(loom)]
 
 use loom::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
 use loom::sync::{Arc, Mutex};

@@ -18,8 +18,8 @@
 ///
 /// Usage per source entity: [`SparseAccumulator::next_epoch`], then any
 /// number of [`SparseAccumulator::add`] calls, then read the live entries
-/// via [`SparseAccumulator::touched`] + [`SparseAccumulator::score`] (or
-/// transform them in place with [`SparseAccumulator::apply`]).
+/// via [`SparseAccumulator::entries`] (or transform them in place with
+/// [`SparseAccumulator::apply`]).
 #[derive(Debug)]
 pub struct SparseAccumulator {
     scores: Vec<f64>,
@@ -99,6 +99,11 @@ impl SparseAccumulator {
     #[inline]
     pub fn score(&self, key: u32) -> f64 {
         self.scores[key as usize]
+    }
+
+    /// The live entries `(key, score)`, in first-touch order.
+    pub fn entries(&self) -> impl Iterator<Item = (u32, f64)> + '_ {
+        self.touched.iter().map(|&key| (key, self.score(key)))
     }
 
     /// Rewrites every live entry as `f(key, score)` — the per-entry

@@ -23,10 +23,11 @@
 //!   part is freed as it is appended, so the transient is one part.
 //! * Per-entity weight aggregation uses an epoch-stamped dense
 //!   sparse-accumulator ([`crate::accum::SparseAccumulator`]); it and the
-//!   candidate scratch belong to the **worker** ([`KernelScratch`]), not
-//!   the task, so a row costs no allocation: top-K selection
-//!   (`select_nth_unstable_by` when a row exceeds K) truncates the scratch
-//!   in place and the row is copied out of it.
+//!   rank-key buffer belong to the **worker** ([`KernelScratch`]), not the
+//!   task, so a row costs no allocation: its live entries are ranked as
+//!   packed integer keys ([`rank_key`]; `select_nth_unstable_by` when a row
+//!   exceeds K) in that buffer and decoded straight into the task's `Rows`
+//!   part.
 //! * Sorted-row joins (reciprocal pruning) run on the galloping / 4-wide
 //!   intersection kernel ([`crate::intersect`]).
 //! * The γ pass runs one row kernel over both sides' rows — left rows walk
@@ -260,33 +261,33 @@ impl GraphIndex {
 }
 
 /// Worker-owned scratch arena for the β/γ passes: one accumulator plus a
-/// candidate buffer per worker thread, reset by epoch bump and truncation
+/// rank-key buffer per worker thread, reset by epoch bump and truncation
 /// instead of reallocation. A stage runs several tasks per worker
 /// (partitions = 3× cores), so the arena amortizes the O(n) accumulator
 /// zeroing across them; on the single-worker inline path it survives
 /// across stages too.
 struct KernelScratch {
     acc: SparseAccumulator,
-    cands: Vec<Candidate>,
+    keys: Vec<u128>,
 }
 
 thread_local! {
     static KERNEL_SCRATCH: std::cell::RefCell<KernelScratch> =
-        std::cell::RefCell::new(KernelScratch { acc: SparseAccumulator::new(0), cands: Vec::new() });
+        std::cell::RefCell::new(KernelScratch { acc: SparseAccumulator::new(0), keys: Vec::new() });
 }
 
 /// Runs `f` with the calling worker's scratch, growing the accumulator's
 /// key universe to at least `universe` (grow-only, so stages with smaller
 /// universes don't shrink-regrow the arrays). Not reentrant — kernel
 /// tasks never nest.
-fn with_scratch<R>(universe: usize, f: impl FnOnce(&mut SparseAccumulator, &mut Vec<Candidate>) -> R) -> R {
+fn with_scratch<R>(universe: usize, f: impl FnOnce(&mut SparseAccumulator, &mut Vec<u128>) -> R) -> R {
     KERNEL_SCRATCH.with(|cell| {
         let mut scratch = cell.borrow_mut();
-        let KernelScratch { acc, cands } = &mut *scratch;
+        let KernelScratch { acc, keys } = &mut *scratch;
         if acc.len() < universe {
             acc.ensure_len(universe);
         }
-        f(acc, cands)
+        f(acc, keys)
     })
 }
 
@@ -337,7 +338,9 @@ pub fn build_blocking_graph(
     });
 
     // --- Neighbor evidence (lines 20-33) ---
-    let views = executor.run_stage("graph/top-in-neighbors", 2, |t| {
+    // Dirty ER: both sides mirror one KB, so the left view serves as both.
+    let n_views = if pair.is_dirty() { 1 } else { 2 };
+    let views = executor.run_stage("graph/top-in-neighbors", n_views, |t| {
         let side = if t == 0 { Side::Left } else { Side::Right };
         NeighborViews::compute(pair, rels, side, cfg.n_relations)
     });
@@ -439,7 +442,7 @@ fn beta_pass(
         // without pruning (`top_k = usize::MAX`) reserves for a sparse graph,
         // not for the cross product — and the part's column never regrows.
         let mut out = Rows::with_capacity(hi - lo, (hi - lo) * top_k.min(MAX_RESERVED_PER_ROW));
-        with_scratch(n_other, |acc, scratch| {
+        with_scratch(n_other, |acc, keys| {
             for this in lo..hi {
                 let this_id = this as u32;
                 acc.next_epoch();
@@ -476,12 +479,7 @@ fn beta_pass(
                         });
                     }
                 }
-                scratch.clear();
-                for &o in acc.touched() {
-                    scratch.push((EntityId(o), acc.score(o)));
-                }
-                select_top_k(scratch, top_k, adaptive);
-                out.push_row(scratch.iter().copied());
+                push_top_k(acc.entries(), keys, top_k, adaptive, &mut out);
             }
         });
         out
@@ -496,38 +494,60 @@ fn beta_pass(
 /// Most candidates a row a β / γ task reserves room for up front.
 const MAX_RESERVED_PER_ROW: usize = 64;
 
-/// Cuts `cands` down to its top-K `(entity, weight)` pairs, descending by weight with
-/// ascending-id tie-breaks for determinism; zero weights are dropped
-/// (trivial edges, §3.3). With `adaptive`, the node's own weight
+/// A live accumulator entry as one integer whose **descending** order is the
+/// ranking order — weight descending, id ascending: the weight's bit pattern
+/// in the high 64 bits (for positive `f64`, `INFINITY` included, bit order is
+/// value order: sign 0, then exponent, then mantissa, each more significant
+/// than the next), the complemented id in the low 32 (so the smaller id is
+/// the larger key). `None` for what is not a candidate: zero weights are
+/// trivial edges (§3.3), and a negative or `NaN` weight ranks nowhere.
+fn rank_key(id: u32, w: f64) -> Option<u128> {
+    (w > 0.0).then(|| u128::from(w.to_bits()) << 32 | u128::from(!id))
+}
+
+/// The candidate a [`rank_key`] was packed from, every weight bit intact.
+fn ranked(key: u128) -> Candidate {
+    (EntityId(!(key as u32)), f64::from_bits((key >> 32) as u64))
+}
+
+/// Appends a row's `(id, weight)` entries to `out` cut down to their top-K,
+/// strongest first. With `adaptive`, the node's own weight
 /// distribution sets a dynamic floor (mean + ½·stddev) before the cap.
 ///
-/// The comparator is a strict total order (weights are finite, ids are
-/// distinct), so the kept set and its order are unique — which is why the
-/// `select_nth_unstable_by` fast path (O(n) selection, then sorting only
-/// the K-prefix) returns exactly what a full sort would. The adaptive path
-/// needs the whole distribution in sorted order and keeps the full sort.
-fn select_top_k(cands: &mut Vec<Candidate>, top_k: usize, adaptive: bool) {
-    cands.retain(|&(_, w)| w > 0.0);
-    let cmp = |a: &Candidate, b: &Candidate| {
-        b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal).then(a.0.cmp(&b.0))
-    };
-    if adaptive || cands.len() <= top_k {
-        cands.sort_unstable_by(cmp);
-        if adaptive && cands.len() > 1 {
-            let n = cands.len() as f64;
-            let mean = cands.iter().map(|&(_, w)| w).sum::<f64>() / n;
-            let var = cands.iter().map(|&(_, w)| (w - mean).powi(2)).sum::<f64>() / n;
-            let floor = mean + 0.5 * var.sqrt();
-            let keep = cands.iter().take_while(|&&(_, w)| w >= floor).count();
-            // Always keep at least the strongest candidate.
-            cands.truncate(keep.max(1));
+/// [`rank_key`]s are distinct (ids are), so their order is a strict total
+/// one and the kept set and its order are unique — which is why selecting
+/// first when a row exceeds K (`select_nth_unstable_by`, O(n)) and sorting
+/// only the K-prefix returns exactly what a full sort would, on integer
+/// compares. The adaptive path needs the whole distribution strongest-first
+/// — its sums run in that order — so it sorts everything.
+fn push_top_k(
+    entries: impl Iterator<Item = (u32, f64)>,
+    keys: &mut Vec<u128>,
+    top_k: usize,
+    adaptive: bool,
+    out: &mut Rows<Candidate>,
+) {
+    keys.clear();
+    keys.extend(entries.filter_map(|(id, w)| rank_key(id, w)));
+    let descending = |a: &u128, b: &u128| b.cmp(a);
+    if !adaptive && keys.len() > top_k {
+        if let Some(last) = top_k.checked_sub(1) {
+            keys.select_nth_unstable_by(last, descending);
         }
-        cands.truncate(top_k);
-    } else {
-        cands.select_nth_unstable_by(top_k - 1, cmp);
-        cands.truncate(top_k);
-        cands.sort_unstable_by(cmp);
+        keys.truncate(top_k);
     }
+    keys.sort_unstable_by(descending);
+    if adaptive && keys.len() > 1 {
+        let weight = |&key: &u128| ranked(key).1;
+        let n = keys.len() as f64;
+        let mean = keys.iter().map(weight).sum::<f64>() / n;
+        let var = keys.iter().map(|key| (weight(key) - mean).powi(2)).sum::<f64>() / n;
+        let floor = mean + 0.5 * var.sqrt();
+        let keep = keys.iter().take_while(|&key| weight(key) >= floor).count();
+        // Always keep at least the strongest candidate.
+        keys.truncate(keep.max(1));
+    }
+    out.push_row(keys.iter().take(top_k).map(|&key| ranked(key)));
 }
 
 /// One side's neighbour evidence as flat rows, each ascending and
@@ -653,7 +673,7 @@ fn gamma_rows(
     let mut lists = Rows::with_capacity(rows.len(), rows.len() * cfg.top_k.min(MAX_RESERVED_PER_ROW));
     let mut cells = 0u64;
     let mut gathered: Vec<(u64, f64)> = Vec::new();
-    with_scratch(in_far.n_rows(), |acc, scratch| {
+    with_scratch(in_far.n_rows(), |acc, keys| {
         for this in rows {
             let this_id = this as u32;
             acc.next_epoch();
@@ -685,10 +705,7 @@ fn gamma_rows(
                 }
             }
             cells += acc.touched().len() as u64;
-            scratch.clear();
-            scratch.extend(acc.touched().iter().map(|&o| (EntityId(o), acc.score(o))));
-            select_top_k(scratch, cfg.top_k, cfg.adaptive_pruning);
-            lists.push_row(scratch.iter().copied());
+            push_top_k(acc.entries(), keys, cfg.top_k, cfg.adaptive_pruning, &mut lists);
         }
     });
     (lists, cells)
@@ -721,7 +738,11 @@ fn gamma_pass(
     dirty: bool,
     cfg: &GraphConfig,
 ) -> (Rows<Candidate>, Rows<Candidate>) {
-    let [left, right] = views else { panic!("one neighbour view per side") };
+    let (left, right) = match views {
+        [left, right] => (left, right),
+        [both] => (both, both),
+        _ => panic!("one neighbour view per side, or one for both"),
+    };
     let (n_left, n_right) = (value_left.n_rows(), value_right.n_rows());
     let tasks = executor.partitions().max(1);
     let chunk_l = n_left.div_ceil(tasks).max(1);
@@ -781,6 +802,32 @@ mod tests {
 
     fn eid(pair: &KbPair, side: Side, uri: &str) -> EntityId {
         pair.kb(side).entity_by_uri(pair.uris().get(uri).unwrap()).unwrap()
+    }
+
+    /// The ranking oracle: what [`push_top_k`] must keep, as the full sort
+    /// of `(entity, weight)` tuples by `(weight descending, id ascending)`
+    /// that the kernel ran before it ranked on [`rank_key`]s.
+    fn select_top_k(cands: &mut Vec<Candidate>, top_k: usize, adaptive: bool) {
+        cands.retain(|&(_, w)| w > 0.0);
+        cands.sort_unstable_by(|a, b| {
+            b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal).then(a.0.cmp(&b.0))
+        });
+        if adaptive && cands.len() > 1 {
+            let n = cands.len() as f64;
+            let mean = cands.iter().map(|&(_, w)| w).sum::<f64>() / n;
+            let var = cands.iter().map(|&(_, w)| (w - mean).powi(2)).sum::<f64>() / n;
+            let floor = mean + 0.5 * var.sqrt();
+            let keep = cands.iter().take_while(|&&(_, w)| w >= floor).count();
+            cands.truncate(keep.max(1));
+        }
+        cands.truncate(top_k);
+    }
+
+    /// The row the kernel keeps of `raw`.
+    fn kernel_top_k(raw: &[Candidate], top_k: usize, adaptive: bool) -> Vec<Candidate> {
+        let mut out = Rows::default();
+        push_top_k(raw.iter().map(|&(e, w)| (e.0, w)), &mut Vec::new(), top_k, adaptive, &mut out);
+        out.row(0).to_vec()
     }
 
     /// The Figure 1 / Example 3.4 worked example: Wikidata-style KB on the
@@ -1457,9 +1504,8 @@ mod tests {
         let raw: Vec<Candidate> = (0..100u32)
             .map(|i| (EntityId(i), f64::from(i % 7) + 0.5))
             .collect();
-        for top_k in [1, 3, 7, 15, 99, 100, 120] {
-            let mut fast = raw.clone();
-            select_top_k(&mut fast, top_k, false);
+        for top_k in [0, 1, 3, 7, 15, 99, 100, 120] {
+            let fast = kernel_top_k(&raw, top_k, false);
             // The reference semantics: full sort, then truncate.
             let mut slow = raw.clone();
             slow.sort_unstable_by(|a, b| {
@@ -1468,6 +1514,99 @@ mod tests {
             slow.truncate(top_k);
             assert_eq!(fast, slow, "top_k={top_k}");
         }
+
+        // Hostile rows: the keys rank what the tuple comparator ranks, to
+        // the bit, and drop what `w > 0` drops.
+        const POOL: [f64; 14] = [
+            1.0,
+            1.0,
+            1.0 + f64::EPSILON,
+            0.1 + 0.2,
+            0.3,
+            f64::MIN_POSITIVE,
+            5e-324,
+            1e-310,
+            f64::MAX,
+            f64::INFINITY,
+            0.0,
+            -0.0,
+            -1.5,
+            f64::NAN,
+        ];
+        minoaner_det::rng::for_each_seed(300, |rng| {
+            let mut ids: Vec<u32> = vec![0, u32::MAX];
+            ids.extend((0..rng.gen_range(0..40usize)).map(|_| 1 + rng.gen_range(0..60usize) as u32));
+            ids.sort_unstable();
+            ids.dedup();
+            rng.shuffle(&mut ids);
+            ids.truncate(rng.gen_range(0..ids.len() + 1));
+            let raw: Vec<Candidate> = ids
+                .into_iter()
+                .map(|id| {
+                    let w = match rng.gen_range(0..3usize) {
+                        0 => rng.gen_range(1..1000usize) as f64 / 7.0,
+                        _ => POOL[rng.gen_range(0..POOL.len())],
+                    };
+                    (EntityId(id), w)
+                })
+                .collect();
+            let len = raw.iter().filter(|&&(_, w)| w > 0.0).count();
+            let bits = |row: &[Candidate]| -> Vec<(u32, u64)> {
+                row.iter().map(|&(e, w)| (e.0, w.to_bits())).collect()
+            };
+            for top_k in [0, 1, len.saturating_sub(1), len, len + 1, usize::MAX] {
+                for adaptive in [false, true] {
+                    let mut want = raw.clone();
+                    select_top_k(&mut want, top_k, adaptive);
+                    assert_eq!(
+                        bits(&kernel_top_k(&raw, top_k, adaptive)),
+                        bits(&want),
+                        "K={top_k}, adaptive={adaptive}, row {raw:?}"
+                    );
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn top_k_zero_keeps_no_value_or_neighbour_candidate() {
+        let pair = figure1_pair();
+        for adaptive_pruning in [false, true] {
+            let g = build(&pair, GraphConfig { top_k: 0, adaptive_pruning, ..GraphConfig::default() });
+            for side in [Side::Left, Side::Right] {
+                for (e, _) in pair.kb(side).iter() {
+                    assert!(g.value_candidates(side, e).is_empty());
+                    assert!(g.neighbor_candidates(side, e).is_empty());
+                }
+            }
+            assert!(!g.alpha_pairs().is_empty(), "name evidence is not pruned by K");
+        }
+    }
+
+    #[test]
+    fn dirty_er_builds_one_neighbour_view_for_both_sides() {
+        let pair = dirty_pair();
+        let rels = RelationStats::compute(&pair);
+        let cfg = GraphConfig::default();
+        let exec = Executor::new(2);
+        let graph = build_on(&exec, &pair, cfg);
+        let stage = exec.stage_log().find("graph/top-in-neighbors").expect("stage recorded").tasks;
+        assert_eq!(stage, 1, "one view, computed once");
+
+        // The build with a view per side, as clean-clean ER runs it.
+        let [left, right] =
+            [Side::Left, Side::Right].map(|side| NeighborViews::compute(&pair, &rels, side, cfg.n_relations));
+        assert_eq!((left.top.data(), left.incoming.data()), (right.top.data(), right.incoming.data()));
+        let [value_left, value_right] = graph.value_cands.clone();
+        let (neighbor_left, neighbor_right) =
+            gamma_pass(&exec, &value_left, &value_right, &[left, right], true, &cfg);
+        assert!(!neighbor_left.data().is_empty(), "the pair has neighbour evidence");
+        let two_views = BlockingGraph::from_parts(
+            [value_left, value_right],
+            [neighbor_left, neighbor_right],
+            graph.alpha.clone(),
+        );
+        assert_eq!(graph.weight_digest(), two_views.weight_digest());
     }
 
     /// A hub on each side is every entity's only neighbour, and the two

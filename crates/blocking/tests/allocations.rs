@@ -63,12 +63,14 @@ fn allocations_of<R>(f: impl FnOnce() -> R) -> (R, u64) {
     (result, count)
 }
 
-/// `n` entities a side, literals only: entity `i` shares a rare token with
-/// its counterpart and draws four more (a seeded LCG) from a vocabulary
-/// common to both sides, so every entity has value candidates. No
-/// relations — `RelationStats::top_n_neighbors` returns a `Vec` per entity,
-/// empty (and so unallocated) without them.
-fn literal_only_pair(n: usize) -> KbPair {
+/// `n` entities a side: entity `i` shares a rare token with its counterpart
+/// and draws four more (a seeded LCG) from a vocabulary common to both
+/// sides, so every entity has value candidates. Without `linked` there are
+/// no relations — `RelationStats::top_n_neighbors` returns a `Vec` per
+/// entity, empty (and so unallocated) without them; with it every entity
+/// points at the next two, so the γ rows have cells to rank and the right
+/// rows two runs to order.
+fn pair(n: usize, linked: bool) -> KbPair {
     let mut rng = 0xA110C_u64;
     let mut b = KbPairBuilder::new();
     for (side, prefix) in [(Side::Left, "l"), (Side::Right, "r")] {
@@ -78,7 +80,11 @@ fn literal_only_pair(n: usize) -> KbPair {
                 rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
                 text.push_str(&format!(" w{}", (rng >> 33) as usize % (n / 4)));
             }
-            b.add_triple(side, &format!("{prefix}{i}"), "label", Term::Literal(&text));
+            let uri = format!("{prefix}{i}");
+            b.add_triple(side, &uri, "label", Term::Literal(&text));
+            for step in [1, 2].into_iter().filter(|_| linked) {
+                b.add_triple(side, &uri, "next", Term::Uri(&format!("{prefix}{}", (i + step) % n)));
+            }
         }
     }
     b.finish()
@@ -87,26 +93,38 @@ fn literal_only_pair(n: usize) -> KbPair {
 #[test]
 fn building_the_graph_allocates_per_table_not_per_entity() {
     const N: usize = 2_000;
-    let pair = literal_only_pair(N);
-    let rels = RelationStats::compute(&pair);
-    let names = NameStats::compute(&pair, 2);
-    let mut token_blocks = build_token_blocks(&pair);
-    purge_blocks(&mut token_blocks, 2 * N);
-    let name_blocks = build_name_blocks(&pair, &names);
-    let cfg = GraphConfig::default();
+    // The allocation counts of the commit before the kernel ranked on
+    // integer keys, as upper bounds: the scratch a row needs is the
+    // worker's or the task's, never the row's. The linked pair's count
+    // includes the `Vec`s `top_n_neighbors` returns for a linked entity.
+    for (linked, parent_allocations) in [(false, 559), (true, 8_592)] {
+        let pair = pair(N, linked);
+        let rels = RelationStats::compute(&pair);
+        let names = NameStats::compute(&pair, 2);
+        let mut token_blocks = build_token_blocks(&pair);
+        purge_blocks(&mut token_blocks, 2 * N);
+        let name_blocks = build_name_blocks(&pair, &names);
+        let cfg = GraphConfig::default();
 
-    // One worker runs every stage inline, on this thread.
-    let inline = Executor::new(1);
-    let (graph, allocations) =
-        allocations_of(|| build_blocking_graph(&inline, &pair, &rels, &token_blocks, &name_blocks, &cfg));
+        // One worker runs every stage inline, on this thread.
+        let inline = Executor::new(1);
+        let (graph, allocations) =
+            allocations_of(|| build_blocking_graph(&inline, &pair, &rels, &token_blocks, &name_blocks, &cfg));
 
-    // With a `Vec` per row this was at least one allocation per entity
-    // with a candidate — and nearly every entity has one.
-    let has = |side| pair.kb(side).iter().filter(|&(e, _)| !graph.value_candidates(side, e).is_empty()).count();
-    let with_candidates = has(Side::Left) + has(Side::Right);
-    assert!(with_candidates >= 2 * N * 9 / 10, "only {with_candidates} entities have candidates");
-    assert!(allocations < (2 * N / 4) as u64, "{allocations} allocations for {} entities", 2 * N);
+        // With a `Vec` per row this was at least one allocation per entity
+        // with a candidate — and nearly every entity has one.
+        let has = |side| pair.kb(side).iter().filter(|&(e, _)| !graph.value_candidates(side, e).is_empty()).count();
+        let with_candidates = has(Side::Left) + has(Side::Right);
+        assert!(with_candidates >= 2 * N * 9 / 10, "only {with_candidates} entities have candidates");
+        let ranked = |side| pair.kb(side).iter().filter(|&(e, _)| !graph.neighbor_candidates(side, e).is_empty()).count();
+        assert_eq!(ranked(Side::Left) + ranked(Side::Right) > N, linked, "neighbour candidates");
+        assert!(
+            allocations <= parent_allocations,
+            "linked={linked}: {allocations} allocations for {} entities, {parent_allocations} before",
+            2 * N
+        );
 
-    let wide = build_blocking_graph(&Executor::new(8), &pair, &rels, &token_blocks, &name_blocks, &cfg);
-    assert_eq!(wide.weight_digest(), graph.weight_digest(), "1 worker vs 8");
+        let wide = build_blocking_graph(&Executor::new(8), &pair, &rels, &token_blocks, &name_blocks, &cfg);
+        assert_eq!(wide.weight_digest(), graph.weight_digest(), "1 worker vs 8");
+    }
 }

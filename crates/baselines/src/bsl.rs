@@ -75,16 +75,10 @@ pub struct BslReport {
 /// BSL scores).
 pub fn candidate_pairs(token_blocks: &TokenBlocks, name_blocks: &NameBlocks) -> Vec<(EntityId, EntityId)> {
     let mut seen: DetHashSet<(u32, u32)> = DetHashSet::default();
-    for (_, b) in &token_blocks.blocks {
-        for &l in &b.left {
-            for &r in &b.right {
-                seen.insert((l.0, r.0));
-            }
-        }
-    }
-    for (_, b) in &name_blocks.blocks {
-        for &l in &b.left {
-            for &r in &b.right {
+    let blocks = token_blocks.iter().map(|(_, b)| b).chain(name_blocks.iter().map(|(_, b)| b));
+    for b in blocks {
+        for &l in b.left {
+            for &r in b.right {
                 seen.insert((l.0, r.0));
             }
         }

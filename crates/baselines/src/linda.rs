@@ -155,12 +155,12 @@ pub fn run_linda(executor: &Executor, pair: &KbPair, cfg: &LindaConfig) -> Vec<(
     // similarity.
     let blocks = minoaner_blocking::token::build_token_blocks(pair);
     let mut shared_count: DetHashMap<(u32, u32), u32> = DetHashMap::default();
-    for (_, b) in &blocks.blocks {
+    for (_, b) in blocks.iter() {
         if b.comparisons() > 50_000 {
             continue; // stopword guard
         }
-        for &l in &b.left {
-            for &r in &b.right {
+        for &l in b.left {
+            for &r in b.right {
                 *shared_count.entry((l.0, r.0)).or_insert(0) += 1;
             }
         }

@@ -9,8 +9,7 @@
 //! provided here as an optional extra step and measured in the `ablations`
 //! bench.
 
-use minoaner_det::{DetHashMap, DetHashSet};
-use minoaner_kb::{EntityId, Side};
+use minoaner_kb::{EntityId, Rows, Side};
 
 use crate::block::TokenBlocks;
 
@@ -34,58 +33,44 @@ pub struct FilterReport {
 /// lose all entities on either side are dropped.
 pub fn filter_blocks(blocks: &mut TokenBlocks, ratio: f64) -> FilterReport {
     let ratio = ratio.clamp(0.0, 1.0);
-    let assignments_before: u64 = blocks
-        .blocks
-        .iter()
-        .map(|(_, b)| (b.left.len() + b.right.len()) as u64)
-        .sum();
+    let assignments_before = blocks.total_assignments();
     let comparisons_before = blocks.total_comparisons();
 
-    // Block order by size (ascending): rank of each block.
-    let mut order: Vec<usize> = (0..blocks.blocks.len()).collect();
-    order.sort_by_key(|&i| blocks.blocks[i].1.comparisons());
-    let mut rank = vec![0usize; blocks.blocks.len()];
-    for (r, &i) in order.iter().enumerate() {
-        rank[i] = r;
+    // Each block's rank in ascending size order (ties in key order).
+    let mut order: Vec<(u64, u32)> = (0u32..).zip(blocks.iter()).map(|(bi, (_, b))| (b.comparisons(), bi)).collect();
+    order.sort_unstable();
+    let mut rank = vec![0u32; order.len()];
+    for (r, &(_, bi)) in (0u32..).zip(&order) {
+        rank[bi as usize] = r;
     }
 
-    // For each side: entity → its block indices, sorted by block rank.
     for side in [Side::Left, Side::Right] {
-        let mut per_entity: DetHashMap<EntityId, Vec<usize>> = Default::default();
-        for (bi, (_, b)) in blocks.blocks.iter().enumerate() {
-            let members = match side {
-                Side::Left => &b.left,
-                Side::Right => &b.right,
-            };
-            for &e in members {
-                per_entity.entry(e).or_default().push(bi);
-            }
-        }
-        let mut keep: DetHashSet<(u32, usize)> = Default::default();
-        for (e, mut bis) in per_entity {
-            bis.sort_by_key(|&bi| rank[bi]);
-            let k = ((ratio * bis.len() as f64).ceil() as usize).max(1).min(bis.len());
-            for &bi in &bis[..k] {
-                keep.insert((e.0, bi));
-            }
-        }
-        for (bi, (_, b)) in blocks.blocks.iter_mut().enumerate() {
-            let members = match side {
-                Side::Left => &mut b.left,
-                Side::Right => &mut b.right,
-            };
-            members.retain(|e| keep.contains(&(e.0, bi)));
-        }
+        // The member table transposed: entity → the ranks of its blocks.
+        let members = blocks.members(side);
+        let n_entities = members.data().iter().map(|&EntityId(e)| e as usize + 1).max().unwrap_or(0);
+        let ranks_of = Rows::build(
+            n_entities,
+            members.iter().zip(&rank).flat_map(|(row, &r)| row.iter().map(move |&EntityId(e)| (e as usize, r))),
+        );
+        // The largest rank an entity stays under: the k-th smallest of its n.
+        let mut sorted: Vec<u32> = Vec::new();
+        let cut: Vec<u32> = ranks_of
+            .iter()
+            .map(|ranks| {
+                sorted.clear();
+                sorted.extend_from_slice(ranks);
+                sorted.sort_unstable();
+                let k = ((ratio * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len().max(1));
+                sorted.get(k - 1).copied().unwrap_or(0)
+            })
+            .collect();
+        blocks.retain_members(side, |bi, EntityId(e)| rank[bi] <= cut[e as usize]);
     }
-    blocks.blocks.retain(|(_, b)| b.is_active());
+    blocks.retain(|b| !b.left.is_empty() && !b.right.is_empty());
 
     FilterReport {
         assignments_before,
-        assignments_after: blocks
-            .blocks
-            .iter()
-            .map(|(_, b)| (b.left.len() + b.right.len()) as u64)
-            .sum(),
+        assignments_after: blocks.total_assignments(),
         comparisons_before,
         comparisons_after: blocks.total_comparisons(),
     }
@@ -94,32 +79,25 @@ pub fn filter_blocks(blocks: &mut TokenBlocks, ratio: f64) -> FilterReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block::Block;
     use minoaner_kb::TokenId;
 
-    fn block(l: &[u32], r: &[u32]) -> Block {
-        Block {
-            left: l.iter().map(|&i| EntityId(i)).collect(),
-            right: r.iter().map(|&i| EntityId(i)).collect(),
-        }
-    }
+    type Members<'a> = (&'a [u32], &'a [u32]);
 
-    fn collection(blocks: Vec<Block>) -> TokenBlocks {
-        TokenBlocks {
-            blocks: blocks.into_iter().enumerate().map(|(i, b)| (TokenId(i as u32), b)).collect(),
-        }
+    fn collection(blocks: &[Members<'_>]) -> TokenBlocks {
+        let ids = |ids: &[u32]| ids.iter().map(|&i| EntityId(i)).collect::<Vec<_>>();
+        (0u32..).zip(blocks).map(|(i, &(l, r))| (TokenId(i), ids(l), ids(r))).collect()
     }
 
     #[test]
     fn keeps_smallest_blocks_per_entity() {
         // Entity 0 appears in a tiny block and a huge one; ratio 0.5 keeps
         // only the tiny one.
-        let mut blocks = collection(vec![
-            block(&[0], &[0]),                   // 1 comparison
-            block(&[0, 1, 2, 3], &[0, 1, 2, 3]), // 16 comparisons
+        let mut blocks = collection(&[
+            (&[0], &[0]),                   // 1 comparison
+            (&[0, 1, 2, 3], &[0, 1, 2, 3]), // 16 comparisons
         ]);
         let report = filter_blocks(&mut blocks, 0.5);
-        let big = blocks.blocks.iter().find(|(t, _)| t.0 == 1);
+        let big = blocks.iter().find(|(t, _)| t.0 == 1);
         if let Some((_, b)) = big {
             assert!(!b.left.contains(&EntityId(0)), "entity 0 must leave its big block");
         }
@@ -128,32 +106,29 @@ mod tests {
 
     #[test]
     fn ratio_one_is_identity() {
-        let original = collection(vec![block(&[0, 1], &[0]), block(&[1], &[0, 1])]);
+        let original = collection(&[(&[0, 1], &[0]), (&[1], &[0, 1])]);
         let mut blocks = original.clone();
         let report = filter_blocks(&mut blocks, 1.0);
-        assert_eq!(blocks.blocks, original.blocks);
+        assert_eq!(blocks, original);
         assert_eq!(report.comparisons_before, report.comparisons_after);
     }
 
     #[test]
     fn every_entity_keeps_at_least_one_block() {
-        let mut blocks = collection(vec![block(&[0, 1, 2], &[0, 1, 2])]);
+        let mut blocks = collection(&[(&[0, 1, 2], &[0, 1, 2])]);
         filter_blocks(&mut blocks, 0.1);
         // One block only: everyone keeps it (k >= 1).
-        assert_eq!(blocks.blocks.len(), 1);
-        assert_eq!(blocks.blocks[0].1.left.len(), 3);
+        assert_eq!(blocks.len(), 1);
+        assert_eq!(blocks.members(Side::Left).row_len(0), 3);
     }
 
     #[test]
     fn emptied_blocks_are_dropped() {
         // Entity 0 is the big block's only left member; filtering it out
         // at a strict ratio empties the block's left side entirely.
-        let mut blocks = collection(vec![
-            block(&[0], &[0]),
-            block(&[0], &[0, 1, 2, 3, 4, 5, 6, 7]),
-        ]);
+        let mut blocks = collection(&[(&[0], &[0]), (&[0], &[0, 1, 2, 3, 4, 5, 6, 7])]);
         filter_blocks(&mut blocks, 0.5);
-        assert_eq!(blocks.blocks.len(), 1, "the thinned-out block disappears");
+        assert_eq!(blocks.len(), 1, "the thinned-out block disappears");
     }
 
     #[test]

@@ -208,37 +208,30 @@ impl BlockingGraph {
     }
 }
 
-/// The indexes the β passes run on, built once and shared read-only across
-/// tasks.
-struct GraphIndex {
-    /// Per side: block index → the block's members on that side, in the
-    /// blocks' stored (ascending entity id) order.
-    members: [Rows<u32>; 2],
+/// The indexes the β passes run on, shared read-only across tasks: the
+/// (purged) token blocks' own member tables — block index → the block's
+/// members on a side, ascending — and their transposes, built once.
+pub(crate) struct GraphIndex<'a> {
+    /// Per side: block index → members. Borrowed, not copied.
+    pub(crate) members: [&'a Rows<EntityId>; 2],
     /// Per side: entity id → indices of the blocks containing it
     /// (ascending; entities in no block get an empty row). Row lengths
     /// double as the `|B_i|` block counts of ECBS/JS.
-    entity_blocks: [Rows<u32>; 2],
+    pub(crate) entity_blocks: [Rows<u32>; 2],
 }
 
-impl GraphIndex {
-    /// Builds both indexes from (purged) token blocks.
-    fn build(pair: &KbPair, token_blocks: &TokenBlocks) -> Self {
-        let blocks = &token_blocks.blocks;
-        // Block ids share the entity-id capacity bound: one up-front check
-        // covers every cast below.
-        assert!(u32::try_from(blocks.len()).is_ok(), "block count exceeds u32 capacity");
+impl<'a> GraphIndex<'a> {
+    /// Transposes the member tables of (purged) token blocks. Block ids
+    /// share the entity-id capacity bound: a table holds at most `u32::MAX`
+    /// rows.
+    pub(crate) fn build(pair: &KbPair, token_blocks: &'a TokenBlocks) -> Self {
         let sides = [Side::Left, Side::Right];
         Self {
-            members: sides.map(|side| {
-                let total = blocks.iter().map(|(_, b)| b.members(side).len()).sum();
-                let mut members = Rows::with_capacity(blocks.len(), total);
-                blocks.iter().for_each(|(_, b)| members.push_row(b.members(side).iter().map(|e| e.0)));
-                members
-            }),
+            members: sides.map(|side| token_blocks.members(side)),
             entity_blocks: sides.map(|side| {
-                let memberships = blocks.iter().enumerate().flat_map(move |(bi, (_, b))| {
-                    b.members(side).iter().map(move |e| (e.index(), bi as u32))
-                });
+                let memberships = (0u32..)
+                    .zip(token_blocks.members(side).iter())
+                    .flat_map(|(bi, members)| members.iter().map(move |e| (e.index(), bi)));
                 Rows::build(pair.kb(side).len(), memberships)
             }),
         }
@@ -317,14 +310,13 @@ pub fn build_blocking_graph(
     // --- Value evidence (lines 10-19): one β pass per direction ---
     let block_weight: Vec<f64> = match cfg.beta_weighting {
         BetaWeighting::Arcs => token_blocks
-            .blocks
             .iter()
             .map(|(_, b)| 1.0 / (b.comparisons() as f64 + 1.0).log2())
             .collect(),
         // The block-count schemes accumulate 1 per common block and apply
         // their transformation when candidates are ranked.
         BetaWeighting::Cbs | BetaWeighting::Ecbs | BetaWeighting::Js => {
-            vec![1.0; token_blocks.blocks.len()]
+            vec![1.0; token_blocks.len()]
         }
     };
 
@@ -418,7 +410,7 @@ fn beta_pass(
     executor: &Executor,
     pair: &KbPair,
     side: Side,
-    index: &GraphIndex,
+    index: &GraphIndex<'_>,
     block_weight: &[f64],
     top_k: usize,
     weighting: BetaWeighting,
@@ -428,7 +420,7 @@ fn beta_pass(
     let n_other = pair.kb(side.other()).len();
     let eb_self = &index.entity_blocks[side.index()];
     let eb_other = &index.entity_blocks[side.other().index()];
-    let members_other = &index.members[side.other().index()];
+    let members_other = index.members[side.other().index()];
     let total_blocks = members_other.n_rows() as f64;
 
     let dirty = pair.is_dirty();
@@ -448,7 +440,7 @@ fn beta_pass(
                 acc.next_epoch();
                 for &bi in eb_self.row(this) {
                     let w = block_weight[bi as usize];
-                    for &o in members_other.row(bi as usize) {
+                    for &EntityId(o) in members_other.row(bi as usize) {
                         // Dirty ER: both sides mirror one KB, so the
                         // identity pair carries no duplicate evidence.
                         if dirty && o == this_id {
@@ -554,17 +546,42 @@ fn push_top_k(
 /// duplicate-free: `top` row `e` is the entity's own top-N neighbours,
 /// `incoming` row `e` the entities that list `e` among theirs
 /// (`getTopInNeighbors`, lines 35-48).
-struct NeighborViews {
-    top: Rows<u32>,
-    incoming: Rows<u32>,
+pub(crate) struct NeighborViews {
+    pub(crate) top: Rows<u32>,
+    pub(crate) incoming: Rows<u32>,
 }
 
 impl NeighborViews {
-    fn compute(pair: &KbPair, rels: &RelationStats, side: Side, n_relations: usize) -> Self {
+    /// What [`RelationStats::top_n_neighbors`] returns for every entity of
+    /// `side`, ranked in scratch the whole pass shares instead of two `Vec`s
+    /// an entity: its relation pairs as `(global rank, target)`, sorted; the
+    /// targets under the first `n_relations` distinct ranks, sorted and
+    /// deduplicated, are the row.
+    pub(crate) fn compute(pair: &KbPair, rels: &RelationStats, side: Side, n_relations: usize) -> Self {
         let kb = pair.kb(side);
         let mut top = Rows::with_capacity(kb.len(), 0);
-        for (e, _) in kb.iter() {
-            top.push_row(rels.top_n_neighbors(pair, side, e, n_relations).into_iter().map(|nb| nb.0));
+        let mut ranked: Vec<(u32, u32)> = Vec::new();
+        let mut targets: Vec<u32> = Vec::new();
+        for (_, e) in kb.iter() {
+            ranked.clear();
+            ranked.extend(
+                e.relation_pairs().map(|(p, nb)| (rels.global_rank(side, p).unwrap_or(u32::MAX), nb.0)),
+            );
+            ranked.sort_unstable();
+            targets.clear();
+            let (mut relations, mut last) = (0usize, None);
+            for &(rank, nb) in &ranked {
+                if last.replace(rank) != Some(rank) {
+                    relations += 1;
+                    if relations > n_relations {
+                        break;
+                    }
+                }
+                targets.push(nb);
+            }
+            targets.sort_unstable();
+            targets.dedup();
+            top.push_row(targets.iter().copied());
         }
         Self::from_top(top)
     }
@@ -1407,12 +1424,10 @@ mod tests {
             let cfg = GraphConfig { beta_weighting: weighting, ..GraphConfig::default() };
             let g = build_blocking_graph(&Executor::new(2), &pair, &rels, &tb, &nb, &cfg);
             let block_weight: Vec<f64> = match weighting {
-                BetaWeighting::Arcs => tb
-                    .blocks
-                    .iter()
-                    .map(|(_, b)| 1.0 / (b.comparisons() as f64 + 1.0).log2())
-                    .collect(),
-                _ => vec![1.0; tb.blocks.len()],
+                BetaWeighting::Arcs => {
+                    tb.iter().map(|(_, b)| 1.0 / (b.comparisons() as f64 + 1.0).log2()).collect()
+                }
+                _ => vec![1.0; tb.len()],
             };
             let index = GraphIndex::build(&pair, &tb);
             let mut checked = 0usize;

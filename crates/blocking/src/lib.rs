@@ -29,7 +29,7 @@ pub mod sorted_neighborhood;
 pub mod stats;
 pub mod token;
 
-pub use block::{Block, NameBlocks, TokenBlocks};
+pub use block::{Block, Blocks, NameBlocks, TokenBlocks};
 pub use graph::{BetaWeighting, BlockingGraph, Candidate, GraphConfig};
 pub use intersect::{intersect_into, intersect_visit};
 pub use purge::PurgeReport;

@@ -5,32 +5,37 @@
 //! rule R1.
 
 use minoaner_kb::stats::NameStats;
-use minoaner_kb::{EntityId, KbPair, LiteralId, Side};
+use minoaner_kb::{EntityId, KbPair, LiteralId, Rows, Side, Value};
 
-use crate::block::{Block, NameBlocks};
+use crate::block::NameBlocks;
 
-/// Builds the name blocks from the per-entity names derived by `names`.
+/// Builds the name blocks: per side, the inversion of the name-attribute
+/// literal pairs — literal → the entities carrying it as a name, ascending
+/// because entities are walked in id order. The pairs are walked once: the
+/// few that are names (one or two an entity) are set aside as `(literal,
+/// entity)`, and it is that short column [`Rows::build`] counts and
+/// scatters. An entity carrying one name twice, under two attributes or in
+/// a repeated triple, counts once.
 pub fn build_name_blocks(pair: &KbPair, names: &NameStats) -> NameBlocks {
-    let n_literals = pair.literal_space();
-    let mut left: Vec<Vec<EntityId>> = vec![Vec::new(); n_literals];
-    let mut right: Vec<Vec<EntityId>> = vec![Vec::new(); n_literals];
-    for (side, inv) in [(Side::Left, &mut left), (Side::Right, &mut right)] {
-        let kb = pair.kb(side);
-        for (id, _) in kb.iter() {
-            for lit in names.names_of(pair, side, id) {
-                inv[lit.index()].push(id);
+    let invert = |side: Side| -> Rows<EntityId> {
+        let (kb, attrs) = (pair.kb(side), names.name_attrs(side));
+        let mut named: Vec<(usize, EntityId)> = Vec::with_capacity(kb.len());
+        for (id, e) in kb.iter() {
+            let first = named.len();
+            named.extend(e.pairs.iter().filter_map(|&(p, v)| match v {
+                Value::Literal(LiteralId(name)) if attrs.contains(&p) => Some((name as usize, id)),
+                Value::Literal(_) | Value::Ref(_) => None,
+            }));
+            // Brings an entity's repeats together; the `dedup` below, which
+            // never joins two entities' entries, then drops them.
+            if let Some(own) = named.get_mut(first..) {
+                own.sort_unstable();
             }
         }
-    }
-    let mut blocks = Vec::new();
-    for (lit, (mut l, mut r)) in left.into_iter().zip(right).enumerate() {
-        if !l.is_empty() && !r.is_empty() {
-            l.dedup();
-            r.dedup();
-            blocks.push((LiteralId(lit as u32), Block { left: l, right: r }));
-        }
-    }
-    NameBlocks { blocks }
+        named.dedup();
+        Rows::build(pair.literal_space(), named.iter().copied())
+    };
+    NameBlocks::active(invert(Side::Left), invert(Side::Right), LiteralId)
 }
 
 /// Extracts the α evidence (Def. 3.3): the pairs co-occurring in a name
@@ -38,10 +43,11 @@ pub fn build_name_blocks(pair: &KbPair, names: &NameStats) -> NameBlocks {
 /// name" (rule R1's precondition).
 pub fn alpha_pairs(blocks: &NameBlocks) -> Vec<(EntityId, EntityId)> {
     let mut out: Vec<(EntityId, EntityId)> = blocks
-        .blocks
         .iter()
-        .filter(|(_, b)| b.left.len() == 1 && b.right.len() == 1)
-        .map(|(_, b)| (b.left[0], b.right[0]))
+        .filter_map(|(_, b)| match (b.left, b.right) {
+            (&[l], &[r]) => Some((l, r)),
+            _ => None,
+        })
         .collect();
     out.sort_unstable();
     out.dedup();
@@ -54,14 +60,10 @@ pub fn alpha_pairs(blocks: &NameBlocks) -> Vec<(EntityId, EntityId)> {
 /// Returns canonical `(min, max)` pairs.
 pub fn alpha_pairs_dirty(blocks: &NameBlocks) -> Vec<(EntityId, EntityId)> {
     let mut out: Vec<(EntityId, EntityId)> = blocks
-        .blocks
         .iter()
-        .filter_map(|(_, b)| {
-            if b.left.len() == 2 && b.right.len() == 2 && b.left == b.right {
-                Some((b.left[0].min(b.left[1]), b.left[0].max(b.left[1])))
-            } else {
-                None
-            }
+        .filter_map(|(_, b)| match (b.left, b.right) {
+            (&[a, z], right) if right == b.left => Some((a.min(z), a.max(z))),
+            _ => None,
         })
         .collect();
     out.sort_unstable();
@@ -153,8 +155,7 @@ mod tests {
         let names = NameStats::compute(&pair, 2);
         let blocks = build_name_blocks(&pair, &names);
         assert_eq!(blocks.len(), 1);
-        let (_, block) = &blocks.blocks[0];
-        assert_eq!(block.left.len(), 1);
+        assert_eq!(blocks.iter().next().map(|(_, b)| b.left), Some(&[EntityId(0)][..]));
         assert_eq!(alpha_pairs(&blocks).len(), 1);
     }
 }

@@ -60,11 +60,12 @@ pub fn purge_blocks(blocks: &mut TokenBlocks, total_entities: usize) -> PurgeRep
     purge_with_cap(blocks, limit)
 }
 
-/// Purges all blocks suggesting more than `max_comparisons` comparisons.
+/// Purges all blocks suggesting more than `max_comparisons` comparisons —
+/// a row filter over the collection's columns.
 pub fn purge_with_cap(blocks: &mut TokenBlocks, max_comparisons: u64) -> PurgeReport {
     let blocks_before = blocks.len();
     let comparisons_before = blocks.total_comparisons();
-    blocks.blocks.retain(|(_, b)| b.comparisons() <= max_comparisons);
+    blocks.retain(|b| b.comparisons() <= max_comparisons);
     PurgeReport {
         max_comparisons,
         blocks_before,
@@ -77,11 +78,8 @@ pub fn purge_with_cap(blocks: &mut TokenBlocks, max_comparisons: u64) -> PurgeRe
 /// Sorted `(cardinality, cumulative comparisons, cumulative assignments)`
 /// levels, one per distinct block cardinality, ascending.
 fn cumulative_levels(blocks: &TokenBlocks) -> Vec<(u64, u64, u64)> {
-    let mut per_block: Vec<(u64, u64)> = blocks
-        .blocks
-        .iter()
-        .map(|(_, b)| (b.comparisons(), (b.left.len() + b.right.len()) as u64))
-        .collect();
+    let mut per_block: Vec<(u64, u64)> =
+        blocks.iter().map(|(_, b)| (b.comparisons(), b.assignments())).collect();
     per_block.sort_unstable_by_key(|&(c, _)| c);
 
     let mut levels: Vec<(u64, u64, u64)> = Vec::new();
@@ -150,24 +148,13 @@ pub fn purge_limit_density(blocks: &TokenBlocks, smoothing: f64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block::Block;
     use minoaner_kb::{EntityId, TokenId};
 
-    fn block(l: usize, r: usize) -> Block {
-        Block {
-            left: (0..l as u32).map(EntityId).collect(),
-            right: (0..r as u32).map(EntityId).collect(),
-        }
-    }
-
     fn collection(sizes: &[(usize, usize)]) -> TokenBlocks {
-        TokenBlocks {
-            blocks: sizes
-                .iter()
-                .enumerate()
-                .map(|(i, &(l, r))| (TokenId(i as u32), block(l, r)))
-                .collect(),
-        }
+        (0u32..)
+            .zip(sizes)
+            .map(|(i, &(l, r))| (TokenId(i), (0..l as u32).map(EntityId), (0..r as u32).map(EntityId)))
+            .collect()
     }
 
     #[test]
@@ -228,11 +215,10 @@ mod tests {
     #[test]
     fn purged_is_subset_and_respects_cap() {
         let mut blocks = collection(&[(1, 1), (2, 3), (5, 5), (30, 40)]);
-        let before: Vec<TokenId> = blocks.blocks.iter().map(|(t, _)| *t).collect();
+        let before = blocks.keys().to_vec();
         let report = purge_blocks(&mut blocks, 20);
-        let after: Vec<TokenId> = blocks.blocks.iter().map(|(t, _)| *t).collect();
-        assert!(after.iter().all(|t| before.contains(t)));
-        assert!(blocks.blocks.iter().all(|(_, b)| b.comparisons() <= report.max_comparisons));
+        assert!(blocks.keys().iter().all(|t| before.contains(t)));
+        assert!(blocks.iter().all(|(_, b)| b.comparisons() <= report.max_comparisons));
     }
 
     #[test]

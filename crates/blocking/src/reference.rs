@@ -12,18 +12,100 @@
 //! two kernels across worker counts, weighting schemes, adaptive pruning,
 //! and dirty-ER mode.
 //!
+//! The block builders' predecessor is kept the same way: token and name
+//! blocking as a `Vec` per key and side filled entity by entity, and purging
+//! as a `retain` over `(key, left, right)` triples. The loops below hold the
+//! column-inversion builders, the row filters and [`crate::graph::GraphIndex`]
+//! to it on random pairs.
+//!
 //! Compiled only for tests: nothing ships it.
 
 use std::collections::BTreeMap;
 
-use minoaner_kb::stats::RelationStats;
-use minoaner_kb::{EntityId, KbPair, Rows, Side};
+use minoaner_kb::stats::{NameStats, RelationStats};
+use minoaner_kb::{EntityId, KbPair, LiteralId, Rows, Side, TokenId};
 
 use crate::block::{NameBlocks, TokenBlocks};
 use crate::graph::{
     apply_reciprocal_pruning, BetaWeighting, BlockingGraph, Candidate, GraphConfig,
 };
 use crate::name::{alpha_pairs, alpha_pairs_dirty};
+use crate::purge::PurgeReport;
+
+/// One block the way the collections held it before they were columns.
+pub type BlockReference<K> = (K, Vec<EntityId>, Vec<EntityId>);
+
+/// The blocks of two `Vec`-per-key inversions: the keys present on both
+/// sides, ascending.
+fn assemble_reference<K>(
+    [left, right]: [Vec<Vec<EntityId>>; 2],
+    key: impl Fn(u32) -> K,
+) -> Vec<BlockReference<K>> {
+    let both = (0u32..).zip(left.into_iter().zip(right));
+    both.filter(|(_, (l, r))| !l.is_empty() && !r.is_empty()).map(|(k, (l, r))| (key(k), l, r)).collect()
+}
+
+/// Token blocking as it was built: one posting `Vec` per token and side,
+/// each entity pushed onto the list of every token of its set.
+pub fn token_blocks_reference(pair: &KbPair) -> Vec<BlockReference<TokenId>> {
+    let inverted = [Side::Left, Side::Right].map(|side| {
+        let kb = pair.kb(side);
+        let mut inv: Vec<Vec<EntityId>> = vec![Vec::new(); pair.token_space()];
+        for (id, _) in kb.iter() {
+            for &TokenId(tok) in kb.tokens_of(id) {
+                inv[tok as usize].push(id);
+            }
+        }
+        inv
+    });
+    assemble_reference(inverted, TokenId)
+}
+
+/// Name blocking as it was built: one `Vec` per literal and side, filled
+/// from each entity's sorted, deduplicated [`NameStats::names_of`].
+pub fn name_blocks_reference(pair: &KbPair, names: &NameStats) -> Vec<BlockReference<LiteralId>> {
+    let inverted = [Side::Left, Side::Right].map(|side| {
+        let mut inv: Vec<Vec<EntityId>> = vec![Vec::new(); pair.literal_space()];
+        for (id, _) in pair.kb(side).iter() {
+            for LiteralId(lit) in names.names_of(pair, side, id) {
+                inv[lit as usize].push(id);
+            }
+        }
+        inv
+    });
+    assemble_reference(inverted, LiteralId)
+}
+
+/// The budget criterion and the cap, from the definition: cardinality
+/// levels are admitted whole, smallest first, while the running total stays
+/// within `budget` (level 1 always is); everything above the last admitted
+/// level goes, unless the whole collection fits.
+pub fn purge_reference(blocks: &mut Vec<BlockReference<TokenId>>, budget: u64) -> PurgeReport {
+    let comparisons = |(_, l, r): &BlockReference<TokenId>| l.len() as u64 * r.len() as u64;
+    let mut per_level: BTreeMap<u64, u64> = BTreeMap::new();
+    for block in blocks.iter() {
+        *per_level.entry(comparisons(block)).or_insert(0) += comparisons(block);
+    }
+    let comparisons_before: u64 = per_level.values().sum();
+    let mut max_comparisons = if comparisons_before <= budget { u64::MAX } else { 1 };
+    let mut running = 0u64;
+    for (&level, &total) in &per_level {
+        running += total;
+        if running > budget {
+            break;
+        }
+        max_comparisons = max_comparisons.max(level);
+    }
+    let blocks_before = blocks.len();
+    blocks.retain(|block| comparisons(block) <= max_comparisons);
+    PurgeReport {
+        max_comparisons,
+        blocks_before,
+        blocks_after: blocks.len(),
+        comparisons_before,
+        comparisons_after: blocks.iter().map(comparisons).sum(),
+    }
+}
 
 /// Sequential reference build of the pruned disjunctive blocking graph.
 pub fn build_blocking_graph_reference(
@@ -41,12 +123,11 @@ pub fn build_blocking_graph_reference(
 
     let block_weight: Vec<f64> = match cfg.beta_weighting {
         BetaWeighting::Arcs => token_blocks
-            .blocks
             .iter()
             .map(|(_, b)| 1.0 / (b.comparisons() as f64 + 1.0).log2())
             .collect(),
         BetaWeighting::Cbs | BetaWeighting::Ecbs | BetaWeighting::Js => {
-            vec![1.0; token_blocks.blocks.len()]
+            vec![1.0; token_blocks.len()]
         }
     };
 
@@ -93,43 +174,34 @@ fn beta_pass_reference(
     let n = kb.len();
 
     let needs_counts = matches!(weighting, BetaWeighting::Ecbs | BetaWeighting::Js);
-    let total_blocks = token_blocks.blocks.len() as f64;
+    let total_blocks = token_blocks.len() as f64;
     let mut counts_self = vec![0u32; n];
     let mut counts_other = vec![0u32; pair.kb(side.other()).len()];
     if needs_counts {
-        for (_, b) in &token_blocks.blocks {
-            for &e in b.members(side) {
-                counts_self[e.index()] += 1;
-            }
-            for &e in b.members(side.other()) {
-                counts_other[e.index()] += 1;
+        for (counts, side) in [(&mut counts_self, side), (&mut counts_other, side.other())] {
+            for e in token_blocks.members(side).data() {
+                counts[e.index()] += 1;
             }
         }
     }
 
-    // Block ids share the entity-id capacity bound: one up-front check
-    // covers every cast in the loop (mirrors `GraphIndex::build`).
-    assert!(
-        u32::try_from(token_blocks.blocks.len()).is_ok(),
-        "block count exceeds u32 capacity"
-    );
     let mut entity_blocks: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for (bi, (_, b)) in token_blocks.blocks.iter().enumerate() {
-        for &e in b.members(side) {
+    for (bi, members) in token_blocks.members(side).iter().enumerate() {
+        for &e in members {
             entity_blocks[e.index()].push(bi as u32);
         }
     }
 
     let dirty = pair.is_dirty();
+    let members_other: &Rows<EntityId> = token_blocks.members(side.other());
     let mut out: Vec<Vec<Candidate>> = Vec::with_capacity(n);
     let mut acc: BTreeMap<u32, f64> = BTreeMap::new();
     for (this, blocks_of_entity) in entity_blocks.iter().enumerate() {
         let this = this as u32;
         acc.clear();
         for &bi in blocks_of_entity {
-            let (_, b) = &token_blocks.blocks[bi as usize];
             let w = block_weight[bi as usize];
-            for &o in b.members(side.other()) {
+            for &o in members_other.row(bi as usize) {
                 if dirty && o.0 == this {
                     continue;
                 }
@@ -387,6 +459,181 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A side for the block builders: like [`random_side`] but possibly
+    /// empty, with a word no other side uses, optionally one word every
+    /// entity carries, and entities whose second literal repeats the first —
+    /// one name under two attributes.
+    fn blocking_side(rng: &mut Rng, own_word: usize, everywhere: Option<usize>) -> Vec<EntitySpec> {
+        let n = rng.gen_range(0..9usize);
+        (0..n)
+            .map(|_| {
+                let mut first: Vec<usize> =
+                    (0..rng.gen_range(1..4usize)).map(|_| rng.gen_range(0..VOCAB.len() - 2)).collect();
+                first.extend(everywhere);
+                if rng.gen_range(0..3usize) == 0 {
+                    first.push(own_word);
+                }
+                let second = match rng.gen_range(0..3usize) {
+                    0 => first.clone(),
+                    _ => vec![rng.gen_range(0..VOCAB.len() - 2)],
+                };
+                EntitySpec {
+                    literals: vec![first, second],
+                    rels: (0..rng.gen_range(0..3usize)).map(|_| rng.gen_range(0..n)).collect(),
+                }
+            })
+            .collect()
+    }
+
+    /// A random pair for the block builders; every fourth is a dirty KB.
+    fn blocking_pair(rng: &mut Rng) -> KbPair {
+        let everywhere = (rng.gen_range(0..2usize) == 0).then_some(0);
+        let (berkshire, john) = (VOCAB.len() - 2, VOCAB.len() - 1);
+        if rng.gen_range(0..4usize) == 0 {
+            build_dirty_pair(&blocking_side(rng, berkshire, everywhere))
+        } else {
+            build_pair(&blocking_side(rng, berkshire, everywhere), &blocking_side(rng, john, everywhere))
+        }
+    }
+
+    fn as_reference<K: Copy>(blocks: &crate::block::Blocks<K>) -> Vec<BlockReference<K>> {
+        blocks.iter().map(|(key, b)| (key, b.left.to_vec(), b.right.to_vec())).collect()
+    }
+
+    #[test]
+    fn token_blocks_and_the_graph_index_equal_the_vec_per_token_construction() {
+        for_each_seed(120, |rng| {
+            let pair = blocking_pair(rng);
+            let want = token_blocks_reference(&pair);
+            let blocks = build_token_blocks(&pair);
+            assert_eq!(as_reference(&blocks), want);
+            for workers in [1usize, 2, 8] {
+                let exec = Executor::new(workers);
+                let staged = crate::token::build_token_blocks_parallel(&exec, &pair);
+                assert_eq!(staged, blocks, "{workers} workers");
+            }
+
+            // The index borrows the member tables and transposes them:
+            // an entity's row lists the blocks holding it, ascending.
+            let index = crate::graph::GraphIndex::build(&pair, &blocks);
+            for (side, members, entity_blocks) in [
+                (Side::Left, index.members[0], &index.entity_blocks[0]),
+                (Side::Right, index.members[1], &index.entity_blocks[1]),
+            ] {
+                let want_members: Vec<&[EntityId]> = want
+                    .iter()
+                    .map(|(_, l, r)| if side == Side::Left { &l[..] } else { &r[..] })
+                    .collect();
+                assert_eq!(members.iter().collect::<Vec<_>>(), want_members, "{side:?} members");
+                let holding = pair.kb(side).iter().map(|(e, _)| -> Vec<u32> {
+                    (0u32..).zip(&want_members).filter(|(_, row)| row.contains(&e)).map(|(bi, _)| bi).collect()
+                });
+                assert!(entity_blocks.iter().eq(holding), "{side:?} entity blocks");
+            }
+        });
+    }
+
+    #[test]
+    fn purging_equals_the_retain_over_block_triples_also_at_the_cap() {
+        use crate::purge::{purge_limit_budget, purge_with_cap};
+        for_each_seed(120, |rng| {
+            let pair = blocking_pair(rng);
+            let blocks = build_token_blocks(&pair);
+            let reference = token_blocks_reference(&pair);
+            // Budgets on, one under and one over every running total of the
+            // ascending block sizes: the cap ties with a level at each.
+            let mut sizes: Vec<u64> = blocks.iter().map(|(_, b)| b.comparisons()).collect();
+            sizes.sort_unstable();
+            let mut budgets = vec![0u64, 1, u64::MAX];
+            let mut running = 0u64;
+            for size in sizes {
+                running += size;
+                budgets.extend([running - 1, running, running + 1]);
+            }
+            for budget in budgets {
+                let (mut got, mut want) = (blocks.clone(), reference.clone());
+                let limit = purge_limit_budget(&got, budget);
+                let report = purge_with_cap(&mut got, limit);
+                assert_eq!(report, purge_reference(&mut want, budget), "budget {budget}");
+                assert_eq!(as_reference(&got), want, "budget {budget}");
+            }
+            let entities = pair.kb(Side::Left).len() + pair.kb(Side::Right).len();
+            let (mut got, mut want) = (blocks, reference);
+            let budget = crate::purge::DEFAULT_BUDGET_PER_ENTITY * entities.max(1) as u64;
+            assert_eq!(purge_blocks(&mut got, entities), purge_reference(&mut want, budget));
+            assert_eq!(as_reference(&got), want);
+        });
+    }
+
+    #[test]
+    fn name_blocks_and_alpha_pairs_equal_the_vec_per_literal_construction() {
+        for_each_seed(120, |rng| {
+            let pair = blocking_pair(rng);
+            for k in [1usize, 2] {
+                let names = NameStats::compute(&pair, k);
+                let want = name_blocks_reference(&pair, &names);
+                let blocks = build_name_blocks(&pair, &names);
+                assert_eq!(as_reference(&blocks), want, "k={k}");
+
+                let mut clean: Vec<(EntityId, EntityId)> = want
+                    .iter()
+                    .filter(|(_, l, r)| l.len() == 1 && r.len() == 1)
+                    .map(|(_, l, r)| (l[0], r[0]))
+                    .collect();
+                clean.sort_unstable();
+                clean.dedup();
+                assert_eq!(alpha_pairs(&blocks), clean, "k={k}");
+                let mut dirty: Vec<(EntityId, EntityId)> = want
+                    .iter()
+                    .filter(|(_, l, r)| l.len() == 2 && l == r)
+                    .map(|(_, l, _)| (l[0].min(l[1]), l[0].max(l[1])))
+                    .collect();
+                dirty.sort_unstable();
+                dirty.dedup();
+                assert_eq!(alpha_pairs_dirty(&blocks), dirty, "k={k}");
+            }
+        });
+    }
+
+    #[test]
+    fn neighbor_views_equal_top_n_neighbors_entity_by_entity() {
+        use crate::graph::NeighborViews;
+        for_each_seed(120, |rng| {
+            // Up to five relations of unequal support and discriminability,
+            // some entities using one twice or pointing at one target under
+            // two of them; an empty side now and then.
+            let mut b = KbPairBuilder::new();
+            for (side, prefix) in [(Side::Left, "l"), (Side::Right, "r")] {
+                let n = rng.gen_range(0..10usize);
+                for i in 0..n {
+                    let uri = format!("{prefix}{i}");
+                    b.add_triple(side, &uri, "label", Term::Literal(VOCAB[i % VOCAB.len()]));
+                    for _ in 0..rng.gen_range(0..6usize) {
+                        let relation = format!("rel{}", rng.gen_range(0..5usize).min(rng.gen_range(0..5usize)));
+                        let target = format!("{prefix}{}", rng.gen_range(0..n));
+                        b.add_triple(side, &uri, &relation, Term::Uri(&target));
+                    }
+                }
+            }
+            let pair = b.finish();
+            let rels = RelationStats::compute(&pair);
+            for n_relations in 0..5 {
+                for side in [Side::Left, Side::Right] {
+                    let views = NeighborViews::compute(&pair, &rels, side, n_relations);
+                    let mut listed_by: Vec<Vec<u32>> = vec![Vec::new(); pair.kb(side).len()];
+                    let mut want: Vec<Vec<u32>> = Vec::new();
+                    for (EntityId(e), _) in pair.kb(side).iter() {
+                        let top = rels.top_n_neighbors(&pair, side, EntityId(e), n_relations);
+                        top.iter().for_each(|&EntityId(nb)| listed_by[nb as usize].push(e));
+                        want.push(top.into_iter().map(|nb| nb.0).collect());
+                    }
+                    assert!(views.top.iter().eq(want), "N={n_relations} {side:?} top");
+                    assert!(views.incoming.iter().eq(listed_by), "N={n_relations} {side:?} incoming");
+                }
+            }
+        });
     }
 
     #[test]

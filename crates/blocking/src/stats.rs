@@ -44,8 +44,8 @@ pub fn block_stats(
     name_blocks: &NameBlocks,
     ground_truth: &[(EntityId, EntityId)],
 ) -> BlockCollectionStats {
-    let kept_tokens: DetHashSet<TokenId> = token_blocks.blocks.iter().map(|(t, _)| *t).collect();
-    let block_names: DetHashSet<u32> = name_blocks.blocks.iter().map(|(l, _)| l.0).collect();
+    let kept_tokens: DetHashSet<TokenId> = token_blocks.keys().iter().copied().collect();
+    let block_names: DetHashSet<u32> = name_blocks.keys().iter().map(|l| l.0).collect();
 
     let mut found = 0usize;
     for &(l, r) in ground_truth {
@@ -146,7 +146,7 @@ mod tests {
         let names = NameStats::compute(&pair, 1);
         let mut tb = build_token_blocks(&pair);
         // Purge everything to isolate the name path.
-        tb.blocks.clear();
+        tb.retain(|_| false);
         let nb = build_name_blocks(&pair, &names);
         let l1 = EntityId(0);
         let r1 = EntityId(0);

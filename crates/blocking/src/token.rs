@@ -2,99 +2,48 @@
 //! from both KBs defines one block. Token blocking is parameter-free and —
 //! critically for MinoanER — its block sizes *are* the entity frequencies,
 //! so value similarity (Def. 2.1) can be computed from the blocks alone.
+//!
+//! A side's blocks are the inversion of its token-set column: entity → its
+//! tokens becomes token → its entities by one count, prefix-sum and scatter
+//! ([`Rows::build`]), linear in the token occurrences. Entities are walked
+//! in id order and a token set holds no token twice, so every block's
+//! members come out ascending and duplicate-free without a comparison.
 
 use minoaner_dataflow::{Executor, StageIo};
-use minoaner_kb::{EntityId, KbPair, Side, TokenId};
+use minoaner_kb::{EntityId, KbPair, Rows, Side, TokenId};
 
-use crate::block::{Block, TokenBlocks};
+use crate::block::TokenBlocks;
 
-/// Builds the token blocks sequentially.
+/// Builds the token blocks.
 pub fn build_token_blocks(pair: &KbPair) -> TokenBlocks {
-    let n_tokens = pair.token_space();
-    let mut left: Vec<Vec<EntityId>> = vec![Vec::new(); n_tokens];
-    let mut right: Vec<Vec<EntityId>> = vec![Vec::new(); n_tokens];
-    invert(pair, Side::Left, &mut left);
-    invert(pair, Side::Right, &mut right);
-    assemble(left, right)
+    TokenBlocks::active(invert(pair, Side::Left), invert(pair, Side::Right), TokenId)
 }
 
-/// Builds the token blocks in parallel: each worker inverts a slice of the
-/// entity range, then the per-worker indices are merged. Equivalent to the
-/// sequential construction (verified by tests).
+/// Builds the token blocks on `executor`: the same construction, each
+/// side's inversion logged as a stage with its item flow and the block
+/// counters emitted. One task a side — the inversion is a linear pass that
+/// costs less than handing its parts between tasks would.
 pub fn build_token_blocks_parallel(executor: &Executor, pair: &KbPair) -> TokenBlocks {
-    let left = invert_parallel(executor, pair, Side::Left);
-    let right = invert_parallel(executor, pair, Side::Right);
-    let blocks = assemble(left, right);
+    let [left, right] = [Side::Left, Side::Right].map(|side| {
+        let stage = format!("token-blocking/{side:?}");
+        let inverted = executor.time_stage(&stage, || invert(pair, side));
+        let io = StageIo::items(pair.kb(side).len() as u64, inverted.data().len() as u64);
+        executor.annotate_last_stage(&stage, io);
+        inverted
+    });
+    let blocks = TokenBlocks::active(left, right, TokenId);
     executor.emit_counter("blocking/token_blocks_built", blocks.len() as u64);
     executor.emit_counter("blocking/token_block_comparisons", blocks.total_comparisons());
     blocks
 }
 
-/// Inverts one side's token index in parallel (one task per entity chunk).
-fn invert_parallel(executor: &Executor, pair: &KbPair, side: Side) -> Vec<Vec<EntityId>> {
-    let n_tokens = pair.token_space();
-    let kb = pair.kb(side);
-    let n = kb.len();
-    let tasks = executor.partitions().max(1);
-    let chunk = n.div_ceil(tasks).max(1);
-    let partials = executor.run_stage(
-        &format!("token-blocking/{side:?}"),
-        n.div_ceil(chunk),
-        |t| {
-            let lo = t * chunk;
-            let hi = ((t + 1) * chunk).min(n);
-            let mut inv: Vec<Vec<EntityId>> = vec![Vec::new(); n_tokens];
-            for i in lo..hi {
-                let id = EntityId(i as u32);
-                for &tok in kb.tokens_of(id) {
-                    inv[tok.index()].push(id);
-                }
-            }
-            inv
-        },
-    );
-    // Merge partials; entity ids are produced in ascending order per
-    // chunk and chunks are disjoint ascending ranges, so concatenation
-    // in task order keeps each posting list sorted. Sizing each list
-    // exactly up front (counting pass, as in the CSR builders) avoids
-    // the repeated doubling-reallocations of a blind `extend`.
-    let mut counts = vec![0usize; n_tokens];
-    for partial in &partials {
-        for (tok, ids) in partial.iter().enumerate() {
-            counts[tok] += ids.len();
-        }
-    }
-    let mut merged: Vec<Vec<EntityId>> = counts.iter().map(|&c| Vec::with_capacity(c)).collect();
-    for partial in partials {
-        for (tok, ids) in partial.into_iter().enumerate() {
-            if !ids.is_empty() {
-                merged[tok].extend(ids);
-            }
-        }
-    }
-    let postings: u64 = merged.iter().map(|ids| ids.len() as u64).sum();
-    executor
-        .annotate_last_stage(&format!("token-blocking/{side:?}"), StageIo::items(n as u64, postings));
-    merged
-}
-
-fn invert(pair: &KbPair, side: Side, inv: &mut [Vec<EntityId>]) {
-    let kb = pair.kb(side);
-    for (id, _) in kb.iter() {
-        for &tok in kb.tokens_of(id) {
-            inv[tok.index()].push(id);
-        }
-    }
-}
-
-fn assemble(left: Vec<Vec<EntityId>>, right: Vec<Vec<EntityId>>) -> TokenBlocks {
-    let mut blocks = Vec::new();
-    for (tok, (l, r)) in left.into_iter().zip(right).enumerate() {
-        if !l.is_empty() && !r.is_empty() {
-            blocks.push((TokenId(tok as u32), Block { left: l, right: r }));
-        }
-    }
-    TokenBlocks { blocks }
+/// One side's token sets inverted: row `t` holds the entities whose values
+/// contain token `t`, ascending.
+fn invert(pair: &KbPair, side: Side) -> Rows<EntityId> {
+    let memberships = (0u32..).zip(pair.kb(side).token_sets().iter()).flat_map(|(e, tokens)| {
+        tokens.iter().map(move |&TokenId(token)| (token as usize, EntityId(e)))
+    });
+    Rows::build(pair.token_space(), memberships)
 }
 
 #[cfg(test)]
@@ -117,11 +66,8 @@ mod tests {
         let blocks = build_token_blocks(&p);
         // Shared tokens: fat, duck. One-sided: bray, pond, swan, lake.
         assert_eq!(blocks.len(), 2);
-        let token_names: Vec<&str> = blocks
-            .blocks
-            .iter()
-            .map(|(t, _)| p.tokens().resolve(minoaner_kb::Symbol(t.0)))
-            .collect();
+        let token_names: Vec<&str> =
+            blocks.keys().iter().map(|t| p.tokens().resolve(minoaner_kb::Symbol(t.0))).collect();
         assert!(token_names.contains(&"fat"));
         assert!(token_names.contains(&"duck"));
     }
@@ -131,7 +77,7 @@ mod tests {
         let p = pair();
         let blocks = build_token_blocks(&p);
         let duck = TokenId(p.tokens().get("duck").unwrap().0);
-        let (_, b) = blocks.blocks.iter().find(|(t, _)| *t == duck).unwrap();
+        let (_, b) = blocks.iter().find(|(t, _)| *t == duck).unwrap();
         assert_eq!(b.left.len(), 2); // l1, l2
         assert_eq!(b.right.len(), 1); // r1
         assert_eq!(b.comparisons(), 2);
@@ -140,14 +86,14 @@ mod tests {
     #[test]
     fn posting_lists_are_sorted() {
         let p = pair();
-        for (_, b) in &build_token_blocks(&p).blocks {
+        for (_, b) in build_token_blocks(&p).iter() {
             assert!(b.left.windows(2).all(|w| w[0] < w[1]));
             assert!(b.right.windows(2).all(|w| w[0] < w[1]));
         }
     }
 
     #[test]
-    fn parallel_matches_sequential() {
+    fn the_staged_build_is_the_same_blocks_on_every_worker_count() {
         let mut b = KbPairBuilder::new();
         for i in 0..200 {
             let uri = format!("l{i}");
@@ -162,7 +108,13 @@ mod tests {
         for workers in [1, 4] {
             let exec = Executor::new(workers);
             let par = build_token_blocks_parallel(&exec, &p);
-            assert_eq!(seq.blocks, par.blocks, "workers={workers}");
+            assert_eq!(seq, par, "workers={workers}");
+            let log = exec.stage_log();
+            for (side, entities) in [("Left", 200), ("Right", 150)] {
+                let io = log.find(&format!("token-blocking/{side}")).expect("stage recorded").io;
+                assert_eq!(io.items_in, entities, "{side}");
+                assert!(io.items_out >= 3 * entities, "{side}: every entity has three tokens");
+            }
         }
     }
 }

@@ -1,5 +1,6 @@
-//! The graph kernel's tables are flat: building the blocking graph costs a
-//! bounded number of heap allocations, not one (or more) per entity.
+//! The blocking layer's tables are flat: building the blocks and the
+//! blocking graph costs a bounded number of heap allocations, not one (or
+//! more) per token, literal or entity.
 //!
 //! Its own test binary because it installs a counting global allocator.
 
@@ -66,10 +67,9 @@ fn allocations_of<R>(f: impl FnOnce() -> R) -> (R, u64) {
 /// `n` entities a side: entity `i` shares a rare token with its counterpart
 /// and draws four more (a seeded LCG) from a vocabulary common to both
 /// sides, so every entity has value candidates. Without `linked` there are
-/// no relations — `RelationStats::top_n_neighbors` returns a `Vec` per
-/// entity, empty (and so unallocated) without them; with it every entity
-/// points at the next two, so the γ rows have cells to rank and the right
-/// rows two runs to order.
+/// no relations; with it every entity points at the next two, so the top-N
+/// pass has pairs to rank, the γ rows cells, and the right rows two runs to
+/// order.
 fn pair(n: usize, linked: bool) -> KbPair {
     let mut rng = 0xA110C_u64;
     let mut b = KbPairBuilder::new();
@@ -93,11 +93,12 @@ fn pair(n: usize, linked: bool) -> KbPair {
 #[test]
 fn building_the_graph_allocates_per_table_not_per_entity() {
     const N: usize = 2_000;
-    // The allocation counts of the commit before the kernel ranked on
-    // integer keys, as upper bounds: the scratch a row needs is the
-    // worker's or the task's, never the row's. The linked pair's count
-    // includes the `Vec`s `top_n_neighbors` returns for a linked entity.
-    for (linked, parent_allocations) in [(false, 559), (true, 8_592)] {
+    // The counts measured when the blocks became columns and the top-N
+    // pass ranked in shared scratch (559 / 8 592 before: the index copied
+    // the members, `top_n_neighbors` returned a `Vec` or two per linked
+    // entity), as upper bounds: the scratch a row needs is the worker's or
+    // the task's, never the row's.
+    for (linked, bound) in [(false, 555), (true, 592)] {
         let pair = pair(N, linked);
         let rels = RelationStats::compute(&pair);
         let names = NameStats::compute(&pair, 2);
@@ -119,12 +120,34 @@ fn building_the_graph_allocates_per_table_not_per_entity() {
         let ranked = |side| pair.kb(side).iter().filter(|&(e, _)| !graph.neighbor_candidates(side, e).is_empty()).count();
         assert_eq!(ranked(Side::Left) + ranked(Side::Right) > N, linked, "neighbour candidates");
         assert!(
-            allocations <= parent_allocations,
-            "linked={linked}: {allocations} allocations for {} entities, {parent_allocations} before",
+            allocations <= bound,
+            "linked={linked}: {allocations} allocations for {} entities, the bound is {bound}",
             2 * N
         );
 
         let wide = build_blocking_graph(&Executor::new(8), &pair, &rels, &token_blocks, &name_blocks, &cfg);
         assert_eq!(wide.weight_digest(), graph.weight_digest(), "1 worker vs 8");
+    }
+}
+
+#[test]
+fn building_the_blocks_allocates_per_column_not_per_token_or_literal() {
+    // Two inversions, the active blocks' three columns and a purge, for
+    // token and name blocks each: 25 or 26 allocations whether the pair has
+    // 625 tokens and 1 000 literals or 10 000 and 16 000 (a `Vec` per token
+    // and literal and side was 3 250 and 52 000 before any posting).
+    const BOUND: u64 = 30;
+    for n in [500, 8_000] {
+        let pair = pair(n, false);
+        let names = NameStats::compute(&pair, 2);
+        let ((token_blocks, name_blocks), allocations) = allocations_of(|| {
+            let mut token_blocks = build_token_blocks(&pair);
+            purge_blocks(&mut token_blocks, 2 * n);
+            (token_blocks, build_name_blocks(&pair, &names))
+        });
+        assert!(token_blocks.len() > n, "{n} entities a side: {} token blocks", token_blocks.len());
+        assert!(name_blocks.is_empty(), "every label is unique");
+        assert!(pair.token_space() >= n + n / 4 && pair.literal_space() == 2 * n);
+        assert!(allocations <= BOUND, "{n} entities a side: {allocations} allocations, the bound is {BOUND}");
     }
 }

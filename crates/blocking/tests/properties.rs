@@ -1,7 +1,7 @@
 //! Property tests for the blocking layer: purging/filtering invariants on
 //! arbitrary block collections and LSH determinism/monotonicity.
 
-use minoaner_blocking::block::{Block, TokenBlocks};
+use minoaner_blocking::block::TokenBlocks;
 use minoaner_blocking::filtering::filter_blocks;
 use minoaner_blocking::purge::{purge_limit_budget, purge_with_cap};
 use minoaner_det::rng::{for_each_seed, Rng};
@@ -9,17 +9,12 @@ use minoaner_kb::{EntityId, TokenId};
 
 /// Up to 29 blocks of 1–11 entities a side.
 fn arbitrary_blocks(rng: &mut Rng) -> TokenBlocks {
-    TokenBlocks {
-        blocks: (0..rng.gen_range(0..30u32))
-            .map(|i| {
-                let (l, r) = (rng.gen_range(1..12u32), rng.gen_range(1..12u32));
-                (
-                    TokenId(i),
-                    Block { left: (0..l).map(EntityId).collect(), right: (0..r).map(EntityId).collect() },
-                )
-            })
-            .collect(),
-    }
+    (0..rng.gen_range(0..30u32))
+        .map(|i| {
+            let (l, r) = (rng.gen_range(1..12u32), rng.gen_range(1..12u32));
+            (TokenId(i), (0..l).map(EntityId), (0..r).map(EntityId))
+        })
+        .collect()
 }
 
 #[test]
@@ -28,13 +23,13 @@ fn purge_cap_is_respected_and_monotone() {
         let (blocks, cap) = (arbitrary_blocks(rng), rng.gen_range(1..200u64));
         let mut purged = blocks.clone();
         let report = purge_with_cap(&mut purged, cap);
-        assert!(purged.blocks.iter().all(|(_, b)| b.comparisons() <= cap));
+        assert!(purged.iter().all(|(_, b)| b.comparisons() <= cap));
         assert!(report.comparisons_after <= report.comparisons_before);
         assert!(report.blocks_after <= report.blocks_before);
         // Purging with a larger cap keeps at least as many blocks.
         let mut looser = blocks.clone();
         purge_with_cap(&mut looser, cap * 2);
-        assert!(looser.blocks.len() >= purged.blocks.len());
+        assert!(looser.len() >= purged.len());
     });
 }
 
@@ -48,7 +43,7 @@ fn budget_limit_respects_the_budget() {
         // Either everything ≤ budget, or only cardinality-1 blocks remain
         // (they are always admitted).
         let total = purged.total_comparisons();
-        let only_singletons = purged.blocks.iter().all(|(_, b)| b.comparisons() <= 1);
+        let only_singletons = purged.iter().all(|(_, b)| b.comparisons() <= 1);
         assert!(
             total <= budget || only_singletons,
             "total {total} exceeds budget {budget} with non-singleton blocks"
@@ -66,7 +61,7 @@ fn filtering_never_increases_work() {
         assert!(report.comparisons_after <= report.comparisons_before);
         assert!(report.assignments_after <= report.assignments_before);
         // All kept blocks are still active.
-        assert!(filtered.blocks.iter().all(|(_, b)| b.is_active()));
+        assert!(filtered.iter().all(|(_, b)| b.comparisons() > 0));
     });
 }
 
@@ -79,7 +74,7 @@ fn filtering_keeps_every_entity_somewhere() {
         // kept lost its other side entirely.
         let left_entities = |blocks: &TokenBlocks| {
             let mut ids: Vec<u32> =
-                blocks.blocks.iter().flat_map(|(_, b)| b.left.iter().map(|e| e.0)).collect();
+                blocks.iter().flat_map(|(_, b)| b.left.iter().map(|e| e.0)).collect();
             ids.sort_unstable();
             ids.dedup();
             ids

@@ -618,7 +618,7 @@ fn jobs_run(args: &JobsRunArgs) -> Result<JobsOutcome, CliError> {
         let root = args.root.clone();
         let resume = args.resume;
         let degrade_ckpt = args.degrade_ckpt;
-        let job_config = config.clone();
+        let job_config = config;
         let submitted = sched.submit(spec, move |ctx| {
             let minoaner = Minoaner::with_config(job_config);
             let mut ckpt = CheckpointSpec::for_job(&root, &ctx.id().to_string());

@@ -28,7 +28,7 @@ use minoaner_dataflow::{
     Executor, RecoveredStage, TraceCollector,
 };
 use minoaner_det::codec::{decode_exact, encode_to_vec, Spillable};
-use minoaner_det::fnv1a;
+use minoaner_det::checksum;
 use minoaner_kb::{EntityId, KbPair, Side};
 
 use crate::config::{MinoanerConfig, RuleSet};
@@ -130,14 +130,16 @@ impl CheckpointSpec {
 
 /// Fingerprint binding a checkpoint to its run: the resolver configuration
 /// (θ bit-exact), the rule set, the pruning mode, the input KB dimensions,
-/// and — in the domain string — the layout of the checkpointed parts (`v3`:
-/// little-endian [`Spillable`] records; `v2` was JSON), so a directory
-/// written with another layout is recomputed, never mis-decoded. A sanity
+/// and — in the domain string — the layout of the checkpointed parts (`v4`:
+/// little-endian [`Spillable`] records, blocks as a key column and two
+/// member tables, everything under [`checksum`]; `v3` held a record per
+/// block under FNV-1a, `v2` was JSON), so a directory written with another
+/// layout is recomputed, never mis-decoded. A sanity
 /// guard against resuming with drifted inputs or settings — not a content
 /// hash of the KBs (re-parsing identical input reproduces it; swapping in
 /// a different dataset of identical dimensions would not be caught).
 pub fn run_fingerprint(config: &MinoanerConfig, rules: RuleSet, adaptive: bool, pair: &KbPair) -> u64 {
-    fingerprint_in(b"minoaner-run-fingerprint-v3", config, rules, adaptive, pair)
+    fingerprint_in(b"minoaner-run-fingerprint-v4", config, rules, adaptive, pair)
 }
 
 /// [`run_fingerprint`] under an explicit layout domain.
@@ -168,7 +170,7 @@ fn fingerprint_in(
     ] {
         bytes.extend_from_slice(&v.to_le_bytes());
     }
-    fnv1a(&bytes)
+    checksum(&bytes)
 }
 
 /// One named part: `value`'s record encoding.
@@ -502,47 +504,44 @@ mod tests {
         assert_corrupt(&graph_stage(|bytes| bytes[8] = 1).0);
     }
 
-    /// A directory written before the parts were `Spillable` records (JSON
-    /// under the `…-v2` fingerprint) is refused by fingerprint and the run
-    /// recomputed: its bytes never reach a decoder.
+    /// A directory written under an earlier layout — JSON parts (`…-v2`), or
+    /// records with a `Vec` per block under FNV-1a (`…-v3`) — is refused by
+    /// fingerprint and the run recomputed: its bytes never reach a decoder.
     #[test]
-    fn a_directory_in_the_v2_json_layout_is_refused_and_recomputed() {
+    fn a_directory_in_an_earlier_layout_is_refused_and_recomputed() {
         let pair = linked_pair();
-        let dir = std::env::temp_dir().join(format!("minoaner-core-v2-layout-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let v2 = fingerprint_in(
-            b"minoaner-run-fingerprint-v2",
-            &MinoanerConfig::default(),
-            RuleSet::FULL,
-            false,
-            &pair,
-        );
-        let json = |name: &str, text: &str| (name.to_owned(), text.as_bytes().to_vec());
-        let parts = [
-            json("matches", "[[0,0]]"),
-            json("rule_counts", r#"{"r1":1,"r2":0,"r3":0,"removed_by_r4":0}"#),
-            json("graph_digest", "1"),
-            json("purge", "null"),
-        ];
-        CheckpointStore::open(&dir)
-            .and_then(|store| store.write_stage(BARRIER_MATCHES, "matches", v2, &parts, &BTreeMap::new()))
-            .expect("write the old-layout barrier");
-
-        let spec = CheckpointSpec::new(&dir).resuming();
-        let (resumed, trace) = Minoaner::new()
-            .run(ResolveRequest::pair(&pair).checkpoint(&spec))
-            .expect("the run recomputes")
-            .into_traced();
         let plain =
             Minoaner::new().run(ResolveRequest::pair(&pair)).expect("plain run").into_resolution();
-        std::fs::remove_dir_all(&dir).expect("remove scratch");
-
-        let counter = |name: &str| RunTrace::counter(&trace, name);
-        assert_eq!(counter("ckpt/rejected"), 1, "the v2 barrier is seen and refused");
-        assert_eq!(counter("ckpt/resumed_from"), 0, "nothing is restored from it");
-        assert_eq!(counter("ckpt/barriers_written"), 3, "every barrier is recomputed");
         assert!(!plain.matches.is_empty());
-        assert_eq!(resumed.matches, plain.matches);
-        assert_eq!(resumed.graph_digest, plain.graph_digest);
+        for domain in ["minoaner-run-fingerprint-v2", "minoaner-run-fingerprint-v3"] {
+            let dir = std::env::temp_dir().join(format!("minoaner-core-{domain}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let old =
+                fingerprint_in(domain.as_bytes(), &MinoanerConfig::default(), RuleSet::FULL, false, &pair);
+            let part = |name: &str, text: &str| (name.to_owned(), text.as_bytes().to_vec());
+            let parts = [
+                part("matches", "[[0,0]]"),
+                part("rule_counts", r#"{"r1":1,"r2":0,"r3":0,"removed_by_r4":0}"#),
+                part("graph_digest", "1"),
+                part("purge", "null"),
+            ];
+            CheckpointStore::open(&dir)
+                .and_then(|store| store.write_stage(BARRIER_MATCHES, "matches", old, &parts, &BTreeMap::new()))
+                .expect("write the old-layout barrier");
+
+            let spec = CheckpointSpec::new(&dir).resuming();
+            let (resumed, trace) = Minoaner::new()
+                .run(ResolveRequest::pair(&pair).checkpoint(&spec))
+                .expect("the run recomputes")
+                .into_traced();
+            std::fs::remove_dir_all(&dir).expect("remove scratch");
+
+            let counter = |name: &str| RunTrace::counter(&trace, name);
+            assert_eq!(counter("ckpt/rejected"), 1, "{domain}: the barrier is seen and refused");
+            assert_eq!(counter("ckpt/resumed_from"), 0, "{domain}: nothing is restored from it");
+            assert_eq!(counter("ckpt/barriers_written"), 3, "{domain}: every barrier is recomputed");
+            assert_eq!(resumed.matches, plain.matches, "{domain}");
+            assert_eq!(resumed.graph_digest, plain.graph_digest, "{domain}");
+        }
     }
 }

@@ -13,7 +13,7 @@
 //!
 //! One directory per checkpointed barrier, `stage-NNN-<name>/`, holding one
 //! file per serialized part plus a `MANIFEST` written last as the commit
-//! point. The manifest's first line is the FNV-1a hash of the line-oriented
+//! point. The manifest's first line is the [`checksum`] of the line-oriented
 //! body that follows; the body records the schema version, the run
 //! fingerprint, per-part byte lengths and content hashes, and the
 //! cumulative domain counter snapshot. The body format is deliberately
@@ -36,7 +36,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
-use minoaner_det::fnv1a;
+use minoaner_det::checksum;
 use minoaner_det::vfs::{self, Vfs, VfsRef};
 
 /// Version of the checkpoint directory layout and manifest schema.
@@ -154,8 +154,8 @@ struct PartEntry {
     file: String,
     /// Exact byte length of the part file.
     bytes: u64,
-    /// FNV-1a hash of the part file's contents.
-    fnv64: u64,
+    /// [`checksum`] of the part file's contents.
+    sum: u64,
 }
 
 /// The manifest body, serialized line-by-line after the hash line.
@@ -195,7 +195,7 @@ impl ManifestBody {
         let _ = writeln!(s, "stage {}", self.stage);
         let _ = writeln!(s, "fingerprint {:016x}", self.fingerprint);
         for p in &self.parts {
-            let _ = writeln!(s, "part {} {:016x} {} {}", p.bytes, p.fnv64, p.file, p.name);
+            let _ = writeln!(s, "part {} {:016x} {} {}", p.bytes, p.sum, p.file, p.name);
         }
         for (name, value) in &self.counters {
             let _ = writeln!(s, "counter {value} {name}");
@@ -234,7 +234,7 @@ impl ManifestBody {
                         .next()
                         .and_then(|v| v.parse::<u64>().ok())
                         .ok_or_else(|| "bad part bytes".to_owned())?;
-                    let fnv64 = fields
+                    let sum = fields
                         .next()
                         .and_then(|v| u64::from_str_radix(v, 16).ok())
                         .ok_or_else(|| "bad part hash".to_owned())?;
@@ -242,7 +242,7 @@ impl ManifestBody {
                         fields.next().ok_or_else(|| "missing part file".to_owned())?.to_owned();
                     let name =
                         fields.next().ok_or_else(|| "missing part name".to_owned())?.to_owned();
-                    parts.push(PartEntry { name, file, bytes, fnv64 });
+                    parts.push(PartEntry { name, file, bytes, sum });
                 }
                 "counter" => {
                     let (value, name) =
@@ -379,7 +379,7 @@ impl CheckpointStore {
                 name: name.clone(),
                 file: file_name,
                 bytes: bytes.len() as u64,
-                fnv64: fnv1a(bytes),
+                sum: checksum(bytes),
             });
         }
 
@@ -397,7 +397,7 @@ impl CheckpointStore {
             counters: counters.clone(),
         };
         let body_text = body.encode();
-        let manifest = format!("{:016x}\n{body_text}", fnv1a(body_text.as_bytes()));
+        let manifest = format!("{:016x}\n{body_text}", checksum(body_text.as_bytes()));
         write_synced(&*self.vfs, &tmp_dir.join("MANIFEST"), manifest.as_bytes())?;
         sync_dir(&*self.vfs, tmp_dir)?;
 
@@ -506,7 +506,7 @@ fn load_stage(
         .ok_or_else(|| corrupt(&manifest_path, "manifest missing hash line"))?;
     let recorded = u64::from_str_radix(hash_line.trim(), 16)
         .map_err(|_| corrupt(&manifest_path, "manifest hash line unparsable"))?;
-    let actual = fnv1a(body_text.as_bytes());
+    let actual = checksum(body_text.as_bytes());
     if recorded != actual {
         return Err(corrupt(
             &manifest_path,
@@ -548,11 +548,11 @@ fn load_stage(
                 format!("part truncated: {} bytes on disk, {} in manifest", bytes.len(), entry.bytes),
             ));
         }
-        let h = fnv1a(&bytes);
-        if h != entry.fnv64 {
+        let h = checksum(&bytes);
+        if h != entry.sum {
             return Err(corrupt(
                 &path,
-                format!("part hash mismatch (disk {h:016x}, manifest {:016x})", entry.fnv64),
+                format!("part hash mismatch (disk {h:016x}, manifest {:016x})", entry.sum),
             ));
         }
         parts.push((entry.name.clone(), bytes));
@@ -699,7 +699,7 @@ mod tests {
         let text = fs::read_to_string(&manifest).unwrap();
         let (_, body) = text.split_once('\n').unwrap();
         let patched = body.replace("version 1\n", "version 99\n");
-        fs::write(&manifest, format!("{:016x}\n{patched}", fnv1a(patched.as_bytes()))).unwrap();
+        fs::write(&manifest, format!("{:016x}\n{patched}", checksum(patched.as_bytes()))).unwrap();
         let rec = store.recover_latest(1).unwrap();
         assert!(rec.stage.is_none());
         assert!(matches!(
@@ -763,7 +763,7 @@ mod tests {
                 name: "rule counts".to_owned(), // spaces survive (name is last on the line)
                 file: "part-000-rule_counts.bin".to_owned(),
                 bytes: 9,
-                fnv64: 7,
+                sum: 7,
             }],
             counters: counters(),
         };

@@ -490,6 +490,8 @@ mod tests {
     }
 
     #[test]
+    // The wait limit below is a test timeout, not a measurement.
+    #[allow(clippy::disallowed_methods)]
     fn stuck_task_does_not_hold_back_unclaimed_tasks() {
         // Task 0 returns only once the other 15 have finished, so the
         // stage completes only if the second worker keeps claiming while

@@ -29,7 +29,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
 pub use minoaner_det::codec::Spillable;
-use minoaner_det::{fnv1a, lock, vfs};
+use minoaner_det::{checksum, lock, vfs};
 
 use crate::budget::MemoryBudget;
 use crate::checkpoint::CheckpointError;
@@ -56,7 +56,7 @@ struct BucketMeta {
     offset: u64,
     len: u64,
     records: u64,
-    fnv: u64,
+    sum: u64,
 }
 
 /// Process-wide sequence so concurrent shuffles in one process never
@@ -185,7 +185,7 @@ impl<T: Spillable> SpillShuffle<T> {
                 offset: start,
                 len: bytes.len() as u64,
                 records: bucket.len() as u64,
-                fnv: fnv1a(bytes),
+                sum: checksum(bytes),
             });
         }
         let path = self.dir.join(format!("run-{map_task}.spill"));
@@ -212,13 +212,13 @@ impl<T: Spillable> SpillShuffle<T> {
                 ),
                 _ => self.fs_err(path, &e),
             })?;
-        let actual = fnv1a(&bytes);
-        if actual != meta.fnv {
+        let actual = checksum(&bytes);
+        if actual != meta.sum {
             return Err(spill_corrupt(
                 path,
                 format!(
                     "bucket checksum mismatch (recorded {:016x}, actual {actual:016x})",
-                    meta.fnv
+                    meta.sum
                 ),
             ));
         }
@@ -357,6 +357,7 @@ mod tests {
     }
 
     /// Partition `p`'s buckets in map-task order, as bit patterns.
+    #[allow(clippy::type_complexity)]
     fn expected_partition(
         runs: &[Vec<Vec<(u32, u32, f64)>>],
         p: usize,

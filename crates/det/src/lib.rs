@@ -15,9 +15,10 @@
 //! This crate is the single shared home of the fixed-seed replacements.
 //! Every workspace crate imports [`DetHashMap`]/[`DetHashSet`] from here;
 //! `minoaner-lint` rule R1 (and the `clippy::disallowed_types` wall)
-//! enforces that the `std` defaults never reappear. The one hash function
-//! that is not SipHash, [`hash_bytes`] for the string interner, lives here
-//! too and is as seed-free as the rest.
+//! enforces that the `std` defaults never reappear. The two hash functions
+//! that are not SipHash — [`hash_bytes`] for the string interner and
+//! [`checksum`] for every durable byte — live here too and are as seed-free
+//! as the rest.
 //!
 //! The hasher is `SipHash-1-3` with a zero key (`DefaultHasher::new()`),
 //! i.e. the same algorithm as `std` minus the per-process random seed.
@@ -85,16 +86,55 @@ pub fn det_hash<T: Hash>(value: &T) -> u64 {
     h.finish()
 }
 
-/// 64-bit FNV-1a over a byte slice — the content checksum of every durable
-/// artifact in the workspace (checkpoint parts and manifests, spill
-/// buckets, `.mkb` sections) and of the run fingerprint. The constants are
-/// part of those on-disk formats.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
+/// The content checksum of every durable artifact in the workspace —
+/// `.mkb` sections, spill buckets, checkpoint parts and manifests — and of
+/// the run fingerprint. Its constants and its definition are part of those
+/// on-disk formats (DESIGN.md §16):
+///
+/// * the bytes are read as little-endian `u64` words, the last one
+///   zero-padded; word `i` of every whole 32-byte block goes to lane
+///   `i mod 4`, a lane absorbing a word as `h ← rotl((h ⊕ word) · K, 29)` —
+///   four multiply chains that do not wait for one another, which is what
+///   lets it run at memory speed where a byte-serial FNV-1a runs at one
+///   multiply per byte;
+/// * the lanes are absorbed, in order, into one state the same way, then
+///   the up to four words left over, then the length.
+///
+/// Every step is a bijection of the state it updates *and* of the word it
+/// absorbs (xor, multiplication by an odd constant and rotation all are),
+/// so two inputs of one length that differ inside a single 8-byte word
+/// never collide: the guarantee FNV-1a gives for one byte. Anything wider
+/// collides with probability about 2⁻⁶⁴. Not keyed and not cryptographic:
+/// it detects rot and torn writes, a forger just reseals.
+pub fn checksum(bytes: &[u8]) -> u64 {
+    const K: u64 = 0x9E37_79B9_7F4A_7C15;
+    const SEEDS: [u64; 4] =
+        [0x243F_6A88_85A3_08D3, 0x1319_8A2E_0370_7344, 0xA409_3822_299F_31D0, 0x082E_FA98_EC4E_6C89];
+    let absorb = |h: u64, word: u64| (h ^ word).wrapping_mul(K).rotate_left(29);
+    let mut lanes = SEEDS;
+    let mut blocks = bytes.chunks_exact(32);
+    for block in &mut blocks {
+        for (lane, eight) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            let mut word = [0u8; 8];
+            word.copy_from_slice(eight);
+            *lane = absorb(*lane, u64::from_le_bytes(word));
+        }
     }
-    h
+    let mut h = lanes.into_iter().fold(K, absorb);
+    for rest in blocks.remainder().chunks(8) {
+        let mut word = [0u8; 8];
+        word.iter_mut().zip(rest).for_each(|(to, &from)| *to = from);
+        h = absorb(h, u64::from_le_bytes(word));
+    }
+    fold_down(absorb(h, bytes.len() as u64))
+}
+
+/// Multiplication only carries upward: folds the high half of `h` back down
+/// (a bijection), so the low bits depend on everything the high bits do.
+fn fold_down(mut h: u64) -> u64 {
+    h ^= h >> 32;
+    h = h.wrapping_mul(0xD6E8_FEB8_6659_FD93);
+    h ^ (h >> 32)
 }
 
 /// Hashes a byte string eight bytes at a time with fixed constants — the
@@ -128,11 +168,8 @@ pub fn hash_bytes(bytes: &[u8]) -> u64 {
     } else if let (Some(&first), Some(&middle), Some(&last)) = (bytes.first(), bytes.get(bytes.len() / 2), bytes.last()) {
         h = step(h, u64::from(first) | u64::from(middle) << 8 | u64::from(last) << 16);
     }
-    // Multiplication only carries upward: fold the high half back down so
-    // the low bits, which index the table, depend on every input byte.
-    h ^= h >> 32;
-    h = h.wrapping_mul(0xD6E8_FEB8_6659_FD93);
-    h ^ (h >> 32)
+    // The low bits, which index the table, must depend on every input byte.
+    fold_down(h)
 }
 
 #[cfg(test)]
@@ -160,11 +197,75 @@ mod tests {
         assert!(distinct.len() > 9_000, "low 16 bits are poorly mixed: {}", distinct.len());
     }
 
+    /// A buffer of `len` seeded bytes.
+    fn seeded(rng: &mut rng::Rng, len: usize) -> Vec<u8> {
+        (0..len).map(|_| rng.gen_range(0..256usize) as u8).collect()
+    }
+
+    /// The constants are part of three on-disk formats (`.mkb` version 2,
+    /// spill runs, checkpoint manifests and the `…-v4` run fingerprint): a
+    /// change here is a format change.
     #[test]
-    fn fnv1a_matches_the_published_vectors() {
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
+    fn checksum_is_pinned() {
+        let ramp: Vec<u8> = (0..=255u8).collect();
+        assert_eq!(checksum(b""), 0xb408_3133_4c0a_500c);
+        assert_eq!(checksum(b"a"), 0x46c4_f256_ac05_aa8f);
+        assert_eq!(checksum(b"minoaner"), 0x1904_9fd5_1315_49b3);
+        assert_eq!(checksum(&ramp[..31]), 0xa6fa_eef6_64e0_84d8);
+        assert_eq!(checksum(&ramp[..32]), 0x41b6_4789_64ff_8f16);
+        assert_eq!(checksum(&ramp[..100]), 0x51bb_1eb7_ac40_5eaa);
+        assert_eq!(checksum(&ramp), 0x2fef_a812_e883_2f72);
+    }
+
+    #[test]
+    fn checksum_sees_every_bit_and_the_length() {
+        rng::for_each_seed(3, |rng| {
+            for len in 0..=96 {
+                let base = seeded(rng, len);
+                let sum = checksum(&base);
+                for bit in 0..len * 8 {
+                    let mut other = base.clone();
+                    other[bit / 8] ^= 1 << (bit % 8);
+                    assert_ne!(checksum(&other), sum, "length {len}, bit {bit}");
+                }
+                let mut longer = base.clone();
+                longer.push(0);
+                assert_ne!(checksum(&longer), sum, "length {len} plus a zero byte");
+            }
+        });
+    }
+
+    /// The definition, one word at a time: word `i` of the whole 32-byte
+    /// blocks goes to lane `i mod 4`; the lanes, the words left over (the
+    /// last zero-padded) and the length go to one state.
+    #[test]
+    fn checksum_lanes_agree_with_the_word_at_a_time_definition() {
+        const K: u64 = 0x9E37_79B9_7F4A_7C15;
+        let absorb = |h: u64, word: u64| (h ^ word).wrapping_mul(K).rotate_left(29);
+        let reference = |bytes: &[u8]| {
+            let words: Vec<u64> = bytes
+                .chunks(8)
+                .map(|chunk| chunk.iter().rev().fold(0u64, |word, &byte| word << 8 | u64::from(byte)))
+                .collect();
+            let in_blocks = bytes.len() / 32 * 4;
+            let mut lanes: [u64; 4] =
+                [0x243F_6A88_85A3_08D3, 0x1319_8A2E_0370_7344, 0xA409_3822_299F_31D0, 0x082E_FA98_EC4E_6C89];
+            for (i, &word) in words.iter().take(in_blocks).enumerate() {
+                lanes[i % 4] = absorb(lanes[i % 4], word);
+            }
+            let mut h = lanes.into_iter().fold(K, absorb);
+            h = words.iter().skip(in_blocks).fold(h, |h, &word| absorb(h, word));
+            h = absorb(h, bytes.len() as u64);
+            h ^= h >> 32;
+            h = h.wrapping_mul(0xD6E8_FEB8_6659_FD93);
+            h ^ (h >> 32)
+        };
+        rng::for_each_seed(4, |rng| {
+            for len in (0..=130).chain([1000, 4096, 4099]) {
+                let bytes = seeded(rng, len);
+                assert_eq!(checksum(&bytes), reference(&bytes), "length {len}");
+            }
+        });
     }
 
     #[test]

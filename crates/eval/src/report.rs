@@ -84,7 +84,7 @@ pub fn count(n: u64) -> String {
     let s = n.to_string();
     let mut out = String::new();
     for (i, c) in s.chars().enumerate() {
-        if i > 0 && (s.len() - i).is_multiple_of(3) {
+        if i > 0 && (s.len() - i) % 3 == 0 {
             out.push(',');
         }
         out.push(c);

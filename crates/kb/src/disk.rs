@@ -1,7 +1,7 @@
 //! The `.mkb` on-disk columnar container: a compiled [`KbPair`] that opens
 //! in microseconds via `mmap` instead of re-parsing N-Triples.
 //!
-//! # Layout (format version 1)
+//! # Layout (format version 2)
 //!
 //! All integers are stored in *native* endianness; a header tag rejects
 //! files compiled on a machine of the other endianness instead of silently
@@ -12,8 +12,8 @@
 //! header   (32 B): magic "MINOANKB" · format version u32 · endian tag u32
 //!                  · section count u32 · flags u32 (bit 0 = dirty pair)
 //!                  · reserved u64
-//! table    (32 B × n): { id u32, pad u32, offset u64, len u64, fnv1a u64 }
-//! sections (8-byte aligned, FNV-1a checksummed):
+//! table    (32 B × n): { id u32, pad u32, offset u64, len u64, checksum u64 }
+//! sections (8-byte aligned, each under `minoaner_det::checksum`):
 //!   arenas   1–4   tokens/literals/attrs/uris interner storage, in
 //!                  interning order: count u64 · offsets u32[count+1]
 //!                  · pad · UTF-8 bytes
@@ -26,6 +26,10 @@
 //!   CSR     10,11  per-entity sorted token sets
 //!   columns 12,13  per-entity token occurrence counts
 //! ```
+//!
+//! Version 1 had the same layout under byte-serial FNV-1a; a version-1
+//! file is refused with [`MkbError::SchemaMismatch`] — recompile it from its
+//! documents. There is one reader.
 //!
 //! The arena, CSR and pairs sections are the columns [`Interner`] and the
 //! pair's [`Rows`] tables hold in memory — one byte arena or one data
@@ -45,7 +49,7 @@ use std::fs::File;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 
-use minoaner_det::fnv1a;
+use minoaner_det::checksum;
 use minoaner_det::vfs::{self, Vfs};
 
 use crate::interner::{Interner, Symbol};
@@ -54,7 +58,7 @@ use crate::rows::Rows;
 use crate::store::{Kb, KbPair};
 
 /// Version of the `.mkb` layout this build reads and writes.
-pub const MKB_FORMAT_VERSION: u32 = 1;
+pub const MKB_FORMAT_VERSION: u32 = 2;
 
 /// Leading magic bytes of every `.mkb` file.
 pub const MKB_MAGIC: [u8; 8] = *b"MINOANKB";
@@ -96,7 +100,8 @@ pub enum MkbError {
     /// Filesystem error.
     Io { path: String, detail: String },
     /// Structural or checksum failure: truncation, bad magic, misaligned
-    /// or out-of-bounds sections, FNV mismatch, out-of-range ids.
+    /// or out-of-bounds sections, checksum mismatch, out-of-range ids,
+    /// tables that disagree with themselves.
     Corrupt { path: String, detail: String },
     /// The file's format version is not the one this build reads.
     SchemaMismatch { found: u32, expected: u32 },
@@ -266,7 +271,7 @@ pub fn write_mkb_with(pair: &KbPair, path: &Path, vfs: &dyn Vfs) -> Result<u64, 
         out.extend_from_slice(&0u32.to_ne_bytes());
         out.extend_from_slice(&off.to_ne_bytes());
         out.extend_from_slice(&(bytes.len() as u64).to_ne_bytes());
-        out.extend_from_slice(&fnv1a(bytes).to_ne_bytes());
+        out.extend_from_slice(&checksum(bytes).to_ne_bytes());
         off += bytes.len() as u64;
         debug_assert_eq!(off % 8, 0, "section payloads are 8-byte multiples");
     }
@@ -415,7 +420,7 @@ impl CsrRef {
 #[derive(Debug, Clone, Copy)]
 struct SectionMeta {
     range: (usize, usize),
-    fnv: u64,
+    sum: u64,
 }
 
 /// A structurally validated, memory-mapped `.mkb` file.
@@ -553,7 +558,7 @@ impl MkbFile {
             b.copy_from_slice(&bytes[at + 16..at + 24]);
             let slen = u64::from_ne_bytes(b) as usize;
             b.copy_from_slice(&bytes[at + 24..at + 32]);
-            let fnv = u64::from_ne_bytes(b);
+            let sum = u64::from_ne_bytes(b);
             if id as usize != i + 1 {
                 return Err(corrupt(path, format!("section {i} has id {id}, expected {}", i + 1)));
             }
@@ -566,7 +571,7 @@ impl MkbFile {
             if end > len {
                 return Err(corrupt(path, format!("section {id} extends past end of file ({end} > {len})")));
             }
-            metas.push(SectionMeta { range: (off, end), fnv });
+            metas.push(SectionMeta { range: (off, end), sum });
         }
 
         // External-truncation guard: `len` came from the stat above, but
@@ -688,17 +693,17 @@ impl MkbFile {
         self.map.bytes().len()
     }
 
-    /// Recomputes every section's FNV-1a checksum against the table. A
+    /// Recomputes every section's checksum against the table. A
     /// mismatch means bytes changed at rest (bit rot, torn write, tamper)
     /// and yields [`MkbError::Corrupt`] — never a silent wrong read.
     pub fn verify(&self) -> Result<(), MkbError> {
         let bytes = self.map.bytes();
         for (i, meta) in self.sections.iter().enumerate() {
-            let got = fnv1a(&bytes[meta.range.0..meta.range.1]);
-            if got != meta.fnv {
+            let got = checksum(&bytes[meta.range.0..meta.range.1]);
+            if got != meta.sum {
                 return Err(corrupt(
                     &self.path,
-                    format!("section {} checksum mismatch ({got:#018x} != {:#018x})", i + 1, meta.fnv),
+                    format!("section {} checksum mismatch ({got:#018x} != {:#018x})", i + 1, meta.sum),
                 ));
             }
         }
@@ -738,8 +743,11 @@ impl MkbFile {
     ///
     /// Beyond the checksums, every arena must be UTF-8 cut on char
     /// boundaries into distinct strings, every CSR and pairs table must
-    /// start at 0 and span its columns, and every id in every column must
-    /// be in range; anything else is [`MkbError::Corrupt`].
+    /// start at 0 and span its columns, every id in every column must be in
+    /// range, an entity's token set must ascend strictly and a side's URI
+    /// column must name each URI once — blocks are counting inversions of
+    /// those columns, so a repeated token would be a repeated block member
+    /// and a doubled β term; anything else is [`MkbError::Corrupt`].
     pub fn to_pair(&self) -> Result<KbPair, MkbError> {
         self.verify()?;
         let path = &self.path;
@@ -775,8 +783,15 @@ impl MkbFile {
             let i = side.index();
             let uri_col = self.u32_view(&self.ent_uri[i]);
             let n = uri_col.len();
-            if let Some(e) = uri_col.iter().position(|&uri| uri >= uris_len) {
-                return Err(corrupt(path, format!("{side:?} entity {e}: uri symbol out of range")));
+            let mut named = vec![false; uris_len as usize];
+            for (e, &uri) in uri_col.iter().enumerate() {
+                match named.get_mut(uri as usize) {
+                    None => return Err(corrupt(path, format!("{side:?} entity {e}: uri symbol out of range"))),
+                    Some(named) if *named => {
+                        return Err(corrupt(path, format!("{side:?} entity {e}: its uri names an earlier entity too")))
+                    }
+                    Some(named) => *named = true,
+                }
             }
             let pair_offsets = self.u32_view(&self.pairs_offsets[i].offsets);
             let attr_col = self.u32_view(&self.pairs_offsets[i].data);
@@ -801,6 +816,10 @@ impl MkbFile {
             }
             let pairs = self.rows(&format!("{side:?} pairs"), &self.pairs_offsets[i].offsets, pairs)?;
             let token_sets = token_rows(&self.toksets[i], &format!("{side:?} token sets"))?;
+            let ascending = |set: &[TokenId]| set.iter().zip(set.iter().skip(1)).all(|(a, b)| a < b);
+            if let Some(e) = token_sets.iter().position(|set| !ascending(set)) {
+                return Err(corrupt(path, format!("{side:?} entity {e}: token set is not strictly ascending")));
+            }
             let occ = self.u32_view(&self.tokocc[i]).to_vec();
             Ok(Kb::from_parts(uri_col.iter().map(|&uri| Symbol(uri)).collect(), pairs, token_sets, occ))
         };
@@ -890,6 +909,7 @@ mod tests {
         let mut b = KbPairBuilder::new();
         b.add_triple(Side::Left, "l", "p", Term::Literal("café"));
         b.add_triple(Side::Left, "l", "p", Term::Literal("aa"));
+        b.add_triple(Side::Left, "l2", "p", Term::Literal("aa"));
         b.add_triple(Side::Right, "r", "p", Term::Literal("ab"));
         let dir = tmp_dir("resealed");
         let path = dir.join("pair.mkb");
@@ -897,15 +917,17 @@ mod tests {
         let good = fs::read(&path).expect("read");
 
         // Each edit gets its section's bytes: count u64, then the offsets
-        // [0, 5, 7, 9] (literals), [0, 1, 2, 3] (literal tokens), [0, 2]
-        // (left pairs) or [0, 1] (right pairs), then the arena bytes
-        // "caféaaab" or the data column(s). A last offset that is not the
+        // [0, 5, 7, 9] (literals), [0, 1, 2, 3] (literal tokens), [0, 2, 3]
+        // (left pairs and left token sets) or [0, 1] (right pairs), then
+        // the arena bytes "caféaaab" or the data column(s) — the left token
+        // sets [0, 1 | 1] behind four bytes of padding, the left uri column
+        // [0, 1] straight behind its count. A last offset that is not the
         // column's length cannot be written: `open` sizes the columns by it.
         fn put_u32(section: &mut [u8], at: usize, v: u32) {
             section[at..at + 4].copy_from_slice(&v.to_ne_bytes());
         }
         type Edit = fn(&mut [u8]);
-        let cases: [(u32, Edit, &str); 8] = [
+        let cases: [(u32, Edit, &str); 11] = [
             (section::LITERALS, |s| s[8 + 4 * 4 + 3] = 0xFF, "invalid UTF-8"),
             (section::LITERALS, |s| put_u32(s, 8 + 4, 4), "UTF-8 boundaries"), // "caf\xC3" | "\xA9aa"
             (section::LITERALS, |s| s[8 + 4 * 4 + 8] = b'a', "repeats"), // "ab" becomes a second "aa"
@@ -915,6 +937,20 @@ mod tests {
             // Entity 0 starting at pair 1 used to load with pair 0 dropped.
             (section::PAIRS_L, |s| put_u32(s, 8, 1), "Left pairs: the first row does not start at entry 0"),
             (section::PAIRS_R, |s| put_u32(s, 8, 1), "Right pairs: the first row does not start at entry 0"),
+            // A repeated token is a repeated block member, i.e. a doubled β
+            // term; an unsorted set breaks every merge over it.
+            (section::TOKSET_L, |s| put_u32(s, 24, 1), "Left entity 0: token set is not strictly ascending"),
+            (
+                section::TOKSET_L,
+                |s| {
+                    put_u32(s, 24, 1);
+                    put_u32(s, 28, 0);
+                },
+                "Left entity 0: token set is not strictly ascending",
+            ),
+            // Two entities under one URI: `entity_by_uri` would answer for
+            // the later one only.
+            (section::ENT_URI_L, |s| put_u32(s, 12, 0), "Left entity 1: its uri names an earlier entity too"),
         ];
         let (literals, _) = section_range(&good, section::LITERALS);
         assert_eq!(&good[literals + 8 + 4 * 4..][..9], "caféaaab".as_bytes());
@@ -924,7 +960,7 @@ mod tests {
             let (off, len) = section_range(&bytes, id);
             edit(&mut bytes[off..off + len]);
             assert_ne!(bytes, good, "{expected}: the edit must change the file");
-            let sealed = fnv1a(&bytes[off..off + len]).to_ne_bytes();
+            let sealed = checksum(&bytes[off..off + len]).to_ne_bytes();
             bytes[entry + 24..entry + 32].copy_from_slice(&sealed);
             fs::write(&path, &bytes).expect("write damaged");
 

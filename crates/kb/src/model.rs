@@ -40,7 +40,7 @@ impl Side {
 }
 
 /// Identifier of an entity description *within one KB* (dense, zero-based).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[repr(transparent)]
 pub struct EntityId(pub u32);
 

@@ -523,7 +523,7 @@ mod tests {
 
     #[test]
     fn lenient_report_caps_kept_errors_but_not_the_count() {
-        let doc: String = std::iter::repeat("broken\n").take(MAX_REPORTED_ERRORS + 5).collect();
+        let doc = "broken\n".repeat(MAX_REPORTED_ERRORS + 5);
         let mut b = KbPairBuilder::new();
         let report =
             load_ntriples_with_mode(&mut b, Side::Left, &doc, ParseMode::Lenient).unwrap();

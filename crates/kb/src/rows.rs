@@ -136,6 +136,34 @@ impl<T> Rows<T> {
     }
 }
 
+impl<T: Copy> Rows<T> {
+    /// Keeps the rows `keep` accepts (it is asked once per row, in key
+    /// order) and renumbers them densely, in place: a row filter costs no
+    /// allocation and moves each kept item at most once. What the dropped
+    /// rows held goes back to the allocator.
+    pub fn retain_rows(&mut self, mut keep: impl FnMut(usize) -> bool) {
+        let (mut rows, mut items, mut start) = (0usize, 0usize, 0usize);
+        for row in 0..self.n_rows() {
+            // Read before the slot can be overwritten: `rows <= row` here.
+            let end = self.offsets.get(row + 1).map_or(start, |&end| end as usize);
+            if keep(row) {
+                self.data.copy_within(start..end, items);
+                items += end - start;
+                rows += 1;
+                if let Some(slot) = self.offsets.get_mut(rows) {
+                    // Never more than the `u32` it replaces.
+                    *slot = items as u32;
+                }
+            }
+            start = end;
+        }
+        self.data.truncate(items);
+        self.offsets.truncate(rows + 1);
+        self.data.shrink_to_fit();
+        self.offsets.shrink_to_fit();
+    }
+}
+
 impl<T: Copy + Default> Rows<T> {
     /// Regroups `items` (walked twice: count, then scatter) by their key,
     /// which must be below `n_keys` — a stable counting sort: O(items), no
@@ -147,23 +175,31 @@ impl<T: Copy + Default> Rows<T> {
     /// Panics on a key that is not below `n_keys`, and past `u32::MAX`
     /// items.
     pub fn build(n_keys: usize, items: impl Iterator<Item = (usize, T)> + Clone) -> Self {
-        let mut offsets = vec![0u32; n_keys + 1];
+        assert!(n_keys < usize::MAX - 1, "row table overflow: key space");
+        // `for_each`, not `for`: producers are mostly `flat_map`s, which
+        // run as the nested loops they stand for only when driven from inside.
+        // One column serves as counts, then as the scatter's cursors, then as
+        // the offsets: key `k` counts two slots up, so that after the prefix
+        // sum slot `k + 1` is where row `k` starts — and, once the scatter
+        // has advanced it past the row's last item, where row `k + 1` does.
+        let mut offsets = vec![0u32; n_keys + 2];
         let mut total = 0usize;
-        for (key, _) in items.clone() {
+        items.clone().for_each(|(key, _)| {
             // Cannot wrap: `total` is checked below before anything reads it.
-            offsets[key + 1] = offsets[key + 1].wrapping_add(1);
+            offsets[key + 2] = offsets[key + 2].wrapping_add(1);
             total += 1;
-        }
+        });
         checked_len(total);
-        for key in 0..n_keys {
-            offsets[key + 1] += offsets[key];
+        for slot in 2..n_keys + 2 {
+            offsets[slot] += offsets[slot - 1];
         }
         let mut data = vec![T::default(); total];
-        let mut cursor = offsets.clone();
-        for (key, item) in items {
-            data[cursor[key] as usize] = item;
-            cursor[key] += 1;
-        }
+        items.for_each(|(key, item)| {
+            let next = &mut offsets[key + 1];
+            data[*next as usize] = item;
+            *next += 1;
+        });
+        offsets.truncate(n_keys + 1);
         Self { offsets, data }
     }
 }

@@ -85,6 +85,12 @@ impl Kb {
         self.token_sets.row(id.index())
     }
 
+    /// Every entity's token set, one row per entity — the column token
+    /// blocking inverts.
+    pub fn token_sets(&self) -> &Rows<TokenId> {
+        &self.token_sets
+    }
+
     /// Total token occurrences in the entity's literal values.
     pub fn token_occurrences_of(&self, id: EntityId) -> u32 {
         self.token_occurrences[id.index()]

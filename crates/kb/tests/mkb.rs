@@ -131,19 +131,18 @@ fn recompiling_a_materialized_file_is_byte_identical() {
     }
 }
 
-/// `parent_v1.mkb` was compiled from the two fixture documents by the
-/// commit before the arena interner and the CSR token tables (format
-/// version 1, little-endian). The format did not change: that file still
+/// `parent_v2.mkb` was compiled from the two fixture documents by the
+/// commit that moved the format to version 2 (little-endian). That file
 /// opens, re-serializes to itself, and is what this build compiles from
 /// the same text.
 #[test]
-fn a_file_compiled_before_the_arena_interner_is_still_the_format() {
+fn the_golden_file_is_still_the_format() {
     if cfg!(target_endian = "big") {
         return; // `foreign_endianness_is_rejected` covers what happens instead
     }
-    let golden = std::fs::read(fixture("parent_v1.mkb")).expect("read fixture container");
+    let golden = std::fs::read(fixture("parent_v2.mkb")).expect("read fixture container");
 
-    let file = MkbFile::open(&fixture("parent_v1.mkb")).expect("the old file opens");
+    let file = MkbFile::open(&fixture("parent_v2.mkb")).expect("the golden file opens");
     file.verify().expect("checksums hold");
     let back = file.to_pair().expect("materialize succeeds");
     assert_pairs_identical(&fixture_pair(), &back);
@@ -152,6 +151,27 @@ fn a_file_compiled_before_the_arena_interner_is_still_the_format() {
 
     let recompiled = compile(&fixture_pair(), "golden-recompile");
     assert_eq!(std::fs::read(&recompiled).expect("read"), golden, "text → builder → write_mkb");
+}
+
+/// `parent_v1.mkb` is the same pair in format version 1 — the same layout
+/// under FNV-1a section checksums. There is one reader: the file is refused
+/// by version, before any checksum is compared, and only its table differs
+/// from the golden version-2 file.
+#[test]
+fn a_version_1_file_is_refused_with_the_typed_error() {
+    if cfg!(target_endian = "big") {
+        return;
+    }
+    match MkbFile::open(&fixture("parent_v1.mkb")) {
+        Err(MkbError::SchemaMismatch { found: 1, expected: 2 }) => {}
+        other => panic!("expected SchemaMismatch {{ found: 1, expected: 2 }}, got {other:?}"),
+    }
+    let v1 = std::fs::read(fixture("parent_v1.mkb")).expect("read the version-1 fixture");
+    let v2 = std::fs::read(fixture("parent_v2.mkb")).expect("read the golden file");
+    // Header (32 B) + 13 table entries (32 B each): the payloads follow.
+    let payloads = 32 + 13 * 32;
+    assert_eq!(v1.len(), v2.len());
+    assert_eq!(v1[payloads..], v2[payloads..], "the sections themselves did not change");
 }
 
 #[test]

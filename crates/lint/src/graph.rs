@@ -952,7 +952,7 @@ fn collect_calls(
                         _ => Recv::Unknown,
                     };
                     calls.push(RawCall::Method { recv, name: segs.pop().unwrap_or_default(), line });
-                } else if before.is_none_or(|b| !b.is_ident("fn")) {
+                } else if !before.is_some_and(|b| b.is_ident("fn")) {
                     calls.push(RawCall::Bare { name: segs.pop().unwrap_or_default(), line });
                 }
             } else {

@@ -91,7 +91,7 @@ fn token_blocking_is_complete() {
                 let tr = pair.kb(Side::Right).tokens_of(re);
                 let shares = tl.iter().any(|t| tr.contains(t));
                 if shares {
-                    let co_occurs = blocks.blocks.iter().any(|(_, b)| {
+                    let co_occurs = blocks.iter().any(|(_, b)| {
                         b.left.contains(&le) && b.right.contains(&re)
                     });
                     assert!(co_occurs, "pair sharing a token must share a block");

@@ -23,11 +23,9 @@ use minoaner_core::{CheckpointSpec, Minoaner, ResolveRequest};
 use minoaner_dataflow::{CheckpointError, DataflowError, DegradeOnCkptError, MemoryBudget};
 use minoaner_eval::Quality;
 use minoaner_kb::dirty::DirtyKbBuilder;
-use minoaner_kb::parser::{
-    load_ntriples_with_mode, parse_ground_truth, parse_line, unescape, ParseMode, ParseReport,
-};
+use minoaner_kb::parser::{load_ntriples_with_mode, parse_ground_truth, ParseMode, ParseReport};
 use minoaner_kb::turtle::load_turtle;
-use minoaner_kb::{write_mkb, KbPair, KbPairBuilder, MkbError, MkbFile, Side, Term};
+use minoaner_kb::{write_mkb, KbPair, KbPairBuilder, MkbError, MkbFile, Side};
 
 use minoaner_core::multi::{MultiKb, ObjectTerm};
 
@@ -768,25 +766,9 @@ fn jobs_cancel(root: &str, id: &str) -> Result<(), CliError> {
 fn dedup(args: &DedupArgs) -> Result<(), CliError> {
     let doc = read(&args.input)?;
     let mut builder = DirtyKbBuilder::new();
-    let mut report = ParseReport::default();
-    for (n, line) in doc.lines().enumerate() {
-        match parse_line(line) {
-            Ok(None) => {}
-            Ok(Some(t)) => {
-                match t.object {
-                    Term::Literal(l) => {
-                        builder.add_triple(t.subject, t.predicate, Term::Literal(&unescape(l)));
-                    }
-                    Term::Uri(u) => builder.add_triple(t.subject, t.predicate, Term::Uri(u)),
-                }
-                report.parsed += 1;
-            }
-            Err(err) if args.lenient => report.record_skip(err.at_line(n + 1)),
-            Err(err) => {
-                return Err(CliError::Parse(format!("{}: {}", args.input, err.at_line(n + 1))))
-            }
-        }
-    }
+    let report = builder
+        .load_ntriples_with_mode(&doc, parse_mode(args.lenient))
+        .map_err(|e| CliError::Parse(format!("{}: {e}", args.input)))?;
     report_skips(&args.input, &report);
     let pair = builder.finish();
     eprintln!("loaded {} triples ({} entities)", report.parsed, pair.kb(Side::Left).len());

@@ -67,7 +67,7 @@ impl TokenId {
 /// Interned attribute (predicate) name. Shared across both KBs so that
 /// schema overlap, where it exists, is visible — but no algorithm in this
 /// workspace *relies* on shared attribute ids (schema-agnosticism).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[repr(transparent)]
 pub struct AttrId(pub u32);
 

@@ -133,11 +133,19 @@ pub struct Triple<'a> {
 /// Supported: `<uri>` terms, `"literal"` objects (returned still escaped —
 /// see [`unescape`]), optional `@lang` tags and `^^<datatype>` suffixes
 /// (both ignored), and the terminating `.`.
+pub fn parse_line(line: &str) -> Result<Option<Triple<'_>>, SyntaxError> {
+    scan_line(line).map(|scanned| scanned.map(|(triple, _)| triple))
+}
+
+/// [`parse_line`], and whether the object is a literal holding a
+/// backslash — the only literals [`unescape`] can change.
 ///
 /// Every delimiter of the grammar is ASCII, so the terms are found by
-/// scanning bytes; a UTF-8 continuation byte never equals one, which makes
-/// every split point a char boundary.
-pub fn parse_line(line: &str) -> Result<Option<Triple<'_>>, SyntaxError> {
+/// searching bytes, and each term by one search for one of two bytes
+/// ([`find_either`]): `>` or `<` in a URI, `"` or `\` in a literal. A UTF-8
+/// continuation byte never equals a delimiter, which makes every split
+/// point a char boundary.
+pub(crate) fn scan_line(line: &str) -> Result<Option<(Triple<'_>, bool)>, SyntaxError> {
     let trimmed = line.trim();
     if trimmed.is_empty() || trimmed.starts_with('#') {
         return Ok(None);
@@ -147,42 +155,40 @@ pub fn parse_line(line: &str) -> Result<Option<Triple<'_>>, SyntaxError> {
     let rest = rest.trim_start();
     let (predicate, rest) = take_uri(rest)?;
     let rest = rest.trim_start();
-    let (object, rest) = take_object(rest)?;
+    let (object, escaped, rest) = take_object(rest)?;
     let rest = rest.trim_start();
     if !rest.starts_with('.') {
         return Err(SyntaxError::MissingTerminator);
     }
-    Ok(Some(Triple { subject, predicate, object }))
+    Ok(Some((Triple { subject, predicate, object }, escaped)))
 }
 
 fn take_uri(s: &str) -> Result<(&str, &str), SyntaxError> {
-    let rest = s
-        .strip_prefix('<')
-        .ok_or(SyntaxError::ExpectedUri { found: s.chars().next() })?;
-    let end = rest.find('>').ok_or(SyntaxError::UnterminatedUri)?;
+    let rest = s.strip_prefix('<').ok_or_else(|| SyntaxError::ExpectedUri { found: s.chars().next() })?;
     // '<' cannot occur inside an IRIREF: seeing one before the '>' means
     // the URI was never closed and the scanner ran into the next term.
-    if rest[..end].contains('<') {
-        return Err(SyntaxError::UnterminatedUri);
+    match find_either(rest.as_bytes(), b'>', b'<') {
+        Some(end) if rest.as_bytes().get(end) == Some(&b'>') => Ok((&rest[..end], &rest[end + 1..])),
+        _ => Err(SyntaxError::UnterminatedUri),
     }
-    Ok((&rest[..end], &rest[end + 1..]))
 }
 
-fn take_object(s: &str) -> Result<(Term<'_>, &str), SyntaxError> {
+/// The object term, whether it is a literal holding a backslash, and what
+/// follows it.
+fn take_object(s: &str) -> Result<(Term<'_>, bool, &str), SyntaxError> {
     if s.starts_with('<') {
         let (uri, rest) = take_uri(s)?;
-        return Ok((Term::Uri(uri), rest));
+        return Ok((Term::Uri(uri), false, rest));
     }
-    let rest = s
-        .strip_prefix('"')
-        .ok_or(SyntaxError::ExpectedObject { found: s.chars().next() })?;
+    let rest = s.strip_prefix('"').ok_or_else(|| SyntaxError::ExpectedObject { found: s.chars().next() })?;
     // Find the closing unescaped quote. A backslash escapes the next char;
     // skipping one byte of it is enough, the rest cannot be a delimiter.
     let bytes = rest.as_bytes();
-    let mut i = 0;
-    while let Some(step) = bytes[i..].iter().position(|&b| b == b'"' || b == b'\\') {
+    let (mut i, mut escaped) = (0, false);
+    while let Some(step) = bytes.get(i..).and_then(|tail| find_either(tail, b'"', b'\\')) {
         i += step;
-        if bytes[i] == b'\\' {
+        if bytes.get(i) == Some(&b'\\') {
+            escaped = true;
             i = (i + 2).min(bytes.len());
             continue;
         }
@@ -196,9 +202,41 @@ fn take_object(s: &str) -> Result<(Term<'_>, &str), SyntaxError> {
             let (_, t) = take_uri(t)?;
             tail = t;
         }
-        return Ok((Term::Literal(lit), tail));
+        return Ok((Term::Literal(lit), escaped, tail));
     }
     Err(SyntaxError::UnterminatedLiteral)
+}
+
+/// Eight `0x01` bytes: a byte value times this is that byte in every lane.
+const LANES: u64 = 0x0101_0101_0101_0101;
+
+/// The position of the first `a` or `b` in `bytes`, found a little-endian
+/// `u64` word at a time: per word, each lane that equals `a` or `b` becomes
+/// zero under an XOR, and [`zero_lanes`] marks the zero lanes.
+fn find_either(bytes: &[u8], a: u8, b: u8) -> Option<usize> {
+    let (all_a, all_b) = (LANES * u64::from(a), LANES * u64::from(b));
+    let mut words = bytes.chunks_exact(8);
+    let mut at = 0;
+    for eight in &mut words {
+        let mut word = [0u8; 8];
+        word.copy_from_slice(eight);
+        let word = u64::from_le_bytes(word);
+        let hits = zero_lanes(word ^ all_a) | zero_lanes(word ^ all_b);
+        if hits != 0 {
+            // Lane k of a little-endian word is byte k.
+            return Some(at + (hits.trailing_zeros() / 8) as usize);
+        }
+        at += 8;
+    }
+    words.remainder().iter().position(|&c| c == a || c == b).map(|k| at + k)
+}
+
+/// The high bit of every zero byte lane of `x`, and possibly of lanes above
+/// the lowest zero one (a borrow runs upwards out of a zero lane, never
+/// down): so the lowest bit set is always the lowest zero lane, and `x`
+/// has no zero lane exactly when the result is 0.
+fn zero_lanes(x: u64) -> u64 {
+    x.wrapping_sub(LANES) & !x & (LANES << 7)
 }
 
 /// Decodes the N-Triples string escapes of a literal [`parse_line`]
@@ -217,6 +255,13 @@ pub fn unescape(lit: &str) -> Cow<'_, str> {
         return Cow::Borrowed(lit);
     }
     let mut out = String::with_capacity(lit.len());
+    unescape_into(lit, &mut out);
+    Cow::Owned(out)
+}
+
+/// Appends [`unescape`] of `lit` to `out` — the loader decodes every
+/// escaped literal into one buffer it reuses.
+pub(crate) fn unescape_into(lit: &str, out: &mut String) {
     let mut chars = lit.chars();
     while let Some(c) = chars.next() {
         if c != '\\' {
@@ -249,7 +294,6 @@ pub fn unescape(lit: &str) -> Cow<'_, str> {
             None => out.push('\\'),
         }
     }
-    Cow::Owned(out)
 }
 
 /// Loads an N-Triples document into one side of a [`KbPairBuilder`],
@@ -274,16 +318,20 @@ pub fn load_ntriples_with_mode(
     mode: ParseMode,
 ) -> Result<ParseReport, ParseError> {
     let mut report = ParseReport::default();
+    let mut unescaped = String::new();
     for (n, line) in input.lines().enumerate() {
-        match parse_line(line) {
+        match scan_line(line) {
             Ok(None) => {}
-            Ok(Some(t)) => {
-                match t.object {
-                    Term::Literal(l) => {
-                        builder.add_triple(side, t.subject, t.predicate, Term::Literal(&unescape(l)));
+            Ok(Some((t, escaped))) => {
+                let object = match t.object {
+                    Term::Literal(l) if escaped => {
+                        unescaped.clear();
+                        unescape_into(l, &mut unescaped);
+                        Term::Literal(&unescaped)
                     }
-                    uri => builder.add_triple(side, t.subject, t.predicate, uri),
-                }
+                    object => object,
+                };
+                builder.add_triple(side, t.subject, t.predicate, object);
                 report.parsed += 1;
             }
             Err(err) => match mode {
@@ -376,6 +424,33 @@ mod tests {
         let t = parse_line(r#"<a> <p> "he said \"hi\"" ."#).unwrap().unwrap();
         assert_eq!(t.object, Term::Literal(r#"he said \"hi\""#));
         assert_eq!(unescape(r#"he said \"hi\""#), r#"he said "hi""#);
+    }
+
+    #[test]
+    fn find_either_is_the_first_of_two_bytes_at_every_offset() {
+        // Either byte, both or neither at every position of every length
+        // across three words, among filler bytes that include the ones a
+        // word-at-a-time test can mistake for a match: one above a target
+        // (a borrow out of a zero lane), 0x01, the targets with the high
+        // bit set, and 0xFF.
+        for filler in [b'a', b'#', b']', 0x01, 0xA2, 0xDC, 0xFF] {
+            for len in 0..=25 {
+                for at_a in (0..=len).rev() {
+                    for at_b in [0, at_a / 2, at_a + 1, len] {
+                        let mut hay = vec![filler; len];
+                        if let Some(slot) = hay.get_mut(at_a) {
+                            *slot = b'"';
+                        }
+                        if let Some(slot) = hay.get_mut(at_b) {
+                            *slot = b'\\';
+                        }
+                        let want = hay.iter().position(|&c| c == b'"' || c == b'\\');
+                        assert_eq!(find_either(&hay, b'"', b'\\'), want, "{hay:?}");
+                        assert_eq!(find_either(&hay, b'\\', b'"'), want, "{hay:?}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

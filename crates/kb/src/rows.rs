@@ -134,6 +134,13 @@ impl<T> Rows<T> {
     pub fn data(&self) -> &[T] {
         &self.data
     }
+
+    /// The same rows with every item replaced by `f` of it; `f` sees the
+    /// items in key order. The data column is reused where `U` is laid out
+    /// as `T` is.
+    pub fn map<U>(self, f: impl FnMut(T) -> U) -> Rows<U> {
+        Rows { offsets: self.offsets, data: self.data.into_iter().map(f).collect() }
+    }
 }
 
 impl<T: Copy> Rows<T> {
@@ -302,6 +309,19 @@ mod tests {
         assert!(refuse(&[0, 1, 4], 3).contains("last entry"), "long last offset");
         let empty = Rows::from_parts(vec![0], Vec::<u8>::new()).expect("no rows");
         assert_eq!((empty.n_rows(), empty), (0, Rows::default()));
+    }
+
+    #[test]
+    fn map_keeps_the_rows_and_visits_items_in_key_order() {
+        let rows: Rows<u32> = vec![vec![3, 1], vec![], vec![4]].into_iter().collect();
+        let mut seen = Vec::new();
+        let mapped: Rows<u64> = rows.clone().map(|x| {
+            seen.push(x);
+            u64::from(x) * 10
+        });
+        assert_eq!(seen, [3, 1, 4]);
+        assert_eq!(mapped.offsets(), rows.offsets());
+        assert_eq!(as_vecs(&mapped), vec![vec![30, 10], vec![], vec![40]]);
     }
 
     #[test]

@@ -8,13 +8,13 @@
 use crate::interner::{Interner, Symbol};
 use crate::model::{AttrId, Entity, EntityId, LiteralId, Side, TokenId, Value};
 use crate::rows::Rows;
-use crate::tokenize::{for_each_normalized_token, normalize_name_into, uri_local_name};
+use crate::tokenize::{for_each_normalized_token, normalize_into, uri_local_name};
 
 /// One side's entities by URI. The pair's URI symbols are dense (one
 /// interner numbers both sides' subjects and every URI object), so the map
 /// is a vector indexed by symbol, [`UriIndex::NONE`] where the URI names no
 /// entity of this side.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct UriIndex(Vec<u32>);
 
 impl UriIndex {
@@ -266,16 +266,77 @@ pub enum Term<'a> {
     Uri(&'a str),
 }
 
+/// A pair's value before [`KbPairBuilder::finish`] resolves URI objects.
 #[derive(Debug, Clone, Copy)]
 enum RawValue {
     Literal(LiteralId),
     UriRef(Symbol),
 }
 
-#[derive(Debug)]
-struct RawEntity {
-    uri: Symbol,
-    pairs: Vec<(AttrId, RawValue)>,
+/// What [`Rows::build`] fills its column with before it scatters.
+impl Default for RawValue {
+    fn default() -> Self {
+        RawValue::Literal(LiteralId(0))
+    }
+}
+
+/// One side of a [`KbPairBuilder`]: its entities, and every pair added to
+/// the side as one column in the order added, which
+/// [`KbPairBuilder::finish`] groups by entity.
+#[derive(Debug, Clone, Default)]
+struct SideColumns {
+    /// Each entity's interned URI, by [`EntityId`].
+    uris: Vec<Symbol>,
+    uri_index: UriIndex,
+    pairs: Vec<(EntityId, AttrId, RawValue)>,
+}
+
+/// The literal and token interners, and each literal's token sequence.
+#[derive(Debug, Default)]
+struct LiteralTables {
+    literals: Interner,
+    tokens: Interner,
+    literal_tokens: Rows<TokenId>,
+}
+
+/// A literal's normal form and, if it is ASCII, its token ends
+/// ([`normalize_into`]): the buffers the builder normalizes one literal
+/// into, reused for every literal.
+#[derive(Debug, Default)]
+struct Normalized {
+    text: String,
+    ends: Vec<usize>,
+}
+
+impl LiteralTables {
+    /// Normalizes `value` in `scratch` and interns it. A literal seen for
+    /// the first time gets its token row: the spans its token ends mark
+    /// when it is ASCII, [`for_each_normalized_token`]'s tokens when it is
+    /// not.
+    fn intern_value(&mut self, value: &str, scratch: &mut Normalized) -> LiteralId {
+        let ascii = normalize_into(value, &mut scratch.text, &mut scratch.ends);
+        let normalized = scratch.text.as_str();
+        let before = self.literals.len();
+        let sym = self.literals.intern(normalized);
+        if self.literals.len() > before {
+            let (tokens, row) = (&mut self.tokens, &mut self.literal_tokens);
+            let mut push = |token: &str| row.push(TokenId(tokens.intern(token).0));
+            if ascii {
+                let mut start = 0;
+                for &end in &scratch.ends {
+                    if let Some(token) = normalized.get(start..end) {
+                        push(token);
+                    }
+                    // Tokens are one space apart.
+                    start = end + 1;
+                }
+            } else {
+                for_each_normalized_token(normalized, push);
+            }
+            self.literal_tokens.end_row();
+        }
+        LiteralId(sym.0)
+    }
 }
 
 /// Builder assembling a [`KbPair`] from triples or programmatic calls.
@@ -287,27 +348,31 @@ struct RawEntity {
 /// [`finish`]: KbPairBuilder::finish
 #[derive(Debug, Default)]
 pub struct KbPairBuilder {
-    tokens: Interner,
-    literals: Interner,
+    lits: LiteralTables,
     attrs: Interner,
     uris: Interner,
-    literal_tokens: Rows<TokenId>,
-    raw: [Vec<RawEntity>; 2],
-    uri_index: [UriIndex; 2],
+    sides: [SideColumns; 2],
     /// The entity [`Self::entity`] returned last. A document lists an
     /// entity's triples together, so the next call usually names the same
     /// one and is answered by one string comparison instead of two table
     /// probes.
     last_entity: Option<(Side, Symbol, EntityId)>,
-    /// The literal being normalized; reused so that a literal seen before
-    /// costs no allocation.
-    scratch: String,
+    /// The literal being normalized.
+    scratch: Normalized,
 }
 
 impl KbPairBuilder {
     /// Creates an empty builder.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    fn side_mut(&mut self, side: Side) -> &mut SideColumns {
+        let [left, right] = &mut self.sides;
+        match side {
+            Side::Left => left,
+            Side::Right => right,
+        }
     }
 
     /// Registers (or retrieves) the entity with the given URI on `side`.
@@ -318,12 +383,11 @@ impl KbPairBuilder {
             }
         }
         let sym = self.uris.intern(uri);
-        let index = &mut self.uri_index[side.index()];
-        let id = index.get(sym).unwrap_or_else(|| {
-            let raw = &mut self.raw[side.index()];
-            let id = EntityId(raw.len() as u32);
-            raw.push(RawEntity { uri: sym, pairs: Vec::new() });
-            index.insert(sym, id);
+        let columns = self.side_mut(side);
+        let id = columns.uri_index.get(sym).unwrap_or_else(|| {
+            let id = EntityId(columns.uris.len() as u32);
+            columns.uris.push(sym);
+            columns.uri_index.insert(sym, id);
             id
         });
         self.last_entity = Some((side, sym, id));
@@ -331,13 +395,18 @@ impl KbPairBuilder {
     }
 
     /// Adds one attribute–value pair to an existing entity.
+    ///
+    /// # Panics
+    /// Panics if `entity` is not an entity of `side`.
     pub fn add_pair(&mut self, side: Side, entity: EntityId, attr: &str, object: Term<'_>) {
         let attr = AttrId(self.attrs.intern(attr).0);
-        let raw = match object {
-            Term::Literal(s) => RawValue::Literal(self.intern_literal(s)),
+        let value = match object {
+            Term::Literal(s) => RawValue::Literal(self.lits.intern_value(s, &mut self.scratch)),
             Term::Uri(u) => RawValue::UriRef(self.uris.intern(u)),
         };
-        self.raw[side.index()][entity.index()].pairs.push((attr, raw));
+        let columns = self.side_mut(side);
+        assert!(entity.index() < columns.uris.len(), "{entity:?} is not an entity of {side:?}");
+        columns.pairs.push((entity, attr, value));
     }
 
     /// Convenience: registers the subject if needed and adds the triple.
@@ -346,60 +415,43 @@ impl KbPairBuilder {
         self.add_pair(side, e, predicate, object);
     }
 
-    fn intern_literal(&mut self, value: &str) -> LiteralId {
-        normalize_name_into(value, &mut self.scratch);
-        let before = self.literals.len();
-        let sym = self.literals.intern(&self.scratch);
-        if self.literals.len() > before {
-            for_each_normalized_token(&self.scratch, |t| {
-                self.literal_tokens.push(TokenId(self.tokens.intern(t).0));
-            });
-            self.literal_tokens.end_row();
-        }
-        LiteralId(sym.0)
+    /// Copies the left side onto the right — what a dirty builder, which
+    /// adds every triple to the left side only, does before it finishes.
+    pub(crate) fn mirror_left(&mut self) {
+        let [left, right] = &mut self.sides;
+        *right = left.clone();
     }
 
     /// Resolves references and produces the immutable [`KbPair`].
     pub fn finish(mut self) -> KbPair {
         let left = self.build_kb(Side::Left);
         let right = self.build_kb(Side::Right);
-        KbPair {
-            tokens: self.tokens,
-            literals: self.literals,
-            attrs: self.attrs,
-            uris: self.uris,
-            literal_tokens: self.literal_tokens,
-            kbs: [left, right],
-            dirty: false,
-        }
+        let LiteralTables { literals, tokens, literal_tokens } = self.lits;
+        KbPair { tokens, literals, attrs: self.attrs, uris: self.uris, literal_tokens, kbs: [left, right], dirty: false }
     }
 
-    /// Resolves one side's raw entities into a finished [`Kb`].
+    /// Resolves one side's pairs into a finished [`Kb`].
     fn build_kb(&mut self, side: Side) -> Kb {
-        let raws = std::mem::take(&mut self.raw[side.index()]);
-        let uri_index = std::mem::take(&mut self.uri_index[side.index()]);
+        let SideColumns { uris, uri_index, pairs: added } = std::mem::take(self.side_mut(side));
 
-        // Pass 1: resolve URI objects to entity refs where possible. A
-        // URI that is not a subject in this KB contributes its local
-        // name as a literal (it still carries token evidence).
-        let uris: Vec<Symbol> = raws.iter().map(|raw| raw.uri).collect();
-        let mut pairs = Rows::with_capacity(raws.len(), raws.iter().map(|raw| raw.pairs.len()).sum());
-        for raw in &raws {
-            for &(attr, value) in &raw.pairs {
-                let v = match value {
-                    RawValue::Literal(l) => Value::Literal(l),
-                    RawValue::UriRef(sym) => match uri_index.get(sym) {
-                        Some(id) => Value::Ref(id),
-                        None => {
-                            let local = uri_local_name(self.uris.resolve(sym)).to_owned();
-                            Value::Literal(self.intern_literal(&local))
-                        }
-                    },
-                };
-                pairs.push((attr, v));
-            }
-            pairs.end_row();
-        }
+        // Pass 1: group the pairs by entity — a stable sort, so each
+        // entity keeps its pairs in the order they were added — then
+        // resolve URI objects to entity refs where possible, in entity
+        // order. A URI that is not a subject in this KB contributes its
+        // local name as a literal (it still carries token evidence).
+        let grouped = Rows::build(uris.len(), added.iter().map(|&(EntityId(entity), attr, value)| (entity as usize, (attr, value))));
+        drop(added);
+        let (lits, names, scratch) = (&mut self.lits, &self.uris, &mut self.scratch);
+        let pairs = grouped.map(|(attr, value)| {
+            let value = match value {
+                RawValue::Literal(l) => Value::Literal(l),
+                RawValue::UriRef(sym) => match uri_index.get(sym) {
+                    Some(id) => Value::Ref(id),
+                    None => Value::Literal(lits.intern_value(uri_local_name(names.resolve(sym)), scratch)),
+                },
+            };
+            (attr, value)
+        });
 
         // Pass 2: per-entity token sets (sorted + dedup) and occurrence
         // counts, derived from the literal token sequences.
@@ -410,7 +462,7 @@ impl KbPairBuilder {
             toks.clear();
             for &(_, value) in row {
                 if let Value::Literal(lit) = value {
-                    toks.extend_from_slice(self.literal_tokens.row(lit.index()));
+                    toks.extend_from_slice(self.lits.literal_tokens.row(lit.index()));
                 }
             }
             token_occurrences.push(toks.len() as u32);

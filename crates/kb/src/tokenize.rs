@@ -57,31 +57,74 @@ pub(crate) fn for_each_normalized_token(normalized: &str, mut token: impl FnMut(
 /// trimmed. `"J.  Lake "` and `"j Lake"` normalize identically.
 pub fn normalize_name(value: &str) -> String {
     let mut out = String::with_capacity(value.len());
-    normalize_name_into(value, &mut out);
+    normalize_into(value, &mut out, &mut Vec::new());
     out
 }
 
-/// [`normalize_name`] into a caller-owned buffer, which is cleared first —
-/// the loader normalizes every literal of a document into one scratch
-/// string. An all-ASCII value is classified and folded byte by byte; any
-/// other value goes char by char through the Unicode tables.
-pub(crate) fn normalize_name_into(value: &str, out: &mut String) {
+/// What the ASCII pass of [`normalize_into`] makes of each byte: an
+/// alphanumeric byte is its own lowercase, any other ASCII byte is
+/// [`SEP`], and a byte past ASCII is [`WIDE`].
+static BYTE_CLASS: [u8; 256] = byte_classes();
+
+/// A separator byte: whitespace, punctuation, a control or a symbol.
+const SEP: u8 = 0;
+
+/// A byte of a multi-byte char: the value takes the char path.
+const WIDE: u8 = 0x80;
+
+const fn byte_classes() -> [u8; 256] {
+    let mut classes = [WIDE; 256];
+    let mut b = 0u8;
+    while b < 0x80 {
+        classes[b as usize] = if b.is_ascii_alphanumeric() { b.to_ascii_lowercase() } else { SEP };
+        b += 1;
+    }
+    classes
+}
+
+/// [`normalize_name`] of `value` into `out`, which is cleared first — the
+/// loader normalizes every literal into one buffer it reuses.
+///
+/// An all-ASCII value takes one pass through [`BYTE_CLASS`], which also
+/// fills `ends` with where each token ends (so token `k` is `out` from one
+/// past end `k - 1`, or 0, up to end `k`), and the call returns true. At
+/// the first byte past ASCII, the value goes char by char through the
+/// Unicode tables instead, `ends` is left empty and the call returns false
+/// — such a value's tokens are [`for_each_normalized_token`]'s to find.
+pub(crate) fn normalize_into(value: &str, out: &mut String, ends: &mut Vec<usize>) -> bool {
+    out.clear();
+    ends.clear();
+    let mut pending_sep = false;
+    for &b in value.as_bytes() {
+        let class = BYTE_CLASS.get(usize::from(b)).copied().unwrap_or(WIDE);
+        if class == SEP {
+            pending_sep = true;
+            continue;
+        }
+        if class == WIDE {
+            ends.clear();
+            normalize_chars(value, out);
+            return false;
+        }
+        if pending_sep && !out.is_empty() {
+            ends.push(out.len());
+            out.push(' ');
+        }
+        pending_sep = false;
+        out.push(char::from(class));
+    }
+    if !out.is_empty() {
+        ends.push(out.len());
+    }
+    true
+}
+
+/// The char path of [`normalize_into`]: `value`'s normal form into `out`,
+/// which is cleared first, classifying and folding through the Unicode
+/// tables.
+fn normalize_chars(value: &str, out: &mut String) {
     out.clear();
     let mut pending_sep = false;
-    if value.is_ascii() {
-        for b in value.bytes() {
-            if b.is_ascii_alphanumeric() {
-                if pending_sep && !out.is_empty() {
-                    out.push(' ');
-                }
-                pending_sep = false;
-                out.push(char::from(b.to_ascii_lowercase()));
-            } else {
-                pending_sep = true;
-            }
-        }
-        return;
-    }
     for c in value.chars() {
         if c.is_alphanumeric() {
             if pending_sep && !out.is_empty() {
@@ -165,6 +208,20 @@ mod tests {
         assert_eq!(normalize_name("J.  Lake "), "j lake");
         assert_eq!(normalize_name("j Lake"), "j lake");
         assert_eq!(normalize_name("  The--Fat Duck"), "the fat duck");
+    }
+
+    #[test]
+    fn normalize_into_marks_where_ascii_tokens_end() {
+        let (mut out, mut ends) = ("x".to_owned(), vec![9]);
+        assert!(normalize_into("  The--Fat Duck 42 ", &mut out, &mut ends));
+        assert_eq!((out.as_str(), &ends[..]), ("the fat duck 42", &[3, 7, 12, 15][..]));
+        // At the first byte past ASCII the value goes through the char
+        // path, which marks no ends.
+        assert!(!normalize_into("Ab-İstanbul Café", &mut out, &mut ends));
+        assert_eq!(out, "ab i\u{307}stanbul café");
+        assert!(ends.is_empty());
+        assert!(normalize_into("!?", &mut out, &mut ends));
+        assert_eq!((out.as_str(), ends.len()), ("", 0), "no tokens, no ends");
     }
 
     #[test]

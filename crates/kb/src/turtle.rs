@@ -131,8 +131,8 @@ impl<'a> TurtleParser<'a> {
         if self.rest().is_empty() {
             return Ok(None);
         }
-        let sparql_prefix = self.rest().len() > 6
-            && self.rest()[..6].eq_ignore_ascii_case("prefix")
+        // `get`: the sixth byte of a statement may fall inside a char.
+        let sparql_prefix = self.rest().get(..6).is_some_and(|word| word.eq_ignore_ascii_case("prefix"))
             && self.rest()[6..].starts_with(|c: char| c.is_whitespace());
         if self.eat("@prefix") || sparql_prefix && {
             self.bump(6);
@@ -387,6 +387,13 @@ line""" ; ex:year "1995"^^ex:gYear ; ex:short 'single' .
 "#;
         let (_, n) = load(doc).unwrap();
         assert_eq!(n, 3);
+    }
+
+    #[test]
+    fn a_statement_whose_sixth_byte_is_inside_a_char_is_not_a_prefix() {
+        let (pair, n) = load("@prefix ab: <http://x/> .\nab:cdé <http://p> \"x\" .").unwrap();
+        assert_eq!(n, 1);
+        assert!(pair.uris().get("http://x/cdé").is_some());
     }
 
     #[test]

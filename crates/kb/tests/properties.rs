@@ -511,6 +511,19 @@ fn loader_builds_the_tables_of_a_naive_reference_builder() {
         }
     }
     assert_loader_matches_naive_builder(&docs[0], &docs[1]);
+
+    // Two normal forms with the same stored 32-bit hash, so the same probe
+    // sequence in the literal table: the loader must tell them apart by
+    // their bytes.
+    let mut seen = std::collections::BTreeMap::new();
+    let (first, second) = (0u32..)
+        .find_map(|i| {
+            let s = format!("collide {i}");
+            seen.insert(minoaner_det::hash_bytes(s.as_bytes()) as u32, s.clone()).map(|earlier| (earlier, s))
+        })
+        .expect("a 32-bit hash collides within 2^32 strings");
+    let doc = format!("<a> <p> \"{first}\" .\n<b> <p> \"{second}\" .\n<c> <p> \"{first}\" .\n<d> <p> \"{second}\" .\n");
+    assert_loader_matches_naive_builder(&doc, &doc);
 }
 
 /// The last-subject memo must never hand out an entity of the other

@@ -112,7 +112,7 @@ impl<K: Copy> Blocks<K> {
 
     /// Aggregate entity-in-block assignments `Σ_b |b1| + |b2|`.
     pub fn total_assignments(&self) -> u64 {
-        self.members.iter().map(|table| table.data().len() as u64).sum()
+        self.members.iter().map(|table| table.n_items() as u64).sum()
     }
 
     /// Keeps the blocks `keep` accepts, in place and in order.
@@ -131,7 +131,7 @@ impl<K: Copy> Blocks<K> {
             Side::Left => left,
             Side::Right => right,
         };
-        let mut thinned = Rows::with_capacity(table.n_rows(), table.data().len());
+        let mut thinned = Rows::with_capacity(table.n_rows(), table.n_items());
         for (block, row) in table.iter().enumerate() {
             thinned.push_row(row.iter().copied().filter(|&e| keep(block, e)));
         }

@@ -47,7 +47,7 @@ pub fn filter_blocks(blocks: &mut TokenBlocks, ratio: f64) -> FilterReport {
     for side in [Side::Left, Side::Right] {
         // The member table transposed: entity → the ranks of its blocks.
         let members = blocks.members(side);
-        let n_entities = members.data().iter().map(|&EntityId(e)| e as usize + 1).max().unwrap_or(0);
+        let n_entities = members.data().map(|&EntityId(e)| e as usize + 1).max().unwrap_or(0);
         let ranks_of = Rows::build(
             n_entities,
             members.iter().zip(&rank).flat_map(|(row, &r)| row.iter().map(move |&EntityId(e)| (e as usize, r))),

@@ -18,9 +18,9 @@
 //!   views, the β-union edges and their transpose, and the graph's four
 //!   candidate tables — is one [`minoaner_kb::Rows`]: two flat columns
 //!   shared read-only across tasks, never a `Vec` per row. A stage sharded
-//!   by row range returns one `Rows` part per task and
-//!   [`Rows::concat`] joins them: the destination is sized once and each
-//!   part is freed as it is appended, so the transient is one part.
+//!   by row range returns one `Rows` part per task and [`Rows::parted`]
+//!   keeps them as they are — row `k` is in part `k / chunk` — so no stage
+//!   output is ever copied into a second, joined table.
 //! * Per-entity weight aggregation uses an epoch-stamped dense
 //!   sparse-accumulator ([`crate::accum::SparseAccumulator`]); it and the
 //!   rank-key buffer belong to the **worker** ([`KernelScratch`]), not the
@@ -180,7 +180,7 @@ impl BlockingGraph {
     /// Total retained directed edges (value + neighbor lists + α both ways).
     pub fn num_directed_edges(&self) -> usize {
         let lists = self.value_cands.iter().chain(&self.neighbor_cands);
-        lists.map(|rows| rows.data().len()).sum::<usize>() + 2 * self.alpha.len()
+        lists.map(Rows::n_items).sum::<usize>() + 2 * self.alpha.len()
     }
 
     /// An FNV-1a digest of every retained edge — ids and the exact `f64`
@@ -374,7 +374,7 @@ pub(crate) fn apply_reciprocal_pruning(graph: &mut BlockingGraph) {
     /// The lists with only the candidates present in the entity's reverse
     /// row.
     fn prune(lists: &Rows<Candidate>, reverse: &Rows<u32>) -> Rows<Candidate> {
-        let mut kept = Rows::with_capacity(lists.n_rows(), lists.data().len());
+        let mut kept = Rows::with_capacity(lists.n_rows(), lists.n_items());
         let mut ids: Vec<u32> = Vec::new();
         let mut common: Vec<u32> = Vec::new();
         for (from, cands) in lists.iter().enumerate() {
@@ -476,8 +476,8 @@ fn beta_pass(
         });
         out
     });
-    let lists = Rows::concat(partials);
-    let retained = lists.data().len() as u64;
+    let lists = Rows::parted(partials);
+    let retained = lists.n_items() as u64;
     executor
         .annotate_last_stage(&format!("graph/beta/{side:?}"), StageIo::items(n as u64, retained));
     lists
@@ -621,7 +621,7 @@ fn beta_union(
     let n_left = value_left.n_rows();
     let parts = executor.run_stage("graph/gamma/union", n_left.div_ceil(chunk), |t| {
         let lo = t * chunk;
-        let own = value_left.iter().skip(lo).take(chunk);
+        let own = (lo..(lo + chunk).min(n_left)).map(|i| value_left.row(i));
         let from_right = Rows::build(
             own.len(),
             value_right.iter().enumerate().flat_map(|(j, cands)| {
@@ -631,7 +631,7 @@ fn beta_union(
                 })
             }),
         );
-        let upper = own.clone().map(<[Candidate]>::len).sum::<usize>() + from_right.data().len();
+        let upper = own.clone().map(<[Candidate]>::len).sum::<usize>() + from_right.n_items();
         let mut edges = Rows::with_capacity(own.len(), upper);
         let mut buckets: Vec<Vec<(u32, u32, f64)>> = vec![Vec::new(); shuffle.partitions()];
         let mut row: Vec<(u32, f64)> = Vec::new();
@@ -655,7 +655,7 @@ fn beta_union(
         }
         edges
     });
-    Rows::concat(parts)
+    Rows::parted(parts)
 }
 
 /// The exchange's reduce step: one partition's β edges `(i, j, β)` — its
@@ -768,7 +768,7 @@ fn gamma_pass(
 
     let shuffle = SpillShuffle::new("graph-gamma", tasks_r, executor.memory_budget());
     let edges = beta_union(executor, value_left, value_right, chunk_l, chunk_r, &shuffle);
-    let n_edges = edges.data().len() as u64;
+    let n_edges = edges.n_items() as u64;
     executor.emit_counter("blocking/beta_union_edges", n_edges);
 
     // Transpose: the same edges as rows by right endpoint.
@@ -783,11 +783,11 @@ fn gamma_pass(
     shuffle.finish(executor);
     let io = StageIo {
         shuffle_bytes: n_edges * std::mem::size_of::<(u32, u32, f64)>() as u64,
-        max_partition_items: parts.iter().map(|part| part.data().len() as u64).max().unwrap_or(0),
+        max_partition_items: parts.iter().map(|part| part.n_items() as u64).max().unwrap_or(0),
         ..StageIo::items(n_edges, n_edges)
     };
     executor.annotate_last_stage("graph/gamma/transpose", io);
-    let edges_t = Rows::concat(parts);
+    let edges_t = Rows::parted(parts);
 
     // Row passes: the left-row tasks, then the right-row tasks.
     let mut partials = executor.run_stage("graph/gamma", tasks_l + tasks_r, |t| {
@@ -799,11 +799,11 @@ fn gamma_pass(
             gamma_rows(rows, &left.top, &edges, &right.incoming, false, dirty, cfg)
         }
     });
-    let right_lists = Rows::concat(partials.split_off(tasks_l).into_iter().map(|(lists, _)| lists).collect());
+    let right_lists = Rows::parted(partials.split_off(tasks_l).into_iter().map(|(lists, _)| lists).collect());
     let left_cells: u64 = partials.iter().map(|&(_, cells)| cells).sum();
     executor.annotate_last_stage("graph/gamma", StageIo::items(n_edges, left_cells));
     executor.emit_counter("blocking/gamma_entries", left_cells);
-    (Rows::concat(partials.into_iter().map(|(lists, _)| lists).collect()), right_lists)
+    (Rows::parted(partials.into_iter().map(|(lists, _)| lists).collect()), right_lists)
 }
 
 #[cfg(test)]
@@ -1611,11 +1611,11 @@ mod tests {
         // The build with a view per side, as clean-clean ER runs it.
         let [left, right] =
             [Side::Left, Side::Right].map(|side| NeighborViews::compute(&pair, &rels, side, cfg.n_relations));
-        assert_eq!((left.top.data(), left.incoming.data()), (right.top.data(), right.incoming.data()));
+        assert_eq!((&left.top, &left.incoming), (&right.top, &right.incoming));
         let [value_left, value_right] = graph.value_cands.clone();
         let (neighbor_left, neighbor_right) =
             gamma_pass(&exec, &value_left, &value_right, &[left, right], true, &cfg);
-        assert!(!neighbor_left.data().is_empty(), "the pair has neighbour evidence");
+        assert!(neighbor_left.n_items() > 0, "the pair has neighbour evidence");
         let two_views = BlockingGraph::from_parts(
             [value_left, value_right],
             [neighbor_left, neighbor_right],

@@ -22,7 +22,7 @@ pub fn build_name_blocks(pair: &KbPair, names: &NameStats) -> NameBlocks {
         let mut named: Vec<(usize, EntityId)> = Vec::with_capacity(kb.len());
         for (id, e) in kb.iter() {
             let first = named.len();
-            named.extend(e.pairs.iter().filter_map(|&(p, v)| match v {
+            named.extend(e.pairs().filter_map(|(p, v)| match v {
                 Value::Literal(LiteralId(name)) if attrs.contains(&p) => Some((name as usize, id)),
                 Value::Literal(_) | Value::Ref(_) => None,
             }));

@@ -27,7 +27,7 @@ pub fn build_token_blocks_parallel(executor: &Executor, pair: &KbPair) -> TokenB
     let [left, right] = [Side::Left, Side::Right].map(|side| {
         let stage = format!("token-blocking/{side:?}");
         let inverted = executor.time_stage(&stage, || invert(pair, side));
-        let io = StageIo::items(pair.kb(side).len() as u64, inverted.data().len() as u64);
+        let io = StageIo::items(pair.kb(side).len() as u64, inverted.n_items() as u64);
         executor.annotate_last_stage(&stage, io);
         inverted
     });

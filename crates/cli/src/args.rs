@@ -912,4 +912,96 @@ mod tests {
         assert!(parse(&strings(&["frobnicate"])).is_err());
         assert!(parse(&strings(&["resolve", "--left", "a", "--right", "b", "--bogus"])).is_err());
     }
+
+    /// The bytes the loader's hostile-input loops insert
+    /// (`kb/tests/lenient_parsing.rs`): quoting, escapes, separators,
+    /// control bytes, a split multi-byte character and bytes that are never
+    /// UTF-8.
+    const NASTY: &[u8] = b"\"<>\\.#@^ \t\r\n\0u\xC3\xA9\xE6\x9D\xF0\x80\xFF";
+
+    /// Whole arguments the argv mutants splice in: every flag of every
+    /// table, values at and past the edges of their kinds, and what a job
+    /// spec is made of.
+    const TOKENS: &[&str] = &[
+        "--left", "--right", "--mkb", "--mem-budget", "--spill-dir", "--workers", "--k", "--top-k", "--n",
+        "--theta", "--json", "--resume", "--checkpoint-dir", "--degrade-on-ckpt-error", "--lenient",
+        "--strict", "--root", "--job", "--id", "--budget-workers", "--budget-memory", "--max-running",
+        "--max-queued", "--input", "--kb", "--type-attr", "resolve", "jobs", "run", "kb", "compile", "",
+        "0", "-1", "18446744073709551615", "18446744073709551616", "17179869184g", "16777216t", "k", "1e309",
+        "NaN", "inf", "-0", "0x10", "=", ",", "left=", "right=,", "memory=99999999999999g", "deadline-ms=-5",
+        "workers=18446744073709551616", "priority=", "name=a=b",
+    ];
+
+    /// Valid command lines of every command, the mutants' starting points.
+    fn templates() -> Vec<Vec<String>> {
+        [
+            &["resolve", "--left", "a.nt", "--right", "b.nt", "--workers", "2", "--k", "2", "--top-k", "15",
+              "--n", "3", "--theta", "0.6", "--json", "--report", "r.json", "--lenient"][..],
+            &["resolve", "--mkb", "p.mkb", "--mem-budget", "64m", "--spill-dir", "/tmp/s",
+              "--checkpoint-dir", "/tmp/c", "--resume", "--degrade-on-ckpt-error"],
+            &["jobs", "run", "--root", "/tmp/r", "--budget-workers", "2", "--budget-memory", "1g",
+              "--max-running", "2", "--max-queued", "64", "--job",
+              "name=a,left=l.nt,right=r.nt,priority=high,workers=2,memory=8m,deadline-ms=100",
+              "--job", "left=l.nt,right=r.nt"],
+            &["jobs", "status", "--root", "/tmp/r", "--id", "j0001"],
+            &["jobs", "cancel", "--root", "/tmp/r", "--id", "j0001"],
+            &["jobs", "list", "--root", "/tmp/r"],
+            &["kb", "compile", "a.nt", "b.nt", "o.mkb", "--lenient"],
+            &["dedup", "--input", "d.nt", "--workers", "1"],
+            &["multi", "--kb", "a.nt", "--kb", "b.nt", "--kb", "c.nt"],
+            &["stats", "--input", "a.nt", "--type-attr", "p"],
+        ]
+        .iter()
+        .map(|args| strings(args))
+        .collect()
+    }
+
+    /// One argument mutated as bytes — a bit flipped, a nasty byte put in,
+    /// a byte taken out, or the rest cut off — and read back as argv is.
+    fn mutate_bytes(rng: &mut Rng, arg: &str) -> String {
+        let mut bytes = arg.as_bytes().to_vec();
+        let at = rng.gen_range(0..bytes.len().max(1)).min(bytes.len().saturating_sub(1));
+        let nasty = NASTY.get(rng.gen_range(0..NASTY.len())).copied().unwrap_or(b'\0');
+        match rng.gen_range(0..4usize) {
+            _ if bytes.is_empty() => bytes.push(nasty),
+            0 => bytes[at] ^= 1 << rng.gen_range(0..8usize),
+            1 => bytes.insert(at, nasty),
+            2 => drop(bytes.remove(at)),
+            _ => bytes.truncate(at),
+        }
+        String::from_utf8_lossy(&bytes).into_owned()
+    }
+
+    use minoaner_det::rng::{for_each_seed, Rng};
+
+    #[test]
+    fn mutated_command_lines_give_a_command_or_an_arg_error_never_a_panic() {
+        let templates = templates();
+        let (mut commands, mut errors) = (0, 0);
+        for_each_seed(20_000, |rng| {
+            let mut args = templates[rng.gen_range(0..templates.len())].clone();
+            for _ in 0..1 + rng.gen_range(0..3usize) {
+                let at = rng.gen_range(0..args.len().max(1)).min(args.len().saturating_sub(1));
+                match rng.gen_range(0..5usize) {
+                    _ if args.is_empty() => args.push(TOKENS[rng.gen_range(0..TOKENS.len())].to_owned()),
+                    0 | 1 => args[at] = mutate_bytes(rng, &args[at]),
+                    2 => drop(args.remove(at)),
+                    3 => args.insert(at, TOKENS[rng.gen_range(0..TOKENS.len())].to_owned()),
+                    _ => {
+                        let other = rng.gen_range(0..args.len());
+                        args.swap(at, other);
+                    }
+                }
+            }
+            // A result either way; a panic fails the loop and names the seed.
+            match parse(&args) {
+                Ok(_) => commands += 1,
+                Err(ArgError(_)) => errors += 1,
+            }
+            for arg in &args {
+                let _: Result<u64, ArgError> = parse_bytes(arg);
+            }
+        });
+        assert!(commands > 1_000 && errors > 1_000, "{commands} commands, {errors} errors");
+    }
 }

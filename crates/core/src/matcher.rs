@@ -307,6 +307,9 @@ fn rule_r3(
 /// paper attributes its missed matches to the lower-left corner of
 /// Figure 2, where both similarities vanish). Returns `None` when no
 /// candidate is admissible.
+///
+/// The ranking runs in buffers the calling worker owns
+/// ([`AggregateScratch`]), so an entity costs no allocation.
 pub fn aggregate_top_candidate(
     value_cands: &[(EntityId, f64)],
     neighbor_cands: &[(EntityId, f64)],
@@ -314,28 +317,64 @@ pub fn aggregate_top_candidate(
     require_both: bool,
     keep: impl Fn(EntityId) -> bool,
 ) -> Option<(EntityId, f64)> {
-    let mut agg: Vec<(EntityId, f64, bool)> = Vec::new();
-    let val: Vec<EntityId> = value_cands.iter().map(|&(c, _)| c).filter(|&c| keep(c)).collect();
-    for (pos, &c) in val.iter().enumerate() {
-        agg.push((c, theta * (val.len() - pos) as f64 / val.len() as f64, false));
-    }
-    let ngb: Vec<EntityId> = neighbor_cands.iter().map(|&(c, _)| c).filter(|&c| keep(c)).collect();
-    for (pos, &c) in ngb.iter().enumerate() {
-        let s = (1.0 - theta) * (ngb.len() - pos) as f64 / ngb.len() as f64;
-        match agg.iter_mut().find(|(e, _, _)| *e == c) {
-            Some((_, acc, both)) => {
-                *acc += s;
-                *both = true;
-            }
-            None => agg.push((c, s, false)),
+    AGGREGATE_SCRATCH.with(|cell| match cell.try_borrow_mut() {
+        Ok(mut scratch) => scratch.aggregate(value_cands, neighbor_cands, theta, require_both, &keep),
+        // A `keep` that aggregates in turn gets buffers of its own.
+        Err(_) => AggregateScratch::default().aggregate(value_cands, neighbor_cands, theta, require_both, &keep),
+    })
+}
+
+/// Worker-owned buffers of the rank-aggregation kernel, cleared per entity
+/// instead of reallocated — what [`minoaner_blocking`]'s kernel scratch is
+/// to the β and γ rows.
+#[derive(Default)]
+struct AggregateScratch {
+    /// `(candidate, score, in both lists)`, value candidates first.
+    agg: Vec<(EntityId, f64, bool)>,
+    /// The admissible neighbour candidates, in list order.
+    neighbors: Vec<EntityId>,
+}
+
+thread_local! {
+    static AGGREGATE_SCRATCH: std::cell::RefCell<AggregateScratch> = std::cell::RefCell::new(AggregateScratch::default());
+}
+
+impl AggregateScratch {
+    /// [`aggregate_top_candidate`] in these buffers: the same scores,
+    /// summed in the same order, as ranking into fresh `Vec`s.
+    fn aggregate(
+        &mut self,
+        value_cands: &[(EntityId, f64)],
+        neighbor_cands: &[(EntityId, f64)],
+        theta: f64,
+        require_both: bool,
+        keep: &impl Fn(EntityId) -> bool,
+    ) -> Option<(EntityId, f64)> {
+        let Self { agg, neighbors } = self;
+        agg.clear();
+        agg.extend(value_cands.iter().map(|&(c, _)| c).filter(|&c| keep(c)).map(|c| (c, 0.0, false)));
+        let n_val = agg.len();
+        for (pos, (_, score, _)) in agg.iter_mut().enumerate() {
+            *score = theta * (n_val - pos) as f64 / n_val as f64;
         }
+        neighbors.clear();
+        neighbors.extend(neighbor_cands.iter().map(|&(c, _)| c).filter(|&c| keep(c)));
+        let n_ngb = neighbors.len();
+        for (pos, &c) in neighbors.iter().enumerate() {
+            let s = (1.0 - theta) * (n_ngb - pos) as f64 / n_ngb as f64;
+            match agg.iter_mut().find(|(e, _, _)| *e == c) {
+                Some((_, acc, both)) => {
+                    *acc += s;
+                    *both = true;
+                }
+                None => agg.push((c, s, false)),
+            }
+        }
+        agg.iter()
+            .filter(|&&(_, _, both)| both || !require_both)
+            .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal).then(b.0.cmp(&a.0)))
+            .map(|&(c, s, _)| (c, s))
     }
-    agg.into_iter()
-        .filter(|&(_, _, both)| both || !require_both)
-        .max_by(|a, b| {
-            a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal).then(b.0.cmp(&a.0))
-        })
-        .map(|(c, s, _)| (c, s))
 }
 
 fn orient(side: Side, e: EntityId, candidate: EntityId) -> (EntityId, EntityId) {
@@ -420,6 +459,67 @@ mod tests {
         assert_eq!(best, e(2));
         // No overlap at all → no admissible candidate.
         assert!(aggregate_top_candidate(&value, &[(e(9), 1.0)], 0.6, true, |_| true).is_none());
+    }
+
+    /// The allocating kernel `aggregate_top_candidate` replaced, kept
+    /// verbatim as its oracle.
+    fn aggregate_top_candidate_allocating(
+        value_cands: &[(EntityId, f64)],
+        neighbor_cands: &[(EntityId, f64)],
+        theta: f64,
+        require_both: bool,
+        keep: impl Fn(EntityId) -> bool,
+    ) -> Option<(EntityId, f64)> {
+        let mut agg: Vec<(EntityId, f64, bool)> = Vec::new();
+        let val: Vec<EntityId> = value_cands.iter().map(|&(c, _)| c).filter(|&c| keep(c)).collect();
+        for (pos, &c) in val.iter().enumerate() {
+            agg.push((c, theta * (val.len() - pos) as f64 / val.len() as f64, false));
+        }
+        let ngb: Vec<EntityId> = neighbor_cands.iter().map(|&(c, _)| c).filter(|&c| keep(c)).collect();
+        for (pos, &c) in ngb.iter().enumerate() {
+            let s = (1.0 - theta) * (ngb.len() - pos) as f64 / ngb.len() as f64;
+            match agg.iter_mut().find(|(e, _, _)| *e == c) {
+                Some((_, acc, both)) => {
+                    *acc += s;
+                    *both = true;
+                }
+                None => agg.push((c, s, false)),
+            }
+        }
+        agg.into_iter()
+            .filter(|&(_, _, both)| both || !require_both)
+            .max_by(|a, b| {
+                a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal).then(b.0.cmp(&a.0))
+            })
+            .map(|(c, s, _)| (c, s))
+    }
+
+    #[test]
+    fn aggregation_in_scratch_equals_the_allocating_kernel() {
+        minoaner_det::rng::for_each_seed(2000, |rng| {
+            // Candidates from a small universe, so the lists share many, a
+            // list may name one twice, and `keep` drops some of them.
+            let universe = 1 + rng.gen_range(0..12usize);
+            let list = |rng: &mut minoaner_det::rng::Rng| -> Vec<(EntityId, f64)> {
+                (0..rng.gen_range(0..16usize)).map(|_| (e(rng.gen_range(0..universe) as u32), rng.gen_range(1..100usize) as f64)).collect()
+            };
+            let (value, ngb) = (list(rng), list(rng));
+            let dropped: Vec<bool> = (0..universe).map(|_| rng.gen_range(0..4usize) == 0).collect();
+            let keep = |c: EntityId| !dropped[c.index()];
+            let theta = [0.0, 0.6, 1.0, rng.gen_range(0..1000usize) as f64 / 1000.0][rng.gen_range(0..4usize)];
+            for require_both in [false, true] {
+                let bits = |got: Option<(EntityId, f64)>| got.map(|(c, s)| (c, s.to_bits()));
+                assert_eq!(
+                    bits(aggregate_top_candidate(&value, &ngb, theta, require_both, keep)),
+                    bits(aggregate_top_candidate_allocating(&value, &ngb, theta, require_both, keep)),
+                    "{value:?} / {ngb:?}, θ={theta}, both={require_both}, dropped={dropped:?}"
+                );
+            }
+        });
+        // A `keep` that aggregates as well runs on buffers of its own.
+        let value = [(e(1), 5.0), (e(2), 4.0)];
+        let nested = |c: EntityId| aggregate_top_candidate(&value, &[], 0.5, false, |d| d == c).is_some();
+        assert_eq!(aggregate_top_candidate(&value, &value, 0.5, true, nested), Some((e(1), 1.0)));
     }
 
     #[test]

@@ -96,11 +96,13 @@ pub fn read_status(dir: &Path) -> Result<JobStatus, ControlError> {
     read_status_with(&*vfs::default_vfs(), dir)
 }
 
-/// [`read_status`] through an explicit [`Vfs`].
+/// [`read_status`] through an explicit [`Vfs`]. A file that is not UTF-8
+/// is malformed, like any other body that is not a status.
 pub fn read_status_with(vfs: &dyn Vfs, dir: &Path) -> Result<JobStatus, ControlError> {
     let path = dir.join("status.json");
-    let json = vfs.read_to_string(&path)?;
-    status_from_json(&json).map_err(|detail| ControlError::Malformed { path, detail })
+    let bytes = vfs.read(&path)?;
+    let json = std::str::from_utf8(&bytes).map_err(|e| format!("not UTF-8 at byte {}", e.valid_up_to()));
+    json.and_then(status_from_json).map_err(|detail| ControlError::Malformed { path, detail })
 }
 
 /// All job statuses under a control root, ascending by id. A missing root
@@ -347,6 +349,47 @@ mod tests {
                 write_status(&root, &old).expect("reset for next k");
             }
         }
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    /// The bytes the loader's hostile-input loops insert
+    /// (`kb/tests/lenient_parsing.rs`), and what a status body is made of.
+    const NASTY: &[u8] = b"\"<>\\.#@^ \t\r\n\0u\xC3\xA9\xE6\x9D\xF0\x80\xFF{}[]:,-0123456789e";
+
+    #[test]
+    fn mutated_status_files_read_as_a_status_or_as_malformed_never_a_panic() {
+        use minoaner_det::rng::for_each_seed;
+        let root = std::env::temp_dir().join(format!("minoaner-jobs-mutants-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&root);
+        let bodies: Vec<Vec<u8>> = [JobState::Queued, JobState::Running, JobState::Cancelled]
+            .into_iter()
+            .enumerate()
+            .map(|(id, state)| status_to_json(&JobStatus { summary: Some("3 matches".into()), ..sample(id as u64, state) }).into_bytes())
+            .collect();
+        let dir = job_dir(&root, JobId::from_ordinal(0));
+        fs::create_dir_all(&dir).expect("create job dir");
+        let (mut read, mut malformed) = (0, 0);
+        for_each_seed(3_000, |rng| {
+            let mut bytes = bodies[rng.gen_range(0..bodies.len())].clone();
+            for _ in 0..1 + rng.gen_range(0..4usize) {
+                let at = rng.gen_range(0..bytes.len().max(1)).min(bytes.len().saturating_sub(1));
+                let nasty = NASTY[rng.gen_range(0..NASTY.len())];
+                match rng.gen_range(0..4usize) {
+                    _ if bytes.is_empty() => bytes.push(nasty),
+                    0 => bytes[at] ^= 1 << rng.gen_range(0..8usize),
+                    1 => bytes.insert(at, nasty),
+                    2 => drop(bytes.remove(at)),
+                    _ => bytes.truncate(at),
+                }
+            }
+            fs::write(dir.join("status.json"), &bytes).expect("write mutant");
+            match read_status(&dir) {
+                Ok(_) => read += 1,
+                Err(ControlError::Malformed { .. }) => malformed += 1,
+                Err(other) => panic!("a readable file is a status or malformed, got {other:?} for {bytes:?}"),
+            }
+        });
+        assert!(read > 100 && malformed > 1_000, "{read} read, {malformed} malformed");
         let _ = fs::remove_dir_all(&root);
     }
 

@@ -31,31 +31,34 @@
 //! file is refused with [`MkbError::SchemaMismatch`] — recompile it from its
 //! documents. There is one reader.
 //!
-//! The arena, CSR and pairs sections are the columns [`Interner`] and the
-//! pair's [`Rows`] tables hold in memory — one byte arena or one data
-//! column, plus cumulative offsets from 0 (a pair's attribute and value are
-//! one column in memory, two on disk). Writing copies those columns;
-//! [`MkbFile::to_pair`] validates them and copies them back.
+//! Every section is a column [`Interner`], [`Kb`] and the pair's [`Rows`]
+//! tables hold in memory — one byte arena or one data column, plus
+//! cumulative offsets from 0; a side's pairs are an attribute table and
+//! the value words beside it, on disk as in memory. Writing copies those
+//! columns; [`MkbFile::to_pair`] validates them where they lie and hands
+//! them out as they are: each table of the returned pair is a [`Stored`]
+//! range of the reference-counted mapping, not a copy.
 //!
 //! [`MkbFile::open`] only validates structure (magic, version, endianness,
 //! alignment, section bounds) — the cheap path benchmarked against
 //! re-parsing. [`MkbFile::verify`] checks every section checksum, and
-//! [`MkbFile::to_pair`] verifies before materializing, so a bit-flipped
+//! [`MkbFile::to_pair`] verifies before anything else, so a bit-flipped
 //! file fails closed with a typed [`MkbError`] instead of producing a
 //! silently wrong KB.
 
 use std::fmt;
 use std::fs::File;
-use std::ops::Range;
+use std::ops::{Deref, Range};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use minoaner_det::checksum;
 use minoaner_det::vfs::{self, Vfs};
 
 use crate::interner::{Interner, Symbol};
-use crate::model::{AttrId, EntityId, LiteralId, Side, TokenId, Value};
+use crate::model::{AttrId, Side, TokenId, Value};
 use crate::rows::Rows;
-use crate::store::{Kb, KbPair};
+use crate::store::{Kb, KbPair, UriIndex};
 
 /// Version of the `.mkb` layout this build reads and writes.
 pub const MKB_FORMAT_VERSION: u32 = 2;
@@ -71,9 +74,6 @@ const FLAG_DIRTY: u32 = 1;
 const HEADER_LEN: usize = 32;
 const TABLE_ENTRY_LEN: usize = 32;
 const SECTION_COUNT: usize = 13;
-/// High bit of a stored value word: set ⇒ `Value::Ref`, clear ⇒
-/// `Value::Literal`. Ids must therefore stay below 2³¹.
-const REF_BIT: u32 = 0x8000_0000;
 
 /// Section identifiers, in file order.
 mod section {
@@ -186,8 +186,8 @@ fn arena_section(interner: &Interner) -> Vec<u8> {
 fn csr_section(rows: &Rows<TokenId>) -> Vec<u8> {
     let mut s = SectionBuf::default();
     s.u64(rows.n_rows() as u64);
-    s.u32_iter(rows.offsets().iter().copied());
-    s.u32_iter(rows.data().iter().map(|t| t.0));
+    s.u32_iter(rows.offsets());
+    s.u32_iter(rows.data().map(|t| t.0));
     s.buf
 }
 
@@ -199,22 +199,16 @@ fn u32_column(vals: impl ExactSizeIterator<Item = u32>) -> Vec<u8> {
     s.buf
 }
 
-/// Serializes one side's attribute–value pairs as parallel attr/value
-/// columns behind the table's own per-entity offsets.
-fn pairs_section(pairs: &Rows<(AttrId, Value)>) -> Result<Vec<u8>, MkbError> {
-    let value_word = |&(_, v): &(AttrId, Value)| match v {
-        Value::Literal(l) if l.0 & REF_BIT == 0 => Ok(l.0),
-        Value::Literal(_) => Err(MkbError::TooLarge { what: "literal id exceeds 2^31".into() }),
-        Value::Ref(t) if t.0 & REF_BIT == 0 => Ok(t.0 | REF_BIT),
-        Value::Ref(_) => Err(MkbError::TooLarge { what: "entity id exceeds 2^31".into() }),
-    };
-    let vals = pairs.data().iter().map(value_word).collect::<Result<Vec<u32>, _>>()?;
+/// Serializes one side's attribute–value pairs: the attribute rows'
+/// offsets and column, then the value words beside them — the three
+/// columns the KB holds, copied.
+fn pairs_section(attrs: &Rows<AttrId>, values: &[u32]) -> Vec<u8> {
     let mut s = SectionBuf::default();
-    s.u64(pairs.n_rows() as u64);
-    s.u32_iter(pairs.offsets().iter().copied());
-    s.u32_iter(pairs.data().iter().map(|&(a, _)| a.0));
-    s.u32_iter(vals.into_iter());
-    Ok(s.buf)
+    s.u64(attrs.n_rows() as u64);
+    s.u32_iter(attrs.offsets());
+    s.u32_iter(attrs.data().map(|a| a.0));
+    s.u32_iter(values.iter().copied());
+    s.buf
 }
 
 /// Compiles a [`KbPair`] into an `.mkb` container at `path`, atomically:
@@ -231,8 +225,8 @@ pub fn write_mkb(pair: &KbPair, path: &Path) -> Result<u64, MkbError> {
 /// a pre-existing `.mkb` at `path` is left untouched until the rename.
 pub fn write_mkb_with(pair: &KbPair, path: &Path, vfs: &dyn Vfs) -> Result<u64, MkbError> {
     let (left, right) = (pair.kb(Side::Left), pair.kb(Side::Right));
-    let ((uris_l, pairs_l), (tokset_l, tokocc_l)) = (left.entity_columns(), left.token_columns());
-    let ((uris_r, pairs_r), (tokset_r, tokocc_r)) = (right.entity_columns(), right.token_columns());
+    let ((uris_l, attrs_l, values_l), (tokset_l, tokocc_l)) = (left.entity_columns(), left.token_columns());
+    let ((uris_r, attrs_r, values_r), (tokset_r, tokocc_r)) = (right.entity_columns(), right.token_columns());
 
     let sections: Vec<(u32, Vec<u8>)> = vec![
         (section::TOKENS, arena_section(pair.tokens())),
@@ -242,8 +236,8 @@ pub fn write_mkb_with(pair: &KbPair, path: &Path, vfs: &dyn Vfs) -> Result<u64, 
         (section::LITERAL_TOKENS, csr_section(pair.literal_tokens())),
         (section::ENT_URI_L, u32_column(uris_l.iter().map(|uri| uri.0))),
         (section::ENT_URI_R, u32_column(uris_r.iter().map(|uri| uri.0))),
-        (section::PAIRS_L, pairs_section(pairs_l)?),
-        (section::PAIRS_R, pairs_section(pairs_r)?),
+        (section::PAIRS_L, pairs_section(attrs_l, values_l)),
+        (section::PAIRS_R, pairs_section(attrs_r, values_r)),
         (section::TOKSET_L, csr_section(tokset_l)),
         (section::TOKSET_R, csr_section(tokset_r)),
         (section::TOKOCC_L, u32_column(tokocc_l.iter().copied())),
@@ -290,8 +284,11 @@ pub fn write_mkb_with(pair: &KbPair, path: &Path, vfs: &dyn Vfs) -> Result<u64, 
 /// `mmap(PROT_READ, MAP_SHARED)` mapping — page-in is lazy and the pages
 /// are shareable across processes; elsewhere (and under Miri, which cannot
 /// model foreign mmap memory) it falls back to an aligned heap read.
+///
+/// An [`MkbFile`] and every column [`MkbFile::to_pair`] hands out share
+/// one mapping through an `Arc`: it is unmapped when the last of them goes.
 #[derive(Debug)]
-struct Mapping {
+pub(crate) struct Mapping {
     #[cfg(all(unix, not(miri)))]
     ptr: *mut std::ffi::c_void,
     #[cfg(all(unix, not(miri)))]
@@ -391,6 +388,167 @@ impl Drop for Mapping {
     }
 }
 
+// ───────────────────────────── columns ─────────────────────────────
+
+/// One column of a KB table: items the column owns, or items that lie in
+/// an `.mkb` mapping the column shares — what [`MkbFile::to_pair`] returns
+/// instead of a copy. Either way it reads as the slice (or `str`) it holds;
+/// [`Self::to_mut`] copies a mapped column out before the first write.
+///
+/// The mapped case is built in this file only ([`Self::mapped`]), so the
+/// `'static` view never leaves a `Stored`, which keeps the mapping alive
+/// for as long as the view can be read.
+pub(crate) struct Stored<O: Deref + 'static> {
+    /// The items, unless a mapping holds them.
+    owned: O,
+    mapped: Option<MappedView<O::Target>>,
+}
+
+/// Items in a mapping, and the mapping. The view is declared first, so it
+/// is dropped before the `Arc` that may unmap it.
+struct MappedView<V: ?Sized + 'static> {
+    view: &'static V,
+    map: Arc<Mapping>,
+}
+
+impl<V: ?Sized + 'static> Clone for MappedView<V> {
+    fn clone(&self) -> Self {
+        Self { view: self.view, map: Arc::clone(&self.map) }
+    }
+}
+
+impl<O: Deref + Clone + 'static> Clone for Stored<O> {
+    fn clone(&self) -> Self {
+        Self { owned: self.owned.clone(), mapped: self.mapped.clone() }
+    }
+}
+
+/// A column of `T`: a table's offsets or data, a KB's URI or occurrence
+/// column.
+pub(crate) type Column<T> = Stored<Vec<T>>;
+
+/// An interner's arena: its strings back to back.
+pub(crate) type Text = Stored<String>;
+
+impl<O: Deref + 'static> Stored<O> {
+    /// A column of items held in memory.
+    pub(crate) fn owned(owned: O) -> Self {
+        Self { owned, mapped: None }
+    }
+
+    /// The items as the column's own, copied out of the mapping if they
+    /// are in one.
+    pub(crate) fn into_owned(self) -> O
+    where
+        O: for<'a> From<&'a O::Target>,
+    {
+        match self.mapped {
+            Some(MappedView { view, .. }) => O::from(view),
+            None => self.owned,
+        }
+    }
+
+    /// The items to change in place; a mapped column becomes an owned copy
+    /// first.
+    #[inline]
+    pub(crate) fn to_mut(&mut self) -> &mut O
+    where
+        O: for<'a> From<&'a O::Target>,
+    {
+        if self.mapped.is_some() {
+            self.copy_out();
+        }
+        &mut self.owned
+    }
+
+    /// Makes a mapped column an owned copy: once per column at most, off
+    /// the path of every write.
+    #[cold]
+    fn copy_out(&mut self)
+    where
+        O: for<'a> From<&'a O::Target>,
+    {
+        if let Some(MappedView { view, .. }) = self.mapped.take() {
+            self.owned = O::from(view);
+        }
+    }
+}
+
+impl<O: Deref + Default + 'static> Default for Stored<O> {
+    fn default() -> Self {
+        Self::owned(O::default())
+    }
+}
+
+impl<O: Deref + 'static> Deref for Stored<O> {
+    type Target = O::Target;
+
+    #[inline]
+    fn deref(&self) -> &O::Target {
+        match &self.mapped {
+            Some(mapped) => mapped.view,
+            None => &self.owned,
+        }
+    }
+}
+
+impl<O: Deref + 'static> fmt::Debug for Stored<O>
+where
+    O::Target: fmt::Debug,
+{
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
+
+/// A column item an `.mkb` section stores as itself: a byte, a `u32`, or a
+/// `#[repr(transparent)]` wrapper of one — a type of which every bit
+/// pattern of its size is a value. Private, and implemented here for these
+/// types only.
+trait Word: Copy + 'static {}
+impl Word for u8 {}
+impl Word for u32 {}
+impl Word for TokenId {}
+impl Word for AttrId {}
+impl Word for Symbol {}
+
+/// Bytes `range` of `map` as a column of `T` that shares the mapping — the
+/// one place a mapped column is made. `open` validated the range in bounds
+/// and aligned for its column; both are checked again here.
+fn mapped_column<T: Word>(map: &Arc<Mapping>, range: &Range<usize>) -> Column<T> {
+    let bytes = map.bytes().get(range.clone()).unwrap_or(&[]);
+    assert!(
+        bytes.as_ptr() as usize % std::mem::align_of::<T>() == 0 && bytes.len() % std::mem::size_of::<T>() == 0,
+        "an .mkb column is aligned and sized for its items"
+    );
+    // SAFETY: `bytes` lies inside the mapping (`get` checked), starts
+    // aligned for `T` and holds a whole number of `T`s (asserted
+    // above); `T` is a `Word`, so every bit pattern read is a value.
+    // The mapping is read-only and never moves or shrinks while an
+    // `Arc` of it lives, and the view is stored only beside such an
+    // `Arc` in a `Stored`, which lends it out for no longer than a
+    // borrow of itself — so `'static` is never observed past the
+    // mapping's life.
+    let view: &'static [T] = unsafe {
+        std::slice::from_raw_parts(bytes.as_ptr().cast::<T>(), bytes.len() / std::mem::size_of::<T>())
+    };
+    Stored { owned: Vec::new(), mapped: Some(MappedView { view, map: Arc::clone(map) }) }
+}
+
+impl Stored<String> {
+    /// A column of bytes as text, if it is UTF-8 — still in the mapping
+    /// when it was there.
+    fn utf8(bytes: Stored<Vec<u8>>) -> Result<Self, std::str::Utf8Error> {
+        let Stored { owned, mapped } = bytes;
+        let owned = String::from_utf8(owned).map_err(|e| e.utf8_error())?;
+        let mapped = match mapped {
+            Some(MappedView { view, map }) => Some(MappedView { view: std::str::from_utf8(view)?, map }),
+            None => None,
+        };
+        Ok(Self { owned, mapped })
+    }
+}
+
 /// Byte ranges of one parsed section's internal arrays (absolute file
 /// offsets, validated 4-aligned and in-bounds at open time).
 #[derive(Debug, Clone)]
@@ -430,7 +588,7 @@ struct SectionMeta {
 /// to read a KB out of the file — verifies first.
 #[derive(Debug)]
 pub struct MkbFile {
-    map: Mapping,
+    map: Arc<Mapping>,
     path: PathBuf,
     dirty: bool,
     sections: Vec<SectionMeta>,
@@ -516,7 +674,7 @@ impl MkbFile {
         if len < HEADER_LEN {
             return Err(corrupt(path, format!("file is {len} bytes, smaller than the {HEADER_LEN}-byte header")));
         }
-        let map = Mapping::map(&file, len, path)?;
+        let map = Arc::new(Mapping::map(&file, len, path)?);
         let bytes = map.bytes();
         if bytes.as_ptr() as usize % 8 != 0 {
             return Err(corrupt(path, "mapping is not 8-byte aligned"));
@@ -710,36 +868,33 @@ impl MkbFile {
         Ok(())
     }
 
-    // ── zero-copy typed views ──
-
-    fn u32_view(&self, r: &Range<usize>) -> &[u32] {
-        let bytes = &self.map.bytes()[r.clone()];
-        debug_assert_eq!(bytes.as_ptr() as usize % 4, 0, "u32 columns are 4-byte aligned");
-        // SAFETY: the range was validated 4-aligned and in-bounds at open
-        // (sections start 8-aligned; every array start is a multiple of 4
-        // from there), and any u32 bit pattern is valid.
-        unsafe { std::slice::from_raw_parts(bytes.as_ptr().cast::<u32>(), bytes.len() / 4) }
+    /// Section `id`'s payload.
+    fn section_bytes(&self, id: u32) -> &[u8] {
+        let meta = self.sections.get((id as usize).wrapping_sub(1));
+        meta.and_then(|meta| self.map.bytes().get(meta.range.0..meta.range.1)).unwrap_or(&[])
     }
 
-    fn token_view(&self, r: &Range<usize>) -> &[TokenId] {
-        let words = self.u32_view(r);
-        // SAFETY: TokenId is #[repr(transparent)] over u32.
-        unsafe { std::slice::from_raw_parts(words.as_ptr().cast::<TokenId>(), words.len()) }
+    /// Bytes `range` of the file as a column of `T`, in place.
+    fn column<T: Word>(&self, range: &Range<usize>) -> Column<T> {
+        mapped_column(&self.map, range)
     }
 
     /// A stored offsets column and the data column it cuts into rows, as a
     /// table — every CSR-shaped section's one validator.
-    fn rows<T>(&self, what: &str, offsets: &Range<usize>, data: Vec<T>) -> Result<Rows<T>, MkbError> {
-        Rows::from_parts(self.u32_view(offsets).to_vec(), data)
-            .map_err(|detail| corrupt(&self.path, format!("{what}: {detail}")))
+    fn rows<T: Word>(&self, what: &str, offsets: &Range<usize>, data: Column<T>) -> Result<Rows<T>, MkbError> {
+        Rows::from_columns(self.column(offsets), data).map_err(|detail| corrupt(&self.path, format!("{what}: {detail}")))
     }
 
-    /// Fully verifies the file and materializes an in-memory [`KbPair`].
+    /// Fully verifies the file and returns the [`KbPair`] it holds, its
+    /// columns left where they are: every table of the pair is a range of
+    /// this file's mapping, which the pair shares (and keeps mapped after
+    /// the `MkbFile` is gone). An interner's lookup table is built on its
+    /// first [`Interner::get`].
     ///
-    /// Materialization bypasses parsing, normalization and tokenization —
-    /// the columns load directly — so the result is *identical* (not just
-    /// equivalent) to the pair that was compiled: same interner order,
-    /// same ids, same token sets, hence bit-identical resolution results.
+    /// Nothing is parsed, normalized or tokenized, so the result is
+    /// *identical* (not just equivalent) to the pair that was compiled:
+    /// same interner order, same ids, same token sets, hence bit-identical
+    /// resolution results.
     ///
     /// Beyond the checksums, every arena must be UTF-8 cut on char
     /// boundaries into distinct strings, every CSR and pairs table must
@@ -747,32 +902,44 @@ impl MkbFile {
     /// range, an entity's token set must ascend strictly and a side's URI
     /// column must name each URI once — blocks are counting inversions of
     /// those columns, so a repeated token would be a repeated block member
-    /// and a doubled β term; anything else is [`MkbError::Corrupt`].
+    /// and a doubled β term. A dirty pair's right-side sections must be
+    /// its left-side sections byte for byte: the two sides are one KB, and
+    /// the left side's columns serve both. Anything else is
+    /// [`MkbError::Corrupt`]. Each check reads the mapping once.
     pub fn to_pair(&self) -> Result<KbPair, MkbError> {
         self.verify()?;
         let path = &self.path;
+        if self.dirty {
+            let twins = [
+                (section::ENT_URI_L, section::ENT_URI_R),
+                (section::PAIRS_L, section::PAIRS_R),
+                (section::TOKSET_L, section::TOKSET_R),
+                (section::TOKOCC_L, section::TOKOCC_R),
+            ];
+            if let Some((left, right)) = twins.into_iter().find(|&(l, r)| self.section_bytes(l) != self.section_bytes(r)) {
+                return Err(corrupt(path, format!("dirty flag set but section {right} is not section {left}")));
+            }
+        }
 
-        // Arenas, CSR tables and flat columns have the in-memory layout:
-        // validate the columns in place, then copy them whole.
-        let interner = |which: usize, what: &str| -> Result<Interner, MkbError> {
-            let arena = &self.arenas[which];
-            let text = std::str::from_utf8(&self.map.bytes()[arena.bytes.clone()])
+        let interner = |arena: &ArenaRef, what: &str| -> Result<Interner, MkbError> {
+            let text = Stored::utf8(self.column(&arena.bytes))
                 .map_err(|e| corrupt(path, format!("{what}: invalid UTF-8 at arena byte {}", e.valid_up_to())))?;
-            Interner::from_parts(text.to_owned(), self.u32_view(&arena.offsets).to_vec())
+            Interner::from_columns(text, self.column(&arena.offsets))
                 .map_err(|detail| corrupt(path, format!("{what}: {detail}")))
         };
-        let tokens = interner(0, "tokens arena")?;
-        let literals = interner(1, "literals arena")?;
-        let attrs = interner(2, "attrs arena")?;
-        let uris = interner(3, "uris arena")?;
-        let [toks_len, lits_len, attrs_len, uris_len] = [&tokens, &literals, &attrs, &uris].map(|i| i.len() as u32);
+        let [tokens_arena, literals_arena, attrs_arena, uris_arena] = &self.arenas;
+        let tokens = interner(tokens_arena, "tokens arena")?;
+        let literals = interner(literals_arena, "literals arena")?;
+        let attrs = interner(attrs_arena, "attrs arena")?;
+        let uris = interner(uris_arena, "uris arena")?;
+        let [toks_len, lits_len, attrs_len] = [&tokens, &literals, &attrs].map(|i| i.len() as u32);
 
         let token_rows = |csr: &CsrRef, what: &str| -> Result<Rows<TokenId>, MkbError> {
-            let data = self.token_view(&csr.data);
-            if data.iter().any(|t| t.0 >= toks_len) {
+            let data: Column<TokenId> = self.column(&csr.data);
+            if data.iter().fold(false, |bad, t| bad | (t.0 >= toks_len)) {
                 return Err(corrupt(path, format!("{what}: token id out of range")));
             }
-            self.rows(what, &csr.offsets, data.to_vec())
+            self.rows(what, &csr.offsets, data)
         };
         if self.literal_tokens.rows() != literals.len() {
             return Err(corrupt(path, "literal token CSR row count disagrees with literal arena"));
@@ -781,61 +948,73 @@ impl MkbFile {
 
         let build_side = |side: Side| -> Result<Kb, MkbError> {
             let i = side.index();
-            let uri_col = self.u32_view(&self.ent_uri[i]);
+            let uri_col: Column<Symbol> = self.column(&self.ent_uri[i]);
             let n = uri_col.len();
-            let mut named = vec![false; uris_len as usize];
-            for (e, &uri) in uri_col.iter().enumerate() {
-                match named.get_mut(uri as usize) {
-                    None => return Err(corrupt(path, format!("{side:?} entity {e}: uri symbol out of range"))),
-                    Some(named) if *named => {
-                        return Err(corrupt(path, format!("{side:?} entity {e}: its uri names an earlier entity too")))
-                    }
-                    Some(named) => *named = true,
-                }
-            }
-            let pair_offsets = self.u32_view(&self.pairs_offsets[i].offsets);
-            let attr_col = self.u32_view(&self.pairs_offsets[i].data);
-            let val_col = self.u32_view(&self.pairs_vals[i]);
-            // Names the entity whose row holds pair `p`.
-            let bad = |p: usize, what: &str| {
-                let e = pair_offsets.partition_point(|&start| start as usize <= p).saturating_sub(1);
-                corrupt(path, format!("{side:?} entity {e}: {what} out of range"))
+            let uri_index = UriIndex::of_column(&uri_col, uris.len())
+                .map_err(|(e, what)| corrupt(path, format!("{side:?} entity {e}: {what}")))?;
+            let (offsets, attr_col, val_col) = (&self.pairs_offsets[i].offsets, &self.pairs_offsets[i].data, &self.pairs_vals[i]);
+            let (attr_col, val_col): (Column<AttrId>, Column<u32>) = (self.column(attr_col), self.column(val_col));
+            let n_refs = u32::try_from(n).unwrap_or(u32::MAX);
+            let out_of_range = |(&a, &w): (&AttrId, &u32)| {
+                let (is_ref, id) = Value::split_word(w);
+                (a.0 >= attrs_len) | (id >= if is_ref { n_refs } else { lits_len })
             };
-            let mut pairs = Vec::with_capacity(attr_col.len());
-            for (p, (&a, &w)) in attr_col.iter().zip(val_col).enumerate() {
-                if a >= attrs_len {
-                    return Err(bad(p, "attr id"));
-                }
-                let v = match (w & REF_BIT != 0, w & !REF_BIT) {
-                    (true, t) if t as usize >= n => return Err(bad(p, "ref target")),
-                    (true, t) => Value::Ref(EntityId(t)),
-                    (false, l) if l >= lits_len => return Err(bad(p, "literal id")),
-                    (false, l) => Value::Literal(LiteralId(l)),
+            // A fold without an early exit, so that it vectorizes; the pair
+            // to blame is looked for only when there is one.
+            let pairs = || attr_col.iter().zip(val_col.iter());
+            if let Some(p) = pairs().fold(false, |bad, pair| bad | out_of_range(pair)).then(|| pairs().position(out_of_range)).flatten() {
+                // Names the entity whose row holds pair `p`, and what is wrong.
+                let starts: Column<u32> = self.column(offsets);
+                let e = starts.partition_point(|&start| start as usize <= p).saturating_sub(1);
+                let what = match (attr_col.get(p), val_col.get(p).map(|&w| Value::from_word(w))) {
+                    (Some(a), _) if a.0 >= attrs_len => "attr id",
+                    (_, Some(Value::Ref(_))) => "ref target",
+                    _ => "literal id",
                 };
-                pairs.push((AttrId(a), v));
+                return Err(corrupt(path, format!("{side:?} entity {e}: {what} out of range")));
             }
-            let pairs = self.rows(&format!("{side:?} pairs"), &self.pairs_offsets[i].offsets, pairs)?;
+            let pairs = self.rows(&format!("{side:?} pairs"), offsets, attr_col)?;
             let token_sets = token_rows(&self.toksets[i], &format!("{side:?} token sets"))?;
-            let ascending = |set: &[TokenId]| set.iter().zip(set.iter().skip(1)).all(|(a, b)| a < b);
-            if let Some(e) = token_sets.iter().position(|set| !ascending(set)) {
+            if let Some(e) = first_unsorted_row(&token_sets) {
                 return Err(corrupt(path, format!("{side:?} entity {e}: token set is not strictly ascending")));
             }
-            let occ = self.u32_view(&self.tokocc[i]).to_vec();
-            Ok(Kb::from_parts(uri_col.iter().map(|&uri| Symbol(uri)).collect(), pairs, token_sets, occ))
+            let occurrences = self.column(&self.tokocc[i]);
+            Ok(Kb::from_columns(uri_col, uri_index, pairs, val_col, token_sets, occurrences))
         };
 
         let left = build_side(Side::Left)?;
-        let right = build_side(Side::Right)?;
-        if self.dirty && left.len() != right.len() {
-            return Err(corrupt(path, "dirty flag set but sides differ in length"));
-        }
+        let right = if self.dirty { left.clone() } else { build_side(Side::Right)? };
         Ok(KbPair::from_parts(tokens, literals, attrs, uris, literal_tokens, [left, right], self.dirty))
     }
+}
+
+/// The first row of `table` that does not ascend strictly, if any.
+///
+/// Every row ascends strictly exactly when each item is less than the next
+/// one but where a row ends: so one vectorizing pass counts the descents
+/// (and repeats) over the whole data column, a second the ones across a
+/// row's end, and rows are looked at one by one only if the counts differ.
+fn first_unsorted_row(table: &Rows<TokenId>) -> Option<usize> {
+    let descents = |items: &[TokenId]| {
+        items.iter().zip(items.iter().skip(1)).fold(0usize, |n, (a, b)| n + usize::from(a >= b))
+    };
+    let (mut within, mut across) = (0usize, 0usize);
+    for (offsets, items) in table.column_parts() {
+        within += descents(items);
+        // Between the last item of each row that has one and the item after.
+        let rows = offsets.iter().zip(offsets.iter().skip(1)).filter(|(start, end)| start < end);
+        let ends = rows.filter_map(|(_, &end)| Some((items.get(end as usize - 1)?, items.get(end as usize)?)));
+        across += ends.filter(|(last, next)| last >= next).count();
+    }
+    let ascending = |row: &[TokenId]| descents(row) == 0;
+    (within != across).then(|| table.iter().position(|row| !ascending(row))).flatten()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dirty::DirtyKbBuilder;
+    use crate::model::EntityId;
     use crate::store::{KbPairBuilder, Term};
     use std::fs;
 
@@ -915,6 +1094,12 @@ mod tests {
         let path = dir.join("pair.mkb");
         write_mkb(&b.finish(), &path).expect("write");
         let good = fs::read(&path).expect("read");
+        // A dirty pair: its right-side sections are copies of its left.
+        let mut d = DirtyKbBuilder::new();
+        d.add_triple("e0", "p", Term::Literal("aa"));
+        d.add_triple("e1", "p", Term::Literal("ab"));
+        write_mkb(&d.finish(), &path).expect("write");
+        let dirty = fs::read(&path).expect("read");
 
         // Each edit gets its section's bytes: count u64, then the offsets
         // [0, 5, 7, 9] (literals), [0, 1, 2, 3] (literal tokens), [0, 2, 3]
@@ -923,24 +1108,26 @@ mod tests {
         // sets [0, 1 | 1] behind four bytes of padding, the left uri column
         // [0, 1] straight behind its count. A last offset that is not the
         // column's length cannot be written: `open` sizes the columns by it.
+        // The dirty pair's right uri column is [0, 1] too.
         fn put_u32(section: &mut [u8], at: usize, v: u32) {
             section[at..at + 4].copy_from_slice(&v.to_ne_bytes());
         }
         type Edit = fn(&mut [u8]);
-        let cases: [(u32, Edit, &str); 11] = [
-            (section::LITERALS, |s| s[8 + 4 * 4 + 3] = 0xFF, "invalid UTF-8"),
-            (section::LITERALS, |s| put_u32(s, 8 + 4, 4), "UTF-8 boundaries"), // "caf\xC3" | "\xA9aa"
-            (section::LITERALS, |s| s[8 + 4 * 4 + 8] = b'a', "repeats"), // "ab" becomes a second "aa"
-            (section::LITERALS, |s| put_u32(s, 8, 1), "start at byte 0"),
-            (section::LITERAL_TOKENS, |s| put_u32(s, 8, 1), "start at entry 0"),
-            (section::LITERAL_TOKENS, |s| put_u32(s, 8 + 4 * 4, 99), "token id out of range"),
+        let cases: [(&[u8], u32, Edit, &str); 12] = [
+            (&good, section::LITERALS, |s| s[8 + 4 * 4 + 3] = 0xFF, "invalid UTF-8"),
+            (&good, section::LITERALS, |s| put_u32(s, 8 + 4, 4), "UTF-8 boundaries"), // "caf\xC3" | "\xA9aa"
+            (&good, section::LITERALS, |s| s[8 + 4 * 4 + 8] = b'a', "repeats"), // "ab" becomes a second "aa"
+            (&good, section::LITERALS, |s| put_u32(s, 8, 1), "start at byte 0"),
+            (&good, section::LITERAL_TOKENS, |s| put_u32(s, 8, 1), "start at entry 0"),
+            (&good, section::LITERAL_TOKENS, |s| put_u32(s, 8 + 4 * 4, 99), "token id out of range"),
             // Entity 0 starting at pair 1 used to load with pair 0 dropped.
-            (section::PAIRS_L, |s| put_u32(s, 8, 1), "Left pairs: the first row does not start at entry 0"),
-            (section::PAIRS_R, |s| put_u32(s, 8, 1), "Right pairs: the first row does not start at entry 0"),
+            (&good, section::PAIRS_L, |s| put_u32(s, 8, 1), "Left pairs: the first row does not start at entry 0"),
+            (&good, section::PAIRS_R, |s| put_u32(s, 8, 1), "Right pairs: the first row does not start at entry 0"),
             // A repeated token is a repeated block member, i.e. a doubled β
             // term; an unsorted set breaks every merge over it.
-            (section::TOKSET_L, |s| put_u32(s, 24, 1), "Left entity 0: token set is not strictly ascending"),
+            (&good, section::TOKSET_L, |s| put_u32(s, 24, 1), "Left entity 0: token set is not strictly ascending"),
             (
+                &good,
                 section::TOKSET_L,
                 |s| {
                     put_u32(s, 24, 1);
@@ -950,16 +1137,32 @@ mod tests {
             ),
             // Two entities under one URI: `entity_by_uri` would answer for
             // the later one only.
-            (section::ENT_URI_L, |s| put_u32(s, 12, 0), "Left entity 1: its uri names an earlier entity too"),
+            (&good, section::ENT_URI_L, |s| put_u32(s, 12, 0), "Left entity 1: its uri names an earlier entity too"),
+            // A dirty pair whose right side is another order of its left
+            // used to load, with `e0` on the left against `e1` on the right
+            // under one id: "identity" pairs between different entities.
+            (
+                &dirty,
+                section::ENT_URI_R,
+                |s| {
+                    put_u32(s, 8, 1);
+                    put_u32(s, 12, 0);
+                },
+                "dirty flag set but section 7 is not section 6",
+            ),
         ];
         let (literals, _) = section_range(&good, section::LITERALS);
         assert_eq!(&good[literals + 8 + 4 * 4..][..9], "caféaaab".as_bytes());
-        for (id, edit, expected) in cases {
-            let mut bytes = good.clone();
+        fs::write(&path, &dirty).expect("write dirty");
+        let mirrored: KbPair = MkbFile::open(&path).and_then(|file| file.to_pair()).expect("an intact dirty pair loads");
+        assert!(mirrored.is_dirty());
+        assert_eq!((mirrored.uri_of(Side::Left, EntityId(1)), mirrored.uri_of(Side::Right, EntityId(1))), ("e1", "e1"));
+        for (source, id, edit, expected) in cases {
+            let mut bytes = source.to_vec();
             let entry = HEADER_LEN + (id as usize - 1) * TABLE_ENTRY_LEN;
             let (off, len) = section_range(&bytes, id);
             edit(&mut bytes[off..off + len]);
-            assert_ne!(bytes, good, "{expected}: the edit must change the file");
+            assert_ne!(bytes, source, "{expected}: the edit must change the file");
             let sealed = checksum(&bytes[off..off + len]).to_ne_bytes();
             bytes[entry + 24..entry + 32].copy_from_slice(&sealed);
             fs::write(&path, &bytes).expect("write damaged");
@@ -972,6 +1175,31 @@ mod tests {
             }
         }
         fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn first_unsorted_row_is_the_first_row_a_pairwise_check_rejects() {
+        minoaner_det::rng::for_each_seed(400, |rng| {
+            // Rows sorted (and deduplicated) two times in three, over a
+            // small token range, so that rows meet at equal tokens too.
+            let rows: Vec<Vec<TokenId>> = (0..rng.gen_range(0..12usize))
+                .map(|_| {
+                    let mut row: Vec<TokenId> =
+                        (0..rng.gen_range(0..6usize)).map(|_| TokenId(rng.gen_range(0..10usize) as u32)).collect();
+                    if rng.gen_range(0..3usize) > 0 {
+                        row.sort_unstable();
+                        row.dedup();
+                    }
+                    row
+                })
+                .collect();
+            let want = rows.iter().position(|row| row.windows(2).any(|pair| pair[0] >= pair[1]));
+            let whole: Rows<TokenId> = rows.iter().cloned().collect();
+            assert_eq!(first_unsorted_row(&whole), want, "{rows:?}");
+            let chunk = 1 + rng.gen_range(0..rows.len().max(1));
+            let parted = Rows::parted(rows.chunks(chunk).map(|part| part.iter().cloned().collect()).collect());
+            assert_eq!(first_unsorted_row(&parted), want, "{rows:?} in parts of {chunk}");
+        });
     }
 
     #[test]

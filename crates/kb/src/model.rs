@@ -120,20 +120,67 @@ pub enum Value {
     Ref(EntityId),
 }
 
+impl Value {
+    /// High bit of a value word: set ⇒ `Ref`, clear ⇒ `Literal`. Ids must
+    /// therefore stay below 2³¹.
+    const REF_BIT: u32 = 0x8000_0000;
+
+    /// The value as one `u32` — how a KB holds it, in memory and in `.mkb`.
+    ///
+    /// # Panics
+    /// Panics on an id of 2³¹ or more, past the width of the word.
+    pub(crate) fn word(self) -> u32 {
+        let (id, kind) = match self {
+            Value::Literal(l) => (l.0, 0),
+            Value::Ref(e) => (e.0, Self::REF_BIT),
+        };
+        assert!(id & Self::REF_BIT == 0, "more than 2^31 literals or entities in one KB");
+        id | kind
+    }
+
+    /// Whether a [`Self::word`] holds a `Ref`, and the id it holds.
+    #[inline]
+    pub(crate) fn split_word(word: u32) -> (bool, u32) {
+        (word & Self::REF_BIT != 0, word & !Self::REF_BIT)
+    }
+
+    /// The value a [`Self::word`] holds.
+    #[inline]
+    pub(crate) fn from_word(word: u32) -> Value {
+        if word & Self::REF_BIT == 0 {
+            Value::Literal(LiteralId(word))
+        } else {
+            Value::Ref(EntityId(word & !Self::REF_BIT))
+        }
+    }
+}
+
 /// One entity description: a URI plus its attribute–value pairs — a view of
-/// one row of its KB's tables ([`crate::store::Kb`]).
-#[derive(Debug, Clone, Copy)]
+/// one row of its KB's tables ([`crate::store::Kb`]), which hold each pair
+/// as an attribute and a value word.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Entity<'a> {
     /// Interned URI of the description.
     pub uri: Symbol,
-    /// Attribute–value pairs in insertion order.
-    pub pairs: &'a [(AttrId, Value)],
+    attrs: &'a [AttrId],
+    values: &'a [u32],
 }
 
 impl<'a> Entity<'a> {
+    /// The description of `uri` whose pairs are `attrs` with the value
+    /// words beside them.
+    pub(crate) fn new(uri: Symbol, attrs: &'a [AttrId], values: &'a [u32]) -> Self {
+        Self { uri, attrs, values }
+    }
+
+    /// Attribute–value pairs in insertion order.
+    pub fn pairs(self) -> impl ExactSizeIterator<Item = (AttrId, Value)> + Clone + 'a {
+        self.attrs.iter().zip(self.values).map(|(&a, &w)| (a, Value::from_word(w)))
+    }
+
     /// Iterates over `(relation, neighbor)` pairs.
     pub fn relation_pairs(self) -> impl Iterator<Item = (AttrId, EntityId)> + 'a {
-        self.pairs.iter().filter_map(|&(a, v)| match v {
+        self.pairs().filter_map(|(a, v)| match v {
             Value::Ref(e) => Some((a, e)),
             Value::Literal(_) => None,
         })
@@ -141,7 +188,7 @@ impl<'a> Entity<'a> {
 
     /// Iterates over `(attribute, literal)` pairs.
     pub fn literal_pairs(self) -> impl Iterator<Item = (AttrId, LiteralId)> + 'a {
-        self.pairs.iter().filter_map(|&(a, v)| match v {
+        self.pairs().filter_map(|(a, v)| match v {
             Value::Literal(l) => Some((a, l)),
             Value::Ref(_) => None,
         })
@@ -149,7 +196,7 @@ impl<'a> Entity<'a> {
 
     /// Number of attribute–value pairs (triples with this subject).
     pub fn triple_count(self) -> usize {
-        self.pairs.len()
+        self.attrs.len()
     }
 }
 
@@ -167,18 +214,28 @@ mod tests {
 
     #[test]
     fn entity_pair_iterators_split_by_kind() {
-        let e = Entity {
-            uri: Symbol(0),
-            pairs: &[
-                (AttrId(0), Value::Literal(LiteralId(7))),
-                (AttrId(1), Value::Ref(EntityId(3))),
-                (AttrId(0), Value::Literal(LiteralId(8))),
-            ],
-        };
+        let pairs = [
+            (AttrId(0), Value::Literal(LiteralId(7))),
+            (AttrId(1), Value::Ref(EntityId(3))),
+            (AttrId(0), Value::Literal(LiteralId(8))),
+        ];
+        let attrs: Vec<AttrId> = pairs.iter().map(|&(a, _)| a).collect();
+        let words: Vec<u32> = pairs.iter().map(|&(_, v)| v.word()).collect();
+        let e = Entity::new(Symbol(0), &attrs, &words);
+        assert!(e.pairs().eq(pairs));
         let lits: Vec<_> = e.literal_pairs().collect();
         let rels: Vec<_> = e.relation_pairs().collect();
         assert_eq!(lits, vec![(AttrId(0), LiteralId(7)), (AttrId(0), LiteralId(8))]);
         assert_eq!(rels, vec![(AttrId(1), EntityId(3))]);
         assert_eq!(e.triple_count(), 3);
+    }
+
+    #[test]
+    fn a_value_word_is_the_id_and_the_kind() {
+        for v in [Value::Literal(LiteralId(0)), Value::Ref(EntityId(0)), Value::Literal(LiteralId(u32::MAX >> 1)), Value::Ref(EntityId(7))] {
+            assert_eq!(Value::from_word(v.word()), v);
+        }
+        assert_eq!(Value::Ref(EntityId(5)).word(), 0x8000_0005, "the .mkb layout");
+        assert!(std::panic::catch_unwind(|| Value::Literal(LiteralId(1 << 31)).word()).is_err());
     }
 }

@@ -353,7 +353,7 @@ pub fn write_ntriples(pair: &crate::store::KbPair, side: Side) -> String {
     let mut out = String::new();
     for (id, e) in kb.iter() {
         let subject = pair.uri_of(side, id);
-        for &(a, v) in e.pairs {
+        for (a, v) in e.pairs() {
             let predicate = pair.attrs().resolve(crate::interner::Symbol(a.0));
             match v {
                 crate::model::Value::Literal(l) => {
@@ -519,7 +519,7 @@ mod tests {
         b.add_triple(Side::Right, "x", "p", Term::Literal("y"));
         let pair = b.finish();
         let kb = pair.kb(Side::Left);
-        let values: Vec<_> = kb.iter().map(|(_, e)| e.pairs).collect();
+        let values: Vec<Vec<_>> = kb.iter().map(|(_, e)| e.pairs().collect()).collect();
         assert_eq!(values[0], values[1], "same attribute, same LiteralId");
         assert_eq!(kb.tokens_of(crate::model::EntityId(0)), kb.tokens_of(crate::model::EntityId(1)));
         assert!(pair.literals().get("café").is_some());

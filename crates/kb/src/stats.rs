@@ -5,8 +5,8 @@
 
 use minoaner_det::spillable_struct;
 
-use crate::model::{AttrId, EntityId, LiteralId, Side, TokenId};
-use crate::store::KbPair;
+use crate::model::{AttrId, EntityId, LiteralId, Side, TokenId, Value};
+use crate::store::{Kb, KbPair};
 
 /// Entity frequency of every token, per KB: `EF_E(t)` is the number of
 /// entity descriptions of `E` whose values contain `t` (Def. 2.1).
@@ -121,15 +121,7 @@ impl RelationStats {
 
         for side in [Side::Left, Side::Right] {
             let kb = pair.kb(side);
-            let mut instances = vec![0u64; n_attrs];
-            let mut attr_objects = Vec::new();
-            for (_, e) in kb.iter() {
-                for (p, o) in e.relation_pairs() {
-                    instances[p.index()] += 1;
-                    attr_objects.push(attr_key(p, o.0));
-                }
-            }
-            let objects = distinct_per_attr(attr_objects, n_attrs);
+            let (instances, objects) = distinct_per_attr(kb, n_attrs, kb.len(), true);
             let e_count = kb.len() as f64;
             let idx = side.index();
             for a in 0..n_attrs {
@@ -277,23 +269,8 @@ impl NameStats {
 
         for side in [Side::Left, Side::Right] {
             let kb = pair.kb(side);
-            let mut instances = vec![0u64; n_attrs];
-            // Entities are walked in id order, so an attribute has a new
-            // subject exactly when the last entity seen with it is another.
-            let mut subjects = vec![0u64; n_attrs];
-            let mut last_subject = vec![None; n_attrs];
-            let mut attr_values = Vec::new();
-            for (id, e) in kb.iter() {
-                for (p, l) in e.literal_pairs() {
-                    let a = p.index();
-                    instances[a] += 1;
-                    if last_subject[a].replace(id) != Some(id) {
-                        subjects[a] += 1;
-                    }
-                    attr_values.push(attr_key(p, l.0));
-                }
-            }
-            let values = distinct_per_attr(attr_values, n_attrs);
+            let (instances, values) = distinct_per_attr(kb, n_attrs, pair.literal_space(), false);
+            let subjects = literal_subjects_per_attr(kb, n_attrs);
             let e_count = kb.len() as f64;
             let idx = side.index();
             let mut order: Vec<usize> = (0..n_attrs).filter(|&a| instances[a] > 0).collect();
@@ -343,26 +320,100 @@ impl NameStats {
     }
 }
 
-/// One `(attribute, object or literal id)` instance as a sortable word,
-/// attribute in the high half.
-fn attr_key(attr: AttrId, value: u32) -> u64 {
-    u64::from(attr.0) << 32 | u64::from(value)
-}
-
-/// How many distinct values each attribute has among `keys`
-/// ([`attr_key`] words, in any order, repeats allowed). Attribute ids are
-/// dense, so this is one sort and one counting pass instead of a hash set
-/// per attribute.
-fn distinct_per_attr(mut keys: Vec<u64>, n_attrs: usize) -> Vec<u64> {
-    keys.sort_unstable();
-    keys.dedup();
-    let mut distinct = vec![0u64; n_attrs];
-    for key in keys {
-        if let Some(n) = distinct.get_mut((key >> 32) as usize) {
-            *n += 1;
+/// Calls `f(attribute, value word)` for every pair of `kb`, in entity
+/// order: one loop over its two flat columns.
+fn for_each_word(kb: &Kb, mut f: impl FnMut(usize, u32)) {
+    let (_, attrs, values) = kb.entity_columns();
+    let mut values = values.iter();
+    for (_, attrs) in attrs.column_parts() {
+        for (&a, &word) in attrs.iter().zip(values.by_ref()) {
+            f(a.0 as usize, word);
         }
     }
-    distinct
+}
+
+/// Calls `f(subject, attribute, value word)` for every pair of `kb`,
+/// entity after entity: nested loops over its flat columns.
+fn for_each_pair(kb: &Kb, mut f: impl FnMut(u32, usize, u32)) {
+    let (_, attrs, values) = kb.entity_columns();
+    let (mut subject, mut base) = (0u32, 0usize);
+    for (offsets, attrs) in attrs.column_parts() {
+        let values = values.get(base..base + attrs.len()).unwrap_or_default();
+        let mut start = 0;
+        for &end in offsets.iter().skip(1) {
+            let end = end as usize;
+            let row = attrs.get(start..end).unwrap_or_default().iter().zip(values.get(start..end).unwrap_or_default());
+            for (&a, &word) in row {
+                f(subject, a.0 as usize, word);
+            }
+            (start, subject) = (end, subject + 1);
+        }
+        base += attrs.len();
+    }
+}
+
+/// Per attribute, among the pairs of `kb` whose values are references
+/// (`refs`) or literals (`!refs`): how many there are (its instances), and
+/// how many distinct values they have, all below `universe`.
+///
+/// A counting sort groups the values by attribute — one pass counts each
+/// attribute's instances, a second puts every value at its attribute's
+/// next place. Then each group's values are marked in one array over the
+/// value ids, stamped with the attribute's epoch so that it is never
+/// cleared: a value found unmarked is new. O(pairs + universe), no sort.
+/// Both passes add a pair's kind as 0 or 1 instead of branching on it: the
+/// kinds come mixed, and a branch on them is mispredicted often.
+fn distinct_per_attr(kb: &Kb, n_attrs: usize, universe: usize, refs: bool) -> (Vec<u64>, Vec<u64>) {
+    let picked = |word: u32| Value::split_word(word).0 == refs;
+    let mut instances = vec![0u32; n_attrs];
+    for_each_word(kb, |a, word| {
+        if let Some(n) = instances.get_mut(a) {
+            *n += u32::from(picked(word));
+        }
+    });
+    // `cursors[a]` is where attribute `a`'s next value goes; values of the
+    // other kind go to one spare slot past the groups.
+    let total: usize = instances.iter().map(|&n| n as usize).sum();
+    let mut cursors: Vec<usize> = instances.iter().scan(0, |end, &n| Some(std::mem::replace(end, *end + n as usize))).collect();
+    let mut grouped = vec![0u32; total + 1];
+    for_each_word(kb, |a, word| {
+        if let Some(cursor) = cursors.get_mut(a) {
+            // All ones when picked, else zero: selects the slot by masking.
+            let mask = usize::from(picked(word)).wrapping_neg();
+            if let Some(slot) = grouped.get_mut(*cursor & mask | total & !mask) {
+                *slot = Value::split_word(word).1;
+            }
+            *cursor += mask & 1;
+        }
+    });
+    let mut stamps = vec![0u32; universe];
+    let mut start = 0;
+    let distinct = (1u32..)
+        .zip(&instances)
+        .map(|(epoch, &n)| {
+            let group = grouped.get(start..start + n as usize).unwrap_or_default();
+            start += n as usize;
+            let new = |value: &&u32| stamps.get_mut(**value as usize).is_some_and(|stamp| std::mem::replace(stamp, epoch) != epoch);
+            group.iter().filter(new).count() as u64
+        })
+        .collect();
+    (instances.into_iter().map(u64::from).collect(), distinct)
+}
+
+/// Per attribute, how many entities of `kb` have a literal under it.
+/// Entities come in id order, so a subject is new when it is not the
+/// attribute's last one.
+fn literal_subjects_per_attr(kb: &Kb, n_attrs: usize) -> Vec<u64> {
+    let (mut subjects, mut last) = (vec![0u64; n_attrs], vec![u32::MAX; n_attrs]);
+    for_each_pair(kb, |subject, a, word| {
+        if let (Some(subjects), Some(last)) = (subjects.get_mut(a), last.get_mut(a)) {
+            // All ones for a literal, else zero: selects by masking.
+            let mask = u32::from(!Value::split_word(word).0).wrapping_neg();
+            *subjects += u64::from(mask & 1 & u32::from(*last != subject));
+            *last = subject & mask | *last & !mask;
+        }
+    });
+    subjects
 }
 
 fn harmonic_mean(a: f64, b: f64) -> f64 {
@@ -554,6 +605,114 @@ mod tests {
         let nsim = neighbor_n_sim(&pair, &ef, &rs, 1, l, r);
         assert!((nsim - direct).abs() < 1e-12);
         assert!((max_neighbor_value_sim(&pair, &ef, &rs, 1, l, r) - direct).abs() < 1e-12);
+    }
+
+    /// One `(attribute, object or literal id)` instance as a sortable word,
+    /// attribute in the high half.
+    fn attr_key(attr: AttrId, value: u32) -> u64 {
+        u64::from(attr.0) << 32 | u64::from(value)
+    }
+
+    /// The sort-based count the counting [`distinct_per_attr`] replaced, kept verbatim as
+    /// its oracle: how many distinct values each attribute has among `keys`
+    /// ([`attr_key`] words, in any order, repeats allowed). Attribute ids
+    /// are dense, so this is one sort and one counting pass instead of a
+    /// hash set per attribute.
+    fn distinct_per_attr_by_sort(mut keys: Vec<u64>, n_attrs: usize) -> Vec<u64> {
+        keys.sort_unstable();
+        keys.dedup();
+        let mut distinct = vec![0u64; n_attrs];
+        for key in keys {
+            if let Some(n) = distinct.get_mut((key >> 32) as usize) {
+                *n += 1;
+            }
+        }
+        distinct
+    }
+
+    /// What the sort-based count says of `kb`'s pairs of one kind: the
+    /// instances, distinct values and distinct subjects per attribute.
+    fn sort_based_counts(kb: &Kb, n_attrs: usize, pick: impl Fn(Value) -> Option<u32>) -> [Vec<u64>; 3] {
+        let (mut values, mut subjects, mut instances) = (Vec::new(), Vec::new(), vec![0u64; n_attrs]);
+        for (id, e) in kb.iter() {
+            for (a, v) in e.pairs() {
+                if let Some(value) = pick(v) {
+                    values.push(attr_key(a, value));
+                    subjects.push(attr_key(a, id.0));
+                    instances[a.index()] += 1;
+                }
+            }
+        }
+        [instances, distinct_per_attr_by_sort(values, n_attrs), distinct_per_attr_by_sort(subjects, n_attrs)]
+    }
+
+    fn object(v: Value) -> Option<u32> {
+        match v {
+            Value::Ref(o) => Some(o.0),
+            Value::Literal(_) => None,
+        }
+    }
+
+    fn literal(v: Value) -> Option<u32> {
+        match v {
+            Value::Literal(l) => Some(l.0),
+            Value::Ref(_) => None,
+        }
+    }
+
+    fn assert_counts_agree(pair: &KbPair, what: &str) {
+        let n_attrs = pair.attr_space();
+        for side in [Side::Left, Side::Right] {
+            let kb = pair.kb(side);
+            for (kind, pick, refs, universe) in
+                [("relations", object as fn(Value) -> Option<u32>, true, kb.len()), ("literals", literal, false, pair.literal_space())]
+            {
+                let [instances, values, subjects] = sort_based_counts(kb, n_attrs, pick);
+                assert_eq!(distinct_per_attr(kb, n_attrs, universe, refs), (instances, values), "{what}: {side:?} {kind}");
+                if !refs {
+                    assert_eq!(literal_subjects_per_attr(kb, n_attrs), subjects, "{what}: {side:?} subjects");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn counting_distinct_values_equals_the_sort_based_count() {
+        minoaner_det::rng::for_each_seed(200, |rng| {
+            // Few attributes, entities and literals repeat pairs often; an
+            // entity may have no pairs, an attribute none of a kind.
+            let mut b = KbPairBuilder::new();
+            for side in [Side::Left, Side::Right] {
+                let n = 1 + rng.gen_range(0..12usize);
+                for _ in 0..rng.gen_range(0..60usize) {
+                    let subject = format!("e{}", rng.gen_range(0..n));
+                    let attr = format!("p{}", rng.gen_range(0..5usize));
+                    // Links to `e{n}` and beyond dangle, and become literals.
+                    let target = format!("e{}", rng.gen_range(0..n + 3));
+                    let text = format!("v{}", rng.gen_range(0..8usize));
+                    let object = if rng.gen_range(0..2usize) == 0 { Term::Uri(&target) } else { Term::Literal(&text) };
+                    b.add_triple(side, &subject, &attr, object);
+                }
+                b.entity(side, "e0");
+            }
+            assert_counts_agree(&b.finish(), "seeded pair");
+        });
+        assert_counts_agree(&repetitive_pair(), "repetitive pair");
+    }
+
+    /// A pair with repeated objects and literals under several attributes.
+    fn repetitive_pair() -> KbPair {
+        let mut b = KbPairBuilder::new();
+        for i in 0..40 {
+            let (l, r) = (format!("l{i}"), format!("r{i}"));
+            b.add_triple(Side::Left, &l, "name", Term::Literal(&format!("name {}", i % 7)));
+            b.add_triple(Side::Left, &l, "city", Term::Literal(&format!("city {}", i % 3)));
+            b.add_triple(Side::Left, &l, "next", Term::Uri(&format!("l{}", (i + 1) % 40)));
+            b.add_triple(Side::Left, &l, "hub", Term::Uri("l0"));
+            b.add_triple(Side::Right, &r, "label", Term::Literal(&format!("name {}", i % 11)));
+            b.add_triple(Side::Right, &r, "link", Term::Uri(&format!("r{}", i % 5)));
+        }
+        b.finish()
     }
 
     #[test]

@@ -5,6 +5,7 @@
 //! *and* fast: a token appearing in both KBs maps to the same [`TokenId`], so
 //! token blocking and value similarity never compare strings.
 
+use crate::disk::Column;
 use crate::interner::{Interner, Symbol};
 use crate::model::{AttrId, Entity, EntityId, LiteralId, Side, TokenId, Value};
 use crate::rows::Rows;
@@ -15,10 +16,24 @@ use crate::tokenize::{for_each_normalized_token, normalize_into, uri_local_name}
 /// is a vector indexed by symbol, [`UriIndex::NONE`] where the URI names no
 /// entity of this side.
 #[derive(Debug, Clone, Default)]
-struct UriIndex(Vec<u32>);
+pub(crate) struct UriIndex(Vec<u32>);
 
 impl UriIndex {
     const NONE: u32 = u32::MAX;
+
+    /// The index of a URI column that names each URI once, every one below
+    /// `n_uris` — else the first entity whose URI does not, and why.
+    pub(crate) fn of_column(uris: &[Symbol], n_uris: usize) -> Result<Self, (usize, &'static str)> {
+        let mut index = vec![Self::NONE; n_uris];
+        for (e, &uri) in uris.iter().enumerate() {
+            match index.get_mut(uri.0 as usize) {
+                None => return Err((e, "uri symbol out of range")),
+                Some(slot) if *slot != Self::NONE => return Err((e, "its uri names an earlier entity too")),
+                Some(slot) => *slot = e as u32,
+            }
+        }
+        Ok(Self(index))
+    }
 
     fn get(&self, uri: Symbol) -> Option<EntityId> {
         self.0.get(uri.index()).copied().filter(|&id| id != Self::NONE).map(EntityId)
@@ -35,19 +50,24 @@ impl UriIndex {
 }
 
 /// One clean (duplicate-free) knowledge base: flat per-entity columns and
-/// row tables, indexed by [`EntityId::index`].
-#[derive(Debug)]
+/// row tables, indexed by [`EntityId::index`] — in memory, or in place in a
+/// mapped `.mkb` file ([`crate::disk`]).
+#[derive(Debug, Clone)]
 pub struct Kb {
     /// Each entity's interned URI.
-    uris: Vec<Symbol>,
-    /// Each entity's attribute–value pairs, in insertion order.
-    pairs: Rows<(AttrId, Value)>,
+    uris: Column<Symbol>,
     uri_index: UriIndex,
+    /// Each entity's attributes, in insertion order: the attribute of each
+    /// of its attribute–value pairs.
+    attrs: Rows<AttrId>,
+    /// The value of each pair as its [`Value::word`], item for item beside
+    /// `attrs`.
+    values: Column<u32>,
     /// Sorted, deduplicated token ids appearing in each entity's literals.
     token_sets: Rows<TokenId>,
     /// Total token *occurrences* per entity (multiset size — Table 1's
     /// "av. tokens" statistic counts occurrences, not distinct tokens).
-    token_occurrences: Vec<u32>,
+    token_occurrences: Column<u32>,
 }
 
 impl Kb {
@@ -66,13 +86,21 @@ impl Kb {
     /// # Panics
     /// Panics if `id` is out of range.
     pub fn entity(&self, id: EntityId) -> Entity<'_> {
-        Entity { uri: self.uris[id.index()], pairs: self.pairs.row(id.index()) }
+        let e = id.index();
+        let values = self.values.get(self.attrs.row_span(e)).unwrap_or_default();
+        Entity::new(self.uris[e], self.attrs.row(e), values)
     }
 
-    /// Iterates over `(EntityId, Entity)`.
-    pub fn iter(&self) -> impl Iterator<Item = (EntityId, Entity<'_>)> {
-        let entities = self.uris.iter().zip(self.pairs.iter()).map(|(&uri, pairs)| Entity { uri, pairs });
-        (0u32..).map(EntityId).zip(entities)
+    /// Iterates over `(EntityId, Entity)`, walking the columns in order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (EntityId, Entity<'_>)> + Clone {
+        let mut start = 0;
+        let rows = (0..self.len() as u32).map(EntityId).zip(self.uris.iter().zip(self.attrs.iter()));
+        rows.map(move |(id, (&uri, attrs))| {
+            let end = start + attrs.len();
+            let values = self.values.get(start..end).unwrap_or_default();
+            start = end;
+            (id, Entity::new(uri, attrs, values))
+        })
     }
 
     /// Looks an entity up by its interned URI.
@@ -96,10 +124,11 @@ impl Kb {
         self.token_occurrences[id.index()]
     }
 
-    /// The URI column and the pair rows, one row per entity — what
-    /// [`crate::disk`] writes.
-    pub(crate) fn entity_columns(&self) -> (&[Symbol], &Rows<(AttrId, Value)>) {
-        (&self.uris, &self.pairs)
+    /// The URI column, the attribute rows and the value words beside them,
+    /// one row per entity — what [`crate::disk`] writes, and what the
+    /// statistics walk as two flat columns.
+    pub(crate) fn entity_columns(&self) -> (&[Symbol], &Rows<AttrId>, &[u32]) {
+        (&self.uris, &self.attrs, &self.values)
     }
 
     /// The token-set rows and the token-occurrence column, likewise.
@@ -109,7 +138,7 @@ impl Kb {
 
     /// Total number of triples (attribute–value pairs) in the KB.
     pub fn triple_count(&self) -> usize {
-        self.pairs.data().len()
+        self.values.len()
     }
 
     /// The neighbors of an entity (targets of its relations), with
@@ -118,21 +147,19 @@ impl Kb {
         self.entity(id).relation_pairs().map(|(_, n)| n)
     }
 
-    /// Assembles a KB from pre-resolved columns — the `.mkb` materialization
-    /// path ([`crate::disk`]), which bypasses the builder's reference
-    /// resolution and tokenization passes. The caller guarantees internal
-    /// consistency (the disk loader checksums and bounds-checks first).
-    pub(crate) fn from_parts(
-        uris: Vec<Symbol>,
-        pairs: Rows<(AttrId, Value)>,
+    /// Assembles a KB from validated columns — the `.mkb` path
+    /// ([`crate::disk`]), which bypasses the builder's reference resolution
+    /// and tokenization passes. The caller guarantees internal consistency
+    /// (the disk loader checksums and bounds-checks first).
+    pub(crate) fn from_columns(
+        uris: Column<Symbol>,
+        uri_index: UriIndex,
+        attrs: Rows<AttrId>,
+        values: Column<u32>,
         token_sets: Rows<TokenId>,
-        token_occurrences: Vec<u32>,
+        token_occurrences: Column<u32>,
     ) -> Kb {
-        let mut uri_index = UriIndex::default();
-        for (id, &uri) in (0u32..).map(EntityId).zip(&uris) {
-            uri_index.insert(uri, id);
-        }
-        Kb { uris, pairs, uri_index, token_sets, token_occurrences }
+        Kb { uris, uri_index, attrs, values, token_sets, token_occurrences }
     }
 }
 
@@ -442,7 +469,8 @@ impl KbPairBuilder {
         let grouped = Rows::build(uris.len(), added.iter().map(|&(EntityId(entity), attr, value)| (entity as usize, (attr, value))));
         drop(added);
         let (lits, names, scratch) = (&mut self.lits, &self.uris, &mut self.scratch);
-        let pairs = grouped.map(|(attr, value)| {
+        let mut values = Vec::with_capacity(grouped.n_items());
+        let attrs: Rows<AttrId> = grouped.map(|(attr, value)| {
             let value = match value {
                 RawValue::Literal(l) => Value::Literal(l),
                 RawValue::UriRef(sym) => match uri_index.get(sym) {
@@ -450,7 +478,8 @@ impl KbPairBuilder {
                     None => Value::Literal(lits.intern_value(uri_local_name(names.resolve(sym)), scratch)),
                 },
             };
-            (attr, value)
+            values.push(value.word());
+            attr
         });
 
         // Pass 2: per-entity token sets (sorted + dedup) and occurrence
@@ -458,20 +487,29 @@ impl KbPairBuilder {
         let mut token_sets = Rows::with_capacity(uris.len(), 0);
         let mut token_occurrences = Vec::with_capacity(uris.len());
         let mut toks: Vec<TokenId> = Vec::new();
-        for row in pairs.iter() {
+        let mut start = 0;
+        for end in attrs.offsets().skip(1) {
             toks.clear();
-            for &(_, value) in row {
-                if let Value::Literal(lit) = value {
+            for &word in values.get(start..end as usize).unwrap_or_default() {
+                if let Value::Literal(lit) = Value::from_word(word) {
                     toks.extend_from_slice(self.lits.literal_tokens.row(lit.index()));
                 }
             }
+            start = end as usize;
             token_occurrences.push(toks.len() as u32);
             toks.sort_unstable();
             toks.dedup();
             token_sets.push_row(toks.iter().copied());
         }
 
-        Kb { uris, pairs, uri_index, token_sets, token_occurrences }
+        Kb::from_columns(
+            Column::owned(uris),
+            uri_index,
+            attrs,
+            Column::owned(values),
+            token_sets,
+            Column::owned(token_occurrences),
+        )
     }
 }
 

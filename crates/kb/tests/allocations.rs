@@ -1,6 +1,7 @@
 //! The loader's tables are columns: loading a document and finishing the
 //! pair costs the doublings of those columns and of the interners, not an
-//! allocation (or more) per line, literal or entity.
+//! allocation (or more) per line, literal or entity; and a compiled pair is
+//! read back in place, at a fixed number of allocations.
 //!
 //! Its own test binary because it installs a counting global allocator.
 
@@ -8,7 +9,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use minoaner_kb::parser::load_ntriples;
-use minoaner_kb::{KbPair, KbPairBuilder, Side};
+use minoaner_kb::{write_mkb, KbPair, KbPairBuilder, MkbFile, Side};
 
 thread_local! {
     /// Allocations made by this thread since counting was switched on;
@@ -109,4 +110,31 @@ fn loading_allocates_per_column_doubling_not_per_line() {
         large <= small + 4 * PER_DOUBLING,
         "{large} allocations for 16 000 entities a side against {small} for 1 000: more than {PER_DOUBLING} a doubling"
     );
+}
+
+#[test]
+fn reading_a_compiled_pair_allocates_the_same_whatever_its_size() {
+    // Measured when `to_pair` came to leave the columns in the mapping: 21
+    // allocations for 1 000 and for 16 000 entities a side — per interner a
+    // hash column, a bit table and the candidates of its distinct-string
+    // check, per side a URI index and two table names. Copying the columns
+    // out was 52 and 55, the larger ones megabytes each.
+    const BOUND: u64 = 30;
+    let dir = std::env::temp_dir().join(format!("minoaner-kb-allocations-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    let count = |n: usize| {
+        let mut b = KbPairBuilder::new();
+        load_ntriples(&mut b, Side::Left, &document("l", n)).expect("the document parses");
+        load_ntriples(&mut b, Side::Right, &document("r", n)).expect("the document parses");
+        let path = dir.join(format!("pair-{n}.mkb"));
+        write_mkb(&b.finish(), &path).expect("compile");
+        let file = MkbFile::open(&path).expect("open");
+        let (pair, allocations): (KbPair, u64) = allocations_of(|| file.to_pair().expect("the file is valid"));
+        assert_eq!(pair.kb(Side::Right).triple_count(), 5 * n);
+        allocations
+    };
+    let (small, large) = (count(1_000), count(16_000));
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(small <= BOUND && large <= BOUND, "{small} / {large} allocations, the bound is {BOUND}");
+    assert_eq!(small, large, "allocations for 1 000 and for 16 000 entities a side");
 }

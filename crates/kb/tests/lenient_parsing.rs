@@ -309,7 +309,7 @@ fn assert_same_tables(got: &KbPair, want: &KbPair, context: &str) {
         assert_eq!(g.len(), w.len(), "{context}: {side:?} entities");
         for (id, e) in w.iter() {
             let other = g.entity(id);
-            assert_eq!((other.uri, other.pairs), (e.uri, e.pairs), "{context}: {side:?} {id:?}");
+            assert_eq!(other, e, "{context}: {side:?} {id:?}");
             assert_eq!(g.tokens_of(id), w.tokens_of(id), "{context}: {side:?} {id:?}");
             assert_eq!(g.token_occurrences_of(id), w.token_occurrences_of(id), "{context}: {side:?} {id:?}");
         }

@@ -71,7 +71,7 @@ fn assert_pairs_identical(heap: &KbPair, back: &KbPair) {
         assert_eq!(h.triple_count(), b.triple_count(), "{side:?} triples");
         for (id, e) in h.iter() {
             let got = b.entity(id);
-            assert_eq!((e.uri, e.pairs), (got.uri, got.pairs), "{side:?} {id:?}");
+            assert_eq!(e, got, "{side:?} {id:?}");
             assert_eq!(h.tokens_of(id), b.tokens_of(id), "{side:?} {id:?}");
             assert_eq!(h.token_occurrences_of(id), b.token_occurrences_of(id), "{side:?} {id:?}");
             assert_eq!(b.entity_by_uri(e.uri), Some(id), "{side:?} {id:?}");

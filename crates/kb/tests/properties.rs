@@ -266,7 +266,7 @@ fn scratch_normalize_and_space_split_agree_with_the_slow_path() {
     }
     let pair = b.finish();
     let entity = pair.kb(Side::Left).entity(EntityId(0));
-    assert_eq!(entity.pairs.len(), values.len());
+    assert_eq!(entity.pairs().len(), values.len());
     for (value, (_, literal)) in values.iter().zip(entity.literal_pairs()) {
         let expected = reference_normalize(value);
         assert_eq!(normalize_name(value), expected, "normalize_name({value:?})");
@@ -432,7 +432,7 @@ impl NaiveTables {
                         (AttrId(attr), value)
                     })
                     .collect();
-                assert_eq!(entity.pairs, pairs, "{side:?} entity {i} pairs");
+                assert_eq!(entity.pairs().collect::<Vec<_>>(), pairs, "{side:?} entity {i} pairs");
 
                 let occurrences: Vec<u32> = entity
                     .literal_pairs()
@@ -551,8 +551,8 @@ fn subject_memo_edge_cases() {
     assert_eq!(b.entity(Side::Left, "B"), EntityId(1));
     let pair = b.finish();
     assert_eq!(pair.kb(Side::Left).len(), 2);
-    assert_eq!(pair.kb(Side::Left).entity(a).pairs.len(), 2);
-    assert_eq!(pair.kb(Side::Left).entity(EntityId(1)).pairs.len(), 1);
+    assert_eq!(pair.kb(Side::Left).entity(a).pairs().len(), 2);
+    assert_eq!(pair.kb(Side::Left).entity(EntityId(1)).pairs().len(), 1);
 
     // A subject that was the previous triple's object is a new entity,
     // and the reference to it resolves.

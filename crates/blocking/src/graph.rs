@@ -40,7 +40,10 @@
 //! (compiled for tests only); the seeded oracles and equivalence loops
 //! pin this kernel to it with exact `f64` equality.
 
+use std::cmp::Ordering;
+
 use minoaner_dataflow::{Executor, SpillShuffle, StageIo};
+use minoaner_det::codec::Spillable;
 use minoaner_det::spillable_struct;
 use minoaner_kb::stats::RelationStats;
 use minoaner_kb::{EntityId, KbPair, Rows, Side};
@@ -111,7 +114,60 @@ impl Default for GraphConfig {
 }
 
 /// A candidate on the other side, with the evidence weight that ranked it.
-pub type Candidate = (EntityId, f64);
+///
+/// The one `(id, weight)` row of the graph: its four candidate tables, and
+/// the β-union edges by either endpoint in the γ exchange (the far endpoint
+/// and the edge's β). Twelve bytes, the id then the weight at offset 4,
+/// where an `(EntityId, f64)` tuple takes sixteen, four of them padding.
+/// The fields are read by value only, so the packing hands out no unaligned
+/// reference. Its [`Spillable`] bytes must stay the tuple's: checkpoint
+/// parts and the run fingerprint's version depend on them.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+#[repr(C, packed(4))]
+pub struct Candidate {
+    id: EntityId,
+    weight: f64,
+}
+
+const _: () = assert!(std::mem::size_of::<Candidate>() == 12);
+
+impl Candidate {
+    /// The candidate `id` with weight `weight`.
+    #[inline]
+    pub const fn new(id: EntityId, weight: f64) -> Self {
+        Self { id, weight }
+    }
+
+    /// The entity on the other side.
+    #[inline]
+    pub const fn entity_id(self) -> EntityId {
+        self.id
+    }
+
+    /// The evidence weight.
+    #[inline]
+    pub const fn weight(self) -> f64 {
+        self.weight
+    }
+}
+
+impl From<(EntityId, f64)> for Candidate {
+    fn from((id, weight): (EntityId, f64)) -> Self {
+        Self::new(id, weight)
+    }
+}
+
+/// The id, then the weight's bits: the bytes of the `(EntityId, f64)` tuple.
+impl Spillable for Candidate {
+    fn encode(&self, out: &mut Vec<u8>) {
+        u32::encode(&self.entity_id().0, out);
+        f64::encode(&self.weight(), out);
+    }
+
+    fn decode(buf: &[u8], pos: &mut usize) -> Option<Self> {
+        Some(Self::new(EntityId(u32::decode(buf, pos)?), f64::decode(buf, pos)?))
+    }
+}
 
 /// The pruned, directed disjunctive blocking graph.
 #[derive(Debug, Clone)]
@@ -157,16 +213,16 @@ impl BlockingGraph {
     pub fn beta(&self, from_side: Side, from: EntityId, to: EntityId) -> Option<f64> {
         self.value_candidates(from_side, from)
             .iter()
-            .find(|&&(c, _)| c == to)
-            .map(|&(_, w)| w)
+            .find(|c| c.entity_id() == to)
+            .map(|c| c.weight())
     }
 
     /// Whether the directed edge `from → to` survived pruning (via any of
     /// the three evidence kinds). Rule R4's reciprocity test calls this in
     /// both directions.
     pub fn has_directed_edge(&self, from_side: Side, from: EntityId, to: EntityId) -> bool {
-        if self.value_candidates(from_side, from).iter().any(|&(c, _)| c == to)
-            || self.neighbor_candidates(from_side, from).iter().any(|&(c, _)| c == to)
+        if self.value_candidates(from_side, from).iter().any(|c| c.entity_id() == to)
+            || self.neighbor_candidates(from_side, from).iter().any(|c| c.entity_id() == to)
         {
             return true;
         }
@@ -195,9 +251,9 @@ impl BlockingGraph {
         for lists in self.value_cands.iter().chain(&self.neighbor_cands) {
             for cands in lists.iter() {
                 h = fnv(h, cands.len() as u64);
-                for &(e, w) in cands {
-                    h = fnv(h, u64::from(e.0));
-                    h = fnv(h, w.to_bits());
+                for c in cands {
+                    h = fnv(h, u64::from(c.entity_id().0));
+                    h = fnv(h, c.weight().to_bits());
                 }
             }
         }
@@ -328,6 +384,8 @@ pub fn build_blocking_graph(
             cfg.adaptive_pruning,
         )
     });
+    // Only the β passes read the index: free it before γ builds its tables.
+    drop(index);
 
     // --- Neighbor evidence (lines 20-33) ---
     // Dirty ER: both sides mirror one KB, so the left view serves as both.
@@ -367,7 +425,7 @@ pub(crate) fn apply_reciprocal_pruning(graph: &mut BlockingGraph) {
     /// the regroup is stable and walks `from` in order.
     fn transpose(lists: &Rows<Candidate>, n_to: usize) -> Rows<u32> {
         let edges = lists.iter().enumerate().flat_map(|(from, cands)| {
-            cands.iter().map(move |&(to, _)| (to.index(), from as u32))
+            cands.iter().map(move |c| (c.entity_id().index(), from as u32))
         });
         Rows::build(n_to, edges)
     }
@@ -379,10 +437,10 @@ pub(crate) fn apply_reciprocal_pruning(graph: &mut BlockingGraph) {
         let mut common: Vec<u32> = Vec::new();
         for (from, cands) in lists.iter().enumerate() {
             ids.clear();
-            ids.extend(cands.iter().map(|&(to, _)| to.0));
+            ids.extend(cands.iter().map(|c| c.entity_id().0));
             ids.sort_unstable();
             crate::intersect::intersect_into(&ids, reverse.row(from), &mut common);
-            kept.push_row(cands.iter().copied().filter(|&(to, _)| common.binary_search(&to.0).is_ok()));
+            kept.push_row(cands.iter().copied().filter(|c| common.binary_search(&c.entity_id().0).is_ok()));
         }
         kept
     }
@@ -499,7 +557,7 @@ fn rank_key(id: u32, w: f64) -> Option<u128> {
 
 /// The candidate a [`rank_key`] was packed from, every weight bit intact.
 fn ranked(key: u128) -> Candidate {
-    (EntityId(!(key as u32)), f64::from_bits((key >> 32) as u64))
+    Candidate::new(EntityId(!(key as u32)), f64::from_bits((key >> 32) as u64))
 }
 
 /// Appends a row's `(id, weight)` entries to `out` cut down to their top-K,
@@ -530,7 +588,7 @@ fn push_top_k(
     }
     keys.sort_unstable_by(descending);
     if adaptive && keys.len() > 1 {
-        let weight = |&key: &u128| ranked(key).1;
+        let weight = |&key: &u128| ranked(key).weight();
         let n = keys.len() as f64;
         let mean = keys.iter().map(weight).sum::<f64>() / n;
         let var = keys.iter().map(|key| (weight(key) - mean).powi(2)).sum::<f64>() / n;
@@ -598,72 +656,116 @@ impl NeighborViews {
 
 /// Union of both directions' retained β edges (each undirected pair
 /// counted once — the paper prunes "two directed [edges] with the same
-/// initial weights", §3.3) as rows by left endpoint: row `i` holds
-/// `(j, β)` ascending by `j`. Where both directions retained the pair, the
-/// left-derived weight wins (they are bit-equal anyway: both passes sum
-/// the same block weights in the same ascending-block order).
+/// initial weights", §3.3) as rows by left endpoint, cut to the edges γ
+/// reads; and the map side of the γ pass's one exchange. Returns the kept
+/// edges and the size of the whole union.
 ///
-/// Sharded by left-row range (`chunk` rows per task). A task regroups the
-/// right-side lists' entries that point into its range by `i` — walked in
-/// ascending `j`, so every regrouped row is already ascending — and merges
-/// each with the row's own (at most K) left-derived entries: P cheap scans
-/// of the right-side lists instead of one serial transpose ahead of the
-/// stage. It is also the map side of the γ pass's one exchange: a task adds
-/// its edges `(i, j, β)` to `shuffle` as one run, bucketed by `j / chunk_r`.
+/// An edge `(i, j)` adds to a γ cell only through a left entity that lists
+/// `i` among its top-N neighbours and a right one that lists `j`: row `i`
+/// is read only if `live[0]` row `i` (the left in-neighbours) is non-empty,
+/// and an entry `j` adds to nothing unless `live[1]` row `j` is. So a dead
+/// row is pushed empty and a dead entry dropped, and every γ add still
+/// happens, in the same order. Row `i` holds its live `(j, β)` ascending by
+/// `j`; where both directions retained the pair, the left-derived weight
+/// wins (they are bit-equal anyway: both passes sum the same block weights
+/// in the same ascending-block order).
+///
+/// The right-side lists are inverted by left endpoint once, walked in
+/// ascending `j` so that every inverted row is ascending too. A task then
+/// owns a range of `chunk` left rows — it reads no row outside it — and
+/// merges each inverted row with the row's own (at most K) left-derived
+/// entries sorted by id. It adds its live edges `(i, j, β)` to `shuffle` as
+/// one run, bucketed by `j / chunk_r`.
 fn beta_union(
     executor: &Executor,
     value_left: &Rows<Candidate>,
     value_right: &Rows<Candidate>,
+    live: [&Rows<u32>; 2],
     chunk: usize,
     chunk_r: usize,
     shuffle: &SpillShuffle<(u32, u32, f64)>,
-) -> Rows<(u32, f64)> {
+) -> (Rows<Candidate>, u64) {
     let n_left = value_left.n_rows();
+    let from_right: Rows<Candidate> = Rows::build(
+        n_left,
+        value_right.iter().enumerate().flat_map(|(j, cands)| {
+            let j = EntityId(j as u32);
+            cands.iter().map(move |c| (c.entity_id().0 as usize, Candidate::new(j, c.weight())))
+        }),
+    );
+    let [live_left, live_right] = live;
     let parts = executor.run_stage("graph/gamma/union", n_left.div_ceil(chunk), |t| {
-        let lo = t * chunk;
-        let own = (lo..(lo + chunk).min(n_left)).map(|i| value_left.row(i));
-        let from_right = Rows::build(
-            own.len(),
-            value_right.iter().enumerate().flat_map(|(j, cands)| {
-                cands.iter().filter_map(move |&(i, w)| {
-                    let row = (i.0 as usize).checked_sub(lo).filter(|&row| row < chunk)?;
-                    Some((row, (j as u32, w)))
-                })
-            }),
-        );
-        let upper = own.clone().map(<[Candidate]>::len).sum::<usize>() + from_right.n_items();
-        let mut edges = Rows::with_capacity(own.len(), upper);
+        let rows = t * chunk..((t + 1) * chunk).min(n_left);
+        let upper = rows.clone().map(|i| value_left.row_len(i) + from_right.row_len(i)).sum();
+        let mut edges = Rows::with_capacity(rows.len(), upper);
         let mut buckets: Vec<Vec<(u32, u32, f64)>> = vec![Vec::new(); shuffle.partitions()];
-        let mut row: Vec<(u32, f64)> = Vec::new();
-        for (r, cands) in own.enumerate() {
-            row.clear();
-            row.extend(cands.iter().map(|&(j, w)| (j.0, w)));
-            row.extend_from_slice(from_right.row(r));
-            // Stable: of two copies of one pair the left-derived one was
-            // pushed first, sorts first and survives the dedup.
-            row.sort_by_key(|&(j, _)| j);
-            row.dedup_by_key(|&mut (j, _)| j);
-            for &(j, w) in &row {
-                if let Some(bucket) = buckets.get_mut(j as usize / chunk_r) {
-                    bucket.push(((lo + r) as u32, j, w));
+        let mut own: Vec<Candidate> = Vec::new();
+        let mut union = 0u64;
+        for i in rows {
+            own.clear();
+            own.extend_from_slice(value_left.row(i));
+            own.sort_unstable_by_key(|c| c.entity_id());
+            let row_is_live = live_left.row_len(i) > 0;
+            merge_by_id(&own, from_right.row(i), |edge| {
+                union += 1;
+                let j = edge.entity_id().0;
+                if !row_is_live || live_right.row_len(j as usize) == 0 {
+                    return;
                 }
-            }
-            edges.push_row(row.iter().copied());
+                if let Some(bucket) = buckets.get_mut(j as usize / chunk_r) {
+                    bucket.push((i as u32, j, edge.weight()));
+                }
+                edges.push(edge);
+            });
+            edges.end_row();
         }
         if let Err(e) = shuffle.add_run(t, buckets) {
             std::panic::panic_any(e);
         }
-        edges
+        (edges, union)
     });
-    Rows::parted(parts)
+    let union = parts.iter().map(|&(_, union)| union).sum();
+    (Rows::parted(parts.into_iter().map(|(edges, _)| edges).collect()), union)
+}
+
+/// Visits the union of two rows ascending by id, each id once — the one
+/// from `first` where both hold it. Both rows must be ascending by id and
+/// free of duplicates.
+fn merge_by_id(mut first: &[Candidate], mut second: &[Candidate], mut visit: impl FnMut(Candidate)) {
+    loop {
+        match (first.split_first(), second.split_first()) {
+            (Some((&a, first_rest)), Some((&b, second_rest))) => match a.entity_id().cmp(&b.entity_id()) {
+                Ordering::Less => {
+                    visit(a);
+                    first = first_rest;
+                }
+                Ordering::Equal => {
+                    visit(a);
+                    (first, second) = (first_rest, second_rest);
+                }
+                Ordering::Greater => {
+                    visit(b);
+                    second = second_rest;
+                }
+            },
+            (Some(_), None) => {
+                first.iter().copied().for_each(visit);
+                return;
+            }
+            (None, _) => {
+                second.iter().copied().for_each(visit);
+                return;
+            }
+        }
+    }
 }
 
 /// The exchange's reduce step: one partition's β edges `(i, j, β)` — its
 /// buckets in map-task order — regrouped into rows by right endpoint, row
 /// `j - lo` holding `(i, β)`. Map tasks own and emit ascending ranges of `i`,
 /// so each row comes out ascending by `i`: what a sort by `(j, i)` produces.
-fn regroup_by_right(buckets: &[Vec<(u32, u32, f64)>], lo: usize, width: usize) -> Rows<(u32, f64)> {
-    Rows::build(width, buckets.iter().flatten().map(|&(i, j, w)| (j as usize - lo, (i, w))))
+fn regroup_by_right(buckets: &[Vec<(u32, u32, f64)>], lo: usize, width: usize) -> Rows<Candidate> {
+    Rows::build(width, buckets.iter().flatten().map(|&(i, j, w)| (j as usize - lo, Candidate::new(EntityId(i), w))))
 }
 
 /// The γ row kernel: the top-K neighbour candidates of the `rows` entities
@@ -681,7 +783,7 @@ fn regroup_by_right(buckets: &[Vec<(u32, u32, f64)>], lo: usize, width: usize) -
 fn gamma_rows(
     rows: std::ops::Range<usize>,
     top: &Rows<u32>,
-    edges: &Rows<(u32, f64)>,
+    edges: &Rows<Candidate>,
     in_far: &Rows<u32>,
     transposed: bool,
     dirty: bool,
@@ -708,7 +810,7 @@ fn gamma_rows(
                 gathered.clear();
                 for &j in near {
                     let run = edges.row(j as usize).iter();
-                    gathered.extend(run.map(|&(i, beta)| (u64::from(i) << 32 | u64::from(j), beta)));
+                    gathered.extend(run.map(|edge| (u64::from(edge.entity_id().0) << 32 | u64::from(j), edge.weight())));
                 }
                 gathered.sort_unstable_by_key(|&(i_j, _)| i_j);
                 for &(i_j, beta) in &gathered {
@@ -716,8 +818,8 @@ fn gamma_rows(
                 }
             } else {
                 for &x in near {
-                    for &(far, beta) in edges.row(x as usize) {
-                        scatter(far, beta);
+                    for edge in edges.row(x as usize) {
+                        scatter(edge.entity_id().0, edge.weight());
                     }
                 }
             }
@@ -744,9 +846,10 @@ fn gamma_rows(
 /// whose grouping, and hence rounding, varies with the shard count.)
 ///
 /// No cell leaves the task that summed it: all the right rows need from
-/// the left-sharded [`beta_union`] is the edge list as rows by `j` — one
-/// map→reduce shuffle, resident unless the executor's memory budget makes
-/// it spill, with the same buckets in the same order either way.
+/// the left-sharded [`beta_union`] is its live edges as rows by `j` — one
+/// map→reduce shuffle of 16-byte `(i, j, β)` records, resident unless the
+/// executor's memory budget makes it spill, with the same buckets in the
+/// same order either way. Both edge tables are 12-byte [`Candidate`] rows.
 fn gamma_pass(
     executor: &Executor,
     value_left: &Rows<Candidate>,
@@ -767,11 +870,13 @@ fn gamma_pass(
     let (tasks_l, tasks_r) = (n_left.div_ceil(chunk_l), n_right.div_ceil(chunk_r));
 
     let shuffle = SpillShuffle::new("graph-gamma", tasks_r, executor.memory_budget());
-    let edges = beta_union(executor, value_left, value_right, chunk_l, chunk_r, &shuffle);
+    let live = [&left.incoming, &right.incoming];
+    let (edges, union_edges) = beta_union(executor, value_left, value_right, live, chunk_l, chunk_r, &shuffle);
     let n_edges = edges.n_items() as u64;
-    executor.emit_counter("blocking/beta_union_edges", n_edges);
+    executor.emit_counter("blocking/beta_union_edges", union_edges);
+    executor.emit_counter("blocking/gamma_exchanged_edges", n_edges);
 
-    // Transpose: the same edges as rows by right endpoint.
+    // Transpose: the exchanged edges as rows by right endpoint.
     let parts = executor.run_stage("graph/gamma/transpose", tasks_r, |t| {
         let lo = t * chunk_r;
         let width = ((t + 1) * chunk_r).min(n_right) - lo;
@@ -825,26 +930,35 @@ mod tests {
     /// of `(entity, weight)` tuples by `(weight descending, id ascending)`
     /// that the kernel ran before it ranked on [`rank_key`]s.
     fn select_top_k(cands: &mut Vec<Candidate>, top_k: usize, adaptive: bool) {
-        cands.retain(|&(_, w)| w > 0.0);
-        cands.sort_unstable_by(|a, b| {
-            b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal).then(a.0.cmp(&b.0))
-        });
+        cands.retain(|c| c.weight() > 0.0);
+        cands.sort_unstable_by(by_weight_then_id);
         if adaptive && cands.len() > 1 {
             let n = cands.len() as f64;
-            let mean = cands.iter().map(|&(_, w)| w).sum::<f64>() / n;
-            let var = cands.iter().map(|&(_, w)| (w - mean).powi(2)).sum::<f64>() / n;
+            let mean = cands.iter().map(|c| c.weight()).sum::<f64>() / n;
+            let var = cands.iter().map(|c| (c.weight() - mean).powi(2)).sum::<f64>() / n;
             let floor = mean + 0.5 * var.sqrt();
-            let keep = cands.iter().take_while(|&&(_, w)| w >= floor).count();
+            let keep = cands.iter().take_while(|c| c.weight() >= floor).count();
             cands.truncate(keep.max(1));
         }
         cands.truncate(top_k);
     }
 
+    /// The tuple comparator's order: weight descending, id ascending.
+    fn by_weight_then_id(a: &Candidate, b: &Candidate) -> std::cmp::Ordering {
+        let by_weight = b.weight().partial_cmp(&a.weight()).unwrap_or(std::cmp::Ordering::Equal);
+        by_weight.then(a.entity_id().cmp(&b.entity_id()))
+    }
+
     /// The row the kernel keeps of `raw`.
     fn kernel_top_k(raw: &[Candidate], top_k: usize, adaptive: bool) -> Vec<Candidate> {
         let mut out = Rows::default();
-        push_top_k(raw.iter().map(|&(e, w)| (e.0, w)), &mut Vec::new(), top_k, adaptive, &mut out);
+        push_top_k(raw.iter().map(|c| (c.entity_id().0, c.weight())), &mut Vec::new(), top_k, adaptive, &mut out);
         out.row(0).to_vec()
+    }
+
+    /// A row as `(id, weight bits)`: equal iff bit-equal.
+    fn row_bits(row: &[Candidate]) -> Vec<(u32, u64)> {
+        row.iter().map(|c| (c.entity_id().0, c.weight().to_bits())).collect()
     }
 
     /// The Figure 1 / Example 3.4 worked example: Wikidata-style KB on the
@@ -1004,10 +1118,10 @@ mod tests {
                 let lo = p * chunk_r;
                 let width = ((p + 1) * chunk_r).min(n_right) - lo;
                 let buckets = shuffle.take_partition(p).expect("read partition");
-                let by_j: Rows<(u32, f64)> = regroup_by_right(&buckets, lo, width);
+                let by_j: Rows<Candidate> = regroup_by_right(&buckets, lo, width);
                 for row in 0..width {
                     let j = (lo + row) as u32;
-                    got.extend(by_j.row(row).iter().map(|&(i, w)| (i, j, w.to_bits())));
+                    got.extend(by_j.row(row).iter().map(|c| (c.entity_id().0, j, c.weight().to_bits())));
                 }
             }
             shuffle.finish(&Executor::new(1));
@@ -1026,7 +1140,7 @@ mod tests {
             .map(|e| {
                 random_ids(rng, n_other, dirty.then_some(e))
                     .into_iter()
-                    .map(|o| (EntityId(o), (1 + rng.gen_range(0..1000usize)) as f64 / 7.0))
+                    .map(|o| Candidate::new(EntityId(o), (1 + rng.gen_range(0..1000usize)) as f64 / 7.0))
                     .collect::<Vec<_>>()
             })
             .collect()
@@ -1045,7 +1159,7 @@ mod tests {
     }
 
     fn weight_bits(lists: &Rows<Candidate>) -> Vec<Vec<(u32, u64)>> {
-        lists.iter().map(|l| l.iter().map(|&(e, w)| (e.0, w.to_bits())).collect()).collect()
+        lists.iter().map(row_bits).collect()
     }
 
     #[test]
@@ -1083,8 +1197,8 @@ mod tests {
                 gamma_pass(&Executor::new(1), &value_left, &value_right, &views, dirty, &all);
             let mut transposed: Vec<Vec<Candidate>> = vec![Vec::new(); n_right];
             for (a, row) in cells.iter().enumerate() {
-                for &(b, g) in row {
-                    transposed[b.index()].push((EntityId(a as u32), g));
+                for c in row {
+                    transposed[c.entity_id().index()].push(Candidate::new(EntityId(a as u32), c.weight()));
                 }
             }
             let select = |rows: Vec<Vec<Candidate>>| -> Rows<Candidate> {
@@ -1122,43 +1236,66 @@ mod tests {
         std::fs::remove_dir_all(&spill_dir).ok();
     }
 
+    /// Random value lists for both sides whose two directions disagree on
+    /// every weight, so a test sees which copy of a doubly-retained pair
+    /// survives the union. Dirty ER lists skip the diagonal.
+    fn disagreeing_lists(rng: &mut Rng, n_left: usize, n_right: usize, dirty: bool) -> [Rows<Candidate>; 2] {
+        let mut lists = |n: usize, n_other: usize, base: f64| -> Rows<Candidate> {
+            (0..n)
+                .map(|e| {
+                    let ids = random_ids(rng, n_other, dirty.then_some(e));
+                    let weight = |rng: &mut Rng| base + rng.gen_range(0..100usize) as f64 / 7.0;
+                    ids.into_iter().map(|o| Candidate::new(EntityId(o), weight(rng))).collect::<Vec<_>>()
+                })
+                .collect()
+        };
+        [lists(n_left, n_right, 1.0), lists(n_right, n_left, 0.5)]
+    }
+
+    /// The union as `(i, j, β bits)`, ascending.
+    fn union_triples<T: Copy>(edges: &Rows<T>, edge: impl Fn(T) -> (u32, f64)) -> Vec<(u32, u32, u64)> {
+        let mut triples = Vec::new();
+        for (i, row) in edges.iter().enumerate() {
+            triples.extend(row.iter().map(|&e| {
+                let (j, w) = edge(e);
+                (i as u32, j, w.to_bits())
+            }));
+        }
+        triples
+    }
+
+    /// What `shuffle` holds, checked bucket by bucket against `chunk_r`,
+    /// ascending by `(i, j)`.
+    fn exchanged(shuffle: SpillShuffle<(u32, u32, f64)>, chunk_r: usize, exec: &Executor) -> Vec<(u32, u32, u64)> {
+        let mut exchanged: Vec<(u32, u32, u64)> = Vec::new();
+        for p in 0..shuffle.partitions() {
+            let buckets = shuffle.take_partition(p).expect("read partition");
+            for &(i, j, w) in buckets.iter().flatten() {
+                assert_eq!(j as usize / chunk_r, p, "bucket of ({i}, {j})");
+                exchanged.push((i, j, w.to_bits()));
+            }
+        }
+        shuffle.finish(exec);
+        exchanged.sort_unstable_by_key(|&(i, j, _)| (i, j));
+        exchanged
+    }
+
     #[test]
-    fn beta_union_equals_the_tagged_sort_and_dedup() {
+    fn the_p_scan_union_oracle_equals_the_tagged_sort_and_dedup() {
         let mut rng = Rng::seed_from_u64(0xBE7A);
         for case in 0..80 {
             let n_left = rng.gen_range(0..14usize);
             let n_right = rng.gen_range(0..14usize);
-            // The two directions disagree on every weight, so the test
-            // sees which copy of a doubly-retained pair survives.
-            let value_left: Rows<Candidate> = (0..n_left)
-                .map(|_| {
-                    random_ids(&mut rng, n_right, None)
-                        .into_iter()
-                        .map(|j| (EntityId(j), 1.0 + rng.gen_range(0..100usize) as f64))
-                        .collect::<Vec<_>>()
-                })
-                .collect();
-            let value_right: Rows<Candidate> = (0..n_right)
-                .map(|_| {
-                    random_ids(&mut rng, n_left, None)
-                        .into_iter()
-                        .map(|i| (EntityId(i), -1.0 - rng.gen_range(0..100usize) as f64))
-                        .collect::<Vec<_>>()
-                })
-                .collect();
+            let [value_left, value_right] = disagreeing_lists(&mut rng, n_left, n_right, false);
 
             // The pre-rewrite union: one sort of the tagged concatenation,
             // left-derived entries first among equals.
             let mut tagged: Vec<(u32, u32, u8, f64)> = Vec::new();
             for (i, cands) in value_left.iter().enumerate() {
-                for &(j, w) in cands {
-                    tagged.push((i as u32, j.0, 0, w));
-                }
+                tagged.extend(cands.iter().map(|c| (i as u32, c.entity_id().0, 0, c.weight())));
             }
             for (j, cands) in value_right.iter().enumerate() {
-                for &(i, w) in cands {
-                    tagged.push((i.0, j as u32, 1, w));
-                }
+                tagged.extend(cands.iter().map(|c| (c.entity_id().0, j as u32, 1, c.weight())));
             }
             tagged.sort_unstable_by_key(|&(i, j, tag, _)| (i, j, tag));
             tagged.dedup_by(|later, first| later.0 == first.0 && later.1 == first.1);
@@ -1170,30 +1307,120 @@ mod tests {
                 let chunk = n_left.div_ceil(exec.partitions()).max(1);
                 let chunk_r = n_right.div_ceil(exec.partitions()).max(1);
                 let shuffle = SpillShuffle::new("union", n_right.div_ceil(chunk_r), None);
-                let edges: Rows<(u32, f64)> =
-                    beta_union(&exec, &value_left, &value_right, chunk, chunk_r, &shuffle);
-                let got: Vec<(u32, u32, u64)> = (0..n_left)
-                    .flat_map(|i| {
-                        edges.row(i).iter().map(move |&(j, w)| (i as u32, j, w.to_bits()))
-                    })
-                    .collect();
-                assert_eq!(got, want, "case {case}: {n_left}x{n_right}, {workers} workers");
-
-                // The same edges went into the exchange, each in the
-                // bucket of its right endpoint, in production order.
-                let mut exchanged: Vec<(u32, u32, u64)> = Vec::new();
-                for p in 0..shuffle.partitions() {
-                    let buckets = shuffle.take_partition(p).expect("resident partition");
-                    for &(i, j, w) in buckets.iter().flatten() {
-                        assert_eq!(j as usize / chunk_r, p, "case {case}: bucket of ({i}, {j})");
-                        exchanged.push((i, j, w.to_bits()));
-                    }
-                }
-                shuffle.finish(&exec);
-                exchanged.sort_unstable_by_key(|&(i, j, _)| (i, j));
-                assert_eq!(exchanged, want, "case {case}: {workers} workers, exchange");
+                let edges = crate::reference::beta_union_p_scans(&exec, &value_left, &value_right, chunk, chunk_r, &shuffle);
+                assert_eq!(union_triples(&edges, |e| e), want, "case {case}: {n_left}x{n_right}, {workers} workers");
+                // The same edges went into the exchange, each in the bucket
+                // of its right endpoint.
+                assert_eq!(exchanged(shuffle, chunk_r, &exec), want, "case {case}: {workers} workers, exchange");
             }
         }
+    }
+
+    /// The live-edge exchange against the P-scan union it replaced: the
+    /// same union, less exactly the edges no γ cell reads — a left endpoint
+    /// no left entity lists among its top-N neighbours, or a right one no
+    /// right entity does — and the γ lists and cell count the whole union
+    /// gives, summed cell by cell in `(i, j)` order.
+    #[test]
+    fn the_live_edge_exchange_equals_the_p_scan_union_minus_its_dead_edges() {
+        use minoaner_dataflow::MemoryBudget;
+        use std::collections::BTreeMap;
+
+        let spill_dir = std::env::temp_dir().join(format!("gamma-live-exchange-{}", std::process::id()));
+        minoaner_det::rng::for_each_seed(150, |rng| {
+            // Sides of 0–13 entities: below the partition count of 2 and 8
+            // workers, and empty now and then.
+            let dirty = rng.gen_range(0..3usize) == 0;
+            let n_left = rng.gen_range(0..14usize);
+            let n_right = if dirty { n_left } else { rng.gen_range(0..14usize) };
+            let [value_left, value_right] = disagreeing_lists(rng, n_left, n_right, dirty);
+            // Entities without a top-N neighbour list no one, so some have
+            // no in-neighbour; now and then a side has none at all.
+            let mut view = |n: usize| {
+                let mut view = random_views(rng, n);
+                if rng.gen_range(0..5usize) == 0 {
+                    view = NeighborViews::from_top(std::iter::repeat(Vec::<u32>::new()).take(n).collect());
+                }
+                view
+            };
+            let views = if dirty { vec![view(n_left)] } else { vec![view(n_left), view(n_right)] };
+            let (left, right) = (&views[0], &views[views.len() - 1]);
+            let cfg = GraphConfig {
+                top_k: 1 + rng.gen_range(0..4usize),
+                adaptive_pruning: rng.gen_range(0..4usize) == 0,
+                ..GraphConfig::default()
+            };
+
+            let one = Executor::new(1);
+            let chunk = n_left.div_ceil(one.partitions()).max(1);
+            let chunk_r = n_right.div_ceil(one.partitions()).max(1);
+            let shuffle = SpillShuffle::new("oracle", n_right.div_ceil(chunk_r), None);
+            let oracle = crate::reference::beta_union_p_scans(&one, &value_left, &value_right, chunk, chunk_r, &shuffle);
+            shuffle.finish(&one);
+            let union = union_triples(&oracle, |e| e);
+            let live = |&(i, j, _): &(u32, u32, u64)| {
+                left.incoming.row_len(i as usize) > 0 && right.incoming.row_len(j as usize) > 0
+            };
+            let want_live: Vec<(u32, u32, u64)> = union.iter().copied().filter(live).collect();
+
+            // Every γ cell from the whole union, edges in `(i, j)` order.
+            let mut cells: BTreeMap<(u32, u32), f64> = BTreeMap::new();
+            for &(i, j, w) in &union {
+                for &a in Rows::row(&left.incoming, i as usize) {
+                    for &b in Rows::row(&right.incoming, j as usize) {
+                        if !(dirty && a == b) {
+                            *cells.entry((a, b)).or_insert(0.0) += f64::from_bits(w);
+                        }
+                    }
+                }
+            }
+            let (mut by_left, mut by_right) = (vec![Vec::new(); n_left], vec![Vec::new(); n_right]);
+            for (&(a, b), &g) in &cells {
+                by_left[a as usize].push(Candidate::new(EntityId(b), g));
+                by_right[b as usize].push(Candidate::new(EntityId(a), g));
+            }
+            let cut = |rows: Vec<Vec<Candidate>>| -> Vec<Vec<(u32, u64)>> {
+                rows.into_iter()
+                    .map(|mut row| {
+                        select_top_k(&mut row, cfg.top_k, cfg.adaptive_pruning);
+                        row_bits(&row)
+                    })
+                    .collect()
+            };
+            let want_gamma = [cut(by_left), cut(by_right)];
+
+            for workers in [1, 2, 8] {
+                for budget in [None, Some(MemoryBudget::new(0, &spill_dir))] {
+                    let ctx = format!("{n_left}x{n_right}, dirty={dirty}, {workers} workers, spilled={}", budget.is_some());
+                    let mut exec = Executor::new(workers);
+                    exec.set_memory_budget(budget);
+                    let chunk = n_left.div_ceil(exec.partitions()).max(1);
+                    let chunk_r = n_right.div_ceil(exec.partitions()).max(1);
+                    let shuffle = SpillShuffle::new("live", n_right.div_ceil(chunk_r), exec.memory_budget());
+                    let live_views = [&left.incoming, &right.incoming];
+                    let (edges, n_union) =
+                        beta_union(&exec, &value_left, &value_right, live_views, chunk, chunk_r, &shuffle);
+                    assert_eq!(n_union, union.len() as u64, "{ctx}: the whole union is counted");
+                    assert_eq!(edges.n_rows(), n_left, "{ctx}");
+                    let kept = union_triples(&edges, |e: Candidate| (e.entity_id().0, e.weight()));
+                    assert_eq!(kept, want_live, "{ctx}: kept edges");
+                    assert_eq!(exchanged(shuffle, chunk_r, &exec), want_live, "{ctx}: exchanged edges");
+
+                    let (got_left, got_right) = gamma_pass(&exec, &value_left, &value_right, &views, dirty, &cfg);
+                    assert_eq!([weight_bits(&got_left), weight_bits(&got_right)], want_gamma, "{ctx}: γ lists");
+                    let log = exec.stage_log();
+                    let gamma = log.find("graph/gamma").expect("γ stage").io;
+                    assert_eq!(gamma.items_out, cells.len() as u64, "{ctx}: γ cells");
+                    let transpose = log.find("graph/gamma/transpose").expect("transpose stage").io;
+                    assert_eq!(transpose.shuffle_bytes, 16 * want_live.len() as u64, "{ctx}: shuffle bytes");
+                }
+            }
+        });
+        assert!(
+            std::fs::read_dir(&spill_dir).map_or(true, |mut d| d.next().is_none()),
+            "spill scratch must be swept"
+        );
+        std::fs::remove_dir_all(&spill_dir).ok();
     }
 
     #[test]
@@ -1233,8 +1460,8 @@ mod tests {
         let gamma = g
             .neighbor_candidates(Side::Left, r1)
             .iter()
-            .find(|&&(c, _)| c == r2)
-            .map(|&(_, w)| w)
+            .find(|c| c.entity_id() == r2)
+            .map(|c| c.weight())
             .expect("restaurants connected by neighbor evidence");
         assert!(gamma > 0.0);
     }
@@ -1259,8 +1486,8 @@ mod tests {
         let gamma = g
             .neighbor_candidates(Side::Left, pl)
             .iter()
-            .find(|&&(c, _)| c == pr)
-            .map(|&(_, w)| w)
+            .find(|c| c.entity_id() == pr)
+            .map(|c| c.weight())
             .expect("parents linked via children");
         assert!((gamma - beta).abs() < 1e-12, "γ must equal the single contributing β");
     }
@@ -1295,8 +1522,8 @@ mod tests {
         for side in [Side::Left, Side::Right] {
             for (e, _) in pair.kb(side).iter() {
                 for list in [g.value_candidates(side, e), g.neighbor_candidates(side, e)] {
-                    assert!(list.windows(2).all(|w| w[0].1 >= w[1].1));
-                    assert!(list.iter().all(|&(_, w)| w > 0.0));
+                    assert!(list.windows(2).all(|w| w[0].weight() >= w[1].weight()));
+                    assert!(list.iter().all(|c| c.weight() > 0.0));
                 }
             }
         }
@@ -1349,7 +1576,8 @@ mod tests {
         let g = build_blocking_graph(&exec, &pair, &rels, &tb, &nb, &cfg);
         for side in [Side::Left, Side::Right] {
             for (e, _) in pair.kb(side).iter() {
-                for &(_, w) in g.value_candidates(side, e) {
+                for c in g.value_candidates(side, e) {
+                    let w = c.weight();
                     assert!((0.0..=1.0 + 1e-9).contains(&w), "JS weight out of range: {w}");
                 }
             }
@@ -1369,9 +1597,9 @@ mod tests {
         for (i, cands) in (0..pair.kb(Side::Left).len()).map(|i| {
             (i, g.value_candidates(Side::Left, EntityId(i as u32)).to_vec())
         }) {
-            for (to, _) in cands {
+            for to in cands.iter().map(|c| c.entity_id()) {
                 assert!(
-                    g.value_candidates(Side::Right, to).iter().any(|&(b, _)| b.0 == i as u32),
+                    g.value_candidates(Side::Right, to).iter().any(|b| b.entity_id().0 == i as u32),
                     "edge {i}->{to:?} kept without its reverse"
                 );
             }
@@ -1390,8 +1618,9 @@ mod tests {
                     .value_candidates(side, e)
                     .iter()
                     .copied()
-                    .filter(|&(to, _)| {
-                        base.value_candidates(side.other(), to).iter().any(|&(back, _)| back == e)
+                    .filter(|to| {
+                        let back = base.value_candidates(side.other(), to.entity_id());
+                        back.iter().any(|back| back.entity_id() == e)
                     })
                     .collect();
                 assert_eq!(pruned.value_candidates(side, e), &expect_value[..]);
@@ -1399,10 +1628,9 @@ mod tests {
                     .neighbor_candidates(side, e)
                     .iter()
                     .copied()
-                    .filter(|&(to, _)| {
-                        base.neighbor_candidates(side.other(), to)
-                            .iter()
-                            .any(|&(back, _)| back == e)
+                    .filter(|to| {
+                        let back = base.neighbor_candidates(side.other(), to.entity_id());
+                        back.iter().any(|back| back.entity_id() == e)
                     })
                     .collect();
                 assert_eq!(pruned.neighbor_candidates(side, e), &expect_neighbor[..]);
@@ -1433,7 +1661,8 @@ mod tests {
             let mut checked = 0usize;
             for side in [Side::Left, Side::Right] {
                 for (e, _) in pair.kb(side).iter() {
-                    for &(cand, w) in g.value_candidates(side, e) {
+                    for c in g.value_candidates(side, e) {
+                        let (cand, w) = (c.entity_id(), c.weight());
                         let kernel = index.pair_weight(side, e, cand, &block_weight);
                         assert_eq!(
                             kernel.to_bits(),
@@ -1492,21 +1721,9 @@ mod tests {
             assert_eq!(g1.weight_digest(), g2.weight_digest(), "{cfg:?}");
             for side in [Side::Left, Side::Right] {
                 for (e, _) in pair.kb(side).iter() {
-                    let v1: Vec<(u32, u64)> =
-                        g1.value_candidates(side, e).iter().map(|&(c, w)| (c.0, w.to_bits())).collect();
-                    let v2: Vec<(u32, u64)> =
-                        g2.value_candidates(side, e).iter().map(|&(c, w)| (c.0, w.to_bits())).collect();
+                    let (v1, v2) = (row_bits(g1.value_candidates(side, e)), row_bits(g2.value_candidates(side, e)));
                     assert_eq!(v1, v2, "{cfg:?}: value weights must be bit-identical");
-                    let n1: Vec<(u32, u64)> = g1
-                        .neighbor_candidates(side, e)
-                        .iter()
-                        .map(|&(c, w)| (c.0, w.to_bits()))
-                        .collect();
-                    let n2: Vec<(u32, u64)> = g2
-                        .neighbor_candidates(side, e)
-                        .iter()
-                        .map(|&(c, w)| (c.0, w.to_bits()))
-                        .collect();
+                    let (n1, n2) = (row_bits(g1.neighbor_candidates(side, e)), row_bits(g2.neighbor_candidates(side, e)));
                     assert_eq!(n1, n2, "{cfg:?}: neighbor weights must be bit-identical");
                 }
             }
@@ -1517,15 +1734,13 @@ mod tests {
     fn partial_selection_matches_full_sort() {
         // Weights engineered with ties so the id tie-break matters.
         let raw: Vec<Candidate> = (0..100u32)
-            .map(|i| (EntityId(i), f64::from(i % 7) + 0.5))
+            .map(|i| Candidate::new(EntityId(i), f64::from(i % 7) + 0.5))
             .collect();
         for top_k in [0, 1, 3, 7, 15, 99, 100, 120] {
             let fast = kernel_top_k(&raw, top_k, false);
             // The reference semantics: full sort, then truncate.
             let mut slow = raw.clone();
-            slow.sort_unstable_by(|a, b| {
-                b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal).then(a.0.cmp(&b.0))
-            });
+            slow.sort_unstable_by(by_weight_then_id);
             slow.truncate(top_k);
             assert_eq!(fast, slow, "top_k={top_k}");
         }
@@ -1562,20 +1777,17 @@ mod tests {
                         0 => rng.gen_range(1..1000usize) as f64 / 7.0,
                         _ => POOL[rng.gen_range(0..POOL.len())],
                     };
-                    (EntityId(id), w)
+                    Candidate::new(EntityId(id), w)
                 })
                 .collect();
-            let len = raw.iter().filter(|&&(_, w)| w > 0.0).count();
-            let bits = |row: &[Candidate]| -> Vec<(u32, u64)> {
-                row.iter().map(|&(e, w)| (e.0, w.to_bits())).collect()
-            };
+            let len = raw.iter().filter(|c| c.weight() > 0.0).count();
             for top_k in [0, 1, len.saturating_sub(1), len, len + 1, usize::MAX] {
                 for adaptive in [false, true] {
                     let mut want = raw.clone();
                     select_top_k(&mut want, top_k, adaptive);
                     assert_eq!(
-                        bits(&kernel_top_k(&raw, top_k, adaptive)),
-                        bits(&want),
+                        row_bits(&kernel_top_k(&raw, top_k, adaptive)),
+                        row_bits(&want),
                         "K={top_k}, adaptive={adaptive}, row {raw:?}"
                     );
                 }
@@ -1637,6 +1849,38 @@ mod tests {
             }
         }
         b.finish()
+    }
+
+    /// The checkpoint part of a graph is its [`Spillable`] encoding. These
+    /// are the bytes of two small graphs as the `(EntityId, f64)` tuple
+    /// rows encoded them, before the rows became [`Candidate`]s: the
+    /// layout changed, the part bytes — and so the `…-v4` fingerprint's
+    /// promise — did not.
+    #[test]
+    fn checkpoint_part_bytes_are_pinned() {
+        const FIGURE1: &str = "\
+            050000000000000000000000010000000200000003000000030000000300000000000000000000000000000000000040\
+            010000000000000000001040020000000000000000000040040000000000000000000000010000000200000003000000\
+            030000000000000000000000000000000000004001000000000000000000104002000000000000000000004005000000\
+            000000000000000001000000010000000100000001000000010000000000000000000000000000000000184004000000\
+            000000000000000001000000010000000100000001000000000000000000000000000000000018400100000000000000\
+            0100000001000000";
+        const DIRTY: &str = "\
+            060000000000000000000000010000000200000003000000040000000400000004000000000000000100000096cbc34e\
+            27acf43f0000000096cbc34e27acf43f0300000096cbc34e27acf43f0200000096cbc34e27acf43f0600000000000000\
+            00000000010000000200000003000000040000000400000004000000000000000100000096cbc34e27acf43f00000000\
+            96cbc34e27acf43f0300000096cbc34e27acf43f0200000096cbc34e27acf43f06000000000000000000000001000000\
+            0200000002000000020000000200000002000000000000000100000096cbc34e27acf43f0000000096cbc34e27acf43f\
+            060000000000000000000000010000000200000002000000020000000200000002000000000000000100000096cbc34e\
+            27acf43f0000000096cbc34e27acf43f0000000000000000";
+        for (what, pair, want) in [("figure 1", figure1_pair(), FIGURE1), ("dirty ER", dirty_pair(), DIRTY)] {
+            let graph = build(&pair, GraphConfig::default());
+            let bytes = minoaner_det::codec::encode_to_vec(&graph);
+            let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(hex, want, "{what}");
+            let back: BlockingGraph = minoaner_det::codec::decode_exact(&bytes).expect("decodes");
+            assert_eq!(back.weight_digest(), graph.weight_digest(), "{what}: round trip");
+        }
     }
 
     #[test]

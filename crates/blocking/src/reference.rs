@@ -16,12 +16,15 @@
 //! blocking as a `Vec` per key and side filled entity by entity, and purging
 //! as a `retain` over `(key, left, right)` triples. The loops below hold the
 //! column-inversion builders, the row filters and [`crate::graph::GraphIndex`]
-//! to it on random pairs.
+//! to it on random pairs. So is the β union as P scans of the right-side
+//! lists, [`beta_union_p_scans`], which the one-pass live-edge union is held
+//! to.
 //!
 //! Compiled only for tests: nothing ships it.
 
 use std::collections::BTreeMap;
 
+use minoaner_dataflow::{Executor, SpillShuffle};
 use minoaner_kb::stats::{NameStats, RelationStats};
 use minoaner_kb::{EntityId, KbPair, LiteralId, Rows, Side, TokenId};
 
@@ -240,17 +243,20 @@ fn top_candidates_reference(acc: &BTreeMap<u32, f64>, top_k: usize, adaptive: bo
     let mut cands: Vec<Candidate> = acc
         .iter()
         .filter(|&(_, &w)| w > 0.0)
-        .map(|(&e, &w)| (EntityId(e), w))
+        .map(|(&e, &w)| Candidate::new(EntityId(e), w))
         .collect();
     cands.sort_unstable_by(|a, b| {
-        b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal).then(a.0.cmp(&b.0))
+        b.weight()
+            .partial_cmp(&a.weight())
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then(a.entity_id().cmp(&b.entity_id()))
     });
     if adaptive && cands.len() > 1 {
         let n = cands.len() as f64;
-        let mean = cands.iter().map(|&(_, w)| w).sum::<f64>() / n;
-        let var = cands.iter().map(|&(_, w)| (w - mean).powi(2)).sum::<f64>() / n;
+        let mean = cands.iter().map(|c| c.weight()).sum::<f64>() / n;
+        let var = cands.iter().map(|c| (c.weight() - mean).powi(2)).sum::<f64>() / n;
         let floor = mean + 0.5 * var.sqrt();
-        let keep = cands.iter().take_while(|&&(_, w)| w >= floor).count();
+        let keep = cands.iter().take_while(|c| c.weight() >= floor).count();
         cands.truncate(keep.max(1));
     }
     cands.truncate(top_k);
@@ -290,13 +296,13 @@ fn gamma_pass_reference(
 ) -> (Vec<Vec<Candidate>>, Vec<Vec<Candidate>>) {
     let mut beta_edges: BTreeMap<(u32, u32), f64> = BTreeMap::new();
     for (i, cands) in value_left.iter().enumerate() {
-        for &(j, w) in cands {
-            beta_edges.insert((i as u32, j.0), w);
+        for c in cands {
+            beta_edges.insert((i as u32, c.entity_id().0), c.weight());
         }
     }
     for (j, cands) in value_right.iter().enumerate() {
-        for &(i, w) in cands {
-            beta_edges.entry((i.0, j as u32)).or_insert(w);
+        for c in cands {
+            beta_edges.entry((c.entity_id().0, j as u32)).or_insert(c.weight());
         }
     }
 
@@ -324,6 +330,62 @@ fn gamma_pass_reference(
     (left, right)
 }
 
+/// The β union and the γ exchange's map side as they were before the union
+/// became one pass, kept verbatim but for the [`Candidate`] accessors: each
+/// task regroups the entries of *all* right-side lists that point into its
+/// left-row range (P scans of the right-side lists), merges each row with
+/// the row's own left-derived entries by a stable sort and a dedup, and
+/// keeps and exchanges every union edge. [`crate::graph`]'s live-edge union
+/// must equal it minus the edges γ never reads.
+pub(crate) fn beta_union_p_scans(
+    executor: &Executor,
+    value_left: &Rows<Candidate>,
+    value_right: &Rows<Candidate>,
+    chunk: usize,
+    chunk_r: usize,
+    shuffle: &SpillShuffle<(u32, u32, f64)>,
+) -> Rows<(u32, f64)> {
+    let n_left = value_left.n_rows();
+    let parts = executor.run_stage("graph/gamma/union", n_left.div_ceil(chunk), |t| {
+        let lo = t * chunk;
+        let own = (lo..(lo + chunk).min(n_left)).map(|i| value_left.row(i));
+        let from_right = Rows::build(
+            own.len(),
+            value_right.iter().enumerate().flat_map(|(j, cands)| {
+                cands.iter().filter_map(move |c| {
+                    let (i, w) = (c.entity_id(), c.weight());
+                    let row = (i.0 as usize).checked_sub(lo).filter(|&row| row < chunk)?;
+                    Some((row, (j as u32, w)))
+                })
+            }),
+        );
+        let upper = own.clone().map(<[Candidate]>::len).sum::<usize>() + from_right.n_items();
+        let mut edges = Rows::with_capacity(own.len(), upper);
+        let mut buckets: Vec<Vec<(u32, u32, f64)>> = vec![Vec::new(); shuffle.partitions()];
+        let mut row: Vec<(u32, f64)> = Vec::new();
+        for (r, cands) in own.enumerate() {
+            row.clear();
+            row.extend(cands.iter().map(|c| (c.entity_id().0, c.weight())));
+            row.extend_from_slice(from_right.row(r));
+            // Stable: of two copies of one pair the left-derived one was
+            // pushed first, sorts first and survives the dedup.
+            row.sort_by_key(|&(j, _)| j);
+            row.dedup_by_key(|&mut (j, _)| j);
+            for &(j, w) in &row {
+                if let Some(bucket) = buckets.get_mut(j as usize / chunk_r) {
+                    bucket.push(((lo + r) as u32, j, w));
+                }
+            }
+            edges.push_row(row.iter().copied());
+        }
+        if let Err(e) = shuffle.add_run(t, buckets) {
+            std::panic::panic_any(e);
+        }
+        edges
+    });
+    Rows::parted(parts)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -331,7 +393,6 @@ mod tests {
     use crate::name::build_name_blocks;
     use crate::purge::purge_blocks;
     use crate::token::build_token_blocks;
-    use minoaner_dataflow::Executor;
     use minoaner_kb::dirty::DirtyKbBuilder;
     use minoaner_kb::stats::NameStats;
     use minoaner_det::rng::{for_each_seed, Rng};
@@ -408,7 +469,7 @@ mod tests {
         for side in [Side::Left, Side::Right] {
             for (e, _) in pair.kb(side).iter() {
                 let bits = |cands: &[Candidate]| -> Vec<(u32, u64)> {
-                    cands.iter().map(|&(c, w)| (c.0, w.to_bits())).collect()
+                    cands.iter().map(|c| (c.entity_id().0, c.weight().to_bits())).collect()
                 };
                 assert_eq!(
                     bits(new.value_candidates(side, e)),

@@ -1,6 +1,7 @@
 //! The blocking layer's tables are flat: building the blocks and the
 //! blocking graph costs a bounded number of heap allocations, not one (or
-//! more) per token, literal or entity.
+//! more) per token, literal or entity — and a bounded number of heap bytes
+//! at its peak for each row it keeps or exchanges.
 //!
 //! Its own test binary because it installs a counting global allocator.
 
@@ -15,20 +16,42 @@ use minoaner_dataflow::Executor;
 use minoaner_kb::stats::{NameStats, RelationStats};
 use minoaner_kb::{KbPair, KbPairBuilder, Side, Term};
 
+/// What the calling thread allocated while counting was on.
+#[derive(Clone, Copy, Default)]
+struct Usage {
+    /// `alloc` and `realloc` calls.
+    allocations: u64,
+    /// Bytes allocated minus bytes freed: negative when the thread frees
+    /// what it allocated before counting began.
+    live: i64,
+    /// The highest `live` reached.
+    peak: i64,
+}
+
 thread_local! {
-    /// Allocations made by this thread since counting was switched on;
-    /// `None` while it is off. No destructor and no lazy initialisation, so
-    /// the allocator itself may touch it.
-    static COUNT: Cell<Option<u64>> = const { Cell::new(None) };
+    /// This thread's usage since counting was switched on; `None` while it
+    /// is off. No destructor and no lazy initialisation, so the allocator
+    /// itself may touch it.
+    static USAGE: Cell<Option<Usage>> = const { Cell::new(None) };
 }
 
 /// The system allocator, counting the calling thread's `alloc` and
-/// `realloc` calls while that thread has counting switched on.
+/// `realloc` calls and its live heap bytes while that thread has counting
+/// switched on.
 struct Counting;
 
-fn bump() {
+/// Records a call that moved the thread's live bytes by `bytes`; `call`
+/// says whether it counts as an allocation.
+fn record(bytes: i64, call: bool) {
     // `try_with`: the allocator also runs while a thread is torn down.
-    let _ = COUNT.try_with(|count| count.set(count.get().map(|n| n + 1)));
+    let _ = USAGE.try_with(|usage| {
+        if let Some(mut u) = usage.get() {
+            u.allocations += u64::from(call);
+            u.live += bytes;
+            u.peak = u.peak.max(u.live);
+            usage.set(Some(u));
+        }
+    });
 }
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds the
@@ -36,18 +59,19 @@ fn bump() {
 // allocates nor unwinds.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump();
+        record(layout.size() as i64, true);
         // SAFETY: the caller's obligations are `System::alloc`'s.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        record(-(layout.size() as i64), false);
         // SAFETY: `ptr` came from `System` through this allocator.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump();
+        record(new_size as i64 - layout.size() as i64, true);
         // SAFETY: `ptr` came from `System` through this allocator.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -57,11 +81,17 @@ unsafe impl GlobalAlloc for Counting {
 static ALLOCATOR: Counting = Counting;
 
 /// What `f` allocates on this thread.
-fn allocations_of<R>(f: impl FnOnce() -> R) -> (R, u64) {
-    COUNT.with(|count| count.set(Some(0)));
+fn usage_of<R>(f: impl FnOnce() -> R) -> (R, Usage) {
+    USAGE.with(|usage| usage.set(Some(Usage::default())));
     let result = f();
-    let count = COUNT.with(|count| count.replace(None)).expect("counting was on");
-    (result, count)
+    let usage = USAGE.with(|usage| usage.replace(None)).expect("counting was on");
+    (result, usage)
+}
+
+/// How many allocations `f` makes on this thread.
+fn allocations_of<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    let (result, usage) = usage_of(f);
+    (result, usage.allocations)
 }
 
 /// `n` entities a side: entity `i` shares a rare token with its counterpart
@@ -150,4 +180,40 @@ fn building_the_blocks_allocates_per_column_not_per_token_or_literal() {
         assert!(pair.token_space() >= n + n / 4 && pair.literal_space() == 2 * n);
         assert!(allocations <= BOUND, "{n} entities a side: {allocations} allocations, the bound is {BOUND}");
     }
+}
+
+/// The graph's rows are 12-byte `Candidate`s — its four candidate tables and
+/// the exchanged β edges by either endpoint — and only the edges γ reads are
+/// exchanged, so a build's heap peaks at a bounded number of bytes per kept
+/// candidate plus exchanged edge: 18.5 here (23.7 with 16-byte rows and the
+/// whole union exchanged). Rows of 16 bytes again read 23.2, and a second
+/// copy of the edge table held to the end 21.8.
+#[test]
+fn building_the_graph_peaks_at_a_bounded_number_of_heap_bytes_per_row() {
+    const N: usize = 2_000;
+    const BOUND: f64 = 20.0;
+    let pair = pair(N, true);
+    let rels = RelationStats::compute(&pair);
+    let names = NameStats::compute(&pair, 2);
+    let mut token_blocks = build_token_blocks(&pair);
+    purge_blocks(&mut token_blocks, 2 * N);
+    let name_blocks = build_name_blocks(&pair, &names);
+    let cfg = GraphConfig::default();
+
+    let inline = Executor::new(1);
+    let (graph, usage) =
+        usage_of(|| build_blocking_graph(&inline, &pair, &rels, &token_blocks, &name_blocks, &cfg));
+    let kept: usize = [Side::Left, Side::Right]
+        .iter()
+        .flat_map(|&side| pair.kb(side).iter().map(move |(e, _)| (side, e)))
+        .map(|(side, e)| graph.value_candidates(side, e).len() + graph.neighbor_candidates(side, e).len())
+        .sum();
+    let log = inline.stage_log();
+    let exchanged = log.find("graph/gamma/transpose").expect("the exchange ran").io.items_in;
+    let per_row = usage.peak as f64 / (kept as u64 + exchanged) as f64;
+    assert!(
+        per_row <= BOUND,
+        "a peak of {} bytes for {kept} kept and {exchanged} exchanged rows: {per_row:.2} a row, the bound is {BOUND}",
+        usage.peak
+    );
 }

@@ -13,7 +13,7 @@
 //!
 //! `M(e_i, e_j) = (R1 ∨ R2 ∨ R3) ∧ R4` (Def. 4.1).
 
-use minoaner_blocking::BlockingGraph;
+use minoaner_blocking::{BlockingGraph, Candidate};
 use minoaner_det::spillable_struct;
 use minoaner_det::DetHashMap;
 use minoaner_dataflow::Executor;
@@ -203,8 +203,8 @@ fn rule_r2(executor: &Executor, pair: &KbPair, graph: &BlockingGraph, state: &mu
         let top = graph
             .value_candidates(small, e)
             .iter()
-            .find(|&&(c, _)| !unique || free_other[c.index()])?;
-        (top.1 >= 1.0).then_some((e, top.0, top.1))
+            .find(|c| !unique || free_other[c.entity_id().index()])?;
+        (top.weight() >= 1.0).then_some((e, top.entity_id(), top.weight()))
     });
 
     // Greedy unique-mapping merge, strongest β first.
@@ -311,8 +311,8 @@ fn rule_r3(
 /// The ranking runs in buffers the calling worker owns
 /// ([`AggregateScratch`]), so an entity costs no allocation.
 pub fn aggregate_top_candidate(
-    value_cands: &[(EntityId, f64)],
-    neighbor_cands: &[(EntityId, f64)],
+    value_cands: &[Candidate],
+    neighbor_cands: &[Candidate],
     theta: f64,
     require_both: bool,
     keep: impl Fn(EntityId) -> bool,
@@ -344,21 +344,21 @@ impl AggregateScratch {
     /// summed in the same order, as ranking into fresh `Vec`s.
     fn aggregate(
         &mut self,
-        value_cands: &[(EntityId, f64)],
-        neighbor_cands: &[(EntityId, f64)],
+        value_cands: &[Candidate],
+        neighbor_cands: &[Candidate],
         theta: f64,
         require_both: bool,
         keep: &impl Fn(EntityId) -> bool,
     ) -> Option<(EntityId, f64)> {
         let Self { agg, neighbors } = self;
         agg.clear();
-        agg.extend(value_cands.iter().map(|&(c, _)| c).filter(|&c| keep(c)).map(|c| (c, 0.0, false)));
+        agg.extend(value_cands.iter().map(|c| c.entity_id()).filter(|&c| keep(c)).map(|c| (c, 0.0, false)));
         let n_val = agg.len();
         for (pos, (_, score, _)) in agg.iter_mut().enumerate() {
             *score = theta * (n_val - pos) as f64 / n_val as f64;
         }
         neighbors.clear();
-        neighbors.extend(neighbor_cands.iter().map(|&(c, _)| c).filter(|&c| keep(c)));
+        neighbors.extend(neighbor_cands.iter().map(|c| c.entity_id()).filter(|&c| keep(c)));
         let n_ngb = neighbors.len();
         for (pos, &c) in neighbors.iter().enumerate() {
             let s = (1.0 - theta) * (n_ngb - pos) as f64 / n_ngb as f64;
@@ -411,12 +411,16 @@ mod tests {
         EntityId(i)
     }
 
+    fn c(i: u32, w: f64) -> Candidate {
+        Candidate::new(EntityId(i), w)
+    }
+
     #[test]
     fn aggregation_prefers_agreement_over_single_list_top() {
         // Candidate 1 is top of the value list only; candidate 2 is second
         // in value but top in neighbors: with θ=0.5, 2 wins.
-        let value = vec![(e(1), 5.0), (e(2), 4.0)];
-        let ngb = vec![(e(2), 9.0), (e(3), 1.0)];
+        let value = vec![c(1, 5.0), c(2, 4.0)];
+        let ngb = vec![c(2, 9.0), c(3, 1.0)];
         let (best, score) = aggregate_top_candidate(&value, &ngb, 0.5, false, |_| true).unwrap();
         assert_eq!(best, e(2));
         // agg(2) = 0.5·(1/2) + 0.5·(2/2) = 0.75; agg(1) = 0.5·(2/2) = 0.5.
@@ -425,8 +429,8 @@ mod tests {
 
     #[test]
     fn aggregation_theta_extremes() {
-        let value = vec![(e(1), 5.0), (e(2), 4.0)];
-        let ngb = vec![(e(2), 9.0)];
+        let value = vec![c(1, 5.0), c(2, 4.0)];
+        let ngb = vec![c(2, 9.0)];
         // θ ≈ 1: value list dominates.
         let (best, _) = aggregate_top_candidate(&value, &ngb, 0.99, false, |_| true).unwrap();
         assert_eq!(best, e(1));
@@ -437,7 +441,7 @@ mod tests {
 
     #[test]
     fn aggregation_respects_keep_filter() {
-        let value = vec![(e(1), 5.0), (e(2), 4.0)];
+        let value = vec![c(1, 5.0), c(2, 4.0)];
         let (best, score) = aggregate_top_candidate(&value, &[], 0.6, false, |c| c != e(1)).unwrap();
         assert_eq!(best, e(2));
         // After filtering, candidate 2 is rank 1 of a 1-element list.
@@ -447,35 +451,35 @@ mod tests {
     #[test]
     fn aggregation_empty_lists() {
         assert!(aggregate_top_candidate(&[], &[], 0.6, false, |_| true).is_none());
-        assert!(aggregate_top_candidate(&[(e(1), 2.0)], &[], 0.6, false, |c| c != e(1)).is_none());
+        assert!(aggregate_top_candidate(&[c(1, 2.0)], &[], 0.6, false, |c| c != e(1)).is_none());
     }
 
     #[test]
     fn require_both_filters_single_evidence_candidates() {
-        let value = vec![(e(1), 5.0), (e(2), 4.0)];
-        let ngb = vec![(e(2), 9.0), (e(3), 1.0)];
+        let value = vec![c(1, 5.0), c(2, 4.0)];
+        let ngb = vec![c(2, 9.0), c(3, 1.0)];
         // Only candidate 2 has both kinds of evidence.
         let (best, _) = aggregate_top_candidate(&value, &ngb, 0.6, true, |_| true).unwrap();
         assert_eq!(best, e(2));
         // No overlap at all → no admissible candidate.
-        assert!(aggregate_top_candidate(&value, &[(e(9), 1.0)], 0.6, true, |_| true).is_none());
+        assert!(aggregate_top_candidate(&value, &[c(9, 1.0)], 0.6, true, |_| true).is_none());
     }
 
     /// The allocating kernel `aggregate_top_candidate` replaced, kept
     /// verbatim as its oracle.
     fn aggregate_top_candidate_allocating(
-        value_cands: &[(EntityId, f64)],
-        neighbor_cands: &[(EntityId, f64)],
+        value_cands: &[Candidate],
+        neighbor_cands: &[Candidate],
         theta: f64,
         require_both: bool,
         keep: impl Fn(EntityId) -> bool,
     ) -> Option<(EntityId, f64)> {
         let mut agg: Vec<(EntityId, f64, bool)> = Vec::new();
-        let val: Vec<EntityId> = value_cands.iter().map(|&(c, _)| c).filter(|&c| keep(c)).collect();
+        let val: Vec<EntityId> = value_cands.iter().map(|c| c.entity_id()).filter(|&c| keep(c)).collect();
         for (pos, &c) in val.iter().enumerate() {
             agg.push((c, theta * (val.len() - pos) as f64 / val.len() as f64, false));
         }
-        let ngb: Vec<EntityId> = neighbor_cands.iter().map(|&(c, _)| c).filter(|&c| keep(c)).collect();
+        let ngb: Vec<EntityId> = neighbor_cands.iter().map(|c| c.entity_id()).filter(|&c| keep(c)).collect();
         for (pos, &c) in ngb.iter().enumerate() {
             let s = (1.0 - theta) * (ngb.len() - pos) as f64 / ngb.len() as f64;
             match agg.iter_mut().find(|(e, _, _)| *e == c) {
@@ -500,8 +504,8 @@ mod tests {
             // Candidates from a small universe, so the lists share many, a
             // list may name one twice, and `keep` drops some of them.
             let universe = 1 + rng.gen_range(0..12usize);
-            let list = |rng: &mut minoaner_det::rng::Rng| -> Vec<(EntityId, f64)> {
-                (0..rng.gen_range(0..16usize)).map(|_| (e(rng.gen_range(0..universe) as u32), rng.gen_range(1..100usize) as f64)).collect()
+            let list = |rng: &mut minoaner_det::rng::Rng| -> Vec<Candidate> {
+                (0..rng.gen_range(0..16usize)).map(|_| c(rng.gen_range(0..universe) as u32, rng.gen_range(1..100usize) as f64)).collect()
             };
             let (value, ngb) = (list(rng), list(rng));
             let dropped: Vec<bool> = (0..universe).map(|_| rng.gen_range(0..4usize) == 0).collect();
@@ -517,7 +521,7 @@ mod tests {
             }
         });
         // A `keep` that aggregates as well runs on buffers of its own.
-        let value = [(e(1), 5.0), (e(2), 4.0)];
+        let value = [c(1, 5.0), c(2, 4.0)];
         let nested = |c: EntityId| aggregate_top_candidate(&value, &[], 0.5, false, |d| d == c).is_some();
         assert_eq!(aggregate_top_candidate(&value, &value, 0.5, true, nested), Some((e(1), 1.0)));
     }

@@ -120,8 +120,8 @@ fn graph_pruning_invariants() {
                 let e = EntityId(i as u32);
                 for list in [g.value_candidates(side, e), g.neighbor_candidates(side, e)] {
                     assert!(list.len() <= k, "candidate list exceeds K");
-                    assert!(list.windows(2).all(|w| w[0].1 >= w[1].1), "not sorted");
-                    assert!(list.iter().all(|&(_, w)| w > 0.0), "trivial edge kept");
+                    assert!(list.windows(2).all(|w| w[0].weight() >= w[1].weight()), "not sorted");
+                    assert!(list.iter().all(|c| c.weight() > 0.0), "trivial edge kept");
                 }
             }
         }

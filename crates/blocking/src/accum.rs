@@ -18,8 +18,7 @@
 ///
 /// Usage per source entity: [`SparseAccumulator::next_epoch`], then any
 /// number of [`SparseAccumulator::add`] calls, then read the live entries
-/// via [`SparseAccumulator::entries`] (or transform them in place with
-/// [`SparseAccumulator::apply`]).
+/// via [`SparseAccumulator::entries`].
 #[derive(Debug)]
 pub struct SparseAccumulator {
     scores: Vec<f64>,
@@ -105,15 +104,6 @@ impl SparseAccumulator {
     pub fn entries(&self) -> impl Iterator<Item = (u32, f64)> + '_ {
         self.touched.iter().map(|&key| (key, self.score(key)))
     }
-
-    /// Rewrites every live entry as `f(key, score)` — the per-entry
-    /// transform step of the ECBS/JS weighting schemes.
-    pub fn apply(&mut self, mut f: impl FnMut(u32, f64) -> f64) {
-        for &key in &self.touched {
-            let i = key as usize;
-            self.scores[i] = f(key, self.scores[i]);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -143,17 +133,6 @@ mod tests {
         acc.add(1, 2.0);
         assert_eq!(acc.touched(), &[1]);
         assert_eq!(acc.score(1), 2.0);
-    }
-
-    #[test]
-    fn apply_transforms_live_entries_only() {
-        let mut acc = SparseAccumulator::new(4);
-        acc.next_epoch();
-        acc.add(0, 2.0);
-        acc.add(2, 3.0);
-        acc.apply(|key, w| w * (key as f64 + 1.0));
-        assert_eq!(acc.score(0), 2.0);
-        assert_eq!(acc.score(2), 9.0);
     }
 
     #[test]

@@ -29,11 +29,6 @@ impl Block<'_> {
     pub fn comparisons(self) -> u64 {
         self.left.len() as u64 * self.right.len() as u64
     }
-
-    /// Number of entity-in-block assignments: `|b1| + |b2|`.
-    pub fn assignments(self) -> u64 {
-        (self.left.len() + self.right.len()) as u64
-    }
 }
 
 /// The blocks under keys of type `K`, ascending by key. Only *active*
@@ -110,32 +105,12 @@ impl<K: Copy> Blocks<K> {
         self.iter().map(|(_, b)| b.comparisons()).sum()
     }
 
-    /// Aggregate entity-in-block assignments `Σ_b |b1| + |b2|`.
-    pub fn total_assignments(&self) -> u64 {
-        self.members.iter().map(|table| table.n_items() as u64).sum()
-    }
-
     /// Keeps the blocks `keep` accepts, in place and in order.
     pub fn retain(&mut self, mut keep: impl FnMut(Block<'_>) -> bool) {
         let kept: Vec<bool> = self.iter().map(|(_, b)| keep(b)).collect();
         let mut marks = kept.iter();
         self.keys.retain(|_| marks.next().is_some_and(|&kept| kept));
         retain_marked(&mut self.members, &kept);
-    }
-
-    /// Keeps, on `side`, the members `keep(block, member)` accepts. A block
-    /// may come out empty on that side: follow with [`Self::retain`].
-    pub(crate) fn retain_members(&mut self, side: Side, mut keep: impl FnMut(usize, EntityId) -> bool) {
-        let [left, right] = &mut self.members;
-        let table = match side {
-            Side::Left => left,
-            Side::Right => right,
-        };
-        let mut thinned = Rows::with_capacity(table.n_rows(), table.n_items());
-        for (block, row) in table.iter().enumerate() {
-            thinned.push_row(row.iter().copied().filter(|&e| keep(block, e)));
-        }
-        *table = thinned;
     }
 }
 
@@ -201,7 +176,6 @@ mod tests {
         let (left, right) = (ids(&[0, 1]), ids(&[0, 1, 2]));
         let b = Block { left: &left, right: &right };
         assert_eq!(b.comparisons(), 6);
-        assert_eq!(b.assignments(), 5);
     }
 
     #[test]
@@ -212,7 +186,6 @@ mod tests {
         assert_eq!(blocks.keys(), &[TokenId(2), TokenId(3)]);
         assert_eq!(members_of(&blocks), vec![(ids(&[1, 2]), ids(&[4])), (ids(&[3]), ids(&[0, 6]))]);
         assert_eq!(blocks.total_comparisons(), 2 + 2);
-        assert_eq!(blocks.total_assignments(), 3 + 3);
     }
 
     #[test]
@@ -229,8 +202,6 @@ mod tests {
         blocks.retain(|b| b.comparisons() != 2);
         assert_eq!(blocks.keys(), &[TokenId(0), TokenId(7)]);
         assert_eq!(members_of(&blocks), vec![(ids(&[0]), ids(&[0])), (ids(&[2]), ids(&[2, 3, 4]))]);
-        blocks.retain_members(Side::Right, |block, e| block == 0 || e.0 != 3);
-        assert_eq!(members_of(&blocks), vec![(ids(&[0]), ids(&[0])), (ids(&[2]), ids(&[2, 4]))]);
     }
 
     #[test]

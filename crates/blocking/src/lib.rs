@@ -11,25 +11,18 @@
 //! * [`graph::build_blocking_graph`] — Algorithm 1: the disjunctive
 //!   blocking graph with α/β/γ edge weights, pruned to the top-K candidates
 //!   per node and per evidence kind;
-//! * [`stats::block_stats`] — the Table 2 block statistics;
-//! * [`lsh`] — MinHash-LSH blocking, the §5 related-work alternative, for
-//!   comparison benches.
+//! * [`stats::block_stats`] — the Table 2 block statistics.
 
 pub mod accum;
 pub mod block;
-pub mod filtering;
 pub mod graph;
-pub mod intersect;
-pub mod lsh;
 pub mod name;
 pub mod purge;
 #[cfg(test)]
 mod reference;
-pub mod sorted_neighborhood;
 pub mod stats;
 pub mod token;
 
 pub use block::{Block, Blocks, NameBlocks, TokenBlocks};
-pub use graph::{BetaWeighting, BlockingGraph, Candidate, GraphConfig};
-pub use intersect::{intersect_into, intersect_visit};
+pub use graph::{BlockingGraph, Candidate, GraphConfig};
 pub use purge::PurgeReport;

@@ -4,21 +4,13 @@
 //! comparisons while carrying almost no matching evidence (their per-token
 //! weight `1/log2(EF1·EF2+1)` is tiny).
 //!
-//! Two self-tuning criteria are provided:
-//!
-//! * [`purge_limit_budget`] (the default used by the pipeline): keep blocks
-//!   in ascending cardinality order until the cumulative comparisons exceed
-//!   a budget linear in the number of input entities. This directly
-//!   enforces the paper's complexity claim — after purging, the value-
-//!   evidence pass costs `O(|E1| + |E2|)` comparisons rather than
-//!   `O(|E1| · |E2|)` (§3.3), two-plus orders of magnitude below the
-//!   brute-force cross product on the evaluation datasets.
-//! * [`purge_limit_density`]: the TKDE 2013-style criterion — walk the
-//!   distinct block cardinalities in ascending order and stop at the first
-//!   level where the cumulative comparisons-per-assignment ratio jumps by
-//!   more than a smoothing factor; oversized levels past the knee are
-//!   dropped. Works well when block sizes follow a smooth (Zipfian)
-//!   distribution, but can over- or under-purge on strongly bimodal ones.
+//! The criterion is self-tuning, [`purge_limit_budget`]: keep blocks in
+//! ascending cardinality order until the cumulative comparisons exceed a
+//! budget linear in the number of input entities. This directly enforces
+//! the paper's complexity claim — after purging, the value-evidence pass
+//! costs `O(|E1| + |E2|)` comparisons rather than `O(|E1| · |E2|)` (§3.3),
+//! two-plus orders of magnitude below the brute-force cross product on the
+//! evaluation datasets.
 
 use minoaner_det::spillable_struct;
 
@@ -26,10 +18,6 @@ use crate::block::TokenBlocks;
 
 /// Comparison budget per input entity for [`purge_limit_budget`].
 pub const DEFAULT_BUDGET_PER_ENTITY: u64 = 64;
-
-/// Smoothing factor for [`purge_limit_density`] (tolerated relative growth
-/// of comparisons-per-assignment between adjacent cardinality levels).
-pub const DEFAULT_SMOOTHING: f64 = 1.25;
 
 /// Outcome of a purging pass.
 #[derive(Debug, Clone, PartialEq)]
@@ -75,24 +63,19 @@ pub fn purge_with_cap(blocks: &mut TokenBlocks, max_comparisons: u64) -> PurgeRe
     }
 }
 
-/// Sorted `(cardinality, cumulative comparisons, cumulative assignments)`
-/// levels, one per distinct block cardinality, ascending.
-fn cumulative_levels(blocks: &TokenBlocks) -> Vec<(u64, u64, u64)> {
-    let mut per_block: Vec<(u64, u64)> =
-        blocks.iter().map(|(_, b)| (b.comparisons(), b.assignments())).collect();
-    per_block.sort_unstable_by_key(|&(c, _)| c);
+/// Sorted `(cardinality, cumulative comparisons)` levels, one per distinct
+/// block cardinality, ascending.
+fn cumulative_levels(blocks: &TokenBlocks) -> Vec<(u64, u64)> {
+    let mut per_block: Vec<u64> = blocks.iter().map(|(_, b)| b.comparisons()).collect();
+    per_block.sort_unstable();
 
-    let mut levels: Vec<(u64, u64, u64)> = Vec::new();
-    let (mut cum_c, mut cum_a) = (0u64, 0u64);
-    for (card, assigns) in per_block {
+    let mut levels: Vec<(u64, u64)> = Vec::new();
+    let mut cum_c = 0u64;
+    for card in per_block {
         cum_c += card;
-        cum_a += assigns;
         match levels.last_mut() {
-            Some(last) if last.0 == card => {
-                last.1 = cum_c;
-                last.2 = cum_a;
-            }
-            _ => levels.push((card, cum_c, cum_a)),
+            Some(last) if last.0 == card => last.1 = cum_c,
+            _ => levels.push((card, cum_c)),
         }
     }
     levels
@@ -106,7 +89,7 @@ pub fn purge_limit_budget(blocks: &TokenBlocks, budget: u64) -> u64 {
         return u64::MAX;
     }
     let mut limit = 1;
-    for &(card, cum_c, _) in &levels {
+    for &(card, cum_c) in &levels {
         if cum_c <= budget {
             limit = card;
         } else {
@@ -114,35 +97,10 @@ pub fn purge_limit_budget(blocks: &TokenBlocks, budget: u64) -> u64 {
         }
     }
     // If even the full collection fits the budget, keep everything.
-    if levels.last().map(|&(_, c, _)| c <= budget).unwrap_or(false) {
+    if levels.last().map(|&(_, c)| c <= budget).unwrap_or(false) {
         return u64::MAX;
     }
     limit
-}
-
-/// The TKDE 2013-style density criterion: ascending cardinality levels are
-/// admitted while the cumulative comparisons-per-assignment ratio grows by
-/// at most `smoothing` per level; the first sharper jump marks the
-/// stopword knee and everything past it is purged.
-pub fn purge_limit_density(blocks: &TokenBlocks, smoothing: f64) -> u64 {
-    let levels = cumulative_levels(blocks);
-    if levels.len() < 2 {
-        return u64::MAX;
-    }
-    let mut limit = levels[0].0.max(1);
-    for w in levels.windows(2) {
-        let (_, prev_c, prev_a) = w[0];
-        let (card, cur_c, cur_a) = w[1];
-        // CC/BC grew by more than the smoothing factor → knee found.
-        if (cur_c as f64 * prev_a as f64) > smoothing * (cur_a as f64 * prev_c as f64) {
-            break;
-        }
-        limit = card;
-    }
-    match levels.last() {
-        Some(&(top, _, _)) if limit < top => limit,
-        _ => u64::MAX,
-    }
 }
 
 #[cfg(test)]
@@ -194,25 +152,6 @@ mod tests {
     }
 
     #[test]
-    fn density_finds_the_knee() {
-        // Smooth small levels, then a huge jump.
-        let mut sizes = vec![(1, 1); 30];
-        sizes.extend_from_slice(&[(1, 2); 20]);
-        sizes.extend_from_slice(&[(2, 2); 10]);
-        sizes.push((100, 100));
-        let blocks = collection(&sizes);
-        let limit = purge_limit_density(&blocks, 1.25);
-        assert!(limit >= 4, "smooth levels kept, got {limit}");
-        assert!(limit < 10_000, "stopword level purged");
-    }
-
-    #[test]
-    fn density_uniform_collection_untouched() {
-        let blocks = collection(&[(2, 2); 20]);
-        assert_eq!(purge_limit_density(&blocks, 1.25), u64::MAX);
-    }
-
-    #[test]
     fn purged_is_subset_and_respects_cap() {
         let mut blocks = collection(&[(1, 1), (2, 3), (5, 5), (30, 40)]);
         let before = blocks.keys().to_vec();
@@ -227,7 +166,6 @@ mod tests {
         let report = purge_blocks(&mut blocks, 10);
         assert_eq!(report.blocks_before, 0);
         assert_eq!(report.max_comparisons, u64::MAX);
-        assert_eq!(purge_limit_density(&blocks, 1.25), u64::MAX);
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! randomness — β edges ascending by `(left, right)` — which is exactly
 //! the order the row-sharded parallel kernel reproduces per cell. The
 //! equivalence loops below require exact `f64` equality between the
-//! two kernels across worker counts, weighting schemes, adaptive pruning,
-//! and dirty-ER mode.
+//! two kernels across worker counts, top-K cuts (none and all included),
+//! neighbour-relation counts, adaptive pruning, and dirty-ER mode.
 //!
 //! The block builders' predecessor is kept the same way: token and name
 //! blocking as a `Vec` per key and side filled entity by entity, and purging
@@ -29,9 +29,7 @@ use minoaner_kb::stats::{NameStats, RelationStats};
 use minoaner_kb::{EntityId, KbPair, LiteralId, Rows, Side, TokenId};
 
 use crate::block::{NameBlocks, TokenBlocks};
-use crate::graph::{
-    apply_reciprocal_pruning, BetaWeighting, BlockingGraph, Candidate, GraphConfig,
-};
+use crate::graph::{BlockingGraph, Candidate, GraphConfig};
 use crate::name::{alpha_pairs, alpha_pairs_dirty};
 use crate::purge::PurgeReport;
 
@@ -124,23 +122,16 @@ pub fn build_blocking_graph_reference(
         alpha_pairs(name_blocks)
     };
 
-    let block_weight: Vec<f64> = match cfg.beta_weighting {
-        BetaWeighting::Arcs => token_blocks
-            .iter()
-            .map(|(_, b)| 1.0 / (b.comparisons() as f64 + 1.0).log2())
-            .collect(),
-        BetaWeighting::Cbs | BetaWeighting::Ecbs | BetaWeighting::Js => {
-            vec![1.0; token_blocks.len()]
-        }
-    };
+    let block_weight: Vec<f64> = token_blocks
+        .iter()
+        .map(|(_, b)| 1.0 / (b.comparisons() as f64 + 1.0).log2())
+        .collect();
 
     let value_left = beta_pass_reference(
-        pair, Side::Left, token_blocks, &block_weight, cfg.top_k,
-        cfg.beta_weighting, cfg.adaptive_pruning,
+        pair, Side::Left, token_blocks, &block_weight, cfg.top_k, cfg.adaptive_pruning,
     );
     let value_right = beta_pass_reference(
-        pair, Side::Right, token_blocks, &block_weight, cfg.top_k,
-        cfg.beta_weighting, cfg.adaptive_pruning,
+        pair, Side::Right, token_blocks, &block_weight, cfg.top_k, cfg.adaptive_pruning,
     );
 
     let in_left = top_in_neighbors(pair, rels, Side::Left, cfg.n_relations);
@@ -152,42 +143,22 @@ pub fn build_blocking_graph_reference(
 
     // The kernel below is the original's, per-entity `Vec`s and all; only
     // the finished lists are packed into the graph's row tables.
-    let mut graph = BlockingGraph::from_parts(
+    BlockingGraph::from_parts(
         [value_left, value_right].map(Rows::from_iter),
         [neighbor_left, neighbor_right].map(Rows::from_iter),
         alpha,
-    );
-    if cfg.reciprocal_pruning {
-        apply_reciprocal_pruning(&mut graph);
-    }
-    graph
+    )
 }
 
-#[allow(clippy::too_many_arguments)]
 fn beta_pass_reference(
     pair: &KbPair,
     side: Side,
     token_blocks: &TokenBlocks,
     block_weight: &[f64],
     top_k: usize,
-    weighting: BetaWeighting,
     adaptive: bool,
 ) -> Vec<Vec<Candidate>> {
-    let kb = pair.kb(side);
-    let n = kb.len();
-
-    let needs_counts = matches!(weighting, BetaWeighting::Ecbs | BetaWeighting::Js);
-    let total_blocks = token_blocks.len() as f64;
-    let mut counts_self = vec![0u32; n];
-    let mut counts_other = vec![0u32; pair.kb(side.other()).len()];
-    if needs_counts {
-        for (counts, side) in [(&mut counts_self, side), (&mut counts_other, side.other())] {
-            for e in token_blocks.members(side).data() {
-                counts[e.index()] += 1;
-            }
-        }
-    }
-
+    let n = pair.kb(side).len();
     let mut entity_blocks: Vec<Vec<u32>> = vec![Vec::new(); n];
     for (bi, members) in token_blocks.members(side).iter().enumerate() {
         for &e in members {
@@ -209,26 +180,6 @@ fn beta_pass_reference(
                     continue;
                 }
                 *acc.entry(o.0).or_insert(0.0) += w;
-            }
-        }
-        match weighting {
-            BetaWeighting::Arcs | BetaWeighting::Cbs => {}
-            BetaWeighting::Ecbs => {
-                let self_factor =
-                    (total_blocks / f64::from(counts_self[this as usize].max(1))).ln().max(1e-9);
-                for (o, cbs) in acc.iter_mut() {
-                    let other_factor =
-                        (total_blocks / f64::from(counts_other[*o as usize].max(1))).ln().max(1e-9);
-                    *cbs *= self_factor * other_factor;
-                }
-            }
-            BetaWeighting::Js => {
-                let bi = f64::from(counts_self[this as usize].max(1));
-                for (o, cbs) in acc.iter_mut() {
-                    let bj = f64::from(counts_other[*o as usize].max(1));
-                    let denom = bi + bj - *cbs;
-                    *cbs = if denom > 0.0 { *cbs / denom } else { 0.0 };
-                }
             }
         }
         out.push(top_candidates_reference(&acc, top_k, adaptive));
@@ -430,6 +381,12 @@ mod tests {
         tokens.iter().map(|&t| VOCAB[t]).collect::<Vec<_>>().join(" ")
     }
 
+    /// The predicate of entity `i`'s `k`-th relation: three relations of
+    /// unequal support, so that a top-N cut below three drops some.
+    fn relation(i: usize, k: usize) -> String {
+        format!("rel{}", (i + k) % 3)
+    }
+
     fn build_pair(left: &[EntitySpec], right: &[EntitySpec]) -> KbPair {
         let mut b = KbPairBuilder::new();
         for (side, specs, prefix) in
@@ -440,9 +397,9 @@ mod tests {
                 for (k, lit) in spec.literals.iter().enumerate() {
                     b.add_triple(side, &uri, &format!("p{k}"), Term::Literal(&literal_text(lit)));
                 }
-                for &target in &spec.rels {
+                for (k, &target) in spec.rels.iter().enumerate() {
                     let target = target % specs.len();
-                    b.add_triple(side, &uri, "rel", Term::Uri(&format!("{prefix}{target}")));
+                    b.add_triple(side, &uri, &relation(i, k), Term::Uri(&format!("{prefix}{target}")));
                 }
             }
         }
@@ -456,9 +413,9 @@ mod tests {
             for (k, lit) in spec.literals.iter().enumerate() {
                 b.add_triple(&uri, &format!("p{k}"), Term::Literal(&literal_text(lit)));
             }
-            for &target in &spec.rels {
+            for (k, &target) in spec.rels.iter().enumerate() {
                 let target = target % specs.len();
-                b.add_triple(&uri, "rel", Term::Uri(&format!("e{target}")));
+                b.add_triple(&uri, &relation(i, k), Term::Uri(&format!("e{target}")));
             }
         }
         b.finish()
@@ -486,8 +443,8 @@ mod tests {
         assert_eq!(new.weight_digest(), reference.weight_digest(), "{ctx}: digest");
     }
 
-    /// Builds both kernels over every (weighting, adaptive, top_k, worker)
-    /// combination and requires exact equality.
+    /// Builds both kernels over every (top_k, n_relations, adaptive,
+    /// worker) combination and requires exact equality.
     fn check_equivalence(pair: &KbPair) {
         let rels = RelationStats::compute(pair);
         let names = NameStats::compute(pair, 2);
@@ -495,26 +452,17 @@ mod tests {
         purge_blocks(&mut tb, pair.kb(Side::Left).len() + pair.kb(Side::Right).len());
         let nb = build_name_blocks(pair, &names);
         let executors: Vec<Executor> = [1usize, 2, 8].into_iter().map(Executor::new).collect();
-        for weighting in
-            [BetaWeighting::Arcs, BetaWeighting::Cbs, BetaWeighting::Ecbs, BetaWeighting::Js]
-        {
-            for adaptive in [false, true] {
-                // top_k 2 exercises the partial-selection path on dense
-                // nodes; 15 is the paper default.
-                for top_k in [2usize, 15] {
-                    let cfg = GraphConfig {
-                        top_k,
-                        beta_weighting: weighting,
-                        adaptive_pruning: adaptive,
-                        ..GraphConfig::default()
-                    };
+        // K = 0 keeps no candidate and `usize::MAX` every one; 2 exercises
+        // the partial-selection path on dense nodes; 15 is the paper default.
+        for top_k in [0, 2, 15, usize::MAX] {
+            // One relation, or the paper default of three.
+            for n_relations in [1, 3] {
+                for adaptive_pruning in [false, true] {
+                    let cfg = GraphConfig { top_k, n_relations, adaptive_pruning };
                     let reference = build_blocking_graph_reference(pair, &rels, &tb, &nb, &cfg);
                     for exec in &executors {
                         let new = build_blocking_graph(exec, pair, &rels, &tb, &nb, &cfg);
-                        let ctx = format!(
-                            "{weighting:?} adaptive={adaptive} top_k={top_k} workers={}",
-                            exec.workers()
-                        );
+                        let ctx = format!("{cfg:?} workers={}", exec.workers());
                         assert_bit_equal(&new, &reference, pair, &ctx);
                     }
                 }
@@ -708,30 +656,5 @@ mod tests {
     #[test]
     fn kernel_matches_reference_on_random_dirty_kbs() {
         for_each_seed(6, |rng| check_equivalence(&build_dirty_pair(&random_side(rng))));
-    }
-
-    #[test]
-    fn kernel_matches_reference_with_reciprocal_pruning() {
-        let mut b = KbPairBuilder::new();
-        b.add_triple(Side::Left, "l0", "p", Term::Literal("fat duck restaurant bray"));
-        b.add_triple(Side::Left, "l0", "rel", Term::Uri("l1"));
-        b.add_triple(Side::Left, "l1", "p", Term::Literal("john lake chef"));
-        b.add_triple(Side::Left, "l2", "p", Term::Literal("berkshire county village"));
-        b.add_triple(Side::Right, "r0", "p", Term::Literal("the fat duck"));
-        b.add_triple(Side::Right, "r0", "rel", Term::Uri("r1"));
-        b.add_triple(Side::Right, "r1", "p", Term::Literal("lake chef celebrity"));
-        b.add_triple(Side::Right, "r2", "p", Term::Literal("bray berkshire"));
-        let pair = b.finish();
-        let rels = RelationStats::compute(&pair);
-        let names = NameStats::compute(&pair, 2);
-        let tb = build_token_blocks(&pair);
-        let nb = build_name_blocks(&pair, &names);
-        let cfg = GraphConfig { reciprocal_pruning: true, top_k: 2, ..GraphConfig::default() };
-        let reference = build_blocking_graph_reference(&pair, &rels, &tb, &nb, &cfg);
-        for workers in [1usize, 4] {
-            let new =
-                build_blocking_graph(&Executor::new(workers), &pair, &rels, &tb, &nb, &cfg);
-            assert_bit_equal(&new, &reference, &pair, &format!("reciprocal workers={workers}"));
-        }
     }
 }

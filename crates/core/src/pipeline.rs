@@ -182,12 +182,8 @@ impl Minoaner {
         blocks: &PreparedBlocks,
         adaptive: bool,
     ) -> BlockingGraph {
-        let graph_cfg = GraphConfig {
-            top_k: self.config.top_k,
-            n_relations: self.config.n_relations,
-            adaptive_pruning: adaptive,
-            ..GraphConfig::default()
-        };
+        let graph_cfg =
+            GraphConfig { top_k: self.config.top_k, n_relations: self.config.n_relations, adaptive_pruning: adaptive };
         build_blocking_graph(
             executor,
             pair,

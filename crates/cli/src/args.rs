@@ -47,7 +47,7 @@ pub struct KbCompileArgs {
 /// The `minoaner jobs` subcommands.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JobsCmd {
-    /// Submit and run a batch of resolve jobs under one scheduler.
+    /// Run a batch of resolve jobs, one at a time.
     Run(JobsRunArgs),
     /// List all job statuses under a jobs root.
     List {
@@ -62,7 +62,7 @@ pub enum JobsCmd {
         id: String,
     },
     /// Request cancellation of a job (drops a `CANCEL` marker the owning
-    /// scheduler picks up).
+    /// batch picks up).
     Cancel {
         /// The jobs root directory.
         root: String,
@@ -77,16 +77,8 @@ pub struct JobsRunArgs {
     /// The jobs root: control plane (status files, cancel markers) and
     /// per-job checkpoint directories live under it.
     pub root: String,
-    /// The jobs to submit, in submission order.
+    /// The jobs to run, in command-line order.
     pub jobs: Vec<JobLine>,
-    /// Total worker budget across running jobs (default: all cores).
-    pub budget_workers: Option<usize>,
-    /// Total memory budget in bytes (default: unlimited).
-    pub budget_memory: Option<u64>,
-    /// Cap on concurrently running jobs (default: the worker budget).
-    pub max_running: Option<usize>,
-    /// Cap on queued jobs; beyond it submissions are shed (default 64).
-    pub max_queued: Option<usize>,
     /// The four MinoanER parameters, shared by all jobs.
     pub k: usize,
     pub top_k: usize,
@@ -102,8 +94,7 @@ pub struct JobsRunArgs {
 }
 
 /// One `--job` specification: `left=<path>,right=<path>` plus optional
-/// `name=`, `priority=low|normal|high`, `workers=<n>`, `memory=<bytes>`,
-/// `deadline-ms=<n>`.
+/// `name=`, `workers=<n>`, `memory=<bytes>`, `deadline-ms=<n>`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobLine {
     /// Human-readable name (defaults to `left vs right`).
@@ -112,13 +103,12 @@ pub struct JobLine {
     pub left: String,
     /// Right KB path.
     pub right: String,
-    /// Scheduling priority name (`low`/`normal`/`high`), validated here.
-    pub priority: String,
-    /// Worker threads for this job's executor.
-    pub workers: usize,
-    /// Declared memory need, charged against the budget.
+    /// Worker threads for this job's executor (default: all cores).
+    pub workers: Option<usize>,
+    /// Memory grant: the job's shuffle budget, spilling beyond it.
     pub memory_bytes: u64,
-    /// Wall-clock deadline in milliseconds from submission.
+    /// Wall-clock deadline in milliseconds, counted from when the job's
+    /// input is in memory.
     pub deadline_ms: Option<u64>,
 }
 
@@ -249,14 +239,14 @@ COMMON OPTIONS (every command that loads a KB):
 EXIT CODES:
     0  success
     1  I/O failure (unreadable input file)
-    2  bad arguments or invalid configuration (for `jobs run`: a submission
-       was shed by admission control)
+    2  bad arguments or invalid configuration (for `jobs cancel`: no such
+       job, or the job is already finished)
     3  input parse failure (strict mode)
     4  dataflow execution failure (a task panicked; for `jobs run`: at
        least one job failed)
     5  checkpoint failure (snapshot I/O error, corrupt/incompatible checkpoint)
-    6  run cancelled (user request, job deadline, or scheduler shutdown;
-       for `jobs run`: at least one job was cancelled and none failed)
+    6  run cancelled (user request or job deadline; for `jobs run`: at
+       least one job was cancelled and none failed)
     7  disk full (ENOSPC/quota on a spill write; the run's scratch
        directory is cleaned up before exit — free space and retry)
 
@@ -311,32 +301,31 @@ JOBS:
     minoaner jobs cancel --root <dir> --id <jobid>
 
     A job <spec> is comma-separated key=value pairs:
-        left=<path>,right=<path>[,name=<s>][,priority=low|normal|high]
-        [,workers=<n>][,memory=<bytes>][,deadline-ms=<n>]
+        left=<path>,right=<path>[,name=<s>][,workers=<n>][,memory=<bytes>]
+        [,deadline-ms=<n>]
 
-    Each job checkpoints under <root>/job-<id>/ckpt and mirrors its status
-    to <root>/job-<id>/status.json; `jobs cancel` drops a CANCEL marker
-    there that the running scheduler honours cooperatively at the next
-    stage barrier (completed checkpoint barriers stay resumable).
+    Jobs run one at a time, in command-line order; ids are j0000, j0001, …
+    in that order. Each job checkpoints under <root>/job-<id>/ckpt and
+    mirrors its status to <root>/job-<id>/status.json; `jobs cancel` drops
+    a CANCEL marker there: a queued job then never runs, and a running one
+    stops cooperatively at its next stage barrier (completed checkpoint
+    barriers stay resumable). A job without workers=<n> uses all cores.
+    Each job's input is read while the job before it runs; a job that is
+    running waits for its input if the read is not done yet, and its
+    deadline counts from when the input is in memory. A job whose file
+    cannot be loaded fails with that error, the batch goes on, and the
+    command exits as any command does on that file (1 or 3).
 
 JOBS RUN OPTIONS:
     --root <dir>            jobs root (control plane + per-job checkpoints)
-    --job <spec>            a job to submit (repeatable, in priority order)
-    --budget-workers <n>    total worker budget across running jobs
-                            (default: all cores)
-    --budget-memory <bytes> total declared-memory budget, with k/m/g suffixes (default: unlimited)
-    --max-running <n>       cap on concurrently running jobs
-                            (default: the worker budget)
-    --max-queued <n>        cap on waiting jobs; submissions beyond it are
-                            shed with a structured reason (default 64)
+    --job <spec>            a job to run (repeatable, in run order)
     --k/--top-k/--n/--theta MinoanER parameters shared by all jobs
     --resume                resume each job from its newest valid checkpoint
     --degrade-on-ckpt-error keep jobs running (uncheckpointed) when their
                             checkpoint I/O fails instead of failing them
 
     A job with memory=<bytes> resolves under that grant: shuffle state
-    beyond it spills to <root>/job-<id>/spill and is read back, so the
-    declared admission memory is also the enforced working-set ceiling.
+    beyond it spills to <root>/job-<id>/spill and is read back.
 
 KB COMPILE:
     minoaner kb compile <left.nt> [<right.nt>] <out.mkb> [--lenient]
@@ -382,9 +371,7 @@ const MULTI: &[&[FlagSpec]] = &[&[("--kb", Text), ("--workers", Int), ("--json",
 const STATS: &[&[FlagSpec]] = &[&[("--input", Text), ("--type-attr", Text)], MODE];
 const JOBS_RUN: &[&[FlagSpec]] = &[
     &[
-        ("--root", Text), ("--job", Text), ("--budget-workers", Int), ("--budget-memory", Bytes),
-        ("--max-running", Int), ("--max-queued", Int), ("--resume", Switch),
-        ("--degrade-on-ckpt-error", Switch),
+        ("--root", Text), ("--job", Text), ("--resume", Switch), ("--degrade-on-ckpt-error", Switch),
     ],
     PARAMS,
     MODE,
@@ -538,9 +525,7 @@ fn parse_jobs(args: &[String]) -> Result<Command, ArgError> {
             }
             let (k, top_k, n, theta) = f.params();
             JobsCmd::Run(JobsRunArgs {
-                root, jobs, budget_workers: f.get("--budget-workers"),
-                budget_memory: f.bytes("--budget-memory"), max_running: f.get("--max-running"),
-                max_queued: f.get("--max-queued"), k, top_k, n, theta, lenient: f.lenient(),
+                root, jobs, k, top_k, n, theta, lenient: f.lenient(),
                 resume: f.on("--resume"), degrade_ckpt: f.on("--degrade-on-ckpt-error"),
             })
         }
@@ -570,8 +555,7 @@ fn parse_job_line(spec: &str) -> Result<JobLine, ArgError> {
         name: None,
         left: String::new(),
         right: String::new(),
-        priority: "normal".to_owned(),
-        workers: 1,
+        workers: None,
         memory_bytes: 0,
         deadline_ms: None,
     };
@@ -584,9 +568,7 @@ fn parse_job_line(spec: &str) -> Result<JobLine, ArgError> {
             "left" => line.left = val.to_owned(),
             "right" => line.right = val.to_owned(),
             "name" => line.name = Some(val.to_owned()),
-            "priority" if matches!(val, "low" | "normal" | "high") => line.priority = val.to_owned(),
-            "priority" => return Err(ArgError(format!("--job priority must be low, normal or high (got {val:?})"))),
-            "workers" => line.workers = val.parse().map_err(|_| int())?,
+            "workers" => line.workers = Some(val.parse().map_err(|_| int())?),
             "memory" => line.memory_bytes = parse_bytes(val)?,
             "deadline-ms" => line.deadline_ms = Some(val.parse().map_err(|_| int())?),
             other => return Err(ArgError(format!("unknown --job key {other:?} (in {spec:?})"))),
@@ -749,26 +731,21 @@ mod tests {
     #[test]
     fn parses_jobs_run() {
         let cmd = parse(&strings(&[
-            "jobs", "run", "--root", "/tmp/jobs", "--budget-workers", "8",
-            "--budget-memory", "64m", "--max-running", "2", "--max-queued", "5",
-            "--job", "left=a.nt,right=b.nt,priority=high,workers=2,deadline-ms=500",
+            "jobs", "run", "--root", "/tmp/jobs",
+            "--job", "left=a.nt,right=b.nt,workers=2,deadline-ms=500",
             "--job", "left=c.nt,right=d.nt,name=small,memory=2k",
             "--resume",
         ]))
         .unwrap();
         let Command::Jobs(JobsCmd::Run(a)) = cmd else { panic!("expected jobs run") };
         assert_eq!(a.root, "/tmp/jobs");
-        assert_eq!(a.budget_workers, Some(8));
-        assert_eq!(a.budget_memory, Some(64 << 20), "the suffixes --mem-budget takes");
-        assert_eq!((a.max_running, a.max_queued), (Some(2), Some(5)));
         assert!(a.resume);
         assert_eq!(a.jobs.len(), 2);
-        assert_eq!(a.jobs[0].priority, "high");
-        assert_eq!(a.jobs[0].workers, 2);
+        assert_eq!(a.jobs[0].workers, Some(2));
         assert_eq!(a.jobs[0].deadline_ms, Some(500));
         assert_eq!(a.jobs[1].name.as_deref(), Some("small"));
-        assert_eq!(a.jobs[1].memory_bytes, 2048);
-        assert_eq!(a.jobs[1].priority, "normal", "priority defaults to normal");
+        assert_eq!(a.jobs[1].memory_bytes, 2048, "the suffixes --mem-budget takes");
+        assert_eq!(a.jobs[1].workers, None, "all cores by default");
     }
 
     #[test]
@@ -796,10 +773,14 @@ mod tests {
         assert!(parse(&strings(&["jobs", "status", "--root", "r"])).is_err());
         assert!(parse(&strings(&["jobs", "cancel", "--root", "r"])).is_err());
         assert!(parse(&strings(&["jobs", "run", "--root", "r"])).is_err(), "run needs --job");
+        for gone in ["--budget-workers", "--budget-memory", "--max-running", "--max-queued"] {
+            let args = ["jobs", "run", "--root", "r", "--job", "left=a.nt,right=b.nt", gone, "2"];
+            assert!(parse(&strings(&args)).is_err(), "{gone} is not a jobs run flag");
+        }
         // Malformed --job specs.
         for bad in [
             "left=a.nt",                                  // missing right
-            "left=a.nt,right=b.nt,priority=urgent",       // bad priority
+            "left=a.nt,right=b.nt,priority=high",         // no priorities: jobs run in order
             "left=a.nt,right=b.nt,workers=many",          // bad integer
             "left=a.nt,right=b.nt,memory=1.5g",           // bad byte count
             "left=a.nt,right=b.nt,frob=1",                // unknown key
@@ -925,11 +906,11 @@ mod tests {
     const TOKENS: &[&str] = &[
         "--left", "--right", "--mkb", "--mem-budget", "--spill-dir", "--workers", "--k", "--top-k", "--n",
         "--theta", "--json", "--resume", "--checkpoint-dir", "--degrade-on-ckpt-error", "--lenient",
-        "--strict", "--root", "--job", "--id", "--budget-workers", "--budget-memory", "--max-running",
-        "--max-queued", "--input", "--kb", "--type-attr", "resolve", "jobs", "run", "kb", "compile", "",
+        "--strict", "--root", "--job", "--id", "--input", "--kb", "--type-attr", "resolve", "jobs", "run",
+        "kb", "compile", "",
         "0", "-1", "18446744073709551615", "18446744073709551616", "17179869184g", "16777216t", "k", "1e309",
         "NaN", "inf", "-0", "0x10", "=", ",", "left=", "right=,", "memory=99999999999999g", "deadline-ms=-5",
-        "workers=18446744073709551616", "priority=", "name=a=b",
+        "workers=18446744073709551616", "name=a=b",
     ];
 
     /// Valid command lines of every command, the mutants' starting points.
@@ -939,9 +920,8 @@ mod tests {
               "--n", "3", "--theta", "0.6", "--json", "--report", "r.json", "--lenient"][..],
             &["resolve", "--mkb", "p.mkb", "--mem-budget", "64m", "--spill-dir", "/tmp/s",
               "--checkpoint-dir", "/tmp/c", "--resume", "--degrade-on-ckpt-error"],
-            &["jobs", "run", "--root", "/tmp/r", "--budget-workers", "2", "--budget-memory", "1g",
-              "--max-running", "2", "--max-queued", "64", "--job",
-              "name=a,left=l.nt,right=r.nt,priority=high,workers=2,memory=8m,deadline-ms=100",
+            &["jobs", "run", "--root", "/tmp/r", "--resume", "--degrade-on-ckpt-error", "--job",
+              "name=a,left=l.nt,right=r.nt,workers=2,memory=8m,deadline-ms=100",
               "--job", "left=l.nt,right=r.nt"],
             &["jobs", "status", "--root", "/tmp/r", "--id", "j0001"],
             &["jobs", "cancel", "--root", "/tmp/r", "--id", "j0001"],

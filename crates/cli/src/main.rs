@@ -20,7 +20,7 @@ use std::path::Path;
 use std::process::ExitCode;
 
 use minoaner_core::{CheckpointSpec, Minoaner, ResolveRequest};
-use minoaner_dataflow::{CheckpointError, DataflowError, DegradeOnCkptError, MemoryBudget};
+use minoaner_dataflow::{CheckpointError, DataflowError, Deadline, DegradeOnCkptError, MemoryBudget};
 use minoaner_eval::Quality;
 use minoaner_kb::dirty::DirtyKbBuilder;
 use minoaner_kb::parser::{load_ntriples_with_mode, parse_ground_truth, ParseMode, ParseReport};
@@ -44,8 +44,8 @@ const EXIT_DATAFLOW: u8 = 4;
 /// drift) — distinct from [`EXIT_DATAFLOW`] so operators can tell "the
 /// computation failed" apart from "the snapshot store failed".
 const EXIT_CHECKPOINT: u8 = 5;
-/// Exit code for a cancelled run (user request, job deadline, scheduler
-/// shutdown) — deliberate interruption, not a failure, so it gets its own
+/// Exit code for a cancelled run (user request, job deadline) —
+/// deliberate interruption, not a failure, so it gets its own
 /// code: retrying with `--resume` is expected to succeed.
 const EXIT_CANCELLED: u8 = 6;
 /// Exit code for a full disk (ENOSPC/quota exceeded on a spill write) —
@@ -535,11 +535,10 @@ fn stats(args: &StatsArgs) -> Result<(), CliError> {
 }
 
 /// How a `jobs run` batch ended, folded into an exit code: failures beat
-/// cancellations beat sheds beat success.
+/// cancellations beat success.
 struct JobsOutcome {
     failed: usize,
     cancelled: usize,
-    shed: usize,
 }
 
 impl JobsOutcome {
@@ -548,48 +547,75 @@ impl JobsOutcome {
             ExitCode::from(EXIT_DATAFLOW)
         } else if self.cancelled > 0 {
             ExitCode::from(EXIT_CANCELLED)
-        } else if self.shed > 0 {
-            ExitCode::from(EXIT_BAD_ARGS)
         } else {
             ExitCode::SUCCESS
         }
     }
 }
 
-/// Builds the scheduler budget for `jobs run`: worker budget defaults to
-/// all cores, memory to unlimited.
-fn jobs_budget(args: &JobsRunArgs) -> minoaner_jobs::ResourceBudget {
-    let workers = args.budget_workers.unwrap_or_else(|| {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-    });
-    let mut budget =
-        minoaner_jobs::ResourceBudget::new(workers.max(1), args.budget_memory.unwrap_or(u64::MAX));
-    if let Some(max_running) = args.max_running {
-        budget = budget.with_max_running(max_running);
-    }
-    if let Some(max_queued) = args.max_queued {
-        budget = budget.with_max_queued(max_queued);
-    }
-    budget
-}
-
-/// The spec a `--job` line asks for. The priority string was validated at
-/// argument parsing, so an unknown name here falls back to normal rather
-/// than erroring twice.
+/// The spec a `--job` line asks for.
 fn job_spec(line: &JobLine) -> minoaner_jobs::JobSpec {
     let name =
         line.name.clone().unwrap_or_else(|| format!("{} vs {}", line.left, line.right));
+    // Without `workers=`, a job gets every core, as `resolve` does.
+    let workers = line.workers.unwrap_or_else(|| minoaner_dataflow::ExecutorConfig::default().workers);
     let mut spec = minoaner_jobs::JobSpec::new(name)
-        .with_priority(
-            minoaner_jobs::Priority::parse(&line.priority)
-                .unwrap_or(minoaner_jobs::Priority::Normal),
-        )
-        .with_workers(line.workers)
+        .with_workers(workers)
         .with_memory_bytes(line.memory_bytes);
     if let Some(ms) = line.deadline_ms {
         spec = spec.with_deadline(std::time::Duration::from_millis(ms));
     }
     spec
+}
+
+/// One job of a `jobs run` batch: resolves `pair` on the job's workers,
+/// token, `deadline` and memory grant, with checkpoints under its
+/// directory, and writes `trace.json` and `matches.tsv` beside its status.
+fn run_job(
+    ctx: &minoaner_jobs::JobContext,
+    pair: &KbPair,
+    deadline: Option<Deadline>,
+    config: minoaner_core::MinoanerConfig,
+    args: &JobsRunArgs,
+) -> Result<String, DataflowError> {
+    let mut ckpt = CheckpointSpec::for_job(&args.root, &ctx.id().to_string());
+    ckpt.resume = args.resume;
+    if args.degrade_ckpt {
+        ckpt.on_error = DegradeOnCkptError::Continue;
+    }
+    let mut req = ResolveRequest::pair(pair)
+        .checkpoint(&ckpt)
+        .workers(ctx.workers())
+        .cancel(ctx.cancel_token().clone());
+    if let Some(deadline) = deadline {
+        req = req.deadline(deadline);
+    }
+    // The memory grant is the enforced shuffle ceiling: state beyond it
+    // spills under the job's directory.
+    if ctx.memory_bytes() > 0 {
+        req = req.mem_budget(MemoryBudget::new(ctx.memory_bytes(), ctx.job_dir().join("spill")));
+    }
+    let (res, trace) = Minoaner::with_config(config).run(req)?.into_traced();
+    // Artifacts are best-effort: the resolution already succeeded, and the
+    // summary carries the headline result.
+    let _ = std::fs::write(ctx.job_dir().join("trace.json"), trace.to_json());
+    let mut out = String::new();
+    for &(l, r) in &res.matches {
+        out.push_str(pair.uri_of(Side::Left, l));
+        out.push('\t');
+        out.push_str(pair.uri_of(Side::Right, r));
+        out.push('\n');
+    }
+    let _ = std::fs::write(ctx.job_dir().join("matches.tsv"), out);
+    Ok(format!("{} matches", res.matches.len()))
+}
+
+/// Reads one `--job` line's two KB files into a pair.
+fn load_pair(line: &JobLine, mode: ParseMode) -> Result<KbPair, CliError> {
+    let mut builder = KbPairBuilder::new();
+    load_kb(&mut builder, Side::Left, &line.left, mode)?;
+    load_kb(&mut builder, Side::Right, &line.right, mode)?;
+    Ok(builder.finish())
 }
 
 fn jobs_run(args: &JobsRunArgs) -> Result<JobsOutcome, CliError> {
@@ -601,84 +627,63 @@ fn jobs_run(args: &JobsRunArgs) -> Result<JobsOutcome, CliError> {
         .theta(args.theta)
         .build()
         .map_err(|e| CliError::Usage(format!("invalid configuration: {e}")))?;
-    let sched = minoaner_jobs::JobScheduler::with_control_root(jobs_budget(args), &args.root);
-    let mut shed = 0usize;
-
-    for line in &args.jobs {
-        // Inputs are loaded before submission so a bad file is an
-        // ordinary CLI error, not a failed job.
-        let mut builder = KbPairBuilder::new();
-        load_kb(&mut builder, Side::Left, &line.left, mode)?;
-        load_kb(&mut builder, Side::Right, &line.right, mode)?;
-        let pair = builder.finish();
-        let spec = job_spec(line);
-        let job_name = spec.name.clone();
-        let root = args.root.clone();
-        let resume = args.resume;
-        let degrade_ckpt = args.degrade_ckpt;
-        let job_config = config;
-        let submitted = sched.submit(spec, move |ctx| {
-            let minoaner = Minoaner::with_config(job_config);
-            let mut ckpt = CheckpointSpec::for_job(&root, &ctx.id().to_string());
-            ckpt.resume = resume;
-            if degrade_ckpt {
-                ckpt.on_error = DegradeOnCkptError::Continue;
-            }
-            // The admission grant travels on the request: the budgeted
-            // worker count sizes the executor `run` builds, and the job's
-            // cancellation token and deadline are installed on it.
-            let mut req = ResolveRequest::pair(&pair)
-                .checkpoint(&ckpt)
-                .workers(ctx.workers())
-                .cancel(ctx.cancel_token().clone());
-            if let Some(deadline) = ctx.deadline() {
-                req = req.deadline(deadline);
-            }
-            // The declared admission memory is also the enforced shuffle
-            // ceiling: state beyond it spills under the job's directory.
-            if ctx.memory_bytes() > 0 {
-                let spill = match ctx.job_dir() {
-                    Some(dir) => dir.join("spill"),
-                    None => std::env::temp_dir().join("minoaner-spill"),
-                };
-                req = req.mem_budget(MemoryBudget::new(ctx.memory_bytes(), spill));
-            }
-            let (res, trace) = minoaner.run(req)?.into_traced();
-            if let Some(dir) = ctx.job_dir() {
-                // Artifacts are best-effort: the resolution already
-                // succeeded, and the summary carries the headline result.
-                let _ = std::fs::write(dir.join("trace.json"), trace.to_json());
-                let mut out = String::new();
-                for &(l, r) in &res.matches {
-                    out.push_str(pair.uri_of(Side::Left, l));
-                    out.push('\t');
-                    out.push_str(pair.uri_of(Side::Right, r));
-                    out.push('\n');
+    // A loader thread parses each job's input while the job before it
+    // runs: parsing is one thread per file and much of an N-Triples job,
+    // and without the overlap a batch takes a quarter longer
+    // (EXPERIMENTS.md). The rendezvous channel holds at most one pair
+    // beyond the running job's. A job whose file cannot be loaded fails
+    // with the load error and the batch goes on; the command then exits
+    // as any command does on that file.
+    let load_error = std::cell::RefCell::new(None);
+    let statuses = std::thread::scope(|s| {
+        let (loaded, inputs) = std::sync::mpsc::sync_channel(0);
+        s.spawn(move || {
+            for (job, line) in (0u64..).zip(&args.jobs) {
+                if loaded.send((job, load_pair(line, mode))).is_err() {
+                    break;
                 }
-                let _ = std::fs::write(dir.join("matches.tsv"), out);
             }
-            Ok(minoaner_jobs::JobOutput::summary(format!("{} matches", res.matches.len()))
-                .with_trace(trace))
         });
-        match submitted {
-            Ok(id) => eprintln!("submitted {id}: {job_name}"),
-            Err(reason) => {
-                shed += 1;
-                eprintln!("warning: {job_name}: {reason}");
-            }
+        let mut batch = minoaner_jobs::Batch::new(&args.root);
+        for line in &args.jobs {
+            let spec = job_spec(line);
+            let name = spec.name.clone();
+            let (inputs, load_error) = (&inputs, &load_error);
+            let id = batch.add_job(spec, move |ctx| {
+                // Inputs come in job order; a job cancelled before its
+                // start never takes its own, so later jobs skip it.
+                let pair = loop {
+                    match inputs.recv() {
+                        Ok((job, pair)) if job == ctx.id().ordinal() => break pair,
+                        Ok(_) => {}
+                        Err(_) => return Err("the input loader stopped".into()),
+                    }
+                };
+                let pair = pair.map_err(|e| {
+                    let message = e.to_string();
+                    load_error.borrow_mut().get_or_insert(e);
+                    message
+                })?;
+                // The deadline counts from here: waiting for the input to
+                // be parsed is not the job's resolve.
+                let deadline = line.deadline_ms.map(|ms| Deadline::after(std::time::Duration::from_millis(ms)));
+                Ok(run_job(ctx, &pair, deadline, config, args)?)
+            });
+            eprintln!("queued {id}: {name}");
         }
-    }
-
-    // Wait for the batch, honouring `minoaner jobs cancel` markers from
-    // other processes while it runs.
-    loop {
-        sched.poll_control();
-        if sched.list().iter().all(|s| s.state.is_terminal()) {
-            break;
+        let statuses = batch.run_jobs();
+        if batch.status_write_failures() > 0 {
+            eprintln!(
+                "warning: {} status write(s) under {} failed; the jobs' results stand",
+                batch.status_write_failures(),
+                args.root
+            );
         }
-        std::thread::sleep(std::time::Duration::from_millis(25));
-    }
-    let statuses = sched.wait_all();
+        // Hang up on a loader still offering an input no job will take.
+        drop(batch);
+        drop(inputs);
+        statuses
+    });
 
     let mut failed = 0usize;
     let mut cancelled = 0usize;
@@ -691,19 +696,20 @@ fn jobs_run(args: &JobsRunArgs) -> Result<JobsOutcome, CliError> {
         eprintln!("{}", format_status(status));
     }
     eprintln!(
-        "{} job(s): {} completed, {cancelled} cancelled, {failed} failed, {shed} shed",
-        statuses.len() + shed,
+        "{} job(s): {} completed, {cancelled} cancelled, {failed} failed",
+        statuses.len(),
         statuses.len() - failed - cancelled,
     );
-    Ok(JobsOutcome { failed, cancelled, shed })
+    match load_error.into_inner() {
+        Some(e) => Err(e),
+        None => Ok(JobsOutcome { failed, cancelled }),
+    }
 }
 
-/// One status line: `j0001  completed  high  2w  name — summary/error`.
+/// One status line: `j0001  completed  2w  name — summary/error`.
 fn format_status(status: &minoaner_jobs::JobStatus) -> String {
-    let mut line = format!(
-        "{}  {:<9}  {:<6}  {}w  {}",
-        status.id, status.state, status.priority, status.workers, status.name
-    );
+    let mut line =
+        format!("{}  {:<9}  {}w  {}", status.id, status.state, status.workers, status.name);
     if let Some(reason) = status.cancel_reason {
         line.push_str(&format!("  [{reason}]"));
     }
@@ -750,6 +756,13 @@ fn jobs_status(root: &str, id: &str) -> Result<(), CliError> {
 
 fn jobs_cancel(root: &str, id: &str) -> Result<(), CliError> {
     let job = parse_job_id(id)?;
+    // A marker for a finished job would only cancel the next run of its id.
+    let dir = minoaner_jobs::control::job_dir(Path::new(root), job);
+    if let Ok(status) = minoaner_jobs::control::read_status(&dir) {
+        if status.state.is_terminal() {
+            return Err(CliError::Usage(format!("{job} is already {}", status.state)));
+        }
+    }
     let found = minoaner_jobs::control::request_cancel(
         Path::new(root),
         job,
@@ -759,7 +772,7 @@ fn jobs_cancel(root: &str, id: &str) -> Result<(), CliError> {
     if !found {
         return Err(CliError::Usage(format!("no job {job} under {root}")));
     }
-    eprintln!("requested cancellation of {job}; the owning scheduler will honour it at the next stage barrier");
+    eprintln!("requested cancellation of {job}; the owning batch honours it at the job's start or its next stage barrier");
     Ok(())
 }
 

@@ -6,10 +6,10 @@
 //! |------|-------------------------------------------|
 //! | 0    | success                                   |
 //! | 1    | I/O (missing/unreadable file)             |
-//! | 2    | usage (bad flags/config; shed submission) |
+//! | 2    | usage (bad flags/config; cancelling a finished job) |
 //! | 3    | parse (malformed N-Triples under --strict)|
 //! | 5    | checkpoint (corrupt/incompatible snapshot)|
-//! | 6    | cancelled (user request/deadline/shutdown)|
+//! | 6    | cancelled (user request/deadline)         |
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -190,13 +190,24 @@ fn jobs_run_with_missing_input_exits_one() {
     let root = dir.join("jobs");
     let out = run(&["jobs", "run", "--root", root.to_str().expect("utf8"), "--job", &spec]);
     assert_eq!(code(&out), 1, "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    // Later in a batch, the bad file fails its own job with the load
+    // error; the jobs around it still resolve.
+    let good = format!("left={},right={}", right.to_str().expect("utf8"), right.to_str().expect("utf8"));
+    let out = run(&["jobs", "run", "--root", root.to_str().expect("utf8"), "--job", &good, "--job", &spec,
+        "--job", &good]);
+    assert_eq!(code(&out), 1, "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let statuses: Vec<Json> = ["j0000", "j0001", "j0002"].iter().map(|id| read_status(&root.join(format!("job-{id}")))).collect();
+    let states: Vec<&str> = statuses.iter().map(|status| text(status, "state")).collect();
+    assert_eq!(states, ["completed", "failed", "completed"]);
+    assert!(text(&statuses[1], "error").contains("cannot read"), "j0001: {:?}", statuses[1]);
+    assert!(statuses[1].get("cancel_reason").and_then(Json::as_str).is_none(), "j0001: {:?}", statuses[1]);
 }
 
 #[test]
-fn jobs_cancel_drops_a_marker_for_the_owning_scheduler() {
+fn jobs_cancel_drops_a_marker_for_the_owning_batch() {
     let dir = scratch_dir("jobs-cancel");
     let root = dir.join("jobs");
-    // Fake a live job directory, as the owning scheduler would create it.
+    // Fake a live job directory, as the owning batch would create it.
     std::fs::create_dir_all(root.join("job-j0000")).expect("job dir");
     let out = run(&["jobs", "cancel", "--root", root.to_str().expect("utf8"), "--id", "0"]);
     assert_eq!(code(&out), 0, "stderr: {}", String::from_utf8_lossy(&out.stderr));
@@ -213,7 +224,7 @@ fn jobs_run_cancelled_by_deadline_exits_six() {
     let dir = scratch_dir("jobs-deadline");
     let (left, right) = write_kbs(&dir);
     let root = dir.join("jobs");
-    // An already-expired deadline: the scheduler dooms the job at dispatch,
+    // An already-expired deadline: the batch dooms the job at its start,
     // before any pipeline work — deterministic cancellation.
     let spec = format!(
         "left={},right={},deadline-ms=0",
@@ -236,12 +247,29 @@ fn jobs_run_cancelled_by_deadline_exits_six() {
 }
 
 #[test]
+fn a_job_cancelled_at_its_start_leaves_its_input_to_no_other_job() {
+    let dir = scratch_dir("jobs-skip");
+    let (left, right) = write_kbs(&dir);
+    let other = dir.join("other.nt");
+    std::fs::write(&other, "<o:R9> <o:title> \"The Fat Duck\" .\n").expect("write other KB");
+    let root = dir.join("jobs");
+    let (left, right, other) = (left.to_str().expect("utf8"), right.to_str().expect("utf8"), other.to_str().expect("utf8"));
+    let doomed = format!("left={left},right={right},deadline-ms=0");
+    let last = format!("left={left},right={other}");
+    let out = run(&["jobs", "run", "--root", root.to_str().expect("utf8"), "--job", &format!("left={left},right={right}"),
+        "--job", &doomed, "--job", &last]);
+    assert_eq!(code(&out), 6, "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let matches = std::fs::read_to_string(root.join("job-j0002").join("matches.tsv")).expect("j0002 matches");
+    assert_eq!(matches, "w:R1\to:R9\n", "j0002 resolved its own input, not j0001's");
+}
+
+#[test]
 fn jobs_run_batch_completes_and_persists_artifacts() {
     let dir = scratch_dir("jobs-ok");
     let (left, right) = write_kbs(&dir);
     let root = dir.join("jobs");
     let spec_a = format!(
-        "left={},right={},name=first,priority=high",
+        "left={},right={},name=first",
         left.to_str().expect("utf8"),
         right.to_str().expect("utf8")
     );
@@ -250,8 +278,8 @@ fn jobs_run_batch_completes_and_persists_artifacts() {
         left.to_str().expect("utf8"),
         right.to_str().expect("utf8")
     );
-    let out = run(&["jobs", "run", "--root", root.to_str().expect("utf8"), "--budget-workers",
-        "2", "--max-running", "1", "--job", &spec_a, "--job", &spec_b]);
+    let out = run(&["jobs", "run", "--root", root.to_str().expect("utf8"), "--job", &spec_a,
+        "--job", &spec_b]);
     assert_eq!(code(&out), 0, "stderr: {}", String::from_utf8_lossy(&out.stderr));
     for id in ["j0000", "j0001"] {
         let job_dir = root.join(format!("job-{id}"));
@@ -264,6 +292,118 @@ fn jobs_run_batch_completes_and_persists_artifacts() {
     let out = run(&["jobs", "list", "--root", root.to_str().expect("utf8")]);
     let listing = String::from_utf8_lossy(&out.stdout);
     assert!(listing.contains("first") && listing.contains("second"), "listing: {listing}");
+}
+
+/// A named pipe at `dir/name`: a job reading it as its input waits until
+/// the test writes it, so the job is running but cannot finish.
+#[cfg(unix)]
+fn fifo(dir: &Path, name: &str) -> PathBuf {
+    let path = dir.join(name);
+    let made = Command::new("mkfifo").arg(&path).status().expect("spawn mkfifo");
+    assert!(made.success(), "mkfifo {}", path.display());
+    path
+}
+
+/// Polls `jobs status` until job `id` under `root` reports `running`.
+#[cfg(unix)]
+fn wait_until_running(root: &str, id: &str) {
+    let mut polls = 0;
+    while !String::from_utf8_lossy(&run(&["jobs", "status", "--root", root, "--id", id]).stdout).contains("running") {
+        polls += 1;
+        assert!(polls < 2_000, "{id} never reported running");
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+}
+
+#[cfg(unix)]
+#[test]
+fn a_second_process_lists_and_cancels_a_running_batch() {
+    let dir = scratch_dir("jobs-live");
+    let (left, right) = write_kbs(&dir);
+    let pipe = fifo(&dir, "left.pipe");
+    let root = dir.join("jobs");
+    let root = root.to_str().expect("utf8");
+    let (left, right) = (left.to_str().expect("utf8"), right.to_str().expect("utf8"));
+    let waiting = format!("name=waiting,left={},right={right}", pipe.to_str().expect("utf8"));
+    let batch = Command::new(BIN)
+        .args(["jobs", "run", "--root", root, "--job", &waiting, "--job", &format!("name=small,left={left},right={right}")])
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn the batch");
+    // j0000 runs and waits for its input, which only this test can give.
+    wait_until_running(root, "j0000");
+    let out = run(&["jobs", "list", "--root", root]);
+    let listing = String::from_utf8_lossy(&out.stdout);
+    assert!(listing.contains("j0000  running") && listing.contains("j0001  queued"), "listing: {listing}");
+    // The queued job never runs; the running one stops at its next barrier.
+    for id in ["1", "0"] {
+        let out = run(&["jobs", "cancel", "--root", root, "--id", id]);
+        assert_eq!(code(&out), 0, "cancel {id}: {}", String::from_utf8_lossy(&out.stderr));
+    }
+    // The batch polls the marker every 25 ms; give it ample time to see
+    // the marker before j0000 gets its input and starts resolving.
+    std::thread::sleep(std::time::Duration::from_millis(300));
+    std::fs::write(&pipe, std::fs::read(left).expect("left KB")).expect("feed the pipe");
+    let out = batch.wait_with_output().expect("batch exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(code(&out), 6, "stderr: {stderr}");
+    for (id, error) in [("j0000", "stage"), ("j0001", "cancelled (user) before start")] {
+        let status = read_status(&Path::new(root).join(format!("job-{id}")));
+        assert_eq!(status.get("state").and_then(Json::as_str), Some("cancelled"), "{id}: {status:?}");
+        assert_eq!(status.get("cancel_reason").and_then(Json::as_str), Some("user"), "{id}: {status:?}");
+        assert!(status.get("error").and_then(Json::as_str).is_some_and(|e| e.contains(error)), "{id}: {status:?}");
+    }
+}
+
+#[cfg(unix)]
+#[test]
+fn a_deadline_counts_from_when_the_input_is_in_memory() {
+    let dir = scratch_dir("jobs-deadline-after-load");
+    let (left, right) = write_kbs(&dir);
+    let pipe = fifo(&dir, "left.pipe");
+    let root = dir.join("jobs");
+    let root = root.to_str().expect("utf8");
+    // The input takes longer to arrive than the deadline; the resolve
+    // itself takes a few milliseconds.
+    let spec = format!("left={},right={},deadline-ms=1000", pipe.to_str().expect("utf8"), right.to_str().expect("utf8"));
+    let batch = Command::new(BIN)
+        .args(["jobs", "run", "--root", root, "--job", &spec])
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn the batch");
+    wait_until_running(root, "j0000");
+    std::thread::sleep(std::time::Duration::from_millis(1_500));
+    std::fs::write(&pipe, std::fs::read(&left).expect("left KB")).expect("feed the pipe");
+    let out = batch.wait_with_output().expect("batch exits");
+    assert_eq!(code(&out), 0, "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(text(&read_status(&Path::new(root).join("job-j0000")), "state"), "completed");
+}
+
+#[test]
+fn a_cancel_after_the_batch_does_not_cancel_its_rerun() {
+    let dir = scratch_dir("jobs-rerun");
+    let (left, right) = write_kbs(&dir);
+    let root = dir.join("jobs");
+    let root = root.to_str().expect("utf8");
+    let spec = format!("left={},right={}", left.to_str().expect("utf8"), right.to_str().expect("utf8"));
+    let state = || read_status(&Path::new(root).join("job-j0000")).get("state").and_then(Json::as_str).map(str::to_owned);
+    let out = run(&["jobs", "run", "--root", root, "--job", &spec]);
+    assert_eq!(code(&out), 0, "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    // Cancelling a finished job is refused and leaves no marker behind …
+    let out = run(&["jobs", "cancel", "--root", root, "--id", "0"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(code(&out), 2, "stderr: {stderr}");
+    assert!(stderr.contains("already completed"), "stderr: {stderr}");
+    assert!(!Path::new(root).join("job-j0000").join("CANCEL").exists());
+    let out = run(&["jobs", "run", "--root", root, "--resume", "--job", &spec]);
+    assert_eq!(code(&out), 0, "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(state().as_deref(), Some("completed"));
+    // … and a marker that did land for an earlier run (it finished before
+    // the marker was read) is cleared when the job is queued again.
+    std::fs::write(Path::new(root).join("job-j0000").join("CANCEL"), "user").expect("stale marker");
+    let out = run(&["jobs", "run", "--root", root, "--resume", "--job", &spec]);
+    assert_eq!(code(&out), 0, "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(state().as_deref(), Some("completed"));
 }
 
 #[test]

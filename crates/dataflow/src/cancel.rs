@@ -5,7 +5,7 @@
 //! same points the fault machinery already polls: worker claim boundaries,
 //! retry loops, and pipeline barriers. A [`CancelToken`] is a cheap,
 //! cloneable handle shared between the party requesting the stop (a job
-//! scheduler, a CLI signal path, a deadline watchdog) and the executor
+//! batch's `CANCEL` marker watcher, a deadline watchdog) and the executor
 //! running the work.
 //!
 //! Two invariants matter to the checkpointing story (DESIGN.md §14):
@@ -30,8 +30,6 @@ pub enum CancelReason {
     User,
     /// The job's wall-clock deadline expired (the watchdog path).
     Deadline,
-    /// The owning scheduler is shutting down and is draining its jobs.
-    Shutdown,
 }
 
 impl CancelReason {
@@ -40,7 +38,6 @@ impl CancelReason {
         match self {
             CancelReason::User => "user",
             CancelReason::Deadline => "deadline",
-            CancelReason::Shutdown => "shutdown",
         }
     }
 
@@ -49,7 +46,6 @@ impl CancelReason {
         match s {
             "user" => Some(CancelReason::User),
             "deadline" => Some(CancelReason::Deadline),
-            "shutdown" => Some(CancelReason::Shutdown),
             _ => None,
         }
     }
@@ -58,7 +54,6 @@ impl CancelReason {
         match self {
             CancelReason::User => 1,
             CancelReason::Deadline => 2,
-            CancelReason::Shutdown => 3,
         }
     }
 
@@ -66,7 +61,6 @@ impl CancelReason {
         match code {
             1 => Some(CancelReason::User),
             2 => Some(CancelReason::Deadline),
-            3 => Some(CancelReason::Shutdown),
             _ => None,
         }
     }
@@ -149,11 +143,12 @@ mod tests {
 
     #[test]
     fn reason_names_round_trip() {
-        for r in [CancelReason::User, CancelReason::Deadline, CancelReason::Shutdown] {
+        for r in [CancelReason::User, CancelReason::Deadline] {
             assert_eq!(CancelReason::parse(r.as_str()), Some(r));
             assert_eq!(r.to_string(), r.as_str());
         }
         assert_eq!(CancelReason::parse("bogus"), None);
+        assert_eq!(CancelReason::parse("shutdown"), None);
     }
 
     #[test]

@@ -47,7 +47,7 @@ pub enum DataflowError {
     },
     /// The run was cancelled cooperatively via a
     /// [`CancelToken`](crate::cancel::CancelToken) — by an explicit
-    /// request, a job deadline, or a scheduler shutdown.
+    /// request or a job deadline.
     ///
     /// Cancellation is observed at task boundaries (the engine cannot
     /// preempt a running task, just as Spark cannot preempt a task thread)

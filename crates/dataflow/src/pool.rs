@@ -29,8 +29,9 @@ use crate::error::DataflowError;
 use crate::metrics::{StageIo, StageLog, StageMetric};
 use crate::observer::{Observer, ObserverSlot};
 
-/// An absolute wall-clock deadline, used as the per-job watchdog by
-/// `minoaner-jobs`.
+/// An absolute wall-clock deadline, counted from a job's start by
+/// `minoaner-jobs` and polled by the executor at task and barrier
+/// boundaries.
 ///
 /// The type lives in `pool.rs` — not in the jobs crate — because this file
 /// carries the repo's sanctioned wall-clock allowance (the R3 entry in
@@ -627,14 +628,14 @@ mod tests {
             .try_run_stage("halfway", 16, |i| {
                 ran.fetch_add(1, Ordering::SeqCst);
                 if i == 2 {
-                    token.cancel(CancelReason::Shutdown);
+                    token.cancel(CancelReason::Deadline);
                 }
                 i
             })
             .unwrap_err();
         match err {
             DataflowError::Cancelled { reason, completed, tasks, .. } => {
-                assert_eq!(reason, CancelReason::Shutdown);
+                assert_eq!(reason, CancelReason::Deadline);
                 assert_eq!(completed, 3, "tasks 0..=2 completed before the flag was seen");
                 assert_eq!(tasks, 16);
             }

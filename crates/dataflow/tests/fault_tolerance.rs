@@ -129,7 +129,7 @@ fn an_expired_job_deadline_cancels_before_any_task_runs() {
 #[test]
 fn a_mid_stage_cancel_stops_claims_and_reports_progress() {
     for (workers, reason) in
-        WORKER_COUNTS.into_iter().zip([CancelReason::User, CancelReason::Shutdown, CancelReason::User])
+        WORKER_COUNTS.into_iter().zip([CancelReason::User, CancelReason::Deadline, CancelReason::User])
     {
         let mut exec = Executor::new(workers);
         let token = CancelToken::new();

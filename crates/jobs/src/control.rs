@@ -1,11 +1,11 @@
 //! The file-based control plane: how `minoaner jobs list|status|cancel`
-//! observe and steer a scheduler running in another process.
+//! observe and steer a batch running in another process.
 //!
 //! Layout under a control root:
 //!
 //! ```text
 //! <root>/job-<id>/status.json   # atomic snapshot, rewritten on every transition
-//! <root>/job-<id>/CANCEL        # marker dropped by `jobs cancel`, polled by the scheduler
+//! <root>/job-<id>/CANCEL        # marker dropped by `jobs cancel`, polled by the batch
 //! <root>/job-<id>/ckpt/         # the job's checkpoint store (written by the pipeline)
 //! <root>/job-<id>/trace.json    # the job's RunTrace (written by the CLI)
 //! ```
@@ -24,11 +24,11 @@ use minoaner_dataflow::vfs::{self, Vfs};
 use minoaner_dataflow::CancelReason;
 use minoaner_det::json::Json;
 
-use crate::job::{JobId, JobState, JobStatus, Priority};
+use crate::job::{JobId, JobState, JobStatus};
 
 /// Version stamped into every status file; readers reject other versions
-/// instead of guessing.
-pub const STATUS_SCHEMA_VERSION: u64 = 1;
+/// instead of guessing. Version 2 dropped version 1's `priority` field.
+pub const STATUS_SCHEMA_VERSION: u64 = 2;
 
 /// The per-job directory under a control root.
 pub fn job_dir(root: &Path, id: JobId) -> PathBuf {
@@ -141,9 +141,9 @@ pub fn list_statuses_with(vfs: &dyn Vfs, root: &Path) -> io::Result<Vec<JobStatu
 }
 
 /// Drops a `CANCEL` marker into the job's directory for the owning
-/// scheduler to pick up on its next
-/// [`poll_control`](crate::JobScheduler::poll_control). Returns `false`
-/// (writing nothing) when the job directory does not exist.
+/// [`Batch`](crate::Batch) to pick up: at the job's start, or within one
+/// poll while it runs. Returns `false` (writing nothing) when the job
+/// directory does not exist.
 pub fn request_cancel(root: &Path, id: JobId, reason: CancelReason) -> io::Result<bool> {
     request_cancel_with(&*vfs::default_vfs(), root, id, reason)
 }
@@ -186,7 +186,6 @@ fn status_to_json(status: &JobStatus) -> String {
         ("schema_version", Json::Num(STATUS_SCHEMA_VERSION.into())),
         ("id", Json::Num(status.id.ordinal().into())),
         ("name", Json::str(status.name.as_str())),
-        ("priority", Json::str(status.priority.as_str())),
         ("workers", Json::num(status.workers)),
         ("memory_bytes", Json::Num(status.memory_bytes.into())),
         ("state", Json::str(status.state.as_str())),
@@ -222,9 +221,6 @@ fn status_from_json(json: &str) -> Result<JobStatus, String> {
             "status schema version {version} (reader supports {STATUS_SCHEMA_VERSION})"
         ));
     }
-    let priority_name = get_str("priority")?;
-    let priority = Priority::parse(priority_name)
-        .ok_or_else(|| format!("unknown priority {priority_name:?}"))?;
     let state_name = get_str("state")?;
     let state =
         JobState::parse(state_name).ok_or_else(|| format!("unknown state {state_name:?}"))?;
@@ -238,7 +234,6 @@ fn status_from_json(json: &str) -> Result<JobStatus, String> {
     Ok(JobStatus {
         id: JobId::from_ordinal(get_uint("id")?),
         name: get_str("name")?.to_owned(),
-        priority,
         workers: workers.try_into().map_err(|_| format!("{workers} workers"))?,
         memory_bytes: get_uint("memory_bytes")?,
         state,
@@ -259,7 +254,6 @@ mod tests {
         JobStatus {
             id: JobId::from_ordinal(id),
             name: "dbpedia \"full\" run\nwith newline \\ backslash".to_owned(),
-            priority: Priority::High,
             workers: 3,
             memory_bytes: 1 << 30,
             state,
@@ -282,9 +276,12 @@ mod tests {
         assert!(status_from_json("{}").is_err(), "missing fields");
         assert!(status_from_json("not json").is_err());
         let status = sample(1, JobState::Running);
-        let json = status_to_json(&status).replace("\"schema_version\": 1", "\"schema_version\": 9");
-        let err = status_from_json(&json).expect_err("version drift");
-        assert!(err.contains("schema version 9"), "got: {err}");
+        for old in [1, 9] {
+            let json = status_to_json(&status)
+                .replace("\"schema_version\": 2", &format!("\"schema_version\": {old}"));
+            let err = status_from_json(&json).expect_err("version drift");
+            assert!(err.contains(&format!("schema version {old}")), "got: {err}");
+        }
         let json = status_to_json(&status).replace("\"state\": \"running\"", "\"state\": \"paused\"");
         assert!(status_from_json(&json).is_err(), "unknown state must be rejected");
     }
@@ -412,9 +409,12 @@ mod tests {
         // Unknown job: nothing written, reported as absent.
         assert!(!request_cancel(&root, JobId::from_ordinal(999), CancelReason::User)
             .expect("unknown job"));
-        // A corrupt marker still cancels (degrades to User).
-        fs::write(dir.join("CANCEL"), b"garbage").expect("corrupt marker");
-        assert_eq!(cancel_request(&dir), Some(CancelReason::User));
+        // A corrupt marker, or one naming a reason that no longer exists,
+        // still cancels (degrades to User).
+        for marker in ["garbage", "shutdown"] {
+            fs::write(dir.join("CANCEL"), marker).expect("odd marker");
+            assert_eq!(cancel_request(&dir), Some(CancelReason::User), "{marker}");
+        }
         let _ = fs::remove_dir_all(&root);
     }
 }

@@ -3,31 +3,30 @@
 //! The lifecycle is a small state machine (DESIGN.md §14):
 //!
 //! ```text
-//! submit ──► Queued ──► Running ──► Completed
-//!               │           │
-//!               │           ├──► Failed      (task fault / panic / I/O)
-//!               └───────────┴──► Cancelled   (user / deadline / shutdown)
+//! add_job ──► Queued ──► Running ──► Completed
+//!                │           │
+//!                │           ├──► Failed      (task fault / panic / I/O)
+//!                └───────────┴──► Cancelled   (user marker / deadline)
 //! ```
 //!
-//! `Completed`, `Failed` and `Cancelled` are terminal. A shed submission
-//! never enters the machine at all — admission control rejects it with a
-//! structured [`ShedReason`](crate::ShedReason) before a [`JobId`] is
-//! allocated.
+//! `Completed`, `Failed` and `Cancelled` are terminal. A job whose cancel
+//! marker or expired deadline is found at its start goes straight from
+//! `Queued` to `Cancelled` without running.
 
 use std::fmt;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use minoaner_dataflow::{CancelToken, Deadline, Executor, RunTrace};
+use minoaner_dataflow::{CancelToken, Deadline, Executor};
 
-/// Identity of a submitted job, unique within its scheduler (and, through
-/// the control plane's per-job directories, within a checkpoint root).
+/// Identity of a job, unique within its batch (and, through the control
+/// plane's per-job directories, within a control root).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct JobId(u64);
 
 impl JobId {
-    /// Constructs an id from its ordinal. Scheduler-internal; exposed so
-    /// the control plane can rebuild ids from directory names.
+    /// Constructs an id from its ordinal. Exposed so the control plane can
+    /// rebuild ids from directory names.
     pub fn from_ordinal(n: u64) -> Self {
         Self(n)
     }
@@ -53,61 +52,19 @@ impl fmt::Display for JobId {
     }
 }
 
-/// Scheduling priority. Higher priorities dispatch strictly first;
-/// within a priority, submission order wins (no reordering, no starvation
-/// of earlier submissions by later equal-priority ones).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub enum Priority {
-    Low,
-    #[default]
-    Normal,
-    High,
-}
-
-impl Priority {
-    /// Stable lowercase name, used in status files and CLI flags.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Priority::Low => "low",
-            Priority::Normal => "normal",
-            Priority::High => "high",
-        }
-    }
-
-    /// Parses the stable name produced by [`Self::as_str`].
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "low" => Some(Priority::Low),
-            "normal" => Some(Priority::Normal),
-            "high" => Some(Priority::High),
-            _ => None,
-        }
-    }
-}
-
-impl fmt::Display for Priority {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-/// What a job asks for at submission: a human-readable name, a priority,
-/// and the resources admission control charges against the global budget.
+/// What a job asks for: a human-readable name and the resources its run
+/// gets.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobSpec {
     /// Human-readable job name (shown by `minoaner jobs list`).
     pub name: String,
-    /// Scheduling priority.
-    pub priority: Priority,
-    /// Worker threads the job's executor will use (≥ 1; charged against
-    /// [`ResourceBudget::workers`](crate::ResourceBudget::workers)).
+    /// Worker threads the job's executor will use (≥ 1).
     pub workers: usize,
-    /// Declared memory need in bytes (charged against
-    /// [`ResourceBudget::memory_bytes`](crate::ResourceBudget::memory_bytes);
-    /// `0` = charges nothing).
+    /// Memory grant in bytes (`0` = unmetered); the work closure turns it
+    /// into the run's [`MemoryBudget`](minoaner_dataflow::MemoryBudget).
     pub memory_bytes: u64,
-    /// Wall-clock budget from submission. When it expires, the watchdog
-    /// cancels the job with
+    /// Wall-clock budget from the job's start. When it expires the job is
+    /// cancelled with
     /// [`CancelReason::Deadline`](minoaner_dataflow::CancelReason::Deadline)
     /// — cooperatively: the job's executor polls the deadline at task and
     /// barrier boundaries.
@@ -115,22 +72,9 @@ pub struct JobSpec {
 }
 
 impl JobSpec {
-    /// A spec with defaults: normal priority, one worker, no declared
-    /// memory, no deadline.
+    /// A spec with defaults: one worker, no memory grant, no deadline.
     pub fn new(name: impl Into<String>) -> Self {
-        Self {
-            name: name.into(),
-            priority: Priority::Normal,
-            workers: 1,
-            memory_bytes: 0,
-            deadline: None,
-        }
-    }
-
-    /// Returns `self` with the priority set.
-    pub fn with_priority(mut self, priority: Priority) -> Self {
-        self.priority = priority;
-        self
+        Self { name: name.into(), workers: 1, memory_bytes: 0, deadline: None }
     }
 
     /// Returns `self` asking for `workers` workers (clamped to ≥ 1).
@@ -139,7 +83,7 @@ impl JobSpec {
         self
     }
 
-    /// Returns `self` declaring a memory need in bytes.
+    /// Returns `self` with a memory grant in bytes.
     pub fn with_memory_bytes(mut self, bytes: u64) -> Self {
         self.memory_bytes = bytes;
         self
@@ -155,16 +99,15 @@ impl JobSpec {
 /// Lifecycle state of a job (see the module docs for the state machine).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobState {
-    /// Admitted, waiting for resources.
+    /// Added to the batch, waiting for the jobs before it.
     Queued,
-    /// Dispatched; its runner thread is executing the work.
+    /// Its work is executing.
     Running,
     /// The work returned `Ok` (terminal).
     Completed,
     /// The work returned a non-cancellation error or panicked (terminal).
     Failed,
-    /// The work was cancelled — by request, deadline or shutdown
-    /// (terminal).
+    /// The work was cancelled — by a marker or its deadline (terminal).
     Cancelled,
 }
 
@@ -204,14 +147,13 @@ impl fmt::Display for JobState {
     }
 }
 
-/// A point-in-time snapshot of one job, as reported by
-/// [`JobScheduler::status`](crate::JobScheduler::status) and persisted by
-/// the control plane.
+/// A point-in-time snapshot of one job, as returned by
+/// [`Batch::run_jobs`](crate::Batch::run_jobs) and persisted by the
+/// control plane.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobStatus {
     pub id: JobId,
     pub name: String,
-    pub priority: Priority,
     pub workers: usize,
     pub memory_bytes: u64,
     pub state: JobState,
@@ -224,39 +166,16 @@ pub struct JobStatus {
     pub summary: Option<String>,
 }
 
-/// What a job's work closure returns on success.
-#[derive(Debug, Clone)]
-pub struct JobOutput {
-    /// One-line human-readable result (e.g. `"41 matches, digest 0x…"`).
-    pub summary: String,
-    /// The run's trace, if the work captured one.
-    pub trace: Option<RunTrace>,
-}
-
-impl JobOutput {
-    /// An output with a summary and no trace.
-    pub fn summary(text: impl Into<String>) -> Self {
-        Self { summary: text.into(), trace: None }
-    }
-
-    /// Returns `self` carrying a [`RunTrace`].
-    pub fn with_trace(mut self, trace: RunTrace) -> Self {
-        self.trace = Some(trace);
-        self
-    }
-}
-
-/// Everything a job's work closure receives from the scheduler: its
-/// identity, its admission grant, its cancellation token and deadline,
-/// and (when the scheduler has a control root) its private directory.
+/// Everything a job's work closure receives from the batch: its
+/// identity, its grant, its cancellation token and deadline, and its
+/// private directory under the control root.
 #[derive(Debug, Clone)]
 pub struct JobContext {
     pub(crate) id: JobId,
-    pub(crate) name: String,
     pub(crate) workers: usize,
     pub(crate) cancel: CancelToken,
     pub(crate) deadline: Option<Deadline>,
-    pub(crate) job_dir: Option<PathBuf>,
+    pub(crate) job_dir: PathBuf,
     pub(crate) memory_bytes: u64,
 }
 
@@ -266,12 +185,7 @@ impl JobContext {
         self.id
     }
 
-    /// The job's name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// The worker count granted at admission.
+    /// The job's worker count.
     pub fn workers(&self) -> usize {
         self.workers
     }
@@ -288,18 +202,13 @@ impl JobContext {
         self.deadline
     }
 
-    /// The job's private directory under the scheduler's control root
-    /// (status file, checkpoints, trace artifacts), if a root is
-    /// configured.
-    pub fn job_dir(&self) -> Option<&PathBuf> {
-        self.job_dir.as_ref()
+    /// The job's private directory under the control root (status file,
+    /// checkpoints, spill runs, trace artifacts).
+    pub fn job_dir(&self) -> &Path {
+        &self.job_dir
     }
 
-    /// The memory grant from the job's [`ResourceBudget`](crate::budget::ResourceBudget)
-    /// admission, in bytes (`0` = unmetered). Work closures that resolve
-    /// under this grant can hand it to the dataflow layer as a
-    /// [`MemoryBudget`](minoaner_dataflow::MemoryBudget) so shuffle stages
-    /// spill instead of exceeding what admission reserved.
+    /// The job's memory grant in bytes (`0` = unmetered).
     pub fn memory_bytes(&self) -> u64 {
         self.memory_bytes
     }
@@ -332,16 +241,6 @@ mod tests {
     }
 
     #[test]
-    fn priority_orders_high_above_normal_above_low() {
-        assert!(Priority::High > Priority::Normal);
-        assert!(Priority::Normal > Priority::Low);
-        for p in [Priority::Low, Priority::Normal, Priority::High] {
-            assert_eq!(Priority::parse(p.as_str()), Some(p));
-        }
-        assert_eq!(Priority::parse("urgent"), None);
-    }
-
-    #[test]
     fn state_terminality_and_names() {
         assert!(!JobState::Queued.is_terminal());
         assert!(!JobState::Running.is_terminal());
@@ -364,11 +263,9 @@ mod tests {
         let spec = JobSpec::new("x").with_workers(0);
         assert_eq!(spec.workers, 1);
         let spec = JobSpec::new("x")
-            .with_priority(Priority::High)
             .with_workers(4)
             .with_memory_bytes(1 << 20)
             .with_deadline(Duration::from_secs(5));
-        assert_eq!(spec.priority, Priority::High);
         assert_eq!(spec.workers, 4);
         assert_eq!(spec.memory_bytes, 1 << 20);
         assert_eq!(spec.deadline, Some(Duration::from_secs(5)));
@@ -378,11 +275,10 @@ mod tests {
     fn context_executor_carries_the_grant() {
         let ctx = JobContext {
             id: JobId::from_ordinal(1),
-            name: "t".into(),
             workers: 3,
             cancel: CancelToken::new(),
             deadline: None,
-            job_dir: None,
+            job_dir: PathBuf::from("job-j0001"),
             memory_bytes: 1 << 20,
         };
         let exec = ctx.executor();

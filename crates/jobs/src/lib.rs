@@ -1,17 +1,14 @@
-//! Job orchestration for MinoanER pipelines: admission control against a
-//! global resource budget, a bounded priority queue, cooperative
-//! cancellation, and a file-based control plane for cross-process
-//! `list`/`status`/`cancel`.
+//! Job batches for MinoanER pipelines: jobs run one at a time in the
+//! order they were added, each with its own workers, memory grant,
+//! deadline and checkpoint directory, under a file-based control plane for
+//! cross-process `list`/`status`/`cancel`.
 //!
 //! # Shape
 //!
-//! - [`ResourceBudget`] — the global worker/memory budget plus the
-//!   bounds (max running, max queued) that keep overload graceful.
 //! - [`JobSpec`] / [`JobId`] / [`JobState`] / [`JobStatus`] — what a job
 //!   asks for, and its lifecycle (DESIGN.md §14).
-//! - [`JobScheduler`] — submit / cancel / status / list / wait /
-//!   shutdown. Over-budget submissions are *shed* with a structured
-//!   [`ShedReason`], never queued unboundedly.
+//! - [`Batch`] — `add_job` jobs, then `run_jobs` them in order on the
+//!   caller's thread.
 //! - [`JobContext`] — handed to each job's work closure; builds an
 //!   executor wired to the job's [`CancelToken`](minoaner_dataflow::CancelToken)
 //!   and wall-clock deadline.
@@ -20,23 +17,16 @@
 //!
 //! # Invariants
 //!
-//! Cancellation is cooperative and checkpoint-safe: the scheduler only
+//! Cancellation is cooperative and checkpoint-safe: the batch only
 //! latches a token; the pipeline polls it at stage barriers *after* each
 //! checkpoint barrier commits, so a cancelled job's checkpoint directory
-//! only ever holds complete, resumable barriers. Determinism:
-//! scheduling state lives in `BTreeMap`s and dispatch order is a pure
-//! function of (priority, submission order) — two schedulers fed the
-//! same submission sequence dispatch identically.
+//! only ever holds complete, resumable barriers. Job order is the order
+//! of [`Batch::add_job`] calls.
 
-pub mod budget;
+pub mod batch;
 pub mod control;
-pub mod error;
 pub mod job;
-pub(crate) mod queue;
-pub mod scheduler;
 
-pub use budget::ResourceBudget;
+pub use batch::{Batch, JobResult};
 pub use control::{ControlError, STATUS_SCHEMA_VERSION};
-pub use error::ShedReason;
-pub use job::{JobContext, JobId, JobOutput, JobSpec, JobState, JobStatus, Priority};
-pub use scheduler::{JobScheduler, JobWork};
+pub use job::{JobContext, JobId, JobSpec, JobState, JobStatus};

@@ -17,8 +17,8 @@
 //!   statistics (§2);
 //! * [`dataflow`] — a hand-rolled parallel dataflow engine standing in for
 //!   Spark (§4.1);
-//! * [`jobs`] — multi-job orchestration: priority admission, resource
-//!   budgets, cooperative cancellation, per-job checkpoints;
+//! * [`jobs`] — job batches: one resolve job at a time, cooperative
+//!   cancellation through `CANCEL` markers, per-job checkpoints;
 //! * [`blocking`] — token/name blocking, Block Purging, and the pruned
 //!   disjunctive blocking graph (§3, Algorithm 1);
 //! * [`core`] — the non-iterative matcher and end-to-end pipeline

@@ -1,8 +1,9 @@
 //! Cancellation-equivalence harness (seeded loop): cancelling a checkpointed
 //! run at an arbitrary stage barrier must be indistinguishable from a
-//! clean shutdown — the cancelled run leaves only complete, resumable
-//! barriers behind, and resuming it yields output byte-identical to an
-//! uninterrupted run.
+//! clean stop at that barrier — the cancelled run leaves only complete,
+//! resumable barriers behind, and resuming it yields output byte-identical
+//! to an uninterrupted run. This is the guarantee behind `minoaner jobs
+//! cancel`: a job batch's `CANCEL` marker watcher latches the same token.
 //!
 //! The harness mirrors `crash_recovery.rs`, swapping the SIGKILL-style
 //! `MINOANER_CRASH_POINT` for the cooperative `MINOANER_CANCEL_POINT`

@@ -1,15 +1,15 @@
-//! Multi-job chaos harness: N concurrent jobs through the
-//! [`minoaner::jobs`] scheduler with seed-driven injected faults and
-//! mid-run cancellations, asserting the orchestration layer's core
-//! promises:
+//! Job-batch chaos harness: batches of jobs through [`minoaner::jobs::Batch`]
+//! with seed-driven injected faults and cancellations, asserting the
+//! batch layer's core promises:
 //!
-//! * surviving jobs' canonical outcomes (weight digest, match set, rule
-//!   counts, domain counters) are **bit-identical** to solo runs of the
-//!   same dataset;
+//! * each completed job's canonical outcome (weight digest, match set,
+//!   rule counts, domain counters) is **bit-identical** to a solo run of
+//!   the same dataset;
 //! * a task fault fails its own job and never bleeds into a sibling job;
 //! * a job cancelled mid-run leaves only complete, resumable barriers
-//!   and resumes to the uninterrupted outcome;
-//! * no worker threads and no checkpoint directories leak.
+//!   and resumes to the uninterrupted outcome, and so does one killed
+//!   with its process;
+//! * no worker or watcher threads and no checkpoint directories leak.
 //!
 //! Tests serialize on a process-wide lock: `MINOANER_CANCEL_POINT` is a
 //! process-global environment variable, and thread-leak accounting needs
@@ -19,16 +19,17 @@
 
 #![cfg(feature = "fault-inject")]
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::Duration;
 
 use minoaner::dataflow::{CancelReason, RunTrace};
 use minoaner::datagen::{generate, profiles, GeneratedDataset};
-use minoaner::jobs::{JobId, JobOutput, JobScheduler, JobSpec, JobState, Priority, ResourceBudget};
+use minoaner::jobs::{control, Batch, JobContext, JobId, JobResult, JobSpec, JobState, JobStatus};
 use minoaner::{
     CheckpointSpec, DataflowError, Executor, KbPair, Minoaner, Resolution, ResolveRequest, RuleSet,
 };
@@ -57,7 +58,7 @@ fn scratch_dir(tag: &str) -> PathBuf {
 
 /// Renders the observable outcome of a run as a canonical text blob.
 /// `ckpt/*` counters are excluded: they are the only counters allowed to
-/// differ between a solo and an orchestrated (or resumed) run.
+/// differ between a solo and a batched (or resumed) run.
 fn canonical(res: &Resolution, trace: &RunTrace) -> String {
     let mut out = String::new();
     out.push_str(&format!("digest {:016x}\n", res.graph_digest));
@@ -88,8 +89,8 @@ fn resolve_job(
         .map(|o| o.into_traced())
 }
 
-/// A solo (un-orchestrated) checkpointed run: the reference every
-/// scheduler-driven job of the same scale must match byte-for-byte.
+/// A solo (un-batched) checkpointed run: the reference every batched job
+/// of the same scale must match byte-for-byte.
 fn solo_baseline(scale: f64, workers: usize, tag: &str) -> String {
     let dir = scratch_dir(tag);
     let d = dataset(scale);
@@ -100,28 +101,32 @@ fn solo_baseline(scale: f64, workers: usize, tag: &str) -> String {
     canonical(&res, &trace)
 }
 
-/// Shared per-job result sink: job ordinal → canonical blob.
-type Results = Arc<Mutex<BTreeMap<u64, String>>>;
+/// Per-job result sink: job ordinal → canonical blob.
+type Results = RefCell<BTreeMap<u64, String>>;
 
 /// Work closure for a full-pipeline job: resolves the scaled restaurant
 /// dataset on the job's own executor with per-job checkpoints under
 /// `root/job-<id>/ckpt`, and records its canonical outcome in `results`.
-fn pipeline_work(
+fn pipeline_work<'a>(
     scale: f64,
-    root: PathBuf,
+    root: &'a Path,
     resume: bool,
-    results: Results,
-) -> impl FnOnce(&minoaner::jobs::JobContext) -> Result<JobOutput, DataflowError> {
+    results: &'a Results,
+) -> impl FnOnce(&JobContext) -> JobResult + 'a {
     move |ctx| {
         let d = dataset(scale);
         let mut exec = ctx.executor();
-        let mut spec = CheckpointSpec::for_job(&root, &ctx.id().to_string());
+        let mut spec = CheckpointSpec::for_job(root, &ctx.id().to_string());
         spec.resume = resume;
         let (res, trace) = resolve_job(&mut exec, &d.pair, &spec)?;
-        let blob = canonical(&res, &trace);
-        results.lock().expect("results lock").insert(ctx.id().ordinal(), blob);
-        Ok(JobOutput::summary(format!("{} matches", res.matches.len())).with_trace(trace))
+        results.borrow_mut().insert(ctx.id().ordinal(), canonical(&res, &trace));
+        Ok(format!("{} matches", res.matches.len()))
     }
+}
+
+/// The status of `id` among a batch's final statuses.
+fn status_of(statuses: &[JobStatus], id: JobId) -> &JobStatus {
+    statuses.iter().find(|s| s.id == id).expect("every added job has a final status")
 }
 
 /// Tasks in a [`faulty_work`] stage.
@@ -146,16 +151,14 @@ fn faulty_error(seed: u64) -> String {
 /// Work closure for a job that genuinely fails: one seed-chosen task of
 /// its only stage panics, the stage fails fast, and the error propagates
 /// out of the job.
-fn faulty_work(
-    seed: u64,
-) -> impl FnOnce(&minoaner::jobs::JobContext) -> Result<JobOutput, DataflowError> {
+fn faulty_work(seed: u64) -> impl FnOnce(&JobContext) -> JobResult {
     move |ctx| {
         let poisoned = poisoned_task(seed);
         let out = ctx.executor().try_run_stage("stress", FAULTY_TASKS, |i| {
             assert!(i != poisoned, "injected fault: task {i}");
             (i as u64) * 7 + 1
         })?;
-        Ok(JobOutput::summary(format!("sum {}", out.iter().sum::<u64>())))
+        Ok(format!("sum {}", out.iter().sum::<u64>()))
     }
 }
 
@@ -202,10 +205,10 @@ fn settled_thread_count(at_most: usize) -> usize {
     live_threads()
 }
 
-/// Tentpole assertion 1: jobs racing through the scheduler produce
-/// outcomes bit-identical to solo runs of the same dataset.
+/// Jobs run in a batch produce outcomes bit-identical to solo runs of
+/// the same dataset.
 #[test]
-fn concurrent_jobs_match_solo_runs_bit_for_bit() {
+fn batched_jobs_match_solo_runs_bit_for_bit() {
     let _serial = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
     std::env::remove_var("MINOANER_CANCEL_POINT");
 
@@ -216,47 +219,36 @@ fn concurrent_jobs_match_solo_runs_bit_for_bit() {
         .map(|(i, &s)| solo_baseline(s, 2, &format!("solo-{i}")))
         .collect();
 
-    let root = scratch_dir("concurrent-root");
-    let results: Results = Arc::new(Mutex::new(BTreeMap::new()));
-    let sched = JobScheduler::with_control_root(
-        ResourceBudget::new(6, u64::MAX).with_max_running(3),
-        &root,
-    );
+    let root = scratch_dir("batch-root");
+    let results = Results::default();
+    let mut batch = Batch::new(&root);
 
-    // Two jobs per scale, mixed priorities, all racing under the budget.
+    // Two jobs per scale, on one and two workers.
     let mut expected: BTreeMap<JobId, usize> = BTreeMap::new();
-    for round in 0..2 {
+    for workers in [1, 2] {
         for (i, &scale) in scales.iter().enumerate() {
-            let prio = [Priority::Low, Priority::Normal, Priority::High][(round + i) % 3];
-            let spec = JobSpec::new(format!("pipeline-{scale}-{round}"))
-                .with_priority(prio)
-                .with_workers(2);
-            let id = sched
-                .submit(spec, pipeline_work(scale, root.clone(), false, results.clone()))
-                .expect("submission admitted");
+            let spec = JobSpec::new(format!("pipeline-{scale}-{workers}")).with_workers(workers);
+            let id = batch.add_job(spec, pipeline_work(scale, &root, false, &results));
             expected.insert(id, i);
         }
     }
 
-    let final_statuses = sched.wait_all();
+    let final_statuses = batch.run_jobs();
     assert_eq!(final_statuses.len(), expected.len());
     for status in &final_statuses {
         assert_eq!(status.state, JobState::Completed, "job {} failed: {:?}", status.id, status.error);
     }
 
-    let results = results.lock().expect("results lock");
+    let results = results.borrow();
     for (id, scale_idx) in &expected {
         let blob = results.get(&id.ordinal()).expect("completed job recorded its outcome");
-        assert_eq!(
-            blob, &baselines[*scale_idx],
-            "job {id} diverged from the solo run of its dataset"
-        );
+        assert_eq!(blob, &baselines[*scale_idx], "job {id} diverged from the solo run of its dataset");
     }
 }
 
-/// Tentpole assertion 2: a task fault fails the job that owns it — with
-/// the precise `TaskPanicked` error — and never corrupts its siblings or
-/// leaks threads or scratch.
+/// A task fault fails the job that owns it — with the precise
+/// `TaskPanicked` error — and never corrupts the jobs after it or leaks
+/// threads or scratch.
 #[test]
 fn injected_faults_stay_contained_to_their_job() {
     let _serial = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
@@ -265,50 +257,42 @@ fn injected_faults_stay_contained_to_their_job() {
     let baseline = solo_baseline(0.2, 2, "faulty-solo");
     let threads_before = live_threads();
     let root = scratch_dir("faulty-root");
-    let results: Results = Arc::new(Mutex::new(BTreeMap::new()));
-    let sched =
-        JobScheduler::with_control_root(ResourceBudget::new(6, u64::MAX).with_max_running(3), &root);
+    let results = Results::default();
+    let mut batch = Batch::new(&root);
 
-    // Faulty and clean jobs interleaved, all racing under the budget.
+    // Faulty and clean jobs interleaved.
     let mut faulty = Vec::new();
     let mut pipelines = Vec::new();
     for j in 0..4u64 {
         let seed = 0xA5A5 + j;
-        let id = sched
-            .submit(JobSpec::new(format!("faulty-{j}")).with_workers(1 + j as usize % 2), faulty_work(seed))
-            .expect("faulty job admitted");
-        faulty.push((id, seed));
+        let spec = JobSpec::new(format!("faulty-{j}")).with_workers(1 + j as usize % 2);
+        faulty.push((batch.add_job(spec, faulty_work(seed)), seed));
         if j % 2 == 0 {
-            let id = sched
-                .submit(
-                    JobSpec::new(format!("clean-pipeline-{j}")).with_workers(2).with_priority(Priority::High),
-                    pipeline_work(0.2, root.clone(), false, results.clone()),
-                )
-                .expect("pipeline job admitted");
-            pipelines.push(id);
+            let spec = JobSpec::new(format!("clean-pipeline-{j}")).with_workers(2);
+            pipelines.push(batch.add_job(spec, pipeline_work(0.2, &root, false, &results)));
         }
     }
 
-    sched.wait_all();
+    let statuses = batch.run_jobs();
 
     for &(id, seed) in &faulty {
-        let status = sched.status(id).expect("faulty job status");
+        let status = status_of(&statuses, id);
         assert_eq!(status.state, JobState::Failed, "faulty job {id} must fail, not be absorbed");
         assert_eq!(status.error, Some(faulty_error(seed)), "faulty job {id}");
         assert_eq!(status.summary, None, "a failed job reports no result");
     }
 
-    let results = results.lock().expect("results lock");
+    let results = results.borrow();
     for id in &pipelines {
-        assert_eq!(sched.status(*id).expect("pipeline status").state, JobState::Completed);
+        assert_eq!(status_of(&statuses, *id).state, JobState::Completed);
         let blob = results.get(&id.ordinal()).expect("pipeline job completed");
         assert_eq!(blob, &baseline, "sibling faults bled into clean pipeline job {id}");
     }
 
-    // No directory leaks: one `job-<id>` dir per submission, and a failed
-    // job leaves nothing behind but its status snapshot.
+    // No directory leaks: one `job-<id>` dir per job, and a failed job
+    // leaves nothing behind but its status snapshot.
     for (id, _) in &faulty {
-        let mut left: Vec<String> = std::fs::read_dir(minoaner::jobs::control::job_dir(&root, *id))
+        let mut left: Vec<String> = std::fs::read_dir(control::job_dir(&root, *id))
             .expect("read faulty job dir")
             .map(|e| e.expect("dir entry").file_name().to_string_lossy().into_owned())
             .collect();
@@ -319,113 +303,85 @@ fn injected_faults_stay_contained_to_their_job() {
         assert_only_complete_barriers(CheckpointSpec::for_job(&root, &id.to_string()).dir());
     }
 
-    // No worker leaks, failed stages included.
-    drop(sched);
+    // No worker or watcher leaks, failed stages included.
     let threads_after = settled_thread_count(threads_before);
     assert!(
         threads_after <= threads_before,
-        "worker threads leaked: {threads_before} before, {threads_after} after"
+        "threads leaked: {threads_before} before, {threads_after} after"
     );
 }
 
-/// Tentpole assertion 3: a deterministic mid-run cancel (latched right
-/// after barrier 0 commits) surfaces as a cancelled job whose checkpoint
-/// dir holds only complete barriers, and a resume submitted afterwards
-/// reproduces the uninterrupted outcome bit-for-bit.
+/// A deterministic mid-run cancel (latched right after barrier 0 commits)
+/// surfaces as a cancelled job whose checkpoint dir holds only complete
+/// barriers, and rerunning the job with `resume` — a fresh batch over the
+/// same root, as `minoaner jobs run --resume` does — reproduces the
+/// uninterrupted outcome bit-for-bit.
 #[test]
 fn cancelled_job_resumes_cleanly() {
     let _serial = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
 
     let baseline = solo_baseline(0.2, 2, "cancel-solo");
     let root = scratch_dir("cancel-root");
-    let results: Results = Arc::new(Mutex::new(BTreeMap::new()));
-    let sched =
-        JobScheduler::with_control_root(ResourceBudget::new(4, u64::MAX).with_max_running(1), &root);
+    let results = Results::default();
+    let mut batch = Batch::new(&root);
 
     std::env::set_var("MINOANER_CANCEL_POINT", "after:0");
-    let victim = sched
-        .submit(
-            JobSpec::new("doomed").with_workers(2),
-            pipeline_work(0.2, root.clone(), false, results.clone()),
-        )
-        .expect("victim admitted");
-    let status = sched.wait(victim).expect("victim reaches a terminal state");
+    let victim = batch.add_job(JobSpec::new("doomed").with_workers(2), pipeline_work(0.2, &root, false, &results));
+    let status = batch.run_jobs().remove(0);
     std::env::remove_var("MINOANER_CANCEL_POINT");
 
     assert_eq!(status.state, JobState::Cancelled, "armed cancel point must cancel the job");
     assert_eq!(status.cancel_reason, Some(CancelReason::User));
-    assert!(
-        results.lock().expect("results lock").is_empty(),
-        "a cancelled job must not have recorded a completed outcome"
-    );
+    assert!(results.borrow().is_empty(), "a cancelled job must not have recorded a completed outcome");
 
     let ckpt = CheckpointSpec::for_job(&root, &victim.to_string());
     assert_only_complete_barriers(ckpt.dir());
-    let persisted =
-        minoaner::jobs::control::read_status(&minoaner::jobs::control::job_dir(&root, victim))
-            .expect("cancelled status persisted to the control plane");
+    let persisted = control::read_status(&control::job_dir(&root, victim))
+        .expect("cancelled status persisted to the control plane");
     assert_eq!(persisted.state, JobState::Cancelled);
 
-    // Resume through the scheduler: a fresh job pointed at the victim's
-    // checkpoint dir picks up past barrier 0 and matches the solo run.
-    let resumed_results: Results = Arc::new(Mutex::new(BTreeMap::new()));
-    let results_clone = resumed_results.clone();
-    let ckpt_dir = ckpt.dir().to_path_buf();
-    let resumed = sched
-        .submit(JobSpec::new("resume-of-doomed").with_workers(2), move |ctx| {
-            let d = dataset(0.2);
-            let mut exec = ctx.executor();
-            let mut spec = CheckpointSpec::new(&ckpt_dir);
-            spec.resume = true;
-            let (res, trace) = resolve_job(&mut exec, &d.pair, &spec)?;
-            assert_eq!(
-                trace.counter("ckpt/resumed_from"),
-                1,
-                "resume must restart right past the cancelled barrier"
-            );
-            let blob = canonical(&res, &trace);
-            results_clone.lock().expect("results lock").insert(ctx.id().ordinal(), blob);
-            Ok(JobOutput::summary(format!("{} matches", res.matches.len())))
-        })
-        .expect("resume job admitted");
-    let status = sched.wait(resumed).expect("resume reaches a terminal state");
+    // The rerun is j0000 again, so it resumes from the victim's
+    // checkpoints: past barrier 0, to the solo run's outcome.
+    let mut rerun = Batch::new(&root);
+    let resumed = rerun.add_job(JobSpec::new("doomed").with_workers(2), |ctx| {
+        let d = dataset(0.2);
+        let mut spec = CheckpointSpec::for_job(&root, &ctx.id().to_string());
+        spec.resume = true;
+        let (res, trace) = resolve_job(&mut ctx.executor(), &d.pair, &spec)?;
+        assert_eq!(trace.counter("ckpt/resumed_from"), 1, "resume must restart right past the cancelled barrier");
+        results.borrow_mut().insert(ctx.id().ordinal(), canonical(&res, &trace));
+        Ok(format!("{} matches", res.matches.len()))
+    });
+    assert_eq!(resumed, victim);
+    let status = rerun.run_jobs().remove(0);
     assert_eq!(status.state, JobState::Completed, "resume failed: {:?}", status.error);
-
-    let resumed_results = resumed_results.lock().expect("results lock");
-    let blob = resumed_results.get(&resumed.ordinal()).expect("resume recorded its outcome");
-    assert_eq!(blob, &baseline, "resumed job diverged from the uninterrupted solo run");
+    let blob = results.borrow().get(&resumed.ordinal()).cloned().expect("resume recorded its outcome");
+    assert_eq!(blob, baseline, "resumed job diverged from the uninterrupted solo run");
 }
 
 /// The child half of the process-crash harness below. Inert unless
 /// spawned with `MINOANER_JOBS_CRASH_CHILD=1`: runs one checkpointed
-/// pipeline job through the scheduler while the parent has armed
+/// pipeline job in a batch while the parent has armed
 /// `MINOANER_CRASH_POINT`, which aborts this whole process right after
 /// the chosen barrier commits.
 #[test]
-fn child_scheduler_run() {
+fn child_batch_run() {
     if std::env::var("MINOANER_JOBS_CRASH_CHILD").as_deref() != Ok("1") {
         return;
     }
     let root = PathBuf::from(std::env::var("MINOANER_JOBS_ROOT").expect("MINOANER_JOBS_ROOT set"));
-    let results: Results = Arc::new(Mutex::new(BTreeMap::new()));
-    let sched =
-        JobScheduler::with_control_root(ResourceBudget::new(4, u64::MAX).with_max_running(1), &root);
-    let id = sched
-        .submit(
-            JobSpec::new("crash-victim").with_workers(2),
-            pipeline_work(0.2, root.clone(), false, results),
-        )
-        .expect("crash victim admitted");
+    let results = Results::default();
+    let mut batch = Batch::new(&root);
+    batch.add_job(JobSpec::new("crash-victim").with_workers(2), pipeline_work(0.2, &root, false, &results));
     // Never returns when the crash point is armed: the abort happens on
     // the job's worker thread and takes the process with it.
-    sched.wait(id);
+    batch.run_jobs();
 }
 
-/// Tentpole assertion: a hard process crash (not a cooperative cancel)
-/// mid-job — the `MINOANER_CRASH_POINT` abort from the crash-recovery
-/// harness, fired inside a scheduler-owned job — still leaves the
-/// per-job checkpoint dir fully committed, and resuming over it lands
-/// on the uninterrupted outcome.
+/// A hard process crash (not a cooperative cancel) mid-job — the
+/// `MINOANER_CRASH_POINT` abort from the crash-recovery harness, fired
+/// inside a batched job — still leaves the per-job checkpoint dir fully
+/// committed, and resuming over it lands on the uninterrupted outcome.
 #[test]
 fn process_crash_mid_job_leaves_resumable_job_dir() {
     let _serial = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
@@ -436,7 +392,7 @@ fn process_crash_mid_job_leaves_resumable_job_dir() {
 
     let exe = std::env::current_exe().expect("current_exe");
     let status = Command::new(exe)
-        .args(["child_scheduler_run", "--exact", "--nocapture", "--test-threads", "1"])
+        .args(["child_batch_run", "--exact", "--nocapture", "--test-threads", "1"])
         .env("MINOANER_JOBS_CRASH_CHILD", "1")
         .env("MINOANER_JOBS_ROOT", &root)
         .env("MINOANER_CRASH_POINT", "after:1")
@@ -445,14 +401,14 @@ fn process_crash_mid_job_leaves_resumable_job_dir() {
         .expect("spawn child test binary");
     assert!(!status.success(), "armed crash point must abort the child process");
 
-    // The first job a fresh scheduler mints is ordinal 0; its dir must
-    // hold exactly barriers 0 and 1, both fully committed.
+    // The child's only job is j0000; its dir must hold exactly barriers 0
+    // and 1, both fully committed.
     let job_dirs: Vec<PathBuf> = std::fs::read_dir(&root)
         .expect("read control root")
         .map(|e| e.expect("dir entry").path())
         .filter(|p| p.file_name().is_some_and(|n| n.to_string_lossy().starts_with("job-")))
         .collect();
-    assert_eq!(job_dirs.len(), 1, "child submitted exactly one job");
+    assert_eq!(job_dirs.len(), 1, "child added exactly one job");
     let ckpt_dir = job_dirs[0].join("ckpt");
     assert_only_complete_barriers(&ckpt_dir);
 
@@ -470,9 +426,9 @@ fn process_crash_mid_job_leaves_resumable_job_dir() {
     );
 }
 
-/// Tentpole assertion 4: a full chaos mix — pipelines, fault-riddled
-/// jobs, racing user cancels, a queued cancel — converges with every
-/// survivor correct, every cancelled job resumable, and neither worker
+/// A full chaos mix — pipelines, fault-riddled jobs, a user cancel racing
+/// a running job, a marker dropped before its job starts — converges with
+/// every survivor correct, every cancelled job resumable, and neither
 /// threads nor checkpoint directories leaked.
 #[test]
 fn chaos_mix_converges_without_leaks() {
@@ -483,58 +439,58 @@ fn chaos_mix_converges_without_leaks() {
     let threads_before = live_threads();
 
     let root = scratch_dir("chaos-root");
-    let results: Results = Arc::new(Mutex::new(BTreeMap::new()));
-    let sched =
-        JobScheduler::with_control_root(ResourceBudget::new(4, u64::MAX).with_max_running(2), &root);
+    let results = Results::default();
+    let mut batch = Batch::new(&root);
 
-    let mut submitted = Vec::new();
+    let mut added = Vec::new();
     let mut pipeline_ids = Vec::new();
     let mut faulty = BTreeMap::new();
     for j in 0..3 {
-        let id = sched
-            .submit(
-                JobSpec::new(format!("chaos-pipeline-{j}")).with_workers(2),
-                pipeline_work(0.2, root.clone(), false, results.clone()),
-            )
-            .expect("pipeline admitted");
-        submitted.push(id);
+        let spec = JobSpec::new(format!("chaos-pipeline-{j}")).with_workers(2);
+        let id = batch.add_job(spec, pipeline_work(0.2, &root, false, &results));
+        added.push(id);
         pipeline_ids.push(id);
     }
     for j in 0..2u64 {
-        let id = sched
-            .submit(JobSpec::new(format!("chaos-faulty-{j}")).with_workers(1), faulty_work(77 + j))
-            .expect("faulty admitted");
-        submitted.push(id);
+        let id = batch.add_job(JobSpec::new(format!("chaos-faulty-{j}")), faulty_work(77 + j));
+        added.push(id);
         faulty.insert(id, 77 + j);
     }
-    // A job cancelled while (most likely) still queued: max_running=2
-    // and five submissions ahead of it keep the queue busy.
-    let queued_victim = sched
-        .submit(
-            JobSpec::new("chaos-queued-victim").with_workers(2).with_priority(Priority::Low),
-            pipeline_work(0.2, root.clone(), false, results.clone()),
-        )
-        .expect("queued victim admitted");
-    submitted.push(queued_victim);
-    sched.cancel(queued_victim, CancelReason::User);
+    // A job whose marker lands before the batch runs: it never starts.
+    let queued_victim = batch.add_job(
+        JobSpec::new("chaos-queued-victim").with_workers(2),
+        pipeline_work(0.2, &root, false, &results),
+    );
+    added.push(queued_victim);
+    assert!(control::request_cancel(&root, queued_victim, CancelReason::User).expect("marker"));
 
-    // Racing cancel against a (possibly already finished) pipeline job:
-    // both outcomes are legal; a cancelled one must be resumable.
+    // A cancel racing a pipeline job, dropped by another thread as soon as
+    // the job is seen running: both outcomes are legal, and a cancelled
+    // job must be resumable.
     let race_victim = pipeline_ids[2];
-    sched.cancel(race_victim, CancelReason::User);
+    let final_statuses = std::thread::scope(|s| {
+        s.spawn(|| {
+            let dir = control::job_dir(&root, race_victim);
+            for _ in 0..10_000 {
+                match control::read_status(&dir).map(|status| status.state) {
+                    Ok(JobState::Queued) | Err(_) => std::thread::sleep(Duration::from_millis(1)),
+                    Ok(_) => break,
+                }
+            }
+            control::request_cancel(&root, race_victim, CancelReason::User).expect("race marker");
+        });
+        batch.run_jobs()
+    });
+    assert_eq!(final_statuses.len(), added.len());
+    assert_eq!(status_of(&final_statuses, queued_victim).state, JobState::Cancelled);
 
-    let final_statuses = sched.wait_all();
-    assert_eq!(final_statuses.len(), submitted.len());
-
-    let results_now: BTreeMap<u64, String> = results.lock().expect("results lock").clone();
+    let results_now = results.borrow().clone();
     for status in &final_statuses {
         match status.state {
             JobState::Completed => {
-                if pipeline_ids.contains(&status.id) || status.id == queued_victim {
-                    let blob =
-                        results_now.get(&status.id.ordinal()).expect("completed pipeline recorded");
-                    assert_eq!(blob, &baseline, "job {} diverged under chaos", status.id);
-                }
+                assert!(pipeline_ids.contains(&status.id), "job {} cannot complete", status.id);
+                let blob = results_now.get(&status.id.ordinal()).expect("completed pipeline recorded");
+                assert_eq!(blob, &baseline, "job {} diverged under chaos", status.id);
             }
             JobState::Cancelled => {
                 assert_eq!(status.cancel_reason, Some(CancelReason::User));
@@ -564,27 +520,26 @@ fn chaos_mix_converges_without_leaks() {
     }
 
     // No checkpoint-dir leaks: the control root holds exactly one
-    // `job-<id>` dir per submission (plus nothing else), and no torn
-    // barrier staging dirs anywhere beneath it.
+    // `job-<id>` dir per job (plus nothing else), and no torn barrier
+    // staging dirs anywhere beneath it.
     let mut top: Vec<String> = std::fs::read_dir(&root)
         .expect("read control root")
         .map(|e| e.expect("dir entry").file_name().to_string_lossy().into_owned())
         .collect();
     top.sort();
-    let mut want: Vec<String> = submitted.iter().map(|id| format!("job-{id}")).collect();
+    let mut want: Vec<String> = added.iter().map(|id| format!("job-{id}")).collect();
     want.sort();
     assert_eq!(top, want, "control root grew stray directories");
-    for id in &submitted {
+    for id in &added {
         assert_only_complete_barriers(CheckpointSpec::for_job(&root, &id.to_string()).dir());
     }
 
-    // No worker leaks: job threads are joined by wait_all, executor
-    // workers by their executors' drops; the process settles back to its
-    // pre-scheduler thread count.
-    drop(sched);
+    // No leaks: executor workers are joined by their executors' drops and
+    // the marker watchers by their scopes; the process settles back to its
+    // pre-batch thread count.
     let threads_after = settled_thread_count(threads_before);
     assert!(
         threads_after <= threads_before,
-        "worker threads leaked: {threads_before} before, {threads_after} after"
+        "threads leaked: {threads_before} before, {threads_after} after"
     );
 }

@@ -39,10 +39,12 @@
 //! pin this kernel to it with exact `f64` equality.
 
 use std::cmp::Ordering;
+use std::sync::atomic::{self, AtomicUsize};
+use std::sync::{Mutex, PoisonError, RwLock};
 
 use minoaner_dataflow::{Executor, SpillShuffle, StageIo};
 use minoaner_det::codec::Spillable;
-use minoaner_det::spillable_struct;
+use minoaner_det::{lock, spillable_struct};
 use minoaner_kb::stats::RelationStats;
 use minoaner_kb::{EntityId, KbPair, Rows, Side};
 
@@ -554,11 +556,12 @@ impl NeighborViews {
 /// in the same ascending-block order).
 ///
 /// The right-side lists are inverted by left endpoint once, walked in
-/// ascending `j` so that every inverted row is ascending too. A task then
-/// owns a range of `chunk` left rows — it reads no row outside it — and
-/// merges each inverted row with the row's own (at most K) left-derived
-/// entries sorted by id. It adds its live edges `(i, j, β)` to `shuffle` as
-/// one run, bucketed by `j / chunk_r`.
+/// ascending `j` so that every inverted row is ascending too, straight into
+/// one exactly-sized part per task. A task owns a range of `chunk` left
+/// rows — it reads no row outside it — takes its part of the inversion and
+/// frees it when it ends; it merges each inverted row with the row's own
+/// (at most K) left-derived entries sorted by id. It adds its live edges
+/// `(i, j, β)` to `shuffle` as one run, bucketed by `j / chunk_r`.
 fn beta_union(
     executor: &Executor,
     value_left: &Rows<Candidate>,
@@ -569,17 +572,23 @@ fn beta_union(
     shuffle: &SpillShuffle<(u32, u32, f64)>,
 ) -> (Rows<Candidate>, u64) {
     let n_left = value_left.n_rows();
-    let from_right: Rows<Candidate> = Rows::build(
+    let from_right: Vec<Mutex<Rows<Candidate>>> = Rows::build_chunked(
         n_left,
+        chunk,
         value_right.iter().enumerate().flat_map(|(j, cands)| {
             let j = EntityId(j as u32);
             cands.iter().map(move |c| (c.entity_id().0 as usize, Candidate::new(j, c.weight())))
         }),
-    );
+    )
+    .into_iter()
+    .map(Mutex::new)
+    .collect();
     let [live_left, live_right] = live;
     let parts = executor.run_stage("graph/gamma/union", n_left.div_ceil(chunk), |t| {
-        let rows = t * chunk..((t + 1) * chunk).min(n_left);
-        let upper = rows.clone().map(|i| value_left.row_len(i) + from_right.row_len(i)).sum();
+        let lo = t * chunk;
+        let rows = lo..(lo + chunk).min(n_left);
+        let from_right: Rows<Candidate> = from_right.get(t).map(|part| std::mem::take(&mut *lock(part))).unwrap_or_default();
+        let upper = rows.clone().map(|i| value_left.row_len(i) + from_right.row_len(i - lo)).sum();
         let mut edges = Rows::with_capacity(rows.len(), upper);
         let mut buckets: Vec<Vec<(u32, u32, f64)>> = vec![Vec::new(); shuffle.partitions()];
         let mut own: Vec<Candidate> = Vec::new();
@@ -589,7 +598,7 @@ fn beta_union(
             own.extend_from_slice(value_left.row(i));
             own.sort_unstable_by_key(|c| c.entity_id());
             let row_is_live = live_left.row_len(i) > 0;
-            merge_by_id(&own, from_right.row(i), |edge| {
+            merge_by_id(&own, from_right.row(i - lo), |edge| {
                 union += 1;
                 let j = edge.entity_id().0;
                 if !row_is_live || live_right.row_len(j as usize) == 0 {
@@ -777,14 +786,25 @@ fn gamma_pass(
     executor.annotate_last_stage("graph/gamma/transpose", io);
     let edges_t = Rows::parted(parts);
 
-    // Row passes: the left-row tasks, then the right-row tasks.
+    // Row passes: the left-row tasks, then the right-row tasks. Only the
+    // left rows read `edges`: the last left-row task to end frees it.
+    let edges: RwLock<Rows<Candidate>> = RwLock::new(edges);
+    let left_open = AtomicUsize::new(tasks_l);
     let mut partials = executor.run_stage("graph/gamma", tasks_l + tasks_r, |t| {
         if let Some(t) = t.checked_sub(tasks_l) {
             let rows = t * chunk_r..((t + 1) * chunk_r).min(n_right);
             gamma_rows(rows, &right.top, &edges_t, &left.incoming, true, dirty, cfg)
         } else {
             let rows = t * chunk_l..((t + 1) * chunk_l).min(n_left);
-            gamma_rows(rows, &left.top, &edges, &right.incoming, false, dirty, cfg)
+            let edges_l = edges.read().unwrap_or_else(PoisonError::into_inner);
+            let out = gamma_rows(rows, &left.top, &edges_l, &right.incoming, false, dirty, cfg);
+            drop(edges_l);
+            // Each left task counts itself out after its read guard is gone;
+            // the `RwLock` orders those reads before the last task's write.
+            if left_open.fetch_sub(1, atomic::Ordering::AcqRel) == 1 {
+                *edges.write().unwrap_or_else(PoisonError::into_inner) = Rows::default();
+            }
+            out
         }
     });
     let right_lists = Rows::parted(partials.split_off(tasks_l).into_iter().map(|(lists, _)| lists).collect());

@@ -183,15 +183,23 @@ fn building_the_blocks_allocates_per_column_not_per_token_or_literal() {
 }
 
 /// The graph's rows are 12-byte `Candidate`s — its four candidate tables and
-/// the exchanged β edges by either endpoint — and only the edges γ reads are
-/// exchanged, so a build's heap peaks at a bounded number of bytes per kept
-/// candidate plus exchanged edge: 18.5 here (23.7 with 16-byte rows and the
-/// whole union exchanged). Rows of 16 bytes again read 23.2, and a second
-/// copy of the edge table held to the end 21.8.
+/// the exchanged β edges by either endpoint — only the edges γ reads are
+/// exchanged, and each table is freed by its last reader (a union task its
+/// part of the β inversion, the last left-row γ task the edges by left
+/// endpoint), so a build's heap peaks at a bounded number of bytes per kept
+/// candidate plus exchanged edge: 16.9 here (18.5 with both tables held to
+/// the end of their stages, 23.7 with 16-byte rows and the whole union
+/// exchanged as well). Mutants and their readings: rows of 16 bytes again
+/// 23.2 and a second copy of the edge table held to the end 21.8 (both
+/// taken when the build read 18.5), the whole inversion held through the
+/// union 18.5, and the edges by left endpoint held through the right rows
+/// 17.7 — under the bound, which leaves room for hosts whose core count
+/// cuts the stages into other tasks (3, 12, 24 and 48 partitions instead
+/// of 6 read 17.6, 16.6, 16.6 and 16.4).
 #[test]
 fn building_the_graph_peaks_at_a_bounded_number_of_heap_bytes_per_row() {
     const N: usize = 2_000;
-    const BOUND: f64 = 20.0;
+    const BOUND: f64 = 18.0;
     let pair = pair(N, true);
     let rels = RelationStats::compute(&pair);
     let names = NameStats::compute(&pair, 2);

@@ -184,7 +184,7 @@ impl Interner {
     }
 
     /// `sym`'s string, if it is this interner's symbol.
-    fn string(&self, sym: Symbol) -> Option<&str> {
+    pub(crate) fn string(&self, sym: Symbol) -> Option<&str> {
         self.arena.get(span(&self.offsets, sym)?)
     }
 

@@ -333,31 +333,67 @@ impl<T: Copy + Default> Rows<T> {
     /// items.
     pub fn build(n_keys: usize, items: impl Iterator<Item = (usize, T)> + Clone) -> Self {
         assert!(n_keys < usize::MAX - 1, "row table overflow: key space");
+        let mut part = [(vec![0u32; n_keys + 2], Vec::new())];
+        Self::count_and_scatter(&mut part, |key| (0, key), items);
+        let [(offsets, data)] = part;
+        Self::one_part(Part { offsets: Column::owned(offsets), data: Column::owned(data) })
+    }
+
+    /// [`Self::build`] as one exactly-sized table per `chunk` keys, table
+    /// `p` holding keys `p * chunk ..` from 0 — for a stage whose task `p`
+    /// reads only those and frees them when done. [`Self::parted`] of the
+    /// tables is `build`'s table. Panics as `build` does, and on `chunk` 0.
+    pub fn build_chunked(n_keys: usize, chunk: usize, items: impl Iterator<Item = (usize, T)> + Clone) -> Vec<Self> {
+        assert!(chunk > 0, "row table chunks hold at least one key");
+        let mut parts: Vec<(Vec<u32>, Vec<T>)> =
+            (0..n_keys).step_by(chunk).map(|lo| (vec![0u32; chunk.min(n_keys - lo) + 2], Vec::new())).collect();
+        Self::count_and_scatter(&mut parts, |key| (key / chunk, key % chunk), items);
+        let table = |(offsets, data)| Self::one_part(Part { offsets: Column::owned(offsets), data: Column::owned(data) });
+        parts.into_iter().map(table).collect()
+    }
+
+    /// The two walks of [`Self::build`] and [`Self::build_chunked`]: `locate`
+    /// maps a key to its part and its row there, and each part comes in as
+    /// zeroed offsets two slots longer than its rows and leaves as its
+    /// offsets and its exactly-sized data column.
+    fn count_and_scatter(
+        parts: &mut [(Vec<u32>, Vec<T>)],
+        locate: impl Fn(usize) -> (usize, usize),
+        items: impl Iterator<Item = (usize, T)> + Clone,
+    ) {
         // `for_each`, not `for`: producers are mostly `flat_map`s, which
         // run as the nested loops they stand for only when driven from inside.
         // One column serves as counts, then as the scatter's cursors, then as
-        // the offsets: key `k` counts two slots up, so that after the prefix
-        // sum slot `k + 1` is where row `k` starts — and, once the scatter
-        // has advanced it past the row's last item, where row `k + 1` does.
-        let mut offsets = vec![0u32; n_keys + 2];
+        // the offsets: row `r` counts two slots up, so that after the prefix
+        // sum slot `r + 1` is where row `r` starts — and, once the scatter
+        // has advanced it past the row's last item, where row `r + 1` does.
         let mut total = 0usize;
         items.clone().for_each(|(key, _)| {
+            let (p, row) = locate(key);
+            let count = &mut parts[p].0[row + 2];
             // Cannot wrap: `total` is checked below before anything reads it.
-            offsets[key + 2] = offsets[key + 2].wrapping_add(1);
+            *count = count.wrapping_add(1);
             total += 1;
         });
         checked_len(total);
-        for slot in 2..n_keys + 2 {
-            offsets[slot] += offsets[slot - 1];
+        for (offsets, data) in parts.iter_mut() {
+            let mut sum = 0;
+            for slot in offsets.iter_mut() {
+                sum += *slot;
+                *slot = sum;
+            }
+            *data = vec![T::default(); sum as usize];
         }
-        let mut data = vec![T::default(); total];
         items.for_each(|(key, item)| {
-            let next = &mut offsets[key + 1];
+            let (p, row) = locate(key);
+            let (offsets, data) = &mut parts[p];
+            let next = &mut offsets[row + 1];
             data[*next as usize] = item;
             *next += 1;
         });
-        offsets.truncate(n_keys + 1);
-        Self::one_part(Part { offsets: Column::owned(offsets), data: Column::owned(data) })
+        for (offsets, _) in parts {
+            offsets.pop();
+        }
     }
 }
 
@@ -507,6 +543,11 @@ mod tests {
             assert_eq!((got.n_rows(), got.n_items()), (n_keys, n_items));
             for (key, row) in want.iter().enumerate() {
                 assert_eq!((got.row(key), got.row_len(key)), (&row[..], row.len()));
+            }
+            for chunk in 1..=n_keys + 1 {
+                let parts = Rows::build_chunked(n_keys, chunk, items.iter().copied());
+                assert_eq!(parts.len(), n_keys.div_ceil(chunk), "case {case}, chunk {chunk}");
+                assert_eq!(Rows::parted(parts), got, "case {case}, chunk {chunk}");
             }
             let columns = (Rows::offsets(&got).collect(), got.data().copied().collect());
             assert_eq!(Rows::from_parts(columns.0, columns.1), Ok(got));

@@ -293,32 +293,21 @@ pub enum Term<'a> {
     Uri(&'a str),
 }
 
-/// A pair's value before [`KbPairBuilder::finish`] resolves URI objects.
-#[derive(Debug, Clone, Copy)]
-enum RawValue {
-    Literal(LiteralId),
-    UriRef(Symbol),
-}
-
-/// What [`Rows::build`] fills its column with before it scatters.
-impl Default for RawValue {
-    fn default() -> Self {
-        RawValue::Literal(LiteralId(0))
-    }
-}
-
 /// One side of a [`KbPairBuilder`]: its entities, and every pair added to
 /// the side as one column in the order added, which
-/// [`KbPairBuilder::finish`] groups by entity.
+/// [`KbPairBuilder::finish`] groups by entity. A pair's value is one word
+/// in [`Value::word`]'s layout, where a URI object's symbol stands in a
+/// `Ref`'s place until `finish` resolves it.
 #[derive(Debug, Clone, Default)]
 struct SideColumns {
     /// Each entity's interned URI, by [`EntityId`].
     uris: Vec<Symbol>,
     uri_index: UriIndex,
-    pairs: Vec<(EntityId, AttrId, RawValue)>,
+    pairs: Vec<(EntityId, AttrId, u32)>,
 }
 
-/// The literal and token interners, and each literal's token sequence.
+/// The literal and token interners, and the token row of each literal
+/// [`Self::tokenize_new_literals`] has reached.
 #[derive(Debug, Default)]
 struct LiteralTables {
     literals: Interner,
@@ -326,43 +315,23 @@ struct LiteralTables {
     literal_tokens: Rows<TokenId>,
 }
 
-/// A literal's normal form and, if it is ASCII, its token ends
-/// ([`normalize_into`]): the buffers the builder normalizes one literal
-/// into, reused for every literal.
-#[derive(Debug, Default)]
-struct Normalized {
-    text: String,
-    ends: Vec<usize>,
-}
-
 impl LiteralTables {
-    /// Normalizes `value` in `scratch` and interns it. A literal seen for
-    /// the first time gets its token row: the spans its token ends mark
-    /// when it is ASCII, [`for_each_normalized_token`]'s tokens when it is
-    /// not.
-    fn intern_value(&mut self, value: &str, scratch: &mut Normalized) -> LiteralId {
-        let ascii = normalize_into(value, &mut scratch.text, &mut scratch.ends);
-        let normalized = scratch.text.as_str();
-        let before = self.literals.len();
-        let sym = self.literals.intern(normalized);
-        if self.literals.len() > before {
-            let (tokens, row) = (&mut self.tokens, &mut self.literal_tokens);
-            let mut push = |token: &str| row.push(TokenId(tokens.intern(token).0));
-            if ascii {
-                let mut start = 0;
-                for &end in &scratch.ends {
-                    if let Some(token) = normalized.get(start..end) {
-                        push(token);
-                    }
-                    // Tokens are one space apart.
-                    start = end + 1;
-                }
-            } else {
-                for_each_normalized_token(normalized, push);
-            }
-            self.literal_tokens.end_row();
+    /// Normalizes `value` in `scratch` and interns it.
+    fn intern_value(&mut self, value: &str, scratch: &mut String) -> LiteralId {
+        normalize_into(value, scratch);
+        LiteralId(self.literals.intern(scratch).0)
+    }
+
+    /// Gives every literal without a token row its row, in literal order —
+    /// so token ids number tokens by first appearance in that order, as if
+    /// each literal had been tokenized when first seen.
+    fn tokenize_new_literals(&mut self) {
+        let (literals, tokens, rows) = (&self.literals, &mut self.tokens, &mut self.literal_tokens);
+        for lit in rows.n_rows()..literals.len() {
+            let normalized = Interner::string(literals, Symbol(lit as u32)).unwrap_or_default();
+            for_each_normalized_token(normalized, |token| rows.push(TokenId(tokens.intern(token).0)));
+            rows.end_row();
         }
-        LiteralId(sym.0)
     }
 }
 
@@ -385,7 +354,7 @@ pub struct KbPairBuilder {
     /// probes.
     last_entity: Option<(Side, Symbol, EntityId)>,
     /// The literal being normalized.
-    scratch: Normalized,
+    scratch: String,
 }
 
 impl KbPairBuilder {
@@ -428,12 +397,12 @@ impl KbPairBuilder {
     pub fn add_pair(&mut self, side: Side, entity: EntityId, attr: &str, object: Term<'_>) {
         let attr = AttrId(self.attrs.intern(attr).0);
         let value = match object {
-            Term::Literal(s) => RawValue::Literal(self.lits.intern_value(s, &mut self.scratch)),
-            Term::Uri(u) => RawValue::UriRef(self.uris.intern(u)),
+            Term::Literal(s) => Value::Literal(self.lits.intern_value(s, &mut self.scratch)),
+            Term::Uri(u) => Value::Ref(EntityId(self.uris.intern(u).0)),
         };
         let columns = self.side_mut(side);
         assert!(entity.index() < columns.uris.len(), "{entity:?} is not an entity of {side:?}");
-        columns.pairs.push((entity, attr, value));
+        columns.pairs.push((entity, attr, value.word()));
     }
 
     /// Convenience: registers the subject if needed and adds the triple.
@@ -451,6 +420,7 @@ impl KbPairBuilder {
 
     /// Resolves references and produces the immutable [`KbPair`].
     pub fn finish(mut self) -> KbPair {
+        self.lits.tokenize_new_literals();
         let left = self.build_kb(Side::Left);
         let right = self.build_kb(Side::Right);
         let LiteralTables { literals, tokens, literal_tokens } = self.lits;
@@ -466,21 +436,23 @@ impl KbPairBuilder {
         // resolve URI objects to entity refs where possible, in entity
         // order. A URI that is not a subject in this KB contributes its
         // local name as a literal (it still carries token evidence).
-        let grouped = Rows::build(uris.len(), added.iter().map(|&(EntityId(entity), attr, value)| (entity as usize, (attr, value))));
+        let grouped = Rows::build(uris.len(), added.iter().map(|&(EntityId(entity), attr, word)| (entity as usize, (attr, word))));
         drop(added);
         let (lits, names, scratch) = (&mut self.lits, &self.uris, &mut self.scratch);
         let mut values = Vec::with_capacity(grouped.n_items());
-        let attrs: Rows<AttrId> = grouped.map(|(attr, value)| {
-            let value = match value {
-                RawValue::Literal(l) => Value::Literal(l),
-                RawValue::UriRef(sym) => match uri_index.get(sym) {
+        let attrs: Rows<AttrId> = grouped.map(|(attr, word)| {
+            let value = match Value::from_word(word) {
+                Value::Ref(EntityId(uri)) => match uri_index.get(Symbol(uri)) {
                     Some(id) => Value::Ref(id),
-                    None => Value::Literal(lits.intern_value(uri_local_name(names.resolve(sym)), scratch)),
+                    None => Value::Literal(lits.intern_value(uri_local_name(names.resolve(Symbol(uri))), scratch)),
                 },
+                literal => literal,
             };
             values.push(value.word());
             attr
         });
+        // The local names just interned have no token rows yet.
+        self.lits.tokenize_new_literals();
 
         // Pass 2: per-entity token sets (sorted + dedup) and occurrence
         // counts, derived from the literal token sequences.

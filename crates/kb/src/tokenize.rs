@@ -57,7 +57,7 @@ pub(crate) fn for_each_normalized_token(normalized: &str, mut token: impl FnMut(
 /// trimmed. `"J.  Lake "` and `"j Lake"` normalize identically.
 pub fn normalize_name(value: &str) -> String {
     let mut out = String::with_capacity(value.len());
-    normalize_into(value, &mut out, &mut Vec::new());
+    normalize_into(value, &mut out);
     out
 }
 
@@ -85,15 +85,11 @@ const fn byte_classes() -> [u8; 256] {
 /// [`normalize_name`] of `value` into `out`, which is cleared first — the
 /// loader normalizes every literal into one buffer it reuses.
 ///
-/// An all-ASCII value takes one pass through [`BYTE_CLASS`], which also
-/// fills `ends` with where each token ends (so token `k` is `out` from one
-/// past end `k - 1`, or 0, up to end `k`), and the call returns true. At
-/// the first byte past ASCII, the value goes char by char through the
-/// Unicode tables instead, `ends` is left empty and the call returns false
-/// — such a value's tokens are [`for_each_normalized_token`]'s to find.
-pub(crate) fn normalize_into(value: &str, out: &mut String, ends: &mut Vec<usize>) -> bool {
+/// An all-ASCII value takes one pass through [`BYTE_CLASS`]. At the first
+/// byte past ASCII, the value goes char by char through the Unicode tables
+/// instead.
+pub(crate) fn normalize_into(value: &str, out: &mut String) {
     out.clear();
-    ends.clear();
     let mut pending_sep = false;
     for &b in value.as_bytes() {
         let class = BYTE_CLASS.get(usize::from(b)).copied().unwrap_or(WIDE);
@@ -102,21 +98,14 @@ pub(crate) fn normalize_into(value: &str, out: &mut String, ends: &mut Vec<usize
             continue;
         }
         if class == WIDE {
-            ends.clear();
-            normalize_chars(value, out);
-            return false;
+            return normalize_chars(value, out);
         }
         if pending_sep && !out.is_empty() {
-            ends.push(out.len());
             out.push(' ');
         }
         pending_sep = false;
         out.push(char::from(class));
     }
-    if !out.is_empty() {
-        ends.push(out.len());
-    }
-    true
 }
 
 /// The char path of [`normalize_into`]: `value`'s normal form into `out`,
@@ -211,17 +200,12 @@ mod tests {
     }
 
     #[test]
-    fn normalize_into_marks_where_ascii_tokens_end() {
-        let (mut out, mut ends) = ("x".to_owned(), vec![9]);
-        assert!(normalize_into("  The--Fat Duck 42 ", &mut out, &mut ends));
-        assert_eq!((out.as_str(), &ends[..]), ("the fat duck 42", &[3, 7, 12, 15][..]));
-        // At the first byte past ASCII the value goes through the char
-        // path, which marks no ends.
-        assert!(!normalize_into("Ab-İstanbul Café", &mut out, &mut ends));
+    fn normalize_into_clears_its_buffer_and_restarts_past_ascii() {
+        let mut out = "x".to_owned();
+        normalize_into("Ab-İstanbul Café", &mut out);
         assert_eq!(out, "ab i\u{307}stanbul café");
-        assert!(ends.is_empty());
-        assert!(normalize_into("!?", &mut out, &mut ends));
-        assert_eq!((out.as_str(), ends.len()), ("", 0), "no tokens, no ends");
+        normalize_into("!?", &mut out);
+        assert_eq!(out, "");
     }
 
     #[test]

@@ -1,0 +1,88 @@
+//! Per-stage memory of one resolve: the process's `VmRSS`, `VmHWM` (its
+//! peak so far), `RssAnon` and `RssFile` after loading and after every
+//! stage, from `/proc/self/status` (Linux; other hosts print `-`).
+//!
+//! ```sh
+//! cargo run --release --example memory_timeline -- pair.mkb [workers]
+//! cargo run --release --example memory_timeline -- left.nt right.nt [workers]
+//! ```
+//!
+//! A `.mkb` pair is read in place (`RssFile` holds its mapped columns); two
+//! N-Triples documents are parsed one after the other, each dropped once
+//! loaded. `workers` defaults to 1, so the stages run in order on one
+//! thread and a table's lifetime shows as the stages it spans.
+
+use std::error::Error;
+use std::path::Path;
+use std::sync::Arc;
+
+use minoaner::dataflow::{Observer, StageMetric};
+use minoaner::kb::parser::load_ntriples_with_mode;
+use minoaner::kb::{MkbFile, ParseMode};
+use minoaner::{Executor, KbPair, KbPairBuilder, Minoaner, ResolveRequest, Side};
+
+/// The `/proc/self/status` fields printed, in order.
+const FIELDS: [&str; 4] = ["VmRSS", "VmHWM", "RssAnon", "RssFile"];
+
+/// Prints one timeline line: `point`, then each of [`FIELDS`] in MiB.
+fn report(point: &str) {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    let mib = |field: &str| -> String {
+        let kib = status.lines().find_map(|line| {
+            let value = line.strip_prefix(field)?.strip_prefix(':')?;
+            value.trim().trim_end_matches("kB").trim().parse::<f64>().ok()
+        });
+        kib.map_or_else(|| "-".to_owned(), |kib| format!("{:.1}", kib / 1024.0))
+    };
+    let values: Vec<String> = FIELDS.iter().map(|field| format!("{:>8}", mib(field))).collect();
+    println!("{point:<32} {}", values.join(" "));
+}
+
+/// Reports after every stage of the resolve.
+struct Timeline;
+
+impl Observer for Timeline {
+    fn on_stage(&self, metric: &StageMetric) {
+        report(&metric.name);
+    }
+}
+
+/// The pair `paths` name: one `.mkb` file, or a left and a right N-Triples
+/// document.
+fn load(paths: &[String]) -> Result<KbPair, Box<dyn Error>> {
+    match paths {
+        [mkb] => Ok(MkbFile::open(Path::new(mkb))?.to_pair()?),
+        [left, right] => {
+            let mut builder = KbPairBuilder::new();
+            for (side, path) in [(Side::Left, left), (Side::Right, right)] {
+                let document = std::fs::read_to_string(path)?;
+                load_ntriples_with_mode(&mut builder, side, &document, ParseMode::Lenient)?;
+                report(&format!("load/{side:?}"));
+            }
+            Ok(builder.finish())
+        }
+        _ => Err("expected one .mkb file or two .nt files".into()),
+    }
+}
+
+fn main() -> Result<(), Box<dyn Error>> {
+    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let workers = match args.last().map(|last| last.parse::<usize>()) {
+        Some(Ok(workers)) => {
+            args.pop();
+            workers
+        }
+        _ => 1,
+    };
+    println!("{:<32} {}", "point (MiB)", FIELDS.map(|field| format!("{field:>8}")).join(" "));
+    report("start");
+    let pair = load(&args)?;
+    report("load");
+
+    let mut executor = Executor::new(workers);
+    executor.set_observer(Arc::new(Timeline));
+    let outcome = Minoaner::new().run_on(&mut executor, ResolveRequest::pair(&pair))?;
+    report("done");
+    println!("{} matches on {workers} worker(s)", outcome.into_resolution().matches.len());
+    Ok(())
+}

@@ -352,6 +352,10 @@ pub fn build_blocking_graph(
         let side = if t == 0 { Side::Left } else { Side::Right };
         NeighborViews::compute(pair, rels, side, cfg.n_relations)
     });
+    // That was the resolve's last read of the KB's columns: γ reads the
+    // candidate tables and the views, the matcher the graph. A pair read
+    // in place from an `.mkb` can give its mapping's pages back.
+    pair.release_mapped_pages();
     let (neighbor_left, neighbor_right) =
         gamma_pass(executor, &value_left, &value_right, &views, pair.is_dirty(), cfg);
 

@@ -5,10 +5,12 @@
 //! one bucket per reduce partition, records in the order the task
 //! produced them. While the budget has headroom (always, when there is no
 //! budget), runs stay on the heap; once [`MemoryBudget::try_reserve`]
-//! fails, further runs are encoded to a checksummed run file using the
-//! checkpoint store's durability protocol (write to a temp name, fsync,
-//! rename, fsync the directory) and dropped from memory. The reduce side
-//! takes one partition's buckets in map-task order
+//! fails, further runs are encoded to a checksummed run file, written
+//! once and dropped from memory. A run file is process-private scratch:
+//! only this process reads it, [`SpillShuffle::finish`] deletes it and no
+//! recovery path ever opens it, so it is written plainly — no temp name,
+//! fsync or rename; a torn write is caught by the bucket checksums. The
+//! reduce side takes one partition's buckets in map-task order
 //! ([`SpillShuffle::take_partition`]); a disk bucket is one ranged read of
 //! exactly its bytes. Any regrouping of the records is the reducer's
 //! business — the shuffle neither sorts nor merges.
@@ -29,7 +31,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
 pub use minoaner_det::codec::Spillable;
-use minoaner_det::{checksum, lock, vfs};
+use minoaner_det::vfs::{self, Vfs};
+use minoaner_det::{checksum, lock};
 
 use crate::budget::MemoryBudget;
 use crate::checkpoint::CheckpointError;
@@ -161,8 +164,8 @@ impl<T: Spillable> SpillShuffle<T> {
         Ok(())
     }
 
-    /// Encodes one run to `<dir>/run-<task>.spill` with the workspace's
-    /// single-file commit protocol ([`vfs::commit_file`]). Layout: concatenated bucket payloads; the
+    /// Encodes one run to `<dir>/run-<task>.spill` with one
+    /// [`Vfs::write_file`]. Layout: concatenated bucket payloads; the
     /// per-bucket offsets/lengths/checksums stay in memory (spill files
     /// are scratch for this process's lifetime, not recovery artifacts).
     fn write_run(
@@ -189,16 +192,15 @@ impl<T: Spillable> SpillShuffle<T> {
             });
         }
         let path = self.dir.join(format!("run-{map_task}.spill"));
-        // The Drop guard removes the whole spill dir on unwind, but a
-        // caller may also tolerate the error and keep the shuffle alive —
-        // `commit_file` never leaves a torn `.tmp-` behind either way.
-        vfs::commit_file(&*disk, &path, &payload).map_err(|(at, e)| self.fs_err(&at, &e))?;
+        // A failed write may leave a torn run behind: nothing reads it, and
+        // the Drop guard removes the whole spill dir on the error path.
+        Vfs::write_file(&*disk, &path, &payload).map_err(|e| self.fs_err(&path, &e))?;
         Ok((path, table, payload.len() as u64))
     }
 
     /// Loads one bucket of one run back — a ranged read of exactly its
     /// bytes — validating its checksum. A short file or a mismatch (bit
-    /// rot, torn write that survived the rename) fails closed as
+    /// rot, a torn write) fails closed as
     /// [`CheckpointError::Corrupt`].
     fn read_bucket(&self, path: &Path, meta: &BucketMeta) -> Result<Vec<T>, DataflowError> {
         let bytes = self

@@ -285,8 +285,9 @@ pub fn write_mkb_with(pair: &KbPair, path: &Path, vfs: &dyn Vfs) -> Result<u64, 
 /// are shareable across processes; elsewhere (and under Miri, which cannot
 /// model foreign mmap memory) it falls back to an aligned heap read.
 ///
-/// An [`MkbFile`] and every column [`MkbFile::to_pair`] hands out share
-/// one mapping through an `Arc`: it is unmapped when the last of them goes.
+/// An [`MkbFile`], the pair [`MkbFile::to_pair`] returns and every column
+/// of it share one mapping through an `Arc`: it is unmapped when the last
+/// of them goes.
 #[derive(Debug)]
 pub(crate) struct Mapping {
     #[cfg(all(unix, not(miri)))]
@@ -318,6 +319,7 @@ mod sys {
 
     pub const PROT_READ: c_int = 1;
     pub const MAP_SHARED: c_int = 1;
+    pub const MADV_DONTNEED: c_int = 4;
 
     // Raw libc symbols: the workspace deliberately carries no `libc` or
     // `memmap2` dependency, and these are linked by default on every Unix
@@ -332,6 +334,7 @@ mod sys {
             offset: i64,
         ) -> *mut c_void;
         pub fn munmap(addr: *mut c_void, len: usize) -> c_int;
+        pub fn madvise(addr: *mut c_void, len: usize, advice: c_int) -> c_int;
     }
 }
 
@@ -374,6 +377,24 @@ impl Mapping {
         // SAFETY: buf holds at least len initialized bytes.
         unsafe {
             std::slice::from_raw_parts(self.buf.as_ptr().cast::<u8>(), self.len)
+        }
+    }
+
+    /// Takes the mapping's pages out of this process's resident set. The
+    /// next read of a page faults it back from the page cache (or the
+    /// file): the mapping is `MAP_SHARED` and read-only, so it holds no
+    /// private copy to lose, and a refault returns the file's bytes, as
+    /// one after an eviction under memory pressure does. The heap
+    /// fallback has nothing to release.
+    pub(crate) fn release_pages(&self) {
+        #[cfg(all(unix, not(miri)))]
+        // SAFETY: ptr/len are the exact range mmap returned, mapped until
+        // Drop. MADV_DONTNEED on a read-only shared file mapping changes no
+        // byte a borrow of it can read, only whether the page is resident
+        // now. The result is ignored: the call is advisory, and no read
+        // depends on it.
+        unsafe {
+            sys::madvise(self.ptr, self.len, sys::MADV_DONTNEED);
         }
     }
 }
@@ -891,6 +912,10 @@ impl MkbFile {
     /// the `MkbFile` is gone). An interner's lookup table is built on its
     /// first [`Interner::get`].
     ///
+    /// The checks read every page of the file; once they have passed, the
+    /// pages leave the resident set again ([`KbPair::release_mapped_pages`]),
+    /// so a reader of the pair faults back only the pages it reads.
+    ///
     /// Nothing is parsed, normalized or tokenized, so the result is
     /// *identical* (not just equivalent) to the pair that was compiled:
     /// same interner order, same ids, same token sets, hence bit-identical
@@ -984,7 +1009,10 @@ impl MkbFile {
 
         let left = build_side(Side::Left)?;
         let right = if self.dirty { left.clone() } else { build_side(Side::Right)? };
-        Ok(KbPair::from_parts(tokens, literals, attrs, uris, literal_tokens, [left, right], self.dirty))
+        let interners = [tokens, literals, attrs, uris];
+        let pair = KbPair::from_parts(interners, literal_tokens, [left, right], self.dirty, Arc::clone(&self.map));
+        pair.release_mapped_pages();
+        Ok(pair)
     }
 }
 

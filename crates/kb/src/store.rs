@@ -5,7 +5,9 @@
 //! *and* fast: a token appearing in both KBs maps to the same [`TokenId`], so
 //! token blocking and value similarity never compare strings.
 
-use crate::disk::Column;
+use std::sync::Arc;
+
+use crate::disk::{Column, Mapping};
 use crate::interner::{Interner, Symbol};
 use crate::model::{AttrId, Entity, EntityId, LiteralId, Side, TokenId, Value};
 use crate::rows::Rows;
@@ -179,6 +181,8 @@ pub struct KbPair {
     /// [`EntityId`]s denoting the same description (see
     /// [`crate::dirty::DirtyKbBuilder`]).
     dirty: bool,
+    /// The `.mkb` mapping the columns lie in, for a pair read in place.
+    mapping: Option<Arc<Mapping>>,
 }
 
 impl KbPair {
@@ -268,18 +272,27 @@ impl KbPair {
         self.dirty = true;
     }
 
-    /// Assembles a pair from pre-built components — the `.mkb`
+    /// Takes the pages of the `.mkb` mapping this pair is read from out of
+    /// the process's resident set. A later read faults back only the pages
+    /// it touches, with the same bytes; call it where the pair's readers
+    /// are done with its columns. A pair built in memory holds no mapping,
+    /// and this does nothing.
+    pub fn release_mapped_pages(&self) {
+        if let Some(mapping) = &self.mapping {
+            mapping.release_pages();
+        }
+    }
+
+    /// Assembles a pair from columns in `mapping` — the `.mkb`
     /// materialization path ([`crate::disk`]).
     pub(crate) fn from_parts(
-        tokens: Interner,
-        literals: Interner,
-        attrs: Interner,
-        uris: Interner,
+        [tokens, literals, attrs, uris]: [Interner; 4],
         literal_tokens: Rows<TokenId>,
         kbs: [Kb; 2],
         dirty: bool,
+        mapping: Arc<Mapping>,
     ) -> KbPair {
-        KbPair { tokens, literals, attrs, uris, literal_tokens, kbs, dirty }
+        KbPair { tokens, literals, attrs, uris, literal_tokens, kbs, dirty, mapping: Some(mapping) }
     }
 }
 
@@ -424,7 +437,8 @@ impl KbPairBuilder {
         let left = self.build_kb(Side::Left);
         let right = self.build_kb(Side::Right);
         let LiteralTables { literals, tokens, literal_tokens } = self.lits;
-        KbPair { tokens, literals, attrs: self.attrs, uris: self.uris, literal_tokens, kbs: [left, right], dirty: false }
+        let (attrs, uris) = (self.attrs, self.uris);
+        KbPair { tokens, literals, attrs, uris, literal_tokens, kbs: [left, right], dirty: false, mapping: None }
     }
 
     /// Resolves one side's pairs into a finished [`Kb`].

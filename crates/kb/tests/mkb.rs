@@ -346,3 +346,80 @@ fn interners_and_token_sets_round_trip() {
         check_interner_round_trip(&left, &right, &links);
     });
 }
+
+
+/// Residency of a pair read in place, read from `/proc/self/smaps`.
+#[cfg(all(target_os = "linux", not(miri)))]
+mod residency {
+    use super::*;
+    use minoaner_kb::{AttrId, Kb, TokenId, Value};
+
+    /// What a resolve reads of a pair's columns: per side and entity its uri,
+    /// pairs, token set and occurrence count.
+    type ReadColumns = Vec<(String, Vec<(AttrId, Value)>, Vec<TokenId>, u32)>;
+
+    fn read_columns(pair: &KbPair) -> ReadColumns {
+        let mut out = ReadColumns::new();
+        for side in [Side::Left, Side::Right] {
+            let kb: &Kb = pair.kb(side);
+            for (id, e) in kb.iter() {
+                let (uri, pairs) = (pair.uri_of(side, id).to_owned(), e.pairs().collect());
+                out.push((uri, pairs, kb.tokens_of(id).to_vec(), kb.token_occurrences_of(id)));
+            }
+        }
+        out
+    }
+
+    /// Kilobytes of `path`'s mappings resident in this process: the `Rss:`
+    /// lines of every `/proc/self/smaps` entry that maps the file, summed.
+    fn mapped_rss_kib(path: &Path) -> u64 {
+        let file = std::fs::canonicalize(path).expect("the file exists");
+        let file = file.to_str().expect("a UTF-8 scratch path");
+        let smaps = std::fs::read_to_string("/proc/self/smaps").expect("read smaps");
+        let (mut in_file, mut kib) = (false, 0u64);
+        for line in smaps.lines() {
+            let mut words = line.split_whitespace();
+            let first = words.next().unwrap_or("");
+            if !first.ends_with(':') {
+                // An entry's header: `lo-hi perms offset dev inode [path]`.
+                in_file = line.ends_with(file);
+            } else if in_file && first == "Rss:" {
+                kib += words.next().and_then(|v| v.parse::<u64>().ok()).expect("an Rss: value in kB");
+            }
+        }
+        kib
+    }
+
+    /// A pair read in place holds none of its file's pages once `to_pair` has
+    /// checked them; reading the columns faults back what it reads, and
+    /// `release_mapped_pages` gives them back again — the values read either
+    /// side of a release are the compiled pair's.
+    #[test]
+    fn a_compiled_pair_is_resident_only_while_read() {
+        let mut b = KbPairBuilder::new();
+        for i in 0..600 {
+            let (l, r) = (format!("l:e{i}"), format!("r:e{i}"));
+            b.add_triple(Side::Left, &l, "l:name", Term::Literal(&format!("entity number {i} of {}", i % 13)));
+            b.add_triple(Side::Left, &l, "l:next", Term::Uri(&format!("l:e{}", (i + 1) % 600)));
+            b.add_triple(Side::Right, &r, "r:label", Term::Literal(&format!("number {i} entity, kind {}", i % 7)));
+        }
+        let parsed: KbPair = b.finish();
+        let path = compile(&parsed, "residency");
+        assert!(std::fs::metadata(&path).expect("stat").len() > 4 * 4096, "the file spans pages");
+
+        let pair: KbPair = MkbFile::open(&path).and_then(|file| file.to_pair()).expect("load");
+        assert_eq!(mapped_rss_kib(&path), 0, "to_pair leaves no page of the file resident");
+        let want: ReadColumns = read_columns(&parsed);
+        assert_eq!(read_columns(&pair), want, "read after to_pair");
+        assert!(mapped_rss_kib(&path) > 0, "reading the columns faults their pages in");
+        pair.release_mapped_pages();
+        assert_eq!(mapped_rss_kib(&path), 0, "release_mapped_pages leaves no page resident");
+        assert_eq!(read_columns(&pair), want, "read after the release");
+
+        // A parsed pair has no mapping to release.
+        parsed.release_mapped_pages();
+        assert_eq!(read_columns(&parsed), want);
+        drop(pair);
+        std::fs::remove_dir_all(path.parent().expect("scratch dir")).ok();
+    }
+}

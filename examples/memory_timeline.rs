@@ -3,20 +3,22 @@
 //! stage, from `/proc/self/status` (Linux; other hosts print `-`).
 //!
 //! ```sh
-//! cargo run --release --example memory_timeline -- pair.mkb [workers]
-//! cargo run --release --example memory_timeline -- left.nt right.nt [workers]
+//! cargo run --release --example memory_timeline -- pair.mkb [workers] [--spill <dir>]
+//! cargo run --release --example memory_timeline -- left.nt right.nt [workers] [--spill <dir>]
 //! ```
 //!
-//! A `.mkb` pair is read in place (`RssFile` holds its mapped columns); two
-//! N-Triples documents are parsed one after the other, each dropped once
-//! loaded. `workers` defaults to 1, so the stages run in order on one
-//! thread and a table's lifetime shows as the stages it spans.
+//! A `.mkb` pair is read in place (`RssFile` holds the mapped pages a stage
+//! has read since the last release); two N-Triples documents are parsed one
+//! after the other, each dropped once loaded. `workers` defaults to 1, so
+//! the stages run in order on one thread and a table's lifetime shows as
+//! the stages it spans. `--spill <dir>` resolves under a zero memory
+//! budget, so that the γ exchange spills its runs to files under `dir`.
 
 use std::error::Error;
 use std::path::Path;
 use std::sync::Arc;
 
-use minoaner::dataflow::{Observer, StageMetric};
+use minoaner::dataflow::{MemoryBudget, Observer, StageMetric};
 use minoaner::kb::parser::load_ntriples_with_mode;
 use minoaner::kb::{MkbFile, ParseMode};
 use minoaner::{Executor, KbPair, KbPairBuilder, Minoaner, ResolveRequest, Side};
@@ -67,6 +69,14 @@ fn load(paths: &[String]) -> Result<KbPair, Box<dyn Error>> {
 
 fn main() -> Result<(), Box<dyn Error>> {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let spill = match args.iter().position(|arg| arg == "--spill") {
+        Some(at) => {
+            let dir = args.get(at + 1).cloned().ok_or("--spill needs a directory")?;
+            args.drain(at..at + 2);
+            Some(dir)
+        }
+        None => None,
+    };
     let workers = match args.last().map(|last| last.parse::<usize>()) {
         Some(Ok(workers)) => {
             args.pop();
@@ -81,7 +91,11 @@ fn main() -> Result<(), Box<dyn Error>> {
 
     let mut executor = Executor::new(workers);
     executor.set_observer(Arc::new(Timeline));
-    let outcome = Minoaner::new().run_on(&mut executor, ResolveRequest::pair(&pair))?;
+    let mut request = ResolveRequest::pair(&pair);
+    if let Some(dir) = spill {
+        request = request.mem_budget(MemoryBudget::new(0, dir));
+    }
+    let outcome = Minoaner::new().run_on(&mut executor, request)?;
     report("done");
     println!("{} matches on {workers} worker(s)", outcome.into_resolution().matches.len());
     Ok(())

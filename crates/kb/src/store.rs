@@ -306,17 +306,139 @@ pub enum Term<'a> {
     Uri(&'a str),
 }
 
+/// Rows in one chunk of a [`Chunked`] column.
+const CHUNK_ROWS: usize = 1 << 16;
+
+/// Bytes in one segment of a [`LiteralLog`], unless one normal form is
+/// longer.
+const SEGMENT_BYTES: usize = 1 << 20;
+
+/// An append-only column in chunks of [`CHUNK_ROWS`] rows, each allocated
+/// once at its full size: appending never moves what is already stored, so
+/// the column grows without copying and leaves no freed buffer behind.
+#[derive(Debug, Clone)]
+struct Chunked<T>(Vec<Vec<T>>);
+
+impl<T> Default for Chunked<T> {
+    fn default() -> Self {
+        Self(Vec::new())
+    }
+}
+
+impl<T: Copy> Chunked<T> {
+    fn append_item(&mut self, item: T) {
+        match self.0.last_mut() {
+            Some(chunk) if chunk.len() < CHUNK_ROWS => chunk.push(item),
+            _ => {
+                let mut chunk = Vec::with_capacity(CHUNK_ROWS);
+                chunk.push(item);
+                self.0.push(chunk);
+            }
+        }
+    }
+
+    fn item_count(&self) -> usize {
+        self.0.last().map_or(0, |last| (self.0.len() - 1) * CHUNK_ROWS + last.len())
+    }
+
+    fn item_at(&self, i: usize) -> Option<T> {
+        self.0.get(i / CHUNK_ROWS)?.get(i % CHUNK_ROWS).copied()
+    }
+
+    fn in_order(&self) -> impl Iterator<Item = &T> + Clone {
+        self.0.iter().flatten()
+    }
+}
+
 /// One side of a [`KbPairBuilder`]: its entities, and every pair added to
-/// the side as one column in the order added, which
+/// the side as one chunked column in the order added, which
 /// [`KbPairBuilder::finish`] groups by entity. A pair's value is one word
-/// in [`Value::word`]'s layout, where a URI object's symbol stands in a
-/// `Ref`'s place until `finish` resolves it.
+/// in [`Value::word`]'s layout, where until `finish` resolves them a URI
+/// object's symbol stands in a `Ref`'s place and a literal's occurrence in
+/// the [`LiteralLog`] in a `Literal`'s.
 #[derive(Debug, Clone, Default)]
 struct SideColumns {
     /// Each entity's interned URI, by [`EntityId`].
     uris: Vec<Symbol>,
     uri_index: UriIndex,
-    pairs: Vec<(EntityId, AttrId, u32)>,
+    pairs: Chunked<(EntityId, AttrId, u32)>,
+}
+
+impl SideColumns {
+    /// Puts each literal's id in its pairs' value words, in place of its
+    /// occurrence; `ids` holds the id of each occurrence.
+    fn number_literals(&mut self, ids: &Chunked<u32>) {
+        for (_, _, word) in self.pairs.0.iter_mut().flatten() {
+            if let Value::Literal(LiteralId(occurrence)) = Value::from_word(*word) {
+                *word = Value::Literal(LiteralId(ids.item_at(occurrence as usize).unwrap_or(u32::MAX))).word();
+            }
+        }
+    }
+}
+
+/// The normal form of every literal occurrence added, in the order added,
+/// for [`KbPairBuilder::finish`] to intern: interned in that order, normal
+/// forms get the ids they would have got had each been interned when it
+/// was added.
+#[derive(Debug, Default)]
+struct LiteralLog {
+    /// The normal forms back to back, in segments of [`SEGMENT_BYTES`]
+    /// allocated once each. A normal form that does not fit what is left of
+    /// the last segment starts a new one, of its own length if that is
+    /// longer; an empty one always fits.
+    segments: Vec<String>,
+    /// Each occurrence's normal form's length in bytes.
+    lengths: Chunked<u32>,
+}
+
+impl LiteralLog {
+    /// Appends an occurrence of `normal`; returns its index as the id a
+    /// literal holds until `finish`.
+    fn append_literal(&mut self, normal: &str) -> LiteralId {
+        assert!(normal.len() <= u32::MAX as usize, "a literal of more than u32::MAX bytes");
+        let occurrence = LiteralId(u32::try_from(self.lengths.item_count()).unwrap_or(u32::MAX));
+        match self.segments.last_mut() {
+            Some(segment) if segment.capacity() - segment.len() >= normal.len() => segment.push_str(normal),
+            _ => {
+                let mut segment = String::with_capacity(normal.len().max(SEGMENT_BYTES));
+                segment.push_str(normal);
+                self.segments.push(segment);
+            }
+        }
+        self.lengths.append_item(normal.len() as u32);
+        occurrence
+    }
+
+    /// Interns every occurrence in order, freeing each segment once it is
+    /// read: the literal table, and each occurrence's [`LiteralId`] by
+    /// occurrence.
+    ///
+    /// The table starts with room for half the occurrences, so that it
+    /// doubles once at most where literals repeat less than twice on
+    /// average, as on the benchmark's pairs (1.17 and 1.38 occurrences
+    /// each), instead of some twenty times from empty — each doubling
+    /// leaves the smaller copy behind as freed heap the process keeps.
+    /// Where literals repeat more, it reserves more than their number
+    /// needs: at most 8 bytes an occurrence of slots, and 4 of offset and
+    /// hash capacity.
+    fn into_interned(self) -> (Interner, Chunked<u32>) {
+        let LiteralLog { segments, mut lengths } = self;
+        let mut literals = Interner::with_capacity(lengths.item_count() / 2);
+        let mut segments = segments.into_iter();
+        let (mut segment, mut start) = (String::new(), 0);
+        for slot in lengths.0.iter_mut().flatten() {
+            let len = *slot as usize;
+            // An occurrence that does not fit what is left of its segment
+            // was appended to the next.
+            if start + len > segment.len() {
+                segment = segments.next().unwrap_or_default();
+                start = 0;
+            }
+            *slot = literals.intern(segment.get(start..start + len).unwrap_or_default()).0;
+            start += len;
+        }
+        (literals, lengths)
+    }
 }
 
 /// The literal and token interners, and the token row of each literal
@@ -350,13 +472,17 @@ impl LiteralTables {
 
 /// Builder assembling a [`KbPair`] from triples or programmatic calls.
 ///
-/// Entity references are resolved in a second pass at [`finish`]: a URI
-/// object pointing at a subject of the same KB becomes a [`Value::Ref`];
-/// any other URI object is stored as a literal holding its local name.
+/// While documents are added the builder only appends: pairs to their
+/// side's column and each literal's normal form to a log. [`finish`]
+/// interns the log in the order it was written, then resolves entity
+/// references: a URI object pointing at a subject of the same KB becomes a
+/// [`Value::Ref`]; any other URI object is stored as a literal holding its
+/// local name.
 ///
 /// [`finish`]: KbPairBuilder::finish
 #[derive(Debug, Default)]
 pub struct KbPairBuilder {
+    log: LiteralLog,
     lits: LiteralTables,
     attrs: Interner,
     uris: Interner,
@@ -410,12 +536,15 @@ impl KbPairBuilder {
     pub fn add_pair(&mut self, side: Side, entity: EntityId, attr: &str, object: Term<'_>) {
         let attr = AttrId(self.attrs.intern(attr).0);
         let value = match object {
-            Term::Literal(s) => Value::Literal(self.lits.intern_value(s, &mut self.scratch)),
+            Term::Literal(s) => {
+                normalize_into(s, &mut self.scratch);
+                Value::Literal(self.log.append_literal(&self.scratch))
+            }
             Term::Uri(u) => Value::Ref(EntityId(self.uris.intern(u).0)),
         };
         let columns = self.side_mut(side);
         assert!(entity.index() < columns.uris.len(), "{entity:?} is not an entity of {side:?}");
-        columns.pairs.push((entity, attr, value.word()));
+        columns.pairs.append_item((entity, attr, value.word()));
     }
 
     /// Convenience: registers the subject if needed and adds the triple.
@@ -433,6 +562,14 @@ impl KbPairBuilder {
 
     /// Resolves references and produces the immutable [`KbPair`].
     pub fn finish(mut self) -> KbPair {
+        let (literals, ids) = std::mem::take(&mut self.log).into_interned();
+        self.lits.literals = literals;
+        for columns in &mut self.sides {
+            columns.number_literals(&ids);
+        }
+        // Freed before the token rows and the KBs are built, which can
+        // then take its place in the heap.
+        drop(ids);
         self.lits.tokenize_new_literals();
         let left = self.build_kb(Side::Left);
         let right = self.build_kb(Side::Right);
@@ -450,7 +587,10 @@ impl KbPairBuilder {
         // resolve URI objects to entity refs where possible, in entity
         // order. A URI that is not a subject in this KB contributes its
         // local name as a literal (it still carries token evidence).
-        let grouped = Rows::build(uris.len(), added.iter().map(|&(EntityId(entity), attr, word)| (entity as usize, (attr, word))));
+        let grouped = Rows::build(
+            uris.len(),
+            added.in_order().map(|&(EntityId(entity), attr, word)| (entity as usize, (attr, word))),
+        );
         drop(added);
         let (lits, names, scratch) = (&mut self.lits, &self.uris, &mut self.scratch);
         let mut values = Vec::with_capacity(grouped.n_items());

@@ -1,8 +1,10 @@
-//! The loader's tables are columns: loading a document and finishing the
-//! pair costs the doublings of those columns and of the interners, not an
-//! allocation (or more) per line, literal or entity, and holds a bounded
-//! number of heap bytes per triple; and a compiled pair is read back in
-//! place, at a fixed number of allocations.
+//! The loader's tables are columns: loading a document appends to chunks
+//! allocated once each, and finishing the pair costs the doublings of the
+//! interners and of the tables `finish` builds — not an allocation (or
+//! more) per line, literal or entity; no buffer larger than a chunk is
+//! moved while a document loads; building holds a bounded number of heap
+//! bytes per triple; and a compiled pair is read back in place, at a fixed
+//! number of allocations.
 //!
 //! Its own test binary because it installs a counting global allocator.
 
@@ -22,6 +24,8 @@ struct Usage {
     live: i64,
     /// The highest `live` reached.
     peak: i64,
+    /// The largest size a `realloc` call grew or shrank a buffer from.
+    largest_realloc: usize,
 }
 
 thread_local! {
@@ -37,14 +41,16 @@ thread_local! {
 struct Counting;
 
 /// Records a call that moved the thread's live bytes by `bytes`; `call`
-/// says whether it counts as an allocation.
-fn record(bytes: i64, call: bool) {
+/// says whether it counts as an allocation, `from` is the old size of a
+/// buffer `realloc` was given (0 for other calls).
+fn record(bytes: i64, call: bool, from: usize) {
     // `try_with`: the allocator also runs while a thread is torn down.
     let _ = USAGE.try_with(|usage| {
         if let Some(mut u) = usage.get() {
             u.allocations += u64::from(call);
             u.live += bytes;
             u.peak = u.peak.max(u.live);
+            u.largest_realloc = u.largest_realloc.max(from);
             usage.set(Some(u));
         }
     });
@@ -55,19 +61,19 @@ fn record(bytes: i64, call: bool) {
 // allocates nor unwinds.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        record(layout.size() as i64, true);
+        record(layout.size() as i64, true, 0);
         // SAFETY: the caller's obligations are `System::alloc`'s.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        record(-(layout.size() as i64), false);
+        record(-(layout.size() as i64), false, 0);
         // SAFETY: `ptr` came from `System` through this allocator.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        record(new_size as i64 - layout.size() as i64, true);
+        record(new_size as i64 - layout.size() as i64, true, layout.size());
         // SAFETY: `ptr` came from `System` through this allocator.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -120,13 +126,16 @@ fn document(prefix: &str, n: usize) -> String {
 }
 
 #[test]
-fn loading_allocates_per_column_doubling_not_per_line() {
-    // Measured when the pairs became one column per side: 263 allocations
-    // for 1 000 entities a side (10 000 lines), 347 for 16 000 (160 000) —
-    // four doublings of some twenty growing columns (four per interner, the
-    // literal token rows, three per side, the token sets `finish` builds).
-    // A `Vec` per entity, an allocation per escaped literal and one per
-    // dangling URI were 8 236 and 128 310 before.
+fn loading_allocates_per_chunk_and_doubling_not_per_line() {
+    // Measured when a load came to append to chunks and `finish` to intern
+    // the literals: 221 allocations for 1 000 entities a side (10 000
+    // lines), 289 for 16 000 (160 000) — a chunk per 64 Ki pairs, 64 Ki
+    // literals and 1 MiB of literal text, four doublings of some twenty
+    // growing columns (the URI, attribute and token interners, the literal
+    // token rows, the URI columns, the token sets `finish` builds). 263 and
+    // 347 when the pairs were one doubling column per side and literals
+    // were interned as read; a `Vec` per entity, an allocation per escaped
+    // literal and one per dangling URI were 8 236 and 128 310 before that.
     const SMALL: u64 = 300;
     const PER_DOUBLING: u64 = 25;
     let count = |n: usize| {
@@ -148,6 +157,27 @@ fn loading_allocates_per_column_doubling_not_per_line() {
         large <= small + 4 * PER_DOUBLING,
         "{large} allocations for 16 000 entities a side against {small} for 1 000: more than {PER_DOUBLING} a doubling"
     );
+}
+
+/// While the caller holds a document, a load only appends: a side's pairs
+/// and the literal log grow by chunks allocated once at their full size,
+/// and what still doubles (the URI and attribute interners) is small. So
+/// no buffer larger than a chunk is grown by copying before `finish`, which
+/// runs once the documents are gone. Measured at 32 000 entities a side:
+/// 736 KiB; 1.5 MiB (a side's pair column) when the pairs were one
+/// doubling column a side and literals were interned as they were read.
+#[test]
+fn loading_moves_no_buffer_larger_than_a_chunk() {
+    const CHUNK: usize = 1 << 20;
+    const N: usize = 32_000;
+    let (left, right) = (document("l", N), document("r", N));
+    let mut b = KbPairBuilder::new();
+    start_counting();
+    load_ntriples(&mut b, Side::Left, &left).expect("the document parses");
+    load_ntriples(&mut b, Side::Right, &right).expect("the document parses");
+    let moved = stop_counting().largest_realloc;
+    assert!(moved <= CHUNK, "a load grew a buffer of {moved} bytes by realloc, the bound is {CHUNK}");
+    assert_eq!(b.finish().kb(Side::Right).triple_count(), 5 * N);
 }
 
 #[test]
@@ -177,13 +207,16 @@ fn reading_a_compiled_pair_allocates_the_same_whatever_its_size() {
     assert_eq!(small, large, "allocations for 1 000 and for 16 000 entities a side");
 }
 
-/// A document's literals are tokenized when the pair is finished, after
-/// the caller has read its last document, and a pair added to a side is one
-/// 12-byte row until `finish` resolves it: so what the builder holds once
-/// both sides are loaded, and its peak through `finish`, are bounded in
-/// heap bytes per triple. Measured at 16 000 entities a side: 41.6 held and
-/// 60.5 at the peak (58.8 and 67.8 with 16-byte pairs and every literal
-/// tokenized at first sight; tokenizing at first sight alone holds 52.2).
+/// A document's literals are interned and tokenized when the pair is
+/// finished, after the caller has read its last document, and a pair added
+/// to a side is one 12-byte row until `finish` resolves it: so what the
+/// builder holds once both sides are loaded, and its peak through `finish`,
+/// are bounded in heap bytes per triple. Measured at 16 000 entities a
+/// side: 46.1 held and 62.1 at the peak. Interning literals as they were
+/// read held 41.6 and peaked at 60.5 (the heap counts a partly filled
+/// chunk's capacity, which the resident set does not); 58.8 and 67.8 with
+/// 16-byte pairs and every literal tokenized at first sight; tokenizing at
+/// first sight alone held 52.2.
 #[test]
 fn building_the_pair_holds_a_bounded_number_of_heap_bytes_per_triple() {
     const HELD_BOUND: f64 = 48.0;

@@ -9,11 +9,13 @@
 
 use minoaner_det::rng::{for_each_seed, Rng};
 use minoaner_datagen::{generate, profiles};
+use minoaner_kb::dirty::DirtyKbBuilder;
 use minoaner_kb::parser::{load_ntriples, parse_line, unescape, write_ntriples};
 use minoaner_kb::stats::{NameStats, RelationStats};
 use minoaner_kb::tokenize::{normalize_name, tokenize, uri_local_name};
 use minoaner_kb::{
-    AttrId, EntityId, Interner, KbPair, KbPairBuilder, LiteralId, Side, Symbol, Term, TokenId, Value,
+    write_mkb, AttrId, EntityId, Interner, KbPair, KbPairBuilder, LiteralId, MkbFile, Side, Symbol, Term, TokenId,
+    Value,
 };
 use std::collections::BTreeSet;
 
@@ -345,6 +347,7 @@ fn interner_agrees_with_a_linear_search_model() {
 // ───────────────── builder ≡ naive reference builder ─────────────────
 
 /// One triple of a document, unescaped.
+#[derive(Clone)]
 struct RefTriple {
     side: Side,
     subject: String,
@@ -356,7 +359,7 @@ struct RefTriple {
 /// `Vec<String>` tables with linear search, `normalize_name` and `tokenize`
 /// straight from `tokenize.rs` on every literal, no memo, no scratch, no
 /// shared rows.
-#[derive(Default)]
+#[derive(Default, Clone)]
 struct NaiveTables {
     uris: Vec<String>,
     attrs: Vec<String>,
@@ -402,6 +405,11 @@ impl NaiveTables {
             Err(object) => Err(naive_intern(&mut self.uris, object)),
         };
         self.entities[side][entity].1.push((attr, value));
+    }
+
+    /// Copies the left side onto the right, as a dirty KB is mirrored.
+    fn mirror_left(&mut self) {
+        self.entities[1] = self.entities[0].clone();
     }
 
     /// Asserts that `pair` holds exactly these tables.
@@ -524,6 +532,138 @@ fn loader_builds_the_tables_of_a_naive_reference_builder() {
         .expect("a 32-bit hash collides within 2^32 strings");
     let doc = format!("<a> <p> \"{first}\" .\n<b> <p> \"{second}\" .\n<c> <p> \"{first}\" .\n<d> <p> \"{second}\" .\n");
     assert_loader_matches_naive_builder(&doc, &doc);
+}
+
+/// A literal whose normal form is itself: `len` times `letter`.
+fn run_of(letter: char, len: usize) -> String {
+    std::iter::repeat(letter).take(len).collect()
+}
+
+/// One triple of a [`log_script`]: a subject of up to twelve (the same
+/// names on both sides) and one of four predicates.
+fn script_triple(rng: &mut Rng, side: Side, object: Result<String, String>) -> RefTriple {
+    let subject = format!("e{}", rng.gen_range(0..12usize));
+    RefTriple { side, subject, predicate: format!("p{}", rng.gen_range(0..4usize)), object }
+}
+
+/// The calls of one case, in order. Sides mostly alternate call by call;
+/// objects come from one pool for both sides (so literals repeat across
+/// them), or are URIs naming a subject or nothing (a dangling URI, whose
+/// local name `finish` makes a literal). Around them sit the shapes the
+/// builder's literal log is cut at — 1 MiB segments of normal forms and
+/// chunks of 64 Ki occurrences and pairs: an empty normal form as the
+/// log's last occurrence and, with `empty_first`, as its first (literal 0,
+/// which an occurrence the log lost would read as); with `segments`, one
+/// of exactly a segment followed by an empty one (which then lies at the
+/// very end of a full segment) and one longer than a segment. With `long`,
+/// the left side gets more than a chunk of pairs.
+fn log_script(rng: &mut Rng, empty_first: bool, segments: bool, long: bool) -> Vec<RefTriple> {
+    const SEGMENT: usize = 1 << 20;
+    const CHUNK: usize = 1 << 16;
+    let pool: Vec<String> =
+        (0..24).map(|k| if k % 2 == 0 { words(rng) } else { mixed_string(rng) }).collect();
+    let edges = if segments {
+        vec![
+            run_of('s', SEGMENT),
+            String::new(),
+            "after".to_owned(),
+            run_of('l', SEGMENT + 1 + rng.gen_range(0..100usize)),
+            String::new(),
+        ]
+    } else {
+        Vec::new()
+    };
+    // "--!" normalizes to the empty string.
+    let first = if empty_first { "--!" } else { "first" };
+    let mut triples = vec![script_triple(rng, Side::Left, Ok(first.to_owned()))];
+    let mut side = Side::Right;
+    let n = rng.gen_range(200..1_500usize);
+    let edges_at = rng.gen_range(0..n);
+    for k in 0..n {
+        if k == edges_at {
+            for edge in &edges {
+                side = side.other();
+                triples.push(script_triple(rng, side, Ok(edge.clone())));
+            }
+        }
+        if rng.gen_range(0..4usize) > 0 {
+            side = side.other();
+        }
+        let object = match rng.gen_range(0..6usize) {
+            0 => Err(format!("e{}", rng.gen_range(0..16usize))),
+            1 => Err(format!("http://x.org/res/{}_{}", rng.gen_range(0..5usize), rng.gen_range(0..3usize))),
+            _ => Ok(pool[rng.gen_range(0..pool.len())].clone()),
+        };
+        triples.push(script_triple(rng, side, object));
+    }
+    if long {
+        for k in 0..CHUNK + 4_500 {
+            let side = if k % 16 == 15 { Side::Right } else { Side::Left };
+            triples.push(script_triple(rng, side, Ok(pool[k % pool.len()].clone())));
+        }
+    }
+    triples.push(script_triple(rng, side, Ok(String::new())));
+    triples
+}
+
+/// The object of `t` as the builder takes it.
+fn term(t: &RefTriple) -> Term<'_> {
+    match &t.object {
+        Ok(literal) => Term::Literal(literal),
+        Err(uri) => Term::Uri(uri),
+    }
+}
+
+/// Asserts that `pair` holds `naive`'s tables, and so does the pair read
+/// back from the `.mkb` file it compiles to — whose bytes the read-back
+/// pair compiles to again.
+fn assert_same_and_compiled(naive: &NaiveTables, pair: &KbPair, dir: &std::path::Path, what: &str) {
+    naive.clone().assert_same_as(pair);
+    let (path, again) = (dir.join(format!("{what}.mkb")), dir.join(format!("{what}-again.mkb")));
+    write_mkb(pair, &path).expect("compile");
+    let read_back = MkbFile::open(&path).expect("open").to_pair().expect("the file is valid");
+    naive.clone().assert_same_as(&read_back);
+    write_mkb(&read_back, &again).expect("compile again");
+    let bytes = |path: &std::path::Path| std::fs::read(path).expect("read the file back");
+    assert!(bytes(&path) == bytes(&again), "{what}: the read-back pair compiles to other bytes");
+}
+
+/// Literal ids number normal forms by first sight, however the builder
+/// holds them until `finish`: every pair's literal id, every token row and
+/// the tables of the `.mkb` file the pair compiles to are those of the
+/// naive builder, which interns each literal when it is added — for the
+/// pair builder, called side by side, and for the dirty builder.
+#[test]
+fn first_sight_numbering_survives_the_literal_log() {
+    let dir = std::env::temp_dir().join(format!("minoaner-kb-first-sight-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    let mut case = 0;
+    for_each_seed(8, |rng| {
+        case += 1;
+        let triples = log_script(rng, case % 2 == 1, case == 1 || case == 4, case == 4);
+
+        let (mut builder, mut naive) = (KbPairBuilder::new(), NaiveTables::default());
+        for t in &triples {
+            // Both ways in: the triple call, and the entity and pair calls.
+            if t.predicate == "p0" {
+                let e = builder.entity(t.side, &t.subject);
+                builder.add_pair(t.side, e, &t.predicate, term(t));
+            } else {
+                builder.add_triple(t.side, &t.subject, &t.predicate, term(t));
+            }
+            naive.add(t);
+        }
+        assert_same_and_compiled(&naive, &builder.finish(), &dir, "pair");
+
+        let (mut dirty, mut naive) = (DirtyKbBuilder::new(), NaiveTables::default());
+        for t in &triples {
+            dirty.add_triple(&t.subject, &t.predicate, term(t));
+            naive.add(&RefTriple { side: Side::Left, ..t.clone() });
+        }
+        naive.mirror_left();
+        assert_same_and_compiled(&naive, &dirty.finish(), &dir, "dirty");
+    });
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The last-subject memo must never hand out an entity of the other

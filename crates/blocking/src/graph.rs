@@ -163,11 +163,15 @@ impl BlockingGraph {
     }
 
     /// The entity's value candidates, strongest `β` first.
+    // bound: `side.index()` < 2.
+    #[allow(clippy::indexing_slicing)]
     pub fn value_candidates(&self, side: Side, e: EntityId) -> &[Candidate] {
         self.value_cands[side.index()].row(e.index())
     }
 
     /// The entity's neighbor candidates, strongest `γ` first.
+    // bound: `side.index()` < 2.
+    #[allow(clippy::indexing_slicing)]
     pub fn neighbor_candidates(&self, side: Side, e: EntityId) -> &[Candidate] {
         self.neighbor_cands[side.index()].row(e.index())
     }
@@ -389,13 +393,20 @@ fn beta_pass(
 ) -> Rows<Candidate> {
     let n = pair.kb(side).len();
     let n_other = pair.kb(side.other()).len();
+    // bound: `side.index()` < 2, the length of the index's per-side arrays.
+    #[allow(clippy::indexing_slicing)]
     let eb_self = &index.entity_blocks[side.index()];
+    // bound: `side.other().index()` < 2, as above.
+    #[allow(clippy::indexing_slicing)]
     let members_other = index.members[side.other().index()];
 
     let dirty = pair.is_dirty();
     let tasks = executor.partitions().max(1);
     let chunk = n.div_ceil(tasks).max(1);
     let n_tasks = n.div_ceil(chunk);
+    // bound: every block id in an `entity_blocks` row is below the block count,
+    // the length of `block_weight` (one weight per block of the index).
+    #[allow(clippy::indexing_slicing)]
     let partials = executor.run_stage(&format!("graph/beta/{side:?}"), n_tasks, |t| {
         let lo = t * chunk;
         let hi = ((t + 1) * chunk).min(n);
@@ -615,6 +626,10 @@ fn beta_union(
             });
             edges.end_row();
         }
+        // bound: deliberate: a failed spill write (a full disk) leaves the task
+        // as its typed `DataflowError` payload, which `Executor::try_run_stage`
+        // carries out typed.
+        #[allow(clippy::panic)]
         if let Err(e) = shuffle.add_run(t, buckets) {
             std::panic::panic_any(e);
         }
@@ -754,6 +769,9 @@ fn gamma_pass(
     dirty: bool,
     cfg: &GraphConfig,
 ) -> (Rows<Candidate>, Rows<Candidate>) {
+    // bound: `build_blocking_graph` passes one neighbour view per side, or one
+    // for both sides of a dirty pair; nothing else calls this.
+    #[allow(clippy::panic)]
     let (left, right) = match views {
         [left, right] => (left, right),
         [both] => (both, both),
@@ -773,6 +791,10 @@ fn gamma_pass(
     executor.emit_counter("blocking/gamma_exchanged_edges", n_edges);
 
     // Transpose: the exchanged edges as rows by right endpoint.
+    // bound: deliberate: a failed spill read leaves the task as its typed
+    // `DataflowError` payload, which `Executor::try_run_stage` carries out
+    // typed.
+    #[allow(clippy::panic)]
     let parts = executor.run_stage("graph/gamma/transpose", tasks_r, |t| {
         let lo = t * chunk_r;
         let width = ((t + 1) * chunk_r).min(n_right) - lo;

@@ -28,6 +28,9 @@ impl<T: std::hash::Hash + Eq + Clone> UnionFind<T> {
 
     /// Finds the representative of `x`'s set (with path compression),
     /// inserting `x` if new.
+    // bound: every element the walk reaches is a key of `parent`: `x` is
+    // inserted first, and every parent stored is an inserted element.
+    #[allow(clippy::indexing_slicing)]
     pub fn find(&mut self, x: &T) -> T {
         self.insert(x.clone());
         let mut root = x.clone();
@@ -51,6 +54,9 @@ impl<T: std::hash::Hash + Eq + Clone> UnionFind<T> {
         if ra == rb {
             return false;
         }
+        // bound: `ra` and `rb` are roots `find` returned, so inserted, and
+        // `insert` gives every element a `rank`.
+        #[allow(clippy::indexing_slicing)]
         let (ka, kb) = (self.rank[&ra], self.rank[&rb]);
         if ka < kb {
             self.parent.insert(ra, rb);

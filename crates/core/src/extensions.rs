@@ -42,6 +42,10 @@ pub fn ensemble_resolve(
     assert!(!configs.is_empty(), "an ensemble needs at least one configuration");
     let mut votes: DetHashMap<(u32, u32), usize> = DetHashMap::default();
     for cfg in configs {
+        // bound: deliberate: a run that failed (cancelled, a full disk) leaves
+        // as its typed `DataflowError` payload, as `Executor::run_stage` raises
+        // it.
+        #[allow(clippy::panic)]
         let res = Minoaner::with_config(*cfg)
             .resolve_impl(executor, pair, RuleSet::FULL, false, None)
             .unwrap_or_else(|e| std::panic::panic_any(e));

@@ -81,6 +81,9 @@ impl Assignment {
         }
     }
 
+    // bound: `e` is an entity of `side`, and `left` / `right` hold one slot per
+    // entity of their side (`run_matching` sizes them from the pair).
+    #[allow(clippy::indexing_slicing)]
     fn is_free(&self, side: Side, e: EntityId) -> bool {
         match side {
             Side::Left => self.left[e.index()].is_none(),
@@ -90,6 +93,9 @@ impl Assignment {
 
     /// Tries to record `(l, r)`; under unique mapping both endpoints must
     /// still be free. Returns whether the pair was added.
+    // bound: as in `is_free`: `l` and `r` are entities of the pair the slots
+    // are sized to.
+    #[allow(clippy::indexing_slicing)]
     fn assign(&mut self, l: EntityId, r: EntityId, rule: Rule) -> bool {
         if self.unique && (self.left[l.index()].is_some() || self.right[r.index()].is_some()) {
             return false;
@@ -195,6 +201,10 @@ fn rule_r2(executor: &Executor, pair: &KbPair, graph: &BlockingGraph, state: &mu
         .map(|i| state.is_free(other, EntityId(i as u32)))
         .collect();
 
+    // bound: `i < n`, the length of `free_self` (`per_entity_stage` calls with
+    // `0..n`); a candidate is an entity of the other side, one slot of
+    // `free_other` each.
+    #[allow(clippy::indexing_slicing)]
     let proposals = per_entity_stage(executor, "matching/r2", n, |i| {
         let e = EntityId(i as u32);
         if !free_self[i] {
@@ -245,6 +255,10 @@ fn rule_r3(
             .map(|i| state.is_free(other, EntityId(i as u32)))
             .collect();
 
+        // bound: `i < n`, the length of `free_self` (`per_entity_stage` calls
+        // with `0..n`); a candidate is an entity of the other side, one slot of
+        // `free_other` each.
+        #[allow(clippy::indexing_slicing)]
         let side_props = per_entity_stage(executor, &format!("matching/r3/{side:?}"), n, |i| {
             let e = EntityId(i as u32);
             if !free_self[i] {

@@ -50,6 +50,11 @@ impl MultiKb {
     }
 
     /// Adds one triple to a KB.
+    ///
+    /// # Panics
+    /// Panics if `kb` is not an index [`Self::add_kb`] returned.
+    // bound: documented: `kb` is an index `add_kb` returned (`# Panics`).
+    #[allow(clippy::indexing_slicing)]
     pub fn add_triple(&mut self, kb: usize, subject: &str, predicate: &str, object: ObjectTerm) {
         self.kbs[kb].push((subject.to_owned(), predicate.to_owned(), object));
     }
@@ -65,6 +70,8 @@ impl MultiKb {
     }
 
     /// Materializes the clean-clean pair for KBs `i` and `j`.
+    // bound: `multi_impl` passes `i < j < self.len()`.
+    #[allow(clippy::indexing_slicing)]
     fn pair(&self, i: usize, j: usize) -> KbPair {
         let mut b = KbPairBuilder::new();
         for (side, idx) in [(Side::Left, i), (Side::Right, j)] {

@@ -115,6 +115,10 @@ impl Minoaner {
     ///
     /// # Panics
     /// Panics if the configuration is invalid ([`MinoanerConfig::validate`]).
+    // bound: documented: an invalid configuration is the caller's bug
+    // (`# Panics`); `MinoanerConfigBuilder::build` is the fallible path, and
+    // the CLI builds its configurations through it.
+    #[allow(clippy::panic)]
     pub fn with_config(config: MinoanerConfig) -> Self {
         if let Err(e) = config.validate() {
             panic!("invalid MinoanER configuration: {e}");

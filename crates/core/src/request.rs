@@ -236,6 +236,9 @@ impl ResolveOutcome {
     ///
     /// # Panics
     /// Panics if the outcome is not [`ResolveOutcome::Single`].
+    // bound: documented: the caller asked for this variant (`# Panics`); a
+    // request's outcome variant follows its input and options.
+    #[allow(clippy::panic)]
     pub fn into_resolution(self) -> Resolution {
         match self {
             ResolveOutcome::Single { resolution, .. } => resolution,
@@ -247,6 +250,9 @@ impl ResolveOutcome {
     ///
     /// # Panics
     /// Panics if the outcome is not [`ResolveOutcome::Single`].
+    // bound: documented: the caller asked for this variant (`# Panics`); a
+    // request's outcome variant follows its input and options.
+    #[allow(clippy::panic)]
     pub fn into_single(self) -> (Resolution, Option<RunTrace>) {
         match self {
             ResolveOutcome::Single { resolution, trace } => (resolution, trace),
@@ -259,6 +265,9 @@ impl ResolveOutcome {
     /// # Panics
     /// Panics if the outcome is not [`ResolveOutcome::Single`] or carries
     /// no trace (the request did not ask for one).
+    // bound: documented: the caller asked for this variant (`# Panics`); a
+    // request's outcome variant follows its input and options.
+    #[allow(clippy::panic)]
     pub fn into_traced(self) -> (Resolution, RunTrace) {
         match self {
             ResolveOutcome::Single { resolution, trace: Some(trace) } => (resolution, trace),
@@ -273,6 +282,9 @@ impl ResolveOutcome {
     ///
     /// # Panics
     /// Panics if the outcome is not [`ResolveOutcome::Dirty`].
+    // bound: documented: the caller asked for this variant (`# Panics`); a
+    // request's outcome variant follows its input and options.
+    #[allow(clippy::panic)]
     pub fn into_dirty(self) -> DirtyResolution {
         match self {
             ResolveOutcome::Dirty { resolution, .. } => resolution,
@@ -284,6 +296,9 @@ impl ResolveOutcome {
     ///
     /// # Panics
     /// Panics if the outcome is not [`ResolveOutcome::Multi`].
+    // bound: documented: the caller asked for this variant (`# Panics`); a
+    // request's outcome variant follows its input and options.
+    #[allow(clippy::panic)]
     pub fn into_multi(self) -> MultiResolution {
         match self {
             ResolveOutcome::Multi(resolution) => resolution,

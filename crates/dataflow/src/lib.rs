@@ -54,6 +54,14 @@
 //! assert_eq!(exec.stage_log().stages().len(), 2);
 //! ```
 
+// Panics are denied in library code outside tests; each audited exception
+// is an item- or statement-level `#[allow]` under a `// bound:` comment,
+// counted per file in lint-allow.toml (minoaner-lint R7, DESIGN.md §12).
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::indexing_slicing)
+)]
+
 pub mod budget;
 pub mod cancel;
 pub mod checkpoint;

@@ -183,6 +183,9 @@ impl<T: Spillable> SpillShuffle<T> {
             for record in bucket {
                 record.encode(&mut payload);
             }
+            // bound: `start` is `payload`'s length before this bucket was
+            // appended.
+            #[allow(clippy::indexing_slicing)]
             let bytes = &payload[start as usize..];
             table.push(BucketMeta {
                 offset: start,
@@ -246,6 +249,9 @@ impl<T: Spillable> SpillShuffle<T> {
             Resident(Vec<T>),
             OnDisk(PathBuf, BucketMeta),
         }
+        // bound: `p < self.partitions` (asserted above), and every run holds
+        // one bucket, or one table entry, per partition (`add_run` asserts it).
+        #[allow(clippy::indexing_slicing)]
         let sources: Vec<Source<T>> = lock(&self.runs)
             .iter_mut()
             .map(|(_, run)| match run {

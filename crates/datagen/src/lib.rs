@@ -16,6 +16,11 @@
 //! assert!(!dataset.ground_truth.is_empty());
 //! ```
 
+// `unwrap`/`expect` are denied outside tests; each audited exception is
+// an item- or statement-level `#[allow]` under a `// bound:` comment,
+// counted per file in lint-allow.toml (minoaner-lint R7, DESIGN.md §12).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod profile;
 pub mod profiles;
 pub mod world;

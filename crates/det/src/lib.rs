@@ -28,6 +28,14 @@
 //! still sort first (lint rule R2), because the arbitrary order changes
 //! whenever keys or capacity change.
 
+// Panics are denied in library code outside tests; each audited exception
+// is an item- or statement-level `#[allow]` under a `// bound:` comment,
+// counted per file in lint-allow.toml (minoaner-lint R7, DESIGN.md §12).
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::indexing_slicing)
+)]
+
 // The wrapper is the one place std's hash containers may be named: the
 // aliases below replace RandomState with a fixed-key hasher. Mirrors the
 // blanket R1 entry for this file in lint-allow.toml.

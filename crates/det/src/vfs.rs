@@ -312,6 +312,8 @@ impl FaultPlan {
     pub fn seeded(seed: u64, horizon: u64) -> Self {
         let mut rng = Rng::seed_from_u64(seed);
         let op = rng.gen_range(0..horizon.max(1));
+        // bound: `gen_range(0..n)` is below `n`, which is `ALL.len()`.
+        #[allow(clippy::indexing_slicing)]
         let kind = FaultKind::ALL[rng.gen_range(0..FaultKind::ALL.len())];
         Self::fail_op(op, kind)
     }
@@ -446,6 +448,8 @@ impl Vfs for FaultFs {
                 // disk full. The durable-commit protocols must either
                 // clean this up or leave it under a `.tmp-` name the
                 // recovery scanners ignore.
+                // bound: `len / 2 <= len`.
+                #[allow(clippy::indexing_slicing)]
                 let _ = self.inner.write_file(path, &bytes[..bytes.len() / 2]);
                 Err(e)
             }

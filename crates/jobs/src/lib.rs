@@ -23,6 +23,11 @@
 //! only ever holds complete, resumable barriers. Job order is the order
 //! of [`Batch::add_job`] calls.
 
+// `unwrap`/`expect` are denied outside tests; each audited exception is
+// an item- or statement-level `#[allow]` under a `// bound:` comment,
+// counted per file in lint-allow.toml (minoaner-lint R7, DESIGN.md §12).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod batch;
 pub mod control;
 pub mod job;

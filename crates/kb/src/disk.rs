@@ -632,6 +632,9 @@ struct Cursor<'a> {
 }
 
 impl<'a> Cursor<'a> {
+    // bound: `lo <= hi <= self.end` (checked above), and a cursor's `end` is a
+    // section end that `MkbFile::open` checked against the mapping's length.
+    #[allow(clippy::indexing_slicing)]
     fn u64(&mut self) -> Result<u64, MkbError> {
         let lo = self.pos;
         let hi = lo + 8;
@@ -677,6 +680,11 @@ impl<'a> Cursor<'a> {
     }
 }
 
+// bound: every caller passes `at + 4 <= bytes.len()`: header words below
+// `HEADER_LEN` (the file is at least that long), table words below `table_end
+// <= len`, offset words inside a range `Cursor::u32s` checked against its
+// section's end.
+#[allow(clippy::indexing_slicing)]
 fn read_u32(bytes: &[u8], at: usize) -> u32 {
     let mut b = [0u8; 4];
     b.copy_from_slice(&bytes[at..at + 4]);
@@ -701,6 +709,9 @@ impl MkbFile {
             return Err(corrupt(path, "mapping is not 8-byte aligned"));
         }
 
+        // bound: the file is at least `HEADER_LEN` (32) bytes long, checked
+        // before mapping.
+        #[allow(clippy::indexing_slicing)]
         if bytes[..8] != MKB_MAGIC {
             return Err(corrupt(path, "bad magic (not an .mkb file)"));
         }
@@ -728,6 +739,9 @@ impl MkbFile {
         // Parse the table; sections must be in id order, 8-aligned, in
         // bounds.
         let mut metas = Vec::with_capacity(n_sections);
+        // bound: `at + TABLE_ENTRY_LEN <= table_end <= len`, checked before the
+        // loop.
+        #[allow(clippy::indexing_slicing)]
         for i in 0..n_sections {
             let at = HEADER_LEN + i * TABLE_ENTRY_LEN;
             let id = read_u32(bytes, at);
@@ -768,6 +782,9 @@ impl MkbFile {
             ));
         }
 
+        // bound: callers pass the `section` id constants, 1..=SECTION_COUNT,
+        // and `metas` holds `n_sections == SECTION_COUNT` entries.
+        #[allow(clippy::indexing_slicing)]
         let sec = |id: u32| -> SectionMeta { metas[(id - 1) as usize] };
         let cursor = |id: u32, what: &'static str| -> Cursor<'_> {
             let m = sec(id);
@@ -839,6 +856,8 @@ impl MkbFile {
         ];
 
         // Per-side column counts must agree.
+        // bound: `i = side.index()` < 2, the length of every per-side array.
+        #[allow(clippy::indexing_slicing)]
         for side in [Side::Left, Side::Right] {
             let i = side.index();
             let n = words(&ent_uri[i]);
@@ -877,6 +896,9 @@ impl MkbFile {
     /// and yields [`MkbError::Corrupt`] — never a silent wrong read.
     pub fn verify(&self) -> Result<(), MkbError> {
         let bytes = self.map.bytes();
+        // bound: `open` checked every section range `off <= end <= len`, and
+        // the mapping is `len` bytes.
+        #[allow(clippy::indexing_slicing)]
         for (i, meta) in self.sections.iter().enumerate() {
             let got = checksum(&bytes[meta.range.0..meta.range.1]);
             if got != meta.sum {
@@ -971,6 +993,9 @@ impl MkbFile {
         }
         let literal_tokens = token_rows(&self.literal_tokens, "literal tokens")?;
 
+        // bound: `i = side.index()` < 2, the length of every per-side array of
+        // `self`.
+        #[allow(clippy::indexing_slicing)]
         let build_side = |side: Side| -> Result<Kb, MkbError> {
             let i = side.index();
             let uri_col: Column<Symbol> = self.column(&self.ent_uri[i]);

@@ -23,6 +23,14 @@
 //! assert!(value_sim(&pair, &ef, l, r) > 0.0);
 //! ```
 
+// Panics are denied in library code outside tests; each audited exception
+// is an item- or statement-level `#[allow]` under a `// bound:` comment,
+// counted per file in lint-allow.toml (minoaner-lint R7, DESIGN.md §12).
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::indexing_slicing)
+)]
+
 pub mod dataset_stats;
 pub mod dirty;
 pub mod disk;

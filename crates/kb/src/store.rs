@@ -87,6 +87,9 @@ impl Kb {
     ///
     /// # Panics
     /// Panics if `id` is out of range.
+    // bound: documented: `id` is an entity of this KB (`# Panics`), below
+    // `len()`, the length of `uris`.
+    #[allow(clippy::indexing_slicing)]
     pub fn entity(&self, id: EntityId) -> Entity<'_> {
         let e = id.index();
         let values = self.values.get(self.attrs.row_span(e)).unwrap_or_default();
@@ -122,6 +125,9 @@ impl Kb {
     }
 
     /// Total token occurrences in the entity's literal values.
+    // bound: `id` is an entity of this KB: `token_occurrences` holds one word
+    // per entity (`MkbFile::open` checks the column's length).
+    #[allow(clippy::indexing_slicing)]
     pub fn token_occurrences_of(&self, id: EntityId) -> u32 {
         self.token_occurrences[id.index()]
     }
@@ -187,6 +193,8 @@ pub struct KbPair {
 
 impl KbPair {
     /// The KB on the given side.
+    // bound: `side.index()` < 2.
+    #[allow(clippy::indexing_slicing)]
     pub fn kb(&self, side: Side) -> &Kb {
         &self.kbs[side.index()]
     }

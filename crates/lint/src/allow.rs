@@ -15,9 +15,9 @@
 //! # count — the list can only shrink.
 //! [[allow]]
 //! path = "crates/kb/src/store.rs"
-//! rule = "R4"
+//! rule = "R7"
 //! count = 3
-//! reason = "infallible by construction: ids come from the interner"
+//! reason = "per-entity columns indexed by entity ids of the KB"
 //! ```
 //!
 //! Parsed by hand (TOML subset) because the lint crate must build with
@@ -136,7 +136,7 @@ reason = "wrapper"
 
 [[allow]]
 path = "crates/kb/src/store.rs"
-rule = "R4"
+rule = "R7"
 count = 3
 reason = "interner ids"
 "#;
@@ -148,11 +148,11 @@ reason = "interner ids"
 
     #[test]
     fn rejects_zero_count_missing_reason_and_duplicates() {
-        assert!(parse("[[allow]]\npath = \"a\"\nrule = \"R4\"\ncount = 0\nreason = \"x\"")
+        assert!(parse("[[allow]]\npath = \"a\"\nrule = \"R7\"\ncount = 0\nreason = \"x\"")
             .is_err());
-        assert!(parse("[[allow]]\npath = \"a\"\nrule = \"R4\"\ncount = 1").is_err());
-        let dup = "[[allow]]\npath = \"a\"\nrule = \"R4\"\ncount = 1\nreason = \"x\"\n\
-                   [[allow]]\npath = \"a\"\nrule = \"R4\"\ncount = 2\nreason = \"y\"";
+        assert!(parse("[[allow]]\npath = \"a\"\nrule = \"R7\"\ncount = 1").is_err());
+        let dup = "[[allow]]\npath = \"a\"\nrule = \"R7\"\ncount = 1\nreason = \"x\"\n\
+                   [[allow]]\npath = \"a\"\nrule = \"R7\"\ncount = 2\nreason = \"y\"";
         assert!(parse(dup).is_err());
     }
 }

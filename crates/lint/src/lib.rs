@@ -1,34 +1,30 @@
 //! minoaner-lint: the workspace determinism & concurrency linter.
 //!
-//! Two subcommands:
-//!
-//! * `check` — token-level rules R1–R5 over every workspace file, gated by
-//!   the shrink-only allowlist in `lint-allow.toml` (DESIGN.md §12).
-//! * `effects` — the call-graph effect analysis (DESIGN.md §17): a symbol
-//!   table and call graph over the whole workspace, per-function direct
-//!   effect sets propagated to a fixpoint, checked against the declared
-//!   contracts in `effect-contracts.toml`.
-//!
-//! Both emit a versioned machine-readable report via `--json`
+//! One subcommand, `check`: token-level rules R1–R3 and R5–R7 over every
+//! workspace file, gated by the shrink-only allowlist in `lint-allow.toml`
+//! (DESIGN.md §12). Panics and `unwrap`/`expect` are clippy's job (the
+//! deny set in each crate's `lib.rs`); R7 ratchets the audited exceptions
+//! to it. `--json` emits a versioned machine-readable report
 //! ([`LINT_SCHEMA_VERSION`]), built on the exact-round-trip document model
 //! in [`minoaner_det::json`].
 
+// `unwrap`/`expect` are denied outside tests; each audited exception is
+// an item- or statement-level `#[allow]` under a `// bound:` comment,
+// counted per file in lint-allow.toml (minoaner-lint R7, DESIGN.md §12).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod allow;
-pub mod contracts;
-pub mod effects;
-pub mod graph;
 pub mod lexer;
 pub mod rules;
 
 use allow::AllowEntry;
-use contracts::ContractResult;
 use minoaner_det::json::Json;
 use rules::{FileClass, Violation};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
-/// Version stamped into every `--json` report (`check` and `effects`).
+/// Version stamped into every `--json` report.
 /// Bump when the report shape changes; mirrors `TRACE_SCHEMA_VERSION` in
 /// `minoaner_dataflow::trace`.
 pub const LINT_SCHEMA_VERSION: i64 = 1;
@@ -231,262 +227,16 @@ fn apply_allowlist(entries: &[AllowEntry], all: Vec<Violation>, report: &mut Rep
         }
     }
 
+    // A file over its count has every violation of the rule listed, so the
+    // new one (an allow without its `// bound:`, say) can be found.
     let allowed = |v: &Violation| {
-        entries
-            .iter()
-            .any(|e| e.path == v.path && e.rule == v.rule)
+        entries.iter().any(|e| {
+            e.path == v.path
+                && e.rule == v.rule
+                && e.count.map_or(true, |max| counts[&(v.path.clone(), v.rule.to_string())] <= max)
+        })
     };
     report.violations = all.into_iter().filter(|v| !allowed(v)).collect();
-}
-
-// ───────────────────────── effect analysis driver ─────────────────────────
-
-/// Result of `minoaner-lint effects`: the evaluated contracts plus the
-/// coverage statistics the unresolved-call ratchet is measured against.
-#[derive(Debug, Default)]
-pub struct EffectsReport {
-    pub results: Vec<ContractResult>,
-    pub policy_errors: Vec<String>,
-    pub files_scanned: usize,
-    pub functions: usize,
-    pub resolved_calls: usize,
-    pub external_calls: usize,
-    /// (caller path, call display, file, line, candidate count).
-    pub unresolved: Vec<(String, String, String, u32, usize)>,
-    pub unresolved_ceiling: Option<usize>,
-}
-
-impl EffectsReport {
-    pub fn clean(&self) -> bool {
-        self.policy_errors.is_empty()
-            && self.results.iter().all(|r| r.open_violations().next().is_none())
-    }
-
-    pub fn render_text(&self) -> String {
-        let mut out = String::new();
-        for r in &self.results {
-            let allowed = r.violations.iter().filter(|v| v.allowed_reason.is_some()).count();
-            let open: Vec<_> = r.open_violations().collect();
-            let _ = writeln!(
-                out,
-                "contract `{}`: {} root(s), {} reachable fn(s), {} open / {} allowed violation(s)",
-                r.name,
-                r.roots.len(),
-                r.reachable,
-                open.len(),
-                allowed
-            );
-            for v in open {
-                let _ = writeln!(
-                    out,
-                    "  {}:{}: {} has effect {} ({})",
-                    v.file,
-                    v.line,
-                    v.function,
-                    effects::effect_name(v.effect),
-                    v.what
-                );
-                let _ = writeln!(out, "    via {}", v.witness.join(" -> "));
-            }
-        }
-        for e in &self.policy_errors {
-            let _ = writeln!(out, "contracts: {e}");
-        }
-        let _ = writeln!(
-            out,
-            "minoaner-lint effects: {} file(s), {} fn(s), {} resolved / {} external / {} unresolved call(s){}",
-            self.files_scanned,
-            self.functions,
-            self.resolved_calls,
-            self.external_calls,
-            self.unresolved.len(),
-            match self.unresolved_ceiling {
-                Some(c) => format!(" (ceiling {c})"),
-                None => String::new(),
-            }
-        );
-        out
-    }
-
-    pub fn to_json(&self) -> Json {
-        let contracts = self
-            .results
-            .iter()
-            .map(|r| {
-                Json::Obj(vec![
-                    ("name".into(), Json::str(&r.name)),
-                    ("roots".into(), Json::Arr(r.roots.iter().map(Json::str).collect())),
-                    ("reachable_functions".into(), Json::num(r.reachable)),
-                    (
-                        "forbid".into(),
-                        Json::Arr(effects::mask_names(r.forbid).into_iter().map(Json::str).collect()),
-                    ),
-                    (
-                        "violations".into(),
-                        Json::Arr(
-                            r.violations
-                                .iter()
-                                .map(|v| {
-                                    Json::Obj(vec![
-                                        ("function".into(), Json::str(&v.function)),
-                                        ("effect".into(), Json::str(effects::effect_name(v.effect))),
-                                        ("file".into(), Json::str(&v.file)),
-                                        ("line".into(), Json::num(v.line as usize)),
-                                        ("what".into(), Json::str(&v.what)),
-                                        (
-                                            "witness".into(),
-                                            Json::Arr(v.witness.iter().map(Json::str).collect()),
-                                        ),
-                                        ("allowed".into(), Json::Bool(v.allowed_reason.is_some())),
-                                        (
-                                            "reason".into(),
-                                            match &v.allowed_reason {
-                                                Some(r) => Json::str(r),
-                                                None => Json::Null,
-                                            },
-                                        ),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
-                ])
-            })
-            .collect();
-        let unresolved_sites = self
-            .unresolved
-            .iter()
-            .map(|(caller, call, file, line, candidates)| {
-                Json::Obj(vec![
-                    ("caller".into(), Json::str(caller)),
-                    ("call".into(), Json::str(call)),
-                    ("file".into(), Json::str(file)),
-                    ("line".into(), Json::num(*line as usize)),
-                    ("candidates".into(), Json::num(*candidates)),
-                ])
-            })
-            .collect();
-        Json::Obj(vec![
-            ("schema_version".into(), Json::Num(LINT_SCHEMA_VERSION.into())),
-            ("tool".into(), Json::str("minoaner-lint effects")),
-            ("files_scanned".into(), Json::num(self.files_scanned)),
-            ("functions".into(), Json::num(self.functions)),
-            (
-                "calls".into(),
-                Json::Obj(vec![
-                    ("resolved".into(), Json::num(self.resolved_calls)),
-                    ("external".into(), Json::num(self.external_calls)),
-                    ("unresolved".into(), Json::num(self.unresolved.len())),
-                    (
-                        "unresolved_ceiling".into(),
-                        match self.unresolved_ceiling {
-                            Some(c) => Json::num(c),
-                            None => Json::Null,
-                        },
-                    ),
-                ]),
-            ),
-            ("unresolved_sites".into(), Json::Arr(unresolved_sites)),
-            ("contracts".into(), Json::Arr(contracts)),
-            (
-                "policy_errors".into(),
-                Json::Arr(self.policy_errors.iter().map(Json::str).collect()),
-            ),
-            ("clean".into(), Json::Bool(self.clean())),
-        ])
-    }
-
-    pub fn render_json(&self) -> String {
-        self.to_json().render()
-    }
-}
-
-/// Builds the workspace symbol table + call graph, infers and propagates
-/// effects, and evaluates the contracts in `contracts_path`.
-pub fn run_effects(root: &Path, contracts_path: &Path) -> Result<EffectsReport, String> {
-    let contracts_src = std::fs::read_to_string(contracts_path)
-        .map_err(|e| format!("read {}: {e}", contracts_path.display()))?;
-    let file = contracts::parse(&contracts_src)?;
-
-    let mut files = Vec::new();
-    walk(root, root, &mut files)?;
-    files.sort_by(|a, b| a.1.cmp(&b.1));
-
-    let mut table = graph::SymbolTable::default();
-    // Per-fn direct effects, collected file by file (fn ids are assigned
-    // in insertion order, so pushing in scan order keeps them aligned).
-    let mut direct: Vec<effects::EffectMask> = Vec::new();
-    let mut sites: Vec<Vec<effects::DirectSite>> = Vec::new();
-    let mut files_scanned = 0usize;
-
-    for (path, rel, _class) in &files {
-        // Only crate source trees enter the symbol table: tests, benches
-        // and examples cannot be reached from any contract root.
-        let Some((krate, base_mods)) = graph::module_of(rel) else {
-            continue;
-        };
-        files_scanned += 1;
-        let src = std::fs::read_to_string(path)
-            .map_err(|e| format!("read {}: {e}", path.display()))?;
-        let toks = lexer::lex(&src);
-        let test_spans = rules::cfg_test_spans(&toks);
-        let ids = graph::scan_file(&mut table, rel, &krate, &base_mods, &toks, &test_spans, false);
-        let hash_idents = effects::std_hash_idents(&toks);
-
-        // Each fn's direct effects come from its *own* tokens: body minus
-        // nested fn bodies (mirrors the call-collection pass in graph.rs).
-        let spans: Vec<(usize, std::ops::Range<usize>)> = ids
-            .iter()
-            .filter_map(|&id| table.fns[id].body.clone().map(|b| (id, b)))
-            .collect();
-        let mut per_file: BTreeMap<usize, (effects::EffectMask, Vec<effects::DirectSite>)> =
-            BTreeMap::new();
-        for &(id, ref body) in &spans {
-            let nested: Vec<std::ops::Range<usize>> = spans
-                .iter()
-                .filter(|(other, b)| *other != id && b.start > body.start && b.end <= body.end)
-                .map(|(_, b)| b.clone())
-                .collect();
-            let own = graph::subtract_ranges(body.clone(), &nested);
-            per_file.insert(id, effects::scan_direct(&toks, &own, &hash_idents, table.fns[id].is_test));
-        }
-        for &id in &ids {
-            debug_assert_eq!(id, direct.len());
-            let (m, s) = per_file.remove(&id).unwrap_or((0, Vec::new()));
-            direct.push(m);
-            sites.push(s);
-        }
-    }
-
-    let call_graph = table.resolve();
-    let effect_sets = effects::EffectSets::propagate(direct, sites, &call_graph);
-    let (results, policy_errors) = contracts::evaluate(&file, &table, &call_graph, &effect_sets);
-
-    let unresolved = call_graph
-        .unresolved
-        .iter()
-        .map(|u| {
-            let caller = &table.fns[u.caller];
-            (
-                caller.path.clone(),
-                u.call.display(),
-                caller.file.clone(),
-                u.call.line(),
-                u.candidates,
-            )
-        })
-        .collect();
-
-    Ok(EffectsReport {
-        results,
-        policy_errors,
-        files_scanned,
-        functions: table.len(),
-        resolved_calls: call_graph.resolved_calls,
-        external_calls: call_graph.external_calls,
-        unresolved,
-        unresolved_ceiling: file.unresolved_ceiling,
-    })
 }
 
 #[cfg(test)]
@@ -508,13 +258,13 @@ mod tests {
     #[test]
     fn ratchet_reports_drift_in_both_directions() {
         let entries = allow::parse(
-            "[[allow]]\npath = \"a.rs\"\nrule = \"R4\"\ncount = 2\nreason = \"x\"",
+            "[[allow]]\npath = \"a.rs\"\nrule = \"R7\"\ncount = 2\nreason = \"x\"",
         )
         .unwrap();
         let mk = |n: usize| {
             (0..n)
                 .map(|i| Violation {
-                    rule: "R4",
+                    rule: "R7",
                     path: "a.rs".into(),
                     line: i as u32 + 1,
                     message: String::new(),
@@ -530,6 +280,7 @@ mod tests {
         apply_allowlist(&entries, mk(3), &mut r);
         assert_eq!(r.policy_errors.len(), 1);
         assert!(r.policy_errors[0].contains("only shrinks"));
+        assert_eq!(r.violations.len(), 3, "an exceeded count lists the file's violations");
 
         let mut r = Report::default();
         apply_allowlist(&entries, mk(1), &mut r);
@@ -574,50 +325,6 @@ mod tests {
         let parsed = Json::parse(&text).unwrap();
         assert_eq!(parsed, r.to_json());
         assert_eq!(parsed.render(), text);
-        assert_eq!(
-            parsed.get("schema_version").and_then(Json::as_i64),
-            Some(LINT_SCHEMA_VERSION)
-        );
-    }
-
-    #[test]
-    fn effects_json_round_trips_exactly() {
-        let mut r = EffectsReport {
-            files_scanned: 3,
-            functions: 9,
-            resolved_calls: 12,
-            external_calls: 30,
-            unresolved_ceiling: Some(2),
-            ..EffectsReport::default()
-        };
-        r.unresolved.push((
-            "minoaner_kb::demo::f".into(),
-            ".shared_name()".into(),
-            "crates/kb/src/demo.rs".into(),
-            14,
-            2,
-        ));
-        r.results.push(ContractResult {
-            name: "kernel".into(),
-            roots: vec!["minoaner_kb::demo::entry".into()],
-            reachable: 4,
-            forbid: effects::WALL_CLOCK | effects::ENTROPY,
-            violations: vec![contracts::EffectViolation {
-                contract: "kernel".into(),
-                function: "minoaner_kb::demo::noisy".into(),
-                effect: effects::ENTROPY,
-                file: "crates/kb/src/demo.rs".into(),
-                line: 4,
-                what: "`thread_rng`".into(),
-                witness: vec!["minoaner_kb::demo::entry".into(), "minoaner_kb::demo::noisy".into()],
-                allowed_reason: None,
-            }],
-        });
-        let text = r.render_json();
-        let parsed = Json::parse(&text).unwrap();
-        assert_eq!(parsed, r.to_json());
-        assert_eq!(parsed.render(), text);
-        assert!(!parsed.get("clean").and_then(Json::as_bool).unwrap());
         assert_eq!(
             parsed.get("schema_version").and_then(Json::as_i64),
             Some(LINT_SCHEMA_VERSION)

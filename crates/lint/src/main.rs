@@ -1,12 +1,13 @@
-//! CLI: `minoaner-lint <check|effects> [--json] [--root PATH] [...]`
-//!
-//! * `check [--json] [--root PATH] [--allow PATH]` — token rules R1–R5
-//!   against `lint-allow.toml`.
-//! * `effects [--json] [--root PATH] [--contracts PATH]` — call-graph
-//!   effect analysis against `effect-contracts.toml`.
+//! CLI: `minoaner-lint check [--json] [--root PATH] [--allow PATH]` — token
+//! rules R1–R3 and R5–R7 against `lint-allow.toml`.
 //!
 //! Exit codes: 0 clean, 1 violations or policy errors, 2 usage or I/O
 //! error.
+
+// `unwrap`/`expect` are denied outside tests; each audited exception is
+// an item- or statement-level `#[allow]` under a `// bound:` comment,
+// counted per file in lint-allow.toml (minoaner-lint R7, DESIGN.md §12).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -14,14 +15,12 @@ use std::process::ExitCode;
 fn usage() -> ExitCode {
     eprintln!(
         "usage: minoaner-lint check [--json] [--root PATH] [--allow PATH]\n\
-         \x20      minoaner-lint effects [--json] [--root PATH] [--contracts PATH]\n\
          \n\
          Rules (DESIGN.md §12):"
     );
     for (id, desc) in minoaner_lint::rules::RULES {
         eprintln!("  {id}: {desc}");
     }
-    eprintln!("\nEffect contracts are documented in DESIGN.md §17.");
     ExitCode::from(2)
 }
 
@@ -42,17 +41,13 @@ fn default_root() -> PathBuf {
 
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
-    let Some(cmd) = args.next() else {
-        return usage();
-    };
-    if cmd != "check" && cmd != "effects" {
+    if args.next().as_deref() != Some("check") {
         return usage();
     }
 
     let mut json = false;
     let mut root: Option<PathBuf> = None;
-    let mut conf: Option<PathBuf> = None;
-    let conf_flag = if cmd == "check" { "--allow" } else { "--contracts" };
+    let mut allow: Option<PathBuf> = None;
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--json" => json = true,
@@ -60,8 +55,8 @@ fn main() -> ExitCode {
                 Some(p) => root = Some(PathBuf::from(p)),
                 None => return usage(),
             },
-            a if a == conf_flag => match args.next() {
-                Some(p) => conf = Some(PathBuf::from(p)),
+            "--allow" => match args.next() {
+                Some(p) => allow = Some(PathBuf::from(p)),
                 None => return usage(),
             },
             _ => return usage(),
@@ -69,32 +64,21 @@ fn main() -> ExitCode {
     }
 
     let root = root.unwrap_or_else(default_root);
-    let (text, json_text, clean) = if cmd == "check" {
-        let conf = conf.unwrap_or_else(|| root.join("lint-allow.toml"));
-        match minoaner_lint::run_check(&root, &conf) {
-            Ok(report) => (report.render_text(), report.render_json(), report.clean()),
-            Err(e) => {
-                eprintln!("minoaner-lint: {e}");
-                return ExitCode::from(2);
-            }
-        }
-    } else {
-        let conf = conf.unwrap_or_else(|| root.join("effect-contracts.toml"));
-        match minoaner_lint::run_effects(&root, &conf) {
-            Ok(report) => (report.render_text(), report.render_json(), report.clean()),
-            Err(e) => {
-                eprintln!("minoaner-lint: {e}");
-                return ExitCode::from(2);
-            }
+    let allow = allow.unwrap_or_else(|| root.join("lint-allow.toml"));
+    let report = match minoaner_lint::run_check(&root, &allow) {
+        Ok(report) => report,
+        Err(e) => {
+            eprintln!("minoaner-lint: {e}");
+            return ExitCode::from(2);
         }
     };
 
     if json {
-        println!("{json_text}");
+        println!("{}", report.render_json());
     } else {
-        print!("{text}");
+        print!("{}", report.render_text());
     }
-    if clean {
+    if report.clean() {
         ExitCode::SUCCESS
     } else {
         ExitCode::from(1)

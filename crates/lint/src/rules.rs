@@ -1,5 +1,5 @@
-//! The four determinism rules. Each rule takes the token stream of one
-//! file plus its classification and appends `Violation`s.
+//! The determinism rules. Each rule takes the token stream of one file
+//! plus its classification and appends `Violation`s.
 //!
 //! The rules are deliberately token-level heuristics (see `lexer.rs` for
 //! why there is no `syn`): they are tuned to have zero false positives on
@@ -23,7 +23,7 @@ pub enum FileClass {
     /// `src/` of a workspace crate (or the root `src/`): all rules apply.
     Library,
     /// `tests/`, `benches/`, `examples/`: only R1 applies (determinism of
-    /// the product is the contract; test-local timing and unwraps are fine).
+    /// the product is the contract; test-local timing and panics are fine).
     TestOrBench,
 }
 
@@ -31,9 +31,9 @@ pub const RULES: &[(&str, &str)] = &[
     ("R1", "no std::collections::HashMap/HashSet — use minoaner_det::DetHashMap/DetHashSet"),
     ("R2", "no f64/f32 accumulation over hash-map iteration — sort keys first"),
     ("R3", "no wall-clock or entropy outside timing/trace/fault-inject modules"),
-    ("R4", "no unwrap()/expect() in library code outside the ratcheted allowlist"),
     ("R5", "every `unsafe` block/fn/impl must carry a `// SAFETY:` comment on the preceding line"),
     ("R6", "no direct std::fs/File/OpenOptions in durable-path modules — route I/O through the Vfs"),
+    ("R7", "every #[allow] of clippy's panic lints is counted in lint-allow.toml and carries a `// bound:` comment"),
 ];
 
 /// The modules whose writes must survive a crash (checkpoint barriers,
@@ -54,9 +54,9 @@ pub fn run_all(path: &str, class: FileClass, src: &str, toks: &[Tok]) -> Vec<Vio
     if class == FileClass::Library {
         r2_float_accum(path, toks, &mut out);
         r3_wallclock_entropy(path, toks, &mut out);
-        r4_unwrap(path, toks, &mut out);
         r5_unsafe_safety(path, src, toks, &mut out);
         r6_vfs_only(path, toks, &mut out);
+        r7_audited_allows(path, src, toks, &mut out);
     }
     out
 }
@@ -376,34 +376,6 @@ fn r3_wallclock_entropy(path: &str, toks: &[Tok], out: &mut Vec<Violation>) {
     }
 }
 
-/// R4: `.unwrap()` / `.expect(` outside `#[cfg(test)]` modules. Counts
-/// are ratcheted per file through `lint-allow.toml`.
-fn r4_unwrap(path: &str, toks: &[Tok], out: &mut Vec<Violation>) {
-    let test_spans = cfg_test_spans(toks);
-    let in_test = |idx: usize| test_spans.iter().any(|&(a, b)| idx >= a && idx < b);
-    for i in 0..toks.len().saturating_sub(2) {
-        if toks[i].is_punct(".")
-            && toks[i + 1].kind == TokKind::Ident
-            && (toks[i + 1].text == "unwrap" || toks[i + 1].text == "expect")
-            && toks[i + 2].is_punct("(")
-            && !in_test(i)
-            // `self.expect(…)` is a method on the receiver type (e.g. the
-            // Turtle parser's `expect` combinator), not Option/Result.
-            && !(i > 0 && toks[i - 1].is_ident("self"))
-        {
-            out.push(Violation {
-                rule: "R4",
-                path: path.to_string(),
-                line: toks[i + 1].line,
-                message: format!(
-                    "`.{}()` in library code; return a Result or ratchet it in lint-allow.toml",
-                    toks[i + 1].text
-                ),
-            });
-        }
-    }
-}
-
 /// R5: each `unsafe` keyword (block, fn, impl, trait) must be justified
 /// by a `// SAFETY:` comment in the contiguous comment block immediately
 /// above its line. Two `unsafe impl`s stacked under one comment each need
@@ -418,23 +390,7 @@ fn r5_unsafe_safety(path: &str, src: &str, toks: &[Tok], out: &mut Vec<Violation
         if !t.is_ident("unsafe") || in_test(i) || !flagged_lines.insert(t.line) {
             continue;
         }
-        // Walk upward through the contiguous `//` comment block (doc
-        // comments count too) looking for a SAFETY marker.
-        let mut ok = false;
-        let mut ln = t.line as usize; // 1-based; lines[ln - 2] is the line above
-        while ln >= 2 {
-            let above = lines.get(ln - 2).map(|l| l.trim()).unwrap_or("");
-            if !above.starts_with("//") {
-                break;
-            }
-            let body = above.trim_start_matches('/').trim_start_matches('!').trim_start();
-            if body.starts_with("SAFETY:") {
-                ok = true;
-                break;
-            }
-            ln -= 1;
-        }
-        if !ok {
+        if !comment_above_has(&lines, t.line, "SAFETY:") {
             out.push(Violation {
                 rule: "R5",
                 path: path.to_string(),
@@ -445,6 +401,24 @@ fn r5_unsafe_safety(path: &str, src: &str, toks: &[Tok], out: &mut Vec<Violation
             });
         }
     }
+}
+
+/// Whether the contiguous `//` comment block (doc comments count too)
+/// directly above 1-based line `line` has a line starting with `marker`.
+fn comment_above_has(lines: &[&str], line: u32, marker: &str) -> bool {
+    let mut ln = line as usize; // lines[ln - 2] is the line above
+    while ln >= 2 {
+        let above = lines.get(ln - 2).map(|l| l.trim()).unwrap_or("");
+        if !above.starts_with("//") {
+            return false;
+        }
+        let body = above.trim_start_matches('/').trim_start_matches('!').trim_start();
+        if body.starts_with(marker) {
+            return true;
+        }
+        ln -= 1;
+    }
+    false
 }
 
 /// R6: direct filesystem access in one of the [`R6_DURABLE_PATHS`]
@@ -487,9 +461,65 @@ fn r6_vfs_only(path: &str, toks: &[Tok], out: &mut Vec<Violation>) {
     }
 }
 
+/// The clippy panic lints library crates deny outside test code
+/// (`#![cfg_attr(not(test), deny(…))]` in each `lib.rs` / `main.rs`).
+const R7_AUDITED_LINTS: &[&str] = &["unwrap_used", "expect_used", "panic", "indexing_slicing"];
+
+/// R7: an `#[allow(…)]` naming one of the [`R7_AUDITED_LINTS`] outside
+/// test code. Each one is a violation, so `lint-allow.toml` counts the
+/// audited exceptions per file exactly; one without a `// bound:` comment
+/// block directly above it (the invariant that keeps the site from
+/// panicking) is a second violation, as is a module-level `#![allow(…)]`.
+fn r7_audited_allows(path: &str, src: &str, toks: &[Tok], out: &mut Vec<Violation>) {
+    let test_spans = cfg_test_spans(toks);
+    let in_test = |idx: usize| test_spans.iter().any(|&(a, b)| idx >= a && idx < b);
+    let lines: Vec<&str> = src.lines().collect();
+    for i in 0..toks.len() {
+        if !toks[i].is_punct("#") || in_test(i) {
+            continue;
+        }
+        let inner = toks.get(i + 1).is_some_and(|t| t.is_punct("!"));
+        let open = i + 1 + usize::from(inner);
+        if !(toks.get(open).is_some_and(|t| t.is_punct("["))
+            && toks.get(open + 1).is_some_and(|t| t.is_ident("allow"))
+            && toks.get(open + 2).is_some_and(|t| t.is_punct("(")))
+        {
+            continue;
+        }
+        let args: Vec<&Tok> = toks[open + 3..].iter().take_while(|t| !t.is_punct(")")).collect();
+        let lints: Vec<&str> = args
+            .windows(3)
+            .filter(|w| w[0].is_ident("clippy") && w[1].is_punct("::"))
+            .map(|w| w[2].text.as_str())
+            .filter(|l| R7_AUDITED_LINTS.contains(l))
+            .collect();
+        if lints.is_empty() {
+            continue;
+        }
+        let line = toks[i].line;
+        let mut flag = |message: String| {
+            out.push(Violation { rule: "R7", path: path.to_string(), line, message });
+        };
+        flag(format!(
+            "audited `allow(clippy::{})`; counted in lint-allow.toml",
+            lints.join(", clippy::")
+        ));
+        if inner {
+            flag("module-level `#![allow]` of a panic lint; allow it on the smallest \
+                  item or statement that shares one bound"
+                .to_string());
+        }
+        if !comment_above_has(&lines, line, "bound:") {
+            flag("panic-lint `#[allow]` without a `// bound:` comment on the preceding \
+                  line; state the invariant that keeps it from panicking"
+                .to_string());
+        }
+    }
+}
+
 /// Token spans of `#[cfg(test)] mod … { … }` (and `cfg(all(test, …))`)
 /// bodies, plus `#[test] fn` / `#[cfg(test)] fn` items.
-pub(crate) fn cfg_test_spans(toks: &[Tok]) -> Vec<(usize, usize)> {
+fn cfg_test_spans(toks: &[Tok]) -> Vec<(usize, usize)> {
     let mut spans = Vec::new();
     let mut i = 0;
     while i < toks.len() {
@@ -633,31 +663,35 @@ mod tests {
     }
 
     #[test]
-    fn r4_flags_unwrap_outside_tests_only() {
+    fn r7_counts_each_audited_allow_and_wants_a_bound() {
         let v = check(
-            "fn f(x: Option<u32>) -> u32 { x.unwrap() }\n\
-             fn g(x: Option<u32>) -> u32 { x.expect(\"msg\") }\n\
-             #[cfg(test)]\nmod tests {\n\
-             fn h(x: Option<u32>) -> u32 { x.unwrap() }\n}",
+            "// bound: i < v.len() by the loop guard.\n\
+             #[allow(clippy::indexing_slicing)]\n\
+             fn f(v: &[u32], i: usize) -> u32 { v[i] }\n\
+             #[allow(clippy::panic, clippy::indexing_slicing)]\n\
+             fn g() {}\n\
+             #[allow(clippy::too_many_arguments)]\n\
+             fn h() {}\n\
+             #[cfg(test)]\nmod tests {\n    #[allow(clippy::unwrap_used)]\n    fn t() {}\n}",
         );
-        assert_eq!(rules_of(&v), ["R4", "R4"]);
+        assert_eq!(rules_of(&v), ["R7", "R7", "R7"], "{v:#?}");
+        assert_eq!((v[0].line, v[1].line, v[2].line), (2, 4, 4));
+        assert!(v[2].message.contains("bound:"), "{v:#?}");
     }
 
     #[test]
-    fn r4_ignores_unwrap_or() {
-        let v = check("fn f(x: Option<u32>) -> u32 { x.unwrap_or(0) }");
-        assert!(v.is_empty(), "{v:?}");
-    }
-
-    #[test]
-    fn r4_ignores_parser_combinators_on_self() {
-        let v = check("fn f(&mut self) -> Result<(), E> { self.expect(\".\")?; Ok(()) }");
+    fn r7_flags_module_level_allows() {
+        let v = check("// bound: none.\n#![allow(clippy::expect_used)]\nfn f() {}");
+        assert_eq!(rules_of(&v), ["R7", "R7"], "{v:#?}");
+        assert!(v[1].message.contains("module-level"), "{v:#?}");
+        // The deny that R7 audits against is not an allow.
+        let v = check("#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::panic))]");
         assert!(v.is_empty(), "{v:?}");
     }
 
     #[test]
     fn tests_and_benches_only_get_r1() {
-        let src = "fn f() { let t = Instant::now(); let x: Option<u32> = None; x.unwrap(); }";
+        let src = "fn f() { let t = Instant::now(); }\n#[allow(clippy::unwrap_used)]\nfn g() {}";
         assert!(run_all("t.rs", FileClass::TestOrBench, src, &lex(src)).is_empty());
         let src = "use std::collections::HashMap;";
         assert_eq!(run_all("t.rs", FileClass::TestOrBench, src, &lex(src)).len(), 1);

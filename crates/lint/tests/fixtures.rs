@@ -37,12 +37,6 @@ fn bad_r3_wallclock_flagged() {
 }
 
 #[test]
-fn bad_r4_unwrap_flagged() {
-    let v = fixture("bad/r4_unwrap.rs");
-    assert_eq!(rules_of(&v), ["R4", "R4"], "{v:#?}");
-}
-
-#[test]
 fn bad_r5_unsafe_flagged() {
     let v = fixture("bad/r5_unsafe.rs");
     assert_eq!(rules_of(&v), ["R5", "R5", "R5"], "{v:#?}");
@@ -69,9 +63,28 @@ fn bad_r6_direct_fs_flagged_under_durable_path() {
 }
 
 #[test]
+fn bad_r7_allow_without_bound_flagged() {
+    let v = fixture("bad/r7_allow_without_bound.rs");
+    // Each allow is counted, and each lacks its `// bound:` line.
+    assert_eq!(rules_of(&v), ["R7", "R7", "R7", "R7"], "{v:#?}");
+    assert_eq!((v[0].line, v[1].line, v[2].line, v[3].line), (5, 5, 11, 11));
+    assert!(v[1].message.contains("bound:") && v[3].message.contains("bound:"));
+}
+
+#[test]
 fn good_fixture_is_clean() {
     let v = fixture("good/clean.rs");
     assert!(v.is_empty(), "{v:#?}");
+}
+
+#[test]
+fn good_r7_bounded_allows_are_only_counted() {
+    // One violation per audited allow, for lint-allow.toml's exact count;
+    // none for a missing bound, none for other clippy lints.
+    let v = fixture("good/r7_bounded_allow.rs");
+    assert_eq!(rules_of(&v), ["R7", "R7"], "{v:#?}");
+    assert_eq!((v[0].line, v[1].line), (7, 18));
+    assert!(v.iter().all(|x| x.message.starts_with("audited")), "{v:#?}");
 }
 
 #[test]

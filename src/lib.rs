@@ -48,6 +48,11 @@
 //! assert_eq!(resolution.matches.len(), 2); // both the restaurants and the chefs
 //! ```
 
+// `unwrap`/`expect` are denied outside tests; each audited exception is
+// an item- or statement-level `#[allow]` under a `// bound:` comment,
+// counted per file in lint-allow.toml (minoaner-lint R7, DESIGN.md §12).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub use minoaner_baselines as baselines;
 pub use minoaner_blocking as blocking;
 pub use minoaner_core as core;

@@ -24,9 +24,11 @@ pub struct GeneratedDataset {
     pub profile: DatasetProfile,
 }
 
-/// A specific (signal) token of a world entity.
+/// A token of a generated value, kept as a code and written out only when
+/// its value is. The first three kinds are a world entity's specific
+/// (signal) tokens; the others arise as a KB materializes its view.
 #[derive(Debug, Clone, Copy)]
-enum SignalToken {
+enum Token {
     /// World-unique: `u{entity}x{i}` — entity frequency 1 per KB.
     Dedicated(u32, u32),
     /// Drawn from the shared ambiguous pool: `s{idx}`.
@@ -36,13 +38,83 @@ enum SignalToken {
     /// a scene), creating the *correlated* cross-entity token overlap that
     /// misleads normalized value similarities on real Web data.
     Topic(u32, u8),
+    /// A KB-private corruption of a signal or name token: `x{kb_tag}{n}`.
+    Corrupt(u32),
+    /// A filler token from the shared Zipf head: `f{rank}`.
+    Filler(u32),
+    /// A name token: `nm{idx}`.
+    Name(u16),
+}
+
+impl Token {
+    /// Appends the token's text to `out`; `kb_tag` is the view's `a` / `b`.
+    fn write(self, kb_tag: char, out: &mut String) {
+        match self {
+            Token::Dedicated(w, i) => {
+                out.push('u');
+                push_decimal(out, w);
+                out.push('x');
+                push_decimal(out, i);
+            }
+            Token::Ambiguous(idx) => {
+                out.push('s');
+                push_decimal(out, idx);
+            }
+            Token::Topic(t, i) => {
+                out.push('t');
+                push_decimal(out, t);
+                out.push('x');
+                push_decimal(out, i);
+            }
+            Token::Corrupt(n) => {
+                out.push('x');
+                out.push(kb_tag);
+                push_decimal(out, n);
+            }
+            Token::Filler(rank) => {
+                out.push('f');
+                push_decimal(out, rank);
+            }
+            Token::Name(idx) => {
+                out.push_str("nm");
+                push_decimal(out, idx);
+            }
+        }
+    }
+}
+
+/// Appends `n` in decimal to `out`, without going through `core::fmt`.
+fn push_decimal(out: &mut String, n: impl Into<u64>) {
+    let mut n = n.into();
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend(digits[at..].iter().map(|&d| char::from(d)));
+}
+
+/// Clears `out` and writes `tokens` into it, separated by single spaces.
+fn write_value(out: &mut String, kb_tag: char, tokens: impl IntoIterator<Item = Token>) {
+    out.clear();
+    for (k, token) in tokens.into_iter().enumerate() {
+        if k > 0 {
+            out.push(' ');
+        }
+        token.write(kb_tag, out);
+    }
 }
 
 struct WorldEntity {
     /// The name as a combination of name-token pool indices.
     name: Vec<u16>,
     /// The entity's specific (signal) tokens.
-    specific: Vec<SignalToken>,
+    specific: Vec<Token>,
     /// Whether this entity carries weak value evidence (Figure 2's
     /// nearly-similar regime): its tokens survive with `weak_keep`.
     weak: bool,
@@ -110,11 +182,11 @@ pub fn generate(profile: &DatasetProfile) -> GeneratedDataset {
             .map(|i| {
                 let roll = rng.next_f64();
                 if profile.topics > 0 && roll < profile.topic_share {
-                    SignalToken::Topic(topic, rng.gen_range(0..profile.topic_tokens.max(1)) as u8)
+                    Token::Topic(topic, rng.gen_range(0..profile.topic_tokens.max(1)) as u8)
                 } else if roll < profile.topic_share + profile.token_ambiguity * (1.0 - profile.topic_share) {
-                    SignalToken::Ambiguous(ambiguous.sample(&mut rng) as u32)
+                    Token::Ambiguous(ambiguous.sample(&mut rng) as u32)
                 } else {
-                    SignalToken::Dedicated(w as u32, i)
+                    Token::Dedicated(w as u32, i)
                 }
             })
             .collect();
@@ -166,42 +238,58 @@ pub fn generate(profile: &DatasetProfile) -> GeneratedDataset {
     let pair = builder.finish();
     // Every matched world entity was materialized into both views above,
     // so each lookup succeeds; `filter_map` keeps that invariant panic-free.
-    let mut ground_truth: Vec<(EntityId, EntityId)> = (0..profile.matches)
-        .filter_map(|w| {
-            let l = pair
-                .kb(Side::Left)
-                .entity_by_uri(pair.uris().get(&entity_uri(Side::Left, w))?)?;
-            let r = pair
-                .kb(Side::Right)
-                .entity_by_uri(pair.uris().get(&entity_uri(Side::Right, w))?)?;
-            Some((l, r))
-        })
-        .collect();
+    let mut uri = String::new();
+    let mut find = |side: Side, w: usize| {
+        write_entity_uri(&mut uri, side, w);
+        pair.kb(side).entity_by_uri(pair.uris().get(&uri)?)
+    };
+    let mut ground_truth: Vec<(EntityId, EntityId)> =
+        (0..profile.matches).filter_map(|w| Some((find(Side::Left, w)?, find(Side::Right, w)?))).collect();
     ground_truth.sort_unstable();
 
     GeneratedDataset { pair, ground_truth, profile: profile.clone() }
 }
 
-fn entity_uri(side: Side, world_idx: usize) -> String {
-    match side {
-        Side::Left => format!("http://kb1.example.org/resource/e{world_idx}"),
-        Side::Right => format!("http://kb2.example.org/item/x{world_idx}"),
+/// Clears `out` and writes the URI of world entity `world_idx` in the
+/// view of `side` into it.
+fn write_entity_uri(out: &mut String, side: Side, world_idx: usize) {
+    out.clear();
+    out.push_str(match side {
+        Side::Left => "http://kb1.example.org/resource/e",
+        Side::Right => "http://kb2.example.org/item/x",
+    });
+    push_decimal(out, world_idx as u64);
+}
+
+/// The view's predicate names, each written once.
+struct Predicates {
+    /// `attributes[i]` is literal attribute `i`.
+    attributes: Vec<String>,
+    /// `relations[i]` is the KB's relation `i`. Each KB maps world relation
+    /// kinds onto its own (smaller or larger) relation namespace: kind `k`
+    /// is `relations[k % relations.len()]`.
+    relations: Vec<String>,
+    name: String,
+    id: String,
+    type_: String,
+}
+
+impl Predicates {
+    fn new(side: Side, kbp: &KbProfile) -> Self {
+        let kb = if side == Side::Left { 1 } else { 2 };
+        let vocab = |i: usize| i % kbp.vocabularies.max(1);
+        Self {
+            attributes: (0..kbp.attributes.max(1))
+                .map(|i| format!("http://kb{kb}.example.org/v{}/attr{i}", vocab(i)))
+                .collect(),
+            relations: (0..kbp.relations.max(1))
+                .map(|i| format!("http://kb{kb}.example.org/v{}/rel{i}", vocab(i)))
+                .collect(),
+            name: format!("http://kb{kb}.example.org/v0/name"),
+            id: format!("http://kb{kb}.example.org/v0/id"),
+            type_: format!("http://kb{kb}.example.org/v0/type"),
+        }
     }
-}
-
-fn attr_name(side: Side, kbp: &KbProfile, attr_idx: usize) -> String {
-    let kb = if side == Side::Left { 1 } else { 2 };
-    let vocab = attr_idx % kbp.vocabularies.max(1);
-    format!("http://kb{kb}.example.org/v{vocab}/attr{attr_idx}")
-}
-
-fn rel_name(side: Side, kbp: &KbProfile, kind: u16) -> String {
-    let kb = if side == Side::Left { 1 } else { 2 };
-    // Each KB maps world relation kinds onto its own (smaller or larger)
-    // relation namespace.
-    let local = kind as usize % kbp.relations.max(1);
-    let vocab = local % kbp.vocabularies.max(1);
-    format!("http://kb{kb}.example.org/v{vocab}/rel{local}")
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -214,7 +302,7 @@ fn materialize_view(
     world: &[WorldEntity],
     member: &dyn Fn(usize) -> bool,
 ) {
-    let kb_tag = if side == Side::Left { "a" } else { "b" };
+    let kb_tag = if side == Side::Left { 'a' } else { 'b' };
     // bound: `n >= 2` after `.max`; `filler_zipf` is finite and non-negative
     // (`generate`'s `# Panics`).
     #[allow(clippy::expect_used)]
@@ -224,12 +312,18 @@ fn materialize_view(
     // (`generate`'s `# Panics`).
     #[allow(clippy::expect_used)]
     let filler_count = Poisson::new(kbp.filler_tokens.max(0.01)).expect("valid Poisson mean");
+    let predicates = Predicates::new(side, kbp);
+    // Reused for every entity: the token codes, one value's text, and the
+    // entity's and a relation target's URIs.
+    let mut tokens: Vec<Token> = Vec::new();
+    let mut value = String::new();
+    let (mut uri, mut target_uri) = (String::new(), String::new());
 
     for (w, entity) in world.iter().enumerate() {
         if !member(w) {
             continue;
         }
-        let uri = entity_uri(side, w);
+        write_entity_uri(&mut uri, side, w);
         let e = builder.entity(side, &uri);
 
         // Signal tokens: keep / corrupt per profile. Weak entities lose
@@ -238,30 +332,25 @@ fn materialize_view(
         // value similarity stays positive but weak — the nearly-similar
         // regime of Figure 2 that only names (R1) or neighbor evidence
         // (R3) can resolve.
-        let mut tokens: Vec<String> = Vec::new();
+        tokens.clear();
         for &s in &entity.specific {
             let keep = match s {
-                SignalToken::Dedicated(..) if entity.weak => profile.weak_keep,
+                Token::Dedicated(..) if entity.weak => profile.weak_keep,
                 _ => kbp.token_keep,
             };
             if rng.next_f64() >= keep {
                 continue;
             }
             if rng.next_f64() < kbp.token_corrupt {
-                tokens.push(format!("x{kb_tag}{}", rng.gen_range(0..1_000_000u32)));
+                tokens.push(Token::Corrupt(rng.gen_range(0..1_000_000u32)));
             } else {
-                tokens.push(match s {
-                    SignalToken::Dedicated(w, i) => format!("u{w}x{i}"),
-                    SignalToken::Ambiguous(idx) => format!("s{idx}"),
-                    SignalToken::Topic(t, i) => format!("t{t}x{i}"),
-                });
+                tokens.push(s);
             }
         }
         // Filler tokens from the shared Zipf head: frequent, low-evidence.
         let n_fill = filler_count.sample(rng).round() as usize;
         for _ in 0..n_fill {
-            let idx = filler.sample(rng) as u64;
-            tokens.push(format!("f{idx}"));
+            tokens.push(Token::Filler(filler.sample(rng) as u32));
         }
 
         // Group tokens into literal values of ~3 tokens, spread over the
@@ -271,42 +360,35 @@ fn materialize_view(
         // are rare; a trailing 1-token remainder is folded into the
         // previous value for the same reason.
         rng.shuffle(&mut tokens);
-        let mut values: Vec<String> = tokens.chunks(4).map(|c| c.join(" ")).collect();
-        if values.len() >= 2 && tokens.len() % 4 == 1 {
-            if let Some(tail) = values.pop() {
-                if let Some(last) = values.last_mut() {
-                    last.push(' ');
-                    last.push_str(&tail);
-                }
-            }
-        }
-        for value in &values {
-            let attr_idx = rng.gen_range(0..kbp.attributes.max(1));
-            let attr = attr_name(side, kbp, attr_idx);
-            builder.add_pair(side, e, &attr, Term::Literal(value));
+        let fold = tokens.len() > 4 && tokens.len() % 4 == 1;
+        let (whole, last) = tokens.split_at(if fold { tokens.len() - 5 } else { tokens.len() });
+        for chunk in whole.chunks(4).chain(Some(last).filter(|l| !l.is_empty())) {
+            write_value(&mut value, kb_tag, chunk.iter().copied());
+            let attr = &predicates.attributes[rng.gen_range(0..predicates.attributes.len())];
+            builder.add_pair(side, e, attr, Term::Literal(&value));
         }
 
         // Name attribute.
         if rng.next_f64() < kbp.name_coverage {
-            let name_value = name_literal(&entity.name, kbp, rng, kb_tag);
-            let kb = if side == Side::Left { 1 } else { 2 };
-            let name_attr = format!("http://kb{kb}.example.org/v0/name");
-            builder.add_pair(side, e, &name_attr, Term::Literal(&name_value));
+            write_name(&mut value, &entity.name, kbp, rng, kb_tag);
+            builder.add_pair(side, e, &predicates.name, Term::Literal(&value));
         }
 
         // Decoy identifier attribute: full coverage, all-distinct, never
         // shared across KBs — outranks the name attribute in importance.
         if kbp.decoy_id_attribute {
-            let kb = if side == Side::Left { 1 } else { 2 };
-            let id_attr = format!("http://kb{kb}.example.org/v0/id");
-            builder.add_pair(side, e, &id_attr, Term::Literal(&format!("id{kb_tag}{w}")));
+            value.clear();
+            value.push_str("id");
+            value.push(kb_tag);
+            push_decimal(&mut value, w as u64);
+            builder.add_pair(side, e, &predicates.id, Term::Literal(&value));
         }
 
         // Type triple.
-        let kb = if side == Side::Left { 1 } else { 2 };
-        let type_attr = format!("http://kb{kb}.example.org/v0/type");
-        let t = entity.wtype as usize % kbp.types.max(1);
-        builder.add_pair(side, e, &type_attr, Term::Literal(&format!("type{t}")));
+        value.clear();
+        value.push_str("type");
+        push_decimal(&mut value, (entity.wtype as usize % kbp.types.max(1)) as u64);
+        builder.add_pair(side, e, &predicates.type_, Term::Literal(&value));
 
         // Relation edges to members of the same view.
         for &(kind, target) in &entity.edges {
@@ -315,21 +397,29 @@ fn materialize_view(
                 continue;
             }
             if rng.next_f64() < kbp.relation_coverage {
-                let rel = rel_name(side, kbp, kind);
-                let target_uri = entity_uri(side, t);
-                builder.add_pair(side, e, &rel, Term::Uri(&target_uri));
+                let rel = &predicates.relations[kind as usize % predicates.relations.len()];
+                write_entity_uri(&mut target_uri, side, t);
+                builder.add_pair(side, e, rel, Term::Uri(&target_uri));
             }
         }
     }
 }
 
-fn name_literal(name: &[u16], kbp: &KbProfile, rng: &mut Rng, kb_tag: &str) -> String {
-    let mut parts: Vec<String> = name.iter().map(|t| format!("nm{t}")).collect();
-    if rng.next_f64() < kbp.name_corrupt {
-        let i = rng.gen_range(0..parts.len());
-        parts[i] = format!("x{kb_tag}{}", rng.gen_range(0..1_000_000u32));
-    }
-    parts.join(" ")
+/// Clears `out` and writes the view's name literal into it: the name's
+/// tokens, one of them replaced by a KB-private token with probability
+/// `name_corrupt`.
+fn write_name(out: &mut String, name: &[u16], kbp: &KbProfile, rng: &mut Rng, kb_tag: char) {
+    let corrupt = if rng.next_f64() < kbp.name_corrupt {
+        let at = rng.gen_range(0..name.len());
+        Some((at, rng.gen_range(0..1_000_000u32)))
+    } else {
+        None
+    };
+    let token = |(k, &t): (usize, &u16)| match corrupt {
+        Some((at, n)) if at == k => Token::Corrupt(n),
+        _ => Token::Name(t),
+    };
+    write_value(out, kb_tag, name.iter().enumerate().map(token));
 }
 
 #[cfg(test)]

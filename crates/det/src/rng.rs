@@ -140,9 +140,18 @@ impl Poisson {
 
 /// Zipf over `1..=n` with exponent `s`, sampled by inverse CDF over the
 /// precomputed normalizer (`n` is small in every dataset profile).
+///
+/// A guide table narrows each draw's search: with `G` a power of two at
+/// least `2n`, `guide[k]` is the first rank whose CDF reaches `k / G`, so a
+/// draw `u` in `[k / G, (k + 1) / G)` lies in `cdf[guide[k]..guide[k + 1]]`
+/// — one or two entries on average. `u · G` and `k / G` are exact in
+/// binary floating point, so the guided search returns the same rank as a
+/// search of the whole CDF for every `u`.
 #[derive(Debug, Clone)]
 pub struct Zipf {
     cdf: Vec<f64>,
+    /// `G + 1` entries: `guide[k] = cdf.partition_point(|p| p < k / G)`.
+    guide: Vec<usize>,
 }
 
 impl Zipf {
@@ -161,14 +170,36 @@ impl Zipf {
         for v in &mut cdf {
             *v /= total;
         }
-        Some(Self { cdf })
+        // One merge of the ascending CDF with the ascending `k / G`.
+        let g = (2 * cdf.len()).next_power_of_two();
+        let mut i = 0;
+        let guide = (0..=g)
+            .map(|k| {
+                let at = k as f64 / g as f64;
+                while cdf.get(i).is_some_and(|&p| p < at) {
+                    i += 1;
+                }
+                i
+            })
+            .collect();
+        Some(Self { cdf, guide })
     }
 
     /// One draw, as the rank `1.0..=n`.
     pub fn sample(&self, rng: &mut Rng) -> f64 {
-        let u = rng.next_f64();
-        let i = self.cdf.partition_point(|&p| p < u);
-        (i.min(self.cdf.len() - 1) + 1) as f64
+        (self.index(rng.next_f64()) + 1) as f64
+    }
+
+    /// The 0-based rank of `u` in `[0, 1)`: the first CDF entry not below
+    /// it, the last one if `u` is above them all.
+    fn index(&self, u: f64) -> usize {
+        let g = self.guide.len() - 1;
+        let k = (u * g as f64) as usize;
+        let i = match (self.guide.get(k), self.guide.get(k + 1)) {
+            (Some(&lo), Some(&hi)) => lo + self.cdf.get(lo..hi).map_or(0, |run| run.partition_point(|&p| p < u)),
+            _ => self.cdf.partition_point(|&p| p < u),
+        };
+        i.min(self.cdf.len() - 1)
     }
 }
 
@@ -212,6 +243,51 @@ mod tests {
     const GOLDEN_ZIPF: [u32; 8] = [13, 3, 49, 3, 1, 3, 3, 5];
     const GOLDEN_POISSON: [u32; 8] = [3, 3, 1, 5, 3, 2, 0, 2];
     const GOLDEN_SHUFFLE: [u32; 10] = [9, 5, 6, 1, 3, 7, 0, 2, 8, 4];
+
+    /// The guided search returns the whole CDF's `partition_point` (capped
+    /// at the last rank) for every `u`: at each guide boundary `k / G`, the
+    /// floats either side of it, and a million seeded draws. The `(n, s)`
+    /// pairs are the profiles' ambiguous and filler pools at scale 1 and at
+    /// the benchmark's scales (bbc × 3, yago × 8), plus the edge cases.
+    #[test]
+    fn guided_rank_is_the_full_search() {
+        let settings = [
+            (80, 1.0),
+            (50, 1.1),
+            (250, 1.0),
+            (400, 1.6),
+            (900, 1.0),
+            (500, 1.15),
+            (2_700, 1.0),
+            (1_500, 1.15),
+            (3_000, 1.0),
+            (300, 1.2),
+            (24_000, 1.0),
+            (2_400, 1.2),
+            (1, 1.0),
+            (2, 1.0),
+            (1_000, 0.0),
+        ];
+        for (n, s) in settings {
+            let zipf = Zipf::new(n, s).expect("valid parameters");
+            let full = |u: f64| zipf.cdf.partition_point(|&p| p < u).min(zipf.cdf.len() - 1);
+            let g = zipf.guide.len() - 1;
+            assert!(g.is_power_of_two() && g >= 2 * n as usize);
+            for k in 0..g {
+                let at = k as f64 / g as f64;
+                for u in [at, f64::from_bits(at.to_bits() + 1), f64::from_bits(at.to_bits().saturating_sub(1))] {
+                    if (0.0..1.0).contains(&u) {
+                        assert_eq!(zipf.index(u), full(u), "n {n}, s {s}, u {u:e} near k {k}");
+                    }
+                }
+            }
+            let mut rng = Rng::seed_from_u64(n);
+            for _ in 0..1_000_000 {
+                let u = rng.next_f64();
+                assert_eq!(zipf.index(u), full(u), "n {n}, s {s}, u {u:e}");
+            }
+        }
+    }
 
     #[test]
     fn draws_stay_in_range_and_distributions_reject_bad_parameters() {

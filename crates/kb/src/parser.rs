@@ -348,26 +348,46 @@ pub fn load_ntriples_with_mode(
 /// URI objects. `load_ntriples` of the output reconstructs an equivalent
 /// KB (round-trip property, tested in the integration suite).
 pub fn write_ntriples(pair: &crate::store::KbPair, side: Side) -> String {
-    use std::fmt::Write as _;
     let kb = pair.kb(side);
     let mut out = String::new();
     for (id, e) in kb.iter() {
         let subject = pair.uri_of(side, id);
         for (a, v) in e.pairs() {
-            let predicate = pair.attrs().resolve(crate::interner::Symbol(a.0));
+            out.push('<');
+            out.push_str(subject);
+            out.push_str("> <");
+            out.push_str(pair.attrs().resolve(crate::interner::Symbol(a.0)));
             match v {
                 crate::model::Value::Literal(l) => {
-                    let lit = pair.literals().resolve(crate::interner::Symbol(l.0));
-                    let escaped = lit.replace('\\', "\\\\").replace('"', "\\\"");
-                    let _ = writeln!(out, "<{subject}> <{predicate}> \"{escaped}\" .");
+                    out.push_str("> \"");
+                    push_escaped(&mut out, pair.literals().resolve(crate::interner::Symbol(l.0)));
+                    out.push_str("\" .\n");
                 }
                 crate::model::Value::Ref(t) => {
-                    let _ = writeln!(out, "<{subject}> <{predicate}> <{}> .", pair.uri_of(side, t));
+                    out.push_str("> <");
+                    out.push_str(pair.uri_of(side, t));
+                    out.push_str("> .\n");
                 }
             }
         }
     }
     out
+}
+
+/// Appends `lit` to `out` with `\` and `"` escaped. A built pair's
+/// literals are normal forms (alphanumerics and single spaces), so only a
+/// literal read from a crafted `.mkb` takes the char loop.
+fn push_escaped(out: &mut String, lit: &str) {
+    if !lit.contains(['"', '\\']) {
+        out.push_str(lit);
+        return;
+    }
+    for c in lit.chars() {
+        if matches!(c, '"' | '\\') {
+            out.push('\\');
+        }
+        out.push(c);
+    }
 }
 
 /// Parses a ground-truth pair list: one `left-uri <TAB> right-uri` (or
@@ -465,6 +485,18 @@ mod tests {
         assert!(parse_line("<a> <p> <b>").is_err()); // missing '.'
         assert!(parse_line(r#"<a> <p> "unterminated ."#).is_err());
         assert!(parse_line("no-brackets <p> <b> .").is_err());
+    }
+
+    #[test]
+    fn escaped_literals_read_back_unchanged() {
+        for lit in [r#"say "hi" to C:\dir\"#, "caf\u{e9} \u{6771}\u{4eac} \u{1f600} \\\"\\", r"\u00e9 \n", "plain"] {
+            let mut line = String::from("<http://a> <http://p> \"");
+            push_escaped(&mut line, lit);
+            line.push_str("\" .");
+            let t = parse_line(&line).unwrap().unwrap();
+            let Term::Literal(written) = t.object else { panic!("{line} has no literal object") };
+            assert_eq!(unescape(written), lit, "{line}");
+        }
     }
 
     #[test]

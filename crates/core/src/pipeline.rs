@@ -276,8 +276,7 @@ impl Minoaner {
     /// The pipeline body shared by every resolver entry point: prepare
     /// (Algorithm 1), match (Algorithm 2), assemble timings. Each barrier
     /// is either restored from the newest valid checkpoint or computed and
-    /// (per the spec's policy) committed; without a spec `barriers`
-    /// restores and commits nothing.
+    /// committed; without a spec `barriers` restores and commits nothing.
     // Stage timing is the sanctioned wall-clock use; see the R3 entry
     // for this file in lint-allow.toml.
     #[allow(clippy::disallowed_methods)]

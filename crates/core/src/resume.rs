@@ -24,8 +24,8 @@ use minoaner_blocking::graph::BlockingGraph;
 use minoaner_blocking::purge::PurgeReport;
 use minoaner_dataflow::vfs::{self, VfsRef};
 use minoaner_dataflow::{
-    CheckpointError, CheckpointPolicy, CheckpointStore, DataflowError, DegradeOnCkptError,
-    Executor, RecoveredStage, TraceCollector,
+    CheckpointError, CheckpointStore, DataflowError, DegradeOnCkptError, Executor,
+    RecoveredStage, TraceCollector,
 };
 use minoaner_det::codec::{decode_exact, encode_to_vec, Spillable};
 use minoaner_det::checksum;
@@ -44,8 +44,8 @@ pub const BARRIER_MATCHES: usize = 2;
 /// Barrier names, indexed by barrier.
 pub const BARRIER_NAMES: [&str; 3] = ["blocks", "graph", "matches"];
 
-/// How a checkpointed run is configured: where snapshots live, whether to
-/// resume from them, and which barriers to write.
+/// How a checkpointed run is configured: where snapshots live and whether
+/// to resume from them. Every barrier is written.
 #[derive(Debug, Clone)]
 pub struct CheckpointSpec {
     /// Root directory for the run's checkpoints.
@@ -53,8 +53,6 @@ pub struct CheckpointSpec {
     /// Scan `dir` for the newest valid checkpoint of this run and resume
     /// from it instead of recomputing.
     pub resume: bool,
-    /// Which stage barriers to materialize (default: every barrier).
-    pub policy: CheckpointPolicy,
     /// What a checkpoint I/O failure does to the run (default:
     /// [`DegradeOnCkptError::Fail`]). Under
     /// [`DegradeOnCkptError::Continue`] a failed barrier write (or a
@@ -74,7 +72,6 @@ impl CheckpointSpec {
         Self {
             dir: dir.into(),
             resume: false,
-            policy: CheckpointPolicy::EveryN(1),
             on_error: DegradeOnCkptError::Fail,
             vfs: vfs::default_vfs(),
         }
@@ -346,9 +343,8 @@ impl<'a> Barriers<'a> {
         }
     }
 
-    /// Commits barrier `barrier` (`name`) if the spec's policy selects it, timing
-    /// the encoding and the write as a `ckpt/write/<name>` stage and accounting the payload
-    /// in the `ckpt/bytes_written` / `ckpt/barriers_written` counters. The
+    /// Commits barrier `barrier` (`name`), timing the encoding and the write
+    /// as a `ckpt/write/<name>` stage and accounting the payload in the `ckpt/bytes_written` / `ckpt/barriers_written` counters. The
     /// counter snapshot stored with the barrier excludes the `ckpt/*`
     /// namespace: a resumed run re-emits the snapshot, and its own
     /// checkpoint accounting legitimately differs from the interrupted
@@ -360,11 +356,7 @@ impl<'a> Barriers<'a> {
         name: &str,
         parts: impl FnOnce() -> Vec<(String, Vec<u8>)>,
     ) -> Result<(), DataflowError> {
-        let Some(live) =
-            self.live.as_ref().filter(|live| live.spec.policy.should_checkpoint(barrier, name))
-        else {
-            return Ok(());
-        };
+        let Some(live) = self.live.as_ref() else { return Ok(()) };
         let spec = live.spec;
         let counters: BTreeMap<String, u64> = live
             .collector
@@ -379,12 +371,6 @@ impl<'a> Barriers<'a> {
             Ok(bytes) => {
                 executor.emit_counter("ckpt/bytes_written", bytes);
                 executor.emit_counter("ckpt/barriers_written", 1);
-                // Cancellation injection point: the barrier is fully
-                // committed, so a cancel latched here is observed by the
-                // pipeline's very next poll — the worst-case timing the
-                // cancellation safety invariant covers.
-                #[cfg(feature = "fault-inject")]
-                minoaner_dataflow::faultinject::maybe_cancel_after(barrier, executor.cancel_token());
                 Ok(())
             }
             Err(e) => {
@@ -439,8 +425,7 @@ mod tests {
     fn spec_defaults_checkpoint_every_barrier() {
         let spec = CheckpointSpec::new("/tmp/ckpt");
         assert!(!spec.resume);
-        assert!(spec.policy.should_checkpoint(BARRIER_BLOCKS, "blocks"));
-        assert!(spec.policy.should_checkpoint(BARRIER_MATCHES, "matches"));
+        assert_eq!(spec.on_error, DegradeOnCkptError::Fail);
         assert!(spec.resuming().resume);
     }
 

@@ -45,40 +45,6 @@ use minoaner_det::vfs::{self, Vfs, VfsRef};
 /// change; recovery refuses manifests from other versions.
 pub const CHECKPOINT_SCHEMA_VERSION: u32 = 1;
 
-/// When the executor's pipeline should materialize a checkpoint.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub enum CheckpointPolicy {
-    /// Never checkpoint (the default).
-    #[default]
-    Off,
-    /// Checkpoint at every N-th stage barrier (1 = every barrier).
-    EveryN(usize),
-    /// Checkpoint only at the named stage barriers.
-    AtStages(Vec<String>),
-}
-
-impl CheckpointPolicy {
-    /// Whether the barrier with 0-based `index` and the given `name`
-    /// should be checkpointed under this policy.
-    pub fn should_checkpoint(&self, index: usize, name: &str) -> bool {
-        match self {
-            CheckpointPolicy::Off => false,
-            CheckpointPolicy::EveryN(0) => false,
-            CheckpointPolicy::EveryN(n) => (index + 1) % n == 0,
-            CheckpointPolicy::AtStages(stages) => stages.iter().any(|s| s == name),
-        }
-    }
-
-    /// Whether any barrier could be checkpointed at all.
-    pub fn is_enabled(&self) -> bool {
-        match self {
-            CheckpointPolicy::Off => false,
-            CheckpointPolicy::EveryN(n) => *n > 0,
-            CheckpointPolicy::AtStages(stages) => !stages.is_empty(),
-        }
-    }
-}
-
 /// What a pipeline run does when a checkpoint write (or the store open /
 /// restore scan) fails.
 ///
@@ -383,11 +349,6 @@ impl CheckpointStore {
             });
         }
 
-        // Process-level crash point: parts staged, manifest not yet
-        // committed — recovery must treat this barrier as absent.
-        #[cfg(feature = "fault-inject")]
-        crate::faultinject::maybe_crash_during(stage);
-
         let body = ManifestBody {
             schema_version: CHECKPOINT_SCHEMA_VERSION,
             barrier,
@@ -406,12 +367,6 @@ impl CheckpointStore {
         }
         self.vfs.rename(tmp_dir, &final_dir).map_err(|e| io_err(&final_dir, &e))?;
         sync_dir(&*self.vfs, &self.root)?;
-
-        // Process-level crash point: the barrier is fully committed —
-        // resume must pick it up and skip all work before it.
-        #[cfg(feature = "fault-inject")]
-        crate::faultinject::maybe_crash_after(barrier);
-
         Ok(total)
     }
 
@@ -735,21 +690,6 @@ mod tests {
         let rec = store.recover_latest(1).unwrap();
         assert_eq!(rec.stage.unwrap().parts, new_parts);
         fs::remove_dir_all(&root).unwrap();
-    }
-
-    #[test]
-    fn policy_selects_barriers() {
-        assert!(!CheckpointPolicy::Off.should_checkpoint(0, "blocks"));
-        assert!(!CheckpointPolicy::Off.is_enabled());
-        assert!(CheckpointPolicy::EveryN(1).should_checkpoint(0, "x"));
-        assert!(CheckpointPolicy::EveryN(1).should_checkpoint(2, "y"));
-        assert!(!CheckpointPolicy::EveryN(2).should_checkpoint(0, "x"));
-        assert!(CheckpointPolicy::EveryN(2).should_checkpoint(1, "x"));
-        assert!(!CheckpointPolicy::EveryN(0).is_enabled());
-        let named = CheckpointPolicy::AtStages(vec!["graph".into()]);
-        assert!(named.should_checkpoint(7, "graph"));
-        assert!(!named.should_checkpoint(7, "blocks"));
-        assert!(named.is_enabled());
     }
 
     #[test]

@@ -36,9 +36,8 @@
 //! * **Crash-safe checkpointing**: a [`CheckpointStore`] materializes
 //!   pipeline state at stage barriers with an atomic temp-file + rename +
 //!   fsync protocol, per-file content hashes and a versioned manifest
-//!   (`checkpoint` module); a [`CheckpointPolicy`] decides which barriers
-//!   to snapshot, and the recovery scanner resumes from the newest
-//!   *complete* barrier, falling back past torn or bit-flipped files
+//!   (`checkpoint` module); the pipeline snapshots every barrier, and the
+//!   recovery scanner resumes from the newest *complete* barrier, falling back past torn or bit-flipped files
 //!   instead of trusting them.
 //!
 //! ```
@@ -66,8 +65,6 @@ pub mod budget;
 pub mod cancel;
 pub mod checkpoint;
 pub mod error;
-#[cfg(feature = "fault-inject")]
-pub mod faultinject;
 pub mod metrics;
 pub mod observer;
 pub mod pool;
@@ -82,8 +79,8 @@ pub use minoaner_det::vfs;
 pub use budget::MemoryBudget;
 pub use cancel::{CancelReason, CancelToken};
 pub use checkpoint::{
-    CheckpointError, CheckpointPolicy, CheckpointStore, DegradeOnCkptError, RecoveredStage,
-    Recovery, CHECKPOINT_SCHEMA_VERSION,
+    CheckpointError, CheckpointStore, DegradeOnCkptError, RecoveredStage, Recovery,
+    CHECKPOINT_SCHEMA_VERSION,
 };
 pub use minoaner_det::vfs::{FaultFs, FaultKind, FaultPlan, RealFs, Vfs, VfsRef};
 pub use error::DataflowError;

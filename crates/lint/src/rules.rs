@@ -30,7 +30,7 @@ pub enum FileClass {
 pub const RULES: &[(&str, &str)] = &[
     ("R1", "no std::collections::HashMap/HashSet — use minoaner_det::DetHashMap/DetHashSet"),
     ("R2", "no f64/f32 accumulation over hash-map iteration — sort keys first"),
-    ("R3", "no wall-clock or entropy outside timing/trace/fault-inject modules"),
+    ("R3", "no wall-clock or entropy outside timing/trace modules"),
     ("R5", "every `unsafe` block/fn/impl must carry a `// SAFETY:` comment on the preceding line"),
     ("R6", "no direct std::fs/File/OpenOptions in durable-path modules — route I/O through the Vfs"),
     ("R7", "every #[allow] of clippy's panic lints is counted in lint-allow.toml and carries a `// bound:` comment"),
@@ -345,8 +345,8 @@ fn for_loop_spans(toks: &[Tok], start: usize) -> Option<(usize, usize)> {
     None
 }
 
-/// R3: wall-clock reads and entropy-seeded RNG. Timing/trace and
-/// fault-inject modules are blanket-allowed via `lint-allow.toml`.
+/// R3: wall-clock reads and entropy-seeded RNG. Timing/trace modules are
+/// blanket-allowed via `lint-allow.toml`.
 fn r3_wallclock_entropy(path: &str, toks: &[Tok], out: &mut Vec<Violation>) {
     for (i, t) in toks.iter().enumerate() {
         let hit = if t.kind != TokKind::Ident {
@@ -368,8 +368,8 @@ fn r3_wallclock_entropy(path: &str, toks: &[Tok], out: &mut Vec<Violation>) {
                 path: path.to_string(),
                 line: t.line,
                 message: format!(
-                    "`{what}` is non-deterministic; only timing/trace and fault-inject \
-                     modules may read the clock or entropy"
+                    "`{what}` is non-deterministic; only timing/trace modules may read \
+                     the clock or entropy"
                 ),
             });
         }

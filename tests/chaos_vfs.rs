@@ -13,81 +13,23 @@
 //! * a **recovered/degraded success** whose graph digest, match set and
 //!   rule counts are bit-identical to the fault-free reference.
 //!
-//! Never a silently wrong answer. The witness artifact test persists the
-//! recorded op traces under `target/chaos-vfs/` for the CI job to upload.
-//!
-//! Only compiled with the `fault-inject` feature; CI's chaos-vfs job
-//! runs `cargo test --release --features fault-inject --test chaos_vfs`.
+//! Never a silently wrong answer. Runs are compared with
+//! `support::canonical` (digest, sorted matches, rule counts). The witness
+//! artifact test persists the recorded op traces under `target/chaos-vfs/`;
+//! CI's chaos-vfs job runs this file again in release and uploads them.
 
-#![cfg(feature = "fault-inject")]
+mod support;
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use minoaner::dataflow::vfs::{FaultFs, FaultKind, FaultPlan, VfsRef};
 use minoaner::dataflow::MemoryBudget;
 use minoaner::datagen::{generate, profiles, GeneratedDataset};
 use minoaner::{CheckpointSpec, DataflowError, Minoaner, Resolution, ResolveRequest, RuleSet};
+use support::{canonical, scratch_dir, tmp_leaks};
 
 fn dataset() -> GeneratedDataset {
     generate(&profiles::restaurant().scaled(0.1))
-}
-
-/// A scratch directory that is unique per test without consulting any
-/// entropy source (pid + a process-local counter).
-fn scratch_dir(tag: &str) -> PathBuf {
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    let n = NEXT.fetch_add(1, Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!(
-        "minoaner-chaos-vfs-{}-{tag}-{n}",
-        std::process::id()
-    ));
-    if dir.exists() {
-        std::fs::remove_dir_all(&dir).expect("clear stale scratch dir");
-    }
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
-}
-
-/// Renders the observable outcome of a run as a canonical text blob
-/// (digest, sorted match set, rule counts — the things a user consumes).
-fn canonical(res: &Resolution) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("digest {:016x}\n", res.graph_digest));
-    let mut pairs: Vec<_> = res.matches.clone();
-    pairs.sort_unstable();
-    for (l, r) in pairs {
-        out.push_str(&format!("match {} {}\n", l.index(), r.index()));
-    }
-    let c = &res.rule_counts;
-    out.push_str(&format!("rules {} {} {} {}\n", c.r1, c.r2, c.r3, c.removed_by_r4));
-    out
-}
-
-/// Every path under `root` whose file name starts with `.tmp-` — the
-/// staging prefix every durable writer in the workspace uses. After any
-/// run, faulted or not, there must be none: commit renames them away and
-/// failure paths sweep them.
-fn tmp_leaks(root: &Path) -> Vec<PathBuf> {
-    let mut leaks = Vec::new();
-    let mut stack = vec![root.to_path_buf()];
-    while let Some(dir) = stack.pop() {
-        let Ok(entries) = std::fs::read_dir(&dir) else { continue };
-        for entry in entries.flatten() {
-            let path = entry.path();
-            if path
-                .file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.starts_with(".tmp-"))
-            {
-                leaks.push(path.clone());
-            }
-            if path.is_dir() {
-                stack.push(path);
-            }
-        }
-    }
-    leaks
 }
 
 /// Immediate children of `dir` (empty if the directory is gone).

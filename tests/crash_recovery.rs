@@ -1,202 +1,113 @@
-//! Crash-recovery harness: kill a checkpointed run at every stage
-//! boundary, resume it, and assert the resumed run is indistinguishable
-//! from an uninterrupted one.
+//! Crash-recovery harness: crash a checkpointed run before every durable
+//! operation it makes, resume it, and assert the resumed run is
+//! indistinguishable from an uninterrupted one.
 //!
-//! The harness is subprocess-driven. [`child_checkpointed_run`] is a
-//! normal `#[test]` that does nothing unless `MINOANER_CRASH_CHILD=1`;
-//! parent tests re-invoke the current test binary filtered to exactly
-//! that test, arming a process-level crash point via
-//! `MINOANER_CRASH_POINT` (`after:<k>` aborts right after barrier `k`
-//! commits, `during:<stage>` aborts mid-write with parts staged but no
-//! manifest committed). The child writes its result — graph digest,
-//! match set, rule counts and domain counters — as a canonical text
-//! blob the parent compares byte-for-byte.
+//! A crash is a disk that stops. The crashed run writes through
+//! `support::crashing_disk(k, kind)`, a `FaultFs` on the real filesystem
+//! whose op `k` fails and every op after it too, cleanup included, so the
+//! disk keeps exactly what a SIGKILL before op `k` would leave. The resume
+//! then runs on the real filesystem. A fault-free probe run's op trace
+//! enumerates the ops and tells, for each `k`, where the resume must
+//! restart: past one barrier per rename into the checkpoint root before
+//! op `k`.
 //!
-//! Only compiled with the `fault-inject` feature; CI's crash-recovery
-//! job runs `cargo test --features fault-inject --test crash_recovery`.
+//! Runs are compared with `support::canonical_with_counters`: graph
+//! digest, sorted match set, rule counts and every non-`ckpt/` counter.
 
-#![cfg(feature = "fault-inject")]
+mod support;
 
 use std::path::{Path, PathBuf};
-use std::process::Command;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
+use minoaner::dataflow::vfs::{self, FaultFs, FaultKind, FaultPlan, OpClass, OpRecord, VfsRef};
 use minoaner::dataflow::RunTrace;
 use minoaner::datagen::{generate, profiles, GeneratedDataset};
-use minoaner::{CheckpointSpec, Executor, Minoaner, Resolution, ResolveRequest, RuleSet};
-
-/// Number of pipeline barriers (`blocks`, `graph`, `matches`).
-const BARRIERS: usize = 3;
+use minoaner::{
+    CheckpointSpec, DataflowError, Executor, KbPair, Minoaner, Resolution, ResolveRequest, RuleSet,
+};
+use support::{canonical_with_counters, crashing_disk, renames_before, scratch_dir, tmp_leaks};
 
 fn dataset() -> GeneratedDataset {
     generate(&profiles::restaurant().scaled(0.3))
 }
 
-/// A scratch directory that is unique per test without consulting any
-/// entropy source (pid + a process-local counter).
-fn scratch_dir(tag: &str) -> PathBuf {
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    let n = NEXT.fetch_add(1, Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!(
-        "minoaner-crash-recovery-{}-{tag}-{n}",
-        std::process::id()
-    ));
-    if dir.exists() {
-        std::fs::remove_dir_all(&dir).expect("clear stale scratch dir");
-    }
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
-}
-
-/// Renders the observable outcome of a run as a canonical text blob.
-/// `ckpt/*` counters are excluded: they are the only counters allowed
-/// to differ between an uninterrupted and a resumed run.
-fn canonical(res: &Resolution, trace: &RunTrace) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("digest {:016x}\n", res.graph_digest));
-    let mut pairs: Vec<_> = res.matches.clone();
-    pairs.sort_unstable();
-    for (l, r) in pairs {
-        out.push_str(&format!("match {} {}\n", l.index(), r.index()));
-    }
-    let c = &res.rule_counts;
-    out.push_str(&format!(
-        "rules {} {} {} {}\n",
-        c.r1, c.r2, c.r3, c.removed_by_r4
-    ));
-    for (name, value) in &trace.counters {
-        if !name.starts_with("ckpt/") {
-            out.push_str(&format!("counter {name} {value}\n"));
-        }
-    }
-    out
-}
-
-/// The child half of the harness. Inert unless spawned by a parent test
-/// below with `MINOANER_CRASH_CHILD=1`.
-#[test]
-fn child_checkpointed_run() {
-    if std::env::var("MINOANER_CRASH_CHILD").as_deref() != Ok("1") {
-        return;
-    }
-    let ckpt_dir = std::env::var("MINOANER_CKPT_DIR").expect("MINOANER_CKPT_DIR set");
-    let workers: usize = std::env::var("MINOANER_WORKERS")
-        .expect("MINOANER_WORKERS set")
-        .parse()
-        .expect("MINOANER_WORKERS is a number");
-    let result_path = std::env::var("MINOANER_RESULT_PATH").expect("MINOANER_RESULT_PATH set");
-
-    let d = dataset();
+/// One checkpointed run of the full rule set over `pair` through `vfs`.
+fn run(
+    pair: &KbPair,
+    dir: &Path,
+    workers: usize,
+    vfs: VfsRef,
+    resume: bool,
+) -> Result<(Resolution, RunTrace), DataflowError> {
     let mut exec = Executor::new(workers);
-    let mut spec = CheckpointSpec::new(ckpt_dir);
-    spec.resume = true; // resuming an empty dir is a fresh run
-    let (res, trace) = Minoaner::new()
-        .run_on(
-            &mut exec,
-            ResolveRequest::pair(&d.pair).rules(RuleSet::FULL).checkpoint(&spec),
-        )
-        .expect("checkpointed run succeeds")
-        .into_traced();
-
-    // First line reports where the run resumed from (0 = fresh); the
-    // rest is the canonical comparison blob.
-    let body = format!(
-        "resumed_from {}\n{}",
-        trace.counter("ckpt/resumed_from"),
-        canonical(&res, &trace)
-    );
-    std::fs::write(&result_path, body).expect("write child result");
+    let mut spec = CheckpointSpec::new(dir).with_vfs(vfs);
+    spec.resume = resume;
+    Minoaner::new()
+        .run_on(&mut exec, ResolveRequest::pair(pair).rules(RuleSet::FULL).checkpoint(&spec))
+        .map(|o| o.into_traced())
 }
 
-struct ChildOutcome {
-    status: std::process::ExitStatus,
-    result: Option<String>,
+/// A healthy run on the real filesystem, resuming from whatever `dir`
+/// holds (an empty directory is a fresh run).
+fn resume(pair: &KbPair, dir: &Path, workers: usize) -> (Resolution, RunTrace) {
+    run(pair, dir, workers, vfs::default_vfs(), true).expect("resumed run succeeds")
 }
 
-/// Spawns the current test binary filtered to [`child_checkpointed_run`],
-/// optionally arming a crash point. Returns the exit status and the
-/// child's result blob (if it lived long enough to write one).
-fn run_child(ckpt_dir: &Path, workers: usize, crash: Option<&str>, tag: &str) -> ChildOutcome {
-    let result_path = scratch_dir(tag).join("result.txt");
-    let exe = std::env::current_exe().expect("current_exe");
-    let mut cmd = Command::new(exe);
-    cmd.args([
-        "child_checkpointed_run",
-        "--exact",
-        "--nocapture",
-        "--test-threads",
-        "1",
-    ])
-    .env("MINOANER_CRASH_CHILD", "1")
-    .env("MINOANER_CKPT_DIR", ckpt_dir)
-    .env("MINOANER_WORKERS", workers.to_string())
-    .env("MINOANER_RESULT_PATH", &result_path);
-    match crash {
-        Some(point) => cmd.env("MINOANER_CRASH_POINT", point),
-        None => cmd.env_remove("MINOANER_CRASH_POINT"),
-    };
-    let status = cmd.status().expect("spawn child test binary");
-    let result = std::fs::read_to_string(&result_path).ok();
-    ChildOutcome { status, result }
-}
-
-/// Splits a child result blob into (resumed_from, canonical body).
-fn split_result(blob: &str) -> (u64, &str) {
-    let (first, rest) = blob.split_once('\n').expect("result has a header line");
-    let resumed_from = first
-        .strip_prefix("resumed_from ")
-        .expect("header is resumed_from")
-        .parse()
-        .expect("resumed_from is a number");
-    (resumed_from, rest)
-}
-
-/// Runs an uninterrupted checkpointed child and returns its canonical body.
-fn baseline(workers: usize, tag: &str) -> String {
+/// A fresh, fault-free run into a new directory: its canonical outcome
+/// and its durable op trace.
+fn probe(pair: &KbPair, workers: usize, tag: &str) -> (String, Vec<OpRecord>) {
     let dir = scratch_dir(tag);
-    let out = run_child(&dir, workers, None, tag);
-    assert!(out.status.success(), "baseline child run failed");
-    let blob = out.result.expect("baseline wrote a result");
-    let (resumed_from, body) = split_result(&blob);
-    assert_eq!(resumed_from, 0, "baseline must not resume from anything");
-    body.to_string()
+    let probe = FaultFs::new(FaultPlan::none());
+    let (res, trace) =
+        run(pair, &dir, workers, probe.clone(), false).expect("fault-free probe run succeeds");
+    (canonical_with_counters(&res, &trace), probe.ops())
 }
 
-/// The tentpole assertion: for every barrier `k` and several worker
-/// counts, a run killed right after barrier `k` commits and then resumed
-/// produces exactly the digest, match set, rule counts and domain
-/// counters of an uninterrupted run — and really did resume from `k+1`.
+/// The index of the first op of `class` on a path ending in `suffix`.
+fn op_index(ops: &[OpRecord], class: OpClass, suffix: &str) -> u64 {
+    ops.iter()
+        .find(|op| op.class == class && op.path.ends_with(suffix))
+        .unwrap_or_else(|| panic!("the probe has no {} on …/{suffix}", class.as_str()))
+        .index
+}
+
+/// The tentpole sweep: a crash before every durable op `k` of the run,
+/// `Eio` at workers 1, 2 and 8 and a torn write (`ShortWrite`) at 2, then
+/// a resume. The resume restarts past exactly the barriers whose rename
+/// landed, leaves no staging behind, and reproduces the uninterrupted run
+/// bit for bit.
 #[test]
-fn kill_after_every_barrier_then_resume_matches_uninterrupted() {
-    for &workers in &[1usize, 2, 8] {
-        let base = baseline(workers, &format!("base-w{workers}"));
-        for barrier in 0..BARRIERS {
-            let tag = format!("after-{barrier}-w{workers}");
-            let dir = scratch_dir(&tag);
+fn crash_before_every_durable_op_then_resume_matches_uninterrupted() {
+    let d = dataset();
+    let sweeps = [(1, FaultKind::Eio), (2, FaultKind::Eio), (8, FaultKind::Eio), (2, FaultKind::ShortWrite)];
+    for (workers, kind) in sweeps {
+        let (base, ops) = probe(&d.pair, workers, &format!("probe-w{workers}"));
+        let n_ops = ops.len() as u64;
+        assert!(n_ops >= 30, "a checkpointed run makes many durable ops, saw {n_ops}");
+        for k in 0..=n_ops {
+            let case = format!("crash before op {k} ({}, workers {workers})", kind.as_str());
+            let dir = scratch_dir(&format!("sweep-w{workers}-{}-k{k}", kind.as_str()));
+            let disk = crashing_disk(k, kind);
+            let crashed = run(&d.pair, &dir, workers, disk.clone(), false);
+            if k < n_ops {
+                assert!(
+                    matches!(crashed, Err(DataflowError::Checkpoint(_))),
+                    "{case}: the run must stop with a checkpoint error, got {:?}",
+                    crashed.map(|_| ())
+                );
+                assert_eq!(disk.fired().first().map(|op| op.index), Some(k), "{case}");
+            } else {
+                assert!(crashed.is_ok(), "{case}: a crash after the last op is a finished run");
+            }
 
-            let crashed = run_child(&dir, workers, Some(&format!("after:{barrier}")), &tag);
-            assert!(
-                !crashed.status.success(),
-                "crash point after:{barrier} must abort the child"
-            );
-            assert!(
-                crashed.result.is_none(),
-                "aborted child must not have produced a result"
-            );
-
-            let resumed = run_child(&dir, workers, None, &format!("{tag}-resume"));
-            assert!(resumed.status.success(), "resumed child run failed");
-            let blob = resumed.result.expect("resumed child wrote a result");
-            let (resumed_from, body) = split_result(&blob);
+            let (res, trace) = resume(&d.pair, &dir, workers);
             assert_eq!(
-                resumed_from,
-                barrier as u64 + 1,
-                "resume after crash at barrier {barrier} must restart past it"
+                trace.counter("ckpt/resumed_from"),
+                renames_before(&ops, k),
+                "{case}: the resume must restart past every barrier whose rename landed"
             );
-            assert_eq!(
-                body, base,
-                "resumed run (workers={workers}, crash after:{barrier}) diverged"
-            );
+            assert_eq!(canonical_with_counters(&res, &trace), base, "{case}: the resumed run diverged");
+            let leaks = tmp_leaks(&dir);
+            assert!(leaks.is_empty(), "{case}: the resume left staging behind: {leaks:?}");
         }
     }
 }
@@ -205,90 +116,73 @@ fn kill_after_every_barrier_then_resume_matches_uninterrupted() {
 /// byte-identical whether the pipeline ran on 1, 2 or 8 workers.
 #[test]
 fn baseline_is_identical_across_worker_counts() {
-    let w1 = baseline(1, "xw-1");
-    let w2 = baseline(2, "xw-2");
-    let w8 = baseline(8, "xw-8");
-    assert_eq!(w1, w2, "workers 1 vs 2 diverged");
-    assert_eq!(w1, w8, "workers 1 vs 8 diverged");
+    let d = dataset();
+    let outcome = |workers: usize| {
+        let (res, trace) = resume(&d.pair, &scratch_dir(&format!("xw-{workers}")), workers);
+        assert_eq!(trace.counter("ckpt/resumed_from"), 0, "a fresh directory resumes nothing");
+        canonical_with_counters(&res, &trace)
+    };
+    let w1 = outcome(1);
+    assert_eq!(w1, outcome(2), "workers 1 vs 2 diverged");
+    assert_eq!(w1, outcome(8), "workers 1 vs 8 diverged");
 }
 
-/// A crash in the middle of writing a checkpoint (parts staged, manifest
-/// never committed) must leave the previous barrier recoverable: the
-/// torn stage directory is ignored, not mistaken for a checkpoint.
+/// A crash that tears the `graph` barrier's manifest (its parts staged,
+/// half the manifest on disk, no rename) leaves the `blocks` barrier
+/// recoverable: the torn staging directory is ignored, not mistaken for a
+/// checkpoint.
 #[test]
 fn torn_write_resumes_from_previous_barrier() {
-    let workers = 2;
-    let base = baseline(workers, "torn-base");
-    let dir = scratch_dir("torn");
-
-    let crashed = run_child(&dir, workers, Some("during:graph"), "torn-crash");
-    assert!(
-        !crashed.status.success(),
-        "during:graph crash point must abort the child"
-    );
-
-    let resumed = run_child(&dir, workers, None, "torn-resume");
-    assert!(resumed.status.success(), "resumed child run failed");
-    let blob = resumed.result.expect("resumed child wrote a result");
-    let (resumed_from, body) = split_result(&blob);
-    assert_eq!(
-        resumed_from, 1,
-        "torn graph write must fall back to the blocks barrier"
-    );
-    assert_eq!(body, base, "recovery from torn write diverged");
-}
-
-/// Runs a checkpointed resolution in-process and returns its outcome.
-fn run_in_process(dir: &Path, workers: usize, resume: bool) -> (Resolution, RunTrace) {
-    assert!(
-        std::env::var("MINOANER_CRASH_POINT").is_err(),
-        "in-process runs must not have a crash point armed"
-    );
     let d = dataset();
-    let mut exec = Executor::new(workers);
-    let mut spec = CheckpointSpec::new(dir);
-    spec.resume = resume;
-    Minoaner::new()
-        .run_on(
-            &mut exec,
-            ResolveRequest::pair(&d.pair).rules(RuleSet::FULL).checkpoint(&spec),
-        )
-        .expect("checkpointed run succeeds")
-        .into_traced()
+    let workers = 2;
+    let (base, ops) = probe(&d.pair, workers, "torn-probe");
+    let k = op_index(&ops, OpClass::Write, ".tmp-stage-001-graph/MANIFEST");
+
+    let dir = scratch_dir("torn");
+    let crashed = run(&d.pair, &dir, workers, crashing_disk(k, FaultKind::ShortWrite), false);
+    assert!(crashed.is_err(), "a crash mid-commit must stop the run");
+    assert!(dir.join(".tmp-stage-001-graph").is_dir(), "the torn barrier stays staged");
+
+    let (res, trace) = resume(&d.pair, &dir, workers);
+    assert_eq!(trace.counter("ckpt/resumed_from"), 1, "a torn graph write falls back to the blocks barrier");
+    assert_eq!(canonical_with_counters(&res, &trace), base, "recovery from torn write diverged");
 }
 
-/// Newest `stage-*` checkpoint directory under `root`.
-fn newest_stage_dir(root: &Path) -> PathBuf {
-    let mut stages: Vec<_> = std::fs::read_dir(root)
-        .expect("read checkpoint root")
-        .map(|e| e.expect("dir entry").path())
-        .filter(|p| {
-            p.file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.starts_with("stage-"))
-        })
-        .collect();
-    stages.sort();
-    stages.pop().expect("at least one committed stage")
+/// The part files of the newest `stage-*` checkpoint under `root`, sorted.
+fn newest_stage_parts(root: &Path) -> Vec<PathBuf> {
+    let entries = |dir: &Path, prefix: &str| {
+        let mut found: Vec<PathBuf> = std::fs::read_dir(dir)
+            .expect("read dir")
+            .map(|e| e.expect("dir entry").path())
+            .filter(|p| p.file_name().and_then(|n| n.to_str()).is_some_and(|n| n.starts_with(prefix)))
+            .collect();
+        found.sort();
+        found
+    };
+    let newest = entries(root, "stage-").pop().expect("at least one committed stage");
+    entries(&newest, "part-")
 }
 
-/// Flips one bit in the first part file of the given stage directory.
-fn corrupt_one_part(stage_dir: &Path) {
-    let mut parts: Vec<_> = std::fs::read_dir(stage_dir)
-        .expect("read stage dir")
-        .map(|e| e.expect("dir entry").path())
-        .filter(|p| {
-            p.file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.starts_with("part-"))
-        })
-        .collect();
-    parts.sort();
+/// Checkpoints a fresh run, damages the first part of its newest barrier
+/// with `damage`, resumes, and checks the damage is counted as rejected
+/// and survived with the clean outcome.
+fn damaged_part_is_detected_and_survived(tag: &str, damage: impl FnOnce(&mut Vec<u8>)) {
+    let d = dataset();
+    let workers = 2;
+    let (clean_res, clean_trace) = resume(&d.pair, &scratch_dir(&format!("{tag}-clean")), workers);
+    let clean = canonical_with_counters(&clean_res, &clean_trace);
+
+    let dir = scratch_dir(tag);
+    resume(&d.pair, &dir, workers);
+    let parts = newest_stage_parts(&dir);
     let victim = parts.first().expect("stage has at least one part");
     let mut bytes = std::fs::read(victim).expect("read part");
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0x40;
-    std::fs::write(victim, bytes).expect("write corrupted part");
+    damage(&mut bytes);
+    std::fs::write(victim, bytes).expect("write damaged part");
+
+    let (res, trace) = resume(&d.pair, &dir, workers);
+    assert!(trace.counter("ckpt/rejected") >= 1, "{tag}: the damaged checkpoint must be counted as rejected");
+    assert_eq!(canonical_with_counters(&res, &trace), clean, "{tag}: recovery diverged");
 }
 
 /// Bit-flip corruption in the newest checkpoint is detected by the
@@ -296,65 +190,17 @@ fn corrupt_one_part(stage_dir: &Path) {
 /// fresh run) and still produces the uninterrupted outcome.
 #[test]
 fn bit_flip_corruption_is_detected_and_survived() {
-    let workers = 2;
-    let clean_dir = scratch_dir("bitflip-clean");
-    let (clean_res, clean_trace) = run_in_process(&clean_dir, workers, false);
-    let clean = canonical(&clean_res, &clean_trace);
-
-    let dir = scratch_dir("bitflip");
-    run_in_process(&dir, workers, false);
-    let newest = newest_stage_dir(&dir);
-    corrupt_one_part(&newest);
-
-    let (res, trace) = run_in_process(&dir, workers, true);
-    assert!(
-        trace.counter("ckpt/rejected") >= 1,
-        "corrupted checkpoint must be counted as rejected"
-    );
-    assert_eq!(
-        canonical(&res, &trace),
-        clean,
-        "recovery after bit-flip corruption diverged"
-    );
+    damaged_part_is_detected_and_survived("bitflip", |bytes| {
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x40;
+    });
 }
 
 /// Truncating a part file (simulated torn disk write) is likewise
 /// detected and survived.
 #[test]
 fn truncated_part_is_detected_and_survived() {
-    let workers = 2;
-    let clean_dir = scratch_dir("trunc-clean");
-    let (clean_res, clean_trace) = run_in_process(&clean_dir, workers, false);
-    let clean = canonical(&clean_res, &clean_trace);
-
-    let dir = scratch_dir("trunc");
-    run_in_process(&dir, workers, false);
-    let newest = newest_stage_dir(&dir);
-    let mut parts: Vec<_> = std::fs::read_dir(&newest)
-        .expect("read stage dir")
-        .map(|e| e.expect("dir entry").path())
-        .filter(|p| {
-            p.file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.starts_with("part-"))
-        })
-        .collect();
-    parts.sort();
-    let victim = parts.first().expect("stage has at least one part");
-    let bytes = std::fs::read(victim).expect("read part");
-    let keep = bytes.len() / 2;
-    std::fs::write(victim, &bytes[..keep]).expect("truncate part");
-
-    let (res, trace) = run_in_process(&dir, workers, true);
-    assert!(
-        trace.counter("ckpt/rejected") >= 1,
-        "truncated checkpoint must be counted as rejected"
-    );
-    assert_eq!(
-        canonical(&res, &trace),
-        clean,
-        "recovery after truncation diverged"
-    );
+    damaged_part_is_detected_and_survived("trunc", |bytes| bytes.truncate(bytes.len() / 2));
 }
 
 /// A checkpointed run and a plain traced run agree on everything the
@@ -368,32 +214,33 @@ fn checkpointed_run_matches_plain_run() {
         .run_on(&mut exec, ResolveRequest::pair(&d.pair).rules(RuleSet::FULL).trace())
         .expect("plain run succeeds")
         .into_traced();
-
-    let dir = scratch_dir("plain-vs-ckpt");
-    let (ckpt_res, ckpt_trace) = run_in_process(&dir, workers, false);
-
+    let (ckpt_res, ckpt_trace) = resume(&d.pair, &scratch_dir("plain-vs-ckpt"), workers);
     assert_eq!(
-        canonical(&plain_res, &plain_trace),
-        canonical(&ckpt_res, &ckpt_trace),
+        canonical_with_counters(&plain_res, &plain_trace),
+        canonical_with_counters(&ckpt_res, &ckpt_trace),
         "checkpointing changed the observable outcome"
     );
 }
 
-/// Produces the CI artifact: crash a run, resume it, and persist the
-/// recovered run's trace JSON under `target/` for upload.
+/// Produces the CI artifact: crash a run right after barrier 1 commits,
+/// resume it, and persist the recovered run's trace JSON under `target/`
+/// for upload.
 #[test]
 fn recovered_trace_artifact_is_written() {
+    let d = dataset();
     let workers = 2;
-    let dir = scratch_dir("artifact");
-    let crashed = run_child(&dir, workers, Some("after:1"), "artifact-crash");
-    assert!(!crashed.status.success(), "crash point must abort the child");
+    let (_, ops) = probe(&d.pair, workers, "artifact-probe");
+    let k = op_index(&ops, OpClass::CreateDir, ".tmp-stage-002-matches");
 
-    let (res, trace) = run_in_process(&dir, workers, true);
+    let dir = scratch_dir("artifact");
+    let crashed = run(&d.pair, &dir, workers, crashing_disk(k, FaultKind::Eio), false);
+    assert!(crashed.is_err(), "the crash must stop the run");
+
+    let (res, trace) = resume(&d.pair, &dir, workers);
     assert_eq!(trace.counter("ckpt/resumed_from"), 2);
     assert!(!res.matches.is_empty(), "recovered run found no matches");
 
     let target = std::env::var("CARGO_TARGET_DIR").unwrap_or_else(|_| "target".into());
     let path = PathBuf::from(target).join("crash_recovery_trace.json");
-    let json = trace.to_json();
-    std::fs::write(&path, json).expect("write trace artifact");
+    std::fs::write(&path, trace.to_json()).expect("write trace artifact");
 }

@@ -7,74 +7,40 @@
 //!   the same dataset;
 //! * a task fault fails its own job and never bleeds into a sibling job;
 //! * a job cancelled mid-run leaves only complete, resumable barriers
-//!   and resumes to the uninterrupted outcome, and so does one killed
-//!   with its process;
+//!   and resumes to the uninterrupted outcome, and so does one whose disk
+//!   stops under it;
 //! * no worker or watcher threads and no checkpoint directories leak.
 //!
-//! Tests serialize on a process-wide lock: `MINOANER_CANCEL_POINT` is a
-//! process-global environment variable, and thread-leak accounting needs
-//! a quiet process. Only compiled with the `fault-inject` feature; CI's
-//! jobs-stress job runs `cargo test --features fault-inject --test
-//! jobs_stress`.
+//! Cancels come from `support::CancelAfterBarrier` or `CANCEL` markers,
+//! the crash from `support::crashing_disk`; outcomes are compared with
+//! `support::canonical_with_counters`.
 
-#![cfg(feature = "fault-inject")]
+mod support;
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::process::Command;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
+use minoaner::dataflow::vfs::{FaultFs, FaultKind, FaultPlan, OpClass, VfsRef};
 use minoaner::dataflow::{CancelReason, RunTrace};
 use minoaner::datagen::{generate, profiles, GeneratedDataset};
 use minoaner::jobs::{control, Batch, JobContext, JobId, JobResult, JobSpec, JobState, JobStatus};
 use minoaner::{
     CheckpointSpec, DataflowError, Executor, KbPair, Minoaner, Resolution, ResolveRequest, RuleSet,
 };
+use support::{
+    assert_only_complete_barriers, canonical_with_counters, crashing_disk, renames_before,
+    scratch_dir, uncommitted_stage_dirs, CancelAfterBarrier,
+};
 
-/// Serializes the tests in this binary: one arms the process-global
-/// `MINOANER_CANCEL_POINT`, and the leak test counts process threads.
+/// Serializes the tests in this binary: two of them count the process's
+/// threads, which only means something while no other test runs.
 static SERIAL: Mutex<()> = Mutex::new(());
 
 fn dataset(scale: f64) -> GeneratedDataset {
     generate(&profiles::restaurant().scaled(scale))
-}
-
-/// A scratch directory that is unique per test without consulting any
-/// entropy source (pid + a process-local counter).
-fn scratch_dir(tag: &str) -> PathBuf {
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    let n = NEXT.fetch_add(1, Ordering::Relaxed);
-    let dir = std::env::temp_dir()
-        .join(format!("minoaner-jobs-stress-{}-{tag}-{n}", std::process::id()));
-    if dir.exists() {
-        std::fs::remove_dir_all(&dir).expect("clear stale scratch dir");
-    }
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
-}
-
-/// Renders the observable outcome of a run as a canonical text blob.
-/// `ckpt/*` counters are excluded: they are the only counters allowed to
-/// differ between a solo and a batched (or resumed) run.
-fn canonical(res: &Resolution, trace: &RunTrace) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("digest {:016x}\n", res.graph_digest));
-    let mut pairs: Vec<_> = res.matches.clone();
-    pairs.sort_unstable();
-    for (l, r) in pairs {
-        out.push_str(&format!("match {} {}\n", l.index(), r.index()));
-    }
-    let c = &res.rule_counts;
-    out.push_str(&format!("rules {} {} {} {}\n", c.r1, c.r2, c.r3, c.removed_by_r4));
-    for (name, value) in &trace.counters {
-        if !name.starts_with("ckpt/") {
-            out.push_str(&format!("counter {name} {value}\n"));
-        }
-    }
-    out
 }
 
 /// The checkpointed-job spelling on the request API: cancellation and
@@ -98,7 +64,7 @@ fn solo_baseline(scale: f64, workers: usize, tag: &str) -> String {
     let spec = CheckpointSpec::new(&dir);
     let (res, trace) =
         resolve_job(&mut exec, &d.pair, &spec).expect("solo baseline run succeeds");
-    canonical(&res, &trace)
+    canonical_with_counters(&res, &trace)
 }
 
 /// Per-job result sink: job ordinal → canonical blob.
@@ -107,19 +73,24 @@ type Results = RefCell<BTreeMap<u64, String>>;
 /// Work closure for a full-pipeline job: resolves the scaled restaurant
 /// dataset on the job's own executor with per-job checkpoints under
 /// `root/job-<id>/ckpt`, and records its canonical outcome in `results`.
+/// With `cancel_after`, the job's own token is latched right after that
+/// barrier commits.
 fn pipeline_work<'a>(
     scale: f64,
     root: &'a Path,
-    resume: bool,
+    cancel_after: Option<usize>,
     results: &'a Results,
 ) -> impl FnOnce(&JobContext) -> JobResult + 'a {
     move |ctx| {
         let d = dataset(scale);
         let mut exec = ctx.executor();
         let mut spec = CheckpointSpec::for_job(root, &ctx.id().to_string());
-        spec.resume = resume;
+        if let Some(barrier) = cancel_after {
+            let cancel = CancelAfterBarrier::new(spec.dir(), barrier, ctx.cancel_token().clone());
+            spec = spec.with_vfs(cancel);
+        }
         let (res, trace) = resolve_job(&mut exec, &d.pair, &spec)?;
-        results.borrow_mut().insert(ctx.id().ordinal(), canonical(&res, &trace));
+        results.borrow_mut().insert(ctx.id().ordinal(), canonical_with_counters(&res, &trace));
         Ok(format!("{} matches", res.matches.len()))
     }
 }
@@ -162,22 +133,6 @@ fn faulty_work(seed: u64) -> impl FnOnce(&JobContext) -> JobResult {
     }
 }
 
-/// Asserts a job checkpoint dir holds only fully committed barriers: no
-/// `.tmp-` staging leftovers, every `stage-*` dir carries a MANIFEST.
-fn assert_only_complete_barriers(ckpt_dir: &Path) {
-    let Ok(entries) = std::fs::read_dir(ckpt_dir) else {
-        return; // job never reached its first barrier — nothing to tear
-    };
-    for entry in entries {
-        let path = entry.expect("dir entry").path();
-        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("").to_owned();
-        assert!(!name.starts_with(".tmp-"), "torn staging dir leaked: {name}");
-        if name.starts_with("stage-") {
-            assert!(path.join("MANIFEST").is_file(), "stage dir {name} missing its manifest");
-        }
-    }
-}
-
 /// Linux thread count for the current process (0 where unavailable, in
 /// which case the leak assertions degrade to vacuous).
 fn live_threads() -> usize {
@@ -210,7 +165,6 @@ fn settled_thread_count(at_most: usize) -> usize {
 #[test]
 fn batched_jobs_match_solo_runs_bit_for_bit() {
     let _serial = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
-    std::env::remove_var("MINOANER_CANCEL_POINT");
 
     let scales = [0.15f64, 0.2, 0.25];
     let baselines: Vec<String> = scales
@@ -228,7 +182,7 @@ fn batched_jobs_match_solo_runs_bit_for_bit() {
     for workers in [1, 2] {
         for (i, &scale) in scales.iter().enumerate() {
             let spec = JobSpec::new(format!("pipeline-{scale}-{workers}")).with_workers(workers);
-            let id = batch.add_job(spec, pipeline_work(scale, &root, false, &results));
+            let id = batch.add_job(spec, pipeline_work(scale, &root, None, &results));
             expected.insert(id, i);
         }
     }
@@ -252,7 +206,6 @@ fn batched_jobs_match_solo_runs_bit_for_bit() {
 #[test]
 fn injected_faults_stay_contained_to_their_job() {
     let _serial = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
-    std::env::remove_var("MINOANER_CANCEL_POINT");
 
     let baseline = solo_baseline(0.2, 2, "faulty-solo");
     let threads_before = live_threads();
@@ -269,7 +222,7 @@ fn injected_faults_stay_contained_to_their_job() {
         faulty.push((batch.add_job(spec, faulty_work(seed)), seed));
         if j % 2 == 0 {
             let spec = JobSpec::new(format!("clean-pipeline-{j}")).with_workers(2);
-            pipelines.push(batch.add_job(spec, pipeline_work(0.2, &root, false, &results)));
+            pipelines.push(batch.add_job(spec, pipeline_work(0.2, &root, None, &results)));
         }
     }
 
@@ -325,12 +278,10 @@ fn cancelled_job_resumes_cleanly() {
     let results = Results::default();
     let mut batch = Batch::new(&root);
 
-    std::env::set_var("MINOANER_CANCEL_POINT", "after:0");
-    let victim = batch.add_job(JobSpec::new("doomed").with_workers(2), pipeline_work(0.2, &root, false, &results));
+    let victim = batch.add_job(JobSpec::new("doomed").with_workers(2), pipeline_work(0.2, &root, Some(0), &results));
     let status = batch.run_jobs().remove(0);
-    std::env::remove_var("MINOANER_CANCEL_POINT");
 
-    assert_eq!(status.state, JobState::Cancelled, "armed cancel point must cancel the job");
+    assert_eq!(status.state, JobState::Cancelled, "a cancel after barrier 0 must cancel the job");
     assert_eq!(status.cancel_reason, Some(CancelReason::User));
     assert!(results.borrow().is_empty(), "a cancelled job must not have recorded a completed outcome");
 
@@ -349,7 +300,7 @@ fn cancelled_job_resumes_cleanly() {
         spec.resume = true;
         let (res, trace) = resolve_job(&mut ctx.executor(), &d.pair, &spec)?;
         assert_eq!(trace.counter("ckpt/resumed_from"), 1, "resume must restart right past the cancelled barrier");
-        results.borrow_mut().insert(ctx.id().ordinal(), canonical(&res, &trace));
+        results.borrow_mut().insert(ctx.id().ordinal(), canonical_with_counters(&res, &trace));
         Ok(format!("{} matches", res.matches.len()))
     });
     assert_eq!(resumed, victim);
@@ -359,71 +310,80 @@ fn cancelled_job_resumes_cleanly() {
     assert_eq!(blob, baseline, "resumed job diverged from the uninterrupted solo run");
 }
 
-/// The child half of the process-crash harness below. Inert unless
-/// spawned with `MINOANER_JOBS_CRASH_CHILD=1`: runs one checkpointed
-/// pipeline job in a batch while the parent has armed
-/// `MINOANER_CRASH_POINT`, which aborts this whole process right after
-/// the chosen barrier commits.
-#[test]
-fn child_batch_run() {
-    if std::env::var("MINOANER_JOBS_CRASH_CHILD").as_deref() != Ok("1") {
-        return;
-    }
-    let root = PathBuf::from(std::env::var("MINOANER_JOBS_ROOT").expect("MINOANER_JOBS_ROOT set"));
-    let results = Results::default();
-    let mut batch = Batch::new(&root);
-    batch.add_job(JobSpec::new("crash-victim").with_workers(2), pipeline_work(0.2, &root, false, &results));
-    // Never returns when the crash point is armed: the abort happens on
-    // the job's worker thread and takes the process with it.
-    batch.run_jobs();
+/// One checkpointed pipeline job in a batch whose control plane and
+/// checkpoints share the disk `disk`: its final status and the batch's
+/// count of failed status writes.
+fn disk_bound_job(root: &Path, disk: VfsRef) -> (JobStatus, u64) {
+    let mut batch = Batch::with_vfs(root, disk.clone());
+    batch.add_job(JobSpec::new("crash-victim").with_workers(2), |ctx| {
+        let d = dataset(0.2);
+        let spec = CheckpointSpec::for_job(root, &ctx.id().to_string()).with_vfs(disk);
+        let (res, _) = resolve_job(&mut ctx.executor(), &d.pair, &spec)?;
+        Ok(format!("{} matches", res.matches.len()))
+    });
+    let status = batch.run_jobs().remove(0);
+    (status, batch.status_write_failures())
 }
 
-/// A hard process crash (not a cooperative cancel) mid-job — the
-/// `MINOANER_CRASH_POINT` abort from the crash-recovery harness, fired
-/// inside a batched job — still leaves the per-job checkpoint dir fully
-/// committed, and resuming over it lands on the uninterrupted outcome.
+/// A hard crash (not a cooperative cancel) mid-job: the disk the batch's
+/// control plane and the job's checkpoints share stops as barrier 2's
+/// commit begins. The job dir keeps only committed barriers, its
+/// `status.json` still says `running` — what a killed process leaves —
+/// and resuming over it lands on the uninterrupted outcome.
 #[test]
 fn process_crash_mid_job_leaves_resumable_job_dir() {
     let _serial = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
-    std::env::remove_var("MINOANER_CANCEL_POINT");
 
     let baseline = solo_baseline(0.2, 2, "crash-solo");
+
+    // The same job on a recording disk says where barrier 2's commit
+    // starts.
+    let probe = FaultFs::new(FaultPlan::none());
+    let (status, _) = disk_bound_job(&scratch_dir("crash-probe"), probe.clone());
+    assert_eq!(status.state, JobState::Completed, "probe failed: {:?}", status.error);
+    let k = probe
+        .ops()
+        .iter()
+        .find(|op| op.class == OpClass::CreateDir && op.path.ends_with(".tmp-stage-002-matches"))
+        .expect("the probe commits barrier 2")
+        .index;
+
     let root = scratch_dir("crash-root");
+    let disk = crashing_disk(k, FaultKind::Eio);
+    let (status, write_failures) = disk_bound_job(&root, disk.clone());
+    assert_eq!(status.state, JobState::Failed, "the crash stops the job");
+    assert!(write_failures >= 1, "the control plane stops with the disk");
+    let job_dir = control::job_dir(&root, status.id);
+    let on_disk = control::read_status(&job_dir).expect("the running status reached the disk");
+    assert_eq!(on_disk.state, JobState::Running, "no status written after the crash reaches the disk");
 
-    let exe = std::env::current_exe().expect("current_exe");
-    let status = Command::new(exe)
-        .args(["child_batch_run", "--exact", "--nocapture", "--test-threads", "1"])
-        .env("MINOANER_JOBS_CRASH_CHILD", "1")
-        .env("MINOANER_JOBS_ROOT", &root)
-        .env("MINOANER_CRASH_POINT", "after:1")
-        .env_remove("MINOANER_CANCEL_POINT")
-        .status()
-        .expect("spawn child test binary");
-    assert!(!status.success(), "armed crash point must abort the child process");
-
-    // The child's only job is j0000; its dir must hold exactly barriers 0
-    // and 1, both fully committed.
+    // The batch's `CANCEL` watcher reads through the same disk every poll,
+    // so how many checkpoint ops precede op `k` depends on timing: the
+    // barriers the crash left are read off this run's own op trace.
+    let committed = renames_before(&disk.ops(), k);
+    assert!(committed >= 1, "the job committed a barrier before its disk stopped");
     let job_dirs: Vec<PathBuf> = std::fs::read_dir(&root)
         .expect("read control root")
         .map(|e| e.expect("dir entry").path())
         .filter(|p| p.file_name().is_some_and(|n| n.to_string_lossy().starts_with("job-")))
         .collect();
-    assert_eq!(job_dirs.len(), 1, "child added exactly one job");
-    let ckpt_dir = job_dirs[0].join("ckpt");
-    assert_only_complete_barriers(&ckpt_dir);
+    assert_eq!(job_dirs, std::slice::from_ref(&job_dir), "the batch added exactly one job");
+    let ckpt_dir = job_dir.join("ckpt");
+    let torn = uncommitted_stage_dirs(&ckpt_dir);
+    assert!(torn.is_empty(), "the crash left stage dirs without a manifest: {torn:?}");
 
     let d = dataset(0.2);
     let mut exec = Executor::new(2);
-    let mut spec = CheckpointSpec::new(&ckpt_dir);
-    spec.resume = true;
+    let spec = CheckpointSpec::new(&ckpt_dir).resuming();
     let (res, trace) =
         resolve_job(&mut exec, &d.pair, &spec).expect("resume over the crashed job dir succeeds");
-    assert_eq!(trace.counter("ckpt/resumed_from"), 2, "resume must pick up past barrier 1");
+    assert_eq!(trace.counter("ckpt/resumed_from"), committed, "resume must pick up past the last committed barrier");
     assert_eq!(
-        canonical(&res, &trace),
+        canonical_with_counters(&res, &trace),
         baseline,
         "crashed-then-resumed job diverged from the uninterrupted solo run"
     );
+    assert_only_complete_barriers(&ckpt_dir);
 }
 
 /// A full chaos mix — pipelines, fault-riddled jobs, a user cancel racing
@@ -433,7 +393,6 @@ fn process_crash_mid_job_leaves_resumable_job_dir() {
 #[test]
 fn chaos_mix_converges_without_leaks() {
     let _serial = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
-    std::env::remove_var("MINOANER_CANCEL_POINT");
 
     let baseline = solo_baseline(0.2, 2, "chaos-solo");
     let threads_before = live_threads();
@@ -447,7 +406,7 @@ fn chaos_mix_converges_without_leaks() {
     let mut faulty = BTreeMap::new();
     for j in 0..3 {
         let spec = JobSpec::new(format!("chaos-pipeline-{j}")).with_workers(2);
-        let id = batch.add_job(spec, pipeline_work(0.2, &root, false, &results));
+        let id = batch.add_job(spec, pipeline_work(0.2, &root, None, &results));
         added.push(id);
         pipeline_ids.push(id);
     }
@@ -459,7 +418,7 @@ fn chaos_mix_converges_without_leaks() {
     // A job whose marker lands before the batch runs: it never starts.
     let queued_victim = batch.add_job(
         JobSpec::new("chaos-queued-victim").with_workers(2),
-        pipeline_work(0.2, &root, false, &results),
+        pipeline_work(0.2, &root, None, &results),
     );
     added.push(queued_victim);
     assert!(control::request_cancel(&root, queued_victim, CancelReason::User).expect("marker"));
@@ -505,7 +464,7 @@ fn chaos_mix_converges_without_leaks() {
                 let (res, trace) = resolve_job(&mut exec, &d.pair, &spec)
                     .expect("resume of cancelled chaos job succeeds");
                 assert_eq!(
-                    canonical(&res, &trace),
+                    canonical_with_counters(&res, &trace),
                     baseline,
                     "cancelled job {} did not resume to the solo outcome",
                     status.id

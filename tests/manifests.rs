@@ -30,9 +30,8 @@ fn dependency_entries(manifest: &Path) -> Vec<(String, String, String)> {
     entries
 }
 
-#[test]
-fn every_dependency_is_a_path_crate_of_this_repository() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+/// The root manifest and every `crates/*` member manifest.
+fn manifests(root: &Path) -> Vec<PathBuf> {
     let mut members: Vec<PathBuf> = std::fs::read_dir(root.join("crates"))
         .expect("crates/ exists")
         .map(|entry| entry.expect("dir entry").path().join("Cargo.toml"))
@@ -40,7 +39,13 @@ fn every_dependency_is_a_path_crate_of_this_repository() {
         .collect();
     members.sort();
     assert!(members.len() >= 12, "found only {} member manifests", members.len());
+    members.push(root.join("Cargo.toml"));
+    members
+}
 
+#[test]
+fn every_dependency_is_a_path_crate_of_this_repository() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let shared = dependency_entries(&root.join("Cargo.toml"));
     let workspace_table: Vec<_> =
         shared.iter().filter(|(table, ..)| table == "workspace.dependencies").collect();
@@ -52,8 +57,8 @@ fn every_dependency_is_a_path_crate_of_this_repository() {
         );
     }
 
-    for manifest in members.iter().chain([&root.join("Cargo.toml")]) {
-        for (table, name, value) in dependency_entries(manifest) {
+    for manifest in manifests(root) {
+        for (table, name, value) in dependency_entries(&manifest) {
             if table == "workspace.dependencies" {
                 continue;
             }
@@ -63,5 +68,21 @@ fn every_dependency_is_a_path_crate_of_this_repository() {
                 manifest.display()
             );
         }
+    }
+}
+
+/// No manifest declares a `[features]` table: there is one build
+/// configuration, and plain `cargo test` runs every test there is. A
+/// feature gate once hid the crash, chaos, jobs and cancel harnesses from
+/// it, which compiled all four to zero tests.
+#[test]
+fn no_manifest_declares_features() {
+    for manifest in manifests(Path::new(env!("CARGO_MANIFEST_DIR"))) {
+        let text = std::fs::read_to_string(&manifest).expect("manifest is readable");
+        assert!(
+            !text.lines().any(|line| line.trim() == "[features]"),
+            "{} declares a [features] table",
+            manifest.display()
+        );
     }
 }

@@ -4,31 +4,19 @@
 //! rule counts — at every worker count. The budget changes where bytes
 //! live, never what gets computed.
 
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
+mod support;
+
+use std::path::Path;
 
 use minoaner::dataflow::{
     MemoryBudget, RunTrace, SPILL_BYTES_COUNTER, SPILL_RECORDS_COUNTER, SPILL_RUNS_COUNTER,
 };
 use minoaner::datagen::{generate, profiles, GeneratedDataset};
 use minoaner::{Minoaner, Resolution, ResolveRequest};
+use support::scratch_dir;
 
 fn dataset() -> GeneratedDataset {
     generate(&profiles::restaurant().scaled(0.3))
-}
-
-/// A scratch directory unique per test without consulting any entropy
-/// source (pid + a process-local counter).
-fn scratch_dir(tag: &str) -> PathBuf {
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    let n = NEXT.fetch_add(1, Ordering::Relaxed);
-    let dir = std::env::temp_dir()
-        .join(format!("minoaner-out-of-core-{}-{tag}-{n}", std::process::id()));
-    if dir.exists() {
-        std::fs::remove_dir_all(&dir).expect("clear stale scratch dir");
-    }
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
 }
 
 fn run_unconstrained(ds: &GeneratedDataset, workers: usize) -> (Resolution, RunTrace) {
@@ -42,7 +30,7 @@ fn run_budgeted(
     ds: &GeneratedDataset,
     workers: usize,
     limit: u64,
-    dir: &PathBuf,
+    dir: &Path,
 ) -> (Resolution, RunTrace) {
     Minoaner::new()
         .run(
@@ -90,7 +78,6 @@ fn zero_budget_spills_and_stays_bit_identical_across_workers() {
             .map(|entries| entries.count())
             .unwrap_or(0);
         assert_eq!(leftovers, 0, "{workers} workers: spill dir must be empty after the run");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
@@ -119,7 +106,6 @@ fn partial_budget_mixes_memory_and_disk_runs_identically() {
     assert!(spilled < map_tasks, "{budget} B must hold some of the {map_tasks} runs");
     assert!(trace.counter(SPILL_BYTES_COUNTER) < 2 * budget, "only part of the exchange spills");
     assert_same_outcome(&base, &res, "partial budget");
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -132,7 +118,6 @@ fn generous_budget_never_spills_but_is_still_identical() {
     assert_eq!(trace.counter(SPILL_RUNS_COUNTER), 0, "unlimited budget must not spill");
     assert_same_outcome(&base, &res, "generous budget");
     assert!(!dir.join("nonexistent").exists());
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The γ shuffle is one code path: the budget decides where its buckets
@@ -172,6 +157,5 @@ fn every_budget_runs_the_same_graph_stages_in_the_same_order() {
             assert_eq!(graph_stages(trace), expected, "{workers} workers, {what}: stage list");
             assert_eq!(res.graph_digest, base.graph_digest, "{workers} workers, {what}: digest");
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -188,6 +188,18 @@ impl Interner {
         self.arena.get(span(&self.offsets, sym)?)
     }
 
+    /// Frees the lookup table; the next [`Self::get`] or [`Self::intern`]
+    /// builds it again, as for an interner read from a file.
+    pub(crate) fn release_lookup(&mut self) {
+        self.lookup = OnceLock::new();
+    }
+
+    /// Whether the lookup table is built.
+    #[cfg(test)]
+    pub(crate) fn has_lookup(&self) -> bool {
+        self.lookup.get().is_some()
+    }
+
     /// Looks up a string without interning it.
     pub fn get(&self, s: &str) -> Option<Symbol> {
         let lookup = self.lookup.get_or_init(|| Lookup::of_strings(self));

@@ -314,74 +314,148 @@ pub enum Term<'a> {
     Uri(&'a str),
 }
 
-/// Rows in one chunk of a [`Chunked`] column.
-const CHUNK_ROWS: usize = 1 << 16;
-
-/// Bytes in one segment of a [`LiteralLog`], unless one normal form is
-/// longer.
+/// Bytes in one segment of a [`ByteLog`], unless one record is longer.
 const SEGMENT_BYTES: usize = 1 << 20;
 
-/// An append-only column in chunks of [`CHUNK_ROWS`] rows, each allocated
-/// once at its full size: appending never moves what is already stored, so
-/// the column grows without copying and leaves no freed buffer behind.
-#[derive(Debug, Clone)]
-struct Chunked<T>(Vec<Vec<T>>);
+/// An append-only byte log in segments of [`SEGMENT_BYTES`], each
+/// allocated once at its full size: appending never moves what is already
+/// stored, so the log grows without copying and leaves no freed buffer
+/// behind. A record never straddles two segments, so each segment can be
+/// read, and freed, on its own.
+#[derive(Debug, Clone, Default)]
+struct ByteLog(Vec<Vec<u8>>);
 
-impl<T> Default for Chunked<T> {
-    fn default() -> Self {
-        Self(Vec::new())
-    }
-}
-
-impl<T: Copy> Chunked<T> {
-    fn append_item(&mut self, item: T) {
+impl ByteLog {
+    /// Appends one record of at most `len` bytes, which `write` pushes: to
+    /// the last segment if `len` bytes fit what is left of it, else to a
+    /// new one, of `len` bytes if that is longer than a segment.
+    fn append(&mut self, len: usize, write: impl FnOnce(&mut Vec<u8>)) {
         match self.0.last_mut() {
-            Some(chunk) if chunk.len() < CHUNK_ROWS => chunk.push(item),
+            Some(segment) if segment.capacity() - segment.len() >= len => write(segment),
             _ => {
-                let mut chunk = Vec::with_capacity(CHUNK_ROWS);
-                chunk.push(item);
-                self.0.push(chunk);
+                let mut segment = Vec::with_capacity(len.max(SEGMENT_BYTES));
+                write(&mut segment);
+                self.0.push(segment);
             }
         }
     }
+}
 
-    fn item_count(&self) -> usize {
-        self.0.last().map_or(0, |last| (self.0.len() - 1) * CHUNK_ROWS + last.len())
+/// The longest [`PairLog`] record: three LEB128 varints of at most 35 bits.
+const MAX_RECORD: usize = 15;
+
+/// Appends `value` as an unsigned LEB128 varint: seven bits a byte, low
+/// bits first, the high bit set on every byte but the last.
+fn put_varint(out: &mut Vec<u8>, mut value: u64) {
+    while value >= 0x80 {
+        out.push(value as u8 | 0x80);
+        value >>= 7;
+    }
+    out.push(value as u8);
+}
+
+/// Reads the LEB128 varint at the front of `bytes` and moves past it.
+fn take_varint(bytes: &mut std::slice::Iter<'_, u8>) -> u64 {
+    let (mut value, mut shift) = (0u64, 0u32);
+    for &byte in bytes.by_ref() {
+        value |= u64::from(byte & 0x7f).wrapping_shl(shift);
+        if byte & 0x80 == 0 {
+            break;
+        }
+        shift += 7;
+    }
+    value
+}
+
+/// The step from `from` to `to` as a zigzag word: a small step either way
+/// is a small word (0, −1, 1, −2 … → 0, 1, 2, 3 …), and every `u32` pair
+/// has one, taken modulo 2³².
+fn zigzag(from: u32, to: u32) -> u32 {
+    let step = to.wrapping_sub(from) as i32;
+    ((step << 1) ^ (step >> 31)) as u32
+}
+
+/// Where the [`zigzag`] word `word` steps to from `from`.
+fn unzigzag(from: u32, word: u32) -> u32 {
+    let step = (word >> 1) as i32 ^ -((word & 1) as i32);
+    from.wrapping_add(step as u32)
+}
+
+/// Every pair added to one side, in the order added, as one LEB128 record
+/// each in a [`ByteLog`]:
+///
+/// 1. the [`zigzag`] step of the entity from the previous pair's — one byte
+///    while a document lists a subject's lines together;
+/// 2. `attr << 1 | is_uri`;
+/// 3. for a URI object, its symbol; for a literal, the step of its
+///    occurrence in the [`LiteralLog`] from the side's previous literal's.
+///
+/// A record is about 4 bytes where the row it stands for is 12.
+#[derive(Debug, Clone, Default)]
+struct PairLog {
+    records: ByteLog,
+    /// Pairs appended.
+    len: usize,
+    /// The entity of the last pair appended.
+    last_entity: u32,
+    /// The occurrence of the last literal appended.
+    last_occurrence: u32,
+}
+
+impl PairLog {
+    /// Appends a pair whose value is a `Ref` to a URI object's symbol, or a
+    /// `Literal` holding its occurrence.
+    fn append(&mut self, entity: EntityId, attr: AttrId, value: Value) {
+        let (is_uri, id) = Value::split_word(value.word());
+        let entity_step = zigzag(self.last_entity, entity.0);
+        let object = if is_uri { id } else { id.wrapping_sub(self.last_occurrence) };
+        self.records.append(MAX_RECORD, |out| {
+            put_varint(out, u64::from(entity_step));
+            put_varint(out, u64::from(attr.0) << 1 | u64::from(is_uri));
+            put_varint(out, u64::from(object));
+        });
+        self.last_entity = entity.0;
+        if !is_uri {
+            self.last_occurrence = id;
+        }
+        self.len += 1;
     }
 
-    fn item_at(&self, i: usize) -> Option<T> {
-        self.0.get(i / CHUNK_ROWS)?.get(i % CHUNK_ROWS).copied()
-    }
-
-    fn in_order(&self) -> impl Iterator<Item = &T> + Clone {
-        self.0.iter().flatten()
+    /// Every pair in the order added, as `(entity, (attr, word))` with
+    /// each literal's occurrence replaced by its id, `ids[occurrence]`;
+    /// each segment is freed once it is read.
+    fn decode(self, ids: &[u32]) -> Vec<(u32, (AttrId, u32))> {
+        let mut pairs = Vec::with_capacity(self.len);
+        let (mut entity, mut occurrence) = (0u32, 0u32);
+        for segment in self.records.0 {
+            let mut bytes = segment.iter();
+            while !bytes.as_slice().is_empty() {
+                entity = unzigzag(entity, take_varint(&mut bytes) as u32);
+                let attr = take_varint(&mut bytes);
+                let object = take_varint(&mut bytes) as u32;
+                let value = if attr & 1 == 1 {
+                    Value::Ref(EntityId(object))
+                } else {
+                    occurrence = occurrence.wrapping_add(object);
+                    Value::Literal(LiteralId(ids.get(occurrence as usize).copied().unwrap_or(u32::MAX)))
+                };
+                pairs.push((entity, (AttrId((attr >> 1) as u32), value.word())));
+            }
+        }
+        pairs
     }
 }
 
 /// One side of a [`KbPairBuilder`]: its entities, and every pair added to
-/// the side as one chunked column in the order added, which
-/// [`KbPairBuilder::finish`] groups by entity. A pair's value is one word
-/// in [`Value::word`]'s layout, where until `finish` resolves them a URI
-/// object's symbol stands in a `Ref`'s place and a literal's occurrence in
-/// the [`LiteralLog`] in a `Literal`'s.
+/// the side, in the order added, which [`KbPairBuilder::finish`] groups by
+/// entity. Until `finish` resolves them, a URI object is its symbol and a
+/// literal its occurrence in the [`LiteralLog`].
 #[derive(Debug, Clone, Default)]
 struct SideColumns {
     /// Each entity's interned URI, by [`EntityId`].
     uris: Vec<Symbol>,
     uri_index: UriIndex,
-    pairs: Chunked<(EntityId, AttrId, u32)>,
-}
-
-impl SideColumns {
-    /// Puts each literal's id in its pairs' value words, in place of its
-    /// occurrence; `ids` holds the id of each occurrence.
-    fn number_literals(&mut self, ids: &Chunked<u32>) {
-        for (_, _, word) in self.pairs.0.iter_mut().flatten() {
-            if let Value::Literal(LiteralId(occurrence)) = Value::from_word(*word) {
-                *word = Value::Literal(LiteralId(ids.item_at(occurrence as usize).unwrap_or(u32::MAX))).word();
-            }
-        }
-    }
+    pairs: PairLog,
 }
 
 /// The normal form of every literal occurrence added, in the order added,
@@ -390,30 +464,24 @@ impl SideColumns {
 /// was added.
 #[derive(Debug, Default)]
 struct LiteralLog {
-    /// The normal forms back to back, in segments of [`SEGMENT_BYTES`]
-    /// allocated once each. A normal form that does not fit what is left of
-    /// the last segment starts a new one, of its own length if that is
-    /// longer; an empty one always fits.
-    segments: Vec<String>,
-    /// Each occurrence's normal form's length in bytes.
-    lengths: Chunked<u32>,
+    /// The normal forms, each ended by a NUL byte. [`normalize_into`]
+    /// emits only alphanumerics and single spaces, so a normal form never
+    /// holds one.
+    normal_forms: ByteLog,
+    /// Occurrences appended.
+    occurrences: u32,
 }
 
 impl LiteralLog {
     /// Appends an occurrence of `normal`; returns its index as the id a
     /// literal holds until `finish`.
     fn append_literal(&mut self, normal: &str) -> LiteralId {
-        assert!(normal.len() <= u32::MAX as usize, "a literal of more than u32::MAX bytes");
-        let occurrence = LiteralId(u32::try_from(self.lengths.item_count()).unwrap_or(u32::MAX));
-        match self.segments.last_mut() {
-            Some(segment) if segment.capacity() - segment.len() >= normal.len() => segment.push_str(normal),
-            _ => {
-                let mut segment = String::with_capacity(normal.len().max(SEGMENT_BYTES));
-                segment.push_str(normal);
-                self.segments.push(segment);
-            }
-        }
-        self.lengths.append_item(normal.len() as u32);
+        let occurrence = LiteralId(self.occurrences);
+        self.normal_forms.append(normal.len() + 1, |out| {
+            out.extend_from_slice(normal.as_bytes());
+            out.push(0);
+        });
+        self.occurrences = self.occurrences.saturating_add(1);
         occurrence
     }
 
@@ -429,23 +497,16 @@ impl LiteralLog {
     /// Where literals repeat more, it reserves more than their number
     /// needs: at most 8 bytes an occurrence of slots, and 4 of offset and
     /// hash capacity.
-    fn into_interned(self) -> (Interner, Chunked<u32>) {
-        let LiteralLog { segments, mut lengths } = self;
-        let mut literals = Interner::with_capacity(lengths.item_count() / 2);
-        let mut segments = segments.into_iter();
-        let (mut segment, mut start) = (String::new(), 0);
-        for slot in lengths.0.iter_mut().flatten() {
-            let len = *slot as usize;
-            // An occurrence that does not fit what is left of its segment
-            // was appended to the next.
-            if start + len > segment.len() {
-                segment = segments.next().unwrap_or_default();
-                start = 0;
-            }
-            *slot = literals.intern(segment.get(start..start + len).unwrap_or_default()).0;
-            start += len;
+    fn into_interned(self) -> (Interner, Vec<u32>) {
+        let LiteralLog { normal_forms, occurrences } = self;
+        let mut literals = Interner::with_capacity(occurrences as usize / 2);
+        let mut ids = Vec::with_capacity(occurrences as usize);
+        for segment in normal_forms.0 {
+            // Whole `&str`s and NUL bytes, so UTF-8.
+            let segment = String::from_utf8(segment).unwrap_or_default();
+            ids.extend(segment.split_terminator('\0').map(|normal| literals.intern(normal).0));
         }
-        (literals, lengths)
+        (literals, ids)
     }
 }
 
@@ -480,9 +541,10 @@ impl LiteralTables {
 
 /// Builder assembling a [`KbPair`] from triples or programmatic calls.
 ///
-/// While documents are added the builder only appends: pairs to their
-/// side's column and each literal's normal form to a log. [`finish`]
-/// interns the log in the order it was written, then resolves entity
+/// While documents are added the builder only appends bytes: each pair as
+/// a record to its side's [`PairLog`] and each literal's normal form to the
+/// [`LiteralLog`]. [`finish`] interns the literal log in the order it was
+/// written, decodes each side's pairs once, then resolves entity
 /// references: a URI object pointing at a subject of the same KB becomes a
 /// [`Value::Ref`]; any other URI object is stored as a literal holding its
 /// local name.
@@ -552,7 +614,7 @@ impl KbPairBuilder {
         };
         let columns = self.side_mut(side);
         assert!(entity.index() < columns.uris.len(), "{entity:?} is not an entity of {side:?}");
-        columns.pairs.append_item((entity, attr, value.word()));
+        columns.pairs.append(entity, attr, value);
     }
 
     /// Convenience: registers the subject if needed and adds the triple.
@@ -572,33 +634,34 @@ impl KbPairBuilder {
     pub fn finish(mut self) -> KbPair {
         let (literals, ids) = std::mem::take(&mut self.log).into_interned();
         self.lits.literals = literals;
-        for columns in &mut self.sides {
-            columns.number_literals(&ids);
-        }
+        let [left, right] = &mut self.sides;
+        let added = [left, right].map(|columns| std::mem::take(&mut columns.pairs).decode(&ids));
         // Freed before the token rows and the KBs are built, which can
         // then take its place in the heap.
         drop(ids);
         self.lits.tokenize_new_literals();
-        let left = self.build_kb(Side::Left);
-        let right = self.build_kb(Side::Right);
-        let LiteralTables { literals, tokens, literal_tokens } = self.lits;
+        let [left_added, right_added] = added;
+        let left = self.build_kb(Side::Left, left_added);
+        let right = self.build_kb(Side::Right, right_added);
+        let LiteralTables { mut literals, tokens, literal_tokens } = self.lits;
+        // Nothing after the build looks a literal up by its string; a
+        // caller who does gets the lookup rebuilt.
+        literals.release_lookup();
         let (attrs, uris) = (self.attrs, self.uris);
         KbPair { tokens, literals, attrs, uris, literal_tokens, kbs: [left, right], dirty: false, mapping: None }
     }
 
-    /// Resolves one side's pairs into a finished [`Kb`].
-    fn build_kb(&mut self, side: Side) -> Kb {
-        let SideColumns { uris, uri_index, pairs: added } = std::mem::take(self.side_mut(side));
+    /// Resolves one side's pairs, `added` in the order added, into a
+    /// finished [`Kb`].
+    fn build_kb(&mut self, side: Side, added: Vec<(u32, (AttrId, u32))>) -> Kb {
+        let SideColumns { uris, uri_index, .. } = std::mem::take(self.side_mut(side));
 
         // Pass 1: group the pairs by entity — a stable sort, so each
         // entity keeps its pairs in the order they were added — then
         // resolve URI objects to entity refs where possible, in entity
         // order. A URI that is not a subject in this KB contributes its
         // local name as a literal (it still carries token evidence).
-        let grouped = Rows::build(
-            uris.len(),
-            added.in_order().map(|&(EntityId(entity), attr, word)| (entity as usize, (attr, word))),
-        );
+        let grouped = Rows::build(uris.len(), added.iter().map(|&(entity, pair)| (entity as usize, pair)));
         drop(added);
         let (lits, names, scratch) = (&mut self.lits, &self.uris, &mut self.scratch);
         let mut values = Vec::with_capacity(grouped.n_items());
@@ -762,6 +825,112 @@ mod tests {
         // Same URI on the other side is a *different* entity.
         let e3 = b.entity(Side::Right, "same");
         assert_eq!(e3, EntityId(0));
+    }
+
+    #[test]
+    fn varints_round_trip_at_every_width_edge() {
+        let cases: [(u64, usize); 10] = [
+            (0, 1),
+            (127, 1),
+            (128, 2),
+            (16_383, 2),
+            (16_384, 3),
+            ((1 << 21) - 1, 3),
+            ((1 << 21) + 1, 4),
+            (1 << 28, 5),
+            (u64::from(u32::MAX), 5),
+            (u64::from(u32::MAX) << 1 | 1, 5),
+        ];
+        let mut out = Vec::new();
+        for &(value, width) in &cases {
+            let start = out.len();
+            put_varint(&mut out, value);
+            assert_eq!(out.len() - start, width, "{value} is {width} bytes");
+        }
+        let mut bytes = out.iter();
+        for &(value, _) in &cases {
+            assert_eq!(take_varint(&mut bytes), value);
+        }
+        assert!(bytes.as_slice().is_empty());
+    }
+
+    #[test]
+    fn zigzag_steps_round_trip_and_wrap() {
+        let steps = [
+            (5, 4, 1),
+            (4, 5, 2),
+            (7, 7, 0),
+            (0, u32::MAX, 1),
+            (u32::MAX, 0, 2),
+            (0, 1 << 31, u32::MAX),
+            ((1 << 31) - 1, 0, u32::MAX - 2),
+            (0, (1 << 31) - 1, u32::MAX - 1),
+            (1 << 31, 0, u32::MAX),
+        ];
+        for (from, to, word) in steps {
+            assert_eq!(zigzag(from, to), word, "{from} → {to}");
+            assert_eq!(unzigzag(from, word), to, "{from} → {to}");
+        }
+    }
+
+    #[test]
+    fn pair_records_decode_in_the_order_added_across_segments() {
+        // Steps of every width either way; enough records for three segments.
+        let mut log = PairLog::default();
+        let mut added = Vec::new();
+        let (mut entity, mut occurrence) = (0u32, 0u32);
+        for k in 0u32..300_000 {
+            entity = entity.wrapping_add(k.wrapping_mul(2_654_435_761) >> (k % 32));
+            let attr = AttrId(k.wrapping_mul(40_503) >> (k % 32) & 0x7fff_ffff);
+            let value = if k % 3 == 0 {
+                Value::Ref(EntityId(k.wrapping_mul(97) >> (k % 8)))
+            } else {
+                // Mostly forward, now and then back past the start.
+                occurrence = (occurrence + 1 + (k % 7) * (k % 5) * 20_000) % 1_000_000;
+                Value::Literal(LiteralId(occurrence))
+            };
+            log.append(EntityId(entity), attr, value);
+            added.push((entity, attr, value));
+        }
+        assert!(log.records.0.len() >= 3, "{} segments", log.records.0.len());
+        assert!(log.records.0.iter().all(|segment| segment.capacity() == SEGMENT_BYTES));
+        // Occurrence `o` has id `o + 1`, so a wrong occurrence shows.
+        let ids: Vec<u32> = (1..=1_000_000).collect();
+        let want: Vec<(u32, (AttrId, u32))> = added
+            .iter()
+            .map(|&(entity, attr, value)| {
+                let value = match value {
+                    Value::Literal(LiteralId(o)) => Value::Literal(LiteralId(o + 1)),
+                    uri => uri,
+                };
+                (entity, (attr, value.word()))
+            })
+            .collect();
+        assert_eq!(log.decode(&ids), want);
+    }
+
+    #[test]
+    fn literal_log_interns_by_first_sight_across_segments() {
+        let mut log = LiteralLog::default();
+        let long = "x".repeat(SEGMENT_BYTES + 3);
+        let forms = ["", "a b", "", &long, "a b", "c", ""];
+        for (k, form) in forms.iter().enumerate() {
+            assert_eq!(log.append_literal(form), LiteralId(k as u32));
+        }
+        // The long one has a segment of its own, NUL included.
+        let capacities: Vec<usize> = log.normal_forms.0.iter().map(Vec::capacity).collect();
+        assert_eq!(capacities, [SEGMENT_BYTES, SEGMENT_BYTES + 4, SEGMENT_BYTES]);
+        let (literals, ids) = log.into_interned();
+        assert_eq!(ids, [0, 1, 0, 2, 1, 3, 0]);
+        assert_eq!(literals.iter().map(|(_, s)| s.len()).collect::<Vec<_>>(), [0, 3, SEGMENT_BYTES + 3, 1]);
+    }
+
+    #[test]
+    fn the_literal_lookup_is_released_and_rebuilt_on_demand() {
+        let pair = sample_pair();
+        assert!(!pair.literals().has_lookup(), "finish releases the literal lookup");
+        assert!(pair.tokens().has_lookup() && pair.uris().has_lookup());
+        assert_eq!(pair.literals().get("jonny lake").map(|l| pair.literals().resolve(l)), Some("jonny lake"));
     }
 
     #[test]

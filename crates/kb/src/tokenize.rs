@@ -211,6 +211,32 @@ mod tests {
     }
 
     #[test]
+    fn normalize_into_never_emits_nul() {
+        // The builder's literal log ends each normal form with a NUL byte.
+        let mut out = String::new();
+        // The byte-class path: what it emits of a byte is its class, a
+        // separator as one space, and a byte past ASCII takes the char path.
+        for b in 0..=255u8 {
+            let class = BYTE_CLASS[usize::from(b)];
+            assert!(class == SEP || class == WIDE || class.is_ascii_alphanumeric(), "byte {b:#04x}");
+        }
+        let ascii: String = (0..0x80u8).map(char::from).collect();
+        for value in [ascii.clone(), format!("a{ascii}b"), "\0a\0\0b\0".to_owned()] {
+            normalize_into(&value, &mut out);
+            assert!(!out.contains('\0') && out.is_ascii(), "{value:?} → {out:?}");
+        }
+        // The char path: every byte again, each as a char beside a char
+        // past ASCII, and a sample of the rest of Unicode.
+        let chars = (0..=255u8).map(char::from).chain((0x100..=0x10_ffff).step_by(61).filter_map(char::from_u32));
+        for c in chars {
+            for value in [format!("é{c}\0{c}A"), format!("{c}é{c}")] {
+                normalize_into(&value, &mut out);
+                assert!(!out.contains('\0'), "{value:?} → {out:?}");
+            }
+        }
+    }
+
+    #[test]
     fn normalize_name_empty() {
         assert_eq!(normalize_name(""), "");
         assert_eq!(normalize_name("!!"), "");

@@ -1,7 +1,7 @@
-//! The loader's tables are columns: loading a document appends to chunks
+//! The loader's tables are columns: loading a document appends to segments
 //! allocated once each, and finishing the pair costs the doublings of the
 //! interners and of the tables `finish` builds — not an allocation (or
-//! more) per line, literal or entity; no buffer larger than a chunk is
+//! more) per line, literal or entity; no buffer larger than a segment is
 //! moved while a document loads; building holds a bounded number of heap
 //! bytes per triple; and a compiled pair is read back in place, at a fixed
 //! number of allocations.
@@ -127,12 +127,13 @@ fn document(prefix: &str, n: usize) -> String {
 
 #[test]
 fn loading_allocates_per_chunk_and_doubling_not_per_line() {
-    // Measured when a load came to append to chunks and `finish` to intern
-    // the literals: 221 allocations for 1 000 entities a side (10 000
-    // lines), 289 for 16 000 (160 000) — a chunk per 64 Ki pairs, 64 Ki
-    // literals and 1 MiB of literal text, four doublings of some twenty
-    // growing columns (the URI, attribute and token interners, the literal
-    // token rows, the URI columns, the token sets `finish` builds). 263 and
+    // Measured when a load came to append pair records and literals to
+    // segments: 222 allocations for 1 000 entities a side (10 000 lines),
+    // 287 for 16 000 (160 000) — a segment per 1 MiB of a side's records
+    // and of literal text, four doublings of some twenty growing columns
+    // (the URI, attribute and token interners, the literal token rows, the
+    // URI columns, the token sets `finish` builds). 221 and 289 with a
+    // chunk per 64 Ki pair rows and literal lengths besides. 263 and
     // 347 when the pairs were one doubling column per side and literals
     // were interned as read; a `Vec` per entity, an allocation per escaped
     // literal and one per dangling URI were 8 236 and 128 310 before that.
@@ -159,16 +160,16 @@ fn loading_allocates_per_chunk_and_doubling_not_per_line() {
     );
 }
 
-/// While the caller holds a document, a load only appends: a side's pairs
-/// and the literal log grow by chunks allocated once at their full size,
-/// and what still doubles (the URI and attribute interners) is small. So
-/// no buffer larger than a chunk is grown by copying before `finish`, which
-/// runs once the documents are gone. Measured at 32 000 entities a side:
+/// While the caller holds a document, a load only appends: a side's pair
+/// records and the literal log grow by segments allocated once at their
+/// full size, and what still doubles (the URI and attribute interners) is
+/// small. So no buffer larger than a segment is grown by copying before
+/// `finish`, which runs once the documents are gone. Measured at 32 000 entities a side:
 /// 736 KiB; 1.5 MiB (a side's pair column) when the pairs were one
 /// doubling column a side and literals were interned as they were read.
 #[test]
 fn loading_moves_no_buffer_larger_than_a_chunk() {
-    const CHUNK: usize = 1 << 20;
+    const SEGMENT: usize = 1 << 20;
     const N: usize = 32_000;
     let (left, right) = (document("l", N), document("r", N));
     let mut b = KbPairBuilder::new();
@@ -176,7 +177,7 @@ fn loading_moves_no_buffer_larger_than_a_chunk() {
     load_ntriples(&mut b, Side::Left, &left).expect("the document parses");
     load_ntriples(&mut b, Side::Right, &right).expect("the document parses");
     let moved = stop_counting().largest_realloc;
-    assert!(moved <= CHUNK, "a load grew a buffer of {moved} bytes by realloc, the bound is {CHUNK}");
+    assert!(moved <= SEGMENT, "a load grew a buffer of {moved} bytes by realloc, the bound is {SEGMENT}");
     assert_eq!(b.finish().kb(Side::Right).triple_count(), 5 * N);
 }
 
@@ -207,31 +208,75 @@ fn reading_a_compiled_pair_allocates_the_same_whatever_its_size() {
     assert_eq!(small, large, "allocations for 1 000 and for 16 000 entities a side");
 }
 
-/// A document's literals are interned and tokenized when the pair is
-/// finished, after the caller has read its last document, and a pair added
-/// to a side is one 12-byte row until `finish` resolves it: so what the
-/// builder holds once both sides are loaded, and its peak through `finish`,
-/// are bounded in heap bytes per triple. Measured at 16 000 entities a
-/// side: 46.1 held and 62.1 at the peak. Interning literals as they were
-/// read held 41.6 and peaked at 60.5 (the heap counts a partly filled
-/// chunk's capacity, which the resident set does not); 58.8 and 67.8 with
-/// 16-byte pairs and every literal tokenized at first sight; tokenizing at
-/// first sight alone held 52.2.
-#[test]
-fn building_the_pair_holds_a_bounded_number_of_heap_bytes_per_triple() {
-    const HELD_BOUND: f64 = 48.0;
-    const PEAK_BOUND: f64 = 64.0;
-    const N: usize = 16_000;
-    let (left, right) = (document("l", N), document("r", N));
-    let triples = (10 * N) as f64;
+/// `document`'s lines in another order: five passes, one a predicate,
+/// each visiting the entities in its own scrambled order. So every line
+/// names another subject than the line before, and after the first pass
+/// the step from one line's entity to the next is thousands either way.
+fn scattered_document(prefix: &str, n: usize) -> String {
+    const STRIDES: [usize; 5] = [1, 7_919, 6_007, 3_001, 4_999];
+    let doc = document(prefix, n);
+    let lines: Vec<&str> = doc.lines().collect();
+    let (mut out, mut last) = (String::new(), usize::MAX);
+    for (k, stride) in STRIDES.iter().enumerate() {
+        for j in 0..n {
+            let entity = (j * stride + k) % n;
+            assert_ne!(entity, last, "a subject on two lines in a row");
+            last = entity;
+            out.push_str(lines[entity * 5 + k]);
+            out.push('\n');
+        }
+    }
+    out
+}
+
+/// What the builder holds in heap bytes a triple once both documents are
+/// loaded, and its peak through `finish`.
+fn held_and_peak(left: &str, right: &str, triples: usize) -> (f64, f64) {
     let mut b = KbPairBuilder::new();
     start_counting();
-    load_ntriples(&mut b, Side::Left, &left).expect("the document parses");
-    load_ntriples(&mut b, Side::Right, &right).expect("the document parses");
-    let held = usage_so_far().live as f64 / triples;
+    load_ntriples(&mut b, Side::Left, left).expect("the document parses");
+    load_ntriples(&mut b, Side::Right, right).expect("the document parses");
+    let held = usage_so_far().live as f64 / triples as f64;
     let pair = b.finish();
-    let peak = stop_counting().peak as f64 / triples;
-    assert_eq!(pair.kb(Side::Left).triple_count() + pair.kb(Side::Right).triple_count(), 10 * N);
+    let peak = stop_counting().peak as f64 / triples as f64;
+    assert_eq!(pair.kb(Side::Left).triple_count() + pair.kb(Side::Right).triple_count(), triples);
+    (held, peak)
+}
+
+/// A document's literals are interned and tokenized when the pair is
+/// finished, after the caller has read its last document, and until then a
+/// pair added to a side is one varint record of about 4 bytes and a literal
+/// its normal form and a NUL byte: so what the builder holds once both
+/// sides are loaded, and its peak through `finish`, are bounded in heap
+/// bytes per triple. Measured at 16 000 entities a side: 36.2 held and 61.6
+/// at the peak; with pairs of 12 bytes each and a `u32` length a literal,
+/// 46.1 held and 62.1. Documents whose lines each name another subject
+/// than the line before are the records' worst realistic shape: at 48 000
+/// entities a side they hold 27.3 and peak at 62.9, the same lines grouped
+/// by subject 23.1 (what a builder holds whatever the size weighs less a
+/// triple in larger documents). Interning literals as they were read held 41.6 and
+/// peaked at 60.5 (the heap counts a partly filled chunk's capacity, which
+/// the resident set does not); 58.8 and 67.8 with 16-byte pairs and every
+/// literal tokenized at first sight; tokenizing at first sight alone held
+/// 52.2.
+#[test]
+fn building_the_pair_holds_a_bounded_number_of_heap_bytes_per_triple() {
+    const HELD_BOUND: f64 = 40.0;
+    const SCATTERED_HELD_BOUND: f64 = 48.0;
+    const PEAK_BOUND: f64 = 64.0;
+    const N: usize = 16_000;
+    let (held, peak) = held_and_peak(&document("l", N), &document("r", N), 10 * N);
     assert!(held <= HELD_BOUND, "{held:.2} bytes a triple held once both sides are loaded, the bound is {HELD_BOUND}");
     assert!(peak <= PEAK_BOUND, "a peak of {peak:.2} bytes a triple through finish, the bound is {PEAK_BOUND}");
+
+    // Large enough that a side's scattered records take two segments (the
+    // grouped ones fit in one), so the bytes they add are counted.
+    const SCATTERED_N: usize = 48_000;
+    let (left, right) = (scattered_document("l", SCATTERED_N), scattered_document("r", SCATTERED_N));
+    let (held, peak) = held_and_peak(&left, &right, 10 * SCATTERED_N);
+    assert!(
+        held <= SCATTERED_HELD_BOUND,
+        "{held:.2} bytes a triple held once both scattered sides are loaded, the bound is {SCATTERED_HELD_BOUND}"
+    );
+    assert!(peak <= PEAK_BOUND, "a peak of {peak:.2} bytes a triple through finish, scattered, the bound is {PEAK_BOUND}");
 }

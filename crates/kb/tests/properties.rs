@@ -549,22 +549,24 @@ fn script_triple(rng: &mut Rng, side: Side, object: Result<String, String>) -> R
 /// The calls of one case, in order. Sides mostly alternate call by call;
 /// objects come from one pool for both sides (so literals repeat across
 /// them), or are URIs naming a subject or nothing (a dangling URI, whose
-/// local name `finish` makes a literal). Around them sit the shapes the
-/// builder's literal log is cut at — 1 MiB segments of normal forms and
-/// chunks of 64 Ki occurrences and pairs: an empty normal form as the
-/// log's last occurrence and, with `empty_first`, as its first (literal 0,
-/// which an occurrence the log lost would read as); with `segments`, one
-/// of exactly a segment followed by an empty one (which then lies at the
-/// very end of a full segment) and one longer than a segment. With `long`,
-/// the left side gets more than a chunk of pairs.
+/// local name `finish` makes a literal). Then a run that revisits the
+/// subjects in descending order, so the step from one pair's entity to the
+/// next goes back, with the sides alternating call by call through
+/// `add_pair` (predicate `p0`) and empty normal forms among its literals.
+/// Around them sit the shapes the builder's logs are cut at — 1 MiB
+/// segments of pair records and of NUL-ended normal forms: an empty normal
+/// form as the log's last occurrence and, with `empty_first`, as its first
+/// (literal 0, which an occurrence the log lost would read as); with
+/// `segments`, one that fills a segment exactly with its NUL, followed by
+/// an empty one (which then starts the next segment), and one longer than
+/// a segment. With `long`, the left side gets 70 000 more pairs.
 fn log_script(rng: &mut Rng, empty_first: bool, segments: bool, long: bool) -> Vec<RefTriple> {
     const SEGMENT: usize = 1 << 20;
-    const CHUNK: usize = 1 << 16;
     let pool: Vec<String> =
         (0..24).map(|k| if k % 2 == 0 { words(rng) } else { mixed_string(rng) }).collect();
     let edges = if segments {
         vec![
-            run_of('s', SEGMENT),
+            run_of('s', SEGMENT - 1),
             String::new(),
             "after".to_owned(),
             run_of('l', SEGMENT + 1 + rng.gen_range(0..100usize)),
@@ -596,8 +598,17 @@ fn log_script(rng: &mut Rng, empty_first: bool, segments: bool, long: bool) -> V
         };
         triples.push(script_triple(rng, side, object));
     }
+    for k in 0..48usize {
+        let side = if k % 2 == 0 { Side::Left } else { Side::Right };
+        let object = match k % 6 {
+            0 => Ok("--!".to_owned()),
+            3 => Err(format!("e{}", k % 16)),
+            _ => Ok(pool[k % pool.len()].clone()),
+        };
+        triples.push(RefTriple { side, subject: format!("e{}", 11 - k / 4), predicate: "p0".to_owned(), object });
+    }
     if long {
-        for k in 0..CHUNK + 4_500 {
+        for k in 0..70_000 {
             let side = if k % 16 == 15 { Side::Right } else { Side::Left };
             triples.push(script_triple(rng, side, Ok(pool[k % pool.len()].clone())));
         }
@@ -664,6 +675,76 @@ fn first_sight_numbering_survives_the_literal_log() {
         assert_same_and_compiled(&naive, &dirty.finish(), &dir, "dirty");
     });
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Each entity's pairs come back in the order they were added past the
+/// widths of one- and two-byte varints: more than 2¹⁴ entities, attributes
+/// and URI objects; passes over the subjects in orders that step thousands
+/// of entities either way; and, on the side that gets few pairs, steps of
+/// thousands of literal occurrences. The records take more than one 1 MiB
+/// segment. Too large for the naive builder: this checks pairs by string.
+#[test]
+fn pairs_come_back_in_the_order_added_past_two_byte_varints() {
+    const N: usize = 20_000;
+    // Pass `k / N` visits subject `k * stride % N`; the first pass numbers
+    // the entities in subject order.
+    const STRIDES: [usize; 8] = [1, 7_919, 9_973, 12_007, 3_001, 19_999, 4_999, 10_007];
+    let mut b = KbPairBuilder::new();
+    let mut added = [vec![Vec::new(); N], vec![Vec::new(); N]];
+    for k in 0..STRIDES.len() * N {
+        let side = if k % 997 == 5 || k % 60_013 < 3 { Side::Right } else { Side::Left };
+        let subject = k * STRIDES[k / N] % N;
+        let predicate = format!("p{}", k * 6_007 % N);
+        let object = match k % 3 {
+            0 => Err(format!("e{}", k * 3_001 % N)),
+            1 => Ok(format!("v{}", k % 50_000)),
+            _ => Err(format!("http://x.org/{k}")),
+        };
+        let term = match &object {
+            Ok(literal) => Term::Literal(literal),
+            Err(uri) => Term::Uri(uri),
+        };
+        b.add_triple(side, &format!("e{subject}"), &predicate, term);
+        added[side.index()][subject].push((predicate, object));
+    }
+    let pair = b.finish();
+    for side in [Side::Left, Side::Right] {
+        let (kb, added) = (pair.kb(side), &added[side.index()]);
+        // A URI object is a reference when it names a subject of this
+        // side, else a literal of its local name.
+        let subjects: BTreeSet<String> =
+            (0..N).filter(|&subject| !added[subject].is_empty()).map(|subject| format!("e{subject}")).collect();
+        let mut checked = 0;
+        for (subject, pairs) in added.iter().enumerate().filter(|(_, pairs)| !pairs.is_empty()) {
+            let uri = pair.uris().get(&format!("e{subject}")).expect("every subject is interned");
+            let entity = kb.entity(kb.entity_by_uri(uri).expect("a subject is an entity of its side"));
+            let want: Vec<(&str, Result<String, &str>)> = pairs
+                .iter()
+                .map(|(predicate, object)| {
+                    let value = match object {
+                        Ok(literal) => Ok(normalize_name(literal)),
+                        Err(uri) if subjects.contains(uri) => Err(uri.as_str()),
+                        Err(uri) => Ok(normalize_name(uri_local_name(uri))),
+                    };
+                    (predicate.as_str(), value)
+                })
+                .collect();
+            let got: Vec<(&str, Result<String, &str>)> = entity
+                .pairs()
+                .map(|(attr, value)| {
+                    let value = match value {
+                        Value::Literal(l) => Ok(pair.literals().resolve(Symbol(l.0)).to_owned()),
+                        Value::Ref(e) => Err(pair.uri_of(side, e)),
+                    };
+                    (pair.attrs().resolve(Symbol(attr.0)), value)
+                })
+                .collect();
+            assert_eq!(got, want, "{side:?} subject e{subject}");
+            checked += pairs.len();
+        }
+        assert_eq!(checked, kb.triple_count(), "{side:?}");
+    }
+    assert!(pair.kb(Side::Left).len() == N && pair.attr_space() == N && pair.uris().len() > 3 * N);
 }
 
 /// The last-subject memo must never hand out an entity of the other

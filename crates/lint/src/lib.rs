@@ -1,6 +1,6 @@
 //! minoaner-lint: the workspace determinism & concurrency linter.
 //!
-//! One subcommand, `check`: token-level rules R1–R3 and R5–R7 over every
+//! One subcommand, `check`: token-level rules R1–R3, R6 and R7 over every
 //! workspace file, gated by the shrink-only allowlist in `lint-allow.toml`
 //! (DESIGN.md §12). Panics and `unwrap`/`expect` are clippy's job (the
 //! deny set in each crate's `lib.rs`); R7 ratchets the audited exceptions
@@ -313,14 +313,14 @@ mod tests {
     fn check_json_round_trips_exactly() {
         let mut r = Report::default();
         r.violations.push(Violation {
-            rule: "R5",
+            rule: "R6",
             path: "crates/kb/src/disk.rs".into(),
             line: 420,
-            message: "`unsafe` without a `// SAFETY:` comment".into(),
+            message: "direct `fs` filesystem access in a durable-path module".into(),
         });
         r.policy_errors.push("ratchet: drift".into());
         r.files_scanned = 7;
-        r.raw_counts.insert("R5", 1);
+        r.raw_counts.insert("R6", 1);
         let text = r.render_json();
         let parsed = Json::parse(&text).unwrap();
         assert_eq!(parsed, r.to_json());

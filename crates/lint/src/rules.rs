@@ -31,7 +31,6 @@ pub const RULES: &[(&str, &str)] = &[
     ("R1", "no std::collections::HashMap/HashSet — use minoaner_det::DetHashMap/DetHashSet"),
     ("R2", "no f64/f32 accumulation over hash-map iteration — sort keys first"),
     ("R3", "no wall-clock or entropy outside timing/trace modules"),
-    ("R5", "every `unsafe` block/fn/impl must carry a `// SAFETY:` comment on the preceding line"),
     ("R6", "no direct std::fs/File/OpenOptions in durable-path modules — route I/O through the Vfs"),
     ("R7", "every #[allow] of clippy's panic lints is counted in lint-allow.toml and carries a `// bound:` comment"),
 ];
@@ -54,7 +53,6 @@ pub fn run_all(path: &str, class: FileClass, src: &str, toks: &[Tok]) -> Vec<Vio
     if class == FileClass::Library {
         r2_float_accum(path, toks, &mut out);
         r3_wallclock_entropy(path, toks, &mut out);
-        r5_unsafe_safety(path, src, toks, &mut out);
         r6_vfs_only(path, toks, &mut out);
         r7_audited_allows(path, src, toks, &mut out);
     }
@@ -376,33 +374,6 @@ fn r3_wallclock_entropy(path: &str, toks: &[Tok], out: &mut Vec<Violation>) {
     }
 }
 
-/// R5: each `unsafe` keyword (block, fn, impl, trait) must be justified
-/// by a `// SAFETY:` comment in the contiguous comment block immediately
-/// above its line. Two `unsafe impl`s stacked under one comment each need
-/// their own justification — the audit is per `unsafe`, not per block of
-/// code. Pre-existing debt is ratcheted per file via `lint-allow.toml`.
-fn r5_unsafe_safety(path: &str, src: &str, toks: &[Tok], out: &mut Vec<Violation>) {
-    let test_spans = cfg_test_spans(toks);
-    let in_test = |idx: usize| test_spans.iter().any(|&(a, b)| idx >= a && idx < b);
-    let lines: Vec<&str> = src.lines().collect();
-    let mut flagged_lines = BTreeSet::new();
-    for (i, t) in toks.iter().enumerate() {
-        if !t.is_ident("unsafe") || in_test(i) || !flagged_lines.insert(t.line) {
-            continue;
-        }
-        if !comment_above_has(&lines, t.line, "SAFETY:") {
-            out.push(Violation {
-                rule: "R5",
-                path: path.to_string(),
-                line: t.line,
-                message: "`unsafe` without a `// SAFETY:` comment on the preceding line; \
-                          state the invariant that makes this sound"
-                    .to_string(),
-            });
-        }
-    }
-}
-
 /// Whether the contiguous `//` comment block (doc comments count too)
 /// directly above 1-based line `line` has a line starting with `marker`.
 fn comment_above_has(lines: &[&str], line: u32, marker: &str) -> bool {
@@ -698,44 +669,6 @@ mod tests {
     }
 
     #[test]
-    fn r5_flags_uncommented_unsafe() {
-        let v = check("fn f(p: *const u8) -> u8 {\n    unsafe { *p }\n}");
-        assert_eq!(rules_of(&v), ["R5"]);
-        assert_eq!(v[0].line, 2);
-        let v = check("unsafe impl Send for X {}\n");
-        assert_eq!(rules_of(&v), ["R5"]);
-    }
-
-    #[test]
-    fn r5_accepts_safety_comment_block() {
-        let v = check(
-            "fn f(p: *const u8) -> u8 {\n\
-             \x20   // SAFETY: caller guarantees p is valid for reads.\n\
-             \x20   unsafe { *p }\n}",
-        );
-        assert!(v.is_empty(), "{v:?}");
-        // The marker may sit anywhere in the contiguous comment block.
-        let v = check(
-            "// SAFETY: the mapping is read-only bytes.\n\
-             // No interior mutability anywhere.\n\
-             unsafe impl Send for X {}\n",
-        );
-        assert!(v.is_empty(), "{v:?}");
-    }
-
-    #[test]
-    fn r5_requires_one_comment_per_unsafe() {
-        // The second impl's preceding line is code, not a comment.
-        let v = check(
-            "// SAFETY: read-only bytes.\n\
-             unsafe impl Send for X {}\n\
-             unsafe impl Sync for X {}\n",
-        );
-        assert_eq!(rules_of(&v), ["R5"]);
-        assert_eq!(v[0].line, 3);
-    }
-
-    #[test]
     fn r6_flags_direct_fs_only_in_durable_modules() {
         let src = "use std::fs::File;\n\
                    fn f(p: &std::path::Path) { let _ = std::fs::write(p, b\"x\"); }\n\
@@ -757,15 +690,5 @@ mod tests {
         let toks = lex(src);
         let v = run_all("crates/kb/src/disk.rs", FileClass::Library, src, &toks);
         assert!(v.is_empty(), "{v:#?}");
-    }
-
-    #[test]
-    fn r5_skips_test_code_and_strings() {
-        let v = check(
-            "#[cfg(test)]\nmod tests {\n    fn f(p: *const u8) -> u8 { unsafe { *p } }\n}",
-        );
-        assert!(v.is_empty(), "{v:?}");
-        let v = check("fn f() -> &'static str { \"unsafe\" }");
-        assert!(v.is_empty(), "{v:?}");
     }
 }

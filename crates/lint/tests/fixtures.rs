@@ -37,16 +37,6 @@ fn bad_r3_wallclock_flagged() {
 }
 
 #[test]
-fn bad_r5_unsafe_flagged() {
-    let v = fixture("bad/r5_unsafe.rs");
-    assert_eq!(rules_of(&v), ["R5", "R5", "R5"], "{v:#?}");
-    // One violation per `unsafe`: the Send impl's comment lacks the
-    // SAFETY: marker, and the Sync impl has no comment of its own.
-    assert_eq!(v[0].line, 6);
-    assert_eq!(v[1].line, 7);
-}
-
-#[test]
 fn bad_r6_direct_fs_flagged_under_durable_path() {
     // R6 is path-gated to the durable modules, so the fixture source is
     // linted twice: once as a durable path (flagged) and once under its

@@ -1,7 +1,8 @@
 //! Determinism lint for the blocking crate.
 //!
 //! This used to be a grep for `HashMap`/`HashSet` confined to this crate;
-//! the rules now live in `minoaner-lint` (R1–R3, R6, R7, see DESIGN.md §12) and
+//! hash containers are clippy's `disallowed_types` now, and the token rules
+//! live in `minoaner-lint` (R2, R6, R7, see DESIGN.md §12) and
 //! the canonical whole-workspace run is `crates/lint/tests/workspace.rs`.
 //! This thin test links the same linter and scopes the assertion to
 //! `crates/blocking`, so a regression here fails the crate's own suite

@@ -273,7 +273,9 @@ RESOLVE OPTIONS:
     --report <path>         write a JSON run trace (per-stage wall times, item
                             counts, shuffle volume, fault and domain counters)
     --checkpoint-dir <dir>  materialize crash-safe checkpoints at every stage
-                            barrier under <dir> (created if missing)
+                            barrier under <dir> (created if missing): one
+                            checksummed file per barrier, stage-NNN-<name>,
+                            committed by an fsynced rename
     --resume                resume from the newest valid checkpoint in
                             --checkpoint-dir instead of recomputing
     --degrade-on-ckpt-error keep running (uncheckpointed) when checkpoint I/O
@@ -305,11 +307,12 @@ JOBS:
         [,deadline-ms=<n>]
 
     Jobs run one at a time, in command-line order; ids are j0000, j0001, …
-    in that order. Each job checkpoints under <root>/job-<id>/ckpt and
-    mirrors its status to <root>/job-<id>/status.json; `jobs cancel` drops
-    a CANCEL marker there: a queued job then never runs, and a running one
-    stops cooperatively at its next stage barrier (completed checkpoint
-    barriers stay resumable). A job without workers=<n> uses all cores.
+    in that order. Each job checkpoints under <root>/job-<id>/ckpt, one
+    file per committed barrier, and mirrors its status to
+    <root>/job-<id>/status.json; `jobs cancel` drops a CANCEL marker there:
+    a queued job then never runs, and a running one stops cooperatively at
+    its next stage barrier (committed barriers stay resumable). A job
+    without workers=<n> uses all cores.
     Each job's input is read while the job before it runs; a job that is
     running waits for its input if the read is not done yet, and its
     deadline counts from when the input is in memory. A job whose file

@@ -277,8 +277,8 @@ impl Minoaner {
     /// (Algorithm 1), match (Algorithm 2), assemble timings. Each barrier
     /// is either restored from the newest valid checkpoint or computed and
     /// committed; without a spec `barriers` restores and commits nothing.
-    // Stage timing is the sanctioned wall-clock use; see the R3 entry
-    // for this file in lint-allow.toml.
+    // Stage timing is the sanctioned wall-clock use: the total wall time
+    // reported in `Resolution` timings, never used in a matching decision.
     #[allow(clippy::disallowed_methods)]
     fn run_pipeline(
         &self,
@@ -311,9 +311,7 @@ impl Minoaner {
                     }
                     _ => {
                         let blocks = self.prepare_blocks(executor, pair);
-                        barriers.commit(executor, resume::BARRIER_BLOCKS, "blocks", || {
-                            resume::blocks_parts(&blocks)
-                        })?;
+                        barriers.commit(executor, resume::BARRIER_BLOCKS, "blocks", &resume::blocks_parts(&blocks))?;
                         blocks
                     }
                 };
@@ -323,9 +321,7 @@ impl Minoaner {
                 // barriers behind.
                 executor.check_cancelled("barrier:blocks")?;
                 let graph = self.build_graph_from_blocks(executor, pair, &blocks, adaptive);
-                barriers.commit(executor, resume::BARRIER_GRAPH, "graph", || {
-                    resume::graph_parts(&graph, &blocks.purge)
-                })?;
+                barriers.commit(executor, resume::BARRIER_GRAPH, "graph", &resume::graph_parts(&graph, &blocks.purge))?;
                 (graph, blocks.purge)
             }
         };
@@ -333,9 +329,8 @@ impl Minoaner {
         executor.check_cancelled("barrier:graph")?;
         let graph_digest = graph.weight_digest();
         let outcome = run_matching(executor, pair, &graph, &self.config, rules);
-        barriers.commit(executor, resume::BARRIER_MATCHES, "matches", || {
-            resume::matches_parts(&outcome.matches, &outcome.counts, graph_digest, &purge)
-        })?;
+        let parts = resume::matches_parts(&outcome.matches, &outcome.counts, &graph_digest, &purge);
+        barriers.commit(executor, resume::BARRIER_MATCHES, "matches", &parts)?;
         Ok(Self::assemble(executor, start, outcome.matches, outcome.counts, purge, graph_digest))
     }
 

@@ -7,8 +7,9 @@
 //! pruned disjunctive blocking graph) and `matches` (Algorithm 2's output).
 //! Each barrier's state is written as one part per component, in the exact
 //! binary record codec spill runs use ([`Spillable`]: little-endian,
-//! bit-exact floats, row tables rebuilt through `Rows::from_parts`); the
-//! store handles hashing, atomic commit and recovery scanning, while this
+//! bit-exact floats, row tables rebuilt through `Rows::from_parts`), each
+//! encoded in place into the barrier's one file; the store handles
+//! framing, checksums, atomic commit and recovery scanning, while this
 //! module owns *what* is stored and how a recovered barrier is turned back
 //! into typed pipeline state.
 //!
@@ -27,7 +28,7 @@ use minoaner_dataflow::{
     CheckpointError, CheckpointStore, DataflowError, DegradeOnCkptError, Executor,
     RecoveredStage, TraceCollector,
 };
-use minoaner_det::codec::{decode_exact, encode_to_vec, Spillable};
+use minoaner_det::codec::{decode_exact, Spillable};
 use minoaner_det::checksum;
 use minoaner_kb::{EntityId, KbPair, Side};
 
@@ -170,10 +171,9 @@ fn fingerprint_in(
     checksum(&bytes)
 }
 
-/// One named part: `value`'s record encoding.
-fn encode_part<T: Spillable>(name: &str, value: &T) -> (String, Vec<u8>) {
-    (name.to_owned(), encode_to_vec(value))
-}
+/// One named part of a barrier: a record the store encodes in place into
+/// the barrier's file.
+pub(crate) type Part<'a> = (&'static str, &'a dyn Spillable);
 
 /// Decodes the named part of a recovered barrier. The store has already
 /// verified the part's content hash, so a part that decodes short, long or
@@ -191,13 +191,13 @@ fn decode_part<T: Spillable>(stage: &RecoveredStage, name: &str) -> Result<T, Ch
 }
 
 /// The `blocks` barrier's parts.
-pub(crate) fn blocks_parts(blocks: &PreparedBlocks) -> Vec<(String, Vec<u8>)> {
-    vec![
-        encode_part("relation_stats", &blocks.relation_stats),
-        encode_part("name_stats", &blocks.name_stats),
-        encode_part("token_blocks", &blocks.token_blocks),
-        encode_part("name_blocks", &blocks.name_blocks),
-        encode_part("purge", &blocks.purge),
+pub(crate) fn blocks_parts(blocks: &PreparedBlocks) -> [Part<'_>; 5] {
+    [
+        ("relation_stats", &blocks.relation_stats),
+        ("name_stats", &blocks.name_stats),
+        ("token_blocks", &blocks.token_blocks),
+        ("name_blocks", &blocks.name_blocks),
+        ("purge", &blocks.purge),
     ]
 }
 
@@ -213,11 +213,8 @@ pub(crate) fn blocks_from_stage(stage: &RecoveredStage) -> Result<PreparedBlocks
 }
 
 /// The `graph` barrier's parts.
-pub(crate) fn graph_parts(
-    graph: &BlockingGraph,
-    purge: &Option<PurgeReport>,
-) -> Vec<(String, Vec<u8>)> {
-    vec![encode_part("graph", graph), encode_part("purge", purge)]
+pub(crate) fn graph_parts<'a>(graph: &'a BlockingGraph, purge: &'a Option<PurgeReport>) -> [Part<'a>; 2] {
+    [("graph", graph), ("purge", purge)]
 }
 
 /// Rebuilds the graph state from a recovered `graph` barrier.
@@ -229,18 +226,13 @@ pub(crate) fn graph_from_stage(
 
 /// The `matches` barrier's parts. `matches` is the `Vec` it decodes as.
 #[allow(clippy::ptr_arg)]
-pub(crate) fn matches_parts(
-    matches: &Vec<(EntityId, EntityId)>,
-    counts: &RuleCounts,
-    graph_digest: u64,
-    purge: &Option<PurgeReport>,
-) -> Vec<(String, Vec<u8>)> {
-    vec![
-        encode_part("matches", matches),
-        encode_part("rule_counts", counts),
-        encode_part("graph_digest", &graph_digest),
-        encode_part("purge", purge),
-    ]
+pub(crate) fn matches_parts<'a>(
+    matches: &'a Vec<(EntityId, EntityId)>,
+    counts: &'a RuleCounts,
+    graph_digest: &'a u64,
+    purge: &'a Option<PurgeReport>,
+) -> [Part<'a>; 4] {
+    [("matches", matches), ("rule_counts", counts), ("graph_digest", graph_digest), ("purge", purge)]
 }
 
 /// Rebuilds the final results from a recovered `matches` barrier.
@@ -344,7 +336,8 @@ impl<'a> Barriers<'a> {
     }
 
     /// Commits barrier `barrier` (`name`), timing the encoding and the write
-    /// as a `ckpt/write/<name>` stage and accounting the payload in the `ckpt/bytes_written` / `ckpt/barriers_written` counters. The
+    /// as a `ckpt/write/<name>` stage and accounting the payload in the
+    /// `ckpt/bytes_written` / `ckpt/barriers_written` counters. The
     /// counter snapshot stored with the barrier excludes the `ckpt/*`
     /// namespace: a resumed run re-emits the snapshot, and its own
     /// checkpoint accounting legitimately differs from the interrupted
@@ -354,7 +347,7 @@ impl<'a> Barriers<'a> {
         executor: &Executor,
         barrier: usize,
         name: &str,
-        parts: impl FnOnce() -> Vec<(String, Vec<u8>)>,
+        parts: &[Part<'_>],
     ) -> Result<(), DataflowError> {
         let Some(live) = self.live.as_ref() else { return Ok(()) };
         let spec = live.spec;
@@ -365,7 +358,7 @@ impl<'a> Barriers<'a> {
             .filter(|(k, _)| !k.starts_with("ckpt/"))
             .collect();
         let written = executor.time_stage(&format!("ckpt/write/{name}"), || {
-            live.store.write_stage(barrier, name, live.fingerprint, &parts(), &counters)
+            live.store.write_parts(barrier, name, live.fingerprint, parts, &counters)
         });
         match written {
             Ok(bytes) => {
@@ -449,7 +442,10 @@ mod tests {
     fn graph_stage(damage: impl FnOnce(&mut Vec<u8>)) -> (RecoveredStage, u64) {
         let pair = linked_pair();
         let prepared = Minoaner::new().prepare(&Executor::new(1), &pair);
-        let mut parts = graph_parts(&prepared.graph, &None);
+        let mut parts: Vec<(String, Vec<u8>)> = graph_parts(&prepared.graph, &None)
+            .iter()
+            .map(|&(name, part)| (name.to_owned(), minoaner_det::codec::encode_to_vec(part)))
+            .collect();
         damage(&mut parts[0].1);
         let stage =
             RecoveredStage { barrier: BARRIER_GRAPH, stage: "graph".to_owned(), parts, counters: BTreeMap::new() };

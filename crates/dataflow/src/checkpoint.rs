@@ -11,39 +11,40 @@
 //!
 //! # On-disk format
 //!
-//! One directory per checkpointed barrier, `stage-NNN-<name>/`, holding one
-//! file per serialized part plus a `MANIFEST` written last as the commit
-//! point. The manifest's first line is the [`checksum`] of the line-oriented
-//! body that follows; the body records the schema version, the run
-//! fingerprint, per-part byte lengths and content hashes, and the
-//! cumulative domain counter snapshot. The body format is deliberately
-//! hand-rolled (one `key value...` record per line) so the commit/recovery
-//! machinery carries no serialization dependency — part payloads are opaque
-//! bytes at this layer; typed encoding happens in the pipeline crate.
+//! One file per checkpointed barrier, `stage-NNN-<name>`: a
+//! [`minoaner_det::segment`] of kind `CK` at [`CHECKPOINT_SCHEMA_VERSION`].
+//! Section 0 is the barrier's meta record — the run fingerprint, the barrier
+//! index and name, the part names in write order and the cumulative domain
+//! counter snapshot — and section `i + 1` is part `i`'s payload, opaque
+//! bytes at this layer (typed encoding happens in the pipeline crate, which
+//! encodes each part in place into the segment). The segment's checksums
+//! cover the header, the table and every section.
 //!
 //! # Atomicity protocol
 //!
-//! Everything is staged in a `.tmp-` sibling directory: parts are written
-//! and fsynced, the manifest is written and fsynced, the directory itself
-//! is fsynced, and only then is the directory renamed into place (atomic on
-//! POSIX) and the parent fsynced. A crash at any point leaves either no
-//! final directory (the `.tmp-` leftovers are ignored and reclaimed) or a
-//! complete one. Recovery additionally re-validates every content hash, so
-//! a truncated or bit-flipped file is *detected* and the scanner falls back
-//! to the previous good barrier — never silently wrong output.
+//! A barrier is committed by [`vfs::commit_file`]: written to a `.tmp-`
+//! sibling, fsynced, renamed into place (atomic on POSIX), and the root
+//! fsynced. A crash at any point leaves either no barrier file (a `.tmp-`
+//! leftover is ignored, and overwritten by the next commit of that barrier)
+//! or a complete one. Recovery verifies every checksum, so a truncated or
+//! bit-flipped file is *detected* and the scanner falls back to the
+//! previous good barrier — never silently wrong output. A barrier of schema
+//! version 1 (a directory of part files and a text `MANIFEST`) is refused
+//! with [`CheckpointError::SchemaMismatch`] and recomputed.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
-use minoaner_det::checksum;
+use minoaner_det::codec::{decode_exact, Spillable};
+use minoaner_det::segment::{Kind, Section, Segment, SegmentError, Writer};
+use minoaner_det::spillable_struct;
 use minoaner_det::vfs::{self, Vfs, VfsRef};
 
-/// Version of the checkpoint directory layout and manifest schema.
+/// Version of the checkpoint barrier layout.
 ///
 /// Mirrors [`crate::trace::TRACE_SCHEMA_VERSION`]: bump on any breaking
-/// change; recovery refuses manifests from other versions.
-pub const CHECKPOINT_SCHEMA_VERSION: u32 = 1;
+/// change; recovery refuses barriers of other versions.
+pub const CHECKPOINT_SCHEMA_VERSION: u32 = 2;
 
 /// What a pipeline run does when a checkpoint write (or the store open /
 /// restore scan) fails.
@@ -75,17 +76,17 @@ pub enum CheckpointError {
         /// The rendered OS error.
         detail: String,
     },
-    /// A checkpoint file failed validation (torn manifest, hash mismatch,
-    /// truncation, fingerprint drift).
+    /// A checkpoint file failed validation (truncation, checksum mismatch,
+    /// an undecodable meta record, fingerprint drift).
     Corrupt {
         /// The file or directory that failed validation.
         path: String,
         /// What exactly did not check out.
         detail: String,
     },
-    /// The manifest was written by an incompatible layout version.
+    /// The barrier was written in an incompatible layout version.
     SchemaMismatch {
-        /// Version found in the manifest.
+        /// Version found in the barrier.
         found: u32,
         /// Version this build understands.
         expected: u32,
@@ -111,124 +112,26 @@ impl std::fmt::Display for CheckpointError {
 
 impl std::error::Error for CheckpointError {}
 
-/// One serialized part inside a manifest.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct PartEntry {
-    /// Logical part name (e.g. `token_blocks`).
-    name: String,
-    /// File name inside the stage directory.
-    file: String,
-    /// Exact byte length of the part file.
-    bytes: u64,
-    /// [`checksum`] of the part file's contents.
-    sum: u64,
-}
-
-/// The manifest body, serialized line-by-line after the hash line.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct ManifestBody {
-    schema_version: u32,
+/// A barrier's meta record, section 0 of its segment.
+struct Meta {
+    /// Fingerprint of the run's inputs and configuration; resume refuses
+    /// checkpoints from a different run setup.
+    fingerprint: u64,
     /// 0-based barrier index within the pipeline.
     barrier: usize,
     /// Barrier name (e.g. `graph`).
     stage: String,
-    /// Fingerprint of the run's inputs and configuration; resume refuses
-    /// checkpoints from a different run setup.
-    fingerprint: u64,
-    parts: Vec<PartEntry>,
+    /// Part names, in write order: part `i` is section `i + 1`.
+    parts: Vec<String>,
     /// Cumulative domain counters at the time of the checkpoint, re-emitted
     /// on resume so a resumed trace matches an uninterrupted one.
-    counters: BTreeMap<String, u64>,
+    counters: Vec<(String, u64)>,
 }
 
-impl ManifestBody {
-    /// Renders the body as its deterministic line-oriented form: one
-    /// `key value...` record per line, free-form names last on the line so
-    /// they may contain spaces. Example:
-    ///
-    /// ```text
-    /// version 1
-    /// barrier 0
-    /// stage blocks
-    /// fingerprint 0000000000000007
-    /// part 13 0b75c843e27fbb4a part-000-alpha.bin alpha
-    /// counter 42 blocking/token_blocks_built
-    /// ```
-    fn encode(&self) -> String {
-        let mut s = String::new();
-        let _ = writeln!(s, "version {}", self.schema_version);
-        let _ = writeln!(s, "barrier {}", self.barrier);
-        let _ = writeln!(s, "stage {}", self.stage);
-        let _ = writeln!(s, "fingerprint {:016x}", self.fingerprint);
-        for p in &self.parts {
-            let _ = writeln!(s, "part {} {:016x} {} {}", p.bytes, p.sum, p.file, p.name);
-        }
-        for (name, value) in &self.counters {
-            let _ = writeln!(s, "counter {value} {name}");
-        }
-        s
-    }
+spillable_struct!(Meta { fingerprint, barrier, stage, parts, counters });
 
-    /// Parses the line-oriented form back. Any malformed or missing record
-    /// is a hard error — the body is hash-guarded, so damage here means the
-    /// hash line itself was forged or the writer was a different version.
-    fn decode(text: &str) -> Result<ManifestBody, String> {
-        let mut version = None;
-        let mut barrier = None;
-        let mut stage = None;
-        let mut fingerprint = None;
-        let mut parts = Vec::new();
-        let mut counters = BTreeMap::new();
-        for line in text.lines() {
-            let (key, rest) = line.split_once(' ').ok_or_else(|| format!("bad record {line:?}"))?;
-            match key {
-                "version" => {
-                    version = Some(rest.parse::<u32>().map_err(|_| "bad version".to_owned())?);
-                }
-                "barrier" => {
-                    barrier = Some(rest.parse::<usize>().map_err(|_| "bad barrier".to_owned())?);
-                }
-                "stage" => stage = Some(rest.to_owned()),
-                "fingerprint" => {
-                    fingerprint = Some(
-                        u64::from_str_radix(rest, 16).map_err(|_| "bad fingerprint".to_owned())?,
-                    );
-                }
-                "part" => {
-                    let mut fields = rest.splitn(4, ' ');
-                    let bytes = fields
-                        .next()
-                        .and_then(|v| v.parse::<u64>().ok())
-                        .ok_or_else(|| "bad part bytes".to_owned())?;
-                    let sum = fields
-                        .next()
-                        .and_then(|v| u64::from_str_radix(v, 16).ok())
-                        .ok_or_else(|| "bad part hash".to_owned())?;
-                    let file =
-                        fields.next().ok_or_else(|| "missing part file".to_owned())?.to_owned();
-                    let name =
-                        fields.next().ok_or_else(|| "missing part name".to_owned())?.to_owned();
-                    parts.push(PartEntry { name, file, bytes, sum });
-                }
-                "counter" => {
-                    let (value, name) =
-                        rest.split_once(' ').ok_or_else(|| "bad counter record".to_owned())?;
-                    let value = value.parse::<u64>().map_err(|_| "bad counter value".to_owned())?;
-                    counters.insert(name.to_owned(), value);
-                }
-                other => return Err(format!("unknown record kind {other:?}")),
-            }
-        }
-        Ok(ManifestBody {
-            schema_version: version.ok_or_else(|| "missing version record".to_owned())?,
-            barrier: barrier.ok_or_else(|| "missing barrier record".to_owned())?,
-            stage: stage.ok_or_else(|| "missing stage record".to_owned())?,
-            fingerprint: fingerprint.ok_or_else(|| "missing fingerprint record".to_owned())?,
-            parts,
-            counters,
-        })
-    }
-}
+/// The meta record's section id.
+const META: u32 = 0;
 
 /// A barrier recovered from disk, fully validated.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -237,7 +140,7 @@ pub struct RecoveredStage {
     pub barrier: usize,
     /// Barrier name.
     pub stage: String,
-    /// The deserialized part payloads, in manifest (= write) order.
+    /// The part payloads, in write order.
     pub parts: Vec<(String, Vec<u8>)>,
     /// The counter snapshot stored with the checkpoint.
     pub counters: BTreeMap<String, u64>,
@@ -261,7 +164,7 @@ impl RecoveredStage {
 pub struct Recovery {
     /// The newest complete, hash-valid barrier, if any.
     pub stage: Option<RecoveredStage>,
-    /// Barriers rejected during the scan: `(directory, cause)`, newest
+    /// Barriers rejected during the scan: `(file, cause)`, newest
     /// first. A non-empty list with `stage: Some(..)` means recovery fell
     /// back past corrupt checkpoints.
     pub rejected: Vec<(String, CheckpointError)>,
@@ -295,10 +198,9 @@ impl CheckpointStore {
         &self.root
     }
 
-    /// Atomically writes one barrier: parts land in a `.tmp-` staging
-    /// directory, each fsynced, the manifest committed last, the staged
-    /// directory fsynced and renamed into place, and the root fsynced.
-    /// Returns the total payload bytes written.
+    /// Atomically writes one barrier of already encoded parts as the one
+    /// file `stage-NNN-<name>`. Returns the total payload bytes of the
+    /// parts.
     pub fn write_stage(
         &self,
         barrier: usize,
@@ -307,71 +209,66 @@ impl CheckpointStore {
         parts: &[(String, Vec<u8>)],
         counters: &BTreeMap<String, u64>,
     ) -> Result<u64, CheckpointError> {
-        let tmp_dir = self.root.join(format!(".tmp-{}", stage_dir_name(barrier, stage)));
-        let result = self.write_stage_inner(&tmp_dir, barrier, stage, fingerprint, parts, counters);
-        if result.is_err() {
-            // A failed commit must not leak staging scratch: the `.tmp-`
-            // directory is removed best-effort (the original error is what
-            // the caller needs to see, and on e.g. a full disk the removal
-            // is the one operation that still tends to succeed).
-            let _ = self.vfs.remove_dir_all(&tmp_dir);
-        }
-        result
+        let names = parts.iter().map(|(name, _)| name.clone()).collect();
+        let encoders = parts.iter().map(|(_, bytes)| move |out: &mut Vec<u8>| out.extend_from_slice(bytes));
+        self.commit(barrier, stage, fingerprint, names, counters, encoders)
     }
 
-    fn write_stage_inner(
+    /// [`Self::write_stage`] for parts that encode themselves: each is
+    /// encoded in place into the barrier's segment, so a part is held once,
+    /// in the buffer that becomes the file.
+    pub fn write_parts(
         &self,
-        tmp_dir: &Path,
         barrier: usize,
         stage: &str,
         fingerprint: u64,
-        parts: &[(String, Vec<u8>)],
+        parts: &[(&str, &dyn Spillable)],
         counters: &BTreeMap<String, u64>,
     ) -> Result<u64, CheckpointError> {
-        let final_dir = self.root.join(stage_dir_name(barrier, stage));
-        if tmp_dir.exists() {
-            self.vfs.remove_dir_all(tmp_dir).map_err(|e| io_err(tmp_dir, &e))?;
-        }
-        self.vfs.create_dir_all(tmp_dir).map_err(|e| io_err(tmp_dir, &e))?;
+        let names = parts.iter().map(|&(name, _)| name.to_owned()).collect();
+        let encoders = parts.iter().map(|&(_, part)| move |out: &mut Vec<u8>| part.encode(out));
+        self.commit(barrier, stage, fingerprint, names, counters, encoders)
+    }
 
-        let mut entries = Vec::with_capacity(parts.len());
+    /// Encodes the barrier — the meta record, then each part by its
+    /// encoder — and commits it with [`vfs::commit_file`].
+    fn commit<E: FnOnce(&mut Vec<u8>)>(
+        &self,
+        barrier: usize,
+        stage: &str,
+        fingerprint: u64,
+        parts: Vec<String>,
+        counters: &BTreeMap<String, u64>,
+        encoders: impl Iterator<Item = E>,
+    ) -> Result<u64, CheckpointError> {
+        let name = stage_file_name(barrier, stage);
+        let path = self.root.join(&name);
+        let mut segment = Writer::new(Kind::CHECKPOINT, CHECKPOINT_SCHEMA_VERSION, 0, parts.len() + 1);
+        let counters = counters.iter().map(|(name, &value)| (name.clone(), value)).collect();
+        let meta = Meta { fingerprint, barrier, stage: stage.to_owned(), parts, counters };
+        segment.section(META, |out| meta.encode(out));
         let mut total = 0u64;
-        for (i, (name, bytes)) in parts.iter().enumerate() {
-            let file_name = format!("part-{i:03}-{}.bin", sanitize(name));
-            let path = tmp_dir.join(&file_name);
-            write_synced(&*self.vfs, &path, bytes)?;
-            total += bytes.len() as u64;
-            entries.push(PartEntry {
-                name: name.clone(),
-                file: file_name,
-                bytes: bytes.len() as u64,
-                sum: checksum(bytes),
+        for (id, encode) in (META + 1..).zip(encoders) {
+            segment.section(id, |out| {
+                let start = out.len();
+                encode(out);
+                total += (out.len() - start) as u64;
             });
         }
-
-        let body = ManifestBody {
-            schema_version: CHECKPOINT_SCHEMA_VERSION,
-            barrier,
-            stage: stage.to_owned(),
-            fingerprint,
-            parts: entries,
-            counters: counters.clone(),
-        };
-        let body_text = body.encode();
-        let manifest = format!("{:016x}\n{body_text}", checksum(body_text.as_bytes()));
-        write_synced(&*self.vfs, &tmp_dir.join("MANIFEST"), manifest.as_bytes())?;
-        sync_dir(&*self.vfs, tmp_dir)?;
-
-        if final_dir.exists() {
-            self.vfs.remove_dir_all(&final_dir).map_err(|e| io_err(&final_dir, &e))?;
+        let bytes = segment.finish().map_err(|e| corrupt(&path, e.to_string()))?;
+        // A schema-1 barrier of the same name was a directory, and a schema-1
+        // commit cut short left its `.tmp-` staging directory behind.
+        for stale in [path.clone(), self.root.join(format!(".tmp-{name}"))] {
+            if stale.is_dir() {
+                self.vfs.remove_dir_all(&stale).map_err(|e| io_err(&stale, &e))?;
+            }
         }
-        self.vfs.rename(tmp_dir, &final_dir).map_err(|e| io_err(&final_dir, &e))?;
-        sync_dir(&*self.vfs, &self.root)?;
+        vfs::commit_file(&*self.vfs, &path, &bytes).map_err(|(at, e)| io_err(&at, &e))?;
         Ok(total)
     }
 
-    /// Scans for the newest barrier whose manifest and every part validate
-    /// against their recorded hashes and `fingerprint`. Invalid or torn
+    /// Scans for the newest barrier whose segment verifies and whose meta
+    /// record names `fingerprint`. Invalid or torn
     /// barriers are recorded in [`Recovery::rejected`] and skipped — the
     /// scan falls back to the previous good checkpoint.
     pub fn recover_latest(&self, fingerprint: u64) -> Result<Recovery, CheckpointError> {
@@ -380,7 +277,7 @@ impl CheckpointStore {
             let Some(name) = path.file_name().map(|n| n.to_string_lossy().into_owned()) else {
                 continue;
             };
-            if let Some(barrier) = parse_stage_dir_name(&name) {
+            if let Some(barrier) = parse_stage_file_name(&name) {
                 found.push((barrier, path));
             }
         }
@@ -403,13 +300,13 @@ impl CheckpointStore {
 }
 
 /// `stage-NNN-<sanitized name>`.
-fn stage_dir_name(barrier: usize, stage: &str) -> String {
+fn stage_file_name(barrier: usize, stage: &str) -> String {
     format!("stage-{barrier:03}-{}", sanitize(stage))
 }
 
-/// Parses a committed stage directory name back to its barrier index.
+/// Parses a committed barrier's file name back to its barrier index.
 /// `.tmp-` staging leftovers and foreign names return `None`.
-fn parse_stage_dir_name(name: &str) -> Option<usize> {
+fn parse_stage_file_name(name: &str) -> Option<usize> {
     let rest = name.strip_prefix("stage-")?;
     let digits = rest.get(..3)?;
     if !rest.get(3..4).is_some_and(|c| c == "-") {
@@ -430,89 +327,50 @@ fn corrupt(path: &Path, detail: impl Into<String>) -> CheckpointError {
     CheckpointError::Corrupt { path: path.display().to_string(), detail: detail.into() }
 }
 
-/// Writes `bytes` and fsyncs the file before returning, converting I/O
-/// failures into the checkpoint error type.
-pub(crate) fn write_synced(
-    vfs: &dyn Vfs,
-    path: &Path,
-    bytes: &[u8],
-) -> Result<(), CheckpointError> {
-    vfs::write_synced(vfs, path, bytes).map_err(|e| io_err(path, &e))
+fn segment_err(path: &Path, e: SegmentError) -> CheckpointError {
+    match e {
+        SegmentError::SchemaMismatch { found, expected } => CheckpointError::SchemaMismatch { found, expected },
+        other => corrupt(path, other.to_string()),
+    }
 }
 
-/// Fsyncs a directory so a committed rename survives power loss.
-pub(crate) fn sync_dir(vfs: &dyn Vfs, path: &Path) -> Result<(), CheckpointError> {
-    vfs.sync_dir(path).map_err(|e| io_err(path, &e))
-}
-
-/// Loads and fully validates one committed barrier directory.
+/// Loads and fully validates one committed barrier file.
 fn load_stage(
     vfs: &dyn Vfs,
-    dir: &Path,
+    path: &Path,
     barrier: usize,
     fingerprint: u64,
 ) -> Result<RecoveredStage, CheckpointError> {
-    let manifest_path = dir.join("MANIFEST");
-    let manifest = vfs
-        .read_to_string(&manifest_path)
-        .map_err(|e| corrupt(&manifest_path, format!("manifest unreadable: {e}")))?;
-    let (hash_line, body_text) = manifest
-        .split_once('\n')
-        .ok_or_else(|| corrupt(&manifest_path, "manifest missing hash line"))?;
-    let recorded = u64::from_str_radix(hash_line.trim(), 16)
-        .map_err(|_| corrupt(&manifest_path, "manifest hash line unparsable"))?;
-    let actual = checksum(body_text.as_bytes());
-    if recorded != actual {
+    if path.is_dir() {
+        // A schema-1 barrier: a directory of part files and a MANIFEST.
+        return Err(CheckpointError::SchemaMismatch { found: 1, expected: CHECKPOINT_SCHEMA_VERSION });
+    }
+    let bytes = vfs.read(path).map_err(|e| corrupt(path, format!("barrier unreadable: {e}")))?;
+    let segment = Segment::parse(&bytes, Kind::CHECKPOINT, CHECKPOINT_SCHEMA_VERSION)
+        .and_then(|segment| segment.verify(&bytes).map(|()| segment))
+        .map_err(|e| segment_err(path, e))?;
+    let meta: Meta = segment
+        .bytes(&bytes, META)
+        .ok()
+        .and_then(decode_exact)
+        .ok_or_else(|| corrupt(path, "meta section does not decode"))?;
+    if meta.barrier != barrier {
+        return Err(corrupt(path, format!("barrier {} does not match its file name ({barrier})", meta.barrier)));
+    }
+    if meta.fingerprint != fingerprint {
         return Err(corrupt(
-            &manifest_path,
-            format!("manifest hash mismatch (recorded {recorded:016x}, actual {actual:016x})"),
+            path,
+            format!("run fingerprint mismatch (checkpoint {:016x}, run {fingerprint:016x})", meta.fingerprint),
         ));
     }
-    let body = ManifestBody::decode(body_text)
-        .map_err(|e| corrupt(&manifest_path, format!("manifest body unparsable: {e}")))?;
-    if body.schema_version != CHECKPOINT_SCHEMA_VERSION {
-        return Err(CheckpointError::SchemaMismatch {
-            found: body.schema_version,
-            expected: CHECKPOINT_SCHEMA_VERSION,
-        });
+    // Section 0 is the meta record; the parts follow it in write order.
+    let payloads = segment.sections().get(1..).unwrap_or_default();
+    if payloads.len() != meta.parts.len() {
+        return Err(corrupt(path, format!("{} parts named, {} stored", meta.parts.len(), payloads.len())));
     }
-    if body.barrier != barrier {
-        return Err(corrupt(
-            &manifest_path,
-            format!("manifest barrier {} does not match directory ({barrier})", body.barrier),
-        ));
-    }
-    if body.fingerprint != fingerprint {
-        return Err(corrupt(
-            &manifest_path,
-            format!(
-                "run fingerprint mismatch (checkpoint {:016x}, run {fingerprint:016x})",
-                body.fingerprint
-            ),
-        ));
-    }
-
-    let mut parts = Vec::with_capacity(body.parts.len());
-    for entry in &body.parts {
-        let path = dir.join(&entry.file);
-        let bytes =
-            vfs.read(&path).map_err(|e| corrupt(&path, format!("part unreadable: {e}")))?;
-        if bytes.len() as u64 != entry.bytes {
-            return Err(corrupt(
-                &path,
-                format!("part truncated: {} bytes on disk, {} in manifest", bytes.len(), entry.bytes),
-            ));
-        }
-        let h = checksum(&bytes);
-        if h != entry.sum {
-            return Err(corrupt(
-                &path,
-                format!("part hash mismatch (disk {h:016x}, manifest {:016x})", entry.sum),
-            ));
-        }
-        parts.push((entry.name.clone(), bytes));
-    }
-    Ok(RecoveredStage { barrier, stage: body.stage, parts, counters: body.counters })
+    let payload = |section: &Section| bytes.get(section.range()).unwrap_or_default().to_vec();
+    let parts = meta.parts.into_iter().zip(payloads.iter().map(payload)).collect();
+    Ok(RecoveredStage { barrier, stage: meta.stage, parts, counters: meta.counters.into_iter().collect() })
 }
 
 #[cfg(test)]
@@ -521,7 +379,7 @@ mod tests {
     use std::fs;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
-    /// Unique scratch directory without entropy (R3): pid + counter.
+    /// Unique scratch directory without entropy: pid + counter.
     fn scratch(tag: &str) -> PathBuf {
         static N: AtomicUsize = AtomicUsize::new(0);
         let dir = std::env::temp_dir().join(format!(
@@ -546,6 +404,13 @@ mod tests {
         c
     }
 
+    /// Where part `i` of the barrier file at `path` lies.
+    fn part_range(path: &Path, i: u32) -> std::ops::Range<usize> {
+        let bytes = fs::read(path).unwrap();
+        let segment = Segment::parse(&bytes, Kind::CHECKPOINT, CHECKPOINT_SCHEMA_VERSION).unwrap();
+        segment.section(META + 1 + i).unwrap().range()
+    }
+
     #[test]
     fn write_and_recover_round_trip() {
         let root = scratch("roundtrip");
@@ -560,6 +425,29 @@ mod tests {
         assert_eq!(stage.parts, sample_parts());
         assert_eq!(stage.part("alpha"), Some(&b"first payload"[..]));
         assert_eq!(stage.counters, counters());
+        let names: Vec<String> = fs::read_dir(&root)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert_eq!(names, ["stage-000-blocks"], "a barrier is one file");
+        assert!(root.join("stage-000-blocks").is_file());
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn parts_encoded_in_place_are_the_bytes_of_their_records() {
+        let root = scratch("in-place");
+        let store = CheckpointStore::open(&root).unwrap();
+        let (numbers, name) = (vec![1u32, 2, 3], "graph".to_owned());
+        let parts: [(&str, &dyn Spillable); 2] = [("numbers", &numbers), ("name", &name)];
+        let bytes = store.write_parts(1, "graph", 3, &parts, &counters()).unwrap();
+        let stage = store.recover_latest(3).unwrap().stage.unwrap();
+        let want = [
+            ("numbers".to_owned(), minoaner_det::codec::encode_to_vec(&numbers)),
+            ("name".to_owned(), minoaner_det::codec::encode_to_vec(&name)),
+        ];
+        assert_eq!(stage.parts, want);
+        assert_eq!(bytes, stage.total_bytes());
         fs::remove_dir_all(&root).unwrap();
     }
 
@@ -575,14 +463,15 @@ mod tests {
     }
 
     #[test]
-    fn truncated_part_falls_back_to_previous_barrier() {
+    fn truncated_barrier_falls_back_to_previous_barrier() {
         let root = scratch("trunc");
         let store = CheckpointStore::open(&root).unwrap();
         store.write_stage(0, "blocks", 1, &sample_parts(), &counters()).unwrap();
         store.write_stage(1, "graph", 1, &sample_parts(), &counters()).unwrap();
-        // Truncate a part of the newest barrier.
-        let part = root.join("stage-001-graph").join("part-000-alpha.bin");
-        fs::write(&part, b"first").unwrap();
+        // Cut the newest barrier inside its last part.
+        let path = root.join("stage-001-graph");
+        let bytes = fs::read(&path).unwrap();
+        fs::write(&path, &bytes[..bytes.len() - 2]).unwrap();
         let rec = store.recover_latest(1).unwrap();
         assert_eq!(rec.rejected.len(), 1);
         assert!(matches!(rec.rejected[0].1, CheckpointError::Corrupt { .. }));
@@ -595,41 +484,28 @@ mod tests {
         let root = scratch("bitflip");
         let store = CheckpointStore::open(&root).unwrap();
         store.write_stage(0, "blocks", 1, &sample_parts(), &counters()).unwrap();
-        let part = root.join("stage-000-blocks").join("part-001-beta.bin");
-        let mut bytes = fs::read(&part).unwrap();
-        bytes[2] ^= 0x40; // same length, different content
-        fs::write(&part, &bytes).unwrap();
+        let path = root.join("stage-000-blocks");
+        let mut bytes = fs::read(&path).unwrap();
+        bytes[part_range(&path, 1).start + 2] ^= 0x40; // same length, different content
+        fs::write(&path, &bytes).unwrap();
         let rec = store.recover_latest(1).unwrap();
         assert!(rec.stage.is_none());
         assert_eq!(rec.rejected.len(), 1);
         let msg = rec.rejected[0].1.to_string();
-        assert!(msg.contains("hash mismatch"), "got: {msg}");
+        assert!(msg.contains("checksum mismatch"), "got: {msg}");
         fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
-    fn torn_manifest_is_rejected() {
+    fn torn_header_is_rejected() {
         let root = scratch("torn");
         let store = CheckpointStore::open(&root).unwrap();
         store.write_stage(0, "blocks", 1, &sample_parts(), &counters()).unwrap();
-        let manifest = root.join("stage-000-blocks").join("MANIFEST");
-        let text = fs::read_to_string(&manifest).unwrap();
-        fs::write(&manifest, &text[..text.len() / 2]).unwrap();
+        let path = root.join("stage-000-blocks");
+        fs::write(&path, &fs::read(&path).unwrap()[..20]).unwrap();
         let rec = store.recover_latest(1).unwrap();
         assert!(rec.stage.is_none());
         assert!(matches!(rec.rejected[0].1, CheckpointError::Corrupt { .. }));
-        fs::remove_dir_all(&root).unwrap();
-    }
-
-    #[test]
-    fn missing_manifest_means_barrier_absent() {
-        let root = scratch("nomanifest");
-        let store = CheckpointStore::open(&root).unwrap();
-        store.write_stage(0, "blocks", 1, &sample_parts(), &counters()).unwrap();
-        fs::remove_file(root.join("stage-000-blocks").join("MANIFEST")).unwrap();
-        let rec = store.recover_latest(1).unwrap();
-        assert!(rec.stage.is_none());
-        assert_eq!(rec.rejected.len(), 1);
         fs::remove_dir_all(&root).unwrap();
     }
 
@@ -649,12 +525,11 @@ mod tests {
         let root = scratch("schema");
         let store = CheckpointStore::open(&root).unwrap();
         store.write_stage(0, "blocks", 1, &sample_parts(), &counters()).unwrap();
-        // Rewrite the manifest with a bumped version and a valid hash.
-        let manifest = root.join("stage-000-blocks").join("MANIFEST");
-        let text = fs::read_to_string(&manifest).unwrap();
-        let (_, body) = text.split_once('\n').unwrap();
-        let patched = body.replace("version 1\n", "version 99\n");
-        fs::write(&manifest, format!("{:016x}\n{patched}", checksum(patched.as_bytes()))).unwrap();
+        // Bump the version word of the header.
+        let path = root.join("stage-000-blocks");
+        let mut bytes = fs::read(&path).unwrap();
+        bytes[8..12].copy_from_slice(&99u32.to_ne_bytes());
+        fs::write(&path, &bytes).unwrap();
         let rec = store.recover_latest(1).unwrap();
         assert!(rec.stage.is_none());
         assert!(matches!(
@@ -664,19 +539,44 @@ mod tests {
         fs::remove_dir_all(&root).unwrap();
     }
 
+    /// A barrier of schema 1 — a directory of part files and a `MANIFEST` —
+    /// is refused by version, and a new commit of that barrier replaces it.
     #[test]
-    fn stale_tmp_dirs_are_ignored_and_overwritten() {
+    fn a_schema_1_directory_is_refused_and_replaced() {
+        let root = scratch("schema1");
+        let old = root.join("stage-000-blocks");
+        fs::create_dir_all(&old).unwrap();
+        fs::write(old.join("MANIFEST"), b"0000000000000000\nversion 1\n").unwrap();
+        fs::write(old.join("part-000-alpha.bin"), b"first payload").unwrap();
+        let store = CheckpointStore::open(&root).unwrap();
+        let rec = store.recover_latest(1).unwrap();
+        assert!(rec.stage.is_none());
+        assert!(matches!(rec.rejected[0].1, CheckpointError::SchemaMismatch { found: 1, expected: 2 }));
+        store.write_stage(0, "blocks", 1, &sample_parts(), &counters()).unwrap();
+        assert!(old.is_file(), "the directory was replaced by the barrier file");
+        assert_eq!(store.recover_latest(1).unwrap().stage.unwrap().parts, sample_parts());
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn stale_tmp_dirs_and_files_are_ignored_and_overwritten() {
         let root = scratch("tmp");
         let store = CheckpointStore::open(&root).unwrap();
-        // Simulate a crash that left a staging dir behind.
-        fs::create_dir_all(root.join(".tmp-stage-000-blocks")).unwrap();
-        fs::write(root.join(".tmp-stage-000-blocks").join("junk"), b"junk").unwrap();
+        // Simulate crashes that left staged barriers behind: a schema-1
+        // staging directory with a part in it, and a schema-2 staged file.
+        let stale_dir = root.join(".tmp-stage-000-blocks");
+        fs::create_dir_all(&stale_dir).unwrap();
+        fs::write(stale_dir.join("part-000-alpha"), b"junk").unwrap();
+        fs::write(root.join(".tmp-stage-001-blocks"), b"junk").unwrap();
         let rec = store.recover_latest(1).unwrap();
         assert!(rec.stage.is_none());
         assert!(rec.rejected.is_empty(), "staging leftovers are not barriers");
-        // A fresh write over the leftovers succeeds.
-        store.write_stage(0, "blocks", 1, &sample_parts(), &counters()).unwrap();
-        assert!(store.recover_latest(1).unwrap().stage.is_some());
+        // A fresh write over either leftover succeeds and consumes it.
+        for barrier in [0, 1] {
+            store.write_stage(barrier, "blocks", 1, &sample_parts(), &counters()).unwrap();
+            assert_eq!(store.recover_latest(1).unwrap().stage.map(|s| s.barrier), Some(barrier));
+        }
+        assert_eq!(fs::read_dir(&root).unwrap().count(), 2, "only the two committed barriers are left");
         fs::remove_dir_all(&root).unwrap();
     }
 
@@ -693,64 +593,65 @@ mod tests {
     }
 
     #[test]
-    fn manifest_body_encodes_and_decodes_exactly() {
-        let body = ManifestBody {
-            schema_version: CHECKPOINT_SCHEMA_VERSION,
+    fn meta_record_round_trips_exactly() {
+        let meta = Meta {
+            fingerprint: 0xdead_beef_0123_4567,
             barrier: 2,
             stage: "matches".to_owned(),
-            fingerprint: 0xdead_beef_0123_4567,
-            parts: vec![PartEntry {
-                name: "rule counts".to_owned(), // spaces survive (name is last on the line)
-                file: "part-000-rule_counts.bin".to_owned(),
-                bytes: 9,
-                sum: 7,
-            }],
-            counters: counters(),
+            parts: vec!["rule counts".to_owned(), String::new()],
+            counters: counters().into_iter().collect(),
         };
-        let text = body.encode();
-        assert_eq!(ManifestBody::decode(&text), Ok(body));
-        assert!(ManifestBody::decode("version 1\n").is_err(), "missing required records");
-        assert!(ManifestBody::decode("bogus record\n").is_err());
+        let bytes = minoaner_det::codec::encode_to_vec(&meta);
+        let back: Meta = decode_exact(&bytes).expect("decodes");
+        assert_eq!(
+            (back.fingerprint, back.barrier, back.stage, back.parts, back.counters),
+            (meta.fingerprint, meta.barrier, meta.stage, meta.parts, meta.counters)
+        );
+        assert!(decode_exact::<Meta>(&bytes[..bytes.len() - 1]).is_none(), "short");
     }
 
+    /// A barrier is one file committed by `commit_file`: exactly its four
+    /// ops (write, fsync, rename, root fsync) after the store's open.
     #[test]
     fn failed_commit_at_every_op_leaves_no_staging_scratch() {
-        use minoaner_det::vfs::{FaultFs, FaultKind, FaultPlan};
-        // Enumerate the ops of one clean open + write_stage.
+        use minoaner_det::vfs::{FaultFs, FaultKind, FaultPlan, OpClass};
         let root = scratch("chaos-ref");
         let probe = FaultFs::new(FaultPlan::none());
         let store = CheckpointStore::open_with(&root, probe.clone()).unwrap();
         store.write_stage(0, "blocks", 1, &sample_parts(), &counters()).unwrap();
-        let n_ops = probe.op_count();
+        let classes: Vec<OpClass> = probe.ops().iter().map(|op| op.class).collect();
         fs::remove_dir_all(&root).unwrap();
-        assert!(n_ops > 5, "expected a multi-op commit protocol, saw {n_ops}");
+        use OpClass::*;
+        assert_eq!(classes, [CreateDir, Write, SyncFile, Rename, SyncDir]);
 
         // Fail each op in turn (op 0 is the store-open create_dir): the
         // write must surface a typed error and leave zero `.tmp-` scratch,
         // and a retry against the real filesystem must then succeed.
-        for k in 1..n_ops {
-            let root = scratch("chaos");
-            let ffs = FaultFs::new(FaultPlan::fail_op(k, FaultKind::Enospc));
-            let store = CheckpointStore::open_with(&root, ffs).unwrap();
-            let err = store.write_stage(0, "blocks", 1, &sample_parts(), &counters());
-            assert!(matches!(err, Err(CheckpointError::Io { .. })), "op {k}: {err:?}");
-            for entry in fs::read_dir(&root).unwrap() {
-                let name = entry.unwrap().file_name().to_string_lossy().into_owned();
-                assert!(!name.starts_with(".tmp-"), "op {k} leaked staging scratch {name}");
+        for k in 1..classes.len() as u64 {
+            for kind in FaultKind::ALL {
+                let root = scratch("chaos");
+                let ffs = FaultFs::new(FaultPlan::fail_op(k, kind));
+                let store = CheckpointStore::open_with(&root, ffs).unwrap();
+                let err = store.write_stage(0, "blocks", 1, &sample_parts(), &counters());
+                assert!(matches!(err, Err(CheckpointError::Io { .. })), "op {k} {kind:?}: {err:?}");
+                for entry in fs::read_dir(&root).unwrap() {
+                    let name = entry.unwrap().file_name().to_string_lossy().into_owned();
+                    assert!(!name.starts_with(".tmp-"), "op {k} {kind:?} leaked staging scratch {name}");
+                }
+                let retry = CheckpointStore::open(&root).unwrap();
+                retry.write_stage(0, "blocks", 1, &sample_parts(), &counters()).unwrap();
+                assert_eq!(retry.recover_latest(1).unwrap().stage.unwrap().parts, sample_parts());
+                fs::remove_dir_all(&root).unwrap();
             }
-            let retry = CheckpointStore::open(&root).unwrap();
-            retry.write_stage(0, "blocks", 1, &sample_parts(), &counters()).unwrap();
-            assert_eq!(retry.recover_latest(1).unwrap().stage.unwrap().parts, sample_parts());
-            fs::remove_dir_all(&root).unwrap();
         }
     }
 
     #[test]
-    fn dir_name_parser_rejects_foreign_names() {
-        assert_eq!(parse_stage_dir_name("stage-003-graph"), Some(3));
-        assert_eq!(parse_stage_dir_name(".tmp-stage-003-graph"), None);
-        assert_eq!(parse_stage_dir_name("stage-xyz-graph"), None);
-        assert_eq!(parse_stage_dir_name("stage-003graph"), None);
-        assert_eq!(parse_stage_dir_name("whatever"), None);
+    fn file_name_parser_rejects_foreign_names() {
+        assert_eq!(parse_stage_file_name("stage-003-graph"), Some(3));
+        assert_eq!(parse_stage_file_name(".tmp-stage-003-graph"), None);
+        assert_eq!(parse_stage_file_name("stage-xyz-graph"), None);
+        assert_eq!(parse_stage_file_name("stage-003graph"), None);
+        assert_eq!(parse_stage_file_name("whatever"), None);
     }
 }

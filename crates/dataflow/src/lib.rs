@@ -34,11 +34,11 @@
 //!   check when off); a [`TraceCollector`] plus the annotated [`StageLog`]
 //!   assemble into a versioned JSON [`RunTrace`] run report.
 //! * **Crash-safe checkpointing**: a [`CheckpointStore`] materializes
-//!   pipeline state at stage barriers with an atomic temp-file + rename +
-//!   fsync protocol, per-file content hashes and a versioned manifest
-//!   (`checkpoint` module); the pipeline snapshots every barrier, and the
-//!   recovery scanner resumes from the newest *complete* barrier, falling back past torn or bit-flipped files
-//!   instead of trusting them.
+//!   pipeline state at stage barriers, one checksummed segment file a
+//!   barrier committed by temp-file + fsync + rename (`checkpoint`
+//!   module); the pipeline snapshots every barrier, and the recovery
+//!   scanner resumes from the newest *complete* barrier, falling back past
+//!   torn or bit-flipped files instead of trusting them.
 //!
 //! ```
 //! use minoaner_dataflow::{DataflowError, Executor};

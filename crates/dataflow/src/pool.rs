@@ -34,10 +34,10 @@ use crate::observer::{Observer, ObserverSlot};
 /// boundaries.
 ///
 /// The type lives in `pool.rs` — not in the jobs crate — because this file
-/// carries the repo's sanctioned wall-clock allowance (the R3 entry in
-/// `lint-allow.toml`); job-level code only ever consumes the clock through
-/// [`Self::remaining`]/[`Self::expired`], keeping `minoaner-jobs` free of
-/// raw `Instant::now` calls and of lint-allow entries.
+/// carries the repo's sanctioned wall-clock use (its audited
+/// `clippy::disallowed_methods` allows); job-level code only ever consumes
+/// the clock through [`Self::remaining`]/[`Self::expired`], keeping
+/// `minoaner-jobs` free of raw `Instant::now` calls and of such allows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Deadline {
     at: Instant,
@@ -45,16 +45,14 @@ pub struct Deadline {
 
 impl Deadline {
     /// A deadline `budget` from now.
-    // Sanctioned wall-clock use; see the R3 entry for this file in
-    // lint-allow.toml.
+    // Sanctioned wall-clock use: the job deadline.
     #[allow(clippy::disallowed_methods)]
     pub fn after(budget: Duration) -> Self {
         Self { at: Instant::now() + budget }
     }
 
     /// Time left before the deadline, zero once expired.
-    // Sanctioned wall-clock use; see the R3 entry for this file in
-    // lint-allow.toml.
+    // Sanctioned wall-clock use: the job deadline.
     #[allow(clippy::disallowed_methods)]
     pub fn remaining(&self) -> Duration {
         self.at.saturating_duration_since(Instant::now())
@@ -281,8 +279,8 @@ impl Executor {
     /// raised with `panic_any` (the spill I/O helpers do, for a full
     /// disk). Cancellation and the job deadline are polled before every
     /// claim and end the stage with [`DataflowError::Cancelled`].
-    // Stage timing is the sanctioned wall-clock use; see the R3 entry
-    // for this file in lint-allow.toml.
+    // Stage timing is the sanctioned wall-clock use; it never influences
+    // task results.
     #[allow(clippy::disallowed_methods)]
     pub fn try_run_stage<T, F>(&self, name: &str, n: usize, task: F) -> Result<Vec<T>, DataflowError>
     where
@@ -385,8 +383,8 @@ impl Executor {
 
     /// Times an arbitrary closure as a named stage (for sequential steps
     /// that should still show up in the stage log).
-    // Stage timing is the sanctioned wall-clock use; see the R3 entry
-    // for this file in lint-allow.toml.
+    // Stage timing is the sanctioned wall-clock use; it never influences
+    // task results.
     #[allow(clippy::disallowed_methods)]
     pub fn time_stage<R>(&self, name: &str, f: impl FnOnce() -> R) -> R {
         let start = Instant::now();

@@ -5,15 +5,18 @@
 //! one bucket per reduce partition, records in the order the task
 //! produced them. While the budget has headroom (always, when there is no
 //! budget), runs stay on the heap; once [`MemoryBudget::try_reserve`]
-//! fails, further runs are encoded to a checksummed run file, written
-//! once and dropped from memory. A run file is process-private scratch:
-//! only this process reads it, [`SpillShuffle::finish`] deletes it and no
-//! recovery path ever opens it, so it is written plainly — no temp name,
-//! fsync or rename; a torn write is caught by the bucket checksums. The
-//! reduce side takes one partition's buckets in map-task order
+//! fails, further runs are encoded to a run file, written once and dropped
+//! from memory. A run file is a [`minoaner_det::segment`] of kind `SP`, one
+//! section per bucket, so every bucket is under its own checksum. It is
+//! process-private scratch: only this process reads it,
+//! [`SpillShuffle::finish`] deletes it and no recovery path ever opens it,
+//! so it is written plainly — no temp name, fsync or rename; a torn write
+//! is caught by the bucket checksums. The reduce side takes one
+//! partition's buckets in map-task order
 //! ([`SpillShuffle::take_partition`]); a disk bucket is one ranged read of
-//! exactly its bytes. Any regrouping of the records is the reducer's
-//! business — the shuffle neither sorts nor merges.
+//! exactly its section, located by the run's table as it was written. Any
+//! regrouping of the records is the reducer's business — the shuffle
+//! neither sorts nor merges.
 //!
 //! Determinism: which runs spill depends on timing, but *bucket order
 //! never does* — buckets come back by map-task index, and each run's
@@ -31,8 +34,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
 pub use minoaner_det::codec::Spillable;
+use minoaner_det::lock;
+use minoaner_det::segment::{Kind, Section, Writer};
 use minoaner_det::vfs::{self, Vfs};
-use minoaner_det::{checksum, lock};
 
 use crate::budget::MemoryBudget;
 use crate::checkpoint::CheckpointError;
@@ -47,20 +51,15 @@ pub const SPILL_BYTES_COUNTER: &str = "spill/bytes_written";
 pub const SPILL_RECORDS_COUNTER: &str = "spill/records";
 
 /// One map task's contribution: per-partition buckets, resident or
-/// on disk.
+/// on disk (section `p` of the run file is partition `p`'s bucket).
 enum Run<T> {
     Memory { buckets: Vec<Vec<T>>, reserved: u64 },
-    Disk { path: PathBuf, table: Vec<BucketMeta> },
+    Disk { path: PathBuf, sections: Vec<Section> },
 }
 
-/// Where one bucket lives inside a run file.
-#[derive(Debug, Clone, Copy)]
-struct BucketMeta {
-    offset: u64,
-    len: u64,
-    records: u64,
-    sum: u64,
-}
+/// Format version of a run file. Run files never outlive their process,
+/// so it only tells them from other segment kinds' versions.
+const SPILL_RUN_VERSION: u32 = 1;
 
 /// Process-wide sequence so concurrent shuffles in one process never
 /// collide on a spill path (the directory name also carries the pid for
@@ -152,11 +151,11 @@ impl<T: Spillable> SpillShuffle<T> {
         let run = if self.budget.try_reserve(estimate) {
             Run::Memory { buckets, reserved: estimate }
         } else {
-            let (path, table, bytes) = self.write_run(map_task, &buckets)?;
+            let (path, sections, bytes) = self.write_run(map_task, &buckets)?;
             self.runs_written.fetch_add(1, Ordering::Relaxed);
             self.bytes_written.fetch_add(bytes, Ordering::Relaxed);
             self.records_spilled.fetch_add(records, Ordering::Relaxed);
-            Run::Disk { path, table }
+            Run::Disk { path, sections }
         };
         let mut runs = lock(&self.runs);
         let at = runs.partition_point(|&(task, _)| task < map_task);
@@ -165,73 +164,48 @@ impl<T: Spillable> SpillShuffle<T> {
     }
 
     /// Encodes one run to `<dir>/run-<task>.spill` with one
-    /// [`Vfs::write_file`]. Layout: concatenated bucket payloads; the
-    /// per-bucket offsets/lengths/checksums stay in memory (spill files
-    /// are scratch for this process's lifetime, not recovery artifacts).
-    fn write_run(
-        &self,
-        map_task: usize,
-        buckets: &[Vec<T>],
-    ) -> Result<(PathBuf, Vec<BucketMeta>, u64), DataflowError> {
+    /// [`Vfs::write_file`]: a segment with bucket `p` as section `p`, each
+    /// encoded in place. Returns the run's table, as the writer built it,
+    /// and the run's length.
+    fn write_run(&self, map_task: usize, buckets: &[Vec<T>]) -> Result<(PathBuf, Vec<Section>, u64), DataflowError> {
         let disk = self.budget.vfs().clone();
         disk.create_dir_all(&self.dir).map_err(|e| self.fs_err(&self.dir, &e))?;
-        let records: usize = buckets.iter().map(Vec::len).sum();
-        let mut payload = Vec::with_capacity(records * std::mem::size_of::<T>());
-        let mut table = Vec::with_capacity(buckets.len());
-        for bucket in buckets {
-            let start = payload.len() as u64;
-            for record in bucket {
-                record.encode(&mut payload);
-            }
-            // bound: `start` is `payload`'s length before this bucket was
-            // appended.
-            #[allow(clippy::indexing_slicing)]
-            let bytes = &payload[start as usize..];
-            table.push(BucketMeta {
-                offset: start,
-                len: bytes.len() as u64,
-                records: bucket.len() as u64,
-                sum: checksum(bytes),
-            });
-        }
         let path = self.dir.join(format!("run-{map_task}.spill"));
+        let mut run = Writer::new(Kind::SPILL, SPILL_RUN_VERSION, 0, buckets.len());
+        let records: usize = buckets.iter().map(Vec::len).sum();
+        run.reserve(records * std::mem::size_of::<T>() + buckets.len() * 7);
+        for (bucket, id) in buckets.iter().zip(0..) {
+            run.section(id, |out| bucket.iter().for_each(|record| record.encode(out)));
+        }
+        let sections = run.sections().to_vec();
+        let bytes = run.finish().map_err(|e| spill_corrupt(&path, e.to_string()))?;
         // A failed write may leave a torn run behind: nothing reads it, and
         // the Drop guard removes the whole spill dir on the error path.
-        Vfs::write_file(&*disk, &path, &payload).map_err(|e| self.fs_err(&path, &e))?;
-        Ok((path, table, payload.len() as u64))
+        Vfs::write_file(&*disk, &path, &bytes).map_err(|e| self.fs_err(&path, &e))?;
+        Ok((path, sections, bytes.len() as u64))
     }
 
-    /// Loads one bucket of one run back — a ranged read of exactly its
-    /// bytes — validating its checksum. A short file or a mismatch (bit
-    /// rot, a torn write) fails closed as
+    /// Loads partition `p`'s bucket of one run back — a ranged read of
+    /// exactly its section — validating its checksum. A short file or a
+    /// mismatch (bit rot, a torn write) fails closed as
     /// [`CheckpointError::Corrupt`].
-    fn read_bucket(&self, path: &Path, meta: &BucketMeta) -> Result<Vec<T>, DataflowError> {
-        let bytes = self
-            .budget
-            .vfs()
-            .read_range(path, meta.offset, meta.len as usize)
-            .map_err(|e| match e.kind() {
-                std::io::ErrorKind::UnexpectedEof => spill_corrupt(
-                    path,
-                    format!("bucket at {}+{} runs past the end of the file", meta.offset, meta.len),
-                ),
-                _ => self.fs_err(path, &e),
-            })?;
-        let actual = checksum(&bytes);
-        if actual != meta.sum {
-            return Err(spill_corrupt(
-                path,
-                format!(
-                    "bucket checksum mismatch (recorded {:016x}, actual {actual:016x})",
-                    meta.sum
-                ),
-            ));
-        }
-        let mut out = Vec::with_capacity(meta.records as usize);
+    fn read_bucket(&self, path: &Path, section: Option<Section>, p: usize) -> Result<Vec<T>, DataflowError> {
+        let section = section.ok_or_else(|| spill_corrupt(path, format!("the run has no bucket {p}")))?;
+        let range = section.range();
+        let bytes = self.budget.vfs().read_range(path, range.start as u64, range.len()).map_err(|e| match e.kind() {
+            std::io::ErrorKind::UnexpectedEof => {
+                spill_corrupt(path, format!("bucket {p} at {range:?} runs past the end of the file"))
+            }
+            _ => self.fs_err(path, &e),
+        })?;
+        section.check(&bytes).map_err(|e| spill_corrupt(path, format!("bucket {p}: {e}")))?;
+        // A hint that never reserves more bytes than were read; exact where
+        // a record encodes to its own size (the γ edges: 16 bytes either way).
+        let mut out = Vec::with_capacity(bytes.len() / std::mem::size_of::<T>().max(1));
         let mut pos = 0usize;
-        for _ in 0..meta.records {
-            let record = T::decode(&bytes, &mut pos)
-                .ok_or_else(|| spill_corrupt(path, "bucket truncated mid-record".to_owned()))?;
+        while pos < bytes.len() {
+            let record =
+                T::decode(&bytes, &mut pos).ok_or_else(|| spill_corrupt(path, "bucket truncated mid-record".to_owned()))?;
             out.push(record);
         }
         Ok(out)
@@ -247,10 +221,10 @@ impl<T: Spillable> SpillShuffle<T> {
         assert!(p < self.partitions, "partition out of range");
         enum Source<T> {
             Resident(Vec<T>),
-            OnDisk(PathBuf, BucketMeta),
+            OnDisk(PathBuf, Option<Section>),
         }
-        // bound: `p < self.partitions` (asserted above), and every run holds
-        // one bucket, or one table entry, per partition (`add_run` asserts it).
+        // bound: `p < self.partitions` (asserted above), and every resident
+        // run holds one bucket per partition (`add_run` asserts it).
         #[allow(clippy::indexing_slicing)]
         let sources: Vec<Source<T>> = lock(&self.runs)
             .iter_mut()
@@ -263,14 +237,14 @@ impl<T: Spillable> SpillShuffle<T> {
                     self.budget.release(share);
                     Source::Resident(bucket)
                 }
-                Run::Disk { path, table } => Source::OnDisk(path.clone(), table[p]),
+                Run::Disk { path, sections } => Source::OnDisk(path.clone(), sections.get(p).copied()),
             })
             .collect();
         sources
             .into_iter()
             .map(|source| match source {
                 Source::Resident(bucket) => Ok(bucket),
-                Source::OnDisk(path, meta) => self.read_bucket(&path, &meta),
+                Source::OnDisk(path, section) => self.read_bucket(&path, section, p),
             })
             .collect()
     }
@@ -341,6 +315,8 @@ fn spill_corrupt(path: &Path, detail: String) -> DataflowError {
 mod tests {
     use super::*;
     use crate::observer::TraceCollector;
+    use minoaner_det::codec::encode_to_vec;
+    use minoaner_det::segment::Segment;
     use minoaner_det::vfs::{FaultFs, FaultKind, FaultPlan, OpClass};
     use std::fs;
     use std::sync::Arc;
@@ -424,7 +400,8 @@ mod tests {
         let reads: Vec<u64> =
             probe.ops().iter().filter(|r| r.class == OpClass::Read).map(|r| r.bytes).collect();
         assert_eq!(reads.len(), 3 * 2, "one ranged read per (run, partition)");
-        assert_eq!(reads.iter().sum::<u64>(), shuffle.bytes_written(), "no read amplification");
+        let payload: usize = three_runs().iter().flatten().flatten().map(|r| encode_to_vec(r).len()).sum();
+        assert_eq!(reads.iter().sum::<u64>(), payload as u64, "no read amplification: the buckets' bytes only");
     }
 
     #[test]
@@ -450,9 +427,11 @@ mod tests {
             }
         };
         let intact = fs::read(&run_path).expect("read run file");
-        // Flip a byte, then cut the file short: both must read as corrupt.
+        // Flip a byte of the bucket, then cut the file short: both must
+        // read as corrupt.
+        let bucket = Segment::parse(&intact, Kind::SPILL, SPILL_RUN_VERSION).expect("intact").sections()[0].range();
         let mut flipped = intact.clone();
-        flipped[0] ^= 0x40;
+        flipped[bucket.start] ^= 0x40;
         for damaged in [&flipped[..], &intact[..intact.len() - 1]] {
             fs::write(&run_path, damaged).expect("rewrite run file");
             let err = shuffle.take_partition(0).expect_err("must fail closed");

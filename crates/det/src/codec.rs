@@ -6,26 +6,32 @@
 //! equality of a resumed or out-of-core run depends on. It lives here,
 //! under every crate that owns a record type, so each type implements it
 //! next to its own fields; `minoaner-dataflow` re-exports it from `spill`.
-//! Integers are written little-endian, so a checkpoint directory reads the
-//! same on every host.
+//! Integers are written little-endian, so a record's bytes are the same on
+//! every host (the segment framing them is native-endian, and refuses a
+//! file from a host of the other endianness).
 
 /// Fixed-layout binary encoding of one record.
 ///
 /// Implementations must be exact: `decode(encode(x)) == x` for every
 /// value (encode bit patterns, not decimal renderings). Provided for the
-/// integer/float primitives, `bool`, 2- and 3-tuples, `Option`, two-element
-/// arrays and `Vec`, and for a plain struct by [`spillable_struct!`](crate::spillable_struct).
-pub trait Spillable: Sized {
+/// integer/float primitives, `bool`, `String`, 2- and 3-tuples, `Option`,
+/// two-element arrays and `Vec`, and for a plain struct by [`spillable_struct!`](crate::spillable_struct).
+///
+/// `&dyn Spillable` encodes: a checkpoint barrier is a list of named parts
+/// of different types, each encoded in place into the barrier's segment.
+pub trait Spillable {
     /// Appends this record's encoding to `out`.
     fn encode(&self, out: &mut Vec<u8>);
     /// Decodes one record starting at `*pos`, advancing `*pos` past it.
     /// `None` on truncated or invalid input: callers checksum the bytes
     /// before decoding, but bounds and invariants stay checked.
-    fn decode(buf: &[u8], pos: &mut usize) -> Option<Self>;
+    fn decode(buf: &[u8], pos: &mut usize) -> Option<Self>
+    where
+        Self: Sized;
 }
 
 /// `value`'s encoding as a buffer of its own.
-pub fn encode_to_vec<T: Spillable>(value: &T) -> Vec<u8> {
+pub fn encode_to_vec<T: Spillable + ?Sized>(value: &T) -> Vec<u8> {
     let mut out = Vec::new();
     value.encode(&mut out);
     out
@@ -122,6 +128,18 @@ impl<A: Spillable, B: Spillable, C: Spillable> Spillable for (A, B, C) {
     }
 }
 
+/// A `u64` byte count, then the UTF-8 bytes.
+impl Spillable for String {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.len().encode(out);
+        out.extend_from_slice(self.as_bytes());
+    }
+
+    fn decode(buf: &[u8], pos: &mut usize) -> Option<Self> {
+        String::from_utf8(Vec::decode(buf, pos)?).ok()
+    }
+}
+
 /// One array per KB side.
 impl<T: Spillable> Spillable for [T; 2] {
     fn encode(&self, out: &mut Vec<u8>) {
@@ -177,13 +195,14 @@ mod tests {
 
     #[test]
     fn round_trips_are_exact_and_little_endian() {
-        type Record = (u32, Option<f64>, Vec<[u16; 2]>);
-        let record: Record = (7, Some(-0.0), vec![[1, 2], [3, 4]]);
+        type Record = (u32, Option<f64>, Vec<([u16; 2], String)>);
+        let record: Record = (7, Some(-0.0), vec![([1, 2], "ç".to_owned()), ([3, 4], String::new())]);
         let bytes = encode_to_vec(&record);
         assert_eq!(&bytes[..4], &[7, 0, 0, 0], "little-endian on every host");
         let back: Record = decode_exact(&bytes).expect("decodes");
         assert_eq!(back.1.map(f64::to_bits), Some((-0.0f64).to_bits()), "bit-exact floats");
         assert_eq!((back.0, back.2), (record.0, record.2));
+        assert_eq!(decode_exact::<String>(&encode_to_vec(&vec![0xC3u8])), None, "not UTF-8");
         let nan = f64::from_bits(0x7ff8_dead_beef_0001);
         assert_eq!(decode_exact::<f64>(&encode_to_vec(&nan)).map(f64::to_bits), Some(nan.to_bits()));
     }

@@ -1,6 +1,7 @@
 //! The determinism floor of the workspace: fixed-seed hash containers,
 //! the one seeded generator ([`rng`]), the exact record codec ([`codec`]),
-//! the one JSON reader/writer ([`json`]) and the filesystem seam ([`vfs`]).
+//! the one JSON reader/writer ([`json`]), the one framing of every durable
+//! file ([`segment`]) and the filesystem seam ([`vfs`]).
 //! Nothing here — and nothing anywhere in the workspace — depends on a
 //! crate outside the repository.
 //!
@@ -14,8 +15,8 @@
 //!
 //! This crate is the single shared home of the fixed-seed replacements.
 //! Every workspace crate imports [`DetHashMap`]/[`DetHashSet`] from here;
-//! `minoaner-lint` rule R1 (and the `clippy::disallowed_types` wall)
-//! enforces that the `std` defaults never reappear. The two hash functions
+//! clippy's `disallowed_types` wall (`clippy.toml`, every target) enforces
+//! that the `std` defaults never reappear. The two hash functions
 //! that are not SipHash — [`hash_bytes`] for the string interner and
 //! [`checksum`] for every durable byte — live here too and are as seed-free
 //! as the rest.
@@ -37,13 +38,13 @@
 )]
 
 // The wrapper is the one place std's hash containers may be named: the
-// aliases below replace RandomState with a fixed-key hasher. Mirrors the
-// blanket R1 entry for this file in lint-allow.toml.
+// aliases below replace RandomState with a fixed-key hasher.
 #![allow(clippy::disallowed_types)]
 
 pub mod codec;
 pub mod json;
 pub mod rng;
+pub mod segment;
 pub mod vfs;
 
 use std::collections::hash_map::DefaultHasher;
@@ -55,8 +56,8 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 /// `RandomState`'s per-process random key.
 pub type DetHasher = BuildHasherDefault<DefaultHasher>;
 
-/// A deterministic `HashMap` — the only hash map allowed in workspace
-/// library code (lint rule R1).
+/// A deterministic `HashMap` — the only hash map allowed in the workspace
+/// (clippy's `disallowed_types`).
 ///
 /// Construct with `DetHashMap::default()` (there is no `new()` for maps
 /// with a non-default hasher) or [`map_with_capacity`].
@@ -95,7 +96,7 @@ pub fn det_hash<T: Hash>(value: &T) -> u64 {
 }
 
 /// The content checksum of every durable artifact in the workspace —
-/// `.mkb` sections, spill buckets, checkpoint parts and manifests — and of
+/// every section, header and table of a [`segment`] — and of
 /// the run fingerprint. Its constants and its definition are part of those
 /// on-disk formats (DESIGN.md §16):
 ///
@@ -210,9 +211,8 @@ mod tests {
         (0..len).map(|_| rng.gen_range(0..256usize) as u8).collect()
     }
 
-    /// The constants are part of three on-disk formats (`.mkb` version 2,
-    /// spill runs, checkpoint manifests and the `…-v4` run fingerprint): a
-    /// change here is a format change.
+    /// The constants are part of the on-disk formats (every segment kind,
+    /// and the `…-v4` run fingerprint): a change here is a format change.
     #[test]
     fn checksum_is_pinned() {
         let ramp: Vec<u8> = (0..=255u8).collect();

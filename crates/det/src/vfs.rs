@@ -6,7 +6,7 @@
 //! (`kb/src/disk.rs`) and the jobs control plane (`jobs/src/control.rs`).
 //! Their failure behavior used to be tested only with pre-corrupted files;
 //! nothing exercised the filesystem failing *mid-operation* — ENOSPC
-//! halfway through a spill run, EIO on a manifest fsync, a rename that
+//! halfway through a spill run, EIO on a barrier's fsync, a rename that
 //! never lands. This module is the injection seam: durable-path code
 //! performs every filesystem operation through a [`Vfs`] handle, and lint
 //! rule R6 keeps direct `std::fs` calls out of those modules.
@@ -77,14 +77,6 @@ pub trait Vfs: fmt::Debug + Send + Sync {
     fn list_dir(&self, path: &Path) -> io::Result<Vec<PathBuf>>;
 }
 
-/// Writes `bytes` to `path` and fsyncs it before returning: the first half
-/// of the workspace's atomic-commit protocol (the second half is
-/// [`Vfs::rename`] plus [`Vfs::sync_dir`] on the parent).
-pub fn write_synced(vfs: &dyn Vfs, path: &Path, bytes: &[u8]) -> io::Result<()> {
-    vfs.write_file(path, bytes)?;
-    vfs.sync_file(path)
-}
-
 /// Commits `bytes` as the file `path`, atomically and durably — the
 /// workspace's single-file commit protocol: write a `.tmp-<name>` sibling,
 /// fsync it, rename it over `path`, fsync the parent directory. On failure
@@ -99,7 +91,9 @@ pub fn commit_file(vfs: &dyn Vfs, path: &Path, bytes: &[u8]) -> Result<(), (Path
     let mut tmp_name = std::ffi::OsString::from(".tmp-");
     tmp_name.push(name);
     let tmp = path.with_file_name(tmp_name);
-    let committed = write_synced(vfs, &tmp, bytes)
+    let committed = vfs
+        .write_file(&tmp, bytes)
+        .and_then(|()| vfs.sync_file(&tmp))
         .map_err(|e| (tmp.clone(), e))
         .and_then(|()| vfs.rename(&tmp, path).map_err(|e| (path.to_owned(), e)))
         .and_then(|()| match path.parent() {
@@ -525,8 +519,10 @@ mod tests {
         let dir = scratch("real");
         let fs = RealFs;
         fs.create_dir_all(&dir).unwrap();
-        write_synced(&fs, &dir.join("b.txt"), b"beta").unwrap();
-        write_synced(&fs, &dir.join("a.txt"), b"alpha").unwrap();
+        for (name, bytes) in [("b.txt", &b"beta"[..]), ("a.txt", b"alpha")] {
+            fs.write_file(&dir.join(name), bytes).unwrap();
+            fs.sync_file(&dir.join(name)).unwrap();
+        }
         assert_eq!(fs.read(&dir.join("a.txt")).unwrap(), b"alpha");
         assert_eq!(fs.read_to_string(&dir.join("b.txt")).unwrap(), "beta");
         let range = |offset, len| fs.read_range(&dir.join("a.txt"), offset, len);

@@ -67,8 +67,8 @@ pub struct SystemRun {
 /// Runs one system on a generated dataset. The BSL grid search needs the
 /// ground truth (it is tuned against it, as in the paper); the others
 /// ignore it.
-// Harness timing feeds the runtime columns of the paper tables; see
-// the R3 entry for this file in lint-allow.toml.
+// Harness timing feeds the runtime columns of the paper tables; the
+// quality numbers are clock-independent.
 #[allow(clippy::disallowed_methods)]
 pub fn run_system(executor: &Executor, dataset: &GeneratedDataset, system: SystemId) -> SystemRun {
     let pair = &dataset.pair;
@@ -111,8 +111,8 @@ pub fn run_system(executor: &Executor, dataset: &GeneratedDataset, system: Syste
 }
 
 /// Runs a MinoanER rule-set ablation (Table 4 rows) on a dataset.
-// Harness timing feeds the runtime columns of the paper tables; see
-// the R3 entry for this file in lint-allow.toml.
+// Harness timing feeds the runtime columns of the paper tables; the
+// quality numbers are clock-independent.
 #[allow(clippy::disallowed_methods)]
 pub fn run_ablation(
     executor: &Executor,

@@ -1,19 +1,15 @@
 //! The `.mkb` on-disk columnar container: a compiled [`KbPair`] that opens
 //! in microseconds via `mmap` instead of re-parsing N-Triples.
 //!
-//! # Layout (format version 2)
+//! # Layout (format version 3)
 //!
-//! All integers are stored in *native* endianness; a header tag rejects
-//! files compiled on a machine of the other endianness instead of silently
-//! misreading them. Every section starts 8-byte aligned so `u32`/`u64`
-//! columns can be viewed in place from the mapping.
+//! An `.mkb` is one [`minoaner_det::segment`] of kind `KB`: the segment
+//! frames it (header, section table, per-section checksums, 8-aligned
+//! payloads, native endianness) and holds the dirty-pair bit in its flags
+//! (bit 0). The thirteen sections, each a column or two laid out so that
+//! `u32` columns can be viewed in place from the mapping:
 //!
 //! ```text
-//! header   (32 B): magic "MINOANKB" · format version u32 · endian tag u32
-//!                  · section count u32 · flags u32 (bit 0 = dirty pair)
-//!                  · reserved u64
-//! table    (32 B × n): { id u32, pad u32, offset u64, len u64, checksum u64 }
-//! sections (8-byte aligned, each under `minoaner_det::checksum`):
 //!   arenas   1–4   tokens/literals/attrs/uris interner storage, in
 //!                  interning order: count u64 · offsets u32[count+1]
 //!                  · pad · UTF-8 bytes
@@ -27,9 +23,10 @@
 //!   columns 12,13  per-entity token occurrence counts
 //! ```
 //!
-//! Version 1 had the same layout under byte-serial FNV-1a; a version-1
-//! file is refused with [`MkbError::SchemaMismatch`] — recompile it from its
-//! documents. There is one reader.
+//! Versions 1 and 2 had the same sections under a header of their own
+//! (version 1 under byte-serial FNV-1a, neither sealing its table); such a
+//! file is refused with [`MkbError::SchemaMismatch`] — recompile it from
+//! its documents. There is one reader.
 //!
 //! Every section is a column [`Interner`], [`Kb`] and the pair's [`Rows`]
 //! tables hold in memory — one byte arena or one data column, plus
@@ -39,9 +36,9 @@
 //! them out as they are: each table of the returned pair is a [`Stored`]
 //! range of the reference-counted mapping, not a copy.
 //!
-//! [`MkbFile::open`] only validates structure (magic, version, endianness,
-//! alignment, section bounds) — the cheap path benchmarked against
-//! re-parsing. [`MkbFile::verify`] checks every section checksum, and
+//! [`MkbFile::open`] only validates structure (the segment's header and
+//! table, every section's internal offsets and bounds) — the cheap path
+//! benchmarked against re-parsing. [`MkbFile::verify`] checks every section checksum, and
 //! [`MkbFile::to_pair`] verifies before anything else, so a bit-flipped
 //! file fails closed with a typed [`MkbError`] instead of producing a
 //! silently wrong KB.
@@ -52,7 +49,7 @@ use std::ops::{Deref, Range};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use minoaner_det::checksum;
+use minoaner_det::segment::{self, Kind, Segment, SegmentError};
 use minoaner_det::vfs::{self, Vfs};
 
 use crate::interner::{Interner, Symbol};
@@ -61,18 +58,9 @@ use crate::rows::Rows;
 use crate::store::{Kb, KbPair, UriIndex};
 
 /// Version of the `.mkb` layout this build reads and writes.
-pub const MKB_FORMAT_VERSION: u32 = 2;
-
-/// Leading magic bytes of every `.mkb` file.
-pub const MKB_MAGIC: [u8; 8] = *b"MINOANKB";
-
-/// Endianness fingerprint: written natively, so a reader on the other
-/// endianness sees the byte-swapped value and rejects the file.
-const ENDIAN_TAG: u32 = 0x0102_0304;
+pub const MKB_FORMAT_VERSION: u32 = 3;
 
 const FLAG_DIRTY: u32 = 1;
-const HEADER_LEN: usize = 32;
-const TABLE_ENTRY_LEN: usize = 32;
 const SECTION_COUNT: usize = 13;
 
 /// Section identifiers, in file order.
@@ -107,8 +95,6 @@ pub enum MkbError {
     SchemaMismatch { found: u32, expected: u32 },
     /// The file was compiled on a machine of the other endianness.
     EndianMismatch { found: u32 },
-    /// The pair does not fit the format's 32-bit columns.
-    TooLarge { what: String },
 }
 
 impl fmt::Display for MkbError {
@@ -122,7 +108,6 @@ impl fmt::Display for MkbError {
             MkbError::EndianMismatch { found } => {
                 write!(f, "mkb endianness tag {found:#010x} does not match this machine")
             }
-            MkbError::TooLarge { what } => write!(f, "KB too large for mkb format: {what}"),
         }
     }
 }
@@ -137,84 +122,80 @@ fn corrupt(path: &Path, detail: impl Into<String>) -> MkbError {
     MkbError::Corrupt { path: path.display().to_string(), detail: detail.into() }
 }
 
+fn segment_err(path: &Path, e: SegmentError) -> MkbError {
+    match e {
+        SegmentError::Corrupt(detail) => corrupt(path, detail),
+        SegmentError::SchemaMismatch { found, expected } => MkbError::SchemaMismatch { found, expected },
+        SegmentError::EndianMismatch { found } => MkbError::EndianMismatch { found },
+    }
+}
+
 // ───────────────────────────── writing ─────────────────────────────
 
-/// Little-endian-free section builder: appends native-endian words and
-/// keeps 8-byte alignment at the seams between scalar and array parts.
-#[derive(Default)]
-struct SectionBuf {
-    buf: Vec<u8>,
+/// Appends native-endian `u32`s, then zero bytes up to the next multiple
+/// of 8 — the seam between a section's arrays. Sections start 8-aligned,
+/// so offsets in `out` are aligned in the file too.
+fn put_u32s(out: &mut Vec<u8>, vs: impl Iterator<Item = u32>) {
+    vs.for_each(|v| out.extend_from_slice(&v.to_ne_bytes()));
+    pad8(out);
 }
 
-impl SectionBuf {
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_ne_bytes());
-    }
-
-    fn u32_iter(&mut self, vs: impl Iterator<Item = u32>) {
-        for v in vs {
-            self.buf.extend_from_slice(&v.to_ne_bytes());
-        }
-        self.pad8();
-    }
-
-    fn bytes(&mut self, b: &[u8]) {
-        self.buf.extend_from_slice(b);
-        self.pad8();
-    }
-
-    fn pad8(&mut self) {
-        while self.buf.len() % 8 != 0 {
-            self.buf.push(0);
-        }
-    }
+fn pad8(out: &mut Vec<u8>) {
+    out.resize(out.len().next_multiple_of(8), 0);
 }
 
-/// Serializes an interner: count, cumulative byte offsets, concatenated
-/// UTF-8, in interning order (symbols are positional). These are the
-/// interner's own columns, copied; it keeps them under 4 GiB itself.
-fn arena_section(interner: &Interner) -> Vec<u8> {
-    let mut s = SectionBuf::default();
-    s.u64(interner.len() as u64);
-    s.u32_iter(interner.offsets().iter().copied());
-    s.bytes(interner.arena().as_bytes());
-    s.buf
+/// An interner: count, cumulative byte offsets, concatenated UTF-8, in
+/// interning order (symbols are positional). These are the interner's own
+/// columns, copied; it keeps them under 4 GiB itself.
+fn arena_section(out: &mut Vec<u8>, interner: &Interner) {
+    out.extend_from_slice(&(interner.len() as u64).to_ne_bytes());
+    put_u32s(out, interner.offsets().iter().copied());
+    out.extend_from_slice(interner.arena().as_bytes());
+    pad8(out);
 }
 
-/// Serializes row-major variable-length token data as a CSR section —
-/// again the table's own two columns, copied.
-fn csr_section(rows: &Rows<TokenId>) -> Vec<u8> {
-    let mut s = SectionBuf::default();
-    s.u64(rows.n_rows() as u64);
-    s.u32_iter(rows.offsets());
-    s.u32_iter(rows.data().map(|t| t.0));
-    s.buf
+/// Row-major variable-length token data as a CSR section — again the
+/// table's own two columns, copied.
+fn csr_section(out: &mut Vec<u8>, rows: &Rows<TokenId>) {
+    out.extend_from_slice(&(rows.n_rows() as u64).to_ne_bytes());
+    put_u32s(out, rows.offsets());
+    put_u32s(out, rows.data().map(|t| t.0));
 }
 
-/// Serializes a plain u32 column.
-fn u32_column(vals: impl ExactSizeIterator<Item = u32>) -> Vec<u8> {
-    let mut s = SectionBuf::default();
-    s.u64(vals.len() as u64);
-    s.u32_iter(vals);
-    s.buf
+/// A plain u32 column.
+fn u32_column(out: &mut Vec<u8>, vals: impl ExactSizeIterator<Item = u32>) {
+    out.extend_from_slice(&(vals.len() as u64).to_ne_bytes());
+    put_u32s(out, vals);
 }
 
-/// Serializes one side's attribute–value pairs: the attribute rows'
-/// offsets and column, then the value words beside them — the three
-/// columns the KB holds, copied.
-fn pairs_section(attrs: &Rows<AttrId>, values: &[u32]) -> Vec<u8> {
-    let mut s = SectionBuf::default();
-    s.u64(attrs.n_rows() as u64);
-    s.u32_iter(attrs.offsets());
-    s.u32_iter(attrs.data().map(|a| a.0));
-    s.u32_iter(values.iter().copied());
-    s.buf
+/// One side's attribute–value pairs: the attribute rows' offsets and
+/// column, then the value words beside them — the three columns the KB
+/// holds, copied.
+fn pairs_section(out: &mut Vec<u8>, attrs: &Rows<AttrId>, values: &[u32]) {
+    out.extend_from_slice(&(attrs.n_rows() as u64).to_ne_bytes());
+    put_u32s(out, attrs.offsets());
+    put_u32s(out, attrs.data().map(|a| a.0));
+    put_u32s(out, values.iter().copied());
 }
 
-/// Compiles a [`KbPair`] into an `.mkb` container at `path`, atomically:
-/// the bytes land in a `.tmp-` sibling, are fsynced, renamed over the
-/// target, and the directory is fsynced — the same commit protocol as the
-/// dataflow checkpoint store. Returns the file's total size in bytes.
+/// An upper bound on the bytes of `pair`'s thirteen sections: their
+/// words, and a count word and padding per array.
+fn payload_bound(pair: &KbPair) -> usize {
+    let arena = |i: &Interner| 4 * i.offsets().len() + i.arena().len() + 24;
+    let csr = |rows: &Rows<TokenId>| 4 * (rows.n_rows() + rows.n_items()) + 32;
+    let side = |kb: &Kb| {
+        let ((uris, attrs, _), (token_sets, occurrences)) = (kb.entity_columns(), kb.token_columns());
+        4 * (uris.len() + attrs.n_rows() + 2 * attrs.n_items() + occurrences.len()) + 64 + csr(token_sets)
+    };
+    let arenas: usize = [pair.tokens(), pair.literals(), pair.attrs(), pair.uris()].into_iter().map(arena).sum();
+    arenas + csr(pair.literal_tokens()) + side(pair.kb(Side::Left)) + side(pair.kb(Side::Right))
+}
+
+/// Compiles a [`KbPair`] into an `.mkb` container at `path`, atomically
+/// ([`vfs::commit_file`]: a fsynced `.tmp-` sibling renamed over the
+/// target, then the directory fsynced — a checkpoint barrier's commit
+/// too). Each section is encoded in place into the one buffer that is the
+/// file. Returns the file's total size in bytes.
 pub fn write_mkb(pair: &KbPair, path: &Path) -> Result<u64, MkbError> {
     write_mkb_with(pair, path, &*vfs::default_vfs())
 }
@@ -228,51 +209,23 @@ pub fn write_mkb_with(pair: &KbPair, path: &Path, vfs: &dyn Vfs) -> Result<u64, 
     let ((uris_l, attrs_l, values_l), (tokset_l, tokocc_l)) = (left.entity_columns(), left.token_columns());
     let ((uris_r, attrs_r, values_r), (tokset_r, tokocc_r)) = (right.entity_columns(), right.token_columns());
 
-    let sections: Vec<(u32, Vec<u8>)> = vec![
-        (section::TOKENS, arena_section(pair.tokens())),
-        (section::LITERALS, arena_section(pair.literals())),
-        (section::ATTRS, arena_section(pair.attrs())),
-        (section::URIS, arena_section(pair.uris())),
-        (section::LITERAL_TOKENS, csr_section(pair.literal_tokens())),
-        (section::ENT_URI_L, u32_column(uris_l.iter().map(|uri| uri.0))),
-        (section::ENT_URI_R, u32_column(uris_r.iter().map(|uri| uri.0))),
-        (section::PAIRS_L, pairs_section(attrs_l, values_l)),
-        (section::PAIRS_R, pairs_section(attrs_r, values_r)),
-        (section::TOKSET_L, csr_section(tokset_l)),
-        (section::TOKSET_R, csr_section(tokset_r)),
-        (section::TOKOCC_L, u32_column(tokocc_l.iter().copied())),
-        (section::TOKOCC_R, u32_column(tokocc_r.iter().copied())),
-    ];
-    debug_assert_eq!(sections.len(), SECTION_COUNT);
-
-    // Assemble header + table + 8-aligned payloads.
-    let table_len = sections.len() * TABLE_ENTRY_LEN;
-    let mut payload_off = HEADER_LEN + table_len;
-    payload_off += (8 - payload_off % 8) % 8;
-    let mut out = Vec::with_capacity(payload_off + sections.iter().map(|(_, b)| b.len()).sum::<usize>());
-    out.extend_from_slice(&MKB_MAGIC);
-    out.extend_from_slice(&MKB_FORMAT_VERSION.to_ne_bytes());
-    out.extend_from_slice(&ENDIAN_TAG.to_ne_bytes());
-    out.extend_from_slice(&(sections.len() as u32).to_ne_bytes());
-    let flags: u32 = if pair.is_dirty() { FLAG_DIRTY } else { 0 };
-    out.extend_from_slice(&flags.to_ne_bytes());
-    out.extend_from_slice(&0u64.to_ne_bytes()); // reserved
-    debug_assert_eq!(out.len(), HEADER_LEN);
-
-    let mut off = payload_off as u64;
-    for (id, bytes) in &sections {
-        out.extend_from_slice(&id.to_ne_bytes());
-        out.extend_from_slice(&0u32.to_ne_bytes());
-        out.extend_from_slice(&off.to_ne_bytes());
-        out.extend_from_slice(&(bytes.len() as u64).to_ne_bytes());
-        out.extend_from_slice(&checksum(bytes).to_ne_bytes());
-        off += bytes.len() as u64;
-        debug_assert_eq!(off % 8, 0, "section payloads are 8-byte multiples");
-    }
-    out.resize(payload_off, 0);
-    for (_, bytes) in &sections {
-        out.extend_from_slice(bytes);
-    }
+    let flags = if pair.is_dirty() { FLAG_DIRTY } else { 0 };
+    let mut w = segment::Writer::new(Kind::MKB, MKB_FORMAT_VERSION, flags, SECTION_COUNT);
+    w.reserve(payload_bound(pair));
+    w.section(section::TOKENS, |out| arena_section(out, pair.tokens()));
+    w.section(section::LITERALS, |out| arena_section(out, pair.literals()));
+    w.section(section::ATTRS, |out| arena_section(out, pair.attrs()));
+    w.section(section::URIS, |out| arena_section(out, pair.uris()));
+    w.section(section::LITERAL_TOKENS, |out| csr_section(out, pair.literal_tokens()));
+    w.section(section::ENT_URI_L, |out| u32_column(out, uris_l.iter().map(|uri| uri.0)));
+    w.section(section::ENT_URI_R, |out| u32_column(out, uris_r.iter().map(|uri| uri.0)));
+    w.section(section::PAIRS_L, |out| pairs_section(out, attrs_l, values_l));
+    w.section(section::PAIRS_R, |out| pairs_section(out, attrs_r, values_r));
+    w.section(section::TOKSET_L, |out| csr_section(out, tokset_l));
+    w.section(section::TOKSET_R, |out| csr_section(out, tokset_r));
+    w.section(section::TOKOCC_L, |out| u32_column(out, tokocc_l.iter().copied()));
+    w.section(section::TOKOCC_R, |out| u32_column(out, tokocc_r.iter().copied()));
+    let out = w.finish().map_err(|e| segment_err(path, e))?;
 
     vfs::commit_file(vfs, path, &out).map_err(|(at, e)| io_err(&at, &e))?;
     Ok(out.len() as u64)
@@ -570,14 +523,9 @@ impl Stored<String> {
     }
 }
 
-/// Byte ranges of one parsed section's internal arrays (absolute file
-/// offsets, validated 4-aligned and in-bounds at open time).
-#[derive(Debug, Clone)]
-struct ArenaRef {
-    offsets: Range<usize>,
-    bytes: Range<usize>,
-}
-
+/// Byte ranges of one parsed table's offsets and data — an arena's data
+/// is its UTF-8 bytes (absolute file offsets, validated 4-aligned and
+/// in-bounds at open time).
 #[derive(Debug, Clone)]
 struct CsrRef {
     offsets: Range<usize>,
@@ -596,12 +544,6 @@ impl CsrRef {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct SectionMeta {
-    range: (usize, usize),
-    sum: u64,
-}
-
 /// A structurally validated, memory-mapped `.mkb` file.
 ///
 /// [`Self::open`] checks structure only; [`Self::verify`] checks the
@@ -612,8 +554,8 @@ pub struct MkbFile {
     map: Arc<Mapping>,
     path: PathBuf,
     dirty: bool,
-    sections: Vec<SectionMeta>,
-    arenas: [ArenaRef; 4], // tokens, literals, attrs, uris
+    segment: Segment,
+    arenas: [CsrRef; 4], // tokens, literals, attrs, uris
     literal_tokens: CsrRef,
     ent_uri: [Range<usize>; 2],
     pairs_offsets: [CsrRef; 2], // data range covers attr column; values follow
@@ -632,36 +574,17 @@ struct Cursor<'a> {
 }
 
 impl<'a> Cursor<'a> {
-    // bound: `lo <= hi <= self.end` (checked above), and a cursor's `end` is a
-    // section end that `MkbFile::open` checked against the mapping's length.
-    #[allow(clippy::indexing_slicing)]
     fn u64(&mut self) -> Result<u64, MkbError> {
-        let lo = self.pos;
-        let hi = lo + 8;
-        if hi > self.end {
-            return Err(corrupt(self.path, format!("{}: truncated scalar", self.what)));
-        }
-        self.pos = hi;
-        let mut b = [0u8; 8];
-        b.copy_from_slice(&self.bytes[lo..hi]);
-        Ok(u64::from_ne_bytes(b))
+        let at = self.raw(8)?;
+        let word = self.bytes.get(at).and_then(|b| b.try_into().ok()).map(u64::from_ne_bytes);
+        word.ok_or_else(|| corrupt(self.path, format!("{}: truncated scalar", self.what)))
     }
 
     /// Claims `n` u32 words, returning their absolute byte range, then
     /// skips padding to the next 8-byte boundary.
     fn u32s(&mut self, n: usize) -> Result<Range<usize>, MkbError> {
-        let lo = self.pos;
-        let hi = lo
-            .checked_add(n.checked_mul(4).ok_or_else(|| corrupt(self.path, format!("{}: count overflow", self.what)))?)
-            .ok_or_else(|| corrupt(self.path, format!("{}: count overflow", self.what)))?;
-        if hi > self.end {
-            return Err(corrupt(self.path, format!("{}: truncated array", self.what)));
-        }
-        self.pos = hi + (8 - hi % 8) % 8;
-        if self.pos > self.end {
-            return Err(corrupt(self.path, format!("{}: truncated padding", self.what)));
-        }
-        Ok(lo..hi)
+        let bytes = n.checked_mul(4).ok_or_else(|| corrupt(self.path, format!("{}: count overflow", self.what)))?;
+        self.raw(bytes)
     }
 
     /// Claims `n` raw bytes, returning their absolute range, then skips
@@ -680,91 +603,32 @@ impl<'a> Cursor<'a> {
     }
 }
 
-// bound: every caller passes `at + 4 <= bytes.len()`: header words below
-// `HEADER_LEN` (the file is at least that long), table words below `table_end
-// <= len`, offset words inside a range `Cursor::u32s` checked against its
-// section's end.
-#[allow(clippy::indexing_slicing)]
+/// The `u32` at `at`, inside a range `Cursor::u32s` checked against its
+/// section's end.
 fn read_u32(bytes: &[u8], at: usize) -> u32 {
-    let mut b = [0u8; 4];
-    b.copy_from_slice(&bytes[at..at + 4]);
-    u32::from_ne_bytes(b)
+    bytes.get(at..at + 4).and_then(|b| b.try_into().ok()).map_or(0, u32::from_ne_bytes)
 }
 
 impl MkbFile {
-    /// Opens and structurally validates an `.mkb` file: magic, format
-    /// version, endianness tag, section table, and every section's
-    /// internal offsets/bounds — but *not* the content checksums (see
+    /// Opens and structurally validates an `.mkb` file: the segment's
+    /// header and section table, and every section's internal
+    /// offsets/bounds — but *not* the content checksums (see
     /// [`Self::verify`]). This is the microsecond-scale open path.
     pub fn open(path: &Path) -> Result<Self, MkbError> {
         let file = File::open(path).map_err(|e| io_err(path, &e))?;
         let len = file.metadata().map_err(|e| io_err(path, &e))?.len();
         let len = usize::try_from(len).map_err(|_| corrupt(path, "file larger than address space"))?;
-        if len < HEADER_LEN {
-            return Err(corrupt(path, format!("file is {len} bytes, smaller than the {HEADER_LEN}-byte header")));
+        if len == 0 {
+            return Err(corrupt(path, "the file is empty"));
         }
         let map = Arc::new(Mapping::map(&file, len, path)?);
         let bytes = map.bytes();
         if bytes.as_ptr() as usize % 8 != 0 {
             return Err(corrupt(path, "mapping is not 8-byte aligned"));
         }
-
-        // bound: the file is at least `HEADER_LEN` (32) bytes long, checked
-        // before mapping.
-        #[allow(clippy::indexing_slicing)]
-        if bytes[..8] != MKB_MAGIC {
-            return Err(corrupt(path, "bad magic (not an .mkb file)"));
-        }
-        let version = read_u32(bytes, 8);
-        let endian = read_u32(bytes, 12);
-        // Check endianness before the version: on a swapped machine the
-        // version word is byte-swapped too, and the tag names the real
-        // problem.
-        if endian != ENDIAN_TAG {
-            return Err(MkbError::EndianMismatch { found: endian });
-        }
-        if version != MKB_FORMAT_VERSION {
-            return Err(MkbError::SchemaMismatch { found: version, expected: MKB_FORMAT_VERSION });
-        }
-        let n_sections = read_u32(bytes, 16) as usize;
-        let flags = read_u32(bytes, 20);
-        if n_sections != SECTION_COUNT {
-            return Err(corrupt(path, format!("expected {SECTION_COUNT} sections, found {n_sections}")));
-        }
-        let table_end = HEADER_LEN + n_sections * TABLE_ENTRY_LEN;
-        if table_end > len {
-            return Err(corrupt(path, "truncated section table"));
-        }
-
-        // Parse the table; sections must be in id order, 8-aligned, in
-        // bounds.
-        let mut metas = Vec::with_capacity(n_sections);
-        // bound: `at + TABLE_ENTRY_LEN <= table_end <= len`, checked before the
-        // loop.
-        #[allow(clippy::indexing_slicing)]
-        for i in 0..n_sections {
-            let at = HEADER_LEN + i * TABLE_ENTRY_LEN;
-            let id = read_u32(bytes, at);
-            let mut b = [0u8; 8];
-            b.copy_from_slice(&bytes[at + 8..at + 16]);
-            let off = u64::from_ne_bytes(b) as usize;
-            b.copy_from_slice(&bytes[at + 16..at + 24]);
-            let slen = u64::from_ne_bytes(b) as usize;
-            b.copy_from_slice(&bytes[at + 24..at + 32]);
-            let sum = u64::from_ne_bytes(b);
-            if id as usize != i + 1 {
-                return Err(corrupt(path, format!("section {i} has id {id}, expected {}", i + 1)));
-            }
-            if off % 8 != 0 {
-                return Err(corrupt(path, format!("section {id} offset {off} is not 8-byte aligned")));
-            }
-            let Some(end) = off.checked_add(slen) else {
-                return Err(corrupt(path, format!("section {id} length overflows")));
-            };
-            if end > len {
-                return Err(corrupt(path, format!("section {id} extends past end of file ({end} > {len})")));
-            }
-            metas.push(SectionMeta { range: (off, end), sum });
+        let segment = Segment::parse(bytes, Kind::MKB, MKB_FORMAT_VERSION).map_err(|e| segment_err(path, e))?;
+        if segment.sections().len() != SECTION_COUNT {
+            return Err(corrupt(path, format!("expected {SECTION_COUNT} sections, found {}", segment.sections().len())));
         }
 
         // External-truncation guard: `len` came from the stat above, but
@@ -782,13 +646,9 @@ impl MkbFile {
             ));
         }
 
-        // bound: callers pass the `section` id constants, 1..=SECTION_COUNT,
-        // and `metas` holds `n_sections == SECTION_COUNT` entries.
-        #[allow(clippy::indexing_slicing)]
-        let sec = |id: u32| -> SectionMeta { metas[(id - 1) as usize] };
-        let cursor = |id: u32, what: &'static str| -> Cursor<'_> {
-            let m = sec(id);
-            Cursor { bytes, pos: m.range.0, end: m.range.1, path, what }
+        let cursor = |id: u32, what: &'static str| -> Result<Cursor<'_>, MkbError> {
+            let range = segment.section(id).map_err(|e| segment_err(path, e))?.range();
+            Ok(Cursor { bytes, pos: range.start, end: range.end, path, what })
         };
 
         // A row count and that many + 1 offsets, which must be monotone;
@@ -807,27 +667,27 @@ impl MkbFile {
             Ok((offsets, prev as usize))
         };
 
-        let parse_arena = |id: u32, what: &'static str| -> Result<ArenaRef, MkbError> {
-            let mut c = cursor(id, what);
+        let parse_arena = |id: u32, what: &'static str| -> Result<CsrRef, MkbError> {
+            let mut c = cursor(id, what)?;
             let (offsets, byte_len) = parse_offsets(&mut c, what)?;
-            Ok(ArenaRef { offsets, bytes: c.raw(byte_len)? })
+            Ok(CsrRef { offsets, data: c.raw(byte_len)? })
         };
 
         let parse_csr = |id: u32, what: &'static str| -> Result<CsrRef, MkbError> {
-            let mut c = cursor(id, what);
+            let mut c = cursor(id, what)?;
             let (offsets, len) = parse_offsets(&mut c, what)?;
             Ok(CsrRef { offsets, data: c.u32s(len)? })
         };
 
         let parse_col = |id: u32, what: &'static str| -> Result<Range<usize>, MkbError> {
-            let mut c = cursor(id, what);
+            let mut c = cursor(id, what)?;
             let count = c.u64()? as usize;
             c.u32s(count)
         };
 
         // Pairs sections: CSR offsets + attr column + value column.
         let parse_pairs = |id: u32, what: &'static str| -> Result<(CsrRef, Range<usize>), MkbError> {
-            let mut c = cursor(id, what);
+            let mut c = cursor(id, what)?;
             let (offsets, len) = parse_offsets(&mut c, what)?;
             let attrs = c.u32s(len)?;
             Ok((CsrRef { offsets, data: attrs }, c.u32s(len)?))
@@ -869,8 +729,8 @@ impl MkbFile {
         Ok(Self {
             map,
             path: path.to_path_buf(),
-            dirty: flags & FLAG_DIRTY != 0,
-            sections: metas,
+            dirty: segment.flags() & FLAG_DIRTY != 0,
+            segment,
             arenas,
             literal_tokens,
             ent_uri,
@@ -895,26 +755,7 @@ impl MkbFile {
     /// mismatch means bytes changed at rest (bit rot, torn write, tamper)
     /// and yields [`MkbError::Corrupt`] — never a silent wrong read.
     pub fn verify(&self) -> Result<(), MkbError> {
-        let bytes = self.map.bytes();
-        // bound: `open` checked every section range `off <= end <= len`, and
-        // the mapping is `len` bytes.
-        #[allow(clippy::indexing_slicing)]
-        for (i, meta) in self.sections.iter().enumerate() {
-            let got = checksum(&bytes[meta.range.0..meta.range.1]);
-            if got != meta.sum {
-                return Err(corrupt(
-                    &self.path,
-                    format!("section {} checksum mismatch ({got:#018x} != {:#018x})", i + 1, meta.sum),
-                ));
-            }
-        }
-        Ok(())
-    }
-
-    /// Section `id`'s payload.
-    fn section_bytes(&self, id: u32) -> &[u8] {
-        let meta = self.sections.get((id as usize).wrapping_sub(1));
-        meta.and_then(|meta| self.map.bytes().get(meta.range.0..meta.range.1)).unwrap_or(&[])
+        self.segment.verify(self.map.bytes()).map_err(|e| segment_err(&self.path, e))
     }
 
     /// Bytes `range` of the file as a column of `T`, in place.
@@ -963,13 +804,14 @@ impl MkbFile {
                 (section::TOKSET_L, section::TOKSET_R),
                 (section::TOKOCC_L, section::TOKOCC_R),
             ];
-            if let Some((left, right)) = twins.into_iter().find(|&(l, r)| self.section_bytes(l) != self.section_bytes(r)) {
+            let section = |id| self.segment.bytes(self.map.bytes(), id).ok();
+            if let Some((left, right)) = twins.into_iter().find(|&(l, r)| section(l) != section(r)) {
                 return Err(corrupt(path, format!("dirty flag set but section {right} is not section {left}")));
             }
         }
 
-        let interner = |arena: &ArenaRef, what: &str| -> Result<Interner, MkbError> {
-            let text = Stored::utf8(self.column(&arena.bytes))
+        let interner = |arena: &CsrRef, what: &str| -> Result<Interner, MkbError> {
+            let text = Stored::utf8(self.column(&arena.data))
                 .map_err(|e| corrupt(path, format!("{what}: invalid UTF-8 at arena byte {}", e.valid_up_to())))?;
             Interner::from_columns(text, self.column(&arena.offsets))
                 .map_err(|detail| corrupt(path, format!("{what}: {detail}")))
@@ -1088,6 +930,20 @@ mod tests {
         dir
     }
 
+    /// The reservation covers the sections, so the buffer never grows by
+    /// doubling while they are encoded.
+    #[test]
+    fn payload_bound_covers_the_sections() {
+        let mut d = DirtyKbBuilder::new();
+        d.add_triple("e0", "p", Term::Literal("a b c"));
+        for pair in [sample_pair(), d.finish()] {
+            let path = tmp_dir("bound").join("pair.mkb");
+            let len = write_mkb(&pair, &path).expect("write") as usize;
+            let table_end = segment::HEADER_LEN + SECTION_COUNT * segment::ENTRY_LEN;
+            assert!(len - table_end <= payload_bound(&pair), "{len} bytes, bound {}", payload_bound(&pair));
+        }
+    }
+
     #[test]
     fn faulted_compile_leaks_no_scratch_and_preserves_the_old_file() {
         use minoaner_det::vfs::{FaultFs, FaultKind, FaultPlan};
@@ -1123,14 +979,9 @@ mod tests {
     }
 
     /// Where section `id`'s payload lies, from the section table.
-    fn section_range(bytes: &[u8], id: u32) -> (usize, usize) {
-        let entry = HEADER_LEN + (id as usize - 1) * TABLE_ENTRY_LEN;
-        let word = |at: usize| {
-            let mut b = [0u8; 8];
-            b.copy_from_slice(&bytes[at..at + 8]);
-            u64::from_ne_bytes(b) as usize
-        };
-        (word(entry + 8), word(entry + 16))
+    fn section_range(bytes: &[u8], id: u32) -> Range<usize> {
+        let segment = Segment::parse(bytes, Kind::MKB, MKB_FORMAT_VERSION).expect("an intact segment");
+        segment.section(id).expect("section present").range()
     }
 
     /// Damage that keeps the section table and the checksums valid — a file
@@ -1204,7 +1055,7 @@ mod tests {
                 "dirty flag set but section 7 is not section 6",
             ),
         ];
-        let (literals, _) = section_range(&good, section::LITERALS);
+        let literals = section_range(&good, section::LITERALS).start;
         assert_eq!(&good[literals + 8 + 4 * 4..][..9], "caféaaab".as_bytes());
         fs::write(&path, &dirty).expect("write dirty");
         let mirrored: KbPair = MkbFile::open(&path).and_then(|file| file.to_pair()).expect("an intact dirty pair loads");
@@ -1212,12 +1063,10 @@ mod tests {
         assert_eq!((mirrored.uri_of(Side::Left, EntityId(1)), mirrored.uri_of(Side::Right, EntityId(1))), ("e1", "e1"));
         for (source, id, edit, expected) in cases {
             let mut bytes = source.to_vec();
-            let entry = HEADER_LEN + (id as usize - 1) * TABLE_ENTRY_LEN;
-            let (off, len) = section_range(&bytes, id);
-            edit(&mut bytes[off..off + len]);
+            let range = section_range(&bytes, id);
+            edit(&mut bytes[range]);
             assert_ne!(bytes, source, "{expected}: the edit must change the file");
-            let sealed = checksum(&bytes[off..off + len]).to_ne_bytes();
-            bytes[entry + 24..entry + 32].copy_from_slice(&sealed);
+            segment::seal(&mut bytes).expect("reseal");
             fs::write(&path, &bytes).expect("write damaged");
 
             let file = MkbFile::open(&path).expect("structure is intact");

@@ -475,13 +475,20 @@ struct LiteralLog {
 impl LiteralLog {
     /// Appends an occurrence of `normal`; returns its index as the id a
     /// literal holds until `finish`.
+    ///
+    /// # Panics
+    /// Panics past `u32::MAX` occurrences, the width of the id — as
+    /// [`Interner::intern`] does at its own limit: a counter that stopped
+    /// there would give every later occurrence one id, and the pairs
+    /// holding them another literal.
     fn append_literal(&mut self, normal: &str) -> LiteralId {
+        assert!(self.occurrences < u32::MAX, "literal log overflow: more than u32::MAX literal occurrences");
         let occurrence = LiteralId(self.occurrences);
         self.normal_forms.append(normal.len() + 1, |out| {
             out.extend_from_slice(normal.as_bytes());
             out.push(0);
         });
-        self.occurrences = self.occurrences.saturating_add(1);
+        self.occurrences += 1;
         occurrence
     }
 
@@ -723,6 +730,17 @@ mod tests {
         b.add_triple(Side::Right, "d:Restaurant2", "d:headChef", Term::Uri("d:JonnyLake"));
         b.add_triple(Side::Right, "d:JonnyLake", "d:name", Term::Literal("Jonny Lake"));
         b.finish()
+    }
+
+    /// The last id the occurrence counter can give is `u32::MAX - 1`; the
+    /// occurrence after it fails loudly instead of reusing an id.
+    #[test]
+    #[should_panic(expected = "literal log overflow")]
+    fn the_literal_log_fails_loudly_past_its_last_id() {
+        let mut log = LiteralLog { occurrences: u32::MAX - 1, ..LiteralLog::default() };
+        assert_eq!(log.append_literal("a"), LiteralId(u32::MAX - 1));
+        assert_eq!(log.occurrences, u32::MAX);
+        log.append_literal("b");
     }
 
     #[test]

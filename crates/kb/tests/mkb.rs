@@ -131,8 +131,8 @@ fn recompiling_a_materialized_file_is_byte_identical() {
     }
 }
 
-/// `parent_v2.mkb` was compiled from the two fixture documents by the
-/// commit that moved the format to version 2 (little-endian). That file
+/// `parent_v3.mkb` was compiled from the two fixture documents by the
+/// commit that made the container a segment (format version 3). That file
 /// opens, re-serializes to itself, and is what this build compiles from
 /// the same text.
 #[test]
@@ -140,9 +140,9 @@ fn the_golden_file_is_still_the_format() {
     if cfg!(target_endian = "big") {
         return; // `foreign_endianness_is_rejected` covers what happens instead
     }
-    let golden = std::fs::read(fixture("parent_v2.mkb")).expect("read fixture container");
+    let golden = std::fs::read(fixture("parent_v3.mkb")).expect("read fixture container");
 
-    let file = MkbFile::open(&fixture("parent_v2.mkb")).expect("the golden file opens");
+    let file = MkbFile::open(&fixture("parent_v3.mkb")).expect("the golden file opens");
     file.verify().expect("checksums hold");
     let back = file.to_pair().expect("materialize succeeds");
     assert_pairs_identical(&fixture_pair(), &back);
@@ -153,25 +153,29 @@ fn the_golden_file_is_still_the_format() {
     assert_eq!(std::fs::read(&recompiled).expect("read"), golden, "text → builder → write_mkb");
 }
 
-/// `parent_v1.mkb` is the same pair in format version 1 — the same layout
-/// under FNV-1a section checksums. There is one reader: the file is refused
-/// by version, before any checksum is compared, and only its table differs
-/// from the golden version-2 file.
+/// `parent_v1.mkb` and `parent_v2.mkb` are the same pair in format
+/// versions 1 (FNV-1a section checksums) and 2 (the checksums of today,
+/// no table checksum). There is one reader: each file is refused by
+/// version, before any checksum is compared, and the sections themselves
+/// are the golden version-3 file's byte for byte.
 #[test]
-fn a_version_1_file_is_refused_with_the_typed_error() {
+fn earlier_versions_are_refused_with_the_typed_error() {
     if cfg!(target_endian = "big") {
         return;
     }
-    match MkbFile::open(&fixture("parent_v1.mkb")) {
-        Err(MkbError::SchemaMismatch { found: 1, expected: 2 }) => {}
-        other => panic!("expected SchemaMismatch {{ found: 1, expected: 2 }}, got {other:?}"),
+    let v3 = std::fs::read(fixture("parent_v3.mkb")).expect("read the golden file");
+    for (found, name) in [(1, "parent_v1.mkb"), (2, "parent_v2.mkb")] {
+        match MkbFile::open(&fixture(name)) {
+            Err(MkbError::SchemaMismatch { found: f, expected: MKB_FORMAT_VERSION }) if f == found => {}
+            other => panic!("{name}: expected SchemaMismatch {{ found: {found}, expected: 3 }}, got {other:?}"),
+        }
+        let old = std::fs::read(fixture(name)).expect("read an earlier fixture");
+        // Header (32 B) + 13 table entries (32 B each): the payloads follow.
+        let payloads = 32 + 13 * 32;
+        assert_eq!(old.len(), v3.len(), "{name}");
+        assert_eq!(old[payloads..], v3[payloads..], "{name}: the sections themselves did not change");
     }
-    let v1 = std::fs::read(fixture("parent_v1.mkb")).expect("read the version-1 fixture");
-    let v2 = std::fs::read(fixture("parent_v2.mkb")).expect("read the golden file");
-    // Header (32 B) + 13 table entries (32 B each): the payloads follow.
-    let payloads = 32 + 13 * 32;
-    assert_eq!(v1.len(), v2.len());
-    assert_eq!(v1[payloads..], v2[payloads..], "the sections themselves did not change");
+    assert_eq!(MKB_FORMAT_VERSION, 3);
 }
 
 #[test]

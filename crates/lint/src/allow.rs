@@ -3,12 +3,12 @@
 //! Two entry shapes:
 //!
 //! ```toml
-//! # Blanket: every violation of `rule` in `path` is accepted (R1 in the
-//! # det wrapper itself, R3 in timing modules). `reason` is mandatory.
+//! # Blanket: every violation of `rule` in `path` is accepted — for a
+//! # file whose job is the thing the rule forbids. `reason` is mandatory.
 //! [[allow]]
-//! path = "crates/det/src/lib.rs"
-//! rule = "R1"
-//! reason = "the deterministic wrapper is built on std HashMap"
+//! path = "crates/eval/src/sums.rs"
+//! rule = "R2"
+//! reason = "a float sum over a map whose order is fixed by construction"
 //!
 //! # Ratcheted: exactly `count` violations are accepted. More fails the
 //! # build; fewer also fails, with a message telling you to lower the
@@ -130,9 +130,9 @@ mod tests {
         let src = r#"
 # comment
 [[allow]]
-path = "crates/det/src/lib.rs"
-rule = "R1"
-reason = "wrapper"
+path = "crates/eval/src/sums.rs"
+rule = "R2"
+reason = "fixed order"
 
 [[allow]]
 path = "crates/kb/src/store.rs"

@@ -1,10 +1,11 @@
 //! minoaner-lint: the workspace determinism & concurrency linter.
 //!
-//! One subcommand, `check`: token-level rules R1–R3, R6 and R7 over every
-//! workspace file, gated by the shrink-only allowlist in `lint-allow.toml`
-//! (DESIGN.md §12). Panics and `unwrap`/`expect` are clippy's job (the
+//! One subcommand, `check`: token-level rules R2, R6 and R7 over every
+//! library file of the workspace, gated by the shrink-only allowlist in
+//! `lint-allow.toml` (DESIGN.md §12). Std hash containers, the wall clock,
+//! panics and `unwrap`/`expect` are clippy's job (`clippy.toml` and the
 //! deny set in each crate's `lib.rs`); R7 ratchets the audited exceptions
-//! to it. `--json` emits a versioned machine-readable report
+//! to the panic lints. `--json` emits a versioned machine-readable report
 //! ([`LINT_SCHEMA_VERSION`]), built on the exact-round-trip document model
 //! in [`minoaner_det::json`].
 
@@ -19,7 +20,7 @@ pub mod rules;
 
 use allow::AllowEntry;
 use minoaner_det::json::Json;
-use rules::{FileClass, Violation};
+use rules::Violation;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -115,27 +116,17 @@ impl Report {
     }
 }
 
-/// Classify a workspace-relative file path, or `None` to skip it.
-fn classify(rel: &str) -> Option<FileClass> {
-    if SKIP_PREFIXES.iter().any(|p| rel.starts_with(p)) {
-        return None;
-    }
-    if !rel.ends_with(".rs") {
-        return None;
-    }
-    if rel.contains("/tests/")
-        || rel.contains("/benches/")
-        || rel.contains("/examples/")
-        || rel.starts_with("tests/")
-        || rel.starts_with("benches/")
-        || rel.starts_with("examples/")
-    {
-        return Some(FileClass::TestOrBench);
-    }
-    Some(FileClass::Library)
+/// Whether a workspace-relative path is a library source file the rules
+/// read: `.rs` outside `tests/`, `benches/` and `examples/`, whose
+/// determinism is not the product's.
+fn scanned(rel: &str) -> bool {
+    let test_like = ["tests/", "benches/", "examples/"]
+        .iter()
+        .any(|dir| rel.starts_with(dir) || rel.contains(&format!("/{dir}")));
+    rel.ends_with(".rs") && !test_like && !SKIP_PREFIXES.iter().any(|p| rel.starts_with(p))
 }
 
-fn walk(dir: &Path, root: &Path, files: &mut Vec<(PathBuf, String, FileClass)>) -> Result<(), String> {
+fn walk(dir: &Path, root: &Path, files: &mut Vec<(PathBuf, String)>) -> Result<(), String> {
     let entries = std::fs::read_dir(dir)
         .map_err(|e| format!("read_dir {}: {e}", dir.display()))?;
     for entry in entries {
@@ -151,8 +142,8 @@ fn walk(dir: &Path, root: &Path, files: &mut Vec<(PathBuf, String, FileClass)>) 
                 continue;
             }
             walk(&path, root, files)?;
-        } else if let Some(class) = classify(&rel) {
-            files.push((path, rel, class));
+        } else if scanned(&rel) {
+            files.push((path, rel));
         }
     }
     Ok(())
@@ -172,11 +163,11 @@ pub fn run_check(root: &Path, allow_path: &Path) -> Result<Report, String> {
     report.files_scanned = files.len();
 
     let mut all: Vec<Violation> = Vec::new();
-    for (path, rel, class) in &files {
+    for (path, rel) in &files {
         let src = std::fs::read_to_string(path)
             .map_err(|e| format!("read {}: {e}", path.display()))?;
         let toks = lexer::lex(&src);
-        all.extend(rules::run_all(rel, *class, &src, &toks));
+        all.extend(rules::run_all(rel, &src, &toks));
     }
     for v in &all {
         *report.raw_counts.entry(v.rule).or_insert(0) += 1;
@@ -244,15 +235,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn classify_routes_paths() {
-        assert_eq!(classify("crates/kb/src/store.rs"), Some(FileClass::Library));
-        assert_eq!(classify("crates/kb/tests/x.rs"), Some(FileClass::TestOrBench));
-        assert_eq!(classify("crates/eval/benches/ablations.rs"), Some(FileClass::TestOrBench));
-        assert_eq!(classify("tools/loom-models/tests/loom_models.rs"), Some(FileClass::TestOrBench));
-        assert_eq!(classify("tests/property_based.rs"), Some(FileClass::TestOrBench));
-        assert_eq!(classify("src/lib.rs"), Some(FileClass::Library));
-        assert_eq!(classify("crates/lint/tests/fixtures/bad/r1.rs"), None);
-        assert_eq!(classify("README.md"), None);
+    fn only_library_sources_are_scanned() {
+        assert!(scanned("crates/kb/src/store.rs"));
+        assert!(scanned("src/lib.rs"));
+        assert!(!scanned("crates/kb/tests/x.rs"));
+        assert!(!scanned("crates/eval/benches/ablations.rs"));
+        assert!(!scanned("tools/loom-models/tests/loom_models.rs"));
+        assert!(!scanned("tests/property_based.rs"));
+        assert!(!scanned("examples/custom_pipeline.rs"));
+        assert!(!scanned("crates/lint/tests/fixtures/bad/r2_float_accum.rs"));
+        assert!(!scanned("README.md"));
     }
 
     #[test]
@@ -296,14 +288,14 @@ mod tests {
     fn json_report_is_well_formed_enough() {
         let mut r = Report::default();
         r.violations.push(Violation {
-            rule: "R1",
+            rule: "R2",
             path: "a \"b\".rs".into(),
             line: 3,
             message: "use\nDet".into(),
         });
-        r.raw_counts.insert("R1", 1);
+        r.raw_counts.insert("R2", 1);
         let j = r.render_json();
-        assert!(j.contains("\"rule\": \"R1\""));
+        assert!(j.contains("\"rule\": \"R2\""));
         assert!(j.contains("\\\"b\\\""));
         assert!(j.contains("\\n"));
         assert!(j.contains("\"clean\": false"));

@@ -1,5 +1,5 @@
 //! CLI: `minoaner-lint check [--json] [--root PATH] [--allow PATH]` — token
-//! rules R1–R3, R6 and R7 against `lint-allow.toml`.
+//! rules R2, R6 and R7 against `lint-allow.toml`.
 //!
 //! Exit codes: 0 clean, 1 violations or policy errors, 2 usage or I/O
 //! error.

@@ -17,20 +17,8 @@ pub struct Violation {
     pub message: String,
 }
 
-/// How a file participates in each rule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FileClass {
-    /// `src/` of a workspace crate (or the root `src/`): all rules apply.
-    Library,
-    /// `tests/`, `benches/`, `examples/`: only R1 applies (determinism of
-    /// the product is the contract; test-local timing and panics are fine).
-    TestOrBench,
-}
-
 pub const RULES: &[(&str, &str)] = &[
-    ("R1", "no std::collections::HashMap/HashSet — use minoaner_det::DetHashMap/DetHashSet"),
     ("R2", "no f64/f32 accumulation over hash-map iteration — sort keys first"),
-    ("R3", "no wall-clock or entropy outside timing/trace modules"),
     ("R6", "no direct std::fs/File/OpenOptions in durable-path modules — route I/O through the Vfs"),
     ("R7", "every #[allow] of clippy's panic lints is counted in lint-allow.toml and carries a `// bound:` comment"),
 ];
@@ -47,35 +35,15 @@ const R6_DURABLE_PATHS: &[&str] = &[
     "crates/kb/src/disk.rs",
 ];
 
-pub fn run_all(path: &str, class: FileClass, src: &str, toks: &[Tok]) -> Vec<Violation> {
+/// Every rule over one library file. (The std hash containers and the
+/// wall clock are clippy's `disallowed_types` / `disallowed_methods`, in
+/// every target: `clippy.toml`.)
+pub fn run_all(path: &str, src: &str, toks: &[Tok]) -> Vec<Violation> {
     let mut out = Vec::new();
-    r1_std_hash(path, toks, &mut out);
-    if class == FileClass::Library {
-        r2_float_accum(path, toks, &mut out);
-        r3_wallclock_entropy(path, toks, &mut out);
-        r6_vfs_only(path, toks, &mut out);
-        r7_audited_allows(path, src, toks, &mut out);
-    }
+    r2_float_accum(path, toks, &mut out);
+    r6_vfs_only(path, toks, &mut out);
+    r7_audited_allows(path, src, toks, &mut out);
     out
-}
-
-/// R1: any `HashMap` / `HashSet` identifier. After the workspace-wide
-/// migration the only legitimate mentions live in `crates/det` (the
-/// wrapper itself), which is blanket-allowed in `lint-allow.toml`.
-fn r1_std_hash(path: &str, toks: &[Tok], out: &mut Vec<Violation>) {
-    for t in toks {
-        if t.kind == TokKind::Ident && (t.text == "HashMap" || t.text == "HashSet") {
-            out.push(Violation {
-                rule: "R1",
-                path: path.to_string(),
-                line: t.line,
-                message: format!(
-                    "`{}` has a randomly-seeded default hasher; use `minoaner_det::Det{}`",
-                    t.text, t.text
-                ),
-            });
-        }
-    }
 }
 
 const HASH_TYPES: &[&str] = &["HashMap", "HashSet", "DetHashMap", "DetHashSet"];
@@ -343,37 +311,6 @@ fn for_loop_spans(toks: &[Tok], start: usize) -> Option<(usize, usize)> {
     None
 }
 
-/// R3: wall-clock reads and entropy-seeded RNG. Timing/trace modules are
-/// blanket-allowed via `lint-allow.toml`.
-fn r3_wallclock_entropy(path: &str, toks: &[Tok], out: &mut Vec<Violation>) {
-    for (i, t) in toks.iter().enumerate() {
-        let hit = if t.kind != TokKind::Ident {
-            None
-        } else if (t.text == "Instant" || t.text == "SystemTime")
-            && i + 2 < toks.len()
-            && toks[i + 1].is_punct("::")
-            && toks[i + 2].is_ident("now")
-        {
-            Some(format!("{}::now()", t.text))
-        } else if t.text == "thread_rng" || t.text == "from_entropy" || t.text == "OsRng" {
-            Some(t.text.clone())
-        } else {
-            None
-        };
-        if let Some(what) = hit {
-            out.push(Violation {
-                rule: "R3",
-                path: path.to_string(),
-                line: t.line,
-                message: format!(
-                    "`{what}` is non-deterministic; only timing/trace modules may read \
-                     the clock or entropy"
-                ),
-            });
-        }
-    }
-}
-
 /// Whether the contiguous `//` comment block (doc comments count too)
 /// directly above 1-based line `line` has a line starting with `marker`.
 fn comment_above_has(lines: &[&str], line: u32, marker: &str) -> bool {
@@ -571,23 +508,11 @@ mod tests {
     use crate::lexer::lex;
 
     fn check(src: &str) -> Vec<Violation> {
-        run_all("test.rs", FileClass::Library, src, &lex(src))
+        run_all("test.rs", src, &lex(src))
     }
 
     fn rules_of(v: &[Violation]) -> Vec<&'static str> {
         v.iter().map(|x| x.rule).collect()
-    }
-
-    #[test]
-    fn r1_flags_std_hash() {
-        let v = check("use std::collections::HashMap;\nfn f() { let m: HashMap<u32, u32>; }");
-        assert_eq!(rules_of(&v), ["R1", "R1"]);
-    }
-
-    #[test]
-    fn r1_ignores_det_and_btree() {
-        let v = check("use minoaner_det::DetHashMap;\nuse std::collections::BTreeMap;");
-        assert!(v.is_empty(), "{v:?}");
     }
 
     #[test]
@@ -625,15 +550,6 @@ mod tests {
     }
 
     #[test]
-    fn r3_flags_wallclock_and_entropy() {
-        let v = check(
-            "fn f() { let t = Instant::now(); let s = SystemTime::now(); \
-             let r = rand::thread_rng(); }",
-        );
-        assert_eq!(rules_of(&v), ["R3", "R3", "R3"]);
-    }
-
-    #[test]
     fn r7_counts_each_audited_allow_and_wants_a_bound() {
         let v = check(
             "// bound: i < v.len() by the loop guard.\n\
@@ -661,25 +577,17 @@ mod tests {
     }
 
     #[test]
-    fn tests_and_benches_only_get_r1() {
-        let src = "fn f() { let t = Instant::now(); }\n#[allow(clippy::unwrap_used)]\nfn g() {}";
-        assert!(run_all("t.rs", FileClass::TestOrBench, src, &lex(src)).is_empty());
-        let src = "use std::collections::HashMap;";
-        assert_eq!(run_all("t.rs", FileClass::TestOrBench, src, &lex(src)).len(), 1);
-    }
-
-    #[test]
     fn r6_flags_direct_fs_only_in_durable_modules() {
         let src = "use std::fs::File;\n\
                    fn f(p: &std::path::Path) { let _ = std::fs::write(p, b\"x\"); }\n\
                    fn g(p: &std::path::Path) { let _ = File::create(p); }\n\
                    #[cfg(test)]\nmod tests {\n    fn h() { let _ = std::fs::read(\"x\"); }\n}";
         let toks = lex(src);
-        let v = run_all("crates/dataflow/src/spill.rs", FileClass::Library, src, &toks);
+        let v = run_all("crates/dataflow/src/spill.rs", src, &toks);
         assert_eq!(rules_of(&v), ["R6", "R6", "R6"], "{v:#?}");
         assert_eq!((v[0].line, v[1].line, v[2].line), (1, 2, 3));
         // The same source anywhere else is not a durable path: no R6.
-        let v = run_all("crates/kb/src/parser.rs", FileClass::Library, src, &toks);
+        let v = run_all("crates/kb/src/parser.rs", src, &toks);
         assert!(v.is_empty(), "{v:#?}");
     }
 
@@ -688,7 +596,7 @@ mod tests {
         let src = "fn f(disk: &dyn Vfs) { disk.write_file(p, b); }\n\
                    fn g() { let file = open(); MkbFile::open(p); }";
         let toks = lex(src);
-        let v = run_all("crates/kb/src/disk.rs", FileClass::Library, src, &toks);
+        let v = run_all("crates/kb/src/disk.rs", src, &toks);
         assert!(v.is_empty(), "{v:#?}");
     }
 }

@@ -2,7 +2,7 @@
 //! exercises, and the good snippet is completely clean.
 
 use minoaner_lint::lexer::lex;
-use minoaner_lint::rules::{run_all, FileClass, Violation};
+use minoaner_lint::rules::{run_all, Violation};
 use std::path::PathBuf;
 
 fn fixture(rel: &str) -> Vec<Violation> {
@@ -11,7 +11,7 @@ fn fixture(rel: &str) -> Vec<Violation> {
         .join(rel);
     let src = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
-    run_all(rel, FileClass::Library, &src, &lex(&src))
+    run_all(rel, &src, &lex(&src))
 }
 
 fn rules_of(v: &[Violation]) -> Vec<&'static str> {
@@ -19,21 +19,9 @@ fn rules_of(v: &[Violation]) -> Vec<&'static str> {
 }
 
 #[test]
-fn bad_r1_std_hash_flagged() {
-    let v = fixture("bad/r1_std_hash.rs");
-    assert_eq!(rules_of(&v), ["R1", "R1", "R1"], "{v:#?}");
-}
-
-#[test]
 fn bad_r2_float_accum_flagged() {
     let v = fixture("bad/r2_float_accum.rs");
     assert_eq!(rules_of(&v), ["R2", "R2", "R2"], "{v:#?}");
-}
-
-#[test]
-fn bad_r3_wallclock_flagged() {
-    let v = fixture("bad/r3_wallclock.rs");
-    assert_eq!(rules_of(&v), ["R3", "R3", "R3"], "{v:#?}");
 }
 
 #[test]
@@ -46,9 +34,9 @@ fn bad_r6_direct_fs_flagged_under_durable_path() {
     let src = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
     let toks = lex(&src);
-    let v = run_all("crates/dataflow/src/checkpoint.rs", FileClass::Library, &src, &toks);
+    let v = run_all("crates/dataflow/src/checkpoint.rs", &src, &toks);
     assert_eq!(rules_of(&v), ["R6", "R6", "R6"], "{v:#?}");
-    let v = run_all("bad/r6_direct_fs.rs", FileClass::Library, &src, &toks);
+    let v = run_all("bad/r6_direct_fs.rs", &src, &toks);
     assert!(v.is_empty(), "{v:#?}");
 }
 
@@ -90,15 +78,13 @@ fn good_multibyte_char_literals_lex_as_chars() {
     assert_eq!(count(TokKind::Char), 8, "one token per char literal");
     assert_eq!(count(TokKind::Lifetime), 2, "`'a` twice");
     assert!(toks.iter().any(|t| t.text == "extend_from_slice"), "lexing continues past them");
-    let v = run_all("good/multibyte_char.rs", FileClass::Library, &src, &toks);
+    let v = run_all("good/multibyte_char.rs", &src, &toks);
     assert!(v.is_empty(), "{v:#?}");
 }
 
 #[test]
 fn violations_carry_file_and_line() {
-    let v = fixture("bad/r1_std_hash.rs");
-    assert!(v.iter().all(|x| x.path == "bad/r1_std_hash.rs"));
+    let v = fixture("bad/r2_float_accum.rs");
+    assert!(v.iter().all(|x| x.path == "bad/r2_float_accum.rs"));
     assert!(v.iter().all(|x| x.line > 0));
-    // The use-line violations point at the actual use statement.
-    assert_eq!(v[0].line, 4);
 }

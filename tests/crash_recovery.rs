@@ -16,10 +16,12 @@
 
 mod support;
 
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 use minoaner::dataflow::vfs::{self, FaultFs, FaultKind, FaultPlan, OpClass, OpRecord, VfsRef};
-use minoaner::dataflow::RunTrace;
+use minoaner::dataflow::{RunTrace, CHECKPOINT_SCHEMA_VERSION};
+use minoaner::det::segment::{Kind, Segment};
 use minoaner::datagen::{generate, profiles, GeneratedDataset};
 use minoaner::{
     CheckpointSpec, DataflowError, Executor, KbPair, Minoaner, Resolution, ResolveRequest, RuleSet,
@@ -82,7 +84,9 @@ fn crash_before_every_durable_op_then_resume_matches_uninterrupted() {
     for (workers, kind) in sweeps {
         let (base, ops) = probe(&d.pair, workers, &format!("probe-w{workers}"));
         let n_ops = ops.len() as u64;
-        assert!(n_ops >= 30, "a checkpointed run makes many durable ops, saw {n_ops}");
+        // The store's open, then one `commit_file` per barrier: write,
+        // fsync, rename, root fsync.
+        assert_eq!(n_ops, 1 + 3 * 4, "a barrier is one committed file");
         for k in 0..=n_ops {
             let case = format!("crash before op {k} ({}, workers {workers})", kind.as_str());
             let dir = scratch_dir(&format!("sweep-w{workers}-{}-k{k}", kind.as_str()));
@@ -127,46 +131,49 @@ fn baseline_is_identical_across_worker_counts() {
     assert_eq!(w1, outcome(8), "workers 1 vs 8 diverged");
 }
 
-/// A crash that tears the `graph` barrier's manifest (its parts staged,
-/// half the manifest on disk, no rename) leaves the `blocks` barrier
-/// recoverable: the torn staging directory is ignored, not mistaken for a
+/// A crash that tears the `graph` barrier's write (half its file staged
+/// under the `.tmp-` name, no rename) leaves the `blocks` barrier
+/// recoverable: the torn staging file is ignored, not mistaken for a
 /// checkpoint.
 #[test]
 fn torn_write_resumes_from_previous_barrier() {
     let d = dataset();
     let workers = 2;
     let (base, ops) = probe(&d.pair, workers, "torn-probe");
-    let k = op_index(&ops, OpClass::Write, ".tmp-stage-001-graph/MANIFEST");
+    let k = op_index(&ops, OpClass::Write, ".tmp-stage-001-graph");
 
     let dir = scratch_dir("torn");
     let crashed = run(&d.pair, &dir, workers, crashing_disk(k, FaultKind::ShortWrite), false);
     assert!(crashed.is_err(), "a crash mid-commit must stop the run");
-    assert!(dir.join(".tmp-stage-001-graph").is_dir(), "the torn barrier stays staged");
+    assert!(dir.join(".tmp-stage-001-graph").is_file(), "the torn barrier stays staged");
 
     let (res, trace) = resume(&d.pair, &dir, workers);
     assert_eq!(trace.counter("ckpt/resumed_from"), 1, "a torn graph write falls back to the blocks barrier");
     assert_eq!(canonical_with_counters(&res, &trace), base, "recovery from torn write diverged");
 }
 
-/// The part files of the newest `stage-*` checkpoint under `root`, sorted.
-fn newest_stage_parts(root: &Path) -> Vec<PathBuf> {
-    let entries = |dir: &Path, prefix: &str| {
-        let mut found: Vec<PathBuf> = std::fs::read_dir(dir)
-            .expect("read dir")
-            .map(|e| e.expect("dir entry").path())
-            .filter(|p| p.file_name().and_then(|n| n.to_str()).is_some_and(|n| n.starts_with(prefix)))
-            .collect();
-        found.sort();
-        found
-    };
-    let newest = entries(root, "stage-").pop().expect("at least one committed stage");
-    entries(&newest, "part-")
+/// The newest committed barrier file under `root`, and where its first
+/// part lies in it.
+fn newest_barrier_first_part(root: &Path) -> (PathBuf, Range<usize>) {
+    let mut barriers: Vec<PathBuf> = std::fs::read_dir(root)
+        .expect("read dir")
+        .map(|e| e.expect("dir entry").path())
+        .filter(|p| p.file_name().and_then(|n| n.to_str()).is_some_and(|n| n.starts_with("stage-")))
+        .collect();
+    barriers.sort();
+    let newest = barriers.pop().expect("at least one committed barrier");
+    let bytes = std::fs::read(&newest).expect("read barrier");
+    let segment = Segment::parse(&bytes, Kind::CHECKPOINT, CHECKPOINT_SCHEMA_VERSION).expect("an intact barrier");
+    // Section 0 is the barrier's meta record; its parts follow.
+    let part = segment.section(1).expect("the barrier has a part").range();
+    (newest, part)
 }
 
 /// Checkpoints a fresh run, damages the first part of its newest barrier
-/// with `damage`, resumes, and checks the damage is counted as rejected
-/// and survived with the clean outcome.
-fn damaged_part_is_detected_and_survived(tag: &str, damage: impl FnOnce(&mut Vec<u8>)) {
+/// with `damage` (given the file's bytes and the part's range), resumes,
+/// and checks the damage is counted as rejected and survived with the
+/// clean outcome.
+fn damaged_part_is_detected_and_survived(tag: &str, damage: impl FnOnce(&mut Vec<u8>, Range<usize>)) {
     let d = dataset();
     let workers = 2;
     let (clean_res, clean_trace) = resume(&d.pair, &scratch_dir(&format!("{tag}-clean")), workers);
@@ -174,11 +181,10 @@ fn damaged_part_is_detected_and_survived(tag: &str, damage: impl FnOnce(&mut Vec
 
     let dir = scratch_dir(tag);
     resume(&d.pair, &dir, workers);
-    let parts = newest_stage_parts(&dir);
-    let victim = parts.first().expect("stage has at least one part");
-    let mut bytes = std::fs::read(victim).expect("read part");
-    damage(&mut bytes);
-    std::fs::write(victim, bytes).expect("write damaged part");
+    let (victim, part) = newest_barrier_first_part(&dir);
+    let mut bytes = std::fs::read(&victim).expect("read barrier");
+    damage(&mut bytes, part);
+    std::fs::write(&victim, bytes).expect("write damaged barrier");
 
     let (res, trace) = resume(&d.pair, &dir, workers);
     assert!(trace.counter("ckpt/rejected") >= 1, "{tag}: the damaged checkpoint must be counted as rejected");
@@ -190,17 +196,17 @@ fn damaged_part_is_detected_and_survived(tag: &str, damage: impl FnOnce(&mut Vec
 /// fresh run) and still produces the uninterrupted outcome.
 #[test]
 fn bit_flip_corruption_is_detected_and_survived() {
-    damaged_part_is_detected_and_survived("bitflip", |bytes| {
-        let mid = bytes.len() / 2;
+    damaged_part_is_detected_and_survived("bitflip", |bytes, part| {
+        let mid = part.start + part.len() / 2;
         bytes[mid] ^= 0x40;
     });
 }
 
-/// Truncating a part file (simulated torn disk write) is likewise
-/// detected and survived.
+/// Truncating a barrier file inside a part (simulated torn disk write) is
+/// likewise detected and survived.
 #[test]
 fn truncated_part_is_detected_and_survived() {
-    damaged_part_is_detected_and_survived("trunc", |bytes| bytes.truncate(bytes.len() / 2));
+    damaged_part_is_detected_and_survived("trunc", |bytes, part| bytes.truncate(part.start + part.len() / 2));
 }
 
 /// A checkpointed run and a plain traced run agree on everything the
@@ -230,7 +236,7 @@ fn recovered_trace_artifact_is_written() {
     let d = dataset();
     let workers = 2;
     let (_, ops) = probe(&d.pair, workers, "artifact-probe");
-    let k = op_index(&ops, OpClass::CreateDir, ".tmp-stage-002-matches");
+    let k = op_index(&ops, OpClass::Write, ".tmp-stage-002-matches");
 
     let dir = scratch_dir("artifact");
     let crashed = run(&d.pair, &dir, workers, crashing_disk(k, FaultKind::Eio), false);

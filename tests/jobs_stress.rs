@@ -32,7 +32,7 @@ use minoaner::{
 };
 use support::{
     assert_only_complete_barriers, canonical_with_counters, crashing_disk, renames_before,
-    scratch_dir, uncommitted_stage_dirs, CancelAfterBarrier,
+    scratch_dir, uncommitted_barriers, CancelAfterBarrier,
 };
 
 /// Serializes the tests in this binary: two of them count the process's
@@ -344,7 +344,7 @@ fn process_crash_mid_job_leaves_resumable_job_dir() {
     let k = probe
         .ops()
         .iter()
-        .find(|op| op.class == OpClass::CreateDir && op.path.ends_with(".tmp-stage-002-matches"))
+        .find(|op| op.class == OpClass::Write && op.path.ends_with(".tmp-stage-002-matches"))
         .expect("the probe commits barrier 2")
         .index;
 
@@ -369,8 +369,8 @@ fn process_crash_mid_job_leaves_resumable_job_dir() {
         .collect();
     assert_eq!(job_dirs, std::slice::from_ref(&job_dir), "the batch added exactly one job");
     let ckpt_dir = job_dir.join("ckpt");
-    let torn = uncommitted_stage_dirs(&ckpt_dir);
-    assert!(torn.is_empty(), "the crash left stage dirs without a manifest: {torn:?}");
+    let torn = uncommitted_barriers(&ckpt_dir);
+    assert!(torn.is_empty(), "the crash left barrier files that are not whole: {torn:?}");
 
     let d = dataset(0.2);
     let mut exec = Executor::new(2);

@@ -17,7 +17,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use minoaner::dataflow::vfs::{self, FaultFs, FaultKind, FaultPlan, OpClass, OpRecord, Vfs, VfsRef};
-use minoaner::dataflow::{CancelReason, CancelToken, RunTrace};
+use minoaner::dataflow::{CancelReason, CancelToken, RunTrace, CHECKPOINT_SCHEMA_VERSION};
+use minoaner::det::segment::{Kind, Segment};
 use minoaner::Resolution;
 
 /// A scratch directory unique per test without consulting any entropy
@@ -116,26 +117,33 @@ pub fn tmp_leaks(root: &Path) -> Vec<PathBuf> {
     leaks
 }
 
-/// The `stage-*` directories under a checkpoint root that carry no
-/// committed `MANIFEST`. A rename commits a barrier whole, so there must
-/// never be one, whatever stopped the run.
-pub fn uncommitted_stage_dirs(ckpt_dir: &Path) -> Vec<PathBuf> {
+/// The `stage-*` entries under a checkpoint root that are not a whole
+/// committed barrier: a barrier is one segment file that `commit_file`
+/// renamed into place, so there must never be one, whatever stopped the
+/// run.
+pub fn uncommitted_barriers(ckpt_dir: &Path) -> Vec<PathBuf> {
     let Ok(entries) = std::fs::read_dir(ckpt_dir) else {
         return Vec::new(); // the run never reached its first barrier
+    };
+    let committed = |path: &Path| {
+        let Ok(bytes) = std::fs::read(path) else { return false };
+        Segment::parse(&bytes, Kind::CHECKPOINT, CHECKPOINT_SCHEMA_VERSION)
+            .and_then(|segment| segment.verify(&bytes))
+            .is_ok()
     };
     entries
         .flatten()
         .map(|e| e.path())
         .filter(|p| p.file_name().and_then(|n| n.to_str()).is_some_and(|n| n.starts_with("stage-")))
-        .filter(|p| !p.join("MANIFEST").is_file())
+        .filter(|p| !committed(p))
         .collect()
 }
 
 /// What a cancelled run (or a resumed one) leaves under its checkpoint
 /// root: committed barriers only, and no `.tmp-` staging.
 pub fn assert_only_complete_barriers(ckpt_dir: &Path) {
-    let torn = uncommitted_stage_dirs(ckpt_dir);
-    assert!(torn.is_empty(), "stage dirs without a committed manifest: {torn:?}");
+    let torn = uncommitted_barriers(ckpt_dir);
+    assert!(torn.is_empty(), "barrier files that are not whole: {torn:?}");
     let leaks = tmp_leaks(ckpt_dir);
     assert!(leaks.is_empty(), "staging leftovers: {leaks:?}");
 }

@@ -24,10 +24,10 @@ use std::fmt;
 use std::path::Path;
 use std::process::ExitCode;
 
-use minoaner_core::{CheckpointSpec, Minoaner, ResolveRequest};
-use minoaner_dataflow::{CheckpointError, DataflowError, Deadline, DegradeOnCkptError, MemoryBudget};
+use minoaner_core::{CheckpointSpec, Minoaner, ResolveOutcome, ResolveRequest};
+use minoaner_dataflow::{CheckpointError, DataflowError, Deadline, DegradeOnCkptError, Executor, MemoryBudget};
 use minoaner_eval::Quality;
-use minoaner_kb::dirty::DirtyKbBuilder;
+use minoaner_kb::dirty::{canonicalize_dirty_matches, DirtyKbBuilder};
 use minoaner_kb::parser::{load_ntriples_with_mode, parse_ground_truth, ParseMode, ParseReport};
 use minoaner_kb::turtle::load_turtle;
 use minoaner_kb::{write_mkb, KbPair, KbPairBuilder, MkbError, MkbFile, Side};
@@ -327,15 +327,13 @@ fn resolve_budget(args: &ResolveArgs) -> Option<MemoryBudget> {
     })
 }
 
-/// Applies the optional `--mem-budget` grant to a request.
-fn with_budget<'a>(
-    req: ResolveRequest<'a>,
-    budget: Option<&MemoryBudget>,
-) -> ResolveRequest<'a> {
-    match budget {
-        Some(b) => req.mem_budget(b.clone()),
-        None => req,
+/// `spec` under the `--resume` and `--degrade-on-ckpt-error` flags.
+fn ckpt_policy(mut spec: CheckpointSpec, resume: bool, degrade: bool) -> CheckpointSpec {
+    spec.resume = resume;
+    if degrade {
+        spec.on_error = DegradeOnCkptError::Continue;
     }
+    spec
 }
 
 /// Prints the spill accounting of a budgeted run (one line, greppable).
@@ -362,51 +360,47 @@ fn resolve(args: &ResolveArgs) -> Result<(), CliError> {
         .build()
         .map_err(|e| CliError::Usage(format!("invalid configuration: {e}")))?;
 
-    let minoaner = Minoaner::with_config(config);
-    let res = if let Some(ckpt_dir) = &args.checkpoint_dir {
-        // `CheckpointStore::open` create_dir_all's the directory itself,
-        // so missing parents of --checkpoint-dir are covered too.
-        let mut spec = CheckpointSpec::new(ckpt_dir);
-        spec.resume = args.resume;
-        if args.degrade_ckpt {
-            spec.on_error = DegradeOnCkptError::Continue;
-        }
-        let req = with_budget(ResolveRequest::pair(&pair).checkpoint(&spec), budget.as_ref());
-        let (res, trace) = minoaner.run(with_workers(req, args.workers))?.into_traced();
-        if trace.counter("ckpt/degraded") > 0 {
+    // `CheckpointStore::open` create_dir_all's the directory itself, so
+    // missing parents of --checkpoint-dir are covered too.
+    let spec =
+        args.checkpoint_dir.as_ref().map(|dir| ckpt_policy(CheckpointSpec::new(dir), args.resume, args.degrade_ckpt));
+    let mut req = with_workers(ResolveRequest::pair(&pair), args.workers);
+    if let Some(spec) = &spec {
+        req = req.checkpoint(spec);
+    }
+    // A budgeted run is always traced so the spill counters can be
+    // reported even without --report.
+    if args.report.is_some() || budget.is_some() {
+        req = req.trace();
+    }
+    if let Some(budget) = &budget {
+        req = req.mem_budget(budget.clone());
+    }
+    let ResolveOutcome { resolution: res, trace } = Minoaner::with_config(config).run(req)?;
+    if let Some(trace) = &trace {
+        if let Some(ckpt_dir) = &args.checkpoint_dir {
+            if trace.counter("ckpt/degraded") > 0 {
+                eprintln!(
+                    "warning: checkpointing degraded mid-run ({} event(s)); output is complete but {ckpt_dir} cannot resume this run",
+                    trace.counter("ckpt/degraded"),
+                );
+            }
+            if trace.counter("ckpt/resumed_from") > 0 {
+                eprintln!(
+                    "resumed from checkpoint barrier {} in {ckpt_dir} ({} bytes restored)",
+                    trace.counter("ckpt/resumed_from") - 1,
+                    trace.counter("ckpt/bytes_restored"),
+                );
+            }
             eprintln!(
-                "warning: checkpointing degraded mid-run ({} event(s)); output is complete but {ckpt_dir} cannot resume this run",
-                trace.counter("ckpt/degraded"),
+                "wrote {} checkpoint barrier(s), {} bytes, under {ckpt_dir}",
+                trace.counter("ckpt/barriers_written"),
+                trace.counter("ckpt/bytes_written"),
             );
         }
-        if trace.counter("ckpt/resumed_from") > 0 {
-            eprintln!(
-                "resumed from checkpoint barrier {} in {ckpt_dir} ({} bytes restored)",
-                trace.counter("ckpt/resumed_from") - 1,
-                trace.counter("ckpt/bytes_restored"),
-            );
-        }
-        eprintln!(
-            "wrote {} checkpoint barrier(s), {} bytes, under {ckpt_dir}",
-            trace.counter("ckpt/barriers_written"),
-            trace.counter("ckpt/bytes_written"),
-        );
-        report_spill(&trace, budget.as_ref());
-        write_report(args.report.as_deref(), &trace)?;
-        res
-    } else if args.report.is_some() || budget.is_some() {
-        // A budgeted run is always traced so the spill counters can be
-        // reported even without --report.
-        let req = with_budget(ResolveRequest::pair(&pair).trace(), budget.as_ref());
-        let (res, trace) = minoaner.run(with_workers(req, args.workers))?.into_traced();
-        report_spill(&trace, budget.as_ref());
-        write_report(args.report.as_deref(), &trace)?;
-        res
-    } else {
-        minoaner
-            .run(with_workers(ResolveRequest::pair(&pair), args.workers))?
-            .into_resolution()
-    };
+        report_spill(trace, budget.as_ref());
+        write_report(args.report.as_deref(), trace)?;
+    }
 
     if args.json {
         let rows = res.matches.iter().map(|&(l, r)| {
@@ -496,9 +490,8 @@ fn multi(args: &MultiArgs) -> Result<(), CliError> {
             input.add_triple(idx, &s, &p, o);
         }
     }
-    let res = Minoaner::new()
-        .run(with_workers(ResolveRequest::multi(&input), args.workers))?
-        .into_multi();
+    let executor = args.workers.map_or_else(Executor::default, Executor::new);
+    let res = Minoaner::new().resolve_multi(&executor, &input)?;
 
     if args.json {
         let rows = res.clusters.iter().map(|cluster| {
@@ -583,11 +576,8 @@ fn run_job(
     config: minoaner_core::MinoanerConfig,
     args: &JobsRunArgs,
 ) -> Result<String, DataflowError> {
-    let mut ckpt = CheckpointSpec::for_job(&args.root, &ctx.id().to_string());
-    ckpt.resume = args.resume;
-    if args.degrade_ckpt {
-        ckpt.on_error = DegradeOnCkptError::Continue;
-    }
+    let ckpt =
+        ckpt_policy(CheckpointSpec::for_job(&args.root, &ctx.id().to_string()), args.resume, args.degrade_ckpt);
     let mut req = ResolveRequest::pair(pair)
         .checkpoint(&ckpt)
         .workers(ctx.workers())
@@ -600,10 +590,12 @@ fn run_job(
     if ctx.memory_bytes() > 0 {
         req = req.mem_budget(MemoryBudget::new(ctx.memory_bytes(), ctx.job_dir().join("spill")));
     }
-    let (res, trace) = Minoaner::with_config(config).run(req)?.into_traced();
+    let ResolveOutcome { resolution: res, trace } = Minoaner::with_config(config).run(req)?;
     // Artifacts are best-effort: the resolution already succeeded, and the
-    // summary carries the headline result.
-    let _ = std::fs::write(ctx.job_dir().join("trace.json"), trace.to_json());
+    // summary carries the headline result. A checkpointed run is traced.
+    if let Some(trace) = trace {
+        let _ = std::fs::write(ctx.job_dir().join("trace.json"), trace.to_json());
+    }
     let mut out = String::new();
     for &(l, r) in &res.matches {
         out.push_str(pair.uri_of(Side::Left, l));
@@ -791,12 +783,11 @@ fn dedup(args: &DedupArgs) -> Result<(), CliError> {
     let pair = builder.finish();
     eprintln!("loaded {} triples ({} entities)", report.parsed, pair.kb(Side::Left).len());
 
-    let res = Minoaner::new()
-        .run(with_workers(ResolveRequest::pair(&pair).dirty(), args.workers))?
-        .into_dirty();
+    let res = Minoaner::new().run(with_workers(ResolveRequest::pair(&pair), args.workers))?.resolution;
+    let duplicates = canonicalize_dirty_matches(&res.matches);
 
     if args.json {
-        let rows = res.duplicates.iter().map(|&(a, b)| {
+        let rows = duplicates.iter().map(|&(a, b)| {
             Json::obj([
                 ("a", Json::str(pair.uri_of(Side::Left, a))),
                 ("b", Json::str(pair.uri_of(Side::Left, b))),
@@ -804,17 +795,16 @@ fn dedup(args: &DedupArgs) -> Result<(), CliError> {
         });
         println!("{}", Json::render(&Json::Arr(rows.collect())));
     } else {
-        for &(a, b) in &res.duplicates {
+        for &(a, b) in &duplicates {
             println!("{}\t{}", pair.uri_of(Side::Left, a), pair.uri_of(Side::Left, b));
         }
     }
-    let distinct: DetHashSet<_> =
-        res.duplicates.iter().flat_map(|&(a, b)| [a, b]).collect();
+    let distinct: DetHashSet<_> = duplicates.iter().flat_map(|&(a, b)| [a, b]).collect();
     eprintln!(
         "{} duplicate pairs over {} entities in {:.1} ms",
-        res.duplicates.len(),
+        duplicates.len(),
         distinct.len(),
-        res.inner.timings.total.as_secs_f64() * 1000.0,
+        res.timings.total.as_secs_f64() * 1000.0,
     );
     Ok(())
 }

@@ -52,6 +52,27 @@ fn write_kbs(dir: &Path) -> (PathBuf, PathBuf) {
     (left, right)
 }
 
+/// A third KB for `multi`, describing the same restaurant and chef.
+fn write_third_kb(dir: &Path) -> PathBuf {
+    let third = dir.join("third.nt");
+    std::fs::write(&third, "<t:R3> <t:title> \"The Fat Duck\" .\n<t:C3> <t:title> \"Jonny Lake\" .\n")
+        .expect("write third KB");
+    third
+}
+
+/// One dirty KB for `dedup`: e:1 and e:2 are duplicates.
+fn write_dirty_kb(dir: &Path) -> PathBuf {
+    let input = dir.join("dirty.nt");
+    std::fs::write(
+        &input,
+        "<e:1> <p:name> \"The Fat Duck\" .\n<e:1> <p:city> \"Bray\" .\n\
+         <e:2> <p:label> \"The Fat Duck\" .\n<e:2> <p:place> \"Bray\" .\n\
+         <e:3> <p:name> \"Jonny Lake\" .\n",
+    )
+    .expect("write dirty KB");
+    input
+}
+
 fn run(args: &[&str]) -> std::process::Output {
     Command::new(BIN).args(args).output().expect("spawn minoaner binary")
 }
@@ -458,9 +479,7 @@ fn resolve_json_lists_the_tsv_matches() {
 fn multi_json_lists_the_tsv_clusters() {
     let dir = scratch_dir("json-multi");
     let (left, right) = write_kbs(&dir);
-    let third = dir.join("third.nt");
-    std::fs::write(&third, "<t:R3> <t:title> \"The Fat Duck\" .\n<t:C3> <t:title> \"Jonny Lake\" .\n")
-        .expect("write third KB");
+    let third = write_third_kb(&dir);
     let (tsv, rows) = tsv_and_json(&["multi", "--kb", left.to_str().expect("utf8"), "--kb",
         right.to_str().expect("utf8"), "--kb", third.to_str().expect("utf8")]);
     assert!(!tsv.is_empty(), "the sample KBs cluster");
@@ -480,17 +499,80 @@ fn multi_json_lists_the_tsv_clusters() {
 #[test]
 fn dedup_json_lists_the_tsv_duplicates() {
     let dir = scratch_dir("json-dedup");
-    let input = dir.join("dirty.nt");
-    std::fs::write(
-        &input,
-        "<e:1> <p:name> \"The Fat Duck\" .\n<e:1> <p:city> \"Bray\" .\n\
-         <e:2> <p:label> \"The Fat Duck\" .\n<e:2> <p:place> \"Bray\" .\n\
-         <e:3> <p:name> \"Jonny Lake\" .\n",
-    )
-    .expect("write dirty KB");
+    let input = write_dirty_kb(&dir);
     let (tsv, rows) = tsv_and_json(&["dedup", "--input", input.to_str().expect("utf8")]);
     assert!(!tsv.is_empty(), "e:1 and e:2 are duplicates");
     let from_json: Vec<String> =
         rows.iter().map(|row| format!("{}\t{}", text(row, "a"), text(row, "b"))).collect();
     assert_eq!(from_json, tsv);
+}
+
+// ───────────── pinned stdout on the fixture KBs ─────────────
+
+const RESOLVE_TSV: &str = "w:C1\td:C2\nw:R1\td:R2\n";
+
+const RESOLVE_JSON: &str = r#"[
+  {
+    "left": "w:C1",
+    "right": "d:C2"
+  },
+  {
+    "left": "w:R1",
+    "right": "d:R2"
+  }
+]
+"#;
+
+const DEDUP_TSV: &str = "e:1\te:2\n";
+
+const DEDUP_JSON: &str = r#"[
+  {
+    "a": "e:1",
+    "b": "e:2"
+  }
+]
+"#;
+
+const MULTI_TSV: &str = "0:w:C1\t1:d:C2\t2:t:C3\n0:w:R1\t1:d:R2\t2:t:R3\n";
+
+/// Exact stdout of every result-printing path on the fixture KBs. Tracing,
+/// reports and checkpoints change what goes to stderr and to disk, never
+/// the printed result, and a resumed run prints what the run it resumes
+/// printed.
+#[test]
+fn result_stdout_is_pinned_on_the_fixture_kbs() {
+    let dir = scratch_dir("golden");
+    let (left, right) = write_kbs(&dir);
+    let (third, dirty) = (write_third_kb(&dir), write_dirty_kb(&dir));
+    let (ckpt, report) = (dir.join("ckpt"), dir.join("run.json"));
+    let path = |p: &Path| p.to_str().expect("utf8").to_owned();
+    let (left, right, third, dirty, ckpt, report) =
+        (path(&left), path(&right), path(&third), path(&dirty), path(&ckpt), path(&report));
+    let resolve = |extra: &[&str]| -> Vec<String> {
+        let mut args = vec!["resolve", "--left", &left, "--right", &right];
+        args.extend(extra);
+        args.into_iter().map(str::to_owned).collect()
+    };
+    let cases: Vec<(Vec<String>, &str)> = vec![
+        (resolve(&[]), RESOLVE_TSV),
+        (resolve(&["--json"]), RESOLVE_JSON),
+        (resolve(&["--report", &report]), RESOLVE_TSV),
+        (resolve(&["--checkpoint-dir", &ckpt]), RESOLVE_TSV),
+        (resolve(&["--checkpoint-dir", &ckpt, "--resume"]), RESOLVE_TSV),
+        (resolve(&["--checkpoint-dir", &ckpt, "--resume", "--json"]), RESOLVE_JSON),
+        (["dedup", "--input", &dirty].map(str::to_owned).to_vec(), DEDUP_TSV),
+        (["dedup", "--input", &dirty, "--json"].map(str::to_owned).to_vec(), DEDUP_JSON),
+        (["multi", "--kb", &left, "--kb", &right, "--kb", &third].map(str::to_owned).to_vec(), MULTI_TSV),
+    ];
+    for (args, want) in cases {
+        let args: Vec<&str> = args.iter().map(String::as_str).collect();
+        let out = run(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(code(&out), 0, "{args:?}: {stderr}");
+        assert_eq!(String::from_utf8(out.stdout).expect("utf8"), want, "{args:?}: {stderr}");
+        if args.contains(&"--resume") {
+            assert!(stderr.contains("resumed from checkpoint barrier 2"), "{args:?}: {stderr}");
+        }
+    }
+    assert!(Path::new(&report).is_file(), "--report wrote the trace");
 }

@@ -63,11 +63,6 @@ pub struct MinoanerConfig {
     pub theta: f64,
     /// Run Block Purging on the token blocks (the paper always does).
     pub purge_blocks: bool,
-    /// Resolve conflicting rule proposals with unique-mapping semantics
-    /// (the paper's matcher "employs Unique Mapping Clustering, too", §5).
-    /// Disabling reverts to the literal Algorithm 2 reading where each
-    /// node independently picks its best candidate.
-    pub unique_mapping: bool,
     /// Worker-pool size [`crate::Minoaner::run`] builds its executor with
     /// (the Figure 6 parallelism knob). `None` defers to the engine
     /// default; a per-request [`crate::ResolveRequest::workers`] override
@@ -84,7 +79,6 @@ impl Default for MinoanerConfig {
             n_relations: 3,
             theta: 0.6,
             purge_blocks: true,
-            unique_mapping: true,
             workers: None,
         }
     }
@@ -164,12 +158,6 @@ impl MinoanerConfigBuilder {
     /// Enables or disables Block Purging.
     pub fn purge_blocks(mut self, purge: bool) -> Self {
         self.config.purge_blocks = purge;
-        self
-    }
-
-    /// Enables or disables unique-mapping conflict resolution.
-    pub fn unique_mapping(mut self, unique: bool) -> Self {
-        self.config.unique_mapping = unique;
         self
     }
 
@@ -258,7 +246,6 @@ mod tests {
             .n_relations(1)
             .theta(0.4)
             .purge_blocks(false)
-            .unique_mapping(false)
             .build()
             .unwrap();
         assert_eq!(custom.name_attrs_k, 3);
@@ -266,7 +253,6 @@ mod tests {
         assert_eq!(custom.n_relations, 1);
         assert!((custom.theta - 0.4).abs() < 1e-12);
         assert!(!custom.purge_blocks);
-        assert!(!custom.unique_mapping);
     }
 
     #[test]

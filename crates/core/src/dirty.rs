@@ -6,29 +6,19 @@
 //! ([`minoaner_kb::dirty::DirtyKbBuilder`]); identity pairs are excluded
 //! from every evidence kind during graph construction; R1's "they and only
 //! they share a name" becomes "exactly two entities share a name"; and the
-//! resulting matches are canonicalized into unordered duplicate pairs.
-
-use minoaner_kb::EntityId;
-
-use crate::pipeline::Resolution;
-
-/// The result of dirty-ER resolution.
-#[derive(Debug, Clone)]
-pub struct DirtyResolution {
-    /// Canonical duplicate pairs `(a, b)` with `a < b`, deduplicated.
-    /// Chains of pairs sharing an entity denote larger duplicate clusters.
-    pub duplicates: Vec<(EntityId, EntityId)>,
-    /// The underlying self-pair resolution (timings, rule counts, …).
-    pub inner: Resolution,
-}
+//! resulting matches are canonicalized into unordered duplicate pairs by
+//! [`minoaner_kb::dirty::canonicalize_dirty_matches`].
+//!
+//! No flag asks for any of this: [`crate::Minoaner::run`] reads
+//! [`minoaner_kb::KbPair::is_dirty`] from the pair, and the
+//! [`crate::ResolveOutcome`] of a dirty pair has the clean pair's shape.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::pipeline::Minoaner;
     use crate::request::ResolveRequest;
-    use minoaner_kb::dirty::DirtyKbBuilder;
-    use minoaner_kb::{KbPair, Side, Term};
+    use minoaner_kb::dirty::{canonicalize_dirty_matches, DirtyKbBuilder};
+    use minoaner_kb::{EntityId, KbPair, Side, Term};
 
     fn dirty_kb() -> KbPair {
         let mut b = DirtyKbBuilder::new();
@@ -59,18 +49,19 @@ mod tests {
         v
     }
 
-    fn resolve_dirty(pair: &KbPair, workers: usize) -> DirtyResolution {
-        Minoaner::new()
-            .run(ResolveRequest::pair(pair).dirty().workers(workers))
+    /// The canonical duplicate pairs `(a, b)`, `a < b`, of `pair`.
+    fn resolve_dirty(pair: &KbPair, workers: usize) -> Vec<(EntityId, EntityId)> {
+        let resolution = Minoaner::new()
+            .run(ResolveRequest::pair(pair).workers(workers))
             .expect("healthy run succeeds")
-            .into_dirty()
+            .into_resolution();
+        canonicalize_dirty_matches(&resolution.matches)
     }
 
     #[test]
     fn finds_duplicates_within_one_kb() {
         let pair = dirty_kb();
-        let res = resolve_dirty(&pair, 2);
-        let found = uri_pairs(&pair, &res.duplicates);
+        let found = uri_pairs(&pair, &resolve_dirty(&pair, 2));
         assert!(
             found.contains(&("crawl:fatduck1995".into(), "db:fat_duck".into()))
                 || found.contains(&("db:fat_duck".into(), "crawl:fatduck1995".into())),
@@ -87,20 +78,9 @@ mod tests {
     #[test]
     fn no_identity_pairs_in_output() {
         let pair = dirty_kb();
-        let res = resolve_dirty(&pair, 1);
-        for &(a, b) in &res.duplicates {
+        for (a, b) in resolve_dirty(&pair, 1) {
             assert_ne!(a, b);
             assert!(a < b, "pairs must be canonical");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "ResolveRequest::dirty requires")]
-    fn clean_pair_is_rejected() {
-        let mut b = minoaner_kb::KbPairBuilder::new();
-        b.add_triple(Side::Left, "a", "p", Term::Literal("x"));
-        b.add_triple(Side::Right, "b", "p", Term::Literal("x"));
-        let pair = b.finish();
-        resolve_dirty(&pair, 1);
     }
 }

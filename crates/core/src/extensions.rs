@@ -13,7 +13,7 @@
 
 use minoaner_det::DetHashMap;
 
-use minoaner_dataflow::Executor;
+use minoaner_dataflow::{DataflowError, Executor};
 use minoaner_kb::{EntityId, KbPair};
 
 use crate::config::{MinoanerConfig, RuleSet};
@@ -33,22 +33,18 @@ pub struct EnsembleResolution {
 
 /// Runs the full workflow once per configuration and majority-votes the
 /// results. Ties between conflicting pairs break on vote count, then ids.
+/// The first run that fails (cancelled, a full disk) fails the ensemble
+/// with its error.
 pub fn ensemble_resolve(
     executor: &Executor,
     pair: &KbPair,
     configs: &[MinoanerConfig],
     min_votes: usize,
-) -> EnsembleResolution {
+) -> Result<EnsembleResolution, DataflowError> {
     assert!(!configs.is_empty(), "an ensemble needs at least one configuration");
     let mut votes: DetHashMap<(u32, u32), usize> = DetHashMap::default();
     for cfg in configs {
-        // bound: deliberate: a run that failed (cancelled, a full disk) leaves
-        // as its typed `DataflowError` payload, as `Executor::run_stage` raises
-        // it.
-        #[allow(clippy::panic)]
-        let res = Minoaner::with_config(*cfg)
-            .resolve_impl(executor, pair, RuleSet::FULL, false, None)
-            .unwrap_or_else(|e| std::panic::panic_any(e));
+        let res = Minoaner::with_config(*cfg).resolve_impl(executor, pair, RuleSet::FULL, false, None)?;
         for (l, r) in res.matches {
             *votes.entry((l.0, r.0)).or_insert(0) += 1;
         }
@@ -70,7 +66,7 @@ pub fn ensemble_resolve(
         matches.push((EntityId(l), EntityId(r)));
         out_votes.push(v);
     }
-    EnsembleResolution { matches, votes: out_votes, runs: configs.len() }
+    Ok(EnsembleResolution { matches, votes: out_votes, runs: configs.len() })
 }
 
 /// A small, diverse default ensemble around the paper's global
@@ -105,7 +101,7 @@ mod tests {
     fn ensemble_agrees_on_clear_matches() {
         let p = pair();
         let exec = Executor::new(2);
-        let res = ensemble_resolve(&exec, &p, &default_ensemble(), 3);
+        let res = ensemble_resolve(&exec, &p, &default_ensemble(), 3).unwrap();
         assert_eq!(res.runs, 5);
         assert_eq!(res.matches.len(), 3, "all clear pairs survive the vote");
         assert!(res.votes.iter().all(|&v| v >= 3));
@@ -116,7 +112,7 @@ mod tests {
         let p = pair();
         let exec = Executor::new(1);
         // With min_votes above the run count, nothing survives.
-        let res = ensemble_resolve(&exec, &p, &default_ensemble(), 6);
+        let res = ensemble_resolve(&exec, &p, &default_ensemble(), 6).unwrap();
         assert!(res.matches.is_empty());
     }
 
@@ -125,7 +121,7 @@ mod tests {
     fn empty_ensemble_rejected() {
         let p = pair();
         let exec = Executor::new(1);
-        ensemble_resolve(&exec, &p, &[], 1);
+        let _ = ensemble_resolve(&exec, &p, &[], 1);
     }
 
     #[test]
@@ -142,7 +138,7 @@ mod tests {
     fn ensemble_is_one_to_one() {
         let p = pair();
         let exec = Executor::new(1);
-        let res = ensemble_resolve(&exec, &p, &default_ensemble(), 1);
+        let res = ensemble_resolve(&exec, &p, &default_ensemble(), 1).unwrap();
         let mut lefts: Vec<_> = res.matches.iter().map(|&(l, _)| l).collect();
         lefts.sort_unstable();
         let n = lefts.len();

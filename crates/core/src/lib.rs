@@ -46,12 +46,11 @@ pub mod request;
 pub mod resume;
 
 pub use config::{ConfigError, MinoanerConfig, MinoanerConfigBuilder, RuleSet};
-pub use dirty::DirtyResolution;
 pub use extensions::{ensemble_resolve, EnsembleResolution};
 pub use multi::{MultiKb, MultiResolution, ObjectTerm};
 pub use matcher::{MatchOutcome, Rule, RuleCounts};
 pub use pipeline::{Minoaner, PipelineTimings, PreparedBlocks, PreparedGraph, Resolution};
-pub use request::{ResolveInput, ResolveOutcome, ResolveRequest};
+pub use request::{ResolveOutcome, ResolveRequest};
 pub use resume::{run_fingerprint, CheckpointSpec};
 
 // Re-export for the doctest-friendly API surface.

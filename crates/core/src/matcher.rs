@@ -52,30 +52,21 @@ pub struct MatchOutcome {
     pub counts: RuleCounts,
 }
 
-impl MatchOutcome {
-    /// The matched pairs as a sorted vector (for comparisons in tests).
-    pub fn sorted_pairs(&self) -> Vec<(EntityId, EntityId)> {
-        let mut out = self.matches.clone();
-        out.sort_unstable();
-        out
-    }
-}
-
-/// Tracks the 1–1 assignment state while rules execute.
+/// Tracks the 1–1 assignment state while rules execute: the paper's
+/// matcher "employs Unique Mapping Clustering, too" (§5), so an entity is
+/// matched at most once.
 struct Assignment {
     left: Vec<Option<u32>>,
     right: Vec<Option<u32>>,
-    unique: bool,
     matches: Vec<(EntityId, EntityId)>,
     rules: Vec<Rule>,
 }
 
 impl Assignment {
-    fn new(n_left: usize, n_right: usize, unique: bool) -> Self {
+    fn new(n_left: usize, n_right: usize) -> Self {
         Self {
             left: vec![None; n_left],
             right: vec![None; n_right],
-            unique,
             matches: Vec::new(),
             rules: Vec::new(),
         }
@@ -91,16 +82,13 @@ impl Assignment {
         }
     }
 
-    /// Tries to record `(l, r)`; under unique mapping both endpoints must
-    /// still be free. Returns whether the pair was added.
+    /// Tries to record `(l, r)`; both endpoints must still be free.
+    /// Returns whether the pair was added.
     // bound: as in `is_free`: `l` and `r` are entities of the pair the slots
     // are sized to.
     #[allow(clippy::indexing_slicing)]
     fn assign(&mut self, l: EntityId, r: EntityId, rule: Rule) -> bool {
-        if self.unique && (self.left[l.index()].is_some() || self.right[r.index()].is_some()) {
-            return false;
-        }
-        if !self.unique && self.matches.contains(&(l, r)) {
+        if self.left[l.index()].is_some() || self.right[r.index()].is_some() {
             return false;
         }
         self.left[l.index()] = Some(r.0);
@@ -126,7 +114,7 @@ pub fn run_matching(
 ) -> MatchOutcome {
     let n_left = pair.kb(Side::Left).len();
     let n_right = pair.kb(Side::Right).len();
-    let mut state = Assignment::new(n_left, n_right, cfg.unique_mapping);
+    let mut state = Assignment::new(n_left, n_right);
 
     if rules.r1 {
         executor.time_stage("matching/r1", || rule_r1(graph, &mut state));
@@ -191,7 +179,6 @@ fn rule_r1(graph: &BlockingGraph, state: &mut Assignment) {
 fn rule_r2(executor: &Executor, pair: &KbPair, graph: &BlockingGraph, state: &mut Assignment) {
     let small = pair.smaller_side();
     let n = pair.kb(small).len();
-    let unique = state.unique;
     // A snapshot of the assignment lets the parallel stage skip entities
     // and candidates matched by R1, as the Spark version does with the
     // broadcast R1 matches (§4.1).
@@ -213,7 +200,7 @@ fn rule_r2(executor: &Executor, pair: &KbPair, graph: &BlockingGraph, state: &mu
         let top = graph
             .value_candidates(small, e)
             .iter()
-            .find(|c| !unique || free_other[c.entity_id().index()])?;
+            .find(|c| free_other[c.entity_id().index()])?;
         (top.weight() >= 1.0).then_some((e, top.entity_id(), top.weight()))
     });
 
@@ -245,7 +232,6 @@ fn rule_r3(
     theta: f64,
     state: &mut Assignment,
 ) {
-    let unique = state.unique;
     let mut proposals: Vec<(Side, EntityId, EntityId, f64)> = Vec::new();
     for side in [Side::Left, Side::Right] {
         let n = pair.kb(side).len();
@@ -264,7 +250,7 @@ fn rule_r3(
             if !free_self[i] {
                 return None;
             }
-            let keep = |c: EntityId| !unique || free_other[c.index()];
+            let keep = |c: EntityId| free_other[c.index()];
             let best = aggregate_top_candidate(
                 graph.value_candidates(side, e),
                 graph.neighbor_candidates(side, e),
@@ -542,19 +528,11 @@ mod tests {
 
     #[test]
     fn assignment_unique_mapping_blocks_conflicts() {
-        let mut a = Assignment::new(3, 3, true);
+        let mut a = Assignment::new(3, 3);
         assert!(a.assign(e(0), e(1), Rule::R1));
         assert!(!a.assign(e(0), e(2), Rule::R2), "left endpoint taken");
         assert!(!a.assign(e(2), e(1), Rule::R2), "right endpoint taken");
         assert!(a.assign(e(1), e(0), Rule::R3));
         assert_eq!(a.matches.len(), 2);
-    }
-
-    #[test]
-    fn assignment_literal_mode_dedups_pairs_only() {
-        let mut a = Assignment::new(3, 3, false);
-        assert!(a.assign(e(0), e(1), Rule::R3));
-        assert!(!a.assign(e(0), e(1), Rule::R3), "exact duplicate dropped");
-        assert!(a.assign(e(0), e(2), Rule::R3), "literal mode allows one-to-many");
     }
 }

@@ -13,7 +13,7 @@
 
 use minoaner_det::DetHashMap;
 
-use minoaner_dataflow::Executor;
+use minoaner_dataflow::{DataflowError, Executor};
 use minoaner_kb::{KbPair, KbPairBuilder, Side, Term};
 
 use crate::clusters::UnionFind;
@@ -70,7 +70,7 @@ impl MultiKb {
     }
 
     /// Materializes the clean-clean pair for KBs `i` and `j`.
-    // bound: `multi_impl` passes `i < j < self.len()`.
+    // bound: `resolve_multi` passes `i < j < self.len()`.
     #[allow(clippy::indexing_slicing)]
     fn pair(&self, i: usize, j: usize) -> KbPair {
         let mut b = KbPairBuilder::new();
@@ -97,14 +97,14 @@ pub struct MultiResolution {
 }
 
 impl Minoaner {
-    /// The multi-KB implementation behind [`crate::ResolveRequest::multi`]:
-    /// every KB pair through the standard two-KB pipeline, then k-partite
-    /// clustering of the pairwise matches.
-    pub(crate) fn multi_impl(
-        &self,
-        executor: &Executor,
-        input: &MultiKb,
-    ) -> Result<MultiResolution, minoaner_dataflow::DataflowError> {
+    /// Resolves `k` clean KBs on `executor`: every KB pair through the
+    /// standard two-KB pipeline (full rule set, top-K pruning, no trace),
+    /// then k-partite clustering of the pairwise matches. With fewer than
+    /// two KBs there is no pair to resolve, and no clusters.
+    ///
+    /// Cancellation, deadline and memory budget are the executor's own
+    /// ([`Executor::set_cancel_token`] and its siblings).
+    pub fn resolve_multi(&self, executor: &Executor, input: &MultiKb) -> Result<MultiResolution, DataflowError> {
         let mut uf: UnionFind<MultiNode> = UnionFind::new();
         // Cluster membership guard: root → kb indices already present.
         let mut kb_members: DetHashMap<MultiNode, Vec<usize>> = DetHashMap::default();
@@ -159,7 +159,6 @@ fn try_union(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::ResolveRequest;
 
     /// Three KBs describing overlapping restaurant sets.
     fn three_kbs() -> MultiKb {
@@ -189,10 +188,7 @@ mod tests {
     }
 
     fn resolve_multi(m: &MultiKb, workers: usize) -> MultiResolution {
-        Minoaner::new()
-            .run(ResolveRequest::multi(m).workers(workers))
-            .expect("healthy run succeeds")
-            .into_multi()
+        Minoaner::new().resolve_multi(&Executor::new(workers), m).expect("healthy run succeeds")
     }
 
     #[test]
@@ -230,10 +226,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least two KBs")]
-    fn single_kb_rejected() {
+    fn fewer_than_two_kbs_give_no_clusters() {
         let mut m = MultiKb::new();
-        m.add_kb();
-        resolve_multi(&m, 1);
+        for kbs in [0, 1] {
+            let res = resolve_multi(&m, 1);
+            assert_eq!(m.len(), kbs);
+            assert!(res.clusters.is_empty() && res.pairwise.is_empty(), "{kbs} KB(s): {res:?}");
+            let kb = m.add_kb();
+            m.add_triple(kb, "a:fatduck", "a:label", ObjectTerm::Literal("the fat duck".into()));
+        }
     }
 }

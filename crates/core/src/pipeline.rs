@@ -13,7 +13,7 @@ use minoaner_blocking::name::build_name_blocks;
 use minoaner_blocking::purge::{purge_blocks, PurgeReport};
 use minoaner_blocking::token::build_token_blocks_parallel;
 use minoaner_blocking::{NameBlocks, TokenBlocks};
-use minoaner_dataflow::{DataflowError, Executor, RunTrace, StageIo, StageLog, TraceCollector};
+use minoaner_dataflow::{DataflowError, Executor, StageIo, StageLog, TraceCollector};
 use minoaner_kb::stats::{NameStats, RelationStats};
 use minoaner_kb::{EntityId, KbPair};
 
@@ -39,20 +39,10 @@ pub struct PipelineTimings {
 impl PipelineTimings {
     /// The matching phase's share of total time, in percent.
     pub fn matching_share(&self) -> f64 {
-        self.share(self.matching)
-    }
-
-    /// Graph construction's share of total time, in percent — the cost
-    /// center Fig. 5 of the paper attributes end-to-end runtime to.
-    pub fn graph_share(&self) -> f64 {
-        self.share(self.graph)
-    }
-
-    fn share(&self, part: Duration) -> f64 {
         if self.total.is_zero() {
             0.0
         } else {
-            100.0 * part.as_secs_f64() / self.total.as_secs_f64()
+            100.0 * self.matching.as_secs_f64() / self.total.as_secs_f64()
         }
     }
 }
@@ -237,42 +227,6 @@ impl Minoaner {
             .and_then(|result| result)
     }
 
-    /// [`Minoaner::resolve_impl`] with a [`RunTrace`]: a [`TraceCollector`]
-    /// is installed on the executor for the duration of the run, and the
-    /// trace combines the collector's domain counters with the executor's
-    /// annotated stage log. With a `spec` the run also materializes (and,
-    /// per `spec.resume`, restores) its stage barriers; a restored run
-    /// re-emits the checkpoint's counter snapshot, so its trace's domain
-    /// counters match an uninterrupted run's (only the `ckpt/*` accounting
-    /// differs).
-    ///
-    /// Takes `&mut Executor` because installing the observer mutates the
-    /// executor's (otherwise lock-free) observer slot. Any previously
-    /// installed observer is replaced and cleared afterwards.
-    pub(crate) fn traced_impl(
-        &self,
-        executor: &mut Executor,
-        pair: &KbPair,
-        rules: RuleSet,
-        adaptive: bool,
-        spec: Option<&CheckpointSpec>,
-    ) -> Result<(Resolution, RunTrace), DataflowError> {
-        let collector = TraceCollector::new();
-        executor.set_observer(collector.clone());
-        let result =
-            self.resolve_impl(executor, pair, rules, adaptive, spec.map(|spec| (spec, &*collector)));
-        executor.clear_observer();
-        let resolution = result?;
-        let trace = RunTrace::capture(
-            executor.workers(),
-            executor.partitions(),
-            resolution.timings.total,
-            &resolution.timings.stages,
-            collector.counters(),
-        );
-        Ok((resolution, trace))
-    }
-
     /// The pipeline body shared by every resolver entry point: prepare
     /// (Algorithm 1), match (Algorithm 2), assemble timings. Each barrier
     /// is either restored from the newest valid checkpoint or computed and
@@ -435,7 +389,6 @@ mod tests {
         let t = &res.timings;
         assert!(t.graph > Duration::ZERO, "graph/* stages must be timed");
         assert!(t.graph <= t.total);
-        assert!(t.graph_share() >= 0.0 && t.graph_share() <= 100.0);
         // The breakdown agrees with the raw stage log.
         let from_log = t.stages.total_matching(&|n: &str| n.starts_with("graph/"));
         assert_eq!(t.graph, from_log);

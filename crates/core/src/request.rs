@@ -1,15 +1,20 @@
-//! The unified resolution-request API: one builder, one entry point.
+//! The resolution-request API: one builder, one entry point, one result
+//! shape.
 //!
-//! A [`ResolveRequest`] names the input ([`ResolveRequest::pair`] or
-//! [`ResolveRequest::multi`]) and chains the orthogonal run options
-//! (rules, tracing, checkpointing, cancellation, deadline, worker count,
-//! memory budget, dirty/adaptive mode), so options compose — a traced
-//! dirty run is one chain, not one more method; [`Minoaner::run`] executes
-//! it and a [`ResolveOutcome`] carries whichever result shape the request
-//! implies.
+//! A [`ResolveRequest`] names the KB pair ([`ResolveRequest::pair`]) and
+//! chains the orthogonal run options (rules, tracing, checkpointing,
+//! cancellation, deadline, worker count, memory budget, adaptive pruning),
+//! so options compose — a traced, checkpointed, adaptive run is one chain,
+//! not one more method. [`Minoaner::run`] executes it and returns a
+//! [`ResolveOutcome`]: the [`Resolution`], plus a [`RunTrace`] when the
+//! request traced or checkpointed.
+//!
+//! A dirty KB is a self-pair ([`minoaner_kb::dirty::DirtyKbBuilder`]) and
+//! goes through the same request; more than two KBs go through
+//! [`Minoaner::resolve_multi`].
 //!
 //! ```
-//! use minoaner_core::{Minoaner, ResolveRequest};
+//! use minoaner_core::{Minoaner, ResolveOutcome, ResolveRequest};
 //! use minoaner_kb::{KbPairBuilder, Side, Term};
 //!
 //! let mut b = KbPairBuilder::new();
@@ -17,84 +22,60 @@
 //! b.add_triple(Side::Right, "r0", "name", Term::Literal("fat duck bray"));
 //! let pair = b.finish();
 //!
-//! let outcome = Minoaner::new()
+//! let ResolveOutcome { resolution, trace } = Minoaner::new()
 //!     .run(ResolveRequest::pair(&pair).trace())
 //!     .expect("healthy run succeeds");
-//! let (resolution, trace) = outcome.into_traced();
 //! assert_eq!(resolution.matches.len(), 1);
-//! assert!(trace.workers >= 1);
+//! assert!(trace.expect("the request traced").workers >= 1);
 //! ```
 
-use minoaner_dataflow::{CancelToken, DataflowError, Deadline, Executor, MemoryBudget, RunTrace};
-use minoaner_kb::dirty::canonicalize_dirty_matches;
+use minoaner_dataflow::{
+    CancelToken, DataflowError, Deadline, Executor, MemoryBudget, RunTrace, TraceCollector,
+};
 use minoaner_kb::KbPair;
 
 use crate::config::RuleSet;
-use crate::dirty::DirtyResolution;
-use crate::multi::{MultiKb, MultiResolution};
 use crate::pipeline::{Minoaner, Resolution};
 use crate::resume::CheckpointSpec;
-
-/// What a [`ResolveRequest`] resolves: one clean KB pair (possibly marked
-/// dirty) or `k ≥ 2` clean KBs.
-#[derive(Debug, Clone, Copy)]
-pub enum ResolveInput<'a> {
-    /// A two-KB input (or a self-pair built by
-    /// [`minoaner_kb::dirty::DirtyKbBuilder`] when combined with
-    /// [`ResolveRequest::dirty`]).
-    Pair(&'a KbPair),
-    /// A k-partite input, resolved pairwise and clustered.
-    Multi(&'a MultiKb),
-}
 
 /// A declarative description of one resolution run, executed by
 /// [`Minoaner::run`] (or [`Minoaner::run_on`] against a caller-owned
 /// executor).
 ///
-/// Construct with [`ResolveRequest::pair`] / [`ResolveRequest::multi`] and
-/// chain options. Unset options keep the engine defaults: the full rule
-/// set, no trace, no checkpointing, no cancellation wiring, the
-/// configuration's worker count.
+/// Construct with [`ResolveRequest::pair`] and chain options. Unset
+/// options keep the engine defaults: the full rule set, no trace, no
+/// checkpointing, no cancellation wiring, the configuration's worker
+/// count.
 #[derive(Debug, Clone)]
 pub struct ResolveRequest<'a> {
-    input: ResolveInput<'a>,
+    pair: &'a KbPair,
     rules: RuleSet,
     trace: bool,
     checkpoint: Option<&'a CheckpointSpec>,
     cancel: Option<CancelToken>,
     deadline: Option<Deadline>,
     adaptive: bool,
-    dirty: bool,
     workers: Option<usize>,
     mem_budget: Option<MemoryBudget>,
 }
 
 impl<'a> ResolveRequest<'a> {
-    fn new(input: ResolveInput<'a>) -> Self {
+    /// A request to resolve one KB pair end to end: two clean KBs, or the
+    /// self-pair of one dirty KB built with
+    /// [`minoaner_kb::dirty::DirtyKbBuilder`] (the pipeline reads
+    /// [`KbPair::is_dirty`] and excludes identity pairs).
+    pub fn pair(pair: &'a KbPair) -> Self {
         Self {
-            input,
+            pair,
             rules: RuleSet::FULL,
             trace: false,
             checkpoint: None,
             cancel: None,
             deadline: None,
             adaptive: false,
-            dirty: false,
             workers: None,
             mem_budget: None,
         }
-    }
-
-    /// A request to resolve one clean KB pair end to end.
-    pub fn pair(pair: &'a KbPair) -> Self {
-        Self::new(ResolveInput::Pair(pair))
-    }
-
-    /// A request to resolve `k ≥ 2` clean KBs pairwise into k-partite
-    /// clusters. Tracing, checkpointing, dirty and adaptive modes do not
-    /// (yet) compose with multi-KB inputs.
-    pub fn multi(input: &'a MultiKb) -> Self {
-        Self::new(ResolveInput::Multi(input))
     }
 
     /// Selects the matching rules to run (Table 4 ablations). Defaults to
@@ -104,9 +85,9 @@ impl<'a> ResolveRequest<'a> {
         self
     }
 
-    /// Captures a [`RunTrace`] alongside the result: a trace collector is
-    /// installed on the executor for the duration of the run. Implied by
-    /// [`Self::checkpoint`].
+    /// Captures a [`RunTrace`] in [`ResolveOutcome::trace`]: a trace
+    /// collector is installed on the executor for the duration of the run.
+    /// Implied by [`Self::checkpoint`].
     pub fn trace(mut self) -> Self {
         self.trace = true;
         self
@@ -114,8 +95,9 @@ impl<'a> ResolveRequest<'a> {
 
     /// Materializes pipeline state at stage barriers per `spec` and — when
     /// `spec.resume` is set — restores the newest valid checkpoint instead
-    /// of recomputing the barriers it covers. Checkpointed runs always
-    /// carry a trace.
+    /// of recomputing the barriers it covers. A checkpointed run's
+    /// [`ResolveOutcome::trace`] is always `Some`: its barriers snapshot
+    /// the trace's counters.
     ///
     /// The spec also carries the run's graceful-degradation policy: with
     /// [`CheckpointSpec::degrade_on_error`], a checkpoint I/O failure
@@ -150,14 +132,6 @@ impl<'a> ResolveRequest<'a> {
         self
     }
 
-    /// Dirty-ER mode: the pair must be a self-pair built with
-    /// [`minoaner_kb::dirty::DirtyKbBuilder`]; matches are canonicalized
-    /// into unordered duplicate pairs ([`DirtyResolution`]).
-    pub fn dirty(mut self) -> Self {
-        self.dirty = true;
-        self
-    }
-
     /// Overrides the worker count for the executor [`Minoaner::run`]
     /// builds. Wins over [`crate::MinoanerConfig::workers`]; ignored by
     /// [`Minoaner::run_on`], which reuses the caller's executor.
@@ -178,140 +152,25 @@ impl<'a> ResolveRequest<'a> {
         self.mem_budget = Some(budget);
         self
     }
-
-    /// Asserts the request's option combination is coherent. Misuse is a
-    /// caller bug, so this panics rather than returning a runtime error.
-    fn check_preconditions(&self) {
-        match self.input {
-            ResolveInput::Pair(pair) => {
-                assert!(!self.dirty || pair.is_dirty(), "ResolveRequest::dirty requires a DirtyKbBuilder-built pair")
-            }
-            ResolveInput::Multi(input) => {
-                assert!(input.len() >= 2, "multi-KB resolution needs at least two KBs");
-                assert!(
-                    !self.dirty && !self.adaptive,
-                    "dirty/adaptive modes do not apply to multi-KB inputs"
-                );
-                assert!(
-                    !self.trace && self.checkpoint.is_none(),
-                    "multi-KB resolution does not support tracing or checkpoints yet"
-                );
-            }
-        }
-    }
 }
 
-/// The result shape a [`ResolveRequest`] implies: a plain pair resolution
-/// (with its trace when one was requested), a dirty-ER deduplication, or a
-/// multi-KB clustering.
+/// What a [`ResolveRequest`] produced: the pair's resolution, and the
+/// run's trace when the request asked for one ([`ResolveRequest::trace`]
+/// or [`ResolveRequest::checkpoint`]).
 #[derive(Debug)]
-pub enum ResolveOutcome {
-    /// A clean-clean pair resolution; `trace` is `Some` iff the request
-    /// asked for tracing or checkpointing.
-    Single {
-        resolution: Resolution,
-        trace: Option<RunTrace>,
-    },
-    /// A dirty-ER resolution; `trace` as for [`ResolveOutcome::Single`].
-    Dirty {
-        resolution: DirtyResolution,
-        trace: Option<RunTrace>,
-    },
-    /// A multi-KB clustering.
-    Multi(MultiResolution),
+pub struct ResolveOutcome {
+    /// The resolution of the request's pair. For a dirty self-pair,
+    /// [`minoaner_kb::dirty::canonicalize_dirty_matches`] turns its matches
+    /// into unordered duplicate pairs.
+    pub resolution: Resolution,
+    /// `Some` iff the request traced or checkpointed.
+    pub trace: Option<RunTrace>,
 }
 
 impl ResolveOutcome {
-    /// The run's trace, when one was captured.
-    pub fn trace(&self) -> Option<&RunTrace> {
-        match self {
-            ResolveOutcome::Single { trace, .. } | ResolveOutcome::Dirty { trace, .. } => {
-                trace.as_ref()
-            }
-            _ => None,
-        }
-    }
-
-    /// Unwraps a pair resolution.
-    ///
-    /// # Panics
-    /// Panics if the outcome is not [`ResolveOutcome::Single`].
-    // bound: documented: the caller asked for this variant (`# Panics`); a
-    // request's outcome variant follows its input and options.
-    #[allow(clippy::panic)]
+    /// The resolution, without the trace.
     pub fn into_resolution(self) -> Resolution {
-        match self {
-            ResolveOutcome::Single { resolution, .. } => resolution,
-            other => panic!("expected a pair resolution, got {}", other.variant_name()),
-        }
-    }
-
-    /// Unwraps a pair resolution plus its optional trace.
-    ///
-    /// # Panics
-    /// Panics if the outcome is not [`ResolveOutcome::Single`].
-    // bound: documented: the caller asked for this variant (`# Panics`); a
-    // request's outcome variant follows its input and options.
-    #[allow(clippy::panic)]
-    pub fn into_single(self) -> (Resolution, Option<RunTrace>) {
-        match self {
-            ResolveOutcome::Single { resolution, trace } => (resolution, trace),
-            other => panic!("expected a pair resolution, got {}", other.variant_name()),
-        }
-    }
-
-    /// Unwraps a traced pair resolution.
-    ///
-    /// # Panics
-    /// Panics if the outcome is not [`ResolveOutcome::Single`] or carries
-    /// no trace (the request did not ask for one).
-    // bound: documented: the caller asked for this variant (`# Panics`); a
-    // request's outcome variant follows its input and options.
-    #[allow(clippy::panic)]
-    pub fn into_traced(self) -> (Resolution, RunTrace) {
-        match self {
-            ResolveOutcome::Single { resolution, trace: Some(trace) } => (resolution, trace),
-            ResolveOutcome::Single { trace: None, .. } => {
-                panic!("the request did not ask for a trace")
-            }
-            other => panic!("expected a pair resolution, got {}", other.variant_name()),
-        }
-    }
-
-    /// Unwraps a dirty-ER resolution.
-    ///
-    /// # Panics
-    /// Panics if the outcome is not [`ResolveOutcome::Dirty`].
-    // bound: documented: the caller asked for this variant (`# Panics`); a
-    // request's outcome variant follows its input and options.
-    #[allow(clippy::panic)]
-    pub fn into_dirty(self) -> DirtyResolution {
-        match self {
-            ResolveOutcome::Dirty { resolution, .. } => resolution,
-            other => panic!("expected a dirty resolution, got {}", other.variant_name()),
-        }
-    }
-
-    /// Unwraps a multi-KB resolution.
-    ///
-    /// # Panics
-    /// Panics if the outcome is not [`ResolveOutcome::Multi`].
-    // bound: documented: the caller asked for this variant (`# Panics`); a
-    // request's outcome variant follows its input and options.
-    #[allow(clippy::panic)]
-    pub fn into_multi(self) -> MultiResolution {
-        match self {
-            ResolveOutcome::Multi(resolution) => resolution,
-            other => panic!("expected a multi-KB resolution, got {}", other.variant_name()),
-        }
-    }
-
-    fn variant_name(&self) -> &'static str {
-        match self {
-            ResolveOutcome::Single { .. } => "Single",
-            ResolveOutcome::Dirty { .. } => "Dirty",
-            ResolveOutcome::Multi(_) => "Multi",
-        }
+        self.resolution
     }
 }
 
@@ -336,12 +195,18 @@ impl Minoaner {
     /// The request's cancellation token and deadline, if set, are
     /// installed on `executor`; its [`ResolveRequest::workers`] override
     /// is ignored — the executor's own sizing wins.
+    ///
+    /// A traced or checkpointed run installs a [`TraceCollector`] on the
+    /// executor for its duration (replacing, then clearing, any observer
+    /// installed before); the trace combines the collector's counters with
+    /// the executor's stage log. A run restored from a checkpoint re-emits
+    /// the checkpoint's counter snapshot, so its domain counters match an
+    /// uninterrupted run's (only the `ckpt/*` accounting differs).
     pub fn run_on(
         &self,
         executor: &mut Executor,
         mut req: ResolveRequest<'_>,
     ) -> Result<ResolveOutcome, DataflowError> {
-        req.check_preconditions();
         if let Some(token) = req.cancel.take() {
             executor.set_cancel_token(token);
         }
@@ -351,33 +216,26 @@ impl Minoaner {
         if let Some(budget) = req.mem_budget.take() {
             executor.set_memory_budget(Some(budget));
         }
-        match req.input {
-            ResolveInput::Multi(input) => Ok(ResolveOutcome::Multi(self.multi_impl(executor, input)?)),
-            ResolveInput::Pair(pair) => {
-                let (resolution, trace) = if req.trace || req.checkpoint.is_some() {
-                    let (resolution, trace) =
-                        self.traced_impl(executor, pair, req.rules, req.adaptive, req.checkpoint)?;
-                    (resolution, Some(trace))
-                } else {
-                    (self.resolve_impl(executor, pair, req.rules, req.adaptive, None)?, None)
-                };
-                Ok(Self::finish_single(req.dirty, resolution, trace))
-            }
+        let collector = (req.trace || req.checkpoint.is_some()).then(TraceCollector::new);
+        if let Some(collector) = &collector {
+            executor.set_observer(collector.clone());
         }
-    }
-
-    /// Wraps a finished pair resolution into the outcome the request's
-    /// dirty flag implies.
-    fn finish_single(dirty: bool, resolution: Resolution, trace: Option<RunTrace>) -> ResolveOutcome {
-        if dirty {
-            let duplicates = canonicalize_dirty_matches(&resolution.matches);
-            ResolveOutcome::Dirty {
-                resolution: DirtyResolution { duplicates, inner: resolution },
-                trace,
-            }
-        } else {
-            ResolveOutcome::Single { resolution, trace }
+        let checkpoint = req.checkpoint.zip(collector.as_deref());
+        let result = self.resolve_impl(executor, req.pair, req.rules, req.adaptive, checkpoint);
+        if collector.is_some() {
+            executor.clear_observer();
         }
+        let resolution = result?;
+        let trace = collector.map(|collector| {
+            RunTrace::capture(
+                executor.workers(),
+                executor.partitions(),
+                resolution.timings.total,
+                &resolution.timings.stages,
+                collector.counters(),
+            )
+        });
+        Ok(ResolveOutcome { resolution, trace })
     }
 }
 
@@ -385,7 +243,14 @@ impl Minoaner {
 mod tests {
     use super::*;
     use crate::config::MinoanerConfig;
-    use minoaner_kb::{KbPairBuilder, Side, Term};
+    use minoaner_kb::dirty::canonicalize_dirty_matches;
+    use minoaner_kb::{EntityId, KbPairBuilder, Side, Term};
+
+    /// Runs `req` traced and splits the outcome.
+    fn traced(m: &Minoaner, req: ResolveRequest<'_>) -> (Resolution, RunTrace) {
+        let ResolveOutcome { resolution, trace } = m.run(req.trace()).unwrap();
+        (resolution, trace.expect("a traced run carries a trace"))
+    }
 
     fn pair() -> KbPair {
         let mut b = KbPairBuilder::new();
@@ -409,9 +274,7 @@ mod tests {
     #[test]
     fn trace_request_carries_a_trace() {
         let p = pair();
-        let outcome = Minoaner::new().run(ResolveRequest::pair(&p).trace()).unwrap();
-        assert!(outcome.trace().is_some());
-        let (resolution, trace) = outcome.into_traced();
+        let (resolution, trace) = traced(&Minoaner::new(), ResolveRequest::pair(&p));
         assert_eq!(resolution.matches.len(), 3);
         assert!(!trace.stages.is_empty());
     }
@@ -419,8 +282,7 @@ mod tests {
     #[test]
     fn untraced_request_has_no_trace() {
         let p = pair();
-        let (_, trace) = Minoaner::new().run(ResolveRequest::pair(&p)).unwrap().into_single();
-        assert!(trace.is_none());
+        assert!(Minoaner::new().run(ResolveRequest::pair(&p)).unwrap().trace.is_none());
     }
 
     #[test]
@@ -428,10 +290,9 @@ mod tests {
         let p = pair();
         let cfg = MinoanerConfig::builder().workers(3).build().unwrap();
         let m = Minoaner::with_config(cfg);
-        let (_, trace) = m.run(ResolveRequest::pair(&p).trace()).unwrap().into_traced();
+        let (_, trace) = traced(&m, ResolveRequest::pair(&p));
         assert_eq!(trace.workers, 3, "config workers size the built executor");
-        let (_, trace) =
-            m.run(ResolveRequest::pair(&p).trace().workers(2)).unwrap().into_traced();
+        let (_, trace) = traced(&m, ResolveRequest::pair(&p).workers(2));
         assert_eq!(trace.workers, 2, "request workers override the config");
     }
 
@@ -449,7 +310,7 @@ mod tests {
     #[test]
     fn adaptive_request_runs_the_one_pipeline() {
         let p = pair();
-        let run = |req: ResolveRequest<'_>| Minoaner::new().run(req.trace()).unwrap().into_traced();
+        let run = |req: ResolveRequest<'_>| traced(&Minoaner::new(), req);
         let (_, plain_trace) = run(ResolveRequest::pair(&p));
         let (adaptive, trace) = run(ResolveRequest::pair(&p).adaptive());
         assert_eq!(adaptive.matches.len(), 3);
@@ -473,21 +334,17 @@ mod tests {
         }
     }
 
+    /// A dirty self-pair goes through the same request; its outcome has
+    /// the same shape as a clean pair's.
     #[test]
-    #[should_panic(expected = "ResolveRequest::dirty requires")]
-    fn dirty_request_rejects_clean_pairs() {
-        let p = pair();
-        let _ = Minoaner::new().run(ResolveRequest::pair(&p).dirty());
-    }
-
-    #[test]
-    #[should_panic(expected = "expected a pair resolution")]
-    fn outcome_unwrap_names_the_actual_variant() {
+    fn dirty_pair_is_read_from_the_pair() {
         let mut b = minoaner_kb::dirty::DirtyKbBuilder::new();
         b.add_triple("e0", "label", Term::Literal("fat duck bray"));
         b.add_triple("e1", "label", Term::Literal("fat duck bray"));
         let p = b.finish();
-        let outcome = Minoaner::new().run(ResolveRequest::pair(&p).dirty().adaptive()).unwrap();
-        let _ = outcome.into_resolution();
+        let (resolution, _) = traced(&Minoaner::new(), ResolveRequest::pair(&p).adaptive());
+        assert!(resolution.matches.iter().all(|&(l, r)| l != r), "no identity pairs");
+        let duplicates = canonicalize_dirty_matches(&resolution.matches);
+        assert_eq!(duplicates, [(EntityId(0), EntityId(1))]);
     }
 }

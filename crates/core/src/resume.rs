@@ -156,7 +156,9 @@ fn fingerprint_in(
         config.n_relations as u64,
         config.theta.to_bits(),
         u64::from(config.purge_blocks),
-        u64::from(config.unique_mapping),
+        // Once the unique-mapping switch, now always on: the slot keeps its
+        // value so directories written while it was a switch still resume.
+        1,
         u64::from(rules.r1),
         u64::from(rules.r2),
         u64::from(rules.r3),
@@ -395,6 +397,9 @@ mod tests {
         let config = MinoanerConfig::default();
         let base = run_fingerprint(&config, RuleSet::FULL, false, &pair);
         assert_eq!(base, run_fingerprint(&config, RuleSet::FULL, false, &pair), "deterministic");
+        // The value a default run of this pair had before the unique-mapping
+        // switch left the configuration: its checkpoints still resume.
+        assert_eq!(base, 11_733_743_620_274_296_044);
         assert_ne!(
             base,
             run_fingerprint(&config, RuleSet::R1_ONLY, false, &pair),
@@ -485,6 +490,20 @@ mod tests {
         assert_corrupt(&graph_stage(|bytes| bytes[8] = 1).0);
     }
 
+    /// A part whose encoding is its bytes, unchanged: an old layout's
+    /// payload, written as it was. Write-only.
+    struct Raw(&'static [u8]);
+
+    impl Spillable for Raw {
+        fn encode(&self, out: &mut Vec<u8>) {
+            out.extend_from_slice(self.0);
+        }
+
+        fn decode(_: &[u8], _: &mut usize) -> Option<Self> {
+            None
+        }
+    }
+
     /// A directory written under an earlier layout — JSON parts (`…-v2`), or
     /// records with a `Vec` per block under FNV-1a (`…-v3`) — is refused by
     /// fingerprint and the run recomputed: its bytes never reach a decoder.
@@ -499,23 +518,21 @@ mod tests {
             let _ = std::fs::remove_dir_all(&dir);
             let old =
                 fingerprint_in(domain.as_bytes(), &MinoanerConfig::default(), RuleSet::FULL, false, &pair);
-            let part = |name: &str, text: &str| (name.to_owned(), text.as_bytes().to_vec());
-            let parts = [
-                part("matches", "[[0,0]]"),
-                part("rule_counts", r#"{"r1":1,"r2":0,"r3":0,"removed_by_r4":0}"#),
-                part("graph_digest", "1"),
-                part("purge", "null"),
+            let parts: [Part<'_>; 4] = [
+                ("matches", &Raw(b"[[0,0]]")),
+                ("rule_counts", &Raw(br#"{"r1":1,"r2":0,"r3":0,"removed_by_r4":0}"#)),
+                ("graph_digest", &Raw(b"1")),
+                ("purge", &Raw(b"null")),
             ];
             CheckpointStore::open(&dir)
-                .and_then(|store| store.write_stage(BARRIER_MATCHES, "matches", old, &parts, &BTreeMap::new()))
+                .and_then(|store| store.write_parts(BARRIER_MATCHES, "matches", old, &parts, &BTreeMap::new()))
                 .expect("write the old-layout barrier");
 
             let spec = CheckpointSpec::new(&dir).resuming();
-            let (resumed, trace) = Minoaner::new()
-                .run(ResolveRequest::pair(&pair).checkpoint(&spec))
-                .expect("the run recomputes")
-                .into_traced();
+            let outcome =
+                Minoaner::new().run(ResolveRequest::pair(&pair).checkpoint(&spec)).expect("the run recomputes");
             std::fs::remove_dir_all(&dir).expect("remove scratch");
+            let (resumed, trace) = (outcome.resolution, outcome.trace.expect("a checkpointed run is traced"));
 
             let counter = |name: &str| RunTrace::counter(&trace, name);
             assert_eq!(counter("ckpt/rejected"), 1, "{domain}: the barrier is seen and refused");

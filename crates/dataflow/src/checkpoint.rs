@@ -198,25 +198,11 @@ impl CheckpointStore {
         &self.root
     }
 
-    /// Atomically writes one barrier of already encoded parts as the one
-    /// file `stage-NNN-<name>`. Returns the total payload bytes of the
-    /// parts.
-    pub fn write_stage(
-        &self,
-        barrier: usize,
-        stage: &str,
-        fingerprint: u64,
-        parts: &[(String, Vec<u8>)],
-        counters: &BTreeMap<String, u64>,
-    ) -> Result<u64, CheckpointError> {
-        let names = parts.iter().map(|(name, _)| name.clone()).collect();
-        let encoders = parts.iter().map(|(_, bytes)| move |out: &mut Vec<u8>| out.extend_from_slice(bytes));
-        self.commit(barrier, stage, fingerprint, names, counters, encoders)
-    }
-
-    /// [`Self::write_stage`] for parts that encode themselves: each is
-    /// encoded in place into the barrier's segment, so a part is held once,
-    /// in the buffer that becomes the file.
+    /// Atomically writes one barrier as the one file `stage-NNN-<name>`:
+    /// the meta record, then each part encoded in place into the barrier's
+    /// segment (so a part is held once, in the buffer that becomes the
+    /// file), committed with [`vfs::commit_file`]. Returns the total
+    /// payload bytes of the parts.
     pub fn write_parts(
         &self,
         barrier: usize,
@@ -225,33 +211,18 @@ impl CheckpointStore {
         parts: &[(&str, &dyn Spillable)],
         counters: &BTreeMap<String, u64>,
     ) -> Result<u64, CheckpointError> {
-        let names = parts.iter().map(|&(name, _)| name.to_owned()).collect();
-        let encoders = parts.iter().map(|&(_, part)| move |out: &mut Vec<u8>| part.encode(out));
-        self.commit(barrier, stage, fingerprint, names, counters, encoders)
-    }
-
-    /// Encodes the barrier — the meta record, then each part by its
-    /// encoder — and commits it with [`vfs::commit_file`].
-    fn commit<E: FnOnce(&mut Vec<u8>)>(
-        &self,
-        barrier: usize,
-        stage: &str,
-        fingerprint: u64,
-        parts: Vec<String>,
-        counters: &BTreeMap<String, u64>,
-        encoders: impl Iterator<Item = E>,
-    ) -> Result<u64, CheckpointError> {
         let name = stage_file_name(barrier, stage);
         let path = self.root.join(&name);
         let mut segment = Writer::new(Kind::CHECKPOINT, CHECKPOINT_SCHEMA_VERSION, 0, parts.len() + 1);
         let counters = counters.iter().map(|(name, &value)| (name.clone(), value)).collect();
-        let meta = Meta { fingerprint, barrier, stage: stage.to_owned(), parts, counters };
+        let names = parts.iter().map(|&(name, _)| name.to_owned()).collect();
+        let meta = Meta { fingerprint, barrier, stage: stage.to_owned(), parts: names, counters };
         segment.section(META, |out| meta.encode(out));
         let mut total = 0u64;
-        for (id, encode) in (META + 1..).zip(encoders) {
+        for (id, &(_, part)) in (META + 1..).zip(parts) {
             segment.section(id, |out| {
                 let start = out.len();
-                encode(out);
+                part.encode(out);
                 total += (out.len() - start) as u64;
             });
         }
@@ -398,6 +369,35 @@ mod tests {
         ]
     }
 
+    /// A part whose encoding is its bytes, unchanged: the tests write the
+    /// exact payloads they then read back or damage. Write-only.
+    struct Raw<'a>(&'a [u8]);
+
+    impl Spillable for Raw<'_> {
+        fn encode(&self, out: &mut Vec<u8>) {
+            out.extend_from_slice(self.0);
+        }
+
+        fn decode(_: &[u8], _: &mut usize) -> Option<Self> {
+            None
+        }
+    }
+
+    /// [`CheckpointStore::write_parts`] of `(name, bytes)` parts as [`Raw`]
+    /// records, with the sample counters.
+    fn write_raw(
+        store: &CheckpointStore,
+        barrier: usize,
+        stage: &str,
+        fingerprint: u64,
+        parts: &[(String, Vec<u8>)],
+    ) -> Result<u64, CheckpointError> {
+        let raw: Vec<Raw<'_>> = parts.iter().map(|(_, bytes)| Raw(bytes)).collect();
+        let parts: Vec<(&str, &dyn Spillable)> =
+            parts.iter().zip(&raw).map(|((name, _), raw)| (name.as_str(), raw as &dyn Spillable)).collect();
+        store.write_parts(barrier, stage, fingerprint, &parts, &counters())
+    }
+
     fn counters() -> BTreeMap<String, u64> {
         let mut c = BTreeMap::new();
         c.insert("blocking/token_blocks_built".to_owned(), 42);
@@ -415,7 +415,7 @@ mod tests {
     fn write_and_recover_round_trip() {
         let root = scratch("roundtrip");
         let store = CheckpointStore::open(&root).unwrap();
-        let bytes = store.write_stage(0, "blocks", 7, &sample_parts(), &counters()).unwrap();
+        let bytes = write_raw(&store, 0, "blocks", 7, &sample_parts()).unwrap();
         assert_eq!(bytes, 13 + 5);
         let rec = store.recover_latest(7).unwrap();
         assert!(rec.rejected.is_empty());
@@ -455,8 +455,8 @@ mod tests {
     fn newest_valid_barrier_wins() {
         let root = scratch("newest");
         let store = CheckpointStore::open(&root).unwrap();
-        store.write_stage(0, "blocks", 1, &sample_parts(), &counters()).unwrap();
-        store.write_stage(1, "graph", 1, &sample_parts(), &counters()).unwrap();
+        write_raw(&store, 0, "blocks", 1, &sample_parts()).unwrap();
+        write_raw(&store, 1, "graph", 1, &sample_parts()).unwrap();
         let rec = store.recover_latest(1).unwrap();
         assert_eq!(rec.stage.unwrap().barrier, 1);
         fs::remove_dir_all(&root).unwrap();
@@ -466,8 +466,8 @@ mod tests {
     fn truncated_barrier_falls_back_to_previous_barrier() {
         let root = scratch("trunc");
         let store = CheckpointStore::open(&root).unwrap();
-        store.write_stage(0, "blocks", 1, &sample_parts(), &counters()).unwrap();
-        store.write_stage(1, "graph", 1, &sample_parts(), &counters()).unwrap();
+        write_raw(&store, 0, "blocks", 1, &sample_parts()).unwrap();
+        write_raw(&store, 1, "graph", 1, &sample_parts()).unwrap();
         // Cut the newest barrier inside its last part.
         let path = root.join("stage-001-graph");
         let bytes = fs::read(&path).unwrap();
@@ -483,7 +483,7 @@ mod tests {
     fn bit_flip_in_part_is_detected() {
         let root = scratch("bitflip");
         let store = CheckpointStore::open(&root).unwrap();
-        store.write_stage(0, "blocks", 1, &sample_parts(), &counters()).unwrap();
+        write_raw(&store, 0, "blocks", 1, &sample_parts()).unwrap();
         let path = root.join("stage-000-blocks");
         let mut bytes = fs::read(&path).unwrap();
         bytes[part_range(&path, 1).start + 2] ^= 0x40; // same length, different content
@@ -500,7 +500,7 @@ mod tests {
     fn torn_header_is_rejected() {
         let root = scratch("torn");
         let store = CheckpointStore::open(&root).unwrap();
-        store.write_stage(0, "blocks", 1, &sample_parts(), &counters()).unwrap();
+        write_raw(&store, 0, "blocks", 1, &sample_parts()).unwrap();
         let path = root.join("stage-000-blocks");
         fs::write(&path, &fs::read(&path).unwrap()[..20]).unwrap();
         let rec = store.recover_latest(1).unwrap();
@@ -513,7 +513,7 @@ mod tests {
     fn fingerprint_mismatch_is_refused() {
         let root = scratch("fingerprint");
         let store = CheckpointStore::open(&root).unwrap();
-        store.write_stage(0, "blocks", 1, &sample_parts(), &counters()).unwrap();
+        write_raw(&store, 0, "blocks", 1, &sample_parts()).unwrap();
         let rec = store.recover_latest(2).unwrap();
         assert!(rec.stage.is_none());
         assert!(rec.rejected[0].1.to_string().contains("fingerprint"));
@@ -524,7 +524,7 @@ mod tests {
     fn schema_mismatch_is_typed() {
         let root = scratch("schema");
         let store = CheckpointStore::open(&root).unwrap();
-        store.write_stage(0, "blocks", 1, &sample_parts(), &counters()).unwrap();
+        write_raw(&store, 0, "blocks", 1, &sample_parts()).unwrap();
         // Bump the version word of the header.
         let path = root.join("stage-000-blocks");
         let mut bytes = fs::read(&path).unwrap();
@@ -552,7 +552,7 @@ mod tests {
         let rec = store.recover_latest(1).unwrap();
         assert!(rec.stage.is_none());
         assert!(matches!(rec.rejected[0].1, CheckpointError::SchemaMismatch { found: 1, expected: 2 }));
-        store.write_stage(0, "blocks", 1, &sample_parts(), &counters()).unwrap();
+        write_raw(&store, 0, "blocks", 1, &sample_parts()).unwrap();
         assert!(old.is_file(), "the directory was replaced by the barrier file");
         assert_eq!(store.recover_latest(1).unwrap().stage.unwrap().parts, sample_parts());
         fs::remove_dir_all(&root).unwrap();
@@ -573,7 +573,7 @@ mod tests {
         assert!(rec.rejected.is_empty(), "staging leftovers are not barriers");
         // A fresh write over either leftover succeeds and consumes it.
         for barrier in [0, 1] {
-            store.write_stage(barrier, "blocks", 1, &sample_parts(), &counters()).unwrap();
+            write_raw(&store, barrier, "blocks", 1, &sample_parts()).unwrap();
             assert_eq!(store.recover_latest(1).unwrap().stage.map(|s| s.barrier), Some(barrier));
         }
         assert_eq!(fs::read_dir(&root).unwrap().count(), 2, "only the two committed barriers are left");
@@ -584,9 +584,9 @@ mod tests {
     fn rewrite_of_same_barrier_replaces_it() {
         let root = scratch("rewrite");
         let store = CheckpointStore::open(&root).unwrap();
-        store.write_stage(0, "blocks", 1, &sample_parts(), &counters()).unwrap();
+        write_raw(&store, 0, "blocks", 1, &sample_parts()).unwrap();
         let new_parts = vec![("alpha".to_owned(), b"other".to_vec())];
-        store.write_stage(0, "blocks", 1, &new_parts, &counters()).unwrap();
+        write_raw(&store, 0, "blocks", 1, &new_parts).unwrap();
         let rec = store.recover_latest(1).unwrap();
         assert_eq!(rec.stage.unwrap().parts, new_parts);
         fs::remove_dir_all(&root).unwrap();
@@ -618,7 +618,7 @@ mod tests {
         let root = scratch("chaos-ref");
         let probe = FaultFs::new(FaultPlan::none());
         let store = CheckpointStore::open_with(&root, probe.clone()).unwrap();
-        store.write_stage(0, "blocks", 1, &sample_parts(), &counters()).unwrap();
+        write_raw(&store, 0, "blocks", 1, &sample_parts()).unwrap();
         let classes: Vec<OpClass> = probe.ops().iter().map(|op| op.class).collect();
         fs::remove_dir_all(&root).unwrap();
         use OpClass::*;
@@ -632,14 +632,14 @@ mod tests {
                 let root = scratch("chaos");
                 let ffs = FaultFs::new(FaultPlan::fail_op(k, kind));
                 let store = CheckpointStore::open_with(&root, ffs).unwrap();
-                let err = store.write_stage(0, "blocks", 1, &sample_parts(), &counters());
+                let err = write_raw(&store, 0, "blocks", 1, &sample_parts());
                 assert!(matches!(err, Err(CheckpointError::Io { .. })), "op {k} {kind:?}: {err:?}");
                 for entry in fs::read_dir(&root).unwrap() {
                     let name = entry.unwrap().file_name().to_string_lossy().into_owned();
                     assert!(!name.starts_with(".tmp-"), "op {k} {kind:?} leaked staging scratch {name}");
                 }
                 let retry = CheckpointStore::open(&root).unwrap();
-                retry.write_stage(0, "blocks", 1, &sample_parts(), &counters()).unwrap();
+                write_raw(&retry, 0, "blocks", 1, &sample_parts()).unwrap();
                 assert_eq!(retry.recover_latest(1).unwrap().stage.unwrap().parts, sample_parts());
                 fs::remove_dir_all(&root).unwrap();
             }

@@ -49,7 +49,7 @@ pub mod vfs;
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet};
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::hash::BuildHasherDefault;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Fixed-seed build hasher: `std`'s SipHash with the zero key instead of
@@ -85,14 +85,6 @@ pub fn set_with_capacity<K>(n: usize) -> DetHashSet<K> {
 /// a second panic.
 pub fn lock<T: ?Sized>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Hashes one value with the deterministic hasher — the primitive behind
-/// reproducible shuffle partitioning in `minoaner-dataflow`.
-pub fn det_hash<T: Hash>(value: &T) -> u64 {
-    let mut h = DefaultHasher::new();
-    value.hash(&mut h);
-    h.finish()
 }
 
 /// The content checksum of every durable artifact in the workspace —
@@ -298,12 +290,6 @@ mod tests {
             s.into_iter().collect::<Vec<_>>()
         };
         assert_eq!(build(), build());
-    }
-
-    #[test]
-    fn det_hash_is_stable_within_a_process() {
-        assert_eq!(det_hash(&"minoaner"), det_hash(&"minoaner"));
-        assert_ne!(det_hash(&1u64), det_hash(&2u64));
     }
 
     #[test]

@@ -278,7 +278,7 @@ enum Fault {
 /// reports, which is what makes the exhaustive k-sweep possible.
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
-    faults: Vec<Fault>,
+    fault: Option<Fault>,
 }
 
 impl FaultPlan {
@@ -291,13 +291,13 @@ impl FaultPlan {
     /// Fails exactly operation `op` with `kind`; all other operations
     /// succeed (a transient fault).
     pub fn fail_op(op: u64, kind: FaultKind) -> Self {
-        Self { faults: vec![Fault::Once { op, kind }] }
+        Self { fault: Some(Fault::Once { op, kind }) }
     }
 
     /// Fails operation `op` and every operation after it with `kind`
     /// (a persistent fault — e.g. a disk that stays full).
     pub fn fail_from(op: u64, kind: FaultKind) -> Self {
-        Self { faults: vec![Fault::From { op, kind }] }
+        Self { fault: Some(Fault::From { op, kind }) }
     }
 
     /// A seeded single-fault plan: [`Rng`] on `seed` picks the failing op
@@ -312,18 +312,12 @@ impl FaultPlan {
         Self::fail_op(op, kind)
     }
 
-    /// Adds another exact-op fault to the plan.
-    pub fn and_fail_op(mut self, op: u64, kind: FaultKind) -> Self {
-        self.faults.push(Fault::Once { op, kind });
-        self
-    }
-
     fn fault_for(&self, op: u64) -> Option<FaultKind> {
-        self.faults.iter().find_map(|f| match *f {
+        match self.fault? {
             Fault::Once { op: at, kind } if at == op => Some(kind),
             Fault::From { op: at, kind } if op >= at => Some(kind),
             _ => None,
-        })
+        }
     }
 }
 
@@ -625,17 +619,16 @@ mod tests {
         for seed in 0..64u64 {
             let a = FaultPlan::seeded(seed, 10);
             let b = FaultPlan::seeded(seed, 10);
-            assert_eq!(a.faults, b.faults, "seed {seed} must be deterministic");
-            match a.faults[0] {
-                Fault::Once { op, .. } => assert!(op < 10, "op within horizon"),
+            assert_eq!(a.fault, b.fault, "seed {seed} must be deterministic");
+            match a.fault {
+                Some(Fault::Once { op, .. }) => assert!(op < 10, "op within horizon"),
                 other => panic!("seeded plans are single-shot, got {other:?}"),
             }
         }
         // Different seeds explore different ops.
         let ops: std::collections::BTreeSet<u64> = (0..64u64)
-            .map(|s| match FaultPlan::seeded(s, 10).faults[0] {
-                Fault::Once { op, .. } => op,
-                Fault::From { op, .. } => op,
+            .filter_map(|s| match FaultPlan::seeded(s, 10).fault? {
+                Fault::Once { op, .. } | Fault::From { op, .. } => Some(op),
             })
             .collect();
         assert!(ops.len() > 3, "seeds spread over the horizon: {ops:?}");

@@ -89,7 +89,7 @@ pub fn ensemble_ablation(executor: &Executor, scale: f64) -> Vec<AblationRow> {
         let single = run_variant(&Minoaner::new(), executor, &d, false);
         let qs = Quality::evaluate(&single.matches, &d.ground_truth);
         rows.push(AblationRow::scored("ensemble", "single (2,15,3,0.6)", &profile.name, qs, None));
-        let ens = ensemble_resolve(executor, &d.pair, &default_ensemble(), 3);
+        let ens = ensemble_resolve(executor, &d.pair, &default_ensemble(), 3).unwrap_or_else(|e| std::panic::panic_any(e));
         let qe = Quality::evaluate(&ens.matches, &d.ground_truth);
         rows.push(AblationRow::scored("ensemble", "5-config vote>=3", &profile.name, qe, None));
     }

@@ -101,10 +101,10 @@ fn main() {
     //    blocking and matching plus the annotated stage log, exportable
     //    as versioned JSON (`minoaner resolve --report run.json` does the
     //    same from the CLI).
-    let (_, trace) = resolver
+    let outcome = resolver
         .run_on(&mut exec, ResolveRequest::pair(&pair).rules(RuleSet::FULL).trace())
-        .expect("pipeline runs")
-        .into_traced();
+        .expect("pipeline runs");
+    let trace = outcome.trace.expect("a traced run carries a trace");
     println!("\nCounters:");
     for (name, value) in &trace.counters {
         println!("  {name:<36} {value}");

@@ -6,7 +6,7 @@
 //! ```
 
 use minoaner::core::clusters::cluster_matches;
-use minoaner::kb::dirty::DirtyKbBuilder;
+use minoaner::kb::dirty::{canonicalize_dirty_matches, DirtyKbBuilder};
 use minoaner::{Minoaner, ResolveRequest, Side, Term};
 
 fn main() {
@@ -35,18 +35,21 @@ fn main() {
     }
     let pair = b.finish();
 
-    let res = Minoaner::new()
-        .run(ResolveRequest::pair(&pair).dirty().workers(2))
+    // The pair is dirty, so identity pairs never match; the matches come
+    // back as ordered pairs, canonicalized here into `(a, b)` with `a < b`.
+    let resolution = Minoaner::new()
+        .run(ResolveRequest::pair(&pair).workers(2))
         .expect("healthy run succeeds")
-        .into_dirty();
+        .into_resolution();
+    let duplicates = canonicalize_dirty_matches(&resolution.matches);
 
     println!("Duplicate pairs:");
-    for &(a, z) in &res.duplicates {
+    for &(a, z) in &duplicates {
         println!("  {}  ==  {}", pair.uri_of(Side::Left, a), pair.uri_of(Side::Left, z));
     }
 
     // Chains of pairs form clusters (all descriptions of one real entity).
-    let clusters = cluster_matches(&res.duplicates);
+    let clusters = cluster_matches(&duplicates);
     println!("\nEntity clusters:");
     for cluster in &clusters {
         let uris: Vec<&str> = cluster.iter().map(|&e| pair.uri_of(Side::Left, e)).collect();
@@ -55,7 +58,7 @@ fn main() {
     println!(
         "\n{} descriptions → {} duplicate pairs → {} clusters (singletons stay out).",
         pair.kb(Side::Left).len(),
-        res.duplicates.len(),
+        duplicates.len(),
         clusters.len()
     );
 }

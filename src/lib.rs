@@ -66,8 +66,8 @@ pub use minoaner_kb as kb;
 pub use minoaner_det::{DetHashMap, DetHashSet};
 
 pub use minoaner_core::{
-    CheckpointSpec, MatchOutcome, Minoaner, MinoanerConfig, Resolution, ResolveInput,
-    ResolveOutcome, ResolveRequest, Rule, RuleSet,
+    CheckpointSpec, MatchOutcome, Minoaner, MinoanerConfig, Resolution, ResolveOutcome,
+    ResolveRequest, Rule, RuleSet,
 };
 pub use minoaner_dataflow::{DataflowError, Executor, ExecutorConfig};
 pub use minoaner_eval::Quality;

@@ -51,7 +51,7 @@ fn run(
     }
     Minoaner::new()
         .run_on(&mut exec, ResolveRequest::pair(&d.pair).rules(RuleSet::FULL).checkpoint(&spec))
-        .map(|o| o.into_traced())
+        .map(support::split_traced)
 }
 
 /// The core exchange shared by the seeded property and the exhaustive

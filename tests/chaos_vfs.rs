@@ -54,7 +54,7 @@ fn run_ckpt(
         spec = spec.degrade_on_error();
     }
     let req = ResolveRequest::pair(pair).rules(RuleSet::FULL).checkpoint(&spec).workers(workers);
-    Ok(Minoaner::new().run(req)?.into_traced())
+    Ok(support::split_traced(Minoaner::new().run(req)?))
 }
 
 /// Fault-free reference: the canonical outcome plus the durable op count

@@ -45,7 +45,7 @@ fn run(
     spec.resume = resume;
     Minoaner::new()
         .run_on(&mut exec, ResolveRequest::pair(pair).rules(RuleSet::FULL).checkpoint(&spec))
-        .map(|o| o.into_traced())
+        .map(support::split_traced)
 }
 
 /// A healthy run on the real filesystem, resuming from whatever `dir`
@@ -216,10 +216,11 @@ fn checkpointed_run_matches_plain_run() {
     let workers = 2;
     let d = dataset();
     let mut exec = Executor::new(workers);
-    let (plain_res, plain_trace) = Minoaner::new()
-        .run_on(&mut exec, ResolveRequest::pair(&d.pair).rules(RuleSet::FULL).trace())
-        .expect("plain run succeeds")
-        .into_traced();
+    let (plain_res, plain_trace) = support::split_traced(
+        Minoaner::new()
+            .run_on(&mut exec, ResolveRequest::pair(&d.pair).rules(RuleSet::FULL).trace())
+            .expect("plain run succeeds"),
+    );
     let (ckpt_res, ckpt_trace) = resume(&d.pair, &scratch_dir("plain-vs-ckpt"), workers);
     assert_eq!(
         canonical_with_counters(&plain_res, &plain_trace),

@@ -52,7 +52,7 @@ fn resolve_job(
 ) -> Result<(Resolution, RunTrace), DataflowError> {
     Minoaner::new()
         .run_on(exec, ResolveRequest::pair(pair).rules(RuleSet::FULL).checkpoint(spec))
-        .map(|o| o.into_traced())
+        .map(support::split_traced)
 }
 
 /// A solo (un-batched) checkpointed run: the reference every batched job

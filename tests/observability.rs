@@ -5,7 +5,7 @@
 
 use minoaner::datagen::{generate, profiles, GeneratedDataset};
 use minoaner::dataflow::RunTrace;
-use minoaner::{Executor, KbPair, Minoaner, Resolution, ResolveRequest, RuleSet};
+use minoaner::{Executor, KbPair, Minoaner, Resolution, ResolveOutcome, ResolveRequest, RuleSet};
 
 fn dataset() -> GeneratedDataset {
     generate(&profiles::restaurant().scaled(0.4))
@@ -13,10 +13,10 @@ fn dataset() -> GeneratedDataset {
 
 /// One traced run through the request API.
 fn traced(pair: &KbPair, workers: usize) -> (Resolution, RunTrace) {
-    Minoaner::new()
+    let ResolveOutcome { resolution, trace } = Minoaner::new()
         .run(ResolveRequest::pair(pair).rules(RuleSet::FULL).trace().workers(workers))
-        .expect("healthy run succeeds")
-        .into_traced()
+        .expect("healthy run succeeds");
+    (resolution, trace.expect("a traced run carries a trace"))
 }
 
 #[test]
@@ -39,10 +39,11 @@ fn observer_does_not_perturb_resolution() {
         .run_on(&mut exec, ResolveRequest::pair(&d.pair))
         .expect("plain run succeeds")
         .into_resolution();
-    let (traced, _) = m
+    let outcome = m
         .run_on(&mut exec, ResolveRequest::pair(&d.pair).rules(RuleSet::FULL).trace())
-        .expect("traced run succeeds")
-        .into_traced();
+        .expect("traced run succeeds");
+    assert!(outcome.trace.is_some(), "the traced run carries a trace");
+    let traced = outcome.resolution;
 
     let mut a = plain.matches.clone();
     let mut b = traced.matches.clone();

@@ -20,10 +20,9 @@ fn dataset() -> GeneratedDataset {
 }
 
 fn run_unconstrained(ds: &GeneratedDataset, workers: usize) -> (Resolution, RunTrace) {
-    Minoaner::new()
-        .run(ResolveRequest::pair(&ds.pair).trace().workers(workers))
-        .expect("healthy run succeeds")
-        .into_traced()
+    support::split_traced(
+        Minoaner::new().run(ResolveRequest::pair(&ds.pair).trace().workers(workers)).expect("healthy run succeeds"),
+    )
 }
 
 fn run_budgeted(
@@ -32,15 +31,8 @@ fn run_budgeted(
     limit: u64,
     dir: &Path,
 ) -> (Resolution, RunTrace) {
-    Minoaner::new()
-        .run(
-            ResolveRequest::pair(&ds.pair)
-                .trace()
-                .workers(workers)
-                .mem_budget(MemoryBudget::new(limit, dir)),
-        )
-        .expect("budgeted run succeeds")
-        .into_traced()
+    let req = ResolveRequest::pair(&ds.pair).trace().workers(workers).mem_budget(MemoryBudget::new(limit, dir));
+    support::split_traced(Minoaner::new().run(req).expect("budgeted run succeeds"))
 }
 
 fn assert_same_outcome(base: &Resolution, got: &Resolution, what: &str) {

@@ -19,7 +19,13 @@ use std::sync::Arc;
 use minoaner::dataflow::vfs::{self, FaultFs, FaultKind, FaultPlan, OpClass, OpRecord, Vfs, VfsRef};
 use minoaner::dataflow::{CancelReason, CancelToken, RunTrace, CHECKPOINT_SCHEMA_VERSION};
 use minoaner::det::segment::{Kind, Segment};
-use minoaner::Resolution;
+use minoaner::{Resolution, ResolveOutcome};
+
+/// A traced or checkpointed run's outcome, split into its resolution and
+/// the trace such a run always carries.
+pub fn split_traced(outcome: ResolveOutcome) -> (Resolution, RunTrace) {
+    (outcome.resolution, outcome.trace.expect("a traced or checkpointed run carries a trace"))
+}
 
 /// A scratch directory unique per test without consulting any entropy
 /// source: the harness name, the pid and a process-local counter.

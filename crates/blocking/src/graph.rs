@@ -23,9 +23,9 @@
 //!   output is ever copied into a second, joined table.
 //! * Per-entity weight aggregation uses an epoch-stamped dense
 //!   sparse-accumulator ([`crate::accum::SparseAccumulator`]); it and the
-//!   rank-key buffer belong to the **worker** ([`KernelScratch`]), not the
+//!   rank-key buffer belong to the **worker** (`KernelScratch`), not the
 //!   task, so a row costs no allocation: its live entries are ranked as
-//!   packed integer keys ([`rank_key`]; `select_nth_unstable_by` when a row
+//!   packed integer keys (`rank_key`; `select_nth_unstable_by` when a row
 //!   exceeds K) in that buffer and decoded straight into the task's `Rows`
 //!   part.
 //! * The γ pass runs one row kernel over both sides' rows — left rows walk

@@ -24,8 +24,8 @@ use std::fmt;
 use std::path::Path;
 use std::process::ExitCode;
 
-use minoaner_core::{CheckpointSpec, Minoaner, ResolveOutcome, ResolveRequest};
-use minoaner_dataflow::{CheckpointError, DataflowError, Deadline, DegradeOnCkptError, Executor, MemoryBudget};
+use minoaner_core::{CheckpointSpec, Minoaner, MinoanerConfig, ResolveOutcome, ResolveRequest};
+use minoaner_dataflow::{CheckpointError, DataflowError, Deadline, DegradeOnCkptError, Executor, MemoryBudget, RealFs};
 use minoaner_eval::Quality;
 use minoaner_kb::dirty::{canonicalize_dirty_matches, DirtyKbBuilder};
 use minoaner_kb::parser::{load_ntriples_with_mode, parse_ground_truth, ParseMode, ParseReport};
@@ -188,9 +188,8 @@ fn ensure_parent_dir(path: &str) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Applies the CLI's optional `--workers` override to a request; without
-/// it [`Minoaner::run`] falls back to the configuration's worker count,
-/// then the engine default.
+/// Applies the CLI's optional `--workers` to a request; without it
+/// [`Minoaner::run`] uses one worker per core.
 fn with_workers(req: ResolveRequest<'_>, workers: Option<usize>) -> ResolveRequest<'_> {
     match workers {
         Some(w) => req.workers(w),
@@ -315,6 +314,14 @@ fn load_resolve_pair(args: &ResolveArgs) -> Result<KbPair, CliError> {
     Ok(pair)
 }
 
+/// The configuration `--k`, `--top-k`, `--n` and `--theta` ask for, or
+/// exit 2 naming the first parameter out of range.
+fn config(name_attrs_k: usize, top_k: usize, n_relations: usize, theta: f64) -> Result<MinoanerConfig, CliError> {
+    let config = MinoanerConfig { name_attrs_k, top_k, n_relations, theta, ..MinoanerConfig::default() };
+    config.validate().map_err(|e| CliError::Usage(format!("invalid configuration: {e}")))?;
+    Ok(config)
+}
+
 /// Builds the optional shuffle [`MemoryBudget`] from `--mem-budget` /
 /// `--spill-dir`.
 fn resolve_budget(args: &ResolveArgs) -> Option<MemoryBudget> {
@@ -352,13 +359,7 @@ fn resolve(args: &ResolveArgs) -> Result<(), CliError> {
     let pair = load_resolve_pair(args)?;
     let budget = resolve_budget(args);
 
-    let config = minoaner_core::MinoanerConfig::builder()
-        .name_attrs_k(args.k)
-        .top_k(args.top_k)
-        .n_relations(args.n)
-        .theta(args.theta)
-        .build()
-        .map_err(|e| CliError::Usage(format!("invalid configuration: {e}")))?;
+    let config = config(args.k, args.top_k, args.n, args.theta)?;
 
     // `CheckpointStore::open` create_dir_all's the directory itself, so
     // missing parents of --checkpoint-dir are covered too.
@@ -556,14 +557,8 @@ fn job_spec(line: &JobLine) -> minoaner_jobs::JobSpec {
     let name =
         line.name.clone().unwrap_or_else(|| format!("{} vs {}", line.left, line.right));
     // Without `workers=`, a job gets every core, as `resolve` does.
-    let workers = line.workers.unwrap_or_else(|| minoaner_dataflow::ExecutorConfig::default().workers);
-    let mut spec = minoaner_jobs::JobSpec::new(name)
-        .with_workers(workers)
-        .with_memory_bytes(line.memory_bytes);
-    if let Some(ms) = line.deadline_ms {
-        spec = spec.with_deadline(std::time::Duration::from_millis(ms));
-    }
-    spec
+    let workers = line.workers.unwrap_or_else(minoaner_dataflow::pool::available_cores);
+    minoaner_jobs::JobSpec::new(name).with_workers(workers).with_memory_bytes(line.memory_bytes)
 }
 
 /// One job of a `jobs run` batch: resolves `pair` on the job's workers,
@@ -573,11 +568,10 @@ fn run_job(
     ctx: &minoaner_jobs::JobContext,
     pair: &KbPair,
     deadline: Option<Deadline>,
-    config: minoaner_core::MinoanerConfig,
+    config: MinoanerConfig,
     args: &JobsRunArgs,
 ) -> Result<String, DataflowError> {
-    let ckpt =
-        ckpt_policy(CheckpointSpec::for_job(&args.root, &ctx.id().to_string()), args.resume, args.degrade_ckpt);
+    let ckpt = ckpt_policy(CheckpointSpec::new(ctx.job_dir().join("ckpt")), args.resume, args.degrade_ckpt);
     let mut req = ResolveRequest::pair(pair)
         .checkpoint(&ckpt)
         .workers(ctx.workers())
@@ -617,13 +611,7 @@ fn load_pair(line: &JobLine, mode: ParseMode) -> Result<KbPair, CliError> {
 
 fn jobs_run(args: &JobsRunArgs) -> Result<JobsOutcome, CliError> {
     let mode = parse_mode(args.lenient);
-    let config = minoaner_core::MinoanerConfig::builder()
-        .name_attrs_k(args.k)
-        .top_k(args.top_k)
-        .n_relations(args.n)
-        .theta(args.theta)
-        .build()
-        .map_err(|e| CliError::Usage(format!("invalid configuration: {e}")))?;
+    let config = config(args.k, args.top_k, args.n, args.theta)?;
     // A loader thread parses each job's input while the job before it
     // runs: parsing is one thread per file and much of an N-Triples job,
     // and without the overlap a batch takes a quarter longer
@@ -721,7 +709,7 @@ fn format_status(status: &minoaner_jobs::JobStatus) -> String {
 }
 
 fn jobs_list(root: &str) -> Result<(), CliError> {
-    let statuses = minoaner_jobs::control::list_statuses(Path::new(root))
+    let statuses = minoaner_jobs::control::list_statuses(&RealFs, Path::new(root))
         .map_err(|e| CliError::Io(format!("cannot list jobs under {root}: {e}")))?;
     if statuses.is_empty() {
         eprintln!("no jobs under {root}");
@@ -741,7 +729,7 @@ fn parse_job_id(id: &str) -> Result<minoaner_jobs::JobId, CliError> {
 fn jobs_status(root: &str, id: &str) -> Result<(), CliError> {
     let job = parse_job_id(id)?;
     let dir = minoaner_jobs::control::job_dir(Path::new(root), job);
-    let status = minoaner_jobs::control::read_status(&dir).map_err(|e| match e {
+    let status = minoaner_jobs::control::read_status(&RealFs, &dir).map_err(|e| match e {
         minoaner_jobs::ControlError::Io(io) => {
             CliError::Io(format!("cannot read status of {job} under {root}: {io}"))
         }
@@ -755,12 +743,13 @@ fn jobs_cancel(root: &str, id: &str) -> Result<(), CliError> {
     let job = parse_job_id(id)?;
     // A marker for a finished job would only cancel the next run of its id.
     let dir = minoaner_jobs::control::job_dir(Path::new(root), job);
-    if let Ok(status) = minoaner_jobs::control::read_status(&dir) {
+    if let Ok(status) = minoaner_jobs::control::read_status(&RealFs, &dir) {
         if status.state.is_terminal() {
             return Err(CliError::Usage(format!("{job} is already {}", status.state)));
         }
     }
     let found = minoaner_jobs::control::request_cancel(
+        &RealFs,
         Path::new(root),
         job,
         minoaner_dataflow::CancelReason::User,

@@ -245,8 +245,9 @@ fn jobs_run_cancelled_by_deadline_exits_six() {
     let dir = scratch_dir("jobs-deadline");
     let (left, right) = write_kbs(&dir);
     let root = dir.join("jobs");
-    // An already-expired deadline: the batch dooms the job at its start,
-    // before any pipeline work — deterministic cancellation.
+    // A zero deadline: the job reads its input and its run is cancelled at
+    // its first barrier (`barrier:start`), before any pipeline work —
+    // deterministic cancellation.
     let spec = format!(
         "left={},right={},deadline-ms=0",
         left.to_str().expect("utf8"),
@@ -325,6 +326,42 @@ fn fifo(dir: &Path, name: &str) -> PathBuf {
     path
 }
 
+/// A spawned `jobs run`, killed and reaped when dropped unwaited: a test
+/// that fails before it feeds the batch's FIFO then reports its failure,
+/// instead of leaving the batch blocked on the FIFO. The batch's stdout
+/// (which these tests never read) is not the harness's, so a batch
+/// orphaned by an aborted test binary cannot hold the harness's output
+/// open either.
+#[cfg(unix)]
+struct Batch(Option<std::process::Child>);
+
+#[cfg(unix)]
+impl Batch {
+    fn spawn(args: &[&str]) -> Self {
+        let child = Command::new(BIN)
+            .args(args)
+            .stdout(std::process::Stdio::null())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .expect("spawn the batch");
+        Self(Some(child))
+    }
+
+    fn wait_with_output(mut self) -> std::process::Output {
+        self.0.take().expect("not waited yet").wait_with_output().expect("batch exits")
+    }
+}
+
+#[cfg(unix)]
+impl Drop for Batch {
+    fn drop(&mut self) {
+        if let Some(child) = &mut self.0 {
+            let _ = child.kill();
+            let _ = child.wait();
+        }
+    }
+}
+
 /// Polls `jobs status` until job `id` under `root` reports `running`.
 #[cfg(unix)]
 fn wait_until_running(root: &str, id: &str) {
@@ -345,12 +382,12 @@ fn a_second_process_lists_and_cancels_a_running_batch() {
     let root = dir.join("jobs");
     let root = root.to_str().expect("utf8");
     let (left, right) = (left.to_str().expect("utf8"), right.to_str().expect("utf8"));
+    let other = dir.join("other.nt");
+    std::fs::write(&other, "<o:R9> <o:title> \"The Fat Duck\" .\n").expect("write other KB");
     let waiting = format!("name=waiting,left={},right={right}", pipe.to_str().expect("utf8"));
-    let batch = Command::new(BIN)
-        .args(["jobs", "run", "--root", root, "--job", &waiting, "--job", &format!("name=small,left={left},right={right}")])
-        .stderr(std::process::Stdio::piped())
-        .spawn()
-        .expect("spawn the batch");
+    let last = format!("name=last,left={left},right={}", other.to_str().expect("utf8"));
+    let batch = Batch::spawn(&["jobs", "run", "--root", root, "--job", &waiting, "--job",
+        &format!("name=small,left={left},right={right}"), "--job", &last]);
     // j0000 runs and waits for its input, which only this test can give.
     wait_until_running(root, "j0000");
     let out = run(&["jobs", "list", "--root", root]);
@@ -365,7 +402,7 @@ fn a_second_process_lists_and_cancels_a_running_batch() {
     // the marker before j0000 gets its input and starts resolving.
     std::thread::sleep(std::time::Duration::from_millis(300));
     std::fs::write(&pipe, std::fs::read(left).expect("left KB")).expect("feed the pipe");
-    let out = batch.wait_with_output().expect("batch exits");
+    let out = batch.wait_with_output();
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(code(&out), 6, "stderr: {stderr}");
     for (id, error) in [("j0000", "stage"), ("j0001", "cancelled (user) before start")] {
@@ -374,6 +411,9 @@ fn a_second_process_lists_and_cancels_a_running_batch() {
         assert_eq!(status.get("cancel_reason").and_then(Json::as_str), Some("user"), "{id}: {status:?}");
         assert!(status.get("error").and_then(Json::as_str).is_some_and(|e| e.contains(error)), "{id}: {status:?}");
     }
+    // j0001 never took the input loaded for it, so j0002 skips it.
+    let matches = std::fs::read_to_string(Path::new(root).join("job-j0002").join("matches.tsv")).expect("j0002 matches");
+    assert_eq!(matches, "w:R1\to:R9\n", "j0002 resolved its own input, not j0001's");
 }
 
 #[cfg(unix)]
@@ -387,15 +427,11 @@ fn a_deadline_counts_from_when_the_input_is_in_memory() {
     // The input takes longer to arrive than the deadline; the resolve
     // itself takes a few milliseconds.
     let spec = format!("left={},right={},deadline-ms=1000", pipe.to_str().expect("utf8"), right.to_str().expect("utf8"));
-    let batch = Command::new(BIN)
-        .args(["jobs", "run", "--root", root, "--job", &spec])
-        .stderr(std::process::Stdio::piped())
-        .spawn()
-        .expect("spawn the batch");
+    let batch = Batch::spawn(&["jobs", "run", "--root", root, "--job", &spec]);
     wait_until_running(root, "j0000");
     std::thread::sleep(std::time::Duration::from_millis(1_500));
     std::fs::write(&pipe, std::fs::read(&left).expect("left KB")).expect("feed the pipe");
-    let out = batch.wait_with_output().expect("batch exits");
+    let out = batch.wait_with_output();
     assert_eq!(code(&out), 0, "stderr: {}", String::from_utf8_lossy(&out.stderr));
     assert_eq!(text(&read_status(&Path::new(root).join("job-j0000")), "state"), "completed");
 }

@@ -4,12 +4,19 @@
 //! parameters — `k`, `K`, `N`, `θ` — and settles on the global default
 //! `(2, 15, 3, 0.6)`, which is also the default here.
 //!
-//! Construct configurations through [`MinoanerConfig::builder`], which
-//! validates every parameter and returns a [`ConfigError`] naming the
-//! first violated constraint. Direct struct-literal construction is
-//! deprecated in examples and docs (the fields stay public for the eval
-//! sweeps); a literal bypasses validation until the value reaches
-//! [`crate::Minoaner::with_config`].
+//! A configuration is a struct literal over [`Default`]:
+//!
+//! ```
+//! use minoaner_core::MinoanerConfig;
+//!
+//! let config = MinoanerConfig { top_k: 10, theta: 0.5, ..MinoanerConfig::default() };
+//! assert!(config.validate().is_ok());
+//! assert!(MinoanerConfig { top_k: 0, ..config }.validate().is_err());
+//! ```
+//!
+//! [`MinoanerConfig::validate`] returns a [`ConfigError`] naming the first
+//! violated constraint; [`crate::Minoaner::with_config`] refuses an invalid
+//! configuration.
 
 use std::fmt;
 
@@ -27,9 +34,6 @@ pub enum ConfigError {
     ZeroRelations,
     /// `theta` (`θ`) fell outside the open interval `(0, 1)`.
     ThetaOutOfRange(f64),
-    /// `workers` was `Some(0)`; an executor needs at least one worker
-    /// (leave it `None` to defer to the environment default).
-    ZeroWorkers,
 }
 
 impl fmt::Display for ConfigError {
@@ -41,14 +45,15 @@ impl fmt::Display for ConfigError {
             ConfigError::ThetaOutOfRange(theta) => {
                 write!(f, "theta (θ) must lie in (0, 1), got {theta}")
             }
-            ConfigError::ZeroWorkers => write!(f, "workers must be ≥ 1 when set"),
         }
     }
 }
 
 impl std::error::Error for ConfigError {}
 
-/// The four MinoanER parameters plus engine toggles.
+/// The four MinoanER parameters plus Block Purging. The worker count is
+/// not a parameter of the result: it is [`crate::ResolveRequest::workers`]
+/// or the caller's [`crate::Executor`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MinoanerConfig {
     /// `k`: number of global name attributes per KB (Figure 5: 1–5).
@@ -63,12 +68,6 @@ pub struct MinoanerConfig {
     pub theta: f64,
     /// Run Block Purging on the token blocks (the paper always does).
     pub purge_blocks: bool,
-    /// Worker-pool size [`crate::Minoaner::run`] builds its executor with
-    /// (the Figure 6 parallelism knob). `None` defers to the engine
-    /// default; a per-request [`crate::ResolveRequest::workers`] override
-    /// wins over both. Not part of the checkpoint fingerprint — results
-    /// are bit-identical across worker counts.
-    pub workers: Option<usize>,
 }
 
 impl Default for MinoanerConfig {
@@ -79,25 +78,11 @@ impl Default for MinoanerConfig {
             n_relations: 3,
             theta: 0.6,
             purge_blocks: true,
-            workers: None,
         }
     }
 }
 
 impl MinoanerConfig {
-    /// Starts a validated builder from the paper's defaults.
-    ///
-    /// ```
-    /// use minoaner_core::MinoanerConfig;
-    ///
-    /// let config = MinoanerConfig::builder().top_k(10).theta(0.5).build().unwrap();
-    /// assert_eq!(config.top_k, 10);
-    /// assert!(MinoanerConfig::builder().top_k(0).build().is_err());
-    /// ```
-    pub fn builder() -> MinoanerConfigBuilder {
-        MinoanerConfigBuilder::default()
-    }
-
     /// Validates parameter ranges, returning the first violated
     /// constraint.
     pub fn validate(&self) -> Result<(), ConfigError> {
@@ -113,65 +98,7 @@ impl MinoanerConfig {
         if !(0.0 < self.theta && self.theta < 1.0) {
             return Err(ConfigError::ThetaOutOfRange(self.theta));
         }
-        if self.workers == Some(0) {
-            return Err(ConfigError::ZeroWorkers);
-        }
         Ok(())
-    }
-}
-
-/// Builder for [`MinoanerConfig`]: the supported construction path.
-///
-/// Every unset parameter keeps the paper's default; [`Self::build`]
-/// validates the result so an invalid configuration can never silently
-/// reach the pipeline.
-#[derive(Debug, Clone, Default)]
-pub struct MinoanerConfigBuilder {
-    config: MinoanerConfig,
-}
-
-impl MinoanerConfigBuilder {
-    /// Sets `k`, the number of global name attributes per KB.
-    pub fn name_attrs_k(mut self, k: usize) -> Self {
-        self.config.name_attrs_k = k;
-        self
-    }
-
-    /// Sets `K`, the candidates kept per entity per evidence kind.
-    pub fn top_k(mut self, top_k: usize) -> Self {
-        self.config.top_k = top_k;
-        self
-    }
-
-    /// Sets `N`, the most important relations per entity.
-    pub fn n_relations(mut self, n: usize) -> Self {
-        self.config.n_relations = n;
-        self
-    }
-
-    /// Sets `θ`, rule R3's rank-aggregation trade-off.
-    pub fn theta(mut self, theta: f64) -> Self {
-        self.config.theta = theta;
-        self
-    }
-
-    /// Enables or disables Block Purging.
-    pub fn purge_blocks(mut self, purge: bool) -> Self {
-        self.config.purge_blocks = purge;
-        self
-    }
-
-    /// Sets the worker-pool size [`crate::Minoaner::run`] builds its
-    /// executor with.
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.config.workers = Some(workers);
-        self
-    }
-
-    /// Validates and returns the configuration.
-    pub fn build(self) -> Result<MinoanerConfig, ConfigError> {
-        self.config.validate()?;
-        Ok(self.config)
     }
 }
 
@@ -237,32 +164,8 @@ mod tests {
     }
 
     #[test]
-    fn builder_defaults_and_overrides() {
-        let default = MinoanerConfig::builder().build().unwrap();
-        assert_eq!(default, MinoanerConfig::default());
-        let custom = MinoanerConfig::builder()
-            .name_attrs_k(3)
-            .top_k(20)
-            .n_relations(1)
-            .theta(0.4)
-            .purge_blocks(false)
-            .build()
-            .unwrap();
-        assert_eq!(custom.name_attrs_k, 3);
-        assert_eq!(custom.top_k, 20);
-        assert_eq!(custom.n_relations, 1);
-        assert!((custom.theta - 0.4).abs() < 1e-12);
-        assert!(!custom.purge_blocks);
-    }
-
-    #[test]
-    fn builder_rejects_invalid_parameters() {
-        assert_eq!(MinoanerConfig::builder().top_k(0).build(), Err(ConfigError::ZeroTopK));
-        assert_eq!(
-            MinoanerConfig::builder().theta(1.5).build(),
-            Err(ConfigError::ThetaOutOfRange(1.5))
-        );
-        let msg = MinoanerConfig::builder().theta(1.5).build().unwrap_err().to_string();
+    fn error_messages_name_the_parameter() {
+        let msg = MinoanerConfig { theta: 1.5, ..MinoanerConfig::default() }.validate().unwrap_err().to_string();
         assert!(msg.contains("theta"), "error message names the parameter: {msg}");
     }
 

@@ -34,14 +34,14 @@ pub struct EnsembleResolution {
 /// Runs the full workflow once per configuration and majority-votes the
 /// results. Ties between conflicting pairs break on vote count, then ids.
 /// The first run that fails (cancelled, a full disk) fails the ensemble
-/// with its error.
+/// with its error. An empty configuration list runs nothing and returns no
+/// matches, with `runs: 0`.
 pub fn ensemble_resolve(
     executor: &Executor,
     pair: &KbPair,
     configs: &[MinoanerConfig],
     min_votes: usize,
 ) -> Result<EnsembleResolution, DataflowError> {
-    assert!(!configs.is_empty(), "an ensemble needs at least one configuration");
     let mut votes: DetHashMap<(u32, u32), usize> = DetHashMap::default();
     for cfg in configs {
         let res = Minoaner::with_config(*cfg).resolve_impl(executor, pair, RuleSet::FULL, false, None)?;
@@ -117,11 +117,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one configuration")]
-    fn empty_ensemble_rejected() {
+    fn empty_ensemble_runs_nothing_and_matches_nothing() {
         let p = pair();
         let exec = Executor::new(1);
-        let _ = ensemble_resolve(&exec, &p, &[], 1);
+        let res = ensemble_resolve(&exec, &p, &[], 1).expect("an empty ensemble is no error");
+        assert_eq!((res.matches, res.votes, res.runs), (Vec::new(), Vec::new(), 0));
+        assert!(exec.stage_log().stages().is_empty(), "no run started");
     }
 
     #[test]

@@ -45,11 +45,11 @@ pub mod pipeline;
 pub mod request;
 pub mod resume;
 
-pub use config::{ConfigError, MinoanerConfig, MinoanerConfigBuilder, RuleSet};
+pub use config::{ConfigError, MinoanerConfig, RuleSet};
 pub use extensions::{ensemble_resolve, EnsembleResolution};
 pub use multi::{MultiKb, MultiResolution, ObjectTerm};
 pub use matcher::{MatchOutcome, Rule, RuleCounts};
-pub use pipeline::{Minoaner, PipelineTimings, PreparedBlocks, PreparedGraph, Resolution};
+pub use pipeline::{Minoaner, PipelineTimings, PreparedBlocks, Resolution};
 pub use request::{ResolveOutcome, ResolveRequest};
 pub use resume::{run_fingerprint, CheckpointSpec};
 

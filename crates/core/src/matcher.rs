@@ -309,7 +309,7 @@ fn rule_r3(
 /// candidate is admissible.
 ///
 /// The ranking runs in buffers the calling worker owns
-/// ([`AggregateScratch`]), so an entity costs no allocation.
+/// (`AggregateScratch`), so an entity costs no allocation.
 pub fn aggregate_top_candidate(
     value_cands: &[Candidate],
     neighbor_cands: &[Candidate],

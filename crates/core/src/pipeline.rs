@@ -18,7 +18,7 @@ use minoaner_kb::stats::{NameStats, RelationStats};
 use minoaner_kb::{EntityId, KbPair};
 
 use crate::config::{MinoanerConfig, RuleSet};
-use crate::matcher::{run_matching, MatchOutcome, RuleCounts};
+use crate::matcher::{run_matching, RuleCounts};
 use crate::resume::{self, Barriers, CheckpointSpec};
 
 /// Wall-clock breakdown of a pipeline run. §6.2 of the paper reports both
@@ -64,18 +64,6 @@ pub struct Resolution {
     pub timings: PipelineTimings,
 }
 
-/// Intermediate state exposed for ablations and analysis: everything
-/// Algorithm 2 needs, so matching variants can re-run without re-blocking.
-#[derive(Debug)]
-pub struct PreparedGraph {
-    pub graph: BlockingGraph,
-    pub token_blocks: TokenBlocks,
-    pub name_blocks: NameBlocks,
-    pub purge: Option<PurgeReport>,
-    pub relation_stats: RelationStats,
-    pub name_stats: NameStats,
-}
-
 /// Everything produced by the pipeline's first barrier (`blocks`):
 /// statistics plus the purged composite blocks, i.e. the full input of
 /// graph construction. This is the unit the checkpoint subsystem snapshots
@@ -106,8 +94,8 @@ impl Minoaner {
     /// # Panics
     /// Panics if the configuration is invalid ([`MinoanerConfig::validate`]).
     // bound: documented: an invalid configuration is the caller's bug
-    // (`# Panics`); `MinoanerConfigBuilder::build` is the fallible path, and
-    // the CLI builds its configurations through it.
+    // (`# Panics`); `MinoanerConfig::validate` is the fallible check, and
+    // the CLI validates its configuration before it gets here.
     #[allow(clippy::panic)]
     pub fn with_config(config: MinoanerConfig) -> Self {
         if let Err(e) = config.validate() {
@@ -119,14 +107,6 @@ impl Minoaner {
     /// The active configuration.
     pub fn config(&self) -> &MinoanerConfig {
         &self.config
-    }
-
-    /// Runs statistics, blocking and graph construction (Algorithm 1).
-    pub fn prepare(&self, executor: &Executor, pair: &KbPair) -> PreparedGraph {
-        let blocks = self.prepare_blocks(executor, pair);
-        let graph = self.build_graph_from_blocks(executor, pair, &blocks, false);
-        let PreparedBlocks { relation_stats, name_stats, token_blocks, name_blocks, purge } = blocks;
-        PreparedGraph { graph, token_blocks, name_blocks, purge, relation_stats, name_stats }
     }
 
     /// The pipeline's first barrier: statistics plus composite-block
@@ -186,17 +166,6 @@ impl Minoaner {
             &blocks.name_blocks,
             &graph_cfg,
         )
-    }
-
-    /// Runs Algorithm 2 on a prepared graph with an explicit rule set.
-    pub fn match_prepared(
-        &self,
-        executor: &Executor,
-        pair: &KbPair,
-        prepared: &PreparedGraph,
-        rules: RuleSet,
-    ) -> MatchOutcome {
-        run_matching(executor, pair, &prepared.graph, &self.config, rules)
     }
 
     /// End-to-end resolution with an explicit rule set and pruning mode —

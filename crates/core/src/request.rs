@@ -44,8 +44,7 @@ use crate::resume::CheckpointSpec;
 ///
 /// Construct with [`ResolveRequest::pair`] and chain options. Unset
 /// options keep the engine defaults: the full rule set, no trace, no
-/// checkpointing, no cancellation wiring, the configuration's worker
-/// count.
+/// checkpointing, no cancellation wiring, one worker per core.
 #[derive(Debug, Clone)]
 pub struct ResolveRequest<'a> {
     pair: &'a KbPair,
@@ -132,8 +131,9 @@ impl<'a> ResolveRequest<'a> {
         self
     }
 
-    /// Overrides the worker count for the executor [`Minoaner::run`]
-    /// builds. Wins over [`crate::MinoanerConfig::workers`]; ignored by
+    /// The worker count of the executor [`Minoaner::run`] builds (the
+    /// Figure 6 parallelism knob; one worker per core when unset). Results
+    /// are bit-identical across worker counts. Ignored by
     /// [`Minoaner::run_on`], which reuses the caller's executor.
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = Some(workers);
@@ -177,15 +177,11 @@ impl ResolveOutcome {
 impl Minoaner {
     /// Executes a [`ResolveRequest`] on an internally built executor.
     ///
-    /// Worker sizing: the request's [`ResolveRequest::workers`] override
-    /// wins, then [`crate::MinoanerConfig::workers`], then the engine
-    /// default ([`Executor::default`]). The request's cancellation token
-    /// and deadline, if any, are installed on the new executor.
+    /// The executor has [`ResolveRequest::workers`] workers, or one per
+    /// core ([`Executor::default`]). The request's cancellation token and
+    /// deadline, if any, are installed on it.
     pub fn run(&self, req: ResolveRequest<'_>) -> Result<ResolveOutcome, DataflowError> {
-        let mut executor = match req.workers.or(self.config().workers) {
-            Some(workers) => Executor::new(workers),
-            None => Executor::default(),
-        };
+        let mut executor = req.workers.map_or_else(Executor::default, Executor::new);
         self.run_on(&mut executor, req)
     }
 
@@ -242,7 +238,6 @@ impl Minoaner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::MinoanerConfig;
     use minoaner_kb::dirty::canonicalize_dirty_matches;
     use minoaner_kb::{EntityId, KbPairBuilder, Side, Term};
 
@@ -286,14 +281,13 @@ mod tests {
     }
 
     #[test]
-    fn config_workers_size_the_executor_and_request_overrides() {
+    fn request_workers_size_the_executor() {
         let p = pair();
-        let cfg = MinoanerConfig::builder().workers(3).build().unwrap();
-        let m = Minoaner::with_config(cfg);
+        let m = Minoaner::new();
+        let (_, trace) = traced(&m, ResolveRequest::pair(&p).workers(3));
+        assert_eq!(trace.workers, 3);
         let (_, trace) = traced(&m, ResolveRequest::pair(&p));
-        assert_eq!(trace.workers, 3, "config workers size the built executor");
-        let (_, trace) = traced(&m, ResolveRequest::pair(&p).workers(2));
-        assert_eq!(trace.workers, 2, "request workers override the config");
+        assert_eq!(trace.workers, minoaner_dataflow::pool::available_cores(), "one worker per core");
     }
 
     #[test]

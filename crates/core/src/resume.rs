@@ -1,6 +1,6 @@
 //! Resumable pipeline execution: the typed layer between the pipeline's
 //! stage barriers and the byte-oriented
-//! [`CheckpointStore`](minoaner_dataflow::CheckpointStore).
+//! [`CheckpointStore`].
 //!
 //! The pipeline has three natural barriers (Figure 4's synchronization
 //! edges): `blocks` (statistics + composite blocks + purge), `graph` (the
@@ -97,27 +97,6 @@ impl CheckpointSpec {
     pub fn with_vfs(mut self, vfs: VfsRef) -> Self {
         self.vfs = vfs;
         self
-    }
-
-    /// A per-job spec: checkpoints live in `root/job-<id>/ckpt`, isolating
-    /// each job's barriers so concurrent jobs never share (or clobber) a
-    /// checkpoint directory, and keeping the checkpoint store separate
-    /// from the job's other control-plane artifacts (`status.json`,
-    /// `CANCEL`, `trace.json`) in `root/job-<id>/`. `id` is sanitized to a
-    /// filesystem-safe slug (alphanumerics, `-`, `_`, `.`; anything else
-    /// becomes `-`), which is also the directory-name contract the
-    /// `minoaner jobs` control plane relies on.
-    pub fn for_job(root: impl Into<PathBuf>, id: &str) -> Self {
-        Self::new(root.into().join(Self::job_dir_name(id)).join("ckpt"))
-    }
-
-    /// The checkpoint directory name for a job id (see [`Self::for_job`]).
-    pub fn job_dir_name(id: &str) -> String {
-        let slug: String = id
-            .chars()
-            .map(|c| if c.is_ascii_alphanumeric() || matches!(c, '-' | '_' | '.') { c } else { '-' })
-            .collect();
-        format!("job-{slug}")
     }
 
     /// The checkpoint root directory.
@@ -406,17 +385,8 @@ mod tests {
             "rule set is part of the identity"
         );
         assert_ne!(base, run_fingerprint(&config, RuleSet::FULL, true, &pair), "so is the pruning mode");
-        let other = MinoanerConfig::builder().theta(0.7).build().unwrap();
+        let other = MinoanerConfig { theta: 0.7, ..config };
         assert_ne!(base, run_fingerprint(&other, RuleSet::FULL, false, &pair));
-    }
-
-    #[test]
-    fn for_job_isolates_and_sanitizes() {
-        let spec = CheckpointSpec::for_job("/tmp/ckpt-root", "j0007");
-        assert_eq!(spec.dir(), Path::new("/tmp/ckpt-root/job-j0007/ckpt"));
-        assert!(!spec.resume);
-        assert_eq!(CheckpointSpec::job_dir_name("a/b\\c:d"), "job-a-b-c-d");
-        assert_eq!(CheckpointSpec::job_dir_name("ok-1_2.3"), "job-ok-1_2.3");
     }
 
     #[test]
@@ -446,15 +416,17 @@ mod tests {
     /// over, after `damage` to the bytes of its `graph` part.
     fn graph_stage(damage: impl FnOnce(&mut Vec<u8>)) -> (RecoveredStage, u64) {
         let pair = linked_pair();
-        let prepared = Minoaner::new().prepare(&Executor::new(1), &pair);
-        let mut parts: Vec<(String, Vec<u8>)> = graph_parts(&prepared.graph, &None)
+        let (resolver, exec) = (Minoaner::new(), Executor::new(1));
+        let blocks = resolver.prepare_blocks(&exec, &pair);
+        let graph = resolver.build_graph_from_blocks(&exec, &pair, &blocks, false);
+        let mut parts: Vec<(String, Vec<u8>)> = graph_parts(&graph, &None)
             .iter()
             .map(|&(name, part)| (name.to_owned(), minoaner_det::codec::encode_to_vec(part)))
             .collect();
         damage(&mut parts[0].1);
         let stage =
             RecoveredStage { barrier: BARRIER_GRAPH, stage: "graph".to_owned(), parts, counters: BTreeMap::new() };
-        (stage, prepared.graph.weight_digest())
+        (stage, graph.weight_digest())
     }
 
     fn assert_corrupt(stage: &RecoveredStage) {

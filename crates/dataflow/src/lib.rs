@@ -86,7 +86,7 @@ pub use minoaner_det::vfs::{FaultFs, FaultKind, FaultPlan, RealFs, Vfs, VfsRef};
 pub use error::DataflowError;
 pub use metrics::{StageIo, StageLog, StageMetric};
 pub use observer::{Observer, ObserverSlot, TraceCollector};
-pub use pool::{Deadline, Executor, ExecutorConfig};
+pub use pool::{Deadline, Executor};
 pub use spill::{
     SpillShuffle, Spillable, SPILL_BYTES_COUNTER, SPILL_RECORDS_COUNTER, SPILL_RUNS_COUNTER,
 };

@@ -29,15 +29,15 @@ use crate::error::DataflowError;
 use crate::metrics::{StageIo, StageLog, StageMetric};
 use crate::observer::{Observer, ObserverSlot};
 
-/// An absolute wall-clock deadline, counted from a job's start by
-/// `minoaner-jobs` and polled by the executor at task and barrier
-/// boundaries.
+/// An absolute wall-clock deadline, polled by the executor at task and
+/// barrier boundaries. `minoaner jobs run` sets one per job from its
+/// `deadline-ms=`, counted from when the job's input is in memory.
 ///
-/// The type lives in `pool.rs` — not in the jobs crate — because this file
-/// carries the repo's sanctioned wall-clock use (its audited
-/// `clippy::disallowed_methods` allows); job-level code only ever consumes
-/// the clock through [`Self::remaining`]/[`Self::expired`], keeping
-/// `minoaner-jobs` free of raw `Instant::now` calls and of such allows.
+/// The type lives in `pool.rs` because this file carries the repo's
+/// sanctioned wall-clock use (its audited `clippy::disallowed_methods`
+/// allows); callers only ever consume the clock through
+/// [`Self::remaining`]/[`Self::expired`], free of raw `Instant::now` calls
+/// and of such allows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Deadline {
     at: Instant,
@@ -64,39 +64,16 @@ impl Deadline {
     }
 }
 
-/// Configuration of an [`Executor`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ExecutorConfig {
-    /// Number of worker threads running tasks concurrently.
-    pub workers: usize,
-    /// Number of partitions (= tasks per stage). The paper uses a
-    /// parallelism factor of 3 tasks per core so that task sizes stay
-    /// constant as cores vary (§6.2); [`ExecutorConfig::for_workers`]
-    /// follows that convention.
-    pub partitions: usize,
-}
-
-impl ExecutorConfig {
-    /// The paper's setup: `partitions = 3 × total machine cores`, held
-    /// constant while `workers` varies.
-    pub fn for_workers(workers: usize) -> Self {
-        let cores = std::thread::available_parallelism().map_or(4, |n| n.get());
-        Self { workers: workers.max(1), partitions: 3 * cores }
-    }
-}
-
-impl Default for ExecutorConfig {
-    fn default() -> Self {
-        let cores = std::thread::available_parallelism().map_or(4, |n| n.get());
-        Self { workers: cores, partitions: 3 * cores }
-    }
-}
-
 /// Runs dataflow stages on a fixed number of workers, recording per-stage
 /// metrics.
 #[derive(Debug)]
 pub struct Executor {
-    config: ExecutorConfig,
+    /// Number of worker threads running tasks concurrently.
+    workers: usize,
+    /// Number of partitions (= tasks per stage): the paper's parallelism
+    /// factor of 3 tasks per machine core, held constant while `workers`
+    /// varies so that task sizes do not change with it (§6.2).
+    partitions: usize,
     log: Mutex<StageLog>,
     observer: ObserverSlot,
     /// Cooperative cancellation flag, polled at worker claim boundaries
@@ -114,25 +91,26 @@ pub struct Executor {
     memory: Option<MemoryBudget>,
 }
 
+/// The machine's core count (4 when it cannot be read).
+pub fn available_cores() -> usize {
+    std::thread::available_parallelism().map_or(4, |n| n.get())
+}
+
 impl Default for Executor {
+    /// An executor with one worker per core.
     fn default() -> Self {
-        Self::with_config(ExecutorConfig::default())
+        Self::new(available_cores())
     }
 }
 
 impl Executor {
-    /// An executor with `workers` workers and the default partition count.
+    /// An executor with `workers` workers (at least one) and
+    /// `3 × available_cores()` partitions.
     pub fn new(workers: usize) -> Self {
-        Self::with_config(ExecutorConfig::for_workers(workers))
-    }
-
-    /// An executor with an explicit configuration.
-    pub fn with_config(config: ExecutorConfig) -> Self {
-        assert!(config.workers >= 1, "at least one worker required");
-        assert!(config.partitions >= 1, "at least one partition required");
         crate::budget::pin_mmap_threshold();
         Self {
-            config,
+            workers: workers.max(1),
+            partitions: 3 * available_cores(),
             log: Mutex::new(StageLog::default()),
             observer: ObserverSlot::Off,
             cancel: CancelToken::new(),
@@ -238,12 +216,12 @@ impl Executor {
 
     /// Number of workers.
     pub fn workers(&self) -> usize {
-        self.config.workers
+        self.workers
     }
 
     /// Number of partitions a collection is split into by default.
     pub fn partitions(&self) -> usize {
-        self.config.partitions
+        self.partitions
     }
 
     /// [`Self::try_run_stage`] for the pipeline's infallible signatures: a
@@ -338,7 +316,7 @@ impl Executor {
             }
         };
 
-        match self.config.workers.min(n) {
+        match self.workers.min(n) {
             0 => {}
             1 => worker_loop(),
             workers => {
@@ -466,17 +444,14 @@ mod tests {
     }
 
     #[test]
-    fn config_for_workers_uses_parallelism_factor_three() {
-        let cfg = ExecutorConfig::for_workers(2);
-        assert_eq!(cfg.workers, 2);
-        let cores = std::thread::available_parallelism().map_or(4, |n| n.get());
-        assert_eq!(cfg.partitions, 3 * cores);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one worker")]
-    fn zero_workers_rejected() {
-        Executor::with_config(ExecutorConfig { workers: 0, partitions: 1 });
+    fn partitions_are_three_per_core_whatever_the_workers() {
+        for workers in [1, 2, 8] {
+            let exec = Executor::new(workers);
+            assert_eq!(exec.workers(), workers);
+            assert_eq!(exec.partitions(), 3 * available_cores());
+        }
+        assert_eq!(Executor::new(0).workers(), 1, "zero workers is one");
+        assert_eq!(Executor::default().workers(), available_cores());
     }
 
     #[test]
@@ -570,14 +545,24 @@ mod tests {
 
     #[test]
     fn observer_sees_stages_and_counters() {
+        #[derive(Default)]
+        struct Stages(Mutex<Vec<String>>);
+        impl Observer for Stages {
+            fn on_stage(&self, metric: &StageMetric) {
+                lock(&self.0).push(metric.name.clone());
+            }
+        }
         let mut exec = Executor::new(2);
+        let stages = Arc::new(Stages::default());
+        exec.set_observer(stages.clone());
+        exec.run_stage("obs", 4, |i| i);
+        assert_eq!(*lock(&stages.0), ["obs"]);
+
         let collector = crate::observer::TraceCollector::new();
         exec.set_observer(collector.clone());
         assert!(exec.observer().is_on());
-        exec.run_stage("obs", 4, |i| i);
         exec.emit_counter("domain/things", 7);
         exec.emit_counter("domain/things", 3);
-        assert_eq!(collector.stages_seen(), 1);
         assert_eq!(collector.counters()["domain/things"], 10);
         exec.clear_observer();
         exec.emit_counter("domain/things", 99);

@@ -143,28 +143,6 @@ impl RunTrace {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// Summed wall time of all recorded stages (≤ `total_wall`, which also
-    /// covers sequential glue between stages).
-    pub fn total_stage_wall(&self) -> Duration {
-        self.stages.iter().map(|s| s.wall).sum()
-    }
-
-    /// Summed wall time of stages whose name matches `pred` — e.g. the
-    /// matching share of Figure 6 via `|n| n.starts_with("matching/")`.
-    pub fn stage_wall_matching<F>(&self, pred: &F) -> Duration
-    where
-        F: Fn(&str) -> bool + ?Sized,
-    {
-        self.stages.iter().filter(|s| pred(&s.name)).map(|s| s.wall).sum()
-    }
-
-    /// Summed wall time of all stages whose name starts with `prefix` —
-    /// e.g. `stage_wall_prefix("graph/gamma")` covers the γ row pass and
-    /// its transpose stage. Convenience over [`Self::stage_wall_matching`].
-    pub fn stage_wall_prefix(&self, prefix: &str) -> Duration {
-        self.stage_wall_matching(&|n: &str| n.starts_with(prefix))
-    }
-
     /// Structural sanity check used by report consumers (the bench harness
     /// and CI validate every written `BENCH_pipeline.json` through this).
     pub fn validate(&self) -> Result<(), String> {
@@ -252,19 +230,6 @@ mod tests {
         assert_eq!(back.counter("matching/r1_matches"), 12);
         assert_eq!(back.counter("never_emitted"), 0);
         assert_eq!(back.stages[0].io.shuffle_bytes, 640);
-    }
-
-    #[test]
-    fn wall_helpers_sum_stage_durations() {
-        let trace = sample();
-        assert_eq!(trace.total_stage_wall(), Duration::from_micros(2200));
-        assert_eq!(
-            trace.stage_wall_matching(&|n: &str| n.starts_with("matching/")),
-            Duration::from_micros(700)
-        );
-        assert_eq!(trace.stage_wall_prefix("matching/"), Duration::from_micros(700));
-        assert_eq!(trace.stage_wall_prefix("blocking/"), Duration::from_micros(1500));
-        assert_eq!(trace.stage_wall_prefix("no-such-stage/"), Duration::ZERO);
     }
 
     #[test]

@@ -1,15 +1,15 @@
 //! The batch runner behind `minoaner jobs run`: jobs run one at a time,
 //! in the order they were added, on the caller's thread.
 //!
-//! Each job gets its own [`JobContext`] — worker count, memory grant,
-//! [`CancelToken`] and a [`Deadline`] counted from the job's start — and
-//! its own directory under the control root, where every transition is
-//! mirrored as `status.json`. While a job runs, a scoped watcher thread
-//! polls the job's `CANCEL` marker and latches the token; the job
-//! observes it at its next safe point (stage barrier, partition loop,
-//! checkpoint barrier) and unwinds with [`DataflowError::Cancelled`],
-//! which maps to [`JobState::Cancelled`]. Any other error, or a panic in
-//! job work, maps to [`JobState::Failed`]; it never takes the batch down.
+//! Each job gets its own [`JobContext`] — worker count, memory grant and
+//! [`CancelToken`] — and its own directory under the control root, where
+//! every transition is mirrored as `status.json`. While a job runs, a
+//! scoped watcher thread polls the job's `CANCEL` marker and latches the
+//! token; the job observes it at its next safe point (stage barrier,
+//! partition loop, checkpoint barrier) and unwinds with
+//! [`DataflowError::Cancelled`], which maps to [`JobState::Cancelled`].
+//! Any other error, or a panic in job work, maps to [`JobState::Failed`];
+//! it never takes the batch down.
 
 use std::error::Error;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -19,7 +19,7 @@ use std::thread;
 use std::time::Duration;
 
 use minoaner_dataflow::vfs::{self, VfsRef};
-use minoaner_dataflow::{CancelReason, CancelToken, DataflowError, Deadline};
+use minoaner_dataflow::{CancelToken, DataflowError};
 
 use crate::control;
 use crate::job::{JobContext, JobId, JobSpec, JobState, JobStatus};
@@ -105,7 +105,6 @@ impl<'a> Batch<'a> {
             id,
             workers: spec.workers.max(1),
             cancel: CancelToken::new(),
-            deadline: spec.deadline.map(Deadline::after),
             job_dir: control::job_dir(&self.root, id),
             memory_bytes: spec.memory_bytes,
         };
@@ -119,9 +118,7 @@ impl<'a> Batch<'a> {
             error: None,
             summary: None,
         };
-        let doomed = control::cancel_request_with(&*self.vfs, &ctx.job_dir)
-            .or_else(|| ctx.deadline.filter(Deadline::expired).map(|_| CancelReason::Deadline));
-        if let Some(reason) = doomed {
+        if let Some(reason) = control::cancel_request(&*self.vfs, &ctx.job_dir) {
             CancelToken::cancel(&ctx.cancel, reason);
             status.state = JobState::Cancelled;
             status.error = Some(format!("cancelled ({reason}) before start"));
@@ -160,7 +157,7 @@ impl<'a> Batch<'a> {
         thread::scope(|s| {
             s.spawn(move || {
                 while let Err(mpsc::RecvTimeoutError::Timeout) = finished.recv_timeout(MARKER_POLL) {
-                    if let Some(reason) = control::cancel_request_with(vfs, &ctx.job_dir) {
+                    if let Some(reason) = control::cancel_request(vfs, &ctx.job_dir) {
                         CancelToken::cancel(&ctx.cancel, reason);
                         return;
                     }
@@ -176,7 +173,7 @@ impl<'a> Batch<'a> {
     /// Best-effort status persistence: a failed write is counted, never
     /// propagated.
     fn persist(&mut self, status: &JobStatus) {
-        if control::write_status_with(&*self.vfs, &self.root, status).is_err() {
+        if control::write_status(&*self.vfs, &self.root, status).is_err() {
             self.status_write_failures += 1;
         }
     }
@@ -188,7 +185,8 @@ mod tests {
     use std::cell::RefCell;
     use std::path::Path;
 
-    use minoaner_dataflow::vfs::{FaultFs, FaultKind, FaultPlan};
+    use minoaner_dataflow::vfs::{FaultFs, FaultKind, FaultPlan, RealFs};
+    use minoaner_dataflow::CancelReason;
 
     fn scratch(tag: &str) -> PathBuf {
         let root = std::env::temp_dir().join(format!("minoaner-batch-{tag}-{}", std::process::id()));
@@ -197,7 +195,7 @@ mod tests {
     }
 
     fn on_disk(root: &Path, id: JobId) -> JobStatus {
-        control::read_status(&control::job_dir(root, id)).expect("status file")
+        control::read_status(&RealFs, &control::job_dir(root, id)).expect("status file")
     }
 
     /// Work that spins until its token is latched, then unwinds the way a
@@ -265,7 +263,7 @@ mod tests {
             *ran.borrow_mut() = true;
             Ok("should not happen".into())
         });
-        assert!(control::request_cancel(&root, victim, CancelReason::User).expect("marker"));
+        assert!(control::request_cancel(&RealFs, &root, victim, CancelReason::User).expect("marker"));
         let statuses = batch.run_jobs();
         assert_eq!(statuses[0].state, JobState::Completed, "{:?}", statuses[0]);
         assert_eq!(statuses[1].state, JobState::Cancelled);
@@ -282,7 +280,7 @@ mod tests {
         let mut batch = Batch::new(&root);
         let id = batch.add_job(JobSpec::new("watched"), |ctx| {
             let root = ctx.job_dir().parent().expect("control root");
-            assert!(control::request_cancel(root, ctx.id(), CancelReason::User).expect("marker"));
+            assert!(control::request_cancel(&RealFs, root, ctx.id(), CancelReason::User).expect("marker"));
             until_cancelled(ctx)
         });
         let status = batch.run_jobs().remove(0);
@@ -309,23 +307,11 @@ mod tests {
     }
 
     #[test]
-    fn an_expired_deadline_at_start_cancels_without_running() {
-        let root = scratch("deadline");
-        let mut batch = Batch::new(&root);
-        batch.add_job(JobSpec::new("doomed").with_deadline(Duration::ZERO), |_| Ok("never".into()));
-        let status = batch.run_jobs().remove(0);
-        assert_eq!(status.state, JobState::Cancelled);
-        assert_eq!(status.cancel_reason, Some(CancelReason::Deadline));
-        assert_eq!(status.error.as_deref(), Some("cancelled (deadline) before start"));
-        let _ = std::fs::remove_dir_all(&root);
-    }
-
-    #[test]
     fn the_control_root_mirrors_every_transition() {
         let root = scratch("mirror");
         let mut batch = Batch::new(&root);
         let first = batch.add_job(JobSpec::new("first"), |ctx| {
-            assert_eq!(control::read_status(ctx.job_dir()).expect("own status").state, JobState::Running);
+            assert_eq!(control::read_status(&RealFs, ctx.job_dir()).expect("own status").state, JobState::Running);
             let root = ctx.job_dir().parent().expect("control root");
             let next = on_disk(root, JobId::from_ordinal(1));
             assert_eq!(next.state, JobState::Queued, "later jobs wait");
@@ -334,7 +320,7 @@ mod tests {
         let second = batch.add_job(JobSpec::new("second").with_memory_bytes(64), |_| Ok("done".into()));
         assert_eq!(on_disk(&root, first).state, JobState::Queued);
         let statuses = batch.run_jobs();
-        assert_eq!(control::list_statuses(&root).expect("list"), statuses);
+        assert_eq!(control::list_statuses(&RealFs, &root).expect("list"), statuses);
         assert_eq!(on_disk(&root, second).memory_bytes, 64);
         let _ = std::fs::remove_dir_all(&root);
     }

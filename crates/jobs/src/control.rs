@@ -69,13 +69,8 @@ impl From<io::Error> for ControlError {
 }
 
 /// Atomically writes `status` into its job directory under `root`,
-/// creating the directory if needed.
-pub fn write_status(root: &Path, status: &JobStatus) -> io::Result<()> {
-    write_status_with(&*vfs::default_vfs(), root, status)
-}
-
-/// [`write_status`] through an explicit [`Vfs`] — the chaos harness's
-/// injection point.
+/// creating the directory if needed. `vfs` is [`vfs::RealFs`] in
+/// production and a fault-injecting filesystem under the chaos tests.
 ///
 /// Follows the workspace's atomic-commit protocol ([`vfs::commit_file`]):
 /// the snapshot is written to a `.tmp-` sibling, fsynced, renamed over
@@ -84,21 +79,16 @@ pub fn write_status(root: &Path, status: &JobStatus) -> io::Result<()> {
 /// transition never leaks scratch into the job directory (`list_statuses` would skip it
 /// anyway — recovery scanners ignore `.tmp-` names — but the leak-scan in
 /// the chaos sweep holds every durable path to the stronger contract).
-pub fn write_status_with(vfs: &dyn Vfs, root: &Path, status: &JobStatus) -> io::Result<()> {
+pub fn write_status(vfs: &dyn Vfs, root: &Path, status: &JobStatus) -> io::Result<()> {
     let dir = job_dir(root, status.id);
     vfs.create_dir_all(&dir)?;
     vfs::commit_file(vfs, &dir.join("status.json"), status_to_json(status).as_bytes())
         .map_err(|(_, e)| e)
 }
 
-/// Reads the status snapshot from a job directory.
-pub fn read_status(dir: &Path) -> Result<JobStatus, ControlError> {
-    read_status_with(&*vfs::default_vfs(), dir)
-}
-
-/// [`read_status`] through an explicit [`Vfs`]. A file that is not UTF-8
-/// is malformed, like any other body that is not a status.
-pub fn read_status_with(vfs: &dyn Vfs, dir: &Path) -> Result<JobStatus, ControlError> {
+/// Reads the status snapshot from a job directory. A file that is not
+/// UTF-8 is malformed, like any other body that is not a status.
+pub fn read_status(vfs: &dyn Vfs, dir: &Path) -> Result<JobStatus, ControlError> {
     let path = dir.join("status.json");
     let bytes = vfs.read(&path)?;
     let json = std::str::from_utf8(&bytes).map_err(|e| format!("not UTF-8 at byte {}", e.valid_up_to()));
@@ -109,12 +99,7 @@ pub fn read_status_with(vfs: &dyn Vfs, dir: &Path) -> Result<JobStatus, ControlE
 /// is an empty listing; entries that are not job directories (or whose
 /// status file is torn mid-create) are skipped rather than failing the
 /// whole listing.
-pub fn list_statuses(root: &Path) -> io::Result<Vec<JobStatus>> {
-    list_statuses_with(&*vfs::default_vfs(), root)
-}
-
-/// [`list_statuses`] through an explicit [`Vfs`].
-pub fn list_statuses_with(vfs: &dyn Vfs, root: &Path) -> io::Result<Vec<JobStatus>> {
+pub fn list_statuses(vfs: &dyn Vfs, root: &Path) -> io::Result<Vec<JobStatus>> {
     let entries = match vfs.list_dir(root) {
         Ok(entries) => entries,
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
@@ -130,7 +115,7 @@ pub fn list_statuses_with(vfs: &dyn Vfs, root: &Path) -> io::Result<Vec<JobStatu
         else {
             continue;
         };
-        if let Ok(status) = read_status_with(vfs, &path) {
+        if let Ok(status) = read_status(vfs, &path) {
             if status.id == id {
                 statuses.push(status);
             }
@@ -143,19 +128,9 @@ pub fn list_statuses_with(vfs: &dyn Vfs, root: &Path) -> io::Result<Vec<JobStatu
 /// Drops a `CANCEL` marker into the job's directory for the owning
 /// [`Batch`](crate::Batch) to pick up: at the job's start, or within one
 /// poll while it runs. Returns `false` (writing nothing) when the job
-/// directory does not exist.
-pub fn request_cancel(root: &Path, id: JobId, reason: CancelReason) -> io::Result<bool> {
-    request_cancel_with(&*vfs::default_vfs(), root, id, reason)
-}
-
-/// [`request_cancel`] through an explicit [`Vfs`]. The marker is advisory
-/// (re-droppable at will), so it is a plain write with no fsync.
-pub fn request_cancel_with(
-    vfs: &dyn Vfs,
-    root: &Path,
-    id: JobId,
-    reason: CancelReason,
-) -> io::Result<bool> {
+/// directory does not exist. The marker is advisory (re-droppable at
+/// will), so it is a plain write with no fsync.
+pub fn request_cancel(vfs: &dyn Vfs, root: &Path, id: JobId, reason: CancelReason) -> io::Result<bool> {
     let dir = job_dir(root, id);
     if !dir.is_dir() {
         return Ok(false);
@@ -168,12 +143,7 @@ pub fn request_cancel_with(
 /// An unreadable or unrecognized reason degrades to
 /// [`CancelReason::User`] — a cancel request must never be dropped on a
 /// parse error.
-pub fn cancel_request(dir: &Path) -> Option<CancelReason> {
-    cancel_request_with(&*vfs::default_vfs(), dir)
-}
-
-/// [`cancel_request`] through an explicit [`Vfs`].
-pub fn cancel_request_with(vfs: &dyn Vfs, dir: &Path) -> Option<CancelReason> {
+pub fn cancel_request(vfs: &dyn Vfs, dir: &Path) -> Option<CancelReason> {
     let raw = vfs.read_to_string(&dir.join("CANCEL")).ok()?;
     Some(CancelReason::parse(raw.trim()).unwrap_or(CancelReason::User))
 }
@@ -248,7 +218,7 @@ mod tests {
     use super::*;
     use std::fs;
 
-    use minoaner_dataflow::vfs::{FaultFs, FaultKind, FaultPlan};
+    use minoaner_dataflow::vfs::{FaultFs, FaultKind, FaultPlan, RealFs};
 
     fn sample(id: u64, state: JobState) -> JobStatus {
         JobStatus {
@@ -292,16 +262,16 @@ mod tests {
         let _ = fs::remove_dir_all(&root);
         let a = sample(2, JobState::Running);
         let b = JobStatus { state: JobState::Completed, ..sample(10, JobState::Completed) };
-        write_status(&root, &a).expect("write a");
-        write_status(&root, &b).expect("write b");
+        write_status(&RealFs, &root, &a).expect("write a");
+        write_status(&RealFs, &root, &b).expect("write b");
         // Junk the scanner must skip.
         fs::create_dir_all(root.join("job-xyz")).expect("junk dir");
         fs::write(root.join("stray.txt"), b"x").expect("stray file");
         fs::create_dir_all(root.join("job-j0099")).expect("empty job dir");
 
-        let read = read_status(&job_dir(&root, a.id)).expect("read back");
+        let read = read_status(&RealFs, &job_dir(&root, a.id)).expect("read back");
         assert_eq!(read, a);
-        let listed = list_statuses(&root).expect("list");
+        let listed = list_statuses(&RealFs, &root).expect("list");
         assert_eq!(listed, vec![a.clone(), b.clone()], "ascending by id, junk skipped");
         let _ = fs::remove_dir_all(&root);
     }
@@ -311,21 +281,21 @@ mod tests {
         let root = std::env::temp_dir().join(format!("minoaner-jobs-chaos-{}", std::process::id()));
         let _ = fs::remove_dir_all(&root);
         let old = sample(3, JobState::Running);
-        write_status(&root, &old).expect("seed old snapshot");
+        write_status(&RealFs, &root, &old).expect("seed old snapshot");
         let new = JobStatus { state: JobState::Completed, ..old.clone() };
 
         // Probe run: enumerate the ops one status transition performs.
         let probe = FaultFs::new(FaultPlan::none());
-        write_status_with(&*probe, &root, &new).expect("probe transition");
+        write_status(&*probe, &root, &new).expect("probe transition");
         let n_ops = probe.op_count();
         assert!(n_ops >= 5, "create_dir + write + sync + rename + sync_dir, got {n_ops}");
-        write_status(&root, &old).expect("reset to old snapshot");
+        write_status(&RealFs, &root, &old).expect("reset to old snapshot");
 
         let dir = job_dir(&root, old.id);
         for k in 0..n_ops {
             for kind in FaultKind::ALL {
                 let faulty = FaultFs::new(FaultPlan::fail_op(k, kind));
-                let result = write_status_with(&*faulty, &root, &new);
+                let result = write_status(&*faulty, &root, &new);
                 assert!(result.is_err(), "op {k} fault {kind:?} must surface");
                 // No scratch: nothing but status.json (and the CANCEL-free
                 // job layout) may remain.
@@ -339,11 +309,11 @@ mod tests {
                 }
                 // A reader still sees a coherent snapshot — old or new,
                 // never torn (rename is atomic; the tmp was fsynced).
-                let seen = read_status(&dir).expect("snapshot stays readable");
+                let seen = read_status(&RealFs, &dir).expect("snapshot stays readable");
                 assert!(seen == old || seen == new, "torn snapshot: {seen:?}");
                 // Retry on a healed filesystem lands the transition.
-                write_status(&root, &new).expect("retry succeeds");
-                write_status(&root, &old).expect("reset for next k");
+                write_status(&RealFs, &root, &new).expect("retry succeeds");
+                write_status(&RealFs, &root, &old).expect("reset for next k");
             }
         }
         let _ = fs::remove_dir_all(&root);
@@ -380,7 +350,7 @@ mod tests {
                 }
             }
             fs::write(dir.join("status.json"), &bytes).expect("write mutant");
-            match read_status(&dir) {
+            match read_status(&RealFs, &dir) {
                 Ok(_) => read += 1,
                 Err(ControlError::Malformed { .. }) => malformed += 1,
                 Err(other) => panic!("a readable file is a status or malformed, got {other:?} for {bytes:?}"),
@@ -393,7 +363,7 @@ mod tests {
     #[test]
     fn missing_root_lists_empty() {
         let ghost = std::env::temp_dir().join("minoaner-jobs-ctl-does-not-exist");
-        assert!(list_statuses(&ghost).expect("missing root is empty").is_empty());
+        assert!(list_statuses(&RealFs, &ghost).expect("missing root is empty").is_empty());
     }
 
     #[test]
@@ -401,19 +371,19 @@ mod tests {
         let root = std::env::temp_dir().join(format!("minoaner-jobs-cxl-{}", std::process::id()));
         let _ = fs::remove_dir_all(&root);
         let status = sample(4, JobState::Running);
-        write_status(&root, &status).expect("write");
+        write_status(&RealFs, &root, &status).expect("write");
         let dir = job_dir(&root, status.id);
-        assert_eq!(cancel_request(&dir), None);
-        assert!(request_cancel(&root, status.id, CancelReason::User).expect("request"));
-        assert_eq!(cancel_request(&dir), Some(CancelReason::User));
+        assert_eq!(cancel_request(&RealFs, &dir), None);
+        assert!(request_cancel(&RealFs, &root, status.id, CancelReason::User).expect("request"));
+        assert_eq!(cancel_request(&RealFs, &dir), Some(CancelReason::User));
         // Unknown job: nothing written, reported as absent.
-        assert!(!request_cancel(&root, JobId::from_ordinal(999), CancelReason::User)
+        assert!(!request_cancel(&RealFs, &root, JobId::from_ordinal(999), CancelReason::User)
             .expect("unknown job"));
         // A corrupt marker, or one naming a reason that no longer exists,
         // still cancels (degrades to User).
         for marker in ["garbage", "shutdown"] {
             fs::write(dir.join("CANCEL"), marker).expect("odd marker");
-            assert_eq!(cancel_request(&dir), Some(CancelReason::User), "{marker}");
+            assert_eq!(cancel_request(&RealFs, &dir), Some(CancelReason::User), "{marker}");
         }
         let _ = fs::remove_dir_all(&root);
     }

@@ -10,14 +10,13 @@
 //! ```
 //!
 //! `Completed`, `Failed` and `Cancelled` are terminal. A job whose cancel
-//! marker or expired deadline is found at its start goes straight from
-//! `Queued` to `Cancelled` without running.
+//! marker is found at its start goes straight from `Queued` to `Cancelled`
+//! without running.
 
 use std::fmt;
 use std::path::{Path, PathBuf};
-use std::time::Duration;
 
-use minoaner_dataflow::{CancelToken, Deadline, Executor};
+use minoaner_dataflow::CancelToken;
 
 /// Identity of a job, unique within its batch (and, through the control
 /// plane's per-job directories, within a control root).
@@ -63,18 +62,12 @@ pub struct JobSpec {
     /// Memory grant in bytes (`0` = unmetered); the work closure turns it
     /// into the run's [`MemoryBudget`](minoaner_dataflow::MemoryBudget).
     pub memory_bytes: u64,
-    /// Wall-clock budget from the job's start. When it expires the job is
-    /// cancelled with
-    /// [`CancelReason::Deadline`](minoaner_dataflow::CancelReason::Deadline)
-    /// — cooperatively: the job's executor polls the deadline at task and
-    /// barrier boundaries.
-    pub deadline: Option<Duration>,
 }
 
 impl JobSpec {
-    /// A spec with defaults: one worker, no memory grant, no deadline.
+    /// A spec with defaults: one worker, no memory grant.
     pub fn new(name: impl Into<String>) -> Self {
-        Self { name: name.into(), workers: 1, memory_bytes: 0, deadline: None }
+        Self { name: name.into(), workers: 1, memory_bytes: 0 }
     }
 
     /// Returns `self` asking for `workers` workers (clamped to ≥ 1).
@@ -86,12 +79,6 @@ impl JobSpec {
     /// Returns `self` with a memory grant in bytes.
     pub fn with_memory_bytes(mut self, bytes: u64) -> Self {
         self.memory_bytes = bytes;
-        self
-    }
-
-    /// Returns `self` with a wall-clock deadline.
-    pub fn with_deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = Some(deadline);
         self
     }
 }
@@ -107,7 +94,7 @@ pub enum JobState {
     Completed,
     /// The work returned a non-cancellation error or panicked (terminal).
     Failed,
-    /// The work was cancelled — by a marker or its deadline (terminal).
+    /// The work was cancelled — by a marker or a deadline (terminal).
     Cancelled,
 }
 
@@ -167,14 +154,13 @@ pub struct JobStatus {
 }
 
 /// Everything a job's work closure receives from the batch: its
-/// identity, its grant, its cancellation token and deadline, and its
-/// private directory under the control root.
+/// identity, its grant, its cancellation token, and its private directory
+/// under the control root.
 #[derive(Debug, Clone)]
 pub struct JobContext {
     pub(crate) id: JobId,
     pub(crate) workers: usize,
     pub(crate) cancel: CancelToken,
-    pub(crate) deadline: Option<Deadline>,
     pub(crate) job_dir: PathBuf,
     pub(crate) memory_bytes: u64,
 }
@@ -197,11 +183,6 @@ impl JobContext {
         &self.cancel
     }
 
-    /// The job's wall-clock deadline, if one was set.
-    pub fn deadline(&self) -> Option<Deadline> {
-        self.deadline
-    }
-
     /// The job's private directory under the control root (status file,
     /// checkpoints, spill runs, trace artifacts).
     pub fn job_dir(&self) -> &Path {
@@ -211,17 +192,6 @@ impl JobContext {
     /// The job's memory grant in bytes (`0` = unmetered).
     pub fn memory_bytes(&self) -> u64 {
         self.memory_bytes
-    }
-
-    /// An executor sized to the job's grant, wired to its cancellation
-    /// token and deadline: stages run on `workers()` workers, and
-    /// cancellation or deadline expiry surfaces as
-    /// [`DataflowError::Cancelled`](minoaner_dataflow::DataflowError).
-    pub fn executor(&self) -> Executor {
-        let mut exec = Executor::new(self.workers);
-        exec.set_cancel_token(self.cancel.clone());
-        exec.set_deadline(self.deadline);
-        exec
     }
 }
 
@@ -262,30 +232,8 @@ mod tests {
     fn spec_builder_clamps_workers() {
         let spec = JobSpec::new("x").with_workers(0);
         assert_eq!(spec.workers, 1);
-        let spec = JobSpec::new("x")
-            .with_workers(4)
-            .with_memory_bytes(1 << 20)
-            .with_deadline(Duration::from_secs(5));
+        let spec = JobSpec::new("x").with_workers(4).with_memory_bytes(1 << 20);
         assert_eq!(spec.workers, 4);
         assert_eq!(spec.memory_bytes, 1 << 20);
-        assert_eq!(spec.deadline, Some(Duration::from_secs(5)));
-    }
-
-    #[test]
-    fn context_executor_carries_the_grant() {
-        let ctx = JobContext {
-            id: JobId::from_ordinal(1),
-            workers: 3,
-            cancel: CancelToken::new(),
-            deadline: None,
-            job_dir: PathBuf::from("job-j0001"),
-            memory_bytes: 1 << 20,
-        };
-        let exec = ctx.executor();
-        assert_eq!(exec.workers(), 3);
-        assert_eq!(ctx.memory_bytes(), 1 << 20);
-        assert!(!exec.cancel_token().is_cancelled());
-        ctx.cancel_token().cancel(minoaner_dataflow::CancelReason::User);
-        assert!(exec.cancel_token().is_cancelled(), "executor shares the job token");
     }
 }

@@ -1,6 +1,6 @@
 //! Job batches for MinoanER pipelines: jobs run one at a time in the
 //! order they were added, each with its own workers, memory grant,
-//! deadline and checkpoint directory, under a file-based control plane for
+//! cancellation token and directory, under a file-based control plane for
 //! cross-process `list`/`status`/`cancel`.
 //!
 //! # Shape
@@ -9,9 +9,8 @@
 //!   asks for, and its lifecycle (DESIGN.md §14).
 //! - [`Batch`] — `add_job` jobs, then `run_jobs` them in order on the
 //!   caller's thread.
-//! - [`JobContext`] — handed to each job's work closure; builds an
-//!   executor wired to the job's [`CancelToken`](minoaner_dataflow::CancelToken)
-//!   and wall-clock deadline.
+//! - [`JobContext`] — handed to each job's work closure: the job's id,
+//!   grant, [`CancelToken`](minoaner_dataflow::CancelToken) and directory.
 //! - [`control`] — the `job-<id>/status.json` + `CANCEL` marker
 //!   protocol behind `minoaner jobs list|status|cancel`.
 //!

@@ -33,7 +33,7 @@
 //! cumulative offsets from 0; a side's pairs are an attribute table and
 //! the value words beside it, on disk as in memory. Writing copies those
 //! columns; [`MkbFile::to_pair`] validates them where they lie and hands
-//! them out as they are: each table of the returned pair is a [`Stored`]
+//! them out as they are: each table of the returned pair is a `Stored`
 //! range of the reference-counted mapping, not a copy.
 //!
 //! [`MkbFile::open`] only validates structure (the segment's header and

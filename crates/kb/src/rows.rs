@@ -6,7 +6,7 @@
 //! ([`crate::disk`]): rows back to back in one data column, plus `n + 1`
 //! cumulative `u32` offsets starting at 0. One heap block per column,
 //! whatever the row count — or none, when the columns are ranges of a
-//! mapped `.mkb` file ([`crate::disk::Stored`]).
+//! mapped `.mkb` file (`disk::Stored`).
 //!
 //! A table may also be several such parts of equal row count, in key order:
 //! what the tasks of a stage sharded by key range returned

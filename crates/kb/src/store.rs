@@ -549,8 +549,8 @@ impl LiteralTables {
 /// Builder assembling a [`KbPair`] from triples or programmatic calls.
 ///
 /// While documents are added the builder only appends bytes: each pair as
-/// a record to its side's [`PairLog`] and each literal's normal form to the
-/// [`LiteralLog`]. [`finish`] interns the literal log in the order it was
+/// a record to its side's `PairLog` and each literal's normal form to the
+/// `LiteralLog`. [`finish`] interns the literal log in the order it was
 /// written, decodes each side's pairs once, then resolves entity
 /// references: a URI object pointing at a subject of the same KB becomes a
 /// [`Value::Ref`]; any other URI object is stored as a literal holding its

@@ -1,11 +1,13 @@
 //! Advanced API tour: parse N-Triples input, tune the four MinoanER
-//! parameters, split the pipeline into its prepare/match halves, inspect
-//! the blocking graph, and read per-stage timings.
+//! parameters, run the pipeline's stages one call at a time (blocks,
+//! graph, matching), inspect the blocking graph, and read per-stage
+//! timings.
 //!
 //! ```sh
 //! cargo run --release --example custom_pipeline
 //! ```
 
+use minoaner::core::matcher::run_matching;
 use minoaner::kb::parser::load_ntriples;
 use minoaner::{Executor, KbPairBuilder, Minoaner, MinoanerConfig, ResolveRequest, RuleSet, Side};
 
@@ -40,29 +42,26 @@ fn main() {
     println!("Loaded {n_left} + {n_right} triples.");
 
     // 2. A custom configuration: one name attribute, tighter candidate
-    //    lists, θ favoring neighbor evidence. The builder validates, so a
-    //    bad parameter is caught here instead of inside the pipeline.
-    let config = MinoanerConfig::builder()
-        .name_attrs_k(1)
-        .top_k(5)
-        .n_relations(2)
-        .theta(0.5)
-        .build()
-        .expect("parameters in range");
+    //    lists, θ favoring neighbor evidence. `validate` names the first
+    //    parameter out of range.
+    let config = MinoanerConfig { name_attrs_k: 1, top_k: 5, n_relations: 2, theta: 0.5, ..MinoanerConfig::default() };
+    config.validate().expect("parameters in range");
     let resolver = Minoaner::with_config(config);
     let mut exec = Executor::new(2);
 
-    // 3. Run Algorithm 1 (blocking + graph) separately from Algorithm 2.
-    let prepared = resolver.prepare(&exec, &pair);
+    // 3. Run Algorithm 1 (blocks, then the graph) separately from
+    //    Algorithm 2: the calls the pipeline itself makes.
+    let blocks = resolver.prepare_blocks(&exec, &pair);
+    let graph = resolver.build_graph_from_blocks(&exec, &pair, &blocks, false);
     println!(
         "Blocking graph: {} directed edges, {} alpha pairs, {} token blocks ({} purged).",
-        prepared.graph.num_directed_edges(),
-        prepared.graph.alpha_pairs().len(),
-        prepared.token_blocks.len(),
-        prepared.purge.as_ref().map_or(0, |p| p.blocks_before - p.blocks_after),
+        graph.num_directed_edges(),
+        graph.alpha_pairs().len(),
+        blocks.token_blocks.len(),
+        blocks.purge.as_ref().map_or(0, |p| p.blocks_before - p.blocks_after),
     );
     for side in [Side::Left, Side::Right] {
-        for attr in prepared.name_stats.name_attrs(side) {
+        for attr in blocks.name_stats.name_attrs(side) {
             println!(
                 "  name attribute on {side:?}: {}",
                 pair.attrs().resolve(minoaner::kb::Symbol(attr.0))
@@ -71,8 +70,8 @@ fn main() {
     }
 
     // 4. Match with the full rule set, then inspect an ablation on the
-    //    same prepared graph (no re-blocking).
-    let outcome = resolver.match_prepared(&exec, &pair, &prepared, RuleSet::FULL);
+    //    same graph (no re-blocking).
+    let outcome = run_matching(&exec, &pair, &graph, &config, RuleSet::FULL);
     println!("\nMatches:");
     for (&(l, r), rule) in outcome.matches.iter().zip(&outcome.rules) {
         println!(
@@ -81,7 +80,7 @@ fn main() {
             pair.uri_of(Side::Right, r)
         );
     }
-    let names_only = resolver.match_prepared(&exec, &pair, &prepared, RuleSet::R1_ONLY);
+    let names_only = run_matching(&exec, &pair, &graph, &config, RuleSet::R1_ONLY);
     println!("\nR1 alone finds {} of them.", names_only.matches.len());
 
     // 5. Stage timings and item flow recorded by the dataflow executor.

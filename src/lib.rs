@@ -69,6 +69,6 @@ pub use minoaner_core::{
     CheckpointSpec, MatchOutcome, Minoaner, MinoanerConfig, Resolution, ResolveOutcome,
     ResolveRequest, Rule, RuleSet,
 };
-pub use minoaner_dataflow::{DataflowError, Executor, ExecutorConfig};
+pub use minoaner_dataflow::{DataflowError, Executor};
 pub use minoaner_eval::Quality;
 pub use minoaner_kb::{EntityId, KbPair, KbPairBuilder, Side, Term};

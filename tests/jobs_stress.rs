@@ -23,7 +23,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 use std::time::Duration;
 
-use minoaner::dataflow::vfs::{FaultFs, FaultKind, FaultPlan, OpClass, VfsRef};
+use minoaner::dataflow::vfs::{FaultFs, FaultKind, FaultPlan, OpClass, RealFs, VfsRef};
 use minoaner::dataflow::{CancelReason, RunTrace};
 use minoaner::datagen::{generate, profiles, GeneratedDataset};
 use minoaner::jobs::{control, Batch, JobContext, JobId, JobResult, JobSpec, JobState, JobStatus};
@@ -43,16 +43,24 @@ fn dataset(scale: f64) -> GeneratedDataset {
     generate(&profiles::restaurant().scaled(scale))
 }
 
-/// The checkpointed-job spelling on the request API: cancellation and
-/// deadline ride on the executor, the checkpoint spec on the request.
-fn resolve_job(
-    exec: &mut Executor,
-    pair: &KbPair,
-    spec: &CheckpointSpec,
-) -> Result<(Resolution, RunTrace), DataflowError> {
-    Minoaner::new()
-        .run_on(exec, ResolveRequest::pair(pair).rules(RuleSet::FULL).checkpoint(spec))
-        .map(support::split_traced)
+/// A checkpointed full-rule-set run of `req`, split into its resolution
+/// and trace.
+fn checkpointed(req: ResolveRequest<'_>) -> Result<(Resolution, RunTrace), DataflowError> {
+    Minoaner::new().run(req.rules(RuleSet::FULL)).map(support::split_traced)
+}
+
+/// A job's checkpointed run, built the way `minoaner jobs run` builds it:
+/// the job's workers and cancellation token on the request, its
+/// checkpoints under `spec`.
+fn resolve_job(ctx: &JobContext, pair: &KbPair, spec: &CheckpointSpec) -> Result<(Resolution, RunTrace), DataflowError> {
+    checkpointed(
+        ResolveRequest::pair(pair).checkpoint(spec).workers(ctx.workers()).cancel(ctx.cancel_token().clone()),
+    )
+}
+
+/// A job's checkpoint directory: `job-<id>/ckpt` under the control root.
+fn ckpt_dir(root: &Path, id: JobId) -> PathBuf {
+    control::job_dir(root, id).join("ckpt")
 }
 
 /// A solo (un-batched) checkpointed run: the reference every batched job
@@ -60,10 +68,9 @@ fn resolve_job(
 fn solo_baseline(scale: f64, workers: usize, tag: &str) -> String {
     let dir = scratch_dir(tag);
     let d = dataset(scale);
-    let mut exec = Executor::new(workers);
     let spec = CheckpointSpec::new(&dir);
-    let (res, trace) =
-        resolve_job(&mut exec, &d.pair, &spec).expect("solo baseline run succeeds");
+    let (res, trace) = checkpointed(ResolveRequest::pair(&d.pair).checkpoint(&spec).workers(workers))
+        .expect("solo baseline run succeeds");
     canonical_with_counters(&res, &trace)
 }
 
@@ -71,25 +78,23 @@ fn solo_baseline(scale: f64, workers: usize, tag: &str) -> String {
 type Results = RefCell<BTreeMap<u64, String>>;
 
 /// Work closure for a full-pipeline job: resolves the scaled restaurant
-/// dataset on the job's own executor with per-job checkpoints under
-/// `root/job-<id>/ckpt`, and records its canonical outcome in `results`.
+/// dataset on the job's workers with per-job checkpoints under
+/// `job-<id>/ckpt`, and records its canonical outcome in `results`.
 /// With `cancel_after`, the job's own token is latched right after that
 /// barrier commits.
-fn pipeline_work<'a>(
+fn pipeline_work(
     scale: f64,
-    root: &'a Path,
     cancel_after: Option<usize>,
-    results: &'a Results,
-) -> impl FnOnce(&JobContext) -> JobResult + 'a {
+    results: &Results,
+) -> impl FnOnce(&JobContext) -> JobResult + '_ {
     move |ctx| {
         let d = dataset(scale);
-        let mut exec = ctx.executor();
-        let mut spec = CheckpointSpec::for_job(root, &ctx.id().to_string());
+        let mut spec = CheckpointSpec::new(ctx.job_dir().join("ckpt"));
         if let Some(barrier) = cancel_after {
             let cancel = CancelAfterBarrier::new(spec.dir(), barrier, ctx.cancel_token().clone());
             spec = spec.with_vfs(cancel);
         }
-        let (res, trace) = resolve_job(&mut exec, &d.pair, &spec)?;
+        let (res, trace) = resolve_job(ctx, &d.pair, &spec)?;
         results.borrow_mut().insert(ctx.id().ordinal(), canonical_with_counters(&res, &trace));
         Ok(format!("{} matches", res.matches.len()))
     }
@@ -125,7 +130,9 @@ fn faulty_error(seed: u64) -> String {
 fn faulty_work(seed: u64) -> impl FnOnce(&JobContext) -> JobResult {
     move |ctx| {
         let poisoned = poisoned_task(seed);
-        let out = ctx.executor().try_run_stage("stress", FAULTY_TASKS, |i| {
+        let mut exec = Executor::new(ctx.workers());
+        exec.set_cancel_token(ctx.cancel_token().clone());
+        let out = exec.try_run_stage("stress", FAULTY_TASKS, |i| {
             assert!(i != poisoned, "injected fault: task {i}");
             (i as u64) * 7 + 1
         })?;
@@ -182,7 +189,7 @@ fn batched_jobs_match_solo_runs_bit_for_bit() {
     for workers in [1, 2] {
         for (i, &scale) in scales.iter().enumerate() {
             let spec = JobSpec::new(format!("pipeline-{scale}-{workers}")).with_workers(workers);
-            let id = batch.add_job(spec, pipeline_work(scale, &root, None, &results));
+            let id = batch.add_job(spec, pipeline_work(scale, None, &results));
             expected.insert(id, i);
         }
     }
@@ -222,7 +229,7 @@ fn injected_faults_stay_contained_to_their_job() {
         faulty.push((batch.add_job(spec, faulty_work(seed)), seed));
         if j % 2 == 0 {
             let spec = JobSpec::new(format!("clean-pipeline-{j}")).with_workers(2);
-            pipelines.push(batch.add_job(spec, pipeline_work(0.2, &root, None, &results)));
+            pipelines.push(batch.add_job(spec, pipeline_work(0.2, None, &results)));
         }
     }
 
@@ -253,7 +260,7 @@ fn injected_faults_stay_contained_to_their_job() {
         assert_eq!(left, ["status.json"], "faulty job {id} left scratch behind");
     }
     for id in &pipelines {
-        assert_only_complete_barriers(CheckpointSpec::for_job(&root, &id.to_string()).dir());
+        assert_only_complete_barriers(&ckpt_dir(&root, *id));
     }
 
     // No worker or watcher leaks, failed stages included.
@@ -278,16 +285,15 @@ fn cancelled_job_resumes_cleanly() {
     let results = Results::default();
     let mut batch = Batch::new(&root);
 
-    let victim = batch.add_job(JobSpec::new("doomed").with_workers(2), pipeline_work(0.2, &root, Some(0), &results));
+    let victim = batch.add_job(JobSpec::new("doomed").with_workers(2), pipeline_work(0.2, Some(0), &results));
     let status = batch.run_jobs().remove(0);
 
     assert_eq!(status.state, JobState::Cancelled, "a cancel after barrier 0 must cancel the job");
     assert_eq!(status.cancel_reason, Some(CancelReason::User));
     assert!(results.borrow().is_empty(), "a cancelled job must not have recorded a completed outcome");
 
-    let ckpt = CheckpointSpec::for_job(&root, &victim.to_string());
-    assert_only_complete_barriers(ckpt.dir());
-    let persisted = control::read_status(&control::job_dir(&root, victim))
+    assert_only_complete_barriers(&ckpt_dir(&root, victim));
+    let persisted = control::read_status(&RealFs, &control::job_dir(&root, victim))
         .expect("cancelled status persisted to the control plane");
     assert_eq!(persisted.state, JobState::Cancelled);
 
@@ -296,9 +302,8 @@ fn cancelled_job_resumes_cleanly() {
     let mut rerun = Batch::new(&root);
     let resumed = rerun.add_job(JobSpec::new("doomed").with_workers(2), |ctx| {
         let d = dataset(0.2);
-        let mut spec = CheckpointSpec::for_job(&root, &ctx.id().to_string());
-        spec.resume = true;
-        let (res, trace) = resolve_job(&mut ctx.executor(), &d.pair, &spec)?;
+        let spec = CheckpointSpec::new(ctx.job_dir().join("ckpt")).resuming();
+        let (res, trace) = resolve_job(ctx, &d.pair, &spec)?;
         assert_eq!(trace.counter("ckpt/resumed_from"), 1, "resume must restart right past the cancelled barrier");
         results.borrow_mut().insert(ctx.id().ordinal(), canonical_with_counters(&res, &trace));
         Ok(format!("{} matches", res.matches.len()))
@@ -317,8 +322,8 @@ fn disk_bound_job(root: &Path, disk: VfsRef) -> (JobStatus, u64) {
     let mut batch = Batch::with_vfs(root, disk.clone());
     batch.add_job(JobSpec::new("crash-victim").with_workers(2), |ctx| {
         let d = dataset(0.2);
-        let spec = CheckpointSpec::for_job(root, &ctx.id().to_string()).with_vfs(disk);
-        let (res, _) = resolve_job(&mut ctx.executor(), &d.pair, &spec)?;
+        let spec = CheckpointSpec::new(ctx.job_dir().join("ckpt")).with_vfs(disk);
+        let (res, _) = resolve_job(ctx, &d.pair, &spec)?;
         Ok(format!("{} matches", res.matches.len()))
     });
     let status = batch.run_jobs().remove(0);
@@ -354,7 +359,7 @@ fn process_crash_mid_job_leaves_resumable_job_dir() {
     assert_eq!(status.state, JobState::Failed, "the crash stops the job");
     assert!(write_failures >= 1, "the control plane stops with the disk");
     let job_dir = control::job_dir(&root, status.id);
-    let on_disk = control::read_status(&job_dir).expect("the running status reached the disk");
+    let on_disk = control::read_status(&RealFs, &job_dir).expect("the running status reached the disk");
     assert_eq!(on_disk.state, JobState::Running, "no status written after the crash reaches the disk");
 
     // The batch's `CANCEL` watcher reads through the same disk every poll,
@@ -373,10 +378,9 @@ fn process_crash_mid_job_leaves_resumable_job_dir() {
     assert!(torn.is_empty(), "the crash left barrier files that are not whole: {torn:?}");
 
     let d = dataset(0.2);
-    let mut exec = Executor::new(2);
     let spec = CheckpointSpec::new(&ckpt_dir).resuming();
-    let (res, trace) =
-        resolve_job(&mut exec, &d.pair, &spec).expect("resume over the crashed job dir succeeds");
+    let (res, trace) = checkpointed(ResolveRequest::pair(&d.pair).checkpoint(&spec).workers(2))
+        .expect("resume over the crashed job dir succeeds");
     assert_eq!(trace.counter("ckpt/resumed_from"), committed, "resume must pick up past the last committed barrier");
     assert_eq!(
         canonical_with_counters(&res, &trace),
@@ -406,7 +410,7 @@ fn chaos_mix_converges_without_leaks() {
     let mut faulty = BTreeMap::new();
     for j in 0..3 {
         let spec = JobSpec::new(format!("chaos-pipeline-{j}")).with_workers(2);
-        let id = batch.add_job(spec, pipeline_work(0.2, &root, None, &results));
+        let id = batch.add_job(spec, pipeline_work(0.2, None, &results));
         added.push(id);
         pipeline_ids.push(id);
     }
@@ -418,10 +422,10 @@ fn chaos_mix_converges_without_leaks() {
     // A job whose marker lands before the batch runs: it never starts.
     let queued_victim = batch.add_job(
         JobSpec::new("chaos-queued-victim").with_workers(2),
-        pipeline_work(0.2, &root, None, &results),
+        pipeline_work(0.2, None, &results),
     );
     added.push(queued_victim);
-    assert!(control::request_cancel(&root, queued_victim, CancelReason::User).expect("marker"));
+    assert!(control::request_cancel(&RealFs, &root, queued_victim, CancelReason::User).expect("marker"));
 
     // A cancel racing a pipeline job, dropped by another thread as soon as
     // the job is seen running: both outcomes are legal, and a cancelled
@@ -431,12 +435,12 @@ fn chaos_mix_converges_without_leaks() {
         s.spawn(|| {
             let dir = control::job_dir(&root, race_victim);
             for _ in 0..10_000 {
-                match control::read_status(&dir).map(|status| status.state) {
+                match control::read_status(&RealFs, &dir).map(|status| status.state) {
                     Ok(JobState::Queued) | Err(_) => std::thread::sleep(Duration::from_millis(1)),
                     Ok(_) => break,
                 }
             }
-            control::request_cancel(&root, race_victim, CancelReason::User).expect("race marker");
+            control::request_cancel(&RealFs, &root, race_victim, CancelReason::User).expect("race marker");
         });
         batch.run_jobs()
     });
@@ -455,13 +459,11 @@ fn chaos_mix_converges_without_leaks() {
                 assert_eq!(status.cancel_reason, Some(CancelReason::User));
                 // Whatever barriers it reached are complete and resumable:
                 // a direct resume must land on the uninterrupted outcome.
-                let ckpt = CheckpointSpec::for_job(&root, &status.id.to_string());
-                assert_only_complete_barriers(ckpt.dir());
+                let ckpt = ckpt_dir(&root, status.id);
+                assert_only_complete_barriers(&ckpt);
                 let d = dataset(0.2);
-                let mut exec = Executor::new(2);
-                let mut spec = CheckpointSpec::new(ckpt.dir());
-                spec.resume = true;
-                let (res, trace) = resolve_job(&mut exec, &d.pair, &spec)
+                let spec = CheckpointSpec::new(&ckpt).resuming();
+                let (res, trace) = checkpointed(ResolveRequest::pair(&d.pair).checkpoint(&spec).workers(2))
                     .expect("resume of cancelled chaos job succeeds");
                 assert_eq!(
                     canonical_with_counters(&res, &trace),
@@ -490,7 +492,7 @@ fn chaos_mix_converges_without_leaks() {
     want.sort();
     assert_eq!(top, want, "control root grew stray directories");
     for id in &added {
-        assert_only_complete_barriers(CheckpointSpec::for_job(&root, &id.to_string()).dir());
+        assert_only_complete_barriers(&ckpt_dir(&root, *id));
     }
 
     // No leaks: executor workers are joined by their executors' drops and

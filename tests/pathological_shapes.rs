@@ -137,8 +137,8 @@ fn resolve_everywhere(what: &str, pair: &KbPair, cfg: &MinoanerConfig) -> (Vec<(
 fn pathological_shapes_resolve_within_bounds_and_agree_across_workers() {
     const MIB: u64 = 1 << 20;
     let defaults = MinoanerConfig::default();
-    let no_purging = MinoanerConfig::builder().purge_blocks(false).build().expect("valid");
-    let no_pruning = MinoanerConfig::builder().top_k(usize::MAX).build().expect("valid");
+    let no_purging = MinoanerConfig { purge_blocks: false, ..defaults };
+    let no_pruning = MinoanerConfig { top_k: usize::MAX, ..defaults };
 
     // The bounds are twice the peaks measured when they were set (3.6, 1.4
     // and 2.5 MiB): the KB and its blocks are built before the peak is

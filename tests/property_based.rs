@@ -7,6 +7,7 @@ use minoaner::baselines::umc::unique_mapping_clustering;
 use minoaner::blocking::graph::{build_blocking_graph, GraphConfig};
 use minoaner::blocking::name::build_name_blocks;
 use minoaner::blocking::token::build_token_blocks;
+use minoaner::core::matcher::run_matching;
 use minoaner::kb::stats::{value_sim, NameStats, RelationStats, TokenEf};
 use minoaner::det::rng::{for_each_seed, Rng};
 use minoaner::{EntityId, Executor, KbPairBuilder, Minoaner, Side, Term};
@@ -136,16 +137,17 @@ fn matcher_produces_reciprocal_partial_matching() {
         let (pair, _nl, _nr) = random_pair(rng);
         let exec = Executor::new(1);
         let m = Minoaner::new();
-        let prepared = m.prepare(&exec, &pair);
-        let outcome = m.match_prepared(&exec, &pair, &prepared, minoaner::RuleSet::FULL);
+        let blocks = m.prepare_blocks(&exec, &pair);
+        let graph = m.build_graph_from_blocks(&exec, &pair, &blocks, false);
+        let outcome = run_matching(&exec, &pair, &graph, m.config(), minoaner::RuleSet::FULL);
         let mut lefts: Vec<_> = outcome.matches.iter().map(|&(l, _)| l).collect();
         lefts.sort_unstable();
         let n = lefts.len();
         lefts.dedup();
         assert_eq!(lefts.len(), n, "left endpoint reused");
         for &(l, r) in &outcome.matches {
-            assert!(prepared.graph.has_directed_edge(Side::Left, l, r));
-            assert!(prepared.graph.has_directed_edge(Side::Right, r, l));
+            assert!(graph.has_directed_edge(Side::Left, l, r));
+            assert!(graph.has_directed_edge(Side::Right, r, l));
         }
     });
 }

@@ -24,6 +24,7 @@ use minoaner_dataflow::Executor;
 use minoaner_kb::stats::TokenEf;
 use minoaner_kb::{AttrId, EntityId, KbPair, Side};
 
+use crate::sigma::value_similarity;
 use crate::umc::unique_mapping_clustering;
 
 /// LINDA configuration.
@@ -103,45 +104,6 @@ fn compatible_relations(pair: &KbPair, cfg: &LindaConfig) -> Vec<(AttrId, AttrId
         }
     }
     out
-}
-
-/// Normalized weighted-Jaccard value similarity (shared with the SiGMa
-/// analogue's notion of similarity).
-fn value_similarity(pair: &KbPair, ef: &TokenEf, l: EntityId, r: EntityId) -> f64 {
-    let a = pair.kb(Side::Left).tokens_of(l);
-    let b = pair.kb(Side::Right).tokens_of(r);
-    let (mut i, mut j) = (0, 0);
-    let (mut inter, mut union) = (0.0, 0.0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => {
-                union += ef.token_weight_clamped(a[i]);
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                union += ef.token_weight_clamped(b[j]);
-                j += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                let w = ef.token_weight(a[i]);
-                inter += w;
-                union += w;
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    for &t in &a[i..] {
-        union += ef.token_weight_clamped(t);
-    }
-    for &t in &b[j..] {
-        union += ef.token_weight_clamped(t);
-    }
-    if union == 0.0 {
-        0.0
-    } else {
-        inter / union
-    }
 }
 
 /// Runs LINDA-style joint matching.

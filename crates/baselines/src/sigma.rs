@@ -49,8 +49,9 @@ impl Default for SigmaConfig {
     }
 }
 
-/// Normalized weighted Jaccard over token sets with inverse-EF weights.
-fn value_similarity(pair: &KbPair, ef: &TokenEf, l: EntityId, r: EntityId) -> f64 {
+/// Normalized weighted Jaccard over token sets with inverse-EF weights —
+/// the value similarity of the SiGMa and LINDA analogues both.
+pub(crate) fn value_similarity(pair: &KbPair, ef: &TokenEf, l: EntityId, r: EntityId) -> f64 {
     let a = pair.kb(Side::Left).tokens_of(l);
     let b = pair.kb(Side::Right).tokens_of(r);
     let (mut i, mut j) = (0, 0);

@@ -10,32 +10,18 @@ use minoaner_kb::EntityId;
 ///
 /// Pairs are processed in decreasing score order (ties broken by ids for
 /// determinism); pairs scoring below `threshold` are ignored. Returns the
-/// accepted matches in acceptance order.
+/// accepted matches in acceptance order: [`unique_mapping_prefix`] cut at
+/// its first match scoring below `threshold` — whether a pair is accepted
+/// never depends on a pair of lower score.
 pub fn unique_mapping_clustering(
-    mut pairs: Vec<(EntityId, EntityId, f64)>,
+    pairs: Vec<(EntityId, EntityId, f64)>,
     threshold: f64,
 ) -> Vec<(EntityId, EntityId)> {
-    pairs.sort_unstable_by(|a, b| {
-        b.2.partial_cmp(&a.2)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.0.cmp(&b.0))
-            .then(a.1.cmp(&b.1))
-    });
-    let mut left_taken = minoaner_det::DetHashSet::default();
-    let mut right_taken = minoaner_det::DetHashSet::default();
-    let mut out = Vec::new();
-    for (l, r, s) in pairs {
-        if s < threshold {
-            break;
-        }
-        if left_taken.contains(&l) || right_taken.contains(&r) {
-            continue;
-        }
-        left_taken.insert(l);
-        right_taken.insert(r);
-        out.push((l, r));
-    }
-    out
+    unique_mapping_prefix(pairs)
+        .into_iter()
+        .take_while(|&(_, _, s)| s.partial_cmp(&threshold) != Some(std::cmp::Ordering::Less))
+        .map(|(l, r, _)| (l, r))
+        .collect()
 }
 
 /// Prefix-evaluation support: runs UMC once with no threshold and returns
@@ -111,6 +97,33 @@ mod tests {
                 prefix.iter().filter(|&&(_, _, s)| s >= t).map(|&(l, r, _)| (l, r)).collect();
             assert_eq!(direct, via_prefix, "threshold {t}");
         }
+    }
+
+    /// The greedy loop that stops at the first pair below the threshold,
+    /// accepted or not, on crowded seeded pairs with tied scores.
+    #[test]
+    fn clustering_is_the_thresholded_greedy_loop() {
+        minoaner_det::rng::for_each_seed(300, |rng| {
+            let n = rng.gen_range(0..40usize);
+            let pairs: Vec<_> = (0..n)
+                .map(|_| (e(rng.gen_range(0..6u32)), e(rng.gen_range(0..6u32)), rng.gen_range(0..8u32) as f64 / 8.0))
+                .collect();
+            let t = rng.gen_range(0..9u32) as f64 / 8.0;
+            let mut sorted = pairs.clone();
+            sorted.sort_unstable_by(|a, b| b.2.total_cmp(&a.2).then(a.0.cmp(&b.0)).then(a.1.cmp(&b.1)));
+            let (mut left, mut right, mut want) = (Vec::new(), Vec::new(), Vec::new());
+            for (l, r, s) in sorted {
+                if s < t {
+                    break;
+                }
+                if !left.contains(&l) && !right.contains(&r) {
+                    left.push(l);
+                    right.push(r);
+                    want.push((l, r));
+                }
+            }
+            assert_eq!(unique_mapping_clustering(pairs.clone(), t), want, "{pairs:?} at {t}");
+        });
     }
 
     #[test]

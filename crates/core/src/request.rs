@@ -30,7 +30,8 @@
 //! ```
 
 use minoaner_dataflow::{
-    CancelToken, DataflowError, Deadline, Executor, MemoryBudget, RunTrace, TraceCollector,
+    CancelToken, DataflowError, Deadline, Executor, MemoryBudget, ObserverSlot, RunTrace,
+    TraceCollector,
 };
 use minoaner_kb::KbPair;
 
@@ -185,25 +186,37 @@ impl Minoaner {
         self.run_on(&mut executor, req)
     }
 
-    /// Executes a [`ResolveRequest`] on a caller-owned executor (reusing
-    /// its worker pool, stage log and observer slot across runs).
+    /// Executes a [`ResolveRequest`] on a caller-owned executor: its
+    /// worker count, partition count and stage log (the worker threads
+    /// themselves are scoped to each stage).
     ///
-    /// The request's cancellation token and deadline, if set, are
-    /// installed on `executor`; its [`ResolveRequest::workers`] override
-    /// is ignored — the executor's own sizing wins.
+    /// The request's cancellation token, deadline and memory budget, if
+    /// set, are installed on `executor` for the run, and the executor's
+    /// own are put back afterwards, whatever the outcome. A request with
+    /// a deadline but no token runs under a fresh token, so that the
+    /// deadline's expiry never latches the executor's own. The request's
+    /// [`ResolveRequest::workers`] override is ignored — the executor's
+    /// own sizing wins.
     ///
     /// A traced or checkpointed run installs a [`TraceCollector`] on the
-    /// executor for its duration (replacing, then clearing, any observer
-    /// installed before); the trace combines the collector's counters with
-    /// the executor's stage log. A run restored from a checkpoint re-emits
-    /// the checkpoint's counter snapshot, so its domain counters match an
-    /// uninterrupted run's (only the `ckpt/*` accounting differs).
+    /// executor for its duration, in place of any observer installed
+    /// before, which is put back too; the trace combines the collector's
+    /// counters with the executor's stage log. A run restored from a
+    /// checkpoint re-emits the checkpoint's counter snapshot, so its
+    /// domain counters match an uninterrupted run's (only the `ckpt/*`
+    /// accounting differs).
     pub fn run_on(
         &self,
         executor: &mut Executor,
         mut req: ResolveRequest<'_>,
     ) -> Result<ResolveOutcome, DataflowError> {
-        if let Some(token) = req.cancel.take() {
+        let (cancel, deadline, memory, observer) = (
+            executor.cancel_token().clone(),
+            executor.deadline(),
+            executor.memory_budget().cloned(),
+            executor.observer().clone(),
+        );
+        if let Some(token) = req.cancel.take().or_else(|| req.deadline.is_some().then(CancelToken::new)) {
             executor.set_cancel_token(token);
         }
         if let Some(deadline) = req.deadline.take() {
@@ -218,9 +231,13 @@ impl Minoaner {
         }
         let checkpoint = req.checkpoint.zip(collector.as_deref());
         let result = self.resolve_impl(executor, req.pair, req.rules, req.adaptive, checkpoint);
-        if collector.is_some() {
-            executor.clear_observer();
+        match observer {
+            ObserverSlot::On(observer) => executor.set_observer(observer),
+            ObserverSlot::Off => executor.clear_observer(),
         }
+        executor.set_cancel_token(cancel);
+        executor.set_deadline(deadline);
+        executor.set_memory_budget(memory);
         let resolution = result?;
         let trace = collector.map(|collector| {
             RunTrace::capture(
@@ -313,6 +330,37 @@ mod tests {
 
         let (r1, _) = run(ResolveRequest::pair(&p).adaptive().rules(RuleSet::R1_ONLY));
         assert_eq!((r1.rule_counts.r2, r1.rule_counts.r3), (0, 0), "rules flow through");
+    }
+
+    /// A request's token, deadline, budget and trace collector are the
+    /// run's only: the plain request after each one on the same executor
+    /// resolves as on a fresh executor, and the executor's own observer
+    /// stays installed.
+    #[test]
+    fn run_on_leaves_the_executor_as_it_found_it() {
+        use minoaner_dataflow::CancelReason;
+        let p = pair();
+        let m = Minoaner::new();
+        let mut executor = Executor::new(2);
+        executor.set_observer(TraceCollector::new());
+        let cancelled = CancelToken::new();
+        cancelled.cancel(CancelReason::User);
+        let spill = std::env::temp_dir().join(format!("minoaner-run-on-{}", std::process::id()));
+        let requests = [
+            ResolveRequest::pair(&p).cancel(cancelled),
+            ResolveRequest::pair(&p).deadline(Deadline::after(std::time::Duration::ZERO)),
+            ResolveRequest::pair(&p).mem_budget(MemoryBudget::new(0, &spill)),
+            ResolveRequest::pair(&p).trace(),
+        ];
+        for req in requests {
+            let _ = m.run_on(&mut executor, req);
+            assert_eq!(executor.cancel_token().reason(), None);
+            assert!(executor.deadline().is_none() && executor.memory_budget().is_none());
+            assert!(executor.observer().is_on(), "the executor's own observer");
+            let plain = m.run_on(&mut executor, ResolveRequest::pair(&p)).expect("a plain request runs");
+            assert_eq!(plain.resolution.matches.len(), 3);
+        }
+        let _ = std::fs::remove_dir_all(&spill);
     }
 
     #[test]

@@ -294,9 +294,11 @@ impl<T> Drop for SpillShuffle<T> {
     /// unwound mid-read, the spill directory never outlives the shuffle.
     /// [`SpillShuffle::finish`] already handled the success path; this
     /// guard sweeps the error paths (best-effort — on a still-broken disk
-    /// there is nothing more to do than try).
+    /// there is nothing more to do than try). A shuffle that wrote no run
+    /// has no directory, and the removal's `NotFound` is ignored with the
+    /// rest.
     fn drop(&mut self) {
-        if !self.cleaned.load(Ordering::Relaxed) && self.dir.exists() {
+        if !self.cleaned.load(Ordering::Relaxed) {
             let _ = self.budget.vfs().remove_dir_all(&self.dir);
         }
     }

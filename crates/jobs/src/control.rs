@@ -128,12 +128,13 @@ pub fn list_statuses(vfs: &dyn Vfs, root: &Path) -> io::Result<Vec<JobStatus>> {
 /// Drops a `CANCEL` marker into the job's directory for the owning
 /// [`Batch`](crate::Batch) to pick up: at the job's start, or within one
 /// poll while it runs. Returns `false` (writing nothing) when the job
-/// directory does not exist. The marker is advisory (re-droppable at
-/// will), so it is a plain write with no fsync.
+/// directory does not exist, and any other failure to list it as the
+/// error. The marker is advisory (re-droppable at will), so it is a plain
+/// write with no fsync.
 pub fn request_cancel(vfs: &dyn Vfs, root: &Path, id: JobId, reason: CancelReason) -> io::Result<bool> {
     let dir = job_dir(root, id);
-    if !dir.is_dir() {
-        return Ok(false);
+    if let Err(e) = vfs.list_dir(&dir) {
+        return if e.kind() == io::ErrorKind::NotFound { Ok(false) } else { Err(e) };
     }
     vfs.write_file(&dir.join("CANCEL"), reason.as_str().as_bytes())?;
     Ok(true)
@@ -385,6 +386,22 @@ mod tests {
             fs::write(dir.join("CANCEL"), marker).expect("odd marker");
             assert_eq!(cancel_request(&RealFs, &dir), Some(CancelReason::User), "{marker}");
         }
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    /// Whether the job exists is asked of the `Vfs`: a disk that fails
+    /// that one op fails the request, which writes no marker.
+    #[test]
+    fn a_failed_existence_check_is_an_error_and_writes_no_marker() {
+        use minoaner_dataflow::vfs::{FaultFs, FaultKind, FaultPlan, OpClass};
+        let root = std::env::temp_dir().join(format!("minoaner-jobs-cxl-fault-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&root);
+        let status = sample(5, JobState::Running);
+        write_status(&RealFs, &root, &status).expect("write");
+        let disk = FaultFs::new(FaultPlan::fail_op(0, FaultKind::Eio));
+        request_cancel(&*disk, &root, status.id, CancelReason::User).expect_err("the listing failed");
+        assert_eq!(disk.ops().iter().map(|op| op.class).collect::<Vec<_>>(), [OpClass::ListDir]);
+        assert_eq!(cancel_request(&RealFs, &job_dir(&root, status.id)), None);
         let _ = fs::remove_dir_all(&root);
     }
 }

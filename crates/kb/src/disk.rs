@@ -36,12 +36,13 @@
 //! them out as they are: each table of the returned pair is a `Stored`
 //! range of the reference-counted mapping, not a copy.
 //!
-//! [`MkbFile::open`] only validates structure (the segment's header and
-//! table, every section's internal offsets and bounds) — the cheap path
-//! benchmarked against re-parsing. [`MkbFile::verify`] checks every section checksum, and
-//! [`MkbFile::to_pair`] verifies before anything else, so a bit-flipped
-//! file fails closed with a typed [`MkbError`] instead of producing a
-//! silently wrong KB.
+//! Reading is two steps. [`MkbFile::open`] maps the file and frames it:
+//! the segment's header and table, the section count and the file's
+//! length, nothing inside a section. [`MkbFile::to_pair`] checks every
+//! section's checksum, then reads each section once — its counts, bounds
+//! and padding, then the columns' contents — so a damaged file fails
+//! closed with a typed [`MkbError`] instead of producing a silently wrong
+//! KB.
 
 use std::fmt;
 use std::fs::File;
@@ -487,8 +488,9 @@ impl Word for AttrId {}
 impl Word for Symbol {}
 
 /// Bytes `range` of `map` as a column of `T` that shares the mapping — the
-/// one place a mapped column is made. `open` validated the range in bounds
-/// and aligned for its column; both are checked again here.
+/// one place a mapped column is made. The [`Reader`] claimed the range
+/// inside its section, which starts 8-aligned; bounds and alignment are
+/// checked again here.
 fn mapped_column<T: Word>(map: &Arc<Mapping>, range: &Range<usize>) -> Column<T> {
     let bytes = map.bytes().get(range.clone()).unwrap_or(&[]);
     assert!(
@@ -523,97 +525,113 @@ impl Stored<String> {
     }
 }
 
-/// Byte ranges of one parsed table's offsets and data — an arena's data
-/// is its UTF-8 bytes (absolute file offsets, validated 4-aligned and
-/// in-bounds at open time).
-#[derive(Debug, Clone)]
-struct CsrRef {
-    offsets: Range<usize>,
-    data: Range<usize>,
-}
-
-/// How many `u32`s a column's byte range holds.
-fn words(column: &Range<usize>) -> usize {
-    column.len() / 4
-}
-
-impl CsrRef {
-    /// One offset fewer than `open` claimed for the offsets column.
-    fn rows(&self) -> usize {
-        words(&self.offsets) - 1
-    }
-}
-
-/// A structurally validated, memory-mapped `.mkb` file.
+/// A compiled KB pair in a mapped `.mkb` file, framed but not yet read.
 ///
-/// [`Self::open`] checks structure only; [`Self::verify`] checks the
-/// contents against their checksums, and [`Self::to_pair`] — the one way
-/// to read a KB out of the file — verifies first.
+/// [`Self::open`] checks the framing only; [`Self::to_pair`] — the one way
+/// to read a KB out of the file — checks and reads every section.
 #[derive(Debug)]
 pub struct MkbFile {
     map: Arc<Mapping>,
+    segment: Segment,
+    /// The path errors name.
     path: PathBuf,
     dirty: bool,
-    segment: Segment,
-    arenas: [CsrRef; 4], // tokens, literals, attrs, uris
-    literal_tokens: CsrRef,
-    ent_uri: [Range<usize>; 2],
-    pairs_offsets: [CsrRef; 2], // data range covers attr column; values follow
-    pairs_vals: [Range<usize>; 2],
-    toksets: [CsrRef; 2],
-    tokocc: [Range<usize>; 2],
 }
 
-/// Bounds-checked cursor over one section's bytes (absolute offsets).
-struct Cursor<'a> {
-    bytes: &'a [u8],
+/// Reads one section front to back as `write_mkb` wrote it: a count word,
+/// then `u32` arrays or an arena's bytes, each followed by zero padding to
+/// the next multiple of 8. Every column it hands out lies inside the
+/// section, and no count overflows on the way there.
+struct Reader<'a> {
+    map: &'a Arc<Mapping>,
     pos: usize,
     end: usize,
     path: &'a Path,
     what: &'a str,
 }
 
-impl<'a> Cursor<'a> {
-    fn u64(&mut self) -> Result<u64, MkbError> {
-        let at = self.raw(8)?;
-        let word = self.bytes.get(at).and_then(|b| b.try_into().ok()).map(u64::from_ne_bytes);
-        word.ok_or_else(|| corrupt(self.path, format!("{}: truncated scalar", self.what)))
+impl Reader<'_> {
+    /// A `Corrupt` error that names the section.
+    fn corrupt(&self, detail: &str) -> MkbError {
+        corrupt(self.path, format!("{}: {detail}", self.what))
     }
 
-    /// Claims `n` u32 words, returning their absolute byte range, then
-    /// skips padding to the next 8-byte boundary.
-    fn u32s(&mut self, n: usize) -> Result<Range<usize>, MkbError> {
-        let bytes = n.checked_mul(4).ok_or_else(|| corrupt(self.path, format!("{}: count overflow", self.what)))?;
-        self.raw(bytes)
-    }
-
-    /// Claims `n` raw bytes, returning their absolute range, then skips
-    /// padding to the next 8-byte boundary.
-    fn raw(&mut self, n: usize) -> Result<Range<usize>, MkbError> {
+    /// Claims `n` items of `size` bytes and the padding after them,
+    /// returning the items' absolute byte range.
+    fn claim(&mut self, n: usize, size: usize) -> Result<Range<usize>, MkbError> {
         let lo = self.pos;
-        let hi = lo.checked_add(n).ok_or_else(|| corrupt(self.path, format!("{}: length overflow", self.what)))?;
+        let hi = n.checked_mul(size).and_then(|len| lo.checked_add(len)).ok_or_else(|| self.corrupt("count overflow"))?;
         if hi > self.end {
-            return Err(corrupt(self.path, format!("{}: truncated bytes", self.what)));
+            return Err(self.corrupt("truncated bytes"));
         }
-        self.pos = hi + (8 - hi % 8) % 8;
+        self.pos = hi.next_multiple_of(8);
         if self.pos > self.end {
-            return Err(corrupt(self.path, format!("{}: truncated padding", self.what)));
+            return Err(self.corrupt("truncated padding"));
         }
         Ok(lo..hi)
     }
+
+    /// The `u64` count that leads the section.
+    fn count(&mut self) -> Result<usize, MkbError> {
+        let at = self.claim(1, 8)?;
+        let word = self.map.bytes().get(at).and_then(|b| b.try_into().ok()).map(u64::from_ne_bytes);
+        word.and_then(|w| usize::try_from(w).ok()).ok_or_else(|| self.corrupt("count overflow"))
+    }
+
+    /// The next `n` items, in place.
+    fn column<T: Word>(&mut self, n: usize) -> Result<Column<T>, MkbError> {
+        let range = self.claim(n, std::mem::size_of::<T>())?;
+        Ok(mapped_column(self.map, &range))
+    }
+
+    /// A table's offsets: a row count, then one offset more than that.
+    fn offsets(&mut self) -> Result<Column<u32>, MkbError> {
+        let rows = self.count()?;
+        self.column(rows.checked_add(1).ok_or_else(|| self.corrupt("count overflow"))?)
+    }
+
+    /// The data column `offsets` cuts into rows, sized by the last offset.
+    fn data<T: Word>(&mut self, offsets: &[u32]) -> Result<Column<T>, MkbError> {
+        self.column(offsets.last().map_or(0, |&end| end as usize))
+    }
+
+    /// The count-led `u32` column a whole section holds.
+    fn words<T: Word>(&mut self) -> Result<Column<T>, MkbError> {
+        let n = self.count()?;
+        self.column(n)
+    }
+
+    /// `offsets` and `data` as a table — the one check that the offsets
+    /// start at 0, ascend and end at the column's end.
+    fn rows<T: Word>(&self, offsets: Column<u32>, data: Column<T>) -> Result<Rows<T>, MkbError> {
+        Rows::from_columns(offsets, data).map_err(|detail| self.corrupt(&detail))
+    }
 }
 
-/// The `u32` at `at`, inside a range `Cursor::u32s` checked against its
-/// section's end.
-fn read_u32(bytes: &[u8], at: usize) -> u32 {
-    bytes.get(at..at + 4).and_then(|b| b.try_into().ok()).map_or(0, u32::from_ne_bytes)
+/// A side's four sections, in file order: entity URIs, pairs, token sets
+/// and token occurrences, with the names errors give them.
+fn side_sections(side: Side) -> [(u32, &'static str); 4] {
+    match side {
+        Side::Left => [
+            (section::ENT_URI_L, "Left entity uris"),
+            (section::PAIRS_L, "Left pairs"),
+            (section::TOKSET_L, "Left token sets"),
+            (section::TOKOCC_L, "Left token occurrences"),
+        ],
+        Side::Right => [
+            (section::ENT_URI_R, "Right entity uris"),
+            (section::PAIRS_R, "Right pairs"),
+            (section::TOKSET_R, "Right token sets"),
+            (section::TOKOCC_R, "Right token occurrences"),
+        ],
+    }
 }
 
 impl MkbFile {
-    /// Opens and structurally validates an `.mkb` file: the segment's
-    /// header and section table, and every section's internal
-    /// offsets/bounds — but *not* the content checksums (see
-    /// [`Self::verify`]). This is the microsecond-scale open path.
+    /// Opens an `.mkb` file and checks its framing: the mapping's
+    /// alignment, the segment's header and section table against the
+    /// file's length, and the section count. Nothing inside a section is
+    /// read, and no checksum is compared — both are [`Self::to_pair`]'s.
     pub fn open(path: &Path) -> Result<Self, MkbError> {
         let file = File::open(path).map_err(|e| io_err(path, &e))?;
         let len = file.metadata().map_err(|e| io_err(path, &e))?.len();
@@ -634,10 +652,10 @@ impl MkbFile {
         // External-truncation guard: `len` came from the stat above, but
         // another process may have truncated the file between that stat
         // and the mmap — touching a page past the new EOF would SIGBUS
-        // during the section validation below. Re-stat now so a
-        // stat-to-map race surfaces as a typed error instead. A
-        // truncation *after* this check can still SIGBUS on first access;
-        // that residual contract is documented in DESIGN.md §18.
+        // when `to_pair` reads it. Re-stat now so a stat-to-map race
+        // surfaces as a typed error instead. A truncation *after* this
+        // check can still SIGBUS on first access; that residual contract
+        // is documented in DESIGN.md §18.
         let now = file.metadata().map_err(|e| io_err(path, &e))?.len();
         if now < len as u64 {
             return Err(corrupt(
@@ -645,105 +663,7 @@ impl MkbFile {
                 format!("file truncated while opening ({now} bytes now, {len} at map time)"),
             ));
         }
-
-        let cursor = |id: u32, what: &'static str| -> Result<Cursor<'_>, MkbError> {
-            let range = segment.section(id).map_err(|e| segment_err(path, e))?.range();
-            Ok(Cursor { bytes, pos: range.start, end: range.end, path, what })
-        };
-
-        // A row count and that many + 1 offsets, which must be monotone;
-        // the last names the length of the column(s) they index.
-        let parse_offsets = |c: &mut Cursor<'_>, what: &str| -> Result<(Range<usize>, usize), MkbError> {
-            let rows = c.u64()? as usize;
-            let offsets = c.u32s(rows.checked_add(1).ok_or_else(|| corrupt(path, format!("{what}: count overflow")))?)?;
-            let mut prev = 0u32;
-            for i in 0..=rows {
-                let v = read_u32(bytes, offsets.start + i * 4);
-                if v < prev {
-                    return Err(corrupt(path, format!("{what}: offsets not monotone at {i}")));
-                }
-                prev = v;
-            }
-            Ok((offsets, prev as usize))
-        };
-
-        let parse_arena = |id: u32, what: &'static str| -> Result<CsrRef, MkbError> {
-            let mut c = cursor(id, what)?;
-            let (offsets, byte_len) = parse_offsets(&mut c, what)?;
-            Ok(CsrRef { offsets, data: c.raw(byte_len)? })
-        };
-
-        let parse_csr = |id: u32, what: &'static str| -> Result<CsrRef, MkbError> {
-            let mut c = cursor(id, what)?;
-            let (offsets, len) = parse_offsets(&mut c, what)?;
-            Ok(CsrRef { offsets, data: c.u32s(len)? })
-        };
-
-        let parse_col = |id: u32, what: &'static str| -> Result<Range<usize>, MkbError> {
-            let mut c = cursor(id, what)?;
-            let count = c.u64()? as usize;
-            c.u32s(count)
-        };
-
-        // Pairs sections: CSR offsets + attr column + value column.
-        let parse_pairs = |id: u32, what: &'static str| -> Result<(CsrRef, Range<usize>), MkbError> {
-            let mut c = cursor(id, what)?;
-            let (offsets, len) = parse_offsets(&mut c, what)?;
-            let attrs = c.u32s(len)?;
-            Ok((CsrRef { offsets, data: attrs }, c.u32s(len)?))
-        };
-
-        let arenas = [
-            parse_arena(section::TOKENS, "tokens arena")?,
-            parse_arena(section::LITERALS, "literals arena")?,
-            parse_arena(section::ATTRS, "attrs arena")?,
-            parse_arena(section::URIS, "uris arena")?,
-        ];
-        let literal_tokens = parse_csr(section::LITERAL_TOKENS, "literal tokens")?;
-        let ent_uri = [
-            parse_col(section::ENT_URI_L, "left entity uris")?,
-            parse_col(section::ENT_URI_R, "right entity uris")?,
-        ];
-        let (pairs_l, vals_l) = parse_pairs(section::PAIRS_L, "left pairs")?;
-        let (pairs_r, vals_r) = parse_pairs(section::PAIRS_R, "right pairs")?;
-        let toksets = [
-            parse_csr(section::TOKSET_L, "left token sets")?,
-            parse_csr(section::TOKSET_R, "right token sets")?,
-        ];
-        let tokocc = [
-            parse_col(section::TOKOCC_L, "left token occurrences")?,
-            parse_col(section::TOKOCC_R, "right token occurrences")?,
-        ];
-
-        // Per-side column counts must agree.
-        // bound: `i = side.index()` < 2, the length of every per-side array.
-        #[allow(clippy::indexing_slicing)]
-        for side in [Side::Left, Side::Right] {
-            let i = side.index();
-            let n = words(&ent_uri[i]);
-            if [&pairs_l, &pairs_r][i].rows() != n || toksets[i].rows() != n || words(&tokocc[i]) != n {
-                return Err(corrupt(path, format!("{side:?}: per-entity column counts disagree")));
-            }
-        }
-
-        Ok(Self {
-            map,
-            path: path.to_path_buf(),
-            dirty: segment.flags() & FLAG_DIRTY != 0,
-            segment,
-            arenas,
-            literal_tokens,
-            ent_uri,
-            pairs_offsets: [pairs_l, pairs_r],
-            pairs_vals: [vals_l, vals_r],
-            toksets,
-            tokocc,
-        })
-    }
-
-    /// The path this file was opened from.
-    pub fn path(&self) -> &Path {
-        &self.path
+        Ok(Self { dirty: segment.flags() & FLAG_DIRTY != 0, map, segment, path: path.to_path_buf() })
     }
 
     /// Total mapped bytes.
@@ -751,28 +671,16 @@ impl MkbFile {
         self.map.bytes().len()
     }
 
-    /// Recomputes every section's checksum against the table. A
-    /// mismatch means bytes changed at rest (bit rot, torn write, tamper)
-    /// and yields [`MkbError::Corrupt`] — never a silent wrong read.
-    pub fn verify(&self) -> Result<(), MkbError> {
-        self.segment.verify(self.map.bytes()).map_err(|e| segment_err(&self.path, e))
+    /// A reader of section `id`, whose errors call it `what`.
+    fn reader<'a>(&'a self, id: u32, what: &'a str) -> Result<Reader<'a>, MkbError> {
+        let range = self.segment.section(id).map_err(|e| segment_err(&self.path, e))?.range();
+        Ok(Reader { map: &self.map, pos: range.start, end: range.end, path: &self.path, what })
     }
 
-    /// Bytes `range` of the file as a column of `T`, in place.
-    fn column<T: Word>(&self, range: &Range<usize>) -> Column<T> {
-        mapped_column(&self.map, range)
-    }
-
-    /// A stored offsets column and the data column it cuts into rows, as a
-    /// table — every CSR-shaped section's one validator.
-    fn rows<T: Word>(&self, what: &str, offsets: &Range<usize>, data: Column<T>) -> Result<Rows<T>, MkbError> {
-        Rows::from_columns(self.column(offsets), data).map_err(|detail| corrupt(&self.path, format!("{what}: {detail}")))
-    }
-
-    /// Fully verifies the file and returns the [`KbPair`] it holds, its
-    /// columns left where they are: every table of the pair is a range of
-    /// this file's mapping, which the pair shares (and keeps mapped after
-    /// the `MkbFile` is gone). An interner's lookup table is built on its
+    /// Checks the file and returns the [`KbPair`] it holds, its columns
+    /// left where they are: every table of the pair is a range of this
+    /// file's mapping, which the pair shares (and keeps mapped after the
+    /// `MkbFile` is gone). An interner's lookup table is built on its
     /// first [`Interner::get`].
     ///
     /// The checks read every page of the file; once they have passed, the
@@ -784,19 +692,23 @@ impl MkbFile {
     /// same interner order, same ids, same token sets, hence bit-identical
     /// resolution results.
     ///
-    /// Beyond the checksums, every arena must be UTF-8 cut on char
-    /// boundaries into distinct strings, every CSR and pairs table must
-    /// start at 0 and span its columns, every id in every column must be in
-    /// range, an entity's token set must ascend strictly and a side's URI
-    /// column must name each URI once — blocks are counting inversions of
-    /// those columns, so a repeated token would be a repeated block member
-    /// and a doubled β term. A dirty pair's right-side sections must be
-    /// its left-side sections byte for byte: the two sides are one KB, and
-    /// the left side's columns serve both. Anything else is
-    /// [`MkbError::Corrupt`]. Each check reads the mapping once.
+    /// First every section's checksum is recomputed against the table: a
+    /// mismatch means bytes changed at rest (bit rot, a torn write,
+    /// tampering). Then each section is read once. Its counts must not
+    /// overflow and its columns and padding must lie inside it; every
+    /// arena must be UTF-8 cut on char boundaries into distinct strings,
+    /// every CSR and pairs table must start at 0, ascend and span its
+    /// columns, a side's four sections must count the same entities, every
+    /// id in every column must be in range, an entity's token set must
+    /// ascend strictly and a side's URI column must name each URI once —
+    /// blocks are counting inversions of those columns, so a repeated token
+    /// would be a repeated block member and a doubled β term. A dirty
+    /// pair's right-side sections must be its left-side sections byte for
+    /// byte: the two sides are one KB, and the left side's columns serve
+    /// both. Anything else is [`MkbError::Corrupt`].
     pub fn to_pair(&self) -> Result<KbPair, MkbError> {
-        self.verify()?;
         let path = &self.path;
+        self.segment.verify(self.map.bytes()).map_err(|e| segment_err(path, e))?;
         if self.dirty {
             let twins = [
                 (section::ENT_URI_L, section::ENT_URI_R),
@@ -810,42 +722,53 @@ impl MkbFile {
             }
         }
 
-        let interner = |arena: &CsrRef, what: &str| -> Result<Interner, MkbError> {
-            let text = Stored::utf8(self.column(&arena.data))
-                .map_err(|e| corrupt(path, format!("{what}: invalid UTF-8 at arena byte {}", e.valid_up_to())))?;
-            Interner::from_columns(text, self.column(&arena.offsets))
-                .map_err(|detail| corrupt(path, format!("{what}: {detail}")))
+        let interner = |id: u32, what: &str| -> Result<Interner, MkbError> {
+            let mut r = self.reader(id, what)?;
+            let offsets = r.offsets()?;
+            let text = Stored::utf8(r.data(&offsets)?)
+                .map_err(|e| r.corrupt(&format!("invalid UTF-8 at arena byte {}", e.valid_up_to())))?;
+            Interner::from_columns(text, offsets).map_err(|detail| r.corrupt(&detail))
         };
-        let [tokens_arena, literals_arena, attrs_arena, uris_arena] = &self.arenas;
-        let tokens = interner(tokens_arena, "tokens arena")?;
-        let literals = interner(literals_arena, "literals arena")?;
-        let attrs = interner(attrs_arena, "attrs arena")?;
-        let uris = interner(uris_arena, "uris arena")?;
+        let tokens = interner(section::TOKENS, "tokens arena")?;
+        let literals = interner(section::LITERALS, "literals arena")?;
+        let attrs = interner(section::ATTRS, "attrs arena")?;
+        let uris = interner(section::URIS, "uris arena")?;
         let [toks_len, lits_len, attrs_len] = [&tokens, &literals, &attrs].map(|i| i.len() as u32);
 
-        let token_rows = |csr: &CsrRef, what: &str| -> Result<Rows<TokenId>, MkbError> {
-            let data: Column<TokenId> = self.column(&csr.data);
+        // A CSR of token ids, of which `r` has read the offsets.
+        let token_rows = |r: &mut Reader<'_>, offsets: Column<u32>| -> Result<Rows<TokenId>, MkbError> {
+            let data: Column<TokenId> = r.data(&offsets)?;
             if data.iter().fold(false, |bad, t| bad | (t.0 >= toks_len)) {
-                return Err(corrupt(path, format!("{what}: token id out of range")));
+                return Err(r.corrupt("token id out of range"));
             }
-            self.rows(what, &csr.offsets, data)
+            r.rows(offsets, data)
         };
-        if self.literal_tokens.rows() != literals.len() {
-            return Err(corrupt(path, "literal token CSR row count disagrees with literal arena"));
+        let mut r = self.reader(section::LITERAL_TOKENS, "literal tokens")?;
+        let offsets = r.offsets()?;
+        if offsets.len() != literals.len() + 1 {
+            return Err(r.corrupt("the row count disagrees with the literal arena"));
         }
-        let literal_tokens = token_rows(&self.literal_tokens, "literal tokens")?;
+        let literal_tokens = token_rows(&mut r, offsets)?;
 
-        // bound: `i = side.index()` < 2, the length of every per-side array of
-        // `self`.
-        #[allow(clippy::indexing_slicing)]
         let build_side = |side: Side| -> Result<Kb, MkbError> {
-            let i = side.index();
-            let uri_col: Column<Symbol> = self.column(&self.ent_uri[i]);
+            let [uris_at, pairs_at, token_sets_at, occurrences_at] = side_sections(side);
+            // Every section's framing first: the counts, then the columns
+            // they size.
+            let mut uris_r = self.reader(uris_at.0, uris_at.1)?;
+            let uri_col: Column<Symbol> = uris_r.words()?;
+            let mut pairs_r = self.reader(pairs_at.0, pairs_at.1)?;
+            let offsets = pairs_r.offsets()?;
+            let (attr_col, val_col): (Column<AttrId>, Column<u32>) = (pairs_r.data(&offsets)?, pairs_r.data(&offsets)?);
+            let mut token_sets_r = self.reader(token_sets_at.0, token_sets_at.1)?;
+            let token_offsets = token_sets_r.offsets()?;
+            let occurrences: Column<u32> = self.reader(occurrences_at.0, occurrences_at.1)?.words()?;
             let n = uri_col.len();
+            if offsets.len() != n + 1 || token_offsets.len() != n + 1 || occurrences.len() != n {
+                return Err(corrupt(path, format!("{side:?}: per-entity column counts disagree")));
+            }
+
             let uri_index = UriIndex::of_column(&uri_col, uris.len())
                 .map_err(|(e, what)| corrupt(path, format!("{side:?} entity {e}: {what}")))?;
-            let (offsets, attr_col, val_col) = (&self.pairs_offsets[i].offsets, &self.pairs_offsets[i].data, &self.pairs_vals[i]);
-            let (attr_col, val_col): (Column<AttrId>, Column<u32>) = (self.column(attr_col), self.column(val_col));
             let n_refs = u32::try_from(n).unwrap_or(u32::MAX);
             let out_of_range = |(&a, &w): (&AttrId, &u32)| {
                 let (is_ref, id) = Value::split_word(w);
@@ -856,8 +779,7 @@ impl MkbFile {
             let pairs = || attr_col.iter().zip(val_col.iter());
             if let Some(p) = pairs().fold(false, |bad, pair| bad | out_of_range(pair)).then(|| pairs().position(out_of_range)).flatten() {
                 // Names the entity whose row holds pair `p`, and what is wrong.
-                let starts: Column<u32> = self.column(offsets);
-                let e = starts.partition_point(|&start| start as usize <= p).saturating_sub(1);
+                let e = offsets.partition_point(|&start| start as usize <= p).saturating_sub(1);
                 let what = match (attr_col.get(p), val_col.get(p).map(|&w| Value::from_word(w))) {
                     (Some(a), _) if a.0 >= attrs_len => "attr id",
                     (_, Some(Value::Ref(_))) => "ref target",
@@ -865,12 +787,11 @@ impl MkbFile {
                 };
                 return Err(corrupt(path, format!("{side:?} entity {e}: {what} out of range")));
             }
-            let pairs = self.rows(&format!("{side:?} pairs"), offsets, attr_col)?;
-            let token_sets = token_rows(&self.toksets[i], &format!("{side:?} token sets"))?;
+            let pairs = pairs_r.rows(offsets, attr_col)?;
+            let token_sets = token_rows(&mut token_sets_r, token_offsets)?;
             if let Some(e) = first_unsorted_row(&token_sets) {
                 return Err(corrupt(path, format!("{side:?} entity {e}: token set is not strictly ascending")));
             }
-            let occurrences = self.column(&self.tokocc[i]);
             Ok(Kb::from_columns(uri_col, uri_index, pairs, val_col, token_sets, occurrences))
         };
 
@@ -972,7 +893,7 @@ mod tests {
                 // already (legitimately) replaced them with the
                 // identical recompiled bytes.
                 assert_eq!(fs::read(&path).expect("read"), good, "op {k} {kind:?}");
-                MkbFile::open(&path).expect("old file still opens").verify().expect("valid");
+                MkbFile::open(&path).expect("old file still opens").to_pair().expect("valid");
             }
         }
         fs::remove_dir_all(&dir).ok();
@@ -1011,19 +932,28 @@ mod tests {
         // the arena bytes "caféaaab" or the data column(s) — the left token
         // sets [0, 1 | 1] behind four bytes of padding, the left uri column
         // [0, 1] straight behind its count. A last offset that is not the
-        // column's length cannot be written: `open` sizes the columns by it.
-        // The dirty pair's right uri column is [0, 1] too.
+        // column's length cannot be written: the reader sizes the columns
+        // by it. The dirty pair's right uri column is [0, 1] too.
         fn put_u32(section: &mut [u8], at: usize, v: u32) {
             section[at..at + 4].copy_from_slice(&v.to_ne_bytes());
         }
+        fn put_count(section: &mut [u8], v: u64) {
+            section[..8].copy_from_slice(&v.to_ne_bytes());
+        }
         type Edit = fn(&mut [u8]);
-        let cases: [(&[u8], u32, Edit, &str); 12] = [
+        let cases: [(&[u8], u32, Edit, &str); 16] = [
             (&good, section::LITERALS, |s| s[8 + 4 * 4 + 3] = 0xFF, "invalid UTF-8"),
             (&good, section::LITERALS, |s| put_u32(s, 8 + 4, 4), "UTF-8 boundaries"), // "caf\xC3" | "\xA9aa"
             (&good, section::LITERALS, |s| s[8 + 4 * 4 + 8] = b'a', "repeats"), // "ab" becomes a second "aa"
             (&good, section::LITERALS, |s| put_u32(s, 8, 1), "start at byte 0"),
             (&good, section::LITERAL_TOKENS, |s| put_u32(s, 8, 1), "start at entry 0"),
             (&good, section::LITERAL_TOKENS, |s| put_u32(s, 8 + 4 * 4, 99), "token id out of range"),
+            // [0, 3, 2, 3]: the file opens, and the table is refused.
+            (&good, section::LITERAL_TOKENS, |s| put_u32(s, 8 + 4, 3), "literal tokens: row 1 ends before it starts"),
+            // Counts the section cannot hold, or that disagree across a side.
+            (&good, section::LITERAL_TOKENS, |s| put_count(s, u64::MAX), "literal tokens: count overflow"),
+            (&good, section::ENT_URI_L, |s| put_count(s, 3), "Left entity uris: truncated bytes"),
+            (&good, section::TOKOCC_L, |s| put_count(s, 1), "Left: per-entity column counts disagree"),
             // Entity 0 starting at pair 1 used to load with pair 0 dropped.
             (&good, section::PAIRS_L, |s| put_u32(s, 8, 1), "Left pairs: the first row does not start at entry 0"),
             (&good, section::PAIRS_R, |s| put_u32(s, 8, 1), "Right pairs: the first row does not start at entry 0"),
@@ -1069,8 +999,7 @@ mod tests {
             segment::seal(&mut bytes).expect("reseal");
             fs::write(&path, &bytes).expect("write damaged");
 
-            let file = MkbFile::open(&path).expect("structure is intact");
-            file.verify().expect("checksums are intact");
+            let file = MkbFile::open(&path).expect("the framing is intact");
             match file.to_pair() {
                 Err(MkbError::Corrupt { detail, .. }) => assert!(detail.contains(expected), "{expected}: {detail}"),
                 other => panic!("{expected}: expected Corrupt, got {other:?}"),

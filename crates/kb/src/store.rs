@@ -126,7 +126,7 @@ impl Kb {
 
     /// Total token occurrences in the entity's literal values.
     // bound: `id` is an entity of this KB: `token_occurrences` holds one word
-    // per entity (`MkbFile::open` checks the column's length).
+    // per entity (`MkbFile::to_pair` checks the column's length).
     #[allow(clippy::indexing_slicing)]
     pub fn token_occurrences_of(&self, id: EntityId) -> u32 {
         self.token_occurrences[id.index()]

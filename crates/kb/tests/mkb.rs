@@ -84,9 +84,7 @@ fn compile_open_materialize_is_an_identity() {
     let pair = sample_pair();
     let path = compile(&pair, "roundtrip");
     let file = MkbFile::open(&path).expect("open succeeds");
-    file.verify().expect("checksums hold");
-
-    let back = file.to_pair().expect("materialize succeeds");
+    let back = file.to_pair().expect("checksums hold and the pair materializes");
     assert_pairs_identical(&pair, &back);
     for side in [Side::Left, Side::Right] {
         // Rendering both pairs re-derives every uri, attribute and
@@ -143,8 +141,7 @@ fn the_golden_file_is_still_the_format() {
     let golden = std::fs::read(fixture("parent_v3.mkb")).expect("read fixture container");
 
     let file = MkbFile::open(&fixture("parent_v3.mkb")).expect("the golden file opens");
-    file.verify().expect("checksums hold");
-    let back = file.to_pair().expect("materialize succeeds");
+    let back = file.to_pair().expect("checksums hold and the pair materializes");
     assert_pairs_identical(&fixture_pair(), &back);
     let reserialized = compile(&back, "golden-reserialize");
     assert_eq!(std::fs::read(&reserialized).expect("read"), golden, "open → to_pair → write_mkb");
@@ -203,25 +200,20 @@ fn bit_flipped_payload_fails_checksum() {
 
     // Section 1 (token arena) per the on-disk table: entry 0 at offset
     // 32, its payload offset at +8 — flip one bit of the payload's last
-    // byte, the farthest spot from anything `open` validates.
+    // byte.
     let off = u64::from_ne_bytes(bytes[40..48].try_into().expect("8 bytes")) as usize;
     let len = u64::from_ne_bytes(bytes[48..56].try_into().expect("8 bytes")) as usize;
     bytes[off + len - 1] ^= 0x40;
     std::fs::write(&path, &bytes).expect("write corrupted");
 
-    // `open` is structural-only and may or may not notice; `verify` (and
-    // therefore `to_pair`) must refuse with a typed checksum failure.
-    if let Ok(file) = MkbFile::open(&path) {
-        match file.verify() {
-            Err(MkbError::Corrupt { detail, .. }) => {
-                assert!(detail.contains("checksum"), "unexpected detail: {detail}")
-            }
-            other => panic!("expected checksum Corrupt, got {other:?}"),
+    // `open` reads no section, so the file opens; `to_pair` must refuse it
+    // with a typed checksum failure.
+    let file = MkbFile::open(&path).expect("the framing is intact");
+    match file.to_pair() {
+        Err(MkbError::Corrupt { detail, .. }) => {
+            assert!(detail.contains("checksum"), "unexpected detail: {detail}")
         }
-        match file.to_pair() {
-            Err(MkbError::Corrupt { .. }) => {}
-            other => panic!("to_pair must fail closed, got {other:?}"),
-        }
+        other => panic!("expected checksum Corrupt, got {other:?}"),
     }
 }
 

@@ -25,7 +25,7 @@ use std::path::Path;
 use std::process::ExitCode;
 
 use minoaner_core::{CheckpointSpec, Minoaner, MinoanerConfig, ResolveOutcome, ResolveRequest};
-use minoaner_dataflow::{CheckpointError, DataflowError, Deadline, DegradeOnCkptError, Executor, MemoryBudget, RealFs};
+use minoaner_dataflow::{CancelToken, CheckpointError, DataflowError, DegradeOnCkptError, Executor, MemoryBudget, RealFs};
 use minoaner_eval::Quality;
 use minoaner_kb::dirty::{canonicalize_dirty_matches, DirtyKbBuilder};
 use minoaner_kb::parser::{load_ntriples_with_mode, parse_ground_truth, ParseMode, ParseReport};
@@ -334,13 +334,11 @@ fn resolve_budget(args: &ResolveArgs) -> Option<MemoryBudget> {
     })
 }
 
-/// `spec` under the `--resume` and `--degrade-on-ckpt-error` flags.
-fn ckpt_policy(mut spec: CheckpointSpec, resume: bool, degrade: bool) -> CheckpointSpec {
-    spec.resume = resume;
-    if degrade {
-        spec.on_error = DegradeOnCkptError::Continue;
-    }
-    spec
+/// The checkpoint spec for `dir` under the `--resume` and
+/// `--degrade-on-ckpt-error` flags.
+fn ckpt_spec(dir: impl Into<std::path::PathBuf>, resume: bool, degrade: bool) -> CheckpointSpec {
+    let on_error = if degrade { DegradeOnCkptError::Continue } else { DegradeOnCkptError::Fail };
+    CheckpointSpec { resume, on_error, ..CheckpointSpec::new(dir) }
 }
 
 /// Prints the spill accounting of a budgeted run (one line, greppable).
@@ -364,7 +362,7 @@ fn resolve(args: &ResolveArgs) -> Result<(), CliError> {
     // `CheckpointStore::open` create_dir_all's the directory itself, so
     // missing parents of --checkpoint-dir are covered too.
     let spec =
-        args.checkpoint_dir.as_ref().map(|dir| ckpt_policy(CheckpointSpec::new(dir), args.resume, args.degrade_ckpt));
+        args.checkpoint_dir.as_ref().map(|dir| ckpt_spec(dir, args.resume, args.degrade_ckpt));
     let mut req = with_workers(ResolveRequest::pair(&pair), args.workers);
     if let Some(spec) = &spec {
         req = req.checkpoint(spec);
@@ -562,23 +560,17 @@ fn job_spec(line: &JobLine) -> minoaner_jobs::JobSpec {
 }
 
 /// One job of a `jobs run` batch: resolves `pair` on the job's workers,
-/// token, `deadline` and memory grant, with checkpoints under its
+/// `cancel` token and memory grant, with checkpoints under its
 /// directory, and writes `trace.json` and `matches.tsv` beside its status.
 fn run_job(
     ctx: &minoaner_jobs::JobContext,
     pair: &KbPair,
-    deadline: Option<Deadline>,
+    cancel: CancelToken,
     config: MinoanerConfig,
     args: &JobsRunArgs,
 ) -> Result<String, DataflowError> {
-    let ckpt = ckpt_policy(CheckpointSpec::new(ctx.job_dir().join("ckpt")), args.resume, args.degrade_ckpt);
-    let mut req = ResolveRequest::pair(pair)
-        .checkpoint(&ckpt)
-        .workers(ctx.workers())
-        .cancel(ctx.cancel_token().clone());
-    if let Some(deadline) = deadline {
-        req = req.deadline(deadline);
-    }
+    let ckpt = ckpt_spec(ctx.job_dir().join("ckpt"), args.resume, args.degrade_ckpt);
+    let mut req = ResolveRequest::pair(pair).checkpoint(&ckpt).workers(ctx.workers()).cancel(cancel);
     // The memory grant is the enforced shuffle ceiling: state beyond it
     // spills under the job's directory.
     if ctx.memory_bytes() > 0 {
@@ -651,8 +643,11 @@ fn jobs_run(args: &JobsRunArgs) -> Result<JobsOutcome, CliError> {
                 })?;
                 // The deadline counts from here: waiting for the input to
                 // be parsed is not the job's resolve.
-                let deadline = line.deadline_ms.map(|ms| Deadline::after(std::time::Duration::from_millis(ms)));
-                Ok(run_job(ctx, &pair, deadline, config, args)?)
+                let cancel = match line.deadline_ms {
+                    Some(ms) => ctx.cancel_token().expiring_after(std::time::Duration::from_millis(ms)),
+                    None => ctx.cancel_token().clone(),
+                };
+                Ok(run_job(ctx, &pair, cancel, config, args)?)
             });
             eprintln!("queued {id}: {name}");
         }

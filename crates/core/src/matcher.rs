@@ -251,13 +251,8 @@ fn rule_r3(
                 return None;
             }
             let keep = |c: EntityId| free_other[c.index()];
-            let best = aggregate_top_candidate(
-                graph.value_candidates(side, e),
-                graph.neighbor_candidates(side, e),
-                theta,
-                true,
-                keep,
-            )?;
+            let best =
+                aggregate_top_candidate(graph.value_candidates(side, e), graph.neighbor_candidates(side, e), theta, keep)?;
             Some((e, best.0, best.1))
         });
         for (e, c, score) in side_props.into_iter().flatten() {
@@ -299,9 +294,8 @@ fn rule_r3(
 /// `1/len`; scores are summed with weights θ (value list) and 1−θ
 /// (neighbor list); the best-scoring candidate wins.
 ///
-/// With `require_both` (what rule R3 uses), only candidates supported by
-/// *both* evidence kinds — a retained β edge *and* a retained γ edge — are
-/// admissible. R3 exists to resolve the nearly-similar region of Figure 2
+/// Only candidates supported by *both* evidence kinds — a retained β edge
+/// *and* a retained γ edge — are admissible. R3 exists to resolve the nearly-similar region of Figure 2
 /// where value evidence alone is inconclusive; a candidate with no
 /// neighbor evidence at all belongs to R2's regime (or to no rule: the
 /// paper attributes its missed matches to the lower-left corner of
@@ -310,17 +304,16 @@ fn rule_r3(
 ///
 /// The ranking runs in buffers the calling worker owns
 /// (`AggregateScratch`), so an entity costs no allocation.
-pub fn aggregate_top_candidate(
+fn aggregate_top_candidate(
     value_cands: &[Candidate],
     neighbor_cands: &[Candidate],
     theta: f64,
-    require_both: bool,
     keep: impl Fn(EntityId) -> bool,
 ) -> Option<(EntityId, f64)> {
     AGGREGATE_SCRATCH.with(|cell| match cell.try_borrow_mut() {
-        Ok(mut scratch) => scratch.aggregate(value_cands, neighbor_cands, theta, require_both, &keep),
+        Ok(mut scratch) => scratch.aggregate(value_cands, neighbor_cands, theta, &keep),
         // A `keep` that aggregates in turn gets buffers of its own.
-        Err(_) => AggregateScratch::default().aggregate(value_cands, neighbor_cands, theta, require_both, &keep),
+        Err(_) => AggregateScratch::default().aggregate(value_cands, neighbor_cands, theta, &keep),
     })
 }
 
@@ -347,7 +340,6 @@ impl AggregateScratch {
         value_cands: &[Candidate],
         neighbor_cands: &[Candidate],
         theta: f64,
-        require_both: bool,
         keep: &impl Fn(EntityId) -> bool,
     ) -> Option<(EntityId, f64)> {
         let Self { agg, neighbors } = self;
@@ -371,7 +363,7 @@ impl AggregateScratch {
             }
         }
         agg.iter()
-            .filter(|&&(_, _, both)| both || !require_both)
+            .filter(|&&(_, _, both)| both)
             .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal).then(b.0.cmp(&a.0)))
             .map(|&(c, s, _)| (c, s))
     }
@@ -419,39 +411,40 @@ mod tests {
     fn aggregation_prefers_agreement_over_single_list_top() {
         // Candidate 1 is top of the value list only; candidate 2 is second
         // in value but top in neighbors: with θ=0.5, 2 wins.
-        let value = vec![c(1, 5.0), c(2, 4.0)];
-        let ngb = vec![c(2, 9.0), c(3, 1.0)];
-        let (best, score) = aggregate_top_candidate(&value, &ngb, 0.5, false, |_| true).unwrap();
+        let value = vec![c(1, 5.0), c(2, 4.0), c(3, 3.0)];
+        let ngb = vec![c(2, 9.0), c(3, 2.0), c(1, 1.0)];
+        let (best, score) = aggregate_top_candidate(&value, &ngb, 0.5, |_| true).unwrap();
         assert_eq!(best, e(2));
-        // agg(2) = 0.5·(1/2) + 0.5·(2/2) = 0.75; agg(1) = 0.5·(2/2) = 0.5.
-        assert!((score - 0.75).abs() < 1e-12);
+        // agg(2) = 0.5·(2/3) + 0.5·(3/3) = 5/6; agg(1) = 0.5·(3/3) + 0.5·(1/3) = 2/3.
+        assert!((score - 5.0 / 6.0).abs() < 1e-12);
     }
 
     #[test]
     fn aggregation_theta_extremes() {
         let value = vec![c(1, 5.0), c(2, 4.0)];
-        let ngb = vec![c(2, 9.0)];
+        let ngb = vec![c(2, 9.0), c(1, 1.0)];
         // θ ≈ 1: value list dominates.
-        let (best, _) = aggregate_top_candidate(&value, &ngb, 0.99, false, |_| true).unwrap();
+        let (best, _) = aggregate_top_candidate(&value, &ngb, 0.99, |_| true).unwrap();
         assert_eq!(best, e(1));
         // θ ≈ 0: neighbor list dominates.
-        let (best, _) = aggregate_top_candidate(&value, &ngb, 0.01, false, |_| true).unwrap();
+        let (best, _) = aggregate_top_candidate(&value, &ngb, 0.01, |_| true).unwrap();
         assert_eq!(best, e(2));
     }
 
     #[test]
     fn aggregation_respects_keep_filter() {
         let value = vec![c(1, 5.0), c(2, 4.0)];
-        let (best, score) = aggregate_top_candidate(&value, &[], 0.6, false, |c| c != e(1)).unwrap();
+        let ngb = vec![c(1, 5.0), c(2, 4.0)];
+        let (best, score) = aggregate_top_candidate(&value, &ngb, 0.6, |c| c != e(1)).unwrap();
         assert_eq!(best, e(2));
-        // After filtering, candidate 2 is rank 1 of a 1-element list.
-        assert!((score - 0.6).abs() < 1e-12);
+        // After filtering, candidate 2 is rank 1 of two 1-element lists.
+        assert!((score - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn aggregation_empty_lists() {
-        assert!(aggregate_top_candidate(&[], &[], 0.6, false, |_| true).is_none());
-        assert!(aggregate_top_candidate(&[c(1, 2.0)], &[], 0.6, false, |c| c != e(1)).is_none());
+        assert!(aggregate_top_candidate(&[], &[], 0.6, |_| true).is_none());
+        assert!(aggregate_top_candidate(&[c(1, 2.0)], &[c(1, 2.0)], 0.6, |c| c != e(1)).is_none());
     }
 
     #[test]
@@ -459,10 +452,10 @@ mod tests {
         let value = vec![c(1, 5.0), c(2, 4.0)];
         let ngb = vec![c(2, 9.0), c(3, 1.0)];
         // Only candidate 2 has both kinds of evidence.
-        let (best, _) = aggregate_top_candidate(&value, &ngb, 0.6, true, |_| true).unwrap();
+        let (best, _) = aggregate_top_candidate(&value, &ngb, 0.6, |_| true).unwrap();
         assert_eq!(best, e(2));
         // No overlap at all → no admissible candidate.
-        assert!(aggregate_top_candidate(&value, &[c(9, 1.0)], 0.6, true, |_| true).is_none());
+        assert!(aggregate_top_candidate(&value, &[c(9, 1.0)], 0.6, |_| true).is_none());
     }
 
     /// The allocating kernel `aggregate_top_candidate` replaced, kept
@@ -511,19 +504,17 @@ mod tests {
             let dropped: Vec<bool> = (0..universe).map(|_| rng.gen_range(0..4usize) == 0).collect();
             let keep = |c: EntityId| !dropped[c.index()];
             let theta = [0.0, 0.6, 1.0, rng.gen_range(0..1000usize) as f64 / 1000.0][rng.gen_range(0..4usize)];
-            for require_both in [false, true] {
-                let bits = |got: Option<(EntityId, f64)>| got.map(|(c, s)| (c, s.to_bits()));
-                assert_eq!(
-                    bits(aggregate_top_candidate(&value, &ngb, theta, require_both, keep)),
-                    bits(aggregate_top_candidate_allocating(&value, &ngb, theta, require_both, keep)),
-                    "{value:?} / {ngb:?}, θ={theta}, both={require_both}, dropped={dropped:?}"
-                );
-            }
+            let bits = |got: Option<(EntityId, f64)>| got.map(|(c, s)| (c, s.to_bits()));
+            assert_eq!(
+                bits(aggregate_top_candidate(&value, &ngb, theta, keep)),
+                bits(aggregate_top_candidate_allocating(&value, &ngb, theta, true, keep)),
+                "{value:?} / {ngb:?}, θ={theta}, dropped={dropped:?}"
+            );
         });
         // A `keep` that aggregates as well runs on buffers of its own.
         let value = [c(1, 5.0), c(2, 4.0)];
-        let nested = |c: EntityId| aggregate_top_candidate(&value, &[], 0.5, false, |d| d == c).is_some();
-        assert_eq!(aggregate_top_candidate(&value, &value, 0.5, true, nested), Some((e(1), 1.0)));
+        let nested = |c: EntityId| aggregate_top_candidate(&value, &value, 0.5, |d| d == c).is_some();
+        assert_eq!(aggregate_top_candidate(&value, &value, 0.5, nested), Some((e(1), 1.0)));
     }
 
     #[test]

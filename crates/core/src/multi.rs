@@ -102,8 +102,10 @@ impl Minoaner {
     /// then k-partite clustering of the pairwise matches. With fewer than
     /// two KBs there is no pair to resolve, and no clusters.
     ///
-    /// Cancellation, deadline and memory budget are the executor's own
-    /// ([`Executor::set_cancel_token`] and its siblings).
+    /// Cancellation and memory budget are the executor's own
+    /// ([`Executor::set_cancel_token`], [`Executor::set_memory_budget`]); a
+    /// deadline is a token made by
+    /// [`CancelToken::expiring_after`](minoaner_dataflow::CancelToken::expiring_after).
     pub fn resolve_multi(&self, executor: &Executor, input: &MultiKb) -> Result<MultiResolution, DataflowError> {
         let mut uf: UnionFind<MultiNode> = UnionFind::new();
         // Cluster membership guard: root → kb indices already present.

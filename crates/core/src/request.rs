@@ -3,7 +3,7 @@
 //!
 //! A [`ResolveRequest`] names the KB pair ([`ResolveRequest::pair`]) and
 //! chains the orthogonal run options (rules, tracing, checkpointing,
-//! cancellation, deadline, worker count, memory budget, adaptive pruning),
+//! cancellation, worker count, memory budget, adaptive pruning),
 //! so options compose — a traced, checkpointed, adaptive run is one chain,
 //! not one more method. [`Minoaner::run`] executes it and returns a
 //! [`ResolveOutcome`]: the [`Resolution`], plus a [`RunTrace`] when the
@@ -29,10 +29,7 @@
 //! assert!(trace.expect("the request traced").workers >= 1);
 //! ```
 
-use minoaner_dataflow::{
-    CancelToken, DataflowError, Deadline, Executor, MemoryBudget, ObserverSlot, RunTrace,
-    TraceCollector,
-};
+use minoaner_dataflow::{CancelToken, DataflowError, Executor, MemoryBudget, RunTrace, TraceCollector};
 use minoaner_kb::KbPair;
 
 use crate::config::RuleSet;
@@ -40,8 +37,7 @@ use crate::pipeline::{Minoaner, Resolution};
 use crate::resume::CheckpointSpec;
 
 /// A declarative description of one resolution run, executed by
-/// [`Minoaner::run`] (or [`Minoaner::run_on`] against a caller-owned
-/// executor).
+/// [`Minoaner::run`].
 ///
 /// Construct with [`ResolveRequest::pair`] and chain options. Unset
 /// options keep the engine defaults: the full rule set, no trace, no
@@ -52,8 +48,7 @@ pub struct ResolveRequest<'a> {
     rules: RuleSet,
     trace: bool,
     checkpoint: Option<&'a CheckpointSpec>,
-    cancel: Option<CancelToken>,
-    deadline: Option<Deadline>,
+    cancel: CancelToken,
     adaptive: bool,
     workers: Option<usize>,
     mem_budget: Option<MemoryBudget>,
@@ -70,8 +65,7 @@ impl<'a> ResolveRequest<'a> {
             rules: RuleSet::FULL,
             trace: false,
             checkpoint: None,
-            cancel: None,
-            deadline: None,
+            cancel: CancelToken::new(),
             adaptive: false,
             workers: None,
             mem_budget: None,
@@ -100,7 +94,9 @@ impl<'a> ResolveRequest<'a> {
     /// the trace's counters.
     ///
     /// The spec also carries the run's graceful-degradation policy: with
-    /// [`CheckpointSpec::degrade_on_error`], a checkpoint I/O failure
+    /// [`CheckpointSpec::on_error`] set to
+    /// [`DegradeOnCkptError::Continue`](minoaner_dataflow::DegradeOnCkptError::Continue),
+    /// a checkpoint I/O failure
     /// latches checkpointing off for the rest of the run (observable as
     /// the `ckpt/degraded` counter in the trace) instead of failing it —
     /// the output stays bit-identical, the run is merely not resumable.
@@ -109,17 +105,13 @@ impl<'a> ResolveRequest<'a> {
         self
     }
 
-    /// Installs a cancellation token on the run's executor; cancellation
-    /// surfaces as [`DataflowError::Cancelled`].
+    /// Installs a cancellation token on the run's executor, polled at task
+    /// and barrier boundaries: a cancel through any handle on its state,
+    /// or the expiry of a deadline it carries
+    /// ([`CancelToken::expiring_after`]), surfaces as
+    /// [`DataflowError::Cancelled`].
     pub fn cancel(mut self, token: CancelToken) -> Self {
-        self.cancel = Some(token);
-        self
-    }
-
-    /// Bounds the run by a wall-clock deadline, polled at task and barrier
-    /// boundaries; expiry surfaces as [`DataflowError::Cancelled`].
-    pub fn deadline(mut self, deadline: Deadline) -> Self {
-        self.deadline = Some(deadline);
+        self.cancel = token;
         self
     }
 
@@ -134,8 +126,7 @@ impl<'a> ResolveRequest<'a> {
 
     /// The worker count of the executor [`Minoaner::run`] builds (the
     /// Figure 6 parallelism knob; one worker per core when unset). Results
-    /// are bit-identical across worker counts. Ignored by
-    /// [`Minoaner::run_on`], which reuses the caller's executor.
+    /// are bit-identical across worker counts.
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = Some(workers);
         self
@@ -176,69 +167,27 @@ impl ResolveOutcome {
 }
 
 impl Minoaner {
-    /// Executes a [`ResolveRequest`] on an internally built executor.
+    /// Executes a [`ResolveRequest`] on an executor of its own, dropped
+    /// with the run.
     ///
     /// The executor has [`ResolveRequest::workers`] workers, or one per
-    /// core ([`Executor::default`]). The request's cancellation token and
-    /// deadline, if any, are installed on it.
+    /// core ([`Executor::default`]), and carries the request's
+    /// cancellation token and memory budget. A traced or checkpointed run
+    /// installs a [`TraceCollector`] on it; the trace combines the
+    /// collector's counters with the executor's stage log. A run restored
+    /// from a checkpoint re-emits the checkpoint's counter snapshot, so
+    /// its domain counters match an uninterrupted run's (only the `ckpt/*`
+    /// accounting differs).
     pub fn run(&self, req: ResolveRequest<'_>) -> Result<ResolveOutcome, DataflowError> {
         let mut executor = req.workers.map_or_else(Executor::default, Executor::new);
-        self.run_on(&mut executor, req)
-    }
-
-    /// Executes a [`ResolveRequest`] on a caller-owned executor: its
-    /// worker count, partition count and stage log (the worker threads
-    /// themselves are scoped to each stage).
-    ///
-    /// The request's cancellation token, deadline and memory budget, if
-    /// set, are installed on `executor` for the run, and the executor's
-    /// own are put back afterwards, whatever the outcome. A request with
-    /// a deadline but no token runs under a fresh token, so that the
-    /// deadline's expiry never latches the executor's own. The request's
-    /// [`ResolveRequest::workers`] override is ignored — the executor's
-    /// own sizing wins.
-    ///
-    /// A traced or checkpointed run installs a [`TraceCollector`] on the
-    /// executor for its duration, in place of any observer installed
-    /// before, which is put back too; the trace combines the collector's
-    /// counters with the executor's stage log. A run restored from a
-    /// checkpoint re-emits the checkpoint's counter snapshot, so its
-    /// domain counters match an uninterrupted run's (only the `ckpt/*`
-    /// accounting differs).
-    pub fn run_on(
-        &self,
-        executor: &mut Executor,
-        mut req: ResolveRequest<'_>,
-    ) -> Result<ResolveOutcome, DataflowError> {
-        let (cancel, deadline, memory, observer) = (
-            executor.cancel_token().clone(),
-            executor.deadline(),
-            executor.memory_budget().cloned(),
-            executor.observer().clone(),
-        );
-        if let Some(token) = req.cancel.take().or_else(|| req.deadline.is_some().then(CancelToken::new)) {
-            executor.set_cancel_token(token);
-        }
-        if let Some(deadline) = req.deadline.take() {
-            executor.set_deadline(Some(deadline));
-        }
-        if let Some(budget) = req.mem_budget.take() {
-            executor.set_memory_budget(Some(budget));
-        }
+        executor.set_cancel_token(req.cancel);
+        executor.set_memory_budget(req.mem_budget);
         let collector = (req.trace || req.checkpoint.is_some()).then(TraceCollector::new);
         if let Some(collector) = &collector {
             executor.set_observer(collector.clone());
         }
         let checkpoint = req.checkpoint.zip(collector.as_deref());
-        let result = self.resolve_impl(executor, req.pair, req.rules, req.adaptive, checkpoint);
-        match observer {
-            ObserverSlot::On(observer) => executor.set_observer(observer),
-            ObserverSlot::Off => executor.clear_observer(),
-        }
-        executor.set_cancel_token(cancel);
-        executor.set_deadline(deadline);
-        executor.set_memory_budget(memory);
-        let resolution = result?;
+        let resolution = self.resolve_impl(&executor, req.pair, req.rules, req.adaptive, checkpoint)?;
         let trace = collector.map(|collector| {
             RunTrace::capture(
                 executor.workers(),
@@ -332,37 +281,6 @@ mod tests {
         assert_eq!((r1.rule_counts.r2, r1.rule_counts.r3), (0, 0), "rules flow through");
     }
 
-    /// A request's token, deadline, budget and trace collector are the
-    /// run's only: the plain request after each one on the same executor
-    /// resolves as on a fresh executor, and the executor's own observer
-    /// stays installed.
-    #[test]
-    fn run_on_leaves_the_executor_as_it_found_it() {
-        use minoaner_dataflow::CancelReason;
-        let p = pair();
-        let m = Minoaner::new();
-        let mut executor = Executor::new(2);
-        executor.set_observer(TraceCollector::new());
-        let cancelled = CancelToken::new();
-        cancelled.cancel(CancelReason::User);
-        let spill = std::env::temp_dir().join(format!("minoaner-run-on-{}", std::process::id()));
-        let requests = [
-            ResolveRequest::pair(&p).cancel(cancelled),
-            ResolveRequest::pair(&p).deadline(Deadline::after(std::time::Duration::ZERO)),
-            ResolveRequest::pair(&p).mem_budget(MemoryBudget::new(0, &spill)),
-            ResolveRequest::pair(&p).trace(),
-        ];
-        for req in requests {
-            let _ = m.run_on(&mut executor, req);
-            assert_eq!(executor.cancel_token().reason(), None);
-            assert!(executor.deadline().is_none() && executor.memory_budget().is_none());
-            assert!(executor.observer().is_on(), "the executor's own observer");
-            let plain = m.run_on(&mut executor, ResolveRequest::pair(&p)).expect("a plain request runs");
-            assert_eq!(plain.resolution.matches.len(), 3);
-        }
-        let _ = std::fs::remove_dir_all(&spill);
-    }
-
     #[test]
     fn cancelled_token_surfaces_structurally() {
         use minoaner_dataflow::CancelReason;
@@ -374,6 +292,25 @@ mod tests {
             DataflowError::Cancelled { reason, .. } => assert_eq!(reason, CancelReason::User),
             other => panic!("unexpected error: {other}"),
         }
+    }
+
+    /// A token whose deadline has passed stops the run at its first
+    /// barrier poll, before any stage.
+    #[test]
+    fn an_expired_token_cancels_at_the_start_barrier() {
+        use minoaner_dataflow::CancelReason;
+        let p = pair();
+        let expired = CancelToken::new().expiring_after(std::time::Duration::ZERO);
+        let err = Minoaner::new().run(ResolveRequest::pair(&p).cancel(expired)).unwrap_err();
+        assert_eq!(
+            err,
+            DataflowError::Cancelled {
+                stage: "barrier:start".into(),
+                reason: CancelReason::Deadline,
+                completed: 0,
+                tasks: 0,
+            }
+        );
     }
 
     /// A dirty self-pair goes through the same request; its outcome has

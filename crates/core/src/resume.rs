@@ -19,7 +19,7 @@
 //! for the wrong run.
 
 use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use minoaner_blocking::graph::BlockingGraph;
 use minoaner_blocking::purge::PurgeReport;
@@ -46,7 +46,9 @@ pub const BARRIER_MATCHES: usize = 2;
 pub const BARRIER_NAMES: [&str; 3] = ["blocks", "graph", "matches"];
 
 /// How a checkpointed run is configured: where snapshots live and whether
-/// to resume from them. Every barrier is written.
+/// to resume from them. Every barrier is written. Set the other fields as
+/// a struct literal over [`Self::new`]:
+/// `CheckpointSpec { resume: true, ..CheckpointSpec::new(dir) }`.
 #[derive(Debug, Clone)]
 pub struct CheckpointSpec {
     /// Root directory for the run's checkpoints.
@@ -62,8 +64,8 @@ pub struct CheckpointSpec {
     /// unaffected — it is merely no longer resumable.
     pub on_error: DegradeOnCkptError,
     /// The filesystem checkpoint I/O goes through — the production
-    /// default from [`vfs::default_vfs`] unless the chaos harness
-    /// injects a fault plan via [`Self::with_vfs`].
+    /// default from [`vfs::default_vfs`] unless a fault-injecting one is
+    /// set in its place.
     pub vfs: VfsRef,
 }
 
@@ -76,32 +78,6 @@ impl CheckpointSpec {
             on_error: DegradeOnCkptError::Fail,
             vfs: vfs::default_vfs(),
         }
-    }
-
-    /// The same spec with resume enabled.
-    pub fn resuming(mut self) -> Self {
-        self.resume = true;
-        self
-    }
-
-    /// The same spec with [`DegradeOnCkptError::Continue`]: checkpoint
-    /// I/O failures degrade the run to uncheckpointed instead of
-    /// failing it.
-    pub fn degrade_on_error(mut self) -> Self {
-        self.on_error = DegradeOnCkptError::Continue;
-        self
-    }
-
-    /// The same spec writing through an explicit
-    /// [`Vfs`](minoaner_dataflow::vfs::Vfs).
-    pub fn with_vfs(mut self, vfs: VfsRef) -> Self {
-        self.vfs = vfs;
-        self
-    }
-
-    /// The checkpoint root directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 }
 
@@ -257,7 +233,7 @@ impl<'a> Barriers<'a> {
     ) -> Result<Self, DataflowError> {
         let Some((spec, collector)) = checkpoint else { return Ok(Self { live: None }) };
         let mut barriers = Self { live: None };
-        match CheckpointStore::open_with(spec.dir(), spec.vfs.clone()) {
+        match CheckpointStore::open(&spec.dir, spec.vfs.clone()) {
             Ok(store) => {
                 let fingerprint = fingerprint();
                 barriers.live = Some(LiveBarriers { store, spec, collector, fingerprint });
@@ -394,7 +370,6 @@ mod tests {
         let spec = CheckpointSpec::new("/tmp/ckpt");
         assert!(!spec.resume);
         assert_eq!(spec.on_error, DegradeOnCkptError::Fail);
-        assert!(spec.resuming().resume);
     }
 
     /// A pair with value, name and neighbour evidence, so every candidate
@@ -496,11 +471,11 @@ mod tests {
                 ("graph_digest", &Raw(b"1")),
                 ("purge", &Raw(b"null")),
             ];
-            CheckpointStore::open(&dir)
+            CheckpointStore::open(&dir, vfs::default_vfs())
                 .and_then(|store| store.write_parts(BARRIER_MATCHES, "matches", old, &parts, &BTreeMap::new()))
                 .expect("write the old-layout barrier");
 
-            let spec = CheckpointSpec::new(&dir).resuming();
+            let spec = CheckpointSpec { resume: true, ..CheckpointSpec::new(&dir) };
             let outcome =
                 Minoaner::new().run(ResolveRequest::pair(&pair).checkpoint(&spec)).expect("the run recomputes");
             std::fs::remove_dir_all(&dir).expect("remove scratch");

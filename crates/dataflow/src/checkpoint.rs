@@ -181,14 +181,9 @@ pub struct CheckpointStore {
 
 impl CheckpointStore {
     /// Opens (creating if necessary, including missing parents) the
-    /// checkpoint root directory on the real filesystem.
-    pub fn open(root: &Path) -> Result<Self, CheckpointError> {
-        Self::open_with(root, vfs::default_vfs())
-    }
-
-    /// Opens the store against an explicit [`Vfs`] — the seam the chaos
-    /// sweep uses to inject faults into every durable operation.
-    pub fn open_with(root: &Path, vfs: VfsRef) -> Result<Self, CheckpointError> {
+    /// checkpoint root directory through `vfs` — [`vfs::default_vfs`] for
+    /// the disk, or the chaos sweep's fault-injecting [`Vfs`].
+    pub fn open(root: &Path, vfs: VfsRef) -> Result<Self, CheckpointError> {
         vfs.create_dir_all(root).map_err(|e| io_err(root, &e))?;
         Ok(Self { root: root.to_path_buf(), vfs })
     }
@@ -414,7 +409,7 @@ mod tests {
     #[test]
     fn write_and_recover_round_trip() {
         let root = scratch("roundtrip");
-        let store = CheckpointStore::open(&root).unwrap();
+        let store = CheckpointStore::open(&root, vfs::default_vfs()).unwrap();
         let bytes = write_raw(&store, 0, "blocks", 7, &sample_parts()).unwrap();
         assert_eq!(bytes, 13 + 5);
         let rec = store.recover_latest(7).unwrap();
@@ -437,7 +432,7 @@ mod tests {
     #[test]
     fn parts_encoded_in_place_are_the_bytes_of_their_records() {
         let root = scratch("in-place");
-        let store = CheckpointStore::open(&root).unwrap();
+        let store = CheckpointStore::open(&root, vfs::default_vfs()).unwrap();
         let (numbers, name) = (vec![1u32, 2, 3], "graph".to_owned());
         let parts: [(&str, &dyn Spillable); 2] = [("numbers", &numbers), ("name", &name)];
         let bytes = store.write_parts(1, "graph", 3, &parts, &counters()).unwrap();
@@ -454,7 +449,7 @@ mod tests {
     #[test]
     fn newest_valid_barrier_wins() {
         let root = scratch("newest");
-        let store = CheckpointStore::open(&root).unwrap();
+        let store = CheckpointStore::open(&root, vfs::default_vfs()).unwrap();
         write_raw(&store, 0, "blocks", 1, &sample_parts()).unwrap();
         write_raw(&store, 1, "graph", 1, &sample_parts()).unwrap();
         let rec = store.recover_latest(1).unwrap();
@@ -465,7 +460,7 @@ mod tests {
     #[test]
     fn truncated_barrier_falls_back_to_previous_barrier() {
         let root = scratch("trunc");
-        let store = CheckpointStore::open(&root).unwrap();
+        let store = CheckpointStore::open(&root, vfs::default_vfs()).unwrap();
         write_raw(&store, 0, "blocks", 1, &sample_parts()).unwrap();
         write_raw(&store, 1, "graph", 1, &sample_parts()).unwrap();
         // Cut the newest barrier inside its last part.
@@ -482,7 +477,7 @@ mod tests {
     #[test]
     fn bit_flip_in_part_is_detected() {
         let root = scratch("bitflip");
-        let store = CheckpointStore::open(&root).unwrap();
+        let store = CheckpointStore::open(&root, vfs::default_vfs()).unwrap();
         write_raw(&store, 0, "blocks", 1, &sample_parts()).unwrap();
         let path = root.join("stage-000-blocks");
         let mut bytes = fs::read(&path).unwrap();
@@ -499,7 +494,7 @@ mod tests {
     #[test]
     fn torn_header_is_rejected() {
         let root = scratch("torn");
-        let store = CheckpointStore::open(&root).unwrap();
+        let store = CheckpointStore::open(&root, vfs::default_vfs()).unwrap();
         write_raw(&store, 0, "blocks", 1, &sample_parts()).unwrap();
         let path = root.join("stage-000-blocks");
         fs::write(&path, &fs::read(&path).unwrap()[..20]).unwrap();
@@ -512,7 +507,7 @@ mod tests {
     #[test]
     fn fingerprint_mismatch_is_refused() {
         let root = scratch("fingerprint");
-        let store = CheckpointStore::open(&root).unwrap();
+        let store = CheckpointStore::open(&root, vfs::default_vfs()).unwrap();
         write_raw(&store, 0, "blocks", 1, &sample_parts()).unwrap();
         let rec = store.recover_latest(2).unwrap();
         assert!(rec.stage.is_none());
@@ -523,7 +518,7 @@ mod tests {
     #[test]
     fn schema_mismatch_is_typed() {
         let root = scratch("schema");
-        let store = CheckpointStore::open(&root).unwrap();
+        let store = CheckpointStore::open(&root, vfs::default_vfs()).unwrap();
         write_raw(&store, 0, "blocks", 1, &sample_parts()).unwrap();
         // Bump the version word of the header.
         let path = root.join("stage-000-blocks");
@@ -548,7 +543,7 @@ mod tests {
         fs::create_dir_all(&old).unwrap();
         fs::write(old.join("MANIFEST"), b"0000000000000000\nversion 1\n").unwrap();
         fs::write(old.join("part-000-alpha.bin"), b"first payload").unwrap();
-        let store = CheckpointStore::open(&root).unwrap();
+        let store = CheckpointStore::open(&root, vfs::default_vfs()).unwrap();
         let rec = store.recover_latest(1).unwrap();
         assert!(rec.stage.is_none());
         assert!(matches!(rec.rejected[0].1, CheckpointError::SchemaMismatch { found: 1, expected: 2 }));
@@ -561,7 +556,7 @@ mod tests {
     #[test]
     fn stale_tmp_dirs_and_files_are_ignored_and_overwritten() {
         let root = scratch("tmp");
-        let store = CheckpointStore::open(&root).unwrap();
+        let store = CheckpointStore::open(&root, vfs::default_vfs()).unwrap();
         // Simulate crashes that left staged barriers behind: a schema-1
         // staging directory with a part in it, and a schema-2 staged file.
         let stale_dir = root.join(".tmp-stage-000-blocks");
@@ -583,7 +578,7 @@ mod tests {
     #[test]
     fn rewrite_of_same_barrier_replaces_it() {
         let root = scratch("rewrite");
-        let store = CheckpointStore::open(&root).unwrap();
+        let store = CheckpointStore::open(&root, vfs::default_vfs()).unwrap();
         write_raw(&store, 0, "blocks", 1, &sample_parts()).unwrap();
         let new_parts = vec![("alpha".to_owned(), b"other".to_vec())];
         write_raw(&store, 0, "blocks", 1, &new_parts).unwrap();
@@ -617,7 +612,7 @@ mod tests {
         use minoaner_det::vfs::{FaultFs, FaultKind, FaultPlan, OpClass};
         let root = scratch("chaos-ref");
         let probe = FaultFs::new(FaultPlan::none());
-        let store = CheckpointStore::open_with(&root, probe.clone()).unwrap();
+        let store = CheckpointStore::open(&root, probe.clone()).unwrap();
         write_raw(&store, 0, "blocks", 1, &sample_parts()).unwrap();
         let classes: Vec<OpClass> = probe.ops().iter().map(|op| op.class).collect();
         fs::remove_dir_all(&root).unwrap();
@@ -631,14 +626,14 @@ mod tests {
             for kind in FaultKind::ALL {
                 let root = scratch("chaos");
                 let ffs = FaultFs::new(FaultPlan::fail_op(k, kind));
-                let store = CheckpointStore::open_with(&root, ffs).unwrap();
+                let store = CheckpointStore::open(&root, ffs).unwrap();
                 let err = write_raw(&store, 0, "blocks", 1, &sample_parts());
                 assert!(matches!(err, Err(CheckpointError::Io { .. })), "op {k} {kind:?}: {err:?}");
                 for entry in fs::read_dir(&root).unwrap() {
                     let name = entry.unwrap().file_name().to_string_lossy().into_owned();
                     assert!(!name.starts_with(".tmp-"), "op {k} {kind:?} leaked staging scratch {name}");
                 }
-                let retry = CheckpointStore::open(&root).unwrap();
+                let retry = CheckpointStore::open(&root, vfs::default_vfs()).unwrap();
                 write_raw(&retry, 0, "blocks", 1, &sample_parts()).unwrap();
                 assert_eq!(retry.recover_latest(1).unwrap().stage.unwrap().parts, sample_parts());
                 fs::remove_dir_all(&root).unwrap();

@@ -25,8 +25,8 @@
 //! * **Fail-fast failure handling**: every task is panic-isolated; the
 //!   first failure stops the stage, which returns a structured
 //!   [`DataflowError`] (typed when a task raised one) instead of unwinding
-//!   through the worker pool. Cancellation ([`CancelToken`]) and the job
-//!   [`Deadline`] are polled at task and barrier boundaries. There is no
+//!   through the worker pool. Cancellation ([`CancelToken`], a wall-clock
+//!   deadline included) is polled at task and barrier boundaries. There is no
 //!   task retry — tasks are deterministic closures over resident input;
 //!   recovery is the checkpoint barriers' job.
 //! * **Observability**: an [`Observer`] installed on the executor receives
@@ -85,8 +85,8 @@ pub use checkpoint::{
 pub use minoaner_det::vfs::{FaultFs, FaultKind, FaultPlan, RealFs, Vfs, VfsRef};
 pub use error::DataflowError;
 pub use metrics::{StageIo, StageLog, StageMetric};
-pub use observer::{Observer, ObserverSlot, TraceCollector};
-pub use pool::{Deadline, Executor};
+pub use observer::{Observer, TraceCollector};
+pub use pool::Executor;
 pub use spill::{
     SpillShuffle, Spillable, SPILL_BYTES_COUNTER, SPILL_RECORDS_COUNTER, SPILL_RUNS_COUNTER,
 };

@@ -4,10 +4,10 @@
 //! The pipeline layers (blocking, matching) emit named counters — blocks
 //! built, comparisons retained, per-rule match counts — through the
 //! executor. When no observer is installed the emission path is a single
-//! enum-discriminant check on [`ObserverSlot::Off`]; no allocation, no
-//! locking, no virtual call. Installing an observer (typically a
-//! [`TraceCollector`]) turns the same calls into dynamic dispatch on an
-//! `Arc<dyn Observer>`.
+//! enum-discriminant check on the executor's empty observer slot; no
+//! allocation, no locking, no virtual call. Installing an observer
+//! (typically a [`TraceCollector`]) turns the same calls into dynamic
+//! dispatch on an `Arc<dyn Observer>`.
 //!
 //! Observers must be `Send + Sync`: counter emissions can come from worker
 //! threads inside a running stage.
@@ -44,8 +44,8 @@ pub trait Observer: Send + Sync {
 ///
 /// `Off` is the hot-path case: [`ObserverSlot::counter`] and
 /// [`ObserverSlot::stage`] cost one discriminant check and return.
-#[derive(Clone, Default)]
-pub enum ObserverSlot {
+#[derive(Default)]
+pub(crate) enum ObserverSlot {
     /// No observer installed; emissions are dropped.
     #[default]
     Off,
@@ -54,14 +54,9 @@ pub enum ObserverSlot {
 }
 
 impl ObserverSlot {
-    /// Whether an observer is installed.
-    pub fn is_on(&self) -> bool {
-        matches!(self, ObserverSlot::On(_))
-    }
-
     /// Forwards a completed stage metric, if an observer is installed.
     #[inline]
-    pub fn stage(&self, metric: &StageMetric) {
+    pub(crate) fn stage(&self, metric: &StageMetric) {
         if let ObserverSlot::On(observer) = self {
             observer.on_stage(metric);
         }
@@ -69,7 +64,7 @@ impl ObserverSlot {
 
     /// Forwards a counter emission, if an observer is installed.
     #[inline]
-    pub fn counter(&self, name: &str, value: u64) {
+    pub(crate) fn counter(&self, name: &str, value: u64) {
         if let ObserverSlot::On(observer) = self {
             observer.on_counter(name, value);
         }
@@ -122,7 +117,7 @@ mod tests {
     #[test]
     fn off_slot_drops_emissions() {
         let slot = ObserverSlot::default();
-        assert!(!slot.is_on());
+        assert!(matches!(slot, ObserverSlot::Off));
         slot.counter("x", 1); // must not panic
         slot.stage(&StageMetric::clean("s", Duration::ZERO, 1));
     }
@@ -131,7 +126,6 @@ mod tests {
     fn collector_sums_counters_by_name() {
         let collector = TraceCollector::new();
         let slot = ObserverSlot::On(collector.clone());
-        assert!(slot.is_on());
         slot.counter("blocking/blocks_built", 10);
         slot.counter("blocking/blocks_built", 5);
         slot.counter("matching/r1_matches", 3);

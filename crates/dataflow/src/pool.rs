@@ -19,7 +19,7 @@
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use minoaner_det::lock;
 
@@ -28,41 +28,6 @@ use crate::cancel::{CancelReason, CancelToken};
 use crate::error::DataflowError;
 use crate::metrics::{StageIo, StageLog, StageMetric};
 use crate::observer::{Observer, ObserverSlot};
-
-/// An absolute wall-clock deadline, polled by the executor at task and
-/// barrier boundaries. `minoaner jobs run` sets one per job from its
-/// `deadline-ms=`, counted from when the job's input is in memory.
-///
-/// The type lives in `pool.rs` because this file carries the repo's
-/// sanctioned wall-clock use (its audited `clippy::disallowed_methods`
-/// allows); callers only ever consume the clock through
-/// [`Self::remaining`]/[`Self::expired`], free of raw `Instant::now` calls
-/// and of such allows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Deadline {
-    at: Instant,
-}
-
-impl Deadline {
-    /// A deadline `budget` from now.
-    // Sanctioned wall-clock use: the job deadline.
-    #[allow(clippy::disallowed_methods)]
-    pub fn after(budget: Duration) -> Self {
-        Self { at: Instant::now() + budget }
-    }
-
-    /// Time left before the deadline, zero once expired.
-    // Sanctioned wall-clock use: the job deadline.
-    #[allow(clippy::disallowed_methods)]
-    pub fn remaining(&self) -> Duration {
-        self.at.saturating_duration_since(Instant::now())
-    }
-
-    /// Whether the deadline has passed.
-    pub fn expired(&self) -> bool {
-        self.remaining().is_zero()
-    }
-}
 
 /// Runs dataflow stages on a fixed number of workers, recording per-stage
 /// metrics.
@@ -78,12 +43,9 @@ pub struct Executor {
     observer: ObserverSlot,
     /// Cooperative cancellation flag, polled at worker claim boundaries
     /// and (via [`Self::check_cancelled`]) at pipeline barriers. A fresh,
-    /// never-cancelled token by default.
+    /// never-cancelled token by default; a token carrying a deadline
+    /// ([`CancelToken::expiring_after`]) stops the run the same way.
     cancel: CancelToken,
-    /// Optional job-level wall-clock deadline, polled where the token is.
-    /// Expiry latches the token with [`CancelReason::Deadline`] and
-    /// surfaces as [`DataflowError::Cancelled`].
-    deadline: Option<Deadline>,
     /// Optional heap ceiling for data-exchange stages. When set, shuffle
     /// producers reserve against it and degrade to spill-to-disk runs
     /// ([`crate::spill`]) instead of buffering without bound. `None`
@@ -114,7 +76,6 @@ impl Executor {
             log: Mutex::new(StageLog::default()),
             observer: ObserverSlot::Off,
             cancel: CancelToken::new(),
-            deadline: None,
             memory: None,
         }
     }
@@ -143,33 +104,12 @@ impl Executor {
         &self.cancel
     }
 
-    /// Sets (or clears) the job-level wall-clock deadline. See the field
-    /// docs: expiry surfaces as a [`CancelReason::Deadline`] cancellation.
-    pub fn set_deadline(&mut self, deadline: Option<Deadline>) {
-        self.deadline = deadline;
-    }
-
-    /// The active job-level deadline, if any.
-    pub fn deadline(&self) -> Option<Deadline> {
-        self.deadline
-    }
-
-    /// The reason this run must stop, if any: latches the token with
-    /// [`CancelReason::Deadline`] once the job deadline has passed, then
-    /// reads the token.
-    fn stop_reason(&self) -> Option<CancelReason> {
-        if self.deadline.is_some_and(|d| d.expired()) {
-            self.cancel.cancel(CancelReason::Deadline);
-        }
-        self.cancel.reason()
-    }
-
-    /// Polls cancellation (and the job deadline) between stages. Pipeline
-    /// drivers call this at barrier boundaries — after a checkpoint write
-    /// completes and before the next stage starts — so a cancelled
-    /// checkpointed run stops with only complete barriers on disk.
+    /// Polls cancellation between stages. The pipeline calls this at
+    /// barrier boundaries — after a checkpoint write completes and before
+    /// the next stage starts — so a cancelled checkpointed run stops with
+    /// only complete barriers on disk.
     pub fn check_cancelled(&self, at: &str) -> Result<(), DataflowError> {
-        match self.stop_reason() {
+        match self.cancel.reason() {
             Some(reason) => Err(DataflowError::Cancelled {
                 stage: at.to_owned(),
                 reason,
@@ -186,17 +126,6 @@ impl Executor {
     /// [`Self::emit_counter`] call is one enum-discriminant check.
     pub fn set_observer(&mut self, observer: Arc<dyn Observer>) {
         self.observer = ObserverSlot::On(observer);
-    }
-
-    /// Removes the installed observer, returning emission to the free
-    /// [`ObserverSlot::Off`] path.
-    pub fn clear_observer(&mut self) {
-        self.observer = ObserverSlot::Off;
-    }
-
-    /// The current observer slot.
-    pub fn observer(&self) -> &ObserverSlot {
-        &self.observer
     }
 
     /// Emits a named domain counter to the installed observer, if any.
@@ -255,8 +184,8 @@ impl Executor {
     /// lowest-indexed failed task: [`DataflowError::TaskPanicked`] for an
     /// ordinary panic, or — kept typed — the [`DataflowError`] a task
     /// raised with `panic_any` (the spill I/O helpers do, for a full
-    /// disk). Cancellation and the job deadline are polled before every
-    /// claim and end the stage with [`DataflowError::Cancelled`].
+    /// disk). The cancel token (deadline included) is polled before every
+    /// claim and ends the stage with [`DataflowError::Cancelled`].
     // Stage timing is the sanctioned wall-clock use; it never influences
     // task results.
     #[allow(clippy::disallowed_methods)]
@@ -286,7 +215,7 @@ impl Executor {
         #[allow(clippy::indexing_slicing)]
         let worker_loop = || {
             while !fatal.load(Ordering::SeqCst) && !cancelled.load(Ordering::SeqCst) {
-                if self.stop_reason().is_some() {
+                if self.cancel.is_cancelled() {
                     cancelled.store(true, Ordering::SeqCst);
                     break;
                 }
@@ -392,6 +321,7 @@ impl Executor {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
+    use std::time::Duration;
 
     #[test]
     fn run_stage_returns_results_in_task_order() {
@@ -560,14 +490,12 @@ mod tests {
 
         let collector = crate::observer::TraceCollector::new();
         exec.set_observer(collector.clone());
-        assert!(exec.observer().is_on());
         exec.emit_counter("domain/things", 7);
         exec.emit_counter("domain/things", 3);
         assert_eq!(collector.counters()["domain/things"], 10);
-        exec.clear_observer();
+        exec.set_observer(crate::observer::TraceCollector::new());
         exec.emit_counter("domain/things", 99);
-        assert_eq!(collector.counters()["domain/things"], 10, "cleared observer gets nothing");
-        assert!(!exec.observer().is_on());
+        assert_eq!(collector.counters()["domain/things"], 10, "a replaced observer gets nothing");
     }
 
     #[test]
@@ -637,7 +565,8 @@ mod tests {
     #[test]
     fn job_deadline_surfaces_as_deadline_cancellation() {
         let mut exec = Executor::new(2);
-        exec.set_deadline(Some(Deadline::after(Duration::from_millis(20))));
+        let token = CancelToken::new();
+        exec.set_cancel_token(token.expiring_after(Duration::from_millis(20)));
         let err = exec
             .try_run_stage("slow", 4, |i| {
                 std::thread::sleep(Duration::from_millis(60));
@@ -652,6 +581,7 @@ mod tests {
         }
         assert!(exec.cancel_token().is_cancelled(), "deadline expiry latches the token");
         assert_eq!(exec.cancel_token().reason(), Some(CancelReason::Deadline));
+        assert_eq!(token.reason(), Some(CancelReason::Deadline), "and every handle on its state");
     }
 
     #[test]
@@ -675,7 +605,7 @@ mod tests {
     #[test]
     fn expired_deadline_trips_check_cancelled() {
         let mut exec = Executor::new(1);
-        exec.set_deadline(Some(Deadline::after(Duration::ZERO)));
+        exec.set_cancel_token(CancelToken::new().expiring_after(Duration::ZERO));
         let err = exec.check_cancelled("barrier:graph").unwrap_err();
         assert_eq!(err.cancel_reason(), Some(CancelReason::Deadline));
     }

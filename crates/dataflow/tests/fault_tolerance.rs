@@ -1,6 +1,6 @@
 //! Integration tests for the engine's failure handling: panic isolation,
 //! typed errors, fail-fast with a deterministic culprit, and cooperative
-//! cancellation by token or job deadline.
+//! cancellation by token, deadline included.
 //!
 //! Seeded loops over `minoaner_det::rng::Rng`: the same cases on every run.
 
@@ -9,7 +9,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 use minoaner_det::rng::Rng;
-use minoaner_dataflow::{CancelReason, CancelToken, DataflowError, Deadline, Executor};
+use minoaner_dataflow::{CancelReason, CancelToken, DataflowError, Executor};
 
 const WORKER_COUNTS: [usize; 3] = [1, 2, 8];
 
@@ -103,7 +103,7 @@ fn run_stage_re_raises_a_payload_from_panic_round_trips() {
 fn an_expired_job_deadline_cancels_before_any_task_runs() {
     for workers in WORKER_COUNTS {
         let mut exec = Executor::new(workers);
-        exec.set_deadline(Some(Deadline::after(Duration::ZERO)));
+        exec.set_cancel_token(CancelToken::new().expiring_after(Duration::ZERO));
         let ran = AtomicUsize::new(0);
         let err = exec
             .try_run_stage("late", 8, |i| {

@@ -47,7 +47,7 @@ fn main() {
     let config = MinoanerConfig { name_attrs_k: 1, top_k: 5, n_relations: 2, theta: 0.5, ..MinoanerConfig::default() };
     config.validate().expect("parameters in range");
     let resolver = Minoaner::with_config(config);
-    let mut exec = Executor::new(2);
+    let exec = Executor::new(2);
 
     // 3. Run Algorithm 1 (blocks, then the graph) separately from
     //    Algorithm 2: the calls the pipeline itself makes.
@@ -101,7 +101,7 @@ fn main() {
     //    as versioned JSON (`minoaner resolve --report run.json` does the
     //    same from the CLI).
     let outcome = resolver
-        .run_on(&mut exec, ResolveRequest::pair(&pair).rules(RuleSet::FULL).trace())
+        .run(ResolveRequest::pair(&pair).rules(RuleSet::FULL).workers(exec.workers()).trace())
         .expect("pipeline runs");
     let trace = outcome.trace.expect("a traced run carries a trace");
     println!("\nCounters:");

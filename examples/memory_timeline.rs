@@ -13,15 +13,21 @@
 //! the stages run in order on one thread and a table's lifetime shows as
 //! the stages it spans. `--spill <dir>` resolves under a zero memory
 //! budget, so that the γ exchange spills its runs to files under `dir`.
+//!
+//! The resolve is the pipeline's own stage calls — `prepare_blocks`,
+//! `build_graph_from_blocks`, `run_matching` — on an executor that carries
+//! the timeline observer and the budget, each table dropped where the
+//! pipeline drops it.
 
 use std::error::Error;
 use std::path::Path;
 use std::sync::Arc;
 
+use minoaner::core::matcher::run_matching;
 use minoaner::dataflow::{MemoryBudget, Observer, StageMetric};
 use minoaner::kb::parser::load_ntriples_with_mode;
 use minoaner::kb::{MkbFile, ParseMode};
-use minoaner::{Executor, KbPair, KbPairBuilder, Minoaner, ResolveRequest, Side};
+use minoaner::{Executor, KbPair, KbPairBuilder, Minoaner, RuleSet, Side};
 
 /// The `/proc/self/status` fields printed, in order.
 const FIELDS: [&str; 4] = ["VmRSS", "VmHWM", "RssAnon", "RssFile"];
@@ -91,12 +97,16 @@ fn main() -> Result<(), Box<dyn Error>> {
 
     let mut executor = Executor::new(workers);
     executor.set_observer(Arc::new(Timeline));
-    let mut request = ResolveRequest::pair(&pair);
-    if let Some(dir) = spill {
-        request = request.mem_budget(MemoryBudget::new(0, dir));
-    }
-    let outcome = Minoaner::new().run_on(&mut executor, request)?;
+    executor.set_memory_budget(spill.map(|dir| MemoryBudget::new(0, dir)));
+    let minoaner = Minoaner::new();
+    let matches = {
+        let graph = {
+            let blocks = minoaner.prepare_blocks(&executor, &pair);
+            minoaner.build_graph_from_blocks(&executor, &pair, &blocks, false)
+        };
+        run_matching(&executor, &pair, &graph, minoaner.config(), RuleSet::FULL).matches
+    };
     report("done");
-    println!("{} matches on {workers} worker(s)", outcome.into_resolution().matches.len());
+    println!("{} matches on {workers} worker(s)", matches.len());
     Ok(())
 }

@@ -17,11 +17,11 @@ mod support;
 
 use std::path::Path;
 
-use minoaner::dataflow::{CancelReason, RunTrace};
+use minoaner::dataflow::{CancelReason, CancelToken, RunTrace};
 use minoaner::datagen::{generate, profiles, GeneratedDataset};
 use minoaner::det::rng::for_each_seed;
 use minoaner::{
-    CheckpointSpec, DataflowError, Executor, Minoaner, Resolution, ResolveRequest, RuleSet,
+    CheckpointSpec, DataflowError, Minoaner, Resolution, ResolveRequest, RuleSet,
 };
 use support::{assert_only_complete_barriers, canonical_with_counters, scratch_dir, CancelAfterBarrier};
 
@@ -43,15 +43,13 @@ fn run(
     cancel_after: Option<usize>,
 ) -> Result<(Resolution, RunTrace), DataflowError> {
     let d = dataset(scale);
-    let mut exec = Executor::new(workers);
-    let mut spec = CheckpointSpec::new(dir);
-    spec.resume = resume;
+    let token = CancelToken::new();
+    let mut spec = CheckpointSpec { resume, ..CheckpointSpec::new(dir) };
     if let Some(barrier) = cancel_after {
-        spec = spec.with_vfs(CancelAfterBarrier::new(dir, barrier, exec.cancel_token().clone()));
+        spec.vfs = CancelAfterBarrier::new(dir, barrier, token.clone());
     }
-    Minoaner::new()
-        .run_on(&mut exec, ResolveRequest::pair(&d.pair).rules(RuleSet::FULL).checkpoint(&spec))
-        .map(support::split_traced)
+    let req = ResolveRequest::pair(&d.pair).rules(RuleSet::FULL).checkpoint(&spec).workers(workers).cancel(token);
+    Minoaner::new().run(req).map(support::split_traced)
 }
 
 /// The core exchange shared by the seeded property and the exhaustive

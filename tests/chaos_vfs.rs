@@ -23,7 +23,7 @@ mod support;
 use std::path::{Path, PathBuf};
 
 use minoaner::dataflow::vfs::{FaultFs, FaultKind, FaultPlan, VfsRef};
-use minoaner::dataflow::MemoryBudget;
+use minoaner::dataflow::{DegradeOnCkptError, MemoryBudget};
 use minoaner::datagen::{generate, profiles, GeneratedDataset};
 use minoaner::{CheckpointSpec, DataflowError, Minoaner, Resolution, ResolveRequest, RuleSet};
 use support::{canonical, scratch_dir, tmp_leaks};
@@ -48,11 +48,8 @@ fn run_ckpt(
     degrade: bool,
     resume: bool,
 ) -> Result<(Resolution, minoaner::dataflow::RunTrace), DataflowError> {
-    let mut spec = CheckpointSpec::new(dir).with_vfs(vfs);
-    spec.resume = resume;
-    if degrade {
-        spec = spec.degrade_on_error();
-    }
+    let on_error = if degrade { DegradeOnCkptError::Continue } else { DegradeOnCkptError::Fail };
+    let spec = CheckpointSpec { resume, on_error, vfs, ..CheckpointSpec::new(dir) };
     let req = ResolveRequest::pair(pair).rules(RuleSet::FULL).checkpoint(&spec).workers(workers);
     Ok(support::split_traced(Minoaner::new().run(req)?))
 }

@@ -24,7 +24,7 @@ use minoaner::dataflow::{RunTrace, CHECKPOINT_SCHEMA_VERSION};
 use minoaner::det::segment::{Kind, Segment};
 use minoaner::datagen::{generate, profiles, GeneratedDataset};
 use minoaner::{
-    CheckpointSpec, DataflowError, Executor, KbPair, Minoaner, Resolution, ResolveRequest, RuleSet,
+    CheckpointSpec, DataflowError, KbPair, Minoaner, Resolution, ResolveRequest, RuleSet,
 };
 use support::{canonical_with_counters, crashing_disk, renames_before, scratch_dir, tmp_leaks};
 
@@ -40,11 +40,9 @@ fn run(
     vfs: VfsRef,
     resume: bool,
 ) -> Result<(Resolution, RunTrace), DataflowError> {
-    let mut exec = Executor::new(workers);
-    let mut spec = CheckpointSpec::new(dir).with_vfs(vfs);
-    spec.resume = resume;
+    let spec = CheckpointSpec { resume, vfs, ..CheckpointSpec::new(dir) };
     Minoaner::new()
-        .run_on(&mut exec, ResolveRequest::pair(pair).rules(RuleSet::FULL).checkpoint(&spec))
+        .run(ResolveRequest::pair(pair).rules(RuleSet::FULL).checkpoint(&spec).workers(workers))
         .map(support::split_traced)
 }
 
@@ -215,10 +213,9 @@ fn truncated_part_is_detected_and_survived() {
 fn checkpointed_run_matches_plain_run() {
     let workers = 2;
     let d = dataset();
-    let mut exec = Executor::new(workers);
     let (plain_res, plain_trace) = support::split_traced(
         Minoaner::new()
-            .run_on(&mut exec, ResolveRequest::pair(&d.pair).rules(RuleSet::FULL).trace())
+            .run(ResolveRequest::pair(&d.pair).rules(RuleSet::FULL).trace().workers(workers))
             .expect("plain run succeeds"),
     );
     let (ckpt_res, ckpt_trace) = resume(&d.pair, &scratch_dir("plain-vs-ckpt"), workers);

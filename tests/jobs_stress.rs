@@ -91,8 +91,7 @@ fn pipeline_work(
         let d = dataset(scale);
         let mut spec = CheckpointSpec::new(ctx.job_dir().join("ckpt"));
         if let Some(barrier) = cancel_after {
-            let cancel = CancelAfterBarrier::new(spec.dir(), barrier, ctx.cancel_token().clone());
-            spec = spec.with_vfs(cancel);
+            spec.vfs = CancelAfterBarrier::new(&spec.dir, barrier, ctx.cancel_token().clone());
         }
         let (res, trace) = resolve_job(ctx, &d.pair, &spec)?;
         results.borrow_mut().insert(ctx.id().ordinal(), canonical_with_counters(&res, &trace));
@@ -302,7 +301,7 @@ fn cancelled_job_resumes_cleanly() {
     let mut rerun = Batch::new(&root);
     let resumed = rerun.add_job(JobSpec::new("doomed").with_workers(2), |ctx| {
         let d = dataset(0.2);
-        let spec = CheckpointSpec::new(ctx.job_dir().join("ckpt")).resuming();
+        let spec = CheckpointSpec { resume: true, ..CheckpointSpec::new(ctx.job_dir().join("ckpt")) };
         let (res, trace) = resolve_job(ctx, &d.pair, &spec)?;
         assert_eq!(trace.counter("ckpt/resumed_from"), 1, "resume must restart right past the cancelled barrier");
         results.borrow_mut().insert(ctx.id().ordinal(), canonical_with_counters(&res, &trace));
@@ -322,7 +321,7 @@ fn disk_bound_job(root: &Path, disk: VfsRef) -> (JobStatus, u64) {
     let mut batch = Batch::with_vfs(root, disk.clone());
     batch.add_job(JobSpec::new("crash-victim").with_workers(2), |ctx| {
         let d = dataset(0.2);
-        let spec = CheckpointSpec::new(ctx.job_dir().join("ckpt")).with_vfs(disk);
+        let spec = CheckpointSpec { vfs: disk, ..CheckpointSpec::new(ctx.job_dir().join("ckpt")) };
         let (res, _) = resolve_job(ctx, &d.pair, &spec)?;
         Ok(format!("{} matches", res.matches.len()))
     });
@@ -378,7 +377,7 @@ fn process_crash_mid_job_leaves_resumable_job_dir() {
     assert!(torn.is_empty(), "the crash left barrier files that are not whole: {torn:?}");
 
     let d = dataset(0.2);
-    let spec = CheckpointSpec::new(&ckpt_dir).resuming();
+    let spec = CheckpointSpec { resume: true, ..CheckpointSpec::new(&ckpt_dir) };
     let (res, trace) = checkpointed(ResolveRequest::pair(&d.pair).checkpoint(&spec).workers(2))
         .expect("resume over the crashed job dir succeeds");
     assert_eq!(trace.counter("ckpt/resumed_from"), committed, "resume must pick up past the last committed barrier");
@@ -462,7 +461,7 @@ fn chaos_mix_converges_without_leaks() {
                 let ckpt = ckpt_dir(&root, status.id);
                 assert_only_complete_barriers(&ckpt);
                 let d = dataset(0.2);
-                let spec = CheckpointSpec::new(&ckpt).resuming();
+                let spec = CheckpointSpec { resume: true, ..CheckpointSpec::new(&ckpt) };
                 let (res, trace) = checkpointed(ResolveRequest::pair(&d.pair).checkpoint(&spec).workers(2))
                     .expect("resume of cancelled chaos job succeeds");
                 assert_eq!(

@@ -5,7 +5,7 @@
 
 use minoaner::datagen::{generate, profiles, GeneratedDataset};
 use minoaner::dataflow::RunTrace;
-use minoaner::{Executor, KbPair, Minoaner, Resolution, ResolveOutcome, ResolveRequest, RuleSet};
+use minoaner::{KbPair, Minoaner, Resolution, ResolveOutcome, ResolveRequest, RuleSet};
 
 fn dataset() -> GeneratedDataset {
     generate(&profiles::restaurant().scaled(0.4))
@@ -32,15 +32,11 @@ fn trace_json_round_trip_is_exact() {
 #[test]
 fn observer_does_not_perturb_resolution() {
     let d = dataset();
-    let mut exec = Executor::new(3);
     let m = Minoaner::new();
 
-    let plain = m
-        .run_on(&mut exec, ResolveRequest::pair(&d.pair))
-        .expect("plain run succeeds")
-        .into_resolution();
+    let plain = m.run(ResolveRequest::pair(&d.pair).workers(3)).expect("plain run succeeds").into_resolution();
     let outcome = m
-        .run_on(&mut exec, ResolveRequest::pair(&d.pair).rules(RuleSet::FULL).trace())
+        .run(ResolveRequest::pair(&d.pair).rules(RuleSet::FULL).trace().workers(3))
         .expect("traced run succeeds");
     assert!(outcome.trace.is_some(), "the traced run carries a trace");
     let traced = outcome.resolution;
@@ -51,15 +47,6 @@ fn observer_does_not_perturb_resolution() {
     b.sort_unstable();
     assert_eq!(a, b, "observer-on run must find the same matches");
     assert_eq!(plain.rule_counts, traced.rule_counts);
-
-    // The observer was detached afterwards: a later plain run still works
-    // and the executor reports no observer.
-    assert!(!exec.observer().is_on(), "observer detached after traced run");
-    let again = m
-        .run_on(&mut exec, ResolveRequest::pair(&d.pair))
-        .expect("plain run succeeds")
-        .into_resolution();
-    assert_eq!(again.matches.len(), plain.matches.len());
 }
 
 #[test]

@@ -152,8 +152,8 @@ fn pool_fatal_flag_never_loses_a_claimed_task() {
 /// The cancellation path (`CancelToken` vs. the claim protocol): workers
 /// poll the token *before* claiming an index, never between claiming and
 /// writing the slot, and raise the pool's `cancelled` abort flag before
-/// exiting early — mirroring the `stop_reason()` check at the top of
-/// `worker_loop` in `pool.rs`.
+/// exiting early — mirroring the `self.cancel.is_cancelled()` check at the
+/// top of `worker_loop` in `pool.rs`.
 ///
 /// Invariants (from the `CancelToken` docs in `cancel.rs`):
 ///   * cancellation never loses an in-flight claim: every claimed index
@@ -310,7 +310,7 @@ fn observer_slot_clear_vs_concurrent_stage_reads() {
         let owner = {
             let slot = Arc::clone(&slot);
             thread::spawn(move || {
-                // Executor::clear_observer while the stage may be running.
+                // The owner replaces the observer while the stage may be running.
                 *slot.lock().unwrap() = None;
             })
         };

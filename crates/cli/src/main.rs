@@ -317,7 +317,7 @@ fn load_resolve_pair(args: &ResolveArgs) -> Result<KbPair, CliError> {
 /// The configuration `--k`, `--top-k`, `--n` and `--theta` ask for, or
 /// exit 2 naming the first parameter out of range.
 fn config(name_attrs_k: usize, top_k: usize, n_relations: usize, theta: f64) -> Result<MinoanerConfig, CliError> {
-    let config = MinoanerConfig { name_attrs_k, top_k, n_relations, theta, ..MinoanerConfig::default() };
+    let config = MinoanerConfig { name_attrs_k, top_k, n_relations, theta };
     config.validate().map_err(|e| CliError::Usage(format!("invalid configuration: {e}")))?;
     Ok(config)
 }

@@ -51,9 +51,9 @@ impl fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-/// The four MinoanER parameters plus Block Purging. The worker count is
-/// not a parameter of the result: it is [`crate::ResolveRequest::workers`]
-/// or the caller's [`crate::Executor`].
+/// The four MinoanER parameters. Block Purging always runs (§3.1). The
+/// worker count is not a parameter of the result: it is
+/// [`crate::ResolveRequest::workers`] or the caller's [`crate::Executor`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MinoanerConfig {
     /// `k`: number of global name attributes per KB (Figure 5: 1–5).
@@ -66,8 +66,6 @@ pub struct MinoanerConfig {
     /// `θ`: rank-aggregation trade-off between value- and neighbor-based
     /// candidate ranks in rule R3 (Figure 5: 0.3–0.8).
     pub theta: f64,
-    /// Run Block Purging on the token blocks (the paper always does).
-    pub purge_blocks: bool,
 }
 
 impl Default for MinoanerConfig {
@@ -77,7 +75,6 @@ impl Default for MinoanerConfig {
             top_k: 15,
             n_relations: 3,
             theta: 0.6,
-            purge_blocks: true,
         }
     }
 }

@@ -7,9 +7,13 @@
 //! The entry point is [`Minoaner`]: build a [`minoaner_kb::KbPair`],
 //! describe the run with a [`ResolveRequest`], and call [`Minoaner::run`].
 //! The pipeline computes KB statistics, builds the composite blocks and
-//! the pruned disjunctive blocking graph (Algorithm 1, in
-//! `minoaner-blocking`), and applies the four matching rules R1–R4
-//! (Algorithm 2, [`matcher`]).
+//! purges them, builds the disjunctive blocking graph cut to each node's
+//! top-K candidates (Algorithm 1, in `minoaner-blocking`), and applies the
+//! four matching rules R1–R4 (Algorithm 2, [`matcher`]). It has no
+//! variants: a caller who wants another cut composes the public stages
+//! ([`Minoaner::prepare_blocks`],
+//! [`minoaner_blocking::graph::build_blocking_graph`],
+//! [`matcher::run_matching`]).
 //!
 //! ```
 //! use minoaner_core::{Minoaner, ResolveRequest};
@@ -38,7 +42,6 @@
 pub mod clusters;
 pub mod config;
 pub mod dirty;
-pub mod extensions;
 pub mod matcher;
 pub mod multi;
 pub mod pipeline;
@@ -46,7 +49,6 @@ pub mod request;
 pub mod resume;
 
 pub use config::{ConfigError, MinoanerConfig, RuleSet};
-pub use extensions::{ensemble_resolve, EnsembleResolution};
 pub use multi::{MultiKb, MultiResolution, ObjectTerm};
 pub use matcher::{MatchOutcome, Rule, RuleCounts};
 pub use pipeline::{Minoaner, PipelineTimings, PreparedBlocks, Resolution};

@@ -55,7 +55,7 @@ pub struct Resolution {
     /// Per-rule match counts.
     pub rule_counts: RuleCounts,
     /// What Block Purging did to the token blocks.
-    pub purge: Option<PurgeReport>,
+    pub purge: PurgeReport,
     /// [`BlockingGraph::weight_digest`] of the run's pruned graph — the
     /// determinism witness: bit-identical across worker counts, across
     /// repeated runs, and across crash/resume boundaries.
@@ -74,7 +74,8 @@ pub struct PreparedBlocks {
     pub name_stats: NameStats,
     pub token_blocks: TokenBlocks,
     pub name_blocks: NameBlocks,
-    pub purge: Option<PurgeReport>,
+    /// What Block Purging did to `token_blocks`.
+    pub purge: PurgeReport,
 }
 
 /// The MinoanER resolver.
@@ -119,45 +120,30 @@ impl Minoaner {
 
         let mut token_blocks = build_token_blocks_parallel(executor, pair);
         let total_entities = pair.kb(minoaner_kb::Side::Left).len() + pair.kb(minoaner_kb::Side::Right).len();
-        let purge = self
-            .config
-            .purge_blocks
-            .then(|| executor.time_stage("blocking/purge", || purge_blocks(&mut token_blocks, total_entities)));
-        if let Some(report) = &purge {
-            executor.annotate_last_stage(
-                "blocking/purge",
-                StageIo::items(report.blocks_before as u64, report.blocks_after as u64),
-            );
-            executor.emit_counter(
-                "blocking/blocks_purged",
-                (report.blocks_before - report.blocks_after) as u64,
-            );
-            executor.emit_counter(
-                "blocking/comparisons_purged",
-                report.comparisons_before.saturating_sub(report.comparisons_after),
-            );
-            executor.emit_counter("blocking/comparisons_after_purge", report.comparisons_after);
-        }
+        let report = executor.time_stage("blocking/purge", || purge_blocks(&mut token_blocks, total_entities));
+        executor.annotate_last_stage(
+            "blocking/purge",
+            StageIo::items(report.blocks_before as u64, report.blocks_after as u64),
+        );
+        executor.emit_counter("blocking/blocks_purged", (report.blocks_before - report.blocks_after) as u64);
+        executor.emit_counter(
+            "blocking/comparisons_purged",
+            report.comparisons_before.saturating_sub(report.comparisons_after),
+        );
+        executor.emit_counter("blocking/comparisons_after_purge", report.comparisons_after);
         let name_blocks =
             executor.time_stage("blocking/names", || build_name_blocks(pair, &name_stats));
         executor.emit_counter("blocking/name_blocks_built", name_blocks.len() as u64);
 
-        PreparedBlocks { relation_stats, name_stats, token_blocks, name_blocks, purge }
+        PreparedBlocks { relation_stats, name_stats, token_blocks, name_blocks, purge: report }
     }
 
     /// The pipeline's second barrier: weights and prunes the disjunctive
-    /// blocking graph from prepared blocks (Algorithm 1) — with `adaptive`
-    /// ([`crate::ResolveRequest::adaptive`]), each node's cut follows its
-    /// own weight distribution ([`GraphConfig::adaptive_pruning`]).
-    pub fn build_graph_from_blocks(
-        &self,
-        executor: &Executor,
-        pair: &KbPair,
-        blocks: &PreparedBlocks,
-        adaptive: bool,
-    ) -> BlockingGraph {
+    /// blocking graph from prepared blocks (Algorithm 1), keeping each
+    /// node's top-K candidates.
+    pub fn build_graph_from_blocks(&self, executor: &Executor, pair: &KbPair, blocks: &PreparedBlocks) -> BlockingGraph {
         let graph_cfg =
-            GraphConfig { top_k: self.config.top_k, n_relations: self.config.n_relations, adaptive_pruning: adaptive };
+            GraphConfig { top_k: self.config.top_k, n_relations: self.config.n_relations, adaptive_pruning: false };
         build_blocking_graph(
             executor,
             pair,
@@ -168,8 +154,8 @@ impl Minoaner {
         )
     }
 
-    /// End-to-end resolution with an explicit rule set and pruning mode —
-    /// **the** resolver implementation; every request path delegates here.
+    /// End-to-end resolution with an explicit rule set — **the** resolver
+    /// implementation; every request path delegates here.
     ///
     /// The pipeline's internal stages run on the executor's infallible
     /// `run_stage`, which re-raises task failures as a structured panic
@@ -188,10 +174,9 @@ impl Minoaner {
         executor: &Executor,
         pair: &KbPair,
         rules: RuleSet,
-        adaptive: bool,
         checkpoint: Option<(&CheckpointSpec, &TraceCollector)>,
     ) -> Result<Resolution, DataflowError> {
-        catch_unwind(AssertUnwindSafe(|| self.run_pipeline(executor, pair, rules, adaptive, checkpoint)))
+        catch_unwind(AssertUnwindSafe(|| self.run_pipeline(executor, pair, rules, checkpoint)))
             .map_err(DataflowError::from_panic)
             .and_then(|result| result)
     }
@@ -208,14 +193,13 @@ impl Minoaner {
         executor: &Executor,
         pair: &KbPair,
         rules: RuleSet,
-        adaptive: bool,
         checkpoint: Option<(&CheckpointSpec, &TraceCollector)>,
     ) -> Result<Resolution, DataflowError> {
         executor.reset_metrics();
         let start = Instant::now();
         executor.check_cancelled("barrier:start")?;
         let mut barriers = Barriers::open(checkpoint, executor, || {
-            resume::run_fingerprint(&self.config, rules, adaptive, pair)
+            resume::run_fingerprint(&self.config, rules, pair)
         })?;
         let restored = barriers.restore(executor)?;
 
@@ -234,7 +218,9 @@ impl Minoaner {
                     }
                     _ => {
                         let blocks = self.prepare_blocks(executor, pair);
-                        barriers.commit(executor, resume::BARRIER_BLOCKS, "blocks", &resume::blocks_parts(&blocks))?;
+                        let stored_purge = Some(blocks.purge.clone());
+                        let parts = resume::blocks_parts(&blocks, &stored_purge);
+                        barriers.commit(executor, resume::BARRIER_BLOCKS, "blocks", &parts)?;
                         blocks
                     }
                 };
@@ -243,8 +229,9 @@ impl Minoaner {
                 // write: a cancelled run leaves only complete, resumable
                 // barriers behind.
                 executor.check_cancelled("barrier:blocks")?;
-                let graph = self.build_graph_from_blocks(executor, pair, &blocks, adaptive);
-                barriers.commit(executor, resume::BARRIER_GRAPH, "graph", &resume::graph_parts(&graph, &blocks.purge))?;
+                let graph = self.build_graph_from_blocks(executor, pair, &blocks);
+                let stored_purge = Some(blocks.purge.clone());
+                barriers.commit(executor, resume::BARRIER_GRAPH, "graph", &resume::graph_parts(&graph, &stored_purge))?;
                 (graph, blocks.purge)
             }
         };
@@ -252,7 +239,8 @@ impl Minoaner {
         executor.check_cancelled("barrier:graph")?;
         let graph_digest = graph.weight_digest();
         let outcome = run_matching(executor, pair, &graph, &self.config, rules);
-        let parts = resume::matches_parts(&outcome.matches, &outcome.counts, &graph_digest, &purge);
+        let stored_purge = Some(purge.clone());
+        let parts = resume::matches_parts(&outcome.matches, &outcome.counts, &graph_digest, &stored_purge);
         barriers.commit(executor, resume::BARRIER_MATCHES, "matches", &parts)?;
         Ok(Self::assemble(executor, start, outcome.matches, outcome.counts, purge, graph_digest))
     }
@@ -264,7 +252,7 @@ impl Minoaner {
         start: Instant,
         matches: Vec<(EntityId, EntityId)>,
         rule_counts: RuleCounts,
-        purge: Option<PurgeReport>,
+        purge: PurgeReport,
         graph_digest: u64,
     ) -> Resolution {
         let total = start.elapsed();

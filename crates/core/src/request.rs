@@ -3,11 +3,11 @@
 //!
 //! A [`ResolveRequest`] names the KB pair ([`ResolveRequest::pair`]) and
 //! chains the orthogonal run options (rules, tracing, checkpointing,
-//! cancellation, worker count, memory budget, adaptive pruning),
-//! so options compose — a traced, checkpointed, adaptive run is one chain,
-//! not one more method. [`Minoaner::run`] executes it and returns a
-//! [`ResolveOutcome`]: the [`Resolution`], plus a [`RunTrace`] when the
-//! request traced or checkpointed.
+//! cancellation, worker count, memory budget), so options compose — a
+//! traced, checkpointed, budgeted run is one chain, not one more method.
+//! [`Minoaner::run`] executes it and returns a [`ResolveOutcome`]: the
+//! [`Resolution`], plus a [`RunTrace`] when the request traced or
+//! checkpointed.
 //!
 //! A dirty KB is a self-pair ([`minoaner_kb::dirty::DirtyKbBuilder`]) and
 //! goes through the same request; more than two KBs go through
@@ -49,7 +49,6 @@ pub struct ResolveRequest<'a> {
     trace: bool,
     checkpoint: Option<&'a CheckpointSpec>,
     cancel: CancelToken,
-    adaptive: bool,
     workers: Option<usize>,
     mem_budget: Option<MemoryBudget>,
 }
@@ -66,7 +65,6 @@ impl<'a> ResolveRequest<'a> {
             trace: false,
             checkpoint: None,
             cancel: CancelToken::new(),
-            adaptive: false,
             workers: None,
             mem_budget: None,
         }
@@ -112,15 +110,6 @@ impl<'a> ResolveRequest<'a> {
     /// [`DataflowError::Cancelled`].
     pub fn cancel(mut self, token: CancelToken) -> Self {
         self.cancel = token;
-        self
-    }
-
-    /// Adaptive pruning (§7): per-node candidate lists cut at mean +
-    /// ½·stddev of the node's own weight distribution instead of a fixed
-    /// top-K ([`minoaner_blocking::GraphConfig::adaptive_pruning`]). The
-    /// same pipeline otherwise, so it composes with every other option.
-    pub fn adaptive(mut self) -> Self {
-        self.adaptive = true;
         self
     }
 
@@ -187,7 +176,7 @@ impl Minoaner {
             executor.set_observer(collector.clone());
         }
         let checkpoint = req.checkpoint.zip(collector.as_deref());
-        let resolution = self.resolve_impl(&executor, req.pair, req.rules, req.adaptive, checkpoint)?;
+        let resolution = self.resolve_impl(&executor, req.pair, req.rules, checkpoint)?;
         let trace = collector.map(|collector| {
             RunTrace::capture(
                 executor.workers(),
@@ -268,20 +257,6 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_request_runs_the_one_pipeline() {
-        let p = pair();
-        let run = |req: ResolveRequest<'_>| traced(&Minoaner::new(), req);
-        let (_, plain_trace) = run(ResolveRequest::pair(&p));
-        let (adaptive, trace) = run(ResolveRequest::pair(&p).adaptive());
-        assert_eq!(adaptive.matches.len(), 3);
-        let names = |t: &RunTrace| t.stages.iter().map(|s| s.name.clone()).collect::<Vec<_>>();
-        assert_eq!(names(&trace), names(&plain_trace), "same stages, purge and stats included");
-
-        let (r1, _) = run(ResolveRequest::pair(&p).adaptive().rules(RuleSet::R1_ONLY));
-        assert_eq!((r1.rule_counts.r2, r1.rule_counts.r3), (0, 0), "rules flow through");
-    }
-
-    #[test]
     fn cancelled_token_surfaces_structurally() {
         use minoaner_dataflow::CancelReason;
         let p = pair();
@@ -321,7 +296,7 @@ mod tests {
         b.add_triple("e0", "label", Term::Literal("fat duck bray"));
         b.add_triple("e1", "label", Term::Literal("fat duck bray"));
         let p = b.finish();
-        let (resolution, _) = traced(&Minoaner::new(), ResolveRequest::pair(&p).adaptive());
+        let (resolution, _) = traced(&Minoaner::new(), ResolveRequest::pair(&p));
         assert!(resolution.matches.iter().all(|&(l, r)| l != r), "no identity pairs");
         let duplicates = canonicalize_dirty_matches(&resolution.matches);
         assert_eq!(duplicates, [(EntityId(0), EntityId(1))]);

@@ -82,7 +82,7 @@ impl CheckpointSpec {
 }
 
 /// Fingerprint binding a checkpoint to its run: the resolver configuration
-/// (θ bit-exact), the rule set, the pruning mode, the input KB dimensions,
+/// (θ bit-exact), the rule set, the input KB dimensions,
 /// and — in the domain string — the layout of the checkpointed parts (`v4`:
 /// little-endian [`Spillable`] records, blocks as a key column and two
 /// member tables, everything under [`checksum`]; `v3` held a record per
@@ -91,18 +91,12 @@ impl CheckpointSpec {
 /// guard against resuming with drifted inputs or settings — not a content
 /// hash of the KBs (re-parsing identical input reproduces it; swapping in
 /// a different dataset of identical dimensions would not be caught).
-pub fn run_fingerprint(config: &MinoanerConfig, rules: RuleSet, adaptive: bool, pair: &KbPair) -> u64 {
-    fingerprint_in(b"minoaner-run-fingerprint-v4", config, rules, adaptive, pair)
+pub fn run_fingerprint(config: &MinoanerConfig, rules: RuleSet, pair: &KbPair) -> u64 {
+    fingerprint_in(b"minoaner-run-fingerprint-v4", config, rules, pair)
 }
 
 /// [`run_fingerprint`] under an explicit layout domain.
-fn fingerprint_in(
-    domain: &[u8],
-    config: &MinoanerConfig,
-    rules: RuleSet,
-    adaptive: bool,
-    pair: &KbPair,
-) -> u64 {
+fn fingerprint_in(domain: &[u8], config: &MinoanerConfig, rules: RuleSet, pair: &KbPair) -> u64 {
     let mut bytes = Vec::with_capacity(136);
     bytes.extend_from_slice(domain);
     for v in [
@@ -110,15 +104,17 @@ fn fingerprint_in(
         config.top_k as u64,
         config.n_relations as u64,
         config.theta.to_bits(),
-        u64::from(config.purge_blocks),
-        // Once the unique-mapping switch, now always on: the slot keeps its
-        // value so directories written while it was a switch still resume.
+        // Three slots were once switches and keep the value of the one
+        // pipeline left, so directories written while they were switches
+        // still resume: Block Purging (on), unique mapping (on) and, after
+        // the rule set, adaptive pruning (off).
+        1,
         1,
         u64::from(rules.r1),
         u64::from(rules.r2),
         u64::from(rules.r3),
         u64::from(rules.r4),
-        u64::from(adaptive),
+        0,
         pair.kb(Side::Left).len() as u64,
         pair.kb(Side::Right).len() as u64,
         pair.attr_space() as u64,
@@ -147,14 +143,27 @@ fn decode_part<T: Spillable>(stage: &RecoveredStage, name: &str) -> Result<T, Ch
     })
 }
 
-/// The `blocks` barrier's parts.
-pub(crate) fn blocks_parts(blocks: &PreparedBlocks) -> [Part<'_>; 5] {
+/// Decodes the named part of a recovered barrier that holds the run's
+/// [`PurgeReport`]. The part stores it as an `Option`, the layout of when
+/// Block Purging was a switch, so that directories written then still
+/// resume: every run writes `Some`, and `None` is
+/// [`CheckpointError::Corrupt`].
+fn decode_purge(stage: &RecoveredStage) -> Result<PurgeReport, CheckpointError> {
+    decode_part::<Option<PurgeReport>>(stage, "purge")?.ok_or_else(|| CheckpointError::Corrupt {
+        path: "purge".to_owned(),
+        detail: format!("barrier {:?} holds no purge report", stage.stage),
+    })
+}
+
+/// The `blocks` barrier's parts; `purge` is `Some(blocks.purge)` (see
+/// [`decode_purge`]).
+pub(crate) fn blocks_parts<'a>(blocks: &'a PreparedBlocks, purge: &'a Option<PurgeReport>) -> [Part<'a>; 5] {
     [
         ("relation_stats", &blocks.relation_stats),
         ("name_stats", &blocks.name_stats),
         ("token_blocks", &blocks.token_blocks),
         ("name_blocks", &blocks.name_blocks),
-        ("purge", &blocks.purge),
+        ("purge", purge),
     ]
 }
 
@@ -165,23 +174,22 @@ pub(crate) fn blocks_from_stage(stage: &RecoveredStage) -> Result<PreparedBlocks
         name_stats: decode_part(stage, "name_stats")?,
         token_blocks: decode_part(stage, "token_blocks")?,
         name_blocks: decode_part(stage, "name_blocks")?,
-        purge: decode_part(stage, "purge")?,
+        purge: decode_purge(stage)?,
     })
 }
 
-/// The `graph` barrier's parts.
+/// The `graph` barrier's parts; `purge` is `Some` of the run's report.
 pub(crate) fn graph_parts<'a>(graph: &'a BlockingGraph, purge: &'a Option<PurgeReport>) -> [Part<'a>; 2] {
     [("graph", graph), ("purge", purge)]
 }
 
 /// Rebuilds the graph state from a recovered `graph` barrier.
-pub(crate) fn graph_from_stage(
-    stage: &RecoveredStage,
-) -> Result<(BlockingGraph, Option<PurgeReport>), CheckpointError> {
-    Ok((decode_part(stage, "graph")?, decode_part(stage, "purge")?))
+pub(crate) fn graph_from_stage(stage: &RecoveredStage) -> Result<(BlockingGraph, PurgeReport), CheckpointError> {
+    Ok((decode_part(stage, "graph")?, decode_purge(stage)?))
 }
 
-/// The `matches` barrier's parts. `matches` is the `Vec` it decodes as.
+/// The `matches` barrier's parts; `purge` is `Some` of the run's report.
+/// `matches` is the `Vec` it decodes as.
 #[allow(clippy::ptr_arg)]
 pub(crate) fn matches_parts<'a>(
     matches: &'a Vec<(EntityId, EntityId)>,
@@ -196,12 +204,12 @@ pub(crate) fn matches_parts<'a>(
 #[allow(clippy::type_complexity)]
 pub(crate) fn matches_from_stage(
     stage: &RecoveredStage,
-) -> Result<(Vec<(EntityId, EntityId)>, RuleCounts, u64, Option<PurgeReport>), CheckpointError> {
+) -> Result<(Vec<(EntityId, EntityId)>, RuleCounts, u64, PurgeReport), CheckpointError> {
     Ok((
         decode_part(stage, "matches")?,
         decode_part(stage, "rule_counts")?,
         decode_part(stage, "graph_digest")?,
-        decode_part(stage, "purge")?,
+        decode_purge(stage)?,
     ))
 }
 
@@ -350,19 +358,16 @@ mod tests {
     fn fingerprint_is_stable_and_sensitive() {
         let pair = tiny_pair();
         let config = MinoanerConfig::default();
-        let base = run_fingerprint(&config, RuleSet::FULL, false, &pair);
-        assert_eq!(base, run_fingerprint(&config, RuleSet::FULL, false, &pair), "deterministic");
-        // The value a default run of this pair had before the unique-mapping
-        // switch left the configuration: its checkpoints still resume.
+        let base = run_fingerprint(&config, RuleSet::FULL, &pair);
+        assert_eq!(base, run_fingerprint(&config, RuleSet::FULL, &pair), "deterministic");
+        // The values these runs had while unique mapping, Block Purging and
+        // adaptive pruning were switches: their checkpoints still resume.
         assert_eq!(base, 11_733_743_620_274_296_044);
-        assert_ne!(
-            base,
-            run_fingerprint(&config, RuleSet::R1_ONLY, false, &pair),
-            "rule set is part of the identity"
-        );
-        assert_ne!(base, run_fingerprint(&config, RuleSet::FULL, true, &pair), "so is the pruning mode");
+        assert_eq!(run_fingerprint(&config, RuleSet::FULL, &linked_pair()), 4_432_006_889_273_865_470);
         let other = MinoanerConfig { theta: 0.7, ..config };
-        assert_ne!(base, run_fingerprint(&other, RuleSet::FULL, false, &pair));
+        assert_eq!(run_fingerprint(&other, RuleSet::R1_ONLY, &linked_pair()), 15_746_047_071_545_398_756);
+        assert_ne!(base, run_fingerprint(&config, RuleSet::R1_ONLY, &pair), "rule set is part of the identity");
+        assert_ne!(base, run_fingerprint(&other, RuleSet::FULL, &pair));
     }
 
     #[test]
@@ -388,13 +393,17 @@ mod tests {
     }
 
     /// The `graph` barrier of [`linked_pair`] as recovery would hand it
-    /// over, after `damage` to the bytes of its `graph` part.
-    fn graph_stage(damage: impl FnOnce(&mut Vec<u8>)) -> (RecoveredStage, u64) {
+    /// over, its `purge` part holding `purge`, after `damage` to the bytes
+    /// of its `graph` part.
+    fn graph_stage_with(
+        purge: impl FnOnce(PurgeReport) -> Option<PurgeReport>,
+        damage: impl FnOnce(&mut Vec<u8>),
+    ) -> (RecoveredStage, u64) {
         let pair = linked_pair();
         let (resolver, exec) = (Minoaner::new(), Executor::new(1));
         let blocks = resolver.prepare_blocks(&exec, &pair);
-        let graph = resolver.build_graph_from_blocks(&exec, &pair, &blocks, false);
-        let mut parts: Vec<(String, Vec<u8>)> = graph_parts(&graph, &None)
+        let graph = resolver.build_graph_from_blocks(&exec, &pair, &blocks);
+        let mut parts: Vec<(String, Vec<u8>)> = graph_parts(&graph, &purge(blocks.purge))
             .iter()
             .map(|&(name, part)| (name.to_owned(), minoaner_det::codec::encode_to_vec(part)))
             .collect();
@@ -404,11 +413,20 @@ mod tests {
         (stage, graph.weight_digest())
     }
 
-    fn assert_corrupt(stage: &RecoveredStage) {
+    /// [`graph_stage_with`] the report every run writes.
+    fn graph_stage(damage: impl FnOnce(&mut Vec<u8>)) -> (RecoveredStage, u64) {
+        graph_stage_with(Some, damage)
+    }
+
+    fn assert_corrupt_part(stage: &RecoveredStage, part: &str) {
         match graph_from_stage(stage) {
-            Err(CheckpointError::Corrupt { path, .. }) => assert_eq!(path, "graph"),
-            other => panic!("expected the graph part to be corrupt, got {other:?}"),
+            Err(CheckpointError::Corrupt { path, .. }) => assert_eq!(path, part),
+            other => panic!("expected the {part} part to be corrupt, got {other:?}"),
         }
+    }
+
+    fn assert_corrupt(stage: &RecoveredStage) {
+        assert_corrupt_part(stage, "graph");
     }
 
     #[test]
@@ -417,7 +435,15 @@ mod tests {
         let (graph, purge) = graph_from_stage(&stage).expect("intact parts decode");
         assert!(graph.num_directed_edges() > 0, "the pair has candidates to store");
         assert_eq!(graph.weight_digest(), digest);
-        assert_eq!(purge, None);
+        assert_eq!(purge.blocks_before, purge.blocks_after, "nothing to purge in two restaurants");
+        assert!(purge.blocks_before > 0);
+    }
+
+    /// A purge part with no report, as a run with purging off wrote it
+    /// while purging was a switch, is refused.
+    #[test]
+    fn a_purge_part_without_a_report_is_corrupt() {
+        assert_corrupt_part(&graph_stage_with(|_| None, |_| {}).0, "purge");
     }
 
     #[test]
@@ -463,8 +489,7 @@ mod tests {
         for domain in ["minoaner-run-fingerprint-v2", "minoaner-run-fingerprint-v3"] {
             let dir = std::env::temp_dir().join(format!("minoaner-core-{domain}-{}", std::process::id()));
             let _ = std::fs::remove_dir_all(&dir);
-            let old =
-                fingerprint_in(domain.as_bytes(), &MinoanerConfig::default(), RuleSet::FULL, false, &pair);
+            let old = fingerprint_in(domain.as_bytes(), &MinoanerConfig::default(), RuleSet::FULL, &pair);
             let parts: [Part<'_>; 4] = [
                 ("matches", &Raw(b"[[0,0]]")),
                 ("rule_counts", &Raw(br#"{"r1":1,"r2":0,"r3":0,"removed_by_r4":0}"#)),

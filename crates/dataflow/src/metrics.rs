@@ -15,10 +15,12 @@ use std::time::Duration;
 
 /// Data-volume facts about one stage, filled in after its barrier.
 ///
-/// All fields default to zero; stages that move no data (or predate the
-/// annotation call) simply report zeros. Annotations *accumulate*: a
-/// shuffle's read phase can add `shuffle_bytes` on top of the item counts
-/// recorded by the underlying `map_partitions`.
+/// All fields default to zero; a stage nobody annotates reports zeros.
+/// The writers are the `annotate_last_stage` calls in
+/// `blocking/src/{token,graph}.rs` and `core/src/pipeline.rs`; the γ
+/// exchange's `graph/gamma/transpose` is the one stage with
+/// `shuffle_bytes` and `max_partition_items`. Annotations *accumulate*
+/// ([`StageIo::absorb`]): a second call for one stage adds to the first.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageIo {
     /// Elements entering the stage across all partitions.

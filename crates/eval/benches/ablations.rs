@@ -1,14 +1,14 @@
 //! Design-choice ablations beyond the paper's Table 4 (see DESIGN.md §3,
-//! experiment E8+): fixed top-K vs adaptive pruning, Block Purging vs
-//! none, and the conclusion's rule ensemble — each variant a run of the
-//! pipeline itself — plus the headline workflow across generator seeds.
+//! experiment E8+): fixed top-K vs adaptive pruning and Block Purging vs
+//! none — each variant the pipeline's own stages — plus the headline
+//! workflow across generator seeds.
 
 // Benchmarks measure wall-clock by definition; the deny wall
 // (clippy::disallowed_methods) applies to library targets.
 #![allow(clippy::disallowed_methods)]
 
 use minoaner_dataflow::Executor;
-use minoaner_eval::ablation::{ensemble_ablation, pruning_ablation, purging_ablation, render};
+use minoaner_eval::ablation::{pruning_ablation, purging_ablation, render};
 use minoaner_eval::scale_from_env;
 use minoaner_eval::variance::seed_variance;
 
@@ -19,7 +19,6 @@ fn main() {
     let mut rows = Vec::new();
     rows.extend(pruning_ablation(&exec, scale));
     rows.extend(purging_ablation(&exec, scale));
-    rows.extend(ensemble_ablation(&exec, scale));
     println!("{}", render(&rows, "F1"));
 
     // Repeatability: the headline workflow across three generator seeds.

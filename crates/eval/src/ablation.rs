@@ -1,13 +1,23 @@
-//! Design-choice ablations beyond the paper's Table 4: pruning strategies,
-//! Block Purging, and the rule-ensemble extension. Every variant is a run of
-//! the product itself ([`Minoaner::run`], or the ensemble over it), so the
-//! rows measure the defaults the pipeline ships with (see DESIGN.md).
+//! Design-choice ablations beyond the paper's Table 4: fixed top-K vs
+//! adaptive pruning, and Block Purging vs none. The default row of each is
+//! the product itself ([`Minoaner::run`]); the other variant composes the
+//! product's public stages with the one step it varies:
+//! [`resolve_adaptive`] swaps the top-K cut for the adaptive one, and the
+//! no-purging row runs [`Minoaner::build_graph_from_blocks`] and
+//! [`run_matching`] on [`unpurged_blocks`]. So the rows measure the
+//! pipeline the product ships with (see DESIGN.md).
 
-use minoaner_core::extensions::{default_ensemble, ensemble_resolve};
-use minoaner_core::{Minoaner, MinoanerConfig, Resolution, ResolveRequest};
+use minoaner_blocking::graph::{build_blocking_graph, GraphConfig};
+use minoaner_blocking::name::build_name_blocks;
+use minoaner_blocking::purge::purge_with_cap;
+use minoaner_blocking::token::build_token_blocks_parallel;
+use minoaner_core::matcher::run_matching;
+use minoaner_core::{Minoaner, MinoanerConfig, PreparedBlocks, Resolution, ResolveRequest, RuleSet};
 use minoaner_dataflow::Executor;
 use minoaner_datagen::profiles::all_profiles;
 use minoaner_datagen::GeneratedDataset;
+use minoaner_kb::stats::{NameStats, RelationStats};
+use minoaner_kb::{EntityId, KbPair};
 
 use crate::harness::dataset_at_scale;
 use crate::metrics::Quality;
@@ -36,12 +46,43 @@ impl AblationRow {
     }
 }
 
-/// One resolution of `d` by `minoaner` on the executor's worker count —
-/// with `adaptive`, under the conclusion's per-node pruning.
-fn run_variant(minoaner: &Minoaner, executor: &Executor, d: &GeneratedDataset, adaptive: bool) -> Resolution {
+/// One resolution of `d` by the product, on the executor's worker count.
+fn default_run(executor: &Executor, d: &GeneratedDataset) -> Resolution {
     let req = ResolveRequest::pair(&d.pair).workers(executor.workers());
-    let req = if adaptive { req.adaptive() } else { req };
-    minoaner.run(req).unwrap_or_else(|e| std::panic::panic_any(e)).into_resolution()
+    Minoaner::new().run(req).unwrap_or_else(|e| std::panic::panic_any(e)).into_resolution()
+}
+
+/// The blocks [`Minoaner::prepare_blocks`] builds under the default
+/// configuration, without Block Purging: the report's cap is `u64::MAX`
+/// and it keeps every block.
+pub fn unpurged_blocks(executor: &Executor, pair: &KbPair) -> PreparedBlocks {
+    let name_stats = NameStats::compute(pair, MinoanerConfig::default().name_attrs_k);
+    let mut token_blocks = build_token_blocks_parallel(executor, pair);
+    let purge = purge_with_cap(&mut token_blocks, u64::MAX);
+    PreparedBlocks {
+        relation_stats: RelationStats::compute(pair),
+        token_blocks,
+        name_blocks: build_name_blocks(pair, &name_stats),
+        name_stats,
+        purge,
+    }
+}
+
+/// The product's stages after `blocks` under the default configuration,
+/// with each node's candidates cut at its own weight distribution (§7) in
+/// place of the top-K: the graph, then R1–R4. Returns the matches.
+pub fn resolve_adaptive(executor: &Executor, pair: &KbPair, blocks: &PreparedBlocks) -> Vec<(EntityId, EntityId)> {
+    let config = MinoanerConfig::default();
+    let graph_cfg = GraphConfig { top_k: config.top_k, n_relations: config.n_relations, adaptive_pruning: true };
+    let graph = build_blocking_graph(
+        executor,
+        pair,
+        &blocks.relation_stats,
+        &blocks.token_blocks,
+        &blocks.name_blocks,
+        &graph_cfg,
+    );
+    run_matching(executor, pair, &graph, &config, RuleSet::FULL).matches
 }
 
 /// Pruning ablation: fixed top-K (the paper) vs the conclusion's adaptive
@@ -50,9 +91,11 @@ pub fn pruning_ablation(executor: &Executor, scale: f64) -> Vec<AblationRow> {
     let mut rows = Vec::new();
     for profile in all_profiles() {
         let d = dataset_at_scale(&profile, scale);
-        for (variant, adaptive) in [("top-K (paper)", false), ("adaptive (conclusion)", true)] {
-            let run = run_variant(&Minoaner::new(), executor, &d, adaptive);
-            let q = Quality::evaluate(&run.matches, &d.ground_truth);
+        let top_k = default_run(executor, &d).matches;
+        let blocks = Minoaner::new().prepare_blocks(executor, &d.pair);
+        let adaptive = resolve_adaptive(executor, &d.pair, &blocks);
+        for (variant, matches) in [("top-K (paper)", top_k), ("adaptive (conclusion)", adaptive)] {
+            let q = Quality::evaluate(&matches, &d.ground_truth);
             rows.push(AblationRow::scored("pruning", variant, &profile.name, q, None));
         }
     }
@@ -61,37 +104,23 @@ pub fn pruning_ablation(executor: &Executor, scale: f64) -> Vec<AblationRow> {
 
 /// Block Purging ablation: the linear comparison budget (the default) vs
 /// no purging, as end-to-end F1 plus the token-block comparisons each run
-/// keeps — both counts from the default run's purge report.
+/// keeps, from each run's purge report.
 pub fn purging_ablation(executor: &Executor, scale: f64) -> Vec<AblationRow> {
-    let unpurged = Minoaner::with_config(MinoanerConfig { purge_blocks: false, ..MinoanerConfig::default() });
     let mut rows = Vec::new();
     for profile in all_profiles() {
         let d = dataset_at_scale(&profile, scale);
-        let purged = run_variant(&Minoaner::new(), executor, &d, false);
-        let (before, after) = purged.purge.as_ref().map_or((0, 0), |r| (r.comparisons_before, r.comparisons_after));
-        let variants =
-            [("budget (default)", purged, after), ("no purging", run_variant(&unpurged, executor, &d, false), before)];
-        for (variant, run, kept) in variants {
-            let q = Quality::evaluate(&run.matches, &d.ground_truth);
-            let note = format!("{kept} comparisons kept");
+        let purged = default_run(executor, &d);
+        let resolver = Minoaner::new();
+        let blocks = unpurged_blocks(executor, &d.pair);
+        let graph = resolver.build_graph_from_blocks(executor, &d.pair, &blocks);
+        let unpurged = run_matching(executor, &d.pair, &graph, resolver.config(), RuleSet::FULL).matches;
+        for (variant, matches, report) in
+            [("budget (default)", purged.matches, &purged.purge), ("no purging", unpurged, &blocks.purge)]
+        {
+            let q = Quality::evaluate(&matches, &d.ground_truth);
+            let note = format!("{} comparisons kept", report.comparisons_after);
             rows.push(AblationRow::scored("purging", variant, &profile.name, q, Some(note)));
         }
-    }
-    rows
-}
-
-/// Ensemble ablation: the single default configuration vs the
-/// conclusion's majority-vote ensemble.
-pub fn ensemble_ablation(executor: &Executor, scale: f64) -> Vec<AblationRow> {
-    let mut rows = Vec::new();
-    for profile in all_profiles() {
-        let d = dataset_at_scale(&profile, scale);
-        let single = run_variant(&Minoaner::new(), executor, &d, false);
-        let qs = Quality::evaluate(&single.matches, &d.ground_truth);
-        rows.push(AblationRow::scored("ensemble", "single (2,15,3,0.6)", &profile.name, qs, None));
-        let ens = ensemble_resolve(executor, &d.pair, &default_ensemble(), 3).unwrap_or_else(|e| std::panic::panic_any(e));
-        let qe = Quality::evaluate(&ens.matches, &d.ground_truth);
-        rows.push(AblationRow::scored("ensemble", "5-config vote>=3", &profile.name, qe, None));
     }
     rows
 }
@@ -119,35 +148,86 @@ pub fn render(rows: &[AblationRow], metric_label: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use minoaner_kb::{Side, Term};
+
+    /// Every row at scale 0.15, F1 to the bit, as the product computed it
+    /// while adaptive pruning and purging-off were switches of
+    /// `Minoaner::run`: composing the stages reproduces the switches.
+    const ROWS_AT_0_15: [(&str, &str, u64, &str); 16] = [
+        ("Restaurant", "top-K (paper)", 4636476666376200496, "P=92.86 R=100.00 F1=96.30"),
+        ("Restaurant", "adaptive (conclusion)", 4636476666376200496, "P=92.86 R=100.00 F1=96.30"),
+        ("Rexa-DBLP", "top-K (paper)", 4636209525773303807, "P=87.06 R=98.67 F1=92.50"),
+        ("Rexa-DBLP", "adaptive (conclusion)", 4636209525773303807, "P=87.06 R=98.67 F1=92.50"),
+        ("BBCmusic-DBpedia", "top-K (paper)", 4635663869833282092, "P=78.80 R=91.67 F1=84.75"),
+        ("BBCmusic-DBpedia", "adaptive (conclusion)", 4635613573424357311, "P=78.55 R=90.33 F1=84.03"),
+        ("YAGO-IMDb", "top-K (paper)", 4636151535992447077, "P=91.57 R=91.78 F1=91.68"),
+        ("YAGO-IMDb", "adaptive (conclusion)", 4636141742962932227, "P=91.74 R=91.33 F1=91.54"),
+        ("Restaurant", "budget (default)", 4636476666376200496, "20536 comparisons kept, P=92.86 R=100.00 F1=96.30"),
+        ("Restaurant", "no purging", 4636234657467652974, "38135 comparisons kept, P=86.67 R=100.00 F1=92.86"),
+        ("Rexa-DBLP", "budget (default)", 4636209525773303807, "246078 comparisons kept, P=87.06 R=98.67 F1=92.50"),
+        ("Rexa-DBLP", "no purging", 4636169096525872542, "3382448 comparisons kept, P=86.05 R=98.67 F1=91.93"),
+        ("BBCmusic-DBpedia", "budget (default)", 4635663869833282092, "142668 comparisons kept, P=78.80 R=91.67 F1=84.75"),
+        ("BBCmusic-DBpedia", "no purging", 4635423176252523285, "4448106 comparisons kept, P=74.18 R=90.00 F1=81.33"),
+        ("YAGO-IMDb", "budget (default)", 4636151535992447077, "72841 comparisons kept, P=91.57 R=91.78 F1=91.68"),
+        ("YAGO-IMDb", "no purging", 4636165887758977837, "702114 comparisons kept, P=91.98 R=91.78 F1=91.88"),
+    ];
 
     #[test]
     fn every_ablation_has_a_row_per_profile_and_variant_and_the_default_run_agrees() {
         let exec = Executor::new(2);
         let pruning = pruning_ablation(&exec, 0.15);
         let purging = purging_ablation(&exec, 0.15);
-        let ensemble = ensemble_ablation(&exec, 0.15);
-        let profiles: Vec<String> = all_profiles().into_iter().map(|p| p.name).collect();
-        for (rows, variants) in [
-            (&pruning, ["top-K (paper)", "adaptive (conclusion)"]),
-            (&purging, ["budget (default)", "no purging"]),
-            (&ensemble, ["single (2,15,3,0.6)", "5-config vote>=3"]),
-        ] {
-            let got: Vec<(&str, &str)> = rows.iter().map(|r| (r.dataset.as_str(), r.variant.as_str())).collect();
-            let want: Vec<(&str, &str)> =
-                profiles.iter().flat_map(|p| variants.map(|v| (p.as_str(), v))).collect();
-            assert_eq!(got, want);
+        let got: Vec<(&str, &str, u64, &str)> = pruning
+            .iter()
+            .chain(&purging)
+            .map(|r| (r.dataset.as_str(), r.variant.as_str(), r.f1.to_bits(), r.detail.as_str()))
+            .collect();
+        assert_eq!(got, ROWS_AT_0_15);
+        // The paper's top-K row and the budget-purged row are one and the
+        // same default run.
+        for (top_k, budget) in pruning.iter().step_by(2).zip(purging.iter().step_by(2)) {
+            assert_eq!(top_k.f1.to_bits(), budget.f1.to_bits(), "{}", top_k.dataset);
         }
-        // The paper's top-K row, the budget-purged row and the single
-        // configuration are one and the same default run.
-        let f1_of = |rows: &[AblationRow], dataset: &str, variant: &str| {
-            rows.iter().find(|r| r.dataset == dataset && r.variant == variant).map(|r| r.f1.to_bits())
-        };
-        for p in &profiles {
-            let default_run = f1_of(&pruning, p, "top-K (paper)");
-            assert!(default_run.is_some(), "{p}");
-            assert_eq!(f1_of(&purging, p, "budget (default)"), default_run, "{p}: purging");
-            assert_eq!(f1_of(&ensemble, p, "single (2,15,3,0.6)"), default_run, "{p}: ensemble");
+    }
+
+    /// Three restaurants a side whose names agree word for word.
+    fn three_restaurants() -> KbPair {
+        let mut b = minoaner_kb::KbPairBuilder::new();
+        for (i, name) in ["fat duck bray", "noma copenhagen nordic", "el bulli roses"].iter().enumerate() {
+            b.add_triple(Side::Left, &format!("l{i}"), "label", Term::Literal(name));
+            b.add_triple(Side::Right, &format!("r{i}"), "name", Term::Literal(name));
         }
+        b.finish()
+    }
+
+    /// [`resolve_adaptive`] on the product's prepared blocks, on its own
+    /// executor of `workers`: the matches and the stages that ran.
+    fn adaptive_run(pair: &KbPair, workers: usize) -> (Vec<(EntityId, EntityId)>, Vec<String>) {
+        let exec = Executor::new(workers);
+        let matches = resolve_adaptive(&exec, pair, &Minoaner::new().prepare_blocks(&exec, pair));
+        (matches, exec.stage_log().iter().map(|s| s.name.clone()).collect())
+    }
+
+    #[test]
+    fn adaptive_pruning_composes_from_the_pipeline_stages() {
+        let p = three_restaurants();
+        let plain = Minoaner::new().run(ResolveRequest::pair(&p).workers(2)).expect("plain run").into_resolution();
+        let (adaptive, stages) = adaptive_run(&p, 2);
+        assert_eq!(adaptive.len(), 3, "every clear pair");
+        let plain_stages: Vec<String> = plain.timings.stages.iter().map(|s| s.name.clone()).collect();
+        assert_eq!(stages, plain_stages, "same stages, purge and stats included");
+    }
+
+    #[test]
+    fn adaptive_pruning_on_a_dirty_pair_matches_no_entity_to_itself() {
+        let mut b = minoaner_kb::dirty::DirtyKbBuilder::new();
+        b.add_triple("e0", "label", Term::Literal("fat duck bray"));
+        b.add_triple("e1", "label", Term::Literal("fat duck bray"));
+        let p = b.finish();
+        let (matches, _) = adaptive_run(&p, 2);
+        assert!(matches.iter().all(|&(l, r)| l != r), "no identity pairs");
+        let duplicates = minoaner_kb::dirty::canonicalize_dirty_matches(&matches);
+        assert_eq!(duplicates, [(EntityId(0), EntityId(1))]);
     }
 
     #[test]

@@ -44,7 +44,7 @@ fn main() {
     // 2. A custom configuration: one name attribute, tighter candidate
     //    lists, θ favoring neighbor evidence. `validate` names the first
     //    parameter out of range.
-    let config = MinoanerConfig { name_attrs_k: 1, top_k: 5, n_relations: 2, theta: 0.5, ..MinoanerConfig::default() };
+    let config = MinoanerConfig { name_attrs_k: 1, top_k: 5, n_relations: 2, theta: 0.5 };
     config.validate().expect("parameters in range");
     let resolver = Minoaner::with_config(config);
     let exec = Executor::new(2);
@@ -52,13 +52,13 @@ fn main() {
     // 3. Run Algorithm 1 (blocks, then the graph) separately from
     //    Algorithm 2: the calls the pipeline itself makes.
     let blocks = resolver.prepare_blocks(&exec, &pair);
-    let graph = resolver.build_graph_from_blocks(&exec, &pair, &blocks, false);
+    let graph = resolver.build_graph_from_blocks(&exec, &pair, &blocks);
     println!(
         "Blocking graph: {} directed edges, {} alpha pairs, {} token blocks ({} purged).",
         graph.num_directed_edges(),
         graph.alpha_pairs().len(),
         blocks.token_blocks.len(),
-        blocks.purge.as_ref().map_or(0, |p| p.blocks_before - p.blocks_after),
+        blocks.purge.blocks_before - blocks.purge.blocks_after,
     );
     for side in [Side::Left, Side::Right] {
         for attr in blocks.name_stats.name_attrs(side) {

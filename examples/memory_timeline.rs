@@ -102,7 +102,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     let matches = {
         let graph = {
             let blocks = minoaner.prepare_blocks(&executor, &pair);
-            minoaner.build_graph_from_blocks(&executor, &pair, &blocks, false)
+            minoaner.build_graph_from_blocks(&executor, &pair, &blocks)
         };
         run_matching(&executor, &pair, &graph, minoaner.config(), RuleSet::FULL).matches
     };

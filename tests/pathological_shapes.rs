@@ -1,5 +1,6 @@
 //! Hang and OOM bounds on the shapes that stress the blocking graph most:
-//! one token in every entity with purging off (a block of n² comparisons),
+//! one token in every entity with purging off (a block of n² comparisons,
+//! the purging ablation's unpurged blocks through the product's stages),
 //! one entity with 10⁵ triples — and, in a release build, with 10⁶ — and
 //! `top_k = usize::MAX` (no pruning at all). Each resolves to the same
 //! digest and match set at 1, 2 and 8 workers, and its peak of live heap
@@ -12,7 +13,11 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicI64, Ordering};
 
 use minoaner::datagen::{generate, profiles};
-use minoaner::{EntityId, KbPair, KbPairBuilder, Minoaner, MinoanerConfig, ResolveRequest, Side, Term};
+use minoaner::core::matcher::run_matching;
+use minoaner::eval::ablation::unpurged_blocks;
+use minoaner::{
+    EntityId, Executor, KbPair, KbPairBuilder, Minoaner, MinoanerConfig, ResolveRequest, RuleSet, Side, Term,
+};
 
 /// Heap bytes allocated and not yet freed, process-wide.
 static LIVE: AtomicI64 = AtomicI64::new(0);
@@ -113,16 +118,24 @@ fn smoke_pair() -> KbPair {
     b.finish()
 }
 
+/// How a shape is resolved on a worker count: its graph digest and
+/// matches.
+type Resolve = fn(&KbPair, usize) -> (u64, Vec<(EntityId, EntityId)>);
+
+/// The product's run under `cfg`.
+fn run_with(cfg: MinoanerConfig, pair: &KbPair, workers: usize) -> (u64, Vec<(EntityId, EntityId)>) {
+    let request = ResolveRequest::pair(pair).workers(workers);
+    let resolution = Minoaner::with_config(cfg).run(request).expect("the shape resolves").into_resolution();
+    (resolution.graph_digest, resolution.matches)
+}
+
 /// Resolves `pair` at 1, 2 and 8 workers: the matches (equal at every
 /// worker count, as is the graph digest) and the largest heap peak of the
 /// three runs.
-fn resolve_everywhere(what: &str, pair: &KbPair, cfg: &MinoanerConfig) -> (Vec<(EntityId, EntityId)>, u64) {
+fn resolve_everywhere(what: &str, pair: &KbPair, resolve: Resolve) -> (Vec<(EntityId, EntityId)>, u64) {
     let runs = [1usize, 2, 8].map(|workers| {
-        let (resolution, peak) = peak_of(|| {
-            let request = ResolveRequest::pair(pair).workers(workers);
-            Minoaner::with_config(*cfg).run(request).expect("the shape resolves").into_resolution()
-        });
-        (workers, resolution.graph_digest, resolution.matches, peak)
+        let ((digest, matches), peak) = peak_of(|| resolve(pair, workers));
+        (workers, digest, matches, peak)
     });
     let peak = runs.iter().map(|run| run.3).max().unwrap_or(0);
     let [(_, digest, matches, _), rest @ ..] = runs;
@@ -136,17 +149,25 @@ fn resolve_everywhere(what: &str, pair: &KbPair, cfg: &MinoanerConfig) -> (Vec<(
 #[test]
 fn pathological_shapes_resolve_within_bounds_and_agree_across_workers() {
     const MIB: u64 = 1 << 20;
-    let defaults = MinoanerConfig::default();
-    let no_purging = MinoanerConfig { purge_blocks: false, ..defaults };
-    let no_pruning = MinoanerConfig { top_k: usize::MAX, ..defaults };
+    let defaults: Resolve = |pair, workers| run_with(MinoanerConfig::default(), pair, workers);
+    let no_pruning: Resolve =
+        |pair, workers| run_with(MinoanerConfig { top_k: usize::MAX, ..MinoanerConfig::default() }, pair, workers);
+    // Not a product setting: the pipeline's stages on the blocks before
+    // Block Purging, as the purging ablation runs them.
+    let no_purging: Resolve = |pair, workers| {
+        let (resolver, executor) = (Minoaner::new(), Executor::new(workers));
+        let graph = resolver.build_graph_from_blocks(&executor, pair, &unpurged_blocks(&executor, pair));
+        let outcome = run_matching(&executor, pair, &graph, resolver.config(), RuleSet::FULL);
+        (graph.weight_digest(), outcome.matches)
+    };
 
     // The bounds are twice the peaks measured when they were set (3.6, 1.4
     // and 2.5 MiB): the KB and its blocks are built before the peak is
     // taken, so a bound is on what resolving holds on top of them.
     let mut shapes = vec![
-        ("one token in all 2 000 entities a side, purging off", one_token_everywhere(2_000), &no_purging, 8 * MIB),
-        ("one entity with 100 000 triples", one_entity_with_many_triples(100_000), &defaults, 3 * MIB),
-        ("top_k = usize::MAX", generate(&profiles::yago_imdb().scaled(0.05)).pair, &no_pruning, 5 * MIB),
+        ("one token in all 2 000 entities a side, purging off", one_token_everywhere(2_000), no_purging, 8 * MIB),
+        ("one entity with 100 000 triples", one_entity_with_many_triples(100_000), defaults, 3 * MIB),
+        ("top_k = usize::MAX", generate(&profiles::yago_imdb().scaled(0.05)).pair, no_pruning, 5 * MIB),
     ];
     // In a release build only, as CI also runs this file: ten times the
     // hub, whose 10⁶ pairs span 16 of the builder's 64 Ki-pair chunks. The
@@ -155,12 +176,12 @@ fn pathological_shapes_resolve_within_bounds_and_agree_across_workers() {
         shapes.push((
             "one entity with 1 000 000 triples",
             one_entity_with_many_triples(1_000_000),
-            &defaults,
+            defaults,
             24 * MIB,
         ));
     }
-    for (what, pair, cfg, bound) in &shapes {
-        let (matches, peak) = resolve_everywhere(what, pair, cfg);
+    for (what, pair, resolve, bound) in &shapes {
+        let (matches, peak) = resolve_everywhere(what, pair, *resolve);
         println!("{what}: {} matches, peak {:.1} MiB", matches.len(), peak as f64 / MIB as f64);
         assert!(!matches.is_empty(), "{what}: something matches");
         assert!(peak <= *bound, "{what}: a heap peak of {peak} bytes, the bound is {bound}");
@@ -168,7 +189,7 @@ fn pathological_shapes_resolve_within_bounds_and_agree_across_workers() {
 
     // Without pruning, the CLI smoke pair still resolves to its two pairs.
     let pair = smoke_pair();
-    let (matches, _) = resolve_everywhere("the smoke pair, top_k = usize::MAX", &pair, &no_pruning);
+    let (matches, _) = resolve_everywhere("the smoke pair, top_k = usize::MAX", &pair, no_pruning);
     let mut named: Vec<(&str, &str)> =
         matches.iter().map(|&(l, r)| (pair.uri_of(Side::Left, l), pair.uri_of(Side::Right, r))).collect();
     named.sort_unstable();

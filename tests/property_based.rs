@@ -138,7 +138,7 @@ fn matcher_produces_reciprocal_partial_matching() {
         let exec = Executor::new(1);
         let m = Minoaner::new();
         let blocks = m.prepare_blocks(&exec, &pair);
-        let graph = m.build_graph_from_blocks(&exec, &pair, &blocks, false);
+        let graph = m.build_graph_from_blocks(&exec, &pair, &blocks);
         let outcome = run_matching(&exec, &pair, &graph, m.config(), minoaner::RuleSet::FULL);
         let mut lefts: Vec<_> = outcome.matches.iter().map(|&(l, _)| l).collect();
         lefts.sort_unstable();

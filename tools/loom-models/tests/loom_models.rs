@@ -1,8 +1,7 @@
 //! Loom model checks for the two lock-free protocols in minoaner-dataflow
 //! that the static linter cannot reason about: the executor pool's
-//! task-claim / fatal-flag / barrier protocol (`pool.rs`) and the
-//! `ObserverSlot` install/clear vs. concurrent stage-end reads
-//! (`observer.rs`).
+//! task-claim / fatal-flag / barrier protocol (`pool.rs`) and an
+//! `ObserverSlot` install vs. concurrent stage-end reads (`observer.rs`).
 //!
 //! These are *models*: the real pool borrows its closure environment
 //! through `std::thread::scope` and locks `std::sync` primitives, which
@@ -265,72 +264,8 @@ fn cancel_token_first_cancel_wins_under_races() {
     });
 }
 
-/// `ObserverSlot` semantics: the executor clones the slot (an enum holding
-/// an `Arc<dyn Observer>`) at stage start, so worker emissions during a
-/// stage go to the snapshot — installing or clearing the observer
-/// concurrently must neither tear an emission nor lose one that saw the
-/// observer installed.
-///
-/// Model: the slot is `Mutex<Option<Arc<AtomicUsize>>>` (the counter
-/// stands in for `Arc<dyn Observer>`); the worker snapshots it once, then
-/// emits twice; the owner clears the slot concurrently.
-///
-/// Invariants:
-///   * a worker that saw the observer installed delivers ALL of its
-///     emissions to that observer, even if the slot is cleared mid-stage
-///     (snapshot isolation — the run-trace either has the whole stage or
-///     none of it);
-///   * a worker that saw `Off` delivers none;
-///   * refcounts balance (loom's leak checker): clearing the slot while a
-///     snapshot is live must not free the observer early.
-#[test]
-fn observer_slot_clear_vs_concurrent_stage_reads() {
-    loom::model(|| {
-        let slot: Arc<Mutex<Option<Arc<AtomicUsize>>>> = Arc::new(Mutex::new(None));
-        let observer = Arc::new(AtomicUsize::new(0));
-        *slot.lock().unwrap() = Some(Arc::clone(&observer));
-
-        let worker = {
-            let slot = Arc::clone(&slot);
-            thread::spawn(move || {
-                // Stage start: snapshot the slot, as Executor::run_stage
-                // clones the ObserverSlot enum.
-                let snapshot: Option<Arc<AtomicUsize>> = slot.lock().unwrap().clone();
-                match snapshot {
-                    Some(obs) => {
-                        obs.fetch_add(1, Ordering::Relaxed);
-                        obs.fetch_add(1, Ordering::Relaxed);
-                        2
-                    }
-                    None => 0,
-                }
-            })
-        };
-
-        let owner = {
-            let slot = Arc::clone(&slot);
-            thread::spawn(move || {
-                // The owner replaces the observer while the stage may be running.
-                *slot.lock().unwrap() = None;
-            })
-        };
-
-        let emitted = worker.join().unwrap();
-        owner.join().unwrap();
-
-        // All-or-nothing: the observer saw exactly the emissions of the
-        // snapshot that captured it.
-        assert_eq!(
-            observer.load(Ordering::Relaxed),
-            emitted,
-            "emission lost or duplicated across a concurrent clear"
-        );
-        assert!(emitted == 0 || emitted == 2, "stage emissions must not tear");
-    });
-}
-
-/// Install (not just clear) racing a stage: the worker's snapshot decides
-/// once; late installs never retroactively receive earlier emissions.
+/// An observer install racing a stage: the worker's snapshot decides once;
+/// a late install never retroactively receives earlier emissions.
 #[test]
 fn observer_slot_install_vs_concurrent_stage_reads() {
     loom::model(|| {

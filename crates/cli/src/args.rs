@@ -35,8 +35,9 @@ pub enum KbCmd {
 pub struct KbCompileArgs {
     /// Left KB path (N-Triples or Turtle).
     pub left: String,
-    /// Right KB path; `None` compiles a single-KB (dirty-ER style) pair
-    /// whose right side is empty.
+    /// Right KB path; `None` compiles a pair whose right side is empty.
+    /// The left KB is neither mirrored nor marked dirty, so such a file
+    /// is not a dirty-ER input.
     pub right: Option<String>,
     /// Output `.mkb` path.
     pub out: String,

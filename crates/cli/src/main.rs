@@ -25,7 +25,7 @@ use std::path::Path;
 use std::process::ExitCode;
 
 use minoaner_core::{CheckpointSpec, Minoaner, MinoanerConfig, ResolveOutcome, ResolveRequest};
-use minoaner_dataflow::{CancelToken, CheckpointError, DataflowError, DegradeOnCkptError, Executor, MemoryBudget, RealFs};
+use minoaner_dataflow::{CancelToken, CheckpointError, DataflowError, DegradeOnCkptError, MemoryBudget, RealFs};
 use minoaner_eval::Quality;
 use minoaner_kb::dirty::{canonicalize_dirty_matches, DirtyKbBuilder};
 use minoaner_kb::parser::{load_ntriples_with_mode, parse_ground_truth, ParseMode, ParseReport};
@@ -367,39 +367,32 @@ fn resolve(args: &ResolveArgs) -> Result<(), CliError> {
     if let Some(spec) = &spec {
         req = req.checkpoint(spec);
     }
-    // A budgeted run is always traced so the spill counters can be
-    // reported even without --report.
-    if args.report.is_some() || budget.is_some() {
-        req = req.trace();
-    }
     if let Some(budget) = &budget {
         req = req.mem_budget(budget.clone());
     }
     let ResolveOutcome { resolution: res, trace } = Minoaner::with_config(config).run(req)?;
-    if let Some(trace) = &trace {
-        if let Some(ckpt_dir) = &args.checkpoint_dir {
-            if trace.counter("ckpt/degraded") > 0 {
-                eprintln!(
-                    "warning: checkpointing degraded mid-run ({} event(s)); output is complete but {ckpt_dir} cannot resume this run",
-                    trace.counter("ckpt/degraded"),
-                );
-            }
-            if trace.counter("ckpt/resumed_from") > 0 {
-                eprintln!(
-                    "resumed from checkpoint barrier {} in {ckpt_dir} ({} bytes restored)",
-                    trace.counter("ckpt/resumed_from") - 1,
-                    trace.counter("ckpt/bytes_restored"),
-                );
-            }
+    if let Some(ckpt_dir) = &args.checkpoint_dir {
+        if trace.counter("ckpt/degraded") > 0 {
             eprintln!(
-                "wrote {} checkpoint barrier(s), {} bytes, under {ckpt_dir}",
-                trace.counter("ckpt/barriers_written"),
-                trace.counter("ckpt/bytes_written"),
+                "warning: checkpointing degraded mid-run ({} event(s)); output is complete but {ckpt_dir} cannot resume this run",
+                trace.counter("ckpt/degraded"),
             );
         }
-        report_spill(trace, budget.as_ref());
-        write_report(args.report.as_deref(), trace)?;
+        if trace.counter("ckpt/resumed_from") > 0 {
+            eprintln!(
+                "resumed from checkpoint barrier {} in {ckpt_dir} ({} bytes restored)",
+                trace.counter("ckpt/resumed_from") - 1,
+                trace.counter("ckpt/bytes_restored"),
+            );
+        }
+        eprintln!(
+            "wrote {} checkpoint barrier(s), {} bytes, under {ckpt_dir}",
+            trace.counter("ckpt/barriers_written"),
+            trace.counter("ckpt/bytes_written"),
+        );
     }
+    report_spill(&trace, budget.as_ref());
+    write_report(args.report.as_deref(), &trace)?;
 
     if args.json {
         let rows = res.matches.iter().map(|&(l, r)| {
@@ -416,15 +409,16 @@ fn resolve(args: &ResolveArgs) -> Result<(), CliError> {
     }
 
     let c = res.rule_counts;
+    let total = trace.total_wall.as_secs_f64();
     eprintln!(
         "{} matches in {:.1} ms (R1={} R2={} R3={}, R4 removed {}; matching {:.0}% of runtime)",
         res.matches.len(),
-        res.timings.total.as_secs_f64() * 1000.0,
+        total * 1000.0,
         c.r1,
         c.r2,
         c.r3,
         c.removed_by_r4,
-        res.timings.matching_share(),
+        100.0 * trace.stage_wall("matching/").as_secs_f64() / total.max(f64::EPSILON),
     );
 
     if let Some(gt_path) = &args.ground_truth {
@@ -489,8 +483,8 @@ fn multi(args: &MultiArgs) -> Result<(), CliError> {
             input.add_triple(idx, &s, &p, o);
         }
     }
-    let executor = args.workers.map_or_else(Executor::default, Executor::new);
-    let res = Minoaner::new().resolve_multi(&executor, &input)?;
+    let workers = args.workers.unwrap_or_else(minoaner_dataflow::pool::available_cores);
+    let res = Minoaner::new().resolve_multi(&input, workers)?;
 
     if args.json {
         let rows = res.clusters.iter().map(|cluster| {
@@ -578,10 +572,8 @@ fn run_job(
     }
     let ResolveOutcome { resolution: res, trace } = Minoaner::with_config(config).run(req)?;
     // Artifacts are best-effort: the resolution already succeeded, and the
-    // summary carries the headline result. A checkpointed run is traced.
-    if let Some(trace) = trace {
-        let _ = std::fs::write(ctx.job_dir().join("trace.json"), trace.to_json());
-    }
+    // summary carries the headline result.
+    let _ = std::fs::write(ctx.job_dir().join("trace.json"), trace.to_json());
     let mut out = String::new();
     for &(l, r) in &res.matches {
         out.push_str(pair.uri_of(Side::Left, l));
@@ -767,7 +759,8 @@ fn dedup(args: &DedupArgs) -> Result<(), CliError> {
     let pair = builder.finish();
     eprintln!("loaded {} triples ({} entities)", report.parsed, pair.kb(Side::Left).len());
 
-    let res = Minoaner::new().run(with_workers(ResolveRequest::pair(&pair), args.workers))?.resolution;
+    let ResolveOutcome { resolution: res, trace } =
+        Minoaner::new().run(with_workers(ResolveRequest::pair(&pair), args.workers))?;
     let duplicates = canonicalize_dirty_matches(&res.matches);
 
     if args.json {
@@ -788,7 +781,7 @@ fn dedup(args: &DedupArgs) -> Result<(), CliError> {
         "{} duplicate pairs over {} entities in {:.1} ms",
         duplicates.len(),
         distinct.len(),
-        res.timings.total.as_secs_f64() * 1000.0,
+        trace.total_wall.as_secs_f64() * 1000.0,
     );
     Ok(())
 }

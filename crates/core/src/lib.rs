@@ -5,15 +5,20 @@
 //! resolution framework for the Web of Data.
 //!
 //! The entry point is [`Minoaner`]: build a [`minoaner_kb::KbPair`],
-//! describe the run with a [`ResolveRequest`], and call [`Minoaner::run`].
+//! describe the run with a [`ResolveRequest`], and call [`Minoaner::run`],
+//! the one way a resolve is executed. Its [`ResolveOutcome`] holds the
+//! [`Resolution`] and the run's [`RunTrace`] — every stage's wall time and
+//! the run's counters, the one record of how the run went.
+//!
 //! The pipeline computes KB statistics, builds the composite blocks and
 //! purges them, builds the disjunctive blocking graph cut to each node's
 //! top-K candidates (Algorithm 1, in `minoaner-blocking`), and applies the
 //! four matching rules R1–R4 (Algorithm 2, [`matcher`]). It has no
-//! variants: a caller who wants another cut composes the public stages
-//! ([`Minoaner::prepare_blocks`],
+//! variants: a caller who wants another cut or a subset of the rules (the
+//! Table 4 ablations) composes the public stages
+//! ([`Minoaner::prepare_blocks`], [`Minoaner::build_graph_from_blocks`] or
 //! [`minoaner_blocking::graph::build_blocking_graph`],
-//! [`matcher::run_matching`]).
+//! [`matcher::run_matching`] with a [`RuleSet`]).
 //!
 //! ```
 //! use minoaner_core::{Minoaner, ResolveRequest};
@@ -41,7 +46,6 @@
 
 pub mod clusters;
 pub mod config;
-pub mod dirty;
 pub mod matcher;
 pub mod multi;
 pub mod pipeline;
@@ -51,7 +55,7 @@ pub mod resume;
 pub use config::{ConfigError, MinoanerConfig, RuleSet};
 pub use multi::{MultiKb, MultiResolution, ObjectTerm};
 pub use matcher::{MatchOutcome, Rule, RuleCounts};
-pub use pipeline::{Minoaner, PipelineTimings, PreparedBlocks, Resolution};
+pub use pipeline::{Minoaner, PreparedBlocks, Resolution};
 pub use request::{ResolveOutcome, ResolveRequest};
 pub use resume::{run_fingerprint, CheckpointSpec};
 

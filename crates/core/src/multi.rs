@@ -13,12 +13,12 @@
 
 use minoaner_det::DetHashMap;
 
-use minoaner_dataflow::{DataflowError, Executor};
+use minoaner_dataflow::DataflowError;
 use minoaner_kb::{KbPair, KbPairBuilder, Side, Term};
 
 use crate::clusters::UnionFind;
-use crate::config::RuleSet;
 use crate::pipeline::Minoaner;
+use crate::request::ResolveRequest;
 
 /// A multi-KB input: each KB is a list of triples
 /// `(subject, predicate, object)`.
@@ -97,16 +97,11 @@ pub struct MultiResolution {
 }
 
 impl Minoaner {
-    /// Resolves `k` clean KBs on `executor`: every KB pair through the
-    /// standard two-KB pipeline (full rule set, top-K pruning, no trace),
-    /// then k-partite clustering of the pairwise matches. With fewer than
-    /// two KBs there is no pair to resolve, and no clusters.
-    ///
-    /// Cancellation and memory budget are the executor's own
-    /// ([`Executor::set_cancel_token`], [`Executor::set_memory_budget`]); a
-    /// deadline is a token made by
-    /// [`CancelToken::expiring_after`](minoaner_dataflow::CancelToken::expiring_after).
-    pub fn resolve_multi(&self, executor: &Executor, input: &MultiKb) -> Result<MultiResolution, DataflowError> {
+    /// Resolves `k` clean KBs: every KB pair through [`Minoaner::run`] on
+    /// `workers` workers, then k-partite clustering of the pairwise
+    /// matches. With fewer than two KBs there is no pair to resolve, and
+    /// no clusters.
+    pub fn resolve_multi(&self, input: &MultiKb, workers: usize) -> Result<MultiResolution, DataflowError> {
         let mut uf: UnionFind<MultiNode> = UnionFind::new();
         // Cluster membership guard: root → kb indices already present.
         let mut kb_members: DetHashMap<MultiNode, Vec<usize>> = DetHashMap::default();
@@ -115,7 +110,7 @@ impl Minoaner {
         for i in 0..input.len() {
             for j in (i + 1)..input.len() {
                 let pair = input.pair(i, j);
-                let res = self.resolve_impl(executor, &pair, RuleSet::FULL, None)?;
+                let res = self.run(ResolveRequest::pair(&pair).workers(workers))?.resolution;
                 pairwise.push(((i, j), res.matches.len()));
                 for &(l, r) in &res.matches {
                     let a: MultiNode = (i, pair.uri_of(Side::Left, l).to_owned());
@@ -190,7 +185,7 @@ mod tests {
     }
 
     fn resolve_multi(m: &MultiKb, workers: usize) -> MultiResolution {
-        Minoaner::new().resolve_multi(&Executor::new(workers), m).expect("healthy run succeeds")
+        Minoaner::new().resolve_multi(m, workers).expect("healthy run succeeds")
     }
 
     #[test]

@@ -5,47 +5,18 @@
 //! four matching rules run with synchronization only at rule boundaries
 //! (Algorithm 2).
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::{Duration, Instant};
-
 use minoaner_blocking::graph::{build_blocking_graph, BlockingGraph, GraphConfig};
 use minoaner_blocking::name::build_name_blocks;
 use minoaner_blocking::purge::{purge_blocks, PurgeReport};
 use minoaner_blocking::token::build_token_blocks_parallel;
 use minoaner_blocking::{NameBlocks, TokenBlocks};
-use minoaner_dataflow::{DataflowError, Executor, StageIo, StageLog, TraceCollector};
+use minoaner_dataflow::{DataflowError, Executor, StageIo, TraceCollector};
 use minoaner_kb::stats::{NameStats, RelationStats};
 use minoaner_kb::{EntityId, KbPair};
 
 use crate::config::{MinoanerConfig, RuleSet};
 use crate::matcher::{run_matching, RuleCounts};
 use crate::resume::{self, Barriers, CheckpointSpec};
-
-/// Wall-clock breakdown of a pipeline run. §6.2 of the paper reports both
-/// total time and the matching phase's share of it.
-#[derive(Debug, Clone, Default)]
-pub struct PipelineTimings {
-    /// End-to-end wall time.
-    pub total: Duration,
-    /// Time spent in Algorithm 2 (the `matching/*` stages).
-    pub matching: Duration,
-    /// Time spent constructing the blocking graph (the `graph/*` stages of
-    /// Algorithm 1: α, CSR index build, β passes, γ union/row/transpose).
-    pub graph: Duration,
-    /// Full per-stage log from the executor.
-    pub stages: StageLog,
-}
-
-impl PipelineTimings {
-    /// The matching phase's share of total time, in percent.
-    pub fn matching_share(&self) -> f64 {
-        if self.total.is_zero() {
-            0.0
-        } else {
-            100.0 * self.matching.as_secs_f64() / self.total.as_secs_f64()
-        }
-    }
-}
 
 /// Result of resolving a KB pair.
 #[derive(Debug, Clone)]
@@ -60,8 +31,6 @@ pub struct Resolution {
     /// determinism witness: bit-identical across worker counts, across
     /// repeated runs, and across crash/resume boundaries.
     pub graph_digest: u64,
-    /// Wall-clock breakdown.
-    pub timings: PipelineTimings,
 }
 
 /// Everything produced by the pipeline's first barrier (`blocks`):
@@ -154,59 +123,28 @@ impl Minoaner {
         )
     }
 
-    /// End-to-end resolution with an explicit rule set — **the** resolver
-    /// implementation; every request path delegates here.
-    ///
-    /// The pipeline's internal stages run on the executor's infallible
-    /// `run_stage`, which re-raises task failures as a structured panic
-    /// payload; this boundary catches that payload and converts it back
-    /// into the [`DataflowError`] it carries (a genuine user-code panic in
-    /// a stage closure arrives as [`DataflowError::TaskPanicked`] too, via
-    /// the executor's panic isolation). The executor and its stage log
-    /// remain usable after a failure — workers are joined at the stage
-    /// barrier before the error propagates.
-    ///
-    /// `checkpoint` pairs the request's [`CheckpointSpec`] with the
-    /// collector whose counters its barriers snapshot; `None` runs the
-    /// same stages with no store, nothing restored and no commits.
-    pub(crate) fn resolve_impl(
-        &self,
-        executor: &Executor,
-        pair: &KbPair,
-        rules: RuleSet,
-        checkpoint: Option<(&CheckpointSpec, &TraceCollector)>,
-    ) -> Result<Resolution, DataflowError> {
-        catch_unwind(AssertUnwindSafe(|| self.run_pipeline(executor, pair, rules, checkpoint)))
-            .map_err(DataflowError::from_panic)
-            .and_then(|result| result)
-    }
-
-    /// The pipeline body shared by every resolver entry point: prepare
-    /// (Algorithm 1), match (Algorithm 2), assemble timings. Each barrier
-    /// is either restored from the newest valid checkpoint or computed and
+    /// The pipeline body [`Minoaner::run`] executes: prepare (Algorithm
+    /// 1), then match (Algorithm 2) with the full rule set. Each barrier is
+    /// either restored from the newest valid checkpoint or computed and
     /// committed; without a spec `barriers` restores and commits nothing.
-    // Stage timing is the sanctioned wall-clock use: the total wall time
-    // reported in `Resolution` timings, never used in a matching decision.
-    #[allow(clippy::disallowed_methods)]
-    fn run_pipeline(
+    /// `collector` is the run's trace collector, whose counters each
+    /// committed barrier snapshots.
+    pub(crate) fn run_pipeline(
         &self,
         executor: &Executor,
         pair: &KbPair,
-        rules: RuleSet,
-        checkpoint: Option<(&CheckpointSpec, &TraceCollector)>,
+        checkpoint: Option<&CheckpointSpec>,
+        collector: &TraceCollector,
     ) -> Result<Resolution, DataflowError> {
-        executor.reset_metrics();
-        let start = Instant::now();
         executor.check_cancelled("barrier:start")?;
-        let mut barriers = Barriers::open(checkpoint, executor, || {
-            resume::run_fingerprint(&self.config, rules, pair)
-        })?;
+        let mut barriers =
+            Barriers::open(checkpoint, collector, executor, || resume::run_fingerprint(&self.config, pair))?;
         let restored = barriers.restore(executor)?;
 
         // Final barrier restored: the run is already complete on disk.
         if let Some(stage) = restored.as_ref().filter(|s| s.barrier == resume::BARRIER_MATCHES) {
-            let (matches, counts, digest, purge) = resume::matches_from_stage(stage)?;
-            return Ok(Self::assemble(executor, start, matches, counts, purge, digest));
+            let (matches, rule_counts, graph_digest, purge) = resume::matches_from_stage(stage)?;
+            return Ok(Resolution { matches, rule_counts, purge, graph_digest });
         }
 
         let (graph, purge) = match &restored {
@@ -238,34 +176,11 @@ impl Minoaner {
 
         executor.check_cancelled("barrier:graph")?;
         let graph_digest = graph.weight_digest();
-        let outcome = run_matching(executor, pair, &graph, &self.config, rules);
+        let outcome = run_matching(executor, pair, &graph, &self.config, RuleSet::FULL);
         let stored_purge = Some(purge.clone());
         let parts = resume::matches_parts(&outcome.matches, &outcome.counts, &graph_digest, &stored_purge);
         barriers.commit(executor, resume::BARRIER_MATCHES, "matches", &parts)?;
-        Ok(Self::assemble(executor, start, outcome.matches, outcome.counts, purge, graph_digest))
-    }
-
-    /// Assembles a [`Resolution`] from the run's outputs and the
-    /// executor's stage log.
-    fn assemble(
-        executor: &Executor,
-        start: Instant,
-        matches: Vec<(EntityId, EntityId)>,
-        rule_counts: RuleCounts,
-        purge: PurgeReport,
-        graph_digest: u64,
-    ) -> Resolution {
-        let total = start.elapsed();
-        let stages = executor.stage_log();
-        let matching = stages.total_matching(&|n: &str| n.starts_with("matching/"));
-        let graph = stages.total_matching(&|n: &str| n.starts_with("graph/"));
-        Resolution {
-            matches,
-            rule_counts,
-            purge,
-            graph_digest,
-            timings: PipelineTimings { total, matching, graph, stages },
-        }
+        Ok(Resolution { matches: outcome.matches, rule_counts: outcome.counts, purge, graph_digest })
     }
 }
 
@@ -274,6 +189,7 @@ mod tests {
     use super::*;
     use crate::request::ResolveRequest;
     use minoaner_kb::{KbPairBuilder, Side, Term};
+    use std::time::Duration;
 
     /// A small but complete scenario: restaurants with chefs and places,
     /// heterogeneous schemas, some matchable by name, some only via values
@@ -339,16 +255,16 @@ mod tests {
         assert_eq!(c.r1 + c.r2 + c.r3, res.matches.len() + c.removed_by_r4);
     }
 
+    /// The trace breaks a run's wall time down the way §6.2 reports it:
+    /// the graph kernel and the matching phase each take a part of it.
     #[test]
-    fn timings_break_out_the_graph_kernel() {
+    fn trace_breaks_out_graph_and_matching_time() {
         let (pair, _) = scenario();
-        let res = resolve(&pair, 2);
-        let t = &res.timings;
-        assert!(t.graph > Duration::ZERO, "graph/* stages must be timed");
-        assert!(t.graph <= t.total);
-        // The breakdown agrees with the raw stage log.
-        let from_log = t.stages.total_matching(&|n: &str| n.starts_with("graph/"));
-        assert_eq!(t.graph, from_log);
+        let trace = Minoaner::new().run(ResolveRequest::pair(&pair).workers(2)).expect("healthy run succeeds").trace;
+        let (graph, matching) = (trace.stage_wall("graph/"), trace.stage_wall("matching/"));
+        assert!(graph > Duration::ZERO, "graph/* stages must be timed");
+        assert!(matching > Duration::ZERO, "matching/* stages must be timed");
+        assert!(graph + matching <= trace.total_wall);
     }
 
     #[test]
@@ -358,28 +274,19 @@ mod tests {
         assert!(res.rule_counts.r1 > 0, "distinct shared names must be matched by R1");
     }
 
+    /// A rule-set ablation composes the public stages with its
+    /// [`RuleSet`]; the product always runs the full set.
     #[test]
     fn ablation_r1_only_finds_fewer_or_equal_matches() {
         let (pair, _) = scenario();
         let m = Minoaner::new();
         let full = resolve(&pair, 2);
-        let r1 = m
-            .run(ResolveRequest::pair(&pair).rules(RuleSet::R1_ONLY).workers(2))
-            .expect("healthy run succeeds")
-            .into_resolution();
+        let exec = Executor::new(2);
+        let graph = m.build_graph_from_blocks(&exec, &pair, &m.prepare_blocks(&exec, &pair));
+        let r1 = run_matching(&exec, &pair, &graph, m.config(), RuleSet::R1_ONLY);
         assert!(r1.matches.len() <= full.matches.len());
-        assert_eq!(r1.rule_counts.r2, 0);
-        assert_eq!(r1.rule_counts.r3, 0);
-    }
-
-    #[test]
-    fn timings_cover_matching_share() {
-        let (pair, _) = scenario();
-        let res = resolve(&pair, 2);
-        assert!(res.timings.total >= res.timings.matching);
-        let share = res.timings.matching_share();
-        assert!((0.0..=100.0).contains(&share));
-        assert!(!res.timings.stages.stages().is_empty());
+        assert_eq!(r1.counts.r2, 0);
+        assert_eq!(r1.counts.r3, 0);
     }
 
     #[test]
@@ -395,37 +302,32 @@ mod tests {
     }
 
     #[test]
-    fn plain_traced_and_checkpointed_runs_take_the_same_path() {
+    fn plain_and_checkpointed_runs_take_the_same_path() {
         let (pair, _) = scenario();
         let dir = std::env::temp_dir()
             .join(format!("minoaner-core-one-pipeline-body-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let spec = CheckpointSpec::new(&dir);
-        let run = |req: ResolveRequest<'_>| {
-            Minoaner::new().run(req.workers(2)).expect("healthy run succeeds").into_resolution()
-        };
+        let run = |req: ResolveRequest<'_>| Minoaner::new().run(req.workers(2)).expect("healthy run succeeds");
         let plain = run(ResolveRequest::pair(&pair));
-        let traced = run(ResolveRequest::pair(&pair).trace());
         let checkpointed = run(ResolveRequest::pair(&pair).checkpoint(&spec));
         std::fs::remove_dir_all(&dir).expect("the checkpointed run wrote its barriers");
 
         // Same stages in the same order; only the checkpointed run adds
         // `ckpt/*` stages (one write per barrier) between them.
-        let split = |res: &Resolution| -> (Vec<String>, Vec<String>) {
-            res.timings.stages.iter().map(|s| s.name.clone()).partition(|n| !n.starts_with("ckpt/"))
+        let split = |outcome: &crate::ResolveOutcome| -> (Vec<String>, Vec<String>) {
+            outcome.trace.stages.iter().map(|s| s.name.clone()).partition(|n| !n.starts_with("ckpt/"))
         };
         let (stages, ckpt) = split(&plain);
         assert!(stages.len() > 10, "a full pipeline run: {stages:?}");
         assert!(ckpt.is_empty());
-        assert_eq!(split(&traced), (stages.clone(), Vec::new()));
         let writes = ["blocks", "graph", "matches"].map(|b| format!("ckpt/write/{b}")).to_vec();
         assert_eq!(split(&checkpointed), (stages, writes));
 
-        for other in [&traced, &checkpointed] {
-            assert_eq!(other.graph_digest, plain.graph_digest);
-            assert_eq!(other.rule_counts, plain.rule_counts);
-            assert_eq!(other.matches, plain.matches);
-        }
+        let (plain, checkpointed) = (plain.resolution, checkpointed.resolution);
+        assert_eq!(checkpointed.graph_digest, plain.graph_digest);
+        assert_eq!(checkpointed.rule_counts, plain.rule_counts);
+        assert_eq!(checkpointed.matches, plain.matches);
     }
 
     #[test]

@@ -2,16 +2,25 @@
 //! shape.
 //!
 //! A [`ResolveRequest`] names the KB pair ([`ResolveRequest::pair`]) and
-//! chains the orthogonal run options (rules, tracing, checkpointing,
-//! cancellation, worker count, memory budget), so options compose — a
-//! traced, checkpointed, budgeted run is one chain, not one more method.
-//! [`Minoaner::run`] executes it and returns a [`ResolveOutcome`]: the
-//! [`Resolution`], plus a [`RunTrace`] when the request traced or
-//! checkpointed.
+//! chains the orthogonal run options (checkpointing, cancellation, worker
+//! count, memory budget), so options compose — a checkpointed, budgeted
+//! run is one chain, not one more method. [`Minoaner::run`] executes it
+//! and returns a [`ResolveOutcome`]: the [`Resolution`] and the run's
+//! [`RunTrace`], the one record of how the run went (stage wall times,
+//! counters, worker and partition counts).
 //!
-//! A dirty KB is a self-pair ([`minoaner_kb::dirty::DirtyKbBuilder`]) and
-//! goes through the same request; more than two KBs go through
-//! [`Minoaner::resolve_multi`].
+//! A dirty KB — duplicate detection within a single KB, the
+//! generalization the paper sketches in §2 ("the proposed techniques can
+//! be easily generalized to … a single dirty KB") — is mirrored onto both
+//! sides of a self-pair ([`minoaner_kb::dirty::DirtyKbBuilder`]) and goes
+//! through the same request. Identity pairs are excluded from every
+//! evidence kind during graph construction; R1's "they and only they share
+//! a name" becomes "exactly two entities share a name"; and
+//! [`minoaner_kb::dirty::canonicalize_dirty_matches`] turns the matches
+//! into unordered duplicate pairs. No flag asks for any of this:
+//! [`Minoaner::run`] reads [`KbPair::is_dirty`] from the pair, and the
+//! outcome of a dirty pair has the clean pair's shape. More than two KBs
+//! go through [`Minoaner::resolve_multi`].
 //!
 //! ```
 //! use minoaner_core::{Minoaner, ResolveOutcome, ResolveRequest};
@@ -23,16 +32,18 @@
 //! let pair = b.finish();
 //!
 //! let ResolveOutcome { resolution, trace } = Minoaner::new()
-//!     .run(ResolveRequest::pair(&pair).trace())
+//!     .run(ResolveRequest::pair(&pair))
 //!     .expect("healthy run succeeds");
 //! assert_eq!(resolution.matches.len(), 1);
-//! assert!(trace.expect("the request traced").workers >= 1);
+//! assert!(trace.workers >= 1);
 //! ```
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::time::Instant;
 
 use minoaner_dataflow::{CancelToken, DataflowError, Executor, MemoryBudget, RunTrace, TraceCollector};
 use minoaner_kb::KbPair;
 
-use crate::config::RuleSet;
 use crate::pipeline::{Minoaner, Resolution};
 use crate::resume::CheckpointSpec;
 
@@ -40,13 +51,11 @@ use crate::resume::CheckpointSpec;
 /// [`Minoaner::run`].
 ///
 /// Construct with [`ResolveRequest::pair`] and chain options. Unset
-/// options keep the engine defaults: the full rule set, no trace, no
-/// checkpointing, no cancellation wiring, one worker per core.
+/// options keep the engine defaults: no checkpointing, no cancellation
+/// wiring, one worker per core, no memory budget.
 #[derive(Debug, Clone)]
 pub struct ResolveRequest<'a> {
     pair: &'a KbPair,
-    rules: RuleSet,
-    trace: bool,
     checkpoint: Option<&'a CheckpointSpec>,
     cancel: CancelToken,
     workers: Option<usize>,
@@ -61,8 +70,6 @@ impl<'a> ResolveRequest<'a> {
     pub fn pair(pair: &'a KbPair) -> Self {
         Self {
             pair,
-            rules: RuleSet::FULL,
-            trace: false,
             checkpoint: None,
             cancel: CancelToken::new(),
             workers: None,
@@ -70,26 +77,10 @@ impl<'a> ResolveRequest<'a> {
         }
     }
 
-    /// Selects the matching rules to run (Table 4 ablations). Defaults to
-    /// [`RuleSet::FULL`].
-    pub fn rules(mut self, rules: RuleSet) -> Self {
-        self.rules = rules;
-        self
-    }
-
-    /// Captures a [`RunTrace`] in [`ResolveOutcome::trace`]: a trace
-    /// collector is installed on the executor for the duration of the run.
-    /// Implied by [`Self::checkpoint`].
-    pub fn trace(mut self) -> Self {
-        self.trace = true;
-        self
-    }
-
     /// Materializes pipeline state at stage barriers per `spec` and — when
     /// `spec.resume` is set — restores the newest valid checkpoint instead
-    /// of recomputing the barriers it covers. A checkpointed run's
-    /// [`ResolveOutcome::trace`] is always `Some`: its barriers snapshot
-    /// the trace's counters.
+    /// of recomputing the barriers it covers. Each barrier stores a
+    /// snapshot of the run's counters, which a resumed run re-emits.
     ///
     /// The spec also carries the run's graceful-degradation policy: with
     /// [`CheckpointSpec::on_error`] set to
@@ -135,17 +126,17 @@ impl<'a> ResolveRequest<'a> {
     }
 }
 
-/// What a [`ResolveRequest`] produced: the pair's resolution, and the
-/// run's trace when the request asked for one ([`ResolveRequest::trace`]
-/// or [`ResolveRequest::checkpoint`]).
+/// What a [`ResolveRequest`] produced: the pair's resolution and the
+/// run's trace.
 #[derive(Debug)]
 pub struct ResolveOutcome {
     /// The resolution of the request's pair. For a dirty self-pair,
     /// [`minoaner_kb::dirty::canonicalize_dirty_matches`] turns its matches
     /// into unordered duplicate pairs.
     pub resolution: Resolution,
-    /// `Some` iff the request traced or checkpointed.
-    pub trace: Option<RunTrace>,
+    /// How the run went: every stage with its wall time, the run's total
+    /// wall time, its counters, workers and partitions.
+    pub trace: RunTrace,
 }
 
 impl ResolveOutcome {
@@ -157,35 +148,43 @@ impl ResolveOutcome {
 
 impl Minoaner {
     /// Executes a [`ResolveRequest`] on an executor of its own, dropped
-    /// with the run.
+    /// with the run — **the** way a resolve is executed.
     ///
     /// The executor has [`ResolveRequest::workers`] workers, or one per
-    /// core ([`Executor::default`]), and carries the request's
-    /// cancellation token and memory budget. A traced or checkpointed run
-    /// installs a [`TraceCollector`] on it; the trace combines the
-    /// collector's counters with the executor's stage log. A run restored
-    /// from a checkpoint re-emits the checkpoint's counter snapshot, so
-    /// its domain counters match an uninterrupted run's (only the `ckpt/*`
-    /// accounting differs).
+    /// core ([`Executor::default`]), carries the request's cancellation
+    /// token and memory budget, and has a [`TraceCollector`] installed; the
+    /// trace combines the collector's counters with the executor's stage
+    /// log. A run restored from a checkpoint re-emits the checkpoint's
+    /// counter snapshot, so its domain counters match an uninterrupted
+    /// run's (only the `ckpt/*` accounting differs).
+    ///
+    /// The pipeline's internal stages run on the executor's infallible
+    /// `run_stage`, which re-raises task failures as a structured panic
+    /// payload; this boundary catches that payload and converts it back
+    /// into the [`DataflowError`] it carries (a genuine user-code panic in
+    /// a stage closure arrives as [`DataflowError::TaskPanicked`] too, via
+    /// the executor's panic isolation).
+    // The run's total wall time is the sanctioned wall-clock use: it is
+    // reported in the trace, never used in a matching decision.
+    #[allow(clippy::disallowed_methods)]
     pub fn run(&self, req: ResolveRequest<'_>) -> Result<ResolveOutcome, DataflowError> {
         let mut executor = req.workers.map_or_else(Executor::default, Executor::new);
         executor.set_cancel_token(req.cancel);
         executor.set_memory_budget(req.mem_budget);
-        let collector = (req.trace || req.checkpoint.is_some()).then(TraceCollector::new);
-        if let Some(collector) = &collector {
-            executor.set_observer(collector.clone());
-        }
-        let checkpoint = req.checkpoint.zip(collector.as_deref());
-        let resolution = self.resolve_impl(&executor, req.pair, req.rules, checkpoint)?;
-        let trace = collector.map(|collector| {
-            RunTrace::capture(
-                executor.workers(),
-                executor.partitions(),
-                resolution.timings.total,
-                &resolution.timings.stages,
-                collector.counters(),
-            )
-        });
+        let collector = TraceCollector::new();
+        executor.set_observer(collector.clone());
+        let start = Instant::now();
+        let resolution =
+            catch_unwind(AssertUnwindSafe(|| self.run_pipeline(&executor, req.pair, req.checkpoint, &collector)))
+                .map_err(DataflowError::from_panic)
+                .and_then(|result| result)?;
+        let trace = RunTrace::capture(
+            executor.workers(),
+            executor.partitions(),
+            start.elapsed(),
+            &executor.stage_log(),
+            collector.counters(),
+        );
         Ok(ResolveOutcome { resolution, trace })
     }
 }
@@ -193,14 +192,8 @@ impl Minoaner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use minoaner_kb::dirty::canonicalize_dirty_matches;
+    use minoaner_kb::dirty::{canonicalize_dirty_matches, DirtyKbBuilder};
     use minoaner_kb::{EntityId, KbPairBuilder, Side, Term};
-
-    /// Runs `req` traced and splits the outcome.
-    fn traced(m: &Minoaner, req: ResolveRequest<'_>) -> (Resolution, RunTrace) {
-        let ResolveOutcome { resolution, trace } = m.run(req.trace()).unwrap();
-        (resolution, trace.expect("a traced run carries a trace"))
-    }
 
     fn pair() -> KbPair {
         let mut b = KbPairBuilder::new();
@@ -214,46 +207,23 @@ mod tests {
     }
 
     #[test]
-    fn plain_request_resolves() {
+    fn every_run_carries_its_trace() {
         let p = pair();
-        let outcome = Minoaner::new().run(ResolveRequest::pair(&p)).unwrap();
-        let resolution = outcome.into_resolution();
-        assert_eq!(resolution.matches.len(), 3);
-    }
-
-    #[test]
-    fn trace_request_carries_a_trace() {
-        let p = pair();
-        let (resolution, trace) = traced(&Minoaner::new(), ResolveRequest::pair(&p));
+        let ResolveOutcome { resolution, trace } = Minoaner::new().run(ResolveRequest::pair(&p)).unwrap();
         assert_eq!(resolution.matches.len(), 3);
         assert!(!trace.stages.is_empty());
-    }
-
-    #[test]
-    fn untraced_request_has_no_trace() {
-        let p = pair();
-        assert!(Minoaner::new().run(ResolveRequest::pair(&p)).unwrap().trace.is_none());
+        assert!(trace.counter("matching/r1_matches") > 0, "the collector saw the run's counters");
+        assert!(trace.stage_wall("") <= trace.total_wall, "the stages ran inside the run");
     }
 
     #[test]
     fn request_workers_size_the_executor() {
         let p = pair();
         let m = Minoaner::new();
-        let (_, trace) = traced(&m, ResolveRequest::pair(&p).workers(3));
+        let trace = m.run(ResolveRequest::pair(&p).workers(3)).unwrap().trace;
         assert_eq!(trace.workers, 3);
-        let (_, trace) = traced(&m, ResolveRequest::pair(&p));
+        let trace = m.run(ResolveRequest::pair(&p)).unwrap().trace;
         assert_eq!(trace.workers, minoaner_dataflow::pool::available_cores(), "one worker per core");
-    }
-
-    #[test]
-    fn rules_flow_through_the_request() {
-        let p = pair();
-        let resolution = Minoaner::new()
-            .run(ResolveRequest::pair(&p).rules(RuleSet::R1_ONLY))
-            .unwrap()
-            .into_resolution();
-        assert_eq!(resolution.rule_counts.r2, 0);
-        assert_eq!(resolution.rule_counts.r3, 0);
     }
 
     #[test]
@@ -292,13 +262,77 @@ mod tests {
     /// the same shape as a clean pair's.
     #[test]
     fn dirty_pair_is_read_from_the_pair() {
-        let mut b = minoaner_kb::dirty::DirtyKbBuilder::new();
+        let mut b = DirtyKbBuilder::new();
         b.add_triple("e0", "label", Term::Literal("fat duck bray"));
         b.add_triple("e1", "label", Term::Literal("fat duck bray"));
         let p = b.finish();
-        let (resolution, _) = traced(&Minoaner::new(), ResolveRequest::pair(&p));
+        let resolution = Minoaner::new().run(ResolveRequest::pair(&p)).unwrap().into_resolution();
         assert!(resolution.matches.iter().all(|&(l, r)| l != r), "no identity pairs");
         let duplicates = canonicalize_dirty_matches(&resolution.matches);
         assert_eq!(duplicates, [(EntityId(0), EntityId(1))]);
+    }
+
+    fn dirty_kb() -> KbPair {
+        let mut b = DirtyKbBuilder::new();
+        // Two descriptions of the Fat Duck (duplicates) …
+        b.add_triple("db:fat_duck", "name", Term::Literal("The Fat Duck"));
+        b.add_triple("db:fat_duck", "desc", Term::Literal("michelin molecular bray berkshire"));
+        b.add_triple("crawl:fatduck1995", "label", Term::Literal("Fat Duck, The"));
+        b.add_triple("crawl:fatduck1995", "about", Term::Literal("bray berkshire michelin tasting"));
+        // … two of Noma …
+        b.add_triple("db:noma", "name", Term::Literal("Noma"));
+        b.add_triple("db:noma", "desc", Term::Literal("copenhagen nordic foraging redzepi"));
+        b.add_triple("crawl:noma_dk", "label", Term::Literal("Noma"));
+        b.add_triple("crawl:noma_dk", "about", Term::Literal("nordic foraging copenhagen denmark"));
+        // … and a singleton.
+        b.add_triple("db:elbulli", "name", Term::Literal("El Bulli"));
+        b.add_triple("db:elbulli", "desc", Term::Literal("roses catalonia avantgarde adria"));
+        b.finish()
+    }
+
+    fn uri_pairs(pair: &KbPair, dups: &[(EntityId, EntityId)]) -> Vec<(String, String)> {
+        let mut v: Vec<(String, String)> = dups
+            .iter()
+            .map(|&(a, b)| {
+                (pair.uri_of(Side::Left, a).to_owned(), pair.uri_of(Side::Left, b).to_owned())
+            })
+            .collect();
+        v.sort();
+        v
+    }
+
+    /// The canonical duplicate pairs `(a, b)`, `a < b`, of `pair`.
+    fn resolve_dirty(pair: &KbPair, workers: usize) -> Vec<(EntityId, EntityId)> {
+        let resolution = Minoaner::new()
+            .run(ResolveRequest::pair(pair).workers(workers))
+            .expect("healthy run succeeds")
+            .into_resolution();
+        canonicalize_dirty_matches(&resolution.matches)
+    }
+
+    #[test]
+    fn finds_duplicates_within_one_kb() {
+        let pair = dirty_kb();
+        let found = uri_pairs(&pair, &resolve_dirty(&pair, 2));
+        assert!(
+            found.contains(&("crawl:fatduck1995".into(), "db:fat_duck".into()))
+                || found.contains(&("db:fat_duck".into(), "crawl:fatduck1995".into())),
+            "fat duck duplicates not found: {found:?}"
+        );
+        assert!(
+            found.iter().any(|(a, b)| a.contains("noma") && b.contains("noma")),
+            "noma duplicates not found: {found:?}"
+        );
+        // The singleton is never paired.
+        assert!(found.iter().all(|(a, b)| !a.contains("elbulli") && !b.contains("elbulli")));
+    }
+
+    #[test]
+    fn no_identity_pairs_in_output() {
+        let pair = dirty_kb();
+        for (a, b) in resolve_dirty(&pair, 1) {
+            assert_ne!(a, b);
+            assert!(a < b, "pairs must be canonical");
+        }
     }
 }

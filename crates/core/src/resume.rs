@@ -13,8 +13,8 @@
 //! module owns *what* is stored and how a recovered barrier is turned back
 //! into typed pipeline state.
 //!
-//! A [`run_fingerprint`] binds every checkpoint to the run's configuration,
-//! rule set and input sizes, so a resume against a different setup is
+//! A [`run_fingerprint`] binds every checkpoint to the run's configuration
+//! and input sizes, so a resume against a different setup is
 //! refused by the store's validation rather than silently producing output
 //! for the wrong run.
 
@@ -32,7 +32,7 @@ use minoaner_det::codec::{decode_exact, Spillable};
 use minoaner_det::checksum;
 use minoaner_kb::{EntityId, KbPair, Side};
 
-use crate::config::{MinoanerConfig, RuleSet};
+use crate::config::MinoanerConfig;
 use crate::matcher::RuleCounts;
 use crate::pipeline::PreparedBlocks;
 
@@ -82,7 +82,7 @@ impl CheckpointSpec {
 }
 
 /// Fingerprint binding a checkpoint to its run: the resolver configuration
-/// (θ bit-exact), the rule set, the input KB dimensions,
+/// (θ bit-exact), the input KB dimensions,
 /// and — in the domain string — the layout of the checkpointed parts (`v4`:
 /// little-endian [`Spillable`] records, blocks as a key column and two
 /// member tables, everything under [`checksum`]; `v3` held a record per
@@ -91,12 +91,12 @@ impl CheckpointSpec {
 /// guard against resuming with drifted inputs or settings — not a content
 /// hash of the KBs (re-parsing identical input reproduces it; swapping in
 /// a different dataset of identical dimensions would not be caught).
-pub fn run_fingerprint(config: &MinoanerConfig, rules: RuleSet, pair: &KbPair) -> u64 {
-    fingerprint_in(b"minoaner-run-fingerprint-v4", config, rules, pair)
+pub fn run_fingerprint(config: &MinoanerConfig, pair: &KbPair) -> u64 {
+    fingerprint_in(b"minoaner-run-fingerprint-v4", config, pair)
 }
 
 /// [`run_fingerprint`] under an explicit layout domain.
-fn fingerprint_in(domain: &[u8], config: &MinoanerConfig, rules: RuleSet, pair: &KbPair) -> u64 {
+fn fingerprint_in(domain: &[u8], config: &MinoanerConfig, pair: &KbPair) -> u64 {
     let mut bytes = Vec::with_capacity(136);
     bytes.extend_from_slice(domain);
     for v in [
@@ -104,16 +104,16 @@ fn fingerprint_in(domain: &[u8], config: &MinoanerConfig, rules: RuleSet, pair: 
         config.top_k as u64,
         config.n_relations as u64,
         config.theta.to_bits(),
-        // Three slots were once switches and keep the value of the one
+        // Seven slots were once switches and keep the value of the one
         // pipeline left, so directories written while they were switches
-        // still resume: Block Purging (on), unique mapping (on) and, after
-        // the rule set, adaptive pruning (off).
+        // still resume: Block Purging (on), unique mapping (on), the four
+        // rules R1–R4 (each on) and adaptive pruning (off).
         1,
         1,
-        u64::from(rules.r1),
-        u64::from(rules.r2),
-        u64::from(rules.r3),
-        u64::from(rules.r4),
+        1,
+        1,
+        1,
+        1,
         0,
         pair.kb(Side::Left).len() as u64,
         pair.kb(Side::Right).len() as u64,
@@ -233,13 +233,16 @@ struct LiveBarriers<'a> {
 }
 
 impl<'a> Barriers<'a> {
-    /// Opens `spec`'s store for the run identified by `fingerprint`.
+    /// Opens `spec`'s store for the run identified by `fingerprint`; its
+    /// barriers snapshot `collector`'s counters. Without a spec every call
+    /// is a no-op.
     pub(crate) fn open(
-        checkpoint: Option<(&'a CheckpointSpec, &'a TraceCollector)>,
+        spec: Option<&'a CheckpointSpec>,
+        collector: &'a TraceCollector,
         executor: &Executor,
         fingerprint: impl FnOnce() -> u64,
     ) -> Result<Self, DataflowError> {
-        let Some((spec, collector)) = checkpoint else { return Ok(Self { live: None }) };
+        let Some(spec) = spec else { return Ok(Self { live: None }) };
         let mut barriers = Self { live: None };
         match CheckpointStore::open(&spec.dir, spec.vfs.clone()) {
             Ok(store) => {
@@ -358,16 +361,16 @@ mod tests {
     fn fingerprint_is_stable_and_sensitive() {
         let pair = tiny_pair();
         let config = MinoanerConfig::default();
-        let base = run_fingerprint(&config, RuleSet::FULL, &pair);
-        assert_eq!(base, run_fingerprint(&config, RuleSet::FULL, &pair), "deterministic");
-        // The values these runs had while unique mapping, Block Purging and
-        // adaptive pruning were switches: their checkpoints still resume.
+        let base = run_fingerprint(&config, &pair);
+        assert_eq!(base, run_fingerprint(&config, &pair), "deterministic");
+        // The values these runs had while unique mapping, Block Purging,
+        // adaptive pruning and the rule set were switches, with the full
+        // rule set: their checkpoints still resume.
         assert_eq!(base, 11_733_743_620_274_296_044);
-        assert_eq!(run_fingerprint(&config, RuleSet::FULL, &linked_pair()), 4_432_006_889_273_865_470);
+        assert_eq!(run_fingerprint(&config, &linked_pair()), 4_432_006_889_273_865_470);
         let other = MinoanerConfig { theta: 0.7, ..config };
-        assert_eq!(run_fingerprint(&other, RuleSet::R1_ONLY, &linked_pair()), 15_746_047_071_545_398_756);
-        assert_ne!(base, run_fingerprint(&config, RuleSet::R1_ONLY, &pair), "rule set is part of the identity");
-        assert_ne!(base, run_fingerprint(&other, RuleSet::FULL, &pair));
+        assert_eq!(run_fingerprint(&other, &linked_pair()), 10_681_606_496_094_422_125);
+        assert_ne!(base, run_fingerprint(&other, &pair), "the configuration is part of the identity");
     }
 
     #[test]
@@ -489,7 +492,7 @@ mod tests {
         for domain in ["minoaner-run-fingerprint-v2", "minoaner-run-fingerprint-v3"] {
             let dir = std::env::temp_dir().join(format!("minoaner-core-{domain}-{}", std::process::id()));
             let _ = std::fs::remove_dir_all(&dir);
-            let old = fingerprint_in(domain.as_bytes(), &MinoanerConfig::default(), RuleSet::FULL, &pair);
+            let old = fingerprint_in(domain.as_bytes(), &MinoanerConfig::default(), &pair);
             let parts: [Part<'_>; 4] = [
                 ("matches", &Raw(b"[[0,0]]")),
                 ("rule_counts", &Raw(br#"{"r1":1,"r2":0,"r3":0,"removed_by_r4":0}"#)),
@@ -504,7 +507,7 @@ mod tests {
             let outcome =
                 Minoaner::new().run(ResolveRequest::pair(&pair).checkpoint(&spec)).expect("the run recomputes");
             std::fs::remove_dir_all(&dir).expect("remove scratch");
-            let (resumed, trace) = (outcome.resolution, outcome.trace.expect("a checkpointed run is traced"));
+            let (resumed, trace) = (outcome.resolution, outcome.trace);
 
             let counter = |name: &str| RunTrace::counter(&trace, name);
             assert_eq!(counter("ckpt/rejected"), 1, "{domain}: the barrier is seen and refused");

@@ -145,17 +145,6 @@ impl StageLog {
         self.stages.iter().map(|s| s.wall).sum()
     }
 
-    /// Sum of the durations of stages whose name matches `pred`.
-    ///
-    /// Takes the predicate by reference so callers can reuse one predicate
-    /// across calls (and pass unsized closures, e.g. `&dyn Fn(&str) -> bool`).
-    pub fn total_matching<F>(&self, pred: &F) -> Duration
-    where
-        F: Fn(&str) -> bool + ?Sized,
-    {
-        self.stages.iter().filter(|s| pred(&s.name)).map(|s| s.wall).sum()
-    }
-
     /// Sum of [`StageMetric::retries`] across stages — always 0; kept for
     /// the repository benchmark's `dataflow.retries` metric.
     pub fn total_retries(&self) -> usize {
@@ -165,11 +154,6 @@ impl StageLog {
     /// Total bytes moved through shuffles across stages.
     pub fn total_shuffle_bytes(&self) -> u64 {
         self.stages.iter().map(|s| s.io.shuffle_bytes).sum()
-    }
-
-    /// Clears the log.
-    pub fn clear(&mut self) {
-        self.stages.clear();
     }
 }
 
@@ -194,12 +178,9 @@ mod tests {
         assert_eq!(log.stages().len(), 2);
         assert_eq!(log.iter().count(), 2);
         assert_eq!(log.total(), Duration::from_millis(15));
-        assert_eq!(log.total_matching(&|n: &str| n == "b"), Duration::from_millis(5));
         assert_eq!(log.total_retries(), 0);
         assert_eq!(log.find("b").map(|s| s.tasks), Some(2));
         assert!(log.find("absent").is_none());
-        log.clear();
-        assert!(log.stages().is_empty());
     }
 
     #[test]
@@ -225,14 +206,5 @@ mod tests {
         let io = StageIo { items_in: 100, max_partition_items: 50, ..StageIo::default() };
         assert!((io.skew(4) - 2.0).abs() < 1e-9);
         assert_eq!(StageIo::default().skew(4), 0.0);
-    }
-
-    #[test]
-    fn total_matching_accepts_unsized_predicates() {
-        let mut log = StageLog::default();
-        log.push(StageMetric::clean("matching/r1", Duration::from_millis(3), 1));
-        log.push(StageMetric::clean("blocking", Duration::from_millis(4), 1));
-        let pred: &dyn Fn(&str) -> bool = &|n| n.starts_with("matching/");
-        assert_eq!(log.total_matching(pred), Duration::from_millis(3));
     }
 }

@@ -310,11 +310,6 @@ impl Executor {
     pub fn stage_log(&self) -> StageLog {
         lock(&self.log).clone()
     }
-
-    /// Clears the stage log (e.g. between experiment repetitions).
-    pub fn reset_metrics(&self) {
-        lock(&self.log).clear();
-    }
 }
 
 #[cfg(test)]
@@ -369,8 +364,6 @@ mod tests {
         assert_eq!(log.stages()[0].tasks, 4);
         assert_eq!(log.stages()[0].attempts, 4);
         assert_eq!(log.stages()[0].retries, 0);
-        exec.reset_metrics();
-        assert!(exec.stage_log().stages().is_empty());
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! matching (block/comparison cardinalities in the spirit of Table 6).
 //!
 //! The JSON layout is versioned via [`TRACE_SCHEMA_VERSION`]; consumers
-//! must check it ([`RunTrace::validate`] does) before interpreting fields.
+//! must check it before interpreting fields.
 
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -143,38 +143,11 @@ impl RunTrace {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// Structural sanity check used by report consumers (the bench harness
-    /// and CI validate every written `BENCH_pipeline.json` through this).
-    pub fn validate(&self) -> Result<(), String> {
-        if self.schema_version != TRACE_SCHEMA_VERSION {
-            return Err(format!(
-                "unsupported trace schema version {} (expected {TRACE_SCHEMA_VERSION})",
-                self.schema_version
-            ));
-        }
-        if self.workers == 0 {
-            return Err("trace reports zero workers".into());
-        }
-        if self.partitions == 0 {
-            return Err("trace reports zero partitions".into());
-        }
-        if self.stages.is_empty() {
-            return Err("trace records no stages".into());
-        }
-        for stage in &self.stages {
-            if stage.name.is_empty() {
-                return Err("trace contains an unnamed stage".into());
-            }
-            if stage.attempts < stage.tasks.saturating_sub(stage.skipped) {
-                return Err(format!(
-                    "stage '{}' reports fewer attempts ({}) than completed tasks ({})",
-                    stage.name,
-                    stage.attempts,
-                    stage.tasks.saturating_sub(stage.skipped)
-                ));
-            }
-        }
-        Ok(())
+    /// Total wall time of the stages whose name starts with `prefix` —
+    /// `"matching/"` is Algorithm 2, the matching phase whose share of the
+    /// run §6.2 reports; `"graph/"` is Algorithm 1's graph construction.
+    pub fn stage_wall(&self, prefix: &str) -> Duration {
+        self.stages.iter().filter(|s| s.name.starts_with(prefix)).map(|s| s.wall).sum()
     }
 }
 
@@ -233,23 +206,10 @@ mod tests {
     }
 
     #[test]
-    fn validate_accepts_sane_traces_and_rejects_bad_versions() {
-        let mut trace = sample();
-        trace.validate().unwrap();
-        trace.schema_version = 99;
-        assert!(trace.validate().unwrap_err().contains("schema version"));
-    }
-
-    #[test]
-    fn validate_rejects_degenerate_shapes() {
-        let mut trace = sample();
-        trace.stages.clear();
-        assert!(trace.validate().is_err());
-        let mut trace = sample();
-        trace.workers = 0;
-        assert!(trace.validate().is_err());
-        let mut trace = sample();
-        trace.stages[0].attempts = 0;
-        assert!(trace.validate().is_err());
+    fn stage_wall_sums_by_name_prefix() {
+        let trace = sample();
+        assert_eq!(trace.stage_wall("matching/"), Duration::from_micros(700));
+        assert_eq!(trace.stage_wall(""), Duration::from_micros(2200), "every stage");
+        assert_eq!(trace.stage_wall("graph/"), Duration::ZERO);
     }
 }

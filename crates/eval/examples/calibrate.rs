@@ -9,7 +9,8 @@
 // (clippy::disallowed_methods) applies to library targets.
 #![allow(clippy::disallowed_methods)]
 
-use minoaner_core::{Minoaner, ResolveRequest, RuleSet};
+use minoaner_core::matcher::run_matching;
+use minoaner_core::{Executor, Minoaner, ResolveRequest, RuleSet};
 use minoaner_datagen::{generate, profiles};
 use minoaner_eval::Quality;
 
@@ -31,12 +32,12 @@ fn main() {
             p.name, d.pair.kb(minoaner_kb::Side::Left).len(), d.pair.kb(minoaner_kb::Side::Right).len(),
             d.ground_truth.len(), q, res.rule_counts.r1, res.rule_counts.r2, res.rule_counts.r3,
             res.rule_counts.removed_by_r4, gen_t, solve_t);
-        let m = Minoaner::new();
+        // A rule-set ablation composes the public stages: the blocks and
+        // the graph once, then Algorithm 2 per rule set.
+        let (m, exec) = (Minoaner::new(), Executor::default());
+        let graph = m.build_graph_from_blocks(&exec, &d.pair, &m.prepare_blocks(&exec, &d.pair));
         for (name, rs) in [("R1", RuleSet::R1_ONLY), ("R2", RuleSet::R2_ONLY), ("R3", RuleSet::R3_ONLY), ("noR4", RuleSet::NO_R4), ("noNbr", RuleSet::NO_NEIGHBORS)] {
-            let r = m
-                .run(ResolveRequest::pair(&d.pair).rules(rs))
-                .expect("healthy run succeeds")
-                .into_resolution();
+            let r = run_matching(&exec, &d.pair, &graph, m.config(), rs);
             let q = Quality::evaluate(&r.matches, &d.ground_truth);
             println!("    {:<6} {}", name, q);
         }

@@ -211,10 +211,10 @@ mod tests {
     #[test]
     fn adaptive_pruning_composes_from_the_pipeline_stages() {
         let p = three_restaurants();
-        let plain = Minoaner::new().run(ResolveRequest::pair(&p).workers(2)).expect("plain run").into_resolution();
+        let plain = Minoaner::new().run(ResolveRequest::pair(&p).workers(2)).expect("plain run").trace;
         let (adaptive, stages) = adaptive_run(&p, 2);
         assert_eq!(adaptive.len(), 3, "every clear pair");
-        let plain_stages: Vec<String> = plain.timings.stages.iter().map(|s| s.name.clone()).collect();
+        let plain_stages: Vec<String> = plain.stages.iter().map(|s| s.name.clone()).collect();
         assert_eq!(stages, plain_stages, "same stages, purge and stats included");
     }
 

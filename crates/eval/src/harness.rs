@@ -10,6 +10,7 @@ use minoaner_baselines::{
 use minoaner_blocking::name::build_name_blocks;
 use minoaner_blocking::purge::purge_blocks;
 use minoaner_blocking::token::build_token_blocks;
+use minoaner_core::matcher::run_matching;
 use minoaner_core::{Minoaner, MinoanerConfig, ResolveRequest, RuleSet};
 use minoaner_dataflow::Executor;
 use minoaner_datagen::{generate, DatasetProfile, GeneratedDataset};
@@ -110,7 +111,9 @@ pub fn run_system(executor: &Executor, dataset: &GeneratedDataset, system: Syste
     SystemRun { system, matches, quality, runtime, detail }
 }
 
-/// Runs a MinoanER rule-set ablation (Table 4 rows) on a dataset.
+/// Runs a MinoanER rule-set ablation (Table 4 rows) on a dataset: the
+/// product's public stages on `executor` (`prepare_blocks` →
+/// `build_graph_from_blocks`), then Algorithm 2 with `rules`.
 // Harness timing feeds the runtime columns of the paper tables; the
 // quality numbers are clock-independent.
 #[allow(clippy::disallowed_methods)]
@@ -121,11 +124,10 @@ pub fn run_ablation(
     config: MinoanerConfig,
 ) -> (Quality, Duration) {
     let start = Instant::now();
-    let res = Minoaner::with_config(config)
-        .run(ResolveRequest::pair(&dataset.pair).rules(rules).workers(executor.workers()))
-        .unwrap_or_else(|e| std::panic::panic_any(e))
-        .into_resolution();
-    (Quality::evaluate(&res.matches, &dataset.ground_truth), start.elapsed())
+    let (resolver, pair) = (Minoaner::with_config(config), &dataset.pair);
+    let graph = resolver.build_graph_from_blocks(executor, pair, &resolver.prepare_blocks(executor, pair));
+    let outcome = run_matching(executor, pair, &graph, resolver.config(), rules);
+    (Quality::evaluate(&outcome.matches, &dataset.ground_truth), start.elapsed())
 }
 
 /// Generates a dataset from a profile at the harness scale.

@@ -3,7 +3,7 @@
 
 use std::time::Duration;
 
-use minoaner_core::{Minoaner, MinoanerConfig, ResolveRequest, RuleSet};
+use minoaner_core::{Minoaner, MinoanerConfig, ResolveRequest};
 use minoaner_dataflow::Executor;
 use minoaner_datagen::GeneratedDataset;
 
@@ -72,11 +72,7 @@ pub fn sensitivity(executor: &Executor, dataset: &GeneratedDataset) -> Vec<Sensi
         for value in param.sweep_values() {
             let cfg = param.apply(value);
             let res = Minoaner::with_config(cfg)
-                .run(
-                    ResolveRequest::pair(&dataset.pair)
-                        .rules(RuleSet::FULL)
-                        .workers(executor.workers()),
-                )
+                .run(ResolveRequest::pair(&dataset.pair).workers(executor.workers()))
                 .unwrap_or_else(|e| std::panic::panic_any(e))
                 .into_resolution();
             let q = Quality::evaluate(&res.matches, &dataset.ground_truth);
@@ -148,12 +144,12 @@ pub fn size_scaling(
         let mut total = Duration::ZERO;
         let mut matching = Duration::ZERO;
         for _ in 0..repetitions.max(1) {
-            let res = Minoaner::new()
+            let trace = Minoaner::new()
                 .run(ResolveRequest::pair(&d.pair))
                 .unwrap_or_else(|e| std::panic::panic_any(e))
-                .into_resolution();
-            total += res.timings.total;
-            matching += res.timings.matching;
+                .trace;
+            total += trace.total_wall;
+            matching += trace.stage_wall("matching/");
         }
         let reps = repetitions.max(1) as u32;
         out.push(SizeScalingPoint {
@@ -178,12 +174,12 @@ pub fn scalability(dataset: &GeneratedDataset, repetitions: usize) -> Vec<Scalab
         let mut total = Duration::ZERO;
         let mut matching = Duration::ZERO;
         for _ in 0..repetitions.max(1) {
-            let res = Minoaner::new()
+            let trace = Minoaner::new()
                 .run(ResolveRequest::pair(&dataset.pair).workers(workers))
                 .unwrap_or_else(|e| std::panic::panic_any(e))
-                .into_resolution();
-            total += res.timings.total;
-            matching += res.timings.matching;
+                .trace;
+            total += trace.total_wall;
+            matching += trace.stage_wall("matching/");
         }
         let reps = repetitions.max(1) as u32;
         let total = total / reps;

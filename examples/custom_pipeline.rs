@@ -96,14 +96,11 @@ fn main() {
         );
     }
 
-    // 6. The same run end-to-end with a RunTrace: domain counters from
-    //    blocking and matching plus the annotated stage log, exportable
-    //    as versioned JSON (`minoaner resolve --report run.json` does the
-    //    same from the CLI).
-    let outcome = resolver
-        .run(ResolveRequest::pair(&pair).rules(RuleSet::FULL).workers(exec.workers()).trace())
-        .expect("pipeline runs");
-    let trace = outcome.trace.expect("a traced run carries a trace");
+    // 6. The same run end-to-end: its RunTrace holds the domain counters
+    //    from blocking and matching plus the annotated stage log,
+    //    exportable as versioned JSON (`minoaner resolve --report
+    //    run.json` does the same from the CLI).
+    let trace = resolver.run(ResolveRequest::pair(&pair).workers(exec.workers())).expect("pipeline runs").trace;
     println!("\nCounters:");
     for (name, value) in &trace.counters {
         println!("  {name:<36} {value}");

@@ -12,8 +12,9 @@
 
 use minoaner::datagen::{generate, profiles};
 use minoaner::eval::figures::{fig2_points, render_fig2};
+use minoaner::eval::harness::run_ablation;
 use minoaner::eval::Quality;
-use minoaner::{Minoaner, ResolveRequest, RuleSet};
+use minoaner::{Executor, Minoaner, MinoanerConfig, ResolveRequest, RuleSet};
 
 fn main() {
     let profile = profiles::yago_imdb().scaled(0.25);
@@ -23,18 +24,14 @@ fn main() {
     let points = fig2_points(&dataset, 3);
     println!("{}", render_fig2(&points, "Ground-truth similarity regimes (cf. Figure 2)"));
 
-    let m = Minoaner::new();
-    let full = m
+    let full = Minoaner::new()
         .run(ResolveRequest::pair(&dataset.pair))
         .expect("healthy run succeeds")
         .into_resolution();
     let q_full = Quality::evaluate(&full.matches, &dataset.ground_truth);
 
-    let blind = m
-        .run(ResolveRequest::pair(&dataset.pair).rules(RuleSet::NO_NEIGHBORS))
-        .expect("healthy run succeeds")
-        .into_resolution();
-    let q_blind = Quality::evaluate(&blind.matches, &dataset.ground_truth);
+    // A Table 4 ablation: the product's stages, then Algorithm 2 without R3.
+    let (q_blind, _) = run_ablation(&Executor::default(), &dataset, RuleSet::NO_NEIGHBORS, MinoanerConfig::default());
 
     println!("Full MinoanER (R1+R2+R3+R4): {q_full}");
     println!("Without neighbor evidence  : {q_blind}");

@@ -9,7 +9,7 @@
 //! one pair is only resolvable through its *neighbors* — exactly the
 //! scenario in Figure 1 of the paper.
 
-use minoaner::{KbPairBuilder, Minoaner, ResolveRequest, Side, Term};
+use minoaner::{KbPairBuilder, Minoaner, ResolveOutcome, ResolveRequest, Side, Term};
 
 fn main() {
     let mut b = KbPairBuilder::new();
@@ -31,10 +31,8 @@ fn main() {
     b.add_triple(Side::Right, "d:Berkshire", "d:name", Term::Literal("Berkshire county Bray"));
 
     let pair = b.finish();
-    let resolution = Minoaner::new()
-        .run(ResolveRequest::pair(&pair).workers(4))
-        .expect("healthy run succeeds")
-        .into_resolution();
+    let ResolveOutcome { resolution, trace } =
+        Minoaner::new().run(ResolveRequest::pair(&pair).workers(4)).expect("healthy run succeeds");
 
     println!("Resolved {} matches:", resolution.matches.len());
     for &(l, r) in &resolution.matches {
@@ -46,9 +44,10 @@ fn main() {
          R4 removed {} non-reciprocal pairs.",
         c.r1, c.r2, c.r3, c.removed_by_r4
     );
+    let total = trace.total_wall.as_secs_f64();
     println!(
         "Total {:.1} ms, matching phase {:.1}% of it.",
-        resolution.timings.total.as_secs_f64() * 1000.0,
-        resolution.timings.matching_share()
+        total * 1000.0,
+        100.0 * trace.stage_wall("matching/").as_secs_f64() / total.max(f64::EPSILON)
     );
 }

@@ -21,7 +21,7 @@ use minoaner::dataflow::{CancelReason, CancelToken, RunTrace};
 use minoaner::datagen::{generate, profiles, GeneratedDataset};
 use minoaner::det::rng::for_each_seed;
 use minoaner::{
-    CheckpointSpec, DataflowError, Minoaner, Resolution, ResolveRequest, RuleSet,
+    CheckpointSpec, DataflowError, Minoaner, Resolution, ResolveRequest,
 };
 use support::{assert_only_complete_barriers, canonical_with_counters, scratch_dir, CancelAfterBarrier};
 
@@ -48,8 +48,8 @@ fn run(
     if let Some(barrier) = cancel_after {
         spec.vfs = CancelAfterBarrier::new(dir, barrier, token.clone());
     }
-    let req = ResolveRequest::pair(&d.pair).rules(RuleSet::FULL).checkpoint(&spec).workers(workers).cancel(token);
-    Minoaner::new().run(req).map(support::split_traced)
+    let req = ResolveRequest::pair(&d.pair).checkpoint(&spec).workers(workers).cancel(token);
+    Minoaner::new().run(req).map(support::split_outcome)
 }
 
 /// The core exchange shared by the seeded property and the exhaustive

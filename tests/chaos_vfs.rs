@@ -25,7 +25,7 @@ use std::path::{Path, PathBuf};
 use minoaner::dataflow::vfs::{FaultFs, FaultKind, FaultPlan, VfsRef};
 use minoaner::dataflow::{DegradeOnCkptError, MemoryBudget};
 use minoaner::datagen::{generate, profiles, GeneratedDataset};
-use minoaner::{CheckpointSpec, DataflowError, Minoaner, Resolution, ResolveRequest, RuleSet};
+use minoaner::{CheckpointSpec, DataflowError, Minoaner, Resolution, ResolveRequest};
 use support::{canonical, scratch_dir, tmp_leaks};
 
 fn dataset() -> GeneratedDataset {
@@ -50,8 +50,8 @@ fn run_ckpt(
 ) -> Result<(Resolution, minoaner::dataflow::RunTrace), DataflowError> {
     let on_error = if degrade { DegradeOnCkptError::Continue } else { DegradeOnCkptError::Fail };
     let spec = CheckpointSpec { resume, on_error, vfs, ..CheckpointSpec::new(dir) };
-    let req = ResolveRequest::pair(pair).rules(RuleSet::FULL).checkpoint(&spec).workers(workers);
-    Ok(support::split_traced(Minoaner::new().run(req)?))
+    let req = ResolveRequest::pair(pair).checkpoint(&spec).workers(workers);
+    Ok(support::split_outcome(Minoaner::new().run(req)?))
 }
 
 /// Fault-free reference: the canonical outcome plus the durable op count
@@ -222,7 +222,7 @@ fn spill_fault_at_every_op_is_typed_and_sweeps_scratch() {
     let workers = 2;
     // Reference: an unbudgeted plain run (spilling never changes results).
     let plain = Minoaner::new()
-        .run(ResolveRequest::pair(&d.pair).rules(RuleSet::FULL).workers(workers))
+        .run(ResolveRequest::pair(&d.pair).workers(workers))
         .expect("plain run succeeds")
         .into_resolution();
     let base = canonical(&plain);
@@ -232,12 +232,7 @@ fn spill_fault_at_every_op_is_typed_and_sweeps_scratch() {
     let probe = FaultFs::new(FaultPlan::none());
     let budget = MemoryBudget::new(1, &probe_dir).with_vfs(probe.clone());
     let res = Minoaner::new()
-        .run(
-            ResolveRequest::pair(&d.pair)
-                .rules(RuleSet::FULL)
-                .workers(workers)
-                .mem_budget(budget),
-        )
+        .run(ResolveRequest::pair(&d.pair).workers(workers).mem_budget(budget))
         .expect("budgeted probe run succeeds")
         .into_resolution();
     assert_eq!(canonical(&res), base, "spilling changed the output");
@@ -254,12 +249,7 @@ fn spill_fault_at_every_op_is_typed_and_sweeps_scratch() {
             let dir = scratch_dir(&tag);
             let faulty = FaultFs::new(FaultPlan::fail_op(k, kind));
             let budget = MemoryBudget::new(1, &dir).with_vfs(faulty.clone());
-            let outcome = Minoaner::new().run(
-                ResolveRequest::pair(&d.pair)
-                    .rules(RuleSet::FULL)
-                    .workers(workers)
-                    .mem_budget(budget),
-            );
+            let outcome = Minoaner::new().run(ResolveRequest::pair(&d.pair).workers(workers).mem_budget(budget));
             match outcome {
                 Ok(done) => assert_eq!(
                     canonical(&done.into_resolution()),

@@ -24,7 +24,7 @@ use minoaner::dataflow::{RunTrace, CHECKPOINT_SCHEMA_VERSION};
 use minoaner::det::segment::{Kind, Segment};
 use minoaner::datagen::{generate, profiles, GeneratedDataset};
 use minoaner::{
-    CheckpointSpec, DataflowError, KbPair, Minoaner, Resolution, ResolveRequest, RuleSet,
+    CheckpointSpec, DataflowError, KbPair, Minoaner, Resolution, ResolveRequest,
 };
 use support::{canonical_with_counters, crashing_disk, renames_before, scratch_dir, tmp_leaks};
 
@@ -42,8 +42,8 @@ fn run(
 ) -> Result<(Resolution, RunTrace), DataflowError> {
     let spec = CheckpointSpec { resume, vfs, ..CheckpointSpec::new(dir) };
     Minoaner::new()
-        .run(ResolveRequest::pair(pair).rules(RuleSet::FULL).checkpoint(&spec).workers(workers))
-        .map(support::split_traced)
+        .run(ResolveRequest::pair(pair).checkpoint(&spec).workers(workers))
+        .map(support::split_outcome)
 }
 
 /// A healthy run on the real filesystem, resuming from whatever `dir`
@@ -207,16 +207,14 @@ fn truncated_part_is_detected_and_survived() {
     damaged_part_is_detected_and_survived("trunc", |bytes, part| bytes.truncate(part.start + part.len() / 2));
 }
 
-/// A checkpointed run and a plain traced run agree on everything the
+/// A checkpointed run and a plain run agree on everything the
 /// user can observe: checkpointing must never change the answer.
 #[test]
 fn checkpointed_run_matches_plain_run() {
     let workers = 2;
     let d = dataset();
-    let (plain_res, plain_trace) = support::split_traced(
-        Minoaner::new()
-            .run(ResolveRequest::pair(&d.pair).rules(RuleSet::FULL).trace().workers(workers))
-            .expect("plain run succeeds"),
+    let (plain_res, plain_trace) = support::split_outcome(
+        Minoaner::new().run(ResolveRequest::pair(&d.pair).workers(workers)).expect("plain run succeeds"),
     );
     let (ckpt_res, ckpt_trace) = resume(&d.pair, &scratch_dir("plain-vs-ckpt"), workers);
     assert_eq!(

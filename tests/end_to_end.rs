@@ -107,9 +107,8 @@ fn matching_is_one_to_one_on_every_profile() {
 #[test]
 fn stage_log_covers_blocking_and_matching() {
     let d = generate(&profiles::restaurant().scaled(0.3));
-    let res = resolve_with(&d.pair, 2);
-    let names: Vec<String> =
-        res.timings.stages.stages().iter().map(|s| s.name.clone()).collect();
+    let trace = Minoaner::new().run(ResolveRequest::pair(&d.pair).workers(2)).expect("healthy run succeeds").trace;
+    let names: Vec<String> = trace.stages.iter().map(|s| s.name.clone()).collect();
     for expected in
         ["token-blocking", "graph/index", "graph/beta", "graph/gamma", "matching/r1", "matching/r3"]
     {
@@ -118,5 +117,5 @@ fn stage_log_covers_blocking_and_matching() {
             "stage log missing {expected}: {names:?}"
         );
     }
-    assert!(res.timings.total >= res.timings.matching);
+    assert!(trace.total_wall >= trace.stage_wall("matching/"));
 }

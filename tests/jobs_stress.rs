@@ -28,7 +28,7 @@ use minoaner::dataflow::{CancelReason, RunTrace};
 use minoaner::datagen::{generate, profiles, GeneratedDataset};
 use minoaner::jobs::{control, Batch, JobContext, JobId, JobResult, JobSpec, JobState, JobStatus};
 use minoaner::{
-    CheckpointSpec, DataflowError, Executor, KbPair, Minoaner, Resolution, ResolveRequest, RuleSet,
+    CheckpointSpec, DataflowError, Executor, KbPair, Minoaner, Resolution, ResolveRequest,
 };
 use support::{
     assert_only_complete_barriers, canonical_with_counters, crashing_disk, renames_before,
@@ -43,10 +43,9 @@ fn dataset(scale: f64) -> GeneratedDataset {
     generate(&profiles::restaurant().scaled(scale))
 }
 
-/// A checkpointed full-rule-set run of `req`, split into its resolution
-/// and trace.
+/// A checkpointed run of `req`, split into its resolution and trace.
 fn checkpointed(req: ResolveRequest<'_>) -> Result<(Resolution, RunTrace), DataflowError> {
-    Minoaner::new().run(req.rules(RuleSet::FULL)).map(support::split_traced)
+    Minoaner::new().run(req).map(support::split_outcome)
 }
 
 /// A job's checkpointed run, built the way `minoaner jobs run` builds it:

@@ -1,58 +1,62 @@
-//! Integration tests for the observability layer: run traces captured
-//! through a traced [`minoaner::ResolveRequest`] must round-trip through
-//! JSON exactly, must not perturb resolution results, and their domain
-//! counters must mirror the in-memory [`minoaner::core::RuleCounts`].
+//! Integration tests for the observability layer: the trace every
+//! [`minoaner::Minoaner::run`] captures must round-trip through JSON
+//! exactly, must not perturb resolution results, and its domain counters
+//! must mirror the in-memory [`minoaner::core::RuleCounts`].
 
+use minoaner::core::matcher::run_matching;
 use minoaner::datagen::{generate, profiles, GeneratedDataset};
-use minoaner::dataflow::RunTrace;
-use minoaner::{KbPair, Minoaner, Resolution, ResolveOutcome, ResolveRequest, RuleSet};
+use minoaner::dataflow::{RunTrace, TRACE_SCHEMA_VERSION};
+use minoaner::{Executor, KbPair, Minoaner, Resolution, ResolveOutcome, ResolveRequest, RuleSet};
 
 fn dataset() -> GeneratedDataset {
     generate(&profiles::restaurant().scaled(0.4))
 }
 
-/// One traced run through the request API.
-fn traced(pair: &KbPair, workers: usize) -> (Resolution, RunTrace) {
-    let ResolveOutcome { resolution, trace } = Minoaner::new()
-        .run(ResolveRequest::pair(pair).rules(RuleSet::FULL).trace().workers(workers))
-        .expect("healthy run succeeds");
-    (resolution, trace.expect("a traced run carries a trace"))
+/// One run through the request API, split into its resolution and trace.
+fn resolve(pair: &KbPair, workers: usize) -> (Resolution, RunTrace) {
+    let ResolveOutcome { resolution, trace } =
+        Minoaner::new().run(ResolveRequest::pair(pair).workers(workers)).expect("healthy run succeeds");
+    (resolution, trace)
 }
 
 #[test]
 fn trace_json_round_trip_is_exact() {
     let d = dataset();
-    let (_, trace) = traced(&d.pair, 2);
-    trace.validate().expect("captured trace validates");
+    let (_, trace) = resolve(&d.pair, 2);
+    assert_eq!(trace.schema_version, TRACE_SCHEMA_VERSION);
+    assert_eq!(trace.workers, 2);
+    assert!(trace.partitions >= 1);
+    assert!(!trace.stages.is_empty());
+    for stage in &trace.stages {
+        assert!(!stage.name.is_empty(), "every stage is named");
+        assert!(stage.attempts >= stage.tasks, "stage {:?} ran every task", stage.name);
+    }
     let json = trace.to_json();
     let back = RunTrace::from_json(&json).expect("trace JSON parses");
     assert_eq!(trace, back, "JSON round-trip must be lossless");
 }
 
+/// `run` always installs a trace collector; the same stages composed on
+/// an executor with no observer give the same resolution.
 #[test]
 fn observer_does_not_perturb_resolution() {
     let d = dataset();
     let m = Minoaner::new();
+    let observed = m.run(ResolveRequest::pair(&d.pair).workers(3)).expect("run succeeds").into_resolution();
 
-    let plain = m.run(ResolveRequest::pair(&d.pair).workers(3)).expect("plain run succeeds").into_resolution();
-    let outcome = m
-        .run(ResolveRequest::pair(&d.pair).rules(RuleSet::FULL).trace().workers(3))
-        .expect("traced run succeeds");
-    assert!(outcome.trace.is_some(), "the traced run carries a trace");
-    let traced = outcome.resolution;
+    let exec = Executor::new(3);
+    let graph = m.build_graph_from_blocks(&exec, &d.pair, &m.prepare_blocks(&exec, &d.pair));
+    let unobserved = run_matching(&exec, &d.pair, &graph, m.config(), RuleSet::FULL);
 
-    let mut a = plain.matches.clone();
-    let mut b = traced.matches.clone();
-    a.sort_unstable();
-    b.sort_unstable();
-    assert_eq!(a, b, "observer-on run must find the same matches");
-    assert_eq!(plain.rule_counts, traced.rule_counts);
+    assert_eq!(observed.matches, unobserved.matches, "the observed run finds the same matches");
+    assert_eq!(observed.rule_counts, unobserved.counts);
+    assert_eq!(observed.graph_digest, graph.weight_digest());
 }
 
 #[test]
 fn per_rule_trace_counters_mirror_rule_counts() {
     let d = dataset();
-    let (res, trace) = traced(&d.pair, 2);
+    let (res, trace) = resolve(&d.pair, 2);
 
     let c = res.rule_counts;
     assert_eq!(trace.counter("matching/r1_matches"), c.r1 as u64);
@@ -65,7 +69,7 @@ fn per_rule_trace_counters_mirror_rule_counts() {
 #[test]
 fn trace_records_stage_io_and_blocking_counters() {
     let d = dataset();
-    let (_, trace) = traced(&d.pair, 2);
+    let (_, trace) = resolve(&d.pair, 2);
 
     assert!(trace.counter("blocking/token_blocks_built") > 0);
     assert!(trace.counter("blocking/token_block_comparisons") > 0);
@@ -88,7 +92,7 @@ fn trace_records_stage_io_and_blocking_counters() {
 #[test]
 fn gamma_pass_is_an_observed_stage_with_item_flow() {
     let d = dataset();
-    let (_, trace) = traced(&d.pair, 2);
+    let (_, trace) = resolve(&d.pair, 2);
 
     let gamma = trace
         .stages
@@ -122,7 +126,7 @@ fn repeated_traced_runs_are_deterministic() {
     let d = dataset();
     let mut runs = Vec::new();
     for workers in [1usize, 2, 8] {
-        let (res, trace) = traced(&d.pair, workers);
+        let (res, trace) = resolve(&d.pair, workers);
         let mut matches = res.matches.clone();
         matches.sort_unstable();
         runs.push((matches, trace.counters.clone()));

@@ -20,8 +20,8 @@ fn dataset() -> GeneratedDataset {
 }
 
 fn run_unconstrained(ds: &GeneratedDataset, workers: usize) -> (Resolution, RunTrace) {
-    support::split_traced(
-        Minoaner::new().run(ResolveRequest::pair(&ds.pair).trace().workers(workers)).expect("healthy run succeeds"),
+    support::split_outcome(
+        Minoaner::new().run(ResolveRequest::pair(&ds.pair).workers(workers)).expect("healthy run succeeds"),
     )
 }
 
@@ -31,8 +31,8 @@ fn run_budgeted(
     limit: u64,
     dir: &Path,
 ) -> (Resolution, RunTrace) {
-    let req = ResolveRequest::pair(&ds.pair).trace().workers(workers).mem_budget(MemoryBudget::new(limit, dir));
-    support::split_traced(Minoaner::new().run(req).expect("budgeted run succeeds"))
+    let req = ResolveRequest::pair(&ds.pair).workers(workers).mem_budget(MemoryBudget::new(limit, dir));
+    support::split_outcome(Minoaner::new().run(req).expect("budgeted run succeeds"))
 }
 
 fn assert_same_outcome(base: &Resolution, got: &Resolution, what: &str) {

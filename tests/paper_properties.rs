@@ -10,15 +10,14 @@
 //! * the pipeline is robust to small parameter perturbations (Figure 5).
 
 use minoaner::datagen::{generate, profiles, GeneratedDataset};
+use minoaner::eval::harness::run_ablation;
 use minoaner::eval::{run_system, Quality, SystemId};
-use minoaner::{Executor, Minoaner, MinoanerConfig, ResolveRequest, RuleSet};
+use minoaner::{Executor, MinoanerConfig, RuleSet};
 
+/// The pipeline under `cfg` with the matching rules `rules` (Table 4's
+/// composition of the public stages), scored.
 fn resolve_f1(exec: &Executor, d: &GeneratedDataset, cfg: MinoanerConfig, rules: RuleSet) -> Quality {
-    let res = Minoaner::with_config(cfg)
-        .run(ResolveRequest::pair(&d.pair).rules(rules).workers(exec.workers()))
-        .expect("healthy run succeeds")
-        .into_resolution();
-    Quality::evaluate(&res.matches, &d.ground_truth)
+    run_ablation(exec, d, rules, cfg).0
 }
 
 #[test]

@@ -21,10 +21,9 @@ use minoaner::dataflow::{CancelReason, CancelToken, RunTrace, CHECKPOINT_SCHEMA_
 use minoaner::det::segment::{Kind, Segment};
 use minoaner::{Resolution, ResolveOutcome};
 
-/// A traced or checkpointed run's outcome, split into its resolution and
-/// the trace such a run always carries.
-pub fn split_traced(outcome: ResolveOutcome) -> (Resolution, RunTrace) {
-    (outcome.resolution, outcome.trace.expect("a traced or checkpointed run carries a trace"))
+/// A run's outcome, split into its resolution and its trace.
+pub fn split_outcome(outcome: ResolveOutcome) -> (Resolution, RunTrace) {
+    (outcome.resolution, outcome.trace)
 }
 
 /// A scratch directory unique per test without consulting any entropy

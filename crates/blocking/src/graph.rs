@@ -847,7 +847,6 @@ mod tests {
     use crate::purge::purge_blocks;
     use crate::token::build_token_blocks;
     use minoaner_det::rng::Rng;
-    use minoaner_kb::dirty::DirtyKbBuilder;
     use minoaner_kb::stats::NameStats;
     use minoaner_kb::{KbPairBuilder, Term};
 
@@ -930,15 +929,15 @@ mod tests {
     /// A dirty-ER KB (both sides mirror it, identity pairs excluded) with
     /// fewer entities than an 8-worker executor has partitions.
     fn dirty_pair() -> KbPair {
-        let mut b = DirtyKbBuilder::new();
-        b.add_triple("e0", "p", Term::Literal("fat duck restaurant bray"));
-        b.add_triple("e0", "chef", Term::Uri("e2"));
-        b.add_triple("e1", "p", Term::Literal("the fat duck bray"));
-        b.add_triple("e1", "chef", Term::Uri("e3"));
-        b.add_triple("e2", "p", Term::Literal("john lake chef celebrity"));
-        b.add_triple("e3", "p", Term::Literal("jonny lake chef celebrity"));
-        b.add_triple("e4", "p", Term::Literal("berkshire county village"));
-        b.finish()
+        let mut b = KbPairBuilder::new();
+        b.add_triple(Side::Left, "e0", "p", Term::Literal("fat duck restaurant bray"));
+        b.add_triple(Side::Left, "e0", "chef", Term::Uri("e2"));
+        b.add_triple(Side::Left, "e1", "p", Term::Literal("the fat duck bray"));
+        b.add_triple(Side::Left, "e1", "chef", Term::Uri("e3"));
+        b.add_triple(Side::Left, "e2", "p", Term::Literal("john lake chef celebrity"));
+        b.add_triple(Side::Left, "e3", "p", Term::Literal("jonny lake chef celebrity"));
+        b.add_triple(Side::Left, "e4", "p", Term::Literal("berkshire county village"));
+        b.finish_dirty()
     }
 
     /// A clean pair whose right side is empty.

@@ -125,15 +125,14 @@ mod tests {
 
     #[test]
     fn dirty_alpha_pairs_require_exactly_two_entities() {
-        use minoaner_kb::dirty::DirtyKbBuilder;
-        let mut b = DirtyKbBuilder::new();
-        b.add_triple("d1", "label", Term::Literal("The Fat Duck"));
-        b.add_triple("d2", "label", Term::Literal("the fat duck"));
-        b.add_triple("d3", "label", Term::Literal("unique name"));
-        b.add_triple("c1", "label", Term::Literal("common"));
-        b.add_triple("c2", "label", Term::Literal("common"));
-        b.add_triple("c3", "label", Term::Literal("common"));
-        let pair = b.finish();
+        let mut b = KbPairBuilder::new();
+        b.add_triple(Side::Left, "d1", "label", Term::Literal("The Fat Duck"));
+        b.add_triple(Side::Left, "d2", "label", Term::Literal("the fat duck"));
+        b.add_triple(Side::Left, "d3", "label", Term::Literal("unique name"));
+        b.add_triple(Side::Left, "c1", "label", Term::Literal("common"));
+        b.add_triple(Side::Left, "c2", "label", Term::Literal("common"));
+        b.add_triple(Side::Left, "c3", "label", Term::Literal("common"));
+        let pair = b.finish_dirty();
         let names = NameStats::compute(&pair, 1);
         let blocks = build_name_blocks(&pair, &names);
         let alpha = alpha_pairs_dirty(&blocks);

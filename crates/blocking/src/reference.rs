@@ -344,7 +344,6 @@ mod tests {
     use crate::name::build_name_blocks;
     use crate::purge::purge_blocks;
     use crate::token::build_token_blocks;
-    use minoaner_kb::dirty::DirtyKbBuilder;
     use minoaner_kb::stats::NameStats;
     use minoaner_det::rng::{for_each_seed, Rng};
     use minoaner_kb::{KbPairBuilder, Term};
@@ -407,18 +406,18 @@ mod tests {
     }
 
     fn build_dirty_pair(specs: &[EntitySpec]) -> KbPair {
-        let mut b = DirtyKbBuilder::new();
+        let mut b = KbPairBuilder::new();
         for (i, spec) in specs.iter().enumerate() {
             let uri = format!("e{i}");
             for (k, lit) in spec.literals.iter().enumerate() {
-                b.add_triple(&uri, &format!("p{k}"), Term::Literal(&literal_text(lit)));
+                b.add_triple(Side::Left, &uri, &format!("p{k}"), Term::Literal(&literal_text(lit)));
             }
             for (k, &target) in spec.rels.iter().enumerate() {
                 let target = target % specs.len();
-                b.add_triple(&uri, &relation(i, k), Term::Uri(&format!("e{target}")));
+                b.add_triple(Side::Left, &uri, &relation(i, k), Term::Uri(&format!("e{target}")));
             }
         }
-        b.finish()
+        b.finish_dirty()
     }
 
     fn assert_bit_equal(new: &BlockingGraph, reference: &BlockingGraph, pair: &KbPair, ctx: &str) {

@@ -123,12 +123,18 @@ fn pair(n: usize, linked: bool) -> KbPair {
 #[test]
 fn building_the_graph_allocates_per_table_not_per_entity() {
     const N: usize = 2_000;
-    // The counts measured when the blocks became columns and the top-N
-    // pass ranked in shared scratch (559 / 8 592 before: the index copied
-    // the members, `top_n_neighbors` returned a `Vec` or two per linked
-    // entity), as upper bounds: the scratch a row needs is the worker's or
-    // the task's, never the row's.
-    for (linked, bound) in [(false, 555), (true, 592)] {
+    // Upper bounds on the counts: the scratch a row needs is the worker's
+    // or the task's, never the row's (8 592 linked when `top_n_neighbors`
+    // returned a `Vec` or two per linked entity). A stage's tasks grow
+    // with the executor's partitions, 3 a core, and each γ union task
+    // fills a bucket per partition, so the linked build grows with their
+    // square. Measured, unlinked / linked: 125 / 260 at 3 partitions,
+    // 183 / 575 at 6, 292 / 1 468 at 12, 503 / 3 911 at 24 and 914 / 9 358
+    // at 48 (the last three with the core count overridden in a copy of
+    // the pool). From 24 partitions on, the linked bound passes the entity
+    // count and no longer tells a per-entity allocation apart.
+    let bound = |linked: bool, p: u64| if linked { 100 + 45 * p + 6 * p * p } else { 80 + 20 * p };
+    for linked in [false, true] {
         let pair = pair(N, linked);
         let rels = RelationStats::compute(&pair);
         let names = NameStats::compute(&pair, 2);
@@ -141,6 +147,7 @@ fn building_the_graph_allocates_per_table_not_per_entity() {
         let inline = Executor::new(1);
         let (graph, allocations) =
             allocations_of(|| build_blocking_graph(&inline, &pair, &rels, &token_blocks, &name_blocks, &cfg));
+        let bound = bound(linked, inline.partitions() as u64);
 
         // With a `Vec` per row this was at least one allocation per entity
         // with a candidate — and nearly every entity has one.
@@ -151,8 +158,9 @@ fn building_the_graph_allocates_per_table_not_per_entity() {
         assert_eq!(ranked(Side::Left) + ranked(Side::Right) > N, linked, "neighbour candidates");
         assert!(
             allocations <= bound,
-            "linked={linked}: {allocations} allocations for {} entities, the bound is {bound}",
-            2 * N
+            "linked={linked}: {allocations} allocations for {} entities over {} partitions, the bound is {bound}",
+            2 * N,
+            inline.partitions()
         );
 
         let wide = build_blocking_graph(&Executor::new(8), &pair, &rels, &token_blocks, &name_blocks, &cfg);

@@ -6,9 +6,9 @@ use std::fmt;
 /// Parsed command line.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
-    /// Clean-clean resolution of two N-Triples KBs.
+    /// Clean-clean resolution of two KBs.
     Resolve(ResolveArgs),
-    /// Dirty-ER duplicate detection within one N-Triples KB.
+    /// Dirty-ER duplicate detection within one KB.
     Dedup(DedupArgs),
     /// Multi-KB resolution: cluster entities across 3+ KBs.
     Multi(MultiArgs),
@@ -116,9 +116,11 @@ pub struct JobLine {
 /// Arguments of `minoaner resolve`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ResolveArgs {
-    /// Left KB path (N-Triples); `None` when loading from `--mkb`.
+    /// Left KB path (N-Triples, or Turtle for `.ttl`); `None` when loading
+    /// from `--mkb`.
     pub left: Option<String>,
-    /// Right KB path (N-Triples); `None` when loading from `--mkb`.
+    /// Right KB path (N-Triples, or Turtle for `.ttl`); `None` when loading
+    /// from `--mkb`.
     pub right: Option<String>,
     /// Pre-compiled `.mkb` container holding both sides (mutually
     /// exclusive with `--left`/`--right`).
@@ -156,7 +158,7 @@ pub struct ResolveArgs {
 /// Arguments of `minoaner dedup`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DedupArgs {
-    /// KB path (N-Triples).
+    /// KB path (N-Triples, or Turtle for `.ttl`).
     pub input: String,
     /// Worker threads (default: all cores).
     pub workers: Option<usize>,
@@ -252,8 +254,8 @@ EXIT CODES:
        directory is cleaned up before exit — free space and retry)
 
 RESOLVE OPTIONS:
-    --left <path>           left KB, N-Triples
-    --right <path>          right KB, N-Triples
+    --left <path>           left KB, N-Triples, or Turtle for .ttl
+    --right <path>          right KB, N-Triples, or Turtle for .ttl
     --mkb <path>            load both sides from a compiled .mkb container
                             (memory-mapped; replaces --left/--right)
     --mem-budget <bytes>    ceiling on resident shuffle state — the blocking
@@ -284,7 +286,7 @@ RESOLVE OPTIONS:
                             counted in the ckpt/degraded trace counter
 
 DEDUP OPTIONS:
-    --input <path>          the dirty KB, N-Triples
+    --input <path>          the dirty KB, N-Triples, or Turtle for .ttl
     --workers <n>           dataflow workers
     --json                  emit JSON instead of TSV
 

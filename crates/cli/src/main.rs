@@ -1,4 +1,5 @@
-//! `minoaner` — command-line entity resolution over N-Triples KBs.
+//! `minoaner` — command-line entity resolution over N-Triples (or Turtle)
+//! KBs.
 //!
 //! ```sh
 //! minoaner resolve --left dbpedia.nt --right wikidata.nt --ground-truth gt.tsv
@@ -27,12 +28,10 @@ use std::process::ExitCode;
 use minoaner_core::{CheckpointSpec, Minoaner, MinoanerConfig, ResolveOutcome, ResolveRequest};
 use minoaner_dataflow::{CancelToken, CheckpointError, DataflowError, DegradeOnCkptError, MemoryBudget, RealFs};
 use minoaner_eval::Quality;
-use minoaner_kb::dirty::{canonicalize_dirty_matches, DirtyKbBuilder};
+use minoaner_kb::dirty::canonicalize_dirty_matches;
 use minoaner_kb::parser::{load_ntriples_with_mode, parse_ground_truth, ParseMode, ParseReport};
 use minoaner_kb::turtle::load_turtle;
 use minoaner_kb::{write_mkb, KbPair, KbPairBuilder, MkbError, MkbFile, Side};
-
-use minoaner_core::multi::{MultiKb, ObjectTerm};
 
 use args::{
     parse, Command, DedupArgs, JobLine, JobsCmd, JobsRunArgs, KbCmd, KbCompileArgs, MultiArgs,
@@ -242,6 +241,18 @@ fn load_kb(
     Ok(report.parsed)
 }
 
+/// Loads `left`, and `right` if given, into one pair: the pair, and the
+/// triples read from each file (0 for a missing right one).
+fn load_pair(left: &str, right: Option<&str>, mode: ParseMode) -> Result<(KbPair, [usize; 2]), CliError> {
+    let mut builder = KbPairBuilder::new();
+    let nl = load_kb(&mut builder, Side::Left, left, mode)?;
+    let nr = match right {
+        Some(right) => load_kb(&mut builder, Side::Right, right, mode)?,
+        None => 0,
+    };
+    Ok((builder.finish(), [nl, nr]))
+}
+
 /// Writes the run trace as JSON to `path` (if given), creating missing
 /// parent directories.
 fn write_report(path: Option<&str>, trace: &minoaner_dataflow::RunTrace) -> Result<(), CliError> {
@@ -260,14 +271,7 @@ fn write_report(path: Option<&str>, trace: &minoaner_dataflow::RunTrace) -> Resu
 /// Parses the input KB(s) once and writes the memory-mappable `.mkb`
 /// columnar container `resolve --mkb` later opens without re-parsing.
 fn kb_compile(args: &KbCompileArgs) -> Result<(), CliError> {
-    let mode = parse_mode(args.lenient);
-    let mut builder = KbPairBuilder::new();
-    let nl = load_kb(&mut builder, Side::Left, &args.left, mode)?;
-    let nr = match &args.right {
-        Some(right) => load_kb(&mut builder, Side::Right, right, mode)?,
-        None => 0,
-    };
-    let pair = builder.finish();
+    let (pair, [nl, nr]) = load_pair(&args.left, args.right.as_deref(), parse_mode(args.lenient))?;
     ensure_parent_dir(&args.out)?;
     let bytes = write_mkb(&pair, Path::new(&args.out))?;
     eprintln!(
@@ -299,11 +303,7 @@ fn load_resolve_pair(args: &ResolveArgs) -> Result<KbPair, CliError> {
     let (Some(left), Some(right)) = (&args.left, &args.right) else {
         return Err(CliError::Usage("resolve requires --left and --right (or --mkb)".into()));
     };
-    let mode = parse_mode(args.lenient);
-    let mut builder = KbPairBuilder::new();
-    let nl = load_kb(&mut builder, Side::Left, left, mode)?;
-    let nr = load_kb(&mut builder, Side::Right, right, mode)?;
-    let pair = builder.finish();
+    let (pair, [nl, nr]) = load_pair(left, Some(right), parse_mode(args.lenient))?;
     eprintln!(
         "loaded {} + {} triples ({} + {} entities)",
         nl,
@@ -444,47 +444,16 @@ fn resolve(args: &ResolveArgs) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Loads one KB file standalone and extracts its triples in a uniform
-/// owned form (entity references back to URIs, literals in normalized
-/// form) — the input shape of multi-KB resolution.
-fn load_triples(
-    path: &str,
-    mode: ParseMode,
-) -> Result<Vec<(String, String, ObjectTerm)>, CliError> {
-    let mut b = KbPairBuilder::new();
-    load_kb(&mut b, Side::Left, path, mode)?;
-    let pair = b.finish();
-    let kb = pair.kb(Side::Left);
-    let mut out = Vec::new();
-    for (id, e) in kb.iter() {
-        let subject = pair.uri_of(Side::Left, id).to_owned();
-        for (a, v) in e.pairs() {
-            let predicate = pair.attrs().resolve(minoaner_kb::Symbol(a.0)).to_owned();
-            let object = match v {
-                minoaner_kb::Value::Literal(l) => {
-                    ObjectTerm::Literal(pair.literals().resolve(minoaner_kb::Symbol(l.0)).to_owned())
-                }
-                minoaner_kb::Value::Ref(t) => ObjectTerm::Uri(pair.uri_of(Side::Left, t).to_owned()),
-            };
-            out.push((subject.clone(), predicate, object));
-        }
-    }
-    Ok(out)
-}
-
 fn multi(args: &MultiArgs) -> Result<(), CliError> {
     let mode = parse_mode(args.lenient);
-    let mut input = MultiKb::new();
-    for path in &args.inputs {
-        let idx = input.add_kb();
-        let triples = load_triples(path, mode)?;
-        eprintln!("loaded {} triples from {path} (kb {idx})", triples.len());
-        for (s, p, o) in triples {
-            input.add_triple(idx, &s, &p, o);
-        }
+    let mut kbs = Vec::with_capacity(args.inputs.len());
+    for (idx, path) in args.inputs.iter().enumerate() {
+        let (kb, [loaded, _]) = load_pair(path, None, mode)?;
+        eprintln!("loaded {loaded} triples from {path} (kb {idx})");
+        kbs.push(kb);
     }
     let workers = args.workers.unwrap_or_else(minoaner_dataflow::pool::available_cores);
-    let res = Minoaner::new().resolve_multi(&input, workers)?;
+    let res = Minoaner::new().resolve_multi(&kbs, workers)?;
 
     if args.json {
         let rows = res.clusters.iter().map(|cluster| {
@@ -509,10 +478,7 @@ fn multi(args: &MultiArgs) -> Result<(), CliError> {
 }
 
 fn stats(args: &StatsArgs) -> Result<(), CliError> {
-    let mode = parse_mode(args.lenient);
-    let mut b = KbPairBuilder::new();
-    let loaded = load_kb(&mut b, Side::Left, &args.input, mode)?;
-    let pair = b.finish();
+    let (pair, [loaded, _]) = load_pair(&args.input, None, parse_mode(args.lenient))?;
     let s = minoaner_kb::dataset_stats::kb_stats(&pair, Side::Left, &args.type_attr);
     println!("file:         {}", args.input);
     println!("triples:      {loaded}");
@@ -550,7 +516,7 @@ fn job_spec(line: &JobLine) -> minoaner_jobs::JobSpec {
         line.name.clone().unwrap_or_else(|| format!("{} vs {}", line.left, line.right));
     // Without `workers=`, a job gets every core, as `resolve` does.
     let workers = line.workers.unwrap_or_else(minoaner_dataflow::pool::available_cores);
-    minoaner_jobs::JobSpec::new(name).with_workers(workers).with_memory_bytes(line.memory_bytes)
+    minoaner_jobs::JobSpec { name, workers, memory_bytes: line.memory_bytes }
 }
 
 /// One job of a `jobs run` batch: resolves `pair` on the job's workers,
@@ -585,14 +551,6 @@ fn run_job(
     Ok(format!("{} matches", res.matches.len()))
 }
 
-/// Reads one `--job` line's two KB files into a pair.
-fn load_pair(line: &JobLine, mode: ParseMode) -> Result<KbPair, CliError> {
-    let mut builder = KbPairBuilder::new();
-    load_kb(&mut builder, Side::Left, &line.left, mode)?;
-    load_kb(&mut builder, Side::Right, &line.right, mode)?;
-    Ok(builder.finish())
-}
-
 fn jobs_run(args: &JobsRunArgs) -> Result<JobsOutcome, CliError> {
     let mode = parse_mode(args.lenient);
     let config = config(args.k, args.top_k, args.n, args.theta)?;
@@ -608,7 +566,8 @@ fn jobs_run(args: &JobsRunArgs) -> Result<JobsOutcome, CliError> {
         let (loaded, inputs) = std::sync::mpsc::sync_channel(0);
         s.spawn(move || {
             for (job, line) in (0u64..).zip(&args.jobs) {
-                if loaded.send((job, load_pair(line, mode))).is_err() {
+                let pair = load_pair(&line.left, Some(&line.right), mode).map(|(pair, _)| pair);
+                if loaded.send((job, pair)).is_err() {
                     break;
                 }
             }
@@ -750,14 +709,10 @@ fn jobs_cancel(root: &str, id: &str) -> Result<(), CliError> {
 }
 
 fn dedup(args: &DedupArgs) -> Result<(), CliError> {
-    let doc = read(&args.input)?;
-    let mut builder = DirtyKbBuilder::new();
-    let report = builder
-        .load_ntriples_with_mode(&doc, parse_mode(args.lenient))
-        .map_err(|e| CliError::Parse(format!("{}: {e}", args.input)))?;
-    report_skips(&args.input, &report);
-    let pair = builder.finish();
-    eprintln!("loaded {} triples ({} entities)", report.parsed, pair.kb(Side::Left).len());
+    let mut builder = KbPairBuilder::new();
+    let loaded = load_kb(&mut builder, Side::Left, &args.input, parse_mode(args.lenient))?;
+    let pair = builder.finish_dirty();
+    eprintln!("loaded {loaded} triples ({} entities)", pair.kb(Side::Left).len());
 
     let ResolveOutcome { resolution: res, trace } =
         Minoaner::new().run(with_workers(ResolveRequest::pair(&pair), args.workers))?;

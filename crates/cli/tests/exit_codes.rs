@@ -81,6 +81,13 @@ fn code(out: &std::process::Output) -> i32 {
     out.status.code().expect("process exited normally")
 }
 
+/// Runs `args` and returns its stdout, which must follow exit 0.
+fn stdout_of(args: &[&str]) -> String {
+    let out = run(args);
+    assert_eq!(code(&out), 0, "{args:?}: {}", String::from_utf8_lossy(&out.stderr));
+    String::from_utf8(out.stdout).expect("utf8")
+}
+
 /// A job directory's `status.json`, parsed.
 fn read_status(job_dir: &Path) -> Json {
     let text = std::fs::read_to_string(job_dir.join("status.json")).expect("status persisted");
@@ -90,14 +97,10 @@ fn read_status(job_dir: &Path) -> Json {
 /// Runs `args` and `args --json`; returns the TSV lines of the first and
 /// the parsed array of the second.
 fn tsv_and_json(args: &[&str]) -> (Vec<String>, Vec<Json>) {
-    let tsv = run(args);
-    assert_eq!(code(&tsv), 0, "stderr: {}", String::from_utf8_lossy(&tsv.stderr));
-    let lines = String::from_utf8(tsv.stdout).expect("utf8").lines().map(str::to_owned).collect();
+    let lines = stdout_of(args).lines().map(str::to_owned).collect();
     let mut with_json = args.to_vec();
     with_json.push("--json");
-    let out = run(&with_json);
-    assert_eq!(code(&out), 0, "stderr: {}", String::from_utf8_lossy(&out.stderr));
-    let doc = Json::parse(&String::from_utf8(out.stdout).expect("utf8")).expect("--json prints JSON");
+    let doc = Json::parse(&stdout_of(&with_json)).expect("--json prints JSON");
     (lines, doc.as_arr().expect("--json prints an array").to_vec())
 }
 
@@ -541,6 +544,55 @@ fn dedup_json_lists_the_tsv_duplicates() {
     let from_json: Vec<String> =
         rows.iter().map(|row| format!("{}\t{}", text(row, "a"), text(row, "b"))).collect();
     assert_eq!(from_json, tsv);
+}
+
+// ───────────── a `.ttl` KB reads as its N-Triples twin ─────────────
+
+/// Writes `doc` to `dir/name`.
+fn write_doc(dir: &Path, name: &str, doc: &str) -> String {
+    let path = dir.join(name);
+    std::fs::write(&path, doc).expect("write KB");
+    path.to_str().expect("utf8").to_owned()
+}
+
+#[test]
+fn dedup_reads_a_turtle_kb_as_its_n_triples_twin() {
+    let dir = scratch_dir("ttl-dedup");
+    let nt = write_dirty_kb(&dir);
+    let ttl = write_doc(
+        &dir,
+        "dirty.ttl",
+        "@prefix e: <e:> .\n@prefix p: <p:> .\n\
+         e:1 p:name \"The Fat Duck\" ; p:city \"Bray\" .\n\
+         e:2 p:label \"The Fat Duck\" ; p:place \"Bray\" .\n\
+         e:3 p:name \"Jonny Lake\" .\n",
+    );
+    for json in [false, true] {
+        let dedup = |input: &str| {
+            let mut args = vec!["dedup", "--input", input];
+            args.extend(json.then_some("--json"));
+            stdout_of(&args)
+        };
+        let from_nt = dedup(nt.to_str().expect("utf8"));
+        assert!(from_nt.contains("e:2"), "e:1 and e:2 are duplicates: {from_nt}");
+        assert_eq!(dedup(&ttl), from_nt, "json={json}");
+    }
+}
+
+#[test]
+fn multi_reads_a_turtle_kb_as_its_n_triples_twin() {
+    let dir = scratch_dir("ttl-multi");
+    let (left, right) = write_kbs(&dir);
+    let (left, right) = (left.to_str().expect("utf8"), right.to_str().expect("utf8"));
+    let third = write_third_kb(&dir);
+    let ttl = write_doc(
+        &dir,
+        "third.ttl",
+        "@prefix t: <t:> .\nt:R3 t:title \"The Fat Duck\" .\nt:C3 t:title \"Jonny Lake\" .\n",
+    );
+    let from_nt = stdout_of(&["multi", "--kb", left, "--kb", right, "--kb", third.to_str().expect("utf8")]);
+    assert!(!from_nt.is_empty(), "the sample KBs cluster");
+    assert_eq!(stdout_of(&["multi", "--kb", left, "--kb", right, "--kb", &ttl]), from_nt);
 }
 
 // ───────────── pinned stdout on the fixture KBs ─────────────

@@ -20,6 +20,12 @@
 //! [`minoaner_blocking::graph::build_blocking_graph`],
 //! [`matcher::run_matching`] with a [`RuleSet`]).
 //!
+//! The paper's two generalizations (§2) take the same pair: one dirty KB
+//! is the self-pair [`minoaner_kb::KbPairBuilder::finish_dirty`] builds
+//! from the left side, and goes through [`Minoaner::run`]; three or more
+//! clean KBs, each the left side of its own pair, go through
+//! [`Minoaner::resolve_multi`].
+//!
 //! ```
 //! use minoaner_core::{Minoaner, ResolveRequest};
 //! use minoaner_kb::{KbPairBuilder, Side, Term};
@@ -53,7 +59,7 @@ pub mod request;
 pub mod resume;
 
 pub use config::{ConfigError, MinoanerConfig, RuleSet};
-pub use multi::{MultiKb, MultiResolution, ObjectTerm};
+pub use multi::MultiResolution;
 pub use matcher::{MatchOutcome, Rule, RuleCounts};
 pub use pipeline::{Minoaner, PreparedBlocks, Resolution};
 pub use request::{ResolveOutcome, ResolveRequest};

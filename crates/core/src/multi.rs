@@ -3,87 +3,48 @@
 //! only information needed to match multiple KBs is to which KB every
 //! description belongs").
 //!
-//! This implementation resolves every KB pair with the standard two-KB
-//! pipeline and merges the pairwise matches into entity clusters with a
-//! union-find — each cluster holding at most one description per KB is the
-//! k-partite analogue of clean-clean 1–1 matching. Conflicting evidence
-//! (a cluster that would absorb two descriptions of one KB) is resolved by
-//! keeping the earlier, higher-priority pair (pairs are applied in
-//! KB-pair order, then match order).
+//! Each KB comes in as the left side of a [`KbPair`], loaded as any other
+//! KB is. This implementation builds the clean-clean pair of every two
+//! KBs, resolves it with the standard two-KB pipeline and merges the
+//! pairwise matches into entity clusters with a union-find — each cluster
+//! holding at most one description per KB is the k-partite analogue of
+//! clean-clean 1–1 matching. Conflicting evidence (a cluster that would
+//! absorb two descriptions of one KB) is resolved by keeping the earlier,
+//! higher-priority pair (pairs are applied in KB-pair order, then match
+//! order).
 
 use minoaner_det::DetHashMap;
 
 use minoaner_dataflow::DataflowError;
-use minoaner_kb::{KbPair, KbPairBuilder, Side, Term};
+use minoaner_kb::{KbPair, KbPairBuilder, Side, Symbol, Term, Value};
 
 use crate::clusters::UnionFind;
 use crate::pipeline::Minoaner;
 use crate::request::ResolveRequest;
 
-/// A multi-KB input: each KB is a list of triples
-/// `(subject, predicate, object)`.
-#[derive(Debug, Default, Clone)]
-pub struct MultiKb {
-    kbs: Vec<Vec<(String, String, ObjectTerm)>>,
-}
-
-/// Owned object term for [`MultiKb`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ObjectTerm {
-    Literal(String),
-    Uri(String),
-}
-
 /// A node of the k-partite match graph: `(kb index, entity URI)`.
 pub type MultiNode = (usize, String);
 
-impl MultiKb {
-    /// Creates an empty multi-KB input.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds an empty KB and returns its index.
-    pub fn add_kb(&mut self) -> usize {
-        self.kbs.push(Vec::new());
-        self.kbs.len() - 1
-    }
-
-    /// Adds one triple to a KB.
-    ///
-    /// # Panics
-    /// Panics if `kb` is not an index [`Self::add_kb`] returned.
-    // bound: documented: `kb` is an index `add_kb` returned (`# Panics`).
-    #[allow(clippy::indexing_slicing)]
-    pub fn add_triple(&mut self, kb: usize, subject: &str, predicate: &str, object: ObjectTerm) {
-        self.kbs[kb].push((subject.to_owned(), predicate.to_owned(), object));
-    }
-
-    /// Number of KBs.
-    pub fn len(&self) -> usize {
-        self.kbs.len()
-    }
-
-    /// Whether no KBs were added.
-    pub fn is_empty(&self) -> bool {
-        self.kbs.is_empty()
-    }
-
-    /// Materializes the clean-clean pair for KBs `i` and `j`.
-    // bound: `resolve_multi` passes `i < j < self.len()`.
-    #[allow(clippy::indexing_slicing)]
-    fn pair(&self, i: usize, j: usize) -> KbPair {
-        let mut b = KbPairBuilder::new();
-        for (side, idx) in [(Side::Left, i), (Side::Right, j)] {
-            for (s, p, o) in &self.kbs[idx] {
-                match o {
-                    ObjectTerm::Literal(l) => b.add_triple(side, s, p, Term::Literal(l)),
-                    ObjectTerm::Uri(u) => b.add_triple(side, s, p, Term::Uri(u)),
-                }
+/// The clean-clean pair of the left KBs of `a` and `b`: every triple of
+/// `a`'s, then every triple of `b`'s, each added with
+/// [`KbPairBuilder::add_triple`] — entities in id order, each entity's
+/// pairs in stored order, a reference as its target's URI and a literal as
+/// its stored text.
+fn pair_of(a: &KbPair, b: &KbPair) -> KbPair {
+    let mut builder = KbPairBuilder::new();
+    for (side, source) in [(Side::Left, a), (Side::Right, b)] {
+        for (id, entity) in source.kb(Side::Left).iter() {
+            let subject = source.uri_of(Side::Left, id);
+            for (attr, value) in entity.pairs() {
+                let object = match value {
+                    Value::Literal(l) => Term::Literal(source.literals().resolve(Symbol(l.0))),
+                    Value::Ref(target) => Term::Uri(source.uri_of(Side::Left, target)),
+                };
+                builder.add_triple(side, subject, source.attrs().resolve(Symbol(attr.0)), object);
             }
         }
-        b.finish()
     }
+    builder.finish()
 }
 
 /// The result of multi-KB resolution.
@@ -97,19 +58,21 @@ pub struct MultiResolution {
 }
 
 impl Minoaner {
-    /// Resolves `k` clean KBs: every KB pair through [`Minoaner::run`] on
-    /// `workers` workers, then k-partite clustering of the pairwise
-    /// matches. With fewer than two KBs there is no pair to resolve, and
-    /// no clusters.
-    pub fn resolve_multi(&self, input: &MultiKb, workers: usize) -> Result<MultiResolution, DataflowError> {
+    /// Resolves `k` clean KBs, each the left side of its pair (a one-KB
+    /// pair, as `minoaner kb compile` with one input or a builder fed only
+    /// left-side triples makes it): every KB pair through
+    /// [`Minoaner::run`] on `workers` workers, then k-partite clustering of
+    /// the pairwise matches. With fewer than two KBs there is no pair to
+    /// resolve, and no clusters.
+    pub fn resolve_multi(&self, kbs: &[KbPair], workers: usize) -> Result<MultiResolution, DataflowError> {
         let mut uf: UnionFind<MultiNode> = UnionFind::new();
         // Cluster membership guard: root → kb indices already present.
         let mut kb_members: DetHashMap<MultiNode, Vec<usize>> = DetHashMap::default();
         let mut pairwise = Vec::new();
 
-        for i in 0..input.len() {
-            for j in (i + 1)..input.len() {
-                let pair = input.pair(i, j);
+        for (i, a) in kbs.iter().enumerate() {
+            for (j, b) in kbs.iter().enumerate().skip(i + 1) {
+                let pair = pair_of(a, b);
                 let res = self.run(ResolveRequest::pair(&pair).workers(workers))?.resolution;
                 pairwise.push(((i, j), res.matches.len()));
                 for &(l, r) in &res.matches {
@@ -157,9 +120,17 @@ fn try_union(
 mod tests {
     use super::*;
 
+    /// One KB as the left side of a pair.
+    fn one_kb(triples: &[(&str, &str, &str)]) -> KbPair {
+        let mut b = KbPairBuilder::new();
+        for (s, p, o) in triples {
+            b.add_triple(Side::Left, s, p, Term::Literal(o));
+        }
+        b.finish()
+    }
+
     /// Three KBs describing overlapping restaurant sets.
-    fn three_kbs() -> MultiKb {
-        let mut m = MultiKb::new();
+    fn three_kbs() -> Vec<KbPair> {
         let data: [&[(&str, &str, &str)]; 3] = [
             &[
                 ("a:fatduck", "a:label", "the fat duck bray michelin"),
@@ -175,23 +146,16 @@ mod tests {
                 ("c:bulli", "c:title", "el bulli catalonia roses adria"),
             ],
         ];
-        for kb in data {
-            let idx = m.add_kb();
-            for (s, p, o) in kb {
-                m.add_triple(idx, s, p, ObjectTerm::Literal(o.to_string()));
-            }
-        }
-        m
+        data.into_iter().map(one_kb).collect()
     }
 
-    fn resolve_multi(m: &MultiKb, workers: usize) -> MultiResolution {
-        Minoaner::new().resolve_multi(m, workers).expect("healthy run succeeds")
+    fn resolve_multi(kbs: &[KbPair], workers: usize) -> MultiResolution {
+        Minoaner::new().resolve_multi(kbs, workers).expect("healthy run succeeds")
     }
 
     #[test]
     fn clusters_span_multiple_kbs() {
-        let m = three_kbs();
-        let res = resolve_multi(&m, 2);
+        let res = resolve_multi(&three_kbs(), 2);
         // Fat Duck appears in all three KBs → one 3-node cluster.
         let fat_duck = res
             .clusters
@@ -211,8 +175,7 @@ mod tests {
 
     #[test]
     fn clusters_hold_at_most_one_node_per_kb() {
-        let m = three_kbs();
-        let res = resolve_multi(&m, 1);
+        let res = resolve_multi(&three_kbs(), 1);
         for cluster in &res.clusters {
             let mut kbs: Vec<usize> = cluster.iter().map(|(kb, _)| *kb).collect();
             let n = kbs.len();
@@ -224,13 +187,12 @@ mod tests {
 
     #[test]
     fn fewer_than_two_kbs_give_no_clusters() {
-        let mut m = MultiKb::new();
-        for kbs in [0, 1] {
-            let res = resolve_multi(&m, 1);
-            assert_eq!(m.len(), kbs);
-            assert!(res.clusters.is_empty() && res.pairwise.is_empty(), "{kbs} KB(s): {res:?}");
-            let kb = m.add_kb();
-            m.add_triple(kb, "a:fatduck", "a:label", ObjectTerm::Literal("the fat duck".into()));
+        let mut kbs = Vec::new();
+        for n in [0, 1] {
+            let res = resolve_multi(&kbs, 1);
+            assert_eq!(kbs.len(), n);
+            assert!(res.clusters.is_empty() && res.pairwise.is_empty(), "{n} KB(s): {res:?}");
+            kbs.push(one_kb(&[("a:fatduck", "a:label", "the fat duck")]));
         }
     }
 }

@@ -11,16 +11,17 @@
 //!
 //! A dirty KB — duplicate detection within a single KB, the
 //! generalization the paper sketches in §2 ("the proposed techniques can
-//! be easily generalized to … a single dirty KB") — is mirrored onto both
-//! sides of a self-pair ([`minoaner_kb::dirty::DirtyKbBuilder`]) and goes
-//! through the same request. Identity pairs are excluded from every
+//! be easily generalized to … a single dirty KB") — is loaded into the
+//! left side of a builder whose
+//! [`finish_dirty`](minoaner_kb::KbPairBuilder::finish_dirty) puts it on
+//! both sides of a self-pair, and goes through the same request. Identity pairs are excluded from every
 //! evidence kind during graph construction; R1's "they and only they share
 //! a name" becomes "exactly two entities share a name"; and
 //! [`minoaner_kb::dirty::canonicalize_dirty_matches`] turns the matches
 //! into unordered duplicate pairs. No flag asks for any of this:
 //! [`Minoaner::run`] reads [`KbPair::is_dirty`] from the pair, and the
-//! outcome of a dirty pair has the clean pair's shape. More than two KBs
-//! go through [`Minoaner::resolve_multi`].
+//! outcome of a dirty pair has the clean pair's shape. More than two KBs,
+//! each a one-KB pair, go through [`Minoaner::resolve_multi`].
 //!
 //! ```
 //! use minoaner_core::{Minoaner, ResolveOutcome, ResolveRequest};
@@ -65,7 +66,7 @@ pub struct ResolveRequest<'a> {
 impl<'a> ResolveRequest<'a> {
     /// A request to resolve one KB pair end to end: two clean KBs, or the
     /// self-pair of one dirty KB built with
-    /// [`minoaner_kb::dirty::DirtyKbBuilder`] (the pipeline reads
+    /// [`minoaner_kb::KbPairBuilder::finish_dirty`] (the pipeline reads
     /// [`KbPair::is_dirty`] and excludes identity pairs).
     pub fn pair(pair: &'a KbPair) -> Self {
         Self {
@@ -192,7 +193,7 @@ impl Minoaner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use minoaner_kb::dirty::{canonicalize_dirty_matches, DirtyKbBuilder};
+    use minoaner_kb::dirty::canonicalize_dirty_matches;
     use minoaner_kb::{EntityId, KbPairBuilder, Side, Term};
 
     fn pair() -> KbPair {
@@ -262,10 +263,10 @@ mod tests {
     /// the same shape as a clean pair's.
     #[test]
     fn dirty_pair_is_read_from_the_pair() {
-        let mut b = DirtyKbBuilder::new();
-        b.add_triple("e0", "label", Term::Literal("fat duck bray"));
-        b.add_triple("e1", "label", Term::Literal("fat duck bray"));
-        let p = b.finish();
+        let mut b = KbPairBuilder::new();
+        b.add_triple(Side::Left, "e0", "label", Term::Literal("fat duck bray"));
+        b.add_triple(Side::Left, "e1", "label", Term::Literal("fat duck bray"));
+        let p = b.finish_dirty();
         let resolution = Minoaner::new().run(ResolveRequest::pair(&p)).unwrap().into_resolution();
         assert!(resolution.matches.iter().all(|&(l, r)| l != r), "no identity pairs");
         let duplicates = canonicalize_dirty_matches(&resolution.matches);
@@ -273,21 +274,21 @@ mod tests {
     }
 
     fn dirty_kb() -> KbPair {
-        let mut b = DirtyKbBuilder::new();
+        let mut b = KbPairBuilder::new();
         // Two descriptions of the Fat Duck (duplicates) …
-        b.add_triple("db:fat_duck", "name", Term::Literal("The Fat Duck"));
-        b.add_triple("db:fat_duck", "desc", Term::Literal("michelin molecular bray berkshire"));
-        b.add_triple("crawl:fatduck1995", "label", Term::Literal("Fat Duck, The"));
-        b.add_triple("crawl:fatduck1995", "about", Term::Literal("bray berkshire michelin tasting"));
+        b.add_triple(Side::Left, "db:fat_duck", "name", Term::Literal("The Fat Duck"));
+        b.add_triple(Side::Left, "db:fat_duck", "desc", Term::Literal("michelin molecular bray berkshire"));
+        b.add_triple(Side::Left, "crawl:fatduck1995", "label", Term::Literal("Fat Duck, The"));
+        b.add_triple(Side::Left, "crawl:fatduck1995", "about", Term::Literal("bray berkshire michelin tasting"));
         // … two of Noma …
-        b.add_triple("db:noma", "name", Term::Literal("Noma"));
-        b.add_triple("db:noma", "desc", Term::Literal("copenhagen nordic foraging redzepi"));
-        b.add_triple("crawl:noma_dk", "label", Term::Literal("Noma"));
-        b.add_triple("crawl:noma_dk", "about", Term::Literal("nordic foraging copenhagen denmark"));
+        b.add_triple(Side::Left, "db:noma", "name", Term::Literal("Noma"));
+        b.add_triple(Side::Left, "db:noma", "desc", Term::Literal("copenhagen nordic foraging redzepi"));
+        b.add_triple(Side::Left, "crawl:noma_dk", "label", Term::Literal("Noma"));
+        b.add_triple(Side::Left, "crawl:noma_dk", "about", Term::Literal("nordic foraging copenhagen denmark"));
         // … and a singleton.
-        b.add_triple("db:elbulli", "name", Term::Literal("El Bulli"));
-        b.add_triple("db:elbulli", "desc", Term::Literal("roses catalonia avantgarde adria"));
-        b.finish()
+        b.add_triple(Side::Left, "db:elbulli", "name", Term::Literal("El Bulli"));
+        b.add_triple(Side::Left, "db:elbulli", "desc", Term::Literal("roses catalonia avantgarde adria"));
+        b.finish_dirty()
     }
 
     fn uri_pairs(pair: &KbPair, dups: &[(EntityId, EntityId)]) -> Vec<(String, String)> {

@@ -7,8 +7,8 @@ use std::path::{Path, PathBuf};
 
 use minoaner_core::{Minoaner, ResolveRequest};
 use minoaner_datagen::{generate, profiles};
-use minoaner_kb::dirty::{canonicalize_dirty_matches, DirtyKbBuilder};
-use minoaner_kb::parser::{load_ntriples, write_ntriples, ParseMode};
+use minoaner_kb::dirty::canonicalize_dirty_matches;
+use minoaner_kb::parser::{load_ntriples, write_ntriples};
 use minoaner_kb::{write_mkb, EntityId, Interner, KbPair, KbPairBuilder, LiteralId, MkbFile, Side};
 
 /// A scratch directory of this test process.
@@ -106,9 +106,9 @@ fn a_mapped_pair_is_the_pair_it_was_compiled_from_and_resolves_alike() {
         }
 
         // Dirty: the left document as one KB with duplicates.
-        let mut d = DirtyKbBuilder::new();
-        d.load_ntriples_with_mode(&left, ParseMode::Strict).expect("left parses");
-        let built = d.finish();
+        let mut d = KbPairBuilder::new();
+        load_ntriples(&mut d, Side::Left, &left).expect("left parses");
+        let built = d.finish_dirty();
         let mapped = through_mkb(&built, &dir.join("dirty.mkb"));
         assert_same_pair(&built, &mapped, &format!("{name} dirty"));
         assert!(mapped.is_dirty(), "{name}: the container keeps the pair dirty");

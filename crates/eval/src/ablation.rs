@@ -220,10 +220,10 @@ mod tests {
 
     #[test]
     fn adaptive_pruning_on_a_dirty_pair_matches_no_entity_to_itself() {
-        let mut b = minoaner_kb::dirty::DirtyKbBuilder::new();
-        b.add_triple("e0", "label", Term::Literal("fat duck bray"));
-        b.add_triple("e1", "label", Term::Literal("fat duck bray"));
-        let p = b.finish();
+        let mut b = minoaner_kb::KbPairBuilder::new();
+        b.add_triple(Side::Left, "e0", "label", Term::Literal("fat duck bray"));
+        b.add_triple(Side::Left, "e1", "label", Term::Literal("fat duck bray"));
+        let p = b.finish_dirty();
         let (matches, _) = adaptive_run(&p, 2);
         assert!(matches.iter().all(|&(l, r)| l != r), "no identity pairs");
         let duplicates = minoaner_kb::dirty::canonicalize_dirty_matches(&matches);

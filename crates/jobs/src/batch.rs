@@ -65,15 +65,17 @@ impl<'a> Batch<'a> {
     /// `work` runs with the job's [`JobContext`] and returns its one-line
     /// summary. A [`DataflowError::Cancelled`] finishes the job as
     /// [`JobState::Cancelled`]; any other error, or a panic, as
-    /// [`JobState::Failed`] with the error's text.
+    /// [`JobState::Failed`] with the error's text. A spec asking for no
+    /// workers runs on one.
     pub fn add_job(&mut self, spec: JobSpec, work: impl FnOnce(&JobContext) -> JobResult + 'a) -> JobId {
+        let spec = JobSpec { workers: spec.workers.max(1), ..spec };
         let id = JobId::from_ordinal(self.next_ordinal);
         self.next_ordinal += 1;
         let _ = self.vfs.remove_file(&control::job_dir(&self.root, id).join("CANCEL"));
         let status = JobStatus {
             id,
             name: spec.name.clone(),
-            workers: spec.workers.max(1),
+            workers: spec.workers,
             memory_bytes: spec.memory_bytes,
             state: JobState::Queued,
             cancel_reason: None,
@@ -103,7 +105,7 @@ impl<'a> Batch<'a> {
     fn run_one(&mut self, id: JobId, spec: JobSpec, work: JobWork<'a>) -> JobStatus {
         let ctx = JobContext {
             id,
-            workers: spec.workers.max(1),
+            workers: spec.workers,
             cancel: CancelToken::new(),
             job_dir: control::job_dir(&self.root, id),
             memory_bytes: spec.memory_bytes,
@@ -194,6 +196,10 @@ mod tests {
         root
     }
 
+    fn spec(name: &str, workers: usize) -> JobSpec {
+        JobSpec { name: name.into(), workers, memory_bytes: 0 }
+    }
+
     fn on_disk(root: &Path, id: JobId) -> JobStatus {
         control::read_status(&RealFs, &control::job_dir(root, id)).expect("status file")
     }
@@ -215,7 +221,7 @@ mod tests {
     fn single_job_completes() {
         let root = scratch("single");
         let mut batch = Batch::new(&root);
-        let id = batch.add_job(JobSpec::new("unit").with_workers(2), |ctx: &JobContext| {
+        let id = batch.add_job(spec("unit", 2), |ctx: &JobContext| {
             assert_eq!(ctx.workers(), 2);
             Ok("41 matches".into())
         });
@@ -230,13 +236,27 @@ mod tests {
     }
 
     #[test]
+    fn a_job_asking_for_no_workers_runs_on_one() {
+        let root = scratch("no-workers");
+        let mut batch = Batch::new(&root);
+        let id = batch.add_job(spec("idle", 0), |ctx| {
+            assert_eq!(ctx.workers(), 1);
+            Ok("ok".into())
+        });
+        assert_eq!(on_disk(&root, id).workers, 1, "queued status");
+        let status = batch.run_jobs().remove(0);
+        assert_eq!((status.state, status.workers), (JobState::Completed, 1));
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
     fn jobs_run_in_add_order() {
         let root = scratch("order");
         let log = RefCell::new(Vec::new());
         let mut batch = Batch::new(&root);
         for name in ["c", "a", "b"] {
             let log = &log;
-            batch.add_job(JobSpec::new(name), move |ctx| {
+            batch.add_job(spec(name, 1), move |ctx| {
                 log.borrow_mut().push((name, ctx.id().ordinal()));
                 Ok(name.into())
             });
@@ -257,9 +277,9 @@ mod tests {
         let dir = control::job_dir(&root, JobId::from_ordinal(0));
         std::fs::create_dir_all(&dir).expect("job dir");
         std::fs::write(dir.join("CANCEL"), "user").expect("stale marker");
-        let kept = batch.add_job(JobSpec::new("kept"), |_| Ok("ok".into()));
+        let kept = batch.add_job(spec("kept", 1), |_| Ok("ok".into()));
         // … one written after it is honoured at the job's start.
-        let victim = batch.add_job(JobSpec::new("victim"), |_| {
+        let victim = batch.add_job(spec("victim", 1), |_| {
             *ran.borrow_mut() = true;
             Ok("should not happen".into())
         });
@@ -278,7 +298,7 @@ mod tests {
     fn a_marker_during_the_run_is_a_cooperative_user_cancel() {
         let root = scratch("marker-during");
         let mut batch = Batch::new(&root);
-        let id = batch.add_job(JobSpec::new("watched"), |ctx| {
+        let id = batch.add_job(spec("watched", 1), |ctx| {
             let root = ctx.job_dir().parent().expect("control root");
             assert!(control::request_cancel(&RealFs, root, ctx.id(), CancelReason::User).expect("marker"));
             until_cancelled(ctx)
@@ -295,9 +315,9 @@ mod tests {
     fn a_panic_or_an_error_fails_only_its_own_job() {
         let root = scratch("panic");
         let mut batch = Batch::new(&root);
-        batch.add_job(JobSpec::new("panics"), |_| panic!("partition exploded"));
-        batch.add_job(JobSpec::new("errs"), |_| Err("cannot read left.nt".into()));
-        batch.add_job(JobSpec::new("fine"), |_| Ok("ok".into()));
+        batch.add_job(spec("panics", 1), |_| panic!("partition exploded"));
+        batch.add_job(spec("errs", 1), |_| Err("cannot read left.nt".into()));
+        batch.add_job(spec("fine", 1), |_| Ok("ok".into()));
         let statuses = batch.run_jobs();
         assert_eq!(statuses[0].state, JobState::Failed);
         assert!(statuses[0].error.as_deref().expect("message").contains("partition exploded"));
@@ -310,14 +330,14 @@ mod tests {
     fn the_control_root_mirrors_every_transition() {
         let root = scratch("mirror");
         let mut batch = Batch::new(&root);
-        let first = batch.add_job(JobSpec::new("first"), |ctx| {
+        let first = batch.add_job(spec("first", 1), |ctx| {
             assert_eq!(control::read_status(&RealFs, ctx.job_dir()).expect("own status").state, JobState::Running);
             let root = ctx.job_dir().parent().expect("control root");
             let next = on_disk(root, JobId::from_ordinal(1));
             assert_eq!(next.state, JobState::Queued, "later jobs wait");
             Ok("done".into())
         });
-        let second = batch.add_job(JobSpec::new("second").with_memory_bytes(64), |_| Ok("done".into()));
+        let second = batch.add_job(JobSpec { memory_bytes: 64, ..spec("second", 1) }, |_| Ok("done".into()));
         assert_eq!(on_disk(&root, first).state, JobState::Queued);
         let statuses = batch.run_jobs();
         assert_eq!(control::list_statuses(&RealFs, &root).expect("list"), statuses);
@@ -332,7 +352,7 @@ mod tests {
         // root is gone for the whole run.
         let faulty = FaultFs::new(FaultPlan::fail_from(0, FaultKind::Eio));
         let mut batch = Batch::with_vfs(&root, faulty.clone());
-        batch.add_job(JobSpec::new("healthy"), |_| Ok("12 matches".into()));
+        batch.add_job(spec("healthy", 1), |_| Ok("12 matches".into()));
         let status = batch.run_jobs().remove(0);
         assert_eq!(status.state, JobState::Completed, "job survives: {status:?}");
         assert_eq!(status.summary.as_deref(), Some("12 matches"));

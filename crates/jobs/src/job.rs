@@ -52,35 +52,18 @@ impl fmt::Display for JobId {
 }
 
 /// What a job asks for: a human-readable name and the resources its run
-/// gets.
+/// gets. A struct literal; [`Batch::add_job`](crate::Batch::add_job)
+/// checks nothing but the worker count.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobSpec {
     /// Human-readable job name (shown by `minoaner jobs list`).
     pub name: String,
-    /// Worker threads the job's executor will use (≥ 1).
+    /// Worker threads the job's executor will use; the batch runs a job
+    /// that asks for 0 on one.
     pub workers: usize,
     /// Memory grant in bytes (`0` = unmetered); the work closure turns it
     /// into the run's [`MemoryBudget`](minoaner_dataflow::MemoryBudget).
     pub memory_bytes: u64,
-}
-
-impl JobSpec {
-    /// A spec with defaults: one worker, no memory grant.
-    pub fn new(name: impl Into<String>) -> Self {
-        Self { name: name.into(), workers: 1, memory_bytes: 0 }
-    }
-
-    /// Returns `self` asking for `workers` workers (clamped to ≥ 1).
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
-        self
-    }
-
-    /// Returns `self` with a memory grant in bytes.
-    pub fn with_memory_bytes(mut self, bytes: u64) -> Self {
-        self.memory_bytes = bytes;
-        self
-    }
 }
 
 /// Lifecycle state of a job (see the module docs for the state machine).
@@ -226,14 +209,5 @@ mod tests {
         ] {
             assert_eq!(JobState::parse(s.as_str()), Some(s));
         }
-    }
-
-    #[test]
-    fn spec_builder_clamps_workers() {
-        let spec = JobSpec::new("x").with_workers(0);
-        assert_eq!(spec.workers, 1);
-        let spec = JobSpec::new("x").with_workers(4).with_memory_bytes(1 << 20);
-        assert_eq!(spec.workers, 4);
-        assert_eq!(spec.memory_bytes, 1 << 20);
     }
 }

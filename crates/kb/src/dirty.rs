@@ -2,60 +2,19 @@
 //!
 //! §2 of the paper focuses on clean-clean ER but notes that "the proposed
 //! techniques can be easily generalized to more than two clean KBs or a
-//! single dirty KB". This module is that generalization: a dirty KB is
-//! mirrored onto both sides of a [`KbPair`] (equal [`EntityId`]s denote
-//! the same description), blocking and matching skip identity pairs, and
-//! every match `(l, r)` of the self-pair is a duplicate pair of the
-//! original KB.
+//! single dirty KB". This is that generalization: a dirty KB is loaded
+//! into the left side of a [`KbPairBuilder`], and
+//! [`KbPairBuilder::finish_dirty`] puts it on both sides of a [`KbPair`]
+//! (equal [`EntityId`]s denote the same description); blocking and
+//! matching skip identity pairs, and every match `(l, r)` of the self-pair
+//! is a duplicate pair of the original KB, which
+//! [`canonicalize_dirty_matches`] reports once each.
+//!
+//! [`KbPair`]: crate::store::KbPair
+//! [`KbPairBuilder`]: crate::store::KbPairBuilder
+//! [`KbPairBuilder::finish_dirty`]: crate::store::KbPairBuilder::finish_dirty
 
-use crate::model::{EntityId, Side};
-use crate::parser::{load_ntriples_with_mode, ParseError, ParseMode, ParseReport};
-use crate::store::{KbPair, KbPairBuilder, Term};
-
-/// Builds a dirty-ER self-pair: every triple is added to the left side,
-/// and [`Self::finish`] copies it onto the right.
-#[derive(Debug, Default)]
-pub struct DirtyKbBuilder {
-    inner: KbPairBuilder,
-}
-
-impl DirtyKbBuilder {
-    /// Creates an empty builder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Registers (or retrieves) the entity with the given URI.
-    pub fn entity(&mut self, uri: &str) -> EntityId {
-        self.inner.entity(Side::Left, uri)
-    }
-
-    /// Adds one attribute–value pair to an existing entity (on both
-    /// mirrored sides).
-    pub fn add_pair(&mut self, entity: EntityId, attr: &str, object: Term<'_>) {
-        self.inner.add_pair(Side::Left, entity, attr, object);
-    }
-
-    /// Convenience: registers the subject if needed and adds the triple.
-    pub fn add_triple(&mut self, subject: &str, predicate: &str, object: Term<'_>) {
-        let e = self.entity(subject);
-        self.add_pair(e, predicate, object);
-    }
-
-    /// Loads an N-Triples document: [`load_ntriples_with_mode`] into the
-    /// mirrored KB.
-    pub fn load_ntriples_with_mode(&mut self, input: &str, mode: ParseMode) -> Result<ParseReport, ParseError> {
-        load_ntriples_with_mode(&mut self.inner, Side::Left, input, mode)
-    }
-
-    /// Produces the mirrored, dirty-marked [`KbPair`].
-    pub fn finish(mut self) -> KbPair {
-        self.inner.mirror_left();
-        let mut pair = self.inner.finish();
-        pair.mark_dirty();
-        pair
-    }
-}
+use crate::model::EntityId;
 
 /// Canonicalizes dirty-ER matches: drops identity pairs, orients each pair
 /// `(min, max)` and deduplicates — `(a, b)` and `(b, a)` are the same
@@ -74,14 +33,16 @@ pub fn canonicalize_dirty_matches(matches: &[(EntityId, EntityId)]) -> Vec<(Enti
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::Kb;
+    use crate::model::Side;
+    use crate::parser::{load_ntriples_with_mode, ParseMode};
+    use crate::store::{Kb, KbPair, KbPairBuilder, Term};
 
     #[test]
     fn mirrored_sides_align() {
-        let mut b = DirtyKbBuilder::new();
-        b.add_triple("e1", "p", Term::Literal("alpha beta"));
-        b.add_triple("e2", "p", Term::Literal("gamma"));
-        let pair = b.finish();
+        let mut b = KbPairBuilder::new();
+        b.add_triple(Side::Left, "e1", "p", Term::Literal("alpha beta"));
+        b.add_triple(Side::Left, "e2", "p", Term::Literal("gamma"));
+        let pair = b.finish_dirty();
         assert!(pair.is_dirty());
         assert_eq!(pair.kb(Side::Left).len(), 2);
         assert_eq!(pair.kb(Side::Right).len(), 2);
@@ -94,10 +55,10 @@ mod tests {
 
     #[test]
     fn references_resolve_on_both_sides() {
-        let mut b = DirtyKbBuilder::new();
-        b.add_triple("e1", "knows", Term::Uri("e2"));
-        b.add_triple("e2", "p", Term::Literal("x"));
-        let pair = b.finish();
+        let mut b = KbPairBuilder::new();
+        b.add_triple(Side::Left, "e1", "knows", Term::Uri("e2"));
+        b.add_triple(Side::Left, "e2", "p", Term::Literal("x"));
+        let pair = b.finish_dirty();
         for side in [Side::Left, Side::Right] {
             let e1 = pair.kb(side).entity_by_uri(pair.uris().get("e1").unwrap()).unwrap();
             assert_eq!(pair.kb(side).neighbors_of(e1).count(), 1);
@@ -110,10 +71,10 @@ mod tests {
     fn loading_mirrors_what_adding_each_triple_to_both_sides_does() {
         let doc = "<e1> <p> \"Alpha  Beta\" .\n<e1> <knows> <e2> .\nbroken\n\
                    <e2> <p> \"caf\\u00E9 \\\"x\\\"\"@fr .\n<e2> <see> <http://x/Out_There> .\n";
-        let mut loader = DirtyKbBuilder::new();
-        let report = loader.load_ntriples_with_mode(doc, ParseMode::Lenient).unwrap();
+        let mut loader = KbPairBuilder::new();
+        let report = load_ntriples_with_mode(&mut loader, Side::Left, doc, ParseMode::Lenient).unwrap();
         assert_eq!((report.parsed, report.skipped, report.first_errors[0].line), (4, 1, 3));
-        let loaded: KbPair = loader.finish();
+        let loaded: KbPair = loader.finish_dirty();
 
         let mut adder = KbPairBuilder::new();
         for (s, p, o) in [
@@ -136,11 +97,20 @@ mod tests {
         assert!(loaded.literals().iter().eq(both.literals().iter()));
         assert!(loaded.tokens().iter().eq(both.tokens().iter()));
 
-        let mut stopped = DirtyKbBuilder::new();
-        assert_eq!(stopped.load_ntriples_with_mode(doc, ParseMode::Strict).unwrap_err().line, 3);
-        let strict: KbPair = stopped.finish();
+        let mut stopped = KbPairBuilder::new();
+        assert_eq!(load_ntriples_with_mode(&mut stopped, Side::Left, doc, ParseMode::Strict).unwrap_err().line, 3);
+        let strict: KbPair = stopped.finish_dirty();
         let right: &Kb = strict.kb(Side::Right);
         assert_eq!(right.triple_count(), 2, "the lines before the bad one");
+    }
+
+    #[test]
+    #[should_panic(expected = "from the left side alone")]
+    fn a_dirty_pair_refuses_right_side_entities() {
+        let mut b = KbPairBuilder::new();
+        b.add_triple(Side::Left, "e1", "p", Term::Literal("x"));
+        b.add_triple(Side::Right, "e2", "p", Term::Literal("x"));
+        b.finish_dirty();
     }
 
     #[test]

@@ -829,7 +829,6 @@ fn first_unsorted_row(table: &Rows<TokenId>) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dirty::DirtyKbBuilder;
     use crate::model::EntityId;
     use crate::store::{KbPairBuilder, Term};
     use std::fs;
@@ -855,9 +854,9 @@ mod tests {
     /// doubling while they are encoded.
     #[test]
     fn payload_bound_covers_the_sections() {
-        let mut d = DirtyKbBuilder::new();
-        d.add_triple("e0", "p", Term::Literal("a b c"));
-        for pair in [sample_pair(), d.finish()] {
+        let mut d = KbPairBuilder::new();
+        d.add_triple(Side::Left, "e0", "p", Term::Literal("a b c"));
+        for pair in [sample_pair(), d.finish_dirty()] {
             let path = tmp_dir("bound").join("pair.mkb");
             let len = write_mkb(&pair, &path).expect("write") as usize;
             let table_end = segment::HEADER_LEN + SECTION_COUNT * segment::ENTRY_LEN;
@@ -920,10 +919,10 @@ mod tests {
         write_mkb(&b.finish(), &path).expect("write");
         let good = fs::read(&path).expect("read");
         // A dirty pair: its right-side sections are copies of its left.
-        let mut d = DirtyKbBuilder::new();
-        d.add_triple("e0", "p", Term::Literal("aa"));
-        d.add_triple("e1", "p", Term::Literal("ab"));
-        write_mkb(&d.finish(), &path).expect("write");
+        let mut d = KbPairBuilder::new();
+        d.add_triple(Side::Left, "e0", "p", Term::Literal("aa"));
+        d.add_triple(Side::Left, "e1", "p", Term::Literal("ab"));
+        write_mkb(&d.finish_dirty(), &path).expect("write");
         let dirty = fs::read(&path).expect("read");
 
         // Each edit gets its section's bytes: count u64, then the offsets

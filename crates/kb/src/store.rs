@@ -185,7 +185,7 @@ pub struct KbPair {
     kbs: [Kb; 2],
     /// Dirty-ER marker: both sides are views of the *same* KB, with equal
     /// [`EntityId`]s denoting the same description (see
-    /// [`crate::dirty::DirtyKbBuilder`]).
+    /// [`KbPairBuilder::finish_dirty`]).
     dirty: bool,
     /// The `.mkb` mapping the columns lie in, for a pair read in place.
     mapping: Option<Arc<Mapping>>,
@@ -259,25 +259,14 @@ impl KbPair {
         self.uris.resolve(self.kb(side).entity(id).uri)
     }
 
-    /// Whether this pair is a *dirty-ER* self-pair: both sides view the
-    /// same KB, and equal ids refer to the same description. Blocking and
+    /// Whether this pair is a *dirty-ER* self-pair, as
+    /// [`KbPairBuilder::finish_dirty`] builds it: both sides hold the same
+    /// KB, and equal ids refer to the same description. Blocking and
     /// matching skip identity pairs in that case (§2 of the paper notes
     /// clean-clean techniques "can be easily generalized to … a single
     /// dirty KB").
     pub fn is_dirty(&self) -> bool {
         self.dirty
-    }
-
-    /// Marks the pair as a dirty-ER self-pair. Used by
-    /// [`crate::dirty::DirtyKbBuilder`]; both sides must hold the same
-    /// descriptions in the same order.
-    pub(crate) fn mark_dirty(&mut self) {
-        assert_eq!(
-            self.kbs[0].len(),
-            self.kbs[1].len(),
-            "a dirty pair must mirror the same KB on both sides"
-        );
-        self.dirty = true;
     }
 
     /// Takes the pages of the `.mkb` mapping this pair is read from out of
@@ -322,7 +311,7 @@ const SEGMENT_BYTES: usize = 1 << 20;
 /// stored, so the log grows without copying and leaves no freed buffer
 /// behind. A record never straddles two segments, so each segment can be
 /// read, and freed, on its own.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct ByteLog(Vec<Vec<u8>>);
 
 impl ByteLog {
@@ -391,7 +380,7 @@ fn unzigzag(from: u32, word: u32) -> u32 {
 ///    occurrence in the [`LiteralLog`] from the side's previous literal's.
 ///
 /// A record is about 4 bytes where the row it stands for is 12.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct PairLog {
     records: ByteLog,
     /// Pairs appended.
@@ -450,7 +439,7 @@ impl PairLog {
 /// the side, in the order added, which [`KbPairBuilder::finish`] groups by
 /// entity. Until `finish` resolves them, a URI object is its symbol and a
 /// literal its occurrence in the [`LiteralLog`].
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct SideColumns {
     /// Each entity's interned URI, by [`EntityId`].
     uris: Vec<Symbol>,
@@ -630,13 +619,6 @@ impl KbPairBuilder {
         self.add_pair(side, e, predicate, object);
     }
 
-    /// Copies the left side onto the right — what a dirty builder, which
-    /// adds every triple to the left side only, does before it finishes.
-    pub(crate) fn mirror_left(&mut self) {
-        let [left, right] = &mut self.sides;
-        *right = left.clone();
-    }
-
     /// Resolves references and produces the immutable [`KbPair`].
     pub fn finish(mut self) -> KbPair {
         let (literals, ids) = std::mem::take(&mut self.log).into_interned();
@@ -656,6 +638,22 @@ impl KbPairBuilder {
         literals.release_lookup();
         let (attrs, uris) = (self.attrs, self.uris);
         KbPair { tokens, literals, attrs, uris, literal_tokens, kbs: [left, right], dirty: false, mapping: None }
+    }
+
+    /// Resolves references and produces a *dirty-ER* self-pair
+    /// ([`crate::dirty`]): the KB added to the left side, on both sides,
+    /// so that equal ids on either side name the same description.
+    ///
+    /// # Panics
+    /// Panics if an entity was added to the right side.
+    pub fn finish_dirty(self) -> KbPair {
+        let [_, right] = &self.sides;
+        assert!(right.uris.is_empty(), "a dirty pair is built from the left side alone");
+        let mut pair = self.finish();
+        let [left, right] = &mut pair.kbs;
+        *right = left.clone();
+        pair.dirty = true;
+        pair
     }
 
     /// Resolves one side's pairs, `added` in the order added, into a

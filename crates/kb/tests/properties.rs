@@ -9,7 +9,6 @@
 
 use minoaner_det::rng::{for_each_seed, Rng};
 use minoaner_datagen::{generate, profiles};
-use minoaner_kb::dirty::DirtyKbBuilder;
 use minoaner_kb::parser::{load_ntriples, parse_line, unescape, write_ntriples};
 use minoaner_kb::stats::{NameStats, RelationStats};
 use minoaner_kb::tokenize::{normalize_name, tokenize, uri_local_name};
@@ -666,13 +665,13 @@ fn first_sight_numbering_survives_the_literal_log() {
         }
         assert_same_and_compiled(&naive, &builder.finish(), &dir, "pair");
 
-        let (mut dirty, mut naive) = (DirtyKbBuilder::new(), NaiveTables::default());
+        let (mut dirty, mut naive) = (KbPairBuilder::new(), NaiveTables::default());
         for t in &triples {
-            dirty.add_triple(&t.subject, &t.predicate, term(t));
+            dirty.add_triple(Side::Left, &t.subject, &t.predicate, term(t));
             naive.add(&RefTriple { side: Side::Left, ..t.clone() });
         }
         naive.mirror_left();
-        assert_same_and_compiled(&naive, &dirty.finish(), &dir, "dirty");
+        assert_same_and_compiled(&naive, &dirty.finish_dirty(), &dir, "dirty");
     });
     std::fs::remove_dir_all(&dir).ok();
 }

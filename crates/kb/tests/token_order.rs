@@ -7,11 +7,10 @@
 use std::collections::BTreeSet;
 
 use minoaner_det::rng::{for_each_seed, Rng};
-use minoaner_kb::dirty::DirtyKbBuilder;
 use minoaner_kb::parser::load_ntriples;
 use minoaner_kb::tokenize::tokenize;
 use minoaner_kb::turtle::load_turtle;
-use minoaner_kb::{KbPair, KbPairBuilder, LiteralId, ParseMode, Side, Symbol, TokenId};
+use minoaner_kb::{KbPair, KbPairBuilder, LiteralId, Side, Symbol, TokenId};
 
 /// Words both sides draw from, so most tokens are shared across them.
 const SHARED: [&str; 8] = ["fat", "duck", "Bray", "LAKE", "42", "1995", "chef", "x"];
@@ -118,10 +117,11 @@ fn token_rows_are_tokenize_and_token_ids_number_first_appearances() {
         load_turtle(&mut b, Side::Right, &right).expect("the right document parses as Turtle");
         assert_token_tables(&b.finish(), "turtle");
 
-        let mut dirty = DirtyKbBuilder::new();
-        dirty.load_ntriples_with_mode(&left, ParseMode::Strict).expect("the left document parses");
-        dirty.load_ntriples_with_mode(&right, ParseMode::Strict).expect("the right document parses");
-        assert_token_tables(&dirty.finish(), "dirty");
+        let mut dirty = KbPairBuilder::new();
+        for doc in [&left, &right] {
+            load_ntriples(&mut dirty, Side::Left, doc).expect("the document parses");
+        }
+        assert_token_tables(&dirty.finish_dirty(), "dirty");
     });
     assert!(wide > 200, "only {wide} literals past ASCII");
     assert!(shared > 200, "only {shared} tokens shared across sides");

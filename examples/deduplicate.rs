@@ -6,13 +6,13 @@
 //! ```
 
 use minoaner::core::clusters::cluster_matches;
-use minoaner::kb::dirty::{canonicalize_dirty_matches, DirtyKbBuilder};
-use minoaner::{Minoaner, ResolveRequest, Side, Term};
+use minoaner::kb::dirty::canonicalize_dirty_matches;
+use minoaner::{KbPairBuilder, Minoaner, ResolveRequest, Side, Term};
 
 fn main() {
     // One crawled KB with several descriptions of the same restaurants
     // under different URIs and schemas.
-    let mut b = DirtyKbBuilder::new();
+    let mut b = KbPairBuilder::new();
     let triples: &[(&str, &str, &str)] = &[
         // Three descriptions of the Fat Duck.
         ("db:fat_duck", "name", "The Fat Duck"),
@@ -31,9 +31,9 @@ fn main() {
         ("db:elbulli", "blurb", "roses catalonia avantgarde adria"),
     ];
     for (s, p, o) in triples {
-        b.add_triple(s, p, Term::Literal(o));
+        b.add_triple(Side::Left, s, p, Term::Literal(o));
     }
-    let pair = b.finish();
+    let pair = b.finish_dirty();
 
     // The pair is dirty, so identity pairs never match; the matches come
     // back as ordered pairs, canonicalized here into `(a, b)` with `a < b`.

@@ -186,7 +186,7 @@ fn batched_jobs_match_solo_runs_bit_for_bit() {
     let mut expected: BTreeMap<JobId, usize> = BTreeMap::new();
     for workers in [1, 2] {
         for (i, &scale) in scales.iter().enumerate() {
-            let spec = JobSpec::new(format!("pipeline-{scale}-{workers}")).with_workers(workers);
+            let spec = JobSpec { name: format!("pipeline-{scale}-{workers}"), workers, memory_bytes: 0 };
             let id = batch.add_job(spec, pipeline_work(scale, None, &results));
             expected.insert(id, i);
         }
@@ -223,10 +223,10 @@ fn injected_faults_stay_contained_to_their_job() {
     let mut pipelines = Vec::new();
     for j in 0..4u64 {
         let seed = 0xA5A5 + j;
-        let spec = JobSpec::new(format!("faulty-{j}")).with_workers(1 + j as usize % 2);
+        let spec = JobSpec { name: format!("faulty-{j}"), workers: 1 + j as usize % 2, memory_bytes: 0 };
         faulty.push((batch.add_job(spec, faulty_work(seed)), seed));
         if j % 2 == 0 {
-            let spec = JobSpec::new(format!("clean-pipeline-{j}")).with_workers(2);
+            let spec = JobSpec { name: format!("clean-pipeline-{j}"), workers: 2, memory_bytes: 0 };
             pipelines.push(batch.add_job(spec, pipeline_work(0.2, None, &results)));
         }
     }
@@ -283,7 +283,8 @@ fn cancelled_job_resumes_cleanly() {
     let results = Results::default();
     let mut batch = Batch::new(&root);
 
-    let victim = batch.add_job(JobSpec::new("doomed").with_workers(2), pipeline_work(0.2, Some(0), &results));
+    let doomed = JobSpec { name: "doomed".into(), workers: 2, memory_bytes: 0 };
+    let victim = batch.add_job(doomed, pipeline_work(0.2, Some(0), &results));
     let status = batch.run_jobs().remove(0);
 
     assert_eq!(status.state, JobState::Cancelled, "a cancel after barrier 0 must cancel the job");
@@ -298,7 +299,7 @@ fn cancelled_job_resumes_cleanly() {
     // The rerun is j0000 again, so it resumes from the victim's
     // checkpoints: past barrier 0, to the solo run's outcome.
     let mut rerun = Batch::new(&root);
-    let resumed = rerun.add_job(JobSpec::new("doomed").with_workers(2), |ctx| {
+    let resumed = rerun.add_job(JobSpec { name: "doomed".into(), workers: 2, memory_bytes: 0 }, |ctx| {
         let d = dataset(0.2);
         let spec = CheckpointSpec { resume: true, ..CheckpointSpec::new(ctx.job_dir().join("ckpt")) };
         let (res, trace) = resolve_job(ctx, &d.pair, &spec)?;
@@ -318,7 +319,7 @@ fn cancelled_job_resumes_cleanly() {
 /// count of failed status writes.
 fn disk_bound_job(root: &Path, disk: VfsRef) -> (JobStatus, u64) {
     let mut batch = Batch::with_vfs(root, disk.clone());
-    batch.add_job(JobSpec::new("crash-victim").with_workers(2), |ctx| {
+    batch.add_job(JobSpec { name: "crash-victim".into(), workers: 2, memory_bytes: 0 }, |ctx| {
         let d = dataset(0.2);
         let spec = CheckpointSpec { vfs: disk, ..CheckpointSpec::new(ctx.job_dir().join("ckpt")) };
         let (res, _) = resolve_job(ctx, &d.pair, &spec)?;
@@ -407,19 +408,20 @@ fn chaos_mix_converges_without_leaks() {
     let mut pipeline_ids = Vec::new();
     let mut faulty = BTreeMap::new();
     for j in 0..3 {
-        let spec = JobSpec::new(format!("chaos-pipeline-{j}")).with_workers(2);
+        let spec = JobSpec { name: format!("chaos-pipeline-{j}"), workers: 2, memory_bytes: 0 };
         let id = batch.add_job(spec, pipeline_work(0.2, None, &results));
         added.push(id);
         pipeline_ids.push(id);
     }
     for j in 0..2u64 {
-        let id = batch.add_job(JobSpec::new(format!("chaos-faulty-{j}")), faulty_work(77 + j));
+        let spec = JobSpec { name: format!("chaos-faulty-{j}"), workers: 1, memory_bytes: 0 };
+        let id = batch.add_job(spec, faulty_work(77 + j));
         added.push(id);
         faulty.insert(id, 77 + j);
     }
     // A job whose marker lands before the batch runs: it never starts.
     let queued_victim = batch.add_job(
-        JobSpec::new("chaos-queued-victim").with_workers(2),
+        JobSpec { name: "chaos-queued-victim".into(), workers: 2, memory_bytes: 0 },
         pipeline_work(0.2, None, &results),
     );
     added.push(queued_victim);

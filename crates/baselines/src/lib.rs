@@ -20,7 +20,10 @@
 //! * [`published`] — the paper's Table 3/Table 4 numbers, for printing
 //!   alongside measured results.
 //!
-//! Each analogue documents its simplifications in its module docs.
+//! Each analogue documents its simplifications in its module docs. PARIS,
+//! SiGMa, LINDA and RiMOM each run at one setting, as the paper's Table 3
+//! rows do: their thresholds and bounds are module constants, documented
+//! where they are declared. Only BSL is tuned, over [`BslConfig`].
 
 // `unwrap`/`expect` are denied outside tests; each audited exception is
 // an item- or statement-level `#[allow]` under a `// bound:` comment,
@@ -36,8 +39,8 @@ pub mod sigma;
 pub mod umc;
 
 pub use bsl::{grid_search, BslConfig, BslReport};
-pub use linda::{run_linda, LindaConfig};
-pub use paris::{run_paris, ParisConfig};
-pub use rimom::{run_rimom, RimomConfig};
-pub use sigma::{run_sigma, SigmaConfig};
+pub use linda::run_linda;
+pub use paris::run_paris;
+pub use rimom::run_rimom;
+pub use sigma::run_sigma;
 pub use umc::unique_mapping_clustering;

@@ -27,30 +27,15 @@ use minoaner_kb::{AttrId, EntityId, KbPair, Side};
 use crate::sigma::value_similarity;
 use crate::umc::unique_mapping_clustering;
 
-/// LINDA configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LindaConfig {
-    /// Acceptance threshold on the combined score.
-    pub threshold: f64,
-    /// Weight of the neighbor feedback term.
-    pub neighbor_weight: f64,
-    /// Maximum normalized edit distance for two relation names to count
-    /// as compatible.
-    pub max_relation_edit_distance: f64,
-    /// Data-driven iteration bound.
-    pub max_rounds: usize,
-}
-
-impl Default for LindaConfig {
-    fn default() -> Self {
-        Self {
-            threshold: 0.35,
-            neighbor_weight: 0.4,
-            max_relation_edit_distance: 0.4,
-            max_rounds: 10,
-        }
-    }
-}
+/// Acceptance threshold on the combined score.
+const THRESHOLD: f64 = 0.35;
+/// Weight of the neighbor feedback term.
+const NEIGHBOR_WEIGHT: f64 = 0.4;
+/// Maximum normalized edit distance for two relation names to count
+/// as compatible.
+const MAX_RELATION_EDIT_DISTANCE: f64 = 0.4;
+/// Data-driven iteration bound.
+const MAX_ROUNDS: usize = 10;
 
 /// Levenshtein distance, normalized by the longer string's length.
 pub fn normalized_edit_distance(a: &str, b: &str) -> f64 {
@@ -79,7 +64,7 @@ fn relation_local_name(pair: &KbPair, attr: AttrId) -> String {
 }
 
 /// Pairs of relations whose names are within the edit-distance bound.
-fn compatible_relations(pair: &KbPair, cfg: &LindaConfig) -> Vec<(AttrId, AttrId)> {
+fn compatible_relations(pair: &KbPair) -> Vec<(AttrId, AttrId)> {
     let mut left: Vec<AttrId> = Vec::new();
     let mut right: Vec<AttrId> = Vec::new();
     for (side, out) in [(Side::Left, &mut left), (Side::Right, &mut right)] {
@@ -98,7 +83,7 @@ fn compatible_relations(pair: &KbPair, cfg: &LindaConfig) -> Vec<(AttrId, AttrId
         let nl = relation_local_name(pair, rl);
         for &rr in &right {
             let nr = relation_local_name(pair, rr);
-            if normalized_edit_distance(&nl, &nr) <= cfg.max_relation_edit_distance {
+            if normalized_edit_distance(&nl, &nr) <= MAX_RELATION_EDIT_DISTANCE {
                 out.push((rl, rr));
             }
         }
@@ -107,9 +92,9 @@ fn compatible_relations(pair: &KbPair, cfg: &LindaConfig) -> Vec<(AttrId, AttrId
 }
 
 /// Runs LINDA-style joint matching.
-pub fn run_linda(executor: &Executor, pair: &KbPair, cfg: &LindaConfig) -> Vec<(EntityId, EntityId)> {
+pub fn run_linda(executor: &Executor, pair: &KbPair) -> Vec<(EntityId, EntityId)> {
     let ef = executor.time_stage("linda/ef", || TokenEf::compute(pair));
-    let compat = executor.time_stage("linda/compatible-relations", || compatible_relations(pair, cfg));
+    let compat = executor.time_stage("linda/compatible-relations", || compatible_relations(pair));
     let compat_set: minoaner_det::DetHashSet<(AttrId, AttrId)> = compat.into_iter().collect();
 
     // Initial candidates: pairs sharing at least two tokens (as in SiGMa's
@@ -150,7 +135,7 @@ pub fn run_linda(executor: &Executor, pair: &KbPair, cfg: &LindaConfig) -> Vec<(
     let mut matched_l: DetHashMap<EntityId, EntityId> = DetHashMap::default();
     let mut matched_r: DetHashMap<EntityId, EntityId> = DetHashMap::default();
 
-    for round in 0..cfg.max_rounds {
+    for round in 0..MAX_ROUNDS {
         let added = executor.time_stage(&format!("linda/round-{round}"), || {
             let mut scored: Vec<(EntityId, EntityId, f64)> = Vec::new();
             for &(l, r) in &candidates {
@@ -187,12 +172,12 @@ pub fn run_linda(executor: &Executor, pair: &KbPair, cfg: &LindaConfig) -> Vec<(
                     }
                 }
                 let feedback = if total == 0.0 { 0.0 } else { fed / total };
-                let score = v + cfg.neighbor_weight * feedback;
-                if score >= cfg.threshold {
+                let score = v + NEIGHBOR_WEIGHT * feedback;
+                if score >= THRESHOLD {
                     scored.push((l, r, score));
                 }
             }
-            let accepted = unique_mapping_clustering(scored, cfg.threshold);
+            let accepted = unique_mapping_clustering(scored, THRESHOLD);
             let mut added = 0;
             for (l, r) in accepted {
                 if !matched_l.contains_key(&l) && !matched_r.contains_key(&r) {
@@ -234,7 +219,7 @@ mod tests {
         b.add_triple(Side::Right, "r:x", "http://b/headChef", Term::Uri("r:y"));
         b.add_triple(Side::Right, "r:y", "q", Term::Literal("v"));
         let pair = b.finish();
-        let compat = compatible_relations(&pair, &LindaConfig::default());
+        let compat = compatible_relations(&pair);
         assert_eq!(compat.len(), 1, "hasChef ~ headChef within 0.4 edit distance");
     }
 
@@ -246,7 +231,7 @@ mod tests {
         b.add_triple(Side::Right, "r:x", "http://b/completelyDifferent", Term::Uri("r:y"));
         b.add_triple(Side::Right, "r:y", "q", Term::Literal("v"));
         let pair = b.finish();
-        let compat = compatible_relations(&pair, &LindaConfig::default());
+        let compat = compatible_relations(&pair);
         assert!(compat.is_empty());
     }
 
@@ -259,7 +244,7 @@ mod tests {
         b.add_triple(Side::Right, "r:b", "q", Term::Literal("five six seven eight"));
         let pair = b.finish();
         let exec = Executor::new(1);
-        let m = run_linda(&exec, &pair, &LindaConfig::default());
+        let m = run_linda(&exec, &pair);
         assert_eq!(m.len(), 1);
         assert_eq!(pair.uri_of(Side::Left, m[0].0), "l:a");
     }
@@ -267,23 +252,24 @@ mod tests {
     #[test]
     fn feedback_promotes_borderline_neighbors() {
         let mut b = KbPairBuilder::new();
-        // Anchors match by value; the children share only 2 of 5 tokens
+        // Anchors match by value; the children share only 2 of 8 tokens
         // (below threshold alone) but are connected via similarly named
         // relations to matched parents.
         b.add_triple(Side::Left, "l:p", "l:label", Term::Literal("anchor alpha beta gamma"));
         b.add_triple(Side::Left, "l:p", "http://a/hasPart", Term::Uri("l:c"));
-        b.add_triple(Side::Left, "l:c", "l:label", Term::Literal("kid one two five six"));
+        b.add_triple(Side::Left, "l:c", "l:label", Term::Literal("kid one five six eight"));
         b.add_triple(Side::Right, "r:p", "r:name", Term::Literal("anchor alpha beta gamma"));
         b.add_triple(Side::Right, "r:p", "http://b/hasParts", Term::Uri("r:c"));
-        b.add_triple(Side::Right, "r:c", "r:name", Term::Literal("kid one two seven nine"));
+        b.add_triple(Side::Right, "r:c", "r:name", Term::Literal("kid one seven nine ten"));
         let pair = b.finish();
         let exec = Executor::new(1);
-        let cfg = LindaConfig { threshold: 0.55, neighbor_weight: 0.5, ..Default::default() };
-        let with_feedback = run_linda(&exec, &pair, &cfg);
+        let with_feedback = run_linda(&exec, &pair);
         let child = (
             pair.kb(Side::Left).entity_by_uri(pair.uris().get("l:c").unwrap()).unwrap(),
             pair.kb(Side::Right).entity_by_uri(pair.uris().get("r:c").unwrap()).unwrap(),
         );
+        let alone = value_similarity(&pair, &TokenEf::compute(&pair), child.0, child.1);
+        assert!(alone < THRESHOLD, "the child must be borderline on its values alone: {alone}");
         assert!(with_feedback.contains(&child), "feedback should rescue the child: {with_feedback:?}");
     }
 }

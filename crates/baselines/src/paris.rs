@@ -24,23 +24,13 @@ use minoaner_kb::{AttrId, EntityId, KbPair, LiteralId, Side};
 
 use crate::umc::unique_mapping_clustering;
 
-/// PARIS configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ParisConfig {
-    /// Propagation iterations (the original converges in a handful).
-    pub iterations: usize,
-    /// Final acceptance threshold on the match probability.
-    pub threshold: f64,
-    /// Literals occurring in more entities than this (per side) are
-    /// skipped when seeding (PARIS prunes over-frequent values too).
-    pub max_literal_fanout: usize,
-}
-
-impl Default for ParisConfig {
-    fn default() -> Self {
-        Self { iterations: 4, threshold: 0.5, max_literal_fanout: 50 }
-    }
-}
+/// Propagation iterations (the original converges in a handful).
+const ITERATIONS: usize = 4;
+/// Final acceptance threshold on the match probability.
+const THRESHOLD: f64 = 0.5;
+/// Literals occurring in more entities than this (per side) are
+/// skipped when seeding (PARIS prunes over-frequent values too).
+const MAX_LITERAL_FANOUT: usize = 50;
 
 /// Inverse functionality of every attribute on one side:
 /// `ifun(a) = |distinct values(a)| / |instances(a)|` — 1.0 means a value
@@ -78,7 +68,7 @@ fn inverse_functionality(pair: &KbPair, side: Side) -> Vec<f64> {
 }
 
 /// Runs PARIS-style matching and returns the accepted matches.
-pub fn run_paris(executor: &Executor, pair: &KbPair, cfg: &ParisConfig) -> Vec<(EntityId, EntityId)> {
+pub fn run_paris(executor: &Executor, pair: &KbPair) -> Vec<(EntityId, EntityId)> {
     let ifun_l = executor.time_stage("paris/ifun-left", || inverse_functionality(pair, Side::Left));
     let ifun_r = executor.time_stage("paris/ifun-right", || inverse_functionality(pair, Side::Right));
 
@@ -99,7 +89,7 @@ pub fn run_paris(executor: &Executor, pair: &KbPair, cfg: &ParisConfig) -> Vec<(
     let mut one_minus: DetHashMap<(u32, u32), f64> = DetHashMap::default();
     for (lit, lefts) in &index_l {
         let Some(rights) = index_r.get(lit) else { continue };
-        if lefts.len() > cfg.max_literal_fanout || rights.len() > cfg.max_literal_fanout {
+        if lefts.len() > MAX_LITERAL_FANOUT || rights.len() > MAX_LITERAL_FANOUT {
             continue;
         }
         // Local inverse functionality: a value occurring in several
@@ -149,10 +139,10 @@ pub fn run_paris(executor: &Executor, pair: &KbPair, cfg: &ParisConfig) -> Vec<(
     let in_r = in_edges(Side::Right);
 
     // --- Iterative propagation through aligned relations ---
-    for it in 0..cfg.iterations {
+    for it in 0..ITERATIONS {
         executor.time_stage(&format!("paris/iteration-{it}"), || {
             let accepted: Vec<((u32, u32), f64)> =
-                prob.iter().filter(|&(_, &p)| p >= cfg.threshold).map(|(&k, &p)| (k, p)).collect();
+                prob.iter().filter(|&(_, &p)| p >= THRESHOLD).map(|(&k, &p)| (k, p)).collect();
 
             // Relation alignment counts from accepted child pairs.
             let mut align: DetHashMap<(AttrId, AttrId), f64> = DetHashMap::default();
@@ -226,7 +216,7 @@ pub fn run_paris(executor: &Executor, pair: &KbPair, cfg: &ParisConfig) -> Vec<(
 
     let scored: Vec<(EntityId, EntityId, f64)> =
         prob.into_iter().map(|((x, y), p)| (EntityId(x), EntityId(y), p)).collect();
-    unique_mapping_clustering(scored, cfg.threshold)
+    unique_mapping_clustering(scored, THRESHOLD)
 }
 
 #[cfg(test)]
@@ -277,7 +267,7 @@ mod tests {
     fn paris_matches_via_shared_inverse_functional_literals() {
         let (pair, gt) = build();
         let exec = Executor::new(2);
-        let matches = run_paris(&exec, &pair, &ParisConfig::default());
+        let matches = run_paris(&exec, &pair);
         let mut found = matches.clone();
         found.sort_unstable();
         let mut expected = gt.clone();
@@ -289,14 +279,13 @@ mod tests {
     fn frequent_literals_are_skipped() {
         let mut b = KbPairBuilder::new();
         // A constant literal shared by everyone must not create seeds.
-        for i in 0..10 {
+        for i in 0..=MAX_LITERAL_FANOUT {
             b.add_triple(Side::Left, &format!("l{i}"), "p", Term::Literal("constant"));
             b.add_triple(Side::Right, &format!("r{i}"), "q", Term::Literal("constant"));
         }
         let pair = b.finish();
         let exec = Executor::new(1);
-        let cfg = ParisConfig { max_literal_fanout: 5, ..Default::default() };
-        let matches = run_paris(&exec, &pair, &cfg);
+        let matches = run_paris(&exec, &pair);
         assert!(matches.is_empty(), "over-frequent literal must not seed matches");
     }
 
@@ -304,7 +293,7 @@ mod tests {
     fn unique_mapping_is_enforced() {
         let (pair, _) = build();
         let exec = Executor::new(1);
-        let matches = run_paris(&exec, &pair, &ParisConfig::default());
+        let matches = run_paris(&exec, &pair);
         let mut lefts: Vec<_> = matches.iter().map(|&(l, _)| l).collect();
         lefts.sort_unstable();
         let len = lefts.len();

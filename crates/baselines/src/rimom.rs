@@ -19,22 +19,12 @@ use minoaner_kb::{AttrId, EntityId, KbPair, Side, TokenId};
 
 use crate::umc::unique_mapping_clustering;
 
-/// RiMOM-IM configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RimomConfig {
-    /// Number of top TF-IDF tokens per entity used as blocking keys.
-    pub top_tokens: usize,
-    /// Acceptance threshold on cosine similarity.
-    pub threshold: f64,
-    /// Maximum one-left-object propagation sweeps.
-    pub max_sweeps: usize,
-}
-
-impl Default for RimomConfig {
-    fn default() -> Self {
-        Self { top_tokens: 5, threshold: 0.5, max_sweeps: 10 }
-    }
-}
+/// Number of top TF-IDF tokens per entity used as blocking keys.
+const TOP_TOKENS: usize = 5;
+/// Acceptance threshold on cosine similarity.
+const THRESHOLD: f64 = 0.5;
+/// Maximum one-left-object propagation sweeps.
+const MAX_SWEEPS: usize = 10;
 
 /// Per-entity TF-IDF-ranked top tokens.
 fn top_tokens(pair: &KbPair, ef: &TokenEf, side: Side, k: usize) -> Vec<Vec<TokenId>> {
@@ -88,12 +78,12 @@ fn cosine(pair: &KbPair, ef: &TokenEf, l: EntityId, r: EntityId) -> f64 {
 }
 
 /// Runs RiMOM-IM-style matching.
-pub fn run_rimom(executor: &Executor, pair: &KbPair, cfg: &RimomConfig) -> Vec<(EntityId, EntityId)> {
+pub fn run_rimom(executor: &Executor, pair: &KbPair) -> Vec<(EntityId, EntityId)> {
     let ef = executor.time_stage("rimom/ef", || TokenEf::compute(pair));
 
     // --- Blocking on top-k TF-IDF tokens ---
-    let top_l = top_tokens(pair, &ef, Side::Left, cfg.top_tokens);
-    let top_r = top_tokens(pair, &ef, Side::Right, cfg.top_tokens);
+    let top_l = top_tokens(pair, &ef, Side::Left, TOP_TOKENS);
+    let top_r = top_tokens(pair, &ef, Side::Right, TOP_TOKENS);
     let mut by_token: DetHashMap<TokenId, (Vec<EntityId>, Vec<EntityId>)> = DetHashMap::default();
     for (i, toks) in top_l.iter().enumerate() {
         for &t in toks {
@@ -124,16 +114,16 @@ pub fn run_rimom(executor: &Executor, pair: &KbPair, cfg: &RimomConfig) -> Vec<(
         candidates
             .iter()
             .map(|&(l, r)| (l, r, cosine(pair, &ef, l, r)))
-            .filter(|&(_, _, s)| s >= cfg.threshold)
+            .filter(|&(_, _, s)| s >= THRESHOLD)
             .collect()
     });
-    let initial = unique_mapping_clustering(scored, cfg.threshold);
+    let initial = unique_mapping_clustering(scored, THRESHOLD);
     let mut matched_l: DetHashMap<EntityId, EntityId> = initial.iter().copied().collect();
     let mut matched_r: DetHashMap<EntityId, EntityId> =
         initial.iter().map(|&(l, r)| (r, l)).collect();
 
     // --- One-left-object sweeps ---
-    for sweep in 0..cfg.max_sweeps {
+    for sweep in 0..MAX_SWEEPS {
         let added = executor.time_stage(&format!("rimom/sweep-{sweep}"), || {
             // Relation alignment from current matches.
             let mut align: DetHashSet<(AttrId, AttrId)> = DetHashSet::default();
@@ -211,7 +201,7 @@ mod tests {
         b.add_triple(Side::Right, "r:b", "q", Term::Literal("unrelated other stuff"));
         let pair = b.finish();
         let exec = Executor::new(1);
-        let matches = run_rimom(&exec, &pair, &RimomConfig::default());
+        let matches = run_rimom(&exec, &pair);
         assert_eq!(matches, vec![(eid(&pair, Side::Left, "l:a"), eid(&pair, Side::Right, "r:a"))]);
     }
 
@@ -235,7 +225,7 @@ mod tests {
         b.add_triple(Side::Right, "r:c1", "r:name", Term::Literal("different"));
         let pair = b.finish();
         let exec = Executor::new(1);
-        let matches = run_rimom(&exec, &pair, &RimomConfig::default());
+        let matches = run_rimom(&exec, &pair);
         let c1 = (eid(&pair, Side::Left, "l:c1"), eid(&pair, Side::Right, "r:c1"));
         assert!(matches.contains(&c1), "one-left-object must recover the opaque child: {matches:?}");
     }
@@ -261,6 +251,6 @@ mod tests {
         b.add_triple(Side::Left, "l", "p", Term::Literal("x"));
         let pair = b.finish();
         let exec = Executor::new(1);
-        assert!(run_rimom(&exec, &pair, &RimomConfig::default()).is_empty());
+        assert!(run_rimom(&exec, &pair).is_empty());
     }
 }

@@ -22,32 +22,16 @@ use minoaner_kb::{AttrId, EntityId, KbPair, Side};
 
 use crate::umc::unique_mapping_clustering;
 
-/// SiGMa configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SigmaConfig {
-    /// Acceptance threshold on the combined score.
-    pub threshold: f64,
-    /// Weight of neighbor evidence relative to value similarity.
-    pub neighbor_weight: f64,
-    /// Candidate pairs must share at least this many tokens.
-    pub min_shared_tokens: usize,
-    /// Maximum propagation rounds (the queue usually drains earlier).
-    pub max_rounds: usize,
-    /// Name attributes per KB used for seeding.
-    pub name_attrs: usize,
-}
-
-impl Default for SigmaConfig {
-    fn default() -> Self {
-        Self {
-            threshold: 0.2,
-            neighbor_weight: 0.5,
-            min_shared_tokens: 2,
-            max_rounds: 10,
-            name_attrs: 2,
-        }
-    }
-}
+/// Acceptance threshold on the combined score.
+const THRESHOLD: f64 = 0.2;
+/// Weight of neighbor evidence relative to value similarity.
+const NEIGHBOR_WEIGHT: f64 = 0.5;
+/// Candidate pairs must share at least this many tokens.
+const MIN_SHARED_TOKENS: usize = 2;
+/// Maximum propagation rounds (the queue usually drains earlier).
+const MAX_ROUNDS: usize = 10;
+/// Name attributes per KB used for seeding.
+const NAME_ATTRS: usize = 2;
 
 /// Normalized weighted Jaccard over token sets with inverse-EF weights —
 /// the value similarity of the SiGMa and LINDA analogues both.
@@ -107,11 +91,11 @@ fn shared_token_count(pair: &KbPair, l: EntityId, r: EntityId) -> usize {
 }
 
 /// Runs SiGMa-style matching.
-pub fn run_sigma(executor: &Executor, pair: &KbPair, cfg: &SigmaConfig) -> Vec<(EntityId, EntityId)> {
+pub fn run_sigma(executor: &Executor, pair: &KbPair) -> Vec<(EntityId, EntityId)> {
     let ef = executor.time_stage("sigma/ef", || TokenEf::compute(pair));
 
     // --- Seeds: unique identical names ---
-    let names = NameStats::compute(pair, cfg.name_attrs);
+    let names = NameStats::compute(pair, NAME_ATTRS);
     let name_blocks = minoaner_blocking::name::build_name_blocks(pair, &names);
     let seeds = minoaner_blocking::name::alpha_pairs(&name_blocks);
 
@@ -140,7 +124,7 @@ pub fn run_sigma(executor: &Executor, pair: &KbPair, cfg: &SigmaConfig) -> Vec<(
     let in_r = in_edges(Side::Right);
 
     // --- Greedy propagation rounds ---
-    for round in 0..cfg.max_rounds {
+    for round in 0..MAX_ROUNDS {
         let added = executor.time_stage(&format!("sigma/round-{round}"), || {
             // Relation alignment from the current match set.
             let mut align: DetHashMap<(AttrId, AttrId), u64> = DetHashMap::default();
@@ -191,7 +175,7 @@ pub fn run_sigma(executor: &Executor, pair: &KbPair, cfg: &SigmaConfig) -> Vec<(
             // Score the frontier: value similarity + matched-neighbor bonus.
             let mut scored: Vec<(EntityId, EntityId, f64)> = Vec::new();
             for &(l, r) in &frontier {
-                if shared_token_count(pair, l, r) < cfg.min_shared_tokens {
+                if shared_token_count(pair, l, r) < MIN_SHARED_TOKENS {
                     continue;
                 }
                 let v = value_similarity(pair, &ef, l, r);
@@ -206,13 +190,13 @@ pub fn run_sigma(executor: &Executor, pair: &KbPair, cfg: &SigmaConfig) -> Vec<(
                     }
                 }
                 let nbr = if total_nbrs == 0 { 0.0 } else { matched_nbrs as f64 / total_nbrs as f64 };
-                let score = v + cfg.neighbor_weight * nbr;
-                if score >= cfg.threshold {
+                let score = v + NEIGHBOR_WEIGHT * nbr;
+                if score >= THRESHOLD {
                     scored.push((l, r, score));
                 }
             }
 
-            let accepted = unique_mapping_clustering(scored, cfg.threshold);
+            let accepted = unique_mapping_clustering(scored, THRESHOLD);
             let mut added = 0;
             for (l, r) in accepted {
                 if !matched_l.contains_key(&l) && !matched_r.contains_key(&r) {
@@ -254,7 +238,7 @@ mod tests {
         b.add_triple(Side::Right, "r:chef", "r:name", Term::Literal("jonny lake"));
         let pair = b.finish();
         let exec = Executor::new(1);
-        let matches = run_sigma(&exec, &pair, &SigmaConfig::default());
+        let matches = run_sigma(&exec, &pair);
         let chef = (eid(&pair, Side::Left, "l:chef"), eid(&pair, Side::Right, "r:chef"));
         let rest = (eid(&pair, Side::Left, "l:rest"), eid(&pair, Side::Right, "r:rest"));
         assert!(matches.contains(&chef), "seed by identical name");
@@ -273,7 +257,7 @@ mod tests {
         let pair = b.finish();
         let exec = Executor::new(1);
         // l:b / r:b share only one token → below the 2-token gate.
-        let matches = run_sigma(&exec, &pair, &SigmaConfig::default());
+        let matches = run_sigma(&exec, &pair);
         let b_pair = (eid(&pair, Side::Left, "l:b"), eid(&pair, Side::Right, "r:b"));
         // They are still matched — but only because the *name seed* covers
         // them (identical unique name), not via the value path.
@@ -283,7 +267,7 @@ mod tests {
         b2.add_triple(Side::Left, "l:x", "l:label", Term::Literal("left only"));
         b2.add_triple(Side::Right, "r:x", "r:name", Term::Literal("right unrelated"));
         let pair2 = b2.finish();
-        let matches2 = run_sigma(&exec, &pair2, &SigmaConfig::default());
+        let matches2 = run_sigma(&exec, &pair2);
         assert!(matches2.is_empty());
     }
 
@@ -307,7 +291,12 @@ mod tests {
         b.add_triple(Side::Right, "r", "q", Term::Literal("other right"));
         let pair = b.finish();
         let exec = Executor::new(1);
-        let matches = run_sigma(&exec, &pair, &SigmaConfig { max_rounds: 1000, ..Default::default() });
+        let matches = run_sigma(&exec, &pair);
         assert!(matches.is_empty());
+        // Round 0 adds nothing, so the loop stops there, well short of
+        // MAX_ROUNDS.
+        let log = exec.stage_log();
+        assert!(log.find("sigma/round-0").is_some());
+        assert!(log.find("sigma/round-1").is_none());
     }
 }

@@ -1661,7 +1661,7 @@ mod tests {
     /// The checkpoint part of a graph is its [`Spillable`] encoding. These
     /// are the bytes of two small graphs as the `(EntityId, f64)` tuple
     /// rows encoded them, before the rows became [`Candidate`]s: the
-    /// layout changed, the part bytes — and so the `…-v4` fingerprint's
+    /// layout changed, the part bytes — and so the run fingerprint's
     /// promise — did not.
     #[test]
     fn checkpoint_part_bytes_are_pinned() {

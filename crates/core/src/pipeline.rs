@@ -156,9 +156,7 @@ impl Minoaner {
                     }
                     _ => {
                         let blocks = self.prepare_blocks(executor, pair);
-                        let stored_purge = Some(blocks.purge.clone());
-                        let parts = resume::blocks_parts(&blocks, &stored_purge);
-                        barriers.commit(executor, resume::BARRIER_BLOCKS, "blocks", &parts)?;
+                        barriers.commit(executor, resume::BARRIER_BLOCKS, "blocks", &resume::blocks_parts(&blocks))?;
                         blocks
                     }
                 };
@@ -168,8 +166,7 @@ impl Minoaner {
                 // barriers behind.
                 executor.check_cancelled("barrier:blocks")?;
                 let graph = self.build_graph_from_blocks(executor, pair, &blocks);
-                let stored_purge = Some(blocks.purge.clone());
-                barriers.commit(executor, resume::BARRIER_GRAPH, "graph", &resume::graph_parts(&graph, &stored_purge))?;
+                barriers.commit(executor, resume::BARRIER_GRAPH, "graph", &resume::graph_parts(&graph, &blocks.purge))?;
                 (graph, blocks.purge)
             }
         };
@@ -177,8 +174,7 @@ impl Minoaner {
         executor.check_cancelled("barrier:graph")?;
         let graph_digest = graph.weight_digest();
         let outcome = run_matching(executor, pair, &graph, &self.config, RuleSet::FULL);
-        let stored_purge = Some(purge.clone());
-        let parts = resume::matches_parts(&outcome.matches, &outcome.counts, &graph_digest, &stored_purge);
+        let parts = resume::matches_parts(&outcome.matches, &outcome.counts, &graph_digest, &purge);
         barriers.commit(executor, resume::BARRIER_MATCHES, "matches", &parts)?;
         Ok(Resolution { matches: outcome.matches, rule_counts: outcome.counts, purge, graph_digest })
     }

@@ -82,39 +82,30 @@ impl CheckpointSpec {
 }
 
 /// Fingerprint binding a checkpoint to its run: the resolver configuration
-/// (θ bit-exact), the input KB dimensions,
-/// and — in the domain string — the layout of the checkpointed parts (`v4`:
+/// (θ bit-exact), the input KB dimensions, and — in the domain string — the
+/// layout of the checkpointed parts and of the fingerprint itself (`v5`:
 /// little-endian [`Spillable`] records, blocks as a key column and two
-/// member tables, everything under [`checksum`]; `v3` held a record per
-/// block under FNV-1a, `v2` was JSON), so a directory written with another
-/// layout is recomputed, never mis-decoded. A sanity
-/// guard against resuming with drifted inputs or settings — not a content
-/// hash of the KBs (re-parsing identical input reproduces it; swapping in
-/// a different dataset of identical dimensions would not be caught).
+/// member tables, a plain purge report, everything under [`checksum`];
+/// `v4` stored the purge report as an `Option` and hashed seven constant
+/// slots for switches since deleted, `v3` held a record per block under
+/// FNV-1a, `v2` was JSON), so a directory written with another layout is
+/// recomputed, never mis-decoded. A sanity guard against resuming with
+/// drifted inputs or settings — not a content hash of the KBs (re-parsing
+/// identical input reproduces it; swapping in a different dataset of
+/// identical dimensions would not be caught).
 pub fn run_fingerprint(config: &MinoanerConfig, pair: &KbPair) -> u64 {
-    fingerprint_in(b"minoaner-run-fingerprint-v4", config, pair)
+    fingerprint_in(b"minoaner-run-fingerprint-v5", config, pair)
 }
 
 /// [`run_fingerprint`] under an explicit layout domain.
 fn fingerprint_in(domain: &[u8], config: &MinoanerConfig, pair: &KbPair) -> u64 {
-    let mut bytes = Vec::with_capacity(136);
+    let mut bytes = Vec::with_capacity(88);
     bytes.extend_from_slice(domain);
     for v in [
         config.name_attrs_k as u64,
         config.top_k as u64,
         config.n_relations as u64,
         config.theta.to_bits(),
-        // Seven slots were once switches and keep the value of the one
-        // pipeline left, so directories written while they were switches
-        // still resume: Block Purging (on), unique mapping (on), the four
-        // rules R1–R4 (each on) and adaptive pruning (off).
-        1,
-        1,
-        1,
-        1,
-        1,
-        1,
-        0,
         pair.kb(Side::Left).len() as u64,
         pair.kb(Side::Right).len() as u64,
         pair.attr_space() as u64,
@@ -143,27 +134,14 @@ fn decode_part<T: Spillable>(stage: &RecoveredStage, name: &str) -> Result<T, Ch
     })
 }
 
-/// Decodes the named part of a recovered barrier that holds the run's
-/// [`PurgeReport`]. The part stores it as an `Option`, the layout of when
-/// Block Purging was a switch, so that directories written then still
-/// resume: every run writes `Some`, and `None` is
-/// [`CheckpointError::Corrupt`].
-fn decode_purge(stage: &RecoveredStage) -> Result<PurgeReport, CheckpointError> {
-    decode_part::<Option<PurgeReport>>(stage, "purge")?.ok_or_else(|| CheckpointError::Corrupt {
-        path: "purge".to_owned(),
-        detail: format!("barrier {:?} holds no purge report", stage.stage),
-    })
-}
-
-/// The `blocks` barrier's parts; `purge` is `Some(blocks.purge)` (see
-/// [`decode_purge`]).
-pub(crate) fn blocks_parts<'a>(blocks: &'a PreparedBlocks, purge: &'a Option<PurgeReport>) -> [Part<'a>; 5] {
+/// The `blocks` barrier's parts.
+pub(crate) fn blocks_parts(blocks: &PreparedBlocks) -> [Part<'_>; 5] {
     [
         ("relation_stats", &blocks.relation_stats),
         ("name_stats", &blocks.name_stats),
         ("token_blocks", &blocks.token_blocks),
         ("name_blocks", &blocks.name_blocks),
-        ("purge", purge),
+        ("purge", &blocks.purge),
     ]
 }
 
@@ -174,28 +152,28 @@ pub(crate) fn blocks_from_stage(stage: &RecoveredStage) -> Result<PreparedBlocks
         name_stats: decode_part(stage, "name_stats")?,
         token_blocks: decode_part(stage, "token_blocks")?,
         name_blocks: decode_part(stage, "name_blocks")?,
-        purge: decode_purge(stage)?,
+        purge: decode_part(stage, "purge")?,
     })
 }
 
-/// The `graph` barrier's parts; `purge` is `Some` of the run's report.
-pub(crate) fn graph_parts<'a>(graph: &'a BlockingGraph, purge: &'a Option<PurgeReport>) -> [Part<'a>; 2] {
+/// The `graph` barrier's parts; `purge` is the run's report.
+pub(crate) fn graph_parts<'a>(graph: &'a BlockingGraph, purge: &'a PurgeReport) -> [Part<'a>; 2] {
     [("graph", graph), ("purge", purge)]
 }
 
 /// Rebuilds the graph state from a recovered `graph` barrier.
 pub(crate) fn graph_from_stage(stage: &RecoveredStage) -> Result<(BlockingGraph, PurgeReport), CheckpointError> {
-    Ok((decode_part(stage, "graph")?, decode_purge(stage)?))
+    Ok((decode_part(stage, "graph")?, decode_part(stage, "purge")?))
 }
 
-/// The `matches` barrier's parts; `purge` is `Some` of the run's report.
-/// `matches` is the `Vec` it decodes as.
+/// The `matches` barrier's parts; `purge` is the run's report. `matches`
+/// is the `Vec` it decodes as.
 #[allow(clippy::ptr_arg)]
 pub(crate) fn matches_parts<'a>(
     matches: &'a Vec<(EntityId, EntityId)>,
     counts: &'a RuleCounts,
     graph_digest: &'a u64,
-    purge: &'a Option<PurgeReport>,
+    purge: &'a PurgeReport,
 ) -> [Part<'a>; 4] {
     [("matches", matches), ("rule_counts", counts), ("graph_digest", graph_digest), ("purge", purge)]
 }
@@ -209,7 +187,7 @@ pub(crate) fn matches_from_stage(
         decode_part(stage, "matches")?,
         decode_part(stage, "rule_counts")?,
         decode_part(stage, "graph_digest")?,
-        decode_purge(stage)?,
+        decode_part(stage, "purge")?,
     ))
 }
 
@@ -363,13 +341,12 @@ mod tests {
         let config = MinoanerConfig::default();
         let base = run_fingerprint(&config, &pair);
         assert_eq!(base, run_fingerprint(&config, &pair), "deterministic");
-        // The values these runs had while unique mapping, Block Purging,
-        // adaptive pruning and the rule set were switches, with the full
-        // rule set: their checkpoints still resume.
-        assert_eq!(base, 11_733_743_620_274_296_044);
-        assert_eq!(run_fingerprint(&config, &linked_pair()), 4_432_006_889_273_865_470);
+        // Pinned: a change to what the fingerprint hashes must come with a
+        // new layout domain.
+        assert_eq!(base, 2_392_420_899_222_049_233);
+        assert_eq!(run_fingerprint(&config, &linked_pair()), 6_580_741_214_374_286_336);
         let other = MinoanerConfig { theta: 0.7, ..config };
-        assert_eq!(run_fingerprint(&other, &linked_pair()), 10_681_606_496_094_422_125);
+        assert_eq!(run_fingerprint(&other, &linked_pair()), 11_973_948_387_660_844_278);
         assert_ne!(base, run_fingerprint(&other, &pair), "the configuration is part of the identity");
     }
 
@@ -396,17 +373,13 @@ mod tests {
     }
 
     /// The `graph` barrier of [`linked_pair`] as recovery would hand it
-    /// over, its `purge` part holding `purge`, after `damage` to the bytes
-    /// of its `graph` part.
-    fn graph_stage_with(
-        purge: impl FnOnce(PurgeReport) -> Option<PurgeReport>,
-        damage: impl FnOnce(&mut Vec<u8>),
-    ) -> (RecoveredStage, u64) {
+    /// over, after `damage` to the bytes of its `graph` part.
+    fn graph_stage(damage: impl FnOnce(&mut Vec<u8>)) -> (RecoveredStage, u64) {
         let pair = linked_pair();
         let (resolver, exec) = (Minoaner::new(), Executor::new(1));
         let blocks = resolver.prepare_blocks(&exec, &pair);
         let graph = resolver.build_graph_from_blocks(&exec, &pair, &blocks);
-        let mut parts: Vec<(String, Vec<u8>)> = graph_parts(&graph, &purge(blocks.purge))
+        let mut parts: Vec<(String, Vec<u8>)> = graph_parts(&graph, &blocks.purge)
             .iter()
             .map(|&(name, part)| (name.to_owned(), minoaner_det::codec::encode_to_vec(part)))
             .collect();
@@ -416,20 +389,11 @@ mod tests {
         (stage, graph.weight_digest())
     }
 
-    /// [`graph_stage_with`] the report every run writes.
-    fn graph_stage(damage: impl FnOnce(&mut Vec<u8>)) -> (RecoveredStage, u64) {
-        graph_stage_with(Some, damage)
-    }
-
-    fn assert_corrupt_part(stage: &RecoveredStage, part: &str) {
-        match graph_from_stage(stage) {
-            Err(CheckpointError::Corrupt { path, .. }) => assert_eq!(path, part),
-            other => panic!("expected the {part} part to be corrupt, got {other:?}"),
-        }
-    }
-
     fn assert_corrupt(stage: &RecoveredStage) {
-        assert_corrupt_part(stage, "graph");
+        match graph_from_stage(stage) {
+            Err(CheckpointError::Corrupt { path, .. }) => assert_eq!(path, "graph"),
+            other => panic!("expected the graph part to be corrupt, got {other:?}"),
+        }
     }
 
     #[test]
@@ -440,13 +404,6 @@ mod tests {
         assert_eq!(graph.weight_digest(), digest);
         assert_eq!(purge.blocks_before, purge.blocks_after, "nothing to purge in two restaurants");
         assert!(purge.blocks_before > 0);
-    }
-
-    /// A purge part with no report, as a run with purging off wrote it
-    /// while purging was a switch, is refused.
-    #[test]
-    fn a_purge_part_without_a_report_is_corrupt() {
-        assert_corrupt_part(&graph_stage_with(|_| None, |_| {}).0, "purge");
     }
 
     #[test]
@@ -480,16 +437,17 @@ mod tests {
         }
     }
 
-    /// A directory written under an earlier layout — JSON parts (`…-v2`), or
-    /// records with a `Vec` per block under FNV-1a (`…-v3`) — is refused by
-    /// fingerprint and the run recomputed: its bytes never reach a decoder.
+    /// A directory written under an earlier layout — JSON parts (`…-v2`),
+    /// records with a `Vec` per block under FNV-1a (`…-v3`), or an `Option`
+    /// purge part (`…-v4`) — is refused by fingerprint and the run
+    /// recomputed: its bytes never reach a decoder.
     #[test]
     fn a_directory_in_an_earlier_layout_is_refused_and_recomputed() {
         let pair = linked_pair();
         let plain =
             Minoaner::new().run(ResolveRequest::pair(&pair)).expect("plain run").into_resolution();
         assert!(!plain.matches.is_empty());
-        for domain in ["minoaner-run-fingerprint-v2", "minoaner-run-fingerprint-v3"] {
+        for domain in ["minoaner-run-fingerprint-v2", "minoaner-run-fingerprint-v3", "minoaner-run-fingerprint-v4"] {
             let dir = std::env::temp_dir().join(format!("minoaner-core-{domain}-{}", std::process::id()));
             let _ = std::fs::remove_dir_all(&dir);
             let old = fingerprint_in(domain.as_bytes(), &MinoanerConfig::default(), &pair);

@@ -14,8 +14,8 @@
 ///
 /// Implementations must be exact: `decode(encode(x)) == x` for every
 /// value (encode bit patterns, not decimal renderings). Provided for the
-/// integer/float primitives, `bool`, `String`, 2- and 3-tuples, `Option`,
-/// two-element arrays and `Vec`, and for a plain struct by [`spillable_struct!`](crate::spillable_struct).
+/// integer/float primitives, `String`, 2- and 3-tuples, two-element arrays
+/// and `Vec`, and for a plain struct by [`spillable_struct!`](crate::spillable_struct).
 ///
 /// `&dyn Spillable` encodes: a checkpoint barrier is a list of named parts
 /// of different types, each encoded in place into the barrier's segment.
@@ -91,20 +91,6 @@ macro_rules! spillable_struct {
     };
 }
 
-impl Spillable for bool {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.push(u8::from(*self));
-    }
-
-    fn decode(buf: &[u8], pos: &mut usize) -> Option<Self> {
-        match u8::decode(buf, pos)? {
-            0 => Some(false),
-            1 => Some(true),
-            _ => None,
-        }
-    }
-}
-
 impl<A: Spillable, B: Spillable> Spillable for (A, B) {
     fn encode(&self, out: &mut Vec<u8>) {
         self.0.encode(out);
@@ -152,19 +138,6 @@ impl<T: Spillable> Spillable for [T; 2] {
     }
 }
 
-impl<T: Spillable> Spillable for Option<T> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.is_some().encode(out);
-        if let Some(value) = self {
-            value.encode(out);
-        }
-    }
-
-    fn decode(buf: &[u8], pos: &mut usize) -> Option<Self> {
-        Some(if bool::decode(buf, pos)? { Some(T::decode(buf, pos)?) } else { None })
-    }
-}
-
 /// A `u64` count, then the elements.
 impl<T: Spillable> Spillable for Vec<T> {
     fn encode(&self, out: &mut Vec<u8>) {
@@ -195,14 +168,13 @@ mod tests {
 
     #[test]
     fn round_trips_are_exact_and_little_endian() {
-        type Record = (u32, Option<f64>, Vec<([u16; 2], String)>);
-        let record: Record = (7, Some(-0.0), vec![([1, 2], "ç".to_owned()), ([3, 4], String::new())]);
+        type Record = (u32, f64, Vec<([u16; 2], String)>);
+        let record: Record = (7, -0.0, vec![([1, 2], "ç".to_owned()), ([3, 4], String::new())]);
         let bytes = encode_to_vec(&record);
         assert_eq!(&bytes[..4], &[7, 0, 0, 0], "little-endian on every host");
         let back: Record = decode_exact(&bytes).expect("decodes");
-        assert_eq!(back.1.map(f64::to_bits), Some((-0.0f64).to_bits()), "bit-exact floats");
+        assert_eq!(back.1.to_bits(), (-0.0f64).to_bits(), "bit-exact floats");
         assert_eq!((back.0, back.2), (record.0, record.2));
-        assert_eq!(decode_exact::<String>(&encode_to_vec(&vec![0xC3u8])), None, "not UTF-8");
         let nan = f64::from_bits(0x7ff8_dead_beef_0001);
         assert_eq!(decode_exact::<f64>(&encode_to_vec(&nan)).map(f64::to_bits), Some(nan.to_bits()));
     }
@@ -215,7 +187,7 @@ mod tests {
         let mut long = bytes.clone();
         long.push(0);
         assert_eq!(decode_exact::<Vec<u32>>(&long), None, "long");
-        assert_eq!(decode_exact::<bool>(&[2]), None, "not a bool");
+        assert_eq!(decode_exact::<String>(&encode_to_vec(&vec![0xC3u8])), None, "not UTF-8");
         // A count far past the buffer fails without allocating for it.
         assert_eq!(decode_exact::<Vec<u64>>(&encode_to_vec(&u64::MAX)), None);
     }

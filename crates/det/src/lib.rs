@@ -204,7 +204,7 @@ mod tests {
     }
 
     /// The constants are part of the on-disk formats (every segment kind,
-    /// and the `…-v4` run fingerprint): a change here is a format change.
+    /// and the run fingerprint): a change here is a format change.
     #[test]
     fn checksum_is_pinned() {
         let ramp: Vec<u8> = (0..=255u8).collect();

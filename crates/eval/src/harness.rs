@@ -3,10 +3,7 @@
 
 use std::time::{Duration, Instant};
 
-use minoaner_baselines::{
-    grid_search, run_linda, run_paris, run_rimom, run_sigma, LindaConfig, ParisConfig,
-    RimomConfig, SigmaConfig,
-};
+use minoaner_baselines::{grid_search, run_linda, run_paris, run_rimom, run_sigma};
 use minoaner_blocking::name::build_name_blocks;
 use minoaner_blocking::purge::purge_blocks;
 use minoaner_blocking::token::build_token_blocks;
@@ -83,10 +80,10 @@ pub fn run_system(executor: &Executor, dataset: &GeneratedDataset, system: Syste
             let c = res.rule_counts;
             (res.matches, format!("r1={} r2={} r3={} removed-by-r4={}", c.r1, c.r2, c.r3, c.removed_by_r4))
         }
-        SystemId::Paris => (run_paris(executor, pair, &ParisConfig::default()), String::new()),
-        SystemId::Sigma => (run_sigma(executor, pair, &SigmaConfig::default()), String::new()),
-        SystemId::Linda => (run_linda(executor, pair, &LindaConfig::default()), String::new()),
-        SystemId::Rimom => (run_rimom(executor, pair, &RimomConfig::default()), String::new()),
+        SystemId::Paris => (run_paris(executor, pair), String::new()),
+        SystemId::Sigma => (run_sigma(executor, pair), String::new()),
+        SystemId::Linda => (run_linda(executor, pair), String::new()),
+        SystemId::Rimom => (run_rimom(executor, pair), String::new()),
         SystemId::Bsl => {
             let mut tb = build_token_blocks(pair);
             purge_blocks(&mut tb, pair.kb(Side::Left).len() + pair.kb(Side::Right).len());

@@ -228,29 +228,6 @@ impl RelationStats {
     }
 }
 
-/// Neighbor similarity of Def. 2.5: the sum of [`value_sim`] over the cross
-/// product of the two entities' top-N neighbors. Direct (quadratic) form,
-/// used by tests, Figure 2 and as a reference for the block-based estimate
-/// of Algorithm 1.
-pub fn neighbor_n_sim(
-    pair: &KbPair,
-    ef: &TokenEf,
-    rels: &RelationStats,
-    n: usize,
-    left: EntityId,
-    right: EntityId,
-) -> f64 {
-    let ln = rels.top_n_neighbors(pair, Side::Left, left, n);
-    let rn = rels.top_n_neighbors(pair, Side::Right, right, n);
-    let mut sum = 0.0;
-    for &a in &ln {
-        for &b in &rn {
-            sum += value_sim(pair, ef, a, b);
-        }
-    }
-    sum
-}
-
 /// Maximum value similarity among the two entities' top-N neighbor pairs —
 /// the y-axis of Figure 2.
 pub fn max_neighbor_value_sim(
@@ -621,7 +598,7 @@ mod tests {
     }
 
     #[test]
-    fn neighbor_n_sim_sums_cross_product() {
+    fn max_neighbor_value_sim_takes_the_best_neighbor_pair() {
         let mut b = KbPairBuilder::new();
         b.add_triple(Side::Left, "rest1", "hasChef", Term::Uri("chefL"));
         b.add_triple(Side::Left, "chefL", "name", Term::Literal("jonny lake"));
@@ -636,8 +613,6 @@ mod tests {
         let chef_r = eid(&pair, Side::Right, "chefR");
         let direct = value_sim(&pair, &ef, chef_l, chef_r);
         assert!(direct > 0.0);
-        let nsim = neighbor_n_sim(&pair, &ef, &rs, 1, l, r);
-        assert!((nsim - direct).abs() < 1e-12);
         assert!((max_neighbor_value_sim(&pair, &ef, &rs, 1, l, r) - direct).abs() < 1e-12);
     }
 

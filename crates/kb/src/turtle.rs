@@ -231,11 +231,17 @@ impl<'a> TurtleParser<'a> {
         if self.rest().starts_with('(') {
             return Err(self.error("collections are not supported by this Turtle subset"));
         }
-        // Prefixed name: prefix ':' local.
+        // Prefixed name: prefix ':' local. A local name may hold a `.`
+        // (`ex:St._Louis`) but not end with one: a `.` that nothing can
+        // follow within the name ends the statement (`ex:s ex:p ex:o.`).
         let rest = self.rest();
+        let ends = |c: char| c.is_whitespace() || matches!(c, ';' | ',' | '<' | '"' | '\'');
         let end = rest
-            .find(|c: char| c.is_whitespace() || matches!(c, ';' | ',' | '.' | '<' | '"' | '\''))
-            .unwrap_or(rest.len());
+            .char_indices()
+            .find(|&(i, c)| {
+                ends(c) || (c == '.' && rest[i + 1..].chars().next().map_or(true, |n| ends(n) || n == '#'))
+            })
+            .map_or(rest.len(), |(i, _)| i);
         let name = &rest[..end];
         let colon = name.find(':').ok_or_else(|| self.error(format!("expected IRI or prefixed name, found {name:?}")))?;
         let (prefix, local) = (&name[..colon], &name[colon + 1..]);
@@ -426,15 +432,33 @@ line""" ; ex:year "1995"^^ex:gYear ; ex:short 'single' .
 
     #[test]
     fn equivalent_to_ntriples_load() {
-        let ttl = "@prefix ex: <http://e/> .\nex:s ex:p \"hello world\" ; ex:q ex:o .\nex:o ex:p \"other\" .";
-        let nt = "<http://e/s> <http://e/p> \"hello world\" .\n<http://e/s> <http://e/q> <http://e/o> .\n<http://e/o> <http://e/p> \"other\" .";
-        let (pair_ttl, n1) = load(ttl).unwrap();
-        let mut b = KbPairBuilder::new();
-        let n2 = crate::parser::load_ntriples(&mut b, Side::Left, nt).unwrap();
-        b.add_triple(Side::Right, "r", "p", Term::Literal("x"));
-        let pair_nt = b.finish();
-        assert_eq!(n1, n2);
-        assert_eq!(pair_ttl.kb(Side::Left).len(), pair_nt.kb(Side::Left).len());
-        assert_eq!(pair_ttl.kb(Side::Left).triple_count(), pair_nt.kb(Side::Left).triple_count());
+        for (ttl, nt) in [
+            (
+                "@prefix ex: <http://e/> .\nex:s ex:p \"hello world\" ; ex:q ex:o .\nex:o ex:p \"other\" .",
+                "<http://e/s> <http://e/p> \"hello world\" .\n<http://e/s> <http://e/q> <http://e/o> .\n<http://e/o> <http://e/p> \"other\" .",
+            ),
+            // A `.` inside a local name is part of it.
+            (
+                "@prefix ex: <http://e.org/> .\nex:St._Louis ex:name \"Saint Louis\" .",
+                "<http://e.org/St._Louis> <http://e.org/name> \"Saint Louis\" .",
+            ),
+            // A `.` right after a local name ends the statement.
+            ("@prefix ex: <http://e/> .\nex:s ex:p ex:o.\nex:o ex:p \"v\".", "<http://e/s> <http://e/p> <http://e/o> .\n<http://e/o> <http://e/p> \"v\" ."),
+        ] {
+            let (pair_ttl, n1) = load(ttl).unwrap_or_else(|e| panic!("{ttl:?}: {e}"));
+            let mut b = KbPairBuilder::new();
+            let n2 = crate::parser::load_ntriples(&mut b, Side::Left, nt).unwrap();
+            b.add_triple(Side::Right, "r", "p", Term::Literal("x"));
+            let pair_nt = b.finish();
+            assert_eq!(n1, n2, "{ttl:?}");
+            let uris = |pair: &crate::store::KbPair| {
+                let mut uris: Vec<String> =
+                    pair.kb(Side::Left).iter().map(|(id, _)| pair.uri_of(Side::Left, id).to_owned()).collect();
+                uris.sort_unstable();
+                uris
+            };
+            assert_eq!(uris(&pair_ttl), uris(&pair_nt), "{ttl:?}");
+            assert_eq!(pair_ttl.kb(Side::Left).triple_count(), pair_nt.kb(Side::Left).triple_count(), "{ttl:?}");
+        }
     }
 }

@@ -5,9 +5,7 @@
 //! `lint-allow.toml` (DESIGN.md §12). Std hash containers, the wall clock,
 //! panics and `unwrap`/`expect` are clippy's job (`clippy.toml` and the
 //! deny set in each crate's `lib.rs`); R7 ratchets the audited exceptions
-//! to the panic lints. `--json` emits a versioned machine-readable report
-//! ([`LINT_SCHEMA_VERSION`]), built on the exact-round-trip document model
-//! in [`minoaner_det::json`].
+//! to the panic lints.
 
 // `unwrap`/`expect` are denied outside tests; each audited exception is
 // an item- or statement-level `#[allow]` under a `// bound:` comment,
@@ -19,16 +17,10 @@ pub mod lexer;
 pub mod rules;
 
 use allow::AllowEntry;
-use minoaner_det::json::Json;
 use rules::Violation;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
-
-/// Version stamped into every `--json` report.
-/// Bump when the report shape changes; mirrors `TRACE_SCHEMA_VERSION` in
-/// `minoaner_dataflow::trace`.
-pub const LINT_SCHEMA_VERSION: i64 = 1;
 
 /// Directories (workspace-relative prefixes) never scanned.
 const SKIP_PREFIXES: &[&str] = &[
@@ -46,8 +38,6 @@ pub struct Report {
     pub policy_errors: Vec<String>,
     /// Total files scanned.
     pub files_scanned: usize,
-    /// Raw (pre-allowlist) violation counts per rule.
-    pub raw_counts: BTreeMap<&'static str, usize>,
 }
 
 impl Report {
@@ -71,48 +61,6 @@ impl Report {
             self.policy_errors.len()
         );
         out
-    }
-
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("schema_version".into(), Json::Num(LINT_SCHEMA_VERSION.into())),
-            ("tool".into(), Json::str("minoaner-lint check")),
-            (
-                "violations".into(),
-                Json::Arr(
-                    self.violations
-                        .iter()
-                        .map(|v| {
-                            Json::Obj(vec![
-                                ("rule".into(), Json::str(v.rule)),
-                                ("path".into(), Json::str(&v.path)),
-                                ("line".into(), Json::num(v.line as usize)),
-                                ("message".into(), Json::str(&v.message)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "policy_errors".into(),
-                Json::Arr(self.policy_errors.iter().map(Json::str).collect()),
-            ),
-            ("files_scanned".into(), Json::num(self.files_scanned)),
-            (
-                "raw_counts".into(),
-                Json::Obj(
-                    self.raw_counts
-                        .iter()
-                        .map(|(rule, n)| ((*rule).to_string(), Json::num(*n)))
-                        .collect(),
-                ),
-            ),
-            ("clean".into(), Json::Bool(self.clean())),
-        ])
-    }
-
-    pub fn render_json(&self) -> String {
-        self.to_json().render()
     }
 }
 
@@ -169,10 +117,6 @@ pub fn run_check(root: &Path, allow_path: &Path) -> Result<Report, String> {
         let toks = lexer::lex(&src);
         all.extend(rules::run_all(rel, &src, &toks));
     }
-    for v in &all {
-        *report.raw_counts.entry(v.rule).or_insert(0) += 1;
-    }
-
     apply_allowlist(&entries, all, &mut report);
     Ok(report)
 }
@@ -282,44 +226,5 @@ mod tests {
         let mut r = Report::default();
         apply_allowlist(&entries, mk(0), &mut r);
         assert!(r.policy_errors[0].contains("stale"));
-    }
-
-    #[test]
-    fn json_report_is_well_formed_enough() {
-        let mut r = Report::default();
-        r.violations.push(Violation {
-            rule: "R2",
-            path: "a \"b\".rs".into(),
-            line: 3,
-            message: "use\nDet".into(),
-        });
-        r.raw_counts.insert("R2", 1);
-        let j = r.render_json();
-        assert!(j.contains("\"rule\": \"R2\""));
-        assert!(j.contains("\\\"b\\\""));
-        assert!(j.contains("\\n"));
-        assert!(j.contains("\"clean\": false"));
-    }
-
-    #[test]
-    fn check_json_round_trips_exactly() {
-        let mut r = Report::default();
-        r.violations.push(Violation {
-            rule: "R6",
-            path: "crates/kb/src/disk.rs".into(),
-            line: 420,
-            message: "direct `fs` filesystem access in a durable-path module".into(),
-        });
-        r.policy_errors.push("ratchet: drift".into());
-        r.files_scanned = 7;
-        r.raw_counts.insert("R6", 1);
-        let text = r.render_json();
-        let parsed = Json::parse(&text).unwrap();
-        assert_eq!(parsed, r.to_json());
-        assert_eq!(parsed.render(), text);
-        assert_eq!(
-            parsed.get("schema_version").and_then(Json::as_i64),
-            Some(LINT_SCHEMA_VERSION)
-        );
     }
 }

@@ -1,5 +1,5 @@
-//! CLI: `minoaner-lint check [--json] [--root PATH] [--allow PATH]` — token
-//! rules R2, R6 and R7 against `lint-allow.toml`.
+//! CLI: `minoaner-lint check` — token rules R2, R6 and R7 over the
+//! workspace, against its `lint-allow.toml`.
 //!
 //! Exit codes: 0 clean, 1 violations or policy errors, 2 usage or I/O
 //! error.
@@ -14,7 +14,7 @@ use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: minoaner-lint check [--json] [--root PATH] [--allow PATH]\n\
+        "usage: minoaner-lint check\n\
          \n\
          Rules (DESIGN.md §12):"
     );
@@ -40,32 +40,13 @@ fn default_root() -> PathBuf {
 }
 
 fn main() -> ExitCode {
-    let mut args = std::env::args().skip(1);
-    if args.next().as_deref() != Some("check") {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args != ["check"] {
         return usage();
     }
 
-    let mut json = false;
-    let mut root: Option<PathBuf> = None;
-    let mut allow: Option<PathBuf> = None;
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--json" => json = true,
-            "--root" => match args.next() {
-                Some(p) => root = Some(PathBuf::from(p)),
-                None => return usage(),
-            },
-            "--allow" => match args.next() {
-                Some(p) => allow = Some(PathBuf::from(p)),
-                None => return usage(),
-            },
-            _ => return usage(),
-        }
-    }
-
-    let root = root.unwrap_or_else(default_root);
-    let allow = allow.unwrap_or_else(|| root.join("lint-allow.toml"));
-    let report = match minoaner_lint::run_check(&root, &allow) {
+    let root = default_root();
+    let report = match minoaner_lint::run_check(&root, &root.join("lint-allow.toml")) {
         Ok(report) => report,
         Err(e) => {
             eprintln!("minoaner-lint: {e}");
@@ -73,11 +54,7 @@ fn main() -> ExitCode {
         }
     };
 
-    if json {
-        println!("{}", report.render_json());
-    } else {
-        print!("{}", report.render_text());
-    }
+    print!("{}", report.render_text());
     if report.clean() {
         ExitCode::SUCCESS
     } else {

@@ -25,12 +25,3 @@ fn workspace_is_clean_under_allowlist() {
     );
     assert!(report.files_scanned > 50, "walker found too few files");
 }
-
-#[test]
-fn json_report_round_trips_the_clean_flag() {
-    let root = workspace_root();
-    let allow = root.join("lint-allow.toml");
-    let report = minoaner_lint::run_check(&root, &allow).expect("lint run");
-    let json = report.render_json();
-    assert_eq!(json.contains("\"clean\": true"), report.clean());
-}

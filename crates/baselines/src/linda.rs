@@ -112,6 +112,8 @@ pub fn run_linda(executor: &Executor, pair: &KbPair) -> Vec<(EntityId, EntityId)
             }
         }
     }
+    #[expect(clippy::disallowed_methods, reason = "each candidate is scored alone, and unique \
+              mapping sorts the scores by a total order")]
     let candidates: Vec<(EntityId, EntityId)> = shared_count
         .iter()
         .filter(|&(_, &c)| c >= 2)

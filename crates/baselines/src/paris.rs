@@ -67,12 +67,11 @@ fn inverse_functionality(pair: &KbPair, side: Side) -> Vec<f64> {
         .collect()
 }
 
-/// Runs PARIS-style matching and returns the accepted matches.
-pub fn run_paris(executor: &Executor, pair: &KbPair) -> Vec<(EntityId, EntityId)> {
-    let ifun_l = executor.time_stage("paris/ifun-left", || inverse_functionality(pair, Side::Left));
-    let ifun_r = executor.time_stage("paris/ifun-right", || inverse_functionality(pair, Side::Right));
-
-    // --- Seeds from shared literals ---
+/// The seed probabilities from shared literals: `prob(x ≡ y)` accumulated
+/// as `1 − Π (1 − evidence)` over the literals `x` and `y` share. A literal
+/// held by more than [`MAX_LITERAL_FANOUT`] entities on either side seeds
+/// nothing.
+fn literal_seeds(pair: &KbPair, ifun_l: &[f64], ifun_r: &[f64]) -> DetHashMap<(u32, u32), f64> {
     // literal → [(attr, entity)] per side.
     let mut index_l: DetHashMap<LiteralId, Vec<(AttrId, EntityId)>> = DetHashMap::default();
     let mut index_r: DetHashMap<LiteralId, Vec<(AttrId, EntityId)>> = DetHashMap::default();
@@ -85,8 +84,10 @@ pub fn run_paris(executor: &Executor, pair: &KbPair) -> Vec<(EntityId, EntityId)
         }
     }
 
-    // prob(x ≡ y) accumulated as 1 - Π (1 - evidence).
     let mut one_minus: DetHashMap<(u32, u32), f64> = DetHashMap::default();
+    #[expect(clippy::iter_over_hash_type, reason = "the products follow `index_l`'s order, which \
+              one thread fixes from the KB's entity order into a fixed-seed map: the same pair \
+              gives the same bits")]
     for (lit, lefts) in &index_l {
         let Some(rights) = index_r.get(lit) else { continue };
         if lefts.len() > MAX_LITERAL_FANOUT || rights.len() > MAX_LITERAL_FANOUT {
@@ -108,8 +109,15 @@ pub fn run_paris(executor: &Executor, pair: &KbPair) -> Vec<(EntityId, EntityId)
             }
         }
     }
-    let seed_prob: DetHashMap<(u32, u32), f64> =
-        one_minus.into_iter().map(|(k, om)| (k, 1.0 - om)).collect();
+    one_minus.into_iter().map(|(k, om)| (k, 1.0 - om)).collect()
+}
+
+/// Runs PARIS-style matching and returns the accepted matches.
+pub fn run_paris(executor: &Executor, pair: &KbPair) -> Vec<(EntityId, EntityId)> {
+    let ifun_l = executor.time_stage("paris/ifun-left", || inverse_functionality(pair, Side::Left));
+    let ifun_r = executor.time_stage("paris/ifun-right", || inverse_functionality(pair, Side::Right));
+
+    let seed_prob = literal_seeds(pair, &ifun_l, &ifun_r);
     let mut prob = seed_prob.clone();
 
     // Static per-run structures: relation usage counts and in-edge lists.
@@ -141,6 +149,9 @@ pub fn run_paris(executor: &Executor, pair: &KbPair) -> Vec<(EntityId, EntityId)
     // --- Iterative propagation through aligned relations ---
     for it in 0..ITERATIONS {
         executor.time_stage(&format!("paris/iteration-{it}"), || {
+            #[expect(clippy::disallowed_methods, reason = "the alignment sums follow `prob`'s \
+                      order, which one thread fixes from the seeds and earlier rounds in a \
+                      fixed-seed map: the same pair gives the same bits")]
             let accepted: Vec<((u32, u32), f64)> =
                 prob.iter().filter(|&(_, &p)| p >= THRESHOLD).map(|(&k, &p)| (k, p)).collect();
 
@@ -202,6 +213,8 @@ pub fn run_paris(executor: &Executor, pair: &KbPair) -> Vec<(EntityId, EntityId)
                     }
                 }
             }
+            #[expect(clippy::iter_over_hash_type, reason = "each key of `updates` is written once, \
+                      to its own slot of `prob`: the order cannot change the map")]
             for (k, om) in updates {
                 let propagated = 1.0 - om;
                 let base = seed_prob.get(&k).copied().unwrap_or(0.0);
@@ -275,18 +288,27 @@ mod tests {
         assert_eq!(found, expected);
     }
 
-    #[test]
-    fn frequent_literals_are_skipped() {
+    /// The seeds of a literal held by `n` entities on each side (and
+    /// nothing else).
+    fn shared_literal_seeds(n: usize) -> usize {
         let mut b = KbPairBuilder::new();
-        // A constant literal shared by everyone must not create seeds.
-        for i in 0..=MAX_LITERAL_FANOUT {
+        for i in 0..n {
             b.add_triple(Side::Left, &format!("l{i}"), "p", Term::Literal("constant"));
             b.add_triple(Side::Right, &format!("r{i}"), "q", Term::Literal("constant"));
         }
         let pair = b.finish();
-        let exec = Executor::new(1);
-        let matches = run_paris(&exec, &pair);
-        assert!(matches.is_empty(), "over-frequent literal must not seed matches");
+        let ifun_l = inverse_functionality(&pair, Side::Left);
+        let ifun_r = inverse_functionality(&pair, Side::Right);
+        literal_seeds(&pair, &ifun_l, &ifun_r).len()
+    }
+
+    #[test]
+    fn frequent_literals_are_skipped() {
+        // At the cap, every cross pair is seeded; one entity past it on
+        // each side, the literal seeds nothing.
+        let n = MAX_LITERAL_FANOUT;
+        assert_eq!(shared_literal_seeds(n), n * n);
+        assert_eq!(shared_literal_seeds(n + 1), 0, "over-frequent literal must not seed matches");
     }
 
     #[test]

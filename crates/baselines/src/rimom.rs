@@ -96,6 +96,8 @@ pub fn run_rimom(executor: &Executor, pair: &KbPair) -> Vec<(EntityId, EntityId)
         }
     }
     let mut candidates: DetHashSet<(EntityId, EntityId)> = DetHashSet::default();
+    #[expect(clippy::iter_over_hash_type, reason = "builds a set: its members do not depend on the \
+              order they arrive in")]
     for (_, (ls, rs)) in by_token {
         // Over-frequent keys carry no discriminative power (and would make
         // blocking quadratic); skip them like the original's block purging.
@@ -110,6 +112,8 @@ pub fn run_rimom(executor: &Executor, pair: &KbPair) -> Vec<(EntityId, EntityId)
     }
 
     // --- Initial similarity pass + UMC ---
+    #[expect(clippy::disallowed_methods, reason = "each candidate is scored alone, and unique \
+              mapping sorts the scores by a total order")]
     let scored: Vec<(EntityId, EntityId, f64)> = executor.time_stage("rimom/similarity", || {
         candidates
             .iter()
@@ -127,6 +131,8 @@ pub fn run_rimom(executor: &Executor, pair: &KbPair) -> Vec<(EntityId, EntityId)
         let added = executor.time_stage(&format!("rimom/sweep-{sweep}"), || {
             // Relation alignment from current matches.
             let mut align: DetHashSet<(AttrId, AttrId)> = DetHashSet::default();
+            #[expect(clippy::iter_over_hash_type, reason = "builds a set: its members do not \
+                      depend on the order they arrive in")]
             for (&l, &r) in &matched_l {
                 for (rl, nl) in pair.kb(Side::Left).entity(l).relation_pairs() {
                     if let Some(&mr) = matched_l.get(&nl) {
@@ -139,6 +145,7 @@ pub fn run_rimom(executor: &Executor, pair: &KbPair) -> Vec<(EntityId, EntityId)
                 }
             }
             let mut new_pairs: Vec<(EntityId, EntityId)> = Vec::new();
+            #[expect(clippy::iter_over_hash_type, reason = "`new_pairs` is sorted before it is read")]
             for (&l, &r) in &matched_l {
                 for &(rl, rr) in &align {
                     let open_l: Vec<EntityId> = pair

@@ -128,6 +128,8 @@ pub fn run_sigma(executor: &Executor, pair: &KbPair) -> Vec<(EntityId, EntityId)
         let added = executor.time_stage(&format!("sigma/round-{round}"), || {
             // Relation alignment from the current match set.
             let mut align: DetHashMap<(AttrId, AttrId), u64> = DetHashMap::default();
+            #[expect(clippy::iter_over_hash_type, reason = "integer counts: a sum of them does not \
+                      depend on the order")]
             for (&l, &r) in &matched_l {
                 for (rl, nl) in pair.kb(Side::Left).entity(l).relation_pairs() {
                     if let Some(&mr) = matched_l.get(&nl) {
@@ -143,6 +145,8 @@ pub fn run_sigma(executor: &Executor, pair: &KbPair) -> Vec<(EntityId, EntityId)
             // Frontier: unmatched neighbor pairs of current matches, in
             // both edge directions.
             let mut frontier: DetHashSet<(EntityId, EntityId)> = DetHashSet::default();
+            #[expect(clippy::iter_over_hash_type, reason = "builds a set: its members do not \
+                      depend on the order they arrive in")]
             for (&l, &r) in &matched_l {
                 for (rl, nl) in pair.kb(Side::Left).entity(l).relation_pairs() {
                     if matched_l.contains_key(&nl) {
@@ -174,6 +178,8 @@ pub fn run_sigma(executor: &Executor, pair: &KbPair) -> Vec<(EntityId, EntityId)
 
             // Score the frontier: value similarity + matched-neighbor bonus.
             let mut scored: Vec<(EntityId, EntityId, f64)> = Vec::new();
+            #[expect(clippy::iter_over_hash_type, reason = "each pair is scored alone, and unique \
+                      mapping sorts the scores by a total order")]
             for &(l, r) in &frontier {
                 if shared_token_count(pair, l, r) < MIN_SHARED_TOKENS {
                     continue;

@@ -76,10 +76,9 @@ impl SparseAccumulator {
     /// Adds `w` to the slot of `key`. First touch in the current epoch
     /// overwrites the stale score, so no clearing is ever needed.
     #[inline]
-    // bound: `key < self.len()`: the kernels key the accumulator by opposite-
-    // side entity ids and size it to that side's entity count (`new` /
-    // `ensure_len`); `stamps` and `scores` hold one slot per key.
-    #[allow(clippy::indexing_slicing)]
+    #[expect(clippy::indexing_slicing, reason = "bound: `key < self.len()`: the kernels key the \
+              accumulator by opposite- side entity ids and size it to that side's entity count \
+              (`new` / `ensure_len`); `stamps` and `scores` hold one slot per key.")]
     pub fn add(&mut self, key: u32, w: f64) {
         let i = key as usize;
         if self.stamps[i] == self.epoch {
@@ -100,8 +99,8 @@ impl SparseAccumulator {
     /// Reading an untouched key returns its stale score — only call this
     /// for keys from [`Self::touched`].
     #[inline]
-    // bound: as in `add`: `key < self.len()`, the length of `scores`.
-    #[allow(clippy::indexing_slicing)]
+    #[expect(clippy::indexing_slicing, reason = "bound: as in `add`: `key < self.len()`, the \
+              length of `scores`.")]
     pub fn score(&self, key: u32) -> f64 {
         self.scores[key as usize]
     }

@@ -163,15 +163,13 @@ impl BlockingGraph {
     }
 
     /// The entity's value candidates, strongest `β` first.
-    // bound: `side.index()` < 2.
-    #[allow(clippy::indexing_slicing)]
+    #[expect(clippy::indexing_slicing, reason = "bound: `side.index()` < 2.")]
     pub fn value_candidates(&self, side: Side, e: EntityId) -> &[Candidate] {
         self.value_cands[side.index()].row(e.index())
     }
 
     /// The entity's neighbor candidates, strongest `γ` first.
-    // bound: `side.index()` < 2.
-    #[allow(clippy::indexing_slicing)]
+    #[expect(clippy::indexing_slicing, reason = "bound: `side.index()` < 2.")]
     pub fn neighbor_candidates(&self, side: Side, e: EntityId) -> &[Candidate] {
         self.neighbor_cands[side.index()].row(e.index())
     }
@@ -393,20 +391,19 @@ fn beta_pass(
 ) -> Rows<Candidate> {
     let n = pair.kb(side).len();
     let n_other = pair.kb(side.other()).len();
-    // bound: `side.index()` < 2, the length of the index's per-side arrays.
-    #[allow(clippy::indexing_slicing)]
+    #[expect(clippy::indexing_slicing, reason = "bound: `side.index()` < 2, the length of the \
+              index's per-side arrays.")]
     let eb_self = &index.entity_blocks[side.index()];
-    // bound: `side.other().index()` < 2, as above.
-    #[allow(clippy::indexing_slicing)]
+    #[expect(clippy::indexing_slicing, reason = "bound: `side.other().index()` < 2, as above.")]
     let members_other = index.members[side.other().index()];
 
     let dirty = pair.is_dirty();
     let tasks = executor.partitions().max(1);
     let chunk = n.div_ceil(tasks).max(1);
     let n_tasks = n.div_ceil(chunk);
-    // bound: every block id in an `entity_blocks` row is below the block count,
-    // the length of `block_weight` (one weight per block of the index).
-    #[allow(clippy::indexing_slicing)]
+    #[expect(clippy::indexing_slicing, reason = "bound: every block id in an `entity_blocks` row \
+              is below the block count, the length of `block_weight` (one weight per block of the \
+              index).")]
     let partials = executor.run_stage(&format!("graph/beta/{side:?}"), n_tasks, |t| {
         let lo = t * chunk;
         let hi = ((t + 1) * chunk).min(n);
@@ -626,10 +623,9 @@ fn beta_union(
             });
             edges.end_row();
         }
-        // bound: deliberate: a failed spill write (a full disk) leaves the task
-        // as its typed `DataflowError` payload, which `Executor::try_run_stage`
-        // carries out typed.
-        #[allow(clippy::panic)]
+        #[expect(clippy::panic, reason = "bound: deliberate: a failed spill write (a full disk) \
+                  leaves the task as its typed `DataflowError` payload, which \
+                  `Executor::try_run_stage` carries out typed.")]
         if let Err(e) = shuffle.add_run(t, buckets) {
             std::panic::panic_any(e);
         }
@@ -769,9 +765,8 @@ fn gamma_pass(
     dirty: bool,
     cfg: &GraphConfig,
 ) -> (Rows<Candidate>, Rows<Candidate>) {
-    // bound: `build_blocking_graph` passes one neighbour view per side, or one
-    // for both sides of a dirty pair; nothing else calls this.
-    #[allow(clippy::panic)]
+    #[expect(clippy::panic, reason = "bound: `build_blocking_graph` passes one neighbour view per \
+              side, or one for both sides of a dirty pair; nothing else calls this.")]
     let (left, right) = match views {
         [left, right] => (left, right),
         [both] => (both, both),
@@ -791,10 +786,9 @@ fn gamma_pass(
     executor.emit_counter("blocking/gamma_exchanged_edges", n_edges);
 
     // Transpose: the exchanged edges as rows by right endpoint.
-    // bound: deliberate: a failed spill read leaves the task as its typed
-    // `DataflowError` payload, which `Executor::try_run_stage` carries out
-    // typed.
-    #[allow(clippy::panic)]
+    #[expect(clippy::panic, reason = "bound: deliberate: a failed spill read leaves the task as \
+              its typed `DataflowError` payload, which `Executor::try_run_stage` carries out \
+              typed.")]
     let parts = executor.run_stage("graph/gamma/transpose", tasks_r, |t| {
         let lo = t * chunk_r;
         let width = ((t + 1) * chunk_r).min(n_right) - lo;
@@ -1364,6 +1358,47 @@ mod tests {
         // β is symmetric across the two directed edges.
         let back = g.beta(Side::Right, r2, r1).expect("reverse edge");
         assert!((beta - back).abs() < 1e-12);
+    }
+
+    /// The graph of `pair` over its token blocks purged at `cap` comparisons.
+    fn build_purged_at(pair: &KbPair, cap: u64) -> BlockingGraph {
+        let mut tb = build_token_blocks(pair);
+        crate::purge::purge_with_cap(&mut tb, cap);
+        let nb = build_name_blocks(pair, &NameStats::compute(pair, 2));
+        let exec = Executor::new(2);
+        build_blocking_graph(&exec, pair, &RelationStats::compute(pair), &tb, &nb, &GraphConfig::default())
+    }
+
+    /// β (Algorithm 1, line 14) over the graph itself: each shared token
+    /// block of `|b1|·|b2|` comparisons adds exactly `1/log2(|b1|·|b2| + 1)`,
+    /// and a purged block adds nothing.
+    #[test]
+    fn beta_is_the_sum_of_its_blocks_terms() {
+        let mut b = KbPairBuilder::new();
+        b.add_triple(Side::Left, "l0", "p", Term::Literal("apple"));
+        b.add_triple(Side::Right, "r0", "p", Term::Literal("apple"));
+        let pair = b.finish();
+        let (l0, r0) = (eid(&pair, Side::Left, "l0"), eid(&pair, Side::Right, "r0"));
+        // One shared token with EF 1 × 1: 1/log2(2).
+        assert_eq!(build_purged_at(&pair, u64::MAX).beta(Side::Left, l0, r0), Some(1.0));
+
+        // `apple` in a 2 × 1 block, `berry` in a 1 × 3 block.
+        let mut b = KbPairBuilder::new();
+        b.add_triple(Side::Left, "l0", "p", Term::Literal("apple berry"));
+        b.add_triple(Side::Left, "l1", "p", Term::Literal("apple"));
+        b.add_triple(Side::Right, "r0", "p", Term::Literal("apple berry"));
+        b.add_triple(Side::Right, "r1", "p", Term::Literal("berry"));
+        b.add_triple(Side::Right, "r2", "p", Term::Literal("berry"));
+        let pair = b.finish();
+        let (l0, r0) = (eid(&pair, Side::Left, "l0"), eid(&pair, Side::Right, "r0"));
+        let term = |comparisons: f64| 1.0 / (comparisons + 1.0).log2();
+        for side in [Side::Left, Side::Right] {
+            let (from, to) = if side == Side::Left { (l0, r0) } else { (r0, l0) };
+            let beta = |cap| build_purged_at(&pair, cap).beta(side, from, to);
+            assert_eq!(beta(u64::MAX), Some(term(2.0) + term(3.0)));
+            // Purging at 2 comparisons drops the `berry` block.
+            assert_eq!(beta(2), Some(term(2.0)));
+        }
     }
 
     #[test]

@@ -85,8 +85,8 @@ fn co_occur(
     let a = pair.kb(Side::Left).tokens_of(l);
     let b = pair.kb(Side::Right).tokens_of(r);
     let (mut i, mut j) = (0, 0);
-    // bound: `i < a.len()` and `j < b.len()` are the loop guard.
-    #[allow(clippy::indexing_slicing)]
+    #[expect(clippy::indexing_slicing, reason = "bound: `i < a.len()` and `j < b.len()` are the \
+              loop guard.")]
     while i < a.len() && j < b.len() {
         match a[i].cmp(&b[j]) {
             std::cmp::Ordering::Less => i += 1,

@@ -13,8 +13,8 @@
 //! 7 for a full disk (ENOSPC on a spill write).
 
 // `unwrap`/`expect` are denied outside tests; each audited exception is
-// an item- or statement-level `#[allow]` under a `// bound:` comment,
-// counted per file in lint-allow.toml (minoaner-lint R7, DESIGN.md §12).
+// an item- or statement-level `#[expect(…, reason = "bound: …")]`,
+// counted per file by tests/manifests.rs (DESIGN.md §12).
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod args;

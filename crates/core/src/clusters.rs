@@ -28,9 +28,8 @@ impl<T: std::hash::Hash + Eq + Clone> UnionFind<T> {
 
     /// Finds the representative of `x`'s set (with path compression),
     /// inserting `x` if new.
-    // bound: every element the walk reaches is a key of `parent`: `x` is
-    // inserted first, and every parent stored is an inserted element.
-    #[allow(clippy::indexing_slicing)]
+    #[expect(clippy::indexing_slicing, reason = "bound: every element the walk reaches is a key of \
+              `parent`: `x` is inserted first, and every parent stored is an inserted element.")]
     pub fn find(&mut self, x: &T) -> T {
         self.insert(x.clone());
         let mut root = x.clone();
@@ -54,9 +53,8 @@ impl<T: std::hash::Hash + Eq + Clone> UnionFind<T> {
         if ra == rb {
             return false;
         }
-        // bound: `ra` and `rb` are roots `find` returned, so inserted, and
-        // `insert` gives every element a `rank`.
-        #[allow(clippy::indexing_slicing)]
+        #[expect(clippy::indexing_slicing, reason = "bound: `ra` and `rb` are roots `find` \
+                  returned, so inserted, and `insert` gives every element a `rank`.")]
         let (ka, kb) = (self.rank[&ra], self.rank[&rb]);
         if ka < kb {
             self.parent.insert(ra, rb);
@@ -78,6 +76,8 @@ impl<T: std::hash::Hash + Eq + Clone> UnionFind<T> {
 
     /// Extracts all clusters with at least `min_size` members, each sorted,
     /// and the whole list sorted by first member (deterministic).
+    #[expect(clippy::disallowed_methods, reason = "every cluster is sorted, and then the list of \
+              them, before it is returned")]
     pub fn clusters(&mut self, min_size: usize) -> Vec<Vec<T>>
     where
         T: Ord,

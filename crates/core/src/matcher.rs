@@ -72,9 +72,9 @@ impl Assignment {
         }
     }
 
-    // bound: `e` is an entity of `side`, and `left` / `right` hold one slot per
-    // entity of their side (`run_matching` sizes them from the pair).
-    #[allow(clippy::indexing_slicing)]
+    #[expect(clippy::indexing_slicing, reason = "bound: `e` is an entity of `side`, and `left` / \
+              `right` hold one slot per entity of their side (`run_matching` sizes them from the \
+              pair).")]
     fn is_free(&self, side: Side, e: EntityId) -> bool {
         match side {
             Side::Left => self.left[e.index()].is_none(),
@@ -84,9 +84,8 @@ impl Assignment {
 
     /// Tries to record `(l, r)`; both endpoints must still be free.
     /// Returns whether the pair was added.
-    // bound: as in `is_free`: `l` and `r` are entities of the pair the slots
-    // are sized to.
-    #[allow(clippy::indexing_slicing)]
+    #[expect(clippy::indexing_slicing, reason = "bound: as in `is_free`: `l` and `r` are entities \
+              of the pair the slots are sized to.")]
     fn assign(&mut self, l: EntityId, r: EntityId, rule: Rule) -> bool {
         if self.left[l.index()].is_some() || self.right[r.index()].is_some() {
             return false;
@@ -188,10 +187,9 @@ fn rule_r2(executor: &Executor, pair: &KbPair, graph: &BlockingGraph, state: &mu
         .map(|i| state.is_free(other, EntityId(i as u32)))
         .collect();
 
-    // bound: `i < n`, the length of `free_self` (`per_entity_stage` calls with
-    // `0..n`); a candidate is an entity of the other side, one slot of
-    // `free_other` each.
-    #[allow(clippy::indexing_slicing)]
+    #[expect(clippy::indexing_slicing, reason = "bound: `i < n`, the length of `free_self` \
+              (`per_entity_stage` calls with `0..n`); a candidate is an entity of the other side, \
+              one slot of `free_other` each.")]
     let proposals = per_entity_stage(executor, "matching/r2", n, |i| {
         let e = EntityId(i as u32);
         if !free_self[i] {
@@ -241,10 +239,9 @@ fn rule_r3(
             .map(|i| state.is_free(other, EntityId(i as u32)))
             .collect();
 
-        // bound: `i < n`, the length of `free_self` (`per_entity_stage` calls
-        // with `0..n`); a candidate is an entity of the other side, one slot of
-        // `free_other` each.
-        #[allow(clippy::indexing_slicing)]
+        #[expect(clippy::indexing_slicing, reason = "bound: `i < n`, the length of `free_self` \
+                  (`per_entity_stage` calls with `0..n`); a candidate is an entity of the other \
+                  side, one slot of `free_other` each.")]
         let side_props = per_entity_stage(executor, &format!("matching/r3/{side:?}"), n, |i| {
             let e = EntityId(i as u32);
             if !free_self[i] {
@@ -398,6 +395,7 @@ fn per_entity_stage<T: Send>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use minoaner_kb::{KbPairBuilder, Term};
 
     fn e(i: u32) -> EntityId {
         EntityId(i)
@@ -515,6 +513,93 @@ mod tests {
         let value = [c(1, 5.0), c(2, 4.0)];
         let nested = |c: EntityId| aggregate_top_candidate(&value, &value, 0.5, |d| d == c).is_some();
         assert_eq!(aggregate_top_candidate(&value, &value, 0.5, nested), Some((e(1), 1.0)));
+    }
+
+    /// A pair with `n_left` and `n_right` entities and nothing shared.
+    fn bare_pair(n_left: usize, n_right: usize) -> KbPair {
+        let mut b = KbPairBuilder::new();
+        for i in 0..n_left {
+            b.add_triple(Side::Left, &format!("l{i}"), "p", Term::Literal(&format!("left {i}")));
+        }
+        for i in 0..n_right {
+            b.add_triple(Side::Right, &format!("r{i}"), "p", Term::Literal(&format!("right {i}")));
+        }
+        b.finish()
+    }
+
+    /// A graph with these value candidates per entity (left rows, then
+    /// right rows), no neighbour candidate and no α pair, built through the
+    /// graph's own record codec.
+    fn graph_with_values(left: &[&[Candidate]], right: &[&[Candidate]]) -> BlockingGraph {
+        use minoaner_det::codec::Spillable;
+        use minoaner_kb::Rows;
+        let rows = |side: &[&[Candidate]]| side.iter().map(|row| row.to_vec()).collect::<Rows<Candidate>>();
+        let empty = |n: usize| (0..n).map(|_| Vec::<Candidate>::new()).collect::<Rows<Candidate>>();
+        let mut bytes = Vec::new();
+        [rows(left), rows(right)].encode(&mut bytes);
+        [empty(left.len()), empty(right.len())].encode(&mut bytes);
+        Vec::<(EntityId, EntityId)>::new().encode(&mut bytes);
+        BlockingGraph::decode(&bytes, &mut 0).expect("a graph's own bytes decode")
+    }
+
+    fn match_on(pair: &KbPair, graph: &BlockingGraph, rules: RuleSet) -> MatchOutcome {
+        run_matching(&Executor::new(1), pair, graph, &MinoanerConfig::default(), rules)
+    }
+
+    /// R2's bar is β ≥ 1 (Algorithm 2, line 7): exactly 1.0 matches, the
+    /// float one ulp below it does not.
+    #[test]
+    fn r2_matches_at_beta_one_and_not_one_ulp_below() {
+        let pair = bare_pair(1, 1);
+        let at_one = graph_with_values(&[&[c(0, 1.0)]], &[&[c(0, 1.0)]]);
+        assert_eq!(match_on(&pair, &at_one, RuleSet::R2_ONLY).matches, [(e(0), e(0))]);
+        let below = f64::from_bits(1.0f64.to_bits() - 1);
+        let under = graph_with_values(&[&[c(0, below)]], &[&[c(0, below)]]);
+        assert!(match_on(&pair, &under, RuleSet::R2_ONLY).matches.is_empty());
+    }
+
+    /// Two R2 proposals for one target: the stronger β takes it, whichever
+    /// entity proposes first.
+    #[test]
+    fn r2_gives_a_contested_target_to_the_stronger_beta() {
+        let pair = bare_pair(2, 2);
+        for strong in [0, 1] {
+            let row = |i: u32| if i == strong { [c(0, 2.5)] } else { [c(0, 1.5)] };
+            let (l0, l1) = (row(0), row(1));
+            let graph = graph_with_values(&[&l0, &l1], &[&[], &[]]);
+            let out = match_on(&pair, &graph, RuleSet::R2_ONLY);
+            assert_eq!(out.matches, [(e(strong), e(0))]);
+        }
+    }
+
+    /// R4 (Def. 4.1): a match needs its edge in both directions. With
+    /// K = 1, `e` proposes `c` with β = 1, but `c`'s one value slot holds
+    /// `e2` (β = 2), and `e2` proposes `d` (β = 3): R2 takes `(e, c)` and
+    /// `(e2, d)`, and R4 removes `(e, c)`, which `c` does not list back.
+    #[test]
+    fn r4_removes_a_match_its_target_does_not_list_back() {
+        let mut b = KbPairBuilder::new();
+        b.add_triple(Side::Left, "e", "p", Term::Literal("apple"));
+        b.add_triple(Side::Left, "e2", "p", Term::Literal("berry cherry damson elder fig"));
+        b.add_triple(Side::Right, "c", "p", Term::Literal("apple berry cherry"));
+        b.add_triple(Side::Right, "d", "p", Term::Literal("damson elder fig"));
+        let pair = b.finish();
+        let id = |side: Side, uri: &str| pair.kb(side).entity_by_uri(pair.uris().get(uri).unwrap()).unwrap();
+        let (e, e2) = (id(Side::Left, "e"), id(Side::Left, "e2"));
+        let (c, d) = (id(Side::Right, "c"), id(Side::Right, "d"));
+
+        let config = MinoanerConfig { top_k: 1, ..MinoanerConfig::default() };
+        let minoaner = crate::Minoaner::with_config(config);
+        let exec = Executor::new(1);
+        let blocks = minoaner.prepare_blocks(&exec, &pair);
+        let graph = minoaner.build_graph_from_blocks(&exec, &pair, &blocks);
+        assert_eq!(graph.value_candidates(Side::Left, e), [Candidate::new(c, 1.0)]);
+        assert_eq!(graph.value_candidates(Side::Right, c), [Candidate::new(e2, 2.0)]);
+        assert_eq!(graph.value_candidates(Side::Left, e2), [Candidate::new(d, 3.0)]);
+
+        let out = run_matching(&exec, &pair, &graph, &config, RuleSet::FULL);
+        assert_eq!(out.matches, [(e2, d)]);
+        assert_eq!(out.counts, RuleCounts { r1: 0, r2: 2, r3: 0, removed_by_r4: 1 });
     }
 
     #[test]

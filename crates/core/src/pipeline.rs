@@ -63,10 +63,9 @@ impl Minoaner {
     ///
     /// # Panics
     /// Panics if the configuration is invalid ([`MinoanerConfig::validate`]).
-    // bound: documented: an invalid configuration is the caller's bug
-    // (`# Panics`); `MinoanerConfig::validate` is the fallible check, and
-    // the CLI validates its configuration before it gets here.
-    #[allow(clippy::panic)]
+    #[expect(clippy::panic, reason = "bound: documented: an invalid configuration is the caller's \
+              bug (`# Panics`); `MinoanerConfig::validate` is the fallible check, and the CLI \
+              validates its configuration before it gets here.")]
     pub fn with_config(config: MinoanerConfig) -> Self {
         if let Err(e) = config.validate() {
             panic!("invalid MinoanER configuration: {e}");

@@ -172,7 +172,7 @@ pub struct Recovery {
 
 /// A checkpoint directory: writes barriers atomically, recovers the newest
 /// valid one. All filesystem traffic flows through the store's [`Vfs`]
-/// handle (lint rule R6), so the chaos harness can fail any operation.
+/// handle (`tests/manifests.rs` holds the module to it), so the chaos harness can fail any operation.
 #[derive(Debug)]
 pub struct CheckpointStore {
     root: PathBuf,

@@ -157,10 +157,9 @@ impl Executor {
     /// stage failure is re-raised in the calling thread as a panic whose
     /// payload is the structured [`DataflowError`], so a pipeline boundary
     /// can recover it with [`DataflowError::from_panic`].
-    // bound: deliberate: the stage's typed error crosses this infallible
-    // signature as a panic payload, which the pipeline boundary recovers
-    // with `DataflowError::from_panic`.
-    #[allow(clippy::panic)]
+    #[expect(clippy::panic, reason = "bound: deliberate: the stage's typed error crosses this \
+              infallible signature as a panic payload, which the pipeline boundary recovers with \
+              `DataflowError::from_panic`.")]
     pub fn run_stage<T, F>(&self, name: &str, n: usize, task: F) -> Vec<T>
     where
         T: Send,
@@ -210,9 +209,8 @@ impl Executor {
         // every index 0..n has a populated slot after the join.
         // Claim-exactly-once and the cancel races are modeled in
         // tools/loom-models/tests/loom_models.rs.
-        // bound: a claimed `i` is below `n` (checked after the claim), and
-        // `slots` holds `n` slots.
-        #[allow(clippy::indexing_slicing)]
+        #[expect(clippy::indexing_slicing, reason = "bound: a claimed `i` is below `n` (checked \
+                  after the claim), and `slots` holds `n` slots.")]
         let worker_loop = || {
             while !fatal.load(Ordering::SeqCst) && !cancelled.load(Ordering::SeqCst) {
                 if self.cancel.is_cancelled() {

@@ -69,7 +69,7 @@ static SPILL_SEQ: AtomicU64 = AtomicU64::new(0);
 /// A budget-aware shuffle accumulator (see the module docs).
 ///
 /// All filesystem traffic flows through the budget's [`vfs::Vfs`] handle
-/// (lint rule R6); a write that hits a full disk surfaces as the typed
+/// (`tests/manifests.rs` holds the module to it); a write that hits a full disk surfaces as the typed
 /// [`DataflowError::DiskFull`]. The spill directory is scratch with a hard
 /// cleanup guarantee: [`SpillShuffle::finish`] removes it on success, and
 /// the `Drop` guard removes it on every error/unwind path, so a failed run
@@ -223,9 +223,9 @@ impl<T: Spillable> SpillShuffle<T> {
             Resident(Vec<T>),
             OnDisk(PathBuf, Option<Section>),
         }
-        // bound: `p < self.partitions` (asserted above), and every resident
-        // run holds one bucket per partition (`add_run` asserts it).
-        #[allow(clippy::indexing_slicing)]
+        #[expect(clippy::indexing_slicing, reason = "bound: `p < self.partitions` (asserted \
+                  above), and every resident run holds one bucket per partition (`add_run` asserts \
+                  it).")]
         let sources: Vec<Source<T>> = lock(&self.runs)
             .iter_mut()
             .map(|(_, run)| match run {

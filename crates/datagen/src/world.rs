@@ -136,20 +136,18 @@ pub fn generate(profile: &DatasetProfile) -> GeneratedDataset {
     let n_world = profile.matches + profile.extra_left + profile.extra_right;
 
     // --- World ---
-    // bound: `.max` makes the mean positive (a NaN becomes the floor), and a
-    // profile's means are finite (`generate`'s `# Panics`).
-    #[allow(clippy::expect_used)]
+    #[expect(clippy::expect_used, reason = "bound: `.max` makes the mean positive (a NaN becomes \
+              the floor), and a profile's means are finite (`generate`'s `# Panics`).")]
     let specific_per_entity =
         Poisson::new(profile.specific_tokens.max(0.1)).expect("valid Poisson mean");
-    // bound: as above: a positive, finite mean.
-    #[allow(clippy::expect_used)]
+    #[expect(clippy::expect_used, reason = "bound: as above: a positive, finite mean.")]
     let degree = Poisson::new(profile.mean_degree.max(0.01)).expect("valid Poisson mean");
     // Ambiguous tokens are Zipf-distributed, like real vocabulary: the head
     // behaves like stopwords (huge blocks, purged), the tail like nearly
     // dedicated tokens — so block sizes vary smoothly and purging has a
     // well-defined knee.
-    // bound: `n >= 2` after `.max` and the exponent is the constant 1.0.
-    #[allow(clippy::expect_used)]
+    #[expect(clippy::expect_used, reason = "bound: `n >= 2` after `.max` and the exponent is the \
+              constant 1.0.")]
     let ambiguous = Zipf::new(profile.ambiguous_pool.max(2) as u64, 1.0)
         .expect("valid Zipf parameters");
     // The small pool of colliding names (used by several entities each, so
@@ -303,14 +301,12 @@ fn materialize_view(
     member: &dyn Fn(usize) -> bool,
 ) {
     let kb_tag = if side == Side::Left { 'a' } else { 'b' };
-    // bound: `n >= 2` after `.max`; `filler_zipf` is finite and non-negative
-    // (`generate`'s `# Panics`).
-    #[allow(clippy::expect_used)]
+    #[expect(clippy::expect_used, reason = "bound: `n >= 2` after `.max`; `filler_zipf` is finite \
+              and non-negative (`generate`'s `# Panics`).")]
     let filler = Zipf::new(profile.filler_pool.max(2) as u64, profile.filler_zipf)
         .expect("valid Zipf parameters");
-    // bound: `.max` makes the mean positive, and a profile's means are finite
-    // (`generate`'s `# Panics`).
-    #[allow(clippy::expect_used)]
+    #[expect(clippy::expect_used, reason = "bound: `.max` makes the mean positive, and a profile's \
+              means are finite (`generate`'s `# Panics`).")]
     let filler_count = Poisson::new(kbp.filler_tokens.max(0.01)).expect("valid Poisson mean");
     let predicates = Predicates::new(side, kbp);
     // Reused for every entity: the token codes, one value's text, and the

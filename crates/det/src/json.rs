@@ -173,8 +173,8 @@ fn escape_into(s: &str, out: &mut String) {
     out.push('"');
 }
 
-// bound: `*pos < bytes.len()` is tested before each read.
-#[allow(clippy::indexing_slicing)]
+#[expect(clippy::indexing_slicing, reason = "bound: `*pos < bytes.len()` is tested before each \
+          read.")]
 fn skip_ws(bytes: &[u8], pos: &mut usize) {
     while *pos < bytes.len() && bytes[*pos].is_ascii_whitespace() {
         *pos += 1;
@@ -251,8 +251,8 @@ fn parse_value(src: &str, bytes: &[u8], pos: &mut usize, depth: usize) -> Result
         b'-' | b'0'..=b'9' => {
             let start = *pos;
             *pos += 1;
-            // bound: `*pos < bytes.len()` is tested before each read.
-            #[allow(clippy::indexing_slicing)]
+            #[expect(clippy::indexing_slicing, reason = "bound: `*pos < bytes.len()` is tested \
+                      before each read.")]
             while *pos < bytes.len() && bytes[*pos].is_ascii_digit() {
                 *pos += 1;
             }
@@ -265,9 +265,8 @@ fn parse_value(src: &str, bytes: &[u8], pos: &mut usize, depth: usize) -> Result
     }
 }
 
-// bound: `*pos < bytes.len()`: every caller has just read `bytes[*pos]` through
-// `bytes.get`.
-#[allow(clippy::indexing_slicing)]
+#[expect(clippy::indexing_slicing, reason = "bound: `*pos < bytes.len()`: every caller has just \
+          read `bytes[*pos]` through `bytes.get`.")]
 fn expect_lit(bytes: &[u8], pos: &mut usize, lit: &str, value: Json) -> Result<Json, String> {
     if bytes[*pos..].starts_with(lit.as_bytes()) {
         *pos += lit.len();

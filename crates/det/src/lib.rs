@@ -26,12 +26,14 @@
 //! Iteration order is therefore *arbitrary but reproducible*: stable across
 //! runs, processes and worker counts for the same insertion sequence.
 //! Code that feeds floating-point accumulation from map iteration must
-//! still sort first (lint rule R2), because the arbitrary order changes
-//! whenever keys or capacity change.
+//! still sort first, because the arbitrary order changes whenever keys or
+//! capacity change: clippy's `iter_over_hash_type` and the hash-iteration
+//! `disallowed_methods` (`clippy.toml`) make every such loop sorted or
+//! an `#[expect]` that says why its order cannot move the output.
 
 // Panics are denied in library code outside tests; each audited exception
-// is an item- or statement-level `#[allow]` under a `// bound:` comment,
-// counted per file in lint-allow.toml (minoaner-lint R7, DESIGN.md §12).
+// is an item- or statement-level `#[expect(…, reason = "bound: …")]`,
+// counted per file by tests/manifests.rs (DESIGN.md §12).
 #![cfg_attr(
     not(test),
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::indexing_slicing)

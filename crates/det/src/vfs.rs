@@ -8,8 +8,8 @@
 //! nothing exercised the filesystem failing *mid-operation* — ENOSPC
 //! halfway through a spill run, EIO on a barrier's fsync, a rename that
 //! never lands. This module is the injection seam: durable-path code
-//! performs every filesystem operation through a [`Vfs`] handle, and lint
-//! rule R6 keeps direct `std::fs` calls out of those modules.
+//! performs every filesystem operation through a [`Vfs`] handle, and
+//! `tests/manifests.rs` keeps direct `std::fs` calls out of those modules.
 //!
 //! Two implementations:
 //!
@@ -49,8 +49,9 @@ pub fn default_vfs() -> VfsRef {
 /// files, syncs reopen by path (POSIX `fsync` flushes the file's data
 /// regardless of which descriptor it is called on), and there is no
 /// streaming API — every durable artifact in this workspace is written as
-/// one buffer. `mmap` reads (the `.mkb` open path) stay outside the trait;
-/// the audited remainder is ratcheted in `lint-allow.toml` under R6.
+/// one buffer. `mmap` reads (the `.mkb` open path) stay outside the trait:
+/// `tests/manifests.rs` allows `kb/src/disk.rs` exactly those two direct
+/// filesystem calls, and the other durable-path modules none.
 pub trait Vfs: fmt::Debug + Send + Sync {
     /// Creates a directory and any missing parents.
     fn create_dir_all(&self, path: &Path) -> io::Result<()>;
@@ -123,7 +124,7 @@ pub fn is_disk_full(e: &io::Error) -> bool {
 
 /// The passthrough implementation: every call maps to the `std::fs`
 /// operation of the same shape. This is the *only* place durable-path
-/// modules' filesystem traffic touches `std::fs` (lint rule R6).
+/// modules' filesystem traffic touches `std::fs` (`tests/manifests.rs`).
 #[derive(Debug, Default, Clone, Copy)]
 pub struct RealFs;
 
@@ -306,8 +307,8 @@ impl FaultPlan {
     pub fn seeded(seed: u64, horizon: u64) -> Self {
         let mut rng = Rng::seed_from_u64(seed);
         let op = rng.gen_range(0..horizon.max(1));
-        // bound: `gen_range(0..n)` is below `n`, which is `ALL.len()`.
-        #[allow(clippy::indexing_slicing)]
+        #[expect(clippy::indexing_slicing, reason = "bound: `gen_range(0..n)` is below `n`, which \
+                  is `ALL.len()`.")]
         let kind = FaultKind::ALL[rng.gen_range(0..FaultKind::ALL.len())];
         Self::fail_op(op, kind)
     }
@@ -436,8 +437,7 @@ impl Vfs for FaultFs {
                 // disk full. The durable-commit protocols must either
                 // clean this up or leave it under a `.tmp-` name the
                 // recovery scanners ignore.
-                // bound: `len / 2 <= len`.
-                #[allow(clippy::indexing_slicing)]
+                #[expect(clippy::indexing_slicing, reason = "bound: `len / 2 <= len`.")]
                 let _ = self.inner.write_file(path, &bytes[..bytes.len() / 2]);
                 Err(e)
             }

@@ -19,7 +19,9 @@ impl Quality {
     /// Scores `predicted` pairs against `ground_truth`.
     pub fn evaluate(predicted: &[(EntityId, EntityId)], ground_truth: &[(EntityId, EntityId)]) -> Quality {
         let gt: DetHashSet<(EntityId, EntityId)> = ground_truth.iter().copied().collect();
-        let pred: DetHashSet<(EntityId, EntityId)> = predicted.iter().copied().collect();
+        let mut pred = predicted.to_vec();
+        pred.sort_unstable();
+        pred.dedup();
         let tp = pred.iter().filter(|p| gt.contains(p)).count();
         let precision = if pred.is_empty() { 0.0 } else { 100.0 * tp as f64 / pred.len() as f64 };
         let recall = if gt.is_empty() { 0.0 } else { 100.0 * tp as f64 / gt.len() as f64 };

@@ -2,6 +2,8 @@
 //! triple counts, average tokens per description, attribute/relation/type
 //! counts and the number of vocabularies (predicate namespaces).
 
+use std::collections::BTreeSet;
+
 use minoaner_det::DetHashSet;
 
 use crate::model::{Side, Value};
@@ -36,8 +38,8 @@ pub fn kb_stats(pair: &KbPair, side: Side, type_attr: &str) -> KbStats {
     let kb = pair.kb(side);
     let type_attr = pair.attrs().get(type_attr);
 
-    let mut attributes = DetHashSet::default();
-    let mut relations = DetHashSet::default();
+    let mut attributes = BTreeSet::new();
+    let mut relations = BTreeSet::new();
     let mut types = DetHashSet::default();
     let mut triples = 0usize;
     let mut token_occ = 0u64;

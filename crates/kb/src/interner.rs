@@ -210,10 +210,9 @@ impl Interner {
     ///
     /// # Panics
     /// Panics if `sym` was not produced by this interner.
-    // bound: documented: `sym` comes from this interner (`# Panics`); the
-    // engine resolves only ids it interned, and a mapped interner is validated
-    // by `from_columns`.
-    #[allow(clippy::panic)]
+    #[expect(clippy::panic, reason = "bound: documented: `sym` comes from this interner (`# \
+              Panics`); the engine resolves only ids it interned, and a mapped interner is \
+              validated by `from_columns`.")]
     pub fn resolve(&self, sym: Symbol) -> &str {
         match self.string(sym) {
             Some(s) => s,

@@ -66,11 +66,10 @@ impl<T> Part<T> {
     /// # Panics
     /// Panics if `local` is not a row of the part.
     #[inline]
-    // bound: `local` is a row of the part (`Rows::row` locates keys below the
-    // table's length; a key past it is the caller's bug, its `# Panics`), and
-    // the offsets ascend to `data.len()`: `count_and_scatter` builds them so
-    // and `from_columns` refuses any others.
-    #[allow(clippy::indexing_slicing)]
+    #[expect(clippy::indexing_slicing, reason = "bound: `local` is a row of the part (`Rows::row` \
+              locates keys below the table's length; a key past it is the caller's bug, its `# \
+              Panics`), and the offsets ascend to `data.len()`: `count_and_scatter` builds them so \
+              and `from_columns` refuses any others.")]
     fn items_at(&self, local: usize) -> &[T] {
         &self.data[self.offsets[local] as usize..self.offsets[local + 1] as usize]
     }
@@ -201,10 +200,9 @@ impl<T> Rows<T> {
     ///
     /// # Panics
     /// Panics if `key` is out of range.
-    // bound: documented: a `key` past the table is the caller's bug
-    // (`# Panics`); `locate` maps every key below the table's length to a
-    // row of a part.
-    #[allow(clippy::panic)]
+    #[expect(clippy::panic, reason = "bound: documented: a `key` past the table is the caller's \
+              bug (`# Panics`); `locate` maps every key below the table's length to a row of a \
+              part.")]
     pub(crate) fn row_span(&self, key: usize) -> Range<usize> {
         let (p, local) = self.locate(key);
         let (part, before) = (self.nth_part(p), self.parts().take(p).map(|part| part.data.len()).sum::<usize>());
@@ -365,11 +363,10 @@ impl<T: Copy + Default> Rows<T> {
     /// maps a key to its part and its row there, and each part comes in as
     /// zeroed offsets two slots longer than its rows and leaves as its
     /// offsets and its exactly-sized data column.
-    // bound: `locate` maps a key below `n_keys` (the callers' `# Panics`
-    // contract) to a part of `parts` and a row with `row + 2` below its
-    // offsets' length; `data` is sized to the counts' sum and each row's cursor
-    // stays below its row's end.
-    #[allow(clippy::indexing_slicing)]
+    #[expect(clippy::indexing_slicing, reason = "bound: `locate` maps a key below `n_keys` (the \
+              callers' `# Panics` contract) to a part of `parts` and a row with `row + 2` below \
+              its offsets' length; `data` is sized to the counts' sum and each row's cursor stays \
+              below its row's end.")]
     fn count_and_scatter(
         parts: &mut [(Vec<u32>, Vec<T>)],
         locate: impl Fn(usize) -> (usize, usize),

@@ -17,9 +17,8 @@ pub struct TokenEf {
 
 impl TokenEf {
     /// Computes entity frequencies for both KBs of the pair.
-    // bound: `side.index()` < 2; every token of the pair is below
-    // `pair.token_space()`, the length of both tables.
-    #[allow(clippy::indexing_slicing)]
+    #[expect(clippy::indexing_slicing, reason = "bound: `side.index()` < 2; every token of the \
+              pair is below `pair.token_space()`, the length of both tables.")]
     pub fn compute(pair: &KbPair) -> Self {
         let n = pair.token_space();
         let mut ef = [vec![0u32; n], vec![0u32; n]];
@@ -38,9 +37,8 @@ impl TokenEf {
     /// `EF_E(t)` for the KB on `side`. Tokens never seen on that side have
     /// frequency 0.
     #[inline]
-    // bound: `side.index()` < 2; `t` is a token of the pair the tables were
-    // computed for, so below its `token_space()`.
-    #[allow(clippy::indexing_slicing)]
+    #[expect(clippy::indexing_slicing, reason = "bound: `side.index()` < 2; `t` is a token of the \
+              pair the tables were computed for, so below its `token_space()`.")]
     pub fn ef(&self, side: Side, t: TokenId) -> u32 {
         self.ef[side.index()][t.index()]
     }
@@ -86,8 +84,8 @@ pub fn value_sim(pair: &KbPair, ef: &TokenEf, left: EntityId, right: EntityId) -
 pub fn shared_token_weight(a: &[TokenId], b: &[TokenId], ef: &TokenEf) -> f64 {
     let (mut i, mut j) = (0, 0);
     let mut sum = 0.0;
-    // bound: `i < a.len()` and `j < b.len()` are the loop guard.
-    #[allow(clippy::indexing_slicing)]
+    #[expect(clippy::indexing_slicing, reason = "bound: `i < a.len()` and `j < b.len()` are the \
+              loop guard.")]
     while i < a.len() && j < b.len() {
         match a[i].cmp(&b[j]) {
             std::cmp::Ordering::Less => i += 1,
@@ -120,9 +118,9 @@ spillable_struct!(RelationStats { support, discriminability, importance, rank })
 
 impl RelationStats {
     /// Computes relation statistics for both KBs.
-    // bound: `side.index()` < 2; `a` < `n_attrs`, the length of every table
-    // here (`distinct_per_attr` sizes `instances` and `objects` to it).
-    #[allow(clippy::indexing_slicing)]
+    #[expect(clippy::indexing_slicing, reason = "bound: `side.index()` < 2; `a` < `n_attrs`, the \
+              length of every table here (`distinct_per_attr` sizes `instances` and `objects` to \
+              it).")]
     pub fn compute(pair: &KbPair) -> Self {
         let n_attrs = pair.attr_space();
         let mut support = [vec![0.0; n_attrs], vec![0.0; n_attrs]];
@@ -165,32 +163,31 @@ impl RelationStats {
     }
 
     /// Support of relation `p` on `side` (0 when `p` is not a relation there).
-    // bound: `side.index()` < 2; `p` is an attribute of the pair, below the
-    // `attr_space()` the tables are sized to (a checkpointed copy is bound to
-    // the same `attr_space` by the run fingerprint).
-    #[allow(clippy::indexing_slicing)]
+    #[expect(clippy::indexing_slicing, reason = "bound: `side.index()` < 2; `p` is an attribute of \
+              the pair, below the `attr_space()` the tables are sized to (a checkpointed copy is \
+              bound to the same `attr_space` by the run fingerprint).")]
     pub fn support(&self, side: Side, p: AttrId) -> f64 {
         self.support[side.index()][p.index()]
     }
 
     /// Discriminability of relation `p` on `side`.
-    // bound: as in `support`: `p` < `attr_space()`, the tables' length.
-    #[allow(clippy::indexing_slicing)]
+    #[expect(clippy::indexing_slicing, reason = "bound: as in `support`: `p` < `attr_space()`, the \
+              tables' length.")]
     pub fn discriminability(&self, side: Side, p: AttrId) -> f64 {
         self.discriminability[side.index()][p.index()]
     }
 
     /// Importance (harmonic mean of support and discriminability) of `p`.
-    // bound: as in `support`: `p` < `attr_space()`, the tables' length.
-    #[allow(clippy::indexing_slicing)]
+    #[expect(clippy::indexing_slicing, reason = "bound: as in `support`: `p` < `attr_space()`, the \
+              tables' length.")]
     pub fn importance(&self, side: Side, p: AttrId) -> f64 {
         self.importance[side.index()][p.index()]
     }
 
     /// Rank in the KB-global importance order (0 = most important), or
     /// `None` if `p` is not a relation on that side.
-    // bound: as in `support`: `p` < `attr_space()`, the tables' length.
-    #[allow(clippy::indexing_slicing)]
+    #[expect(clippy::indexing_slicing, reason = "bound: as in `support`: `p` < `attr_space()`, the \
+              tables' length.")]
     pub fn global_rank(&self, side: Side, p: AttrId) -> Option<u32> {
         let r = self.rank[side.index()][p.index()];
         (r != u32::MAX).then_some(r)
@@ -198,9 +195,8 @@ impl RelationStats {
 
     /// The entity's top-N relations: its distinct relations sorted by the
     /// KB-global importance order, truncated to `n`.
-    // bound: `side.index()` < 2; `e`'s relations are attributes of the pair,
-    // below `attr_space()`, the length of `rank`.
-    #[allow(clippy::indexing_slicing)]
+    #[expect(clippy::indexing_slicing, reason = "bound: `side.index()` < 2; `e`'s relations are \
+              attributes of the pair, below `attr_space()`, the length of `rank`.")]
     pub fn top_n_relations(&self, pair: &KbPair, side: Side, e: EntityId, n: usize) -> Vec<AttrId> {
         let kb = pair.kb(side);
         let mut rels: Vec<AttrId> = kb.entity(e).relation_pairs().map(|(p, _)| p).collect();
@@ -263,10 +259,9 @@ spillable_struct!(NameStats { name_attrs, importance });
 
 impl NameStats {
     /// Computes the global top-`k` name attributes of both KBs.
-    // bound: `side.index()` < 2; `a` < `n_attrs`, the length of `importance`
-    // and of the tables `distinct_per_attr` and `literal_subjects_per_attr`
-    // return.
-    #[allow(clippy::indexing_slicing)]
+    #[expect(clippy::indexing_slicing, reason = "bound: `side.index()` < 2; `a` < `n_attrs`, the \
+              length of `importance` and of the tables `distinct_per_attr` and \
+              `literal_subjects_per_attr` return.")]
     pub fn compute(pair: &KbPair, k: usize) -> Self {
         let n_attrs = pair.attr_space();
         let mut name_attrs: [Vec<AttrId>; 2] = [Vec::new(), Vec::new()];
@@ -299,17 +294,15 @@ impl NameStats {
     }
 
     /// The global top-k name attributes of `side`, most important first.
-    // bound: `side.index()` < 2.
-    #[allow(clippy::indexing_slicing)]
+    #[expect(clippy::indexing_slicing, reason = "bound: `side.index()` < 2.")]
     pub fn name_attrs(&self, side: Side) -> &[AttrId] {
         &self.name_attrs[side.index()]
     }
 
     /// Name-attribute importance of `p` on `side`.
-    // bound: `side.index()` < 2; `p` < `attr_space()`, the length `compute`
-    // gives `importance` (a checkpointed copy is bound to the same `attr_space`
-    // by the run fingerprint).
-    #[allow(clippy::indexing_slicing)]
+    #[expect(clippy::indexing_slicing, reason = "bound: `side.index()` < 2; `p` < `attr_space()`, \
+              the length `compute` gives `importance` (a checkpointed copy is bound to the same \
+              `attr_space` by the run fingerprint).")]
     pub fn importance(&self, side: Side, p: AttrId) -> f64 {
         self.importance[side.index()][p.index()]
     }

@@ -87,9 +87,8 @@ impl Kb {
     ///
     /// # Panics
     /// Panics if `id` is out of range.
-    // bound: documented: `id` is an entity of this KB (`# Panics`), below
-    // `len()`, the length of `uris`.
-    #[allow(clippy::indexing_slicing)]
+    #[expect(clippy::indexing_slicing, reason = "bound: documented: `id` is an entity of this KB \
+              (`# Panics`), below `len()`, the length of `uris`.")]
     pub fn entity(&self, id: EntityId) -> Entity<'_> {
         let e = id.index();
         let values = self.values.get(self.attrs.row_span(e)).unwrap_or_default();
@@ -125,9 +124,9 @@ impl Kb {
     }
 
     /// Total token occurrences in the entity's literal values.
-    // bound: `id` is an entity of this KB: `token_occurrences` holds one word
-    // per entity (`MkbFile::to_pair` checks the column's length).
-    #[allow(clippy::indexing_slicing)]
+    #[expect(clippy::indexing_slicing, reason = "bound: `id` is an entity of this KB: \
+              `token_occurrences` holds one word per entity (`MkbFile::to_pair` checks the \
+              column's length).")]
     pub fn token_occurrences_of(&self, id: EntityId) -> u32 {
         self.token_occurrences[id.index()]
     }
@@ -193,8 +192,7 @@ pub struct KbPair {
 
 impl KbPair {
     /// The KB on the given side.
-    // bound: `side.index()` < 2.
-    #[allow(clippy::indexing_slicing)]
+    #[expect(clippy::indexing_slicing, reason = "bound: `side.index()` < 2.")]
     pub fn kb(&self, side: Side) -> &Kb {
         &self.kbs[side.index()]
     }

@@ -75,8 +75,7 @@ const WIDE: u8 = 0x80;
 const fn byte_classes() -> [u8; 256] {
     let mut classes = [WIDE; 256];
     let mut b = 0u8;
-    // bound: `b < 0x80`, below the table's 256 entries.
-    #[allow(clippy::indexing_slicing)]
+    #[expect(clippy::indexing_slicing, reason = "bound: `b < 0x80`, below the table's 256 entries.")]
     while b < 0x80 {
         classes[b as usize] = if b.is_ascii_alphanumeric() { b.to_ascii_lowercase() } else { SEP };
         b += 1;

@@ -1,7 +1,7 @@
-//! Loom model checks for the two lock-free protocols in minoaner-dataflow
-//! that the static linter cannot reason about: the executor pool's
-//! task-claim / fatal-flag / barrier protocol (`pool.rs`) and an
-//! `ObserverSlot` install vs. concurrent stage-end reads (`observer.rs`).
+//! Loom model checks for the lock-free protocols in minoaner-dataflow that
+//! no static check can reason about: the executor pool's task-claim /
+//! fatal-flag / barrier protocol (`pool.rs`) and the cancel token's
+//! first-cancel-wins (`cancel.rs`).
 //!
 //! These are *models*: the real pool borrows its closure environment
 //! through `std::thread::scope` and locks `std::sync` primitives, which
@@ -261,45 +261,5 @@ fn cancel_token_first_cancel_wins_under_races() {
         let stored = token.load(Ordering::SeqCst);
         let winner = if a_won { 1 } else { 2 };
         assert_eq!(stored, winner, "the stored reason must be the winner's");
-    });
-}
-
-/// An observer install racing a stage: the worker's snapshot decides once;
-/// a late install never retroactively receives earlier emissions.
-#[test]
-fn observer_slot_install_vs_concurrent_stage_reads() {
-    loom::model(|| {
-        let slot: Arc<Mutex<Option<Arc<AtomicUsize>>>> = Arc::new(Mutex::new(None));
-        let observer = Arc::new(AtomicUsize::new(0));
-
-        let worker = {
-            let slot = Arc::clone(&slot);
-            thread::spawn(move || {
-                let snapshot = slot.lock().unwrap().clone();
-                if let Some(obs) = snapshot {
-                    obs.fetch_add(1, Ordering::Relaxed);
-                    1
-                } else {
-                    0
-                }
-            })
-        };
-
-        let owner = {
-            let slot = Arc::clone(&slot);
-            let observer = Arc::clone(&observer);
-            thread::spawn(move || {
-                *slot.lock().unwrap() = Some(observer);
-            })
-        };
-
-        let emitted = worker.join().unwrap();
-        owner.join().unwrap();
-
-        assert_eq!(
-            observer.load(Ordering::Relaxed),
-            emitted,
-            "an emission reached the observer without the snapshot capturing it"
-        );
     });
 }

@@ -17,6 +17,8 @@
 //! it the way the paper describes: when one KB splits a relation over
 //! many names, alignment mass dilutes and propagation stalls.
 
+use std::collections::BTreeMap;
+
 use minoaner_det::DetHashMap;
 
 use minoaner_dataflow::Executor;
@@ -70,11 +72,11 @@ fn inverse_functionality(pair: &KbPair, side: Side) -> Vec<f64> {
 /// The seed probabilities from shared literals: `prob(x ≡ y)` accumulated
 /// as `1 − Π (1 − evidence)` over the literals `x` and `y` share. A literal
 /// held by more than [`MAX_LITERAL_FANOUT`] entities on either side seeds
-/// nothing.
-fn literal_seeds(pair: &KbPair, ifun_l: &[f64], ifun_r: &[f64]) -> DetHashMap<(u32, u32), f64> {
+/// nothing. The products run in literal order.
+fn literal_seeds(pair: &KbPair, ifun_l: &[f64], ifun_r: &[f64]) -> BTreeMap<(u32, u32), f64> {
     // literal → [(attr, entity)] per side.
-    let mut index_l: DetHashMap<LiteralId, Vec<(AttrId, EntityId)>> = DetHashMap::default();
-    let mut index_r: DetHashMap<LiteralId, Vec<(AttrId, EntityId)>> = DetHashMap::default();
+    let mut index_l: BTreeMap<LiteralId, Vec<(AttrId, EntityId)>> = BTreeMap::new();
+    let mut index_r: BTreeMap<LiteralId, Vec<(AttrId, EntityId)>> = BTreeMap::new();
     for (side, index) in [(Side::Left, &mut index_l), (Side::Right, &mut index_r)] {
         let kb = pair.kb(side);
         for (id, e) in kb.iter() {
@@ -84,10 +86,7 @@ fn literal_seeds(pair: &KbPair, ifun_l: &[f64], ifun_r: &[f64]) -> DetHashMap<(u
         }
     }
 
-    let mut one_minus: DetHashMap<(u32, u32), f64> = DetHashMap::default();
-    #[expect(clippy::iter_over_hash_type, reason = "the products follow `index_l`'s order, which \
-              one thread fixes from the KB's entity order into a fixed-seed map: the same pair \
-              gives the same bits")]
+    let mut one_minus: BTreeMap<(u32, u32), f64> = BTreeMap::new();
     for (lit, lefts) in &index_l {
         let Some(rights) = index_r.get(lit) else { continue };
         if lefts.len() > MAX_LITERAL_FANOUT || rights.len() > MAX_LITERAL_FANOUT {
@@ -146,12 +145,9 @@ pub fn run_paris(executor: &Executor, pair: &KbPair) -> Vec<(EntityId, EntityId)
     let in_l = in_edges(Side::Left);
     let in_r = in_edges(Side::Right);
 
-    // --- Iterative propagation through aligned relations ---
+    // --- Iterative propagation through aligned relations, in pair order ---
     for it in 0..ITERATIONS {
         executor.time_stage(&format!("paris/iteration-{it}"), || {
-            #[expect(clippy::disallowed_methods, reason = "the alignment sums follow `prob`'s \
-                      order, which one thread fixes from the seeds and earlier rounds in a \
-                      fixed-seed map: the same pair gives the same bits")]
             let accepted: Vec<((u32, u32), f64)> =
                 prob.iter().filter(|&(_, &p)| p >= THRESHOLD).map(|(&k, &p)| (k, p)).collect();
 
@@ -176,7 +172,7 @@ pub fn run_paris(executor: &Executor, pair: &KbPair) -> Vec<(EntityId, EntityId)
             // identifies none of them, while a 1-parent child (a
             // restaurant's own address) identifies its parent almost
             // surely — and symmetrically for children of matched parents.
-            let mut updates: DetHashMap<(u32, u32), f64> = DetHashMap::default();
+            let mut updates: BTreeMap<(u32, u32), f64> = BTreeMap::new();
             let mut bump = |key: (u32, u32), evidence: f64| {
                 let slot = updates.entry(key).or_insert(1.0);
                 *slot *= 1.0 - evidence.min(0.999);
@@ -213,8 +209,6 @@ pub fn run_paris(executor: &Executor, pair: &KbPair) -> Vec<(EntityId, EntityId)
                     }
                 }
             }
-            #[expect(clippy::iter_over_hash_type, reason = "each key of `updates` is written once, \
-                      to its own slot of `prob`: the order cannot change the map")]
             for (k, om) in updates {
                 let propagated = 1.0 - om;
                 let base = seed_prob.get(&k).copied().unwrap_or(0.0);

@@ -15,7 +15,6 @@
 
 use minoaner_blocking::{BlockingGraph, Candidate};
 use minoaner_det::spillable_struct;
-use minoaner_det::DetHashMap;
 use minoaner_dataflow::Executor;
 use minoaner_kb::{EntityId, KbPair, Side};
 
@@ -72,26 +71,24 @@ impl Assignment {
         }
     }
 
-    #[expect(clippy::indexing_slicing, reason = "bound: `e` is an entity of `side`, and `left` / \
-              `right` hold one slot per entity of their side (`run_matching` sizes them from the \
-              pair).")]
+    /// Whether `e`, an entity of `side`, is still unmatched.
     fn is_free(&self, side: Side, e: EntityId) -> bool {
-        match side {
-            Side::Left => self.left[e.index()].is_none(),
-            Side::Right => self.right[e.index()].is_none(),
-        }
+        let slots = match side {
+            Side::Left => &self.left,
+            Side::Right => &self.right,
+        };
+        slots.get(e.index()).is_some_and(Option::is_none)
     }
 
     /// Tries to record `(l, r)`; both endpoints must still be free.
     /// Returns whether the pair was added.
-    #[expect(clippy::indexing_slicing, reason = "bound: as in `is_free`: `l` and `r` are entities \
-              of the pair the slots are sized to.")]
     fn assign(&mut self, l: EntityId, r: EntityId, rule: Rule) -> bool {
-        if self.left[l.index()].is_some() || self.right[r.index()].is_some() {
+        let (Some(left @ None), Some(right @ None)) = (self.left.get_mut(l.index()), self.right.get_mut(r.index()))
+        else {
             return false;
-        }
-        self.left[l.index()] = Some(r.0);
-        self.right[r.index()] = Some(l.0);
+        };
+        *left = Some(r.0);
+        *right = Some(l.0);
         self.matches.push((l, r));
         self.rules.push(rule);
         true
@@ -101,9 +98,10 @@ impl Assignment {
 /// Runs Algorithm 2 on a pruned blocking graph.
 ///
 /// Rules R2 and R3 are embarrassingly parallel per node; their per-entity
-/// proposal computation runs as dataflow stages on `executor` (mirroring
-/// the Spark adaptation of §4.1), followed by a sequential unique-mapping
-/// merge.
+/// proposals run as dataflow stages on `executor` (mirroring the Spark
+/// adaptation of §4.1) that read the assignment the earlier rules left,
+/// and each rule's merge is one pass over per-entity slots, whose result
+/// does not depend on the order of the proposals.
 pub fn run_matching(
     executor: &Executor,
     pair: &KbPair,
@@ -126,32 +124,20 @@ pub fn run_matching(
         rule_r3(executor, pair, graph, cfg.theta, &mut state);
     }
 
-    let mut counts = RuleCounts::default();
-    for r in &state.rules {
-        match r {
-            Rule::R1 => counts.r1 += 1,
-            Rule::R2 => counts.r2 += 1,
-            Rule::R3 => counts.r3 += 1,
-        }
-    }
-
-    let (matches, rule_tags) = if rules.r4 {
+    let count = |rule: Rule| state.rules.iter().filter(|&&r| r == rule).count();
+    let mut counts = RuleCounts { r1: count(Rule::R1), r2: count(Rule::R2), r3: count(Rule::R3), removed_by_r4: 0 };
+    let assigned = state.matches.len();
+    let (matches, rule_tags): (Vec<_>, Vec<_>) = if rules.r4 {
         executor.time_stage("matching/r4", || {
-            let mut kept = Vec::with_capacity(state.matches.len());
-            let mut kept_rules = Vec::with_capacity(state.rules.len());
-            for (&(l, r), &rule) in state.matches.iter().zip(&state.rules) {
-                if graph.has_directed_edge(Side::Left, l, r) && graph.has_directed_edge(Side::Right, r, l) {
-                    kept.push((l, r));
-                    kept_rules.push(rule);
-                } else {
-                    counts.removed_by_r4 += 1;
-                }
-            }
-            (kept, kept_rules)
+            let both_edges = |&((l, r), _): &((EntityId, EntityId), Rule)| {
+                graph.has_directed_edge(Side::Left, l, r) && graph.has_directed_edge(Side::Right, r, l)
+            };
+            state.matches.into_iter().zip(state.rules).filter(both_edges).unzip()
         })
     } else {
         (state.matches, state.rules)
     };
+    counts.removed_by_r4 = assigned - matches.len();
 
     // Per-rule counters mirror `RuleCounts` exactly (pre-R4 per-rule
     // tallies plus R4's removals), so a RunTrace can stand in for the
@@ -174,44 +160,44 @@ fn rule_r1(graph: &BlockingGraph, state: &mut Assignment) {
 }
 
 /// R2 (lines 5-9): per unmatched entity of the smaller KB, the top value
-/// candidate matches when β ≥ 1.
+/// candidate matches when β ≥ 1. The stage skips entities and candidates
+/// matched by R1, as the Spark version does with the broadcast R1 matches
+/// (§4.1).
 fn rule_r2(executor: &Executor, pair: &KbPair, graph: &BlockingGraph, state: &mut Assignment) {
     let small = pair.smaller_side();
-    let n = pair.kb(small).len();
-    // A snapshot of the assignment lets the parallel stage skip entities
-    // and candidates matched by R1, as the Spark version does with the
-    // broadcast R1 matches (§4.1).
-    let free_self: Vec<bool> = (0..n).map(|i| state.is_free(small, EntityId(i as u32))).collect();
     let other = small.other();
-    let free_other: Vec<bool> = (0..pair.kb(other).len())
-        .map(|i| state.is_free(other, EntityId(i as u32)))
-        .collect();
-
-    #[expect(clippy::indexing_slicing, reason = "bound: `i < n`, the length of `free_self` \
-              (`per_entity_stage` calls with `0..n`); a candidate is an entity of the other side, \
-              one slot of `free_other` each.")]
-    let proposals = per_entity_stage(executor, "matching/r2", n, |i| {
-        let e = EntityId(i as u32);
-        if !free_self[i] {
+    let proposals = per_entity_stage(executor, "matching/r2", pair.kb(small).len(), |e| {
+        if !state.is_free(small, e) {
             return None;
         }
-        let top = graph
-            .value_candidates(small, e)
-            .iter()
-            .find(|c| free_other[c.entity_id().index()])?;
+        let top = graph.value_candidates(small, e).iter().find(|c| state.is_free(other, c.entity_id()))?;
         (top.weight() >= 1.0).then_some((e, top.entity_id(), top.weight()))
     });
-
-    // Greedy unique-mapping merge, strongest β first.
-    let mut props: Vec<(EntityId, EntityId, f64)> = proposals.into_iter().flatten().collect();
-    executor.emit_counter("matching/r2_candidates", props.len() as u64);
-    props.sort_unstable_by(|a, b| {
-        b.2.partial_cmp(&a.2).unwrap_or(std::cmp::Ordering::Equal).then(a.0.cmp(&b.0))
-    });
-    for (e, c, _) in props {
-        let (l, r) = orient(small, e, c);
+    executor.emit_counter("matching/r2_candidates", proposals.len() as u64);
+    for (e, c) in strongest_proposers(&proposals, pair.kb(other).len()) {
+        let (l, r) = if small == Side::Left { (e, c) } else { (c, e) };
         state.assign(l, r, Rule::R2);
     }
+}
+
+/// R2's merge: each target goes to its strongest proposer `(proposer,
+/// target, β)`, β descending, then the smaller proposer id; returns the
+/// `(proposer, target)` pairs. Each free entity proposes once and only
+/// free targets, so this is what a greedy unique-mapping merge, strongest
+/// β first, assigns — in one pass and whatever the proposals' order.
+fn strongest_proposers(
+    proposals: &[(EntityId, EntityId, f64)],
+    n_targets: usize,
+) -> impl Iterator<Item = (EntityId, EntityId)> {
+    let mut strongest: Vec<Option<(EntityId, f64)>> = vec![None; n_targets];
+    for &(e, c, beta) in proposals {
+        if let Some(slot) = strongest.get_mut(c.index()) {
+            if slot.map_or(true, |(held, b)| beta > b || (beta == b && e < held)) {
+                *slot = Some((e, beta));
+            }
+        }
+    }
+    strongest.into_iter().enumerate().filter_map(|(c, slot)| slot.map(|(e, _)| (e, EntityId(c as u32))))
 }
 
 /// R3 (lines 10-23): threshold-free rank aggregation of the value- and
@@ -223,6 +209,9 @@ fn rule_r2(executor: &Executor, pair: &KbPair, graph: &BlockingGraph, state: &mu
 /// of §5 and the reciprocity rationale of §4). This is what keeps R3 from
 /// pairing up the unmatchable leftovers of either KB: an entity with no
 /// true match proposes *something*, but is almost never proposed back.
+///
+/// Each free entity proposes one free entity, so mutual pairs are disjoint
+/// and their endpoints free: every one of them is assigned, in any order.
 fn rule_r3(
     executor: &Executor,
     pair: &KbPair,
@@ -230,59 +219,31 @@ fn rule_r3(
     theta: f64,
     state: &mut Assignment,
 ) {
-    let mut proposals: Vec<(Side, EntityId, EntityId, f64)> = Vec::new();
-    for side in [Side::Left, Side::Right] {
-        let n = pair.kb(side).len();
-        let free_self: Vec<bool> = (0..n).map(|i| state.is_free(side, EntityId(i as u32))).collect();
-        let other = side.other();
-        let free_other: Vec<bool> = (0..pair.kb(other).len())
-            .map(|i| state.is_free(other, EntityId(i as u32)))
-            .collect();
-
-        #[expect(clippy::indexing_slicing, reason = "bound: `i < n`, the length of `free_self` \
-                  (`per_entity_stage` calls with `0..n`); a candidate is an entity of the other \
-                  side, one slot of `free_other` each.")]
-        let side_props = per_entity_stage(executor, &format!("matching/r3/{side:?}"), n, |i| {
-            let e = EntityId(i as u32);
-            if !free_self[i] {
+    let propose = |side: Side| {
+        per_entity_stage(executor, &format!("matching/r3/{side:?}"), pair.kb(side).len(), |e| {
+            if !state.is_free(side, e) {
                 return None;
             }
-            let keep = |c: EntityId| free_other[c.index()];
-            let best =
+            let keep = |c: EntityId| state.is_free(side.other(), c);
+            let (best, _) =
                 aggregate_top_candidate(graph.value_candidates(side, e), graph.neighbor_candidates(side, e), theta, keep)?;
-            Some((e, best.0, best.1))
-        });
-        for (e, c, score) in side_props.into_iter().flatten() {
-            let (l, r) = orient(side, e, c);
-            proposals.push((side, l, r, score));
-        }
-    }
-
-    executor.emit_counter("matching/r3_candidates", proposals.len() as u64);
-
-    // Mutual-proposal join: keep (l, r) iff proposed from both sides.
-    let mut left_props: DetHashMap<(u32, u32), f64> = DetHashMap::default();
-    for &(side, l, r, score) in &proposals {
-        if side == Side::Left {
-            left_props.insert((l.0, r.0), score);
-        }
-    }
-    let mut mutual: Vec<(EntityId, EntityId, f64)> = proposals
-        .iter()
-        .filter(|&&(side, ..)| side == Side::Right)
-        .filter_map(|&(_, l, r, score)| {
-            left_props.get(&(l.0, r.0)).map(|&s| (l, r, s + score))
+            Some((e, best))
         })
-        .collect();
+    };
+    let (left, right) = (propose(Side::Left), propose(Side::Right));
+    executor.emit_counter("matching/r3_candidates", (left.len() + right.len()) as u64);
 
-    mutual.sort_unstable_by(|a, b| {
-        b.2.partial_cmp(&a.2)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.0.cmp(&b.0))
-            .then(a.1.cmp(&b.1))
-    });
-    for (l, r, _) in mutual {
-        state.assign(l, r, Rule::R3);
+    // Left slot `l` holds the right entity `l` proposes.
+    let mut proposed_by_left: Vec<Option<EntityId>> = vec![None; pair.kb(Side::Left).len()];
+    for (l, r) in left {
+        if let Some(slot) = proposed_by_left.get_mut(l.index()) {
+            *slot = Some(r);
+        }
+    }
+    for (r, l) in right {
+        if proposed_by_left.get(l.index()) == Some(&Some(r)) {
+            state.assign(l, r, Rule::R3);
+        }
     }
 }
 
@@ -366,30 +327,25 @@ impl AggregateScratch {
     }
 }
 
-fn orient(side: Side, e: EntityId, candidate: EntityId) -> (EntityId, EntityId) {
-    match side {
-        Side::Left => (e, candidate),
-        Side::Right => (candidate, e),
-    }
-}
-
-/// Runs a per-entity computation as a parallel stage over index chunks.
+/// Runs a per-entity computation as a parallel stage over index chunks;
+/// the results come in entity order.
 fn per_entity_stage<T: Send>(
     executor: &Executor,
     name: &str,
     n: usize,
-    f: impl Fn(usize) -> Option<T> + Sync,
-) -> Vec<Vec<T>> {
+    f: impl Fn(EntityId) -> Option<T> + Sync,
+) -> Vec<T> {
     if n == 0 {
         return Vec::new();
     }
     let tasks = executor.partitions().max(1);
     let chunk = n.div_ceil(tasks).max(1);
-    executor.run_stage(name, n.div_ceil(chunk), |t| {
+    let chunks = executor.run_stage(name, n.div_ceil(chunk), |t| {
         let lo = t * chunk;
         let hi = ((t + 1) * chunk).min(n);
-        (lo..hi).filter_map(&f).collect()
-    })
+        (lo..hi).filter_map(|i| f(EntityId(i as u32))).collect::<Vec<T>>()
+    });
+    chunks.into_iter().flatten().collect()
 }
 
 #[cfg(test)]
@@ -570,6 +526,56 @@ mod tests {
             let out = match_on(&pair, &graph, RuleSet::R2_ONLY);
             assert_eq!(out.matches, [(e(strong), e(0))]);
         }
+    }
+
+    /// The greedy merge `strongest_proposers` replaced, kept as its
+    /// oracle: proposals strongest β first, then by proposer, each taken
+    /// while both its endpoints are free.
+    fn greedy_strongest_first(proposals: &[(EntityId, EntityId, f64)]) -> Vec<(EntityId, EntityId)> {
+        let mut props = proposals.to_vec();
+        props.sort_unstable_by(|a, b| {
+            b.2.partial_cmp(&a.2).unwrap_or(std::cmp::Ordering::Equal).then(a.0.cmp(&b.0))
+        });
+        let (mut proposers, mut targets) = (Vec::new(), Vec::new());
+        let mut merged = Vec::new();
+        for (e, c, _) in props {
+            if !proposers.contains(&e) && !targets.contains(&c) {
+                proposers.push(e);
+                targets.push(c);
+                merged.push((e, c));
+            }
+        }
+        merged.sort_unstable();
+        merged
+    }
+
+    /// R2's per-target slots assign what the greedy strongest-β-first
+    /// merge does, on proposal sets where most targets are contested and
+    /// β ties are common, in any proposal order.
+    #[test]
+    fn r2_slot_merge_equals_the_greedy_strongest_first_merge() {
+        let mut contested = 0;
+        minoaner_det::rng::for_each_seed(2000, |rng| {
+            let n_targets = 1 + rng.gen_range(0..6usize);
+            let mut proposers: Vec<u32> = (0..rng.gen_range(0..24u32)).collect();
+            rng.shuffle(&mut proposers);
+            proposers.truncate(rng.gen_range(0..16usize));
+            let proposals: Vec<(EntityId, EntityId, f64)> = proposers
+                .iter()
+                .map(|&p| {
+                    let beta = [1.0, 1.0, 1.5, 2.0, 3.25][rng.gen_range(0..5usize)];
+                    (e(p), e(rng.gen_range(0..n_targets) as u32), beta)
+                })
+                .collect();
+            let mut targets: Vec<EntityId> = proposals.iter().map(|p| p.1).collect();
+            targets.sort_unstable();
+            targets.dedup();
+            contested += usize::from(targets.len() < proposals.len());
+            let mut slots: Vec<(EntityId, EntityId)> = strongest_proposers(&proposals, n_targets).collect();
+            slots.sort_unstable();
+            assert_eq!(slots, greedy_strongest_first(&proposals), "{proposals:?}");
+        });
+        assert!(contested > 1000, "only {contested} of 2000 cases contest a target");
     }
 
     /// R4 (Def. 4.1): a match needs its edge in both directions. With

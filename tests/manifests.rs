@@ -291,7 +291,6 @@ const PANIC_LINT_EXPECTS: &[(&str, usize)] = &[
     ("crates/blocking/src/graph.rs", 8),
     ("crates/blocking/src/stats.rs", 1),
     ("crates/core/src/clusters.rs", 2),
-    ("crates/core/src/matcher.rs", 4),
     ("crates/core/src/pipeline.rs", 1),
     ("crates/dataflow/src/pool.rs", 2),
     ("crates/dataflow/src/spill.rs", 1),

@@ -21,7 +21,7 @@ use std::hash::{Hash, Hasher};
 
 use minoaner_blocking::{NameBlocks, TokenBlocks};
 use minoaner_dataflow::Executor;
-use minoaner_kb::{EntityId, KbPair, Side};
+use minoaner_kb::{merge_join, EntityId, KbPair, Side};
 
 use crate::umc::unique_mapping_prefix;
 
@@ -154,22 +154,12 @@ struct PairStats {
 }
 
 fn merge_stats(a: &Profile, b: &Profile) -> PairStats {
-    let (mut i, mut j) = (0, 0);
     let mut s = PairStats { dot: 0.0, min_sum: 0.0, shared: 0, shared_weight: 0.0 };
-    while i < a.len() && j < b.len() {
-        match a[i].0.cmp(&b[j].0) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                let (wa, wb) = (a[i].1, b[j].1);
-                s.dot += wa * wb;
-                s.min_sum += wa.min(wb);
-                s.shared += 1;
-                s.shared_weight += wa + wb;
-                i += 1;
-                j += 1;
-            }
-        }
+    for ((_, wa), (_, wb)) in merge_join(a, b, |&(gram, _)| gram).shared() {
+        s.dot += wa * wb;
+        s.min_sum += wa.min(wb);
+        s.shared += 1;
+        s.shared_weight += wa + wb;
     }
     s
 }

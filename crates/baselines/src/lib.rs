@@ -20,6 +20,14 @@
 //! * [`published`] — the paper's Table 3/Table 4 numbers, for printing
 //!   alongside measured results.
 //!
+//! What the analogues share is written once: every score over two sorted
+//! token or gram lists is a walk of `minoaner_kb::merge_join`, and the
+//! crate-private `matching` module holds the in-edge table (one
+//! `Rows::build` inversion of the relation triples) PARIS, SiGMa and LINDA
+//! propagate over, the one-to-one match state SiGMa, LINDA and RiMOM grow
+//! (a dense partner slot per entity, read in entity order), and the
+//! relation alignment SiGMa and RiMOM learn from it.
+//!
 //! Each analogue documents its simplifications in its module docs. PARIS,
 //! SiGMa, LINDA and RiMOM each run at one setting, as the paper's Table 3
 //! rows do: their thresholds and bounds are module constants, documented
@@ -32,6 +40,7 @@
 
 pub mod bsl;
 pub mod linda;
+mod matching;
 pub mod paris;
 pub mod published;
 pub mod rimom;

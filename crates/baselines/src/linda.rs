@@ -24,6 +24,7 @@ use minoaner_dataflow::Executor;
 use minoaner_kb::stats::TokenEf;
 use minoaner_kb::{AttrId, EntityId, KbPair, Side};
 
+use crate::matching::{in_edges, Matching};
 use crate::sigma::value_similarity;
 use crate::umc::unique_mapping_clustering;
 
@@ -120,28 +121,16 @@ pub fn run_linda(executor: &Executor, pair: &KbPair) -> Vec<(EntityId, EntityId)
         .map(|(&(l, r), _)| (EntityId(l), EntityId(r)))
         .collect();
 
-    // In-edge lists so link feedback flows in both directions.
-    let in_edges = |side: Side| -> Vec<Vec<(AttrId, EntityId)>> {
-        let kb = pair.kb(side);
-        let mut rev: Vec<Vec<(AttrId, EntityId)>> = vec![Vec::new(); kb.len()];
-        for (x, e) in kb.iter() {
-            for (r, t) in e.relation_pairs() {
-                rev[t.index()].push((r, x));
-            }
-        }
-        rev
-    };
-    let in_l = in_edges(Side::Left);
-    let in_r = in_edges(Side::Right);
+    // In-edges so link feedback flows in both directions.
+    let in_l = in_edges(pair, Side::Left);
+    let in_r = in_edges(pair, Side::Right);
 
-    let mut matched_l: DetHashMap<EntityId, EntityId> = DetHashMap::default();
-    let mut matched_r: DetHashMap<EntityId, EntityId> = DetHashMap::default();
-
+    let mut matches = Matching::new(pair);
     for round in 0..MAX_ROUNDS {
         let added = executor.time_stage(&format!("linda/round-{round}"), || {
             let mut scored: Vec<(EntityId, EntityId, f64)> = Vec::new();
             for &(l, r) in &candidates {
-                if matched_l.contains_key(&l) || matched_r.contains_key(&r) {
+                if matches.is_matched(Side::Left, l) || matches.is_matched(Side::Right, r) {
                     continue;
                 }
                 let v = value_similarity(pair, &ef, l, r);
@@ -151,7 +140,7 @@ pub fn run_linda(executor: &Executor, pair: &KbPair) -> Vec<(EntityId, EntityId)
                 let mut total = 0.0;
                 for (rl, nl) in pair.kb(Side::Left).entity(l).relation_pairs() {
                     total += 1.0;
-                    if let Some(&mr) = matched_l.get(&nl) {
+                    if let Some(mr) = matches.partner(Side::Left, nl) {
                         let compatible = pair
                             .kb(Side::Right)
                             .entity(r)
@@ -162,10 +151,11 @@ pub fn run_linda(executor: &Executor, pair: &KbPair) -> Vec<(EntityId, EntityId)
                         }
                     }
                 }
-                for &(rl, pl) in &in_l[l.index()] {
+                for &(rl, pl) in in_l.row(l.index()) {
                     total += 1.0;
-                    if let Some(&mr) = matched_l.get(&pl) {
-                        let compatible = in_r[r.index()]
+                    if let Some(mr) = matches.partner(Side::Left, pl) {
+                        let compatible = in_r
+                            .row(r.index())
                             .iter()
                             .any(|&(rr, pr)| pr == mr && compat_set.contains(&(rl, rr)));
                         if compatible {
@@ -180,24 +170,13 @@ pub fn run_linda(executor: &Executor, pair: &KbPair) -> Vec<(EntityId, EntityId)
                 }
             }
             let accepted = unique_mapping_clustering(scored, THRESHOLD);
-            let mut added = 0;
-            for (l, r) in accepted {
-                if !matched_l.contains_key(&l) && !matched_r.contains_key(&r) {
-                    matched_l.insert(l, r);
-                    matched_r.insert(r, l);
-                    added += 1;
-                }
-            }
-            added
+            accepted.into_iter().filter(|&(l, r)| matches.insert(l, r)).count()
         });
         if added == 0 {
             break;
         }
     }
-
-    let mut out: Vec<(EntityId, EntityId)> = matched_l.into_iter().collect();
-    out.sort_unstable();
-    out
+    matches.pairs().collect()
 }
 
 #[cfg(test)]

@@ -24,6 +24,7 @@ use minoaner_det::DetHashMap;
 use minoaner_dataflow::Executor;
 use minoaner_kb::{AttrId, EntityId, KbPair, LiteralId, Side};
 
+use crate::matching::in_edges;
 use crate::umc::unique_mapping_clustering;
 
 /// Propagation iterations (the original converges in a handful).
@@ -132,18 +133,8 @@ pub fn run_paris(executor: &Executor, pair: &KbPair) -> Vec<(EntityId, EntityId)
             *rel_count_r.entry(r).or_insert(0) += 1;
         }
     }
-    let in_edges = |side: Side| -> Vec<Vec<(AttrId, EntityId)>> {
-        let kb = pair.kb(side);
-        let mut rev: Vec<Vec<(AttrId, EntityId)>> = vec![Vec::new(); kb.len()];
-        for (x, e) in kb.iter() {
-            for (r, t) in e.relation_pairs() {
-                rev[t.index()].push((r, x));
-            }
-        }
-        rev
-    };
-    let in_l = in_edges(Side::Left);
-    let in_r = in_edges(Side::Right);
+    let in_l = in_edges(pair, Side::Left);
+    let in_r = in_edges(pair, Side::Right);
 
     // --- Iterative propagation through aligned relations, in pair order ---
     for it in 0..ITERATIONS {
@@ -154,8 +145,8 @@ pub fn run_paris(executor: &Executor, pair: &KbPair) -> Vec<(EntityId, EntityId)
             // Relation alignment counts from accepted child pairs.
             let mut align: DetHashMap<(AttrId, AttrId), f64> = DetHashMap::default();
             for &((cx, cy), p) in &accepted {
-                for &(rl, _) in &in_l[cx as usize] {
-                    for &(rr, _) in &in_r[cy as usize] {
+                for &(rl, _) in in_l.row(cx as usize) {
+                    for &(rr, _) in in_r.row(cy as usize) {
                         *align.entry((rl, rr)).or_insert(0.0) += p;
                     }
                 }
@@ -179,11 +170,11 @@ pub fn run_paris(executor: &Executor, pair: &KbPair) -> Vec<(EntityId, EntityId)
             };
             for &((cx, cy), p) in &accepted {
                 // Upward: parents of matched children.
-                let fan = in_l[cx as usize].len().max(in_r[cy as usize].len());
+                let fan = in_l.row_len(cx as usize).max(in_r.row_len(cy as usize));
                 if fan > 0 {
                     let local = 1.0 / fan as f64;
-                    for &(rl, px) in &in_l[cx as usize] {
-                        for &(rr, py) in &in_r[cy as usize] {
+                    for &(rl, px) in in_l.row(cx as usize) {
+                        for &(rr, py) in in_r.row(cy as usize) {
                             let a = alignment(rl, rr);
                             if a > 0.0 {
                                 bump((px.0, py.0), a * p * local);

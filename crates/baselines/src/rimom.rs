@@ -15,8 +15,9 @@ use minoaner_det::{DetHashMap, DetHashSet};
 
 use minoaner_dataflow::Executor;
 use minoaner_kb::stats::TokenEf;
-use minoaner_kb::{AttrId, EntityId, KbPair, Side, TokenId};
+use minoaner_kb::{merge_join, EntityId, KbPair, Side, TokenId};
 
+use crate::matching::{relation_alignment, Matching};
 use crate::umc::unique_mapping_clustering;
 
 /// Number of top TF-IDF tokens per entity used as blocking keys.
@@ -52,20 +53,10 @@ fn top_tokens(pair: &KbPair, ef: &TokenEf, side: Side, k: usize) -> Vec<Vec<Toke
 fn cosine(pair: &KbPair, ef: &TokenEf, l: EntityId, r: EntityId) -> f64 {
     let a = pair.kb(Side::Left).tokens_of(l);
     let b = pair.kb(Side::Right).tokens_of(r);
-    let (mut i, mut j) = (0, 0);
-    let mut dot = 0.0;
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                let w = ef.token_weight(a[i]);
-                dot += w * w;
-                i += 1;
-                j += 1;
-            }
-        }
-    }
+    let dot = merge_join(a, b, |&t| t).shared().fold(0.0, |dot, (t, _)| {
+        let w = ef.token_weight(t);
+        dot + w * w
+    });
     let norm = |ts: &[TokenId]| -> f64 {
         ts.iter().map(|&t| ef.token_weight_clamped(t).powi(2)).sum::<f64>().sqrt()
     };
@@ -121,45 +112,30 @@ pub fn run_rimom(executor: &Executor, pair: &KbPair) -> Vec<(EntityId, EntityId)
             .filter(|&(_, _, s)| s >= THRESHOLD)
             .collect()
     });
-    let initial = unique_mapping_clustering(scored, THRESHOLD);
-    let mut matched_l: DetHashMap<EntityId, EntityId> = initial.iter().copied().collect();
-    let mut matched_r: DetHashMap<EntityId, EntityId> =
-        initial.iter().map(|&(l, r)| (r, l)).collect();
+    let mut matches = Matching::new(pair);
+    for (l, r) in unique_mapping_clustering(scored, THRESHOLD) {
+        matches.insert(l, r);
+    }
 
     // --- One-left-object sweeps ---
     for sweep in 0..MAX_SWEEPS {
         let added = executor.time_stage(&format!("rimom/sweep-{sweep}"), || {
-            // Relation alignment from current matches.
-            let mut align: DetHashSet<(AttrId, AttrId)> = DetHashSet::default();
-            #[expect(clippy::iter_over_hash_type, reason = "builds a set: its members do not \
-                      depend on the order they arrive in")]
-            for (&l, &r) in &matched_l {
-                for (rl, nl) in pair.kb(Side::Left).entity(l).relation_pairs() {
-                    if let Some(&mr) = matched_l.get(&nl) {
-                        for (rr, nr) in pair.kb(Side::Right).entity(r).relation_pairs() {
-                            if nr == mr {
-                                align.insert((rl, rr));
-                            }
-                        }
-                    }
-                }
-            }
+            let align = relation_alignment(pair, &matches);
             let mut new_pairs: Vec<(EntityId, EntityId)> = Vec::new();
-            #[expect(clippy::iter_over_hash_type, reason = "`new_pairs` is sorted before it is read")]
-            for (&l, &r) in &matched_l {
-                for &(rl, rr) in &align {
+            for (l, r) in matches.pairs() {
+                for &(rl, rr) in align.keys() {
                     let open_l: Vec<EntityId> = pair
                         .kb(Side::Left)
                         .entity(l)
                         .relation_pairs()
-                        .filter(|&(a, n)| a == rl && !matched_l.contains_key(&n))
+                        .filter(|&(a, n)| a == rl && !matches.is_matched(Side::Left, n))
                         .map(|(_, n)| n)
                         .collect();
                     let open_r: Vec<EntityId> = pair
                         .kb(Side::Right)
                         .entity(r)
                         .relation_pairs()
-                        .filter(|&(a, n)| a == rr && !matched_r.contains_key(&n))
+                        .filter(|&(a, n)| a == rr && !matches.is_matched(Side::Right, n))
                         .map(|(_, n)| n)
                         .collect();
                     // The one-left-object heuristic.
@@ -170,24 +146,13 @@ pub fn run_rimom(executor: &Executor, pair: &KbPair) -> Vec<(EntityId, EntityId)
             }
             new_pairs.sort_unstable();
             new_pairs.dedup();
-            let mut added = 0;
-            for (l, r) in new_pairs {
-                if !matched_l.contains_key(&l) && !matched_r.contains_key(&r) {
-                    matched_l.insert(l, r);
-                    matched_r.insert(r, l);
-                    added += 1;
-                }
-            }
-            added
+            new_pairs.into_iter().filter(|&(l, r)| matches.insert(l, r)).count()
         });
         if added == 0 {
             break;
         }
     }
-
-    let mut out: Vec<(EntityId, EntityId)> = matched_l.into_iter().collect();
-    out.sort_unstable();
-    out
+    matches.pairs().collect()
 }
 
 #[cfg(test)]

@@ -14,12 +14,13 @@
 //! assumed learnable from matched pairs* — an assumption MinoanER
 //! deliberately avoids.
 
-use minoaner_det::{DetHashMap, DetHashSet};
+use std::collections::BTreeSet;
 
 use minoaner_dataflow::Executor;
 use minoaner_kb::stats::{NameStats, TokenEf};
-use minoaner_kb::{AttrId, EntityId, KbPair, Side};
+use minoaner_kb::{merge_join, EntityId, KbPair, Merged, Side};
 
+use crate::matching::{in_edges, relation_alignment, Matching};
 use crate::umc::unique_mapping_clustering;
 
 /// Acceptance threshold on the combined score.
@@ -38,32 +39,16 @@ const NAME_ATTRS: usize = 2;
 pub(crate) fn value_similarity(pair: &KbPair, ef: &TokenEf, l: EntityId, r: EntityId) -> f64 {
     let a = pair.kb(Side::Left).tokens_of(l);
     let b = pair.kb(Side::Right).tokens_of(r);
-    let (mut i, mut j) = (0, 0);
     let (mut inter, mut union) = (0.0, 0.0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => {
-                union += ef.token_weight_clamped(a[i]);
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                union += ef.token_weight_clamped(b[j]);
-                j += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                let w = ef.token_weight(a[i]);
+    for step in merge_join(a, b, |&t| t) {
+        match step {
+            Merged::Left(t) | Merged::Right(t) => union += ef.token_weight_clamped(t),
+            Merged::Both(t, _) => {
+                let w = ef.token_weight(t);
                 inter += w;
                 union += w;
-                i += 1;
-                j += 1;
             }
         }
-    }
-    for &t in &a[i..] {
-        union += ef.token_weight_clamped(t);
-    }
-    for &t in &b[j..] {
-        union += ef.token_weight_clamped(t);
     }
     if union == 0.0 {
         0.0
@@ -75,19 +60,7 @@ pub(crate) fn value_similarity(pair: &KbPair, ef: &TokenEf, l: EntityId, r: Enti
 fn shared_token_count(pair: &KbPair, l: EntityId, r: EntityId) -> usize {
     let a = pair.kb(Side::Left).tokens_of(l);
     let b = pair.kb(Side::Right).tokens_of(r);
-    let (mut i, mut j, mut n) = (0, 0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                n += 1;
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    n
+    merge_join(a, b, |&t| t).shared().count()
 }
 
 /// Runs SiGMa-style matching.
@@ -99,77 +72,47 @@ pub fn run_sigma(executor: &Executor, pair: &KbPair) -> Vec<(EntityId, EntityId)
     let name_blocks = minoaner_blocking::name::build_name_blocks(pair, &names);
     let seeds = minoaner_blocking::name::alpha_pairs(&name_blocks);
 
-    let mut matched_l: DetHashMap<EntityId, EntityId> = DetHashMap::default();
-    let mut matched_r: DetHashMap<EntityId, EntityId> = DetHashMap::default();
+    let mut matches = Matching::new(pair);
     for &(l, r) in &seeds {
-        if !matched_l.contains_key(&l) && !matched_r.contains_key(&r) {
-            matched_l.insert(l, r);
-            matched_r.insert(r, l);
-        }
+        matches.insert(l, r);
     }
 
-    // In-edge lists (child → [(relation, parent)]) so propagation works in
-    // both directions: a matched child promotes its parents too.
-    let in_edges = |side: Side| -> Vec<Vec<(AttrId, EntityId)>> {
-        let kb = pair.kb(side);
-        let mut rev: Vec<Vec<(AttrId, EntityId)>> = vec![Vec::new(); kb.len()];
-        for (x, e) in kb.iter() {
-            for (r, t) in e.relation_pairs() {
-                rev[t.index()].push((r, x));
-            }
-        }
-        rev
-    };
-    let in_l = in_edges(Side::Left);
-    let in_r = in_edges(Side::Right);
+    // In-edges so propagation works in both directions: a matched child
+    // promotes its parents too.
+    let in_l = in_edges(pair, Side::Left);
+    let in_r = in_edges(pair, Side::Right);
 
     // --- Greedy propagation rounds ---
     for round in 0..MAX_ROUNDS {
         let added = executor.time_stage(&format!("sigma/round-{round}"), || {
-            // Relation alignment from the current match set.
-            let mut align: DetHashMap<(AttrId, AttrId), u64> = DetHashMap::default();
-            #[expect(clippy::iter_over_hash_type, reason = "integer counts: a sum of them does not \
-                      depend on the order")]
-            for (&l, &r) in &matched_l {
-                for (rl, nl) in pair.kb(Side::Left).entity(l).relation_pairs() {
-                    if let Some(&mr) = matched_l.get(&nl) {
-                        for (rr, nr) in pair.kb(Side::Right).entity(r).relation_pairs() {
-                            if nr == mr {
-                                *align.entry((rl, rr)).or_insert(0) += 1;
-                            }
-                        }
-                    }
-                }
-            }
+            let align = relation_alignment(pair, &matches);
 
             // Frontier: unmatched neighbor pairs of current matches, in
             // both edge directions.
-            let mut frontier: DetHashSet<(EntityId, EntityId)> = DetHashSet::default();
-            #[expect(clippy::iter_over_hash_type, reason = "builds a set: its members do not \
-                      depend on the order they arrive in")]
-            for (&l, &r) in &matched_l {
+            let mut frontier: BTreeSet<(EntityId, EntityId)> = BTreeSet::new();
+            for (l, r) in matches.pairs() {
                 for (rl, nl) in pair.kb(Side::Left).entity(l).relation_pairs() {
-                    if matched_l.contains_key(&nl) {
+                    if matches.is_matched(Side::Left, nl) {
                         continue;
                     }
                     for (rr, nr) in pair.kb(Side::Right).entity(r).relation_pairs() {
-                        if matched_r.contains_key(&nr) {
+                        if matches.is_matched(Side::Right, nr) {
                             continue;
                         }
-                        if align.get(&(rl, rr)).copied().unwrap_or(0) > 0 || round == 0 {
+                        if round == 0 || align.contains_key(&(rl, rr)) {
                             frontier.insert((nl, nr));
                         }
                     }
                 }
-                for &(rl, pl) in &in_l[l.index()] {
-                    if matched_l.contains_key(&pl) {
+                for &(rl, pl) in in_l.row(l.index()) {
+                    if matches.is_matched(Side::Left, pl) {
                         continue;
                     }
-                    for &(rr, pr) in &in_r[r.index()] {
-                        if matched_r.contains_key(&pr) {
+                    for &(rr, pr) in in_r.row(r.index()) {
+                        if matches.is_matched(Side::Right, pr) {
                             continue;
                         }
-                        if align.get(&(rl, rr)).copied().unwrap_or(0) > 0 || round == 0 {
+                        if round == 0 || align.contains_key(&(rl, rr)) {
                             frontier.insert((pl, pr));
                         }
                     }
@@ -178,8 +121,6 @@ pub fn run_sigma(executor: &Executor, pair: &KbPair) -> Vec<(EntityId, EntityId)
 
             // Score the frontier: value similarity + matched-neighbor bonus.
             let mut scored: Vec<(EntityId, EntityId, f64)> = Vec::new();
-            #[expect(clippy::iter_over_hash_type, reason = "each pair is scored alone, and unique \
-                      mapping sorts the scores by a total order")]
             for &(l, r) in &frontier {
                 if shared_token_count(pair, l, r) < MIN_SHARED_TOKENS {
                     continue;
@@ -189,7 +130,7 @@ pub fn run_sigma(executor: &Executor, pair: &KbPair) -> Vec<(EntityId, EntityId)
                 let mut total_nbrs = 0usize;
                 for (_, nl) in pair.kb(Side::Left).entity(l).relation_pairs() {
                     total_nbrs += 1;
-                    if let Some(&mr) = matched_l.get(&nl) {
+                    if let Some(mr) = matches.partner(Side::Left, nl) {
                         if pair.kb(Side::Right).entity(r).relation_pairs().any(|(_, nr)| nr == mr) {
                             matched_nbrs += 1;
                         }
@@ -203,24 +144,13 @@ pub fn run_sigma(executor: &Executor, pair: &KbPair) -> Vec<(EntityId, EntityId)
             }
 
             let accepted = unique_mapping_clustering(scored, THRESHOLD);
-            let mut added = 0;
-            for (l, r) in accepted {
-                if !matched_l.contains_key(&l) && !matched_r.contains_key(&r) {
-                    matched_l.insert(l, r);
-                    matched_r.insert(r, l);
-                    added += 1;
-                }
-            }
-            added
+            accepted.into_iter().filter(|&(l, r)| matches.insert(l, r)).count()
         });
         if added == 0 {
             break;
         }
     }
-
-    let mut out: Vec<(EntityId, EntityId)> = matched_l.into_iter().collect();
-    out.sort_unstable();
-    out
+    matches.pairs().collect()
 }
 
 #[cfg(test)]

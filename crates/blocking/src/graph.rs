@@ -38,7 +38,6 @@
 //! (compiled for tests only); the seeded oracles and equivalence loops
 //! pin this kernel to it with exact `f64` equality.
 
-use std::cmp::Ordering;
 use std::sync::atomic::{self, AtomicUsize};
 use std::sync::{Mutex, PoisonError, RwLock};
 
@@ -46,7 +45,7 @@ use minoaner_dataflow::{Executor, SpillShuffle, StageIo};
 use minoaner_det::codec::Spillable;
 use minoaner_det::{lock, spillable_struct};
 use minoaner_kb::stats::RelationStats;
-use minoaner_kb::{EntityId, KbPair, Rows, Side};
+use minoaner_kb::{merge_join, EntityId, KbPair, Merged, Rows, Side};
 
 use crate::accum::SparseAccumulator;
 use crate::block::{NameBlocks, TokenBlocks};
@@ -266,19 +265,8 @@ impl<'a> GraphIndex<'a> {
     fn pair_weight(&self, side: Side, a: EntityId, b: EntityId, block_weight: &[f64]) -> f64 {
         let ra = self.entity_blocks[side.index()].row(a.index());
         let rb = self.entity_blocks[side.other().index()].row(b.index());
-        let (mut x, mut y, mut sum) = (0, 0, 0.0);
-        while x < ra.len() && y < rb.len() {
-            match ra[x].cmp(&rb[y]) {
-                Ordering::Less => x += 1,
-                Ordering::Greater => y += 1,
-                Ordering::Equal => {
-                    sum += block_weight[ra[x] as usize];
-                    x += 1;
-                    y += 1;
-                }
-            }
-        }
-        sum
+        let shared = merge_join(ra, rb, |&block| block).shared();
+        shared.fold(0.0, |sum, (block, _)| sum + block_weight[block as usize])
     }
 }
 
@@ -610,17 +598,20 @@ fn beta_union(
             own.extend_from_slice(value_left.row(i));
             own.sort_unstable_by_key(|c| c.entity_id());
             let row_is_live = live_left.row_len(i) > 0;
-            merge_by_id(&own, from_right.row(i - lo), |edge| {
+            // The union, ascending by id: β from the left's own list where
+            // both lists hold an edge.
+            for step in merge_join(&own, from_right.row(i - lo), |c| c.entity_id()) {
+                let (Merged::Left(edge) | Merged::Both(edge, _) | Merged::Right(edge)) = step;
                 union += 1;
                 let j = edge.entity_id().0;
                 if !row_is_live || live_right.row_len(j as usize) == 0 {
-                    return;
+                    continue;
                 }
                 if let Some(bucket) = buckets.get_mut(j as usize / chunk_r) {
                     bucket.push((i as u32, j, edge.weight()));
                 }
                 edges.push(edge);
-            });
+            }
             edges.end_row();
         }
         #[expect(clippy::panic, reason = "bound: deliberate: a failed spill write (a full disk) \
@@ -633,38 +624,6 @@ fn beta_union(
     });
     let union = parts.iter().map(|&(_, union)| union).sum();
     (Rows::parted(parts.into_iter().map(|(edges, _)| edges).collect()), union)
-}
-
-/// Visits the union of two rows ascending by id, each id once — the one
-/// from `first` where both hold it. Both rows must be ascending by id and
-/// free of duplicates.
-fn merge_by_id(mut first: &[Candidate], mut second: &[Candidate], mut visit: impl FnMut(Candidate)) {
-    loop {
-        match (first.split_first(), second.split_first()) {
-            (Some((&a, first_rest)), Some((&b, second_rest))) => match a.entity_id().cmp(&b.entity_id()) {
-                Ordering::Less => {
-                    visit(a);
-                    first = first_rest;
-                }
-                Ordering::Equal => {
-                    visit(a);
-                    (first, second) = (first_rest, second_rest);
-                }
-                Ordering::Greater => {
-                    visit(b);
-                    second = second_rest;
-                }
-            },
-            (Some(_), None) => {
-                first.iter().copied().for_each(visit);
-                return;
-            }
-            (None, _) => {
-                second.iter().copied().for_each(visit);
-                return;
-            }
-        }
-    }
 }
 
 /// The exchange's reduce step: one partition's β edges `(i, j, β)` — its

@@ -5,7 +5,7 @@
 use minoaner_det::DetHashSet;
 
 use minoaner_kb::stats::NameStats;
-use minoaner_kb::{EntityId, KbPair, Side, TokenId};
+use minoaner_kb::{merge_join, EntityId, KbPair, Side, TokenId};
 
 use crate::block::{NameBlocks, TokenBlocks};
 
@@ -84,21 +84,8 @@ fn co_occur(
     // Shared kept token?
     let a = pair.kb(Side::Left).tokens_of(l);
     let b = pair.kb(Side::Right).tokens_of(r);
-    let (mut i, mut j) = (0, 0);
-    #[expect(clippy::indexing_slicing, reason = "bound: `i < a.len()` and `j < b.len()` are the \
-              loop guard.")]
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                if kept_tokens.contains(&a[i]) {
-                    return true;
-                }
-                i += 1;
-                j += 1;
-            }
-        }
+    if merge_join(a, b, |&t| t).shared().any(|(t, _)| kept_tokens.contains(&t)) {
+        return true;
     }
     // Shared name literal with an active block?
     let ln = names.names_of(pair, Side::Left, l);

@@ -223,9 +223,11 @@ impl CheckpointStore {
         }
         let bytes = segment.finish().map_err(|e| corrupt(&path, e.to_string()))?;
         // A schema-1 barrier of the same name was a directory, and a schema-1
-        // commit cut short left its `.tmp-` staging directory behind.
+        // commit cut short left its `.tmp-` staging directory behind: a
+        // listed name that lists as a directory itself.
+        let listed = self.vfs.list_dir(&self.root).map_err(|e| io_err(&self.root, &e))?;
         for stale in [path.clone(), self.root.join(format!(".tmp-{name}"))] {
-            if stale.is_dir() {
+            if listed.contains(&stale) && self.vfs.list_dir(&stale).is_ok() {
                 self.vfs.remove_dir_all(&stale).map_err(|e| io_err(&stale, &e))?;
             }
         }
@@ -307,11 +309,14 @@ fn load_stage(
     barrier: usize,
     fingerprint: u64,
 ) -> Result<RecoveredStage, CheckpointError> {
-    if path.is_dir() {
-        // A schema-1 barrier: a directory of part files and a MANIFEST.
-        return Err(CheckpointError::SchemaMismatch { found: 1, expected: CHECKPOINT_SCHEMA_VERSION });
-    }
-    let bytes = vfs.read(path).map_err(|e| corrupt(path, format!("barrier unreadable: {e}")))?;
+    let bytes = vfs.read(path).map_err(|e| {
+        if vfs.list_dir(path).is_ok() {
+            // A schema-1 barrier: a directory of part files and a MANIFEST.
+            CheckpointError::SchemaMismatch { found: 1, expected: CHECKPOINT_SCHEMA_VERSION }
+        } else {
+            corrupt(path, format!("barrier unreadable: {e}"))
+        }
+    })?;
     let segment = Segment::parse(&bytes, Kind::CHECKPOINT, CHECKPOINT_SCHEMA_VERSION)
         .and_then(|segment| segment.verify(&bytes).map(|()| segment))
         .map_err(|e| segment_err(path, e))?;
@@ -605,8 +610,9 @@ mod tests {
         assert!(decode_exact::<Meta>(&bytes[..bytes.len() - 1]).is_none(), "short");
     }
 
-    /// A barrier is one file committed by `commit_file`: exactly its four
-    /// ops (write, fsync, rename, root fsync) after the store's open.
+    /// A barrier is the root's listing (the schema-1 probe) and one file
+    /// committed by `commit_file`: exactly its four ops (write, fsync,
+    /// rename, root fsync) after the store's open.
     #[test]
     fn failed_commit_at_every_op_leaves_no_staging_scratch() {
         use minoaner_det::vfs::{FaultFs, FaultKind, FaultPlan, OpClass};
@@ -617,7 +623,7 @@ mod tests {
         let classes: Vec<OpClass> = probe.ops().iter().map(|op| op.class).collect();
         fs::remove_dir_all(&root).unwrap();
         use OpClass::*;
-        assert_eq!(classes, [CreateDir, Write, SyncFile, Rename, SyncDir]);
+        assert_eq!(classes, [CreateDir, ListDir, Write, SyncFile, Rename, SyncDir]);
 
         // Fail each op in turn (op 0 is the store-open create_dir): the
         // write must surface a typed error and leave zero `.tmp-` scratch,

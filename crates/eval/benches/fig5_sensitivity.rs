@@ -7,15 +7,16 @@
 // (clippy::disallowed_methods) applies to library targets.
 #![allow(clippy::disallowed_methods)]
 
-use minoaner_dataflow::Executor;
+use minoaner_dataflow::{DataflowError, Executor};
 use minoaner_eval::figures::fig5;
 use minoaner_eval::scale_from_env;
 
-fn main() {
+fn main() -> Result<(), DataflowError> {
     let scale = scale_from_env();
     let exec = Executor::default();
     let start = std::time::Instant::now();
-    let (_points, rendered) = fig5(&exec, scale);
+    let (_points, rendered) = fig5(&exec, scale)?;
     println!("{rendered}");
     println!("(21 configurations x 4 datasets in {:?})", start.elapsed());
+    Ok(())
 }

@@ -8,15 +8,17 @@
 // (clippy::disallowed_methods) applies to library targets.
 #![allow(clippy::disallowed_methods)]
 
+use minoaner_dataflow::DataflowError;
 use minoaner_eval::figures::fig6;
 use minoaner_eval::scale_from_env;
 
-fn main() {
+fn main() -> Result<(), DataflowError> {
     let scale = scale_from_env();
     let reps: usize =
         std::env::var("MINOANER_REPS").ok().and_then(|s| s.parse().ok()).unwrap_or(3);
     let start = std::time::Instant::now();
-    let (_points, rendered) = fig6(scale, reps);
+    let (_points, rendered) = fig6(scale, reps)?;
     println!("{rendered}");
     println!("(worker sweep x 4 datasets, {reps} repetitions each, in {:?})", start.elapsed());
+    Ok(())
 }

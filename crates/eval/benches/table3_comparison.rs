@@ -7,18 +7,19 @@
 // (clippy::disallowed_methods) applies to library targets.
 #![allow(clippy::disallowed_methods)]
 
-use minoaner_dataflow::Executor;
+use minoaner_dataflow::{DataflowError, Executor};
 use minoaner_eval::scale_from_env;
 use minoaner_eval::tables::table3;
 
-fn main() {
+fn main() -> Result<(), DataflowError> {
     let scale = scale_from_env();
     let exec = Executor::default();
     let start = std::time::Instant::now();
-    let (rows, table) = table3(&exec, scale);
+    let (rows, table) = table3(&exec, scale)?;
     println!("{}", table.render());
     for r in rows.iter().filter(|r| !r.detail.is_empty()) {
         println!("  note [{} / {}]: {}", r.dataset, r.system, r.detail);
     }
     println!("(all systems, all datasets in {:?})", start.elapsed());
+    Ok(())
 }

@@ -13,7 +13,7 @@ use minoaner_blocking::purge::purge_with_cap;
 use minoaner_blocking::token::build_token_blocks_parallel;
 use minoaner_core::matcher::run_matching;
 use minoaner_core::{Minoaner, MinoanerConfig, PreparedBlocks, Resolution, ResolveRequest, RuleSet};
-use minoaner_dataflow::Executor;
+use minoaner_dataflow::{DataflowError, Executor};
 use minoaner_datagen::profiles::all_profiles;
 use minoaner_datagen::GeneratedDataset;
 use minoaner_kb::stats::{NameStats, RelationStats};
@@ -47,9 +47,9 @@ impl AblationRow {
 }
 
 /// One resolution of `d` by the product, on the executor's worker count.
-fn default_run(executor: &Executor, d: &GeneratedDataset) -> Resolution {
+fn default_run(executor: &Executor, d: &GeneratedDataset) -> Result<Resolution, DataflowError> {
     let req = ResolveRequest::pair(&d.pair).workers(executor.workers());
-    Minoaner::new().run(req).unwrap_or_else(|e| std::panic::panic_any(e)).into_resolution()
+    Ok(Minoaner::new().run(req)?.into_resolution())
 }
 
 /// The blocks [`Minoaner::prepare_blocks`] builds under the default
@@ -87,11 +87,11 @@ pub fn resolve_adaptive(executor: &Executor, pair: &KbPair, blocks: &PreparedBlo
 
 /// Pruning ablation: fixed top-K (the paper) vs the conclusion's adaptive
 /// per-node cut.
-pub fn pruning_ablation(executor: &Executor, scale: f64) -> Vec<AblationRow> {
+pub fn pruning_ablation(executor: &Executor, scale: f64) -> Result<Vec<AblationRow>, DataflowError> {
     let mut rows = Vec::new();
     for profile in all_profiles() {
         let d = dataset_at_scale(&profile, scale);
-        let top_k = default_run(executor, &d).matches;
+        let top_k = default_run(executor, &d)?.matches;
         let blocks = Minoaner::new().prepare_blocks(executor, &d.pair);
         let adaptive = resolve_adaptive(executor, &d.pair, &blocks);
         for (variant, matches) in [("top-K (paper)", top_k), ("adaptive (conclusion)", adaptive)] {
@@ -99,17 +99,17 @@ pub fn pruning_ablation(executor: &Executor, scale: f64) -> Vec<AblationRow> {
             rows.push(AblationRow::scored("pruning", variant, &profile.name, q, None));
         }
     }
-    rows
+    Ok(rows)
 }
 
 /// Block Purging ablation: the linear comparison budget (the default) vs
 /// no purging, as end-to-end F1 plus the token-block comparisons each run
 /// keeps, from each run's purge report.
-pub fn purging_ablation(executor: &Executor, scale: f64) -> Vec<AblationRow> {
+pub fn purging_ablation(executor: &Executor, scale: f64) -> Result<Vec<AblationRow>, DataflowError> {
     let mut rows = Vec::new();
     for profile in all_profiles() {
         let d = dataset_at_scale(&profile, scale);
-        let purged = default_run(executor, &d);
+        let purged = default_run(executor, &d)?;
         let resolver = Minoaner::new();
         let blocks = unpurged_blocks(executor, &d.pair);
         let graph = resolver.build_graph_from_blocks(executor, &d.pair, &blocks);
@@ -122,7 +122,7 @@ pub fn purging_ablation(executor: &Executor, scale: f64) -> Vec<AblationRow> {
             rows.push(AblationRow::scored("purging", variant, &profile.name, q, Some(note)));
         }
     }
-    rows
+    Ok(rows)
 }
 
 /// Renders ablation rows grouped by experiment.
@@ -175,8 +175,8 @@ mod tests {
     #[test]
     fn every_ablation_has_a_row_per_profile_and_variant_and_the_default_run_agrees() {
         let exec = Executor::new(2);
-        let pruning = pruning_ablation(&exec, 0.15);
-        let purging = purging_ablation(&exec, 0.15);
+        let pruning = pruning_ablation(&exec, 0.15).expect("resolves");
+        let purging = purging_ablation(&exec, 0.15).expect("resolves");
         let got: Vec<(&str, &str, u64, &str)> = pruning
             .iter()
             .chain(&purging)

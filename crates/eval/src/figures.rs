@@ -2,7 +2,7 @@
 //! scatter, the Figure 5 sensitivity curves and the Figure 6 scalability
 //! curves — each as structured series plus a text rendering.
 
-use minoaner_dataflow::Executor;
+use minoaner_dataflow::{DataflowError, Executor};
 use minoaner_datagen::profiles::all_profiles;
 use minoaner_datagen::GeneratedDataset;
 use minoaner_kb::stats::{max_neighbor_value_sim, value_sim, NameStats, RelationStats, TokenEf};
@@ -129,11 +129,11 @@ pub fn fig2(scale: f64) -> (Vec<Fig2Point>, String) {
 
 /// Computes Figure 5 (sensitivity) across all datasets and renders the
 /// four panels (one per parameter) as F1 series.
-pub fn fig5(executor: &Executor, scale: f64) -> (Vec<SensitivityPoint>, String) {
+pub fn fig5(executor: &Executor, scale: f64) -> Result<(Vec<SensitivityPoint>, String), DataflowError> {
     let mut all: Vec<SensitivityPoint> = Vec::new();
     for profile in all_profiles() {
         let d = dataset_at_scale(&profile, scale);
-        all.extend(sensitivity(executor, &d));
+        all.extend(sensitivity(executor, &d)?);
     }
     let mut out = String::new();
     for param in ["k", "K", "N", "theta"] {
@@ -166,19 +166,19 @@ pub fn fig5(executor: &Executor, scale: f64) -> (Vec<SensitivityPoint>, String) 
         out.push_str(&t.render());
         out.push('\n');
     }
-    (all, out)
+    Ok((all, out))
 }
 
 /// Computes Figure 6 (scalability) across all datasets and renders the
 /// per-dataset time/speedup series, followed by the input-size scaling
 /// sweep backing the paper's linear-complexity claim (§4).
-pub fn fig6(scale: f64, repetitions: usize) -> (Vec<ScalabilityPoint>, String) {
+pub fn fig6(scale: f64, repetitions: usize) -> Result<(Vec<ScalabilityPoint>, String), DataflowError> {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut all: Vec<ScalabilityPoint> = Vec::new();
     let mut out = String::new();
     for profile in all_profiles() {
         let d = dataset_at_scale(&profile, scale);
-        let points = scalability(&d, repetitions);
+        let points = scalability(&d, repetitions)?;
         let mut t = TextTable::new(
             format!("Figure 6 — {} (scale {scale}, {cores} hardware cores)", profile.name),
             &["workers", "time (ms)", "speedup", "matching share (%)"],
@@ -208,7 +208,7 @@ pub fn fig6(scale: f64, repetitions: usize) -> (Vec<ScalabilityPoint>, String) {
         &["dataset", "entities", "time (ms)", "time per 1k entities (ms)"],
     );
     for profile in all_profiles() {
-        for p in size_scaling(&profile, &scales, repetitions.min(2)) {
+        for p in size_scaling(&profile, &scales, repetitions.min(2))? {
             t.row(vec![
                 p.dataset.clone(),
                 p.entities.to_string(),
@@ -218,7 +218,7 @@ pub fn fig6(scale: f64, repetitions: usize) -> (Vec<ScalabilityPoint>, String) {
         }
     }
     out.push_str(&t.render());
-    (all, out)
+    Ok((all, out))
 }
 
 #[cfg(test)]

@@ -9,7 +9,7 @@ use minoaner_blocking::purge::purge_blocks;
 use minoaner_blocking::token::build_token_blocks;
 use minoaner_core::matcher::run_matching;
 use minoaner_core::{Minoaner, MinoanerConfig, ResolveRequest, RuleSet};
-use minoaner_dataflow::Executor;
+use minoaner_dataflow::{DataflowError, Executor};
 use minoaner_datagen::{generate, DatasetProfile, GeneratedDataset};
 use minoaner_kb::stats::NameStats;
 use minoaner_kb::{EntityId, Side};
@@ -68,14 +68,17 @@ pub struct SystemRun {
 // Harness timing feeds the runtime columns of the paper tables; the
 // quality numbers are clock-independent.
 #[allow(clippy::disallowed_methods)]
-pub fn run_system(executor: &Executor, dataset: &GeneratedDataset, system: SystemId) -> SystemRun {
+pub fn run_system(
+    executor: &Executor,
+    dataset: &GeneratedDataset,
+    system: SystemId,
+) -> Result<SystemRun, DataflowError> {
     let pair = &dataset.pair;
     let start = Instant::now();
     let (matches, detail) = match system {
         SystemId::Minoaner => {
             let res = Minoaner::new()
-                .run(ResolveRequest::pair(pair).workers(executor.workers()))
-                .unwrap_or_else(|e| std::panic::panic_any(e))
+                .run(ResolveRequest::pair(pair).workers(executor.workers()))?
                 .into_resolution();
             let c = res.rule_counts;
             (res.matches, format!("r1={} r2={} r3={} removed-by-r4={}", c.r1, c.r2, c.r3, c.removed_by_r4))
@@ -105,7 +108,7 @@ pub fn run_system(executor: &Executor, dataset: &GeneratedDataset, system: Syste
     };
     let runtime = start.elapsed();
     let quality = Quality::evaluate(&matches, &dataset.ground_truth);
-    SystemRun { system, matches, quality, runtime, detail }
+    Ok(SystemRun { system, matches, quality, runtime, detail })
 }
 
 /// Runs a MinoanER rule-set ablation (Table 4 rows) on a dataset: the
@@ -152,7 +155,7 @@ mod tests {
         let d = dataset_at_scale(&profiles::restaurant(), 0.3);
         let exec = Executor::new(2);
         for system in SystemId::ALL {
-            let run = run_system(&exec, &d, system);
+            let run = run_system(&exec, &d, system).expect("resolves");
             assert_eq!(run.system, system);
             assert!(run.quality.recall >= 0.0);
         }
@@ -162,7 +165,7 @@ mod tests {
     fn minoaner_beats_a_trivial_floor_on_restaurant() {
         let d = dataset_at_scale(&profiles::restaurant(), 0.5);
         let exec = Executor::new(2);
-        let run = run_system(&exec, &d, SystemId::Minoaner);
+        let run = run_system(&exec, &d, SystemId::Minoaner).expect("resolves");
         assert!(run.quality.f1 > 80.0, "got {}", run.quality);
         assert!(run.detail.contains("r1="));
     }

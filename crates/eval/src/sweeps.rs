@@ -4,7 +4,7 @@
 use std::time::Duration;
 
 use minoaner_core::{Minoaner, MinoanerConfig, ResolveRequest};
-use minoaner_dataflow::Executor;
+use minoaner_dataflow::{DataflowError, Executor};
 use minoaner_datagen::GeneratedDataset;
 
 use crate::metrics::Quality;
@@ -66,14 +66,13 @@ pub struct SensitivityPoint {
 
 /// Runs the Figure 5 sensitivity analysis on one dataset: each parameter
 /// varied over its sweep values with the other three at their defaults.
-pub fn sensitivity(executor: &Executor, dataset: &GeneratedDataset) -> Vec<SensitivityPoint> {
+pub fn sensitivity(executor: &Executor, dataset: &GeneratedDataset) -> Result<Vec<SensitivityPoint>, DataflowError> {
     let mut out = Vec::new();
     for param in [Parameter::K, Parameter::TopK, Parameter::N, Parameter::Theta] {
         for value in param.sweep_values() {
             let cfg = param.apply(value);
             let res = Minoaner::with_config(cfg)
-                .run(ResolveRequest::pair(&dataset.pair).workers(executor.workers()))
-                .unwrap_or_else(|e| std::panic::panic_any(e))
+                .run(ResolveRequest::pair(&dataset.pair).workers(executor.workers()))?
                 .into_resolution();
             let q = Quality::evaluate(&res.matches, &dataset.ground_truth);
             out.push(SensitivityPoint {
@@ -84,7 +83,7 @@ pub fn sensitivity(executor: &Executor, dataset: &GeneratedDataset) -> Vec<Sensi
             });
         }
     }
-    out
+    Ok(out)
 }
 
 /// One scalability measurement (Figure 6).
@@ -136,7 +135,7 @@ pub fn size_scaling(
     profile: &minoaner_datagen::DatasetProfile,
     scales: &[f64],
     repetitions: usize,
-) -> Vec<SizeScalingPoint> {
+) -> Result<Vec<SizeScalingPoint>, DataflowError> {
     let mut out = Vec::new();
     for &scale in scales {
         let d = minoaner_datagen::generate(&profile.scaled(scale));
@@ -144,10 +143,7 @@ pub fn size_scaling(
         let mut total = Duration::ZERO;
         let mut matching = Duration::ZERO;
         for _ in 0..repetitions.max(1) {
-            let trace = Minoaner::new()
-                .run(ResolveRequest::pair(&d.pair))
-                .unwrap_or_else(|e| std::panic::panic_any(e))
-                .trace;
+            let trace = Minoaner::new().run(ResolveRequest::pair(&d.pair))?.trace;
             total += trace.total_wall;
             matching += trace.stage_wall("matching/");
         }
@@ -160,24 +156,21 @@ pub fn size_scaling(
             matching: matching / reps,
         });
     }
-    out
+    Ok(out)
 }
 
 /// Runs the Figure 6 scalability experiment on one dataset: resolve with
 /// 1, 2, 4, … workers (constant partition count, as in the paper's fixed
 /// task count), reporting runtime, speedup and the matching share.
 /// `repetitions` runs are averaged per point.
-pub fn scalability(dataset: &GeneratedDataset, repetitions: usize) -> Vec<ScalabilityPoint> {
+pub fn scalability(dataset: &GeneratedDataset, repetitions: usize) -> Result<Vec<ScalabilityPoint>, DataflowError> {
     let mut out: Vec<ScalabilityPoint> = Vec::new();
     let mut baseline: Option<f64> = None;
     for workers in worker_sweep() {
         let mut total = Duration::ZERO;
         let mut matching = Duration::ZERO;
         for _ in 0..repetitions.max(1) {
-            let trace = Minoaner::new()
-                .run(ResolveRequest::pair(&dataset.pair).workers(workers))
-                .unwrap_or_else(|e| std::panic::panic_any(e))
-                .trace;
+            let trace = Minoaner::new().run(ResolveRequest::pair(&dataset.pair).workers(workers))?.trace;
             total += trace.total_wall;
             matching += trace.stage_wall("matching/");
         }
@@ -195,7 +188,7 @@ pub fn scalability(dataset: &GeneratedDataset, repetitions: usize) -> Vec<Scalab
             matching_share: if secs > 0.0 { 100.0 * matching.as_secs_f64() / secs } else { 0.0 },
         });
     }
-    out
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -227,7 +220,7 @@ mod tests {
     fn sensitivity_produces_21_points_per_dataset() {
         let d = dataset_at_scale(&profiles::restaurant(), 0.15);
         let exec = Executor::new(2);
-        let points = sensitivity(&exec, &d);
+        let points = sensitivity(&exec, &d).expect("resolves");
         assert_eq!(points.len(), 5 + 5 + 5 + 6);
         assert!(points.iter().all(|p| (0.0..=100.0).contains(&p.f1)));
     }
@@ -242,7 +235,7 @@ mod tests {
 
     #[test]
     fn size_scaling_grows_with_scale() {
-        let points = size_scaling(&profiles::restaurant(), &[0.2, 0.4], 1);
+        let points = size_scaling(&profiles::restaurant(), &[0.2, 0.4], 1).expect("resolves");
         assert_eq!(points.len(), 2);
         assert!(points[1].entities > points[0].entities);
     }
@@ -250,7 +243,7 @@ mod tests {
     #[test]
     fn scalability_reports_speedups() {
         let d = dataset_at_scale(&profiles::restaurant(), 0.3);
-        let points = scalability(&d, 1);
+        let points = scalability(&d, 1).expect("resolves");
         assert!(!points.is_empty());
         assert!((points[0].speedup - 1.0).abs() < 1e-9, "baseline speedup is 1");
         for p in &points {

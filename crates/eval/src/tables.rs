@@ -7,7 +7,7 @@ use minoaner_blocking::purge::purge_blocks;
 use minoaner_blocking::stats::{block_stats, BlockCollectionStats};
 use minoaner_blocking::token::build_token_blocks;
 use minoaner_core::{MinoanerConfig, RuleSet};
-use minoaner_dataflow::Executor;
+use minoaner_dataflow::{DataflowError, Executor};
 use minoaner_datagen::profiles::all_profiles;
 use minoaner_kb::dataset_stats::{kb_stats, KbStats};
 use minoaner_kb::stats::NameStats;
@@ -113,12 +113,12 @@ pub struct Table3Row {
 /// paper's published numbers alongside. Unlike the paper (which could not
 /// run SiGMa, LINDA or RiMOM), every row here is measured from a live
 /// analogue implementation.
-pub fn table3(executor: &Executor, scale: f64) -> (Vec<Table3Row>, TextTable) {
+pub fn table3(executor: &Executor, scale: f64) -> Result<(Vec<Table3Row>, TextTable), DataflowError> {
     let mut rows = Vec::new();
     for profile in all_profiles() {
         let d = dataset_at_scale(&profile, scale);
         for system in SystemId::ALL {
-            let run = run_system(executor, &d, system);
+            let run = run_system(executor, &d, system)?;
             let p = published(run.system.name(), &profile.name);
             rows.push(Table3Row {
                 system: run.system.name().to_owned(),
@@ -147,7 +147,7 @@ pub fn table3(executor: &Executor, scale: f64) -> (Vec<Table3Row>, TextTable) {
             pct(r.paper_f1),
         ]);
     }
-    (rows, t)
+    Ok((rows, t))
 }
 
 /// Table 4 — matching-rule ablations.

@@ -3,7 +3,7 @@
 //! EXPERIMENTS.md can be judged against their natural variation.
 
 use minoaner_core::{Minoaner, ResolveRequest};
-use minoaner_dataflow::Executor;
+use minoaner_dataflow::{DataflowError, Executor};
 use minoaner_datagen::{generate, DatasetProfile};
 
 use crate::metrics::Quality;
@@ -40,7 +40,7 @@ pub fn seed_variance(
     profiles: &[DatasetProfile],
     scale: f64,
     seeds: &[u64],
-) -> (Vec<VarianceRow>, TextTable) {
+) -> Result<(Vec<VarianceRow>, TextTable), DataflowError> {
     assert!(!seeds.is_empty(), "at least one seed required");
     let mut rows = Vec::new();
     for profile in profiles {
@@ -50,8 +50,7 @@ pub fn seed_variance(
             p.seed = seed;
             let d = generate(&p);
             let res = Minoaner::new()
-                .run(ResolveRequest::pair(&d.pair).workers(executor.workers()))
-                .unwrap_or_else(|e| std::panic::panic_any(e))
+                .run(ResolveRequest::pair(&d.pair).workers(executor.workers()))?
                 .into_resolution();
             let q = Quality::evaluate(&res.matches, &d.ground_truth);
             ps.push(q.precision);
@@ -73,7 +72,7 @@ pub fn seed_variance(
         let fmt = |m: MeanStd| format!("{:.2} ± {:.2}", m.mean, m.std);
         t.row(vec![r.dataset.clone(), fmt(r.precision), fmt(r.recall), fmt(r.f1)]);
     }
-    (rows, t)
+    Ok((rows, t))
 }
 
 #[cfg(test)]
@@ -99,7 +98,8 @@ mod tests {
             &[profiles::restaurant()],
             0.5,
             &[1, 2, 3],
-        );
+        )
+        .expect("resolves");
         assert_eq!(rows.len(), 1);
         let f1 = rows[0].f1;
         assert!(f1.mean > 80.0, "mean F1 {}", f1.mean);

@@ -47,5 +47,5 @@ pub use disk::{write_mkb, MkbError, MkbFile, MKB_FORMAT_VERSION};
 pub use interner::{Interner, Symbol};
 pub use model::{AttrId, Entity, EntityId, LiteralId, Side, TokenId, Value};
 pub use parser::{ParseError, ParseMode, ParseReport, SyntaxError};
-pub use rows::Rows;
+pub use rows::{merge_join, Merged, Rows};
 pub use store::{Kb, KbPair, KbPairBuilder, Term};

@@ -179,7 +179,7 @@ impl<'a> Entity<'a> {
     }
 
     /// Iterates over `(relation, neighbor)` pairs.
-    pub fn relation_pairs(self) -> impl Iterator<Item = (AttrId, EntityId)> + 'a {
+    pub fn relation_pairs(self) -> impl Iterator<Item = (AttrId, EntityId)> + Clone + 'a {
         self.pairs().filter_map(|(a, v)| match v {
             Value::Ref(e) => Some((a, e)),
             Value::Literal(_) => None,

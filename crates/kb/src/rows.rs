@@ -12,6 +12,9 @@
 //! what the tasks of a stage sharded by key range returned
 //! ([`Rows::parted`]), kept as they are instead of copied into one. Row `k`
 //! is then in part `k / chunk`.
+//!
+//! Rows of ascending ids are read two at a time by [`merge_join`], the one
+//! merge of two sorted lists in the workspace.
 
 use std::fmt;
 use std::ops::Range;
@@ -514,6 +517,84 @@ impl<'a, T> Iterator for RowIter<'a, T> {
 
 impl<T> ExactSizeIterator for RowIter<'_, T> {}
 
+/// One step of [`merge_join`]: an item only the left slice holds, one only
+/// the right slice holds, or the two items of a key both hold — left first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Merged<T> {
+    Left(T),
+    Right(T),
+    Both(T, T),
+}
+
+/// The merge of two slices ascending by `key`, each key at most once a
+/// side: every item in key order, as [`Merged`] steps, and once one side
+/// runs out the rest of the other. What a row's ascending ids are for — a
+/// weighted intersection (Def. 2.1's value similarity), a union (the γ
+/// pass's β edges), a Jaccard sum over both — is one walk of it, and a sum
+/// folded over it adds its terms in ascending key order.
+pub fn merge_join<'a, T: Copy, K: Ord>(
+    left: &'a [T],
+    right: &'a [T],
+    key: impl Fn(&T) -> K,
+) -> MergeJoin<'a, T, impl Fn(&T) -> K> {
+    MergeJoin { left, right, key }
+}
+
+/// The iterator of [`merge_join`].
+pub struct MergeJoin<'a, T, F> {
+    left: &'a [T],
+    right: &'a [T],
+    key: F,
+}
+
+impl<'a, T: Copy, K: Ord, F: Fn(&T) -> K + 'a> MergeJoin<'a, T, F> {
+    /// Only the keys both sides hold, as `(left, right)` item pairs; stops
+    /// where the shorter side ends.
+    pub fn shared(mut self) -> impl Iterator<Item = (T, T)> + 'a {
+        std::iter::from_fn(move || {
+            while !self.left.is_empty() && !self.right.is_empty() {
+                if let Some(Merged::Both(a, b)) = self.next() {
+                    return Some((a, b));
+                }
+            }
+            None
+        })
+    }
+}
+
+impl<T: Copy, K: Ord, F: Fn(&T) -> K> Iterator for MergeJoin<'_, T, F> {
+    type Item = Merged<T>;
+
+    #[inline]
+    fn next(&mut self) -> Option<Merged<T>> {
+        match (self.left.split_first(), self.right.split_first()) {
+            (Some((&a, left_rest)), Some((&b, right_rest))) => match (self.key)(&a).cmp(&(self.key)(&b)) {
+                std::cmp::Ordering::Less => {
+                    self.left = left_rest;
+                    Some(Merged::Left(a))
+                }
+                std::cmp::Ordering::Greater => {
+                    self.right = right_rest;
+                    Some(Merged::Right(b))
+                }
+                std::cmp::Ordering::Equal => {
+                    (self.left, self.right) = (left_rest, right_rest);
+                    Some(Merged::Both(a, b))
+                }
+            },
+            (Some((&a, rest)), None) => {
+                self.left = rest;
+                Some(Merged::Left(a))
+            }
+            (None, Some((&b, rest))) => {
+                self.right = rest;
+                Some(Merged::Right(b))
+            }
+            (None, None) => None,
+        }
+    }
+}
+
 /// A column length as an offset.
 ///
 /// # Panics
@@ -675,4 +756,63 @@ mod tests {
         let collected: Rows<u32> = as_vecs(&rows).into_iter().collect();
         assert_eq!(collected, rows);
     }
+
+    /// `merge_join` against a `BTreeMap` oracle: each key's item from the
+    /// left, the right or both, in key order. Items carry their side in
+    /// their second field, so a step that takes the wrong side's item for
+    /// a shared key, or drops either side's tail, shows.
+    #[test]
+    fn merge_join_is_the_ordered_union_of_both_sides() {
+        use std::collections::BTreeMap;
+        type Item = (u32, u8);
+        let check = |left: &[Item], right: &[Item]| {
+            let mut oracle: BTreeMap<u32, (Option<Item>, Option<Item>)> = BTreeMap::new();
+            for &item in left {
+                oracle.entry(item.0).or_default().0 = Some(item);
+            }
+            for &item in right {
+                oracle.entry(item.0).or_default().1 = Some(item);
+            }
+            let want: Vec<Merged<Item>> = oracle
+                .values()
+                .map(|sides| match *sides {
+                    (Some(a), Some(b)) => Merged::Both(a, b),
+                    (Some(a), None) => Merged::Left(a),
+                    (None, Some(b)) => Merged::Right(b),
+                    (None, None) => unreachable!("every key came from a side"),
+                })
+                .collect();
+            let got: Vec<_> = merge_join(left, right, |&(k, _)| k).collect();
+            assert_eq!(got, want, "{left:?} ⋈ {right:?}");
+            let both = |m: &Merged<Item>| if let Merged::Both(a, b) = *m { Some((a, b)) } else { None };
+            let shared: Vec<_> = want.iter().filter_map(both).collect();
+            assert_eq!(merge_join(left, right, |&(k, _)| k).shared().collect::<Vec<_>>(), shared);
+        };
+        let side = |keys: &[u32], tag: u8| keys.iter().map(|&k| (k, tag)).collect::<Vec<_>>();
+        let cases: [(&[u32], &[u32]); 7] = [
+            (&[], &[]),
+            (&[], &[1, 2]),
+            (&[1, 2], &[]),
+            (&[1, 2], &[3, 4]),
+            (&[1, 2, 3], &[1, 2, 3]),
+            (&[1, 3, 5, 8, 9], &[2, 3, 4, 5]),
+            (&[4, 6], &[1, 2, 4, 7, 8]),
+        ];
+        for (left, right) in cases {
+            check(&side(left, 0), &side(right, 1));
+            check(&side(right, 0), &side(left, 1));
+        }
+        for_each_seed(300, |rng| {
+            let mut keys = |tag: u8| {
+                let n = rng.gen_range(0..12usize);
+                let mut keys: Vec<u32> = (0..n).map(|_| rng.gen_range(0..16u32)).collect();
+                keys.sort_unstable();
+                keys.dedup();
+                side(&keys, tag)
+            };
+            let (left, right) = (keys(0), keys(1));
+            check(&left, &right);
+        });
+    }
+
 }

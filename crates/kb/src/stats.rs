@@ -6,6 +6,7 @@
 use minoaner_det::spillable_struct;
 
 use crate::model::{AttrId, EntityId, LiteralId, Side, TokenId, Value};
+use crate::rows::merge_join;
 use crate::store::{Kb, KbPair};
 
 /// Entity frequency of every token, per KB: `EF_E(t)` is the number of
@@ -80,24 +81,9 @@ pub fn value_sim(pair: &KbPair, ef: &TokenEf, left: EntityId, right: EntityId) -
 }
 
 /// Merge-based sum of token weights over the intersection of two sorted
-/// token sets.
+/// token sets, in ascending token order.
 pub fn shared_token_weight(a: &[TokenId], b: &[TokenId], ef: &TokenEf) -> f64 {
-    let (mut i, mut j) = (0, 0);
-    let mut sum = 0.0;
-    #[expect(clippy::indexing_slicing, reason = "bound: `i < a.len()` and `j < b.len()` are the \
-              loop guard.")]
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                sum += ef.token_weight(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    sum
+    merge_join(a, b, |&t| t).shared().fold(0.0, |sum, (t, _)| sum + ef.token_weight(t))
 }
 
 /// Support, discriminability and importance of every relation, per KB

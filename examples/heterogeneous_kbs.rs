@@ -41,7 +41,7 @@ fn main() {
     let c = res.rule_counts;
     println!("  rules: R1={} R2={} R3={} (−{} by R4)", c.r1, c.r2, c.r3, c.removed_by_r4);
 
-    let bsl = run_system(&exec, &dataset, SystemId::Bsl);
+    let bsl = run_system(&exec, &dataset, SystemId::Bsl).expect("healthy run succeeds");
     println!("BSL (best of 420 configurations): {}", bsl.quality);
     println!("  {}", bsl.detail);
 

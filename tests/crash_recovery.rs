@@ -82,9 +82,10 @@ fn crash_before_every_durable_op_then_resume_matches_uninterrupted() {
     for (workers, kind) in sweeps {
         let (base, ops) = probe(&d.pair, workers, &format!("probe-w{workers}"));
         let n_ops = ops.len() as u64;
-        // The store's open, then one `commit_file` per barrier: write,
-        // fsync, rename, root fsync.
-        assert_eq!(n_ops, 1 + 3 * 4, "a barrier is one committed file");
+        // The store's open, then per barrier the root's listing (the probe
+        // for a schema-1 directory of the same name) and one `commit_file`:
+        // write, fsync, rename, root fsync.
+        assert_eq!(n_ops, 1 + 3 * (1 + 4), "a barrier is one listing and one committed file");
         for k in 0..=n_ops {
             let case = format!("crash before op {k} ({}, workers {workers})", kind.as_str());
             let dir = scratch_dir(&format!("sweep-w{workers}-{}-k{k}", kind.as_str()));

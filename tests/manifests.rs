@@ -8,7 +8,8 @@
 //!   workspace for exactly this reason, and are not checked here.)
 //! * Every exception to the panic lints is audited and counted: an
 //!   `#[expect(clippy::…, reason = "bound: …")]`, as many per file as
-//!   [`PANIC_LINT_EXPECTS`] says (DESIGN.md §12).
+//!   [`PANIC_LINT_EXPECTS`] says (DESIGN.md §12). So is every loop in a
+//!   hash container's order, against [`HASH_ORDER_EXPECTS`].
 //! * The durable-path modules do their filesystem I/O through the `Vfs`, so
 //!   the chaos sweep can fault every operation of them (DESIGN.md §18).
 
@@ -181,19 +182,33 @@ fn code_of(src: &str) -> String {
 /// (`#![cfg_attr(not(test), deny(…))]` in each `lib.rs` / `main.rs`).
 const PANIC_LINTS: &[&str] = &["indexing_slicing", "panic", "unwrap_used", "expect_used"];
 
-/// One `allow` or `expect` attribute naming a [`PANIC_LINTS`] lint.
+/// The clippy lints that keep a result from following a hash container's
+/// order: a `for` loop over one, and the iteration methods `clippy.toml`
+/// lists among its disallowed methods (whose other entries, the clock
+/// reads, are `allow`ed where sanctioned, never `expect`ed).
+const HASH_ORDER_LINTS: &[&str] = &["iter_over_hash_type", "disallowed_methods"];
+
+/// One `allow` or `expect` attribute naming a lint of the list it was
+/// looked for with.
 #[derive(Debug)]
-struct PanicLintAttr {
+struct LintAttr {
     line: usize,
     /// `#![…]` rather than `#[…]`.
     inner: bool,
     expect: bool,
+    /// The listed lints it names.
+    lints: Vec<String>,
     /// The `reason = "…"` string as written, or `None`.
     reason: Option<String>,
 }
 
 /// Every `allow` / `expect` attribute of `src` that names a panic lint.
-fn panic_lint_attrs(src: &str) -> Vec<PanicLintAttr> {
+fn panic_lint_attrs(src: &str) -> Vec<LintAttr> {
+    lint_attrs(src, PANIC_LINTS)
+}
+
+/// Every `allow` / `expect` attribute of `src` that names one of `listed`.
+fn lint_attrs(src: &str, listed: &[&str]) -> Vec<LintAttr> {
     let code = code_of(src);
     let mut found = Vec::new();
     for (at, _) in code.match_indices('#') {
@@ -209,10 +224,13 @@ fn panic_lint_attrs(src: &str) -> Vec<PanicLintAttr> {
         }) else {
             continue;
         };
-        let names_panic_lint = args.split(',').any(|arg| {
-            arg.trim().strip_prefix("clippy::").is_some_and(|lint| PANIC_LINTS.contains(&lint))
-        });
-        if !names_panic_lint {
+        let lints: Vec<String> = args
+            .split(',')
+            .filter_map(|arg| arg.trim().strip_prefix("clippy::"))
+            .filter(|lint| listed.contains(lint))
+            .map(str::to_owned)
+            .collect();
+        if lints.is_empty() {
             continue;
         }
         // The reason's text, read from `src` at the offsets of its blanked
@@ -224,25 +242,27 @@ fn panic_lint_attrs(src: &str) -> Vec<PanicLintAttr> {
             Some(src[open..close].to_owned())
         });
         let line = code[..at].matches('\n').count() + 1;
-        found.push(PanicLintAttr { line, inner, expect, reason });
+        found.push(LintAttr { line, inner, expect, lints, reason });
     }
     found
 }
 
 /// The lines of `src`, outside its `#[cfg(test)]` module, that name the
 /// real filesystem: `std::fs`, `fs::`, `File::` or `OpenOptions::`, each
-/// a whole identifier (`vfs::` and `MkbFile::` are not hits).
+/// a whole identifier (`vfs::` and `MkbFile::` are not hits), or probe it
+/// with `Path`'s `.is_dir()`, `.is_file()` or `.exists()`.
 fn direct_fs_lines(src: &str) -> Vec<usize> {
     let code = code_of(src);
     let non_test = code.find("#[cfg(test)]").map_or(code.as_str(), |end| &code[..end]);
+    let words = ["fs::", "::fs", "File::", "OpenOptions::", ".is_dir(", ".is_file(", ".exists("];
     let mut lines = Vec::new();
     for (n, line) in non_test.lines().enumerate() {
-        let hits = ["fs::", "::fs", "File::", "OpenOptions::"].iter().any(|word| {
+        let hits = words.iter().any(|word| {
             line.match_indices(word).any(|(at, _)| {
                 let before = line[..at].chars().next_back();
                 let after = line[at + word.len()..].chars().next();
                 let boundary = |c: Option<char>| !c.is_some_and(|c| c.is_alphanumeric() || c == '_');
-                (word.starts_with(':') || boundary(before)) && (word.ends_with(':') || boundary(after))
+                (word.starts_with([':', '.']) || boundary(before)) && (word.ends_with([':', '(']) || boundary(after))
             })
         });
         if hits {
@@ -289,7 +309,6 @@ fn library_sources(root: &Path) -> Vec<(String, String)> {
 const PANIC_LINT_EXPECTS: &[(&str, usize)] = &[
     ("crates/blocking/src/accum.rs", 2),
     ("crates/blocking/src/graph.rs", 8),
-    ("crates/blocking/src/stats.rs", 1),
     ("crates/core/src/clusters.rs", 2),
     ("crates/core/src/pipeline.rs", 1),
     ("crates/dataflow/src/pool.rs", 2),
@@ -299,7 +318,7 @@ const PANIC_LINT_EXPECTS: &[(&str, usize)] = &[
     ("crates/det/src/vfs.rs", 2),
     ("crates/kb/src/interner.rs", 1),
     ("crates/kb/src/rows.rs", 3),
-    ("crates/kb/src/stats.rs", 12),
+    ("crates/kb/src/stats.rs", 11),
     ("crates/kb/src/store.rs", 3),
     ("crates/kb/src/tokenize.rs", 1),
 ];
@@ -339,6 +358,45 @@ fn panic_lint_exceptions_are_audited_and_counted() {
         }
     }
     assert!(problems.is_empty(), "panic-lint exceptions:\n{}", problems.join("\n"));
+}
+
+/// The audited hash-order sites, per file: `#[expect]`s of
+/// [`HASH_ORDER_LINTS`], each saying why the order of its loop cannot move
+/// the output. Moves both ways only by hand, as [`PANIC_LINT_EXPECTS`]
+/// does.
+const HASH_ORDER_EXPECTS: &[(&str, usize)] = &[
+    ("crates/baselines/src/linda.rs", 1),
+    ("crates/baselines/src/rimom.rs", 2),
+    ("crates/core/src/clusters.rs", 1),
+];
+
+/// Every library file has exactly as many hash-order `#[expect]`s as
+/// [`HASH_ORDER_EXPECTS`] says, and none `allow`s `iter_over_hash_type`:
+/// a new loop in a hash container's order lands only with its reason and
+/// a raised count.
+#[test]
+fn hash_order_exceptions_are_counted() {
+    let mut problems = Vec::new();
+    let mut seen = Vec::new();
+    for (file, text) in library_sources(Path::new(env!("CARGO_MANIFEST_DIR"))) {
+        let attrs = lint_attrs(&text, HASH_ORDER_LINTS);
+        for attr in attrs.iter().filter(|a| !a.expect && a.lints.iter().any(|l| l == "iter_over_hash_type")) {
+            let at = format!("{file}:{}", attr.line);
+            problems.push(format!("{at}: an `allow` of iter_over_hash_type; use `#[expect]` with a reason"));
+        }
+        let count = attrs.iter().filter(|a| a.expect).count();
+        let expected = HASH_ORDER_EXPECTS.iter().find(|(f, _)| *f == file).map_or(0, |&(_, n)| n);
+        if count != expected {
+            problems.push(format!("{file}: {count} hash-order exceptions, the table says {expected}"));
+        }
+        seen.push(file);
+    }
+    for (file, _) in HASH_ORDER_EXPECTS {
+        if !seen.iter().any(|f| f == file) {
+            problems.push(format!("{file}: in the table but not a library source"));
+        }
+    }
+    assert!(problems.is_empty(), "hash-order exceptions:\n{}", problems.join("\n"));
 }
 
 /// The modules whose writes must survive a crash — checkpoint barriers,
@@ -406,4 +464,24 @@ fn scanners_catch_the_forbidden_shapes() {
                            pub fn f(disk: &dyn Vfs) { let _ = MkbFile::open(p); let _ = \"File::open\"; }\n\
                            pub fn g(file: &Path, fs: &dyn Vfs) { let _ = (file, fs); }\n";
     assert_eq!(direct_fs_lines(through_the_vfs), Vec::<usize>::new());
+    let probes = "pub fn stale(path: &Path) -> bool { path.is_dir() }\n\
+                  pub fn torn(root: &Path) -> bool {\n    root.join(\"x\").is_file() || root.exists()\n}\n\
+                  pub fn ok(pair: &KbPair, vfs: &dyn Vfs, p: &Path) -> bool {\n    \
+                  pair.is_dirty() || vfs.list_dir(p).is_ok()\n}\n";
+    assert_eq!(direct_fs_lines(probes), [1, 3]);
+
+    let hash_order = "#[expect(clippy::iter_over_hash_type, reason = \"builds a set\")]\n\
+                      #[allow(clippy::disallowed_methods)] // a clock read\n\
+                      #[allow(clippy::iter_over_hash_type)]\n\
+                      #[expect(clippy::panic, reason = \"bound: none\")]\n";
+    let attrs = lint_attrs(hash_order, HASH_ORDER_LINTS);
+    let seen: Vec<_> = attrs.iter().map(|a| (a.line, a.expect, a.lints.join(","))).collect();
+    assert_eq!(
+        seen,
+        [
+            (1, true, "iter_over_hash_type".to_owned()),
+            (2, false, "disallowed_methods".to_owned()),
+            (3, false, "iter_over_hash_type".to_owned())
+        ]
+    );
 }

@@ -26,9 +26,9 @@ fn minoaner_wins_clearly_on_the_high_variety_pair() {
     // baseline by a wide margin.
     let d = generate(&profiles::bbc_dbpedia().scaled(0.4));
     let exec = Executor::default();
-    let ours = run_system(&exec, &d, SystemId::Minoaner).quality.f1;
+    let ours = run_system(&exec, &d, SystemId::Minoaner).expect("resolves").quality.f1;
     for baseline in [SystemId::Bsl, SystemId::Paris, SystemId::Sigma, SystemId::Rimom] {
-        let theirs = run_system(&exec, &d, baseline).quality.f1;
+        let theirs = run_system(&exec, &d, baseline).expect("resolves").quality.f1;
         assert!(
             ours > theirs,
             "MinoanER ({ours:.1}) must beat {} ({theirs:.1}) on the high-Variety pair",

@@ -17,6 +17,7 @@
 //! it collapses on the low-value-similarity datasets (Table 3).
 
 use minoaner_det::{DetHashMap, DetHashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::hash::{Hash, Hasher};
 
 use minoaner_blocking::{NameBlocks, TokenBlocks};
@@ -74,19 +75,16 @@ pub struct BslReport {
 /// blocks (the value/name disjuncts of the blocking scheme — the inputs
 /// BSL scores).
 pub fn candidate_pairs(token_blocks: &TokenBlocks, name_blocks: &NameBlocks) -> Vec<(EntityId, EntityId)> {
-    let mut seen: DetHashSet<(u32, u32)> = DetHashSet::default();
+    let mut seen: BTreeSet<(EntityId, EntityId)> = BTreeSet::new();
     let blocks = token_blocks.iter().map(|(_, b)| b).chain(name_blocks.iter().map(|(_, b)| b));
     for b in blocks {
         for &l in b.left {
             for &r in b.right {
-                seen.insert((l.0, r.0));
+                seen.insert((l, r));
             }
         }
     }
-    let mut out: Vec<(EntityId, EntityId)> =
-        seen.into_iter().map(|(l, r)| (EntityId(l), EntityId(r))).collect();
-    out.sort_unstable();
-    out
+    seen.into_iter().collect()
 }
 
 /// A sparse weighted n-gram profile, sorted by gram id.
@@ -106,7 +104,7 @@ fn tf_profiles(pair: &KbPair, side: Side, n: usize) -> Vec<Vec<(u64, u32)>> {
     let kb = pair.kb(side);
     let mut out = Vec::with_capacity(kb.len());
     for (_, e) in kb.iter() {
-        let mut counts: DetHashMap<u64, u32> = DetHashMap::default();
+        let mut counts: BTreeMap<u64, u32> = BTreeMap::new();
         for (_, lit) in e.literal_pairs() {
             let seq = pair.literal_token_seq(lit);
             if seq.len() >= n {
@@ -115,9 +113,7 @@ fn tf_profiles(pair: &KbPair, side: Side, n: usize) -> Vec<Vec<(u64, u32)>> {
                 }
             }
         }
-        let mut profile: Vec<(u64, u32)> = counts.into_iter().collect();
-        profile.sort_unstable_by_key(|&(g, _)| g);
-        out.push(profile);
+        out.push(counts.into_iter().collect());
     }
     out
 }

@@ -61,9 +61,11 @@ pub struct Interner {
     lookup: OnceLock<Lookup>,
 }
 
-/// An interner's lookup table.
+/// An interner's lookup table: symbols by a 32-bit hash of their key,
+/// which the caller compares. The builder keys its literals by their
+/// logged words with it.
 #[derive(Debug, Clone, Default)]
-struct Lookup {
+pub(crate) struct Lookup {
     /// Low 32 bits of each symbol's hash.
     hashes: Vec<u32>,
     /// Linear-probing table, a power of two long and at most half full:
@@ -77,7 +79,8 @@ fn hash32(s: &str) -> u32 {
     hash32_bytes(s.as_bytes())
 }
 
-fn hash32_bytes(bytes: &[u8]) -> u32 {
+/// The 32 hash bits a [`Lookup`] keeps of a key.
+pub(crate) fn hash32_bytes(bytes: &[u8]) -> u32 {
     minoaner_det::hash_bytes(bytes) as u32
 }
 
@@ -97,8 +100,16 @@ impl Interner {
     pub fn with_capacity(n: usize) -> Self {
         let mut offsets = Vec::with_capacity(n + 1);
         offsets.push(0);
-        let lookup = Lookup { hashes: Vec::with_capacity(n), slots: vec![EMPTY; slots_for(n)] };
+        let lookup = Lookup::with_capacity(n);
         Self { arena: Text::default(), offsets: Column::owned(offsets), lookup: OnceLock::from(lookup) }
+    }
+
+    /// Takes `arena` and the `offsets` that cut it as they are: strings the
+    /// caller built distinct, each on UTF-8 boundaries, the offsets from 0
+    /// to the arena's end. The lookup table is left to the first
+    /// [`Self::get`].
+    pub(crate) fn from_distinct(arena: String, offsets: Vec<u32>) -> Self {
+        Self { arena: Text::owned(arena), offsets: Column::owned(offsets), lookup: OnceLock::new() }
     }
 
     /// Interns `s`, returning its symbol. Idempotent.
@@ -188,12 +199,6 @@ impl Interner {
         self.arena.get(span(&self.offsets, sym)?)
     }
 
-    /// Frees the lookup table; the next [`Self::get`] or [`Self::intern`]
-    /// builds it again, as for an interner read from a file.
-    pub(crate) fn release_lookup(&mut self) {
-        self.lookup = OnceLock::new();
-    }
-
     /// Whether the lookup table is built.
     #[cfg(test)]
     pub(crate) fn has_lookup(&self) -> bool {
@@ -261,6 +266,11 @@ fn holds(arena: &str, offsets: &[u32], sym: Symbol, s: &str) -> bool {
 }
 
 impl Lookup {
+    /// An empty table with room for `n` symbols.
+    pub(crate) fn with_capacity(n: usize) -> Self {
+        Self { hashes: Vec::with_capacity(n), slots: vec![EMPTY; slots_for(n)] }
+    }
+
     /// The table of an interner's strings as they are.
     fn of_strings(interner: &Interner) -> Self {
         let n = interner.len();
@@ -274,7 +284,7 @@ impl Lookup {
     }
 
     /// The symbol with hash `hash` that `is` accepts, if any.
-    fn find(&self, hash: u32, is: impl Fn(Symbol) -> bool) -> Option<Symbol> {
+    pub(crate) fn find(&self, hash: u32, is: impl Fn(Symbol) -> bool) -> Option<Symbol> {
         for &slot in probe_order(&self.slots, hash).take_while(|&&slot| slot != EMPTY) {
             let sym = Symbol(slot - 1);
             if self.hashes.get(slot as usize - 1) == Some(&hash) && is(sym) {
@@ -286,7 +296,7 @@ impl Lookup {
 
     /// Adds the next symbol, doubling the table first if it would be more
     /// than half full.
-    fn insert(&mut self, sym: Symbol, hash: u32) {
+    pub(crate) fn insert(&mut self, sym: Symbol, hash: u32) {
         if slots_for(self.hashes.len() + 1) > self.slots.len() {
             self.grow();
         }

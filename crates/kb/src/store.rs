@@ -5,13 +5,13 @@
 //! *and* fast: a token appearing in both KBs maps to the same [`TokenId`], so
 //! token blocking and value similarity never compare strings.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::disk::{Column, Mapping};
-use crate::interner::{Interner, Symbol};
+use crate::interner::{hash32_bytes, Interner, Lookup, Symbol};
 use crate::model::{AttrId, Entity, EntityId, LiteralId, Side, TokenId, Value};
 use crate::rows::Rows;
-use crate::tokenize::{for_each_normalized_token, normalize_into, uri_local_name};
+use crate::tokenize::{normalize_words, tokenize, uri_local_name};
 
 /// One side's entities by URI. The pair's URI symbols are dense (one
 /// interner numbers both sides' subjects and every URI object), so the map
@@ -174,7 +174,13 @@ impl Kb {
 #[derive(Debug)]
 pub struct KbPair {
     tokens: Interner,
-    literals: Interner,
+    /// The literal interner: read from a `.mkb` file, or spelled out of
+    /// `literal_records` on first use for a pair built in memory.
+    literals: OnceLock<Interner>,
+    /// Each literal's record, the words its normal form is spelled from
+    /// (see `LiteralLog`), by [`LiteralId`]; empty for a pair read from a
+    /// file.
+    literal_records: Rows<u8>,
     attrs: Interner,
     uris: Interner,
     /// Token sequence (order and duplicates preserved) of each normalized
@@ -212,9 +218,11 @@ impl KbPair {
         &self.tokens
     }
 
-    /// Literal interner (normalized literal ↔ [`LiteralId`]).
+    /// Literal interner (normalized literal ↔ [`LiteralId`]). A pair built
+    /// in memory spells its normal forms out of their tokens on the first
+    /// call; nothing on the resolve path makes it.
     pub fn literals(&self) -> &Interner {
-        &self.literals
+        self.literals.get_or_init(|| spell(&self.literal_records, &self.tokens))
     }
 
     /// Attribute interner (attribute name ↔ [`AttrId`]).
@@ -249,7 +257,7 @@ impl KbPair {
 
     /// Number of distinct normalized literals across both KBs.
     pub fn literal_space(&self) -> usize {
-        self.literals.len()
+        self.literal_tokens.n_rows()
     }
 
     /// Resolves the URI of an entity to its string form.
@@ -287,7 +295,17 @@ impl KbPair {
         dirty: bool,
         mapping: Arc<Mapping>,
     ) -> KbPair {
-        KbPair { tokens, literals, attrs, uris, literal_tokens, kbs, dirty, mapping: Some(mapping) }
+        KbPair {
+            tokens,
+            literals: OnceLock::from(literals),
+            literal_records: Rows::default(),
+            attrs,
+            uris,
+            literal_tokens,
+            kbs,
+            dirty,
+            mapping: Some(mapping),
+        }
     }
 }
 
@@ -445,22 +463,96 @@ struct SideColumns {
     pairs: PairLog,
 }
 
-/// The normal form of every literal occurrence added, in the order added,
-/// for [`KbPairBuilder::finish`] to intern: interned in that order, normal
-/// forms get the ids they would have got had each been interned when it
-/// was added.
+/// Every literal occurrence added, in the order added, as its record, for
+/// [`KbPairBuilder::finish`] to intern: interned in that order, literals
+/// get the ids they would have got had each been interned when it was
+/// added.
+///
+/// A literal's record is LEB128 varints: its word count, then for each
+/// word of its normal form `token id + 1` if the word is ASCII (such a
+/// word is its own token), or `0`, the word's byte length and its bytes
+/// for a word past ASCII. Words are what [`normalize_words`] leaves between
+/// single spaces, so joining them with one space gives the normal form
+/// back, and two literals are equal exactly when their records are.
 #[derive(Debug, Default)]
 struct LiteralLog {
-    /// The normal forms, each ended by a NUL byte. [`normalize_into`]
-    /// emits only alphanumerics and single spaces, so a normal form never
-    /// holds one.
-    normal_forms: ByteLog,
+    records: ByteLog,
     /// Occurrences appended.
     occurrences: u32,
 }
 
+/// A word of a logged literal.
+enum Word<'a> {
+    /// An ASCII word: its token.
+    Token(Symbol),
+    /// A word past ASCII, as it stands in the normal form.
+    Wide(&'a str),
+}
+
+/// Reads the [`Word`] at the front of `bytes` and moves past it.
+fn take_word<'a>(bytes: &mut std::slice::Iter<'a, u8>) -> Word<'a> {
+    match take_varint(bytes) {
+        0 => {
+            let len = take_varint(bytes) as usize;
+            let rest = bytes.as_slice();
+            let (word, tail) = rest.split_at(len.min(rest.len()));
+            *bytes = tail.iter();
+            // The bytes of a `&str` the add logged whole.
+            Word::Wide(std::str::from_utf8(word).unwrap_or_default())
+        }
+        id => Word::Token(Symbol((id - 1) as u32)),
+    }
+}
+
+/// The words of the literal record at the front of `bytes`.
+fn words(mut bytes: std::slice::Iter<'_, u8>) -> impl Iterator<Item = Word<'_>> {
+    (0..take_varint(&mut bytes)).map(move |_| take_word(&mut bytes))
+}
+
+/// Reads the literal record at the front of `bytes` and moves past it.
+fn take_record<'a>(bytes: &mut std::slice::Iter<'a, u8>) -> &'a [u8] {
+    let record = bytes.as_slice();
+    for _ in 0..take_varint(bytes) {
+        take_word(bytes);
+    }
+    record.get(..record.len() - bytes.as_slice().len()).unwrap_or_default()
+}
+
+/// Writes the record of `value` to `record`, which is cleared first:
+/// `value` normalized in `normal`, each of its tokens interned into
+/// `tokens` as normalization writes its word.
+fn encode_literal(value: &str, normal: &mut String, tokens: &mut Interner, record: &mut Vec<u8>) {
+    // The word count takes one byte up to 127 words; past that, the words
+    // move up to make room for it.
+    let mut count = 0u64;
+    record.clear();
+    record.push(0);
+    normalize_words(value, normal, |word| {
+        if word.is_ascii() {
+            put_varint(record, u64::from(tokens.intern(word).0) + 1);
+        } else {
+            put_varint(record, 0);
+            put_varint(record, word.len() as u64);
+            record.extend_from_slice(word.as_bytes());
+            tokenize(word).for_each(|token| {
+                tokens.intern(&token);
+            });
+        }
+        count += 1;
+    });
+    match record.first_mut() {
+        Some(first) if count < 0x80 => *first = count as u8,
+        _ => {
+            let words = record.split_off(1);
+            record.clear();
+            put_varint(record, count);
+            record.extend_from_slice(&words);
+        }
+    }
+}
+
 impl LiteralLog {
-    /// Appends an occurrence of `normal`; returns its index as the id a
+    /// Appends an occurrence of `record`; returns its index as the id a
     /// literal holds until `finish`.
     ///
     /// # Panics
@@ -468,19 +560,16 @@ impl LiteralLog {
     /// [`Interner::intern`] does at its own limit: a counter that stopped
     /// there would give every later occurrence one id, and the pairs
     /// holding them another literal.
-    fn append_literal(&mut self, normal: &str) -> LiteralId {
+    fn append_literal(&mut self, record: &[u8]) -> LiteralId {
         assert!(self.occurrences < u32::MAX, "literal log overflow: more than u32::MAX literal occurrences");
         let occurrence = LiteralId(self.occurrences);
-        self.normal_forms.append(normal.len() + 1, |out| {
-            out.extend_from_slice(normal.as_bytes());
-            out.push(0);
-        });
+        self.records.append(record.len(), |out| out.extend_from_slice(record));
         self.occurrences += 1;
         occurrence
     }
 
-    /// Interns every occurrence in order, freeing each segment once it is
-    /// read: the literal table, and each occurrence's [`LiteralId`] by
+    /// Interns every occurrence in order into `lits`, freeing each segment
+    /// once it is read; returns each occurrence's [`LiteralId`] by
     /// occurrence.
     ///
     /// The table starts with room for half the occurrences, so that it
@@ -489,59 +578,130 @@ impl LiteralLog {
     /// each), instead of some twenty times from empty — each doubling
     /// leaves the smaller copy behind as freed heap the process keeps.
     /// Where literals repeat more, it reserves more than their number
-    /// needs: at most 8 bytes an occurrence of slots, and 4 of offset and
-    /// hash capacity.
-    fn into_interned(self) -> (Interner, Vec<u32>) {
-        let LiteralLog { normal_forms, occurrences } = self;
-        let mut literals = Interner::with_capacity(occurrences as usize / 2);
-        let mut ids = Vec::with_capacity(occurrences as usize);
-        for segment in normal_forms.0 {
-            // Whole `&str`s and NUL bytes, so UTF-8.
-            let segment = String::from_utf8(segment).unwrap_or_default();
-            ids.extend(segment.split_terminator('\0').map(|normal| literals.intern(normal).0));
+    /// needs: at most 8 bytes an occurrence of slots, and 4 of hash
+    /// capacity.
+    fn into_interned(self, lits: &mut LiteralTables) -> Vec<u32> {
+        lits.lookup = Lookup::with_capacity(self.occurrences as usize / 2);
+        let mut ids = Vec::with_capacity(self.occurrences as usize);
+        for segment in self.records.0 {
+            let mut bytes = segment.iter();
+            while !bytes.as_slice().is_empty() {
+                ids.push(lits.intern(take_record(&mut bytes)).0);
+            }
         }
-        (literals, ids)
+        ids
     }
 }
 
-/// The literal and token interners, and the token row of each literal
-/// [`Self::tokenize_new_literals`] has reached.
+/// The pair's literals as the builder numbers them: each literal's record,
+/// the table that finds a record's literal, the token interner and each
+/// literal's token row.
 #[derive(Debug, Default)]
 struct LiteralTables {
-    literals: Interner,
+    /// Each literal's record, by [`LiteralId`].
+    records: Rows<u8>,
+    /// The literals by their records.
+    lookup: Lookup,
     tokens: Interner,
     literal_tokens: Rows<TokenId>,
+    /// The record being interned.
+    record: Vec<u8>,
 }
 
 impl LiteralTables {
-    /// Normalizes `value` in `scratch` and interns it.
-    fn intern_value(&mut self, value: &str, scratch: &mut String) -> LiteralId {
-        normalize_into(value, scratch);
-        LiteralId(self.literals.intern(scratch).0)
+    /// The literal `record` stands for: numbered next, and given its token
+    /// row, if no earlier literal has the record.
+    fn intern(&mut self, record: &[u8]) -> LiteralId {
+        let hash = hash32_bytes(record);
+        let records = &self.records;
+        if let Some(lit) = self.lookup.find(hash, |lit| records.row(lit.index()) == record) {
+            return LiteralId(lit.0);
+        }
+        let lit = Symbol(self.records.n_rows() as u32);
+        self.lookup.insert(lit, hash);
+        self.records.push_row(record.iter().copied());
+        let (tokens, rows) = (&mut self.tokens, &mut self.literal_tokens);
+        for word in words(record.iter()) {
+            match word {
+                Word::Token(token) => rows.push(TokenId(token.0)),
+                Word::Wide(word) => tokenize(word).for_each(|token| rows.push(TokenId(tokens.intern(&token).0))),
+            }
+        }
+        rows.end_row();
+        LiteralId(lit.0)
     }
 
-    /// Gives every literal without a token row its row, in literal order —
-    /// so token ids number tokens by first appearance in that order, as if
-    /// each literal had been tokenized when first seen.
-    fn tokenize_new_literals(&mut self) {
-        let (literals, tokens, rows) = (&self.literals, &mut self.tokens, &mut self.literal_tokens);
-        for lit in rows.n_rows()..literals.len() {
-            let normalized = Interner::string(literals, Symbol(lit as u32)).unwrap_or_default();
-            for_each_normalized_token(normalized, |token| rows.push(TokenId(tokens.intern(token).0)));
-            rows.end_row();
-        }
+    /// Normalizes `value` in `normal`, interns its tokens and interns it.
+    fn intern_value(&mut self, value: &str, normal: &mut String) -> LiteralId {
+        let mut record = std::mem::take(&mut self.record);
+        encode_literal(value, normal, &mut self.tokens, &mut record);
+        let lit = self.intern(&record);
+        self.record = record;
+        lit
     }
+}
+
+/// The literal interner of `records`, literal records whose tokens
+/// `tokens` holds: each normal form spelled out of its words.
+///
+/// Most tokens are short (43 % of the benchmark's bbc words have two
+/// letters), so each token of up to eight bytes is copied as one word from
+/// a table of them: written whole, then cut to its length. On the seed-0
+/// bbc pair that spelled the 599 435 literals in 0.033–0.036 s against
+/// 0.052–0.062 s through the token arena (2-core guest, in process).
+fn spell(records: &Rows<u8>, tokens: &Interner) -> Interner {
+    // A token's bytes as a little-endian word, zero past its end, or 0 if
+    // it is longer: a token holds no NUL, so its length is where the zeros
+    // start.
+    let short: Vec<u64> = tokens
+        .iter()
+        .map(|(_, token)| {
+            let mut word = [0u8; 8];
+            match word.get_mut(..token.len()) {
+                Some(head) => head.copy_from_slice(token.as_bytes()),
+                None => return 0,
+            }
+            u64::from_le_bytes(word)
+        })
+        .collect();
+    let mut arena: Vec<u8> = Vec::new();
+    let mut offsets = Vec::with_capacity(records.n_rows() + 1);
+    offsets.push(0);
+    for record in records.iter() {
+        for (k, word) in words(record.iter()).enumerate() {
+            if k > 0 {
+                arena.push(b' ');
+            }
+            match word {
+                Word::Token(token) => match short.get(token.index()) {
+                    Some(&word) if word != 0 => {
+                        let end = arena.len() + 8 - word.leading_zeros() as usize / 8;
+                        arena.extend_from_slice(&word.to_le_bytes());
+                        arena.truncate(end);
+                    }
+                    _ => arena.extend_from_slice(tokens.string(token).unwrap_or_default().as_bytes()),
+                },
+                Word::Wide(word) => arena.extend_from_slice(word.as_bytes()),
+            }
+        }
+        offsets.push(arena.len() as u32);
+    }
+    // Whole `&str`s and spaces, so UTF-8.
+    Interner::from_distinct(String::from_utf8(arena).unwrap_or_default(), offsets)
 }
 
 /// Builder assembling a [`KbPair`] from triples or programmatic calls.
 ///
-/// While documents are added the builder only appends bytes: each pair as
-/// a record to its side's `PairLog` and each literal's normal form to the
-/// `LiteralLog`. [`finish`] interns the literal log in the order it was
-/// written, decodes each side's pairs once, then resolves entity
-/// references: a URI object pointing at a subject of the same KB becomes a
-/// [`Value::Ref`]; any other URI object is stored as a literal holding its
-/// local name.
+/// While documents are added the builder interns URIs, attributes and the
+/// tokens of each literal, and otherwise only appends bytes: each pair as a
+/// record to its side's `PairLog` and each literal as its words to the
+/// `LiteralLog`. [`finish`] interns the literal log by record, in the order
+/// it was written, giving each new literal its token row, decodes each
+/// side's pairs once, then resolves entity references: a URI object
+/// pointing at a subject of the same KB becomes a [`Value::Ref`]; any
+/// other URI object is stored as a literal holding its local name. The
+/// normal forms are spelled out of the records when
+/// [`KbPair::literals`] is first called.
 ///
 /// [`finish`]: KbPairBuilder::finish
 #[derive(Debug, Default)]
@@ -598,17 +758,17 @@ impl KbPairBuilder {
     /// # Panics
     /// Panics if `entity` is not an entity of `side`.
     pub fn add_pair(&mut self, side: Side, entity: EntityId, attr: &str, object: Term<'_>) {
+        assert!(entity.index() < self.side_mut(side).uris.len(), "{entity:?} is not an entity of {side:?}");
         let attr = AttrId(self.attrs.intern(attr).0);
         let value = match object {
             Term::Literal(s) => {
-                normalize_into(s, &mut self.scratch);
-                Value::Literal(self.log.append_literal(&self.scratch))
+                let lits = &mut self.lits;
+                encode_literal(s, &mut self.scratch, &mut lits.tokens, &mut lits.record);
+                Value::Literal(self.log.append_literal(&lits.record))
             }
             Term::Uri(u) => Value::Ref(EntityId(self.uris.intern(u).0)),
         };
-        let columns = self.side_mut(side);
-        assert!(entity.index() < columns.uris.len(), "{entity:?} is not an entity of {side:?}");
-        columns.pairs.append(entity, attr, value);
+        self.side_mut(side).pairs.append(entity, attr, value);
     }
 
     /// Convenience: registers the subject if needed and adds the triple.
@@ -619,23 +779,27 @@ impl KbPairBuilder {
 
     /// Resolves references and produces the immutable [`KbPair`].
     pub fn finish(mut self) -> KbPair {
-        let (literals, ids) = std::mem::take(&mut self.log).into_interned();
-        self.lits.literals = literals;
+        let ids = std::mem::take(&mut self.log).into_interned(&mut self.lits);
         let [left, right] = &mut self.sides;
         let added = [left, right].map(|columns| std::mem::take(&mut columns.pairs).decode(&ids));
-        // Freed before the token rows and the KBs are built, which can
-        // then take its place in the heap.
+        // Freed before the KBs are built, which can then take its place in
+        // the heap.
         drop(ids);
-        self.lits.tokenize_new_literals();
         let [left_added, right_added] = added;
         let left = self.build_kb(Side::Left, left_added);
         let right = self.build_kb(Side::Right, right_added);
-        let LiteralTables { mut literals, tokens, literal_tokens } = self.lits;
-        // Nothing after the build looks a literal up by its string; a
-        // caller who does gets the lookup rebuilt.
-        literals.release_lookup();
-        let (attrs, uris) = (self.attrs, self.uris);
-        KbPair { tokens, literals, attrs, uris, literal_tokens, kbs: [left, right], dirty: false, mapping: None }
+        let LiteralTables { records: literal_records, tokens, literal_tokens, .. } = self.lits;
+        KbPair {
+            tokens,
+            literals: OnceLock::new(),
+            literal_records,
+            attrs: self.attrs,
+            uris: self.uris,
+            literal_tokens,
+            kbs: [left, right],
+            dirty: false,
+            mapping: None,
+        }
     }
 
     /// Resolves references and produces a *dirty-ER* self-pair
@@ -679,8 +843,6 @@ impl KbPairBuilder {
             values.push(value.word());
             attr
         });
-        // The local names just interned have no token rows yet.
-        self.lits.tokenize_new_literals();
 
         // Pass 2: per-entity token sets (sorted + dedup) and occurrence
         // counts, derived from the literal token sequences.
@@ -734,9 +896,9 @@ mod tests {
     #[should_panic(expected = "literal log overflow")]
     fn the_literal_log_fails_loudly_past_its_last_id() {
         let mut log = LiteralLog { occurrences: u32::MAX - 1, ..LiteralLog::default() };
-        assert_eq!(log.append_literal("a"), LiteralId(u32::MAX - 1));
+        assert_eq!(log.append_literal(&[1, 1]), LiteralId(u32::MAX - 1));
         assert_eq!(log.occurrences, u32::MAX);
-        log.append_literal("b");
+        log.append_literal(&[1, 2]);
     }
 
     #[test]
@@ -923,26 +1085,137 @@ mod tests {
         assert_eq!(log.decode(&ids), want);
     }
 
+    /// Appends the record of each of `values` to `log`, interning their
+    /// tokens into `lits`.
+    fn log_values(log: &mut LiteralLog, lits: &mut LiteralTables, values: &[&str]) {
+        let (mut normal, mut record) = (String::new(), Vec::new());
+        for (k, value) in values.iter().enumerate() {
+            encode_literal(value, &mut normal, &mut lits.tokens, &mut record);
+            assert_eq!(log.append_literal(&record), LiteralId(k as u32));
+        }
+    }
+
     #[test]
     fn literal_log_interns_by_first_sight_across_segments() {
-        let mut log = LiteralLog::default();
-        let long = "x".repeat(SEGMENT_BYTES + 3);
-        let forms = ["", "a b", "", &long, "a b", "c", ""];
-        for (k, form) in forms.iter().enumerate() {
-            assert_eq!(log.append_literal(form), LiteralId(k as u32));
-        }
-        // The long one has a segment of its own, NUL included.
-        let capacities: Vec<usize> = log.normal_forms.0.iter().map(Vec::capacity).collect();
-        assert_eq!(capacities, [SEGMENT_BYTES, SEGMENT_BYTES + 4, SEGMENT_BYTES]);
-        let (literals, ids) = log.into_interned();
+        let (mut log, mut lits) = (LiteralLog::default(), LiteralTables::default());
+        // One word past ASCII of more than a segment's bytes.
+        let long = "é".repeat(SEGMENT_BYTES / 2 + 2);
+        log_values(&mut log, &mut lits, &["", "a b", "", &long, "a b", "c", ""]);
+        // The long one has a segment of its own: a word count, the wide
+        // mark, a three-byte length and the word.
+        let capacities: Vec<usize> = log.records.0.iter().map(Vec::capacity).collect();
+        assert_eq!(capacities, [SEGMENT_BYTES, SEGMENT_BYTES + 9, SEGMENT_BYTES]);
+        let ids = log.into_interned(&mut lits);
         assert_eq!(ids, [0, 1, 0, 2, 1, 3, 0]);
-        assert_eq!(literals.iter().map(|(_, s)| s.len()).collect::<Vec<_>>(), [0, 3, SEGMENT_BYTES + 3, 1]);
+        let literals = spell(&lits.records, &lits.tokens);
+        let lens: Vec<usize> = literals.iter().map(|(_, s)| s.len()).collect();
+        assert_eq!(lens, [0, 3, SEGMENT_BYTES + 4, 1]);
+        let rows: Vec<Vec<u32>> = lits.literal_tokens.iter().map(|row| row.iter().map(|t| t.0).collect()).collect();
+        assert_eq!(rows, [vec![], vec![0, 1], vec![2], vec![3]]);
+    }
+
+    /// Literals in the shapes of `kb/tests/token_order.rs`, as a document's
+    /// unescaped bodies: empty, punctuation only, escaped bodies, words
+    /// past ASCII (`İ` folds to `i` + U+0307, a separator; `ǅ` is
+    /// titlecase) and words joined by mixed separators.
+    fn seeded_literal(rng: &mut minoaner_det::rng::Rng) -> String {
+        const ASCII: [&str; 7] = ["fat", "duck", "Bray", "LAKE", "42", "1995", "x"];
+        const WIDE: [&str; 6] = ["İstanbul", "ǅungla", "東京", "Café", "ÆSIR", "naïve"];
+        const ESCAPED: [&str; 5] = ["caf\u{e9}", "say \"hi\"", "tab\there", "東京 tower", "a\nb"];
+        const SEPARATORS: [&str; 6] = [" ", "  ", "-", ", ", ".", "\t"];
+        match rng.gen_range(0..10usize) {
+            0 => String::new(),
+            1 => "--!".to_owned(),
+            2 => ESCAPED[rng.gen_range(0..ESCAPED.len())].to_owned(),
+            _ => {
+                let mut text = String::new();
+                for k in 0..rng.gen_range(1..6usize) {
+                    if k > 0 {
+                        text.push_str(SEPARATORS[rng.gen_range(0..SEPARATORS.len())]);
+                    }
+                    match rng.gen_range(0..3usize) {
+                        0 => text.push_str(WIDE[rng.gen_range(0..WIDE.len())]),
+                        _ => text.push_str(ASCII[rng.gen_range(0..ASCII.len())]),
+                    }
+                }
+                text
+            }
+        }
+    }
+
+    #[test]
+    fn a_logged_occurrence_comes_back_as_its_normal_form_and_token_row() {
+        minoaner_det::rng::for_each_seed(200, |rng| {
+            let (mut log, mut lits) = (LiteralLog::default(), LiteralTables::default());
+            let values: Vec<String> = (0..rng.gen_range(1..40usize)).map(|_| seeded_literal(rng)).collect();
+            log_values(&mut log, &mut lits, &values.iter().map(String::as_str).collect::<Vec<_>>());
+            let ids = log.into_interned(&mut lits);
+            assert_eq!(ids.len(), values.len());
+            let literals = spell(&lits.records, &lits.tokens);
+            assert_eq!(lits.literal_tokens.n_rows(), literals.len());
+            let tokens = &lits.tokens;
+            for (value, &id) in values.iter().zip(&ids) {
+                let normal = crate::tokenize::normalize_name(value);
+                assert_eq!(literals.resolve(Symbol(id)), normal, "{value:?}");
+                let want: Vec<&str> = tokenize(&normal).map(|t| tokens.resolve(tokens.get(&t).unwrap())).collect();
+                let row: Vec<&str> = lits.literal_tokens.row(id as usize).iter().map(|t| tokens.resolve(Symbol(t.0))).collect();
+                assert_eq!(row, want, "{value:?}");
+            }
+        });
+    }
+
+    #[test]
+    fn ascii_words_with_one_byte_ids_cost_a_byte_each_and_one_for_the_count() {
+        let (mut log, mut lits) = (LiteralLog::default(), LiteralTables::default());
+        let words: Vec<String> = (0..126).map(|k| format!("w{k}")).collect();
+        for k in 0..=words.len() {
+            let normal = words.get(..k).unwrap().join(" ");
+            let before: usize = log.records.0.iter().map(Vec::len).sum();
+            let mut record = Vec::new();
+            encode_literal(&normal, &mut String::new(), &mut lits.tokens, &mut record);
+            log.append_literal(&record);
+            let after: usize = log.records.0.iter().map(Vec::len).sum();
+            assert_eq!(after - before, k + 1, "{k} words");
+        }
+        assert_eq!(lits.tokens.len(), words.len());
+    }
+
+    #[test]
+    fn a_word_count_past_127_takes_two_bytes() {
+        let mut lits = LiteralTables::default();
+        let normal: Vec<String> = (0..300).map(|k| format!("w{}", k % 100)).collect();
+        let mut record = Vec::new();
+        encode_literal(&normal.join(" "), &mut String::new(), &mut lits.tokens, &mut record);
+        assert_eq!(record.get(..2), Some(&[0xac, 0x02][..]), "300 as a varint");
+        assert_eq!(record.len(), 2 + 300);
+        let lit = lits.intern(&record);
+        assert_eq!(spell(&lits.records, &lits.tokens).resolve(Symbol(lit.0)), normal.join(" "));
+    }
+
+    #[test]
+    fn a_pair_for_a_foreign_entity_logs_and_interns_nothing() {
+        let mut b = KbPairBuilder::new();
+        b.add_triple(Side::Left, "a", "p", Term::Literal("fat duck"));
+        let right = b.entity(Side::Right, "b");
+        let state = |b: &KbPairBuilder| {
+            let log: Vec<u8> = b.log.records.0.concat();
+            (b.lits.tokens.arena().to_owned(), b.attrs.len(), b.log.occurrences, log)
+        };
+        let before = state(&b);
+        for (side, entity) in [(Side::Right, EntityId(right.0 + 1)), (Side::Left, EntityId(1))] {
+            let added = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                b.add_pair(side, entity, "q", Term::Literal("Brand new İstanbul words"));
+            }));
+            assert!(added.is_err(), "{entity:?} is not an entity of {side:?}");
+        }
+        assert_eq!(state(&b), before);
+        assert_eq!(b.finish().token_space(), 2);
     }
 
     #[test]
     fn the_literal_lookup_is_released_and_rebuilt_on_demand() {
         let pair = sample_pair();
-        assert!(!pair.literals().has_lookup(), "finish releases the literal lookup");
+        assert!(!pair.literals().has_lookup(), "the literals are spelled without a lookup");
         assert!(pair.tokens().has_lookup() && pair.uris().has_lookup());
         assert_eq!(pair.literals().get("jonny lake").map(|l| pair.literals().resolve(l)), Some("jonny lake"));
     }

@@ -37,21 +37,6 @@ pub fn tokenize(value: &str) -> impl Iterator<Item = Cow<'_, str>> + '_ {
         })
 }
 
-/// Calls `token` with each [`tokenize`] token of a value that
-/// [`normalize_name`] produced, in order. Such a value is already folded
-/// and holds its separators as single spaces, so an ASCII word between two
-/// spaces is a token as it stands; only a word with a non-ASCII char is
-/// classified again (`İ` folds to `i` + U+0307, which is a separator).
-pub(crate) fn for_each_normalized_token(normalized: &str, mut token: impl FnMut(&str)) {
-    for word in normalized.split(' ') {
-        if !word.is_ascii() {
-            tokenize(word).for_each(|t| token(&t));
-        } else if !word.is_empty() {
-            token(word);
-        }
-    }
-}
-
 /// Normalizes a literal for whole-value (name) comparison: lowercase, with
 /// every separator run collapsed to a single space and outer whitespace
 /// trimmed. `"J.  Lake "` and `"j Lake"` normalize identically.
@@ -85,27 +70,41 @@ const fn byte_classes() -> [u8; 256] {
 
 /// [`normalize_name`] of `value` into `out`, which is cleared first — the
 /// loader normalizes every literal into one buffer it reuses.
-///
-/// An all-ASCII value takes one pass through [`BYTE_CLASS`]. At the first
-/// byte past ASCII, the value goes char by char through the Unicode tables
-/// instead.
 pub(crate) fn normalize_into(value: &str, out: &mut String) {
+    normalize_words(value, out, |_| ());
+}
+
+/// [`normalize_into`], calling `word` with each word of the normal form in
+/// order as it is written: the runs its single spaces separate.
+///
+/// An all-ASCII value takes one pass through [`BYTE_CLASS`], which ends a
+/// word where it writes the space after it. A value with a byte past
+/// ASCII goes char by char through the Unicode tables instead, and its
+/// normal form is split at its spaces afterwards.
+pub(crate) fn normalize_words(value: &str, out: &mut String, mut word: impl FnMut(&str)) {
     out.clear();
-    let mut pending_sep = false;
+    if !value.is_ascii() {
+        normalize_chars(value, out);
+        out.split(' ').filter(|w| !w.is_empty()).for_each(word);
+        return;
+    }
+    let (mut pending_sep, mut start) = (false, 0);
     for &b in value.as_bytes() {
-        let class = BYTE_CLASS.get(usize::from(b)).copied().unwrap_or(WIDE);
+        let class = BYTE_CLASS.get(usize::from(b)).copied().unwrap_or(SEP);
         if class == SEP {
             pending_sep = true;
             continue;
         }
-        if class == WIDE {
-            return normalize_chars(value, out);
-        }
         if pending_sep && !out.is_empty() {
+            word(out.get(start..).unwrap_or_default());
             out.push(' ');
+            start = out.len();
         }
         pending_sep = false;
         out.push(char::from(class));
+    }
+    if !out.is_empty() {
+        word(out.get(start..).unwrap_or_default());
     }
 }
 
@@ -211,7 +210,8 @@ mod tests {
 
     #[test]
     fn normalize_into_never_emits_nul() {
-        // The builder's literal log ends each normal form with a NUL byte.
+        // A normal form holds alphanumerics and spaces only: no control
+        // byte such as NUL.
         let mut out = String::new();
         // The byte-class path: what it emits of a byte is its class, a
         // separator as one space, and a byte past ASCII takes the char path.

@@ -11,6 +11,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use minoaner_det::rng::Rng;
 use minoaner_kb::parser::load_ntriples;
 use minoaner_kb::{write_mkb, KbPair, KbPairBuilder, MkbFile, Side};
 
@@ -127,12 +128,13 @@ fn document(prefix: &str, n: usize) -> String {
 
 #[test]
 fn loading_allocates_per_chunk_and_doubling_not_per_line() {
-    // Measured when a load came to append pair records and literals to
-    // segments: 222 allocations for 1 000 entities a side (10 000 lines),
-    // 287 for 16 000 (160 000) — a segment per 1 MiB of a side's records
-    // and of literal text, four doublings of some twenty growing columns
-    // (the URI, attribute and token interners, the literal token rows, the
-    // URI columns, the token sets `finish` builds). 221 and 289 with a
+    // Measured since literals are logged as token ids and interned by
+    // their records: 233 allocations for 1 000 entities a side (10 000
+    // lines), 301 for 16 000 (160 000) — a segment per 1 MiB of a side's
+    // records and of literal records, four doublings of some twenty
+    // growing columns (the URI, attribute and token interners, the literal
+    // records and token rows, the URI columns, the token sets `finish`
+    // builds). 222 and 287 with the literals' text in the log; 221 and 289 with a
     // chunk per 64 Ki pair rows and literal lengths besides. 263 and
     // 347 when the pairs were one doubling column per side and literals
     // were interned as read; a `Vec` per entity, an allocation per escaped
@@ -162,7 +164,7 @@ fn loading_allocates_per_chunk_and_doubling_not_per_line() {
 
 /// While the caller holds a document, a load only appends: a side's pair
 /// records and the literal log grow by segments allocated once at their
-/// full size, and what still doubles (the URI and attribute interners) is
+/// full size, and what still doubles (the URI, attribute and token interners) is
 /// small. So no buffer larger than a segment is grown by copying before
 /// `finish`, which runs once the documents are gone. Measured at 32 000 entities a side:
 /// 736 KiB; 1.5 MiB (a side's pair column) when the pairs were one
@@ -243,16 +245,18 @@ fn held_and_peak(left: &str, right: &str, triples: usize) -> (f64, f64) {
     (held, peak)
 }
 
-/// A document's literals are interned and tokenized when the pair is
-/// finished, after the caller has read its last document, and until then a
-/// pair added to a side is one varint record of about 4 bytes and a literal
-/// its normal form and a NUL byte: so what the builder holds once both
-/// sides are loaded, and its peak through `finish`, are bounded in heap
-/// bytes per triple. Measured at 16 000 entities a side: 36.2 held and 61.6
-/// at the peak; with pairs of 12 bytes each and a `u32` length a literal,
+/// A document's literals are interned when the pair is finished, after the
+/// caller has read its last document, and until then a pair added to a
+/// side is one varint record of about 4 bytes and a literal its words'
+/// token ids beside the token interner: so what the builder holds once
+/// both sides are loaded, and its peak through `finish`, are bounded in
+/// heap bytes per triple. Measured at 16 000 entities a side: 32.1 held and
+/// 60.0 at the peak; 36.2 and 61.6 with each literal's normal form and a
+/// NUL byte in the log; with pairs of 12 bytes each and a `u32` length a literal,
 /// 46.1 held and 62.1. Documents whose lines each name another subject
 /// than the line before are the records' worst realistic shape: at 48 000
-/// entities a side they hold 27.3 and peak at 62.9, the same lines grouped
+/// entities a side they hold 27.8 and peak at 59.9 (27.3 and 62.9 with
+/// normal forms in the log), the same lines grouped
 /// by subject 23.1 (what a builder holds whatever the size weighs less a
 /// triple in larger documents). Interning literals as they were read held 41.6 and
 /// peaked at 60.5 (the heap counts a partly filled chunk's capacity, which
@@ -279,4 +283,44 @@ fn building_the_pair_holds_a_bounded_number_of_heap_bytes_per_triple() {
         "{held:.2} bytes a triple held once both scattered sides are loaded, the bound is {SCATTERED_HELD_BOUND}"
     );
     assert!(peak <= PEAK_BOUND, "a peak of {peak:.2} bytes a triple through finish, scattered, the bound is {PEAK_BOUND}");
+}
+
+/// `n` entities of one side in the shape of the benchmark's bbc documents:
+/// four literals each, of three to five ASCII words drawn from a
+/// vocabulary of 400 (five to ten characters, mixed case), and a link to the
+/// next entity — so the literals' text outweighs their pairs.
+fn worded_document(prefix: &str, n: usize) -> String {
+    const STEMS: [&str; 8] = ["Alpha", "bravo", "Charlie", "delta", "ECHO", "foxtrot", "golf", "Hotel"];
+    let mut rng = Rng::seed_from_u64(u64::from(prefix.as_bytes()[0]));
+    let mut doc = String::new();
+    for i in 0..n {
+        for p in 0..4 {
+            let words: Vec<String> = (0..rng.gen_range(3..6usize))
+                .map(|_| {
+                    let k = rng.gen_range(0..400usize);
+                    format!("{}{k}", STEMS[k % STEMS.len()])
+                })
+                .collect();
+            doc.push_str(&format!("<http://e/{prefix}{i}> <http://p/text{p}> \"{}\" .\n", words.join(" ")));
+        }
+        doc.push_str(&format!("<http://e/{prefix}{i}> <http://p/next> <http://e/{prefix}{}> .\n", (i + 1) % n));
+    }
+    doc
+}
+
+/// A literal is logged as its words' token ids, a byte or two a word, not
+/// as its normal form's text: on documents whose literals are a few words
+/// from a small vocabulary, the builder holds those ids and the vocabulary
+/// once. Measured at 16 000 entities a side: 29.6 bytes a triple held once
+/// both sides are loaded (most of it the unfilled part of the logs' 1 MiB
+/// segments), 55.7 when each literal was logged as its normal form and a
+/// NUL byte. (The peak through `finish` reads 73.6 there, 120.2 with the
+/// normal forms: every literal is new, and `finish` no longer spells them.)
+#[test]
+fn a_worded_document_is_held_as_token_ids() {
+    const WORDED_HELD_BOUND: f64 = 32.0;
+    const N: usize = 16_000;
+    let (left, right) = (worded_document("l", N), worded_document("r", N));
+    let (held, _) = held_and_peak(&left, &right, 10 * N);
+    assert!(held <= WORDED_HELD_BOUND, "{held:.2} bytes a triple held once both worded sides are loaded, the bound is {WORDED_HELD_BOUND}");
 }

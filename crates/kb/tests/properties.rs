@@ -101,10 +101,9 @@ fn normalize_agrees_with_tokenize() {
 /// to `i` + U+0307, a combining mark, so a token can hold a
 /// non-alphanumeric char, a second `normalize_name` splits there, and the
 /// tokens of a normalized literal differ from the literal's own. The
-/// loader only ever tokenizes normalized literals
-/// (`for_each_normalized_token` says why it re-classifies non-ASCII
-/// words), so both KBs see the same tokens; this pins the behaviour
-/// rather than blessing it.
+/// loader only ever tokenizes normalized literals (it logs a word past
+/// ASCII whole and tokenizes it again, for this reason), so both KBs see
+/// the same tokens; this pins the behaviour rather than blessing it.
 #[test]
 fn dotted_capital_i_is_the_exception_to_the_tokenizer_laws() {
     let tokens = |s: &str| tokenize(s).map(|t| t.into_owned()).collect::<Vec<_>>();
@@ -553,22 +552,26 @@ fn script_triple(rng: &mut Rng, side: Side, object: Result<String, String>) -> R
 /// next goes back, with the sides alternating call by call through
 /// `add_pair` (predicate `p0`) and empty normal forms among its literals.
 /// Around them sit the shapes the builder's logs are cut at — 1 MiB
-/// segments of pair records and of NUL-ended normal forms: an empty normal
-/// form as the log's last occurrence and, with `empty_first`, as its first
-/// (literal 0, which an occurrence the log lost would read as); with
-/// `segments`, one that fills a segment exactly with its NUL, followed by
-/// an empty one (which then starts the next segment), and one longer than
-/// a segment. With `long`, the left side gets 70 000 more pairs.
+/// segments of pair records and of literal records (a word count, then a
+/// token id per ASCII word, or a mark, a three-byte length and the bytes of
+/// a long word past ASCII): an empty normal form as the log's last
+/// occurrence and, with `empty_first`, as its first (literal 0, which an
+/// occurrence the log lost would read as); with `segments`, one whose
+/// record fills a segment exactly, followed by an empty one (which then
+/// starts the next segment), and one longer than a segment. With `long`,
+/// the left side gets 70 000 more pairs.
 fn log_script(rng: &mut Rng, empty_first: bool, segments: bool, long: bool) -> Vec<RefTriple> {
     const SEGMENT: usize = 1 << 20;
     let pool: Vec<String> =
         (0..24).map(|k| if k % 2 == 0 { words(rng) } else { mixed_string(rng) }).collect();
     let edges = if segments {
+        // One wide word of `SEGMENT - 5` bytes: its record is the count,
+        // the mark, the length and the word.
         vec![
-            run_of('s', SEGMENT - 1),
+            run_of('é', (SEGMENT - 6) / 2) + "a",
             String::new(),
             "after".to_owned(),
-            run_of('l', SEGMENT + 1 + rng.gen_range(0..100usize)),
+            run_of('ł', SEGMENT / 2 + 1 + rng.gen_range(0..100usize)),
             String::new(),
         ]
     } else {

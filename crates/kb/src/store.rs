@@ -527,8 +527,8 @@ fn encode_literal(value: &str, normal: &mut String, tokens: &mut Interner, recor
     let mut count = 0u64;
     record.clear();
     record.push(0);
-    normalize_words(value, normal, |word| {
-        if word.is_ascii() {
+    normalize_words(value, normal, |word, ascii| {
+        if ascii {
             put_varint(record, u64::from(tokens.intern(word).0) + 1);
         } else {
             put_varint(record, 0);
@@ -643,27 +643,7 @@ impl LiteralTables {
 
 /// The literal interner of `records`, literal records whose tokens
 /// `tokens` holds: each normal form spelled out of its words.
-///
-/// Most tokens are short (43 % of the benchmark's bbc words have two
-/// letters), so each token of up to eight bytes is copied as one word from
-/// a table of them: written whole, then cut to its length. On the seed-0
-/// bbc pair that spelled the 599 435 literals in 0.033–0.036 s against
-/// 0.052–0.062 s through the token arena (2-core guest, in process).
 fn spell(records: &Rows<u8>, tokens: &Interner) -> Interner {
-    // A token's bytes as a little-endian word, zero past its end, or 0 if
-    // it is longer: a token holds no NUL, so its length is where the zeros
-    // start.
-    let short: Vec<u64> = tokens
-        .iter()
-        .map(|(_, token)| {
-            let mut word = [0u8; 8];
-            match word.get_mut(..token.len()) {
-                Some(head) => head.copy_from_slice(token.as_bytes()),
-                None => return 0,
-            }
-            u64::from_le_bytes(word)
-        })
-        .collect();
     let mut arena: Vec<u8> = Vec::new();
     let mut offsets = Vec::with_capacity(records.n_rows() + 1);
     offsets.push(0);
@@ -673,14 +653,7 @@ fn spell(records: &Rows<u8>, tokens: &Interner) -> Interner {
                 arena.push(b' ');
             }
             match word {
-                Word::Token(token) => match short.get(token.index()) {
-                    Some(&word) if word != 0 => {
-                        let end = arena.len() + 8 - word.leading_zeros() as usize / 8;
-                        arena.extend_from_slice(&word.to_le_bytes());
-                        arena.truncate(end);
-                    }
-                    _ => arena.extend_from_slice(tokens.string(token).unwrap_or_default().as_bytes()),
-                },
+                Word::Token(token) => arena.extend_from_slice(tokens.string(token).unwrap_or_default().as_bytes()),
                 Word::Wide(word) => arena.extend_from_slice(word.as_bytes()),
             }
         }

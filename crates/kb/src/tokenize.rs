@@ -71,21 +71,22 @@ const fn byte_classes() -> [u8; 256] {
 /// [`normalize_name`] of `value` into `out`, which is cleared first — the
 /// loader normalizes every literal into one buffer it reuses.
 pub(crate) fn normalize_into(value: &str, out: &mut String) {
-    normalize_words(value, out, |_| ());
+    normalize_words(value, out, |_, _| ());
 }
 
 /// [`normalize_into`], calling `word` with each word of the normal form in
-/// order as it is written: the runs its single spaces separate.
+/// order as it is written (the runs its single spaces separate), and
+/// whether the word is ASCII.
 ///
 /// An all-ASCII value takes one pass through [`BYTE_CLASS`], which ends a
 /// word where it writes the space after it. A value with a byte past
 /// ASCII goes char by char through the Unicode tables instead, and its
 /// normal form is split at its spaces afterwards.
-pub(crate) fn normalize_words(value: &str, out: &mut String, mut word: impl FnMut(&str)) {
+pub(crate) fn normalize_words(value: &str, out: &mut String, mut word: impl FnMut(&str, bool)) {
     out.clear();
     if !value.is_ascii() {
         normalize_chars(value, out);
-        out.split(' ').filter(|w| !w.is_empty()).for_each(word);
+        out.split(' ').filter(|w| !w.is_empty()).for_each(|w| word(w, w.is_ascii()));
         return;
     }
     let (mut pending_sep, mut start) = (false, 0);
@@ -96,7 +97,7 @@ pub(crate) fn normalize_words(value: &str, out: &mut String, mut word: impl FnMu
             continue;
         }
         if pending_sep && !out.is_empty() {
-            word(out.get(start..).unwrap_or_default());
+            word(out.get(start..).unwrap_or_default(), true);
             out.push(' ');
             start = out.len();
         }
@@ -104,7 +105,7 @@ pub(crate) fn normalize_words(value: &str, out: &mut String, mut word: impl FnMu
         out.push(char::from(class));
     }
     if !out.is_empty() {
-        word(out.get(start..).unwrap_or_default());
+        word(out.get(start..).unwrap_or_default(), true);
     }
 }
 

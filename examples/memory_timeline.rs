@@ -53,13 +53,7 @@ fn report(point: &str, wall: Option<Duration>) {
     println!("{point:<32} {} {wall:>8}", values.join(" "));
 }
 
-/// The time since `start`.
-#[allow(clippy::disallowed_methods, reason = "the timeline prints each load step's wall time beside its memory")]
-fn since(start: Instant) -> Duration {
-    start.elapsed()
-}
-
-/// The clock at the start of a step.
+/// The clock, read at the start and the end of a step.
 #[allow(clippy::disallowed_methods, reason = "the timeline prints each load step's wall time beside its memory")]
 fn now() -> Instant {
     Instant::now()
@@ -81,7 +75,7 @@ fn load(paths: &[String]) -> Result<KbPair, Box<dyn Error>> {
     match paths {
         [mkb] => {
             let pair = MkbFile::open(Path::new(mkb))?.to_pair()?;
-            report("load", Some(since(start)));
+            report("load", Some(now() - start));
             Ok(pair)
         }
         [left, right] => {
@@ -90,11 +84,11 @@ fn load(paths: &[String]) -> Result<KbPair, Box<dyn Error>> {
                 let start = now();
                 let document = std::fs::read_to_string(path)?;
                 load_ntriples_with_mode(&mut builder, side, &document, ParseMode::Lenient)?;
-                report(&format!("load/{side:?}"), Some(since(start)));
+                report(&format!("load/{side:?}"), Some(now() - start));
             }
             let start = now();
             let pair = builder.finish();
-            report("finish", Some(since(start)));
+            report("finish", Some(now() - start));
             Ok(pair)
         }
         _ => Err("expected one .mkb file or two .nt files".into()),

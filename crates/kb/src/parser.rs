@@ -346,9 +346,12 @@ pub fn load_ntriples_with_mode(
 /// Serializes one side of a [`crate::store::KbPair`] back to N-Triples.
 /// Literals are written in their normalized form; entity references become
 /// URI objects. `load_ntriples` of the output reconstructs an equivalent
-/// KB (round-trip property, tested in the integration suite).
+/// KB (round-trip property, tested in the integration suite). A pair built
+/// in memory spells each literal out of its tokens, and its literal table
+/// stays unspelled.
 pub fn write_ntriples(pair: &crate::store::KbPair, side: Side) -> String {
     let kb = pair.kb(side);
+    let unspelled = pair.unspelled_literals();
     let mut out = String::new();
     for (id, e) in kb.iter() {
         let subject = pair.uri_of(side, id);
@@ -360,7 +363,10 @@ pub fn write_ntriples(pair: &crate::store::KbPair, side: Side) -> String {
             match v {
                 crate::model::Value::Literal(l) => {
                     out.push_str("> \"");
-                    push_escaped(&mut out, pair.literals().resolve(crate::interner::Symbol(l.0)));
+                    match unspelled {
+                        Some(spelling) => spelling.pieces(l).for_each(|piece| out.push_str(piece)),
+                        None => push_escaped(&mut out, pair.literals().resolve(crate::interner::Symbol(l.0))),
+                    }
                     out.push_str("\" .\n");
                 }
                 crate::model::Value::Ref(t) => {

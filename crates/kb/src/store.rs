@@ -222,7 +222,22 @@ impl KbPair {
     /// in memory spells its normal forms out of their tokens on the first
     /// call; nothing on the resolve path makes it.
     pub fn literals(&self) -> &Interner {
-        self.literals.get_or_init(|| spell(&self.literal_records, &self.tokens))
+        self.literals.get_or_init(|| spell(self.spelling()))
+    }
+
+    /// The literals of a pair built in memory whose table
+    /// [`Self::literals`] is not spelled yet, for a writer to spell each
+    /// normal form where it goes instead of building the table; `None` for
+    /// a pair read from a file, and once the table is spelled.
+    pub(crate) fn unspelled_literals(&self) -> Option<Spelling<'_>> {
+        match self.literals.get() {
+            None => Some(self.spelling()),
+            Some(_) => None,
+        }
+    }
+
+    fn spelling(&self) -> Spelling<'_> {
+        Spelling { records: &self.literal_records, tokens: &self.tokens }
     }
 
     /// Attribute interner (attribute name ↔ [`AttrId`]).
@@ -641,26 +656,55 @@ impl LiteralTables {
     }
 }
 
-/// The literal interner of `records`, literal records whose tokens
-/// `tokens` holds: each normal form spelled out of its words.
-fn spell(records: &Rows<u8>, tokens: &Interner) -> Interner {
-    let mut arena: Vec<u8> = Vec::new();
-    let mut offsets = Vec::with_capacity(records.n_rows() + 1);
+/// The literals of a pair built in memory: each literal's record and the
+/// tokens its words name, from which its normal form is spelled.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Spelling<'a> {
+    records: &'a Rows<u8>,
+    tokens: &'a Interner,
+}
+
+impl<'a> Spelling<'a> {
+    /// Each literal's normal form by [`LiteralId`], in the pieces
+    /// [`Self::pieces`] yields.
+    pub(crate) fn iter(self) -> impl ExactSizeIterator<Item = impl Iterator<Item = &'a str>> {
+        self.records.iter().map(move |record| pieces(record, self.tokens))
+    }
+
+    /// `lit`'s normal form as its words and the single spaces between
+    /// them, in order. A normal form holds no `"` or `\`.
+    ///
+    /// # Panics
+    /// Panics if `lit` is not one of the pair's literals.
+    pub(crate) fn pieces(self, lit: LiteralId) -> impl Iterator<Item = &'a str> {
+        pieces(self.records.row(lit.index()), self.tokens)
+    }
+}
+
+/// The words of the literal `record`, each token's spelled by `tokens`,
+/// with a single space before each word but the first.
+fn pieces<'a>(record: &'a [u8], tokens: &'a Interner) -> impl Iterator<Item = &'a str> {
+    words(record.iter()).enumerate().flat_map(move |(k, word)| {
+        let word = match word {
+            Word::Token(token) => tokens.string(token).unwrap_or_default(),
+            Word::Wide(word) => word,
+        };
+        [if k == 0 { "" } else { " " }, word]
+    })
+}
+
+/// The literal interner of `spelling`: each normal form spelled out of its
+/// record.
+fn spell(spelling: Spelling<'_>) -> Interner {
+    let literals = spelling.iter();
+    let mut arena = String::new();
+    let mut offsets = Vec::with_capacity(literals.len() + 1);
     offsets.push(0);
-    for record in records.iter() {
-        for (k, word) in words(record.iter()).enumerate() {
-            if k > 0 {
-                arena.push(b' ');
-            }
-            match word {
-                Word::Token(token) => arena.extend_from_slice(tokens.string(token).unwrap_or_default().as_bytes()),
-                Word::Wide(word) => arena.extend_from_slice(word.as_bytes()),
-            }
-        }
+    for pieces in literals {
+        pieces.for_each(|piece| arena.push_str(piece));
         offsets.push(arena.len() as u32);
     }
-    // Whole `&str`s and spaces, so UTF-8.
-    Interner::from_distinct(String::from_utf8(arena).unwrap_or_default(), offsets)
+    Interner::from_distinct(arena, offsets)
 }
 
 /// Builder assembling a [`KbPair`] from triples or programmatic calls.
@@ -1060,6 +1104,11 @@ mod tests {
 
     /// Appends the record of each of `values` to `log`, interning their
     /// tokens into `lits`.
+    /// The literal interner of the literals `lits` holds.
+    fn spelled(lits: &LiteralTables) -> Interner {
+        spell(Spelling { records: &lits.records, tokens: &lits.tokens })
+    }
+
     fn log_values(log: &mut LiteralLog, lits: &mut LiteralTables, values: &[&str]) {
         let (mut normal, mut record) = (String::new(), Vec::new());
         for (k, value) in values.iter().enumerate() {
@@ -1080,7 +1129,7 @@ mod tests {
         assert_eq!(capacities, [SEGMENT_BYTES, SEGMENT_BYTES + 9, SEGMENT_BYTES]);
         let ids = log.into_interned(&mut lits);
         assert_eq!(ids, [0, 1, 0, 2, 1, 3, 0]);
-        let literals = spell(&lits.records, &lits.tokens);
+        let literals = spelled(&lits);
         let lens: Vec<usize> = literals.iter().map(|(_, s)| s.len()).collect();
         assert_eq!(lens, [0, 3, SEGMENT_BYTES + 4, 1]);
         let rows: Vec<Vec<u32>> = lits.literal_tokens.iter().map(|row| row.iter().map(|t| t.0).collect()).collect();
@@ -1124,7 +1173,7 @@ mod tests {
             log_values(&mut log, &mut lits, &values.iter().map(String::as_str).collect::<Vec<_>>());
             let ids = log.into_interned(&mut lits);
             assert_eq!(ids.len(), values.len());
-            let literals = spell(&lits.records, &lits.tokens);
+            let literals = spelled(&lits);
             assert_eq!(lits.literal_tokens.n_rows(), literals.len());
             let tokens = &lits.tokens;
             for (value, &id) in values.iter().zip(&ids) {
@@ -1162,7 +1211,22 @@ mod tests {
         assert_eq!(record.get(..2), Some(&[0xac, 0x02][..]), "300 as a varint");
         assert_eq!(record.len(), 2 + 300);
         let lit = lits.intern(&record);
-        assert_eq!(spell(&lits.records, &lits.tokens).resolve(Symbol(lit.0)), normal.join(" "));
+        assert_eq!(spelled(&lits).resolve(Symbol(lit.0)), normal.join(" "));
+    }
+
+    #[test]
+    fn a_built_pair_writes_the_same_document_before_and_after_its_literals_are_spelled() {
+        let mut b = KbPairBuilder::new();
+        b.add_triple(Side::Left, "a", "p", Term::Literal("The Fat  Duck"));
+        b.add_triple(Side::Left, "a", "q", Term::Literal("İstanbul, ǅungla 東京"));
+        b.add_triple(Side::Left, "a", "r", Term::Literal("--"));
+        b.add_triple(Side::Left, "a", "s", Term::Uri("http://x.org/Bray"));
+        let pair = b.finish();
+        let unspelled = crate::parser::write_ntriples(&pair, Side::Left);
+        assert!(pair.unspelled_literals().is_some(), "writing the document spells no table");
+        assert!(unspelled.contains("\"the fat duck\"") && unspelled.contains("\"i\u{307}stanbul ǆungla 東京\""));
+        pair.literals();
+        assert_eq!(crate::parser::write_ntriples(&pair, Side::Left), unspelled);
     }
 
     #[test]
